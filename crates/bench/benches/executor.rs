@@ -1,6 +1,7 @@
 //! Microbenchmarks: the home-server SPJ executor on the populated
-//! bookstore — point lookups, joins, top-k scans, and grouped aggregation
-//! (the per-query home CPU that the simulation's `home_cpu_query` models).
+//! bookstore and auction — point lookups, joins (probed and hashed), top-k
+//! scans, and grouped aggregation (the per-query home CPU that the
+//! simulation's `home_cpu_query` models).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scs_apps::BenchApp;
@@ -47,12 +48,40 @@ fn bench_executor(c: &mut Criterion) {
             "SELECT COUNT(*) FROM orders WHERE o_c_id = ?",
             vec![Value::Int(12)],
         ),
+        // Bookstore `getCustomerAddress`: one restricted row, its partner
+        // found by probing `address`'s primary-key index.
+        (
+            "pk_join_point",
+            "SELECT address.addr_street, address.addr_city, address.addr_zip \
+             FROM customer, address \
+             WHERE customer.c_addr_id = address.addr_id AND customer.c_id = ?",
+            vec![Value::Int(321)],
+        ),
     ];
 
     for (name, sql, params) in cases {
         let q = Query::bind(0, Arc::new(parse_query(sql).unwrap()), params.clone()).unwrap();
         group.bench_function(*name, |b| b.iter(|| black_box(db.execute(&q).unwrap())));
     }
+
+    // Auction `getEndingAuctions`: an unindexed range over every item,
+    // ordered on the same column, 25 kept — bounded top-k at auction scale.
+    let (auction, _) = BenchApp::Auction.build_database(1);
+    let q = Query::bind(
+        0,
+        Arc::new(
+            parse_query(
+                "SELECT it_id, it_name, it_end_date FROM items WHERE it_end_date >= ? \
+                 ORDER BY it_end_date LIMIT 25",
+            )
+            .unwrap(),
+        ),
+        vec![Value::Int(2)],
+    )
+    .unwrap();
+    group.bench_function("range_topk_unindexed", |b| {
+        b.iter(|| black_box(auction.execute(&q).unwrap()))
+    });
     group.finish();
     drop(db);
 }

@@ -155,7 +155,7 @@ impl Database {
                 let victims = {
                     let table = self.table(&del.table)?;
                     let preds = bind_preds(table.schema(), &del.predicates, u)?;
-                    matching_rows(table, &preds)
+                    matching_rows(table, &preds)?
                 };
                 let table = self.table_mut(&del.table)?;
                 let mut rows = Vec::with_capacity(victims.len());
@@ -198,13 +198,13 @@ impl Database {
                         changes.push((pos, value));
                     }
                     let preds = bind_preds(schema, &m.predicates, u)?;
-                    (matching_rows(table, &preds), changes)
+                    (matching_rows(table, &preds)?, changes)
                 };
                 let table = self.table_mut(&m.table)?;
                 let mut out = Vec::with_capacity(targets.len());
                 for id in targets {
                     if let Some(old) = table.modify(id, &changes) {
-                        let new = table.row(id).expect("row stays live").clone();
+                        let new = table.live_row(id)?.clone();
                         out.push((old, new));
                     }
                 }
@@ -229,18 +229,11 @@ impl Database {
         let table = self.table(&ins.table)?;
         let schema = table.schema();
         let row = build_insert_row(schema, &ins.columns, &ins.values, u)?;
-        Ok(schema
+        schema
             .foreign_keys
             .iter()
-            .map(|fk| {
-                let key: Vec<Value> = fk
-                    .columns
-                    .iter()
-                    .map(|c| row[schema.column_index(c).expect("validated")].clone())
-                    .collect();
-                (fk.clone(), key)
-            })
-            .collect())
+            .map(|fk| Ok((fk.clone(), fk_key(schema, fk, &row)?)))
+            .collect()
     }
 
     /// The fully-bound row an insert statement would add, without
@@ -288,13 +281,9 @@ impl Database {
 
     /// Verifies every foreign key of `table` for a candidate `row`.
     fn check_foreign_keys(&self, table: &str, row: &Row) -> Result<(), StorageError> {
-        let schema = self.table(table)?.schema().clone();
+        let schema = self.table(table)?.schema();
         for fk in &schema.foreign_keys {
-            let key: Vec<Value> = fk
-                .columns
-                .iter()
-                .map(|c| row[schema.column_index(c).expect("validated")].clone())
-                .collect();
+            let key = fk_key(schema, fk, row)?;
             if !self.fk_parent_exists(fk, &key)? {
                 return Err(StorageError::ForeignKeyViolation {
                     table: table.to_string(),
@@ -309,6 +298,22 @@ impl Database {
         }
         Ok(())
     }
+}
+
+/// The values `row` (of `schema`'s table) carries in `fk`'s columns.
+fn fk_key(schema: &TableSchema, fk: &ForeignKey, row: &Row) -> Result<Vec<Value>, StorageError> {
+    fk.columns
+        .iter()
+        .map(|c| {
+            let pos = schema
+                .column_index(c)
+                .ok_or_else(|| StorageError::UnknownColumn {
+                    table: schema.name.clone(),
+                    column: c.clone(),
+                })?;
+            Ok(row[pos].clone())
+        })
+        .collect()
 }
 
 /// Assembles a full row in schema order from an insert's column/value lists.
@@ -376,7 +381,9 @@ fn bind_preds(
                     rhs: col_pos(r)?,
                 })
             } else {
-                unreachable!("parser rejects scalar-only predicates")
+                Err(StorageError::BadQuery(format!(
+                    "predicate `{p}` compares no column"
+                )))
             }
         })
         .collect()
@@ -384,7 +391,7 @@ fn bind_preds(
 
 /// Row ids satisfying all bound predicates, using an equality index when one
 /// applies.
-fn matching_rows(table: &Table, preds: &[BoundPred]) -> Vec<RowId> {
+fn matching_rows(table: &Table, preds: &[BoundPred]) -> Result<Vec<RowId>, StorageError> {
     // Fast path: an indexed equality restriction narrows the scan.
     for p in preds {
         if let BoundPred::ColScalar {
@@ -394,22 +401,22 @@ fn matching_rows(table: &Table, preds: &[BoundPred]) -> Vec<RowId> {
         } = p
         {
             if let Some(ids) = table.index_lookup(*pos, value) {
-                return ids
-                    .iter()
-                    .copied()
-                    .filter(|id| {
-                        let row = table.row(*id).expect("index points at live rows");
-                        preds.iter().all(|p| p.eval(row))
-                    })
-                    .collect();
+                let mut hits = Vec::with_capacity(ids.len());
+                for &id in ids {
+                    let row = table.live_row(id)?;
+                    if preds.iter().all(|p| p.eval(row)) {
+                        hits.push(id);
+                    }
+                }
+                return Ok(hits);
             }
         }
     }
-    table
+    Ok(table
         .iter()
         .filter(|(_, row)| preds.iter().all(|p| p.eval(row)))
         .map(|(id, _)| id)
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -564,6 +571,27 @@ mod tests {
             vec![Value::Int(9), Value::Int(1)],
         );
         assert!(matches!(db.apply(&u), Err(StorageError::BadModify(_))));
+    }
+
+    /// The parser rejects a predicate without a column; a hand-built
+    /// template must get an error back, not abort the home server.
+    #[test]
+    fn scalar_only_predicate_is_an_error() {
+        use scs_sqlkit::{DeleteTemplate, Operand};
+        let mut db = toystore_db();
+        let one = || Operand::Scalar(Scalar::Literal(Value::Int(1)));
+        let tpl = UpdateTemplate::Delete(DeleteTemplate {
+            table: "toys".into(),
+            predicates: vec![Predicate {
+                lhs: one(),
+                op: CmpOp::Eq,
+                rhs: one(),
+            }],
+            param_count: 0,
+        });
+        let u = Update::bind(0, Arc::new(tpl), vec![]).unwrap();
+        assert!(matches!(db.apply(&u), Err(StorageError::BadQuery(_))));
+        assert_eq!(db.table("toys").unwrap().len(), 3);
     }
 
     #[test]

@@ -30,6 +30,10 @@ pub enum StorageError {
     BadQuery(String),
     /// Schema definition problem (duplicate table, bad PK/FK columns, ...).
     BadSchema(String),
+    /// An index entry or an intermediate result named a row that is not
+    /// live — an engine inconsistency, reported to the caller instead of
+    /// aborting the serving process.
+    DanglingRow { table: String, id: usize },
 }
 
 impl fmt::Display for StorageError {
@@ -59,6 +63,9 @@ impl fmt::Display for StorageError {
             StorageError::BadModify(m) => write!(f, "bad modification: {m}"),
             StorageError::BadQuery(m) => write!(f, "bad query: {m}"),
             StorageError::BadSchema(m) => write!(f, "bad schema: {m}"),
+            StorageError::DanglingRow { table, id } => {
+                write!(f, "row {id} of `{table}` is not live")
+            }
         }
     }
 }

@@ -4,17 +4,39 @@
 //! with conjunctive predicates over the five comparison operators, optional
 //! `ORDER BY`, top-k (`LIMIT`), and aggregation with `GROUP BY`.
 //!
-//! Execution strategy: per-alias candidate filtering (using equality indexes
-//! where available), then greedy join ordering with hash joins on equality
-//! join predicates and nested loops otherwise. Good enough to make the home
-//! server the realistic bottleneck in the scalability simulation without
-//! pathological blowups.
+//! Every choice below is made from the query and the tables' indexes alone.
+//!
+//! * **Access path.** An alias with predicates of its own is filtered up
+//!   front, through an equality index when one of its `=` restrictions has
+//!   one, by a scan otherwise. An alias without any is never filtered: it
+//!   counts as its whole table.
+//! * **Join order.** Greedy: the smallest candidate count first, then
+//!   aliases connected by an equality join to the bound set, smallest
+//!   first.
+//! * **Join step.** An unfiltered alias joined on an indexed equality
+//!   column is *probed* per bound tuple (index nested loop); any other
+//!   equality join builds a hash table over the alias's candidates; a join
+//!   with theta predicates only is a nested loop.
+//! * **Top-k.** `ORDER BY` gathers borrowed sort keys once and orders tuple
+//!   numbers by `(keys…, arrival number)`; with `LIMIT k` only the k
+//!   smallest are selected and sorted, and only they are projected.
+//!   `LIMIT k` without `ORDER BY` stops the last join step at k tuples.
+//! * **Aggregation.** One pass over the tuples folds every aggregate of
+//!   every group; values are cloned into output rows only.
+//!
+//! **Row-order contract** — what the home returns is what the cache stores
+//! and which rows a top-k keeps, so every plan must produce rows in this
+//! order: a scan yields ascending `RowId`; an indexed restriction yields
+//! the index's own list order; a probe yields ascending `RowId` per bound
+//! tuple (the order a hash bucket built from a scan has); sort ties keep
+//! arrival order; groups appear in first-seen order.
 
 use crate::database::Database;
 use crate::error::StorageError;
 use crate::result::QueryResult;
 use crate::table::{Row, RowId, Table};
-use scs_sqlkit::{AggFunc, CmpOp, ColumnRef, Query, SelectItem, Value};
+use scs_sqlkit::{AggFunc, CmpOp, ColumnRef, Query, Real, SelectItem, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Executes `q` against `db`, producing a materialized result.
@@ -25,10 +47,18 @@ pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, StorageError> {
         .iter()
         .map(|tr| db.table(&tr.table))
         .collect::<Result<_, _>>()?;
+    if tables.is_empty() {
+        return Err(StorageError::BadQuery("query has no FROM table".into()));
+    }
 
-    let ctx = Context::new(q, &tables)?;
-    let tuples = ctx.join()?;
-    ctx.finish(tuples)
+    let ctx = Context::new(q, tables)?;
+    let columns: Vec<String> = tpl.select.iter().map(|s| s.to_string()).collect();
+    let rows = if tpl.has_aggregates() || !tpl.group_by.is_empty() {
+        ctx.aggregate()?
+    } else {
+        ctx.project()?
+    };
+    Ok(QueryResult::new(columns, rows))
 }
 
 /// A column resolved to (alias index, column position).
@@ -39,10 +69,10 @@ struct Col {
 }
 
 /// `column op value`, local to one alias.
-struct Restriction {
+struct Restriction<'a> {
     col: Col,
     op: CmpOp,
-    value: Value,
+    value: &'a Value,
 }
 
 /// `column op column` within one alias (violates the paper's §2.1.1
@@ -61,19 +91,37 @@ struct JoinPred {
     rhs: Col,
 }
 
+/// `LIMIT` as a tuple count; `usize::MAX` when the query has none.
+fn limit_of(q: &Query) -> usize {
+    q.template
+        .limit
+        .map_or(usize::MAX, |k| usize::try_from(k).unwrap_or(usize::MAX))
+}
+
+/// Lexicographic order of two `ORDER BY` key tuples, `desc[i]` reversing key `i`.
+fn compare_keys(a: &[&Value], b: &[&Value], desc: &[bool]) -> Ordering {
+    for ((x, y), desc) in a.iter().zip(b).zip(desc) {
+        let ord = if *desc { y.cmp(x) } else { x.cmp(y) };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
 struct Context<'a> {
     q: &'a Query,
     tables: Vec<&'a Table>,
-    restrictions: Vec<Restriction>,
+    restrictions: Vec<Restriction<'a>>,
     locals: Vec<LocalColCol>,
     joins: Vec<JoinPred>,
 }
 
 impl<'a> Context<'a> {
-    fn new(q: &'a Query, tables: &[&'a Table]) -> Result<Context<'a>, StorageError> {
+    fn new(q: &'a Query, tables: Vec<&'a Table>) -> Result<Context<'a>, StorageError> {
         let mut ctx = Context {
             q,
-            tables: tables.to_vec(),
+            tables,
             restrictions: Vec::new(),
             locals: Vec::new(),
             joins: Vec::new(),
@@ -84,7 +132,7 @@ impl<'a> Context<'a> {
                 ctx.restrictions.push(Restriction {
                     col,
                     op,
-                    value: q.resolve(s).clone(),
+                    value: q.resolve(s),
                 });
             } else if let Some((l, op, r)) = p.as_join() {
                 let lc = ctx.resolve(l)?;
@@ -104,7 +152,10 @@ impl<'a> Context<'a> {
                     });
                 }
             } else {
-                unreachable!("parser rejects scalar-only predicates");
+                // The parser rejects these; a hand-built AST can hold one.
+                return Err(StorageError::BadQuery(format!(
+                    "predicate `{p}` compares no column"
+                )));
             }
         }
         Ok(ctx)
@@ -130,8 +181,22 @@ impl<'a> Context<'a> {
         Ok(Col { alias, pos })
     }
 
-    /// Candidate row ids for one alias after local filtering.
-    fn candidates(&self, alias: usize) -> Vec<RowId> {
+    /// The value of column `c` in tuple `t` (one row id per alias).
+    fn value(&self, t: &[RowId], c: Col) -> Result<&'a Value, StorageError> {
+        Ok(&self.tables[c.alias].live_row(t[c.alias])?[c.pos])
+    }
+
+    /// True if `alias` has a restriction or a column-column predicate of
+    /// its own, i.e. its candidates are fewer than its table.
+    fn is_filtered(&self, alias: usize) -> bool {
+        self.restrictions.iter().any(|r| r.col.alias == alias)
+            || self.locals.iter().any(|l| l.alias == alias)
+    }
+
+    /// Up to `cap` candidate row ids for one alias after local filtering:
+    /// in index-list order when an indexed equality restriction narrows the
+    /// scan, in ascending `RowId` order otherwise.
+    fn candidates(&self, alias: usize, cap: usize) -> Result<Vec<RowId>, StorageError> {
         let table = self.tables[alias];
         let my_restrictions: Vec<&Restriction> = self
             .restrictions
@@ -143,7 +208,7 @@ impl<'a> Context<'a> {
         let passes = |row: &Row| {
             my_restrictions
                 .iter()
-                .all(|r| r.op.eval(&row[r.col.pos], &r.value))
+                .all(|r| r.op.eval(&row[r.col.pos], r.value))
                 && my_locals
                     .iter()
                     .all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
@@ -151,63 +216,92 @@ impl<'a> Context<'a> {
         // Indexed equality fast path.
         for r in &my_restrictions {
             if r.op == CmpOp::Eq {
-                if let Some(ids) = table.index_lookup(r.col.pos, &r.value) {
-                    return ids
-                        .iter()
-                        .copied()
-                        .filter(|id| passes(table.row(*id).expect("live")))
-                        .collect();
+                if let Some(ids) = table.index_lookup(r.col.pos, r.value) {
+                    let mut hits = Vec::with_capacity(ids.len().min(cap));
+                    for &id in ids {
+                        if hits.len() == cap {
+                            break;
+                        }
+                        if passes(table.live_row(id)?) {
+                            hits.push(id);
+                        }
+                    }
+                    return Ok(hits);
                 }
             }
         }
-        table
+        Ok(table
             .iter()
             .filter(|(_, row)| passes(row))
             .map(|(id, _)| id)
-            .collect()
+            .take(cap)
+            .collect())
     }
 
-    /// Performs the join; returns tuples as row-id vectors indexed by alias.
-    fn join(&self) -> Result<Vec<Vec<RowId>>, StorageError> {
+    /// Performs the join; returns up to `cap` tuples, flat: one row id per
+    /// alias, in alias order, tuple after tuple.
+    fn join(&self, cap: usize) -> Result<Vec<RowId>, StorageError> {
         let n = self.tables.len();
-        let candidates: Vec<Vec<RowId>> = (0..n).map(|a| self.candidates(a)).collect();
+        if cap == 0 {
+            return Ok(Vec::new());
+        }
+        if n == 1 {
+            return self.candidates(0, cap);
+        }
+        // `None`: an unfiltered alias, its whole table — counted for the
+        // join order, materialised only if a step below has to scan it.
+        let mut filtered: Vec<Option<Vec<RowId>>> = Vec::with_capacity(n);
+        for alias in 0..n {
+            filtered.push(if self.is_filtered(alias) {
+                Some(self.candidates(alias, usize::MAX)?)
+            } else {
+                None
+            });
+        }
+        let count = |a: usize| filtered[a].as_ref().map_or(self.tables[a].len(), Vec::len);
 
         // Greedy join order: start at the smallest candidate set; then
         // prefer aliases reachable via an equality join from the bound set.
         let mut remaining: Vec<usize> = (0..n).collect();
         let mut order: Vec<usize> = Vec::with_capacity(n);
         while !remaining.is_empty() {
-            let pick = if order.is_empty() {
-                *remaining
-                    .iter()
-                    .min_by_key(|a| candidates[**a].len())
-                    .expect("nonempty")
-            } else {
-                let connected = |a: usize| {
-                    self.joins.iter().any(|j| {
-                        j.op == CmpOp::Eq
-                            && ((j.lhs.alias == a && order.contains(&j.rhs.alias))
-                                || (j.rhs.alias == a && order.contains(&j.lhs.alias)))
-                    })
-                };
-                *remaining
-                    .iter()
-                    .min_by_key(|a| (!connected(**a), candidates[**a].len()))
-                    .expect("nonempty")
+            let connected = |a: usize| {
+                self.joins.iter().any(|j| {
+                    j.op == CmpOp::Eq
+                        && ((j.lhs.alias == a && order.contains(&j.rhs.alias))
+                            || (j.rhs.alias == a && order.contains(&j.lhs.alias)))
+                })
+            };
+            let Some(pick) = remaining
+                .iter()
+                .copied()
+                .min_by_key(|a| (!order.is_empty() && !connected(*a), count(*a)))
+            else {
+                break;
             };
             remaining.retain(|a| *a != pick);
             order.push(pick);
         }
 
-        // `tuples[t][k]` = row id for alias `order[k]`.
-        let mut tuples: Vec<Vec<RowId>> = candidates[order[0]].iter().map(|id| vec![*id]).collect();
+        // Slots of aliases not bound yet hold this placeholder.
+        const UNBOUND: RowId = RowId::MAX;
+        let first = match filtered[order[0]].take() {
+            Some(ids) => ids,
+            None => self.candidates(order[0], usize::MAX)?,
+        };
+        let mut tuples: Vec<RowId> = vec![UNBOUND; first.len() * n];
+        for (t, id) in tuples.chunks_exact_mut(n).zip(first) {
+            t[order[0]] = id;
+        }
 
         for step in 1..n {
             let alias = order[step];
             let bound = &order[..step];
-            // Join predicates now fully bound and touching `alias`.
-            let mut eq_keys: Vec<(usize, usize, usize)> = Vec::new(); // (bound_slot, bound_pos, new_pos)
-            let mut thetas: Vec<(usize, usize, CmpOp, usize)> = Vec::new(); // (bound_slot, bound_pos, op, new_pos) lhs=bound
+            let table = self.tables[alias];
+            // Join predicates now fully bound and touching `alias`, as
+            // (bound column, column position in `alias`), bound side left.
+            let mut eq_keys: Vec<(Col, usize)> = Vec::new();
+            let mut thetas: Vec<(Col, CmpOp, usize)> = Vec::new();
             for j in &self.joins {
                 let (b, np, op) = if j.lhs.alias == alias && bound.contains(&j.rhs.alias) {
                     (j.rhs, j.lhs.pos, j.op.flipped())
@@ -216,57 +310,100 @@ impl<'a> Context<'a> {
                 } else {
                     continue;
                 };
-                let slot = bound.iter().position(|a| *a == b.alias).expect("bound");
                 if op == CmpOp::Eq {
-                    eq_keys.push((slot, b.pos, np));
+                    eq_keys.push((b, np));
                 } else {
-                    thetas.push((slot, b.pos, op, np));
+                    thetas.push((b, op, np));
                 }
             }
+            let cap = if step == n - 1 { cap } else { usize::MAX };
 
-            let table = self.tables[alias];
-            let row_of = |t: &Vec<RowId>, slot: usize| -> &Row {
-                self.tables[order[slot]].row(t[slot]).expect("live")
-            };
-            let theta_ok = |t: &Vec<RowId>, new_row: &Row| {
-                thetas.iter().all(|(slot, bpos, op, npos)| {
-                    op.eval(&row_of(t, *slot)[*bpos], &new_row[*npos])
-                })
+            let mut next: Vec<RowId> = Vec::new();
+            // Appends `t` extended by `id` if the theta predicates hold;
+            // false once `cap` tuples exist.
+            let mut emit = |t: &[RowId], id: RowId, new_row: &Row| -> Result<bool, StorageError> {
+                for (b, op, np) in &thetas {
+                    if !op.eval(self.value(t, *b)?, &new_row[*np]) {
+                        return Ok(true);
+                    }
+                }
+                let at = next.len();
+                next.extend_from_slice(t);
+                next[at + alias] = id;
+                Ok(next.len() < cap.saturating_mul(n))
             };
 
-            let mut next: Vec<Vec<RowId>> = Vec::new();
-            if eq_keys.is_empty() {
-                for t in &tuples {
-                    for id in &candidates[alias] {
-                        let new_row = table.row(*id).expect("live");
-                        if theta_ok(t, new_row) {
-                            let mut ext = t.clone();
-                            ext.push(*id);
-                            next.push(ext);
+            let probe = match filtered[alias] {
+                None => eq_keys.iter().position(|(_, np)| table.has_index(*np)),
+                Some(_) => None,
+            };
+            if let Some(k) = probe {
+                // Index nested loop: probe the index per bound tuple and
+                // check the other equality keys on what it returns. Index
+                // lists are unordered after deletes, a scan's hash bucket
+                // is not: emit in ascending row id.
+                let (probe_col, probe_pos) = eq_keys[k];
+                let mut sorted: Vec<RowId> = Vec::new();
+                'probe: for t in tuples.chunks_exact(n) {
+                    let ids = table
+                        .index_lookup(probe_pos, self.value(t, probe_col)?)
+                        .unwrap_or(&[]);
+                    let ids = if ids.windows(2).all(|w| w[0] < w[1]) {
+                        ids
+                    } else {
+                        sorted.clear();
+                        sorted.extend_from_slice(ids);
+                        sorted.sort_unstable();
+                        &sorted
+                    };
+                    for &id in ids {
+                        let new_row = table.live_row(id)?;
+                        let mut all_eq = true;
+                        for (i, (b, np)) in eq_keys.iter().enumerate() {
+                            if i != k && self.value(t, *b)? != &new_row[*np] {
+                                all_eq = false;
+                                break;
+                            }
+                        }
+                        if all_eq && !emit(t, id, new_row)? {
+                            break 'probe;
                         }
                     }
                 }
             } else {
-                // Hash join: build on the new alias's candidates.
-                let mut hash: HashMap<Vec<Value>, Vec<RowId>> = HashMap::new();
-                for id in &candidates[alias] {
-                    let row = table.row(*id).expect("live");
-                    let key: Vec<Value> =
-                        eq_keys.iter().map(|(_, _, np)| row[*np].clone()).collect();
-                    hash.entry(key).or_default().push(*id);
-                }
-                for t in &tuples {
-                    let key: Vec<Value> = eq_keys
-                        .iter()
-                        .map(|(slot, bpos, _)| row_of(t, *slot)[*bpos].clone())
-                        .collect();
-                    if let Some(ids) = hash.get(&key) {
-                        for id in ids {
-                            let new_row = table.row(*id).expect("live");
-                            if theta_ok(t, new_row) {
-                                let mut ext = t.clone();
-                                ext.push(*id);
-                                next.push(ext);
+                let scanned;
+                let ids: &[RowId] = match &filtered[alias] {
+                    Some(ids) => ids,
+                    None => {
+                        scanned = self.candidates(alias, usize::MAX)?;
+                        &scanned
+                    }
+                };
+                if eq_keys.is_empty() {
+                    'nested: for t in tuples.chunks_exact(n) {
+                        for &id in ids {
+                            if !emit(t, id, table.live_row(id)?)? {
+                                break 'nested;
+                            }
+                        }
+                    }
+                } else {
+                    // Hash join: build on the new alias's candidates.
+                    let mut hash: HashMap<Vec<&Value>, Vec<RowId>> = HashMap::new();
+                    for &id in ids {
+                        let row = table.live_row(id)?;
+                        let key = eq_keys.iter().map(|(_, np)| &row[*np]).collect();
+                        hash.entry(key).or_default().push(id);
+                    }
+                    let mut key: Vec<&Value> = Vec::with_capacity(eq_keys.len());
+                    'hash: for t in tuples.chunks_exact(n) {
+                        key.clear();
+                        for (b, _) in &eq_keys {
+                            key.push(self.value(t, *b)?);
+                        }
+                        for &id in hash.get(&key).map_or(&[][..], Vec::as_slice) {
+                            if !emit(t, id, table.live_row(id)?)? {
+                                break 'hash;
                             }
                         }
                     }
@@ -277,113 +414,99 @@ impl<'a> Context<'a> {
                 break;
             }
         }
-
-        // Re-order each tuple from join order back to alias order.
-        let mut slot_of_alias = vec![0usize; n];
-        for (slot, a) in order.iter().enumerate() {
-            slot_of_alias[*a] = slot;
-        }
-        Ok(tuples
-            .into_iter()
-            .map(|t| (0..n).map(|a| t[slot_of_alias[a]]).collect())
-            .collect())
+        Ok(tuples)
     }
 
-    /// Projection, aggregation, ordering, top-k.
-    fn finish(&self, tuples: Vec<Vec<RowId>>) -> Result<QueryResult, StorageError> {
+    /// Plain projection with ordering and top-k.
+    fn project(&self) -> Result<Vec<Vec<Value>>, StorageError> {
         let tpl = &self.q.template;
-        let columns: Vec<String> = tpl.select.iter().map(|s| s.to_string()).collect();
-        let value_at = |t: &Vec<RowId>, c: Col| -> Value {
-            self.tables[c.alias].row(t[c.alias]).expect("live")[c.pos].clone()
-        };
-
-        let mut rows: Vec<Vec<Value>>;
-        if tpl.has_aggregates() || !tpl.group_by.is_empty() {
-            rows = self.aggregate(&tuples, &value_at)?;
-            // ORDER BY on grouped output: keys must be group-by columns.
-            if !tpl.order_by.is_empty() {
-                let mut key_positions = Vec::with_capacity(tpl.order_by.len());
-                for k in &tpl.order_by {
-                    let pos = tpl
-                        .select
-                        .iter()
-                        .position(|s| matches!(s, SelectItem::Column(c) if c == &k.column))
-                        .ok_or_else(|| {
-                            StorageError::BadQuery(format!(
-                                "ORDER BY `{}` must be a selected group-by column",
-                                k.column
-                            ))
-                        })?;
-                    key_positions.push((pos, k.desc));
-                }
-                rows.sort_by(|a, b| {
-                    for (pos, desc) in &key_positions {
-                        let ord = a[*pos].cmp(&b[*pos]);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if !ord.is_eq() {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-            }
-        } else {
-            // Plain projection; sort tuples by order-by keys first (keys may
-            // be non-projected columns).
-            let mut tuples = tuples;
-            if !tpl.order_by.is_empty() {
-                let keys: Vec<(Col, bool)> = tpl
-                    .order_by
-                    .iter()
-                    .map(|k| Ok((self.resolve(&k.column)?, k.desc)))
-                    .collect::<Result<_, StorageError>>()?;
-                tuples.sort_by(|a, b| {
-                    for (col, desc) in &keys {
-                        let ord = value_at(a, *col).cmp(&value_at(b, *col));
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if !ord.is_eq() {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-            }
-            let select_cols: Vec<Col> = tpl
-                .select
-                .iter()
-                .map(|s| match s {
-                    SelectItem::Column(c) => self.resolve(c),
-                    SelectItem::Aggregate { .. } => unreachable!("no aggregates here"),
-                })
-                .collect::<Result<_, _>>()?;
-            rows = tuples
-                .iter()
-                .map(|t| select_cols.iter().map(|c| value_at(t, *c)).collect())
-                .collect();
-        }
-
-        if let Some(k) = tpl.limit {
-            rows.truncate(k as usize);
-        }
-        Ok(QueryResult::new(columns, rows))
-    }
-
-    /// Grouped / scalar aggregation.
-    fn aggregate(
-        &self,
-        tuples: &[Vec<RowId>],
-        value_at: &dyn Fn(&Vec<RowId>, Col) -> Value,
-    ) -> Result<Vec<Vec<Value>>, StorageError> {
-        let tpl = &self.q.template;
-        // Validate select items: plain columns must be group-by columns.
+        // Sort keys may be non-projected columns.
+        let keys: Vec<Col> = tpl
+            .order_by
+            .iter()
+            .map(|k| self.resolve(&k.column))
+            .collect::<Result<_, _>>()?;
+        let desc: Vec<bool> = tpl.order_by.iter().map(|k| k.desc).collect();
+        let mut select_cols: Vec<Col> = Vec::with_capacity(tpl.select.len());
         for s in &tpl.select {
             if let SelectItem::Column(c) = s {
-                if !tpl.group_by.contains(c) {
-                    return Err(StorageError::BadQuery(format!(
-                        "non-aggregated column `{c}` must appear in GROUP BY"
-                    )));
+                select_cols.push(self.resolve(c)?);
+            }
+        }
+        let limit = limit_of(self.q);
+        let n = self.tables.len();
+
+        let tuples = self.join(if keys.is_empty() { limit } else { usize::MAX })?;
+        let count = tuples.len() / n;
+
+        // Tuple numbers in output order.
+        let mut picked: Vec<usize> = (0..count).collect();
+        if keys.is_empty() {
+            picked.truncate(limit);
+        } else {
+            let nk = keys.len();
+            let mut sort_keys: Vec<&Value> = Vec::with_capacity(count * nk);
+            for t in tuples.chunks_exact(n) {
+                for k in &keys {
+                    sort_keys.push(self.value(t, *k)?);
                 }
             }
+            // Arrival number as the last key makes the order total, so
+            // the unstable select and sort below are deterministic and
+            // agree with a stable sort on the keys.
+            let by_keys_then_arrival = |a: &usize, b: &usize| {
+                let (ka, kb) = (&sort_keys[a * nk..][..nk], &sort_keys[b * nk..][..nk]);
+                compare_keys(ka, kb, &desc).then(a.cmp(b))
+            };
+            if limit < count {
+                if limit > 0 {
+                    picked.select_nth_unstable_by(limit - 1, by_keys_then_arrival);
+                }
+                picked.truncate(limit);
+            }
+            picked.sort_unstable_by(by_keys_then_arrival);
+        }
+
+        let mut rows = Vec::with_capacity(picked.len());
+        for i in picked {
+            let t = &tuples[i * n..(i + 1) * n];
+            let mut row = Vec::with_capacity(select_cols.len());
+            for c in &select_cols {
+                row.push(self.value(t, *c)?.clone());
+            }
+            rows.push(row);
+        }
+        Ok(rows)
+    }
+
+    /// Grouped / scalar aggregation, then ordering and top-k on its output.
+    fn aggregate(&self) -> Result<Vec<Vec<Value>>, StorageError> {
+        let tpl = &self.q.template;
+        let n = self.tables.len();
+        let tuples = self.join(usize::MAX)?;
+
+        // Plain select items must be group-by columns. An aggregate's
+        // argument is resolved here, but a failure only surfaces when the
+        // first group's row is built, after the items before it.
+        enum Item {
+            GroupKey(usize),
+            Agg(AggFunc, Option<Result<Col, StorageError>>),
+        }
+        let mut items: Vec<Item> = Vec::with_capacity(tpl.select.len());
+        for s in &tpl.select {
+            items.push(match s {
+                SelectItem::Column(c) => {
+                    let gpos = tpl.group_by.iter().position(|g| g == c).ok_or_else(|| {
+                        StorageError::BadQuery(format!(
+                            "non-aggregated column `{c}` must appear in GROUP BY"
+                        ))
+                    })?;
+                    Item::GroupKey(gpos)
+                }
+                SelectItem::Aggregate { func, arg } => {
+                    Item::Agg(*func, arg.as_ref().map(|c| self.resolve(c)))
+                }
+            });
         }
         let group_cols: Vec<Col> = tpl
             .group_by
@@ -391,124 +514,175 @@ impl<'a> Context<'a> {
             .map(|c| self.resolve(c))
             .collect::<Result<_, _>>()?;
 
-        // Group key -> member tuples, preserving first-seen group order.
-        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (i, t) in tuples.iter().enumerate() {
-            let key: Vec<Value> = group_cols.iter().map(|c| value_at(t, *c)).collect();
-            match index.get(&key) {
-                Some(g) => groups[*g].1.push(i),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![i]));
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        if tuples.is_empty() {
+            // Scalar aggregation over empty input emits one row only if
+            // every aggregate is COUNT (SQL would produce NULLs, which the
+            // model lacks); grouped aggregation emits no group.
+            let all_count = items
+                .iter()
+                .all(|i| matches!(i, Item::Agg(AggFunc::Count, _)));
+            if tpl.group_by.is_empty() && all_count {
+                rows.push(vec![Value::Int(0); items.len()]);
+            }
+        } else {
+            // One pass: find each tuple's group (first-seen order; no
+            // GROUP BY is one group over everything) and fold it into that
+            // group's accumulators, one per select item.
+            let width = items.len();
+            let gk = group_cols.len();
+            let mut keys: Vec<&Value> = Vec::with_capacity(tuples.len() / n * gk);
+            for t in tuples.chunks_exact(n) {
+                for c in &group_cols {
+                    keys.push(self.value(t, *c)?);
                 }
             }
-        }
-        // Scalar aggregation (no GROUP BY): a single group over all tuples.
-        // Over empty input, emit one row only if every aggregate is COUNT
-        // (SQL would produce NULLs, which the model lacks).
-        if tpl.group_by.is_empty() {
-            if tuples.is_empty() {
-                let all_count = tpl.select.iter().all(|s| {
-                    matches!(
-                        s,
-                        SelectItem::Aggregate {
-                            func: AggFunc::Count,
-                            ..
-                        }
-                    )
-                });
-                return Ok(if all_count {
-                    vec![vec![Value::Int(0); tpl.select.len()]]
+            let mut groups: Vec<(usize, usize)> = Vec::new(); // (first tuple, size)
+            let mut accs: Vec<Acc> = Vec::new(); // group-major, `width` each
+            let mut index: HashMap<&[&Value], usize> = HashMap::new();
+            for (i, t) in tuples.chunks_exact(n).enumerate() {
+                let g = if gk == 0 {
+                    0
                 } else {
-                    Vec::new()
-                });
+                    *index
+                        .entry(&keys[i * gk..(i + 1) * gk])
+                        .or_insert(groups.len())
+                };
+                if g == groups.len() {
+                    groups.push((i, 0));
+                    accs.resize_with(accs.len() + width, Acc::default);
+                }
+                groups[g].1 += 1;
+                for (item, acc) in items.iter().zip(&mut accs[g * width..]) {
+                    if let Item::Agg(func, Some(Ok(col))) = item {
+                        acc.fold(*func, self.value(t, *col)?);
+                    }
+                }
             }
-            groups = vec![(Vec::new(), (0..tuples.len()).collect())];
+
+            rows.reserve(groups.len());
+            for (g, (first, size)) in groups.iter().enumerate() {
+                let mut out = Vec::with_capacity(width);
+                for (item, acc) in items.iter().zip(&accs[g * width..]) {
+                    out.push(match item {
+                        Item::GroupKey(gpos) => keys[first * gk + gpos].clone(),
+                        Item::Agg(_, Some(Err(e))) => return Err(e.clone()),
+                        Item::Agg(func, arg) => acc.finish(*func, arg.is_some(), *size)?,
+                    });
+                }
+                rows.push(out);
+            }
         }
 
-        let mut rows = Vec::with_capacity(groups.len());
-        for (key, members) in &groups {
-            let mut out = Vec::with_capacity(tpl.select.len());
-            for s in &tpl.select {
-                match s {
-                    SelectItem::Column(c) => {
-                        let gpos = tpl.group_by.iter().position(|g| g == c).expect("validated");
-                        out.push(key[gpos].clone());
-                    }
-                    SelectItem::Aggregate { func, arg } => {
-                        let vals: Vec<Value> = match arg {
-                            Some(c) => {
-                                let col = self.resolve(c)?;
-                                members.iter().map(|i| value_at(&tuples[*i], col)).collect()
-                            }
-                            None => Vec::new(), // COUNT(*)
-                        };
-                        out.push(eval_agg(*func, arg.is_some(), &vals, members.len())?);
+        // ORDER BY on grouped output: keys must be selected group-by
+        // columns. Stable, so tied groups stay in first-seen order.
+        if !tpl.order_by.is_empty() {
+            let mut key_positions = Vec::with_capacity(tpl.order_by.len());
+            for k in &tpl.order_by {
+                let pos = tpl
+                    .select
+                    .iter()
+                    .position(|s| matches!(s, SelectItem::Column(c) if c == &k.column))
+                    .ok_or_else(|| {
+                        StorageError::BadQuery(format!(
+                            "ORDER BY `{}` must be a selected group-by column",
+                            k.column
+                        ))
+                    })?;
+                key_positions.push((pos, k.desc));
+            }
+            rows.sort_by(|a, b| {
+                for (pos, desc) in &key_positions {
+                    let ord = a[*pos].cmp(&b[*pos]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord.is_ne() {
+                        return ord;
                     }
                 }
-            }
-            rows.push(out);
+                Ordering::Equal
+            });
         }
+        rows.truncate(limit_of(self.q));
         Ok(rows)
     }
 }
 
-/// Evaluates one aggregate over a group.
-fn eval_agg(
-    func: AggFunc,
-    has_arg: bool,
-    vals: &[Value],
-    group_size: usize,
-) -> Result<Value, StorageError> {
-    let numeric = |v: &Value| {
-        v.as_f64().ok_or_else(|| {
-            StorageError::BadQuery(format!("{} over non-numeric value {v}", func.as_str()))
-        })
-    };
-    match func {
-        AggFunc::Count => Ok(Value::Int(group_size as i64)),
-        AggFunc::Min => {
-            if !has_arg {
-                return Err(StorageError::BadQuery("MIN requires a column".into()));
-            }
-            Ok(vals.iter().min().expect("nonempty group").clone())
-        }
-        AggFunc::Max => {
-            if !has_arg {
-                return Err(StorageError::BadQuery("MAX requires a column".into()));
-            }
-            Ok(vals.iter().max().expect("nonempty group").clone())
-        }
-        AggFunc::Sum => {
-            if !has_arg {
-                return Err(StorageError::BadQuery("SUM requires a column".into()));
-            }
-            if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                let mut acc: i64 = 0;
-                for v in vals {
-                    if let Value::Int(i) = v {
-                        acc = acc.saturating_add(*i);
-                    }
+/// The running state of one aggregate over one group.
+#[derive(Default)]
+struct Acc<'a> {
+    /// MIN / MAX so far.
+    best: Option<&'a Value>,
+    /// SUM over `Int`s saturates; anything else sums as a float, in
+    /// arrival order.
+    int_sum: i64,
+    real_sum: f64,
+    seen_non_int: bool,
+    /// The first value SUM / AVG cannot add.
+    non_numeric: Option<&'a Value>,
+}
+
+impl<'a> Acc<'a> {
+    fn fold(&mut self, func: AggFunc, v: &'a Value) {
+        match func {
+            AggFunc::Count => {}
+            // Of equal values MIN keeps the first and MAX the last, as
+            // `Iterator::min` / `max` do.
+            AggFunc::Min => {
+                if self.best.is_none_or(|b| v < b) {
+                    self.best = Some(v);
                 }
-                Ok(Value::Int(acc))
-            } else {
-                let mut acc = 0.0;
-                for v in vals {
-                    acc += numeric(v)?;
+            }
+            AggFunc::Max => {
+                if self.best.is_none_or(|b| v >= b) {
+                    self.best = Some(v);
                 }
-                Ok(Value::real(acc))
+            }
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Value::Int(i) = v {
+                    self.int_sum = self.int_sum.saturating_add(*i);
+                } else {
+                    self.seen_non_int = true;
+                }
+                match v.as_f64() {
+                    Some(x) if self.non_numeric.is_none() => self.real_sum += x,
+                    Some(_) => {}
+                    None => self.non_numeric = self.non_numeric.or(Some(v)),
+                }
             }
         }
-        AggFunc::Avg => {
-            if !has_arg {
-                return Err(StorageError::BadQuery("AVG requires a column".into()));
-            }
-            let mut acc = 0.0;
-            for v in vals {
-                acc += numeric(v)?;
-            }
-            Ok(Value::real(acc / vals.len() as f64))
+    }
+
+    fn finish(
+        &self,
+        func: AggFunc,
+        has_arg: bool,
+        group_size: usize,
+    ) -> Result<Value, StorageError> {
+        let name = func.as_str();
+        if func == AggFunc::Count {
+            return Ok(Value::Int(group_size as i64));
+        }
+        if !has_arg {
+            return Err(StorageError::BadQuery(format!("{name} requires a column")));
+        }
+        let real = |x: f64| {
+            Real::new(x)
+                .map(Value::Real)
+                .ok_or_else(|| StorageError::BadQuery(format!("{name} is not a number")))
+        };
+        match func {
+            AggFunc::Min | AggFunc::Max => self
+                .best
+                .cloned()
+                .ok_or_else(|| StorageError::BadQuery(format!("{name} over an empty group"))),
+            AggFunc::Sum if !self.seen_non_int => Ok(Value::Int(self.int_sum)),
+            _ => match self.non_numeric {
+                Some(v) => Err(StorageError::BadQuery(format!(
+                    "{name} over non-numeric value {v}"
+                ))),
+                None if func == AggFunc::Avg => real(self.real_sum / group_size as f64),
+                None => real(self.real_sum),
+            },
         }
     }
 }
@@ -763,6 +937,194 @@ mod tests {
         );
         // toy 1 has orders (100,amt2),(101,amt1): one ordered pair.
         assert_eq!(r.rows, vec![vec![Value::Int(100), Value::Int(101)]]);
+    }
+
+    fn ints(r: &QueryResult) -> Vec<Vec<i64>> {
+        r.rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Int(i) => *i,
+                        other => panic!("expected Int, got {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn apply(db: &mut Database, sql: &str, params: Vec<Value>) {
+        let tpl = Arc::new(scs_sqlkit::parse_update(sql).unwrap());
+        db.apply(&scs_sqlkit::Update::bind(0, tpl, params).unwrap())
+            .unwrap();
+    }
+
+    /// `orders` is unfiltered and joined on its indexed FK column, so it is
+    /// probed; deletes and slot reuse leave that index list unsorted, and
+    /// the probe must still emit in ascending row id, as a scan would.
+    #[test]
+    fn probe_after_delete_emits_ascending_row_ids() {
+        let mut d = db();
+        let sql = "SELECT orders.order_id FROM toys, orders \
+                   WHERE toys.toy_id = orders.toy_id AND toys.toy_name = ?";
+        apply(
+            &mut d,
+            "INSERT INTO orders (order_id, toy_id, amount) VALUES (?, ?, ?)",
+            vec![Value::Int(103), Value::Int(1), Value::Int(9)],
+        );
+        // Toy 1's orders sit in slots 0, 1, 3; deleting slot 0 swaps the
+        // last entry into its place: the index list reads [3, 1].
+        apply(
+            &mut d,
+            "DELETE FROM orders WHERE order_id = ?",
+            vec![Value::Int(100)],
+        );
+        let orders = d.table("orders").unwrap();
+        assert_eq!(orders.index_lookup(1, &Value::Int(1)).unwrap(), &[3, 1]);
+        let r = run(&d, sql, vec![Value::str("bear")]);
+        assert_eq!(ints(&r), vec![vec![101], vec![103]]);
+        // A new order reuses slot 0 and lands last in the list: [3, 1, 0].
+        apply(
+            &mut d,
+            "INSERT INTO orders (order_id, toy_id, amount) VALUES (?, ?, ?)",
+            vec![Value::Int(104), Value::Int(1), Value::Int(9)],
+        );
+        let r = run(&d, sql, vec![Value::str("bear")]);
+        assert_eq!(ints(&r), vec![vec![104], vec![101], vec![103]]);
+    }
+
+    #[test]
+    fn probe_on_non_pk_index_with_duplicates() {
+        let d = db();
+        // `t2` is unfiltered and `toy_name` carries a declared index with
+        // two bears in it.
+        let r = run(
+            &d,
+            "SELECT t1.toy_id, t2.toy_id FROM toys t1, toys t2 \
+             WHERE t1.toy_name = t2.toy_name AND t1.toy_id = ?",
+            vec![Value::Int(4)],
+        );
+        assert_eq!(ints(&r), vec![vec![4, 1], vec![4, 4]]);
+    }
+
+    #[test]
+    fn unfiltered_alias_without_join_index_is_hash_joined() {
+        let mut d = db();
+        d.insert_row(
+            "toys",
+            vec![Value::Int(5), Value::str("kite"), Value::Int(10)],
+        )
+        .unwrap();
+        // `qty` has no index: `t2` is scanned into a hash table, and each
+        // bucket comes out in scan order all the same.
+        let r = run(
+            &d,
+            "SELECT t1.toy_id, t2.toy_id FROM toys t1, toys t2 \
+             WHERE t1.qty = t2.qty AND t1.toy_name = ?",
+            vec![Value::str("bear")],
+        );
+        assert_eq!(ints(&r), vec![vec![1, 1], vec![1, 5], vec![4, 4]]);
+    }
+
+    /// Enough rows that the unstable select and sort really permute: ties
+    /// at the cut — the k-th and (k+1)-th agree on every key — must still
+    /// resolve by arrival order.
+    #[test]
+    fn top_k_ties_keep_arrival_order() {
+        let mut d = Database::new();
+        d.create_table(
+            TableSchema::builder("t")
+                .column("id", ColumnType::Int)
+                .column("k", ColumnType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        for id in 0..200 {
+            d.insert_row("t", vec![Value::Int(id), Value::Int(id % 3)])
+                .unwrap();
+        }
+        let r = run(&d, "SELECT id FROM t ORDER BY k LIMIT 100", vec![]);
+        let zeros = (0..200).filter(|id| id % 3 == 0);
+        let ones = (0..200).filter(|id| id % 3 == 1);
+        let want: Vec<Vec<i64>> = zeros.chain(ones).take(100).map(|id| vec![id]).collect();
+        assert_eq!(ints(&r), want);
+        let r = run(&d, "SELECT id FROM t ORDER BY k DESC", vec![]);
+        assert_eq!(ints(&r)[..3], [vec![2], vec![5], vec![8]]);
+    }
+
+    #[test]
+    fn order_by_non_projected_column_across_join() {
+        let d = db();
+        let r = run(
+            &d,
+            "SELECT orders.order_id FROM toys, orders WHERE toys.toy_id = orders.toy_id \
+             ORDER BY toys.qty, orders.amount DESC",
+            vec![],
+        );
+        // car (qty 5) before bear (qty 10); bear's orders by amount, 2 then 1.
+        assert_eq!(ints(&r), vec![vec![102], vec![100], vec![101]]);
+    }
+
+    #[test]
+    fn limit_larger_than_result() {
+        let d = db();
+        let r = run(
+            &d,
+            "SELECT toy_id FROM toys ORDER BY toy_id LIMIT 99",
+            vec![],
+        );
+        assert_eq!(ints(&r), vec![vec![1], vec![2], vec![3], vec![4]]);
+        let r = run(&d, "SELECT toy_id FROM toys LIMIT 99", vec![]);
+        assert_eq!(r.len(), 4);
+        let r = run(
+            &d,
+            "SELECT orders.order_id FROM toys, orders WHERE toys.toy_id = orders.toy_id LIMIT 2",
+            vec![],
+        );
+        assert_eq!(ints(&r), vec![vec![100], vec![101]]);
+    }
+
+    /// Of equal extrema MIN returns the first and MAX the last, which
+    /// shows when an `Int` and a `Real` compare equal.
+    #[test]
+    fn min_max_among_equal_values() {
+        let mut d = Database::new();
+        d.create_table(
+            TableSchema::builder("m")
+                .column("id", ColumnType::Int)
+                .column("r", ColumnType::Real)
+                .primary_key(&["id"])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        d.insert_row("m", vec![Value::Int(1), Value::Int(1)])
+            .unwrap();
+        d.insert_row("m", vec![Value::Int(2), Value::real(1.0)])
+            .unwrap();
+        let r = run(&d, "SELECT MIN(r), MAX(r), SUM(r) FROM m", vec![]);
+        assert_eq!(
+            r.rows,
+            vec![vec![Value::Int(1), Value::real(1.0), Value::real(2.0)]]
+        );
+    }
+
+    /// The parser rejects a predicate without a column; a hand-built
+    /// template reaches the executor with one and must get an error back.
+    #[test]
+    fn scalar_only_predicate_is_an_error() {
+        use scs_sqlkit::{Operand, Predicate, Scalar};
+        let d = db();
+        let mut tpl = parse_query("SELECT toy_id FROM toys").unwrap();
+        tpl.predicates.push(Predicate {
+            lhs: Operand::Scalar(Scalar::Literal(Value::Int(1))),
+            op: CmpOp::Eq,
+            rhs: Operand::Scalar(Scalar::Literal(Value::Int(1))),
+        });
+        let q = Query::bind(0, Arc::new(tpl), vec![]).unwrap();
+        assert!(matches!(d.execute(&q), Err(StorageError::BadQuery(_))));
     }
 
     #[test]

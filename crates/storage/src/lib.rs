@@ -9,8 +9,9 @@
 //! * **foreign keys** — referential integrity enforced on insert.
 //!
 //! The executor implements multiset semantics (projection keeps
-//! duplicates), conjunctive SPJ evaluation with hash joins on equality join
-//! predicates, `ORDER BY`, top-k, and aggregation/`GROUP BY`.
+//! duplicates), conjunctive SPJ evaluation with index nested-loop and hash
+//! joins on equality join predicates, `ORDER BY`, bounded top-k, and
+//! streaming aggregation/`GROUP BY`.
 
 pub mod database;
 pub mod error;

@@ -197,7 +197,9 @@ impl PartitionMap {
     #[allow(clippy::type_complexity)]
     fn value_router(&self, p: TablePlacement) -> (String, Box<dyn Fn(&Value) -> usize>) {
         match p {
-            TablePlacement::Shard(_) => unreachable!("whole-table placements route without a key"),
+            // Callers peel whole-table placements off first; were one to
+            // arrive, every value routes to its one shard.
+            TablePlacement::Shard(s) => (String::new(), Box::new(move |_| s)),
             TablePlacement::Range { column, bounds } => (
                 column,
                 Box::new(move |v| bounds.partition_point(|b| b <= v)),

@@ -80,6 +80,16 @@ impl Table {
         self.slots.get(id).and_then(|s| s.as_ref())
     }
 
+    /// The row stored at `id`, or [`StorageError::DanglingRow`]: the fetch
+    /// every query and update path goes through, so that an id which
+    /// outlived its row surfaces as an error, not a process abort.
+    pub(crate) fn live_row(&self, id: RowId) -> Result<&Row, StorageError> {
+        self.row(id).ok_or_else(|| StorageError::DanglingRow {
+            table: self.schema.name.clone(),
+            id,
+        })
+    }
+
     /// Iterates over `(RowId, &Row)` for all live rows.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
         self.slots
@@ -106,10 +116,6 @@ impl Table {
         self.pk_index.get(key).copied()
     }
 
-    fn pk_of(&self, row: &Row) -> Vec<Value> {
-        self.pk_positions.iter().map(|&p| row[p].clone()).collect()
-    }
-
     /// Type-checks and inserts a full row (schema column order), enforcing
     /// primary-key uniqueness. Returns the new row's id.
     pub fn insert(&mut self, row: Row) -> Result<RowId, StorageError> {
@@ -131,7 +137,7 @@ impl Table {
             }
         }
         if !self.pk_positions.is_empty() {
-            let key = self.pk_of(&row);
+            let key = pk_of(&self.pk_positions, &row);
             if self.pk_index.contains_key(&key) {
                 return Err(StorageError::DuplicateKey {
                     table: self.schema.name.clone(),
@@ -172,7 +178,7 @@ impl Table {
     pub fn modify(&mut self, id: RowId, changes: &[(usize, Value)]) -> Option<Row> {
         self.slots.get(id)?.as_ref()?;
         self.index_remove(id);
-        let row = self.slots[id].as_mut().expect("checked live");
+        let row = self.slots[id].as_mut()?;
         let old = row.clone();
         for (pos, v) in changes {
             row[*pos] = v.clone();
@@ -181,24 +187,43 @@ impl Table {
         Some(old)
     }
 
+    // Both index maintainers read the key columns from the stored row
+    // itself, borrowing `slots` and the index maps side by side.
+
     fn index_add(&mut self, id: RowId) {
-        let row = self.slots[id].as_ref().expect("live row").clone();
-        if !self.pk_positions.is_empty() {
-            let key = self.pk_of(&row);
-            self.pk_index.insert(key, id);
+        let Table {
+            slots,
+            pk_positions,
+            pk_index,
+            eq_indexes,
+            ..
+        } = self;
+        let Some(row) = slots.get(id).and_then(Option::as_ref) else {
+            return;
+        };
+        if !pk_positions.is_empty() {
+            pk_index.insert(pk_of(pk_positions, row), id);
         }
-        for (pos, idx) in self.eq_indexes.iter_mut() {
+        for (pos, idx) in eq_indexes.iter_mut() {
             idx.entry(row[*pos].clone()).or_default().push(id);
         }
     }
 
     fn index_remove(&mut self, id: RowId) {
-        let row = self.slots[id].as_ref().expect("live row").clone();
-        if !self.pk_positions.is_empty() {
-            let key = self.pk_of(&row);
-            self.pk_index.remove(&key);
+        let Table {
+            slots,
+            pk_positions,
+            pk_index,
+            eq_indexes,
+            ..
+        } = self;
+        let Some(row) = slots.get(id).and_then(Option::as_ref) else {
+            return;
+        };
+        if !pk_positions.is_empty() {
+            pk_index.remove(&pk_of(pk_positions, row));
         }
-        for (pos, idx) in self.eq_indexes.iter_mut() {
+        for (pos, idx) in eq_indexes.iter_mut() {
             if let Some(ids) = idx.get_mut(&row[*pos]) {
                 if let Some(at) = ids.iter().position(|x| *x == id) {
                     ids.swap_remove(at);
@@ -209,6 +234,10 @@ impl Table {
             }
         }
     }
+}
+
+fn pk_of(pk_positions: &[usize], row: &Row) -> Vec<Value> {
+    pk_positions.iter().map(|&p| row[p].clone()).collect()
 }
 
 #[cfg(test)]

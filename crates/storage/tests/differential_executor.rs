@@ -1,0 +1,380 @@
+//! Differential tests: the executor must return, query by query, exactly
+//! what the executor it replaced returns (`support/reference_executor.rs`)
+//! — same columns, same rows, **same row order**, same `Err`. Row order is
+//! observable: it decides which rows a top-k keeps, hence what the DSSP
+//! caches and which invalidations fire.
+
+#[path = "support/reference_executor.rs"]
+mod reference_executor;
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use scs_apps::{BenchApp, Op, ParamGen};
+use scs_sqlkit::{parse_query, parse_update, Query, Update, Value};
+use scs_storage::{ColumnType, Database, TableSchema};
+use std::sync::Arc;
+
+fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
+    &xs[rng.gen_range(0..xs.len())]
+}
+
+/// The three tables of a random world and their columns. Small value
+/// domains make ties, duplicates and multi-row index lists the rule.
+const TABLES: [(&str, &[&str]); 3] = [
+    ("a", &["id", "k", "v", "s", "r"]),
+    ("b", &["id", "a_id", "k", "w"]),
+    ("c", &["k", "x"]), // keyless
+];
+
+fn columns_of(table: &str) -> &'static [&'static str] {
+    TABLES.iter().find(|(t, _)| *t == table).unwrap().1
+}
+
+/// A value from `column`'s domain. `r` is a `Real` column that also holds
+/// `Int`s: `Int(1)` and `Real(1.0)` compare equal but hash apart, so an
+/// equality join on it tells a structural match from an ordered one.
+fn domain_value(rng: &mut StdRng, column: &str, next_id: &mut i64) -> Value {
+    match column {
+        "id" => {
+            *next_id += 1;
+            Value::Int(*next_id)
+        }
+        "a_id" => Value::Int(rng.gen_range(1..12)),
+        "k" => Value::Int(rng.gen_range(0..4)),
+        "v" | "w" | "x" => Value::Int(rng.gen_range(-3..4)),
+        "s" => Value::str(*pick(rng, &["x", "y", "z"])),
+        "r" => pick(rng, &[Value::Int(1), Value::real(1.0), Value::real(2.5)]).clone(),
+        other => panic!("no domain for {other}"),
+    }
+}
+
+/// A value to compare `column` with (ids are drawn from those handed out).
+fn probe_value(rng: &mut StdRng, column: &str, next_id: i64) -> Value {
+    match column {
+        "id" => Value::Int(rng.gen_range(0..next_id + 2)),
+        _ => domain_value(rng, column, &mut 0),
+    }
+}
+
+/// Random schemas: every join column is indexed in some worlds and not in
+/// others, as a primary key, a foreign key or a declared index.
+fn create_tables(rng: &mut StdRng) -> Database {
+    let mut db = Database::new();
+    let mut a = TableSchema::builder("a")
+        .column("id", ColumnType::Int)
+        .column("k", ColumnType::Int)
+        .column("v", ColumnType::Int)
+        .column("s", ColumnType::Str)
+        .column("r", ColumnType::Real)
+        .primary_key(&["id"]);
+    for col in ["k", "s", "r"] {
+        if rng.gen_bool(0.5) {
+            a = a.index(col);
+        }
+    }
+    let mut b = TableSchema::builder("b")
+        .column("id", ColumnType::Int)
+        .column("a_id", ColumnType::Int)
+        .column("k", ColumnType::Int)
+        .column("w", ColumnType::Int)
+        .primary_key(&["id"]);
+    match rng.gen_range(0..3) {
+        0 => b = b.foreign_key(&["a_id"], "a", &["id"]),
+        1 => b = b.index("a_id"),
+        _ => {}
+    }
+    if rng.gen_bool(0.5) {
+        b = b.index("k");
+    }
+    let mut c = TableSchema::builder("c")
+        .column("k", ColumnType::Int)
+        .column("x", ColumnType::Int);
+    if rng.gen_bool(0.5) {
+        c = c.index("k");
+    }
+    for schema in [a, b, c] {
+        db.create_table(schema.build().unwrap()).unwrap();
+    }
+    db
+}
+
+fn update(sql: &str, params: Vec<Value>) -> Update {
+    Update::bind(0, Arc::new(parse_update(sql).unwrap()), params).unwrap()
+}
+
+/// A random insert/delete/modify history. Deletes leave dead slots and
+/// `swap_remove` holes in index lists; later inserts reuse the slots and
+/// push low row ids behind high ones; modifies re-push entries — so scan
+/// order, index-list order and ascending-`RowId` order all differ.
+fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
+    let mut next_id = 0i64;
+    for (table, columns) in TABLES {
+        // Up to ~50 rows: past the length where an unstable sort is an
+        // insertion sort (and so stable by accident).
+        let ops: usize = *pick(rng, &[0, 8, 40, 80, 80]);
+        for _ in 0..ops {
+            match rng.gen_range(0..10) {
+                0..=6 => {
+                    let row = columns
+                        .iter()
+                        .map(|c| domain_value(rng, c, &mut next_id))
+                        .collect();
+                    db.insert_row(table, row).unwrap();
+                }
+                7 => {
+                    // By `id` one row goes; by any other column, several.
+                    let col = if rng.gen_bool(0.7) {
+                        columns[0]
+                    } else {
+                        *pick(rng, columns)
+                    };
+                    let v = probe_value(rng, col, next_id);
+                    db.apply(&update(
+                        &format!("DELETE FROM {table} WHERE {col} = ?"),
+                        vec![v],
+                    ))
+                    .unwrap();
+                }
+                _ => {
+                    // Any column but the first: never a primary key.
+                    let set = *pick(rng, &columns[1..]);
+                    let by = *pick(rng, columns);
+                    let to = domain_value(rng, set, &mut next_id);
+                    let v = probe_value(rng, by, next_id);
+                    db.apply(&update(
+                        &format!("UPDATE {table} SET {set} = ? WHERE {by} = ?"),
+                        vec![to, v],
+                    ))
+                    .unwrap();
+                }
+            }
+        }
+    }
+    next_id
+}
+
+/// A random query of the §2.1 model over 1–3 aliases (self-joins
+/// included): restrictions, column-column predicates, equality and theta
+/// joins, then either a plain projection with multi-key `ORDER BY` or
+/// `GROUP BY` with every aggregate — some of them ill-typed or misnamed on
+/// purpose, so `Err`s are compared too.
+fn random_query(rng: &mut StdRng, next_id: i64) -> (String, Vec<Value>) {
+    const OPS: [&str; 5] = ["=", "<", "<=", ">", ">="];
+    let n = *pick(rng, &[1, 1, 2, 2, 2, 3]);
+    let aliases: Vec<(String, &str)> = (0..n)
+        .map(|i| (format!("t{i}"), pick(rng, &TABLES).0))
+        .collect();
+    let any_col = |rng: &mut StdRng| {
+        let (alias, table) = pick(rng, &aliases);
+        let col = *pick(rng, columns_of(table));
+        (format!("{alias}.{col}"), col)
+    };
+
+    let mut preds: Vec<String> = Vec::new();
+    let mut params: Vec<Value> = Vec::new();
+    // Join predicates: chain each alias to an earlier one, mostly by `=`.
+    for i in 1..n {
+        let j = rng.gen_range(0..i);
+        let joins = if n == 3 { 1 } else { rng.gen_range(0..3) };
+        for extra in 0..joins {
+            // Mostly columns whose domains meet, so joins have matches.
+            let (lc, rc) = match (rng.gen_range(0..10), aliases[i].1, aliases[j].1) {
+                (0..=2, "b", "a") => ("a_id", "id"),
+                (0..=2, "a", "b") => ("id", "a_id"),
+                (3, "a", _) => ("r", "k"),
+                (3, _, "a") => ("k", "r"),
+                (0..=6, ..) => ("k", "k"),
+                _ => (
+                    *pick(rng, columns_of(aliases[i].1)),
+                    *pick(rng, columns_of(aliases[j].1)),
+                ),
+            };
+            let op = if rng.gen_bool(if extra == 0 { 0.8 } else { 0.5 }) {
+                "="
+            } else {
+                *pick(rng, &OPS)
+            };
+            preds.push(format!("t{i}.{lc} {op} t{j}.{rc}"));
+        }
+    }
+    for (alias, table) in &aliases {
+        for _ in 0..*pick(rng, &[0, 0, 0, 1, 1, 2]) {
+            let col = *pick(rng, columns_of(table));
+            if rng.gen_bool(0.15) {
+                let other = *pick(rng, columns_of(table));
+                preds.push(format!("{alias}.{col} {} {alias}.{other}", pick(rng, &OPS)));
+            } else {
+                preds.push(format!("{alias}.{col} {} ?", pick(rng, &OPS)));
+                params.push(probe_value(rng, col, next_id));
+            }
+        }
+    }
+    // Shuffle: which indexed restriction comes first picks the access path.
+    for i in (1..preds.len()).rev() {
+        // Parameters are positional, so only param-free swaps keep the binding.
+        let j = rng.gen_range(0..=i);
+        if !preds[i].contains('?') && !preds[j].contains('?') {
+            preds.swap(i, j);
+        }
+    }
+
+    let mut sql = String::from("SELECT ");
+    let mut tail = String::new();
+    if rng.gen_bool(0.35) {
+        let group: Vec<String> = (0..*pick(rng, &[0, 1, 1, 2]))
+            .map(|_| any_col(rng).0)
+            .collect();
+        let mut items: Vec<String> = group
+            .iter()
+            .filter(|_| rng.gen_bool(0.8))
+            .cloned()
+            .collect();
+        for _ in 0..rng.gen_range(if items.is_empty() { 1 } else { 0 }..3) {
+            let func = *pick(rng, &["COUNT", "SUM", "MIN", "MAX", "AVG"]);
+            let a_alias = aliases.iter().find(|(_, table)| *table == "a");
+            items.push(match a_alias {
+                _ if func == "COUNT" && rng.gen_bool(0.5) => "COUNT(*)".to_string(),
+                // `r` mixes `Int(1)` and `Real(1.0)`: which of two equal
+                // extrema MIN / MAX return, and SUM's Int-or-float rule.
+                Some((alias, _)) if rng.gen_bool(0.3) => format!("{func}({alias}.r)"),
+                _ => format!("{func}({})", any_col(rng).0),
+            });
+        }
+        if rng.gen_bool(0.05) {
+            items.push(any_col(rng).0); // most likely not grouped: an error
+        }
+        sql += &items.join(", ");
+        if !group.is_empty() {
+            tail += &format!(" GROUP BY {}", group.join(", "));
+            if rng.gen_bool(0.5) {
+                let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
+                tail += &format!(" ORDER BY {}{desc}", pick(rng, &group));
+            }
+        }
+    } else {
+        let items: Vec<String> = (0..rng.gen_range(1..4)).map(|_| any_col(rng).0).collect();
+        sql += &items.join(", ");
+        let keys: Vec<String> = (0..*pick(rng, &[0, 0, 1, 1, 2, 3]))
+            .map(|_| {
+                let desc = if rng.gen_bool(0.4) { " DESC" } else { "" };
+                format!("{}{desc}", any_col(rng).0)
+            })
+            .collect();
+        if !keys.is_empty() {
+            tail += &format!(" ORDER BY {}", keys.join(", "));
+        }
+    }
+    match rng.gen_range(0..6) {
+        0 => tail += " LIMIT 0",
+        1 => tail += " LIMIT 1",
+        2 => tail += &format!(" LIMIT {}", rng.gen_range(2..12)),
+        3 => tail += " LIMIT 100000",
+        _ => {}
+    }
+
+    sql += " FROM ";
+    sql += &aliases
+        .iter()
+        .map(|(alias, table)| format!("{table} {alias}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    if !preds.is_empty() {
+        sql += &format!(" WHERE {}", preds.join(" AND "));
+    }
+    if rng.gen_bool(0.02) {
+        sql = sql.replacen(".k", ".nope", 1); // an unknown column somewhere
+    }
+    (sql + &tail, params)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Over random indexed and unindexed tables with dead slots, reused
+    /// slots and unsorted index lists: `execute` == the reference, as a
+    /// `Result`, rows in order.
+    #[test]
+    fn executor_equals_reference(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = create_tables(&mut rng);
+        let next_id = random_history(&mut rng, &mut db);
+        for _ in 0..12 {
+            let (sql, params) = random_query(&mut rng, next_id);
+            let Ok(template) = parse_query(&sql) else {
+                panic!("generator produced unparsable SQL: {sql}");
+            };
+            let q = Query::bind(0, Arc::new(template), params).unwrap();
+            prop_assert_eq!(
+                db.execute(&q),
+                reference_executor::execute(&db, &q),
+                "seed {} query `{}`", seed, q
+            );
+        }
+    }
+}
+
+/// The first `requests` requests of an application's stream (a request
+/// type drawn by weight, each operation bound with fresh parameters — the
+/// simulator's own draw sequence), replayed against one database: every
+/// query answers identically under both executors, before the next update
+/// moves the data on.
+fn replay(app: BenchApp, requests: usize, seed: u64) {
+    let def = app.def();
+    let (mut db, ids) = app.build_database(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut gen = ParamGen::new(ids, app.zipf_exponent());
+    let total_weight: u32 = def.requests.iter().map(|r| r.weight).sum();
+    let (mut queries, mut nonempty) = (0usize, 0usize);
+    for _ in 0..requests {
+        let mut at = rng.gen_range(0..total_weight);
+        let request = def
+            .requests
+            .iter()
+            .find(|r| match at.checked_sub(r.weight) {
+                Some(rest) => {
+                    at = rest;
+                    false
+                }
+                None => true,
+            })
+            .unwrap();
+        for op in &request.ops {
+            match *op {
+                Op::Query(tid) => {
+                    let t = &def.queries[tid];
+                    let params = gen.bind_all(&t.params, &mut rng);
+                    let q = Query::bind(tid, t.template.clone(), params).unwrap();
+                    let got = db.execute(&q);
+                    assert_eq!(
+                        got,
+                        reference_executor::execute(&db, &q),
+                        "{} `{}`: {q}",
+                        def.name,
+                        t.name
+                    );
+                    queries += 1;
+                    nonempty += usize::from(got.is_ok_and(|r| !r.is_empty()));
+                }
+                Op::Update(tid) => {
+                    let t = &def.updates[tid];
+                    let params = gen.bind_all(&t.params, &mut rng);
+                    // Some inserts are rejected (a parent closed earlier).
+                    let _ = db.apply(&Update::bind(tid, t.template.clone(), params).unwrap());
+                }
+            }
+        }
+    }
+    assert!(queries > requests, "{}: {queries} queries", def.name);
+    assert!(nonempty * 2 > queries, "{}: mostly empty results", def.name);
+}
+
+#[test]
+fn auction_stream_replays_identically() {
+    replay(BenchApp::Auction, 2_000, 42);
+}
+
+#[test]
+fn bookstore_stream_replays_identically() {
+    replay(BenchApp::Bookstore, 2_000, 42);
+}
