@@ -22,23 +22,42 @@
 //! the §4.5 primary-key refinement leans on it. Declining to cache empty
 //! results enforces the assumption structurally.
 //!
-//! Two hot paths are index-backed rather than scan-backed:
+//! Entries live in a slot arena and every other structure names them by
+//! slot id, so each [`CacheKey`] is held once and no path clones or
+//! re-hashes keys to walk entries:
 //!
-//! * **Eviction** pops the least-recently-used entry from a `BTreeMap`
+//! * **Lookup** hashes the query's `(template id, parameters)` once and
+//!   follows the hash to a slot (entries whose hashes collide chain
+//!   through their slots).
+//! * **Eviction** pops the least-recently-used slot from a `BTreeMap`
 //!   keyed by the logical LRU clock (`last_used` values are unique, so
-//!   the map's first key is always the victim) — O(log n) per eviction
-//!   instead of an O(n) `min_by_key` sweep.
-//! * **Invalidation** can restrict itself to *candidate* entries via a
-//!   `template_id → keys` secondary index ([`ResultCache::invalidate_candidates`]).
-//!   Blind-level entries live in a separate always-candidate set, because
-//!   Property 1 makes every blind entry a victim of every update — no
-//!   index may ever hide one from an invalidation pass.
+//!   the map's first key is always the victim).
+//! * **Invalidation** ([`ResultCache::invalidate_candidates`]) is a
+//!   candidate generator in front of the caller's per-entry judge. Each
+//!   template id has a *bucket* of its `template`-level-and-above
+//!   entries, grouped by exposure level; a bucket the IPM does not mark
+//!   as conflicting is never visited. Within a visited bucket a
+//!   [`Probe`] narrows the `stmt`/`view` groups to the entries a value
+//!   index returns — an index over one bound parameter, or over one
+//!   result column — and only those reach the judge. The indexes are
+//!   built from [`CacheEntry::visible_statement`] /
+//!   [`CacheEntry::visible_result`] alone, on the first probe that asks
+//!   for them, and maintained at attach/detach from then on. Their
+//!   notion of "equal" is `CmpOp::Eq`'s (numeric across `Int`/`Real`):
+//!   postings are keyed by a hash of the value's canonical numeric form,
+//!   and a hash collision only adds a candidate the judge then spares.
+//!   Blind-level entries live in a separate always-candidate list,
+//!   because Property 1 makes every blind entry a victim of every
+//!   update — no index may ever hide one from an invalidation pass.
 
+use crate::strategy::{probe_for, Probe};
 use scs_core::ExposureLevel;
 use scs_crypto::{CryptoMeter, Encryptor};
-use scs_sqlkit::{Query, TemplateId, Value};
+use scs_sqlkit::{Query, QueryTemplate, TemplateId, Update, Value};
 use scs_storage::QueryResult;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 /// Canonical identity of a cached query instance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -57,6 +76,13 @@ pub struct CacheEntry {
     /// Approximate stored size in bytes (header + payload, with the
     /// encryption envelope overhead when the result is encrypted).
     pub stored_bytes: usize,
+    /// Length of the plaintext statement text (0 below `stmt` exposure,
+    /// where the text is never in the clear) and the result's
+    /// [`QueryResult::approx_size_bytes`] — what inspecting the entry
+    /// reveals, summed per bucket group so the audit plane can meter the
+    /// pairs an index spared without visiting them.
+    statement_bytes: usize,
+    result_bytes: usize,
     /// Logical timestamp of the last lookup or store (LRU bookkeeping).
     last_used: u64,
     /// Simulation time (µs) past which the entry may no longer be served
@@ -126,6 +152,17 @@ impl CacheEntry {
     pub fn stored_stream(&self) -> u64 {
         self.stored_stream
     }
+
+    /// What reading this entry in the clear reveals: the bytes of its
+    /// statement text (0 below `stmt` exposure) and of its result rows
+    /// (what a `view`-level inspection reads).
+    pub(crate) fn inspection_bytes(&self) -> (u64, u64) {
+        (self.statement_bytes as u64, self.result_bytes as u64)
+    }
+
+    fn is_instance_of(&self, template_id: TemplateId, params: &[Value]) -> bool {
+        self.key.template_id == template_id && self.key.params == params
+    }
 }
 
 /// What a lease-aware lookup found.
@@ -139,10 +176,11 @@ pub enum Lookup<'a> {
     Miss,
 }
 
-/// What [`ResultCache::store_with_evictions`] did: whether the entry went
-/// in, whether it displaced a live entry under the same key, and which
-/// entries the capacity bound pushed out to make room.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What [`ResultCache::store_with_evictions`] / [`ResultCache::import`]
+/// did: whether the entry went in, whether it displaced a live entry
+/// under the same key, and which entries the capacity bound pushed out
+/// to make room.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreOutcome {
     pub stored: bool,
     /// A live entry already existed for the key; its bytes were
@@ -152,21 +190,206 @@ pub struct StoreOutcome {
     pub evicted: Vec<CacheKey>,
 }
 
+/// What one [`ResultCache::invalidate_candidates`] pass did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScanOutcome {
+    /// (update, entry) pairs the pass *decided*: the sizes of the visited
+    /// buckets plus the blind list — what a walk of those buckets would
+    /// have judged one by one.
+    pub scanned: usize,
+    /// How many of those reached the judge; the rest were spared by a
+    /// probe.
+    pub inspected: usize,
+    pub invalidated: usize,
+    /// The spared pairs, per bucket group, for the audit plane.
+    pub pruned: Vec<PrunedPairs>,
+}
+
+/// Pairs of one bucket group a probe spared the judge: each is decided
+/// "keep" at the inspection tier of the entry's level (`view` for a
+/// `view` entry, `statement` for a `stmt` one), having revealed its
+/// template id, its statement text and — at `view` — its rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrunedPairs {
+    pub template_id: TemplateId,
+    pub level: ExposureLevel,
+    pub pairs: u64,
+    pub statement_bytes: u64,
+    /// Bytes of the spared entries' results — revealed only at `view`.
+    pub result_bytes: u64,
+}
+
+/// Arena index of a live entry.
+type SlotId = u32;
+
+struct Slot {
+    entry: CacheEntry,
+    /// Hash of the entry's key, and the next slot whose key hashes alike.
+    key_hash: u64,
+    next_alike: Option<SlotId>,
+    /// Position in the member list that holds this slot: its bucket
+    /// group's, or the blind list's.
+    pos: u32,
+}
+
+/// The entries of one template id cached at one exposure level, with the
+/// running totals of what inspecting all of them would reveal.
+#[derive(Default)]
+struct Group {
+    slots: Vec<SlotId>,
+    statement_bytes: u64,
+    result_bytes: u64,
+}
+
+/// A bucket's groups, lowest exposure first; blind entries never enter a
+/// bucket.
+const GROUP_LEVELS: [ExposureLevel; 3] = [
+    ExposureLevel::Template,
+    ExposureLevel::Stmt,
+    ExposureLevel::View,
+];
+
+fn group_of(level: ExposureLevel) -> Option<usize> {
+    GROUP_LEVELS.iter().position(|l| *l == level)
+}
+
+/// Which visible field of an entry a value index covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IndexedField {
+    /// Bound parameter `i` of the visible statement (`stmt` and `view`
+    /// entries).
+    Param(usize),
+    /// Select position `i` of every row of the visible result (`view`
+    /// entries).
+    ResultColumn(usize),
+}
+
+impl IndexedField {
+    /// Calls `f` on each value of `e` this index covers — read through
+    /// the exposure-gated accessors only, so an index can never hold
+    /// what the entry's level encrypts.
+    fn for_each_value(self, e: &CacheEntry, mut f: impl FnMut(&Value)) {
+        match self {
+            IndexedField::Param(i) => {
+                if let Some(v) = e.visible_statement().and_then(|q| q.params.get(i)) {
+                    f(v);
+                }
+            }
+            IndexedField::ResultColumn(i) => {
+                let rows = e.visible_result().map_or(&[][..], |r| &r.rows);
+                rows.iter().filter_map(|row| row.get(i)).for_each(f);
+            }
+        }
+    }
+}
+
+/// An inverted index `value → slots` over one field of a bucket's
+/// entries. Postings are `(hash of the value's canonical form, slot)`
+/// pairs in one ordered set: a probe is a range scan, a slot listed
+/// twice under one value collapses, and nothing is allocated per value.
+struct ValueIndex {
+    field: IndexedField,
+    postings: BTreeSet<(u64, SlotId)>,
+}
+
+/// Hash under which a value is posted and probed. Values that
+/// `CmpOp::Eq` calls equal hash alike: numerics go through `f64`, the
+/// form `Value::cmp` itself compares `Int` with `Real` in (two large
+/// `Int`s that round to one float merely share a posting list).
+fn probe_hash(hasher: &RandomState, v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => hasher.hash_one((*i as f64).to_bits()),
+        Value::Real(r) => hasher.hash_one(r.get().to_bits()),
+        Value::Str(s) => hasher.hash_one(s.as_str()),
+    }
+}
+
+/// The `template`-level-and-above entries of one template id.
+struct Bucket {
+    /// The template the entries are instances of, for [`probe_for`].
+    template: Arc<QueryTemplate>,
+    /// Cleared when an entry bound to a structurally different template
+    /// arrives under this id; probes are off until the bucket empties.
+    uniform: bool,
+    groups: [Group; 3],
+    indexes: Vec<ValueIndex>,
+}
+
+impl Bucket {
+    fn new(template: Arc<QueryTemplate>) -> Bucket {
+        Bucket {
+            template,
+            uniform: true,
+            groups: Default::default(),
+            indexes: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.groups.iter().map(|g| g.slots.len()).sum()
+    }
+
+    /// The index over `field`, built from the live entries on first use.
+    fn index_for(
+        &mut self,
+        field: IndexedField,
+        slots: &[Option<Slot>],
+        hasher: &RandomState,
+    ) -> Option<&ValueIndex> {
+        if !self.indexes.iter().any(|ix| ix.field == field) {
+            let mut postings = BTreeSet::new();
+            let members = self.groups.iter().flat_map(|g| &g.slots);
+            for &id in members {
+                if let Some(slot) = slots.get(id as usize).and_then(Option::as_ref) {
+                    field.for_each_value(&slot.entry, |v| {
+                        postings.insert((probe_hash(hasher, v), id));
+                    });
+                }
+            }
+            self.indexes.push(ValueIndex { field, postings });
+        }
+        self.indexes.iter().find(|ix| ix.field == field)
+    }
+}
+
+/// Removes `list[pos]` by swapping the last member in, and tells the
+/// moved slot its new position.
+fn swap_remove_member(list: &mut Vec<SlotId>, pos: u32, slots: &mut [Option<Slot>]) {
+    let pos = pos as usize;
+    if pos >= list.len() {
+        return;
+    }
+    list.swap_remove(pos);
+    let moved = list.get(pos).and_then(|&id| slots.get_mut(id as usize));
+    if let Some(Some(moved)) = moved {
+        moved.pos = pos as u32;
+    }
+}
+
 /// The result cache, optionally bounded with LRU eviction.
 pub struct ResultCache {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// LRU order: `last_used → key`. The logical clock advances on every
+    /// The entries; a `None` slot is on the free list.
+    slots: Vec<Option<Slot>>,
+    free: Vec<SlotId>,
+    /// Key hash → first slot of the chain of entries hashing to it.
+    by_hash: HashMap<u64, SlotId>,
+    /// Hashes keys for `by_hash` and values for the bucket indexes.
+    hasher: RandomState,
+    /// LRU order: `last_used → slot`. The logical clock advances on every
     /// store and lookup, so `last_used` values are unique and the map's
-    /// first entry is always the eviction victim.
-    lru: BTreeMap<u64, CacheKey>,
-    /// Secondary invalidation index: canonical template id → keys of
-    /// entries cached at `template` exposure or above. Blind entries are
-    /// deliberately excluded — they are candidates for *every* update
-    /// (Property 1) and live in `blind_keys` instead.
-    by_template: HashMap<TemplateId, HashSet<CacheKey>>,
-    /// Keys of blind-level entries: unconditionally part of every
-    /// candidate scan.
-    blind_keys: HashSet<CacheKey>,
+    /// first entry is always the eviction victim. Holds every live slot
+    /// exactly once, so its length is the cache's.
+    lru: BTreeMap<u64, SlotId>,
+    /// Canonical template id → entries cached at `template` exposure or
+    /// above. Blind entries are deliberately excluded — they are
+    /// candidates for *every* update (Property 1) and live in `blind`
+    /// instead. A bucket outlives its entries, so it remembers which
+    /// fields probes ask for.
+    buckets: HashMap<TemplateId, Bucket>,
+    /// Blind-level entries: unconditionally part of every candidate scan.
+    blind: Vec<SlotId>,
+    /// Candidate ids of the pass in progress (kept for its allocation).
+    candidates: Vec<SlotId>,
     encryptor: Encryptor,
     /// Maximum number of entries (`None` = unbounded).
     capacity: Option<usize>,
@@ -192,10 +415,14 @@ pub struct ResultCache {
 impl ResultCache {
     pub fn new(encryptor: Encryptor) -> ResultCache {
         ResultCache {
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_hash: HashMap::new(),
+            hasher: RandomState::new(),
             lru: BTreeMap::new(),
-            by_template: HashMap::new(),
-            blind_keys: HashSet::new(),
+            buckets: HashMap::new(),
+            blind: Vec::new(),
+            candidates: Vec::new(),
             encryptor,
             capacity: None,
             clock: 0,
@@ -257,46 +484,168 @@ impl ResultCache {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.is_empty()
     }
 
-    /// Inserts a fully-built entry into every structure. The caller must
-    /// have detached any prior entry under the same key.
-    fn attach(&mut self, e: CacheEntry) {
-        self.stored_bytes_total += e.stored_bytes as u64;
-        self.lru.insert(e.last_used, e.key.clone());
-        if e.level >= ExposureLevel::Template {
-            self.by_template
-                .entry(e.key.template_id)
-                .or_default()
-                .insert(e.key.clone());
-        } else {
-            self.blind_keys.insert(e.key.clone());
+    fn slot(&self, id: SlotId) -> Option<&Slot> {
+        self.slots.get(id as usize)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, id: SlotId) -> Option<&mut Slot> {
+        self.slots.get_mut(id as usize)?.as_mut()
+    }
+
+    fn key_hash(&self, template_id: TemplateId, params: &[Value]) -> u64 {
+        self.hasher.hash_one((template_id, params))
+    }
+
+    /// The slot holding the entry for `(template_id, params)`, if cached.
+    fn find(&self, key_hash: u64, template_id: TemplateId, params: &[Value]) -> Option<SlotId> {
+        let mut next = self.by_hash.get(&key_hash).copied();
+        while let Some(id) = next {
+            let slot = self.slot(id)?;
+            if slot.entry.is_instance_of(template_id, params) {
+                return Some(id);
+            }
+            next = slot.next_alike;
         }
-        self.entries.insert(e.key.clone(), e);
+        None
     }
 
-    /// Removes an entry from every structure, keeping the LRU map and
-    /// the invalidation indexes consistent with the entry map.
-    fn detach(&mut self, key: &CacheKey) -> Option<CacheEntry> {
-        let e = self.entries.remove(key)?;
-        self.stored_bytes_total -= e.stored_bytes as u64;
-        self.lru.remove(&e.last_used);
-        if e.level >= ExposureLevel::Template {
-            if let Some(set) = self.by_template.get_mut(&key.template_id) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_template.remove(&key.template_id);
+    fn find_query(&self, q: &Query) -> Option<SlotId> {
+        self.find(
+            self.key_hash(q.template_id, &q.params),
+            q.template_id,
+            &q.params,
+        )
+    }
+
+    /// Inserts a fully-built entry, whose key hashes to `key_hash`, into
+    /// every structure. The caller must have detached any prior entry
+    /// under the same key.
+    fn attach(&mut self, e: CacheEntry, key_hash: u64) {
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                self.slots.push(None);
+                (self.slots.len() - 1) as SlotId
+            }
+        };
+        self.stored_bytes_total += e.stored_bytes as u64;
+        self.lru.insert(e.last_used, id);
+        let members = match group_of(e.level) {
+            None => &mut self.blind,
+            Some(g) => {
+                let bucket = self
+                    .buckets
+                    .entry(e.key.template_id)
+                    .or_insert_with(|| Bucket::new(e.query.template.clone()));
+                if bucket.len() == 0 {
+                    bucket.template = e.query.template.clone();
+                    bucket.uniform = true;
+                } else if !Arc::ptr_eq(&bucket.template, &e.query.template)
+                    && *bucket.template != *e.query.template
+                {
+                    bucket.uniform = false;
+                }
+                for ix in &mut bucket.indexes {
+                    ix.field.for_each_value(&e, |v| {
+                        ix.postings.insert((probe_hash(&self.hasher, v), id));
+                    });
+                }
+                match bucket.groups.get_mut(g) {
+                    Some(group) => {
+                        group.statement_bytes += e.statement_bytes as u64;
+                        group.result_bytes += e.result_bytes as u64;
+                        &mut group.slots
+                    }
+                    // `group_of` only names positions of `GROUP_LEVELS`.
+                    None => &mut self.blind,
                 }
             }
+        };
+        members.push(id);
+        let pos = (members.len() - 1) as u32;
+        let next_alike = self.by_hash.insert(key_hash, id);
+        if let Some(slot) = self.slots.get_mut(id as usize) {
+            *slot = Some(Slot {
+                entry: e,
+                key_hash,
+                next_alike,
+                pos,
+            });
+        }
+    }
+
+    /// Removes an entry from every structure, keeping the LRU map, the
+    /// member lists and the value indexes consistent with the arena.
+    fn detach(&mut self, id: SlotId) -> Option<CacheEntry> {
+        let Slot {
+            entry: e,
+            key_hash,
+            next_alike,
+            pos,
+        } = self.slots.get_mut(id as usize)?.take()?;
+        self.free.push(id);
+        self.stored_bytes_total -= e.stored_bytes as u64;
+        self.lru.remove(&e.last_used);
+        // Unlink from the chain of slots whose keys hash alike.
+        if self.by_hash.get(&key_hash) == Some(&id) {
+            match next_alike {
+                Some(next) => self.by_hash.insert(key_hash, next),
+                None => self.by_hash.remove(&key_hash),
+            };
         } else {
-            self.blind_keys.remove(key);
+            let mut at = self.by_hash.get(&key_hash).copied();
+            while let Some(prev) = at.and_then(|p| self.slots.get_mut(p as usize)?.as_mut()) {
+                if prev.next_alike == Some(id) {
+                    prev.next_alike = next_alike;
+                    break;
+                }
+                at = prev.next_alike;
+            }
+        }
+        match group_of(e.level) {
+            None => swap_remove_member(&mut self.blind, pos, &mut self.slots),
+            Some(g) => {
+                if let Some(bucket) = self.buckets.get_mut(&e.key.template_id) {
+                    for ix in &mut bucket.indexes {
+                        ix.field.for_each_value(&e, |v| {
+                            ix.postings.remove(&(probe_hash(&self.hasher, v), id));
+                        });
+                    }
+                    if let Some(group) = bucket.groups.get_mut(g) {
+                        group.statement_bytes -= e.statement_bytes as u64;
+                        group.result_bytes -= e.result_bytes as u64;
+                        swap_remove_member(&mut group.slots, pos, &mut self.slots);
+                    }
+                }
+            }
         }
         Some(e)
+    }
+
+    /// Evicts least-recently-used entries until the capacity bound holds
+    /// again; returns the victims' keys, oldest first.
+    fn evict_over_capacity(&mut self) -> Vec<CacheKey> {
+        let mut evicted = Vec::new();
+        let Some(cap) = self.capacity else {
+            return evicted;
+        };
+        while self.len() > cap {
+            let Some((_, victim)) = self.lru.pop_first() else {
+                break;
+            };
+            if let Some(e) = self.detach(victim) {
+                self.evictions += 1;
+                evicted.push(e.key);
+            }
+        }
+        evicted
     }
 
     /// Looks up a query, refreshing its LRU position. The key form the
@@ -307,25 +656,24 @@ impl ResultCache {
     pub fn lookup_classified(&mut self, q: &Query) -> Lookup<'_> {
         self.clock += 1;
         let clock = self.clock;
-        let key = CacheKey {
-            template_id: q.template_id,
-            params: q.params.clone(),
+        let Some(id) = self.find_query(q) else {
+            return Lookup::Miss;
         };
-        let expired = match self.entries.get(&key) {
-            None => return Lookup::Miss,
-            Some(e) => e.expires_at_micros < self.now_micros,
-        };
-        if expired {
-            self.detach(&key);
+        if self
+            .slot(id)
+            .is_some_and(|s| s.entry.expires_at_micros < self.now_micros)
+        {
+            self.detach(id);
             self.lease_expirations += 1;
             return Lookup::Expired;
         }
-        let e = self.entries.get_mut(&key).expect("present and live");
-        let prior = e.last_used;
-        e.last_used = clock;
+        let Some(Some(slot)) = self.slots.get_mut(id as usize) else {
+            return Lookup::Miss;
+        };
+        let prior = std::mem::replace(&mut slot.entry.last_used, clock);
         self.lru.remove(&prior);
-        self.lru.insert(clock, key.clone());
-        Lookup::Hit(&self.entries[&key])
+        self.lru.insert(clock, id);
+        Lookup::Hit(&slot.entry)
     }
 
     /// [`ResultCache::lookup_classified`] collapsed to an `Option` —
@@ -349,10 +697,9 @@ impl ResultCache {
 
     /// Read-only lookup (no LRU refresh), for tests and diagnostics.
     pub fn peek(&self, q: &Query) -> Option<&CacheEntry> {
-        self.entries.get(&CacheKey {
-            template_id: q.template_id,
-            params: q.params.clone(),
-        })
+        self.find_query(q)
+            .and_then(|id| self.slot(id))
+            .map(|s| &s.entry)
     }
 
     /// Stores a result under the query's exposure level. Empty results are
@@ -372,109 +719,188 @@ impl ResultCache {
         level: ExposureLevel,
     ) -> StoreOutcome {
         if result.is_empty() {
-            return StoreOutcome {
-                stored: false,
-                replaced: false,
-                evicted: Vec::new(),
-            };
+            return StoreOutcome::default();
         }
-        let key = CacheKey {
-            template_id: q.template_id,
-            params: q.params.clone(),
+        // Approximate stored size: encrypted payloads carry the envelope
+        // overhead of the deterministic cipher.
+        let key_bytes = match level {
+            ExposureLevel::View | ExposureLevel::Stmt => q.statement_text().len(),
+            ExposureLevel::Template => {
+                8 + self.encryptor.encrypt_str(&format!("{:?}", q.params)).len()
+            }
+            ExposureLevel::Blind => self.encryptor.encrypt_str(&q.statement_text()).len(),
         };
-        let stored_bytes = self.stored_size(q, &result, level);
+        let result_bytes = result.approx_size_bytes();
+        let envelope = if level == ExposureLevel::View { 0 } else { 8 };
         self.clock += 1;
-        let expires_at_micros = match self.lease_micros {
-            Some(lease) => self.now_micros.saturating_add(lease),
-            None => u64::MAX,
-        };
-        // Re-storing an existing key is a replacement, not an eviction:
-        // the prior entry's bytes and index membership are reconciled
-        // out before the new entry goes in.
-        let replaced = self.detach(&key).is_some();
-        if replaced {
-            self.replacements += 1;
-        }
-        self.attach(CacheEntry {
-            key,
+        let e = CacheEntry {
+            key: CacheKey {
+                template_id: q.template_id,
+                params: q.params.clone(),
+            },
             level,
             query: q.clone(),
             result,
-            stored_bytes,
+            stored_bytes: key_bytes + result_bytes + envelope,
+            statement_bytes: if level >= ExposureLevel::Stmt {
+                key_bytes
+            } else {
+                0
+            },
+            result_bytes,
             last_used: self.clock,
-            expires_at_micros,
+            expires_at_micros: match self.lease_micros {
+                Some(lease) => self.now_micros.saturating_add(lease),
+                None => u64::MAX,
+            },
             stored_at_micros: self.now_micros,
             stored_epoch: 0,
             stored_stream: 0,
-        });
-        let mut evicted = Vec::new();
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                let victim = self
-                    .lru
-                    .iter()
-                    .next()
-                    .map(|(_, k)| k.clone())
-                    .expect("nonempty while over capacity");
-                self.detach(&victim);
-                self.evictions += 1;
-                evicted.push(victim);
-            }
+        };
+        self.admit(e)
+    }
+
+    /// Puts `e` in: replaces a live entry under the same key (a
+    /// replacement, not an eviction — the prior entry's bytes and index
+    /// membership are reconciled out first), then applies the capacity
+    /// bound.
+    fn admit(&mut self, e: CacheEntry) -> StoreOutcome {
+        let key_hash = self.key_hash(e.key.template_id, &e.key.params);
+        let prior = self.find(key_hash, e.key.template_id, &e.key.params);
+        let replaced = prior.and_then(|id| self.detach(id)).is_some();
+        if replaced {
+            self.replacements += 1;
         }
+        self.attach(e, key_hash);
         StoreOutcome {
             stored: true,
             replaced,
-            evicted,
+            evicted: self.evict_over_capacity(),
         }
     }
 
     /// Removes every entry the predicate marks for invalidation; returns
     /// `(entries_scanned, entries_invalidated)`. This is the full-scan
-    /// path: recovery flushes and view-level inspection must see every
-    /// entry.
+    /// path: recovery flushes and blind updates must see every entry.
     pub fn invalidate_where(
         &mut self,
         mut must_invalidate: impl FnMut(&CacheEntry) -> bool,
     ) -> (usize, usize) {
-        let keys: Vec<CacheKey> = self.entries.keys().cloned().collect();
-        self.invalidate_keys(keys, &mut must_invalidate)
-    }
-
-    /// Like [`ResultCache::invalidate_where`], but only visits
-    /// *candidate* entries: every blind-level entry (Property 1 — either
-    /// side blind ⇒ invalidate, so no index may hide them) plus the
-    /// entries of the given query templates. Callers pass the templates
-    /// the IPM marks as conflicting with the update; entries of
-    /// untouched templates are never scanned, which is the point.
-    pub fn invalidate_candidates(
-        &mut self,
-        templates: &[TemplateId],
-        mut must_invalidate: impl FnMut(&CacheEntry) -> bool,
-    ) -> (usize, usize) {
-        let mut keys: Vec<CacheKey> = self.blind_keys.iter().cloned().collect();
-        for t in templates {
-            if let Some(set) = self.by_template.get(t) {
-                keys.extend(set.iter().cloned());
-            }
-        }
-        self.invalidate_keys(keys, &mut must_invalidate)
-    }
-
-    fn invalidate_keys(
-        &mut self,
-        keys: Vec<CacheKey>,
-        must_invalidate: &mut impl FnMut(&CacheEntry) -> bool,
-    ) -> (usize, usize) {
-        let scanned = keys.len();
+        let scanned = self.len();
         let mut invalidated = 0;
-        for key in keys {
-            let kill = must_invalidate(&self.entries[&key]);
-            if kill {
-                self.detach(&key);
+        for id in 0..self.slots.len() as SlotId {
+            if self.slot(id).is_some_and(|s| must_invalidate(&s.entry)) {
+                self.detach(id);
                 invalidated += 1;
             }
         }
         (scanned, invalidated)
+    }
+
+    /// One update's invalidation pass over the *candidate* entries: every
+    /// blind-level entry (Property 1 — either side blind ⇒ invalidate, so
+    /// no index may hide them) plus entries of the given query templates.
+    /// Callers pass the templates the IPM marks as conflicting with the
+    /// update; entries of untouched templates are never visited.
+    ///
+    /// `update` is the update's statement when its exposure makes it
+    /// visible. With it, a bucket whose template admits a [`Probe`] hands
+    /// the judge only the entries its value index returns; the rest of
+    /// the bucket counts as scanned and is reported in
+    /// [`ScanOutcome::pruned`]. Sound only for a judge that is
+    /// [`crate::strategy::decide`] on that update — the probes spare
+    /// exactly entries `decide` keeps.
+    pub fn invalidate_candidates(
+        &mut self,
+        templates: &[TemplateId],
+        update: Option<&Update>,
+        mut must_invalidate: impl FnMut(&CacheEntry) -> bool,
+    ) -> ScanOutcome {
+        let mut out = ScanOutcome {
+            scanned: self.blind.len(),
+            ..ScanOutcome::default()
+        };
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend_from_slice(&self.blind);
+        for &template_id in templates {
+            let Some(bucket) = self.buckets.get_mut(&template_id) else {
+                continue;
+            };
+            out.scanned += bucket.len();
+            let probe = match update {
+                Some(u) if bucket.uniform => probe_for(u, &bucket.template),
+                _ => Probe::Bucket,
+            };
+            // `(first probed group, indexed field, probed value)`: groups
+            // below the first probed one go to the judge whole; the
+            // probe's hits stand in for the groups from it up.
+            let probed = match probe {
+                Probe::Bucket => None,
+                Probe::Param { param, value } => Some((1, IndexedField::Param(param), value)),
+                Probe::ResultKey { column, value } => {
+                    Some((2, IndexedField::ResultColumn(column), value))
+                }
+            };
+            let whole = probed.map_or(GROUP_LEVELS.len(), |(from, _, _)| from);
+            for group in bucket.groups.iter().take(whole) {
+                candidates.extend_from_slice(&group.slots);
+            }
+            let Some((probed_from, field, value)) = probed else {
+                continue;
+            };
+            // What the probe returned, per group: (entries, statement
+            // bytes, result bytes). The group's totals less these are the
+            // pairs it spared.
+            let mut hits = [(0u64, 0u64, 0u64); GROUP_LEVELS.len()];
+            let hash = probe_hash(&self.hasher, value);
+            let postings = bucket
+                .index_for(field, &self.slots, &self.hasher)
+                .map(|index| index.postings.range((hash, 0)..=(hash, SlotId::MAX)));
+            let Some(postings) = postings else {
+                // No index to ask: the probed groups go to the judge whole.
+                for group in bucket.groups.iter().skip(probed_from) {
+                    candidates.extend_from_slice(&group.slots);
+                }
+                continue;
+            };
+            for &(_, id) in postings {
+                let Some(e) = self.slots.get(id as usize).and_then(Option::as_ref) else {
+                    continue;
+                };
+                candidates.push(id);
+                if let Some(hit) = group_of(e.entry.level).and_then(|g| hits.get_mut(g)) {
+                    hit.0 += 1;
+                    hit.1 += e.entry.statement_bytes as u64;
+                    hit.2 += e.entry.result_bytes as u64;
+                }
+            }
+            let probed_groups = bucket.groups.iter().zip(hits).zip(GROUP_LEVELS);
+            for ((group, hit), level) in probed_groups.skip(probed_from) {
+                let pairs = (group.slots.len() as u64).saturating_sub(hit.0);
+                if pairs > 0 {
+                    out.pruned.push(PrunedPairs {
+                        template_id,
+                        level,
+                        pairs,
+                        statement_bytes: group.statement_bytes.saturating_sub(hit.1),
+                        result_bytes: group.result_bytes.saturating_sub(hit.2),
+                    });
+                }
+            }
+        }
+        for &id in &candidates {
+            let Some(slot) = self.slot(id) else {
+                continue;
+            };
+            out.inspected += 1;
+            if must_invalidate(&slot.entry) {
+                self.detach(id);
+                out.invalidated += 1;
+            }
+        }
+        self.candidates = candidates;
+        out
     }
 
     /// Detaches and returns every entry the predicate selects, intact —
@@ -486,44 +912,27 @@ impl ResultCache {
         &mut self,
         mut select: impl FnMut(&CacheEntry) -> bool,
     ) -> Vec<CacheEntry> {
-        let keys: Vec<CacheKey> = self
-            .entries
-            .values()
-            .filter(|e| select(e))
-            .map(|e| e.key.clone())
-            .collect();
-        keys.into_iter().filter_map(|k| self.detach(&k)).collect()
+        (0..self.slots.len() as SlotId)
+            .filter_map(|id| {
+                let selected = self.slot(id).is_some_and(|s| select(&s.entry));
+                selected.then(|| self.detach(id)).flatten()
+            })
+            .collect()
     }
 
     /// Inserts a handed-off entry, preserving its store-time stamps (the
     /// receiver half of [`ResultCache::extract_where`]). An existing live
     /// entry under the same key is replaced; the capacity bound applies
-    /// as for any store. Returns whether the entry went in (an entry
-    /// whose lease has already run out is dropped, not imported).
-    pub fn import(&mut self, mut e: CacheEntry) -> bool {
+    /// as for any store, and the outcome names what it evicted. An entry
+    /// whose lease has already run out is dropped, not imported.
+    pub fn import(&mut self, mut e: CacheEntry) -> StoreOutcome {
         if e.expires_at_micros < self.now_micros {
             self.lease_expirations += 1;
-            return false;
+            return StoreOutcome::default();
         }
         self.clock += 1;
         e.last_used = self.clock;
-        if self.detach(&e.key).is_some() {
-            self.replacements += 1;
-        }
-        self.attach(e);
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                let victim = self
-                    .lru
-                    .iter()
-                    .next()
-                    .map(|(_, k)| k.clone())
-                    .expect("nonempty while over capacity");
-                self.detach(&victim);
-                self.evictions += 1;
-            }
-        }
-        true
+        self.admit(e)
     }
 
     /// Stamps the home epoch a just-stored entry's result reflects. The
@@ -531,12 +940,8 @@ impl ResultCache {
     /// epoch the home served at; a no-op when the entry was not stored
     /// (empty result) or has already been displaced.
     pub fn set_stored_epoch(&mut self, q: &Query, epoch: u64) {
-        let key = CacheKey {
-            template_id: q.template_id,
-            params: q.params.clone(),
-        };
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.stored_epoch = epoch;
+        if let Some(slot) = self.find_query(q).and_then(|id| self.slot_mut(id)) {
+            slot.entry.stored_epoch = epoch;
         }
     }
 
@@ -544,49 +949,133 @@ impl ResultCache {
     /// result reflects — the sharded-home fill path, where the epoch
     /// counts on the owning shard's stream rather than stream 0.
     pub fn set_stored_provenance(&mut self, q: &Query, stream: u64, epoch: u64) {
-        let key = CacheKey {
-            template_id: q.template_id,
-            params: q.params.clone(),
-        };
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.stored_stream = stream;
-            e.stored_epoch = epoch;
+        if let Some(slot) = self.find_query(q).and_then(|id| self.slot_mut(id)) {
+            slot.entry.stored_stream = stream;
+            slot.entry.stored_epoch = epoch;
         }
     }
 
     /// Drops everything (a blind strategy's response to any update).
     pub fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
+        let n = self.len();
+        self.slots.clear();
+        self.free.clear();
+        self.by_hash.clear();
         self.lru.clear();
-        self.by_template.clear();
-        self.blind_keys.clear();
+        self.blind.clear();
+        for bucket in self.buckets.values_mut() {
+            bucket.groups = Default::default();
+            for ix in &mut bucket.indexes {
+                ix.postings.clear();
+            }
+        }
         self.stored_bytes_total = 0;
         n
     }
 
     /// Iterates over entries (used by statistics and tests).
     pub fn iter(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.entries.values()
+        self.slots.iter().flatten().map(|s| &s.entry)
     }
+}
 
-    /// Approximate stored size: encrypted payloads carry the envelope
-    /// overhead of the deterministic cipher.
-    fn stored_size(&self, q: &Query, result: &QueryResult, level: ExposureLevel) -> usize {
-        let key_bytes = match level {
-            ExposureLevel::View | ExposureLevel::Stmt => q.statement_text().len(),
-            ExposureLevel::Template => {
-                8 + self.encryptor.encrypt_str(&format!("{:?}", q.params)).len()
+#[cfg(any(test, debug_assertions))]
+impl ResultCache {
+    /// Checks that the arena, the key-hash chains, the LRU map, the member
+    /// lists, the group totals and the value indexes all describe the
+    /// same set of live entries; `Err` names the first disagreement.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let live = self.slots.iter().flatten().count();
+        let check = |ok: bool, what: &str| ok.then_some(()).ok_or_else(|| what.to_string());
+        check(self.lru.len() == live, "LRU map holds each live slot once")?;
+        check(
+            self.free.len() + live == self.slots.len()
+                && self.free.iter().all(|&id| self.slot(id).is_none()),
+            "free list is exactly the dead slots",
+        )?;
+        let mut bytes = 0;
+        for (id, slot) in self.slots.iter().enumerate() {
+            let (Some(slot), id) = (slot, id as SlotId) else {
+                continue;
+            };
+            let key = &slot.entry.key;
+            bytes += slot.entry.stored_bytes as u64;
+            check(
+                self.lru.get(&slot.entry.last_used) == Some(&id),
+                "LRU map names the slot under its clock",
+            )?;
+            check(
+                slot.key_hash == self.key_hash(key.template_id, &key.params)
+                    && self.find(slot.key_hash, key.template_id, &key.params) == Some(id),
+                "key resolves to its own slot",
+            )?;
+            let members = match group_of(slot.entry.level) {
+                None => Some(&self.blind),
+                Some(g) => self
+                    .buckets
+                    .get(&key.template_id)
+                    .map(|b| &b.groups[g].slots),
+            };
+            check(
+                members.and_then(|m| m.get(slot.pos as usize)) == Some(&id),
+                "slot sits at its position in its level's member list",
+            )?;
+        }
+        check(
+            bytes == self.stored_bytes_total,
+            "stored_bytes_total is the sum",
+        )?;
+        let mut listed = self.blind.len();
+        for (template_id, bucket) in &self.buckets {
+            listed += bucket.len();
+            let mut members = Vec::new();
+            for (group, level) in bucket.groups.iter().zip(GROUP_LEVELS) {
+                let entries = || group.slots.iter().filter_map(|&id| self.slot(id));
+                check(
+                    entries().count() == group.slots.len()
+                        && entries().all(|s| {
+                            s.entry.level == level && s.entry.key.template_id == *template_id
+                        }),
+                    "group lists live entries of its template and level",
+                )?;
+                check(
+                    group.statement_bytes
+                        == entries()
+                            .map(|s| s.entry.statement_bytes as u64)
+                            .sum::<u64>()
+                        && group.result_bytes
+                            == entries().map(|s| s.entry.result_bytes as u64).sum::<u64>(),
+                    "group totals are the sums",
+                )?;
+                members.extend(group.slots.iter().copied().zip(entries()));
             }
-            ExposureLevel::Blind => self.encryptor.encrypt_str(&q.statement_text()).len(),
-        };
-        let payload = result.approx_size_bytes();
-        let payload_bytes = if level == ExposureLevel::View {
-            payload
-        } else {
-            payload + 8 // envelope overhead of the toy cipher
-        };
-        key_bytes + payload_bytes
+            for ix in &bucket.indexes {
+                let mut expected = BTreeSet::new();
+                for (id, slot) in &members {
+                    ix.field.for_each_value(&slot.entry, |v| {
+                        expected.insert((probe_hash(&self.hasher, v), *id));
+                    });
+                }
+                check(
+                    ix.postings == expected,
+                    "index posts each live entry under each of its values, and nothing else",
+                )?;
+            }
+        }
+        check(
+            listed == live,
+            "every live slot is in exactly one member list",
+        )?;
+        let mut chained = 0;
+        for &head in self.by_hash.values() {
+            let mut at = Some(head);
+            while let Some(slot) = at.and_then(|id| self.slot(id)) {
+                chained += 1;
+                at = slot.next_alike;
+                check(chained <= live, "hash chains are acyclic")?;
+            }
+        }
+        check(chained == live, "hash chains reach every live slot once")
     }
 }
 
@@ -594,7 +1083,6 @@ impl ResultCache {
 mod tests {
     use super::*;
     use scs_sqlkit::parse_query;
-    use std::sync::Arc;
 
     fn query(tid: usize, param: i64) -> Query {
         let t = Arc::new(parse_query("SELECT a FROM t WHERE b = ?").unwrap());
@@ -610,6 +1098,15 @@ mod tests {
 
     fn cache() -> ResultCache {
         ResultCache::new(Encryptor::for_app("test"))
+    }
+
+    /// A statement-blind candidate pass with a constant verdict:
+    /// `(scanned, invalidated)`.
+    fn scan(c: &mut ResultCache, templates: &[TemplateId], kill: bool) -> (usize, usize) {
+        let out = c.invalidate_candidates(templates, None, |_| kill);
+        assert_eq!(out.inspected, out.scanned, "no statement, no probe");
+        c.check_invariants().unwrap();
+        (out.scanned, out.invalidated)
     }
 
     #[test]
@@ -684,14 +1181,14 @@ mod tests {
         }
         // Only template 1 is a candidate: the scan must visit exactly its
         // 3 entries, not all 9.
-        let (scanned, dropped) = c.invalidate_candidates(&[1], |_| true);
+        let (scanned, dropped) = scan(&mut c, &[1], true);
         assert_eq!(scanned, 3);
         assert_eq!(dropped, 3);
         assert_eq!(c.len(), 6);
         assert!(c.peek(&query(0, 0)).is_some());
         assert!(c.peek(&query(2, 0)).is_some());
         // A template with no cached entries scans nothing.
-        let (scanned, dropped) = c.invalidate_candidates(&[7], |_| true);
+        let (scanned, dropped) = scan(&mut c, &[7], true);
         assert_eq!((scanned, dropped), (0, 0));
     }
 
@@ -702,7 +1199,7 @@ mod tests {
         c.store(&query(1, 1), result(1), ExposureLevel::Template);
         // Even with an empty template list, every blind entry is visited
         // — Property 1 says no index may hide it from an update.
-        let (scanned, dropped) = c.invalidate_candidates(&[], |_| true);
+        let (scanned, dropped) = scan(&mut c, &[], true);
         assert_eq!(scanned, 1);
         assert_eq!(dropped, 1);
         assert!(c.peek(&query(0, 1)).is_none(), "blind entry invalidated");
@@ -717,8 +1214,9 @@ mod tests {
         assert_eq!(c.clear(), 2);
         assert!(c.is_empty());
         assert_eq!(c.stored_bytes_total(), 0);
+        c.check_invariants().unwrap();
         // The indexes were cleared too: a candidate scan finds nothing.
-        let (scanned, _) = c.invalidate_candidates(&[0], |_| true);
+        let (scanned, _) = scan(&mut c, &[0], true);
         assert_eq!(scanned, 0);
     }
 
@@ -750,8 +1248,13 @@ mod tests {
         // Replacing at a different exposure level moves the entry between
         // indexes; the old membership must not linger.
         c.store(&q, result(2), ExposureLevel::Blind);
-        let (scanned, _) = c.invalidate_candidates(&[0], |_| false);
+        let (scanned, _) = scan(&mut c, &[0], false);
         assert_eq!(scanned, 1, "entry counted once, in the blind set");
+        // ... and back up, into a group of the bucket.
+        c.store(&q, result(2), ExposureLevel::Stmt);
+        c.check_invariants().unwrap();
+        assert_eq!(scan(&mut c, &[], true), (0, 0), "no longer blind");
+        assert_eq!(scan(&mut c, &[0], true), (1, 1));
     }
 
     #[test]
@@ -782,6 +1285,7 @@ mod tests {
         assert!(c.peek(&query(0, 2)).is_none(), "LRU victim");
         assert!(c.peek(&query(0, 3)).is_some());
         assert_eq!(c.evictions(), 1);
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -861,6 +1365,7 @@ mod tests {
         assert_eq!(c.lease_expirations(), 1);
         assert_eq!(c.len(), 0);
         assert_eq!(c.stored_bytes_total(), 0);
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -896,5 +1401,160 @@ mod tests {
         let view = c.lookup(&query(0, 1)).unwrap().stored_bytes;
         let blind = c.lookup(&query(1, 1)).unwrap().stored_bytes;
         assert!(blind > view, "encryption envelope adds overhead");
+    }
+
+    fn delete_b(value: Value) -> Update {
+        let t = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE b = ?").unwrap());
+        Update::bind(0, t, vec![value]).unwrap()
+    }
+
+    /// A probed pass judging with "keep": `(scanned, inspected)` and the
+    /// pairs it spared.
+    fn probe(c: &mut ResultCache, u: &Update) -> (usize, usize, Vec<PrunedPairs>) {
+        let out = c.invalidate_candidates(&[0], Some(u), |_| false);
+        c.check_invariants().unwrap();
+        (out.scanned, out.inspected, out.pruned)
+    }
+
+    #[test]
+    fn parameter_probe_hands_the_judge_only_equal_instances() {
+        let mut c = cache();
+        let t = Arc::new(parse_query("SELECT a FROM t WHERE b = ?").unwrap());
+        let spelled = |v: Value| Query::bind(0, t.clone(), vec![v]).unwrap();
+        for p in 0..10 {
+            c.store(&spelled(Value::Int(p)), result(1), ExposureLevel::View);
+        }
+        // The same value as a `Real`, at `stmt` exposure: a different
+        // key, an equal parameter.
+        c.store(&spelled(Value::real(3.0)), result(1), ExposureLevel::Stmt);
+        c.store(&query(1, 3), result(1), ExposureLevel::Blind);
+        let mut judged = Vec::new();
+        let out = c.invalidate_candidates(&[0], Some(&delete_b(Value::Int(3))), |e| {
+            judged.push((e.level(), e.key().params[0].clone()));
+            e.level() != ExposureLevel::Blind
+        });
+        assert_eq!((out.scanned, out.inspected, out.invalidated), (12, 3, 2));
+        judged.sort();
+        let blind_first = vec![
+            (ExposureLevel::Blind, Value::Int(3)),
+            (ExposureLevel::Stmt, Value::real(3.0)),
+            (ExposureLevel::View, Value::Int(3)),
+        ];
+        assert_eq!(judged, blind_first);
+        // The nine spared `view` pairs carry their entries' bytes.
+        let spared: Vec<_> = c
+            .iter()
+            .filter(|e| e.level() == ExposureLevel::View)
+            .collect();
+        let expected = PrunedPairs {
+            template_id: 0,
+            level: ExposureLevel::View,
+            pairs: 9,
+            statement_bytes: spared.iter().map(|e| e.statement_bytes as u64).sum(),
+            result_bytes: spared.iter().map(|e| e.result_bytes as u64).sum(),
+        };
+        assert_eq!(out.pruned, vec![expected]);
+        c.check_invariants().unwrap();
+        // The index was built by that pass; stores, a replacement at
+        // another level, an eviction-free detach and `clear` keep it.
+        c.store(&spelled(Value::Int(3)), result(2), ExposureLevel::Template);
+        c.store(&spelled(Value::Int(4)), result(2), ExposureLevel::Stmt);
+        let (scanned, inspected, _) = probe(&mut c, &delete_b(Value::real(4.0)));
+        assert_eq!(
+            (scanned, inspected),
+            (11, 3),
+            "blind + template-level + the hit"
+        );
+        c.clear();
+        c.check_invariants().unwrap();
+        c.store(&spelled(Value::Int(4)), result(1), ExposureLevel::View);
+        assert_eq!(probe(&mut c, &delete_b(Value::Int(5))).1, 0);
+        assert_eq!(probe(&mut c, &delete_b(Value::Int(4))).1, 1);
+    }
+
+    #[test]
+    fn result_key_probe_spares_view_entries_without_the_row() {
+        let mut c = cache();
+        let t = Arc::new(parse_query("SELECT a, b FROM t WHERE c = ?").unwrap());
+        let rows = |keys: &[i64]| {
+            let rows = keys.iter().map(|k| vec![Value::Int(*k), Value::Int(0)]);
+            QueryResult::new(vec!["t.a".into(), "t.b".into()], rows.collect())
+        };
+        let instance = |p: i64| Query::bind(0, t.clone(), vec![Value::Int(p)]).unwrap();
+        c.store(&instance(1), rows(&[1, 2, 2]), ExposureLevel::View);
+        c.store(&instance(2), rows(&[2, 3]), ExposureLevel::View);
+        c.store(&instance(3), rows(&[4]), ExposureLevel::View);
+        c.store(&instance(4), rows(&[2]), ExposureLevel::Stmt);
+        let delete_a = |v: Value| {
+            let t = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE a = ?").unwrap());
+            Update::bind(0, t, vec![v]).unwrap()
+        };
+        // `a = 2.0`: the two view entries holding a row with a = 2, plus
+        // the stmt entry the result-key rule cannot vouch for.
+        let (scanned, inspected, pruned) = probe(&mut c, &delete_a(Value::real(2.0)));
+        assert_eq!((scanned, inspected), (4, 3));
+        assert_eq!((pruned.len(), pruned[0].pairs), (1, 1));
+        assert_eq!(
+            probe(&mut c, &delete_a(Value::Int(9))).1,
+            1,
+            "the stmt entry"
+        );
+        // Eviction and lease expiry leave no posting behind.
+        let mut small = ResultCache::with_capacity(Encryptor::for_app("test"), 2);
+        small.set_lease_micros(Some(10));
+        small.store(&instance(1), rows(&[1, 2]), ExposureLevel::View);
+        assert_eq!(probe(&mut small, &delete_a(Value::Int(2))).1, 1);
+        small.store(&instance(2), rows(&[2]), ExposureLevel::View);
+        small.store(&instance(3), rows(&[2, 5]), ExposureLevel::View);
+        small.check_invariants().unwrap();
+        assert_eq!(probe(&mut small, &delete_a(Value::Int(1))).1, 0, "evicted");
+        small.set_now_micros(11);
+        assert!(matches!(
+            small.lookup_classified(&instance(3)),
+            Lookup::Expired
+        ));
+        small.check_invariants().unwrap();
+        assert_eq!(probe(&mut small, &delete_a(Value::Int(5))).1, 0, "expired");
+        assert_eq!(probe(&mut small, &delete_a(Value::Int(2))).1, 1);
+    }
+
+    #[test]
+    fn mixed_templates_under_one_id_turn_probes_off() {
+        let mut c = cache();
+        c.store(&query(0, 1), result(1), ExposureLevel::View);
+        let other = Arc::new(parse_query("SELECT a FROM t WHERE c = ?").unwrap());
+        let stranger = Query::bind(0, other, vec![Value::Int(2)]).unwrap();
+        c.store(&stranger, result(1), ExposureLevel::View);
+        assert_eq!(probe(&mut c, &delete_b(Value::Int(7))).1, 2, "whole bucket");
+        // Once the bucket empties, the next template is trusted again.
+        c.invalidate_where(|_| true);
+        c.store(&query(0, 1), result(1), ExposureLevel::View);
+        assert_eq!(probe(&mut c, &delete_b(Value::Int(7))).1, 0);
+    }
+
+    #[test]
+    fn colliding_key_hashes_chain_and_unlink() {
+        let mut c = cache();
+        for p in 0..3 {
+            c.store(&query(0, p), result(1), ExposureLevel::View);
+        }
+        // Force the three keys onto one chain, as a full hash collision
+        // would, then exercise every unlink position.
+        let ids: Vec<SlotId> = (0..3).collect();
+        c.by_hash.clear();
+        for (i, &id) in ids.iter().enumerate() {
+            let slot = c.slots[id as usize].as_mut().unwrap();
+            slot.key_hash = 7;
+            slot.next_alike = ids.get(i + 1).copied();
+        }
+        c.by_hash.insert(7, 0);
+        assert_eq!(c.find(7, 0, &[Value::Int(2)]), Some(2));
+        assert!(c.detach(1).is_some(), "middle of the chain");
+        assert_eq!(c.find(7, 0, &[Value::Int(2)]), Some(2));
+        assert!(c.detach(0).is_some(), "head of the chain");
+        assert_eq!(c.find(7, 0, &[Value::Int(2)]), Some(2));
+        assert_eq!(c.find(7, 0, &[Value::Int(0)]), None);
+        assert!(c.detach(2).is_some());
+        assert!(c.by_hash.is_empty() && c.is_empty());
     }
 }

@@ -55,7 +55,9 @@ pub use admission::{
     BrownoutConfig, BrownoutController, CircuitBreaker, OverloadConfig, Overloaded, QueueState,
     Rejected, ShedReason,
 };
-pub use cache::{CacheEntry, CacheKey, Lookup, ResultCache, StoreOutcome};
+pub use cache::{
+    CacheEntry, CacheKey, Lookup, PrunedPairs, ResultCache, ScanOutcome, StoreOutcome,
+};
 pub use delivery::{
     BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
     HomeLink, InvalidationBatch, InvalidationMsg, PipeRegistration, RecoveryMode, RetryPolicy,
@@ -79,6 +81,8 @@ pub use replication::{
 pub use sharded::{ShardedHome, ShardedQueryResponse, ShardedUpdateResponse};
 pub use statement::statement_may_affect;
 pub use stats::DsspStats;
-pub use strategy::{decide, must_invalidate, DecisionPath, StrategyKind, UpdateView};
+pub use strategy::{
+    decide, must_invalidate, probe_for, DecisionPath, Probe, StrategyKind, UpdateView,
+};
 pub use tenant::{DsspNode, NodeError, TenantId};
 pub use view::view_may_affect;

@@ -17,7 +17,7 @@ use crate::admission::{
     AdmissionController, BreakerState, BreakerTransition, BrownoutController, CircuitBreaker,
     OverloadConfig, Overloaded, QueueState, ShedReason,
 };
-use crate::cache::{Lookup, ResultCache};
+use crate::cache::{CacheKey, Lookup, ResultCache, ScanOutcome};
 use crate::delivery::{
     splitmix64, BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome,
     FtUpdateResponse, HomeLink, InvalidationBatch, InvalidationMsg, RecoveryMode, RetryPolicy,
@@ -61,6 +61,51 @@ fn value_hash(v: &Value) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
+}
+
+/// Adds to `agg` what deciding `pairs` (update, entry) pairs of query
+/// template `qid` along `path` revealed, the entries totalling
+/// `statement` bytes of statement text and `rows` bytes of result.
+/// Reveals are cumulative down the decision paths, like
+/// `request_reveals` down the lattice: reading a statement necessarily
+/// reveals the template id, and reading a view reveals both — so raising
+/// a level never shrinks any single ledger counter.
+fn note_scan_reveals(
+    agg: &mut ScanAgg,
+    qid: usize,
+    path: DecisionPath,
+    level: ExposureLevel,
+    pairs: u64,
+    statement: u64,
+    rows: u64,
+) {
+    let mut note = |kind: RevealKind, bytes: u64| {
+        let slot = agg
+            .entry((qid, kind.name(), path.name(), level.as_str()))
+            .or_insert((0, 0));
+        slot.0 += bytes;
+        slot.1 += pairs;
+    };
+    // A blind side inspects nothing.
+    if path != DecisionPath::BlindSide {
+        note(RevealKind::TemplateId, TEMPLATE_ID_BYTES * pairs);
+    }
+    if matches!(path, DecisionPath::Statement | DecisionPath::View) {
+        note(RevealKind::Params, statement);
+    }
+    if path == DecisionPath::View {
+        note(RevealKind::ViewRows, rows);
+    }
+}
+
+/// Locks an observability plane, recovering the guard when another
+/// thread panicked while holding it: the planes only count and append,
+/// so their data is valid at every step, and a poisoned plane must not
+/// abort an invalidation.
+fn lock_plane<T>(plane: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    plane
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Configuration for one application's slice of the DSSP.
@@ -229,6 +274,7 @@ struct ProxyMetrics {
     updates: Counter,
     invalidations: Counter,
     entries_scanned: Counter,
+    entries_inspected: Counter,
     evictions: Counter,
     cache_replacements: Counter,
     cache_entries: scs_telemetry::Gauge,
@@ -284,6 +330,7 @@ impl ProxyMetrics {
             updates: registry.counter("dssp.updates"),
             invalidations: registry.counter("dssp.invalidations"),
             entries_scanned: registry.counter("dssp.entries_scanned"),
+            entries_inspected: registry.counter("dssp.entries_inspected"),
             evictions: registry.counter("dssp.evictions"),
             cache_replacements: registry.counter("dssp.cache_replacements"),
             cache_entries: registry.gauge("dssp.cache_entries"),
@@ -327,6 +374,10 @@ impl ProxyMetrics {
 pub struct Dssp {
     exposures: Exposures,
     matrix: IpmMatrix,
+    /// Per update template, the query templates the IPM does not prove
+    /// conflict-free against it — the buckets its invalidation pass
+    /// visits.
+    conflicting: Vec<Vec<usize>>,
     cache: ResultCache,
     registry: MetricsRegistry,
     metrics: ProxyMetrics,
@@ -392,9 +443,17 @@ impl Dssp {
             brownout: BrownoutController::new(cfg.brownout),
             brownout_active: false,
         });
+        let conflicting = (0..config.matrix.update_count())
+            .map(|uid| {
+                (0..config.matrix.query_count())
+                    .filter(|&qid| !config.matrix.entry(uid, qid).all_zero())
+                    .collect()
+            })
+            .collect();
         Dssp {
             cache,
             exposures: config.exposures,
+            conflicting,
             matrix: config.matrix,
             registry,
             metrics,
@@ -553,6 +612,25 @@ impl Dssp {
             if let Some(batch) = p.batch_for_epoch(first_epoch) {
                 p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
             }
+        }
+    }
+
+    /// Counts and traces entries the capacity bound pushed out, each
+    /// against its query template — whether a miss fill or an elastic
+    /// handoff made the cache overflow.
+    fn note_evictions(&mut self, evicted: &[CacheKey]) {
+        for victim in evicted {
+            self.metrics.evictions.inc();
+            if let Some(per_template) = self.metrics.query_evicted.get(victim.template_id) {
+                per_template.inc();
+            }
+            self.tracer.emit(
+                self.now_micros,
+                self.tenant,
+                TraceEventKind::EntryEvicted {
+                    query_template: victim.template_id as u32,
+                },
+            );
         }
     }
 
@@ -825,17 +903,7 @@ impl Dssp {
                 // as plaintext rows.
                 self.audit_view_read(audit_req, tid, "fill", &result);
             }
-            for victim in &outcome.evicted {
-                self.metrics.evictions.inc();
-                self.metrics.query_evicted[victim.template_id].inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::EntryEvicted {
-                        query_template: victim.template_id as u32,
-                    },
-                );
-            }
+            self.note_evictions(&outcome.evicted);
             self.metrics.cache_entries.set(self.cache.len() as i64);
             self.spans.close(root, root_timer);
             return Ok(FtQueryResponse {
@@ -1457,16 +1525,23 @@ impl Dssp {
         }
     }
 
-    /// The update's invalidation pass: ask the strategy per entry,
-    /// account per victim. When the update's template is visible, the
-    /// scan restricts itself to *candidate* entries — blind-level entries
-    /// (always victims under Property 1) plus entries of the query
-    /// templates the IPM marks as conflicting — via the cache's secondary
-    /// index. A blind update gives the strategy nothing to filter on
-    /// (every entry is a victim), so it keeps the full scan.
+    /// The update's invalidation pass: generate candidates, ask the
+    /// strategy per candidate, account per victim. When the update's
+    /// template is visible, the pass restricts itself to blind-level
+    /// entries (always victims under Property 1) plus the buckets of the
+    /// query templates the IPM marks as conflicting, and — with the
+    /// statement visible too — to the entries of those buckets a
+    /// parameter or result-key probe returns (see
+    /// [`ResultCache::invalidate_candidates`]). Every verdict still comes
+    /// from [`decide`]; `scanned` counts the pairs the pass decided,
+    /// probed or not. A blind update gives the strategy nothing to filter
+    /// on (every entry is a victim), so it keeps the full scan.
     fn run_invalidation_pass(&mut self, u: &Update, at_epoch: u64) -> (usize, usize) {
         let uid = u.template_id;
-        let level = self.exposures.updates[uid];
+        // A notification naming a template this proxy was not configured
+        // with tells it nothing it may act on: treat it as blind.
+        let level = self.exposures.updates.get(uid).copied();
+        let level = level.unwrap_or(ExposureLevel::Blind);
         let view = UpdateView::new(u, level);
         let matrix = &self.matrix;
         // Collect per-victim attribution while the cache is borrowed; the
@@ -1475,7 +1550,7 @@ impl Dssp {
         // strategy itself cannot inspect).
         let mut victims: Vec<(usize, DecisionPath, u8)> = Vec::new();
         // Scan-time leakage aggregation, keyed by (entry template, reveal
-        // kind, decision path, entry level): each inspected pair reveals
+        // kind, decision path, entry level): each decided pair reveals
         // what the decision path had to read. Aggregated locally inside
         // the judge and flushed as one event per key after the scan — the
         // audit lock is never taken per pair. `None` when the plane is
@@ -1488,70 +1563,63 @@ impl Dssp {
             let (kill, path) = decide(matrix, &view, entry);
             if let Some(agg) = scan_agg.as_mut() {
                 let qid = entry.key().template_id;
-                let lvl = entry.level().as_str();
-                let mut note = |kind: &'static str, bytes: u64| {
-                    let slot = agg.entry((qid, kind, path.name(), lvl)).or_insert((0, 0));
-                    slot.0 += bytes;
-                    slot.1 += 1;
-                };
-                // Reveals are cumulative down the decision paths, like
-                // `request_reveals` down the lattice: reading a
-                // statement necessarily reveals the template id, and
-                // reading a view reveals both — so raising a level
-                // never shrinks any single ledger counter.
-                match path {
-                    // A blind side inspects nothing.
-                    DecisionPath::BlindSide => {}
-                    DecisionPath::Template => {
-                        note(RevealKind::TemplateId.name(), TEMPLATE_ID_BYTES);
-                    }
-                    DecisionPath::Statement => {
-                        note(RevealKind::TemplateId.name(), TEMPLATE_ID_BYTES);
-                        let bytes = entry
-                            .visible_statement()
-                            .map_or(0, |q| q.statement_text().len() as u64);
-                        note(RevealKind::Params.name(), bytes);
-                    }
-                    DecisionPath::View => {
-                        note(RevealKind::TemplateId.name(), TEMPLATE_ID_BYTES);
-                        let stmt = entry
-                            .visible_statement()
-                            .map_or(0, |q| q.statement_text().len() as u64);
-                        note(RevealKind::Params.name(), stmt);
-                        let rows = entry
-                            .visible_result()
-                            .map_or(0, |r| r.approx_size_bytes() as u64);
-                        note(RevealKind::ViewRows.name(), rows);
-                    }
-                }
+                let (statement, rows) = entry.inspection_bytes();
+                note_scan_reveals(agg, qid, path, entry.level(), 1, statement, rows);
             }
             if kill {
                 victims.push((entry.key().template_id, path, entry.level().rank() as u8));
             }
             kill
         };
-        let (scanned, invalidated) = match view.visible_template_id() {
-            Some(_) => {
-                let candidates: Vec<usize> = (0..matrix.query_count())
-                    .filter(|&qid| !matrix.entry(uid, qid).all_zero())
-                    .collect();
-                self.cache.invalidate_candidates(&candidates, &mut judge)
+        let scan = match view.visible_template_id() {
+            Some(_) => self.cache.invalidate_candidates(
+                self.conflicting.get(uid).map_or(&[], Vec::as_slice),
+                view.visible_statement(),
+                &mut judge,
+            ),
+            None => {
+                let (scanned, invalidated) = self.cache.invalidate_where(&mut judge);
+                ScanOutcome {
+                    scanned,
+                    inspected: scanned,
+                    invalidated,
+                    pruned: Vec::new(),
+                }
             }
-            None => self.cache.invalidate_where(&mut judge),
         };
+        let (scanned, invalidated) = (scan.scanned, scan.invalidated);
         if let Some((prov, replica)) = &self.prov {
-            let mut p = prov.lock().unwrap();
+            let mut p = lock_plane(prov);
             p.note_scan(uid, scanned as u64, invalidated as u64);
             for (qid, _, _) in &victims {
                 p.note_invalidate(*replica, *qid, uid, at_epoch, self.now_micros);
             }
         }
-        if let (Some((audit, replica)), Some(agg)) = (&self.audit, scan_agg) {
+        if let (Some((audit, replica)), Some(mut agg)) = (&self.audit, scan_agg) {
+            // A pair a probe spared the judge is metered as the verdict
+            // `decide` would have reached by reading it — "keep", at the
+            // inspection tier of the entry's level — so the ledger is the
+            // full walk's.
+            for p in &scan.pruned {
+                let path = match p.level {
+                    ExposureLevel::View => DecisionPath::View,
+                    _ => DecisionPath::Statement,
+                };
+                note_scan_reveals(
+                    &mut agg,
+                    p.template_id,
+                    path,
+                    p.level,
+                    p.pairs,
+                    p.statement_bytes,
+                    p.result_bytes,
+                );
+            }
             if !agg.is_empty() {
                 // One audit root per invalidation pass: delivery is
                 // asynchronous from the client's update request, so the
                 // scan's reveals chain to an `apply`-origin root here.
-                let mut a = audit.lock().unwrap();
+                let mut a = lock_plane(audit);
                 let req = a.begin_request(
                     *replica,
                     &self.app_id,
@@ -1582,9 +1650,13 @@ impl Dssp {
         }
         for (qid, path, entry_exposure) in victims {
             self.metrics.invalidations.inc();
-            self.metrics.query_invalidated[qid].inc();
-            self.metrics.update_invalidations[uid].inc();
-            self.attribution.record_invalidation(uid, qid);
+            let per_query = self.metrics.query_invalidated.get(qid);
+            let per_update = self.metrics.update_invalidations.get(uid);
+            if let (Some(per_query), Some(per_update)) = (per_query, per_update) {
+                per_query.inc();
+                per_update.inc();
+                self.attribution.record_invalidation(uid, qid);
+            }
             self.tracer.emit(
                 self.now_micros,
                 self.tenant,
@@ -1597,6 +1669,7 @@ impl Dssp {
             );
         }
         self.metrics.entries_scanned.add(scanned as u64);
+        self.metrics.entries_inspected.add(scan.inspected as u64);
         self.metrics.scan_size.record(scanned as u64);
         self.metrics.cache_entries.set(self.cache.len() as i64);
         (scanned, invalidated)
@@ -2076,17 +2149,7 @@ impl Dssp {
         if level == ExposureLevel::View {
             self.audit_view_read(audit_req, tid, "fill", &resp.result);
         }
-        for victim in &outcome.evicted {
-            self.metrics.evictions.inc();
-            self.metrics.query_evicted[victim.template_id].inc();
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EntryEvicted {
-                    query_template: victim.template_id as u32,
-                },
-            );
-        }
+        self.note_evictions(&outcome.evicted);
         self.metrics.cache_entries.set(self.cache.len() as i64);
         self.spans.close(root, root_timer);
         Ok(QueryResponse {
@@ -2186,9 +2249,9 @@ impl Dssp {
     pub fn import_entries(&mut self, entries: Vec<crate::cache::CacheEntry>) -> usize {
         let mut admitted = 0usize;
         for e in entries {
-            if self.cache.import(e) {
-                admitted += 1;
-            }
+            let outcome = self.cache.import(e);
+            admitted += usize::from(outcome.stored);
+            self.note_evictions(&outcome.evicted);
         }
         self.metrics.handoff_imported.add(admitted as u64);
         self.metrics.cache_entries.set(self.cache.len() as i64);
@@ -2228,6 +2291,7 @@ impl Dssp {
             updates: self.metrics.updates.get(),
             invalidations: self.metrics.invalidations.get(),
             entries_scanned: self.metrics.entries_scanned.get(),
+            entries_inspected: self.metrics.entries_inspected.get(),
             evictions: self.metrics.evictions.get(),
         }
     }
@@ -2307,6 +2371,12 @@ impl Dssp {
 
     pub fn cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// [`ResultCache::check_invariants`] on this proxy's cache.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_cache_invariants(&self) -> Result<(), String> {
+        self.cache.check_invariants()
     }
 
     /// Iterates over cached entries — used by correctness tests to verify
@@ -2460,6 +2530,24 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.updates, 1);
+    }
+
+    /// A handoff that overflows the receiver's capacity evicts like any
+    /// store, and the evictions are counted against their templates.
+    #[test]
+    fn handoff_evictions_reach_the_counters() {
+        let mut donor = fixture(StrategyKind::ViewInspection);
+        for id in 1..=3 {
+            donor.query(1, vec![Value::Int(id)]);
+        }
+        let moved = donor.dssp.export_entries_where(|_| true);
+        let mut receiver = fixture(StrategyKind::ViewInspection);
+        receiver.dssp.cache = ResultCache::with_capacity(Encryptor::for_app("toystore"), 2);
+        assert_eq!(receiver.dssp.import_entries(moved), 3);
+        assert_eq!(receiver.dssp.cache_len(), 2);
+        assert_eq!(receiver.dssp.stats().evictions, 1);
+        let registry = receiver.dssp.registry();
+        assert_eq!(registry.counter_value("query_template.1.evicted"), 1);
     }
 
     #[test]

@@ -160,10 +160,11 @@ fn column_satisfiable(cs: &[&Constraint]) -> bool {
     for c in cs {
         match c.op {
             CmpOp::Eq => {
-                if let Some(prev) = eq {
-                    if prev != &c.value {
-                        return false;
-                    }
+                // `cmp`, not derived `!=`: `Int(35)` and `Real(35.0)` are the
+                // same value to every other comparison here and to the
+                // home's executor.
+                if eq.is_some_and(|prev| prev.cmp(&c.value).is_ne()) {
+                    return false;
                 }
                 eq = Some(&c.value);
             }
@@ -427,5 +428,16 @@ mod tests {
             c("x", CmpOp::Gt, 3),
             c("x", CmpOp::Lt, 4)
         ]));
+        // Two equalities agree numerically across `Int`/`Real`.
+        let real = Constraint {
+            column: "x".into(),
+            op: CmpOp::Eq,
+            value: Value::real(35.0),
+        };
+        assert!(constraints_satisfiable(&[
+            c("x", CmpOp::Eq, 35),
+            real.clone()
+        ]));
+        assert!(!constraints_satisfiable(&[c("x", CmpOp::Eq, 36), real]));
     }
 }

@@ -12,8 +12,12 @@ pub struct DsspStats {
     pub updates: u64,
     /// Total cache entries invalidated across all updates.
     pub invalidations: u64,
-    /// Total cache entries examined by invalidation passes.
+    /// Total (update, entry) pairs invalidation passes decided: the sizes
+    /// of the buckets and the blind set each pass covered.
     pub entries_scanned: u64,
+    /// How many of those pairs the strategy had to look at; the rest an
+    /// index ruled out unseen.
+    pub entries_inspected: u64,
     /// Cache entries dropped by capacity pressure (not by invalidation).
     pub evictions: u64,
 }
@@ -28,6 +32,7 @@ impl DsspStats {
         self.updates += other.updates;
         self.invalidations += other.invalidations;
         self.entries_scanned += other.entries_scanned;
+        self.entries_inspected += other.entries_inspected;
         self.evictions += other.evictions;
     }
 
@@ -70,6 +75,7 @@ mod tests {
             updates: 4,
             invalidations: 6,
             entries_scanned: 40,
+            entries_inspected: 5,
             evictions: 2,
         };
         assert!((s.hit_rate() - 0.7).abs() < 1e-12);
@@ -85,6 +91,7 @@ mod tests {
             updates: 4 * n,
             invalidations: 6 * n,
             entries_scanned: 40 * n,
+            entries_inspected: 5 * n,
             evictions: n,
         };
         let (a, b, c) = (mk(1), mk(2), mk(5));

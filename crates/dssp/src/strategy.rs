@@ -17,7 +17,9 @@ use crate::cache::CacheEntry;
 use crate::statement::statement_may_affect;
 use crate::view::view_may_affect;
 use scs_core::{ExposureLevel, IpmMatrix};
-use scs_sqlkit::{TemplateId, Update};
+use scs_sqlkit::{
+    CmpOp, Predicate, QueryTemplate, Scalar, SelectItem, TemplateId, Update, UpdateTemplate, Value,
+};
 
 /// What the DSSP can see of an in-flight update, gated by `E(U^T)`.
 #[derive(Debug, Clone, Copy)]
@@ -113,6 +115,135 @@ pub fn decide(matrix: &IpmMatrix, uv: &UpdateView<'_>, entry: &CacheEntry) -> (b
     }
 }
 
+/// Which entries of one query template's bucket [`decide`] can tell apart
+/// for a statement-visible update — the candidate generator in front of
+/// it (DESIGN §5, invariant 10). A probe names a value the cache has
+/// indexed; every entry it does *not* return is one `decide` spares by
+/// the code in [`crate::statement`] / [`crate::view`] as written, so a
+/// probe can only err by returning too many entries. "Equals" is
+/// [`CmpOp::Eq`]'s numeric equality throughout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<'u> {
+    /// No rule applies: every entry of the bucket is a candidate.
+    Bucket,
+    /// The template restricts `alias.c = ?param` and the update pins `c`
+    /// to `value`: only `stmt`/`view` entries whose bound parameter
+    /// equals it can satisfy `statement_may_affect`.
+    Param { param: usize, value: &'u Value },
+    /// The update identifies its rows by `k = value` on a column the
+    /// result preserves at select position `column`: `view` entries with
+    /// no such row are spared by `delete_ruled_out` / `modify_ruled_out`.
+    /// `stmt` entries of the bucket all stay candidates.
+    ResultKey { column: usize, value: &'u Value },
+}
+
+/// The probe for update `u` against a bucket of template `tpl`. Both
+/// rules need the updated table under exactly one alias and no
+/// column–column predicate the per-attribute reasoning cannot see
+/// through — the same preconditions under which `statement_may_affect`
+/// reasons about one alias at all.
+pub fn probe_for<'u>(u: &'u Update, tpl: &QueryTemplate) -> Probe<'u> {
+    let table = u.template.table();
+    let mut aliases = tpl.from.iter().filter(|t| t.table == table);
+    let (Some(alias), None) = (aliases.next(), aliases.next()) else {
+        return Probe::Bucket;
+    };
+    let alias = alias.alias.as_str();
+    let intra = |p: &Predicate| {
+        p.as_join()
+            .is_some_and(|(l, _, r)| l.qualifier == r.qualifier)
+    };
+    if tpl.predicates.iter().any(intra) || u.template.predicates().iter().any(Predicate::is_join) {
+        return Probe::Bucket;
+    }
+    // The update's `column op scalar` conjuncts — what
+    // `statement::update_constraints` binds.
+    let restrictions = || {
+        let conjuncts = u.template.predicates().iter();
+        conjuncts.filter_map(|p| p.as_restriction())
+    };
+    let where_eq = |col: &str| {
+        restrictions()
+            .find(|(c, op, _)| *op == CmpOp::Eq && c.column == col)
+            .map(|(_, _, s)| u.resolve(s))
+    };
+
+    // Rule 1 — a column the update pins: listed by an INSERT (the last
+    // listing wins, as in `statement_may_affect`'s row map), or equated
+    // in a DELETE / UPDATE's WHERE and, for UPDATE, not SET (a SET column
+    // drops out of the row-enters direction's constraints).
+    let pinned = |col: &str| match &*u.template {
+        UpdateTemplate::Insert(ins) => {
+            let mut listed = ins.columns.iter().zip(&ins.values).rev();
+            listed.find(|(c, _)| *c == col).map(|(_, s)| u.resolve(s))
+        }
+        UpdateTemplate::Delete(_) => where_eq(col),
+        UpdateTemplate::Modify(m) if m.set.iter().any(|(c, _)| c == col) => None,
+        UpdateTemplate::Modify(_) => where_eq(col),
+    };
+    for p in &tpl.predicates {
+        let Some((c, CmpOp::Eq, Scalar::Param(param))) = p.as_restriction() else {
+            continue;
+        };
+        if c.qualifier != alias {
+            continue;
+        }
+        if let Some(value) = pinned(&c.column) {
+            return Probe::Param {
+                param: *param,
+                value,
+            };
+        }
+    }
+
+    // Rule 2 — the result rows expose the update's key.
+    if tpl.has_aggregates() || !tpl.group_by.is_empty() {
+        return Probe::Bucket;
+    }
+    let preserved = |col: &str| {
+        tpl.select.iter().position(
+            |s| matches!(s, SelectItem::Column(c) if c.qualifier == alias && c.column == col),
+        )
+    };
+    let refinable = match &*u.template {
+        UpdateTemplate::Insert(_) => false,
+        // `delete_ruled_out`: every WHERE column preserved.
+        UpdateTemplate::Delete(_) => restrictions().all(|(c, _, _)| preserved(&c.column).is_some()),
+        // `modify_ruled_out` spares an entry without the target row
+        // unconditionally only when the row cannot enter either: an
+        // all-`=` WHERE on preserved columns, no ORDER BY, and no SET
+        // column among this alias's restriction or join columns.
+        UpdateTemplate::Modify(m) => {
+            let selects_on = |col: &str| {
+                tpl.predicates.iter().any(|p| {
+                    let restricted = p.as_restriction().map(|(c, _, _)| c);
+                    let joined = p.as_join().and_then(|(l, _, r)| {
+                        [l, r].into_iter().find(|side| side.qualifier == alias)
+                    });
+                    restricted
+                        .filter(|c| c.qualifier == alias)
+                        .or(joined)
+                        .is_some_and(|c| c.column == col)
+                })
+            };
+            tpl.order_by.is_empty()
+                && restrictions()
+                    .all(|(c, op, _)| op == CmpOp::Eq && preserved(&c.column).is_some())
+                && !m.set.iter().any(|(c, _)| selects_on(c))
+        }
+    };
+    if !refinable {
+        return Probe::Bucket;
+    }
+    let key = restrictions()
+        .find(|(_, op, _)| *op == CmpOp::Eq)
+        .and_then(|(c, _, s)| Some((preserved(&c.column)?, u.resolve(s))));
+    match key {
+        Some((column, value)) => Probe::ResultKey { column, value },
+        None => Probe::Bucket,
+    }
+}
+
 /// [`decide`] without the attribution — kept for callers that only need
 /// the verdict.
 pub fn must_invalidate(matrix: &IpmMatrix, uv: &UpdateView<'_>, entry: &CacheEntry) -> bool {
@@ -201,5 +332,164 @@ mod tests {
         let t = std::sync::Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE a = ?").unwrap());
         let u = Update::bind(0, t, vec![scs_sqlkit::Value::Int(1)]).unwrap();
         let _ = UpdateView::new(&u, View);
+    }
+
+    fn probe(update: &str, params: Vec<Value>, query: &str) -> String {
+        let u = Update::bind(
+            0,
+            std::sync::Arc::new(scs_sqlkit::parse_update(update).unwrap()),
+            params,
+        );
+        let q = scs_sqlkit::parse_query(query).unwrap();
+        format!("{:?}", probe_for(&u.unwrap(), &q))
+    }
+
+    #[test]
+    fn parameter_probe_needs_a_pinned_restriction_column() {
+        let int = |n| vec![Value::Int(n)];
+        let point = "SELECT qty FROM toys WHERE toy_id = ?";
+        let hit = "Param { param: 0, value: Int(5) }";
+        assert_eq!(
+            probe("DELETE FROM toys WHERE toy_id = ?", int(5), point),
+            hit
+        );
+        assert_eq!(
+            probe(
+                "UPDATE toys SET qty = ? WHERE toy_id = ?",
+                vec![Value::Int(1), Value::Int(5)],
+                point
+            ),
+            hit
+        );
+        assert_eq!(
+            probe(
+                "INSERT INTO toys (toy_id, qty) VALUES (?, ?)",
+                vec![Value::Int(5), Value::Int(1)],
+                point
+            ),
+            hit
+        );
+        // The second of two `=` restrictions is the pinned one.
+        assert_eq!(
+            probe(
+                "DELETE FROM toys WHERE toy_id = ?",
+                int(5),
+                "SELECT qty FROM toys WHERE qty = ? AND toy_id = ?"
+            ),
+            "Param { param: 1, value: Int(5) }"
+        );
+        // Not pinned: a range WHERE, a SET of the restricted column, a
+        // partial INSERT, a range restriction, a literal restriction.
+        for (update, params) in [
+            ("DELETE FROM toys WHERE toy_id < ?", int(5)),
+            (
+                "UPDATE toys SET toy_id = ? WHERE toy_id = ?",
+                vec![Value::Int(1), Value::Int(5)],
+            ),
+            ("INSERT INTO toys (qty) VALUES (?)", int(5)),
+        ] {
+            assert_eq!(
+                probe(update, params, "SELECT MAX(qty) FROM toys WHERE toy_id = ?"),
+                "Bucket"
+            );
+        }
+        let delete = "DELETE FROM toys WHERE toy_id = ?";
+        assert_eq!(
+            probe(delete, int(5), "SELECT MAX(qty) FROM toys WHERE toy_id > ?"),
+            "Bucket"
+        );
+        assert_eq!(
+            probe(delete, int(5), "SELECT MAX(qty) FROM toys WHERE toy_id = 5"),
+            "Bucket"
+        );
+        // Self-joins and intra-relation comparisons are off limits.
+        let self_join = "SELECT t1.qty FROM toys t1, toys t2 WHERE t1.toy_id = ? AND t2.toy_id = ?";
+        assert_eq!(probe(delete, int(5), self_join), "Bucket");
+        assert_eq!(
+            probe(
+                delete,
+                int(5),
+                "SELECT qty FROM toys WHERE toy_id = ? AND qty < toy_id"
+            ),
+            "Bucket"
+        );
+        assert_eq!(
+            probe("DELETE FROM toys WHERE toy_id = qty", vec![], point),
+            "Bucket"
+        );
+    }
+
+    #[test]
+    fn result_key_probe_needs_the_key_preserved_and_no_way_in() {
+        let int = |n| vec![Value::Int(n)];
+        let list = "SELECT toy_id, qty FROM toys WHERE toy_name = ?";
+        let hit = "ResultKey { column: 0, value: Int(5) }";
+        assert_eq!(
+            probe("DELETE FROM toys WHERE toy_id = ?", int(5), list),
+            hit
+        );
+        assert_eq!(
+            probe(
+                "DELETE FROM toys WHERE qty < ? AND toy_id = ?",
+                vec![Value::Int(1), Value::Int(5)],
+                list
+            ),
+            hit
+        );
+        let set_qty = "UPDATE toys SET qty = ? WHERE toy_id = ?";
+        let two = vec![Value::Int(1), Value::Int(5)];
+        assert_eq!(probe(set_qty, two.clone(), list), hit);
+        // DELETE: a WHERE column the result drops, or no `=` at all.
+        assert_eq!(
+            probe(
+                "DELETE FROM toys WHERE toy_id = ?",
+                int(5),
+                "SELECT qty FROM toys WHERE toy_name = ?"
+            ),
+            "Bucket"
+        );
+        assert_eq!(
+            probe("DELETE FROM toys WHERE toy_id < ?", int(5), list),
+            "Bucket"
+        );
+        // UPDATE: the row could enter — a SET column the template selects
+        // or joins on — or move within an ORDER BY.
+        assert_eq!(
+            probe(
+                "UPDATE toys SET toy_name = ? WHERE toy_id = ?",
+                two.clone(),
+                list
+            ),
+            "Bucket"
+        );
+        assert_eq!(
+            probe(
+                set_qty,
+                two.clone(),
+                "SELECT toy_id, qty FROM toys WHERE toy_name = ? ORDER BY qty"
+            ),
+            "Bucket"
+        );
+        assert_eq!(
+            probe(set_qty, two.clone(), "SELECT toys.toy_id, bins.id FROM toys, bins WHERE toys.qty = bins.cap AND bins.id = ?"),
+            "Bucket"
+        );
+        // Aggregates expose no keys; INSERTs name no existing row.
+        assert_eq!(
+            probe(
+                set_qty,
+                two,
+                "SELECT toy_id, COUNT(*) FROM toys WHERE toy_name = ? GROUP BY toy_id"
+            ),
+            "Bucket"
+        );
+        assert_eq!(
+            probe(
+                "INSERT INTO toys (toy_id, qty) VALUES (?, ?)",
+                vec![Value::Int(5), Value::Int(1)],
+                list
+            ),
+            "Bucket"
+        );
     }
 }

@@ -224,10 +224,11 @@ fn modify_ruled_out(
     let Some(id_positions) = id_positions else {
         return false; // identifying attributes not preserved — no refinement
     };
-    let present = result
-        .rows
-        .iter()
-        .any(|row| id_positions.iter().all(|(i, v)| &&row[*i] == v));
+    let present = result.rows.iter().any(|row| {
+        id_positions
+            .iter()
+            .all(|(i, v)| CmpOp::Eq.eval(&row[*i], v))
+    });
     if present {
         return false; // the row is in the result: its change is observable
     }
@@ -467,5 +468,21 @@ mod tests {
             vec![Value::Int(15), Value::str("toyB"), Value::Int(10)],
         );
         assert!(view_may_affect(&ins, &query, &cached));
+    }
+
+    /// The target row is found in the result by numeric equality, like
+    /// every other comparison here: `id = 1.0` names the row `id = 1`.
+    #[test]
+    fn modify_finds_the_row_across_int_and_real() {
+        let query = q(
+            "SELECT toy_id FROM toys WHERE qty > ?",
+            vec![Value::Int(100)],
+        );
+        let cached = res(&["toys.toy_id"], vec![vec![Value::Int(1)]]);
+        let m = u(
+            "UPDATE toys SET toy_name = ? WHERE toy_id = ?",
+            vec![Value::str("renamed"), Value::real(1.0)],
+        );
+        assert!(view_may_affect(&m, &query, &cached));
     }
 }
