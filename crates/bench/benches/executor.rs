@@ -1,10 +1,12 @@
 //! Microbenchmarks: the home-server SPJ executor on the populated
 //! bookstore and auction — point lookups, joins (probed and hashed), top-k
 //! scans, and grouped aggregation (the per-query home CPU that the
-//! simulation's `home_cpu_query` models).
+//! simulation's `home_cpu_query` models) — and the `ShardedHome`
+//! scatter-gather layer over the same executor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scs_apps::BenchApp;
+use scs_apps::{home_shard_map, BenchApp, ParamGen};
+use scs_dssp::ShardedHome;
 use scs_sqlkit::{parse_query, Query, Value};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -130,5 +132,48 @@ fn bench_updates(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_executor, bench_updates);
+/// The auction's query templates, bound round-robin, against a 4-shard
+/// home: the queries the partition map pins to one shard (routed) and the
+/// ones it cannot (scattered), each set timed as one batch through
+/// `ShardedHome::execute_query` and through the unsharded
+/// `Database::execute` — the gap is what the sharded layer costs.
+fn bench_scatter_gather(c: &mut Criterion) {
+    let app = BenchApp::Auction;
+    let def = app.def();
+    let (db, ids) = app.build_database(1);
+    let mut home = ShardedHome::new(db.clone(), home_shard_map(&def, 4));
+    let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(1);
+    let mut gen = ParamGen::new(ids, app.zipf_exponent());
+    let queries: Vec<Query> = (0..4 * def.queries.len())
+        .map(|i| {
+            let tid = i % def.queries.len();
+            let params = gen.bind_all(&def.queries[tid].params, &mut rng);
+            Query::bind(tid, def.queries[tid].template.clone(), params).unwrap()
+        })
+        .collect();
+    let (routed, scattered): (Vec<&Query>, Vec<&Query>) = queries
+        .iter()
+        .partition(|q| home.map().shards_for_query(q).len() == 1);
+
+    let mut group = c.benchmark_group("scatter_gather");
+    for (name, set) in [("routed", &routed), ("scattered", &scattered)] {
+        group.bench_function(format!("{name}_x{}/sharded_home", set.len()), |b| {
+            b.iter(|| {
+                for q in set {
+                    black_box(home.execute_query(q).unwrap());
+                }
+            })
+        });
+        group.bench_function(format!("{name}_x{}/unsharded", set.len()), |b| {
+            b.iter(|| {
+                for q in set {
+                    black_box(db.execute(q).unwrap());
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_executor, bench_updates, bench_scatter_gather);
 criterion_main!(benches);

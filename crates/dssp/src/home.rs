@@ -11,7 +11,7 @@
 
 use crate::delivery::{InvalidationMsg, PipeRegistration};
 use scs_sqlkit::{Query, Update};
-use scs_storage::{Database, QueryResult, StorageError, UpdateEffect, Wal};
+use scs_storage::{Database, QueryResult, Row, StorageError, UpdateEffect, Wal};
 use scs_telemetry::SharedProvenance;
 
 /// Wraps the master database with simple accounting — the home server's
@@ -201,7 +201,7 @@ impl HomeServer {
         &mut self,
         u: &Update,
     ) -> Result<(UpdateEffect, InvalidationMsg), StorageError> {
-        self.apply_update_inner(u, true)
+        self.apply_update_inner(u, true, None)
     }
 
     /// [`HomeServer::apply_update`] without the storage-level FK check.
@@ -209,25 +209,28 @@ impl HomeServer {
     /// may legitimately live on another shard; the sharded home verifies
     /// every FK probe against the parent's owner shard *before* routing
     /// here (see `crate::sharded::ShardedHome`), making the local check
-    /// both wrong (spurious violations) and redundant.
+    /// both wrong (spurious violations) and redundant. `candidate` is the
+    /// [`Database::insert_candidate`] of `u` it routed and verified by.
     pub fn apply_update_unchecked(
         &mut self,
         u: &Update,
+        candidate: Option<Row>,
     ) -> Result<(UpdateEffect, InvalidationMsg), StorageError> {
-        self.apply_update_inner(u, false)
+        self.apply_update_inner(u, false, candidate)
     }
 
     fn apply_update_inner(
         &mut self,
         u: &Update,
         check_fks: bool,
+        candidate: Option<Row>,
     ) -> Result<(UpdateEffect, InvalidationMsg), StorageError> {
         self.updates_applied += 1;
         let start = std::time::Instant::now();
         let effect = if check_fks {
             self.db.apply(u)
         } else {
-            self.db.apply_unchecked(u)
+            self.db.apply_routed(u, candidate)
         };
         self.service_nanos = self
             .service_nanos

@@ -17,18 +17,21 @@
 //!   and consume one epoch on that shard's stream only;
 //! * **single-shard queries** (the common case — the §2.1 workloads
 //!   restrict by key) route to the one owner and execute there;
-//! * **cross-shard queries** scatter-gather: the participants' rows for
-//!   the query's tables are gathered into a scratch database carrying
-//!   the shared catalog, the plan executes once over the merged rows,
-//!   and each participant is charged an equal share of the service
-//!   time. Gathering whole tables is the simplest correct merge — join
-//!   pushdown is a later optimization, and the home-bound cost model in
-//!   `scs-netsim` prices the gather traffic explicitly.
+//! * **cross-shard queries** scatter: the one plan the classic home
+//!   would run executes once, reading each `FROM` table as a
+//!   [`PartitionedTable`] — the owning shards' own tables, in ascending
+//!   shard id, probed through their own equality indexes. No row is
+//!   copied and no index built; the result is, rows and order, what the
+//!   plan returns on one table holding the parts' rows in that order
+//!   (`scs_storage::executor`'s row-order contract). Each participant
+//!   is charged an equal share of the service time; the home-bound cost
+//!   model in `scs-netsim` prices the cross-shard traffic explicitly.
 //!
 //! Referential integrity across shards: a shard database applies
 //! statements *unchecked* (its FK parents may live elsewhere), so the
 //! sharded home verifies every FK probe of an insert against the
-//! parent's owner shard **before** routing ([`Database::fk_probes`] /
+//! parent's owner shard **before** routing
+//! ([`Database::check_foreign_keys_with`] /
 //! [`PartitionMap::shard_for_key`] / [`Database::fk_parent_exists`]). A
 //! violation is refused up front and consumes **no epoch on any
 //! stream** — exactly the classic home's "failed updates change
@@ -42,7 +45,9 @@
 use crate::delivery::InvalidationMsg;
 use crate::home::HomeServer;
 use scs_sqlkit::{Query, Update};
-use scs_storage::{Database, PartitionMap, QueryResult, StorageError, UpdateEffect};
+use scs_storage::{
+    executor, Database, PartitionMap, PartitionedTable, QueryResult, StorageError, UpdateEffect,
+};
 use scs_telemetry::SharedProvenance;
 
 /// One query answered by the sharded home tier.
@@ -161,7 +166,7 @@ impl ShardedHome {
     }
 
     /// Executes a query: routed to the one owner shard when the
-    /// partition map pins it, scatter-gathered across the participants
+    /// partition map pins it, scattered across the participants
     /// otherwise.
     pub fn execute_query(&mut self, q: &Query) -> Result<ShardedQueryResponse, StorageError> {
         let shards = self.map.shards_for_query(q);
@@ -169,40 +174,26 @@ impl ShardedHome {
             let result = self.shards[only].execute_query(q)?;
             return Ok(ShardedQueryResponse { result, shards });
         }
-        self.scatter_queries += 1;
         let start = std::time::Instant::now();
-        let result = self.gathered_database(q)?.execute(q)?;
+        // Every shard owning a slice of a table contributes its part, a
+        // pinned alias's table included: the restriction that pinned it
+        // filters the other parts' rows out.
+        let mut tables = Vec::with_capacity(q.template.from.len());
+        for tref in &q.template.from {
+            let parts = self
+                .map
+                .table_shards(&tref.table)
+                .map(|owner| self.shards[owner].database().table(&tref.table));
+            tables.push(parts.collect::<Result<PartitionedTable, _>>()?);
+        }
+        self.scatter_queries += 1;
+        let result = executor::execute_partitioned(q, tables)?;
         let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let share = elapsed / shards.len().max(1) as u64;
         for &s in &shards {
             self.shards[s].note_scatter_query(share);
         }
         Ok(ShardedQueryResponse { result, shards })
-    }
-
-    /// Builds the scatter-gather scratch database: the shared catalog
-    /// plus, for each table the query reads, that table's rows gathered
-    /// from every shard owning a slice of it.
-    fn gathered_database(&self, q: &Query) -> Result<Database, StorageError> {
-        let mut scratch = Database::new();
-        let catalog = self.shards[0].database();
-        for name in catalog.table_names() {
-            scratch.create_table(catalog.table(name)?.schema().clone())?;
-        }
-        let mut tables: Vec<&str> = q.template.from.iter().map(|t| t.table.as_str()).collect();
-        tables.sort_unstable();
-        tables.dedup();
-        for name in tables {
-            for owner in self.map.table_shards(name) {
-                for (_, row) in self.shards[owner].database().table(name)?.iter() {
-                    // `insert_row` skips FK checks (bulk-load path) —
-                    // gathered rows may have parents in tables the
-                    // query never reads.
-                    scratch.insert_row(name, row.clone())?;
-                }
-            }
-        }
-        Ok(scratch)
     }
 
     /// Applies an update: cross-shard FK probes verify against the
@@ -213,36 +204,38 @@ impl ShardedHome {
     pub fn execute_update(&mut self, u: &Update) -> Result<ShardedUpdateResponse, StorageError> {
         // Any shard can plan the statement (full catalog everywhere);
         // shard 0 stands in for routing decisions and probe extraction.
-        let owner = self.map.shard_for_update(self.shards[0].database(), u)?;
-        for (fk, key) in self.shards[0].database().fk_probes(u)? {
-            let holders = match self
-                .map
-                .shard_for_key(&fk.parent_table, &fk.parent_columns, &key)
-            {
-                Some(s) => vec![s],
-                None => self.map.table_shards(&fk.parent_table),
-            };
-            let mut found = false;
-            for s in holders {
-                if self.shards[s].database().fk_parent_exists(&fk, &key)? {
-                    found = true;
-                    break;
+        // An insert's row is bound once, here: it routes the statement,
+        // carries the FK probes' keys, and is the row the owner stores.
+        let catalog = self.shards[0].database();
+        let candidate = catalog.insert_candidate(u)?;
+        let owner = self
+            .map
+            .shard_for_candidate(catalog, u, candidate.as_ref())?;
+        if let Some(row) = &candidate {
+            let checked = catalog.check_foreign_keys_with(u.template.table(), row, |fk, key| {
+                let holders =
+                    match self
+                        .map
+                        .shard_for_key(&fk.parent_table, &fk.parent_columns, key)
+                    {
+                        Some(s) => s..s + 1,
+                        None => self.map.table_shards(&fk.parent_table),
+                    };
+                for s in holders {
+                    if self.shards[s].database().fk_parent_exists(fk, key)? {
+                        return Ok(true);
+                    }
                 }
-            }
-            if !found {
-                self.fk_rejects += 1;
-                return Err(StorageError::ForeignKeyViolation {
-                    table: u.template.table().to_string(),
-                    constraint: format!(
-                        "({}) -> {}({})",
-                        fk.columns.join(", "),
-                        fk.parent_table,
-                        fk.parent_columns.join(", ")
-                    ),
-                });
+                Ok(false)
+            });
+            if let Err(e) = checked {
+                if matches!(e, StorageError::ForeignKeyViolation { .. }) {
+                    self.fk_rejects += 1;
+                }
+                return Err(e);
             }
         }
-        let (effect, msg) = self.shards[owner].apply_update_unchecked(u)?;
+        let (effect, msg) = self.shards[owner].apply_update_unchecked(u, candidate)?;
         Ok(ShardedUpdateResponse {
             effect,
             shard: owner,

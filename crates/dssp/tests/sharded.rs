@@ -4,8 +4,9 @@
 //! multi-stream invalidation ledger at arbitrary cuts under
 //! drop/duplicate/delay faults, the lease bound on staleness while a
 //! replica merges interleaved shard streams, scatter-gather
-//! equivalence against the unpartitioned master, and the no-epoch
-//! contract of the cross-shard FK handshake.
+//! equivalence against the unpartitioned master, exact (rows *and*
+//! order) equivalence of a scatter against gather-then-execute, and the
+//! no-epoch contract of the cross-shard FK handshake.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
@@ -489,4 +490,325 @@ fn fk_rejection_consumes_no_epoch_on_any_stream() {
         "exactly one epoch on the owner's stream"
     );
     assert_eq!(home.fk_rejects(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Exact equivalence: scatter == gather-then-execute, rows and order.
+// ---------------------------------------------------------------------
+
+const ITEMS: i64 = 16;
+const USERS: i64 = 6;
+
+/// Three tables under the three placements of a 4-shard map: `items`
+/// hash-split over all four, `users` whole on shard 3, `bids`
+/// range-split into three parts (fewer than the map has shards) whose
+/// middle part `[100, 200)` no bid id ever falls in — an empty
+/// participant of every `bids` scatter. No FK is declared, so that any
+/// interleaving of inserts and deletes is accepted; `seller` and
+/// `item_id` carry explicit indexes instead.
+fn market_db() -> Database {
+    let mut db = Database::new();
+    for schema in [
+        TableSchema::builder("items")
+            .column("item_id", ColumnType::Int)
+            .column("seller", ColumnType::Int)
+            .column("cat", ColumnType::Int)
+            .column("price", ColumnType::Int)
+            .primary_key(&["item_id"])
+            .index("seller")
+            .index("cat"),
+        TableSchema::builder("users")
+            .column("user_id", ColumnType::Int)
+            .column("region", ColumnType::Int)
+            .primary_key(&["user_id"])
+            .index("region"),
+        TableSchema::builder("bids")
+            .column("bid_id", ColumnType::Int)
+            .column("item_id", ColumnType::Int)
+            .column("amount", ColumnType::Int)
+            .primary_key(&["bid_id"])
+            .index("item_id"),
+    ] {
+        db.create_table(schema.build().unwrap()).unwrap();
+    }
+    for id in 0..ITEMS / 2 {
+        let row = vec![id, id % USERS, id % 3, 10 * (id % 4)];
+        db.insert_row("items", row.into_iter().map(Value::Int).collect())
+            .unwrap();
+    }
+    for id in 0..USERS - 2 {
+        db.insert_row("users", vec![Value::Int(id), Value::Int(id % 2)])
+            .unwrap();
+    }
+    for id in 0..6 {
+        let row = vec![bid_id(2 * id), id % 4, 5 * (id % 3)];
+        db.insert_row("bids", row.into_iter().map(Value::Int).collect())
+            .unwrap();
+    }
+    db
+}
+
+/// Bid ids come from `0..8` (part 0) and `200..208` (part 2).
+fn bid_id(n: i64) -> i64 {
+    if n % 16 < 8 {
+        n % 16
+    } else {
+        200 + n % 16 - 8
+    }
+}
+
+fn market_map() -> PartitionMap {
+    PartitionMap::by_table(4)
+        .with_placement(
+            "items",
+            TablePlacement::Hash {
+                column: "item_id".into(),
+            },
+        )
+        .with_placement("users", TablePlacement::Shard(3))
+        .with_placement(
+            "bids",
+            TablePlacement::Range {
+                column: "bid_id".into(),
+                bounds: vec![Value::Int(100), Value::Int(200)],
+            },
+        )
+}
+
+/// The scatter path this suite's reference: every table's rows gathered
+/// from its owner shards, ascending shard id and ascending row id within
+/// a shard, into a scratch database — what `ShardedHome` built per
+/// cross-shard query before it read the shards' tables in place.
+fn gathered(home: &ShardedHome) -> Database {
+    let mut scratch = Database::new();
+    let catalog = home.shard(0).database();
+    for name in catalog.table_names() {
+        scratch
+            .create_table(catalog.table(name).unwrap().schema().clone())
+            .unwrap();
+        for owner in home.map().table_shards(name) {
+            let part = home.shard(owner).database().table(name).unwrap();
+            for (_, row) in part.iter() {
+                scratch.insert_row(name, row.clone()).unwrap();
+            }
+        }
+    }
+    scratch
+}
+
+/// One insert, delete or modify of one row of one table, by key.
+#[derive(Debug, Clone, Copy)]
+struct Mutation {
+    table: usize,
+    kind: usize,
+    id: i64,
+    a: i64,
+    b: i64,
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    (0usize..3, 0usize..3, 0..ITEMS, 0..ITEMS, 0i64..6).prop_map(|(table, kind, id, a, b)| {
+        Mutation {
+            table,
+            kind,
+            id,
+            a,
+            b,
+        }
+    })
+}
+
+struct Market {
+    /// `[table][kind]`: insert, delete, modify.
+    updates: Vec<Vec<Arc<UpdateTemplate>>>,
+    /// `(what it covers, template, parameter count, must scatter)`.
+    queries: Vec<(&'static str, Arc<QueryTemplate>, usize, bool)>,
+}
+
+fn market() -> Market {
+    let updates = [
+        [
+            "INSERT INTO items (item_id, seller, cat, price) VALUES (?, ?, ?, ?)",
+            "DELETE FROM items WHERE item_id = ?",
+            "UPDATE items SET cat = ?, price = ? WHERE item_id = ?",
+        ],
+        [
+            "INSERT INTO users (user_id, region) VALUES (?, ?)",
+            "DELETE FROM users WHERE user_id = ?",
+            "UPDATE users SET region = ? WHERE user_id = ?",
+        ],
+        [
+            "INSERT INTO bids (bid_id, item_id, amount) VALUES (?, ?, ?)",
+            "DELETE FROM bids WHERE bid_id = ?",
+            "UPDATE bids SET amount = ? WHERE bid_id = ?",
+        ],
+    ]
+    .iter()
+    .map(|t| {
+        t.iter()
+            .map(|sql| Arc::new(parse_update(sql).unwrap()))
+            .collect()
+    })
+    .collect();
+    let queries = [
+        (
+            "unindexed scan",
+            "SELECT item_id, price FROM items WHERE price >= ?",
+            1,
+            true,
+        ),
+        (
+            "indexed restriction",
+            "SELECT item_id, price FROM items WHERE cat = ?",
+            1,
+            true,
+        ),
+        (
+            "LIMIT without ORDER BY, scanned",
+            "SELECT item_id FROM items LIMIT 5",
+            0,
+            true,
+        ),
+        (
+            "LIMIT without ORDER BY, indexed",
+            "SELECT item_id FROM items WHERE cat = ? LIMIT 2",
+            1,
+            true,
+        ),
+        (
+            "ORDER BY with ties + LIMIT",
+            "SELECT item_id, cat FROM items ORDER BY cat DESC LIMIT 5",
+            0,
+            true,
+        ),
+        (
+            "GROUP BY in first-seen order",
+            "SELECT cat, COUNT(*), MAX(price), AVG(price) FROM items GROUP BY cat",
+            0,
+            true,
+        ),
+        (
+            "Shard-placed joined with Hash-split, probed through `seller`",
+            "SELECT users.user_id, items.item_id FROM users, items \
+             WHERE users.user_id = items.seller AND users.region = ?",
+            1,
+            true,
+        ),
+        (
+            "Hash-split joined with Shard-placed, hashed",
+            "SELECT items.item_id, users.region FROM items, users \
+             WHERE items.seller = users.user_id AND items.price >= ? AND users.region >= 0 \
+             ORDER BY users.region LIMIT 6",
+            1,
+            true,
+        ),
+        (
+            "one alias pinned, one scattered",
+            "SELECT items.price, bids.bid_id, bids.amount FROM items, bids \
+             WHERE items.item_id = bids.item_id AND items.item_id = ?",
+            1,
+            true,
+        ),
+        (
+            "Range placement over fewer parts than shards, one of them empty",
+            "SELECT bid_id, amount FROM bids WHERE amount >= ? ORDER BY amount LIMIT 4",
+            1,
+            true,
+        ),
+        (
+            "a pinned lookup still routes",
+            "SELECT price FROM items WHERE item_id = ?",
+            1,
+            false,
+        ),
+    ]
+    .into_iter()
+    .map(|(what, sql, params, scatters)| {
+        (what, Arc::new(parse_query(sql).unwrap()), params, scatters)
+    })
+    .collect();
+    Market { updates, queries }
+}
+
+impl Market {
+    fn bind(&self, m: Mutation) -> Update {
+        let Mutation {
+            table,
+            kind,
+            id,
+            a,
+            b,
+        } = m;
+        let key = match table {
+            0 => id,
+            1 => id % USERS,
+            _ => bid_id(id),
+        };
+        let params = match (table, kind) {
+            (0, 0) => vec![key, a % USERS, b % 3, 10 * (a % 4)],
+            (0, 2) => vec![b % 3, 10 * (a % 4), key],
+            (1, 0) => vec![key, b % 2],
+            (1, 2) => vec![b % 2, key],
+            (2, 0) => vec![key, a, 5 * (b % 3)],
+            (2, 2) => vec![5 * (b % 3), key],
+            _ => vec![key],
+        };
+        let params = params.into_iter().map(Value::Int).collect();
+        Update::bind(kind, self.updates[table][kind].clone(), params).unwrap()
+    }
+
+    /// Every query, with parameter `v`, on the sharded home and on the
+    /// gathered reference: equal results, rows in equal order.
+    fn check(&self, home: &mut ShardedHome, v: i64) -> Result<(), String> {
+        let reference = gathered(home);
+        for (tid, (what, tpl, params, scatters)) in self.queries.iter().enumerate() {
+            let q = Query::bind(tid, tpl.clone(), vec![Value::Int(v); *params]).unwrap();
+            let before = home.scatter_queries();
+            let got = home.execute_query(&q).map_err(|e| format!("{what}: {e}"))?;
+            if (home.scatter_queries() - before == 1) != *scatters {
+                return Err(format!("{what}: went to shards {:?}", got.shards));
+            }
+            let want = reference.execute(&q).unwrap();
+            if got.result != want {
+                return Err(format!(
+                    "{what} (? = {v}): scatter returned {:?}, gather-then-execute {:?}",
+                    got.result.rows, want.rows
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A scatter runs the plan over the shards' own tables and indexes;
+    /// it must return exactly — `==`, not `multiset_eq` — what the same
+    /// plan returns on the participants' rows gathered into one scratch
+    /// database, under interleavings whose deletes, re-inserts and
+    /// modifies reuse slots and leave every shard's index lists
+    /// unordered.
+    #[test]
+    fn scatter_equals_gather_then_execute_rows_and_order(
+        script in proptest::collection::vec(mutation(), 1..60),
+    ) {
+        let market = market();
+        let mut home = ShardedHome::new(market_db(), market_map());
+        prop_assert!(home.shard(1).database().table("bids").unwrap().is_empty());
+        for (i, m) in script.iter().enumerate() {
+            // A duplicate key or a missing row is refused or a no-op on
+            // both sides alike: the reference is rebuilt from the shards.
+            let _ = home.execute_update(&market.bind(*m));
+            if i % 6 == 5 {
+                let checked = market.check(&mut home, m.b % 4);
+                prop_assert!(checked.is_ok(), "after {} updates: {}", i + 1, checked.unwrap_err());
+            }
+        }
+        for v in 0..3 {
+            let checked = market.check(&mut home, 10 * v);
+            prop_assert!(checked.is_ok(), "at the end: {}", checked.unwrap_err());
+        }
+        prop_assert!(home.shard(1).database().table("bids").unwrap().is_empty());
+    }
 }

@@ -121,7 +121,7 @@ impl Database {
     /// Applies an update statement, enforcing the integrity constraints of
     /// §4.5 (primary keys always; foreign keys on insertion).
     pub fn apply(&mut self, u: &Update) -> Result<UpdateEffect, StorageError> {
-        self.apply_inner(u, true)
+        self.apply_inner(u, true, None)
     }
 
     /// Applies an update statement enforcing primary keys but **not**
@@ -129,18 +129,41 @@ impl Database {
     /// replay (the record was FK-validated when it first committed, and
     /// must not re-fail) and a partitioned home shard (a child row's
     /// parent may live on another shard, so referential integrity is
-    /// verified cross-shard *before* the statement is routed here).
+    /// verified cross-shard *before* the statement is routed here — see
+    /// [`Database::apply_routed`]).
     pub fn apply_unchecked(&mut self, u: &Update) -> Result<UpdateEffect, StorageError> {
-        self.apply_inner(u, false)
+        self.apply_inner(u, false, None)
     }
 
-    fn apply_inner(&mut self, u: &Update, check_fks: bool) -> Result<UpdateEffect, StorageError> {
+    /// [`Database::apply_unchecked`] for the partitioned home, which built
+    /// `u`'s [`Database::insert_candidate`] to route the statement here and
+    /// to verify its foreign keys: `candidate` is that row, inserted as it
+    /// is instead of being bound a second time.
+    pub fn apply_routed(
+        &mut self,
+        u: &Update,
+        candidate: Option<Row>,
+    ) -> Result<UpdateEffect, StorageError> {
+        self.apply_inner(u, false, candidate)
+    }
+
+    fn apply_inner(
+        &mut self,
+        u: &Update,
+        check_fks: bool,
+        candidate: Option<Row>,
+    ) -> Result<UpdateEffect, StorageError> {
         match &*u.template {
             UpdateTemplate::Insert(ins) => {
-                let row = {
-                    let table = self.table(&ins.table)?;
-                    let schema = table.schema();
-                    build_insert_row(schema, &ins.columns, &ins.values, u)?
+                let row = match candidate {
+                    Some(row) => {
+                        debug_assert_eq!(self.insert_candidate(u)?.as_ref(), Some(&row));
+                        row
+                    }
+                    None => {
+                        let schema = self.table(&ins.table)?.schema();
+                        build_insert_row(schema, &ins.columns, &ins.values, u)?
+                    }
                 };
                 if check_fks {
                     self.check_foreign_keys(&ins.table, &row)?;
@@ -216,26 +239,6 @@ impl Database {
         }
     }
 
-    /// The foreign-key probes an insert statement implies: for each FK
-    /// of the target table, the constraint plus the key values the
-    /// candidate row carries for it. Non-inserts probe nothing (the
-    /// model only enforces FKs on insertion). A sharded home uses this
-    /// to verify each probe against the shard that owns the parent
-    /// table before routing the statement to the child's owner.
-    pub fn fk_probes(&self, u: &Update) -> Result<Vec<(ForeignKey, Vec<Value>)>, StorageError> {
-        let UpdateTemplate::Insert(ins) = &*u.template else {
-            return Ok(Vec::new());
-        };
-        let table = self.table(&ins.table)?;
-        let schema = table.schema();
-        let row = build_insert_row(schema, &ins.columns, &ins.values, u)?;
-        schema
-            .foreign_keys
-            .iter()
-            .map(|fk| Ok((fk.clone(), fk_key(schema, fk, &row)?)))
-            .collect()
-    }
-
     /// The fully-bound row an insert statement would add, without
     /// applying it (`None` for non-inserts). Partition routing inspects
     /// the partition column's value here before the statement is
@@ -281,10 +284,24 @@ impl Database {
 
     /// Verifies every foreign key of `table` for a candidate `row`.
     fn check_foreign_keys(&self, table: &str, row: &Row) -> Result<(), StorageError> {
+        self.check_foreign_keys_with(table, row, |fk, key| self.fk_parent_exists(fk, key))
+    }
+
+    /// Verifies every foreign key of `table` for a candidate `row`, asking
+    /// `parent_exists` whether a row with `key` in `fk.parent_columns` is
+    /// held anywhere. The model only enforces FKs on insertion; a sharded
+    /// home answers each probe from the shard that owns the parent, before
+    /// routing the statement to the child's owner.
+    pub fn check_foreign_keys_with(
+        &self,
+        table: &str,
+        row: &Row,
+        mut parent_exists: impl FnMut(&ForeignKey, &[Value]) -> Result<bool, StorageError>,
+    ) -> Result<(), StorageError> {
         let schema = self.table(table)?.schema();
         for fk in &schema.foreign_keys {
             let key = fk_key(schema, fk, row)?;
-            if !self.fk_parent_exists(fk, &key)? {
+            if !parent_exists(fk, &key)? {
                 return Err(StorageError::ForeignKeyViolation {
                     table: table.to_string(),
                     constraint: format!(

@@ -29,11 +29,26 @@
 //! order: a scan yields ascending `RowId`; an indexed restriction yields
 //! the index's own list order; a probe yields ascending `RowId` per bound
 //! tuple (the order a hash bucket built from a scan has); sort ties keep
-//! arrival order; groups appear in first-seen order.
+//! arrival order; groups appear in first-seen order. Over a
+//! [`PartitionedTable`]: parts in ascending shard id, ascending `RowId`
+//! within a part, a part's index list emitted ascending.
+//!
+//! **One body, two sources.** The plan reads each `FROM` alias through
+//! [`Source`]: a `&Table` ([`execute`], the single home), or a
+//! [`PartitionedTable`] ([`execute_partitioned`], the sharded home's
+//! scatter) — the alias's table as the ordered list of the owning shards'
+//! own tables, a row addressed by a *global row id* = its part's base (the
+//! slot counts of the parts before it) + its `RowId` there. Global ids
+//! order rows exactly as copying the parts, in order, into one fresh table
+//! would, so a scatter returns the rows that table would give, in the same
+//! order, without copying a row or building an index. The body is
+//! monomorphised per source; over `&Table` every [`Source`] call is the
+//! `Table` method of the same name.
 
 use crate::database::Database;
 use crate::error::StorageError;
 use crate::result::QueryResult;
+use crate::schema::TableSchema;
 use crate::table::{Row, RowId, Table};
 use scs_sqlkit::{AggFunc, CmpOp, ColumnRef, Query, Real, SelectItem, Value};
 use std::cmp::Ordering;
@@ -41,12 +56,33 @@ use std::collections::HashMap;
 
 /// Executes `q` against `db`, producing a materialized result.
 pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, StorageError> {
-    let tpl = &q.template;
-    let tables: Vec<&Table> = tpl
+    let tables: Vec<&Table> = q
+        .template
         .from
         .iter()
         .map(|tr| db.table(&tr.table))
         .collect::<Result<_, _>>()?;
+    run(q, tables)
+}
+
+/// Executes `q` over partitioned tables, `tables[i]` standing for the
+/// query's `i`-th `FROM` entry: the result, rows and order, that
+/// [`execute`] returns on a database holding each table's parts copied, in
+/// order, into one table.
+pub fn execute_partitioned(
+    q: &Query,
+    tables: Vec<PartitionedTable<'_>>,
+) -> Result<QueryResult, StorageError> {
+    if tables.len() != q.template.from.len() || tables.iter().any(|t| t.parts.is_empty()) {
+        return Err(StorageError::BadQuery(
+            "a partitioned query needs one table of at least one part per FROM entry".into(),
+        ));
+    }
+    run(q, tables)
+}
+
+fn run<'a, S: Source<'a>>(q: &'a Query, tables: Vec<S>) -> Result<QueryResult, StorageError> {
+    let tpl = &q.template;
     if tables.is_empty() {
         return Err(StorageError::BadQuery("query has no FROM table".into()));
     }
@@ -59,6 +95,147 @@ pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, StorageError> {
         ctx.project()?
     };
     Ok(QueryResult::new(columns, rows))
+}
+
+/// The rows of one `FROM` alias as the plan reads them. Row ids are the
+/// source's own: whatever `scan` and `index_lookup` yield, `live_row` takes.
+trait Source<'a> {
+    fn schema(&self) -> &'a TableSchema;
+
+    /// Number of live rows.
+    fn len(&self) -> usize;
+
+    /// Every live row, in ascending row id.
+    fn scan(&self) -> impl Iterator<Item = (RowId, &'a Row)>;
+
+    fn live_row(&self, id: RowId) -> Result<&'a Row, StorageError>;
+
+    fn has_index(&self, pos: usize) -> bool;
+
+    /// Row ids whose indexed column `pos` equals `v`, in the order an
+    /// indexed restriction yields them; `None` when the column has no
+    /// index. `buf` is scratch space the returned list may live in.
+    fn index_lookup<'b>(
+        &self,
+        pos: usize,
+        v: &Value,
+        buf: &'b mut Vec<RowId>,
+    ) -> Option<&'b [RowId]>
+    where
+        'a: 'b;
+}
+
+impl<'a> Source<'a> for &'a Table {
+    fn schema(&self) -> &'a TableSchema {
+        Table::schema(self)
+    }
+
+    fn len(&self) -> usize {
+        Table::len(self)
+    }
+
+    fn scan(&self) -> impl Iterator<Item = (RowId, &'a Row)> {
+        Table::iter(self)
+    }
+
+    fn live_row(&self, id: RowId) -> Result<&'a Row, StorageError> {
+        Table::live_row(self, id)
+    }
+
+    fn has_index(&self, pos: usize) -> bool {
+        Table::has_index(self, pos)
+    }
+
+    fn index_lookup<'b>(
+        &self,
+        pos: usize,
+        v: &Value,
+        _buf: &'b mut Vec<RowId>,
+    ) -> Option<&'b [RowId]>
+    where
+        'a: 'b,
+    {
+        Table::index_lookup(self, pos, v)
+    }
+}
+
+/// One table as the ordered parts of it that shards hold: collect the
+/// owning shards' tables in ascending shard id. All parts must share one
+/// schema (a partitioned home replicates the catalog).
+#[derive(Debug, Clone, Default)]
+pub struct PartitionedTable<'a> {
+    /// `(base, part)`: a row of `part` has global id `base + RowId`, the
+    /// base being the slot count of all parts before it.
+    parts: Vec<(RowId, &'a Table)>,
+    len: usize,
+}
+
+impl<'a> FromIterator<&'a Table> for PartitionedTable<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a Table>>(parts: I) -> Self {
+        let mut out = PartitionedTable::default();
+        let mut base = 0;
+        for part in parts {
+            debug_assert!(out
+                .parts
+                .first()
+                .is_none_or(|(_, p)| p.schema() == part.schema()));
+            out.parts.push((base, part));
+            out.len += part.len();
+            base += part.slot_count();
+        }
+        out
+    }
+}
+
+impl<'a> Source<'a> for PartitionedTable<'a> {
+    fn schema(&self) -> &'a TableSchema {
+        self.parts[0].1.schema()
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn scan(&self) -> impl Iterator<Item = (RowId, &'a Row)> {
+        self.parts
+            .iter()
+            .flat_map(|&(base, part)| part.iter().map(move |(id, row)| (base + id, row)))
+    }
+
+    fn live_row(&self, id: RowId) -> Result<&'a Row, StorageError> {
+        // The last part starting at or before `id` (the first starts at
+        // 0); an id past its slots is dangling there.
+        let at = self.parts.partition_point(|(base, _)| *base <= id);
+        let (base, part) = self.parts[at - 1];
+        part.live_row(id - base)
+    }
+
+    fn has_index(&self, pos: usize) -> bool {
+        self.parts[0].1.has_index(pos)
+    }
+
+    fn index_lookup<'b>(
+        &self,
+        pos: usize,
+        v: &Value,
+        buf: &'b mut Vec<RowId>,
+    ) -> Option<&'b [RowId]>
+    where
+        'a: 'b,
+    {
+        buf.clear();
+        for &(base, part) in &self.parts {
+            let ids = part.index_lookup(pos, v)?;
+            let at = buf.len();
+            buf.extend(ids.iter().map(|id| base + id));
+            // Deletes and slot reuse leave a part's list unordered; the
+            // table its rows were copied into would list them ascending.
+            if !ids.is_sorted() {
+                buf[at..].sort_unstable();
+            }
+        }
+        Some(buf)
+    }
 }
 
 /// A column resolved to (alias index, column position).
@@ -109,16 +286,16 @@ fn compare_keys(a: &[&Value], b: &[&Value], desc: &[bool]) -> Ordering {
     Ordering::Equal
 }
 
-struct Context<'a> {
+struct Context<'a, S> {
     q: &'a Query,
-    tables: Vec<&'a Table>,
+    tables: Vec<S>,
     restrictions: Vec<Restriction<'a>>,
     locals: Vec<LocalColCol>,
     joins: Vec<JoinPred>,
 }
 
-impl<'a> Context<'a> {
-    fn new(q: &'a Query, tables: Vec<&'a Table>) -> Result<Context<'a>, StorageError> {
+impl<'a, S: Source<'a>> Context<'a, S> {
+    fn new(q: &'a Query, tables: Vec<S>) -> Result<Context<'a, S>, StorageError> {
         let mut ctx = Context {
             q,
             tables,
@@ -197,7 +374,7 @@ impl<'a> Context<'a> {
     /// in index-list order when an indexed equality restriction narrows the
     /// scan, in ascending `RowId` order otherwise.
     fn candidates(&self, alias: usize, cap: usize) -> Result<Vec<RowId>, StorageError> {
-        let table = self.tables[alias];
+        let table = &self.tables[alias];
         let my_restrictions: Vec<&Restriction> = self
             .restrictions
             .iter()
@@ -214,9 +391,10 @@ impl<'a> Context<'a> {
                     .all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
         };
         // Indexed equality fast path.
+        let mut buf = Vec::new();
         for r in &my_restrictions {
             if r.op == CmpOp::Eq {
-                if let Some(ids) = table.index_lookup(r.col.pos, r.value) {
+                if let Some(ids) = table.index_lookup(r.col.pos, r.value, &mut buf) {
                     let mut hits = Vec::with_capacity(ids.len().min(cap));
                     for &id in ids {
                         if hits.len() == cap {
@@ -231,7 +409,7 @@ impl<'a> Context<'a> {
             }
         }
         Ok(table
-            .iter()
+            .scan()
             .filter(|(_, row)| passes(row))
             .map(|(id, _)| id)
             .take(cap)
@@ -297,7 +475,7 @@ impl<'a> Context<'a> {
         for step in 1..n {
             let alias = order[step];
             let bound = &order[..step];
-            let table = self.tables[alias];
+            let table = &self.tables[alias];
             // Join predicates now fully bound and touching `alias`, as
             // (bound column, column position in `alias`), bound side left.
             let mut eq_keys: Vec<(Col, usize)> = Vec::new();
@@ -343,10 +521,11 @@ impl<'a> Context<'a> {
                 // lists are unordered after deletes, a scan's hash bucket
                 // is not: emit in ascending row id.
                 let (probe_col, probe_pos) = eq_keys[k];
+                let mut buf: Vec<RowId> = Vec::new();
                 let mut sorted: Vec<RowId> = Vec::new();
                 'probe: for t in tuples.chunks_exact(n) {
                     let ids = table
-                        .index_lookup(probe_pos, self.value(t, probe_col)?)
+                        .index_lookup(probe_pos, self.value(t, probe_col)?, &mut buf)
                         .unwrap_or(&[]);
                     let ids = if ids.windows(2).all(|w| w[0] < w[1]) {
                         ids
@@ -1125,6 +1304,144 @@ mod tests {
         });
         let q = Query::bind(0, Arc::new(tpl), vec![]).unwrap();
         assert!(matches!(d.execute(&q), Err(StorageError::BadQuery(_))));
+    }
+
+    fn toy_part(rows: &[(i64, &str, i64)]) -> Table {
+        let mut t = Table::new(db().table("toys").unwrap().schema().clone());
+        for (id, name, qty) in rows {
+            t.insert(vec![Value::Int(*id), Value::str(*name), Value::Int(*qty)])
+                .unwrap();
+        }
+        t
+    }
+
+    /// Three parts, the middle one empty, the last with a dead slot and an
+    /// index list that deletes and slot reuse left unordered.
+    fn toy_parts() -> [Table; 3] {
+        let p0 = toy_part(&[(1, "bear", 10), (2, "car", 5)]);
+        let p1 = toy_part(&[]);
+        let mut p2 = toy_part(&[
+            (3, "bear", 1),
+            (4, "bear", 2),
+            (5, "kite", 3),
+            (6, "bear", 4),
+        ]);
+        p2.delete(0);
+        p2.delete(2);
+        p2.insert(vec![Value::Int(7), Value::str("bear"), Value::Int(5)])
+            .unwrap(); // reuses slot 2
+        assert_eq!(p2.index_lookup(1, &Value::str("bear")).unwrap(), &[3, 1, 2]);
+        [p0, p1, p2]
+    }
+
+    #[test]
+    fn partitioned_table_addresses_rows_by_part_base_plus_row_id() {
+        let parts = toy_parts();
+        let t: PartitionedTable = parts.iter().collect();
+        assert_eq!(t.len(), 5);
+        // Bases 0, 2, 2: part 2's slots 1, 2, 3 are global 3, 4, 5.
+        let scanned: Vec<(RowId, &Value)> = t.scan().map(|(id, row)| (id, &row[0])).collect();
+        assert_eq!(
+            scanned,
+            vec![
+                (0, &Value::Int(1)),
+                (1, &Value::Int(2)),
+                (3, &Value::Int(4)),
+                (4, &Value::Int(7)),
+                (5, &Value::Int(6)),
+            ]
+        );
+        for (id, pk) in scanned {
+            assert_eq!(&t.live_row(id).unwrap()[0], pk);
+        }
+        // Each part's list ascending, parts in order: what one table
+        // loaded with these rows in scan order would list.
+        let mut buf = vec![99];
+        let bears = t.index_lookup(1, &Value::str("bear"), &mut buf).unwrap();
+        assert_eq!(bears, &[0, 3, 4, 5]);
+        let none = t.index_lookup(1, &Value::str("yak"), &mut buf).unwrap();
+        assert!(none.is_empty());
+        assert!(t.index_lookup(2, &Value::Int(5), &mut buf).is_none());
+        assert!(t.has_index(1) && !t.has_index(2));
+    }
+
+    #[test]
+    fn partitioned_dangling_ids_are_errors_not_panics() {
+        let parts = toy_parts();
+        let t: PartitionedTable = parts.iter().collect();
+        // Global 2 is part 2's dead slot 0; 6 is one past its last slot.
+        for id in [2, 6, 1_000, RowId::MAX] {
+            assert!(
+                matches!(t.live_row(id), Err(StorageError::DanglingRow { .. })),
+                "id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn partitioned_execution_matches_the_parts_copied_into_one_table() {
+        let parts = toy_parts();
+        let mut copied = Database::new();
+        copied.create_table(parts[0].schema().clone()).unwrap();
+        for part in &parts {
+            for (_, row) in part.iter() {
+                copied.insert_row("toys", row.clone()).unwrap();
+            }
+        }
+        for (sql, params) in [
+            (
+                "SELECT toy_id FROM toys WHERE toy_name = ?",
+                vec![Value::str("bear")],
+            ),
+            (
+                "SELECT toy_id FROM toys WHERE qty >= ? LIMIT 3",
+                vec![Value::Int(2)],
+            ),
+            ("SELECT toy_id FROM toys ORDER BY toy_name LIMIT 3", vec![]),
+            (
+                "SELECT t1.toy_id, t2.toy_id FROM toys t1, toys t2 \
+                 WHERE t1.toy_name = t2.toy_name AND t1.qty > ?",
+                vec![Value::Int(3)],
+            ),
+            (
+                "SELECT toy_name, COUNT(*), MAX(qty) FROM toys GROUP BY toy_name",
+                vec![],
+            ),
+        ] {
+            let q = Query::bind(0, Arc::new(parse_query(sql).unwrap()), params).unwrap();
+            let tables = q
+                .template
+                .from
+                .iter()
+                .map(|_| parts.iter().collect())
+                .collect();
+            assert_eq!(
+                execute_partitioned(&q, tables).unwrap(),
+                copied.execute(&q).unwrap(),
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn partitioned_execution_rejects_a_missing_or_empty_table() {
+        let parts = toy_parts();
+        let q = Query::bind(
+            0,
+            Arc::new(parse_query("SELECT t1.toy_id FROM toys t1, toys t2").unwrap()),
+            vec![],
+        )
+        .unwrap();
+        let one_table = vec![parts.iter().collect()];
+        assert!(matches!(
+            execute_partitioned(&q, one_table),
+            Err(StorageError::BadQuery(_))
+        ));
+        let empty_table = vec![parts.iter().collect(), PartitionedTable::default()];
+        assert!(matches!(
+            execute_partitioned(&q, empty_table),
+            Err(StorageError::BadQuery(_))
+        ));
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub mod wal;
 
 pub use database::{Database, UpdateEffect};
 pub use error::StorageError;
+pub use executor::PartitionedTable;
 pub use partition::{PartitionMap, TablePlacement};
 pub use result::QueryResult;
 pub use schema::{Column, ColumnType, ForeignKey, TableSchema};

@@ -31,8 +31,11 @@
 
 use crate::database::Database;
 use crate::error::StorageError;
+use crate::table::Row;
 use scs_sqlkit::{CmpOp, Query, Update, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Where one table's rows live.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +52,18 @@ pub enum TablePlacement {
     /// an equality restriction on `column`), but hot keys scatter
     /// uniformly instead of clustering in one range.
     Hash { column: String },
+}
+
+impl TablePlacement {
+    /// The shard, of a map's `shards`, owning a row whose partition-column
+    /// value is `v` (a whole-table placement ignores `v`).
+    fn route(&self, v: &Value, shards: usize) -> usize {
+        match self {
+            TablePlacement::Shard(s) => *s,
+            TablePlacement::Range { bounds, .. } => bounds.partition_point(|b| b <= v),
+            TablePlacement::Hash { .. } => hash_value_shard(v, shards),
+        }
+    }
 }
 
 /// A table/key-range partitioning map over a [`Database`].
@@ -112,46 +127,39 @@ impl PartitionMap {
     }
 
     /// The placement of `table` (the hash default if never pinned).
-    pub fn placement(&self, table: &str) -> TablePlacement {
-        self.placements
-            .get(table)
-            .cloned()
-            .unwrap_or_else(|| TablePlacement::Shard(hash_shard(table, self.shards)))
+    pub fn placement(&self, table: &str) -> Cow<'_, TablePlacement> {
+        match self.placements.get(table) {
+            Some(p) => Cow::Borrowed(p),
+            None => Cow::Owned(TablePlacement::Shard(hash_shard(table, self.shards))),
+        }
     }
 
     /// Every shard holding any part of `table`, ascending.
-    pub fn table_shards(&self, table: &str) -> Vec<usize> {
-        match self.placement(table) {
-            TablePlacement::Shard(s) => vec![s],
-            TablePlacement::Range { bounds, .. } => (0..=bounds.len()).collect(),
-            TablePlacement::Hash { .. } => (0..self.shards).collect(),
+    pub fn table_shards(&self, table: &str) -> Range<usize> {
+        match &*self.placement(table) {
+            TablePlacement::Shard(s) => *s..*s + 1,
+            TablePlacement::Range { bounds, .. } => 0..bounds.len() + 1,
+            TablePlacement::Hash { .. } => 0..self.shards,
         }
     }
 
     /// The shard owning a row of `table` whose partition-column value is
     /// `v` (tables under `Shard` placement ignore `v`).
     pub fn route_value(&self, table: &str, v: &Value) -> usize {
-        match self.placement(table) {
-            TablePlacement::Shard(s) => s,
-            TablePlacement::Range { bounds, .. } => bounds.partition_point(|b| b <= v),
-            TablePlacement::Hash { .. } => hash_value_shard(v, self.shards),
-        }
+        self.placement(table).route(v, self.shards)
     }
 
     /// The single shard a probe on `table` restricted to `columns = key`
     /// routes to, or `None` when the restriction does not pin one (the
     /// caller must scatter over [`PartitionMap::table_shards`]).
     pub fn shard_for_key(&self, table: &str, columns: &[String], key: &[Value]) -> Option<usize> {
-        match self.placement(table) {
-            TablePlacement::Shard(s) => Some(s),
-            TablePlacement::Range { column, bounds } => columns
+        let placement = self.placement(table);
+        match &*placement {
+            TablePlacement::Shard(s) => Some(*s),
+            TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => columns
                 .iter()
-                .position(|c| *c == column)
-                .map(|i| bounds.partition_point(|b| b <= &key[i])),
-            TablePlacement::Hash { column } => columns
-                .iter()
-                .position(|c| *c == column)
-                .map(|i| hash_value_shard(&key[i], self.shards)),
+                .position(|c| c == column)
+                .map(|i| placement.route(&key[i], self.shards)),
         }
     }
 
@@ -161,28 +169,40 @@ impl PartitionMap {
     /// partition column (the §2.1 benchmark updates restrict by primary
     /// key, which splits are declared on).
     pub fn shard_for_update(&self, db: &Database, u: &Update) -> Result<usize, StorageError> {
-        let table = u.template.table().to_string();
-        let (column, route) = match self.placement(&table) {
-            TablePlacement::Shard(s) => return Ok(s),
-            p => self.value_router(p),
+        self.shard_for_candidate(db, u, db.insert_candidate(u)?.as_ref())
+    }
+
+    /// [`PartitionMap::shard_for_update`] for a caller that already holds
+    /// `u`'s [`Database::insert_candidate`].
+    pub fn shard_for_candidate(
+        &self,
+        db: &Database,
+        u: &Update,
+        candidate: Option<&Row>,
+    ) -> Result<usize, StorageError> {
+        let table = u.template.table();
+        let placement = self.placement(table);
+        let column = match &*placement {
+            TablePlacement::Shard(s) => return Ok(*s),
+            TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => column,
         };
-        if let Some(row) = db.insert_candidate(u)? {
-            let schema = db.table(&table)?.schema();
+        if let Some(row) = candidate {
+            let schema = db.table(table)?.schema();
             let pos = schema
-                .column_index(&column)
+                .column_index(column)
                 .ok_or_else(|| StorageError::UnknownColumn {
-                    table: table.clone(),
-                    column: column.clone(),
+                    table: table.to_string(),
+                    column: column.to_string(),
                 })?;
-            return Ok(route(&row[pos]));
+            return Ok(placement.route(&row[pos], self.shards));
         }
         u.template
             .predicates()
             .iter()
             .find_map(|p| {
                 p.as_restriction()
-                    .filter(|(c, op, _)| *op == CmpOp::Eq && c.column == column)
-                    .map(|(_, _, s)| route(u.resolve(s)))
+                    .filter(|(c, op, _)| *op == CmpOp::Eq && c.column == *column)
+                    .map(|(_, _, s)| placement.route(u.resolve(s), self.shards))
             })
             .ok_or_else(|| {
                 StorageError::BadModify(format!(
@@ -190,25 +210,6 @@ impl PartitionMap {
                      restriction on partition column `{column}`"
                 ))
             })
-    }
-
-    /// The partition column and value→shard router of a split placement
-    /// (`Range` or `Hash`; callers handle `Shard` first).
-    #[allow(clippy::type_complexity)]
-    fn value_router(&self, p: TablePlacement) -> (String, Box<dyn Fn(&Value) -> usize>) {
-        match p {
-            // Callers peel whole-table placements off first; were one to
-            // arrive, every value routes to its one shard.
-            TablePlacement::Shard(s) => (String::new(), Box::new(move |_| s)),
-            TablePlacement::Range { column, bounds } => (
-                column,
-                Box::new(move |v| bounds.partition_point(|b| b <= v)),
-            ),
-            TablePlacement::Hash { column } => {
-                let shards = self.shards;
-                (column, Box::new(move |v| hash_value_shard(v, shards)))
-            }
-        }
     }
 
     /// Every shard a query touches: the union over its `FROM` tables,
@@ -219,16 +220,16 @@ impl PartitionMap {
     pub fn shards_for_query(&self, q: &Query) -> Vec<usize> {
         let mut out = Vec::new();
         for tref in &q.template.from {
-            match self.placement(&tref.table) {
-                TablePlacement::Shard(s) => out.push(s),
-                split => {
-                    let (column, route) = self.value_router(split);
+            let placement = self.placement(&tref.table);
+            match &*placement {
+                TablePlacement::Shard(s) => out.push(*s),
+                TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => {
                     let pinned = q.template.predicates.iter().find_map(|p| {
                         p.as_restriction()
                             .filter(|(c, op, _)| {
-                                *op == CmpOp::Eq && c.qualifier == tref.alias && c.column == column
+                                *op == CmpOp::Eq && c.qualifier == tref.alias && c.column == *column
                             })
-                            .map(|(_, _, s)| route(q.resolve(s)))
+                            .map(|(_, _, s)| placement.route(q.resolve(s), self.shards))
                     });
                     match pinned {
                         Some(s) => out.push(s),
@@ -251,22 +252,23 @@ impl PartitionMap {
             for shard in &mut out {
                 shard.create_table(table.schema().clone())?;
             }
-            match self.placement(name) {
+            let placement = self.placement(name);
+            match &*placement {
                 TablePlacement::Shard(s) => {
                     for (_, row) in table.iter() {
-                        out[s].insert_row(name, row.clone())?;
+                        out[*s].insert_row(name, row.clone())?;
                     }
                 }
-                split => {
-                    let (column, route) = self.value_router(split);
-                    let pos = table.schema().column_index(&column).ok_or_else(|| {
+                TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => {
+                    let pos = table.schema().column_index(column).ok_or_else(|| {
                         StorageError::UnknownColumn {
                             table: name.to_string(),
                             column: column.clone(),
                         }
                     })?;
                     for (_, row) in table.iter() {
-                        out[route(&row[pos])].insert_row(name, row.clone())?;
+                        out[placement.route(&row[pos], self.shards)]
+                            .insert_row(name, row.clone())?;
                     }
                 }
             }
@@ -374,7 +376,7 @@ mod tests {
         assert_eq!(shards[0].table("users").unwrap().len(), 6);
         assert_eq!(shards[0].table("items").unwrap().len(), 0);
         assert_eq!(shards[1].table("items").unwrap().len(), 6);
-        assert_eq!(map.table_shards("users"), vec![0]);
+        assert_eq!(map.table_shards("users"), 0..1);
     }
 
     #[test]
@@ -393,7 +395,7 @@ mod tests {
         assert_eq!(shards[0].table("items").unwrap().len(), 2); // 0,1
         assert_eq!(shards[1].table("items").unwrap().len(), 2); // 2,3
         assert_eq!(shards[2].table("items").unwrap().len(), 2); // 4,5
-        assert_eq!(map.table_shards("items"), vec![0, 1, 2]);
+        assert_eq!(map.table_shards("items"), 0..3);
         assert_eq!(map.route_value("items", &Value::Int(3)), 1);
 
         // An update restricted by the partition column pins one shard.
@@ -490,7 +492,7 @@ mod tests {
                     column: "item_id".into(),
                 },
             );
-        assert_eq!(map.table_shards("items"), vec![0, 1, 2]);
+        assert_eq!(map.table_shards("items"), 0..3);
         let shards = map.partition(&db).unwrap();
         // Every row landed exactly where route_value says, and the
         // shard populations cover all six rows.
@@ -544,7 +546,7 @@ mod tests {
         for t in ["users", "items", "bids", "comments", "regions"] {
             let s = map.table_shards(t);
             assert_eq!(s.len(), 1);
-            assert!(s[0] < 4);
+            assert!(s.start < 4);
             assert_eq!(s, map.table_shards(t), "placement is deterministic");
         }
     }

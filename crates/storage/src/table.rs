@@ -75,6 +75,11 @@ impl Table {
         self.live == 0
     }
 
+    /// Number of slots, live or dead: one past the largest row id in use.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// The row stored at `id`, if live.
     pub fn row(&self, id: RowId) -> Option<&Row> {
         self.slots.get(id).and_then(|s| s.as_ref())
