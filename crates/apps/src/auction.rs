@@ -73,6 +73,9 @@ pub fn schemas() -> Vec<TableSchema> {
             .foreign_key(&["it_category"], "categories", &["cat_id"])
             .index("it_category")
             .index("it_seller")
+            .ordered_index("it_end_date")
+            .ordered_index("it_nb_of_bids")
+            .ordered_index("it_max_bid")
             .build()
             .expect("static schema"),
         TableSchema::builder("bids")

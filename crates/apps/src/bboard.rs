@@ -63,6 +63,8 @@ pub fn schemas() -> Vec<TableSchema> {
             .foreign_key(&["s_cat"], "story_cat", &["sc_id"])
             .index("s_cat")
             .index("s_author")
+            .ordered_index("s_date")
+            .ordered_index("s_hits")
             .build()
             .expect("static schema"),
         TableSchema::builder("comments")
@@ -79,6 +81,7 @@ pub fn schemas() -> Vec<TableSchema> {
             .foreign_key(&["c_author"], "users", &["u_id"])
             .index("c_story")
             .index("c_author")
+            .ordered_index("c_rating")
             .build()
             .expect("static schema"),
         TableSchema::builder("moderator_log")

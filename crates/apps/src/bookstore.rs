@@ -91,6 +91,7 @@ pub fn schemas() -> Vec<TableSchema> {
             .foreign_key(&["i_a_id"], "author", &["a_id"])
             .index("i_subject")
             .index("i_title")
+            .ordered_index("i_cost")
             .build()
             .expect("static schema"),
         TableSchema::builder("orders")
@@ -101,6 +102,7 @@ pub fn schemas() -> Vec<TableSchema> {
             .column("o_status", ColumnType::Str)
             .primary_key(&["o_id"])
             .foreign_key(&["o_c_id"], "customer", &["c_id"])
+            .ordered_index("o_date")
             .build()
             .expect("static schema"),
         TableSchema::builder("order_line")

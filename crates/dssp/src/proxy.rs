@@ -492,7 +492,7 @@ impl Dssp {
     pub fn attach_audit(&mut self, audit: SharedAudit, replica: usize) {
         let meter = CryptoMeter::new();
         self.cache.meter_crypto(meter.clone());
-        audit.lock().unwrap().register_replica(replica);
+        lock_plane(&audit).register_replica(replica);
         self.crypto_meter = Some(meter);
         self.audit = Some((audit, replica));
     }
@@ -521,7 +521,7 @@ impl Dssp {
         params: &[Value],
     ) -> Option<u64> {
         let (audit, replica) = self.audit.as_ref()?;
-        let mut a = audit.lock().unwrap();
+        let mut a = lock_plane(audit);
         let req = a.begin_request(
             *replica,
             &self.app_id,
@@ -576,7 +576,7 @@ impl Dssp {
         let (Some((audit, replica)), Some(req)) = (&self.audit, request) else {
             return;
         };
-        let mut a = audit.lock().unwrap();
+        let mut a = lock_plane(audit);
         a.note_reveal(
             *replica,
             req,
@@ -608,7 +608,7 @@ impl Dssp {
     /// stamped — e.g. the perfect-delivery entry points.
     fn prov_arrival(&self, first_epoch: u64, kind: ApplyKind, before: u64, after: u64) {
         if let Some((prov, replica)) = &self.prov {
-            let mut p = prov.lock().unwrap();
+            let mut p = lock_plane(prov);
             if let Some(batch) = p.batch_for_epoch(first_epoch) {
                 p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
             }
@@ -762,7 +762,7 @@ impl Dssp {
                     );
                 }
                 if let Some((prov, replica)) = &self.prov {
-                    let mut p = prov.lock().unwrap();
+                    let mut p = lock_plane(prov);
                     // Staleness is scoped to the stream the entry was
                     // filled on (stream 0 for a classic home).
                     p.note_serve_on(
@@ -827,9 +827,7 @@ impl Dssp {
             },
         );
         if let Some((prov, replica)) = &self.prov {
-            prov.lock()
-                .unwrap()
-                .note_miss(*replica, tid, self.now_micros, lease_expired);
+            lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
         }
         let mut attempts = 0u32;
         let mut backoff = 0u64;
@@ -890,9 +888,7 @@ impl Dssp {
                 let fill_epoch = home.epoch();
                 self.cache.set_stored_epoch(q, fill_epoch);
                 if let Some((prov, replica)) = &self.prov {
-                    prov.lock()
-                        .unwrap()
-                        .note_store(*replica, tid, fill_epoch, self.now_micros);
+                    lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
                 }
             }
             if outcome.replaced {
@@ -1788,7 +1784,7 @@ impl Dssp {
         after: u64,
     ) {
         if let Some((prov, replica)) = &self.prov {
-            let mut p = prov.lock().unwrap();
+            let mut p = lock_plane(prov);
             if let Some(batch) = p.batch_for_epoch_on(stream, first_epoch) {
                 p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
             }
@@ -2039,7 +2035,7 @@ impl Dssp {
                     },
                 );
                 if let Some((prov, replica)) = &self.prov {
-                    let mut p = prov.lock().unwrap();
+                    let mut p = lock_plane(prov);
                     p.note_serve_on(
                         *replica,
                         tid,
@@ -2089,9 +2085,7 @@ impl Dssp {
             },
         );
         if let Some((prov, replica)) = &self.prov {
-            prov.lock()
-                .unwrap()
-                .note_miss(*replica, tid, self.now_micros, lease_expired);
+            lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
         }
         let trip_timer = self.spans.timer();
         let resp = home.execute_query(q)?;
@@ -2138,9 +2132,7 @@ impl Dssp {
             self.cache
                 .set_stored_provenance(q, owner as u64, fill_epoch);
             if let Some((prov, replica)) = &self.prov {
-                prov.lock()
-                    .unwrap()
-                    .note_store(*replica, tid, fill_epoch, self.now_micros);
+                lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
             }
         }
         if outcome.replaced {

@@ -505,7 +505,9 @@ const USERS: i64 = 6;
 /// middle part `[100, 200)` no bid id ever falls in — an empty
 /// participant of every `bids` scatter. No FK is declared, so that any
 /// interleaving of inserts and deletes is accepted; `seller` and
-/// `item_id` carry explicit indexes instead.
+/// `item_id` carry explicit indexes instead. `cat`, `price` and `amount`
+/// are ordered on every shard: a top-k over one of them merges the
+/// participants' index walks.
 fn market_db() -> Database {
     let mut db = Database::new();
     for schema in [
@@ -516,7 +518,9 @@ fn market_db() -> Database {
             .column("price", ColumnType::Int)
             .primary_key(&["item_id"])
             .index("seller")
-            .index("cat"),
+            .index("cat")
+            .ordered_index("cat")
+            .ordered_index("price"),
         TableSchema::builder("users")
             .column("user_id", ColumnType::Int)
             .column("region", ColumnType::Int)
@@ -527,7 +531,8 @@ fn market_db() -> Database {
             .column("item_id", ColumnType::Int)
             .column("amount", ColumnType::Int)
             .primary_key(&["bid_id"])
-            .index("item_id"),
+            .index("item_id")
+            .ordered_index("amount"),
     ] {
         db.create_table(schema.build().unwrap()).unwrap();
     }
@@ -578,14 +583,15 @@ fn market_map() -> PartitionMap {
 /// The scatter path this suite's reference: every table's rows gathered
 /// from its owner shards, ascending shard id and ascending row id within
 /// a shard, into a scratch database — what `ShardedHome` built per
-/// cross-shard query before it read the shards' tables in place.
+/// cross-shard query before it read the shards' tables in place. The
+/// scratch tables carry no ordered index: the reference scans and sorts.
 fn gathered(home: &ShardedHome) -> Database {
     let mut scratch = Database::new();
     let catalog = home.shard(0).database();
     for name in catalog.table_names() {
-        scratch
-            .create_table(catalog.table(name).unwrap().schema().clone())
-            .unwrap();
+        let mut schema = catalog.table(name).unwrap().schema().clone();
+        schema.ordered_indexes.clear();
+        scratch.create_table(schema).unwrap();
         for owner in home.map().table_shards(name) {
             let part = home.shard(owner).database().table(name).unwrap();
             for (_, row) in part.iter() {
@@ -712,6 +718,25 @@ fn market() -> Market {
         (
             "Range placement over fewer parts than shards, one of them empty",
             "SELECT bid_id, amount FROM bids WHERE amount >= ? ORDER BY amount LIMIT 4",
+            1,
+            true,
+        ),
+        (
+            "top-k over an ordered column: the shards' walks merged from the bound",
+            "SELECT item_id, price FROM items WHERE price >= ? ORDER BY price LIMIT 4",
+            1,
+            true,
+        ),
+        (
+            "descending merged walk, ties across shards, rows skipped on another column",
+            "SELECT item_id, price, seller FROM items WHERE price <= ? AND seller >= 1 \
+             ORDER BY price DESC LIMIT 5",
+            1,
+            true,
+        ),
+        (
+            "an indexed = restriction keeps the index-list plan beside an ordered key",
+            "SELECT item_id, price FROM items WHERE cat = ? ORDER BY price LIMIT 3",
             1,
             true,
         ),

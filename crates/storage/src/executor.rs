@@ -21,6 +21,13 @@
 //!   numbers by `(keys…, arrival number)`; with `LIMIT k` only the k
 //!   smallest are selected and sorted, and only they are projected.
 //!   `LIMIT k` without `ORDER BY` stops the last join step at k tuples.
+//! * **Index-ordered top-k.** One alias, `LIMIT k`, one `ORDER BY` key
+//!   whose column carries an *ordered index*, and no `=` restriction on an
+//!   equality-indexed column: instead of the scan and the sort, the index
+//!   is walked from the bound the key's own restrictions give, every
+//!   restriction and local predicate is tested on each row as a scan tests
+//!   it, and the walk stops at the k-th row that passes or at the far
+//!   bound. Any other query takes the rules above.
 //! * **Aggregation.** One pass over the tuples folds every aggregate of
 //!   every group; values are cloned into output rows only.
 //!
@@ -29,12 +36,15 @@
 //! order: a scan yields ascending `RowId`; an indexed restriction yields
 //! the index's own list order; a probe yields ascending `RowId` per bound
 //! tuple (the order a hash bucket built from a scan has); sort ties keep
-//! arrival order; groups appear in first-seen order. Over a
-//! [`PartitionedTable`]: parts in ascending shard id, ascending `RowId`
-//! within a part, a part's index list emitted ascending.
+//! arrival order; an index-ordered walk yields key order, ascending `RowId`
+//! within equal keys — by construction what the sort gives a scan's
+//! candidates (`DESC` reverses the keys, not the ids); groups appear in
+//! first-seen order. Over a [`PartitionedTable`]: parts in ascending shard
+//! id, ascending `RowId` within a part, a part's index list emitted
+//! ascending, the parts' ordered walks merged by `(key, global row id)`.
 //!
 //! **One body, two sources.** The plan reads each `FROM` alias through
-//! [`Source`]: a `&Table` ([`execute`], the single home), or a
+//! `Source`: a `&Table` ([`execute`], the single home), or a
 //! [`PartitionedTable`] ([`execute_partitioned`], the sharded home's
 //! scatter) — the alias's table as the ordered list of the owning shards'
 //! own tables, a row addressed by a *global row id* = its part's base (the
@@ -42,7 +52,7 @@
 //! order rows exactly as copying the parts, in order, into one fresh table
 //! would, so a scatter returns the rows that table would give, in the same
 //! order, without copying a row or building an index. The body is
-//! monomorphised per source; over `&Table` every [`Source`] call is the
+//! monomorphised per source; over `&Table` every `Source` call is the
 //! `Table` method of the same name.
 
 use crate::database::Database;
@@ -123,6 +133,16 @@ trait Source<'a> {
     ) -> Option<&'b [RowId]>
     where
         'a: 'b;
+
+    /// The rows whose column `pos` satisfies every `column op value` of
+    /// `bounds`, in the order of that column's ordered index (see
+    /// [`Table::ordered_walk`]); `None` when the column has none.
+    fn ordered_walk(
+        &self,
+        pos: usize,
+        bounds: &[(CmpOp, &Value)],
+        desc: bool,
+    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>>;
 }
 
 impl<'a> Source<'a> for &'a Table {
@@ -156,6 +176,15 @@ impl<'a> Source<'a> for &'a Table {
         'a: 'b,
     {
         Table::index_lookup(self, pos, v)
+    }
+
+    fn ordered_walk(
+        &self,
+        pos: usize,
+        bounds: &[(CmpOp, &Value)],
+        desc: bool,
+    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>> {
+        Table::ordered_walk(self, pos, bounds, desc)
     }
 }
 
@@ -235,6 +264,35 @@ impl<'a> Source<'a> for PartitionedTable<'a> {
             }
         }
         Some(buf)
+    }
+
+    /// Each part walks its own index; the heads merge by `(key, global row
+    /// id)`. Parts hold disjoint, ascending id ranges, so of tied heads the
+    /// earliest part's comes first.
+    fn ordered_walk(
+        &self,
+        pos: usize,
+        bounds: &[(CmpOp, &Value)],
+        desc: bool,
+    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>> {
+        let mut walks = Vec::with_capacity(self.parts.len());
+        for &(base, part) in &self.parts {
+            let walk = part.ordered_walk(pos, bounds, desc)?;
+            walks.push(walk.map(move |(id, row)| (base + id, row)).peekable());
+        }
+        Some(std::iter::from_fn(move || {
+            let mut best: Option<(usize, &Value)> = None;
+            for (i, walk) in walks.iter_mut().enumerate() {
+                if let Some((_, row)) = walk.peek() {
+                    let key = &row[pos];
+                    let ahead = best.is_none_or(|(_, b)| if desc { key > b } else { key < b });
+                    if ahead {
+                        best = Some((i, key));
+                    }
+                }
+            }
+            walks[best?.0].next()
+        }))
     }
 }
 
@@ -370,29 +428,32 @@ impl<'a, S: Source<'a>> Context<'a, S> {
             || self.locals.iter().any(|l| l.alias == alias)
     }
 
+    /// The conjunction of `alias`'s restrictions and column-column
+    /// predicates, as a test on one of its rows.
+    fn local_filter(&self, alias: usize) -> impl Fn(&Row) -> bool + '_ {
+        let restrictions: Vec<&Restriction> = self
+            .restrictions
+            .iter()
+            .filter(|r| r.col.alias == alias)
+            .collect();
+        let locals: Vec<&LocalColCol> = self.locals.iter().filter(|l| l.alias == alias).collect();
+        move |row| {
+            restrictions
+                .iter()
+                .all(|r| r.op.eval(&row[r.col.pos], r.value))
+                && locals.iter().all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
+        }
+    }
+
     /// Up to `cap` candidate row ids for one alias after local filtering:
     /// in index-list order when an indexed equality restriction narrows the
     /// scan, in ascending `RowId` order otherwise.
     fn candidates(&self, alias: usize, cap: usize) -> Result<Vec<RowId>, StorageError> {
         let table = &self.tables[alias];
-        let my_restrictions: Vec<&Restriction> = self
-            .restrictions
-            .iter()
-            .filter(|r| r.col.alias == alias)
-            .collect();
-        let my_locals: Vec<&LocalColCol> =
-            self.locals.iter().filter(|l| l.alias == alias).collect();
-        let passes = |row: &Row| {
-            my_restrictions
-                .iter()
-                .all(|r| r.op.eval(&row[r.col.pos], r.value))
-                && my_locals
-                    .iter()
-                    .all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
-        };
+        let passes = self.local_filter(alias);
         // Indexed equality fast path.
         let mut buf = Vec::new();
-        for r in &my_restrictions {
+        for r in self.restrictions.iter().filter(|r| r.col.alias == alias) {
             if r.op == CmpOp::Eq {
                 if let Some(ids) = table.index_lookup(r.col.pos, r.value, &mut buf) {
                     let mut hits = Vec::with_capacity(ids.len().min(cap));
@@ -414,6 +475,36 @@ impl<'a, S: Source<'a>> Context<'a, S> {
             .map(|(id, _)| id)
             .take(cap)
             .collect())
+    }
+
+    /// The first `limit` rows of a single-alias query in the order of its
+    /// one sort key, read off the key column's ordered index: the walk
+    /// starts and stops where the key's own restrictions bound it, and
+    /// every row on it is tested like a scan's. `None` — the caller's scan
+    /// and sort stand — when the column has no ordered index, or when an
+    /// indexed `=` restriction would make [`Context::candidates`] arrive
+    /// in index-list order, which a walk's ties (ascending `RowId`) do not
+    /// reproduce.
+    fn index_ordered_top_k(&self, key: Col, desc: bool, limit: usize) -> Option<Vec<RowId>> {
+        let table = &self.tables[key.alias];
+        let by_eq_index = |r: &Restriction| r.op == CmpOp::Eq && table.has_index(r.col.pos);
+        if self.restrictions.iter().any(by_eq_index) {
+            return None;
+        }
+        let bounds: Vec<(CmpOp, &Value)> = self
+            .restrictions
+            .iter()
+            .filter(|r| r.col == key)
+            .map(|r| (r.op, r.value))
+            .collect();
+        let walk = table.ordered_walk(key.pos, &bounds, desc)?;
+        let passes = self.local_filter(key.alias);
+        Some(
+            walk.filter(|(_, row)| passes(row))
+                .map(|(id, _)| id)
+                .take(limit)
+                .collect(),
+        )
     }
 
     /// Performs the join; returns up to `cap` tuples, flat: one row id per
@@ -615,14 +706,21 @@ impl<'a, S: Source<'a>> Context<'a, S> {
         let limit = limit_of(self.q);
         let n = self.tables.len();
 
-        let tuples = self.join(if keys.is_empty() { limit } else { usize::MAX })?;
+        let walked = match (&keys[..], tpl.limit) {
+            ([key], Some(_)) if n == 1 => self.index_ordered_top_k(*key, desc[0], limit),
+            _ => None,
+        };
+        // Whether the tuples arrive in output order, cut to `limit`.
+        let in_order = walked.is_some() || keys.is_empty();
+        let tuples = match walked {
+            Some(ids) => ids,
+            None => self.join(if in_order { limit } else { usize::MAX })?,
+        };
         let count = tuples.len() / n;
 
         // Tuple numbers in output order.
         let mut picked: Vec<usize> = (0..count).collect();
-        if keys.is_empty() {
-            picked.truncate(limit);
-        } else {
+        if !in_order {
             let nk = keys.len();
             let mut sort_keys: Vec<&Value> = Vec::with_capacity(count * nk);
             for t in tuples.chunks_exact(n) {
@@ -882,6 +980,7 @@ mod tests {
                 .column("qty", ColumnType::Int)
                 .primary_key(&["toy_id"])
                 .index("toy_name")
+                .ordered_index("qty")
                 .build()
                 .unwrap(),
         )
@@ -1381,8 +1480,11 @@ mod tests {
     #[test]
     fn partitioned_execution_matches_the_parts_copied_into_one_table() {
         let parts = toy_parts();
+        // The copy has no ordered index: it scans and sorts.
+        let mut schema = parts[0].schema().clone();
+        schema.ordered_indexes.clear();
         let mut copied = Database::new();
-        copied.create_table(parts[0].schema().clone()).unwrap();
+        copied.create_table(schema).unwrap();
         for part in &parts {
             for (_, row) in part.iter() {
                 copied.insert_row("toys", row.clone()).unwrap();
@@ -1398,6 +1500,17 @@ mod tests {
                 vec![Value::Int(2)],
             ),
             ("SELECT toy_id FROM toys ORDER BY toy_name LIMIT 3", vec![]),
+            // Merged walks: toys 2 and 7 tie on qty 5 across parts, toy 6
+            // fails the other restriction between them.
+            ("SELECT toy_id FROM toys ORDER BY qty LIMIT 4", vec![]),
+            (
+                "SELECT toy_id FROM toys WHERE qty >= ? AND toy_id <= ? ORDER BY qty DESC LIMIT 3",
+                vec![Value::Int(4), Value::Int(5)],
+            ),
+            (
+                "SELECT toy_id FROM toys WHERE qty < ? ORDER BY qty DESC LIMIT 9",
+                vec![Value::Int(5)],
+            ),
             (
                 "SELECT t1.toy_id, t2.toy_id FROM toys t1, toys t2 \
                  WHERE t1.toy_name = t2.toy_name AND t1.qty > ?",
@@ -1442,6 +1555,141 @@ mod tests {
             execute_partitioned(&q, empty_table),
             Err(StorageError::BadQuery(_))
         ));
+    }
+
+    /// Two databases with one history — deletes, a reused slot, a modify
+    /// — `ranked(true)` with ordered indexes on `k` and `r`, `ranked(false)`
+    /// without: the scan + sort the walk must reproduce.
+    fn ranked(ordered: bool) -> Database {
+        let mut schema = TableSchema::builder("t")
+            .column("id", ColumnType::Int)
+            .column("k", ColumnType::Int)
+            .column("g", ColumnType::Int)
+            .column("r", ColumnType::Real)
+            .primary_key(&["id"])
+            .index("g");
+        if ordered {
+            schema = schema.ordered_index("k").ordered_index("r");
+        }
+        let mut d = Database::new();
+        d.create_table(schema.build().unwrap()).unwrap();
+        let insert = |d: &mut Database, id: i64| {
+            let r = if id % 2 == 0 {
+                Value::Int(id % 3)
+            } else {
+                Value::real((id % 3) as f64)
+            };
+            let row = vec![Value::Int(id), Value::Int(id % 5), Value::Int(id % 2), r];
+            d.insert_row("t", row).unwrap();
+        };
+        for id in 0..30 {
+            insert(&mut d, id);
+        }
+        for id in [3, 10, 11, 24] {
+            apply(&mut d, "DELETE FROM t WHERE id = ?", vec![Value::Int(id)]);
+        }
+        // Slots 24, 11, 10 come back, in that order, under new keys.
+        for id in [30, 31, 32] {
+            insert(&mut d, id);
+        }
+        apply(
+            &mut d,
+            "UPDATE t SET k = ? WHERE id = ?",
+            vec![Value::Int(9), Value::Int(7)],
+        );
+        d
+    }
+
+    /// The walk's result on `ranked(true)`, checked to be the scan's on
+    /// `ranked(false)`.
+    fn walked(sql: &str, params: Vec<Value>) -> Vec<Vec<i64>> {
+        let got = run(&ranked(true), sql, params.clone());
+        assert_eq!(got, run(&ranked(false), sql, params), "{sql}");
+        ints(&got)
+    }
+
+    #[test]
+    fn ascending_walk_stops_at_the_upper_bound() {
+        let r = walked(
+            "SELECT id, k FROM t WHERE k <= ? ORDER BY k LIMIT 100",
+            vec![Value::Int(0)],
+        );
+        // Fewer than k matches: all of them, id 30 where its reused slot
+        // 24 puts it.
+        assert_eq!(r, [0, 5, 15, 20, 30, 25].map(|id| vec![id, 0]));
+    }
+
+    #[test]
+    fn descending_walk_stops_at_the_lower_bound() {
+        let r = walked(
+            "SELECT id, k FROM t WHERE k >= ? ORDER BY k DESC LIMIT 100",
+            vec![Value::Int(4)],
+        );
+        let mut want = vec![vec![7, 9]];
+        want.extend([4, 9, 14, 19, 29].map(|id| vec![id, 4]));
+        assert_eq!(r, want);
+        let r = walked(
+            "SELECT id FROM t WHERE k > ? AND k < ? ORDER BY k DESC LIMIT 3",
+            vec![Value::Int(1), Value::Int(4)],
+        );
+        assert_eq!(r, vec![vec![8], vec![13], vec![18]]);
+    }
+
+    #[test]
+    fn walk_honours_limit_zero_and_short_results() {
+        let none = walked("SELECT id FROM t ORDER BY k LIMIT 0", vec![]);
+        assert!(none.is_empty());
+        let r = walked(
+            "SELECT id FROM t WHERE k >= ? ORDER BY k LIMIT 5",
+            vec![Value::Int(5)],
+        );
+        assert_eq!(r, vec![vec![7]], "one match, k = 5 asked for");
+        let all = walked("SELECT id FROM t ORDER BY k DESC LIMIT 100000", vec![]);
+        assert_eq!(all.len(), 29);
+    }
+
+    /// A row failing a restriction on another column is skipped; the walk
+    /// goes on to the rows behind it.
+    #[test]
+    fn walk_skips_rows_that_fail_other_restrictions() {
+        let r = walked(
+            "SELECT id FROM t WHERE g >= ? AND id > ? ORDER BY r LIMIT 4",
+            vec![Value::Int(1), Value::Int(5)],
+        );
+        assert_eq!(r, vec![vec![9], vec![15], vec![21], vec![27]]);
+        let r = walked(
+            "SELECT id, k FROM t WHERE id >= ? AND k <= id ORDER BY k LIMIT 3",
+            vec![Value::Int(12)],
+        );
+        assert_eq!(r, vec![vec![15, 0], vec![20, 0], vec![30, 0]]);
+    }
+
+    /// `Int(1)` and `Real(1.0)` tie as sort keys: one group of a
+    /// descending walk, in ascending row id across both.
+    #[test]
+    fn descending_walk_groups_keys_that_tie_under_cmp() {
+        let r = walked(
+            "SELECT id FROM t WHERE r >= ? ORDER BY r DESC LIMIT 12",
+            vec![Value::Int(1)],
+        );
+        // The 2s (id 32 in slot 10), then `Real(1.0)` of id 1 and `Int(1)`
+        // of id 4.
+        assert_eq!(
+            r,
+            [2, 5, 8, 32, 14, 17, 20, 23, 26, 29, 1, 4].map(|id| vec![id])
+        );
+    }
+
+    /// An indexed `=` restriction keeps the plan that reads the index
+    /// list: ties arrive in list order (deletes swapped slot 28 forward,
+    /// id 32 joined last), not in ascending row id as a walk gives them.
+    #[test]
+    fn indexed_equality_restriction_keeps_the_list_order_plan() {
+        let r = walked(
+            "SELECT id FROM t WHERE g = ? AND k >= ? AND k <= ? ORDER BY k LIMIT 100",
+            vec![Value::Int(0), Value::Int(2), Value::Int(3)],
+        );
+        assert_eq!(r, [2, 12, 22, 32, 8, 28, 18].map(|id| vec![id]));
     }
 
     #[test]

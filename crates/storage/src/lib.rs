@@ -10,8 +10,9 @@
 //!
 //! The executor implements multiset semantics (projection keeps
 //! duplicates), conjunctive SPJ evaluation with index nested-loop and hash
-//! joins on equality join predicates, `ORDER BY`, bounded top-k, and
-//! streaming aggregation/`GROUP BY`.
+//! joins on equality join predicates, `ORDER BY`, bounded top-k (read off
+//! a declared ordered index where the query allows), and streaming
+//! aggregation/`GROUP BY`.
 
 pub mod database;
 pub mod error;

@@ -66,6 +66,10 @@ pub struct TableSchema {
     /// Columns to maintain single-column equality indexes on (the storage
     /// layer always indexes primary-key and foreign-key columns too).
     pub indexes: Vec<String>,
+    /// Columns to maintain single-column *ordered* indexes on: the access
+    /// path of `ORDER BY c LIMIT k` (see `executor`). Nothing is ordered
+    /// unless declared here.
+    pub ordered_indexes: Vec<String>,
 }
 
 impl TableSchema {
@@ -78,6 +82,7 @@ impl TableSchema {
                 primary_key: Vec::new(),
                 foreign_keys: Vec::new(),
                 indexes: Vec::new(),
+                ordered_indexes: Vec::new(),
             },
         }
     }
@@ -131,7 +136,12 @@ impl TableSchema {
                 )));
             }
         }
-        for k in self.primary_key.iter().chain(&self.indexes) {
+        for k in self
+            .primary_key
+            .iter()
+            .chain(&self.indexes)
+            .chain(&self.ordered_indexes)
+        {
             if self.column_index(k).is_none() {
                 return Err(StorageError::BadSchema(format!(
                     "table `{}` declares key/index on unknown column `{k}`",
@@ -192,6 +202,12 @@ impl TableSchemaBuilder {
         self
     }
 
+    /// Requests a single-column ordered index.
+    pub fn ordered_index(mut self, col: &str) -> Self {
+        self.schema.ordered_indexes.push(col.to_string());
+        self
+    }
+
     /// Finishes the schema, validating it.
     pub fn build(self) -> Result<TableSchema, StorageError> {
         self.schema.validate()?;
@@ -239,6 +255,25 @@ mod tests {
             .primary_key(&["b"])
             .build();
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn ordered_index_on_unknown_column_rejected() {
+        let r = TableSchema::builder("t")
+            .column("a", ColumnType::Int)
+            .ordered_index("b")
+            .build();
+        assert!(r.is_err());
+        let s = TableSchema::builder("t")
+            .column("a", ColumnType::Int)
+            .ordered_index("a")
+            .build()
+            .unwrap();
+        assert_eq!(s.ordered_indexes, vec!["a"]);
+        assert!(
+            s.indexed_columns().is_empty(),
+            "no equality index rides along"
+        );
     }
 
     #[test]

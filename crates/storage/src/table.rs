@@ -1,9 +1,9 @@
-//! Row storage with slot reuse, primary-key enforcement, and equality
-//! indexes.
+//! Row storage with slot reuse, primary-key enforcement, equality indexes
+//! and ordered indexes.
 
 use crate::error::StorageError;
 use crate::schema::TableSchema;
-use scs_sqlkit::Value;
+use scs_sqlkit::{CmpOp, Value};
 use std::collections::HashMap;
 
 /// A stored row: values in schema column order.
@@ -31,6 +31,11 @@ pub struct Table {
     pk_positions: Vec<usize>,
     /// Single-column equality indexes: column position -> value -> row ids.
     eq_indexes: HashMap<usize, HashMap<Value, Vec<RowId>>>,
+    /// Single-column ordered indexes: column position -> the live row ids
+    /// sorted by `(Value::cmp of that column, row id)`. A permutation, not
+    /// a tree: four bytes a row, keys read through the rows; an insert or
+    /// a removal shifts the ids behind its position.
+    ord_indexes: Vec<(usize, Vec<u32>)>,
 }
 
 impl Table {
@@ -51,6 +56,13 @@ impl Table {
                 )
             })
             .collect();
+        let mut ord_indexes: Vec<(usize, Vec<u32>)> = Vec::new();
+        for c in &schema.ordered_indexes {
+            let pos = schema.column_index(c).expect("validated schema");
+            if !ord_indexes.iter().any(|(p, _)| *p == pos) {
+                ord_indexes.push((pos, Vec::new()));
+            }
+        }
         Table {
             schema,
             slots: Vec::new(),
@@ -59,6 +71,7 @@ impl Table {
             pk_index: HashMap::new(),
             pk_positions,
             eq_indexes,
+            ord_indexes,
         }
     }
 
@@ -114,6 +127,47 @@ impl Table {
     /// Whether column position `pos` carries an equality index.
     pub fn has_index(&self, pos: usize) -> bool {
         self.eq_indexes.contains_key(&pos)
+    }
+
+    /// The rows whose ordered-indexed column `pos` satisfies every one of
+    /// `bounds` (`column op value` each), in key order — descending keys
+    /// when `desc` — and ascending row id within equal keys: the order a
+    /// sort by that key gives the rows of a scan. `None` when the column
+    /// has no ordered index.
+    pub(crate) fn ordered_walk(
+        &self,
+        pos: usize,
+        bounds: &[(CmpOp, &Value)],
+        desc: bool,
+    ) -> Option<OrderedWalk<'_>> {
+        let (_, ids) = self.ord_indexes.iter().find(|(p, _)| *p == pos)?;
+        let key = |id: &u32| ord_key(&self.slots, *id, pos);
+        // `op.eval` is monotone along the index (both follow `Value::cmp`):
+        // the keys passing an upper bound are a prefix, those failing a
+        // lower bound are one too.
+        let (mut start, mut end) = (0, ids.len());
+        for &(op, v) in bounds {
+            let first_ge = || ids.partition_point(|id| key(id) < v);
+            let first_gt = || ids.partition_point(|id| key(id) <= v);
+            match op {
+                CmpOp::Ge => start = start.max(first_ge()),
+                CmpOp::Gt => start = start.max(first_gt()),
+                CmpOp::Lt => end = end.min(first_ge()),
+                CmpOp::Le => end = end.min(first_gt()),
+                CmpOp::Eq => {
+                    start = start.max(first_ge());
+                    end = end.min(first_gt());
+                }
+            }
+        }
+        let ids = ids.get(start..end).unwrap_or(&[]);
+        let (rest, group) = if desc { (ids, &[][..]) } else { (&[][..], ids) };
+        Some(OrderedWalk {
+            slots: &self.slots,
+            pos,
+            rest,
+            group,
+        })
     }
 
     /// Looks up a row by its full primary key.
@@ -182,52 +236,77 @@ impl Table {
     /// the database layer). Returns the old row.
     pub fn modify(&mut self, id: RowId, changes: &[(usize, Value)]) -> Option<Row> {
         self.slots.get(id)?.as_ref()?;
-        self.index_remove(id);
+        // The primary-key entry stays: no key column changes. Every
+        // equality list is left and re-joined, changed column or not: list
+        // order is observable under the executor's row-order contract, and
+        // a modified row moves to the end of each of its lists.
+        let changed = |pos: usize| changes.iter().any(|(p, _)| *p == pos);
+        self.secondary_remove(id, changed);
         let row = self.slots[id].as_mut()?;
         let old = row.clone();
         for (pos, v) in changes {
             row[*pos] = v.clone();
         }
-        self.index_add(id);
+        self.secondary_add(id, changed);
         Some(old)
     }
 
-    // Both index maintainers read the key columns from the stored row
+    // The index maintainers read the key columns from the stored row
     // itself, borrowing `slots` and the index maps side by side.
 
     fn index_add(&mut self, id: RowId) {
-        let Table {
-            slots,
-            pk_positions,
-            pk_index,
-            eq_indexes,
-            ..
-        } = self;
-        let Some(row) = slots.get(id).and_then(Option::as_ref) else {
-            return;
-        };
-        if !pk_positions.is_empty() {
-            pk_index.insert(pk_of(pk_positions, row), id);
+        if let Some(row) = self.slots.get(id).and_then(Option::as_ref) {
+            if !self.pk_positions.is_empty() {
+                self.pk_index.insert(pk_of(&self.pk_positions, row), id);
+            }
         }
-        for (pos, idx) in eq_indexes.iter_mut() {
-            idx.entry(row[*pos].clone()).or_default().push(id);
-        }
+        self.secondary_add(id, |_| true);
     }
 
     fn index_remove(&mut self, id: RowId) {
+        if let Some(row) = self.slots.get(id).and_then(Option::as_ref) {
+            if !self.pk_positions.is_empty() {
+                self.pk_index.remove(&pk_of(&self.pk_positions, row));
+            }
+        }
+        self.secondary_remove(id, |_| true);
+    }
+
+    /// Enters row `id` into every equality index, and into the ordered
+    /// indexes on the columns `rekeyed` names.
+    fn secondary_add(&mut self, id: RowId, rekeyed: impl Fn(usize) -> bool) {
         let Table {
             slots,
-            pk_positions,
-            pk_index,
             eq_indexes,
+            ord_indexes,
             ..
         } = self;
         let Some(row) = slots.get(id).and_then(Option::as_ref) else {
             return;
         };
-        if !pk_positions.is_empty() {
-            pk_index.remove(&pk_of(pk_positions, row));
+        for (pos, idx) in eq_indexes.iter_mut() {
+            idx.entry(row[*pos].clone()).or_default().push(id);
         }
+        for (pos, ids) in ord_indexes.iter_mut().filter(|(pos, _)| rekeyed(*pos)) {
+            let id32 = u32::try_from(id).expect("a table of 2^32 slots does not fit in memory");
+            let v = &row[*pos];
+            let at =
+                ids.partition_point(|&x| ord_key(slots, x, *pos).cmp(v).then(x.cmp(&id32)).is_lt());
+            ids.insert(at, id32);
+        }
+    }
+
+    /// Takes row `id` out of what [`Table::secondary_add`] enters it into.
+    fn secondary_remove(&mut self, id: RowId, rekeyed: impl Fn(usize) -> bool) {
+        let Table {
+            slots,
+            eq_indexes,
+            ord_indexes,
+            ..
+        } = self;
+        let Some(row) = slots.get(id).and_then(Option::as_ref) else {
+            return;
+        };
         for (pos, idx) in eq_indexes.iter_mut() {
             if let Some(ids) = idx.get_mut(&row[*pos]) {
                 if let Some(at) = ids.iter().position(|x| *x == id) {
@@ -238,6 +317,65 @@ impl Table {
                 }
             }
         }
+        // Found by id, not by key: a search through the rows waits on
+        // a chain of loads per step, the scan of the ids streams; and it
+        // holds where `Value::cmp` is not transitive (an `Int` beyond 2^53
+        // beside a `Real`), which would mislead a search by key.
+        for (_, ids) in ord_indexes.iter_mut().filter(|(pos, _)| rekeyed(*pos)) {
+            // `contains` tests a chunk without an early exit, which
+            // vectorises; `position` alone does not.
+            const CHUNK: usize = 64;
+            let found = u32::try_from(id).ok().and_then(|id| {
+                let chunk = ids.chunks(CHUNK).position(|c| c.contains(&id))?;
+                let within = ids[chunk * CHUNK..].iter().position(|x| *x == id)?;
+                Some(chunk * CHUNK + within)
+            });
+            if let Some(at) = found {
+                ids.remove(at);
+            }
+        }
+    }
+}
+
+/// The row an ordered index lists as `id`.
+fn ord_row(slots: &[Option<Row>], id: u32) -> &Row {
+    slots[id as usize]
+        .as_ref()
+        .expect("an ordered index lists live rows only")
+}
+
+/// The ordered-index key of row `id`: its column `pos`.
+fn ord_key(slots: &[Option<Row>], id: u32, pos: usize) -> &Value {
+    &ord_row(slots, id)[pos]
+}
+
+/// A walk along part of an ordered index; see [`Table::ordered_walk`].
+pub(crate) struct OrderedWalk<'a> {
+    slots: &'a [Option<Row>],
+    pos: usize,
+    /// Ids still to be split into value groups, in index order: all of
+    /// them on a descending walk, which takes groups off the end, none on
+    /// an ascending one.
+    rest: &'a [u32],
+    /// Ids to yield next, front first.
+    group: &'a [u32],
+}
+
+impl<'a> Iterator for OrderedWalk<'a> {
+    type Item = (RowId, &'a Row);
+
+    fn next(&mut self) -> Option<(RowId, &'a Row)> {
+        if self.group.is_empty() {
+            // The group of keys that tie (under `cmp`) with the last one.
+            let v = ord_key(self.slots, *self.rest.last()?, self.pos);
+            let start = self
+                .rest
+                .partition_point(|id| ord_key(self.slots, *id, self.pos) < v);
+            (self.rest, self.group) = self.rest.split_at(start);
+        }
+        let (&id, group) = self.group.split_first()?;
+        self.group = group;
+        Some((id as RowId, ord_row(self.slots, id)))
     }
 }
 
@@ -356,6 +494,140 @@ mod tests {
         assert_eq!(old[2], Value::Int(10));
         assert_eq!(t.row(a).unwrap()[2], Value::Int(99));
         assert_eq!(t.pk_lookup(&[Value::Int(1)]), Some(a));
+    }
+
+    /// `toys` ordered by `qty`, with an `Int`/`Real` pair that ties.
+    fn ranked_table() -> Table {
+        Table::new(
+            TableSchema::builder("toys")
+                .column("toy_id", ColumnType::Int)
+                .column("toy_name", ColumnType::Str)
+                .column("qty", ColumnType::Real)
+                .primary_key(&["toy_id"])
+                .index("toy_name")
+                .ordered_index("qty")
+                .ordered_index("toy_name")
+                .build()
+                .unwrap(),
+        )
+    }
+
+    fn walk(t: &Table, pos: usize, bounds: &[(CmpOp, &Value)], desc: bool) -> Vec<RowId> {
+        let walk = t.ordered_walk(pos, bounds, desc).unwrap();
+        walk.map(|(id, row)| {
+            assert_eq!(t.row(id), Some(row));
+            id
+        })
+        .collect()
+    }
+
+    #[test]
+    fn ordered_walk_is_key_order_then_ascending_row_id() {
+        let mut t = ranked_table();
+        for (id, qty) in [(1, 5), (2, 3), (3, 5), (4, 1), (5, 3)] {
+            t.insert(row(id, "x", qty)).unwrap();
+        }
+        assert_eq!(walk(&t, 2, &[], false), vec![3, 1, 4, 0, 2]);
+        // Groups downwards, ids still upwards inside a group.
+        assert_eq!(walk(&t, 2, &[], true), vec![0, 2, 1, 4, 3]);
+        assert!(t.ordered_walk(0, &[], false).is_none(), "not declared");
+        // `Int(3)` and `Real(3.0)` tie under `cmp`, though not under `==`:
+        // one group, whichever the bound is written as.
+        t.modify(4, &[(2, Value::real(3.0))]).unwrap();
+        assert_eq!(walk(&t, 2, &[], true), vec![0, 2, 1, 4, 3]);
+        let three = Value::real(3.0);
+        assert_eq!(walk(&t, 2, &[(CmpOp::Eq, &three)], true), vec![1, 4]);
+        assert_eq!(
+            walk(&t, 2, &[(CmpOp::Eq, &Value::Int(3))], false),
+            vec![1, 4]
+        );
+    }
+
+    /// The walk ends where the key's bounds end: an upper bound stops an
+    /// ascending walk, a lower bound a descending one.
+    #[test]
+    fn ordered_walk_starts_and_stops_at_the_bounds() {
+        let mut t = ranked_table();
+        for id in 0..10 {
+            t.insert(row(id, "x", id / 2)).unwrap(); // qty 0 0 1 1 2 2 3 3 4 4
+        }
+        let (one, three) = (Value::Int(1), Value::Int(3));
+        assert_eq!(walk(&t, 2, &[(CmpOp::Le, &one)], false), vec![0, 1, 2, 3]);
+        assert_eq!(walk(&t, 2, &[(CmpOp::Lt, &one)], false), vec![0, 1]);
+        assert_eq!(walk(&t, 2, &[(CmpOp::Ge, &three)], true), vec![8, 9, 6, 7]);
+        assert_eq!(walk(&t, 2, &[(CmpOp::Gt, &three)], true), vec![8, 9]);
+        let both = [(CmpOp::Gt, &one), (CmpOp::Le, &three), (CmpOp::Ge, &one)];
+        assert_eq!(walk(&t, 2, &both, false), vec![4, 5, 6, 7]);
+        assert_eq!(walk(&t, 2, &both, true), vec![6, 7, 4, 5]);
+        // Bounds that cross, or lie outside the keys, leave nothing.
+        let crossed = [(CmpOp::Ge, &three), (CmpOp::Lt, &one)];
+        assert_eq!(walk(&t, 2, &crossed, false), Vec::<RowId>::new());
+        assert_eq!(walk(&t, 2, &[(CmpOp::Gt, &Value::Int(9))], true), vec![]);
+        assert_eq!(walk(&t, 2, &[(CmpOp::Eq, &Value::str("x"))], false), vec![]);
+    }
+
+    #[test]
+    fn ordered_index_tracks_delete_slot_reuse_and_modify() {
+        let mut t = ranked_table();
+        for (id, qty) in [(1, 5), (2, 3), (3, 5), (4, 1)] {
+            t.insert(row(id, "x", qty)).unwrap();
+        }
+        t.delete(0);
+        assert_eq!(walk(&t, 2, &[], false), vec![3, 1, 2]);
+        // Slot 0 comes back with a key that ties slot 2's: lower id first.
+        assert_eq!(t.insert(row(9, "x", 5)).unwrap(), 0);
+        assert_eq!(walk(&t, 2, &[], false), vec![3, 1, 0, 2]);
+        // A modify re-keys the ordered column it sets...
+        t.modify(3, &[(2, Value::Int(7))]).unwrap();
+        assert_eq!(walk(&t, 2, &[], false), vec![1, 0, 2, 3]);
+        // ...and leaves the other ordered index and the key index alone.
+        assert_eq!(walk(&t, 1, &[], false), vec![0, 1, 2, 3]);
+        assert_eq!(t.pk_lookup(&[Value::Int(4)]), Some(3));
+        let replayed = {
+            let mut r = ranked_table();
+            for (id, qty) in [(9, 5), (2, 3), (3, 5), (4, 7)] {
+                r.insert(row(id, "x", qty)).unwrap();
+            }
+            r
+        };
+        assert_eq!(
+            replayed.ord_indexes, t.ord_indexes,
+            "a function of the rows"
+        );
+    }
+
+    /// `Int(2^53 + 1)` and `Int(2^53)` both tie with `Real(2^53)` yet differ
+    /// from each other, so no order of them is sorted and a binary search
+    /// for row 0's key ends beside it; removal goes by id and finds it.
+    #[test]
+    fn ordered_index_drops_a_row_its_key_order_hides() {
+        let big = 1i64 << 53;
+        let mut t = ranked_table();
+        for (id, qty) in [
+            (1, Value::Int(big + 1)),
+            (2, Value::real(big as f64)),
+            (3, Value::Int(big)),
+            (4, Value::Int(big + 1)),
+        ] {
+            t.insert(vec![Value::Int(id), Value::str("x"), qty])
+                .unwrap();
+        }
+        assert_eq!(walk(&t, 2, &[], false), vec![0, 1, 2, 3]);
+        t.delete(0);
+        assert_eq!(walk(&t, 2, &[], false), vec![1, 2, 3]);
+    }
+
+    /// List order is observable (an indexed restriction yields it): a
+    /// modified row moves to the end of every equality list it is in,
+    /// whether or not that list's column changed.
+    #[test]
+    fn modify_moves_the_row_to_the_end_of_its_equality_lists() {
+        let mut t = ranked_table();
+        for id in 0..3 {
+            t.insert(row(id, "bear", 1)).unwrap();
+        }
+        t.modify(0, &[(2, Value::Int(2))]).unwrap();
+        assert_eq!(t.index_lookup(1, &Value::str("bear")).unwrap(), &[2, 1, 0]);
     }
 
     #[test]

@@ -58,7 +58,10 @@ fn probe_value(rng: &mut StdRng, column: &str, next_id: i64) -> Value {
 }
 
 /// Random schemas: every join column is indexed in some worlds and not in
-/// others, as a primary key, a foreign key or a declared index.
+/// others, as a primary key, a foreign key or a declared index; every
+/// column a query may order by carries an ordered index in half of them,
+/// beside or without an equality index (`r`'s `Int(1)` and `Real(1.0)` tie
+/// as sort keys, so they must share a value group of a descending walk).
 fn create_tables(rng: &mut StdRng) -> Database {
     let mut db = Database::new();
     let mut a = TableSchema::builder("a")
@@ -71,6 +74,11 @@ fn create_tables(rng: &mut StdRng) -> Database {
     for col in ["k", "s", "r"] {
         if rng.gen_bool(0.5) {
             a = a.index(col);
+        }
+    }
+    for col in ["k", "v", "s", "r"] {
+        if rng.gen_bool(0.5) {
+            a = a.ordered_index(col);
         }
     }
     let mut b = TableSchema::builder("b")
@@ -87,11 +95,21 @@ fn create_tables(rng: &mut StdRng) -> Database {
     if rng.gen_bool(0.5) {
         b = b.index("k");
     }
+    for col in ["k", "w"] {
+        if rng.gen_bool(0.5) {
+            b = b.ordered_index(col);
+        }
+    }
     let mut c = TableSchema::builder("c")
         .column("k", ColumnType::Int)
         .column("x", ColumnType::Int);
     if rng.gen_bool(0.5) {
         c = c.index("k");
+    }
+    for col in ["k", "x"] {
+        if rng.gen_bool(0.5) {
+            c = c.ordered_index(col);
+        }
     }
     for schema in [a, b, c] {
         db.create_table(schema.build().unwrap()).unwrap();
