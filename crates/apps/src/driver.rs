@@ -727,7 +727,8 @@ mod tests {
     use scs_dssp::StrategyKind;
     use scs_netsim::{run, SimConfig, SystemSpec, SEC};
 
-    fn toystore_workload(kind: StrategyKind, seed: u64) -> DsspWorkload {
+    /// The toystore application, its populated database and id spaces.
+    fn toystore_inputs(seed: u64) -> (AppDef, Database, IdSpaces) {
         let app = toystore::toystore();
         let mut db = Database::new();
         for s in &app.schemas {
@@ -739,6 +740,11 @@ mod tests {
         ids.declare("toys", 50);
         ids.declare("customers", 30);
         ids.declare("credit_card", 15);
+        (app, db, ids)
+    }
+
+    fn toystore_workload(kind: StrategyKind, seed: u64) -> DsspWorkload {
+        let (app, db, ids) = toystore_inputs(seed);
         let exposures = kind.exposures(app.updates.len(), app.queries.len());
         DsspWorkload::new(&app, db, ids, exposures, 1.0, seed)
     }
@@ -857,22 +863,39 @@ mod tests {
         assert!(curve.iter().filter(|&&n| n > 0).count() > 1);
     }
 
+    /// The same reconciliation over a sharded home, where some updates
+    /// are refused (FK handshake, taken keys): `update_applied` counts
+    /// every update that reached the home tier, as on the classic home.
+    #[test]
+    fn sharded_proxy_events_reconcile_with_its_counters() {
+        let (app, db, ids) = toystore_inputs(3);
+        let exposures =
+            StrategyKind::ViewInspection.exposures(app.updates.len(), app.queries.len());
+        let map = home_shard_map(&app, 2);
+        let mut w = ShardedWorkload::new(&app, db, ids, exposures, map, 1.0, 3);
+        let (sink, series) = scs_telemetry::TimeSeriesSink::new(10 * SEC);
+        w.dssp_mut().add_trace_sink(Box::new(sink));
+        let mut cfg = quick_cfg(40);
+        cfg.spec = SystemSpec::with_home_shards(2);
+        run(&cfg, &mut w);
+        let series = series.lock().unwrap();
+        let stats = w.dssp().stats();
+        let accepted: u64 = w.home().epochs().iter().sum();
+        assert!(
+            accepted < stats.updates,
+            "no update was refused: {accepted} of {}",
+            stats.updates
+        );
+        assert_eq!(series.counter_total("update_applied"), stats.updates);
+        assert_eq!(series.counter_total("query_miss"), stats.misses);
+    }
+
     fn toystore_fleet(
         kind: StrategyKind,
         fleet: scs_dssp::FleetConfig,
         seed: u64,
     ) -> FleetWorkload {
-        let app = toystore::toystore();
-        let mut db = Database::new();
-        for s in &app.schemas {
-            db.create_table(s.clone()).unwrap();
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        toystore::populate(&mut db, 50, 30, &mut rng);
-        let mut ids = IdSpaces::default();
-        ids.declare("toys", 50);
-        ids.declare("customers", 30);
-        ids.declare("credit_card", 15);
+        let (app, db, ids) = toystore_inputs(seed);
         let exposures = kind.exposures(app.updates.len(), app.queries.len());
         FleetWorkload::new(&app, db, ids, exposures, fleet, 1.0, seed)
     }

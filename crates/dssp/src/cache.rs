@@ -935,19 +935,12 @@ impl ResultCache {
         self.admit(e)
     }
 
-    /// Stamps the home epoch a just-stored entry's result reflects. The
-    /// proxy calls this right after the miss fill, once it knows the
-    /// epoch the home served at; a no-op when the entry was not stored
-    /// (empty result) or has already been displaced.
-    pub fn set_stored_epoch(&mut self, q: &Query, epoch: u64) {
-        if let Some(slot) = self.find_query(q).and_then(|id| self.slot_mut(id)) {
-            slot.entry.stored_epoch = epoch;
-        }
-    }
-
-    /// Stamps the invalidation stream *and* epoch a just-stored entry's
-    /// result reflects — the sharded-home fill path, where the epoch
-    /// counts on the owning shard's stream rather than stream 0.
+    /// Stamps the invalidation stream and the epoch on it that a
+    /// just-stored entry's result reflects (stream 0 for a classic home,
+    /// the first participating shard's for a sharded one). The proxy
+    /// calls this right after the miss fill, once it knows the epoch the
+    /// home served at; a no-op when the entry was not stored (empty
+    /// result) or has already been displaced.
     pub fn set_stored_provenance(&mut self, q: &Query, stream: u64, epoch: u64) {
         if let Some(slot) = self.find_query(q).and_then(|id| self.slot_mut(id)) {
             slot.entry.stored_stream = stream;

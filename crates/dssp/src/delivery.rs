@@ -218,8 +218,8 @@ pub enum FtOutcome {
         result: QueryResult,
         /// Whether the cache answered (no home-server round trip).
         hit: bool,
-        /// The hit was served while the home link was down — graceful
-        /// degradation inside the lease window.
+        /// The hit was served while the home link or the home tier was
+        /// down — graceful degradation inside the lease window.
         degraded: bool,
     },
     /// Cache miss and the home server stayed unreachable through every
@@ -244,9 +244,13 @@ pub enum FtUpdateOutcome {
     /// Applied at the master; the epoch-stamped invalidation notification
     /// is returned for the delivery channel (the proxy does **not**
     /// invalidate its own cache until the message is delivered back via
-    /// [`crate::Dssp::apply_invalidation`]).
+    /// [`crate::Dssp::apply_invalidation_from`] on `stream`).
     Applied {
         effect: UpdateEffect,
+        /// The invalidation stream that owns the update and that `msg`'s
+        /// epoch counts on: 0 for a classic home, the owning shard's id
+        /// for a sharded one.
+        stream: u64,
         msg: InvalidationMsg,
     },
     /// The home server stayed unreachable; the master is unchanged.

@@ -3,11 +3,21 @@
 //! The paper's evaluation (§5, Fig. 8–10) measures scalability as *max
 //! users vs. number of DSSP proxy servers*, with the home server
 //! broadcasting invalidations to every proxy. [`ProxyFleet`] reproduces
-//! that deployment: N [`Dssp`] replicas share one [`HomeServer`], a
+//! that deployment: N [`Dssp`] replicas share one home tier (a
+//! [`HomeGroup`]; a single-node group for a plain [`HomeServer`]), a
 //! load balancer routes each client operation to one replica
 //! ([`RoutingMode`]), and every epoch-stamped invalidation fans out to
 //! *all* replicas over per-proxy delivery pipes
 //! ([`scs_netsim::fault::FaultyChannel`]).
+//!
+//! The fleet adds routing in front of, and fanout behind, the serving
+//! replica's own request pipeline ([`Dssp::execute_query_ft`] /
+//! [`Dssp::execute_update_ft`] over the group as a [`crate::Home`]):
+//! [`ProxyFleet::execute_query_ha`] / [`ProxyFleet::execute_update_ha`]
+//! report a down home tier as the pipeline does (degraded hits,
+//! `Unavailable`), and the classic [`ProxyFleet::execute_query`] /
+//! [`ProxyFleet::execute_update`] are the same bodies promising an
+//! answer.
 //!
 //! Fanout is **batched and coalesced** ([`FanoutConfig`]): the home
 //! side buffers notifications and ships an [`InvalidationBatch`] when
@@ -51,7 +61,7 @@ use crate::replication::{CommitAck, FailoverRecord, HomeGroup, ReplicationConfig
 use crate::stats::DsspStats;
 use scs_netsim::fault::{ChannelStats, FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
-use scs_storage::{Database, StorageError};
+use scs_storage::StorageError;
 use scs_telemetry::{
     shared_audit, shared_provenance, FlushTrigger, MembershipKind, MembershipStamp, ProvenanceLog,
     SharedAudit, SharedProvenance, SpanId, SpanPhase, SpanRecorder,
@@ -756,48 +766,32 @@ impl ProxyFleet {
     }
 
     /// Routes a query to its replica, delivering any fanout batches due
-    /// at that replica first (per-pipe FIFO order is preserved).
+    /// at that replica first (per-pipe FIFO order is preserved). The
+    /// perfect-delivery form of [`ProxyFleet::execute_query_ha`]: it
+    /// promises an answer, so a miss while the home tier is down panics.
     pub fn execute_query(&mut self, q: &Query) -> Result<FleetQueryResponse, StorageError> {
-        let id = self.route(q.template_id);
-        let delivered = self.pump(id);
-        let i = self.idx(id);
-        let resp = self.replicas[i]
-            .dssp
-            .execute_query(q, self.home.primary_mut())?;
+        let ha = self.execute_query_ha(q)?;
         Ok(FleetQueryResponse {
-            proxy: id,
-            resp,
-            delivered,
+            proxy: ha.proxy,
+            resp: QueryResponse::promised(ha.resp.outcome),
+            delivered: ha.delivered,
         })
     }
 
-    /// Fault-tolerant query path: like [`ProxyFleet::execute_query`]
-    /// but it survives a down home tier — within-lease cache hits
-    /// serve degraded, misses surface `Unavailable` instead of
-    /// panicking on the missing primary.
+    /// Fault-tolerant query path: the serving replica's request pipeline
+    /// over the home tier as a [`HomeGroup`], so it survives the tier
+    /// being down — within-lease cache hits serve degraded, misses
+    /// surface `Unavailable`.
     pub fn execute_query_ha(&mut self, q: &Query) -> Result<FleetFtQueryResponse, StorageError> {
         let id = self.route(q.template_id);
         let delivered = self.pump(id);
         let i = self.idx(id);
-        let resp = if self.home.is_up() {
-            self.replicas[i].dssp.execute_query_ft(
-                q,
-                self.home.primary_mut(),
-                &HomeLink::reliable(),
-                &RetryPolicy::no_retries(),
-            )?
-        } else {
-            // No primary to trip to: a scratch server satisfies the
-            // signature and is provably never touched while the link
-            // reports down.
-            let mut scratch = HomeServer::new(Database::default());
-            self.replicas[i].dssp.execute_query_ft(
-                q,
-                &mut scratch,
-                &HomeLink::with_outages(vec![(0, u64::MAX)]),
-                &RetryPolicy::no_retries(),
-            )?
-        };
+        let resp = self.replicas[i].dssp.execute_query_ft(
+            q,
+            &mut self.home,
+            &HomeLink::reliable(),
+            &RetryPolicy::no_retries(),
+        )?;
         Ok(FleetFtQueryResponse {
             proxy: id,
             resp,
@@ -809,44 +803,7 @@ impl ProxyFleet {
     /// while the home tier is down, otherwise applied + replicated
     /// with the group's commit ack.
     pub fn execute_update_ha(&mut self, u: &Update) -> Result<FleetFtUpdateResponse, StorageError> {
-        let id = self.route(u.template_id);
-        self.pump(id);
-        let i = self.idx(id);
-        if !self.home.is_up() {
-            let mut scratch = HomeServer::new(Database::default());
-            let resp = self.replicas[i].dssp.execute_update_ft(
-                u,
-                &mut scratch,
-                &HomeLink::with_outages(vec![(0, u64::MAX)]),
-                &RetryPolicy::no_retries(),
-            )?;
-            return Ok(FleetFtUpdateResponse {
-                proxy: id,
-                resp,
-                ack: None,
-            });
-        }
-        let resp = self.replicas[i].dssp.execute_update_ft(
-            u,
-            self.home.primary_mut(),
-            &HomeLink::reliable(),
-            &RetryPolicy::no_retries(),
-        )?;
-        let ack = match &resp.outcome {
-            FtUpdateOutcome::Applied { msg, .. } => {
-                let msg = msg.clone();
-                let ack = self.home.commit(self.now_micros);
-                self.offer(msg);
-                self.pump_all();
-                Some(ack)
-            }
-            FtUpdateOutcome::Unavailable => None,
-        };
-        Ok(FleetFtUpdateResponse {
-            proxy: id,
-            resp,
-            ack,
-        })
+        self.route_update(u).map(|(ha, _)| ha)
     }
 
     /// Routes an update through a replica to the home server. The
@@ -855,39 +812,68 @@ impl ProxyFleet {
     /// other replica it waits for its own pipe's batch, so delivery
     /// semantics are uniform across the fleet. With
     /// [`FanoutConfig::immediate`] over zero-latency reliable pipes the
-    /// batch applies before this call returns.
+    /// batch applies before this call returns. The perfect-delivery form
+    /// of [`ProxyFleet::execute_update_ha`]: it panics while the home
+    /// tier is down.
     pub fn execute_update(&mut self, u: &Update) -> Result<FleetUpdateResponse, StorageError> {
-        let id = self.route(u.template_id);
-        self.pump(id);
-        let i = self.idx(id);
-        let ft = self.replicas[i].dssp.execute_update_ft(
-            u,
-            self.home.primary_mut(),
-            &HomeLink::reliable(),
-            &RetryPolicy::no_retries(),
-        )?;
-        let (effect, msg) = match ft.outcome {
-            FtUpdateOutcome::Applied { effect, msg } => (effect, msg),
-            FtUpdateOutcome::Unavailable => unreachable!("reliable link cannot be unavailable"),
+        let (ha, delivered) = self.route_update(u)?;
+        let (FtUpdateOutcome::Applied { effect, msg, .. }, Some(ack)) = (ha.resp.outcome, ha.ack)
+        else {
+            unreachable!("reliable link to an up home tier never fails")
         };
-        let epoch = msg.epoch;
-        // Replicate before fanout: the ack (sync-quorum wait included)
-        // reflects the write alone, not downstream delivery work.
-        let ack = self.home.commit(self.now_micros);
-        self.offer(msg);
-        // Deliver anything already due (with immediate fanout over
-        // zero-latency pipes that includes the batch just sent).
-        let delivered = self.pump_all();
         Ok(FleetUpdateResponse {
-            proxy: id,
+            proxy: ha.proxy,
             resp: UpdateResponse {
                 effect,
                 scanned: delivered.scanned,
                 invalidated: delivered.invalidated,
             },
-            epoch,
+            epoch: msg.epoch,
             ack,
         })
+    }
+
+    /// The update path both forms share: the forwarding replica's
+    /// pipeline over the home tier as a [`HomeGroup`]; an applied write
+    /// is then replicated, its notification buffered for fanout, and
+    /// whatever is already due delivered fleet-wide (the totals
+    /// returned beside the response).
+    fn route_update(
+        &mut self,
+        u: &Update,
+    ) -> Result<(FleetFtUpdateResponse, DeliveryTotals), StorageError> {
+        let id = self.route(u.template_id);
+        self.pump(id);
+        let i = self.idx(id);
+        let resp = self.replicas[i].dssp.execute_update_ft(
+            u,
+            &mut self.home,
+            &HomeLink::reliable(),
+            &RetryPolicy::no_retries(),
+        )?;
+        let mut delivered = DeliveryTotals::default();
+        let ack = match &resp.outcome {
+            FtUpdateOutcome::Applied { msg, .. } => {
+                let msg = msg.clone();
+                // Replicate before fanout: the ack (sync-quorum wait
+                // included) reflects the write alone, not downstream
+                // delivery work.
+                let ack = self.home.commit(self.now_micros);
+                self.offer(msg);
+                // Deliver anything already due (with immediate fanout
+                // over zero-latency pipes that includes the batch just
+                // sent).
+                delivered = self.pump_all();
+                Some(ack)
+            }
+            FtUpdateOutcome::Unavailable => None,
+        };
+        let ha = FleetFtUpdateResponse {
+            proxy: id,
+            resp,
+            ack,
+        };
+        Ok((ha, delivered))
     }
 
     /// Buffers a notification, flushing on the size trigger.

@@ -14,6 +14,39 @@ use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, Row, StorageError, UpdateEffect, Wal};
 use scs_telemetry::SharedProvenance;
 
+/// The home tier as the proxy's request pipeline sees it: the four
+/// questions [`crate::Dssp`] asks of whatever holds the master copy. A
+/// [`HomeServer`] answers for its one invalidation stream, a
+/// [`crate::HomeGroup`] for its current primary, a
+/// [`crate::ShardedHome`] for one stream per shard — so every entry
+/// point of the proxy runs over any of the three.
+pub trait Home {
+    /// The invalidation streams one answer depends on, ascending. A
+    /// single-stream home returns an array, so a miss allocates nothing
+    /// for it.
+    type Streams: AsRef<[u64]>;
+
+    /// Whether a trip can be made now. The pipeline asks before every
+    /// trip (and to flag a hit served meanwhile as degraded) and calls
+    /// nothing else on a home that answers `false`.
+    fn is_up(&self) -> bool {
+        true
+    }
+
+    /// Answers a query on the master copy: the result and the streams
+    /// whose updates could change it.
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, Self::Streams), StorageError>;
+
+    /// Applies an update to the master copy: the effect, the stream that
+    /// owns it, and the notification stamped with that stream's new
+    /// epoch. A refused update consumes no epoch on any stream.
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError>;
+
+    /// The last epoch issued on `stream` (0 for a stream this home does
+    /// not have).
+    fn epoch_of(&self, stream: u64) -> u64;
+}
+
 /// Wraps the master database with simple accounting — the home server's
 /// load (queries served on cache misses + updates) is what limits
 /// scalability in the evaluation — plus the update-epoch counter that
@@ -359,6 +392,27 @@ impl HomeServer {
             0.0
         } else {
             self.service_nanos as f64 / ops as f64
+        }
+    }
+}
+
+impl Home for HomeServer {
+    type Streams = [u64; 1];
+
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, [u64; 1]), StorageError> {
+        Ok((self.execute_query(q)?, [self.stream]))
+    }
+
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
+        let (effect, msg) = self.apply_update(u)?;
+        Ok((effect, self.stream, msg))
+    }
+
+    fn epoch_of(&self, stream: u64) -> u64 {
+        if stream == self.stream {
+            self.epoch
+        } else {
+            0
         }
     }
 }

@@ -13,7 +13,8 @@
 //!   refinement rules;
 //! * [`strategy`] — the Figure-6 dispatch across exposure levels, and the
 //!   four pure strategy classes (MBS/MTIS/MSIS/MVIS);
-//! * [`proxy`] — the DSSP node itself; [`home`] — the home server.
+//! * [`proxy`] — the DSSP node itself: one request pipeline over any
+//!   [`Home`]; [`home`] — the home server and that trait.
 //!
 //! Invalidation correctness (the §2.2 definition — a changed view is
 //! always invalidated) is verified end-to-end by property tests in
@@ -70,7 +71,7 @@ pub use fleet::{
     DeliveryTotals, FanoutConfig, FanoutStats, FleetConfig, FleetFtQueryResponse,
     FleetFtUpdateResponse, FleetQueryResponse, FleetUpdateResponse, ProxyFleet, RoutingMode,
 };
-pub use home::HomeServer;
+pub use home::{Home, HomeServer};
 pub use proxy::{
     Dssp, DsspConfig, OverloadOutcome, OverloadQueryResponse, OverloadUpdateOutcome,
     OverloadUpdateResponse, QueryResponse, UpdateResponse,

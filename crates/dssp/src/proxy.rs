@@ -2,16 +2,25 @@
 //! the home server, routes updates through, and invalidates affected
 //! cached results (Figure 2's pathways).
 //!
+//! There is one request pipeline, generic over the [`Home`] it trips to
+//! (a [`HomeServer`], a replicated [`crate::HomeGroup`], a
+//! [`ShardedHome`]) and parameterised by a [`HomeLink`] and a
+//! [`RetryPolicy`]: [`Dssp::execute_query_ft`] and
+//! [`Dssp::execute_update_ft`]. Every other entry point is a few lines
+//! over those two — [`Dssp::execute_query`] / [`Dssp::execute_update`]
+//! keep the paper's perfect-delivery behaviour (reliable link, no
+//! retries, the notification delivered straight back), the `_overload`
+//! pair puts admission control, the circuit breaker and brownout in
+//! front (DESIGN §9 has the table).
+//!
 //! Delivery of invalidations is *epoched* (see [`crate::delivery`]): the
-//! home server stamps each applied update with a monotone sequence
-//! number, and the proxy applies a notification only in order. A skipped
-//! epoch means a lost notification (or an out-of-band master write) and
-//! triggers a recovery flush; staleness from failures that produce no
-//! detectable gap is bounded by the per-entry lease. The classic
-//! [`Dssp::execute_query`] / [`Dssp::execute_update`] entry points keep
-//! the paper's perfect-delivery behaviour; the `_ft` variants expose the
-//! fault-tolerant pathway (retry with exponential backoff, outage-aware
-//! degradation, deferred invalidation delivery).
+//! home stamps each applied update with a monotone sequence number on
+//! the stream that owns it, and the proxy applies a notification only in
+//! order on that stream's cursor ([`Dssp::apply_invalidation_from`],
+//! [`Dssp::apply_batch_from`]; stream 0 is the classic single home). A
+//! skipped epoch means a lost notification (or an out-of-band master
+//! write) and triggers a recovery flush; staleness from failures that
+//! produce no detectable gap is bounded by the per-entry lease.
 
 use crate::admission::{
     AdmissionController, BreakerState, BreakerTransition, BrownoutController, CircuitBreaker,
@@ -22,7 +31,7 @@ use crate::delivery::{
     splitmix64, BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome,
     FtUpdateResponse, HomeLink, InvalidationBatch, InvalidationMsg, RecoveryMode, RetryPolicy,
 };
-use crate::home::HomeServer;
+use crate::home::{Home, HomeServer};
 use crate::sharded::ShardedHome;
 use crate::stats::DsspStats;
 use crate::strategy::{decide, DecisionPath, UpdateView};
@@ -155,6 +164,19 @@ pub struct QueryResponse {
     pub hit: bool,
 }
 
+impl QueryResponse {
+    /// The answer of a trip that cannot come back empty-handed. The
+    /// perfect-delivery entry points promise an answer, so they are for a
+    /// reliable link to a home tier that is up; an outage belongs on the
+    /// `_ft`/`_ha` forms, which report it.
+    pub(crate) fn promised(outcome: FtOutcome) -> QueryResponse {
+        match outcome {
+            FtOutcome::Served { result, hit, .. } => QueryResponse { result, hit },
+            FtOutcome::Unavailable => unreachable!("reliable link to an up home tier never fails"),
+        }
+    }
+}
+
 /// The outcome of an update through the DSSP.
 #[derive(Debug, Clone)]
 pub struct UpdateResponse {
@@ -219,10 +241,12 @@ impl OverloadQueryResponse {
 /// The outcome of an update through [`Dssp::execute_update_overload`].
 #[derive(Debug, Clone)]
 pub enum OverloadUpdateOutcome {
-    /// Applied at the master; the invalidation notification is returned
-    /// for the delivery channel, exactly as in the `_ft` path.
+    /// Applied at the master; the invalidation notification and the
+    /// stream it rides on are returned for the delivery channel, exactly
+    /// as in the `_ft` path.
     Applied {
         effect: UpdateEffect,
+        stream: u64,
         msg: InvalidationMsg,
     },
     /// Admitted but the home server stayed unreachable; master unchanged.
@@ -242,9 +266,15 @@ pub struct OverloadUpdateResponse {
 impl OverloadUpdateResponse {
     fn from_ft(r: FtUpdateResponse) -> OverloadUpdateResponse {
         let outcome = match r.outcome {
-            FtUpdateOutcome::Applied { effect, msg } => {
-                OverloadUpdateOutcome::Applied { effect, msg }
-            }
+            FtUpdateOutcome::Applied {
+                effect,
+                stream,
+                msg,
+            } => OverloadUpdateOutcome::Applied {
+                effect,
+                stream,
+                msg,
+            },
             FtUpdateOutcome::Unavailable => OverloadUpdateOutcome::Unavailable,
         };
         OverloadUpdateResponse {
@@ -394,9 +424,9 @@ pub struct Dssp {
     /// Last invalidation-stream epoch applied (or covered by a recovery
     /// flush) on stream 0 — the classic single-home stream.
     epoch: u64,
-    /// Merge cursors for invalidation streams ≥ 1 (one per home shard;
-    /// see [`Dssp::apply_invalidation_from`]). Stream 0 lives in
-    /// `epoch` so every classic single-stream path is untouched.
+    /// Cursors for invalidation streams ≥ 1 (one per home shard; see
+    /// [`Dssp::epoch_of`]). Stream 0 lives in `epoch`, so a single-stream
+    /// proxy never touches the map.
     stream_epochs: std::collections::HashMap<u64, u64>,
     recovery: RecoveryMode,
     /// Overload protection; `None` = accept everything.
@@ -602,19 +632,6 @@ impl Dssp {
         self.cache.set_lease_micros(lease);
     }
 
-    /// Stamps a batch arrival on the freshness plane, resolving the
-    /// batch's stamp by its `first_epoch` (contiguous disjoint ranges
-    /// make that unique). Silently skips batches the fanout layer never
-    /// stamped — e.g. the perfect-delivery entry points.
-    fn prov_arrival(&self, first_epoch: u64, kind: ApplyKind, before: u64, after: u64) {
-        if let Some((prov, replica)) = &self.prov {
-            let mut p = lock_plane(prov);
-            if let Some(batch) = p.batch_for_epoch(first_epoch) {
-                p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
-            }
-        }
-    }
-
     /// Counts and traces entries the capacity bound pushed out, each
     /// against its query template — whether a miss fill or an elastic
     /// handoff made the cache overflow.
@@ -642,19 +659,15 @@ impl Dssp {
     /// Handles a client query: serve from cache, or forward to the home
     /// server and cache the (non-empty) result.
     ///
-    /// This is the paper's perfect-delivery entry point: a reliable link,
-    /// no retries. It is a thin wrapper over [`Dssp::execute_query_ft`].
+    /// This is the paper's perfect-delivery entry point: the request
+    /// pipeline ([`Dssp::execute_query_ft`]) over a reliable link, no
+    /// retries.
     pub fn execute_query(
         &mut self,
         q: &Query,
         home: &mut HomeServer,
     ) -> Result<QueryResponse, StorageError> {
-        let resp =
-            self.execute_query_ft(q, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
-        match resp.outcome {
-            FtOutcome::Served { result, hit, .. } => Ok(QueryResponse { result, hit }),
-            FtOutcome::Unavailable => unreachable!("reliable link never fails"),
-        }
+        self.query_reliable(q, home)
     }
 
     /// Handles an update: apply at the home server (master copy), then
@@ -662,8 +675,9 @@ impl Dssp {
     /// update than its exposure level allows.
     ///
     /// Perfect-delivery entry point: the epoch-stamped invalidation
-    /// notification is delivered back to this proxy immediately (wrapping
-    /// [`Dssp::execute_update_ft`] + [`Dssp::apply_invalidation`]). If the
+    /// notification is delivered back to this proxy immediately
+    /// ([`Dssp::execute_update_ft`] over a reliable link, then
+    /// [`Dssp::apply_invalidation_from`] on the owning stream). If the
     /// master was written out of band since the last notification, the
     /// delivery exposes the epoch gap here and the response reports the
     /// recovery flush instead of a targeted invalidation pass.
@@ -672,38 +686,97 @@ impl Dssp {
         u: &Update,
         home: &mut HomeServer,
     ) -> Result<UpdateResponse, StorageError> {
-        let resp =
-            self.execute_update_ft(u, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
-        match resp.outcome {
-            FtUpdateOutcome::Applied { effect, msg } => {
-                let (scanned, invalidated) = match self.apply_invalidation(&msg) {
-                    DeliveryOutcome::Applied {
-                        scanned,
-                        invalidated,
-                    } => (scanned, invalidated),
-                    DeliveryOutcome::Recovered { flushed } => (flushed, flushed),
-                    DeliveryOutcome::Duplicate => (0, 0),
-                };
-                Ok(UpdateResponse {
-                    effect,
-                    scanned,
-                    invalidated,
-                })
-            }
-            FtUpdateOutcome::Unavailable => unreachable!("reliable link never fails"),
-        }
+        self.update_reliable(u, home).map(|(resp, _)| resp)
     }
 
-    /// Fault-tolerant query path. Within-lease cache hits serve even while
-    /// the home link is down (graceful degradation — counted and traced);
-    /// misses retry the home trip under `policy`'s backoff schedule and
-    /// surface [`FtOutcome::Unavailable`] when the link stays down, never a
-    /// stale substitute. Entries whose lease ran out are dropped, counted,
-    /// and re-fetched like misses.
-    pub fn execute_query_ft(
+    /// [`Dssp::execute_query`] against a sharded home tier. A forward
+    /// kept only because `benchmark/src/sut.rs` names it — the pipeline
+    /// takes any [`Home`]; a later `[benchmark]` PR retires it.
+    pub fn execute_query_sharded(
         &mut self,
         q: &Query,
-        home: &mut HomeServer,
+        home: &mut ShardedHome,
+    ) -> Result<QueryResponse, StorageError> {
+        self.query_reliable(q, home)
+    }
+
+    /// [`Dssp::execute_update`] against a sharded home tier, returning
+    /// the owning shard alongside the response. A forward kept only
+    /// because `benchmark/src/sut.rs` names it; a later `[benchmark]` PR
+    /// retires it.
+    pub fn execute_update_sharded(
+        &mut self,
+        u: &Update,
+        home: &mut ShardedHome,
+    ) -> Result<(UpdateResponse, usize), StorageError> {
+        self.update_reliable(u, home)
+            .map(|(resp, stream)| (resp, stream as usize))
+    }
+
+    /// The pipeline under the paper's perfect-delivery assumption: a
+    /// reliable link, no retries.
+    fn query_reliable<H: Home>(
+        &mut self,
+        q: &Query,
+        home: &mut H,
+    ) -> Result<QueryResponse, StorageError> {
+        let resp =
+            self.execute_query_ft(q, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
+        Ok(QueryResponse::promised(resp.outcome))
+    }
+
+    /// The update pipeline under perfect delivery: a reliable trip, then
+    /// the notification delivered straight back on the stream that owns
+    /// the update — which is returned beside the response.
+    fn update_reliable<H: Home>(
+        &mut self,
+        u: &Update,
+        home: &mut H,
+    ) -> Result<(UpdateResponse, u64), StorageError> {
+        let resp =
+            self.execute_update_ft(u, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
+        let FtUpdateOutcome::Applied {
+            effect,
+            stream,
+            msg,
+        } = resp.outcome
+        else {
+            unreachable!("reliable link to an up home tier never fails")
+        };
+        let (scanned, invalidated) = match self.apply_invalidation_from(stream, &msg) {
+            DeliveryOutcome::Applied {
+                scanned,
+                invalidated,
+            } => (scanned, invalidated),
+            DeliveryOutcome::Recovered { flushed } => (flushed, flushed),
+            DeliveryOutcome::Duplicate => (0, 0),
+        };
+        let resp = UpdateResponse {
+            effect,
+            scanned,
+            invalidated,
+        };
+        Ok((resp, stream))
+    }
+
+    /// The query pipeline, one body for every home tier and link policy
+    /// (the classic, `_sharded`, `_overload` and fleet entry points all
+    /// end here): lookup and serve; on a miss, reach the home under
+    /// `policy`'s backoff schedule, handshake each participating stream's
+    /// cursor while the cache is empty, store the result stamped with
+    /// its first stream and that stream's epoch, account evictions.
+    ///
+    /// Within-lease cache hits serve even while the link or the home is
+    /// down (graceful degradation — counted and traced); a miss that
+    /// cannot reach the home surfaces [`FtOutcome::Unavailable`], never a
+    /// stale substitute. Entries whose lease ran out are dropped,
+    /// counted, and re-fetched like misses. A query the home refuses is
+    /// an `Err`, with its `home_trip` span recorded and its root closed
+    /// like any other exit's.
+    pub fn execute_query_ft<H: Home>(
+        &mut self,
+        q: &Query,
+        home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
     ) -> Result<FtQueryResponse, StorageError> {
@@ -750,7 +823,7 @@ impl Dssp {
                         exposure,
                     },
                 );
-                let degraded = !link.is_up(self.now_micros);
+                let degraded = !(link.is_up(self.now_micros) && home.is_up());
                 if degraded {
                     self.metrics.degraded_serves.inc();
                     self.tracer.emit(
@@ -829,116 +902,113 @@ impl Dssp {
         if let Some((prov, replica)) = &self.prov {
             lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
         }
-        let mut attempts = 0u32;
-        let mut backoff = 0u64;
-        let jitter_seed = self.next_jitter_seed();
-        loop {
-            let next = attempts + 1;
-            let wait = policy.backoff_before_seeded(next, jitter_seed);
-            if next > policy.max_attempts || backoff.saturating_add(wait) > policy.timeout_micros {
-                break;
-            }
-            attempts = next;
-            backoff += wait;
-            if attempts > 1 {
-                self.metrics.home_retries.inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::HomeRetry {
-                        attempt: attempts.min(u8::MAX as u32) as u8,
-                    },
-                );
-            }
-            if !link.is_up(self.now_micros.saturating_add(backoff)) {
-                continue;
-            }
-            let trip_timer = self.spans.timer();
-            let result = home.execute_query(q)?;
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::HomeTrip,
-                root,
-                self.tenant,
-                Some(tid as u32),
-                trip_timer,
-            );
-            // Epoch handshake on the piggybacked home epoch — but only
-            // while the cache is empty. With nothing cached, skipping
-            // ahead cannot leave a stale entry behind; with entries
-            // present, the gap must surface on the message stream so the
-            // recovery flush covers them.
-            if self.cache.is_empty() && home.epoch() > self.epoch {
-                self.epoch = home.epoch();
-            }
-            let crypto_timer = self.spans.timer();
-            let outcome = self.cache.store_with_evictions(q, result.clone(), level);
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::Crypto,
-                root,
-                self.tenant,
-                Some(tid as u32),
-                crypto_timer,
-            );
-            if outcome.stored {
-                // The fill carries the home's epoch as of the miss trip:
-                // the entry is provably fresh up to that point, which is
-                // the floor the staleness-age accounting starts from.
-                let fill_epoch = home.epoch();
-                self.cache.set_stored_epoch(q, fill_epoch);
-                if let Some((prov, replica)) = &self.prov {
-                    lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
-                }
-            }
-            if outcome.replaced {
-                self.metrics.cache_replacements.inc();
-            }
-            if level == ExposureLevel::View {
-                // At `view` exposure the fill is stored — and thus read —
-                // as plaintext rows.
-                self.audit_view_read(audit_req, tid, "fill", &result);
-            }
-            self.note_evictions(&outcome.evicted);
-            self.metrics.cache_entries.set(self.cache.len() as i64);
+        let (reached, attempts, backoff_micros) = self.reach_home(home, link, policy);
+        if !reached {
             self.spans.close(root, root_timer);
             return Ok(FtQueryResponse {
-                outcome: FtOutcome::Served {
-                    result,
-                    hit: false,
-                    degraded: false,
-                },
+                outcome: FtOutcome::Unavailable,
                 attempts,
-                backoff_micros: backoff,
+                backoff_micros,
             });
         }
-        self.metrics.home_unavailable.inc();
-        self.tracer.emit(
+        let trip_timer = self.spans.timer();
+        let answer = home.answer(q);
+        self.spans.record_closed(
             self.now_micros,
+            SpanPhase::HomeTrip,
+            root,
             self.tenant,
-            TraceEventKind::HomeUnreachable {
-                attempts: attempts.min(u8::MAX as u32) as u8,
-            },
+            Some(tid as u32),
+            trip_timer,
         );
+        let (result, streams) = match answer {
+            Ok(answer) => answer,
+            Err(e) => {
+                self.spans.close(root, root_timer);
+                return Err(e);
+            }
+        };
+        let streams = streams.as_ref();
+        // Epoch handshake on the piggybacked home epochs — but only
+        // while the cache is empty. With nothing cached, skipping ahead
+        // cannot leave a stale entry behind; with entries present, the
+        // gap must surface on the message stream so the recovery flush
+        // covers them.
+        if self.cache.is_empty() {
+            for &stream in streams {
+                let tip = home.epoch_of(stream);
+                if tip > self.epoch_of(stream) {
+                    self.set_stream_cursor(stream, tip);
+                }
+            }
+        }
+        let crypto_timer = self.spans.timer();
+        let outcome = self.cache.store_with_evictions(q, result.clone(), level);
+        self.spans.record_closed(
+            self.now_micros,
+            SpanPhase::Crypto,
+            root,
+            self.tenant,
+            Some(tid as u32),
+            crypto_timer,
+        );
+        if outcome.stored {
+            // The fill carries its first participating stream and that
+            // stream's epoch as of the miss trip: the entry is provably
+            // fresh up to that point, which is the floor the
+            // staleness-age accounting starts from. For a scatter-gather
+            // fill this tracks only one of the streams the result
+            // depends on — a documented approximation in the staleness
+            // *accounting*; the lease (and the conservative cross-stream
+            // recovery flush) still bound true staleness.
+            let owner = streams.first().copied().unwrap_or(0);
+            let fill_epoch = home.epoch_of(owner);
+            self.cache.set_stored_provenance(q, owner, fill_epoch);
+            if let Some((prov, replica)) = &self.prov {
+                lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
+            }
+        }
+        if outcome.replaced {
+            self.metrics.cache_replacements.inc();
+        }
+        if level == ExposureLevel::View {
+            // At `view` exposure the fill is stored — and thus read —
+            // as plaintext rows.
+            self.audit_view_read(audit_req, tid, "fill", &result);
+        }
+        self.note_evictions(&outcome.evicted);
+        self.metrics.cache_entries.set(self.cache.len() as i64);
         self.spans.close(root, root_timer);
         Ok(FtQueryResponse {
-            outcome: FtOutcome::Unavailable,
+            outcome: FtOutcome::Served {
+                result,
+                hit: false,
+                degraded: false,
+            },
             attempts,
-            backoff_micros: backoff,
+            backoff_micros,
         })
     }
 
-    /// Fault-tolerant update path: apply at the master under `policy`'s
-    /// retry schedule. On success the epoch-stamped invalidation
-    /// notification is **returned, not applied** — the caller owns the
-    /// delivery channel (the simulator may drop, delay, duplicate, or
-    /// reorder it before [`Dssp::apply_invalidation`] sees it). While the
-    /// link stays down the master is untouched and the outcome is
+    /// The update pipeline, one body for every home tier and link
+    /// policy: reach the home under `policy`'s retry schedule and apply
+    /// at the master. On success the epoch-stamped invalidation
+    /// notification is **returned, not applied**, together with the
+    /// stream it rides on — the caller owns the delivery channel (the
+    /// simulator may drop, delay, duplicate, or reorder it before
+    /// [`Dssp::apply_invalidation_from`] sees it). While the link or the
+    /// home stays down the master is untouched and the outcome is
     /// [`FtUpdateOutcome::Unavailable`].
-    pub fn execute_update_ft(
+    ///
+    /// An attempt that reaches the home is accounted (`updates`,
+    /// `update_applied`, attribution, the `UpdateApplied` trace event)
+    /// before the master's verdict: an update the master rejects is an
+    /// `Err` that was still an update request served, with its
+    /// `home_trip` span recorded and its root closed.
+    pub fn execute_update_ft<H: Home>(
         &mut self,
         u: &Update,
-        home: &mut HomeServer,
+        home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
     ) -> Result<FtUpdateResponse, StorageError> {
@@ -953,6 +1023,59 @@ impl Dssp {
             Some(uid as u32),
         );
         let root_timer = self.spans.timer();
+        let (reached, attempts, backoff_micros) = self.reach_home(home, link, policy);
+        if !reached {
+            self.spans.close(root, root_timer);
+            return Ok(FtUpdateResponse {
+                outcome: FtUpdateOutcome::Unavailable,
+                attempts,
+                backoff_micros,
+            });
+        }
+        self.metrics.updates.inc();
+        self.metrics.update_applied[uid].inc();
+        self.attribution.record_update(uid);
+        self.tracer.emit(
+            self.now_micros,
+            self.tenant,
+            TraceEventKind::UpdateApplied {
+                update_template: uid as u32,
+                exposure: level.rank() as u8,
+            },
+        );
+        let trip_timer = self.spans.timer();
+        let applied = home.apply(u);
+        self.spans.record_closed(
+            self.now_micros,
+            SpanPhase::HomeTrip,
+            root,
+            self.tenant,
+            Some(uid as u32),
+            trip_timer,
+        );
+        self.spans.close(root, root_timer);
+        let (effect, stream, msg) = applied?;
+        Ok(FtUpdateResponse {
+            outcome: FtUpdateOutcome::Applied {
+                effect,
+                stream,
+                msg,
+            },
+            attempts,
+            backoff_micros,
+        })
+    }
+
+    /// Walks `policy`'s backoff schedule to the first attempt that finds
+    /// both the link and the home up. Returns whether one did, the
+    /// attempts made, and the simulated backoff waited (µs); a surrender
+    /// is counted and traced here.
+    fn reach_home<H: Home>(
+        &mut self,
+        home: &H,
+        link: &HomeLink,
+        policy: &RetryPolicy,
+    ) -> (bool, u32, u64) {
         let mut attempts = 0u32;
         let mut backoff = 0u64;
         let jitter_seed = self.next_jitter_seed();
@@ -974,36 +1097,9 @@ impl Dssp {
                     },
                 );
             }
-            if !link.is_up(self.now_micros.saturating_add(backoff)) {
-                continue;
+            if link.is_up(self.now_micros.saturating_add(backoff)) && home.is_up() {
+                return (true, attempts, backoff);
             }
-            self.metrics.updates.inc();
-            self.metrics.update_applied[uid].inc();
-            self.attribution.record_update(uid);
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::UpdateApplied {
-                    update_template: uid as u32,
-                    exposure: level.rank() as u8,
-                },
-            );
-            let trip_timer = self.spans.timer();
-            let (effect, msg) = home.apply_update(u)?;
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::HomeTrip,
-                root,
-                self.tenant,
-                Some(uid as u32),
-                trip_timer,
-            );
-            self.spans.close(root, root_timer);
-            return Ok(FtUpdateResponse {
-                outcome: FtUpdateOutcome::Applied { effect, msg },
-                attempts,
-                backoff_micros: backoff,
-            });
         }
         self.metrics.home_unavailable.inc();
         self.tracer.emit(
@@ -1013,12 +1109,7 @@ impl Dssp {
                 attempts: attempts.min(u8::MAX as u32) as u8,
             },
         );
-        self.spans.close(root, root_timer);
-        Ok(FtUpdateResponse {
-            outcome: FtUpdateOutcome::Unavailable,
-            attempts,
-            backoff_micros: backoff,
-        })
+        (false, attempts, backoff)
     }
 
     /// The overload-guarded query path: [`Dssp::execute_query_ft`]
@@ -1046,10 +1137,10 @@ impl Dssp {
     ///
     /// Without [`DsspConfig::overload`] this is a transparent wrapper
     /// over the `_ft` path — nothing is ever shed.
-    pub fn execute_query_overload(
+    pub fn execute_query_overload<H: Home>(
         &mut self,
         q: &Query,
-        home: &mut HomeServer,
+        home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
         queue: &QueueState,
@@ -1150,10 +1241,10 @@ impl Dssp {
     /// brownout does **not** shed updates on its own (writes carry more
     /// value than reads, and an admitted update feeds the breaker the
     /// freshest link signal). A shed update leaves the master untouched.
-    pub fn execute_update_overload(
+    pub fn execute_update_overload<H: Home>(
         &mut self,
         u: &Update,
-        home: &mut HomeServer,
+        home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
         queue: &QueueState,
@@ -1326,21 +1417,48 @@ impl Dssp {
         }
     }
 
-    /// Delivers one epoch-stamped invalidation notification.
-    ///
-    /// * `epoch == last + 1` — in order: the update's invalidation pass
-    ///   runs exactly as under perfect delivery.
-    /// * `epoch <= last` — a duplicate, or a reorder whose gap already
-    ///   forced a flush that covered it: dropped.
-    /// * `epoch > last + 1` — a gap: one or more notifications were lost
-    ///   (or the master was written out of band). The [`RecoveryMode`]
-    ///   flush runs; it covers this message's own invalidations too, so
-    ///   the message itself is not applied separately.
+    /// Delivers one epoch-stamped invalidation notification on stream 0,
+    /// the classic single-home stream:
+    /// [`Dssp::apply_invalidation_from`]`(0, msg)`.
     pub fn apply_invalidation(&mut self, msg: &InvalidationMsg) -> DeliveryOutcome {
-        let expected = self.epoch + 1;
+        self.apply_invalidation_from(0, msg)
+    }
+
+    /// Delivers one fanout batch on stream 0, the classic single-home
+    /// stream: [`Dssp::apply_batch_from`]`(0, batch)`.
+    pub fn apply_batch(&mut self, batch: &InvalidationBatch) -> BatchOutcome {
+        self.apply_batch_from(0, batch)
+    }
+
+    /// Delivers one epoch-stamped invalidation notification from
+    /// invalidation stream `stream`, ordered against that stream's own
+    /// cursor ([`Dssp::epoch_of`]; a classic home has the one stream 0, a
+    /// sharded home one per shard):
+    ///
+    /// * `epoch == cursor + 1` — in order: the update's invalidation pass
+    ///   runs exactly as under perfect delivery.
+    /// * `epoch <= cursor` — a duplicate, or a reorder whose gap already
+    ///   forced a flush that covered it: dropped.
+    /// * `epoch > cursor + 1` — a gap: one or more notifications were lost
+    ///   *on that stream* (or its master was written out of band). The
+    ///   [`RecoveryMode`] flush runs; it covers this message's own
+    ///   invalidations too, so the message itself is not applied
+    ///   separately.
+    ///
+    /// The flush is deliberately not stream-scoped: a missed update on
+    /// any stream may have touched any cached entry, so the conservative
+    /// sweep of the whole cache is what keeps cross-stream merges safe.
+    /// Only the cursor of `stream` moves.
+    pub fn apply_invalidation_from(
+        &mut self,
+        stream: u64,
+        msg: &InvalidationMsg,
+    ) -> DeliveryOutcome {
+        let cursor = self.epoch_of(stream);
+        let expected = cursor + 1;
         if msg.epoch < expected {
             self.metrics.duplicate_invalidations.inc();
-            self.prov_arrival(msg.epoch, ApplyKind::Duplicate, self.epoch, self.epoch);
+            self.prov_arrival_on(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
             return DeliveryOutcome::Duplicate;
         }
         let root = self.spans.open(
@@ -1371,29 +1489,29 @@ impl Dssp {
                 None,
                 recovery_timer,
             );
-            let before = self.epoch;
-            self.epoch = msg.epoch;
-            self.prov_arrival(
+            self.set_stream_cursor(stream, msg.epoch);
+            self.prov_arrival_on(
+                stream,
                 msg.epoch,
                 ApplyKind::Recovered {
                     flushed: flushed as u64,
                 },
-                before,
+                cursor,
                 msg.epoch,
             );
             self.spans.close(root, root_timer);
             return DeliveryOutcome::Recovered { flushed };
         }
-        let before = self.epoch;
-        self.epoch = msg.epoch;
+        self.set_stream_cursor(stream, msg.epoch);
         let (scanned, invalidated) = self.run_invalidation_pass(&msg.update, msg.epoch);
-        self.prov_arrival(
+        self.prov_arrival_on(
+            stream,
             msg.epoch,
             ApplyKind::Applied {
                 applied: 1,
                 skipped: 0,
             },
-            before,
+            cursor,
             msg.epoch,
         );
         self.spans.close(root, root_timer);
@@ -1404,35 +1522,37 @@ impl Dssp {
     }
 
     /// Delivers one fanout batch covering the contiguous epoch range
-    /// `[first_epoch, last_epoch]`.
+    /// `[first_epoch, last_epoch]` of invalidation stream `stream`.
     ///
-    /// Batch-level ordering mirrors [`Dssp::apply_invalidation`]:
+    /// Batch-level ordering mirrors [`Dssp::apply_invalidation_from`],
+    /// against the same per-stream cursor:
     ///
-    /// * `last_epoch <= last applied` — the whole batch is a duplicate
-    ///   (a redelivered batch, or one covered by an earlier gap flush).
-    /// * `first_epoch > last applied + 1` — a gap: an earlier batch was
-    ///   lost, so the [`RecoveryMode`] flush runs and covers this
-    ///   batch's own invalidations.
+    /// * `last_epoch <= cursor` — the whole batch is a duplicate (a
+    ///   redelivered batch, or one covered by an earlier gap flush).
+    /// * `first_epoch > cursor + 1` — a gap: an earlier batch was lost,
+    ///   so the [`RecoveryMode`] flush runs and covers this batch's own
+    ///   invalidations.
     /// * otherwise the batch attaches (possibly overlapping): retained
-    ///   messages with an epoch beyond the stream position are applied
-    ///   in order, the rest skipped as covered.
+    ///   messages with an epoch beyond the cursor are applied in order,
+    ///   the rest skipped as covered.
     ///
     /// Within an attaching batch the retained epochs may be
     /// non-contiguous — coalescing removed earlier duplicates of a
     /// later representative — so messages are **not** routed through
-    /// `apply_invalidation` (which would misread each coalesced hole as
-    /// a lost notification and flush). The hole is safe precisely
-    /// because coalescing keeps the *latest*-epoch representative: the
-    /// content of every removed epoch is re-stated by a message at or
-    /// after it within this same batch.
-    pub fn apply_batch(&mut self, batch: &InvalidationBatch) -> BatchOutcome {
-        let epoch_before = self.epoch;
-        if batch.last_epoch <= self.epoch {
+    /// `apply_invalidation_from` (which would misread each coalesced
+    /// hole as a lost notification and flush). The hole is safe
+    /// precisely because coalescing keeps the *latest*-epoch
+    /// representative: the content of every removed epoch is re-stated
+    /// by a message at or after it within this same batch.
+    pub fn apply_batch_from(&mut self, stream: u64, batch: &InvalidationBatch) -> BatchOutcome {
+        let epoch_before = self.epoch_of(stream);
+        if batch.last_epoch <= epoch_before {
             self.metrics.fanout_batch_duplicates.inc();
             self.metrics
                 .duplicate_invalidations
                 .add(batch.msgs.len() as u64);
-            self.prov_arrival(
+            self.prov_arrival_on(
+                stream,
                 batch.first_epoch,
                 ApplyKind::Duplicate,
                 epoch_before,
@@ -1448,7 +1568,7 @@ impl Dssp {
             batch.msgs.first().map(|m| m.update.template_id as u32),
         );
         let root_timer = self.spans.timer();
-        let expected = self.epoch + 1;
+        let expected = epoch_before + 1;
         if batch.first_epoch > expected {
             self.metrics.fanout_batch_gaps.inc();
             self.metrics.epoch_gaps.inc();
@@ -1470,14 +1590,15 @@ impl Dssp {
                 None,
                 recovery_timer,
             );
-            self.epoch = batch.last_epoch;
-            self.prov_arrival(
+            self.set_stream_cursor(stream, batch.last_epoch);
+            self.prov_arrival_on(
+                stream,
                 batch.first_epoch,
                 ApplyKind::Recovered {
                     flushed: flushed as u64,
                 },
                 epoch_before,
-                self.epoch,
+                batch.last_epoch,
             );
             self.spans.close(root, root_timer);
             return BatchOutcome::Recovered { flushed };
@@ -1486,13 +1607,14 @@ impl Dssp {
         let mut skipped = 0usize;
         let mut scanned = 0usize;
         let mut invalidated = 0usize;
+        let mut cursor = epoch_before;
         for msg in &batch.msgs {
-            if msg.epoch <= self.epoch {
+            if msg.epoch <= cursor {
                 skipped += 1;
                 self.metrics.duplicate_invalidations.inc();
                 continue;
             }
-            self.epoch = msg.epoch;
+            cursor = msg.epoch;
             let (s, i) = self.run_invalidation_pass(&msg.update, msg.epoch);
             scanned += s;
             invalidated += i;
@@ -1500,17 +1622,18 @@ impl Dssp {
         }
         // Epochs past the last retained message were coalesced away;
         // their content is covered by the representatives just applied.
-        self.epoch = batch.last_epoch;
+        self.set_stream_cursor(stream, batch.last_epoch);
         self.metrics.fanout_batches_applied.inc();
         self.metrics.fanout_batch_msgs.add(applied as u64);
-        self.prov_arrival(
+        self.prov_arrival_on(
+            stream,
             batch.first_epoch,
             ApplyKind::Applied {
                 applied: applied as u64,
                 skipped: skipped as u64,
             },
             epoch_before,
-            self.epoch,
+            batch.last_epoch,
         );
         self.spans.close(root, root_timer);
         BatchOutcome::Applied {
@@ -1747,8 +1870,8 @@ impl Dssp {
     }
 
     /// This replica's merge cursor on invalidation stream `stream` —
-    /// the last epoch applied or covered on that shard's stream.
-    /// Stream 0 is [`Dssp::epoch`]; unseen streams start at 0.
+    /// the last epoch applied or covered on it. Stream 0 is
+    /// [`Dssp::epoch`]; unseen streams start at 0.
     pub fn epoch_of(&self, stream: u64) -> u64 {
         if stream == 0 {
             self.epoch
@@ -1765,16 +1888,11 @@ impl Dssp {
         }
     }
 
-    /// [`Dssp::handshake`] for one shard stream: sets the merge cursor
-    /// without clearing the cache (a fresh joiner warming from a
-    /// sharded master calls this once per shard).
-    pub fn handshake_stream(&mut self, stream: u64, epoch: u64) {
-        self.set_stream_cursor(stream, epoch);
-    }
-
-    /// [`Dssp::prov_arrival`] for a labeled stream: the batch stamp is
-    /// resolved per `(stream, first_epoch)` — epochs are only unique
-    /// within one shard's stream.
+    /// Stamps a message or batch arrival on the freshness plane,
+    /// resolving the batch's stamp by `(stream, first_epoch)` — epochs
+    /// are unique only within one stream, and contiguous disjoint ranges
+    /// make the pair unique. Silently skips arrivals the fanout layer
+    /// never stamped — e.g. the perfect-delivery entry points.
     fn prov_arrival_on(
         &self,
         stream: u64,
@@ -1789,436 +1907,6 @@ impl Dssp {
                 p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
             }
         }
-    }
-
-    /// Delivers one invalidation from shard stream `stream`, merging it
-    /// at this replica under that stream's own cursor. Stream 0 is the
-    /// classic path ([`Dssp::apply_invalidation`]) unchanged; for other
-    /// streams the same ordering protocol runs per stream — duplicate
-    /// below the cursor, gap above `cursor + 1` (a lost notification
-    /// *on that shard's stream*) triggering the recovery flush, in-order
-    /// delivery running the invalidation pass. The flush is deliberately
-    /// not stream-scoped: a missed update on any shard may have touched
-    /// any cached entry, so the conservative [`RecoveryMode`] sweep of
-    /// the whole cache is what keeps cross-stream merges safe.
-    pub fn apply_invalidation_from(
-        &mut self,
-        stream: u64,
-        msg: &InvalidationMsg,
-    ) -> DeliveryOutcome {
-        if stream == 0 {
-            return self.apply_invalidation(msg);
-        }
-        let cursor = self.epoch_of(stream);
-        let expected = cursor + 1;
-        if msg.epoch < expected {
-            self.metrics.duplicate_invalidations.inc();
-            self.prov_arrival_on(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
-            return DeliveryOutcome::Duplicate;
-        }
-        let root = self.spans.open(
-            self.now_micros,
-            SpanPhase::InvalidationFanout,
-            SpanId::NONE,
-            self.tenant,
-            Some(msg.update.template_id as u32),
-        );
-        let root_timer = self.spans.timer();
-        if msg.epoch > expected {
-            self.metrics.epoch_gaps.inc();
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EpochGap {
-                    expected,
-                    got: msg.epoch,
-                },
-            );
-            let recovery_timer = self.spans.timer();
-            let flushed = self.recovery_flush();
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::Recovery,
-                root,
-                self.tenant,
-                None,
-                recovery_timer,
-            );
-            self.set_stream_cursor(stream, msg.epoch);
-            self.prov_arrival_on(
-                stream,
-                msg.epoch,
-                ApplyKind::Recovered {
-                    flushed: flushed as u64,
-                },
-                cursor,
-                msg.epoch,
-            );
-            self.spans.close(root, root_timer);
-            return DeliveryOutcome::Recovered { flushed };
-        }
-        self.set_stream_cursor(stream, msg.epoch);
-        let (scanned, invalidated) = self.run_invalidation_pass(&msg.update, msg.epoch);
-        self.prov_arrival_on(
-            stream,
-            msg.epoch,
-            ApplyKind::Applied {
-                applied: 1,
-                skipped: 0,
-            },
-            cursor,
-            msg.epoch,
-        );
-        self.spans.close(root, root_timer);
-        DeliveryOutcome::Applied {
-            scanned,
-            invalidated,
-        }
-    }
-
-    /// Delivers one fanout batch from shard stream `stream` — the
-    /// batch-level mirror of [`Dssp::apply_invalidation_from`], with
-    /// [`Dssp::apply_batch`]'s duplicate/gap/attach ordering evaluated
-    /// against that stream's own cursor.
-    pub fn apply_batch_from(&mut self, stream: u64, batch: &InvalidationBatch) -> BatchOutcome {
-        if stream == 0 {
-            return self.apply_batch(batch);
-        }
-        let epoch_before = self.epoch_of(stream);
-        if batch.last_epoch <= epoch_before {
-            self.metrics.fanout_batch_duplicates.inc();
-            self.metrics
-                .duplicate_invalidations
-                .add(batch.msgs.len() as u64);
-            self.prov_arrival_on(
-                stream,
-                batch.first_epoch,
-                ApplyKind::Duplicate,
-                epoch_before,
-                epoch_before,
-            );
-            return BatchOutcome::Duplicate;
-        }
-        let root = self.spans.open(
-            self.now_micros,
-            SpanPhase::BatchApply,
-            SpanId::NONE,
-            self.tenant,
-            batch.msgs.first().map(|m| m.update.template_id as u32),
-        );
-        let root_timer = self.spans.timer();
-        let expected = epoch_before + 1;
-        if batch.first_epoch > expected {
-            self.metrics.fanout_batch_gaps.inc();
-            self.metrics.epoch_gaps.inc();
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EpochGap {
-                    expected,
-                    got: batch.first_epoch,
-                },
-            );
-            let recovery_timer = self.spans.timer();
-            let flushed = self.recovery_flush();
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::Recovery,
-                root,
-                self.tenant,
-                None,
-                recovery_timer,
-            );
-            self.set_stream_cursor(stream, batch.last_epoch);
-            self.prov_arrival_on(
-                stream,
-                batch.first_epoch,
-                ApplyKind::Recovered {
-                    flushed: flushed as u64,
-                },
-                epoch_before,
-                batch.last_epoch,
-            );
-            self.spans.close(root, root_timer);
-            return BatchOutcome::Recovered { flushed };
-        }
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        let mut scanned = 0usize;
-        let mut invalidated = 0usize;
-        let mut cursor = epoch_before;
-        for msg in &batch.msgs {
-            if msg.epoch <= cursor {
-                skipped += 1;
-                self.metrics.duplicate_invalidations.inc();
-                continue;
-            }
-            cursor = msg.epoch;
-            let (s, i) = self.run_invalidation_pass(&msg.update, msg.epoch);
-            scanned += s;
-            invalidated += i;
-            applied += 1;
-        }
-        self.set_stream_cursor(stream, batch.last_epoch);
-        self.metrics.fanout_batches_applied.inc();
-        self.metrics.fanout_batch_msgs.add(applied as u64);
-        self.prov_arrival_on(
-            stream,
-            batch.first_epoch,
-            ApplyKind::Applied {
-                applied: applied as u64,
-                skipped: skipped as u64,
-            },
-            epoch_before,
-            batch.last_epoch,
-        );
-        self.spans.close(root, root_timer);
-        BatchOutcome::Applied {
-            applied,
-            skipped,
-            scanned,
-            invalidated,
-        }
-    }
-
-    /// Handles a client query against a **sharded** home tier: serve
-    /// from cache, or scatter/route the miss through
-    /// [`ShardedHome::execute_query`] and cache the result stamped with
-    /// its owning shard's stream and epoch. The perfect-delivery mirror
-    /// of [`Dssp::execute_query`] for N home shards.
-    pub fn execute_query_sharded(
-        &mut self,
-        q: &Query,
-        home: &mut ShardedHome,
-    ) -> Result<QueryResponse, StorageError> {
-        let tid = q.template_id;
-        let level = self.exposures.queries[tid];
-        let exposure = level.rank() as u8;
-        let audit_req = self.audit_arrival(false, tid, level, "query", &q.params);
-        self.metrics.queries.inc();
-        let root = self.spans.open(
-            self.now_micros,
-            SpanPhase::QueryRequest,
-            SpanId::NONE,
-            self.tenant,
-            Some(tid as u32),
-        );
-        let root_timer = self.spans.timer();
-        let lookup_timer = self.spans.timer();
-        let mut lease_expired = false;
-        match self.cache.lookup_classified(q) {
-            Lookup::Hit(entry) => {
-                let result = entry.serve().clone();
-                let plaintext_hit = entry.visible_result().is_some();
-                let (stored_at, stored_epoch, stored_stream, expires_at) = (
-                    entry.stored_at_micros(),
-                    entry.stored_epoch(),
-                    entry.stored_stream(),
-                    entry.expires_at_micros(),
-                );
-                self.spans.record_closed(
-                    self.now_micros,
-                    SpanPhase::CacheLookup,
-                    root,
-                    self.tenant,
-                    Some(tid as u32),
-                    lookup_timer,
-                );
-                self.metrics.hits.inc();
-                self.metrics.query_hits[tid].inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::QueryHit {
-                        query_template: tid as u32,
-                        exposure,
-                    },
-                );
-                if let Some((prov, replica)) = &self.prov {
-                    let mut p = lock_plane(prov);
-                    p.note_serve_on(
-                        *replica,
-                        tid,
-                        stored_stream,
-                        self.epoch_of(stored_stream),
-                        stored_epoch,
-                        stored_at,
-                        expires_at,
-                        self.now_micros,
-                    );
-                }
-                if plaintext_hit {
-                    self.audit_view_read(audit_req, tid, "serve", &result);
-                }
-                self.spans.close(root, root_timer);
-                return Ok(QueryResponse { result, hit: true });
-            }
-            Lookup::Expired => {
-                lease_expired = true;
-                self.metrics.lease_expirations.inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::LeaseExpired {
-                        query_template: tid as u32,
-                    },
-                );
-            }
-            Lookup::Miss => {}
-        }
-        self.spans.record_closed(
-            self.now_micros,
-            SpanPhase::CacheLookup,
-            root,
-            self.tenant,
-            Some(tid as u32),
-            lookup_timer,
-        );
-        self.metrics.misses.inc();
-        self.metrics.query_misses[tid].inc();
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::QueryMiss {
-                query_template: tid as u32,
-                exposure,
-            },
-        );
-        if let Some((prov, replica)) = &self.prov {
-            lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
-        }
-        let trip_timer = self.spans.timer();
-        let resp = home.execute_query(q)?;
-        self.spans.record_closed(
-            self.now_micros,
-            SpanPhase::HomeTrip,
-            root,
-            self.tenant,
-            Some(tid as u32),
-            trip_timer,
-        );
-        // Per-stream epoch handshake on the piggybacked shard epochs —
-        // same rule as the classic path: only while the cache is empty
-        // can a cursor skip ahead without leaving a stale entry behind.
-        if self.cache.is_empty() {
-            for &s in &resp.shards {
-                let stream = s as u64;
-                if home.epoch_of(s) > self.epoch_of(stream) {
-                    self.set_stream_cursor(stream, home.epoch_of(s));
-                }
-            }
-        }
-        let crypto_timer = self.spans.timer();
-        let outcome = self
-            .cache
-            .store_with_evictions(q, resp.result.clone(), level);
-        self.spans.record_closed(
-            self.now_micros,
-            SpanPhase::Crypto,
-            root,
-            self.tenant,
-            Some(tid as u32),
-            crypto_timer,
-        );
-        if outcome.stored {
-            // The fill is stamped with its first participating shard's
-            // stream and that shard's epoch as of the miss trip. For a
-            // scatter-gather fill this tracks only one of the streams
-            // the result depends on — a documented approximation in the
-            // staleness *accounting*; the lease (and the conservative
-            // cross-stream recovery flush) still bound true staleness.
-            let owner = resp.shards[0];
-            let fill_epoch = home.epoch_of(owner);
-            self.cache
-                .set_stored_provenance(q, owner as u64, fill_epoch);
-            if let Some((prov, replica)) = &self.prov {
-                lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
-            }
-        }
-        if outcome.replaced {
-            self.metrics.cache_replacements.inc();
-        }
-        if level == ExposureLevel::View {
-            self.audit_view_read(audit_req, tid, "fill", &resp.result);
-        }
-        self.note_evictions(&outcome.evicted);
-        self.metrics.cache_entries.set(self.cache.len() as i64);
-        self.spans.close(root, root_timer);
-        Ok(QueryResponse {
-            result: resp.result,
-            hit: false,
-        })
-    }
-
-    /// Handles an update against a **sharded** home tier: route to the
-    /// owning shard (after its cross-shard FK handshake), then deliver
-    /// the invalidation back on that shard's stream — the
-    /// perfect-delivery mirror of [`Dssp::execute_update`] for N home
-    /// shards. Returns the owning shard alongside the usual response.
-    pub fn execute_update_sharded(
-        &mut self,
-        u: &Update,
-        home: &mut ShardedHome,
-    ) -> Result<(UpdateResponse, usize), StorageError> {
-        let uid = u.template_id;
-        let level = self.exposures.updates[uid];
-        let _ = self.audit_arrival(true, uid, level, "update", &u.params);
-        let root = self.spans.open(
-            self.now_micros,
-            SpanPhase::UpdateRequest,
-            SpanId::NONE,
-            self.tenant,
-            Some(uid as u32),
-        );
-        let root_timer = self.spans.timer();
-        self.metrics.updates.inc();
-        let trip_timer = self.spans.timer();
-        let sharded = match home.execute_update(u) {
-            Ok(s) => s,
-            Err(e) => {
-                // Refused before routing (e.g. the cross-shard FK
-                // handshake): no epoch moved on any stream, nothing to
-                // invalidate.
-                self.spans.close(root, root_timer);
-                return Err(e);
-            }
-        };
-        self.metrics.update_applied[uid].inc();
-        self.attribution.record_update(uid);
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::UpdateApplied {
-                update_template: uid as u32,
-                exposure: level.rank() as u8,
-            },
-        );
-        self.spans.record_closed(
-            self.now_micros,
-            SpanPhase::HomeTrip,
-            root,
-            self.tenant,
-            Some(uid as u32),
-            trip_timer,
-        );
-        self.spans.close(root, root_timer);
-        let (scanned, invalidated) =
-            match self.apply_invalidation_from(sharded.shard as u64, &sharded.msg) {
-                DeliveryOutcome::Applied {
-                    scanned,
-                    invalidated,
-                } => (scanned, invalidated),
-                DeliveryOutcome::Recovered { flushed } => (flushed, flushed),
-                DeliveryOutcome::Duplicate => (0, 0),
-            };
-        Ok((
-            UpdateResponse {
-                effect: sharded.effect,
-                scanned,
-                invalidated,
-            },
-            sharded.shard,
-        ))
     }
 
     /// Extracts the cached entries selected by `select` for handoff to
@@ -2318,10 +2006,9 @@ impl Dssp {
     /// Turns on causal span recording, storing up to `capacity` spans
     /// (later ones are counted as dropped). Each query/update/delivery
     /// then records a root span with phase-tagged children
-    /// (cache_lookup, crypto, home_trip, recovery). A home-server error
-    /// surfaced through `?` leaves that request's root span open
-    /// (`elapsed_ns` 0) — the tree is still exported, just without a
-    /// root duration.
+    /// (cache_lookup, crypto, home_trip, recovery). A request the home
+    /// refuses records its `home_trip` and closes its root like any
+    /// other.
     pub fn enable_span_recording(&mut self, capacity: usize) {
         self.spans = SpanRecorder::enabled(capacity);
     }

@@ -39,11 +39,11 @@
 //!   stream — proxies detect it like any lost batch and recovery-flush
 //!   (PR 2), so a failover needs no proxy-side special case.
 
-use crate::delivery::PipeRegistration;
-use crate::home::HomeServer;
+use crate::delivery::{InvalidationMsg, PipeRegistration};
+use crate::home::{Home, HomeServer};
 use scs_netsim::{FaultSpec, FaultyChannel};
-use scs_sqlkit::Update;
-use scs_storage::{Database, StorageError, UpdateEffect, Wal, WalPayload, WalRecord};
+use scs_sqlkit::{Query, Update};
+use scs_storage::{Database, QueryResult, StorageError, UpdateEffect, Wal, WalPayload, WalRecord};
 use scs_telemetry::{FailoverStamp, SharedProvenance};
 use std::collections::BTreeMap;
 
@@ -996,6 +996,29 @@ impl HomeGroup {
         }
         self.failovers.push(record);
         Some(record)
+    }
+}
+
+/// The group is its current primary: up while it has one, and every
+/// trip goes to that primary. Replication of an applied write
+/// ([`HomeGroup::commit`]) stays with the caller, which owns the ack.
+impl Home for HomeGroup {
+    type Streams = [u64; 1];
+
+    fn is_up(&self) -> bool {
+        HomeGroup::is_up(self)
+    }
+
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, [u64; 1]), StorageError> {
+        self.primary_mut().answer(q)
+    }
+
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
+        self.primary_mut().apply(u)
+    }
+
+    fn epoch_of(&self, stream: u64) -> u64 {
+        self.primary().epoch_of(stream)
     }
 }
 

@@ -11,6 +11,12 @@
 //! the streams with one gap/duplicate cursor per shard (see
 //! `Dssp::apply_invalidation_from`).
 //!
+//! To the proxy a sharded home is a home like any other: [`ShardedHome`]
+//! implements [`Home`] (an answer names the shards it came from, an
+//! update the shard that owns it), and the proxy's one request pipeline
+//! and one delivery protocol run over it — there is no sharded copy of
+//! either.
+//!
 //! Routing:
 //!
 //! * **updates** route to the owning shard ([`PartitionMap::shard_for_update`])
@@ -39,11 +45,12 @@
 //!
 //! A 1-shard [`ShardedHome`] built over [`PartitionMap::single`] is
 //! op-for-op equivalent to a classic [`HomeServer`]: every statement
-//! routes to shard 0, stream 0, and the epoch sequence, WAL, and
-//! invalidation messages are identical (pinned by a satellite test).
+//! routes to shard 0, stream 0, and the epoch sequence, WAL,
+//! invalidation messages, proxy counters and trace events are identical
+//! (pinned by `tests/sharded.rs`).
 
 use crate::delivery::InvalidationMsg;
-use crate::home::HomeServer;
+use crate::home::{Home, HomeServer};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{
     executor, Database, PartitionMap, PartitionedTable, QueryResult, StorageError, UpdateEffect,
@@ -241,5 +248,29 @@ impl ShardedHome {
             shard: owner,
             msg,
         })
+    }
+}
+
+/// One stream per shard (stream id = shard id): an answer depends on
+/// the shards it was routed or scattered to, an update is owned by the
+/// shard it routes to.
+impl Home for ShardedHome {
+    type Streams = Vec<u64>;
+
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, Vec<u64>), StorageError> {
+        let resp = self.execute_query(q)?;
+        let streams = resp.shards.iter().map(|&s| s as u64).collect();
+        Ok((resp.result, streams))
+    }
+
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
+        let resp = self.execute_update(u)?;
+        Ok((resp.effect, resp.shard as u64, resp.msg))
+    }
+
+    fn epoch_of(&self, stream: u64) -> u64 {
+        self.shards
+            .get(stream as usize)
+            .map_or(0, HomeServer::epoch)
     }
 }

@@ -1,14 +1,17 @@
 //! Integration tests for fault-tolerant invalidation delivery: epoch
 //! ordering (duplicates, gaps, recovery flushes), out-of-band master
 //! writes, crash/restart resynchronization, lease expiry, graceful
-//! degradation during home-link outages — and the eviction → re-fill →
+//! degradation during home-link outages — the eviction → re-fill →
 //! invalidation ordering hazard (a re-filled entry must never resurrect a
-//! pre-update result).
+//! pre-update result) — and the per-stream form of the protocol: delivery
+//! on any stream is the stream-0 protocol on that stream's own cursor, for
+//! messages and batches alike.
 
+use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    DeliveryOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, HomeLink, HomeServer,
-    InvalidationMsg, RetryPolicy, StrategyKind,
+    BatchOutcome, DeliveryOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, HomeLink,
+    HomeServer, InvalidationBatch, InvalidationMsg, RetryPolicy, StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
@@ -360,4 +363,268 @@ fn expired_leases_refetch_instead_of_serving() {
     let resp = r.dssp.execute_query(&qa, &mut r.home).unwrap();
     assert!(!resp.hit, "expired entry must not serve");
     assert!(r.counter("dssp.lease_expirations") >= 1);
+}
+
+// ---------------------------------------------------------------------
+// Per-stream delivery is the stream-0 protocol.
+// ---------------------------------------------------------------------
+
+/// One step of a delivery script. Indexes into the notifications issued
+/// so far wrap, so a script replays, skips, reorders and overlaps them
+/// at will.
+#[derive(Debug, Clone)]
+enum Step {
+    Query {
+        tid: usize,
+        v: i64,
+    },
+    /// Applied at the home; the notification is only issued, not
+    /// delivered. Few distinct contents, so batches coalesce.
+    Update {
+        tid: usize,
+        id: i64,
+        qty: i64,
+    },
+    Msg {
+        k: usize,
+    },
+    /// The issued run `[from, from + len)`, coalesced; `trim_tail` drops
+    /// its last retained message and keeps the range (a hole at the end).
+    Batch {
+        from: usize,
+        len: usize,
+        trim_tail: bool,
+    },
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0usize..2, 0i64..4).prop_map(|(tid, v)| Step::Query { tid, v }),
+        4 => (0usize..2, 0i64..4, 0i64..2).prop_map(|(tid, id, qty)| Step::Update { tid, id, qty }),
+        3 => (0usize..64).prop_map(|k| Step::Msg { k }),
+        3 => (0usize..64, 1usize..6, any::<bool>())
+            .prop_map(|(from, len, trim_tail)| Step::Batch { from, len, trim_tail }),
+    ]
+}
+
+fn cases() -> u32 {
+    std::env::var("SCS_CHAOS_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+impl Rig {
+    /// A rig whose home stamps its one stream as `stream`.
+    fn on_stream(stream: u64) -> Rig {
+        let mut r = rig();
+        r.home.set_stream_label(stream);
+        r
+    }
+
+    fn bind(&mut self, step: &Step) -> Option<Update> {
+        match *step {
+            Step::Update { tid: 0, id, qty } => {
+                Some(self.update(0, vec![Value::Int(qty), Value::Int(id)]))
+            }
+            Step::Update { id, .. } => Some(self.update(1, vec![Value::Int(id)])),
+            _ => None,
+        }
+    }
+
+    /// What the cache holds, in a comparable form: key, rows and the
+    /// epoch each entry was filled at.
+    fn cache_image(&self) -> Vec<String> {
+        let mut image: Vec<String> = self
+            .dssp
+            .cache_entries()
+            .map(|e| format!("{:?} {:?} @{}", e.key(), e.serve().rows, e.stored_epoch()))
+            .collect();
+        image.sort();
+        image
+    }
+}
+
+/// The ordering protocol, restated as a model of one cursor: what a
+/// message at `epoch` must come back as, and where it leaves the cursor.
+fn model_msg(cursor: &mut u64, epoch: u64) -> &'static str {
+    if epoch <= *cursor {
+        return "duplicate";
+    }
+    let verdict = if epoch == *cursor + 1 {
+        "applied"
+    } else {
+        "recovered"
+    };
+    *cursor = epoch;
+    verdict
+}
+
+/// The same for a batch covering `[first, last]`.
+fn model_batch(cursor: &mut u64, first: u64, last: u64) -> &'static str {
+    if last <= *cursor {
+        return "duplicate";
+    }
+    let verdict = if first <= *cursor + 1 {
+        "applied"
+    } else {
+        "recovered"
+    };
+    *cursor = last;
+    verdict
+}
+
+fn msg_verdict(o: DeliveryOutcome) -> &'static str {
+    match o {
+        DeliveryOutcome::Applied { .. } => "applied",
+        DeliveryOutcome::Duplicate => "duplicate",
+        DeliveryOutcome::Recovered { .. } => "recovered",
+    }
+}
+
+fn batch_verdict(o: BatchOutcome) -> &'static str {
+    match o {
+        BatchOutcome::Applied { .. } => "applied",
+        BatchOutcome::Duplicate => "duplicate",
+        BatchOutcome::Recovered { .. } => "recovered",
+    }
+}
+
+/// The batch a script step asks for, if enough has been issued.
+fn script_batch(
+    issued: &[InvalidationMsg],
+    from: usize,
+    len: usize,
+    trim_tail: bool,
+) -> Option<InvalidationBatch> {
+    let from = from % issued.len().max(1);
+    let run = issued.get(from..(from + len).min(issued.len()))?;
+    let mut batch = InvalidationBatch::coalesce(run.to_vec())?;
+    if trim_tail && batch.msgs.len() > 1 {
+        batch.msgs.pop();
+    }
+    Some(batch)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A proxy fed on stream `s` and a twin fed the same sequence on
+    /// stream 0 — in-order, duplicate, gapped and overlapping messages
+    /// and batches, coalesced holes included — agree on every outcome
+    /// (`scanned`, `invalidated`, `flushed` too), hold equal caches and
+    /// equal stats, and `epoch_of(s)` of the one is `epoch()` of the
+    /// other. Both follow the one-cursor model, and the stream-`s` proxy
+    /// never moves its stream-0 cursor.
+    #[test]
+    fn delivery_on_any_stream_is_the_stream_0_protocol(
+        s in prop_oneof![Just(1u64), Just(3u64)],
+        script in proptest::collection::vec(step(), 1..70),
+    ) {
+        let mut on_s = Rig::on_stream(s);
+        let mut on_0 = rig();
+        let mut issued: Vec<InvalidationMsg> = Vec::new();
+        let mut model = 0u64;
+        for step in &script {
+            match *step {
+                Step::Query { tid, v } => {
+                    let q = on_s.query(tid, vec![Value::Int(v)]);
+                    let empty = on_0.dssp.cache_len() == 0;
+                    let a = on_s.dssp.execute_query(&q, &mut on_s.home).unwrap();
+                    let b = on_0.dssp.execute_query(&q, &mut on_0.home).unwrap();
+                    prop_assert_eq!(a.hit, b.hit);
+                    prop_assert_eq!(a.result, b.result);
+                    // A miss into an empty cache handshakes the cursor.
+                    if empty {
+                        model = model.max(on_0.home.epoch());
+                    }
+                }
+                Step::Update { .. } => {
+                    let u = on_s.bind(step).expect("an update step binds");
+                    let (_, msg) = on_s.home.apply_update(&u).unwrap();
+                    let (_, twin) = on_0.home.apply_update(&u).unwrap();
+                    prop_assert_eq!(msg.epoch, twin.epoch);
+                    issued.push(msg);
+                }
+                Step::Msg { k } => {
+                    let Some(msg) = issued.get(k % issued.len().max(1)) else {
+                        continue;
+                    };
+                    let a = on_s.dssp.apply_invalidation_from(s, msg);
+                    let b = on_0.dssp.apply_invalidation(msg);
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(msg_verdict(a), model_msg(&mut model, msg.epoch));
+                }
+                Step::Batch { from, len, trim_tail } => {
+                    let Some(batch) = script_batch(&issued, from, len, trim_tail) else {
+                        continue;
+                    };
+                    let a = on_s.dssp.apply_batch_from(s, &batch);
+                    let b = on_0.dssp.apply_batch(&batch);
+                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(
+                        batch_verdict(a),
+                        model_batch(&mut model, batch.first_epoch, batch.last_epoch)
+                    );
+                }
+            }
+            prop_assert_eq!(on_s.dssp.epoch_of(s), model);
+            prop_assert_eq!(on_0.dssp.epoch(), model);
+            prop_assert_eq!(on_s.dssp.epoch(), 0, "stream {}'s delivery moved stream 0", s);
+            prop_assert_eq!(on_s.cache_image(), on_0.cache_image());
+        }
+        prop_assert_eq!(on_s.dssp.stats(), on_0.dssp.stats());
+        prop_assert_eq!(
+            on_s.dssp.registry().snapshot().counters,
+            on_0.dssp.registry().snapshot().counters
+        );
+    }
+
+    /// Two streams interleaved at one proxy: every delivery moves the
+    /// cursor of the stream it came on as the model says — a gap on one
+    /// stream jumps that cursor alone — and leaves the other stream's,
+    /// and stream 0's, where they were.
+    #[test]
+    fn a_gap_on_one_stream_moves_only_that_cursor(
+        script in proptest::collection::vec((any::<bool>(), step()), 1..70),
+    ) {
+        const STREAMS: [u64; 2] = [1, 3];
+        let mut r = rig();
+        let mut homes = STREAMS.map(|s| Rig::on_stream(s).home);
+        let mut issued: [Vec<InvalidationMsg>; 2] = [Vec::new(), Vec::new()];
+        let mut model = [0u64; 2];
+        for (second, step) in &script {
+            let i = usize::from(*second);
+            let (s, other) = (STREAMS[i], STREAMS[1 - i]);
+            let other_before = r.dssp.epoch_of(other);
+            match *step {
+                // Hits only: a miss would handshake a cursor.
+                Step::Query { .. } => continue,
+                Step::Update { .. } => {
+                    let u = r.bind(step).expect("an update step binds");
+                    issued[i].push(homes[i].apply_update(&u).unwrap().1);
+                }
+                Step::Msg { k } => {
+                    let Some(msg) = issued[i].get(k % issued[i].len().max(1)) else {
+                        continue;
+                    };
+                    let got = r.dssp.apply_invalidation_from(s, msg);
+                    prop_assert_eq!(msg_verdict(got), model_msg(&mut model[i], msg.epoch));
+                }
+                Step::Batch { from, len, trim_tail } => {
+                    let Some(batch) = script_batch(&issued[i], from, len, trim_tail) else {
+                        continue;
+                    };
+                    let got = r.dssp.apply_batch_from(s, &batch);
+                    prop_assert_eq!(
+                        batch_verdict(got),
+                        model_batch(&mut model[i], batch.first_epoch, batch.last_epoch)
+                    );
+                }
+            }
+            prop_assert_eq!(r.dssp.epoch_of(s), model[i]);
+            prop_assert_eq!(r.dssp.epoch_of(other), other_before);
+            prop_assert_eq!(r.dssp.epoch(), 0);
+        }
+    }
 }

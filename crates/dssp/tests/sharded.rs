@@ -5,16 +5,19 @@
 //! drop/duplicate/delay faults, the lease bound on staleness while a
 //! replica merges interleaved shard streams, scatter-gather
 //! equivalence against the unpartitioned master, exact (rows *and*
-//! order) equivalence of a scatter against gather-then-execute, and the
-//! no-epoch contract of the cross-shard FK handshake.
+//! order) equivalence of a scatter against gather-then-execute, the
+//! no-epoch contract of the cross-shard FK handshake, and the whole span
+//! tree a refused trip leaves behind on every entry point.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{Dssp, DsspConfig, HomeServer, ShardedHome, StrategyKind};
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
-use scs_telemetry::{shared_provenance, FlushTrigger, SharedProvenance};
-use std::sync::Arc;
+use scs_telemetry::{
+    shared_provenance, FlushTrigger, SharedProvenance, SpanPhase, TraceEvent, TraceSink,
+};
+use std::sync::{Arc, Mutex};
 
 const ROWS: i64 = 8;
 const LEASE: u64 = 500_000;
@@ -41,21 +44,28 @@ fn toy_db() -> Database {
 }
 
 fn build(lease: Option<u64>) -> (DsspConfig, Templates) {
-    let schema = TableSchema::builder("toys")
-        .column("id", ColumnType::Int)
-        .column("qty", ColumnType::Int)
-        .primary_key(&["id"])
-        .build()
-        .unwrap();
+    let [toys, ghosts] = ["toys", "ghosts"].map(|table| {
+        TableSchema::builder(table)
+            .column("id", ColumnType::Int)
+            .column("qty", ColumnType::Int)
+            .primary_key(&["id"])
+            .build()
+            .unwrap()
+    });
     let queries: Vec<Arc<QueryTemplate>> = vec![
         Arc::new(parse_query("SELECT qty FROM toys WHERE id = ?").unwrap()),
         // No restriction on the partition column: scatter-gathers.
         Arc::new(parse_query("SELECT id FROM toys WHERE qty = ?").unwrap()),
+        // The application knows this table; `toy_db` never creates it,
+        // so every home refuses the query.
+        Arc::new(parse_query("SELECT qty FROM ghosts WHERE id = ?").unwrap()),
     ];
-    let updates: Vec<Arc<UpdateTemplate>> = vec![Arc::new(
-        parse_update("UPDATE toys SET qty = ? WHERE id = ?").unwrap(),
-    )];
-    let catalog = Catalog::new(vec![schema]);
+    let updates: Vec<Arc<UpdateTemplate>> = vec![
+        Arc::new(parse_update("UPDATE toys SET qty = ? WHERE id = ?").unwrap()),
+        // Rejected by the master whenever the id is taken.
+        Arc::new(parse_update("INSERT INTO toys (id, qty) VALUES (?, ?)").unwrap()),
+    ];
+    let catalog = Catalog::new(vec![toys, ghosts]);
     let matrix = characterize_app(&updates, &queries, &catalog, AnalysisOptions::default());
     let exposures = StrategyKind::ViewInspection.exposures(updates.len(), queries.len());
     let config = DsspConfig {
@@ -83,6 +93,19 @@ fn keyed_query(t: &Templates, id: i64) -> Query {
 
 fn scatter_query(t: &Templates, qty: i64) -> Query {
     Query::bind(1, t.queries[1].clone(), vec![Value::Int(qty)]).unwrap()
+}
+
+fn ghost_query(t: &Templates, id: i64) -> Query {
+    Query::bind(2, t.queries[2].clone(), vec![Value::Int(id)]).unwrap()
+}
+
+fn bind_insert(t: &Templates, id: i64, qty: i64) -> Update {
+    Update::bind(
+        1,
+        t.updates[1].clone(),
+        vec![Value::Int(id), Value::Int(qty)],
+    )
+    .unwrap()
 }
 
 fn bind_update(t: &Templates, id: i64, qty: i64) -> Update {
@@ -327,12 +350,22 @@ proptest! {
     }
 }
 
+/// Records the kind of every trace event a proxy emits, in order.
+struct KindSink(Arc<Mutex<Vec<&'static str>>>);
+
+impl TraceSink for KindSink {
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.lock().unwrap().push(event.kind.name());
+    }
+}
+
 /// The 1-shard equivalence pin: a [`ShardedHome`] over
 /// [`PartitionMap::single`] served through the sharded proxy entry
 /// points behaves op-for-op like the classic [`HomeServer`] behind the
 /// classic entry points — same results, same hit pattern, same update
-/// effects, same epoch sequence, and a byte-identical WAL and master
-/// database at the end.
+/// effects and refusals, same epoch sequence, a byte-identical WAL and
+/// master database at the end, and the same account of it all: counters,
+/// attribution and the trace-event sequence, rejected updates included.
 #[test]
 fn one_shard_sharded_home_matches_classic_home_op_for_op() {
     let (config, t) = build(Some(LEASE));
@@ -340,39 +373,58 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
     let mut classic = Dssp::new(config.clone());
     let mut sharded_home = ShardedHome::new(toy_db(), PartitionMap::single());
     let mut sharded = Dssp::new(config);
+    let classic_kinds = Arc::new(Mutex::new(Vec::new()));
+    let sharded_kinds = Arc::new(Mutex::new(Vec::new()));
+    classic.add_trace_sink(Box::new(KindSink(classic_kinds.clone())));
+    sharded.add_trace_sink(Box::new(KindSink(sharded_kinds.clone())));
+
+    /// The shared script vocabulary plus inserts, which the master
+    /// rejects when the id is taken.
+    enum Step {
+        Op(ScriptOp),
+        Insert { id: i64, qty: i64 },
+    }
 
     // A fixed script interleaving keyed hits/misses, scatter-shaped
-    // templates (which a 1-shard map still routes), updates, and time.
-    let script: Vec<ScriptOp> = (0..120)
-        .map(|i| match i % 7 {
-            0 | 3 => ScriptOp::Keyed {
+    // templates (which a 1-shard map still routes), updates, inserts of
+    // taken ids (rejected) and of fresh ones, and time.
+    let script: Vec<Step> = (0..160)
+        .map(|i| match i % 8 {
+            0 | 3 => Step::Op(ScriptOp::Keyed {
                 id: (i as i64) % ROWS,
-            },
-            1 => ScriptOp::Scatter {
+            }),
+            1 => Step::Op(ScriptOp::Scatter {
                 qty: 10 + (i as i64) % ROWS,
-            },
-            2 | 5 => ScriptOp::Update {
+            }),
+            2 | 5 => Step::Op(ScriptOp::Update {
                 id: (i as i64 * 3) % ROWS,
                 qty: i as i64,
+            }),
+            4 => Step::Op(ScriptOp::Advance { dt: 40_000 }),
+            // `ROWS + 4` ids, `ROWS` of them taken from the start and
+            // the rest from their first insert on.
+            7 => Step::Insert {
+                id: (i as i64 / 8 * 5) % (ROWS + 4),
+                qty: i as i64,
             },
-            4 => ScriptOp::Advance { dt: 40_000 },
-            _ => ScriptOp::Keyed {
+            _ => Step::Op(ScriptOp::Keyed {
                 id: (i as i64 * 5) % ROWS,
-            },
+            }),
         })
         .collect();
 
     let mut now = 0u64;
-    for op in &script {
-        match *op {
-            ScriptOp::Advance { dt } => {
+    let mut rejected = 0;
+    for step in &script {
+        match *step {
+            Step::Op(ScriptOp::Advance { dt }) => {
                 now += dt;
                 classic_home.set_sim_time_micros(now);
                 classic.set_sim_time_micros(now);
                 sharded_home.set_sim_time_micros(now);
                 sharded.set_sim_time_micros(now);
             }
-            ScriptOp::Keyed { id } => {
+            Step::Op(ScriptOp::Keyed { id }) => {
                 let q = keyed_query(&t, id);
                 let a = classic.execute_query(&q, &mut classic_home).unwrap();
                 let b = sharded
@@ -381,7 +433,7 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
                 assert!(a.result.multiset_eq(&b.result));
                 assert_eq!(a.hit, b.hit, "hit pattern diverged");
             }
-            ScriptOp::Scatter { qty } => {
+            Step::Op(ScriptOp::Scatter { qty }) => {
                 let q = scatter_query(&t, qty);
                 let a = classic.execute_query(&q, &mut classic_home).unwrap();
                 let b = sharded
@@ -390,7 +442,7 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
                 assert!(a.result.multiset_eq(&b.result));
                 assert_eq!(a.hit, b.hit, "hit pattern diverged");
             }
-            ScriptOp::Update { id, qty } => {
+            Step::Op(ScriptOp::Update { id, qty }) => {
                 let u = bind_update(&t, id, qty);
                 let a = classic.execute_update(&u, &mut classic_home).unwrap();
                 let (b, shard) = sharded
@@ -402,8 +454,26 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
                 assert_eq!(a.invalidated, b.invalidated);
                 assert_eq!(classic_home.epoch(), sharded_home.epoch_of(0));
             }
+            Step::Insert { id, qty } => {
+                let u = bind_insert(&t, id, qty);
+                let a = classic.execute_update(&u, &mut classic_home);
+                let b = sharded.execute_update_sharded(&u, &mut sharded_home);
+                match (a, b) {
+                    (Ok(a), Ok((b, _))) => {
+                        assert_eq!(a.effect, b.effect);
+                        assert_eq!((a.scanned, a.invalidated), (b.scanned, b.invalidated));
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "refused for different reasons");
+                        rejected += 1;
+                    }
+                    (a, b) => panic!("one home refused what the other took: {a:?} / {b:?}"),
+                }
+                assert_eq!(classic_home.epoch(), sharded_home.epoch_of(0));
+            }
         }
     }
+    assert!(rejected >= 10, "only {rejected} rejected updates scripted");
 
     assert_eq!(sharded_home.shard_count(), 1);
     assert_eq!(sharded_home.scatter_queries(), 0, "1-shard never scatters");
@@ -418,10 +488,78 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
         sharded_home.shard(0).database(),
         "master state diverged from the classic home"
     );
-    let a = classic.stats();
-    let b = sharded.stats();
-    assert_eq!(a.hits, b.hits);
-    assert_eq!(a.misses, b.misses);
+    // One pipeline, one account: a rejected update is an update request
+    // served on either home.
+    assert_eq!(classic.stats(), sharded.stats());
+    assert_eq!(classic.attribution(), sharded.attribution());
+    assert_eq!(
+        classic.registry().snapshot().counters,
+        sharded.registry().snapshot().counters
+    );
+    let inserts = script.iter().filter(|s| matches!(s, Step::Insert { .. }));
+    assert_eq!(
+        sharded
+            .registry()
+            .counter_value("update_template.1.applied"),
+        inserts.count() as u64,
+        "a rejected insert was not accounted"
+    );
+    assert_eq!(
+        *classic_kinds.lock().unwrap(),
+        *sharded_kinds.lock().unwrap(),
+        "trace-event sequence diverged"
+    );
+    assert_eq!(classic.epoch(), sharded.epoch());
+}
+
+/// A trip the home refuses — an insert the master rejects, a query on a
+/// table it does not have — is a whole request on every entry point: its
+/// root span has the `home_trip` child and is closed, not left as it was
+/// opened.
+#[test]
+fn refused_trips_leave_whole_span_trees_on_every_entry_point() {
+    use scs_dssp::{HomeLink, RetryPolicy};
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+    for entry in ["execute", "ft", "sharded"] {
+        let (config, t) = build(None);
+        let mut dssp = Dssp::new(config);
+        dssp.enable_span_recording(64);
+        let mut home = HomeServer::new(toy_db());
+        let mut shards = ShardedHome::new(toy_db(), toy_map(2));
+        let (taken, ghost) = (bind_insert(&t, 3, 1), ghost_query(&t, 1));
+        let (update_refused, query_refused) = match entry {
+            "execute" => (
+                dssp.execute_update(&taken, &mut home).is_err(),
+                dssp.execute_query(&ghost, &mut home).is_err(),
+            ),
+            "ft" => (
+                dssp.execute_update_ft(&taken, &mut home, &link, &policy)
+                    .is_err(),
+                dssp.execute_query_ft(&ghost, &mut home, &link, &policy)
+                    .is_err(),
+            ),
+            _ => (
+                dssp.execute_update_sharded(&taken, &mut shards).is_err(),
+                dssp.execute_query_sharded(&ghost, &mut shards).is_err(),
+            ),
+        };
+        assert!(update_refused && query_refused, "{entry}: a home accepted");
+        let spans = dssp.spans().spans();
+        let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
+        let phases: Vec<_> = roots.iter().map(|s| s.phase).collect();
+        assert_eq!(
+            phases,
+            [SpanPhase::UpdateRequest, SpanPhase::QueryRequest],
+            "{entry}"
+        );
+        for root in roots {
+            let trips = spans
+                .iter()
+                .filter(|s| s.parent == root.id && s.phase == SpanPhase::HomeTrip);
+            assert_eq!(trips.count(), 1, "{entry}: {:?} trips", root.phase);
+            assert_ne!(root.elapsed_nanos, 0, "{entry}: {:?} left open", root.phase);
+        }
+    }
 }
 
 /// A cross-shard FK violation is refused before routing and consumes no
