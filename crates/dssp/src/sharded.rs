@@ -53,7 +53,8 @@ use crate::delivery::InvalidationMsg;
 use crate::home::{Home, HomeServer};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{
-    executor, Database, PartitionMap, PartitionedTable, QueryResult, StorageError, UpdateEffect,
+    executor, Database, PartitionMap, PartitionedTable, PlanMemo, QueryResult, StorageError,
+    UpdateEffect,
 };
 use scs_telemetry::SharedProvenance;
 
@@ -82,6 +83,9 @@ pub struct ShardedUpdateResponse {
 pub struct ShardedHome {
     map: PartitionMap,
     shards: Vec<HomeServer>,
+    /// The plans of the templates scattered so far, over the catalog every
+    /// shard carries (a routed query is planned by its shard's database).
+    plans: PlanMemo,
     /// Cross-shard scatter-gather queries executed (0 when every query
     /// pins one shard).
     scatter_queries: u64,
@@ -110,6 +114,7 @@ impl ShardedHome {
         ShardedHome {
             map,
             shards,
+            plans: PlanMemo::default(),
             scatter_queries: 0,
             fk_rejects: 0,
         }
@@ -194,7 +199,7 @@ impl ShardedHome {
             tables.push(parts.collect::<Result<PartitionedTable, _>>()?);
         }
         self.scatter_queries += 1;
-        let result = executor::execute_partitioned(q, tables)?;
+        let result = executor::execute_partitioned(&self.plans, q, tables)?;
         let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let share = elapsed / shards.len().max(1) as u64;
         for &s in &shards {

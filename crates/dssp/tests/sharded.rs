@@ -839,11 +839,18 @@ fn market() -> Market {
             true,
         ),
         (
-            "Hash-split joined with Shard-placed, hashed",
+            "Hash-split joined with Shard-placed, filtered: hashed, or probed on its key",
             "SELECT items.item_id, users.region FROM items, users \
              WHERE items.seller = users.user_id AND items.price >= ? AND users.region >= 0 \
              ORDER BY users.region LIMIT 6",
             1,
+            true,
+        ),
+        (
+            "a filtered alias joined on its primary key: probed across the parts, then filtered",
+            "SELECT items.item_id, users.user_id FROM items, users \
+             WHERE items.seller = users.user_id AND items.price = ? AND users.region <= ?",
+            2,
             true,
         ),
         (

@@ -114,22 +114,27 @@ impl fmt::Display for Update {
 }
 
 /// Replaces `?N` placeholders in canonical template text with the bound
-/// values' literal forms.
+/// values' literal forms. A string literal of the template (rendered
+/// `'...'`, an inner quote doubled) is copied through as it stands: a `?`
+/// inside one is text, not a placeholder.
 fn substitute(template_text: &str, params: &[Value]) -> String {
+    use std::fmt::Write;
     let mut out = String::with_capacity(template_text.len() + params.len() * 8);
+    let mut quoted = false;
     let mut chars = template_text.chars().peekable();
     while let Some(c) = chars.next() {
-        if c != '?' {
+        // A doubled quote leaves and re-enters the literal at once.
+        quoted ^= c == '\'';
+        if c != '?' || quoted {
             out.push(c);
             continue;
         }
-        let mut idx = String::new();
-        while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-            idx.push(chars.next().unwrap());
+        let mut i = 0;
+        while let Some(d) = chars.peek().and_then(|d| d.to_digit(10)) {
+            i = i * 10 + d as usize;
+            chars.next();
         }
-        let i: usize = idx.parse().expect("canonical text always indexes params");
-        use std::fmt::Write;
-        write!(out, "{}", params[i]).unwrap();
+        write!(out, "{}", params[i]).expect("writing to a String");
     }
     out
 }
@@ -171,6 +176,72 @@ mod tests {
         let q3 = Query::bind(0, t, vec![Value::Int(2)]).unwrap();
         assert_eq!(q1.statement_text(), q2.statement_text());
         assert_ne!(q1.statement_text(), q3.statement_text());
+    }
+
+    /// A `?` inside a string literal of the template is text: it neither
+    /// panics the renderer nor takes a parameter's value.
+    #[test]
+    fn statement_text_leaves_question_marks_in_literals_alone() {
+        let q = |sql: &str, params: Vec<Value>| {
+            let t = Arc::new(parse_query(sql).unwrap());
+            Query::bind(0, t, params).unwrap().statement_text()
+        };
+        assert_eq!(
+            q(
+                "SELECT a FROM t WHERE b = 'who?' AND a = ?",
+                vec![Value::Int(7)]
+            ),
+            "SELECT t.a FROM t WHERE t.b = 'who?' AND t.a = 7"
+        );
+        assert_eq!(
+            q(
+                "SELECT a FROM t WHERE b = '?0' AND a = ?",
+                vec![Value::Int(7)]
+            ),
+            "SELECT t.a FROM t WHERE t.b = '?0' AND t.a = 7"
+        );
+        // Two statements that differ only in the literal keep two keys.
+        assert_ne!(
+            q(
+                "SELECT a FROM t WHERE b = '?0' AND a = ?",
+                vec![Value::Int(7)]
+            ),
+            q(
+                "SELECT a FROM t WHERE b = '7' AND a = ?",
+                vec![Value::Int(7)]
+            )
+        );
+        // The doubled quote does not end the literal; the parameters on
+        // both sides of it still bind, a quoted one included.
+        assert_eq!(
+            q(
+                "SELECT a FROM t WHERE a = ? AND b = 'it''s ?1' AND c = ?",
+                vec![Value::Int(7), Value::str("o'clock?")]
+            ),
+            "SELECT t.a FROM t WHERE t.a = 7 AND t.b = 'it''s ?1' AND t.c = 'o''clock?'"
+        );
+        let u = |sql: &str, params: Vec<Value>| {
+            let t = Arc::new(parse_update(sql).unwrap());
+            Update::bind(0, t, params).unwrap().statement_text()
+        };
+        assert_eq!(
+            u("UPDATE t SET b = 'who?' WHERE a = ?", vec![Value::Int(7)]),
+            "UPDATE t SET b = 'who?' WHERE t.a = 7"
+        );
+        assert_eq!(
+            u(
+                "INSERT INTO t (a, b, c) VALUES (?, '?0', 'it''s ?1')",
+                vec![Value::Int(7)]
+            ),
+            "INSERT INTO t (a, b, c) VALUES (7, '?0', 'it''s ?1')"
+        );
+        assert_eq!(
+            u(
+                "DELETE FROM t WHERE b = '?1' AND a = ?",
+                vec![Value::Int(7)]
+            ),
+            "DELETE FROM t WHERE t.b = '?1' AND t.a = 7"
+        );
     }
 
     #[test]

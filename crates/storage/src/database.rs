@@ -3,9 +3,16 @@
 //! This is the *home server*'s master copy in the paper's architecture
 //! (Figure 1): all updates are applied here directly, and the DSSP caches
 //! read-only query results derived from it.
+//!
+//! Beside the tables the database keeps the *plans* of the query templates
+//! it has executed (`plan.rs`): a query is planned on its template's first
+//! statement and only bound and run afterwards. The plans are derived
+//! state — no part of the database's equality, gone whenever the catalog
+//! changes, absent from a clone.
 
 use crate::error::StorageError;
 use crate::executor;
+use crate::plan::PlanMemo;
 use crate::result::QueryResult;
 use crate::schema::{ForeignKey, TableSchema};
 use crate::table::{Row, RowId, Table};
@@ -53,6 +60,9 @@ impl UpdateEffect {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
+    /// The plans of the query templates executed so far: derived state,
+    /// outside equality, emptied whenever the catalog changes.
+    plans: PlanMemo,
 }
 
 /// A predicate bound to concrete values and column positions, ready to
@@ -86,6 +96,7 @@ impl Database {
             )));
         }
         self.tables.insert(schema.name.clone(), Table::new(schema));
+        self.plans.clear();
         Ok(())
     }
 
@@ -113,9 +124,15 @@ impl Database {
         self.table_mut(table)?.insert(row)
     }
 
-    /// Executes a query statement against the current state.
+    /// Executes a query statement against the current state: binds it to
+    /// its template's plan (planned on the template's first statement) and
+    /// runs that.
     pub fn execute(&self, q: &Query) -> Result<QueryResult, StorageError> {
         executor::execute(self, q)
+    }
+
+    pub(crate) fn plans(&self) -> &PlanMemo {
+        &self.plans
     }
 
     /// Applies an update statement, enforcing the integrity constraints of

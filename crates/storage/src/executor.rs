@@ -4,7 +4,12 @@
 //! with conjunctive predicates over the five comparison operators, optional
 //! `ORDER BY`, top-k (`LIMIT`), and aggregation with `GROUP BY`.
 //!
-//! Every choice below is made from the query and the tables' indexes alone.
+//! **Prepared, then run.** What is a function of the catalog and the query
+//! *template* — names resolved, predicates classified, index slots, the
+//! consumer, the errors — is a [`Plan`], built once per template and kept
+//! in a [`PlanMemo`] (`plan.rs`). A statement binds its parameters to the
+//! plan and runs it; every choice below that depends on the data is made
+//! here, per statement.
 //!
 //! * **Access path.** An alias with predicates of its own is filtered up
 //!   front, through an equality index when one of its `=` restrictions has
@@ -14,13 +19,21 @@
 //!   aliases connected by an equality join to the bound set, smallest
 //!   first.
 //! * **Join step.** An unfiltered alias joined on an indexed equality
-//!   column is *probed* per bound tuple (index nested loop); any other
+//!   column is *probed* per bound tuple (index nested loop). So is a
+//!   *filtered* alias joined on its single-column primary key, its own
+//!   predicates tested on the probed row: a unique key's bucket holds at
+//!   most one row, so it is the hash join's answer without the hash table
+//!   (the candidates are still counted, for the join order). Any other
 //!   equality join builds a hash table over the alias's candidates; a join
 //!   with theta predicates only is a nested loop.
-//! * **Top-k.** `ORDER BY` gathers borrowed sort keys once and orders tuple
-//!   numbers by `(keys…, arrival number)`; with `LIMIT k` only the k
-//!   smallest are selected and sorted, and only they are projected.
-//!   `LIMIT k` without `ORDER BY` stops the last join step at k tuples.
+//! * **The last step streams.** Steps before the last materialise their
+//!   tuples; the last one hands each tuple to the query's consumer as it is
+//!   produced. Projection without `ORDER BY` pushes the row and stops the
+//!   step at `LIMIT`; `ORDER BY` gathers the tuple and its sort keys;
+//!   aggregation finds the tuple's group and folds it in.
+//! * **Top-k.** `ORDER BY` orders tuple numbers by `(keys…, arrival
+//!   number)`; with `LIMIT k` only the k smallest are selected and sorted,
+//!   and only they are projected.
 //! * **Index-ordered top-k.** One alias, `LIMIT k`, one `ORDER BY` key
 //!   whose column carries an *ordered index*, and no `=` restriction on an
 //!   equality-indexed column: instead of the scan and the sort, the index
@@ -28,22 +41,23 @@
 //!   restriction and local predicate is tested on each row as a scan tests
 //!   it, and the walk stops at the k-th row that passes or at the far
 //!   bound. Any other query takes the rules above.
-//! * **Aggregation.** One pass over the tuples folds every aggregate of
-//!   every group; values are cloned into output rows only.
+//! * **Aggregation.** Every aggregate of every group is folded as its
+//!   tuples arrive; values are cloned into output rows only.
 //!
 //! **Row-order contract** — what the home returns is what the cache stores
 //! and which rows a top-k keeps, so every plan must produce rows in this
 //! order: a scan yields ascending `RowId`; an indexed restriction yields
 //! the index's own list order; a probe yields ascending `RowId` per bound
-//! tuple (the order a hash bucket built from a scan has); sort ties keep
-//! arrival order; an index-ordered walk yields key order, ascending `RowId`
-//! within equal keys — by construction what the sort gives a scan's
-//! candidates (`DESC` reverses the keys, not the ids); groups appear in
-//! first-seen order. Over a [`PartitionedTable`]: parts in ascending shard
-//! id, ascending `RowId` within a part, a part's index list emitted
-//! ascending, the parts' ordered walks merged by `(key, global row id)`.
+//! tuple (the order a hash bucket built from a scan has; a primary-key
+//! probe yields at most one row); sort ties keep arrival order; an
+//! index-ordered walk yields key order, ascending `RowId` within equal keys
+//! — by construction what the sort gives a scan's candidates (`DESC`
+//! reverses the keys, not the ids); groups appear in first-seen order. Over
+//! a [`PartitionedTable`]: parts in ascending shard id, ascending `RowId`
+//! within a part, a part's index list emitted ascending, the parts' ordered
+//! walks merged by `(key, global row id)`.
 //!
-//! **One body, two sources.** The plan reads each `FROM` alias through
+//! **One body, two sources.** The run reads each `FROM` alias through
 //! `Source`: a `&Table` ([`execute`], the single home), or a
 //! [`PartitionedTable`] ([`execute_partitioned`], the sharded home's
 //! scatter) — the alias's table as the ordered list of the owning shards'
@@ -53,33 +67,39 @@
 //! would, so a scatter returns the rows that table would give, in the same
 //! order, without copying a row or building an index. The body is
 //! monomorphised per source; over `&Table` every `Source` call is the
-//! `Table` method of the same name.
+//! `Table` method of the same name. The parts of a table share one schema,
+//! so one plan serves both.
 
 use crate::database::Database;
 use crate::error::StorageError;
+use crate::hash::KeyIndex;
+use crate::plan::{AggItem, Col, JoinSide, Output, Plan, PlanMemo, Planned, Walk};
 use crate::result::QueryResult;
 use crate::schema::TableSchema;
 use crate::table::{Row, RowId, Table};
-use scs_sqlkit::{AggFunc, CmpOp, ColumnRef, Query, Real, SelectItem, Value};
+use scs_sqlkit::{AggFunc, CmpOp, Query, Real, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Executes `q` against `db`, producing a materialized result.
 pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, StorageError> {
-    let tables: Vec<&Table> = q
-        .template
-        .from
-        .iter()
-        .map(|tr| db.table(&tr.table))
-        .collect::<Result<_, _>>()?;
-    run(q, tables)
+    let tables = || {
+        let from = q.template.from.iter();
+        from.map(|tr| db.table(&tr.table))
+            .collect::<Result<Vec<&Table>, _>>()
+    };
+    let plan = db.plans().plan(&q.template, || {
+        let schemas: Vec<&TableSchema> = tables()?.into_iter().map(Table::schema).collect();
+        Plan::new(&q.template, &schemas)
+    });
+    run(&plan, q, tables()?)
 }
 
 /// Executes `q` over partitioned tables, `tables[i]` standing for the
 /// query's `i`-th `FROM` entry: the result, rows and order, that
 /// [`execute`] returns on a database holding each table's parts copied, in
-/// order, into one table.
+/// order, into one table. `plans` must only ever see tables of one catalog.
 pub fn execute_partitioned(
+    plans: &PlanMemo,
     q: &Query,
     tables: Vec<PartitionedTable<'_>>,
 ) -> Result<QueryResult, StorageError> {
@@ -88,23 +108,41 @@ pub fn execute_partitioned(
             "a partitioned query needs one table of at least one part per FROM entry".into(),
         ));
     }
-    run(q, tables)
+    let plan = plans.plan(&q.template, || {
+        let schemas: Vec<&TableSchema> = tables.iter().map(Source::schema).collect();
+        Plan::new(&q.template, &schemas)
+    });
+    run(&plan, q, tables)
 }
 
-fn run<'a, S: Source<'a>>(q: &'a Query, tables: Vec<S>) -> Result<QueryResult, StorageError> {
-    let tpl = &q.template;
-    if tables.is_empty() {
-        return Err(StorageError::BadQuery("query has no FROM table".into()));
-    }
-
-    let ctx = Context::new(q, tables)?;
-    let columns: Vec<String> = tpl.select.iter().map(|s| s.to_string()).collect();
-    let rows = if tpl.has_aggregates() || !tpl.group_by.is_empty() {
-        ctx.aggregate()?
-    } else {
-        ctx.project()?
+/// Binds `q`'s parameters to its template's plan and runs it, or returns
+/// the error planning met.
+fn run<'a, S: Source<'a>>(
+    planned: &'a Planned,
+    q: &'a Query,
+    tables: Vec<S>,
+) -> Result<QueryResult, StorageError> {
+    let plan = planned.as_ref().as_ref().map_err(Clone::clone)?;
+    let run = Run {
+        plan,
+        tables,
+        values: plan.bind(q),
     };
-    Ok(QueryResult::new(columns, rows))
+    let rows = match &plan.output {
+        Output::Project {
+            select,
+            keys,
+            desc,
+            walk,
+        } => run.project(select, keys, desc, walk.as_ref())?,
+        Output::Aggregate {
+            items,
+            folds,
+            group,
+            order,
+        } => run.aggregate(items, folds, group, order)?,
+    };
+    Ok(QueryResult::new(plan.columns.clone(), rows))
 }
 
 /// The rows of one `FROM` alias as the plan reads them. Row ids are the
@@ -120,17 +158,10 @@ trait Source<'a> {
 
     fn live_row(&self, id: RowId) -> Result<&'a Row, StorageError>;
 
-    fn has_index(&self, pos: usize) -> bool;
-
-    /// Row ids whose indexed column `pos` equals `v`, in the order an
-    /// indexed restriction yields them; `None` when the column has no
-    /// index. `buf` is scratch space the returned list may live in.
-    fn index_lookup<'b>(
-        &self,
-        pos: usize,
-        v: &Value,
-        buf: &'b mut Vec<RowId>,
-    ) -> Option<&'b [RowId]>
+    /// Row ids whose column under equality-index slot `slot` equals `v`,
+    /// in the order an indexed restriction yields them. `buf` is scratch
+    /// space the returned list may live in.
+    fn slot_lookup<'b>(&self, slot: usize, v: &Value, buf: &'b mut Vec<RowId>) -> &'b [RowId]
     where
         'a: 'b;
 
@@ -162,20 +193,11 @@ impl<'a> Source<'a> for &'a Table {
         Table::live_row(self, id)
     }
 
-    fn has_index(&self, pos: usize) -> bool {
-        Table::has_index(self, pos)
-    }
-
-    fn index_lookup<'b>(
-        &self,
-        pos: usize,
-        v: &Value,
-        _buf: &'b mut Vec<RowId>,
-    ) -> Option<&'b [RowId]>
+    fn slot_lookup<'b>(&self, slot: usize, v: &Value, _buf: &'b mut Vec<RowId>) -> &'b [RowId]
     where
         'a: 'b,
     {
-        Table::index_lookup(self, pos, v)
+        Table::slot_lookup(self, slot, v)
     }
 
     fn ordered_walk(
@@ -239,22 +261,13 @@ impl<'a> Source<'a> for PartitionedTable<'a> {
         part.live_row(id - base)
     }
 
-    fn has_index(&self, pos: usize) -> bool {
-        self.parts[0].1.has_index(pos)
-    }
-
-    fn index_lookup<'b>(
-        &self,
-        pos: usize,
-        v: &Value,
-        buf: &'b mut Vec<RowId>,
-    ) -> Option<&'b [RowId]>
+    fn slot_lookup<'b>(&self, slot: usize, v: &Value, buf: &'b mut Vec<RowId>) -> &'b [RowId]
     where
         'a: 'b,
     {
         buf.clear();
         for &(base, part) in &self.parts {
-            let ids = part.index_lookup(pos, v)?;
+            let ids = part.slot_lookup(slot, v);
             let at = buf.len();
             buf.extend(ids.iter().map(|id| base + id));
             // Deletes and slot reuse leave a part's list unordered; the
@@ -263,7 +276,7 @@ impl<'a> Source<'a> for PartitionedTable<'a> {
                 buf[at..].sort_unstable();
             }
         }
-        Some(buf)
+        buf
     }
 
     /// Each part walks its own index; the heads merge by `(key, global row
@@ -296,43 +309,6 @@ impl<'a> Source<'a> for PartitionedTable<'a> {
     }
 }
 
-/// A column resolved to (alias index, column position).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Col {
-    alias: usize,
-    pos: usize,
-}
-
-/// `column op value`, local to one alias.
-struct Restriction<'a> {
-    col: Col,
-    op: CmpOp,
-    value: &'a Value,
-}
-
-/// `column op column` within one alias (violates the paper's §2.1.1
-/// assumption but is still executable).
-struct LocalColCol {
-    alias: usize,
-    lhs: usize,
-    op: CmpOp,
-    rhs: usize,
-}
-
-/// `column op column` across two aliases (a join condition).
-struct JoinPred {
-    lhs: Col,
-    op: CmpOp,
-    rhs: Col,
-}
-
-/// `LIMIT` as a tuple count; `usize::MAX` when the query has none.
-fn limit_of(q: &Query) -> usize {
-    q.template
-        .limit
-        .map_or(usize::MAX, |k| usize::try_from(k).unwrap_or(usize::MAX))
-}
-
 /// Lexicographic order of two `ORDER BY` key tuples, `desc[i]` reversing key `i`.
 fn compare_keys(a: &[&Value], b: &[&Value], desc: &[bool]) -> Ordering {
     for ((x, y), desc) in a.iter().zip(b).zip(desc) {
@@ -344,185 +320,98 @@ fn compare_keys(a: &[&Value], b: &[&Value], desc: &[bool]) -> Ordering {
     Ordering::Equal
 }
 
-struct Context<'a, S> {
-    q: &'a Query,
-    tables: Vec<S>,
-    restrictions: Vec<Restriction<'a>>,
-    locals: Vec<LocalColCol>,
-    joins: Vec<JoinPred>,
+/// Stands in a tuple for the row of an alias not bound yet.
+static UNBOUND: Row = Vec::new();
+
+/// An equality join condition between a bound column and a column of the
+/// alias a step joins in.
+struct EqKey {
+    bound: Col,
+    new: JoinSide,
 }
 
-impl<'a, S: Source<'a>> Context<'a, S> {
-    fn new(q: &'a Query, tables: Vec<S>) -> Result<Context<'a, S>, StorageError> {
-        let mut ctx = Context {
-            q,
-            tables,
-            restrictions: Vec::new(),
-            locals: Vec::new(),
-            joins: Vec::new(),
-        };
-        for p in &q.template.predicates {
-            if let Some((c, op, s)) = p.as_restriction() {
-                let col = ctx.resolve(c)?;
-                ctx.restrictions.push(Restriction {
-                    col,
-                    op,
-                    value: q.resolve(s),
-                });
-            } else if let Some((l, op, r)) = p.as_join() {
-                let lc = ctx.resolve(l)?;
-                let rc = ctx.resolve(r)?;
-                if lc.alias == rc.alias {
-                    ctx.locals.push(LocalColCol {
-                        alias: lc.alias,
-                        lhs: lc.pos,
-                        op,
-                        rhs: rc.pos,
-                    });
-                } else {
-                    ctx.joins.push(JoinPred {
-                        lhs: lc,
-                        op,
-                        rhs: rc,
-                    });
-                }
-            } else {
-                // The parser rejects these; a hand-built AST can hold one.
-                return Err(StorageError::BadQuery(format!(
-                    "predicate `{p}` compares no column"
-                )));
-            }
-        }
-        Ok(ctx)
-    }
+/// One statement's run of a plan. A tuple is one row per alias, in alias
+/// order; tuples lie flat, one after the other.
+struct Run<'a, S> {
+    plan: &'a Plan,
+    tables: Vec<S>,
+    /// The value of each of `plan.restrictions`.
+    values: Vec<&'a Value>,
+}
 
-    fn resolve(&self, c: &ColumnRef) -> Result<Col, StorageError> {
-        let alias = self
-            .q
-            .template
-            .from
-            .iter()
-            .position(|t| t.alias == c.qualifier)
-            .ok_or_else(|| {
-                StorageError::BadQuery(format!("unresolved qualifier `{}`", c.qualifier))
-            })?;
-        let pos = self.tables[alias]
-            .schema()
-            .column_index(&c.column)
-            .ok_or_else(|| StorageError::UnknownColumn {
-                table: self.tables[alias].schema().name.clone(),
-                column: c.column.clone(),
-            })?;
-        Ok(Col { alias, pos })
-    }
-
-    /// The value of column `c` in tuple `t` (one row id per alias).
-    fn value(&self, t: &[RowId], c: Col) -> Result<&'a Value, StorageError> {
-        Ok(&self.tables[c.alias].live_row(t[c.alias])?[c.pos])
-    }
-
-    /// True if `alias` has a restriction or a column-column predicate of
-    /// its own, i.e. its candidates are fewer than its table.
-    fn is_filtered(&self, alias: usize) -> bool {
-        self.restrictions.iter().any(|r| r.col.alias == alias)
-            || self.locals.iter().any(|l| l.alias == alias)
-    }
-
+impl<'a, S: Source<'a>> Run<'a, S> {
     /// The conjunction of `alias`'s restrictions and column-column
-    /// predicates, as a test on one of its rows.
-    fn local_filter(&self, alias: usize) -> impl Fn(&Row) -> bool + '_ {
-        let restrictions: Vec<&Restriction> = self
-            .restrictions
+    /// predicates, tested on one of its rows.
+    fn passes(&self, alias: usize, row: &Row) -> bool {
+        let a = &self.plan.aliases[alias];
+        let restrictions = &self.plan.restrictions[a.restrictions.clone()];
+        let values = &self.values[a.restrictions.clone()];
+        restrictions
             .iter()
-            .filter(|r| r.col.alias == alias)
-            .collect();
-        let locals: Vec<&LocalColCol> = self.locals.iter().filter(|l| l.alias == alias).collect();
-        move |row| {
-            restrictions
-                .iter()
-                .all(|r| r.op.eval(&row[r.col.pos], r.value))
-                && locals.iter().all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
-        }
+            .zip(values)
+            .all(|(r, v)| r.op.eval(&row[r.col.pos], v))
+            && a.locals.iter().all(|l| l.op.eval(&row[l.lhs], &row[l.rhs]))
     }
 
-    /// Up to `cap` candidate row ids for one alias after local filtering:
-    /// in index-list order when an indexed equality restriction narrows the
-    /// scan, in ascending `RowId` order otherwise.
-    fn candidates(&self, alias: usize, cap: usize) -> Result<Vec<RowId>, StorageError> {
+    /// Whether `row` is one of `alias`'s candidates: it passes, and it is on
+    /// the list an indexed `=` restriction reads — the rows `==` to the
+    /// value, which are fewer than those `=` to it where an `Int` meets a
+    /// `Real` (`Int(1) = Real(1.0)`, yet they are two index keys).
+    fn is_candidate(&self, alias: usize, row: &Row) -> bool {
+        let listed =
+            |(r, _): (usize, usize)| row[self.plan.restrictions[r].col.pos] == *self.values[r];
+        self.passes(alias, row) && self.plan.aliases[alias].eq_access.is_none_or(listed)
+    }
+
+    /// Feeds `alias`'s rows that pass its own predicates to `f`, until `f`
+    /// returns false: in index-list order when an indexed equality
+    /// restriction narrows the scan, in ascending `RowId` order otherwise.
+    fn each_candidate(
+        &self,
+        alias: usize,
+        mut f: impl FnMut(&'a Row) -> bool,
+    ) -> Result<(), StorageError> {
         let table = &self.tables[alias];
-        let passes = self.local_filter(alias);
-        // Indexed equality fast path.
-        let mut buf = Vec::new();
-        for r in self.restrictions.iter().filter(|r| r.col.alias == alias) {
-            if r.op == CmpOp::Eq {
-                if let Some(ids) = table.index_lookup(r.col.pos, r.value, &mut buf) {
-                    let mut hits = Vec::with_capacity(ids.len().min(cap));
-                    for &id in ids {
-                        if hits.len() == cap {
-                            break;
-                        }
-                        if passes(table.live_row(id)?) {
-                            hits.push(id);
-                        }
-                    }
-                    return Ok(hits);
+        if let Some((r, slot)) = self.plan.aliases[alias].eq_access {
+            let mut buf = Vec::new();
+            for &id in table.slot_lookup(slot, self.values[r], &mut buf) {
+                let row = table.live_row(id)?;
+                if self.passes(alias, row) && !f(row) {
+                    break;
+                }
+            }
+        } else {
+            for (_, row) in table.scan() {
+                if self.passes(alias, row) && !f(row) {
+                    break;
                 }
             }
         }
-        Ok(table
-            .scan()
-            .filter(|(_, row)| passes(row))
-            .map(|(id, _)| id)
-            .take(cap)
-            .collect())
+        Ok(())
     }
 
-    /// The first `limit` rows of a single-alias query in the order of its
-    /// one sort key, read off the key column's ordered index: the walk
-    /// starts and stops where the key's own restrictions bound it, and
-    /// every row on it is tested like a scan's. `None` — the caller's scan
-    /// and sort stand — when the column has no ordered index, or when an
-    /// indexed `=` restriction would make [`Context::candidates`] arrive
-    /// in index-list order, which a walk's ties (ascending `RowId`) do not
-    /// reproduce.
-    fn index_ordered_top_k(&self, key: Col, desc: bool, limit: usize) -> Option<Vec<RowId>> {
-        let table = &self.tables[key.alias];
-        let by_eq_index = |r: &Restriction| r.op == CmpOp::Eq && table.has_index(r.col.pos);
-        if self.restrictions.iter().any(by_eq_index) {
-            return None;
-        }
-        let bounds: Vec<(CmpOp, &Value)> = self
-            .restrictions
-            .iter()
-            .filter(|r| r.col == key)
-            .map(|r| (r.op, r.value))
-            .collect();
-        let walk = table.ordered_walk(key.pos, &bounds, desc)?;
-        let passes = self.local_filter(key.alias);
-        Some(
-            walk.filter(|(_, row)| passes(row))
-                .map(|(id, _)| id)
-                .take(limit)
-                .collect(),
-        )
+    fn candidates(&self, alias: usize) -> Result<Vec<&'a Row>, StorageError> {
+        let mut rows = Vec::new();
+        self.each_candidate(alias, |row| {
+            rows.push(row);
+            true
+        })?;
+        Ok(rows)
     }
 
-    /// Performs the join; returns up to `cap` tuples, flat: one row id per
-    /// alias, in alias order, tuple after tuple.
-    fn join(&self, cap: usize) -> Result<Vec<RowId>, StorageError> {
+    /// Performs the join, handing each tuple of its last step to `sink`
+    /// until `sink` returns false.
+    fn join(&self, mut sink: impl FnMut(&[&'a Row]) -> bool) -> Result<(), StorageError> {
         let n = self.tables.len();
-        if cap == 0 {
-            return Ok(Vec::new());
-        }
         if n == 1 {
-            return self.candidates(0, cap);
+            return self.each_candidate(0, |row| sink(&[row]));
         }
         // `None`: an unfiltered alias, its whole table — counted for the
         // join order, materialised only if a step below has to scan it.
-        let mut filtered: Vec<Option<Vec<RowId>>> = Vec::with_capacity(n);
-        for alias in 0..n {
-            filtered.push(if self.is_filtered(alias) {
-                Some(self.candidates(alias, usize::MAX)?)
+        let mut filtered: Vec<Option<Vec<&'a Row>>> = Vec::with_capacity(n);
+        for (alias, a) in self.plan.aliases.iter().enumerate() {
+            filtered.push(if a.is_filtered() {
+                Some(self.candidates(alias)?)
             } else {
                 None
             });
@@ -535,10 +424,10 @@ impl<'a, S: Source<'a>> Context<'a, S> {
         let mut order: Vec<usize> = Vec::with_capacity(n);
         while !remaining.is_empty() {
             let connected = |a: usize| {
-                self.joins.iter().any(|j| {
+                self.plan.joins.iter().any(|j| {
+                    let (l, r) = (j.lhs.col.alias, j.rhs.col.alias);
                     j.op == CmpOp::Eq
-                        && ((j.lhs.alias == a && order.contains(&j.rhs.alias))
-                            || (j.rhs.alias == a && order.contains(&j.lhs.alias)))
+                        && ((l == a && order.contains(&r)) || (r == a && order.contains(&l)))
                 })
             };
             let Some(pick) = remaining
@@ -552,72 +441,82 @@ impl<'a, S: Source<'a>> Context<'a, S> {
             order.push(pick);
         }
 
-        // Slots of aliases not bound yet hold this placeholder.
-        const UNBOUND: RowId = RowId::MAX;
         let first = match filtered[order[0]].take() {
-            Some(ids) => ids,
-            None => self.candidates(order[0], usize::MAX)?,
+            Some(rows) => rows,
+            None => self.candidates(order[0])?,
         };
-        let mut tuples: Vec<RowId> = vec![UNBOUND; first.len() * n];
-        for (t, id) in tuples.chunks_exact_mut(n).zip(first) {
-            t[order[0]] = id;
+        let mut tuples: Vec<&'a Row> = vec![&UNBOUND; first.len() * n];
+        for (t, row) in tuples.chunks_exact_mut(n).zip(first) {
+            t[order[0]] = row;
         }
 
         for step in 1..n {
             let alias = order[step];
             let bound = &order[..step];
             let table = &self.tables[alias];
-            // Join predicates now fully bound and touching `alias`, as
-            // (bound column, column position in `alias`), bound side left.
-            let mut eq_keys: Vec<(Col, usize)> = Vec::new();
+            let last = step == n - 1;
+            // Join predicates now fully bound and touching `alias`, the
+            // bound side on the left.
+            let mut eq_keys: Vec<EqKey> = Vec::new();
             let mut thetas: Vec<(Col, CmpOp, usize)> = Vec::new();
-            for j in &self.joins {
-                let (b, np, op) = if j.lhs.alias == alias && bound.contains(&j.rhs.alias) {
-                    (j.rhs, j.lhs.pos, j.op.flipped())
-                } else if j.rhs.alias == alias && bound.contains(&j.lhs.alias) {
-                    (j.lhs, j.rhs.pos, j.op)
+            for j in &self.plan.joins {
+                let (l, r) = (j.lhs.col.alias, j.rhs.col.alias);
+                let (b, new, op) = if l == alias && bound.contains(&r) {
+                    (j.rhs.col, j.lhs, j.op.flipped())
+                } else if r == alias && bound.contains(&l) {
+                    (j.lhs.col, j.rhs, j.op)
                 } else {
                     continue;
                 };
                 if op == CmpOp::Eq {
-                    eq_keys.push((b, np));
+                    eq_keys.push(EqKey { bound: b, new });
                 } else {
-                    thetas.push((b, op, np));
+                    thetas.push((b, op, new.col.pos));
                 }
             }
-            let cap = if step == n - 1 { cap } else { usize::MAX };
 
-            let mut next: Vec<RowId> = Vec::new();
-            // Appends `t` extended by `id` if the theta predicates hold;
-            // false once `cap` tuples exist.
-            let mut emit = |t: &[RowId], id: RowId, new_row: &Row| -> Result<bool, StorageError> {
+            let mut next: Vec<&'a Row> = Vec::new();
+            let mut out: Vec<&'a Row> = vec![&UNBOUND; n];
+            // `t` extended by `new_row`, if the theta predicates hold: kept
+            // for the next step, or handed to the sink by the last; false
+            // once the sink has enough.
+            let mut emit = |t: &[&'a Row], new_row: &'a Row| -> bool {
                 for (b, op, np) in &thetas {
-                    if !op.eval(self.value(t, *b)?, &new_row[*np]) {
-                        return Ok(true);
+                    if !op.eval(&t[b.alias][b.pos], &new_row[*np]) {
+                        return true;
                     }
                 }
-                let at = next.len();
-                next.extend_from_slice(t);
-                next[at + alias] = id;
-                Ok(next.len() < cap.saturating_mul(n))
+                if last {
+                    out.copy_from_slice(t);
+                    out[alias] = new_row;
+                    sink(&out)
+                } else {
+                    let at = next.len();
+                    next.extend_from_slice(t);
+                    next[at + alias] = new_row;
+                    true
+                }
             };
 
-            let probe = match filtered[alias] {
-                None => eq_keys.iter().position(|(_, np)| table.has_index(*np)),
-                Some(_) => None,
-            };
-            if let Some(k) = probe {
+            // An unfiltered alias is probed through any indexed key; a
+            // filtered one through a unique key only, where the order of
+            // its candidates cannot show.
+            let is_filtered = filtered[alias].is_some();
+            let probe = eq_keys.iter().enumerate().find_map(|(k, key)| {
+                let slot = key.new.slot.filter(|_| !is_filtered || key.new.unique)?;
+                Some((k, slot))
+            });
+            if let Some((k, slot)) = probe {
                 // Index nested loop: probe the index per bound tuple and
-                // check the other equality keys on what it returns. Index
-                // lists are unordered after deletes, a scan's hash bucket
-                // is not: emit in ascending row id.
-                let (probe_col, probe_pos) = eq_keys[k];
+                // check the other equality keys, and that a filtered alias
+                // counts the row among its candidates, on what it returns. Index lists are unordered after
+                // deletes, a scan's hash bucket is not: emit in ascending
+                // row id.
+                let probe_col = eq_keys[k].bound;
                 let mut buf: Vec<RowId> = Vec::new();
                 let mut sorted: Vec<RowId> = Vec::new();
                 'probe: for t in tuples.chunks_exact(n) {
-                    let ids = table
-                        .index_lookup(probe_pos, self.value(t, probe_col)?, &mut buf)
-                        .unwrap_or(&[]);
+                    let ids = table.slot_lookup(slot, &t[probe_col.alias][probe_col.pos], &mut buf);
                     let ids = if ids.windows(2).all(|w| w[0] < w[1]) {
                         ids
                     } else {
@@ -628,51 +527,53 @@ impl<'a, S: Source<'a>> Context<'a, S> {
                     };
                     for &id in ids {
                         let new_row = table.live_row(id)?;
-                        let mut all_eq = true;
-                        for (i, (b, np)) in eq_keys.iter().enumerate() {
-                            if i != k && self.value(t, *b)? != &new_row[*np] {
-                                all_eq = false;
-                                break;
-                            }
-                        }
-                        if all_eq && !emit(t, id, new_row)? {
+                        let all_eq = eq_keys.iter().enumerate().all(|(i, key)| {
+                            i == k || t[key.bound.alias][key.bound.pos] == new_row[key.new.col.pos]
+                        });
+                        if all_eq
+                            && (!is_filtered || self.is_candidate(alias, new_row))
+                            && !emit(t, new_row)
+                        {
                             break 'probe;
                         }
                     }
                 }
             } else {
                 let scanned;
-                let ids: &[RowId] = match &filtered[alias] {
-                    Some(ids) => ids,
+                let rows: &[&'a Row] = match &filtered[alias] {
+                    Some(rows) => rows,
                     None => {
-                        scanned = self.candidates(alias, usize::MAX)?;
+                        scanned = self.candidates(alias)?;
                         &scanned
                     }
                 };
                 if eq_keys.is_empty() {
                     'nested: for t in tuples.chunks_exact(n) {
-                        for &id in ids {
-                            if !emit(t, id, table.live_row(id)?)? {
+                        for &row in rows {
+                            if !emit(t, row) {
                                 break 'nested;
                             }
                         }
                     }
                 } else {
-                    // Hash join: build on the new alias's candidates.
-                    let mut hash: HashMap<Vec<&Value>, Vec<RowId>> = HashMap::new();
-                    for &id in ids {
-                        let row = table.live_row(id)?;
-                        let key = eq_keys.iter().map(|(_, np)| &row[*np]).collect();
-                        hash.entry(key).or_default().push(id);
-                    }
-                    let mut key: Vec<&Value> = Vec::with_capacity(eq_keys.len());
-                    'hash: for t in tuples.chunks_exact(n) {
-                        key.clear();
-                        for (b, _) in &eq_keys {
-                            key.push(self.value(t, *b)?);
+                    // Hash join: build on the new alias's candidates, each
+                    // distinct key's rows in candidate order.
+                    let mut index = KeyIndex::new(eq_keys.len());
+                    let mut buckets: Vec<Vec<&'a Row>> = Vec::new();
+                    for &row in rows {
+                        let bucket = index.ordinal(eq_keys.iter().map(|k| &row[k.new.col.pos]));
+                        if bucket == buckets.len() {
+                            buckets.push(Vec::new());
                         }
-                        for &id in hash.get(&key).map_or(&[][..], Vec::as_slice) {
-                            if !emit(t, id, table.live_row(id)?)? {
+                        buckets[bucket].push(row);
+                    }
+                    'hash: for t in tuples.chunks_exact(n) {
+                        let key = eq_keys.iter().map(|k| &t[k.bound.alias][k.bound.pos]);
+                        let Some(bucket) = index.find(key) else {
+                            continue;
+                        };
+                        for &row in &buckets[bucket] {
+                            if !emit(t, row) {
                                 break 'hash;
                             }
                         }
@@ -684,192 +585,144 @@ impl<'a, S: Source<'a>> Context<'a, S> {
                 break;
             }
         }
-        Ok(tuples)
+        Ok(())
     }
 
     /// Plain projection with ordering and top-k.
-    fn project(&self) -> Result<Vec<Vec<Value>>, StorageError> {
-        let tpl = &self.q.template;
-        // Sort keys may be non-projected columns.
-        let keys: Vec<Col> = tpl
-            .order_by
-            .iter()
-            .map(|k| self.resolve(&k.column))
-            .collect::<Result<_, _>>()?;
-        let desc: Vec<bool> = tpl.order_by.iter().map(|k| k.desc).collect();
-        let mut select_cols: Vec<Col> = Vec::with_capacity(tpl.select.len());
-        for s in &tpl.select {
-            if let SelectItem::Column(c) = s {
-                select_cols.push(self.resolve(c)?);
-            }
+    fn project(
+        &self,
+        select: &[Col],
+        keys: &[Col],
+        desc: &[bool],
+        walk: Option<&Walk>,
+    ) -> Result<Vec<Vec<Value>>, StorageError> {
+        let limit = self.plan.limit;
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        if limit == 0 {
+            return Ok(rows);
         }
-        let limit = limit_of(self.q);
+        let project = |t: &[&Row]| -> Vec<Value> {
+            select.iter().map(|c| t[c.alias][c.pos].clone()).collect()
+        };
+        // Tuples that arrive in output order are projected as they come,
+        // up to `limit` of them.
+        let mut push = |t: &[&Row]| {
+            rows.push(project(t));
+            rows.len() < limit
+        };
+
+        // The first `limit` rows in the order of the one sort key, read off
+        // the key column's ordered index: the walk starts and stops where
+        // the key's own restrictions bound it, and every row on it is
+        // tested like a scan's.
+        let bounds: Vec<(CmpOp, &Value)> = (walk.iter().flat_map(|w| &w.bounds))
+            .map(|r| (self.plan.restrictions[*r].op, self.values[*r]))
+            .collect();
+        let walked = walk.and_then(|w| self.tables[0].ordered_walk(w.pos, &bounds, w.desc));
+        if let Some(walked) = walked {
+            for (_, row) in walked {
+                if self.passes(0, row) && !push(&[row]) {
+                    break;
+                }
+            }
+            return Ok(rows);
+        }
+        if keys.is_empty() {
+            self.join(push)?;
+            return Ok(rows);
+        }
+
         let n = self.tables.len();
-
-        let walked = match (&keys[..], tpl.limit) {
-            ([key], Some(_)) if n == 1 => self.index_ordered_top_k(*key, desc[0], limit),
-            _ => None,
-        };
-        // Whether the tuples arrive in output order, cut to `limit`.
-        let in_order = walked.is_some() || keys.is_empty();
-        let tuples = match walked {
-            Some(ids) => ids,
-            None => self.join(if in_order { limit } else { usize::MAX })?,
-        };
+        let nk = keys.len();
+        let mut tuples: Vec<&Row> = Vec::new();
+        let mut sort_keys: Vec<&Value> = Vec::new();
+        self.join(|t| {
+            tuples.extend_from_slice(t);
+            sort_keys.extend(keys.iter().map(|k| &t[k.alias][k.pos]));
+            true
+        })?;
+        // Tuple numbers in output order. Arrival number as the last key
+        // makes the order total, so the unstable select and sort below are
+        // deterministic and agree with a stable sort on the keys.
         let count = tuples.len() / n;
-
-        // Tuple numbers in output order.
         let mut picked: Vec<usize> = (0..count).collect();
-        if !in_order {
-            let nk = keys.len();
-            let mut sort_keys: Vec<&Value> = Vec::with_capacity(count * nk);
-            for t in tuples.chunks_exact(n) {
-                for k in &keys {
-                    sort_keys.push(self.value(t, *k)?);
-                }
-            }
-            // Arrival number as the last key makes the order total, so
-            // the unstable select and sort below are deterministic and
-            // agree with a stable sort on the keys.
-            let by_keys_then_arrival = |a: &usize, b: &usize| {
-                let (ka, kb) = (&sort_keys[a * nk..][..nk], &sort_keys[b * nk..][..nk]);
-                compare_keys(ka, kb, &desc).then(a.cmp(b))
-            };
-            if limit < count {
-                if limit > 0 {
-                    picked.select_nth_unstable_by(limit - 1, by_keys_then_arrival);
-                }
-                picked.truncate(limit);
-            }
-            picked.sort_unstable_by(by_keys_then_arrival);
+        let by_keys_then_arrival = |a: &usize, b: &usize| {
+            let (ka, kb) = (&sort_keys[a * nk..][..nk], &sort_keys[b * nk..][..nk]);
+            compare_keys(ka, kb, desc).then(a.cmp(b))
+        };
+        if limit < count {
+            picked.select_nth_unstable_by(limit - 1, by_keys_then_arrival);
+            picked.truncate(limit);
         }
-
-        let mut rows = Vec::with_capacity(picked.len());
-        for i in picked {
-            let t = &tuples[i * n..(i + 1) * n];
-            let mut row = Vec::with_capacity(select_cols.len());
-            for c in &select_cols {
-                row.push(self.value(t, *c)?.clone());
-            }
-            rows.push(row);
-        }
-        Ok(rows)
+        picked.sort_unstable_by(by_keys_then_arrival);
+        Ok(picked
+            .into_iter()
+            .map(|i| project(&tuples[i * n..][..n]))
+            .collect())
     }
 
     /// Grouped / scalar aggregation, then ordering and top-k on its output.
-    fn aggregate(&self) -> Result<Vec<Vec<Value>>, StorageError> {
-        let tpl = &self.q.template;
-        let n = self.tables.len();
-        let tuples = self.join(usize::MAX)?;
-
-        // Plain select items must be group-by columns. An aggregate's
-        // argument is resolved here, but a failure only surfaces when the
-        // first group's row is built, after the items before it.
-        enum Item {
-            GroupKey(usize),
-            Agg(AggFunc, Option<Result<Col, StorageError>>),
-        }
-        let mut items: Vec<Item> = Vec::with_capacity(tpl.select.len());
-        for s in &tpl.select {
-            items.push(match s {
-                SelectItem::Column(c) => {
-                    let gpos = tpl.group_by.iter().position(|g| g == c).ok_or_else(|| {
-                        StorageError::BadQuery(format!(
-                            "non-aggregated column `{c}` must appear in GROUP BY"
-                        ))
-                    })?;
-                    Item::GroupKey(gpos)
-                }
-                SelectItem::Aggregate { func, arg } => {
-                    Item::Agg(*func, arg.as_ref().map(|c| self.resolve(c)))
-                }
-            });
-        }
-        let group_cols: Vec<Col> = tpl
-            .group_by
-            .iter()
-            .map(|c| self.resolve(c))
-            .collect::<Result<_, _>>()?;
-
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        if tuples.is_empty() {
-            // Scalar aggregation over empty input emits one row only if
-            // every aggregate is COUNT (SQL would produce NULLs, which the
-            // model lacks); grouped aggregation emits no group.
-            let all_count = items
-                .iter()
-                .all(|i| matches!(i, Item::Agg(AggFunc::Count, _)));
-            if tpl.group_by.is_empty() && all_count {
-                rows.push(vec![Value::Int(0); items.len()]);
+    fn aggregate(
+        &self,
+        items: &[AggItem],
+        folds: &[(AggFunc, Col)],
+        group: &[Col],
+        order: &Result<Vec<(usize, bool)>, StorageError>,
+    ) -> Result<Vec<Vec<Value>>, StorageError> {
+        // Each tuple finds its group (first-seen order; no GROUP BY is one
+        // group over everything) and is folded into that group's
+        // accumulators, one per folded column.
+        let width = folds.len();
+        let mut groups = KeyIndex::new(group.len());
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut accs: Vec<Acc> = Vec::new(); // group-major, `width` each
+        self.join(|t| {
+            let g = groups.ordinal(group.iter().map(|c| &t[c.alias][c.pos]));
+            if g == sizes.len() {
+                sizes.push(0);
+                accs.resize_with(accs.len() + width, Acc::default);
             }
-        } else {
-            // One pass: find each tuple's group (first-seen order; no
-            // GROUP BY is one group over everything) and fold it into that
-            // group's accumulators, one per select item.
-            let width = items.len();
-            let gk = group_cols.len();
-            let mut keys: Vec<&Value> = Vec::with_capacity(tuples.len() / n * gk);
-            for t in tuples.chunks_exact(n) {
-                for c in &group_cols {
-                    keys.push(self.value(t, *c)?);
-                }
+            sizes[g] += 1;
+            for ((func, col), acc) in folds.iter().zip(&mut accs[g * width..]) {
+                acc.fold(*func, &t[col.alias][col.pos]);
             }
-            let mut groups: Vec<(usize, usize)> = Vec::new(); // (first tuple, size)
-            let mut accs: Vec<Acc> = Vec::new(); // group-major, `width` each
-            let mut index: HashMap<&[&Value], usize> = HashMap::new();
-            for (i, t) in tuples.chunks_exact(n).enumerate() {
-                let g = if gk == 0 {
-                    0
-                } else {
-                    *index
-                        .entry(&keys[i * gk..(i + 1) * gk])
-                        .or_insert(groups.len())
-                };
-                if g == groups.len() {
-                    groups.push((i, 0));
-                    accs.resize_with(accs.len() + width, Acc::default);
-                }
-                groups[g].1 += 1;
-                for (item, acc) in items.iter().zip(&mut accs[g * width..]) {
-                    if let Item::Agg(func, Some(Ok(col))) = item {
-                        acc.fold(*func, self.value(t, *col)?);
+            true
+        })?;
+
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(sizes.len());
+        for (g, size) in sizes.iter().enumerate() {
+            let mut out = Vec::with_capacity(items.len());
+            for item in items {
+                out.push(match item {
+                    AggItem::GroupKey(gpos) => groups.key(g)[*gpos].clone(),
+                    AggItem::Agg(_, Some(Err(e))) => return Err(e.clone()),
+                    AggItem::Agg(func, Some(Ok(a))) => accs[g * width + a].finish(*func, *size)?,
+                    AggItem::Agg(AggFunc::Count, None) => Value::Int(*size as i64),
+                    AggItem::Agg(func, None) => {
+                        let name = func.as_str();
+                        return Err(StorageError::BadQuery(format!("{name} requires a column")));
                     }
-                }
+                });
             }
-
-            rows.reserve(groups.len());
-            for (g, (first, size)) in groups.iter().enumerate() {
-                let mut out = Vec::with_capacity(width);
-                for (item, acc) in items.iter().zip(&accs[g * width..]) {
-                    out.push(match item {
-                        Item::GroupKey(gpos) => keys[first * gk + gpos].clone(),
-                        Item::Agg(_, Some(Err(e))) => return Err(e.clone()),
-                        Item::Agg(func, arg) => acc.finish(*func, arg.is_some(), *size)?,
-                    });
-                }
-                rows.push(out);
-            }
+            rows.push(out);
+        }
+        // Scalar aggregation over empty input emits one row only if every
+        // aggregate is COUNT (SQL would produce NULLs, which the model
+        // lacks); grouped aggregation emits no group.
+        let all_count = || {
+            let is_count = |i: &AggItem| matches!(i, AggItem::Agg(AggFunc::Count, _));
+            items.iter().all(is_count)
+        };
+        if sizes.is_empty() && group.is_empty() && all_count() {
+            rows.push(vec![Value::Int(0); items.len()]);
         }
 
-        // ORDER BY on grouped output: keys must be selected group-by
-        // columns. Stable, so tied groups stay in first-seen order.
-        if !tpl.order_by.is_empty() {
-            let mut key_positions = Vec::with_capacity(tpl.order_by.len());
-            for k in &tpl.order_by {
-                let pos = tpl
-                    .select
-                    .iter()
-                    .position(|s| matches!(s, SelectItem::Column(c) if c == &k.column))
-                    .ok_or_else(|| {
-                        StorageError::BadQuery(format!(
-                            "ORDER BY `{}` must be a selected group-by column",
-                            k.column
-                        ))
-                    })?;
-                key_positions.push((pos, k.desc));
-            }
+        // ORDER BY on grouped output. Stable, so tied groups stay in
+        // first-seen order.
+        let order = order.as_ref().map_err(Clone::clone)?;
+        if !order.is_empty() {
             rows.sort_by(|a, b| {
-                for (pos, desc) in &key_positions {
+                for (pos, desc) in order {
                     let ord = a[*pos].cmp(&b[*pos]);
                     let ord = if *desc { ord.reverse() } else { ord };
                     if ord.is_ne() {
@@ -879,7 +732,7 @@ impl<'a, S: Source<'a>> Context<'a, S> {
                 Ordering::Equal
             });
         }
-        rows.truncate(limit_of(self.q));
+        rows.truncate(self.plan.limit);
         Ok(rows)
     }
 }
@@ -899,6 +752,7 @@ struct Acc<'a> {
 }
 
 impl<'a> Acc<'a> {
+    #[inline]
     fn fold(&mut self, func: AggFunc, v: &'a Value) {
         match func {
             AggFunc::Count => {}
@@ -929,18 +783,10 @@ impl<'a> Acc<'a> {
         }
     }
 
-    fn finish(
-        &self,
-        func: AggFunc,
-        has_arg: bool,
-        group_size: usize,
-    ) -> Result<Value, StorageError> {
+    fn finish(&self, func: AggFunc, group_size: usize) -> Result<Value, StorageError> {
         let name = func.as_str();
         if func == AggFunc::Count {
             return Ok(Value::Int(group_size as i64));
-        }
-        if !has_arg {
-            return Err(StorageError::BadQuery(format!("{name} requires a column")));
         }
         let real = |x: f64| {
             Real::new(x)
@@ -1364,6 +1210,64 @@ mod tests {
         assert_eq!(ints(&r), vec![vec![100], vec![101]]);
     }
 
+    /// The last join step hands the sink one tuple at a time and ends with
+    /// the sink's first `false`: `LIMIT k` without `ORDER BY` produces k
+    /// tuples, by a scan, an index list, a probe, a hash join or a nested
+    /// loop alike.
+    #[test]
+    fn the_last_step_stops_when_the_sink_has_enough() {
+        let d = db();
+        for (sql, params, total) in [
+            ("SELECT toy_id FROM toys", vec![], 4),
+            (
+                "SELECT toy_id FROM toys WHERE toy_name = ?",
+                vec![Value::str("bear")],
+                2,
+            ),
+            (
+                "SELECT orders.order_id FROM toys, orders WHERE toys.toy_id = orders.toy_id",
+                vec![],
+                3,
+            ),
+            // `t2` is filtered and joined on its primary key.
+            (
+                "SELECT t1.toy_id FROM toys t1, toys t2 WHERE t1.toy_id = t2.toy_id AND t2.qty > ?",
+                vec![Value::Int(0)],
+                3,
+            ),
+            (
+                "SELECT t1.toy_id FROM toys t1, toys t2 WHERE t1.qty = t2.qty",
+                vec![],
+                4,
+            ),
+            (
+                "SELECT t1.toy_id FROM toys t1, toys t2 WHERE t1.qty > t2.qty",
+                vec![],
+                6,
+            ),
+        ] {
+            let q = Query::bind(0, Arc::new(parse_query(sql).unwrap()), params).unwrap();
+            let from = q.template.from.iter();
+            let tables: Vec<&Table> = from.map(|tr| d.table(&tr.table).unwrap()).collect();
+            let schemas: Vec<&TableSchema> = tables.iter().map(|t| t.schema()).collect();
+            let plan = Plan::new(&q.template, &schemas).unwrap();
+            let run = Run {
+                plan: &plan,
+                tables,
+                values: plan.bind(&q),
+            };
+            for wanted in 1..=total + 1 {
+                let mut handed = 0;
+                run.join(|_| {
+                    handed += 1;
+                    handed < wanted
+                })
+                .unwrap();
+                assert_eq!(handed, wanted.min(total), "{sql}, {wanted} wanted");
+            }
+        }
+    }
+
     /// Of equal extrema MIN returns the first and MAX the last, which
     /// shows when an `Int` and a `Real` compare equal.
     #[test]
@@ -1456,12 +1360,11 @@ mod tests {
         // Each part's list ascending, parts in order: what one table
         // loaded with these rows in scan order would list.
         let mut buf = vec![99];
-        let bears = t.index_lookup(1, &Value::str("bear"), &mut buf).unwrap();
+        let by_name = t.schema().index_slot("toy_name").unwrap();
+        let bears = t.slot_lookup(by_name, &Value::str("bear"), &mut buf);
         assert_eq!(bears, &[0, 3, 4, 5]);
-        let none = t.index_lookup(1, &Value::str("yak"), &mut buf).unwrap();
+        let none = t.slot_lookup(by_name, &Value::str("yak"), &mut buf);
         assert!(none.is_empty());
-        assert!(t.index_lookup(2, &Value::Int(5), &mut buf).is_none());
-        assert!(t.has_index(1) && !t.has_index(2));
     }
 
     #[test]
@@ -1529,7 +1432,7 @@ mod tests {
                 .map(|_| parts.iter().collect())
                 .collect();
             assert_eq!(
-                execute_partitioned(&q, tables).unwrap(),
+                execute_partitioned(&PlanMemo::default(), &q, tables).unwrap(),
                 copied.execute(&q).unwrap(),
                 "{sql}"
             );
@@ -1547,12 +1450,12 @@ mod tests {
         .unwrap();
         let one_table = vec![parts.iter().collect()];
         assert!(matches!(
-            execute_partitioned(&q, one_table),
+            execute_partitioned(&PlanMemo::default(), &q, one_table),
             Err(StorageError::BadQuery(_))
         ));
         let empty_table = vec![parts.iter().collect(), PartitionedTable::default()];
         assert!(matches!(
-            execute_partitioned(&q, empty_table),
+            execute_partitioned(&PlanMemo::default(), &q, empty_table),
             Err(StorageError::BadQuery(_))
         ));
     }

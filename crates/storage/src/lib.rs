@@ -12,12 +12,16 @@
 //! duplicates), conjunctive SPJ evaluation with index nested-loop and hash
 //! joins on equality join predicates, `ORDER BY`, bounded top-k (read off
 //! a declared ordered index where the query allows), and streaming
-//! aggregation/`GROUP BY`.
+//! aggregation/`GROUP BY`. A query template is planned once — names
+//! resolved, access paths and consumer chosen — and its statements bind
+//! and run the plan.
 
 pub mod database;
 pub mod error;
 pub mod executor;
+mod hash;
 pub mod partition;
+mod plan;
 pub mod result;
 pub mod schema;
 pub mod table;
@@ -27,6 +31,7 @@ pub use database::{Database, UpdateEffect};
 pub use error::StorageError;
 pub use executor::PartitionedTable;
 pub use partition::{PartitionMap, TablePlacement};
+pub use plan::PlanMemo;
 pub use result::QueryResult;
 pub use schema::{Column, ColumnType, ForeignKey, TableSchema};
 pub use table::{Row, RowId, Table};

@@ -125,6 +125,13 @@ impl TableSchema {
         cols
     }
 
+    /// The slot of `column`'s equality index in a [`crate::Table`] of this
+    /// schema — its place in [`TableSchema::indexed_columns`] — or `None`
+    /// when the column carries none.
+    pub(crate) fn index_slot(&self, column: &str) -> Option<usize> {
+        self.indexed_columns().iter().position(|c| c == column)
+    }
+
     /// Validates internal consistency (column references resolve, no
     /// duplicate column names).
     pub fn validate(&self) -> Result<(), StorageError> {

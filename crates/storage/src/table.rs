@@ -1,10 +1,17 @@
 //! Row storage with slot reuse, primary-key enforcement, equality indexes
 //! and ordered indexes.
+//!
+//! The equality indexes sit in *slots*: one per column of
+//! [`TableSchema::indexed_columns`], in that order, so a query plan names an
+//! index by a number it resolved once ([`TableSchema::index_slot`]) and a
+//! probe is one hash look-up. The primary-key map and the index maps hash
+//! through the crate's keyed hasher (`hash.rs`); table equality compares
+//! their contents, never their layout.
 
 use crate::error::StorageError;
+use crate::hash::KeyMap;
 use crate::schema::TableSchema;
 use scs_sqlkit::{CmpOp, Value};
-use std::collections::HashMap;
 
 /// A stored row: values in schema column order.
 pub type Row = Vec<Value>;
@@ -27,10 +34,11 @@ pub struct Table {
     free: Vec<RowId>,
     live: usize,
     /// Composite primary key -> row id (absent when the table is keyless).
-    pk_index: HashMap<Vec<Value>, RowId>,
+    pk_index: KeyMap<Vec<Value>, RowId>,
     pk_positions: Vec<usize>,
-    /// Single-column equality indexes: column position -> value -> row ids.
-    eq_indexes: HashMap<usize, HashMap<Value, Vec<RowId>>>,
+    /// Single-column equality indexes, slot by slot: (column position,
+    /// value -> row ids in insertion order).
+    eq_indexes: Vec<(usize, KeyMap<Value, Vec<RowId>>)>,
     /// Single-column ordered indexes: column position -> the live row ids
     /// sorted by `(Value::cmp of that column, row id)`. A permutation, not
     /// a tree: four bytes a row, keys read through the rows; an insert or
@@ -52,7 +60,7 @@ impl Table {
             .map(|c| {
                 (
                     schema.column_index(c).expect("validated schema"),
-                    HashMap::new(),
+                    KeyMap::default(),
                 )
             })
             .collect();
@@ -68,7 +76,7 @@ impl Table {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            pk_index: HashMap::new(),
+            pk_index: KeyMap::default(),
             pk_positions,
             eq_indexes,
             ord_indexes,
@@ -116,17 +124,23 @@ impl Table {
             .filter_map(|(id, s)| s.as_ref().map(|r| (id, r)))
     }
 
-    /// Row ids whose indexed column `pos` equals `v` (empty if no index or
-    /// no match). Returns `None` when the column has no index.
+    /// Row ids whose column `pos` equals `v`, in the order its equality
+    /// index lists them (empty when nothing matches); `None` when the
+    /// column has no equality index.
     pub fn index_lookup(&self, pos: usize, v: &Value) -> Option<&[RowId]> {
-        self.eq_indexes
-            .get(&pos)
-            .map(|idx| idx.get(v).map_or(&[][..], |ids| ids.as_slice()))
+        let slot = self.eq_indexes.iter().position(|(p, _)| *p == pos)?;
+        Some(self.slot_lookup(slot, v))
+    }
+
+    /// [`Table::index_lookup`] through the index's slot
+    /// ([`TableSchema::index_slot`] of its column).
+    pub(crate) fn slot_lookup(&self, slot: usize, v: &Value) -> &[RowId] {
+        self.eq_indexes[slot].1.get(v).map_or(&[], Vec::as_slice)
     }
 
     /// Whether column position `pos` carries an equality index.
     pub fn has_index(&self, pos: usize) -> bool {
-        self.eq_indexes.contains_key(&pos)
+        self.eq_indexes.iter().any(|(p, _)| *p == pos)
     }
 
     /// The rows whose ordered-indexed column `pos` satisfies every one of

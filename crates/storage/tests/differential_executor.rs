@@ -3,6 +3,11 @@
 //! — same columns, same rows, **same row order**, same `Err`. Row order is
 //! observable: it decides which rows a top-k keeps, hence what the DSSP
 //! caches and which invalidations fire.
+//!
+//! The executor plans a template once and keeps the plan by the template's
+//! `Arc` (`scs_storage`'s `plan.rs`), so the tests hold each template's one
+//! `Arc` across statements, data changes and catalog changes: a plan must
+//! never hold anything a later statement of its template would contradict.
 
 #[path = "support/reference_executor.rs"]
 mod reference_executor;
@@ -11,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs_apps::{BenchApp, Op, ParamGen};
-use scs_sqlkit::{parse_query, parse_update, Query, Update, Value};
+use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
 use std::sync::Arc;
 
@@ -62,8 +67,7 @@ fn probe_value(rng: &mut StdRng, column: &str, next_id: i64) -> Value {
 /// column a query may order by carries an ordered index in half of them,
 /// beside or without an equality index (`r`'s `Int(1)` and `Real(1.0)` tie
 /// as sort keys, so they must share a value group of a descending walk).
-fn create_tables(rng: &mut StdRng) -> Database {
-    let mut db = Database::new();
+fn random_schemas(rng: &mut StdRng) -> [TableSchema; 3] {
     let mut a = TableSchema::builder("a")
         .column("id", ColumnType::Int)
         .column("k", ColumnType::Int)
@@ -111,10 +115,7 @@ fn create_tables(rng: &mut StdRng) -> Database {
             c = c.ordered_index(col);
         }
     }
-    for schema in [a, b, c] {
-        db.create_table(schema.build().unwrap()).unwrap();
-    }
-    db
+    [a, b, c].map(|schema| schema.build().unwrap())
 }
 
 fn update(sql: &str, params: Vec<Value>) -> Update {
@@ -125,8 +126,8 @@ fn update(sql: &str, params: Vec<Value>) -> Update {
 /// `swap_remove` holes in index lists; later inserts reuse the slots and
 /// push low row ids behind high ones; modifies re-push entries — so scan
 /// order, index-list order and ascending-`RowId` order all differ.
-fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
-    let mut next_id = 0i64;
+/// Ids go on from `next_id`, so a database takes one history after another.
+fn random_history(rng: &mut StdRng, db: &mut Database, next_id: &mut i64) {
     for (table, columns) in TABLES {
         // Up to ~50 rows: past the length where an unstable sort is an
         // insertion sort (and so stable by accident).
@@ -136,7 +137,7 @@ fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
                 0..=6 => {
                     let row = columns
                         .iter()
-                        .map(|c| domain_value(rng, c, &mut next_id))
+                        .map(|c| domain_value(rng, c, next_id))
                         .collect();
                     db.insert_row(table, row).unwrap();
                 }
@@ -147,7 +148,7 @@ fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
                     } else {
                         *pick(rng, columns)
                     };
-                    let v = probe_value(rng, col, next_id);
+                    let v = probe_value(rng, col, *next_id);
                     db.apply(&update(
                         &format!("DELETE FROM {table} WHERE {col} = ?"),
                         vec![v],
@@ -158,8 +159,8 @@ fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
                     // Any column but the first: never a primary key.
                     let set = *pick(rng, &columns[1..]);
                     let by = *pick(rng, columns);
-                    let to = domain_value(rng, set, &mut next_id);
-                    let v = probe_value(rng, by, next_id);
+                    let to = domain_value(rng, set, next_id);
+                    let v = probe_value(rng, by, *next_id);
                     db.apply(&update(
                         &format!("UPDATE {table} SET {set} = ? WHERE {by} = ?"),
                         vec![to, v],
@@ -169,15 +170,15 @@ fn random_history(rng: &mut StdRng, db: &mut Database) -> i64 {
             }
         }
     }
-    next_id
 }
 
 /// A random query of the §2.1 model over 1–3 aliases (self-joins
 /// included): restrictions, column-column predicates, equality and theta
 /// joins, then either a plain projection with multi-key `ORDER BY` or
 /// `GROUP BY` with every aggregate — some of them ill-typed or misnamed on
-/// purpose, so `Err`s are compared too.
-fn random_query(rng: &mut StdRng, next_id: i64) -> (String, Vec<Value>) {
+/// purpose, so `Err`s are compared too. Returned with the column each of
+/// its parameters is compared with, to draw parameters from.
+fn random_query(rng: &mut StdRng) -> (String, Vec<&'static str>) {
     const OPS: [&str; 5] = ["=", "<", "<=", ">", ">="];
     let n = *pick(rng, &[1, 1, 2, 2, 2, 3]);
     let aliases: Vec<(String, &str)> = (0..n)
@@ -190,7 +191,7 @@ fn random_query(rng: &mut StdRng, next_id: i64) -> (String, Vec<Value>) {
     };
 
     let mut preds: Vec<String> = Vec::new();
-    let mut params: Vec<Value> = Vec::new();
+    let mut params: Vec<&'static str> = Vec::new();
     // Join predicates: chain each alias to an earlier one, mostly by `=`.
     for i in 1..n {
         let j = rng.gen_range(0..i);
@@ -224,7 +225,7 @@ fn random_query(rng: &mut StdRng, next_id: i64) -> (String, Vec<Value>) {
                 preds.push(format!("{alias}.{col} {} {alias}.{other}", pick(rng, &OPS)));
             } else {
                 preds.push(format!("{alias}.{col} {} ?", pick(rng, &OPS)));
-                params.push(probe_value(rng, col, next_id));
+                params.push(col);
             }
         }
     }
@@ -306,23 +307,75 @@ fn random_query(rng: &mut StdRng, next_id: i64) -> (String, Vec<Value>) {
     (sql + &tail, params)
 }
 
+/// A random template, parsed once, with its parameters' columns.
+fn random_template(rng: &mut StdRng) -> (Arc<QueryTemplate>, Vec<&'static str>) {
+    let (sql, param_columns) = random_query(rng);
+    let Ok(template) = parse_query(&sql) else {
+        panic!("generator produced unparsable SQL: {sql}");
+    };
+    (Arc::new(template), param_columns)
+}
+
+/// A statement of `template` with fresh parameters. Every template of these
+/// tests is bound under `template_id` 0: the id says nothing about which
+/// template a statement belongs to.
+fn bind_fresh(
+    rng: &mut StdRng,
+    (template, param_columns): &(Arc<QueryTemplate>, Vec<&'static str>),
+    next_id: i64,
+) -> Query {
+    let params = param_columns
+        .iter()
+        .map(|col| probe_value(rng, col, next_id))
+        .collect();
+    Query::bind(0, template.clone(), params).unwrap()
+}
+
+fn cases() -> u32 {
+    std::env::var("SCS_EXECUTOR_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Over random indexed and unindexed tables with dead slots, reused
     /// slots and unsorted index lists: `execute` == the reference, as a
-    /// `Result`, rows in order.
+    /// `Result`, rows in order — for twelve templates at a time on one
+    /// database, each held by one `Arc` and executed with fresh parameters
+    /// before table `c` exists (a template over it is an `UnknownTable`
+    /// then, and must stop being one), after a first history and after a
+    /// second; then for templates minted and dropped one after the other,
+    /// whose `Arc`s the allocator hands the same address.
     #[test]
     fn executor_equals_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut db = create_tables(&mut rng);
-        let next_id = random_history(&mut rng, &mut db);
+        let [a, b, c] = random_schemas(&mut rng);
+        let mut db = Database::new();
+        db.create_table(a).unwrap();
+        db.create_table(b).unwrap();
+        let templates: Vec<_> = (0..12).map(|_| random_template(&mut rng)).collect();
+        let mut c = Some(c);
+        let mut next_id = 0;
+        for round in 0..3 {
+            for template in &templates {
+                let q = bind_fresh(&mut rng, template, next_id);
+                prop_assert_eq!(
+                    db.execute(&q),
+                    reference_executor::execute(&db, &q),
+                    "seed {} round {} query `{}`", seed, round, q
+                );
+            }
+            if let Some(c) = c.take() {
+                db.create_table(c).unwrap();
+            }
+            random_history(&mut rng, &mut db, &mut next_id);
+        }
         for _ in 0..12 {
-            let (sql, params) = random_query(&mut rng, next_id);
-            let Ok(template) = parse_query(&sql) else {
-                panic!("generator produced unparsable SQL: {sql}");
-            };
-            let q = Query::bind(0, Arc::new(template), params).unwrap();
+            let template = random_template(&mut rng);
+            let q = bind_fresh(&mut rng, &template, next_id);
             prop_assert_eq!(
                 db.execute(&q),
                 reference_executor::execute(&db, &q),
@@ -395,4 +448,186 @@ fn auction_stream_replays_identically() {
 #[test]
 fn bookstore_stream_replays_identically() {
     replay(BenchApp::Bookstore, 2_000, 42);
+}
+
+/// `users` and `items` of a small marketplace, twice: in `keyed`,
+/// `users.u_id` is the primary key; in the `twin` it is a declared,
+/// non-unique index, and one seller has two rows. Same rows otherwise,
+/// same history: a modify moves user 2 to the end of its index lists, so
+/// list order, scan order and ascending row id all differ.
+fn marketplace(keyed: bool) -> Database {
+    let users = TableSchema::builder("users")
+        .column("u_id", ColumnType::Int)
+        .column("region", ColumnType::Int)
+        .column("score", ColumnType::Real)
+        .column("name", ColumnType::Str)
+        .index("region")
+        .index("score");
+    let users = if keyed {
+        users.primary_key(&["u_id"])
+    } else {
+        users.index("u_id")
+    };
+    let items = TableSchema::builder("items")
+        .column("it_id", ColumnType::Int)
+        .column("seller", ColumnType::Int)
+        .column("cat", ColumnType::Int)
+        .column("price", ColumnType::Real)
+        .column("qty", ColumnType::Int)
+        .primary_key(&["it_id"])
+        .index("seller")
+        .index("cat");
+    let mut db = Database::new();
+    db.create_table(users.build().unwrap()).unwrap();
+    db.create_table(items.build().unwrap()).unwrap();
+    let big = 10_000_000_000_000_000i64; // 1e16: adding 1.0 to it is lost
+    let scores = [Value::Int(1), Value::real(1.0), Value::real(2.5)];
+    for u in 0..8i64 {
+        let score = scores[u as usize % 3].clone();
+        let row = vec![
+            Value::Int(u),
+            Value::Int(u % 2),
+            score,
+            Value::str(format!("u{u}")),
+        ];
+        db.insert_row("users", row).unwrap();
+    }
+    if !keyed {
+        // A second user 2, in the same region.
+        let row = vec![
+            Value::Int(2),
+            Value::Int(0),
+            Value::Int(1),
+            Value::str("u2b"),
+        ];
+        db.insert_row("users", row).unwrap();
+    }
+    let prices = [
+        Value::Int(big),
+        Value::real(1.0),
+        Value::Int(-big),
+        Value::real(0.5),
+    ];
+    for it in 0..24i64 {
+        let qty = if it == 20 { i64::MAX } else { it % 5 };
+        let row = vec![
+            Value::Int(it),
+            Value::Int((it * 3) % 8),
+            Value::Int(it % 4),
+            prices[it as usize % 4].clone(),
+            Value::Int(qty),
+        ];
+        db.insert_row("items", row).unwrap();
+    }
+    for (sql, params) in [
+        (
+            "UPDATE users SET name = ? WHERE name = ?",
+            vec![Value::str("u2'"), Value::str("u2")],
+        ),
+        ("DELETE FROM items WHERE it_id = ?", vec![Value::Int(5)]),
+        (
+            "UPDATE items SET qty = ? WHERE it_id = ?",
+            vec![Value::Int(4), Value::Int(2)],
+        ),
+    ] {
+        db.apply(&update(sql, params)).unwrap();
+    }
+    db
+}
+
+/// One case per streamed consumer and for the primary-key probe: the
+/// executor against the reference on `marketplace(true)` and on its twin,
+/// each template through one `Arc` for all its parameter sets.
+#[test]
+fn streamed_consumers_and_the_key_probe_equal_the_reference() {
+    let int = |i| vec![Value::Int(i)];
+    let cases: Vec<(&str, Vec<Vec<Value>>)> =
+        vec![
+        // Groups in first-seen order with the fold fused into the probe:
+        // `users` arrives in region-list order, `items` is probed per user.
+        (
+            "SELECT items.cat, COUNT(*), SUM(items.qty), MIN(items.it_id) FROM users, items \
+             WHERE items.seller = users.u_id AND users.region = ? GROUP BY items.cat",
+            vec![int(0), int(1), int(7)],
+        ),
+        // SUM / AVG over `Int`s and `Real`s add as floats in arrival order
+        // (1e16 + 1.0 - 1e16 is not 1.0 + 1e16 - 1e16); all-`Int` saturates.
+        ("SELECT SUM(price), AVG(price), SUM(qty) FROM items", vec![vec![]]),
+        (
+            "SELECT seller, SUM(price), SUM(qty) FROM items WHERE cat >= ? GROUP BY seller",
+            vec![int(0), int(2)],
+        ),
+        // Of `Int(1)` and `Real(1.0)` MIN keeps the first, MAX the last.
+        ("SELECT MIN(score), MAX(score) FROM users WHERE score <= ?", vec![int(1)]),
+        (
+            "SELECT region, MIN(score), MAX(score) FROM users GROUP BY region ORDER BY region DESC",
+            vec![vec![]],
+        ),
+        // `LIMIT` without `ORDER BY` cuts the stream; `LIMIT 0` is empty
+        // for every consumer.
+        ("SELECT it_id FROM items WHERE qty >= ? LIMIT 3", vec![int(0), int(4), int(9)]),
+        (
+            "SELECT items.it_id, users.name FROM users, items \
+             WHERE items.seller = users.u_id AND users.region = ? LIMIT 4",
+            vec![int(0), int(1)],
+        ),
+        ("SELECT it_id FROM items LIMIT 0", vec![vec![]]),
+        ("SELECT it_id FROM items ORDER BY qty LIMIT 0", vec![vec![]]),
+        ("SELECT cat, COUNT(*) FROM items GROUP BY cat LIMIT 0", vec![vec![]]),
+        ("SELECT COUNT(*) FROM items LIMIT 0", vec![vec![]]),
+        // A filtered alias joined on `users.u_id`, after the fewer
+        // `items`: probed where that is the primary key, hashed in the
+        // twin, whose two users 2 must come in region-list order (the
+        // later row first).
+        (
+            "SELECT items.it_id, users.name FROM items, users \
+             WHERE items.seller = users.u_id AND users.region = ? \
+             AND items.it_id >= ? AND items.it_id <= ?",
+            vec![
+                vec![Value::Int(0), Value::Int(4), Value::Int(7)],
+                vec![Value::Int(1), Value::Int(0), Value::Int(3)],
+            ],
+        ),
+        (
+            "SELECT users.name, COUNT(*), MAX(items.it_id) FROM items, users \
+             WHERE items.seller = users.u_id AND users.region = ? AND items.cat = ? \
+             AND items.it_id >= ? GROUP BY users.name",
+            vec![vec![Value::Int(0), Value::Int(2), Value::Int(12)]],
+        ),
+        // The probed row must be a *candidate*: `score = 1` reads the
+        // index list of `Int(1)`, which the `Real(1.0)` sellers of items
+        // 3 and 4 are not on though they pass the comparison.
+        (
+            "SELECT items.it_id, users.name FROM items, users \
+             WHERE items.seller = users.u_id AND users.score = ? \
+             AND items.it_id >= ? AND items.it_id <= ?",
+            vec![
+                vec![Value::Int(1), Value::Int(3), Value::Int(4)],
+                vec![Value::real(1.0), Value::Int(3), Value::Int(4)],
+                vec![Value::Int(1), Value::Int(0), Value::Int(1)],
+            ],
+        ),
+        // An aggregate's unknown argument is an error once a group exists,
+        // not before.
+        ("SELECT MAX(users.nope) FROM users WHERE region = ?", vec![int(9), int(0)]),
+        ("SELECT COUNT(users.nope) FROM users WHERE region = ?", vec![int(9), int(0)]),
+        (
+            "SELECT region, SUM(users.nope) FROM users WHERE region >= ? GROUP BY region",
+            vec![int(9), int(0)],
+        ),
+        ("SELECT region, COUNT(*) FROM users GROUP BY region ORDER BY name", vec![vec![]]),
+    ];
+    for db in [marketplace(true), marketplace(false)] {
+        let mut nonempty = 0;
+        for (sql, param_sets) in &cases {
+            let template = Arc::new(parse_query(sql).unwrap());
+            for params in param_sets {
+                let q = Query::bind(0, template.clone(), params.clone()).unwrap();
+                let got = db.execute(&q);
+                assert_eq!(got, reference_executor::execute(&db, &q), "`{q}`");
+                nonempty += usize::from(got.is_ok_and(|r| !r.is_empty()));
+            }
+        }
+        assert!(nonempty >= 15, "{nonempty} non-empty results");
+    }
 }
