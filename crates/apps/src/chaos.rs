@@ -1,13 +1,7 @@
 //! Deterministic chaos harness: drives the toystore application through
-//! the DSSP's fault-tolerant pathways under a seeded fault schedule and
-//! checks every served result against a ground-truth oracle.
-//!
-//! The oracle keeps a snapshot of the master database after every applied
-//! update. A result served at time `t` under lease `L` must equal the
-//! query evaluated against *some* master state that was current during
-//! `[t - L, t]` — the paper's freshness guarantee, relaxed by exactly the
-//! lease window. A result matching no such state is **stale beyond the
-//! lease**, the failure the epoch/lease machinery exists to rule out.
+//! the DSSP's request pipeline under a seeded fault schedule and checks
+//! every served result against the ground-truth oracle of
+//! [`crate::tally`].
 //!
 //! With all faults disabled the harness reduces to the classic synchronous
 //! pipeline: [`run_classic`] executes the same script through
@@ -16,16 +10,18 @@
 
 use crate::driver::analysis_matrix;
 use crate::gen::{IdSpaces, ParamGen};
+pub use crate::tally::OpOutcome;
+use crate::tally::{ScriptOp, Tally};
 use crate::toystore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs_dssp::{
-    Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, HomeLink, HomeServer, InvalidationMsg,
-    RecoveryMode, RetryPolicy, StrategyKind,
+    Dssp, DsspConfig, FtUpdateOutcome, HomeLink, HomeServer, InvalidationMsg, OverloadConfig,
+    RetryPolicy, StrategyKind,
 };
 use scs_netsim::{ChannelStats, FaultSpec, FaultyChannel, OutageSchedule, Time, MS, SEC};
-use scs_sqlkit::{Query, QueryTemplate, Update, UpdateTemplate, Value};
-use scs_storage::{Database, QueryResult};
+use scs_sqlkit::{Query, Update, UpdateTemplate};
+use scs_storage::Database;
 use scs_telemetry::{shared_provenance, FlushTrigger, SharedProvenance, TimeSeries};
 use std::sync::Arc;
 
@@ -48,7 +44,6 @@ pub struct ChaosConfig {
     pub op_spacing_micros: Time,
     /// Staleness lease on cache entries; `None` = never expire.
     pub lease_micros: Option<u64>,
-    pub recovery: RecoveryMode,
     pub strategy: StrategyKind,
     /// Faults on the home → proxy invalidation stream.
     pub channel_faults: FaultSpec,
@@ -65,13 +60,6 @@ pub struct ChaosConfig {
     /// sim-time [`TimeSeries`] with this bucket width — the outage-dip /
     /// recovery curves exported by the `chaos` binary.
     pub timeseries_bucket_micros: Option<Time>,
-    /// Scripted arrival-rate profile; `None` keeps the constant base
-    /// spacing. A multiplier above 1 compresses the inter-op gap, so a
-    /// step or ramp packs a load spike into its window.
-    pub load: Option<crate::overload::LoadProfile>,
-    /// Overload protection for the proxy (admission control, circuit
-    /// breaker, brownout); `None` leaves the classic pathways unguarded.
-    pub overload: Option<scs_dssp::OverloadConfig>,
 }
 
 impl ChaosConfig {
@@ -83,7 +71,6 @@ impl ChaosConfig {
             ops,
             op_spacing_micros: MS,
             lease_micros: None,
-            recovery: RecoveryMode::FlushAffected,
             strategy: StrategyKind::ViewInspection,
             channel_faults: FaultSpec::none(),
             outage: None,
@@ -91,8 +78,6 @@ impl ChaosConfig {
             crash_mean_interval_micros: None,
             retry: RetryPolicy::no_retries(),
             timeseries_bucket_micros: None,
-            load: None,
-            overload: None,
         }
     }
 
@@ -101,12 +86,7 @@ impl ChaosConfig {
     /// bounding what any of it can cost.
     pub fn chaotic(seed: u64, ops: usize) -> ChaosConfig {
         ChaosConfig {
-            seed,
-            ops,
-            op_spacing_micros: MS,
             lease_micros: Some(250 * MS),
-            recovery: RecoveryMode::FlushAffected,
-            strategy: StrategyKind::ViewInspection,
             channel_faults: FaultSpec {
                 drop_probability: 0.10,
                 duplicate_probability: 0.10,
@@ -118,7 +98,6 @@ impl ChaosConfig {
                 mean_up_micros: 2 * SEC,
                 mean_down_micros: 100 * MS,
             }),
-            scripted_outages: None,
             crash_mean_interval_micros: Some(400 * MS),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -127,9 +106,7 @@ impl ChaosConfig {
                 timeout_micros: 100 * MS,
                 jitter: false,
             },
-            timeseries_bucket_micros: None,
-            load: None,
-            overload: None,
+            ..ChaosConfig::faultless(seed, ops)
         }
     }
 
@@ -140,45 +117,12 @@ impl ChaosConfig {
     /// link returns (the acceptance scenario in `EXPERIMENTS.md`).
     pub fn outage_demo(seed: u64, ops: usize) -> ChaosConfig {
         ChaosConfig {
-            seed,
-            ops,
-            op_spacing_micros: MS,
             lease_micros: Some(200 * MS),
-            recovery: RecoveryMode::FlushAffected,
-            strategy: StrategyKind::ViewInspection,
-            channel_faults: FaultSpec::none(),
-            outage: None,
             scripted_outages: Some(vec![(SEC, SEC + 500 * MS), (2 * SEC + 500 * MS, 3 * SEC)]),
-            crash_mean_interval_micros: None,
-            retry: RetryPolicy::no_retries(),
             timeseries_bucket_micros: Some(100 * MS),
-            load: None,
-            overload: None,
+            ..ChaosConfig::faultless(seed, ops)
         }
     }
-}
-
-/// One scripted operation (pre-bound so every run replays identically).
-#[derive(Debug, Clone)]
-pub(crate) enum ScriptOp {
-    Query { tid: usize, params: Vec<Value> },
-    Update { tid: usize, params: Vec<Value> },
-}
-
-/// What one operation produced — the unit of baseline comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpOutcome {
-    Query {
-        hit: bool,
-        degraded: bool,
-        result: QueryResult,
-    },
-    QueryUnavailable,
-    UpdateApplied,
-    UpdateUnavailable,
-    /// The master rejected the statement (FK violation, duplicate key);
-    /// nothing changed.
-    UpdateRejected,
 }
 
 /// The proxy's fault/recovery counters, read back from its registry.
@@ -227,7 +171,7 @@ impl FaultCounters {
 }
 
 /// What a chaos run observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
     /// Per-op outcomes, in script order (the baseline-equivalence unit).
     pub outcomes: Vec<OpOutcome>,
@@ -268,24 +212,67 @@ pub struct ChaosReport {
     pub master_history_micros: Vec<Time>,
 }
 
-/// The bound application: templates, home server, proxy, and oracle.
+impl ChaosReport {
+    /// The report of a finished run: what the tally counted, plus the
+    /// proxy's fault counters. The fault surfaces only [`run_chaos`] has
+    /// keep their defaults.
+    fn of(tally: Tally, outcomes: Vec<OpOutcome>, dssp: &Dssp) -> ChaosReport {
+        ChaosReport {
+            outcomes,
+            stale_beyond_lease: tally.stale_beyond_lease,
+            max_observed_staleness_micros: tally.max_observed_staleness_micros,
+            queries_served: tally.queries_served,
+            hits: tally.hits,
+            degraded_serves: tally.degraded_serves,
+            queries_unavailable: tally.queries_unavailable,
+            updates_applied: tally.updates_applied,
+            updates_unavailable: tally.updates_unavailable,
+            updates_rejected: tally.updates_rejected,
+            counters: FaultCounters::from_dssp(dssp),
+            timeseries: tally.series,
+            ..ChaosReport::default()
+        }
+    }
+}
+
+/// Every curve of the tally (the names [`ChaosReport::timeseries`]
+/// documents).
+const CURVES: &[&str] = &[
+    "query_served",
+    "query_hit",
+    "degraded_serve",
+    "query_unavailable",
+    "update_applied",
+    "update_unavailable",
+    "update_rejected",
+    "stale_beyond_lease",
+    "staleness_us",
+];
+
+/// The bound application: home server, proxy, and the op script.
 pub(crate) struct Scenario {
     pub(crate) dssp: Dssp,
     pub(crate) home: HomeServer,
-    pub(crate) queries: Vec<Arc<QueryTemplate>>,
     pub(crate) updates: Vec<Arc<UpdateTemplate>>,
     pub(crate) script: Vec<ScriptOp>,
-    /// `(since_micros, state)`: the master as of each applied update.
-    pub(crate) oracle: Vec<(Time, Database)>,
 }
 
-pub(crate) fn build_scenario(cfg: &ChaosConfig) -> Scenario {
+/// The toystore application populated from `seed`, a proxy under
+/// `strategy` with the given lease and overload protection, and `ops`
+/// scripted operations.
+pub(crate) fn build_scenario(
+    seed: u64,
+    ops: usize,
+    strategy: StrategyKind,
+    lease_micros: Option<u64>,
+    overload: Option<OverloadConfig>,
+) -> Scenario {
     let app = toystore::toystore();
     let mut db = Database::new();
     for s in &app.schemas {
         db.create_table(s.clone()).expect("static schema");
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x706F_7075_6C61_7465); // "populate"
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x706F_7075_6C61_7465); // "populate"
     toystore::populate(&mut db, 50, 30, &mut rng);
     let mut ids = IdSpaces::default();
     ids.declare("toys", 50);
@@ -293,22 +280,22 @@ pub(crate) fn build_scenario(cfg: &ChaosConfig) -> Scenario {
     ids.declare("credit_card", 15);
 
     let matrix = analysis_matrix(&app);
-    let exposures = cfg.strategy.exposures(app.updates.len(), app.queries.len());
+    let exposures = strategy.exposures(app.updates.len(), app.queries.len());
     let dssp = Dssp::new(DsspConfig {
-        lease_micros: cfg.lease_micros,
-        recovery: cfg.recovery,
-        overload: cfg.overload,
+        lease_micros,
+        overload,
         ..DsspConfig::new("chaos", exposures, matrix)
     });
     let home = HomeServer::new(db);
 
-    // Pre-bind the whole op script so the chaos and classic runs replay
-    // the identical statement sequence.
+    // Bind the whole op script up front so the chaos and classic runs
+    // replay the identical statement sequence.
+    let (queries, updates) = (app.query_templates(), app.update_templates());
     let mut gen = ParamGen::new(ids, 1.0);
-    let mut script_rng = StdRng::seed_from_u64(cfg.seed ^ 0x7363_7269_7074); // "script"
-    let mut script = Vec::with_capacity(cfg.ops);
+    let mut script_rng = StdRng::seed_from_u64(seed ^ 0x7363_7269_7074); // "script"
+    let mut script = Vec::with_capacity(ops);
     let total_weight: u32 = app.requests.iter().map(|r| r.weight).sum();
-    while script.len() < cfg.ops {
+    while script.len() < ops {
         let mut pick = script_rng.gen_range(0..total_weight);
         let request = app
             .requests
@@ -323,95 +310,37 @@ pub(crate) fn build_scenario(cfg: &ChaosConfig) -> Scenario {
             })
             .expect("weights sum to total");
         for op in &request.ops {
-            match *op {
-                crate::defs::Op::Query(tid) => script.push(ScriptOp::Query {
-                    tid,
-                    params: gen.bind_all(&app.queries[tid].params, &mut script_rng),
-                }),
-                crate::defs::Op::Update(tid) => script.push(ScriptOp::Update {
-                    tid,
-                    params: gen.bind_all(&app.updates[tid].params, &mut script_rng),
-                }),
-            }
+            script.push(match *op {
+                crate::defs::Op::Query(tid) => {
+                    let params = gen.bind_all(&app.queries[tid].params, &mut script_rng);
+                    ScriptOp::Query(
+                        Query::bind(tid, queries[tid].clone(), params)
+                            .expect("validated definitions"),
+                    )
+                }
+                crate::defs::Op::Update(tid) => {
+                    let params = gen.bind_all(&app.updates[tid].params, &mut script_rng);
+                    ScriptOp::Update(
+                        Update::bind(tid, updates[tid].clone(), params)
+                            .expect("validated definitions"),
+                    )
+                }
+            });
         }
     }
-    script.truncate(cfg.ops);
+    script.truncate(ops);
 
-    let oracle = vec![(0, home.database().clone())];
     Scenario {
         dssp,
         home,
-        queries: app.query_templates(),
-        updates: app.update_templates(),
+        updates,
         script,
-        oracle,
     }
 }
 
-/// Checks a served result against the oracle; returns the observed
-/// staleness (µs), or `None` when the result matches no state current
-/// within `[now - lease, now]`.
-pub(crate) fn staleness_within_lease(
-    oracle: &[(Time, Database)],
-    q: &Query,
-    served: &QueryResult,
-    now: Time,
-    lease: Option<Time>,
-) -> Option<Time> {
-    let window_start = match lease {
-        Some(l) => now.saturating_sub(l),
-        None => 0,
-    };
-    // Walk states newest-first; state i is current over
-    // [since_i, since_{i+1}). Stop once a state's validity ends before
-    // the window opens.
-    let mut valid_until = now; // exclusive end of the newest state = "now"
-    for (i, (since, state)) in oracle.iter().enumerate().rev() {
-        let truth = state.execute(q).expect("oracle replays valid queries");
-        if served.multiset_eq(&truth) {
-            let staleness = if i == oracle.len() - 1 {
-                0
-            } else {
-                now.saturating_sub(valid_until)
-            };
-            return Some(staleness);
-        }
-        if *since <= window_start {
-            break; // older states were never current inside the window
-        }
-        valid_until = *since;
-    }
-    None
-}
-
-/// Records an outcome counter when the run carries a time series.
-pub(crate) fn tick(series: &mut Option<TimeSeries>, at: Time, name: &str) {
-    if let Some(ts) = series.as_mut() {
-        ts.incr(at, name);
-    }
-}
-
-/// Advances the arrival clock by one op: the base spacing divided by the
-/// load profile's multiplier at the previous instant (open-loop
-/// arrivals), floored at 1 µs so a spike can never stall the clock. With
-/// no profile the step is exactly `op_spacing_micros`, which keeps every
-/// pre-existing run bit-identical.
-pub(crate) fn next_arrival(cfg: &ChaosConfig, clock: Time) -> Time {
-    let mult = cfg
-        .load
-        .as_ref()
-        .map_or(1.0, |profile| profile.multiplier_at(clock));
-    let step = if mult == 1.0 {
-        cfg.op_spacing_micros
-    } else {
-        (cfg.op_spacing_micros as f64 / mult.max(1e-9)).round() as Time
-    };
-    clock + step.max(1)
-}
-
-/// Runs the fault-tolerant pipeline under `cfg`'s fault schedule.
+/// Runs the request pipeline under `cfg`'s fault schedule.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let mut sc = build_scenario(cfg);
+    let mut sc = build_scenario(cfg.seed, cfg.ops, cfg.strategy, cfg.lease_micros, None);
     // Single-replica freshness plane: the home stamps commits, the
     // channel sends are stamped inline (one-message batches), and the
     // proxy stamps arrivals/serves as replica 0.
@@ -429,7 +358,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         )),
         (None, None) => HomeLink::reliable(),
     };
-    let mut series = cfg.timeseries_bucket_micros.map(TimeSeries::new);
     let crash_times: Vec<Time> = match cfg.crash_mean_interval_micros {
         Some(mean) => OutageSchedule::crash_times(cfg.seed, horizon, mean),
         None => Vec::new(),
@@ -438,29 +366,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut channel: FaultyChannel<InvalidationMsg> =
         FaultyChannel::new(cfg.seed ^ 0x63_6861_6E6E_656C, cfg.channel_faults.clone()); // "channel"
 
-    let mut report = ChaosReport {
-        outcomes: Vec::with_capacity(sc.script.len()),
-        stale_beyond_lease: 0,
-        max_observed_staleness_micros: 0,
-        queries_served: 0,
-        hits: 0,
-        degraded_serves: 0,
-        queries_unavailable: 0,
-        updates_applied: 0,
-        updates_unavailable: 0,
-        updates_rejected: 0,
-        channel: ChannelStats::default(),
-        counters: FaultCounters::default(),
-        timeseries: None,
-        outage_windows: link.outages().to_vec(),
-        provenance: None,
-        master_history_micros: Vec::new(),
-    };
-
-    let script = std::mem::take(&mut sc.script);
+    let mut tally = Tally::new(
+        sc.home.database().clone(),
+        cfg.lease_micros,
+        cfg.timeseries_bucket_micros,
+        CURVES,
+    );
+    let mut outcomes = Vec::with_capacity(sc.script.len());
     let mut clock: Time = 0;
-    for op in script.iter() {
-        clock = next_arrival(cfg, clock);
+    for op in &sc.script {
+        clock += cfg.op_spacing_micros.max(1); // a zero spacing must not stall the clock
         let now = clock;
         sc.dssp.set_sim_time_micros(now);
         sc.home.set_sim_time_micros(now);
@@ -471,104 +386,45 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         for msg in channel.poll(now) {
             sc.dssp.apply_invalidation(&msg);
         }
-        match op {
-            ScriptOp::Query { tid, params } => {
-                let q = Query::bind(*tid, sc.queries[*tid].clone(), params.clone())
-                    .expect("validated definitions");
+        let outcome = match op {
+            ScriptOp::Query(q) => {
                 let resp = sc
                     .dssp
-                    .execute_query_ft(&q, &mut sc.home, &link, &cfg.retry)
+                    .execute_query_ft(q, &mut sc.home, &link, &cfg.retry, None)
                     .expect("toystore queries never error");
-                match resp.outcome {
-                    FtOutcome::Served {
-                        result,
-                        hit,
-                        degraded,
-                    } => {
-                        report.queries_served += 1;
-                        report.hits += hit as u64;
-                        report.degraded_serves += degraded as u64;
-                        tick(&mut series, now, "query_served");
-                        if hit {
-                            tick(&mut series, now, "query_hit");
-                        }
-                        if degraded {
-                            tick(&mut series, now, "degraded_serve");
-                        }
-                        match staleness_within_lease(&sc.oracle, &q, &result, now, cfg.lease_micros)
-                        {
-                            Some(staleness) => {
-                                report.max_observed_staleness_micros =
-                                    report.max_observed_staleness_micros.max(staleness);
-                                if let Some(ts) = series.as_mut() {
-                                    ts.observe(now, "staleness_us", staleness);
-                                }
-                            }
-                            None => {
-                                report.stale_beyond_lease += 1;
-                                tick(&mut series, now, "stale_beyond_lease");
-                            }
-                        }
-                        report.outcomes.push(OpOutcome::Query {
-                            hit,
-                            degraded,
-                            result,
-                        });
-                    }
-                    FtOutcome::Unavailable => {
-                        report.queries_unavailable += 1;
-                        tick(&mut series, now, "query_unavailable");
-                        report.outcomes.push(OpOutcome::QueryUnavailable);
-                    }
-                }
+                OpOutcome::of_query(resp.outcome)
             }
-            ScriptOp::Update { tid, params } => {
-                let u = Update::bind(*tid, sc.updates[*tid].clone(), params.clone())
-                    .expect("validated definitions");
-                match sc
+            ScriptOp::Update(u) => {
+                let resp = sc
                     .dssp
-                    .execute_update_ft(&u, &mut sc.home, &link, &cfg.retry)
-                {
-                    Ok(resp) => match resp.outcome {
-                        FtUpdateOutcome::Applied { msg, .. } => {
-                            report.updates_applied += 1;
-                            tick(&mut series, now, "update_applied");
-                            sc.oracle.push((now, sc.home.database().clone()));
-                            // The classic chaos channel ships each
-                            // notification unbatched: stamp a
-                            // one-message flush + send so the plane sees
-                            // the same flush/send/arrival shape as the
-                            // fleet fanout.
-                            {
-                                let mut p = prov.lock().unwrap();
-                                let id = p.note_flush(
-                                    msg.epoch,
-                                    msg.epoch,
-                                    1,
-                                    0,
-                                    now,
-                                    FlushTrigger::Inline,
-                                    vec![(u.template_id, msg.payload_bytes())],
-                                );
-                                p.note_send(0, id, now);
-                            }
-                            channel.send(now, msg);
-                            report.outcomes.push(OpOutcome::UpdateApplied);
-                        }
-                        FtUpdateOutcome::Unavailable => {
-                            report.updates_unavailable += 1;
-                            tick(&mut series, now, "update_unavailable");
-                            report.outcomes.push(OpOutcome::UpdateUnavailable);
-                        }
-                    },
-                    Err(_) => {
-                        report.updates_rejected += 1;
-                        tick(&mut series, now, "update_rejected");
-                        report.outcomes.push(OpOutcome::UpdateRejected);
+                    .execute_update_ft(u, &mut sc.home, &link, &cfg.retry, None);
+                let outcome = OpOutcome::of_update(&resp);
+                if let Ok(FtUpdateOutcome::Applied { msg, .. }) = resp.map(|r| r.outcome) {
+                    tally.master_changed(now, sc.home.database().clone());
+                    // The classic chaos channel ships each notification
+                    // unbatched: stamp a one-message flush + send so the
+                    // plane sees the same flush/send/arrival shape as the
+                    // fleet fanout.
+                    {
+                        let mut p = prov.lock().unwrap();
+                        let id = p.note_flush(
+                            msg.epoch,
+                            msg.epoch,
+                            1,
+                            0,
+                            now,
+                            FlushTrigger::Inline,
+                            vec![(u.template_id, msg.payload_bytes())],
+                        );
+                        p.note_send(0, id, now);
                     }
+                    channel.send(now, msg);
                 }
+                outcome
             }
-        }
+        };
+        tally.record(now, op, &outcome);
+        outcomes.push(outcome);
         // A zero-latency channel delivers within the same step, which is
         // exactly the classic synchronous pipeline.
         for msg in channel.poll(now) {
@@ -581,84 +437,51 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         sc.dssp.apply_invalidation(&msg);
     }
 
-    report.channel = channel.stats();
-    report.counters = FaultCounters::from_dssp(&sc.dssp);
-    report.timeseries = series;
-    report.provenance = Some(prov);
-    report.master_history_micros = sc.oracle.iter().map(|&(t, _)| t).collect();
-    report
+    let master_history_micros = tally.master_history_micros();
+    ChaosReport {
+        channel: channel.stats(),
+        outage_windows: link.outages().to_vec(),
+        provenance: Some(prov),
+        master_history_micros,
+        ..ChaosReport::of(tally, outcomes, &sc.dssp)
+    }
 }
 
 /// Runs the identical script through the classic synchronous pipeline
 /// (perfect delivery): the no-fault baseline.
 pub fn run_classic(cfg: &ChaosConfig) -> ChaosReport {
-    let mut sc = build_scenario(cfg);
-    let mut report = ChaosReport {
-        outcomes: Vec::with_capacity(sc.script.len()),
-        stale_beyond_lease: 0,
-        max_observed_staleness_micros: 0,
-        queries_served: 0,
-        hits: 0,
-        degraded_serves: 0,
-        queries_unavailable: 0,
-        updates_applied: 0,
-        updates_unavailable: 0,
-        updates_rejected: 0,
-        channel: ChannelStats::default(),
-        counters: FaultCounters::default(),
-        timeseries: None,
-        outage_windows: Vec::new(),
-        provenance: None,
-        master_history_micros: Vec::new(),
-    };
-    let script = std::mem::take(&mut sc.script);
+    let mut sc = build_scenario(cfg.seed, cfg.ops, cfg.strategy, cfg.lease_micros, None);
+    let mut tally = Tally::new(sc.home.database().clone(), cfg.lease_micros, None, CURVES);
+    let mut outcomes = Vec::with_capacity(sc.script.len());
     let mut clock: Time = 0;
-    for op in script.iter() {
-        clock = next_arrival(cfg, clock);
+    for op in &sc.script {
+        clock += cfg.op_spacing_micros.max(1); // a zero spacing must not stall the clock
         let now = clock;
         sc.dssp.set_sim_time_micros(now);
-        match op {
-            ScriptOp::Query { tid, params } => {
-                let q = Query::bind(*tid, sc.queries[*tid].clone(), params.clone())
-                    .expect("validated definitions");
+        let outcome = match op {
+            ScriptOp::Query(q) => {
                 let resp = sc
                     .dssp
-                    .execute_query(&q, &mut sc.home)
+                    .execute_query(q, &mut sc.home)
                     .expect("toystore queries never error");
-                report.queries_served += 1;
-                report.hits += resp.hit as u64;
-                match staleness_within_lease(&sc.oracle, &q, &resp.result, now, cfg.lease_micros) {
-                    Some(staleness) => {
-                        report.max_observed_staleness_micros =
-                            report.max_observed_staleness_micros.max(staleness);
-                    }
-                    None => report.stale_beyond_lease += 1,
-                }
-                report.outcomes.push(OpOutcome::Query {
+                OpOutcome::Query {
                     hit: resp.hit,
                     degraded: false,
                     result: resp.result,
-                });
-            }
-            ScriptOp::Update { tid, params } => {
-                let u = Update::bind(*tid, sc.updates[*tid].clone(), params.clone())
-                    .expect("validated definitions");
-                match sc.dssp.execute_update(&u, &mut sc.home) {
-                    Ok(_) => {
-                        report.updates_applied += 1;
-                        sc.oracle.push((now, sc.home.database().clone()));
-                        report.outcomes.push(OpOutcome::UpdateApplied);
-                    }
-                    Err(_) => {
-                        report.updates_rejected += 1;
-                        report.outcomes.push(OpOutcome::UpdateRejected);
-                    }
                 }
             }
-        }
+            ScriptOp::Update(u) => match sc.dssp.execute_update(u, &mut sc.home) {
+                Ok(_) => {
+                    tally.master_changed(now, sc.home.database().clone());
+                    OpOutcome::UpdateApplied
+                }
+                Err(_) => OpOutcome::UpdateRejected,
+            },
+        };
+        tally.record(now, op, &outcome);
+        outcomes.push(outcome);
     }
-    report.counters = FaultCounters::from_dssp(&sc.dssp);
-    report
+    ChaosReport::of(tally, outcomes, &sc.dssp)
 }
 
 #[cfg(test)]

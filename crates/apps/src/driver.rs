@@ -74,6 +74,64 @@ impl CostModel {
     }
 }
 
+/// One executed operation as the cost model sees it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Executed {
+    pub(crate) statement_bytes: u64,
+    /// A query's answer — `(rows, bytes, served from the cache)`; `None`
+    /// for an update.
+    pub(crate) answer: Option<(usize, u64, bool)>,
+    /// Cache entries scanned by the invalidation work billed to this
+    /// operation.
+    pub(crate) scanned: usize,
+    /// The DSSP node that served it.
+    pub(crate) proxy: usize,
+    /// The home shard a trip is billed to.
+    pub(crate) shard: usize,
+    /// Shards a scattered miss gathered from (a routed one: 1).
+    pub(crate) scatter_width: usize,
+}
+
+impl CostModel {
+    /// The resource demands of one executed operation — the one place
+    /// the model's constants and the wire framing (64 bytes a home leg,
+    /// 128 a client reply) meet. A hit costs no home trip; a rejected
+    /// update still costs its round trip.
+    pub(crate) fn op_cost(&self, e: Executed) -> OpCost {
+        let dssp_cpu = self.dssp_cpu_per_op + self.dssp_cpu_per_scan * e.scanned as Time;
+        let request_bytes = e.statement_bytes + 64;
+        match e.answer {
+            Some((rows, result_bytes, hit)) => OpCost {
+                dssp_cpu,
+                proxy: e.proxy,
+                home_trip: (!hit).then(|| HomeTrip {
+                    request_bytes,
+                    reply_bytes: result_bytes + 64,
+                    // Each shard of a scatter scans only its slice, so
+                    // the base scan does not multiply; the
+                    // per-participant overhead does.
+                    home_cpu: self.home_cpu_query
+                        + self.home_cpu_per_row * rows as Time
+                        + self.home_scatter_overhead * (e.scatter_width.max(1) - 1) as Time,
+                    shard: e.shard,
+                }),
+                reply_bytes: result_bytes + 128,
+            },
+            None => OpCost {
+                dssp_cpu,
+                proxy: e.proxy,
+                home_trip: Some(HomeTrip {
+                    request_bytes,
+                    reply_bytes: self.ack_bytes,
+                    home_cpu: self.home_cpu_update,
+                    shard: e.shard,
+                }),
+                reply_bytes: self.ack_bytes + 128,
+            },
+        }
+    }
+}
+
 /// A bound, ready-to-execute operation of an in-flight request.
 enum PreparedOp {
     Query(Query),
@@ -258,6 +316,15 @@ impl DsspWorkload {
     }
 }
 
+/// A query response as [`Executed::answer`] wants it.
+fn answer_of(resp: &scs_dssp::QueryResponse) -> (usize, u64, bool) {
+    (
+        resp.result.len(),
+        resp.result.approx_size_bytes() as u64,
+        resp.hit,
+    )
+}
+
 /// Characterizes an application's IPM matrix with default options.
 pub fn analysis_matrix(app: &AppDef) -> IpmMatrix {
     characterize_app(
@@ -274,50 +341,31 @@ impl Workload for DsspWorkload {
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let c = &self.costs;
-        match &self.ops.pending[client][op_index] {
+        let executed = match &self.ops.pending[client][op_index] {
             PreparedOp::Query(q) => {
-                let statement_bytes = q.statement_text().len() as u64;
                 let resp = self
                     .dssp
                     .execute_query(q, &mut self.home)
                     .expect("validated query templates");
-                let result_bytes = resp.result.approx_size_bytes() as u64;
-                let home_trip = (!resp.hit).then(|| HomeTrip {
-                    request_bytes: statement_bytes + 64,
-                    reply_bytes: result_bytes + 64,
-                    home_cpu: c.home_cpu_query + c.home_cpu_per_row * resp.result.len() as Time,
-                    shard: 0,
-                });
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op,
-                    home_trip,
-                    reply_bytes: result_bytes + 128,
-                    ..OpCost::default()
+                Executed {
+                    statement_bytes: q.statement_text().len() as u64,
+                    answer: Some(answer_of(&resp)),
+                    ..Executed::default()
                 }
             }
-            PreparedOp::Update(u) => {
-                let statement_bytes = u.statement_text().len() as u64;
+            PreparedOp::Update(u) => Executed {
+                statement_bytes: u.statement_text().len() as u64,
                 // Rejected updates (FK violation on a deleted row, ...)
                 // still cost a home round trip; they change nothing and
                 // trigger no invalidation.
-                let scanned = match self.dssp.execute_update(u, &mut self.home) {
+                scanned: match self.dssp.execute_update(u, &mut self.home) {
                     Ok(resp) => resp.scanned,
                     Err(_) => 0,
-                };
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op + c.dssp_cpu_per_scan * scanned as Time,
-                    home_trip: Some(HomeTrip {
-                        request_bytes: statement_bytes + 64,
-                        reply_bytes: c.ack_bytes,
-                        home_cpu: c.home_cpu_update,
-                        shard: 0,
-                    }),
-                    reply_bytes: c.ack_bytes + 128,
-                    ..OpCost::default()
-                }
-            }
-        }
+                },
+                ..Executed::default()
+            },
+        };
+        self.costs.op_cost(executed)
     }
 
     fn hit_rate(&self) -> f64 {
@@ -417,31 +465,21 @@ impl Workload for FleetWorkload {
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let c = &self.costs;
-        match &self.ops.pending[client][op_index] {
+        let executed = match &self.ops.pending[client][op_index] {
             PreparedOp::Query(q) => {
-                let statement_bytes = q.statement_text().len() as u64;
                 let fr = self
                     .fleet
                     .execute_query(q)
                     .expect("validated query templates");
-                let result_bytes = fr.resp.result.approx_size_bytes() as u64;
-                let home_trip = (!fr.resp.hit).then(|| HomeTrip {
-                    request_bytes: statement_bytes + 64,
-                    reply_bytes: result_bytes + 64,
-                    home_cpu: c.home_cpu_query + c.home_cpu_per_row * fr.resp.result.len() as Time,
-                    shard: 0,
-                });
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op
-                        + c.dssp_cpu_per_scan * fr.delivered.scanned as Time,
-                    home_trip,
-                    reply_bytes: result_bytes + 128,
+                Executed {
+                    statement_bytes: q.statement_text().len() as u64,
+                    answer: Some(answer_of(&fr.resp)),
+                    scanned: fr.delivered.scanned,
                     proxy: fr.proxy,
+                    ..Executed::default()
                 }
             }
             PreparedOp::Update(u) => {
-                let statement_bytes = u.statement_text().len() as u64;
                 // Rejected updates still cost a home round trip; they
                 // change nothing and trigger no invalidation. (Their
                 // serving replica is unknown on rejection — node 0
@@ -450,19 +488,15 @@ impl Workload for FleetWorkload {
                     Ok(fr) => (fr.proxy, fr.resp.scanned),
                     Err(_) => (0, 0),
                 };
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op + c.dssp_cpu_per_scan * scanned as Time,
-                    home_trip: Some(HomeTrip {
-                        request_bytes: statement_bytes + 64,
-                        reply_bytes: c.ack_bytes,
-                        home_cpu: c.home_cpu_update,
-                        shard: 0,
-                    }),
-                    reply_bytes: c.ack_bytes + 128,
+                Executed {
+                    statement_bytes: u.statement_text().len() as u64,
+                    scanned,
                     proxy,
+                    ..Executed::default()
                 }
             }
-        }
+        };
+        self.costs.op_cost(executed)
     }
 
     fn hit_rate(&self) -> f64 {
@@ -636,50 +670,37 @@ impl Workload for ShardedWorkload {
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let c = &self.costs;
-        match &self.ops.pending[client][op_index] {
+        let executed = match &self.ops.pending[client][op_index] {
             PreparedOp::Query(q) => {
-                let statement_bytes = q.statement_text().len() as u64;
                 let participants = self.home.map().shards_for_query(q);
                 let resp = self
                     .dssp
                     .execute_query_sharded(q, &mut self.home)
                     .expect("validated query templates");
-                let result_bytes = resp.result.approx_size_bytes() as u64;
-                let home_trip = (!resp.hit).then(|| {
-                    let k = participants.len().max(1);
-                    // A routed miss queues on its one owner; a
-                    // scatter-gather trip is billed to one participant
-                    // (round-robin) — the simulator models one center
-                    // per trip, and round-robin spreads the aggregate
-                    // scatter load evenly, matching the tier-wide cost
-                    // the gather actually induces (each shard scans
-                    // only its slice, so the base scan does not
-                    // multiply; the per-participant overhead does).
-                    let shard = if k == 1 {
-                        participants[0]
-                    } else {
-                        self.scatter_rr += 1;
-                        participants[self.scatter_rr % k]
-                    };
-                    HomeTrip {
-                        request_bytes: statement_bytes + 64,
-                        reply_bytes: result_bytes + 64,
-                        home_cpu: c.home_cpu_query
-                            + c.home_cpu_per_row * resp.result.len() as Time
-                            + c.home_scatter_overhead * (k - 1) as Time,
-                        shard,
-                    }
-                });
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op,
-                    home_trip,
-                    reply_bytes: result_bytes + 128,
-                    ..OpCost::default()
+                let k = participants.len().max(1);
+                // A routed miss queues on its one owner; a
+                // scatter-gather trip is billed to one participant
+                // (round-robin) — the simulator models one center per
+                // trip, and round-robin spreads the aggregate scatter
+                // load evenly, matching the tier-wide cost the gather
+                // actually induces.
+                let shard = if resp.hit {
+                    0
+                } else if k == 1 {
+                    participants[0]
+                } else {
+                    self.scatter_rr += 1;
+                    participants[self.scatter_rr % k]
+                };
+                Executed {
+                    statement_bytes: q.statement_text().len() as u64,
+                    answer: Some(answer_of(&resp)),
+                    shard,
+                    scatter_width: k,
+                    ..Executed::default()
                 }
             }
             PreparedOp::Update(u) => {
-                let statement_bytes = u.statement_text().len() as u64;
                 // Rejected updates (cross-shard FK violation on a
                 // deleted parent, ...) still cost a trip to the shard
                 // that would have owned them; they change nothing and
@@ -694,19 +715,15 @@ impl Workload for ShardedWorkload {
                         0,
                     ),
                 };
-                OpCost {
-                    dssp_cpu: c.dssp_cpu_per_op + c.dssp_cpu_per_scan * scanned as Time,
-                    home_trip: Some(HomeTrip {
-                        request_bytes: statement_bytes + 64,
-                        reply_bytes: c.ack_bytes,
-                        home_cpu: c.home_cpu_update,
-                        shard,
-                    }),
-                    reply_bytes: c.ack_bytes + 128,
-                    ..OpCost::default()
+                Executed {
+                    statement_bytes: u.statement_text().len() as u64,
+                    scanned,
+                    shard,
+                    ..Executed::default()
                 }
             }
-        }
+        };
+        self.costs.op_cost(executed)
     }
 
     fn hit_rate(&self) -> f64 {

@@ -30,6 +30,7 @@
 //! full state handoff under live load, and the freshness plane's
 //! membership stamps make the timeline auditable afterwards.
 
+use crate::driver::{CostModel, Executed};
 use crate::overload::LoadProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,8 +40,8 @@ use scs_dssp::{
     ScaleAction, ScaleDecision, StrategyKind,
 };
 use scs_netsim::{
-    run_observed, FaultSpec, HomeTrip, OpCost, RunMetrics, SimConfig, Sla, SystemSpec, Time,
-    Workload, MS, SEC,
+    run_observed, FaultSpec, OpCost, RunMetrics, SimConfig, Sla, SystemSpec, Time, Workload, MS,
+    SEC,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
@@ -451,47 +452,48 @@ impl Workload for ElasticFleetWorkload {
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let cfg_hit = self.cfg.hit_cost;
-        let cfg_miss = self.cfg.miss_cost;
-        let cfg_home = self.cfg.home_cpu;
+        // This scenario's cost model is flat: a DSSP charge that depends
+        // only on hit or miss and the template's weight, one home charge
+        // a round trip, no payload on an acknowledgement — an update is
+        // billed as a miss with an empty answer.
+        let flat = |dssp_cpu: Time| CostModel {
+            dssp_cpu_per_op: dssp_cpu,
+            dssp_cpu_per_scan: 0,
+            home_cpu_query: self.cfg.home_cpu,
+            home_cpu_per_row: 0,
+            home_cpu_update: self.cfg.home_cpu,
+            home_scatter_overhead: 0,
+            ack_bytes: 0,
+        };
         let cost = match &self.pending[client][op_index] {
             ElasticOp::Query(q) => {
-                let statement_bytes = q.statement_text().len() as u64;
                 let weight = if q.template_id == self.cfg.hot_template {
                     1
                 } else {
                     self.cfg.bg_cost_mult
                 };
                 let fr = self.fleet.execute_query(q).expect("validated templates");
-                let result_bytes = fr.resp.result.approx_size_bytes() as u64;
-                let dssp_cpu = if fr.resp.hit { cfg_hit } else { cfg_miss } * weight;
-                let home_trip = (!fr.resp.hit).then_some(HomeTrip {
-                    request_bytes: statement_bytes + 64,
-                    reply_bytes: result_bytes + 64,
-                    home_cpu: cfg_home,
-                    shard: 0,
-                });
-                OpCost {
-                    dssp_cpu,
+                let hit = fr.resp.hit;
+                let charge = if hit {
+                    self.cfg.hit_cost
+                } else {
+                    self.cfg.miss_cost
+                };
+                flat(charge * weight).op_cost(Executed {
+                    statement_bytes: q.statement_text().len() as u64,
+                    answer: Some((0, fr.resp.result.approx_size_bytes() as u64, hit)),
                     proxy: fr.proxy,
-                    home_trip,
-                    reply_bytes: result_bytes + 128,
-                }
+                    ..Executed::default()
+                })
             }
             ElasticOp::Update(u) => {
-                let statement_bytes = u.statement_text().len() as u64;
                 let fr = self.fleet.execute_update(u).expect("validated templates");
-                OpCost {
-                    dssp_cpu: cfg_hit,
+                flat(self.cfg.hit_cost).op_cost(Executed {
+                    statement_bytes: u.statement_text().len() as u64,
+                    answer: Some((0, 0, false)),
                     proxy: fr.proxy,
-                    home_trip: Some(HomeTrip {
-                        request_bytes: statement_bytes + 64,
-                        reply_bytes: 64,
-                        home_cpu: cfg_home,
-                        shard: 0,
-                    }),
-                    reply_bytes: 128,
-                }
+                    ..Executed::default()
+                })
             }
         };
         *self.window_busy.entry(cost.proxy).or_insert(0) += cost.dssp_cpu;

@@ -25,19 +25,21 @@
 //!   Under sync-quorum both must be zero (no acked write is ever
 //!   lost); under async the lost tail is bounded and accounted.
 //! * **Freshness** — every served result is checked against the
-//!   master-state history exactly as in the chaos harness: a result
-//!   matching no state current within the lease window is stale beyond
-//!   the lease, and the count must be zero across every failover.
+//!   master-state history by the shared tally ([`crate::tally`]),
+//!   exactly as in the chaos harness: a result matching no state
+//!   current within the lease window is stale beyond the lease, and the
+//!   count must be zero across every failover.
 
-use crate::chaos::{build_scenario, staleness_within_lease, tick, ChaosConfig, ScriptOp};
+use crate::chaos::build_scenario;
 use crate::driver::analysis_matrix;
+use crate::tally::{tick, OpOutcome, ScriptOp, Tally};
 use crate::toystore;
 use scs_dssp::{
-    DsspConfig, FanoutConfig, FleetConfig, FtOutcome, FtUpdateOutcome, ProxyFleet, RecoveryMode,
-    ReplicationConfig, ReplicationMode, RoutingMode, StrategyKind,
+    DsspConfig, FanoutConfig, FleetConfig, FtUpdateOutcome, HomeLink, ProxyFleet,
+    ReplicationConfig, ReplicationMode, RetryPolicy, RoutingMode, StrategyKind,
 };
 use scs_netsim::{FaultSpec, Time, MS};
-use scs_sqlkit::{Query, Update, Value};
+use scs_sqlkit::{Update, Value};
 use scs_storage::Database;
 use scs_telemetry::TimeSeries;
 
@@ -254,8 +256,61 @@ struct EpochSnapshot {
     state: Database,
 }
 
+/// A run's oracles and what they have found so far.
+struct Audit {
+    report: FailoverReport,
+    /// Freshness oracle: the tally's linear master-state history.
+    tally: Tally,
+    /// Durability oracle: per-epoch snapshots plus the acked ledger.
+    snapshots: Vec<EpochSnapshot>,
+    acked_epochs: Vec<u64>,
+    seen_failovers: usize,
+}
+
+impl Audit {
+    /// Folds any promotions the group performed since the last check
+    /// into the report, verifies the ack ledger externally, and rolls
+    /// the oracles back past the barrier.
+    fn absorb(&mut self, fleet: &ProxyFleet, now: Time) {
+        let Audit {
+            report,
+            tally,
+            snapshots,
+            acked_epochs,
+            seen_failovers,
+        } = self;
+        while *seen_failovers < fleet.home_failovers().len() {
+            let fo = fleet.home_failovers()[*seen_failovers];
+            *seen_failovers += 1;
+            let external_lost_acked = acked_epochs
+                .iter()
+                .filter(|&&e| e > fo.promoted_applied)
+                .count() as u64;
+            let external_lost = snapshots
+                .iter()
+                .filter(|s| s.epoch > fo.promoted_applied)
+                .count() as u64;
+            report.ledger_consistent &= fo.lost_acked == external_lost_acked;
+            // `lost_records` counts every WAL epoch in the gap; client
+            // updates are a subset (barrier checkpoints carry none).
+            report.ledger_consistent &= fo.lost_records >= external_lost;
+            report.lost_records_total += fo.lost_records;
+            report.lost_acked_total += fo.lost_acked;
+            report.external_lost_acked_total += external_lost_acked;
+            report.unavailable_micros_total += fo.unavailable_micros;
+            snapshots.retain(|s| s.epoch <= fo.promoted_applied);
+            acked_epochs.retain(|&e| e <= fo.promoted_applied);
+            // The rollback: the surviving state is current again from
+            // the promotion instant onward.
+            tally.master_changed(now, fleet.home().database().clone());
+            report.failovers.push(fo);
+            tick(&mut tally.series, now, "failover");
+        }
+    }
+}
+
 /// What a failover run observed, with every oracle verdict.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FailoverReport {
     pub queries_served: u64,
     pub hits: u64,
@@ -313,13 +368,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     // The op script, populated master, and bound templates come from
     // the chaos harness so failover runs replay the same deterministic
     // workload the rest of the test plane uses.
-    let chaos = ChaosConfig {
-        op_spacing_micros: cfg.op_spacing_micros,
-        lease_micros: cfg.lease_micros,
-        strategy: cfg.strategy,
-        ..ChaosConfig::faultless(cfg.seed, cfg.ops)
-    };
-    let sc = build_scenario(&chaos);
+    let sc = build_scenario(cfg.seed, cfg.ops, cfg.strategy, cfg.lease_micros, None);
     let seed_state = sc.home.database().clone();
 
     let app = toystore::toystore();
@@ -327,7 +376,6 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     let exposures = cfg.strategy.exposures(app.updates.len(), app.queries.len());
     let dssp_cfg = DsspConfig {
         lease_micros: cfg.lease_micros,
-        recovery: RecoveryMode::FlushAffected,
         ..DsspConfig::new("failover", exposures, matrix)
     };
     let fleet_cfg = FleetConfig {
@@ -345,83 +393,32 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     events.sort_by_key(|e| e.at_micros);
     let mut next_event = 0usize;
 
-    // Freshness oracle: linear master-state history. A failover's
-    // rollback re-appends the surviving state, so validity intervals
-    // stay linear even when the stream loses a branch.
-    let mut oracle: Vec<(Time, Database)> = vec![(0, seed_state.clone())];
-    // Durability oracle: per-epoch snapshots plus the acked ledger.
-    let mut snapshots: Vec<EpochSnapshot> = Vec::new();
-    let mut acked_epochs: Vec<u64> = Vec::new();
-
-    let mut series = cfg.timeseries_bucket_micros.map(TimeSeries::new);
-    let mut report = FailoverReport {
-        queries_served: 0,
-        hits: 0,
-        degraded_serves: 0,
-        queries_unavailable: 0,
-        updates_acked: 0,
-        updates_applied_unacked: 0,
-        updates_unavailable: 0,
-        updates_rejected: 0,
-        failovers: Vec::new(),
-        stale_beyond_lease: 0,
-        max_observed_staleness_micros: 0,
-        lost_records_total: 0,
-        lost_acked_total: 0,
-        external_lost_acked_total: 0,
-        ledger_consistent: true,
-        durability_ok: false,
-        conservation_balanced: false,
-        fenced_records: 0,
-        zombie_writes_applied: 0,
-        divergence_discarded: 0,
-        fanout_lost_on_crash: 0,
-        unavailable_micros_total: 0,
-        recovery_flushes: 0,
-        failover_stamps: 0,
-        final_epoch: 0,
-        timeseries: None,
-    };
-    let mut seen_failovers = 0usize;
-
-    // Folds any promotions the group performed since the last check
-    // into the report, verifies the ack ledger externally, and rolls
-    // the oracles back past the barrier.
-    let absorb = |fleet: &mut ProxyFleet,
-                  report: &mut FailoverReport,
-                  oracle: &mut Vec<(Time, Database)>,
-                  snapshots: &mut Vec<EpochSnapshot>,
-                  acked_epochs: &mut Vec<u64>,
-                  seen: &mut usize,
-                  now: Time,
-                  series: &mut Option<TimeSeries>| {
-        while *seen < fleet.home_failovers().len() {
-            let fo = fleet.home_failovers()[*seen];
-            *seen += 1;
-            let external_lost_acked = acked_epochs
-                .iter()
-                .filter(|&&e| e > fo.promoted_applied)
-                .count() as u64;
-            let external_lost = snapshots
-                .iter()
-                .filter(|s| s.epoch > fo.promoted_applied)
-                .count() as u64;
-            report.ledger_consistent &= fo.lost_acked == external_lost_acked;
-            // `lost_records` counts every WAL epoch in the gap; client
-            // updates are a subset (barrier checkpoints carry none).
-            report.ledger_consistent &= fo.lost_records >= external_lost;
-            report.lost_records_total += fo.lost_records;
-            report.lost_acked_total += fo.lost_acked;
-            report.external_lost_acked_total += external_lost_acked;
-            report.unavailable_micros_total += fo.unavailable_micros;
-            snapshots.retain(|s| s.epoch <= fo.promoted_applied);
-            acked_epochs.retain(|&e| e <= fo.promoted_applied);
-            // The rollback: the surviving state is current again from
-            // the promotion instant onward.
-            oracle.push((now, fleet.home().database().clone()));
-            report.failovers.push(fo);
-            tick(series, now, "failover");
-        }
+    // Freshness oracle: the tally's linear master-state history. A
+    // failover's rollback re-appends the surviving state, so validity
+    // intervals stay linear even when the stream loses a branch. The
+    // report splits applied updates by ack and draws no hit curve.
+    let tally = Tally::new(
+        seed_state.clone(),
+        cfg.lease_micros,
+        cfg.timeseries_bucket_micros,
+        &[
+            "query_served",
+            "degraded_serve",
+            "query_unavailable",
+            "update_unavailable",
+            "update_rejected",
+            "stale_beyond_lease",
+        ],
+    );
+    let mut audit = Audit {
+        report: FailoverReport {
+            ledger_consistent: true,
+            ..FailoverReport::default()
+        },
+        tally,
+        snapshots: Vec::new(),
+        acked_epochs: Vec::new(),
+        seen_failovers: 0,
     };
 
     let apply_event = |fleet: &mut ProxyFleet, report: &mut FailoverReport, ev: &CrashEvent| {
@@ -455,6 +452,9 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         }
     };
 
+    // The fleet's neutral trip policy: this harness fails the home tier,
+    // not the link to it.
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
     let mut clock: Time = 0;
     for op in sc.script.iter() {
         clock += cfg.op_spacing_micros;
@@ -462,100 +462,47 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
             let ev = events[next_event];
             next_event += 1;
             fleet.set_sim_time_micros(ev.at_micros);
-            absorb(
-                &mut fleet,
-                &mut report,
-                &mut oracle,
-                &mut snapshots,
-                &mut acked_epochs,
-                &mut seen_failovers,
-                ev.at_micros,
-                &mut series,
-            );
-            apply_event(&mut fleet, &mut report, &ev);
+            audit.absorb(&fleet, ev.at_micros);
+            apply_event(&mut fleet, &mut audit.report, &ev);
         }
         let now = clock;
         fleet.set_sim_time_micros(now);
-        absorb(
-            &mut fleet,
-            &mut report,
-            &mut oracle,
-            &mut snapshots,
-            &mut acked_epochs,
-            &mut seen_failovers,
-            now,
-            &mut series,
-        );
-        match op {
-            ScriptOp::Query { tid, params } => {
-                let q = Query::bind(*tid, sc.queries[*tid].clone(), params.clone())
-                    .expect("validated definitions");
+        audit.absorb(&fleet, now);
+        let outcome = match op {
+            ScriptOp::Query(q) => {
                 let resp = fleet
-                    .execute_query_ha(&q)
+                    .execute_query_ft(q, &link, &policy, None)
                     .expect("toystore queries never error");
-                match resp.resp.outcome {
-                    FtOutcome::Served {
-                        result,
-                        hit,
-                        degraded,
-                    } => {
-                        report.queries_served += 1;
-                        report.hits += hit as u64;
-                        report.degraded_serves += degraded as u64;
-                        tick(&mut series, now, "query_served");
-                        if degraded {
-                            tick(&mut series, now, "degraded_serve");
+                OpOutcome::of_query(resp.resp.outcome)
+            }
+            ScriptOp::Update(u) => {
+                let resp = fleet.execute_update_ft(u, &link, &policy, None);
+                if let Ok(resp) = &resp {
+                    if let (FtUpdateOutcome::Applied { msg, .. }, Some(ack)) =
+                        (&resp.resp.outcome, resp.ack)
+                    {
+                        let epoch = msg.epoch;
+                        audit.snapshots.push(EpochSnapshot {
+                            epoch,
+                            state: fleet.home().database().clone(),
+                        });
+                        audit
+                            .tally
+                            .master_changed(now, fleet.home().database().clone());
+                        if ack.acked {
+                            audit.report.updates_acked += 1;
+                            audit.acked_epochs.push(epoch);
+                            tick(&mut audit.tally.series, now, "update_acked");
+                        } else {
+                            audit.report.updates_applied_unacked += 1;
+                            tick(&mut audit.tally.series, now, "update_applied_unacked");
                         }
-                        match staleness_within_lease(&oracle, &q, &result, now, cfg.lease_micros) {
-                            Some(staleness) => {
-                                report.max_observed_staleness_micros =
-                                    report.max_observed_staleness_micros.max(staleness);
-                            }
-                            None => {
-                                report.stale_beyond_lease += 1;
-                                tick(&mut series, now, "stale_beyond_lease");
-                            }
-                        }
-                    }
-                    FtOutcome::Unavailable => {
-                        report.queries_unavailable += 1;
-                        tick(&mut series, now, "query_unavailable");
                     }
                 }
+                OpOutcome::of_update(&resp.map(|r| r.resp))
             }
-            ScriptOp::Update { tid, params } => {
-                let u = Update::bind(*tid, sc.updates[*tid].clone(), params.clone())
-                    .expect("validated definitions");
-                match fleet.execute_update_ha(&u) {
-                    Ok(resp) => match (&resp.resp.outcome, resp.ack) {
-                        (FtUpdateOutcome::Applied { msg, .. }, Some(ack)) => {
-                            let epoch = msg.epoch;
-                            snapshots.push(EpochSnapshot {
-                                epoch,
-                                state: fleet.home().database().clone(),
-                            });
-                            oracle.push((now, fleet.home().database().clone()));
-                            if ack.acked {
-                                report.updates_acked += 1;
-                                acked_epochs.push(epoch);
-                                tick(&mut series, now, "update_acked");
-                            } else {
-                                report.updates_applied_unacked += 1;
-                                tick(&mut series, now, "update_applied_unacked");
-                            }
-                        }
-                        _ => {
-                            report.updates_unavailable += 1;
-                            tick(&mut series, now, "update_unavailable");
-                        }
-                    },
-                    Err(_) => {
-                        report.updates_rejected += 1;
-                        tick(&mut series, now, "update_rejected");
-                    }
-                }
-            }
-        }
+        };
+        audit.tally.record(now, op, &outcome);
     }
 
     // Tail: if the tier is still down (late crash), keep the clock
@@ -565,16 +512,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     while !fleet.home_group().is_up() && clock < deadline {
         clock += cfg.replication.heartbeat_micros.max(1);
         fleet.set_sim_time_micros(clock);
-        absorb(
-            &mut fleet,
-            &mut report,
-            &mut oracle,
-            &mut snapshots,
-            &mut acked_epochs,
-            &mut seen_failovers,
-            clock,
-            &mut series,
-        );
+        audit.absorb(&fleet, clock);
     }
     assert!(
         fleet.home_group().is_up(),
@@ -585,21 +523,18 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     while clock < deadline {
         clock += 5 * MS;
         fleet.set_sim_time_micros(clock);
-        absorb(
-            &mut fleet,
-            &mut report,
-            &mut oracle,
-            &mut snapshots,
-            &mut acked_epochs,
-            &mut seen_failovers,
-            clock,
-            &mut series,
-        );
+        audit.absorb(&fleet, clock);
     }
     fleet.flush_fanout();
     fleet.drain();
 
     // ---- final audits ------------------------------------------------
+    let Audit {
+        mut report,
+        tally,
+        snapshots,
+        ..
+    } = audit;
     let expected = snapshots.last().map_or(&seed_state, |s| &s.state);
     report.durability_ok = fleet.home().database() == expected;
     report.final_epoch = fleet.home().epoch();
@@ -617,7 +552,15 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         report.conservation_balanced =
             (0..log.replica_count()).all(|r| log.conservation(r, report.final_epoch).balanced());
     }
-    report.timeseries = series;
+    report.queries_served = tally.queries_served;
+    report.hits = tally.hits;
+    report.degraded_serves = tally.degraded_serves;
+    report.queries_unavailable = tally.queries_unavailable;
+    report.updates_unavailable = tally.updates_unavailable;
+    report.updates_rejected = tally.updates_rejected;
+    report.stale_beyond_lease = tally.stale_beyond_lease;
+    report.max_observed_staleness_micros = tally.max_observed_staleness_micros;
+    report.timeseries = tally.series;
     report
 }
 

@@ -21,6 +21,7 @@ pub mod gen;
 pub mod overload;
 pub mod report;
 pub mod runner;
+pub mod tally;
 pub mod toystore;
 pub mod trace;
 

@@ -1,5 +1,5 @@
 //! Overload harness: drives the toystore application through the DSSP's
-//! overload-guarded pathways under scripted load spikes and measures what
+//! request pipeline with its overload gate on under scripted load spikes and measures what
 //! the paper's knee looks like *past* the knee — offered load vs goodput.
 //!
 //! The model is deliberately small: an open-loop arrival process (the
@@ -17,15 +17,10 @@
 //! degradation may *reject* work, but it must never serve a result stale
 //! beyond the lease.
 
-use crate::chaos::{
-    build_scenario, next_arrival, staleness_within_lease, tick, ChaosConfig, ScriptOp,
-};
-use scs_dssp::{
-    OverloadConfig, OverloadOutcome, OverloadUpdateOutcome, QueueState, RecoveryMode, RetryPolicy,
-    StrategyKind,
-};
-use scs_netsim::{FaultSpec, QueueCap, ServiceCenter, Time, MS, SEC};
-use scs_sqlkit::{Query, Update};
+use crate::chaos::build_scenario;
+use crate::tally::{tick, OpOutcome, ScriptOp, Tally};
+use scs_dssp::{FtOutcome, FtUpdateOutcome, OverloadConfig, QueueState, RetryPolicy, StrategyKind};
+use scs_netsim::{QueueCap, ServiceCenter, Time, MS, SEC};
 use scs_telemetry::{LogHistogram, TimeSeries, TimeSeriesSink};
 
 /// One piece of a scripted arrival-rate profile. Multipliers scale the
@@ -245,7 +240,7 @@ impl OverloadCounters {
 }
 
 /// What an overload run observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OverloadReport {
     /// Operations offered (the whole script).
     pub offered: u64,
@@ -309,23 +304,18 @@ impl OverloadReport {
     }
 }
 
-fn chaos_config(cfg: &OverloadRunConfig) -> ChaosConfig {
-    ChaosConfig {
-        seed: cfg.seed,
-        ops: cfg.ops,
-        op_spacing_micros: cfg.op_spacing_micros,
-        lease_micros: cfg.lease_micros,
-        recovery: RecoveryMode::FlushAffected,
-        strategy: cfg.strategy,
-        channel_faults: FaultSpec::none(),
-        outage: None,
-        scripted_outages: cfg.scripted_outages.clone(),
-        crash_mean_interval_micros: None,
-        retry: cfg.retry.clone(),
-        timeseries_bucket_micros: cfg.timeseries_bucket_micros,
-        load: Some(cfg.load.clone()),
-        overload: cfg.protection,
-    }
+/// Advances the arrival clock by one op: the base spacing divided by the
+/// load profile's multiplier at the previous instant (open-loop
+/// arrivals), floored at 1 µs so a spike can never stall the clock. At
+/// multiplier 1 the step is exactly `spacing`.
+fn next_arrival(load: &LoadProfile, spacing: Time, clock: Time) -> Time {
+    let mult = load.multiplier_at(clock);
+    let step = if mult == 1.0 {
+        spacing
+    } else {
+        (spacing as f64 / mult.max(1e-9)).round() as Time
+    };
+    clock + step.max(1)
 }
 
 /// Runs one overload scenario.
@@ -341,14 +331,32 @@ fn chaos_config(cfg: &OverloadRunConfig) -> ChaosConfig {
 /// their latency). Invalidations are delivered perfectly: this harness
 /// isolates overload from delivery faults, which `chaos.rs` owns.
 pub fn run_overload(cfg: &OverloadRunConfig) -> OverloadReport {
-    let chaos_cfg = chaos_config(cfg);
-    let mut sc = build_scenario(&chaos_cfg);
+    let mut sc = build_scenario(
+        cfg.seed,
+        cfg.ops,
+        cfg.strategy,
+        cfg.lease_micros,
+        cfg.protection,
+    );
     let link = match &cfg.scripted_outages {
         Some(windows) => scs_dssp::HomeLink::with_outages(windows.clone()),
         None => scs_dssp::HomeLink::reliable(),
     };
     let mut center = ServiceCenter::bounded(1, cfg.queue_cap);
-    let mut series = cfg.timeseries_bucket_micros.map(TimeSeries::new);
+    // Hit, degraded-serve and served curves come from the proxy's own
+    // trace stream (below), so the tally draws only the rest.
+    let mut tally = Tally::new(
+        sc.home.database().clone(),
+        cfg.lease_micros,
+        cfg.timeseries_bucket_micros,
+        &[
+            "query_unavailable",
+            "update_applied",
+            "update_unavailable",
+            "update_rejected",
+            "stale_beyond_lease",
+        ],
+    );
     // The proxy's trace stream (shed/breaker/brownout events) lands in a
     // shared series merged into the report at the end.
     let proxy_series = cfg.timeseries_bucket_micros.map(|w| {
@@ -358,157 +366,91 @@ pub fn run_overload(cfg: &OverloadRunConfig) -> OverloadReport {
     });
     let wait_hist = LogHistogram::new();
     let response_hist = LogHistogram::new();
+    let mut report = OverloadReport::default();
+    // A completion — a served query or an applied update — `delay` µs
+    // after its arrival: timely when it met the deadline.
+    let complete =
+        |report: &mut OverloadReport, series: &mut Option<TimeSeries>, now: Time, delay: Time| {
+            response_hist.record(delay);
+            tick(series, now, "completed");
+            if delay <= cfg.deadline_micros {
+                report.timely += 1;
+                tick(series, now, "timely");
+            } else {
+                report.deadline_missed += 1;
+                tick(series, now, "deadline_missed");
+            }
+        };
 
-    let mut report = OverloadReport {
-        offered: 0,
-        completed: 0,
-        timely: 0,
-        hits: 0,
-        degraded_serves: 0,
-        shed: 0,
-        unavailable: 0,
-        deadline_missed: 0,
-        updates_applied: 0,
-        updates_rejected: 0,
-        updates_unavailable: 0,
-        stale_beyond_lease: 0,
-        max_observed_staleness_micros: 0,
-        queue_wait_p99_micros: 0,
-        response_p99_micros: 0,
-        queue_rejections: 0,
-        duration_micros: 0,
-        counters: OverloadCounters::default(),
-        timeseries: None,
-    };
-
-    let script = std::mem::take(&mut sc.script);
     let mut clock: Time = 0;
-    for op in script.iter() {
-        clock = next_arrival(&chaos_cfg, clock);
+    for op in &sc.script {
+        clock = next_arrival(&cfg.load, cfg.op_spacing_micros, clock);
         let now = clock;
         sc.dssp.set_sim_time_micros(now);
         report.offered += 1;
-        tick(&mut series, now, "offered");
+        tick(&mut tally.series, now, "offered");
         let queue = QueueState {
             projected_wait_micros: center.projected_wait(now),
             depth: center.in_system(now),
         };
-        match op {
-            ScriptOp::Query { tid, params } => {
-                let q = Query::bind(*tid, sc.queries[*tid].clone(), params.clone())
-                    .expect("validated definitions");
+        let outcome = match op {
+            ScriptOp::Query(q) => {
                 let resp = sc
                     .dssp
-                    .execute_query_overload(&q, &mut sc.home, &link, &cfg.retry, &queue)
+                    .execute_query_ft(q, &mut sc.home, &link, &cfg.retry, Some(&queue))
                     .expect("toystore queries never error");
-                match resp.outcome {
-                    OverloadOutcome::Served {
-                        result,
-                        hit,
-                        degraded,
-                    } => {
-                        let delay = if hit {
-                            // Answered from the proxy's cache: no home
-                            // queue, only whatever backoff retries cost.
-                            resp.backoff_micros
-                        } else {
-                            match center.try_serve(now, cfg.home_service_micros) {
-                                Ok(done) => {
-                                    wait_hist
-                                        .record(done.saturating_sub(now + cfg.home_service_micros));
-                                    done.saturating_sub(now) + resp.backoff_micros
-                                }
-                                Err(_) => {
-                                    // The backstop queue bound tripped;
-                                    // the read is discarded and the shed
-                                    // feeds the brownout signal.
-                                    let _why = sc.dssp.record_queue_rejection(*tid as u32);
-                                    report.shed += 1;
-                                    continue;
-                                }
+                if let FtOutcome::Served { hit, .. } = resp.outcome {
+                    let delay = if hit {
+                        // Answered from the proxy's cache: no home
+                        // queue, only whatever backoff retries cost.
+                        resp.backoff_micros
+                    } else {
+                        match center.try_serve(now, cfg.home_service_micros) {
+                            Ok(done) => {
+                                wait_hist
+                                    .record(done.saturating_sub(now + cfg.home_service_micros));
+                                done.saturating_sub(now) + resp.backoff_micros
                             }
-                        };
-                        report.completed += 1;
-                        report.hits += hit as u64;
-                        report.degraded_serves += degraded as u64;
-                        response_hist.record(delay);
-                        tick(&mut series, now, "completed");
-                        if let Some(ts) = series.as_mut() {
-                            ts.observe(now, "response_us", delay);
-                        }
-                        if delay <= cfg.deadline_micros {
-                            report.timely += 1;
-                            tick(&mut series, now, "timely");
-                        } else {
-                            report.deadline_missed += 1;
-                            tick(&mut series, now, "deadline_missed");
-                        }
-                        match staleness_within_lease(&sc.oracle, &q, &result, now, cfg.lease_micros)
-                        {
-                            Some(staleness) => {
-                                report.max_observed_staleness_micros =
-                                    report.max_observed_staleness_micros.max(staleness);
-                            }
-                            None => {
-                                report.stale_beyond_lease += 1;
-                                tick(&mut series, now, "stale_beyond_lease");
+                            Err(_) => {
+                                // The backstop queue bound tripped; the
+                                // read is discarded and the shed feeds
+                                // the brownout signal.
+                                sc.dssp.record_queue_rejection(q.template_id as u32);
+                                continue;
                             }
                         }
-                    }
-                    OverloadOutcome::Unavailable => {
-                        report.unavailable += 1;
-                        tick(&mut series, now, "query_unavailable");
-                    }
-                    OverloadOutcome::Shed(_) => {
-                        report.shed += 1;
+                    };
+                    complete(&mut report, &mut tally.series, now, delay);
+                    // The exported per-window response curve is the
+                    // reads'; `response_p99_micros` covers both.
+                    if let Some(ts) = tally.series.as_mut() {
+                        ts.observe(now, "response_us", delay);
                     }
                 }
+                OpOutcome::of_query(resp.outcome)
             }
-            ScriptOp::Update { tid, params } => {
-                let u = Update::bind(*tid, sc.updates[*tid].clone(), params.clone())
-                    .expect("validated definitions");
-                match sc
-                    .dssp
-                    .execute_update_overload(&u, &mut sc.home, &link, &cfg.retry, &queue)
-                {
-                    Ok(resp) => match resp.outcome {
-                        OverloadUpdateOutcome::Applied { msg, .. } => {
-                            let done = center.serve(now, cfg.home_service_micros);
-                            wait_hist.record(done.saturating_sub(now + cfg.home_service_micros));
-                            let delay = done.saturating_sub(now) + resp.backoff_micros;
-                            response_hist.record(delay);
-                            report.completed += 1;
-                            report.updates_applied += 1;
-                            tick(&mut series, now, "completed");
-                            tick(&mut series, now, "update_applied");
-                            if delay <= cfg.deadline_micros {
-                                report.timely += 1;
-                                tick(&mut series, now, "timely");
-                            } else {
-                                report.deadline_missed += 1;
-                                tick(&mut series, now, "deadline_missed");
-                            }
-                            sc.oracle.push((now, sc.home.database().clone()));
-                            // Perfect (instant, lossless) delivery:
-                            // overload is isolated from delivery faults,
-                            // which `chaos.rs` owns.
-                            sc.dssp.apply_invalidation(&msg);
-                        }
-                        OverloadUpdateOutcome::Unavailable => {
-                            report.updates_unavailable += 1;
-                            tick(&mut series, now, "update_unavailable");
-                        }
-                        OverloadUpdateOutcome::Shed(_) => {
-                            report.shed += 1;
-                        }
-                    },
-                    Err(_) => {
-                        report.updates_rejected += 1;
-                        tick(&mut series, now, "update_rejected");
+            ScriptOp::Update(u) => {
+                let resp =
+                    sc.dssp
+                        .execute_update_ft(u, &mut sc.home, &link, &cfg.retry, Some(&queue));
+                let outcome = OpOutcome::of_update(&resp);
+                if let Ok(resp) = resp {
+                    if let FtUpdateOutcome::Applied { msg, .. } = resp.outcome {
+                        let done = center.serve(now, cfg.home_service_micros);
+                        wait_hist.record(done.saturating_sub(now + cfg.home_service_micros));
+                        let delay = done.saturating_sub(now) + resp.backoff_micros;
+                        complete(&mut report, &mut tally.series, now, delay);
+                        tally.master_changed(now, sc.home.database().clone());
+                        // Perfect (instant, lossless) delivery: overload
+                        // is isolated from delivery faults, which
+                        // `chaos.rs` owns.
+                        sc.dssp.apply_invalidation(&msg);
                     }
                 }
+                outcome
             }
-        }
+        };
+        tally.record(now, op, &outcome);
     }
 
     report.duration_micros = clock;
@@ -516,7 +458,19 @@ pub fn run_overload(cfg: &OverloadRunConfig) -> OverloadReport {
     report.queue_wait_p99_micros = wait_hist.quantile_bounds(0.99).map_or(0, |(_, hi)| hi);
     report.response_p99_micros = response_hist.quantile_bounds(0.99).map_or(0, |(_, hi)| hi);
     report.counters = OverloadCounters::from_dssp(&sc.dssp);
-    if let Some(mut ts) = series {
+    report.completed = tally.queries_served + tally.updates_applied;
+    report.hits = tally.hits;
+    report.degraded_serves = tally.degraded_serves;
+    // Every rejection at the bounded queue was a read shed by the
+    // harness (admitted updates always serve).
+    report.shed = tally.shed + report.queue_rejections;
+    report.unavailable = tally.queries_unavailable;
+    report.updates_applied = tally.updates_applied;
+    report.updates_rejected = tally.updates_rejected;
+    report.updates_unavailable = tally.updates_unavailable;
+    report.stale_beyond_lease = tally.stale_beyond_lease;
+    report.max_observed_staleness_micros = tally.max_observed_staleness_micros;
+    if let Some(mut ts) = tally.series {
         if let Some(shared) = proxy_series {
             let proxy = shared.lock().expect("proxy series poisoned");
             ts.merge(&proxy);
@@ -609,13 +563,12 @@ mod tests {
 
     #[test]
     fn spike_compresses_arrivals_inside_its_window() {
-        let mut cfg = crate::chaos::ChaosConfig::faultless(3, 100);
-        cfg.load = Some(LoadProfile::spike(10 * MS, 20 * MS, 4.0));
+        let load = LoadProfile::spike(10 * MS, 20 * MS, 4.0);
         let mut clock = 0;
         let mut inside = 0;
         let mut outside = 0;
         for _ in 0..100 {
-            clock = crate::chaos::next_arrival(&cfg, clock);
+            clock = next_arrival(&load, MS, clock);
             if (10 * MS..20 * MS).contains(&clock) {
                 inside += 1;
             } else {
@@ -629,16 +582,15 @@ mod tests {
     }
 
     #[test]
-    fn no_load_profile_replays_the_original_schedule() {
-        let cfg = crate::chaos::ChaosConfig::faultless(3, 10);
+    fn a_flat_profile_replays_the_base_spacing() {
         let mut clock = 0;
         let arrivals: Vec<Time> = (0..10)
             .map(|_| {
-                clock = crate::chaos::next_arrival(&cfg, clock);
+                clock = next_arrival(&LoadProfile::flat(), MS, clock);
                 clock
             })
             .collect();
-        let expected: Vec<Time> = (1..=10).map(|i| i * cfg.op_spacing_micros).collect();
+        let expected: Vec<Time> = (1..=10).map(|i| i * MS).collect();
         assert_eq!(arrivals, expected);
     }
 

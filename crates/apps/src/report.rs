@@ -294,7 +294,9 @@ pub fn chaos_entry_json(label: &str, cfg: &ChaosConfig, report: &ChaosReport) ->
         ("seed", cfg.seed.into()),
         ("ops", (cfg.ops as u64).into()),
         ("lease_micros", cfg.lease_micros.into()),
-        ("recovery", cfg.recovery.name().into()),
+        // Every proxy recovers with the affected-templates flush; the key
+        // stays in the export's schema.
+        ("recovery", "flush_affected".into()),
         ("strategy", cfg.strategy.name().into()),
         ("stale_beyond_lease", report.stale_beyond_lease.into()),
         (

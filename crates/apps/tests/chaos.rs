@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use scs_apps::{run_chaos, run_classic, ChaosConfig, OutageSpec};
-use scs_dssp::{RecoveryMode, RetryPolicy, StrategyKind};
+use scs_dssp::{RetryPolicy, StrategyKind};
 use scs_netsim::{FaultSpec, MS};
 
 fn chaos_cases() -> u32 {
@@ -39,7 +39,6 @@ proptest! {
         max_delay_ms in 1u64..80,
         lease_ms in 50u64..400,
         strategy_ix in 0usize..4,
-        recovery_ix in 0usize..2,
         with_outage in 0u32..2,
         with_crashes in 0u32..2,
     ) {
@@ -49,11 +48,6 @@ proptest! {
             ops,
             op_spacing_micros: MS,
             lease_micros: Some(lease),
-            recovery: if recovery_ix == 0 {
-                RecoveryMode::FlushAffected
-            } else {
-                RecoveryMode::FlushAll
-            },
             strategy: StrategyKind::ALL[strategy_ix],
             channel_faults: FaultSpec {
                 drop_probability: drop_pct as f64 / 100.0,
@@ -76,8 +70,6 @@ proptest! {
                 jitter: false,
             },
             timeseries_bucket_micros: None,
-            load: None,
-            overload: None,
         };
         let report = run_chaos(&cfg);
         prop_assert_eq!(

@@ -88,8 +88,7 @@ impl std::fmt::Display for Rejected {
 impl std::error::Error for Rejected {}
 
 /// Why the overload layer refused to serve a request. Chains to the
-/// underlying [`Rejected`] via `std::error::Error::source`, matching the
-/// `NodeError → StorageError` pattern.
+/// underlying [`Rejected`] via `std::error::Error::source`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Overloaded {
     /// Deadline-aware admission shed it at arrival.

@@ -1,5 +1,7 @@
 //! Fault-tolerant invalidation delivery: epoched update notifications,
-//! recovery policies, and retry/backoff for home-server trips.
+//! the recovery flush, retry/backoff for home-server trips, and the one
+//! outcome vocabulary every front end answers with ([`FtOutcome`] /
+//! [`FtUpdateOutcome`]: served or applied, unavailable, shed).
 //!
 //! The paper's consistency argument assumes every update notification
 //! reaches every cache instantly. This module drops that assumption and
@@ -9,7 +11,8 @@
 //!    monotone sequence number ([`InvalidationMsg::epoch`]); the proxy
 //!    applies message `e` only when `e == last + 1`. A skipped epoch is a
 //!    detected delivery failure (or an out-of-band master write) and
-//!    triggers a [`RecoveryMode`] flush. Duplicates and stale reorders
+//!    triggers a recovery flush of every entry some update template
+//!    could affect per the static IPM. Duplicates and stale reorders
 //!    (`e <= last`) are dropped — a flush for the gap they belonged to
 //!    has already covered them.
 //! 2. **Leases** — every cache entry carries a TTL, so even an
@@ -21,6 +24,7 @@
 //!    degradation) and misses surface as explicit unavailability rather
 //!    than stale answers.
 
+use crate::admission::Overloaded;
 use scs_sqlkit::Update;
 use scs_storage::{QueryResult, UpdateEffect};
 
@@ -140,38 +144,6 @@ impl InvalidationBatch {
     }
 }
 
-/// What a proxy flushes when the invalidation stream skips an epoch.
-/// The missed updates are unknown, so the flush must cover anything
-/// *any* update template could have invalidated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// Flush only entries that some update template could affect per the
-    /// static IPM (`∃u: A(u,q) ≠ 0`), plus every entry whose template is
-    /// invisible at its exposure level. Strictly cheaper than a full
-    /// flush whenever the analysis proved some pairs conflict-free.
-    FlushAffected,
-    /// Drop the whole cache — the only safe answer when nothing is known
-    /// (and the conservative default for low-exposure deployments).
-    FlushAll,
-}
-
-impl RecoveryMode {
-    /// Stable numeric code used by trace events.
-    pub fn code(self) -> u8 {
-        match self {
-            RecoveryMode::FlushAffected => 0,
-            RecoveryMode::FlushAll => 1,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryMode::FlushAffected => "flush_affected",
-            RecoveryMode::FlushAll => "flush_all",
-        }
-    }
-}
-
 /// How a delivered [`InvalidationMsg`] was handled by the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryOutcome {
@@ -210,7 +182,7 @@ pub enum BatchOutcome {
     Recovered { flushed: usize },
 }
 
-/// The outcome of a fault-tolerant query
+/// The outcome of a query through the request pipeline
 /// ([`crate::Dssp::execute_query_ft`]).
 #[derive(Debug, Clone)]
 pub enum FtOutcome {
@@ -218,16 +190,19 @@ pub enum FtOutcome {
         result: QueryResult,
         /// Whether the cache answered (no home-server round trip).
         hit: bool,
-        /// The hit was served while the home link or the home tier was
-        /// down — graceful degradation inside the lease window.
+        /// The hit was served under degradation: the home link or the
+        /// home tier was down, or brownout mode marked it. Always
+        /// within-lease — never stale beyond it.
         degraded: bool,
     },
     /// Cache miss and the home server stayed unreachable through every
     /// retry; no stale answer is substituted.
     Unavailable,
+    /// Turned away by overload protection before costing anything.
+    Shed(Overloaded),
 }
 
-/// A fault-tolerant query response: the outcome plus what the trip cost.
+/// A query response: the outcome plus what the trip cost.
 #[derive(Debug, Clone)]
 pub struct FtQueryResponse {
     pub outcome: FtOutcome,
@@ -237,7 +212,7 @@ pub struct FtQueryResponse {
     pub backoff_micros: u64,
 }
 
-/// The outcome of a fault-tolerant update
+/// The outcome of an update through the request pipeline
 /// ([`crate::Dssp::execute_update_ft`]).
 #[derive(Debug, Clone)]
 pub enum FtUpdateOutcome {
@@ -255,9 +230,11 @@ pub enum FtUpdateOutcome {
     },
     /// The home server stayed unreachable; the master is unchanged.
     Unavailable,
+    /// Turned away by overload protection; the master is unchanged.
+    Shed(Overloaded),
 }
 
-/// A fault-tolerant update response: the outcome plus what the trip cost.
+/// An update response: the outcome plus what the trip cost.
 #[derive(Debug, Clone)]
 pub struct FtUpdateResponse {
     pub outcome: FtUpdateOutcome,
@@ -489,12 +466,5 @@ mod tests {
             .filter(|s| schedule(2 * s) == schedule(2 * s + 1))
             .count();
         assert_eq!(collisions, 0, "seeded schedules collided");
-    }
-
-    #[test]
-    fn recovery_mode_codes_are_stable() {
-        assert_eq!(RecoveryMode::FlushAffected.code(), 0);
-        assert_eq!(RecoveryMode::FlushAll.code(), 1);
-        assert_eq!(RecoveryMode::FlushAll.name(), "flush_all");
     }
 }

@@ -13,11 +13,12 @@
 //! The fleet adds routing in front of, and fanout behind, the serving
 //! replica's own request pipeline ([`Dssp::execute_query_ft`] /
 //! [`Dssp::execute_update_ft`] over the group as a [`crate::Home`]):
-//! [`ProxyFleet::execute_query_ha`] / [`ProxyFleet::execute_update_ha`]
-//! report a down home tier as the pipeline does (degraded hits,
-//! `Unavailable`), and the classic [`ProxyFleet::execute_query`] /
-//! [`ProxyFleet::execute_update`] are the same bodies promising an
-//! answer.
+//! [`ProxyFleet::execute_query_ft`] / [`ProxyFleet::execute_update_ft`]
+//! take the same trip policy (link, retry schedule, queue snapshot) and
+//! answer with the same outcomes (served or applied, degraded hits,
+//! `Unavailable`, `Shed`), and the classic
+//! [`ProxyFleet::execute_query`] / [`ProxyFleet::execute_update`] are
+//! that pair at the neutral policy, promising an answer.
 //!
 //! Fanout is **batched and coalesced** ([`FanoutConfig`]): the home
 //! side buffers notifications and ships an [`InvalidationBatch`] when
@@ -40,22 +41,22 @@
 //!
 //! Fault-tolerance semantics are per replica: each proxy tracks its
 //! own epoch stream position, detects gaps independently (a dropped
-//! batch flushes only the replica that missed it), recovers on its own
-//! [`RecoveryMode`](crate::delivery::RecoveryMode), and — when
-//! overload protection is configured —
-//! owns its own circuit breaker and brownout state. Staleness anywhere
+//! batch flushes only the replica that missed it), recovers with its
+//! own flush, and — when overload protection is configured — owns its
+//! own circuit breaker and brownout state. Staleness anywhere
 //! in the fleet stays bounded by the per-entry lease — across
 //! membership changes too, because handed-off entries keep their
 //! original lease windows — which the chaos property tests in
 //! `tests/fleet.rs` and `tests/elastic.rs` verify against a
 //! ground-truth oracle.
 
+use crate::admission::QueueState;
 use crate::delivery::{
     splitmix64, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse, HomeLink, InvalidationBatch,
     InvalidationMsg, RetryPolicy,
 };
 use crate::elastic::{HandoffFault, JoinOutcome, LeaveOutcome};
-use crate::home::HomeServer;
+use crate::home::{lock_provenance, HomeServer};
 use crate::proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
 use crate::replication::{CommitAck, FailoverRecord, HomeGroup, ReplicationConfig};
 use crate::stats::DsspStats;
@@ -63,8 +64,8 @@ use scs_netsim::fault::{ChannelStats, FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
 use scs_storage::StorageError;
 use scs_telemetry::{
-    shared_audit, shared_provenance, FlushTrigger, MembershipKind, MembershipStamp, ProvenanceLog,
-    SharedAudit, SharedProvenance, SpanId, SpanPhase, SpanRecorder,
+    shared_audit, shared_provenance, FlushTrigger, MembershipKind, MembershipStamp, SharedAudit,
+    SharedProvenance, SpanId, SpanPhase, SpanRecorder,
 };
 use std::collections::HashMap;
 
@@ -181,11 +182,9 @@ pub struct FleetUpdateResponse {
     pub ack: CommitAck,
 }
 
-/// A fault-tolerant query response from the fleet: which replica
-/// served (or failed to serve) it, and what deliveries preceded it.
-/// Unlike [`ProxyFleet::execute_query`], this path survives a down
-/// home tier: within-lease hits serve degraded, misses surface
-/// [`crate::delivery::FtOutcome::Unavailable`].
+/// A query response from [`ProxyFleet::execute_query_ft`]: which replica
+/// served (or failed to serve, or shed) it under the caller's trip
+/// policy, and what deliveries preceded it.
 #[derive(Debug)]
 pub struct FleetFtQueryResponse {
     pub proxy: usize,
@@ -193,13 +192,17 @@ pub struct FleetFtQueryResponse {
     pub delivered: DeliveryTotals,
 }
 
-/// A fault-tolerant update response from the fleet. While the home
-/// tier is down the outcome is `Unavailable` and `ack` is `None`.
+/// An update response from [`ProxyFleet::execute_update_ft`]. Only an
+/// applied update carries an `ack`; an `Unavailable` or `Shed` one left
+/// the master untouched.
 #[derive(Debug)]
 pub struct FleetFtUpdateResponse {
     pub proxy: usize,
     pub resp: FtUpdateResponse,
     pub ack: Option<CommitAck>,
+    /// What delivering the fanout batches due during this call removed
+    /// across the whole fleet.
+    pub delivered: DeliveryTotals,
 }
 
 /// What a pump delivered: batches applied plus the entry scan/kill
@@ -453,21 +456,6 @@ impl ProxyFleet {
         }
     }
 
-    /// Locks the provenance log, recovering a poisoned lock instead of
-    /// propagating the panic: the log is append-only stamps, so the
-    /// worst a poisoner can leave behind is a missing stamp — never a
-    /// torn invariant — and wedging the fanout path over telemetry
-    /// would turn an observability bug into an availability one.
-    fn recovered_lock<'a>(
-        prov: &'a SharedProvenance,
-        recovered: &mut u64,
-    ) -> std::sync::MutexGuard<'a, ProvenanceLog> {
-        prov.lock().unwrap_or_else(|poisoned| {
-            *recovered += 1;
-            poisoned.into_inner()
-        })
-    }
-
     /// Journals a membership transition on the freshness plane (no-op
     /// without provenance).
     fn stamp_membership(
@@ -488,7 +476,7 @@ impl ProxyFleet {
             at_micros: self.now_micros,
             home_epoch: self.home.epoch(),
         };
-        Self::recovered_lock(&prov, &mut self.prov_poison_recovered).note_membership(stamp);
+        lock_provenance(&prov, &mut self.prov_poison_recovered).note_membership(stamp);
     }
 
     fn build_ring(ids: &[usize]) -> Vec<(u64, usize)> {
@@ -589,7 +577,7 @@ impl ProxyFleet {
         }
         dssp.handshake(joined_epoch);
         if let Some(prov) = self.prov.clone() {
-            Self::recovered_lock(&prov, &mut self.prov_poison_recovered).register_replica(id);
+            lock_provenance(&prov, &mut self.prov_poison_recovered).register_replica(id);
             dssp.attach_provenance(prov, id);
         }
         if let Some(audit) = self.audit.clone() {
@@ -767,43 +755,44 @@ impl ProxyFleet {
 
     /// Routes a query to its replica, delivering any fanout batches due
     /// at that replica first (per-pipe FIFO order is preserved). The
-    /// perfect-delivery form of [`ProxyFleet::execute_query_ha`]: it
-    /// promises an answer, so a miss while the home tier is down panics.
+    /// perfect-delivery form: [`ProxyFleet::execute_query_ft`] at the
+    /// neutral policy. It promises an answer, so a miss while the home
+    /// tier is down panics.
     pub fn execute_query(&mut self, q: &Query) -> Result<FleetQueryResponse, StorageError> {
-        let ha = self.execute_query_ha(q)?;
+        let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+        let ft = self.execute_query_ft(q, &link, &policy, None)?;
         Ok(FleetQueryResponse {
-            proxy: ha.proxy,
-            resp: QueryResponse::promised(ha.resp.outcome),
-            delivered: ha.delivered,
+            proxy: ft.proxy,
+            resp: QueryResponse::promised(ft.resp.outcome),
+            delivered: ft.delivered,
         })
     }
 
-    /// Fault-tolerant query path: the serving replica's request pipeline
-    /// over the home tier as a [`HomeGroup`], so it survives the tier
-    /// being down — within-lease cache hits serve degraded, misses
-    /// surface `Unavailable`.
-    pub fn execute_query_ha(&mut self, q: &Query) -> Result<FleetFtQueryResponse, StorageError> {
+    /// The fleet's query entry point: route, deliver what is due at the
+    /// serving replica, then that replica's request pipeline over the
+    /// home tier as a [`HomeGroup`], under the caller's trip policy — so
+    /// it survives the tier or the link being down (within-lease hits
+    /// serve degraded, misses surface `Unavailable`) and, with `queue`,
+    /// sheds at the replica's own overload gate.
+    pub fn execute_query_ft(
+        &mut self,
+        q: &Query,
+        link: &HomeLink,
+        policy: &RetryPolicy,
+        queue: Option<&QueueState>,
+    ) -> Result<FleetFtQueryResponse, StorageError> {
         let id = self.route(q.template_id);
         let delivered = self.pump(id);
         let i = self.idx(id);
-        let resp = self.replicas[i].dssp.execute_query_ft(
-            q,
-            &mut self.home,
-            &HomeLink::reliable(),
-            &RetryPolicy::no_retries(),
-        )?;
+        let resp =
+            self.replicas[i]
+                .dssp
+                .execute_query_ft(q, &mut self.home, link, policy, queue)?;
         Ok(FleetFtQueryResponse {
             proxy: id,
             resp,
             delivered,
         })
-    }
-
-    /// Fault-tolerant update path: `Unavailable` (master untouched)
-    /// while the home tier is down, otherwise applied + replicated
-    /// with the group's commit ack.
-    pub fn execute_update_ha(&mut self, u: &Update) -> Result<FleetFtUpdateResponse, StorageError> {
-        self.route_update(u).map(|(ha, _)| ha)
     }
 
     /// Routes an update through a replica to the home server. The
@@ -812,45 +801,48 @@ impl ProxyFleet {
     /// other replica it waits for its own pipe's batch, so delivery
     /// semantics are uniform across the fleet. With
     /// [`FanoutConfig::immediate`] over zero-latency reliable pipes the
-    /// batch applies before this call returns. The perfect-delivery form
-    /// of [`ProxyFleet::execute_update_ha`]: it panics while the home
-    /// tier is down.
+    /// batch applies before this call returns. The perfect-delivery
+    /// form: [`ProxyFleet::execute_update_ft`] at the neutral policy; it
+    /// panics while the home tier is down.
     pub fn execute_update(&mut self, u: &Update) -> Result<FleetUpdateResponse, StorageError> {
-        let (ha, delivered) = self.route_update(u)?;
-        let (FtUpdateOutcome::Applied { effect, msg, .. }, Some(ack)) = (ha.resp.outcome, ha.ack)
+        let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+        let ft = self.execute_update_ft(u, &link, &policy, None)?;
+        let (FtUpdateOutcome::Applied { effect, msg, .. }, Some(ack)) = (ft.resp.outcome, ft.ack)
         else {
-            unreachable!("reliable link to an up home tier never fails")
+            unreachable!("the neutral policy to an up home tier never fails")
         };
         Ok(FleetUpdateResponse {
-            proxy: ha.proxy,
+            proxy: ft.proxy,
             resp: UpdateResponse {
                 effect,
-                scanned: delivered.scanned,
-                invalidated: delivered.invalidated,
+                scanned: ft.delivered.scanned,
+                invalidated: ft.delivered.invalidated,
             },
             epoch: msg.epoch,
             ack,
         })
     }
 
-    /// The update path both forms share: the forwarding replica's
-    /// pipeline over the home tier as a [`HomeGroup`]; an applied write
-    /// is then replicated, its notification buffered for fanout, and
-    /// whatever is already due delivered fleet-wide (the totals
-    /// returned beside the response).
-    fn route_update(
+    /// The fleet's update entry point: the forwarding replica's pipeline
+    /// over the home tier as a [`HomeGroup`]. `Unavailable` or `Shed`
+    /// (master untouched) while the tier or the link is down or the
+    /// replica's overload gate refuses; an applied write is replicated
+    /// (the group's commit ack), its notification buffered for fanout,
+    /// and whatever is already due delivered fleet-wide.
+    pub fn execute_update_ft(
         &mut self,
         u: &Update,
-    ) -> Result<(FleetFtUpdateResponse, DeliveryTotals), StorageError> {
+        link: &HomeLink,
+        policy: &RetryPolicy,
+        queue: Option<&QueueState>,
+    ) -> Result<FleetFtUpdateResponse, StorageError> {
         let id = self.route(u.template_id);
         self.pump(id);
         let i = self.idx(id);
-        let resp = self.replicas[i].dssp.execute_update_ft(
-            u,
-            &mut self.home,
-            &HomeLink::reliable(),
-            &RetryPolicy::no_retries(),
-        )?;
+        let resp =
+            self.replicas[i]
+                .dssp
+                .execute_update_ft(u, &mut self.home, link, policy, queue)?;
         let mut delivered = DeliveryTotals::default();
         let ack = match &resp.outcome {
             FtUpdateOutcome::Applied { msg, .. } => {
@@ -866,14 +858,14 @@ impl ProxyFleet {
                 delivered = self.pump_all();
                 Some(ack)
             }
-            FtUpdateOutcome::Unavailable => None,
+            FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => None,
         };
-        let ha = FleetFtUpdateResponse {
+        Ok(FleetFtUpdateResponse {
             proxy: id,
             resp,
             ack,
-        };
-        Ok((ha, delivered))
+            delivered,
+        })
     }
 
     /// Buffers a notification, flushing on the size trigger.
@@ -920,7 +912,7 @@ impl ProxyFleet {
         );
         let prov = self.prov.clone();
         let batch_id = prov.as_ref().map(|prov| {
-            Self::recovered_lock(prov, &mut self.prov_poison_recovered).note_flush(
+            lock_provenance(prov, &mut self.prov_poison_recovered).note_flush(
                 batch.first_epoch,
                 batch.last_epoch,
                 batch.len() as u64,
@@ -933,7 +925,7 @@ impl ProxyFleet {
         for r in &mut self.replicas {
             r.pipe.send(self.now_micros, batch.clone());
             if let (Some(prov), Some(bid)) = (&prov, batch_id) {
-                Self::recovered_lock(prov, &mut self.prov_poison_recovered).note_send(
+                lock_provenance(prov, &mut self.prov_poison_recovered).note_send(
                     r.id,
                     bid,
                     self.now_micros,
@@ -1027,8 +1019,8 @@ impl ProxyFleet {
         }
     }
 
-    /// Stamps the tenant label on every replica's trace events (set by
-    /// `DsspNode` registration). Joiners inherit the label.
+    /// Stamps the tenant label on every replica's trace events. Joiners
+    /// inherit the label.
     pub fn set_tenant_label(&mut self, tenant: u32) {
         self.tenant = tenant;
         for r in &mut self.replicas {
@@ -1816,14 +1808,15 @@ mod tests {
         assert!(!f.fleet.home_group().is_up());
         // Queries during the outage degrade instead of panicking.
         let q = Query::bind(1, f.queries[1].clone(), vec![Value::Int(1)]).unwrap();
-        let ha = f.fleet.execute_query_ha(&q).unwrap();
+        let (link, policy) = (HomeLink::default(), RetryPolicy::default());
+        let ha = f.fleet.execute_query_ft(&q, &link, &policy, None).unwrap();
         assert!(matches!(
             ha.resp.outcome,
             crate::delivery::FtOutcome::Unavailable | crate::delivery::FtOutcome::Served { .. }
         ));
         // Updates during the outage are refused, master untouched.
         let u = Update::bind(0, f.updates[0].clone(), vec![Value::Int(77), Value::Int(1)]).unwrap();
-        let ha = f.fleet.execute_update_ha(&u).unwrap();
+        let ha = f.fleet.execute_update_ft(&u, &link, &policy, None).unwrap();
         assert!(matches!(
             ha.resp.outcome,
             crate::delivery::FtUpdateOutcome::Unavailable
@@ -1832,8 +1825,8 @@ mod tests {
         now = ride_out_failover(&mut f, now);
         assert!(f.fleet.home_group().is_up());
         assert!(f.fleet.home().epoch() > epoch_before, "barrier moved ahead");
-        // The same ha paths now serve against the promoted primary.
-        let ha = f.fleet.execute_update_ha(&u).unwrap();
+        // The same paths now serve against the promoted primary.
+        let ha = f.fleet.execute_update_ft(&u, &link, &policy, None).unwrap();
         assert!(ha.ack.expect("tier is up").acked);
         f.fleet.set_sim_time_micros(now + 1_000);
         f.fleet.drain();

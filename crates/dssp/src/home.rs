@@ -12,7 +12,23 @@
 use crate::delivery::{InvalidationMsg, PipeRegistration};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, Row, StorageError, UpdateEffect, Wal};
-use scs_telemetry::SharedProvenance;
+use scs_telemetry::{ProvenanceLog, SharedProvenance};
+
+/// Locks the provenance log, recovering a poisoned lock — and counting
+/// the recovery in `recovered` — instead of propagating the panic: the
+/// log is append-only stamps, so the worst a poisoner can leave behind
+/// is a missing stamp, never a torn invariant, and wedging a commit, a
+/// fanout flush or a promotion over telemetry would turn an
+/// observability bug into an availability one.
+pub(crate) fn lock_provenance<'a>(
+    prov: &'a SharedProvenance,
+    recovered: &mut u64,
+) -> std::sync::MutexGuard<'a, ProvenanceLog> {
+    prov.lock().unwrap_or_else(|poisoned| {
+        *recovered += 1;
+        poisoned.into_inner()
+    })
+}
 
 /// The home tier as the proxy's request pipeline sees it: the four
 /// questions [`crate::Dssp`] asks of whatever holds the master copy. A
@@ -276,17 +292,10 @@ impl HomeServer {
             update: u.clone(),
         };
         if let Some(prov) = &self.prov {
-            // Recover a poisoned lock instead of propagating the panic:
-            // the provenance log is append-only stamps, so the worst a
-            // poisoner leaves behind is a missing stamp — never a torn
-            // invariant — and the master write has already committed by
-            // this point, so panicking here would wedge the whole write
-            // path over telemetry.
-            let mut p = prov.lock().unwrap_or_else(|poisoned| {
-                self.prov_poison_recovered += 1;
-                poisoned.into_inner()
-            });
-            p.note_commit_on(
+            // The master write has already committed by this point, so
+            // panicking here would wedge the whole write path over
+            // telemetry.
+            lock_provenance(prov, &mut self.prov_poison_recovered).note_commit_on(
                 self.stream,
                 self.epoch,
                 u.template_id,
@@ -382,17 +391,6 @@ impl HomeServer {
     /// (ns).
     pub fn service_nanos(&self) -> u64 {
         self.service_nanos
-    }
-
-    /// Mean wall-clock service time per operation (ns); 0 when the home
-    /// server has served nothing.
-    pub fn mean_service_nanos(&self) -> f64 {
-        let ops = self.queries_served + self.updates_applied;
-        if ops == 0 {
-            0.0
-        } else {
-            self.service_nanos as f64 / ops as f64
-        }
     }
 }
 

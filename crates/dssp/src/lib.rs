@@ -14,7 +14,10 @@
 //! * [`strategy`] — the Figure-6 dispatch across exposure levels, and the
 //!   four pure strategy classes (MBS/MTIS/MSIS/MVIS);
 //! * [`proxy`] — the DSSP node itself: one request pipeline over any
-//!   [`Home`]; [`home`] — the home server and that trait.
+//!   [`Home`], with the trip policy (link, retries, overload queue
+//!   snapshot) as arguments whose neutral values are the paper's
+//!   behaviour; [`home`] — the home server and that trait. Hosting
+//!   several applications is one [`Dssp`] per `app_id`.
 //!
 //! Invalidation correctness (the §2.2 definition — a changed view is
 //! always invalidated) is verified end-to-end by property tests in
@@ -28,13 +31,13 @@
 //! backoff. `tests/delivery.rs` covers the delivery semantics directly;
 //! `scs-apps`' `tests/chaos.rs` drives random fault schedules against a
 //! ground-truth oracle to verify the staleness bound.
-
 //!
 //! Past the scalability knee the right behaviour is to *bend, not
 //! break*: [`admission`] adds deadline-aware admission control, a
 //! per-home-link circuit breaker, and brownout serving (within-lease
 //! hits degrade, misses fast-reject with [`Overloaded`]) so goodput
-//! stays flat while overload is shed at arrival.
+//! stays flat while overload is shed at arrival: step 0 of the same
+//! pipeline, taken when a queue snapshot is passed ([`FtOutcome::Shed`]).
 
 pub mod admission;
 pub mod cache;
@@ -48,7 +51,6 @@ pub mod sharded;
 pub mod statement;
 pub mod stats;
 pub mod strategy;
-pub mod tenant;
 pub mod view;
 
 pub use admission::{
@@ -61,7 +63,7 @@ pub use cache::{
 };
 pub use delivery::{
     BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
-    HomeLink, InvalidationBatch, InvalidationMsg, PipeRegistration, RecoveryMode, RetryPolicy,
+    HomeLink, InvalidationBatch, InvalidationMsg, PipeRegistration, RetryPolicy,
 };
 pub use elastic::{
     Autoscaler, AutoscalerConfig, HandoffFault, JoinOutcome, LeaveOutcome, ScaleAction,
@@ -72,10 +74,7 @@ pub use fleet::{
     FleetFtUpdateResponse, FleetQueryResponse, FleetUpdateResponse, ProxyFleet, RoutingMode,
 };
 pub use home::{Home, HomeServer};
-pub use proxy::{
-    Dssp, DsspConfig, OverloadOutcome, OverloadQueryResponse, OverloadUpdateOutcome,
-    OverloadUpdateResponse, QueryResponse, UpdateResponse,
-};
+pub use proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
 pub use replication::{
     CommitAck, FailoverRecord, HomeGroup, ReplicationConfig, ReplicationMode, ShipMsg, Standby,
 };
@@ -85,5 +84,4 @@ pub use stats::DsspStats;
 pub use strategy::{
     decide, must_invalidate, probe_for, DecisionPath, Probe, StrategyKind, UpdateView,
 };
-pub use tenant::{DsspNode, NodeError, TenantId};
 pub use view::view_may_affect;

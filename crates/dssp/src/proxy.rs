@@ -3,15 +3,15 @@
 //! cached results (Figure 2's pathways).
 //!
 //! There is one request pipeline, generic over the [`Home`] it trips to
-//! (a [`HomeServer`], a replicated [`crate::HomeGroup`], a
-//! [`ShardedHome`]) and parameterised by a [`HomeLink`] and a
-//! [`RetryPolicy`]: [`Dssp::execute_query_ft`] and
-//! [`Dssp::execute_update_ft`]. Every other entry point is a few lines
-//! over those two — [`Dssp::execute_query`] / [`Dssp::execute_update`]
-//! keep the paper's perfect-delivery behaviour (reliable link, no
-//! retries, the notification delivered straight back), the `_overload`
-//! pair puts admission control, the circuit breaker and brownout in
-//! front (DESIGN §9 has the table).
+//! (a [`crate::HomeServer`], a replicated [`crate::HomeGroup`], a
+//! [`ShardedHome`]) and taking the trip policy as values — a
+//! [`HomeLink`], a [`RetryPolicy`] and, for overload protection, the
+//! caller's [`QueueState`] snapshot: [`Dssp::execute_query_ft`] and
+//! [`Dssp::execute_update_ft`]. The neutral values (reliable link, no
+//! retries, no queue) are the paper's behaviour, and
+//! [`Dssp::execute_query`] / [`Dssp::execute_update`] are the pipeline at
+//! exactly those, with the notification delivered straight back (DESIGN
+//! §9 has the table).
 //!
 //! Delivery of invalidations is *epoched* (see [`crate::delivery`]): the
 //! home stamps each applied update with a monotone sequence number on
@@ -29,9 +29,9 @@ use crate::admission::{
 use crate::cache::{CacheKey, Lookup, ResultCache, ScanOutcome};
 use crate::delivery::{
     splitmix64, BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome,
-    FtUpdateResponse, HomeLink, InvalidationBatch, InvalidationMsg, RecoveryMode, RetryPolicy,
+    FtUpdateResponse, HomeLink, InvalidationBatch, InvalidationMsg, RetryPolicy,
 };
-use crate::home::{Home, HomeServer};
+use crate::home::Home;
 use crate::sharded::ShardedHome;
 use crate::stats::DsspStats;
 use crate::strategy::{decide, DecisionPath, UpdateView};
@@ -117,6 +117,50 @@ fn lock_plane<T>(plane: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Counts and traces a circuit-breaker transition (a free function so
+/// the gate can call it while it holds the overload state).
+fn note_transition(metrics: &ProxyMetrics, tracer: &mut Tracer, tenant: u32, t: BreakerTransition) {
+    match t.to {
+        BreakerState::Open => metrics.breaker_opens.inc(),
+        BreakerState::HalfOpen => metrics.breaker_half_opens.inc(),
+        BreakerState::Closed => metrics.breaker_closes.inc(),
+    }
+    tracer.emit(
+        t.at_micros,
+        tenant,
+        TraceEventKind::BreakerTransition {
+            from: t.from.code(),
+            to: t.to.code(),
+        },
+    );
+}
+
+/// Counts and traces one shed request — the only accounting a shed
+/// request gets.
+fn note_shed(
+    metrics: &ProxyMetrics,
+    tracer: &mut Tracer,
+    tenant: u32,
+    now: u64,
+    template: u32,
+    reason: ShedReason,
+) {
+    match reason {
+        ShedReason::Admission => metrics.shed_admission.inc(),
+        ShedReason::BreakerOpen => metrics.shed_breaker_open.inc(),
+        ShedReason::Brownout => metrics.shed_brownout.inc(),
+        ShedReason::QueueFull => metrics.shed_queue_full.inc(),
+    }
+    tracer.emit(
+        now,
+        tenant,
+        TraceEventKind::RequestShed {
+            query_template: template,
+            reason: reason.code(),
+        },
+    );
+}
+
 /// Configuration for one application's slice of the DSSP.
 #[derive(Clone)]
 pub struct DsspConfig {
@@ -133,8 +177,6 @@ pub struct DsspConfig {
     /// Staleness lease on cached entries (µs); `None` = entries never
     /// expire (safe only under the paper's perfect-delivery assumption).
     pub lease_micros: Option<u64>,
-    /// What to flush when the invalidation stream skips an epoch.
-    pub recovery: RecoveryMode,
     /// Overload protection (admission control, circuit breaker,
     /// brownout); `None` = accept everything, the paper's behaviour.
     pub overload: Option<OverloadConfig>,
@@ -150,7 +192,6 @@ impl DsspConfig {
             matrix,
             cache_capacity: None,
             lease_micros: None,
-            recovery: RecoveryMode::FlushAffected,
             overload: None,
         }
     }
@@ -167,12 +208,12 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// The answer of a trip that cannot come back empty-handed. The
     /// perfect-delivery entry points promise an answer, so they are for a
-    /// reliable link to a home tier that is up; an outage belongs on the
-    /// `_ft`/`_ha` forms, which report it.
+    /// reliable, ungated link to a home tier that is up; an outage or
+    /// overload belongs on the `_ft` forms, which report it.
     pub(crate) fn promised(outcome: FtOutcome) -> QueryResponse {
         match outcome {
             FtOutcome::Served { result, hit, .. } => QueryResponse { result, hit },
-            FtOutcome::Unavailable => unreachable!("reliable link to an up home tier never fails"),
+            _ => unreachable!("the neutral policy to an up home tier never fails"),
         }
     }
 }
@@ -187,104 +228,6 @@ pub struct UpdateResponse {
     pub invalidated: usize,
 }
 
-/// The outcome of a query through the overload-guarded entry point
-/// ([`Dssp::execute_query_overload`]): the fault-tolerant outcomes plus
-/// explicit shedding.
-#[derive(Debug, Clone)]
-pub enum OverloadOutcome {
-    Served {
-        result: QueryResult,
-        /// Whether the cache answered (no home-server round trip).
-        hit: bool,
-        /// Served under degradation: either the home link was down
-        /// (PR 2 semantics) or brownout mode marked the hit degraded.
-        /// Always within-lease — never stale beyond it.
-        degraded: bool,
-    },
-    /// Admitted, but the home server stayed unreachable through every
-    /// retry.
-    Unavailable,
-    /// Turned away by overload protection before costing anything.
-    Shed(Overloaded),
-}
-
-/// A query response from the overload-guarded path.
-#[derive(Debug, Clone)]
-pub struct OverloadQueryResponse {
-    pub outcome: OverloadOutcome,
-    pub attempts: u32,
-    pub backoff_micros: u64,
-}
-
-impl OverloadQueryResponse {
-    fn from_ft(r: FtQueryResponse) -> OverloadQueryResponse {
-        let outcome = match r.outcome {
-            FtOutcome::Served {
-                result,
-                hit,
-                degraded,
-            } => OverloadOutcome::Served {
-                result,
-                hit,
-                degraded,
-            },
-            FtOutcome::Unavailable => OverloadOutcome::Unavailable,
-        };
-        OverloadQueryResponse {
-            outcome,
-            attempts: r.attempts,
-            backoff_micros: r.backoff_micros,
-        }
-    }
-}
-
-/// The outcome of an update through [`Dssp::execute_update_overload`].
-#[derive(Debug, Clone)]
-pub enum OverloadUpdateOutcome {
-    /// Applied at the master; the invalidation notification and the
-    /// stream it rides on are returned for the delivery channel, exactly
-    /// as in the `_ft` path.
-    Applied {
-        effect: UpdateEffect,
-        stream: u64,
-        msg: InvalidationMsg,
-    },
-    /// Admitted but the home server stayed unreachable; master unchanged.
-    Unavailable,
-    /// Turned away by overload protection; master unchanged.
-    Shed(Overloaded),
-}
-
-/// An update response from the overload-guarded path.
-#[derive(Debug, Clone)]
-pub struct OverloadUpdateResponse {
-    pub outcome: OverloadUpdateOutcome,
-    pub attempts: u32,
-    pub backoff_micros: u64,
-}
-
-impl OverloadUpdateResponse {
-    fn from_ft(r: FtUpdateResponse) -> OverloadUpdateResponse {
-        let outcome = match r.outcome {
-            FtUpdateOutcome::Applied {
-                effect,
-                stream,
-                msg,
-            } => OverloadUpdateOutcome::Applied {
-                effect,
-                stream,
-                msg,
-            },
-            FtUpdateOutcome::Unavailable => OverloadUpdateOutcome::Unavailable,
-        };
-        OverloadUpdateResponse {
-            outcome,
-            attempts: r.attempts,
-            backoff_micros: r.backoff_micros,
-        }
-    }
-}
-
 /// Live overload-protection state (present when
 /// [`DsspConfig::overload`] was set).
 struct OverloadState {
@@ -292,6 +235,35 @@ struct OverloadState {
     breaker: CircuitBreaker,
     brownout: BrownoutController,
     brownout_active: bool,
+}
+
+impl OverloadState {
+    fn breaker_open(&self, now: u64) -> Overloaded {
+        Overloaded::BreakerOpen {
+            retry_after_micros: self.breaker.probe_due_micros().saturating_sub(now),
+        }
+    }
+
+    /// Deadline admission, then the circuit breaker, for a request that
+    /// needs the home tier. A half-open breaker admits exactly one probe.
+    fn admit_trip(&mut self, now: u64, queue: &QueueState) -> Result<(), Overloaded> {
+        AdmissionController::new(self.config.admission)
+            .admit(now, queue)
+            .map_err(Overloaded::Admission)?;
+        if !self.breaker.try_acquire(now) {
+            return Err(self.breaker_open(now));
+        }
+        Ok(())
+    }
+}
+
+/// What the overload gate decided for a request it let through.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Not gated: no [`DsspConfig::overload`], or no queue snapshot.
+    Off,
+    /// Let through; under `brownout` a cache hit serves degraded.
+    Admitted { brownout: bool },
 }
 
 /// Cached handles into the proxy's [`MetricsRegistry`] so the hot path
@@ -416,7 +388,7 @@ pub struct Dssp {
     /// [`Dssp::enable_span_recording`]).
     spans: SpanRecorder,
     attribution: AttributionMatrix,
-    /// Tenant label stamped on trace events (set by `DsspNode::register`).
+    /// Tenant label stamped on trace events ([`Dssp::set_tenant_label`]).
     tenant: u32,
     /// Simulation clock in µs; trace events are stamped with it. Stays 0
     /// outside a simulation.
@@ -428,7 +400,6 @@ pub struct Dssp {
     /// [`Dssp::epoch_of`]). Stream 0 lives in `epoch`, so a single-stream
     /// proxy never touches the map.
     stream_epochs: std::collections::HashMap<u64, u64>,
-    recovery: RecoveryMode,
     /// Overload protection; `None` = accept everything.
     overload: Option<OverloadState>,
     /// Monotone per-proxy request counter, mixed with `jitter_salt` to
@@ -494,7 +465,6 @@ impl Dssp {
             now_micros: 0,
             epoch: 0,
             stream_epochs: std::collections::HashMap::new(),
-            recovery: config.recovery,
             overload,
             request_seq: 0,
             jitter_salt,
@@ -660,12 +630,12 @@ impl Dssp {
     /// server and cache the (non-empty) result.
     ///
     /// This is the paper's perfect-delivery entry point: the request
-    /// pipeline ([`Dssp::execute_query_ft`]) over a reliable link, no
-    /// retries.
-    pub fn execute_query(
+    /// pipeline ([`Dssp::execute_query_ft`]) at the neutral policy — a
+    /// reliable link, no retries, no overload gate — over any [`Home`].
+    pub fn execute_query<H: Home>(
         &mut self,
         q: &Query,
-        home: &mut HomeServer,
+        home: &mut H,
     ) -> Result<QueryResponse, StorageError> {
         self.query_reliable(q, home)
     }
@@ -676,15 +646,15 @@ impl Dssp {
     ///
     /// Perfect-delivery entry point: the epoch-stamped invalidation
     /// notification is delivered back to this proxy immediately
-    /// ([`Dssp::execute_update_ft`] over a reliable link, then
+    /// ([`Dssp::execute_update_ft`] at the neutral policy, then
     /// [`Dssp::apply_invalidation_from`] on the owning stream). If the
     /// master was written out of band since the last notification, the
     /// delivery exposes the epoch gap here and the response reports the
     /// recovery flush instead of a targeted invalidation pass.
-    pub fn execute_update(
+    pub fn execute_update<H: Home>(
         &mut self,
         u: &Update,
-        home: &mut HomeServer,
+        home: &mut H,
     ) -> Result<UpdateResponse, StorageError> {
         self.update_reliable(u, home).map(|(resp, _)| resp)
     }
@@ -720,8 +690,8 @@ impl Dssp {
         q: &Query,
         home: &mut H,
     ) -> Result<QueryResponse, StorageError> {
-        let resp =
-            self.execute_query_ft(q, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
+        let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+        let resp = self.execute_query_ft(q, home, &link, &policy, None)?;
         Ok(QueryResponse::promised(resp.outcome))
     }
 
@@ -733,15 +703,15 @@ impl Dssp {
         u: &Update,
         home: &mut H,
     ) -> Result<(UpdateResponse, u64), StorageError> {
-        let resp =
-            self.execute_update_ft(u, home, &HomeLink::reliable(), &RetryPolicy::no_retries())?;
+        let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+        let resp = self.execute_update_ft(u, home, &link, &policy, None)?;
         let FtUpdateOutcome::Applied {
             effect,
             stream,
             msg,
         } = resp.outcome
         else {
-            unreachable!("reliable link to an up home tier never fails")
+            unreachable!("the neutral policy to an up home tier never fails")
         };
         let (scanned, invalidated) = match self.apply_invalidation_from(stream, &msg) {
             DeliveryOutcome::Applied {
@@ -759,12 +729,28 @@ impl Dssp {
         Ok((resp, stream))
     }
 
-    /// The query pipeline, one body for every home tier and link policy
-    /// (the classic, `_sharded`, `_overload` and fleet entry points all
-    /// end here): lookup and serve; on a miss, reach the home under
-    /// `policy`'s backoff schedule, handshake each participating stream's
-    /// cursor while the cache is empty, store the result stamped with
-    /// its first stream and that stream's epoch, account evictions.
+    /// The query pipeline, one body for every home tier and trip policy
+    /// (the classic, `_sharded` and fleet entry points all end here).
+    ///
+    /// 0. **Gate** — taken only when [`DsspConfig::overload`] is set
+    ///    *and* the caller passes `queue`, its snapshot of the home-side
+    ///    bottleneck (queueing lives in the simulator's service centers,
+    ///    not in the proxy). A fresh (within-lease) hit always passes,
+    ///    served *degraded* under brownout; under brownout (breaker open,
+    ///    or the last window's *backstop* rejection ratio at threshold) a
+    ///    miss fast-rejects; a miss whose projected completion (`queue`
+    ///    wait + service estimate) violates the deadline is shed at
+    ///    arrival; an open breaker refuses the trip and a half-open one
+    ///    admits exactly one probe. A shed request answers
+    ///    [`FtOutcome::Shed`] having touched only its shed counter: it is
+    ///    not a query served, so neither `queries` nor the audit plane
+    ///    sees it.
+    /// 1. Lookup and serve; on a miss, reach the home under `policy`'s
+    ///    backoff schedule, handshake each participating stream's cursor
+    ///    while the cache is empty, store the result stamped with its
+    ///    first stream and that stream's epoch, account evictions. A
+    ///    gated trip's outcome feeds the breaker (`Served` → success,
+    ///    `Unavailable` → failure).
     ///
     /// Within-lease cache hits serve even while the link or the home is
     /// down (graceful degradation — counted and traced); a miss that
@@ -779,8 +765,19 @@ impl Dssp {
         home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
+        queue: Option<&QueueState>,
     ) -> Result<FtQueryResponse, StorageError> {
         let tid = q.template_id;
+        let gate = match self.gate(Some(q), tid as u32, queue) {
+            Ok(gate) => gate,
+            Err(why) => {
+                return Ok(FtQueryResponse {
+                    outcome: FtOutcome::Shed(why),
+                    attempts: 0,
+                    backoff_micros: 0,
+                })
+            }
+        };
         let level = self.exposures.queries[tid];
         let exposure = level.rank() as u8;
         let audit_req = self.audit_arrival(false, tid, level, "query", &q.params);
@@ -823,7 +820,9 @@ impl Dssp {
                         exposure,
                     },
                 );
-                let degraded = !(link.is_up(self.now_micros) && home.is_up());
+                let link_down = !(link.is_up(self.now_micros) && home.is_up());
+                let brownout = gate == Gate::Admitted { brownout: true };
+                let degraded = link_down || brownout;
                 if degraded {
                     self.metrics.degraded_serves.inc();
                     self.tracer.emit(
@@ -848,7 +847,7 @@ impl Dssp {
                         expires_at,
                         self.now_micros,
                     );
-                    if degraded {
+                    if link_down {
                         p.note_degraded(*replica, tid, self.now_micros);
                     }
                 }
@@ -858,6 +857,11 @@ impl Dssp {
                     self.audit_view_read(audit_req, tid, "serve", &result);
                 }
                 self.spans.close(root, root_timer);
+                if brownout {
+                    self.metrics.brownout_serves.inc();
+                }
+                // Hits never touch the home tier: no breaker verdict.
+                self.settle(gate, None);
                 return Ok(FtQueryResponse {
                     outcome: FtOutcome::Served {
                         result,
@@ -905,6 +909,7 @@ impl Dssp {
         let (reached, attempts, backoff_micros) = self.reach_home(home, link, policy);
         if !reached {
             self.spans.close(root, root_timer);
+            self.settle(gate, Some(false));
             return Ok(FtQueryResponse {
                 outcome: FtOutcome::Unavailable,
                 attempts,
@@ -979,6 +984,7 @@ impl Dssp {
         self.note_evictions(&outcome.evicted);
         self.metrics.cache_entries.set(self.cache.len() as i64);
         self.spans.close(root, root_timer);
+        self.settle(gate, Some(true));
         Ok(FtQueryResponse {
             outcome: FtOutcome::Served {
                 result,
@@ -990,15 +996,23 @@ impl Dssp {
         })
     }
 
-    /// The update pipeline, one body for every home tier and link
-    /// policy: reach the home under `policy`'s retry schedule and apply
-    /// at the master. On success the epoch-stamped invalidation
-    /// notification is **returned, not applied**, together with the
-    /// stream it rides on — the caller owns the delivery channel (the
-    /// simulator may drop, delay, duplicate, or reorder it before
-    /// [`Dssp::apply_invalidation_from`] sees it). While the link or the
-    /// home stays down the master is untouched and the outcome is
-    /// [`FtUpdateOutcome::Unavailable`].
+    /// The update pipeline, one body for every home tier and trip
+    /// policy: pass the overload gate, reach the home under `policy`'s
+    /// retry schedule and apply at the master. On success the
+    /// epoch-stamped invalidation notification is **returned, not
+    /// applied**, together with the stream it rides on — the caller owns
+    /// the delivery channel (the simulator may drop, delay, duplicate, or
+    /// reorder it before [`Dssp::apply_invalidation_from`] sees it).
+    /// While the link or the home stays down the master is untouched and
+    /// the outcome is [`FtUpdateOutcome::Unavailable`].
+    ///
+    /// The gate (step 0, taken as in [`Dssp::execute_query_ft`]) puts
+    /// deadline admission and the circuit breaker in front of an update,
+    /// which always needs the home tier; brownout does **not** shed
+    /// updates on its own (writes carry more value than reads, and an
+    /// admitted update feeds the breaker the freshest link signal). A
+    /// shed update ([`FtUpdateOutcome::Shed`]) leaves the master
+    /// untouched and is not an update request served.
     ///
     /// An attempt that reaches the home is accounted (`updates`,
     /// `update_applied`, attribution, the `UpdateApplied` trace event)
@@ -1011,8 +1025,19 @@ impl Dssp {
         home: &mut H,
         link: &HomeLink,
         policy: &RetryPolicy,
+        queue: Option<&QueueState>,
     ) -> Result<FtUpdateResponse, StorageError> {
         let uid = u.template_id;
+        let gate = match self.gate(None, uid as u32, queue) {
+            Ok(gate) => gate,
+            Err(why) => {
+                return Ok(FtUpdateResponse {
+                    outcome: FtUpdateOutcome::Shed(why),
+                    attempts: 0,
+                    backoff_micros: 0,
+                })
+            }
+        };
         let level = self.exposures.updates[uid];
         let _ = self.audit_arrival(true, uid, level, "update", &u.params);
         let root = self.spans.open(
@@ -1026,6 +1051,7 @@ impl Dssp {
         let (reached, attempts, backoff_micros) = self.reach_home(home, link, policy);
         if !reached {
             self.spans.close(root, root_timer);
+            self.settle(gate, Some(false));
             return Ok(FtUpdateResponse {
                 outcome: FtUpdateOutcome::Unavailable,
                 attempts,
@@ -1055,6 +1081,7 @@ impl Dssp {
         );
         self.spans.close(root, root_timer);
         let (effect, stream, msg) = applied?;
+        self.settle(gate, Some(true));
         Ok(FtUpdateResponse {
             outcome: FtUpdateOutcome::Applied {
                 effect,
@@ -1112,182 +1139,90 @@ impl Dssp {
         (false, attempts, backoff)
     }
 
-    /// The overload-guarded query path: [`Dssp::execute_query_ft`]
-    /// wrapped in deadline-aware admission, the per-home-link circuit
-    /// breaker, and brownout serving.
-    ///
-    /// `queue` is the caller's snapshot of the home-side bottleneck
-    /// (queueing lives in the simulator's service centers, not in the
-    /// proxy). Decision order for a request offered at the current sim
-    /// time:
-    ///
-    /// 1. a fresh (within-lease) cache hit always serves — under
-    ///    brownout it serves *degraded* and is counted as a brownout
-    ///    serve; staleness stays lease-bounded either way;
-    /// 2. under brownout (breaker open, or the last window's *backstop*
-    ///    rejection ratio — bounded-queue refusals, not orderly
-    ///    admission sheds — at threshold) a miss fast-rejects with
-    ///    [`Overloaded`];
-    /// 3. a miss whose projected completion (`queue` wait + service
-    ///    estimate) already violates the deadline is shed at arrival;
-    /// 4. an open breaker refuses the home trip locally; a half-open
-    ///    breaker admits exactly one probe;
-    /// 5. otherwise the `_ft` path runs, and its outcome feeds the
-    ///    breaker (`Served` → success, `Unavailable` → failure).
-    ///
-    /// Without [`DsspConfig::overload`] this is a transparent wrapper
-    /// over the `_ft` path — nothing is ever shed.
-    pub fn execute_query_overload<H: Home>(
+    /// Step 0 of both pipelines: the admission → breaker → brownout gate
+    /// in front of arrival accounting. `q` is the query being offered
+    /// (`None` for an update, which brownout never sheds on its own);
+    /// `template` labels the shed event. The overload state is borrowed
+    /// once; everything else the gate touches is a disjoint field.
+    fn gate(
         &mut self,
-        q: &Query,
-        home: &mut H,
-        link: &HomeLink,
-        policy: &RetryPolicy,
-        queue: &QueueState,
-    ) -> Result<OverloadQueryResponse, StorageError> {
-        if self.overload.is_none() {
-            let resp = self.execute_query_ft(q, home, link, policy)?;
-            return Ok(OverloadQueryResponse::from_ft(resp));
-        }
-        let now = self.now_micros;
-        let tid = q.template_id as u32;
-        self.poll_breaker(now);
-        let (breaker_open, brownout) = {
-            let ol = self.overload.as_mut().expect("checked above");
-            let open = ol.breaker.state() == BreakerState::Open;
-            (open, ol.brownout.active(now, open))
+        q: Option<&Query>,
+        template: u32,
+        queue: Option<&QueueState>,
+    ) -> Result<Gate, Overloaded> {
+        let (Some(ol), Some(queue)) = (self.overload.as_mut(), queue) else {
+            return Ok(Gate::Off);
         };
-        self.set_brownout_active(brownout);
-        let fresh_hit = self.cache.peek_fresh(q);
-        if fresh_hit {
-            // Hits never touch the home tier, so neither admission nor
-            // the breaker applies; under brownout the serve is degraded.
-            let resp = self.execute_query_ft(q, home, link, policy)?;
-            self.record_offered(now, false);
-            let mut out = OverloadQueryResponse::from_ft(resp);
-            if brownout {
-                if let OverloadOutcome::Served { degraded, .. } = &mut out.outcome {
-                    if !*degraded {
-                        self.metrics.degraded_serves.inc();
-                        self.tracer.emit(
-                            now,
-                            self.tenant,
-                            TraceEventKind::DegradedServe {
-                                query_template: tid,
-                            },
-                        );
-                    }
-                    *degraded = true;
-                    self.metrics.brownout_serves.inc();
+        let (metrics, tracer) = (&self.metrics, &mut self.tracer);
+        let (tenant, now) = (self.tenant, self.now_micros);
+        if let Some(t) = ol.breaker.poll(now) {
+            note_transition(metrics, tracer, tenant, t);
+        }
+        let mut brownout = false;
+        let verdict = 'verdict: {
+            if let Some(q) = q {
+                let open = ol.breaker.state() == BreakerState::Open;
+                brownout = ol.brownout.active(now, open);
+                if ol.brownout_active != brownout {
+                    ol.brownout_active = brownout;
+                    let flips = match brownout {
+                        true => &metrics.brownout_entries,
+                        false => &metrics.brownout_exits,
+                    };
+                    flips.inc();
+                    let mode = TraceEventKind::BrownoutMode { active: brownout };
+                    tracer.emit(now, tenant, mode);
+                }
+                if self.cache.peek_fresh(q) {
+                    // Hits never touch the home tier, so neither
+                    // admission nor the breaker applies.
+                    break 'verdict Ok(());
+                }
+                if brownout {
+                    // Brownout fast-rejects misses instead of queueing
+                    // them; the breaker's state forces brownout directly.
+                    break 'verdict Err(if open {
+                        ol.breaker_open(now)
+                    } else {
+                        Overloaded::Brownout
+                    });
                 }
             }
-            return Ok(out);
-        }
-        if brownout {
-            // Brownout fast-rejects misses instead of queueing them. Its
-            // own rejects are deliberate, not distress, so they do not
-            // feed the trigger — counting them would latch brownout for
-            // as long as the overload lasts (shed → ratio hot → shed …),
-            // starving the cache of refills.
-            let why = if breaker_open {
-                Overloaded::BreakerOpen {
-                    retry_after_micros: self.breaker_retry_after(now),
-                }
-            } else {
-                Overloaded::Brownout
-            };
-            self.record_offered(now, false);
-            return Ok(self.shed_query(tid, why));
-        }
-        let admission = {
-            let ol = self.overload.as_ref().expect("checked above");
-            AdmissionController::new(ol.config.admission)
+            ol.admit_trip(now, queue)
         };
-        if let Err(r) = admission.admit(now, queue) {
-            // Admission shedding is the system operating correctly at
-            // overload — it does not feed the brownout trigger either.
-            self.record_offered(now, false);
-            return Ok(self.shed_query(tid, Overloaded::Admission(r)));
-        }
-        let acquired = {
-            let ol = self.overload.as_mut().expect("checked above");
-            ol.breaker.try_acquire(now)
-        };
-        if !acquired {
-            // Breaker state already forces brownout directly.
-            let why = Overloaded::BreakerOpen {
-                retry_after_micros: self.breaker_retry_after(now),
-            };
-            self.record_offered(now, false);
-            return Ok(self.shed_query(tid, why));
-        }
-        let resp = self.execute_query_ft(q, home, link, policy)?;
-        let transition = {
-            let ol = self.overload.as_mut().expect("checked above");
-            match resp.outcome {
-                FtOutcome::Served { .. } => ol.breaker.on_success(now),
-                FtOutcome::Unavailable => ol.breaker.on_failure(now),
+        match verdict {
+            Ok(()) => Ok(Gate::Admitted { brownout }),
+            Err(why) => {
+                // No shed of the gate's own feeds the brownout trigger:
+                // admission shedding is the system operating correctly
+                // at overload, the breaker forces brownout by state, and
+                // counting brownout's own deliberate rejects would latch
+                // it for as long as the overload lasts (shed → ratio hot
+                // → shed …), starving the cache of refills.
+                ol.brownout.record(now, false);
+                note_shed(metrics, tracer, tenant, now, template, why.reason());
+                Err(why)
             }
-        };
-        if let Some(t) = transition {
-            self.note_transition(t);
         }
-        self.record_offered(now, false);
-        Ok(OverloadQueryResponse::from_ft(resp))
     }
 
-    /// The overload-guarded update path. Updates always need the home
-    /// tier, so deadline admission and the circuit breaker gate them;
-    /// brownout does **not** shed updates on its own (writes carry more
-    /// value than reads, and an admitted update feeds the breaker the
-    /// freshest link signal). A shed update leaves the master untouched.
-    pub fn execute_update_overload<H: Home>(
-        &mut self,
-        u: &Update,
-        home: &mut H,
-        link: &HomeLink,
-        policy: &RetryPolicy,
-        queue: &QueueState,
-    ) -> Result<OverloadUpdateResponse, StorageError> {
-        if self.overload.is_none() {
-            let resp = self.execute_update_ft(u, home, link, policy)?;
-            return Ok(OverloadUpdateResponse::from_ft(resp));
-        }
+    /// Closes a request the gate let through: the trip's verdict feeds
+    /// the breaker (`None` for a hit, which made no trip) and the
+    /// brownout window counts one offered request — never as distress.
+    fn settle(&mut self, gate: Gate, trip: Option<bool>) {
+        let (Gate::Admitted { .. }, Some(ol)) = (gate, self.overload.as_mut()) else {
+            return;
+        };
         let now = self.now_micros;
-        let tid = u.template_id as u32;
-        self.poll_breaker(now);
-        let admission = {
-            let ol = self.overload.as_ref().expect("checked above");
-            AdmissionController::new(ol.config.admission)
+        let transition = match trip {
+            Some(true) => ol.breaker.on_success(now),
+            Some(false) => ol.breaker.on_failure(now),
+            None => None,
         };
-        if let Err(r) = admission.admit(now, queue) {
-            self.record_offered(now, false);
-            return Ok(self.shed_update(tid, Overloaded::Admission(r)));
-        }
-        let acquired = {
-            let ol = self.overload.as_mut().expect("checked above");
-            ol.breaker.try_acquire(now)
-        };
-        if !acquired {
-            let why = Overloaded::BreakerOpen {
-                retry_after_micros: self.breaker_retry_after(now),
-            };
-            self.record_offered(now, false);
-            return Ok(self.shed_update(tid, why));
-        }
-        let resp = self.execute_update_ft(u, home, link, policy)?;
-        let transition = {
-            let ol = self.overload.as_mut().expect("checked above");
-            match resp.outcome {
-                FtUpdateOutcome::Applied { .. } => ol.breaker.on_success(now),
-                FtUpdateOutcome::Unavailable => ol.breaker.on_failure(now),
-            }
-        };
+        ol.brownout.record(now, false);
         if let Some(t) = transition {
-            self.note_transition(t);
+            note_transition(&self.metrics, &mut self.tracer, self.tenant, t);
         }
-        self.record_offered(now, false);
-        Ok(OverloadUpdateResponse::from_ft(resp))
     }
 
     /// Accounts a request the *caller* shed at a bounded netsim queue
@@ -1295,8 +1230,19 @@ impl Dssp {
     /// and brownout shed-ratio see it. Returns the error to surface.
     pub fn record_queue_rejection(&mut self, query_template: u32) -> Overloaded {
         let now = self.now_micros;
-        self.record_offered(now, true);
-        self.note_shed(query_template, ShedReason::QueueFull);
+        // A backstop rejection — a bounded queue refusing admitted work —
+        // is the one kind of shed that feeds the brownout trigger.
+        if let Some(ol) = self.overload.as_mut() {
+            ol.brownout.record(now, true);
+        }
+        note_shed(
+            &self.metrics,
+            &mut self.tracer,
+            self.tenant,
+            now,
+            query_template,
+            ShedReason::QueueFull,
+        );
         Overloaded::QueueFull
     }
 
@@ -1311,110 +1257,9 @@ impl Dssp {
         self.overload.as_ref().is_some_and(|ol| ol.brownout_active)
     }
 
-    /// The configured overload protection, if any.
-    pub fn overload_config(&self) -> Option<&OverloadConfig> {
-        self.overload.as_ref().map(|ol| &ol.config)
-    }
-
     fn next_jitter_seed(&mut self) -> u64 {
         self.request_seq += 1;
         splitmix64(self.jitter_salt ^ self.request_seq)
-    }
-
-    fn poll_breaker(&mut self, now: u64) {
-        let transition = self.overload.as_mut().and_then(|ol| ol.breaker.poll(now));
-        if let Some(t) = transition {
-            self.note_transition(t);
-        }
-    }
-
-    fn breaker_retry_after(&self, now: u64) -> u64 {
-        self.overload
-            .as_ref()
-            .map(|ol| ol.breaker.probe_due_micros().saturating_sub(now))
-            .unwrap_or(0)
-    }
-
-    /// Feeds the brownout trigger. `distress` is true only for backstop
-    /// rejections (a bounded queue refusing admitted work): orderly
-    /// admission sheds, breaker refusals (the breaker forces brownout by
-    /// state), and brownout's own fast-rejects stay out of the ratio so
-    /// sustained overload cannot latch brownout on its own output.
-    fn record_offered(&mut self, now: u64, distress: bool) {
-        if let Some(ol) = self.overload.as_mut() {
-            ol.brownout.record(now, distress);
-        }
-    }
-
-    fn set_brownout_active(&mut self, active: bool) {
-        let Some(ol) = self.overload.as_mut() else {
-            return;
-        };
-        if ol.brownout_active == active {
-            return;
-        }
-        ol.brownout_active = active;
-        if active {
-            self.metrics.brownout_entries.inc();
-        } else {
-            self.metrics.brownout_exits.inc();
-        }
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::BrownoutMode { active },
-        );
-    }
-
-    fn note_transition(&mut self, t: BreakerTransition) {
-        match t.to {
-            BreakerState::Open => self.metrics.breaker_opens.inc(),
-            BreakerState::HalfOpen => self.metrics.breaker_half_opens.inc(),
-            BreakerState::Closed => self.metrics.breaker_closes.inc(),
-        }
-        self.tracer.emit(
-            t.at_micros,
-            self.tenant,
-            TraceEventKind::BreakerTransition {
-                from: t.from.code(),
-                to: t.to.code(),
-            },
-        );
-    }
-
-    fn note_shed(&mut self, template: u32, reason: ShedReason) {
-        match reason {
-            ShedReason::Admission => self.metrics.shed_admission.inc(),
-            ShedReason::BreakerOpen => self.metrics.shed_breaker_open.inc(),
-            ShedReason::Brownout => self.metrics.shed_brownout.inc(),
-            ShedReason::QueueFull => self.metrics.shed_queue_full.inc(),
-        }
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::RequestShed {
-                query_template: template,
-                reason: reason.code(),
-            },
-        );
-    }
-
-    fn shed_query(&mut self, template: u32, why: Overloaded) -> OverloadQueryResponse {
-        self.note_shed(template, why.reason());
-        OverloadQueryResponse {
-            outcome: OverloadOutcome::Shed(why),
-            attempts: 0,
-            backoff_micros: 0,
-        }
-    }
-
-    fn shed_update(&mut self, template: u32, why: Overloaded) -> OverloadUpdateResponse {
-        self.note_shed(template, why.reason());
-        OverloadUpdateResponse {
-            outcome: OverloadUpdateOutcome::Shed(why),
-            attempts: 0,
-            backoff_micros: 0,
-        }
     }
 
     /// Delivers one epoch-stamped invalidation notification on stream 0,
@@ -1441,7 +1286,7 @@ impl Dssp {
     ///   forced a flush that covered it: dropped.
     /// * `epoch > cursor + 1` — a gap: one or more notifications were lost
     ///   *on that stream* (or its master was written out of band). The
-    ///   [`RecoveryMode`] flush runs; it covers this message's own
+    ///   recovery flush runs; it covers this message's own
     ///   invalidations too, so the message itself is not applied
     ///   separately.
     ///
@@ -1530,7 +1375,7 @@ impl Dssp {
     /// * `last_epoch <= cursor` — the whole batch is a duplicate (a
     ///   redelivered batch, or one covered by an earlier gap flush).
     /// * `first_epoch > cursor + 1` — a gap: an earlier batch was lost,
-    ///   so the [`RecoveryMode`] flush runs and covers this batch's own
+    ///   so the recovery flush runs and covers this batch's own
     ///   invalidations.
     /// * otherwise the batch attaches (possibly overlapping): retained
     ///   messages with an epoch beyond the cursor are applied in order,
@@ -1794,25 +1639,18 @@ impl Dssp {
         (scanned, invalidated)
     }
 
-    /// Flushes what an unknown missed update could have invalidated.
-    /// `FlushAffected` keeps only entries whose query template the static
-    /// IPM proved conflict-free against *every* update template — exposure
-    /// does not matter here, because the IPM speaks about ground truth over
+    /// Flushes what an unknown missed update could have invalidated:
+    /// every entry but those whose query template the static IPM proved
+    /// conflict-free against *every* update template — exposure does not
+    /// matter here, because the IPM speaks about ground truth over
     /// templates, not about what the proxy may inspect at runtime.
     fn recovery_flush(&mut self) -> usize {
-        let flushed = match self.recovery {
-            RecoveryMode::FlushAll => self.cache.clear(),
-            RecoveryMode::FlushAffected => {
-                let matrix = &self.matrix;
-                let update_count = matrix.update_count();
-                self.cache
-                    .invalidate_where(|entry| {
-                        let qid = entry.key().template_id;
-                        (0..update_count).any(|uid| !matrix.entry(uid, qid).all_zero())
-                    })
-                    .1
-            }
-        };
+        let matrix = &self.matrix;
+        let update_count = matrix.update_count();
+        let (_, flushed) = self.cache.invalidate_where(|entry| {
+            let qid = entry.key().template_id;
+            (0..update_count).any(|uid| !matrix.entry(uid, qid).all_zero())
+        });
         self.metrics.recovery_flushes.inc();
         self.metrics.recovery_flushed_entries.add(flushed as u64);
         self.tracer.emit(
@@ -1820,7 +1658,9 @@ impl Dssp {
             self.tenant,
             TraceEventKind::RecoveryFlush {
                 flushed: flushed as u64,
-                mode: self.recovery.code(),
+                // The affected-templates flush; the code is part of the
+                // trace export's schema.
+                mode: 0,
             },
         );
         self.metrics.cache_entries.set(self.cache.len() as i64);
@@ -2072,6 +1912,7 @@ impl Dssp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::home::HomeServer;
     use crate::strategy::StrategyKind;
     use scs_core::{characterize_app, AnalysisOptions, Catalog};
     use scs_sqlkit::{parse_query, parse_update, QueryTemplate, UpdateTemplate, Value};
@@ -2118,7 +1959,6 @@ mod tests {
             matrix,
             cache_capacity: None,
             lease_micros: None,
-            recovery: RecoveryMode::FlushAffected,
             overload: None,
         });
         Fixture {

@@ -40,7 +40,7 @@
 //!   (PR 2), so a failover needs no proxy-side special case.
 
 use crate::delivery::{InvalidationMsg, PipeRegistration};
-use crate::home::{Home, HomeServer};
+use crate::home::{lock_provenance, Home, HomeServer};
 use scs_netsim::{FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, StorageError, UpdateEffect, Wal, WalPayload, WalRecord};
@@ -191,10 +191,6 @@ impl Standby {
 
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    pub fn is_alive(&self) -> bool {
-        self.alive
     }
 
     /// The contiguous replication tip: every epoch at or below this is
@@ -385,6 +381,9 @@ pub struct HomeGroup {
     /// Sync-quorum commits that timed out (applied but unacked).
     unacked_commits: u64,
     prov: Option<SharedProvenance>,
+    /// Failover stamps written through a poisoned provenance lock (see
+    /// [`HomeGroup::prov_poison_recovered`]).
+    prov_poison_recovered: u64,
 }
 
 impl HomeGroup {
@@ -420,6 +419,7 @@ impl HomeGroup {
             rejected_writes: 0,
             unacked_commits: 0,
             prov: None,
+            prov_poison_recovered: 0,
         }
     }
 
@@ -489,6 +489,12 @@ impl HomeGroup {
 
     pub fn unacked_commits(&self) -> u64 {
         self.unacked_commits
+    }
+
+    /// Failover stamps that had to recover a poisoned provenance lock
+    /// (0 in healthy runs).
+    pub fn prov_poison_recovered(&self) -> u64 {
+        self.prov_poison_recovered
     }
 
     /// Total zombie-primary records bounced off the term fence.
@@ -983,7 +989,9 @@ impl HomeGroup {
         }
         self.ship_outstanding(now);
         if let Some(prov) = &self.prov {
-            prov.lock().unwrap().note_failover(FailoverStamp {
+            // A poisoned telemetry lock must not cost the tier its
+            // promotion: the standby above is already the primary.
+            lock_provenance(prov, &mut self.prov_poison_recovered).note_failover(FailoverStamp {
                 at_micros: now,
                 from_primary: record.from_primary,
                 to_primary: record.to_primary,
@@ -1075,6 +1083,41 @@ mod tests {
         assert_eq!(g.epoch(), 1);
         assert!(g.tick(1_000_000).is_none(), "nothing to promote");
         assert!(g.is_up());
+    }
+
+    /// A poisoned provenance mutex must not panic *promotion*: that
+    /// would turn a telemetry fault into a home-tier outage. The lock is
+    /// recovered (and counted), a standby promotes and the failover
+    /// stamp still lands.
+    #[test]
+    fn poisoned_provenance_lock_does_not_panic_promotion() {
+        let mut g = group(ReplicationMode::Async, 1, FaultSpec::none());
+        let prov = scs_telemetry::shared_provenance(1);
+        g.attach_provenance(prov.clone());
+        write(&mut g, 1_000, 100);
+        g.tick(1_001); // deliver the ship
+        let poisoner = prov.clone();
+        std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the provenance lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(prov.lock().is_err(), "lock is poisoned");
+        g.crash_primary(2_000);
+        let mut now = 2_000;
+        let fo = loop {
+            now += 5_000;
+            assert!(now < 10_000_000, "promotion never happened");
+            if let Some(fo) = g.tick(now) {
+                break fo;
+            }
+        };
+        assert!(g.is_up(), "a standby promoted despite the poison");
+        assert_eq!(fo.to_primary, 1);
+        assert_eq!(g.prov_poison_recovered(), 1);
+        let log = prov.lock().unwrap_or_else(|p| p.into_inner());
+        assert_eq!(log.failovers().len(), 1, "the stamp landed");
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl ShardedHome {
         &self.shards[id]
     }
 
-    /// One shard's home server (the chaos harnesses crash/recover
-    /// individual shards through this).
-    pub fn shard_mut(&mut self, id: usize) -> &mut HomeServer {
-        &mut self.shards[id]
-    }
-
     /// The per-shard epoch vector: `epochs()[s]` is stream `s`'s tip.
     pub fn epochs(&self) -> Vec<u64> {
         self.shards.iter().map(|h| h.epoch()).collect()

@@ -1,25 +1,36 @@
-//! The composition one request pipeline makes expressible: overload
-//! protection (admission, breaker, brownout) and a flaky home link with
-//! a retrying policy, in front of a **sharded** home — one `Dssp`, the
-//! `_overload` entry points, a 4-shard [`ShardedHome`]. Before the
-//! pipeline was generic over [`scs_dssp::Home`] the `_overload` and `_ft`
-//! forms took a `HomeServer` only, so this file did not compile.
+//! The compositions one request pipeline makes expressible, each under
+//! one oracle — an unpartitioned shadow master fed every accepted update
+//! (the shape of the benchmark's sharded oracle) that checks every
+//! answer:
 //!
-//! An unpartitioned shadow master is fed every accepted update (the
-//! shape of the benchmark's sharded oracle) and checks every answer;
-//! with protection off and a reliable link the same entry points must be
-//! op-for-op the `_sharded` forwards.
+//! * overload protection (admission, breaker, brownout) and a flaky home
+//!   link with a retrying policy in front of a **sharded** home — one
+//!   `Dssp`, the general pair, a 4-shard [`ShardedHome`];
+//! * the same trip policy through a **fleet**: three proxies over lossy,
+//!   duplicating pipes with batched fanout, a sync-quorum home group
+//!   whose primary crashes mid-run, jittered retries into scripted link
+//!   outages, a queue that saturates for a window, one join and one
+//!   leave.
+//!
+//! And the pins that the policy arguments cost nothing: at the neutral
+//! policy the general pair is op for op the classic pair, on a `Dssp`
+//! and on a `ProxyFleet`; no `OverloadConfig` or no queue snapshot is
+//! the ungated pipeline.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    AdmissionConfig, BreakerConfig, BrownoutConfig, Dssp, DsspConfig, HomeLink, OverloadConfig,
-    OverloadOutcome, OverloadUpdateOutcome, QueueState, RetryPolicy, ShardedHome, StrategyKind,
+    AdmissionConfig, BreakerConfig, BrownoutConfig, Dssp, DsspConfig, DsspStats, FanoutConfig,
+    FleetConfig, FtOutcome, FtUpdateOutcome, HomeLink, HomeServer, OverloadConfig, ProxyFleet,
+    QueueState, ReplicationConfig, ReplicationMode, RetryPolicy, RoutingMode, ShardedHome,
+    StrategyKind,
 };
+use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
+use scs_telemetry::{TraceEvent, TraceSink};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const SHARDS: usize = 4;
 const USERS: i64 = 6;
@@ -129,14 +140,41 @@ fn protection() -> OverloadConfig {
     }
 }
 
-fn retrying() -> RetryPolicy {
+/// The whole backoff budget of [`retrying`]: a trip offered at `t` makes
+/// its last attempt no later than `t + RETRY_BUDGET`.
+const RETRY_BUDGET: u64 = 40_000;
+
+fn retrying(jitter: bool) -> RetryPolicy {
     RetryPolicy {
         max_attempts: 3,
         base_backoff_micros: 2_000,
         max_backoff_micros: 8_000,
-        timeout_micros: 40_000,
-        jitter: false,
+        timeout_micros: RETRY_BUDGET,
+        jitter,
     }
+}
+
+/// Whether one outage covers every instant a trip offered at `now` can
+/// attempt at.
+fn down_throughout(outages: &[(u64, u64)], now: u64) -> bool {
+    outages
+        .iter()
+        .any(|&(start, end)| start <= now && now + RETRY_BUDGET < end)
+}
+
+/// Records the kind of every trace event a proxy emits, in order.
+struct KindSink(Arc<Mutex<Vec<&'static str>>>);
+
+impl TraceSink for KindSink {
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.lock().unwrap().push(event.kind.name());
+    }
+}
+
+fn traced(dssp: &mut Dssp) -> Arc<Mutex<Vec<&'static str>>> {
+    let kinds = Arc::new(Mutex::new(Vec::new()));
+    dssp.add_trace_sink(Box::new(KindSink(kinds.clone())));
+    kinds
 }
 
 #[derive(Debug, Clone)]
@@ -237,7 +275,7 @@ proptest! {
         let mut home = ShardedHome::new(app.db.clone(), shard_map());
         let mut dssp = Dssp::new(app.config.clone());
         let link = HomeLink::with_outages(outages);
-        let policy = retrying();
+        let policy = retrying(false);
         let mut now = 0u64;
         // When each query instance was last filled from the home.
         let mut filled_at: HashMap<String, u64> = HashMap::new();
@@ -251,10 +289,10 @@ proptest! {
             let before = tier_state(&home);
             if let Some(q) = app.query(op) {
                 let resp = dssp
-                    .execute_query_overload(&q, &mut home, &link, &policy, &queue(*doomed))
+                    .execute_query_ft(&q, &mut home, &link, &policy, Some(&queue(*doomed)))
                     .unwrap();
                 match resp.outcome {
-                    OverloadOutcome::Served { result, hit, degraded } => {
+                    FtOutcome::Served { result, hit, degraded } => {
                         // Notifications are delivered as they are issued,
                         // so a hit is as fresh as a miss.
                         prop_assert!(
@@ -269,18 +307,18 @@ proptest! {
                             filled_at.insert(q.to_string(), now);
                         }
                     }
-                    OverloadOutcome::Unavailable => {
+                    FtOutcome::Unavailable => {
                         prop_assert!(!link.is_up(now), "{} unavailable on an up link", q);
                     }
-                    OverloadOutcome::Shed(_) => {}
+                    FtOutcome::Shed(_) => {}
                 }
                 prop_assert_eq!(tier_state(&home), before, "a query wrote");
                 continue;
             }
             let u = app.update(op).expect("queries and advances are handled");
-            match dssp.execute_update_overload(&u, &mut home, &link, &policy, &queue(*doomed)) {
+            match dssp.execute_update_ft(&u, &mut home, &link, &policy, Some(&queue(*doomed))) {
                 Ok(resp) => match resp.outcome {
-                    OverloadUpdateOutcome::Applied { effect, stream, msg } => {
+                    FtUpdateOutcome::Applied { effect, stream, msg } => {
                         let mut after = before.clone();
                         after[stream as usize].0 += 1;
                         after[stream as usize].1 += 1;
@@ -289,7 +327,7 @@ proptest! {
                         prop_assert_eq!(master.apply(&u).unwrap(), effect);
                         dssp.apply_invalidation_from(stream, &msg);
                     }
-                    OverloadUpdateOutcome::Unavailable | OverloadUpdateOutcome::Shed(_) => {
+                    FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => {
                         prop_assert_eq!(tier_state(&home), before, "a shed update wrote");
                     }
                 },
@@ -307,59 +345,321 @@ proptest! {
         prop_assert_eq!(dssp.registry().counter_value("dssp.epoch_gaps"), 0);
     }
 
-    /// With protection off and a reliable link, the `_overload` entry
-    /// points over a sharded home are op-for-op the `_sharded` forwards:
-    /// same answers and hit pattern, same refusals, same `DsspStats`,
-    /// same per-stream cursors.
+    /// At the neutral policy — a reliable link, no retries, and either no
+    /// `OverloadConfig` or no queue snapshot — the general pair is op for
+    /// op the classic pair: same answers and hit pattern, same refusals,
+    /// the whole `DsspStats`, the same trace-event sequence and
+    /// per-stream cursors, and nothing shed however doomed the queue.
     #[test]
-    fn unguarded_reliable_pipeline_is_the_sharded_forwards(
+    fn neutral_policy_on_a_dssp_is_the_classic_pair(
         script in proptest::collection::vec(op(), 1..120),
     ) {
-        let app = app(None);
-        let mut home = ShardedHome::new(app.db.clone(), shard_map());
-        let mut twin_home = ShardedHome::new(app.db.clone(), shard_map());
-        let mut dssp = Dssp::new(app.config.clone());
-        let mut twin = Dssp::new(app.config.clone());
-        let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+        let classic = dssp_trail(&app(None), &script, None);
+        let unconfigured = dssp_trail(&app(None), &script, Some(true));
+        let no_snapshot = dssp_trail(&app(Some(protection())), &script, Some(false));
+        prop_assert_eq!(&unconfigured, &classic, "no `OverloadConfig`");
+        prop_assert_eq!(&no_snapshot, &classic, "no queue snapshot");
+    }
+
+    /// The same pin one layer up: a fleet's general pair at the neutral
+    /// policy is its classic pair — which replica served, every answer
+    /// and ack, the rolled-up `DsspStats`, fanout accounting and every
+    /// replica's trace-event sequence.
+    #[test]
+    fn neutral_policy_on_a_fleet_is_the_classic_pair(
+        script in proptest::collection::vec(op(), 1..120),
+    ) {
+        prop_assert_eq!(fleet_trail(&script, true), fleet_trail(&script, false));
+    }
+
+    /// The trip policy through a fleet, every feature at once: three
+    /// proxies (one joins, one leaves) over lossy, duplicating pipes with
+    /// batched fanout; a sync-quorum home group whose primary crashes and
+    /// is replaced mid-run; scripted link outages met with jittered
+    /// retries; overload protection fed a queue that saturates for a
+    /// window. Every served miss equals the shadow master, every hit is
+    /// within its lease, every shed, unavailable or refused operation
+    /// leaves the home's epoch and every replica's cursor where they
+    /// were, no acked write is lost, and the provenance ledger balances.
+    #[test]
+    fn guarded_flaky_fleet_over_a_replicated_home_matches_the_master(
+        script in proptest::collection::vec(op(), 20..120),
+        outages in outages(),
+        saturated in (0u64..300_000, 10_000u64..100_000),
+        (crash_at, join_at, leave_at) in (0usize..120, 0usize..120, 0usize..120),
+        seed in 0u64..1_000,
+    ) {
+        let app = app(Some(protection()));
+        let mut master = app.db.clone();
+        let mut replication = ReplicationConfig::group(ReplicationMode::SyncQuorum, 2);
+        replication.seed = seed;
+        let mut fleet = ProxyFleet::replicated(
+            app.config.clone(),
+            HomeServer::new(app.db.clone()),
+            FleetConfig {
+                proxies: 3,
+                routing: RoutingMode::HashByTemplate,
+                fanout: FanoutConfig::batched(3, 10_000),
+                pipe_spec: FaultSpec {
+                    drop_probability: 0.1,
+                    duplicate_probability: 0.1,
+                    delay_probability: 0.3,
+                    max_delay_micros: 20_000,
+                    base_latency_micros: 1_000,
+                },
+                pipe_seed: seed,
+            },
+            replication,
+        );
+        fleet.set_lease_micros(Some(LEASE));
+        let prov = fleet.enable_provenance();
+        let link = HomeLink::with_outages(outages.clone());
+        let policy = retrying(true);
+        let saturated = saturated.0..saturated.0 + saturated.1;
         let mut now = 0u64;
-        for (op, doomed) in &script {
+        let mut failovers = 0usize;
+        let mut filled_at: HashMap<String, u64> = HashMap::new();
+        for (i, (op, _)) in script.iter().enumerate() {
+            if i == crash_at % script.len() && fleet.home_group().is_up() {
+                fleet.crash_home();
+            }
+            if i == join_at % script.len() {
+                fleet.add_replica();
+            }
+            if i == leave_at % script.len() {
+                fleet.remove_replica(fleet.replica_ids()[0]);
+            }
             if let Op::Advance { dt } = *op {
                 now += dt;
-                dssp.set_sim_time_micros(now);
-                twin.set_sim_time_micros(now);
+                fleet.set_sim_time_micros(now);
+                if fleet.home_failovers().len() > failovers {
+                    failovers += 1;
+                    let promoted = fleet.home_failovers()[failovers - 1];
+                    prop_assert_eq!(promoted.lost_acked, 0, "a quorum-acked write was lost");
+                    prop_assert!(fleet.home().database() == &master, "promotion changed the master");
+                }
                 continue;
             }
+            // Deliver what is due at `now` first: from here only the
+            // operation itself can move a cursor.
+            fleet.pump_all();
+            let cursors = |fleet: &ProxyFleet| -> Vec<(usize, u64)> {
+                let ids = fleet.replica_ids();
+                ids.into_iter().map(|id| (id, fleet.proxy(id).epoch())).collect()
+            };
+            let before = (fleet.home_group().epoch(), cursors(&fleet));
+            let queue = queue(saturated.contains(&now));
+            let reachable = fleet.home_group().is_up() && !down_throughout(&outages, now);
             if let Some(q) = app.query(op) {
-                let resp = dssp
-                    .execute_query_overload(&q, &mut home, &link, &policy, &queue(*doomed))
-                    .unwrap();
-                let want = twin.execute_query_sharded(&q, &mut twin_home).unwrap();
-                let OverloadOutcome::Served { result, hit, degraded } = resp.outcome else {
-                    panic!("{q}: {:?} with protection off", resp.outcome);
-                };
-                prop_assert_eq!((result, hit, degraded), (want.result, want.hit, false));
+                let resp = fleet.execute_query_ft(&q, &link, &policy, Some(&queue)).unwrap();
+                match resp.resp.outcome {
+                    FtOutcome::Served { result, hit: false, degraded } => {
+                        prop_assert!(reachable, "{} fetched through a dead link or tier", q);
+                        prop_assert!(!degraded, "a miss came from the home");
+                        prop_assert!(
+                            result.multiset_eq(&master.execute(&q).unwrap()),
+                            "{} fetched {:?}", q, result.rows
+                        );
+                        filled_at.insert(q.to_string(), now);
+                    }
+                    FtOutcome::Served { .. } => {
+                        let filled = filled_at[&q.to_string()];
+                        prop_assert!(now <= filled + LEASE, "{} served past its lease", q);
+                    }
+                    FtOutcome::Unavailable => {
+                        let up = link.is_up(now) && fleet.home_group().is_up();
+                        prop_assert!(!up, "{} unavailable on an up link to an up tier", q);
+                    }
+                    FtOutcome::Shed(_) => {}
+                }
+                prop_assert_eq!(fleet.home_group().epoch(), before.0, "a query wrote");
                 continue;
             }
             let u = app.update(op).expect("queries and advances are handled");
-            let got = dssp.execute_update_overload(&u, &mut home, &link, &policy, &queue(*doomed));
-            let want = twin.execute_update_sharded(&u, &mut twin_home);
-            match (got, want) {
-                (Ok(resp), Ok((want, shard))) => {
-                    let OverloadUpdateOutcome::Applied { effect, stream, msg } = resp.outcome
-                    else {
-                        panic!("{u}: {:?} with protection off", resp.outcome);
-                    };
-                    prop_assert_eq!((effect, stream), (want.effect, shard as u64));
-                    dssp.apply_invalidation_from(stream, &msg);
+            match fleet.execute_update_ft(&u, &link, &policy, Some(&queue)) {
+                Ok(resp) => match resp.resp.outcome {
+                    FtUpdateOutcome::Applied { effect, msg, .. } => {
+                        prop_assert!(reachable, "{} applied through a dead link or tier", u);
+                        prop_assert_eq!(msg.epoch, before.0 + 1, "one epoch");
+                        prop_assert!(resp.ack.is_some_and(|ack| ack.acked), "reliable ship pipes");
+                        prop_assert_eq!(master.apply(&u).unwrap(), effect);
+                    }
+                    FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => {
+                        prop_assert!(resp.ack.is_none());
+                        prop_assert_eq!(
+                            (fleet.home_group().epoch(), cursors(&fleet)),
+                            before,
+                            "a shed update wrote"
+                        );
+                    }
+                },
+                Err(refused) => {
+                    prop_assert_eq!(
+                        (fleet.home_group().epoch(), cursors(&fleet)),
+                        before,
+                        "a refused update wrote"
+                    );
+                    prop_assert_eq!(master.apply(&u).unwrap_err(), refused);
                 }
-                (Err(got), Err(want)) => prop_assert_eq!(got, want),
-                (got, want) => panic!("{u}: {got:?} against the forward's {want:?}"),
             }
         }
-        prop_assert_eq!(dssp.stats(), twin.stats());
-        prop_assert_eq!(home.epochs(), twin_home.epochs());
-        for s in 0..SHARDS as u64 {
-            prop_assert_eq!(dssp.epoch_of(s), twin.epoch_of(s), "stream {}", s);
+        // Ride out a late crash, then let every pipe settle.
+        while !fleet.home_group().is_up() {
+            now += 10_000;
+            fleet.set_sim_time_micros(now);
+        }
+        fleet.set_sim_time_micros(now + 100_000);
+        fleet.drain();
+        prop_assert!(fleet.home().database() == &master, "the tier diverged from the master");
+        let final_epoch = fleet.home().epoch();
+        let log = prov.lock().unwrap();
+        for r in 0..log.replica_count() {
+            let ledger = log.conservation(r, final_epoch);
+            prop_assert!(ledger.balanced(), "replica {}: {:?}", r, ledger);
         }
     }
+}
+
+/// What a run through one pair of a `Dssp` leaves behind.
+#[derive(Debug, PartialEq)]
+struct Trail {
+    /// Every answer, ack and refusal, rendered.
+    answers: Vec<String>,
+    stats: Vec<DsspStats>,
+    kinds: Vec<Vec<&'static str>>,
+    epochs: Vec<u64>,
+}
+
+/// Runs `script` over four shards through the classic pair (`general:
+/// None`) or through the general pair at the neutral link and retry
+/// policy, passing the queue snapshot or not.
+fn dssp_trail(app: &App, script: &[(Op, bool)], general: Option<bool>) -> Trail {
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+    let mut home = ShardedHome::new(app.db.clone(), shard_map());
+    let mut dssp = Dssp::new(app.config.clone());
+    let kinds = traced(&mut dssp);
+    let mut answers = Vec::new();
+    let mut now = 0u64;
+    for (op, doomed) in script {
+        if let Op::Advance { dt } = *op {
+            now += dt;
+            dssp.set_sim_time_micros(now);
+            continue;
+        }
+        let queue = queue(*doomed);
+        let queue = general.and_then(|pass| pass.then_some(&queue));
+        if let Some(q) = app.query(op) {
+            answers.push(match general {
+                None => {
+                    let resp = dssp.execute_query(&q, &mut home).unwrap();
+                    format!("{:?}", (resp.result, resp.hit))
+                }
+                Some(_) => match dssp.execute_query_ft(&q, &mut home, &link, &policy, queue) {
+                    Ok(resp) => match resp.outcome {
+                        FtOutcome::Served {
+                            result,
+                            hit,
+                            degraded: false,
+                        } => format!("{:?}", (result, hit)),
+                        other => format!("{other:?}"),
+                    },
+                    Err(e) => format!("{e:?}"),
+                },
+            });
+            continue;
+        }
+        let u = app.update(op).expect("queries and advances are handled");
+        answers.push(match general {
+            None => format!("{:?}", dssp.execute_update(&u, &mut home).map(|r| r.effect)),
+            Some(_) => match dssp.execute_update_ft(&u, &mut home, &link, &policy, queue) {
+                Ok(resp) => match resp.outcome {
+                    FtUpdateOutcome::Applied {
+                        effect,
+                        stream,
+                        msg,
+                    } => {
+                        dssp.apply_invalidation_from(stream, &msg);
+                        format!("{:?}", Ok::<_, ()>(effect))
+                    }
+                    other => format!("{other:?}"),
+                },
+                Err(e) => format!("{:?}", Err::<(), _>(e)),
+            },
+        });
+    }
+    let epochs = (0..SHARDS as u64).map(|s| dssp.epoch_of(s)).collect();
+    let kinds = vec![kinds.lock().unwrap().clone()];
+    Trail {
+        answers,
+        stats: vec![dssp.stats()],
+        kinds,
+        epochs,
+    }
+}
+
+/// Runs `script` through a 3-replica fleet with immediate fanout over a
+/// single-node home: the classic pair, or the general pair at the neutral
+/// policy.
+fn fleet_trail(script: &[(Op, bool)], general: bool) -> (Trail, scs_dssp::FanoutStats) {
+    let app = app(None);
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+    let mut fleet = ProxyFleet::new(
+        app.config.clone(),
+        HomeServer::new(app.db.clone()),
+        FleetConfig::reliable(3, RoutingMode::HashByTemplate),
+    );
+    let kinds: Vec<_> = (0..3).map(|id| traced(fleet.proxy_mut(id))).collect();
+    let mut answers = Vec::new();
+    let mut now = 0u64;
+    for (op, _) in script {
+        if let Op::Advance { dt } = *op {
+            now += dt;
+            fleet.set_sim_time_micros(now);
+            continue;
+        }
+        if let Some(q) = app.query(op) {
+            answers.push(if general {
+                let ft = fleet.execute_query_ft(&q, &link, &policy, None).unwrap();
+                let FtOutcome::Served { result, hit, .. } = ft.resp.outcome else {
+                    panic!("{q}: {:?} at the neutral policy", ft.resp.outcome);
+                };
+                format!("{:?}", (ft.proxy, result, hit, ft.delivered))
+            } else {
+                let fr = fleet.execute_query(&q).unwrap();
+                format!(
+                    "{:?}",
+                    (fr.proxy, fr.resp.result, fr.resp.hit, fr.delivered)
+                )
+            });
+            continue;
+        }
+        let u = app.update(op).expect("queries and advances are handled");
+        answers.push(if general {
+            match fleet.execute_update_ft(&u, &link, &policy, None) {
+                Ok(ft) => {
+                    let FtUpdateOutcome::Applied { effect, msg, .. } = ft.resp.outcome else {
+                        panic!("{u}: {:?} at the neutral policy", ft.resp.outcome);
+                    };
+                    let acked = ft.ack.map(|ack| ack.acked);
+                    format!("{:?}", (ft.proxy, effect, msg.epoch, acked))
+                }
+                Err(e) => format!("{e:?}"),
+            }
+        } else {
+            match fleet.execute_update(&u) {
+                Ok(fr) => format!(
+                    "{:?}",
+                    (fr.proxy, fr.resp.effect, fr.epoch, Some(fr.ack.acked))
+                ),
+                Err(e) => format!("{e:?}"),
+            }
+        });
+    }
+    let trail = Trail {
+        answers,
+        stats: (0..3).map(|id| fleet.proxy(id).stats()).collect(),
+        kinds: kinds.iter().map(|k| k.lock().unwrap().clone()).collect(),
+        epochs: (0..3).map(|id| fleet.proxy(id).epoch()).collect(),
+    };
+    (trail, fleet.fanout_stats())
 }

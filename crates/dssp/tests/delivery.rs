@@ -92,11 +92,12 @@ impl Rig {
                 &mut self.home,
                 &HomeLink::reliable(),
                 &RetryPolicy::no_retries(),
+                None,
             )
             .unwrap();
         match resp.outcome {
             FtUpdateOutcome::Applied { msg, .. } => msg,
-            FtUpdateOutcome::Unavailable => unreachable!("reliable link"),
+            other => unreachable!("reliable, ungated link: {other:?}"),
         }
     }
 
@@ -189,6 +190,76 @@ fn out_of_band_master_write_forces_recovery_flush() {
     let refetch = r.dssp.execute_query(&qa, &mut r.home).unwrap();
     assert!(!refetch.hit);
     assert!(format!("{:?}", refetch.result).contains("77"));
+}
+
+/// The recovery flush drops every entry some update template can touch
+/// per the IPM — the missed update could have been any of them — and
+/// spares exactly the entries of templates the analysis proved
+/// conflict-free against all of them: never more than the whole cache,
+/// never less than what a missed update could have staled.
+#[test]
+fn recovery_flush_drops_what_an_update_can_touch_and_nothing_else() {
+    let schemas = [
+        TableSchema::builder("toys")
+            .column("id", ColumnType::Int)
+            .column("qty", ColumnType::Int)
+            .primary_key(&["id"]),
+        TableSchema::builder("shops")
+            .column("id", ColumnType::Int)
+            .column("city", ColumnType::Int)
+            .primary_key(&["id"]),
+    ]
+    .map(|s| s.build().unwrap());
+    let mut db = Database::new();
+    for s in &schemas {
+        db.create_table(s.clone()).unwrap();
+    }
+    for id in 1..=3 {
+        for table in ["toys", "shops"] {
+            db.insert_row(table, vec![Value::Int(id), Value::Int(10)])
+                .unwrap();
+        }
+    }
+    let queries = [
+        "SELECT qty FROM toys WHERE id = ?",
+        "SELECT city FROM shops WHERE id = ?",
+    ]
+    .map(|sql| Arc::new(parse_query(sql).unwrap()));
+    // Nothing ever writes `shops`.
+    let updates = [Arc::new(parse_update(UPDATE_SQL[0]).unwrap())];
+    let catalog = Catalog::new(schemas);
+    let matrix = characterize_app(&updates, &queries, &catalog, AnalysisOptions::default());
+    let exposures = StrategyKind::ViewInspection.exposures(1, 2);
+    let mut dssp = Dssp::new(DsspConfig::new("delivery", exposures, matrix));
+    let mut home = HomeServer::new(db);
+    for (tid, template) in queries.iter().enumerate() {
+        for id in 1..=3 {
+            let q = Query::bind(tid, template.clone(), vec![Value::Int(id)]).unwrap();
+            dssp.execute_query(&q, &mut home).unwrap();
+        }
+    }
+    let touchable = |dssp: &Dssp, qid: usize| {
+        (0..dssp.ipm().update_count()).any(|uid| !dssp.ipm().entry(uid, qid).all_zero())
+    };
+    let cached =
+        |dssp: &Dssp| -> Vec<usize> { dssp.cache_entries().map(|e| e.key().template_id).collect() };
+    let before = cached(&dssp);
+    assert_eq!(before.len(), 6);
+    // Two master writes, the first notification lost: a gap.
+    let u = Update::bind(0, updates[0].clone(), vec![Value::Int(7), Value::Int(1)]).unwrap();
+    home.apply_update(&u).unwrap();
+    let (_, late) = home.apply_update(&u).unwrap();
+    let DeliveryOutcome::Recovered { flushed } = dssp.apply_invalidation(&late) else {
+        panic!("a skipped epoch must flush");
+    };
+    let after = cached(&dssp);
+    assert!(
+        after.iter().all(|&qid| !touchable(&dssp, qid)),
+        "an entry a missed update could have staled survived"
+    );
+    let doomed = before.iter().filter(|&&qid| touchable(&dssp, qid)).count();
+    assert_eq!(flushed, doomed, "a conflict-free entry was flushed");
+    assert_eq!((flushed, after.len()), (3, 3));
 }
 
 #[test]
@@ -288,20 +359,20 @@ fn degraded_hits_serve_during_outages_but_misses_surface_unavailable() {
     // Within-lease hit: served, flagged degraded.
     let hit = r
         .dssp
-        .execute_query_ft(&qa, &mut r.home, &down, &policy)
+        .execute_query_ft(&qa, &mut r.home, &down, &policy, None)
         .unwrap();
     match hit.outcome {
         FtOutcome::Served { hit, degraded, .. } => {
             assert!(hit);
             assert!(degraded, "serve during an outage must be flagged");
         }
-        FtOutcome::Unavailable => panic!("within-lease hit must serve"),
+        other => panic!("within-lease hit must serve: {other:?}"),
     }
 
     // Miss: retries, then unavailable — never a stale substitute.
     let miss = r
         .dssp
-        .execute_query_ft(&qb, &mut r.home, &down, &policy)
+        .execute_query_ft(&qb, &mut r.home, &down, &policy, None)
         .unwrap();
     assert!(matches!(miss.outcome, FtOutcome::Unavailable));
     assert!(
@@ -329,14 +400,14 @@ fn retries_succeed_once_a_short_outage_lifts() {
     let qa = r.query(0, vec![Value::Int(1)]);
     let resp = r
         .dssp
-        .execute_query_ft(&qa, &mut r.home, &flaky, &policy)
+        .execute_query_ft(&qa, &mut r.home, &flaky, &policy, None)
         .unwrap();
     match resp.outcome {
         FtOutcome::Served { hit, degraded, .. } => {
             assert!(!hit);
             assert!(!degraded);
         }
-        FtOutcome::Unavailable => panic!("outage lifts within the retry budget"),
+        other => panic!("outage lifts within the retry budget: {other:?}"),
     }
     assert!(resp.attempts > 1);
     assert!(resp.backoff_micros >= 5_000);

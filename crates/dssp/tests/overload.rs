@@ -11,15 +11,16 @@
 //!    outage with the jittered policy no longer collide on identical
 //!    retry schedules, while each proxy's own schedule replays exactly;
 //! 4. brownout end to end: with the breaker open, a within-lease hit
-//!    serves degraded, a miss fast-rejects with `Overloaded`, and an
-//!    expired entry is *never* served — shedding wins over staleness.
+//!    serves degraded, a miss fast-rejects with `Overloaded` having
+//!    touched no counter but its shed counter, and an expired entry is
+//!    *never* served — shedding wins over staleness.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
     AdmissionConfig, AdmissionController, BreakerConfig, BreakerState, BrownoutConfig,
-    CircuitBreaker, Dssp, DsspConfig, HomeLink, HomeServer, OverloadConfig, OverloadOutcome,
-    Overloaded, QueueState, RetryPolicy, StrategyKind,
+    CircuitBreaker, Dssp, DsspConfig, FtOutcome, HomeLink, HomeServer, OverloadConfig, Overloaded,
+    QueueState, RetryPolicy, StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
@@ -235,10 +236,10 @@ fn retry_backoff_into_outage(app_id: &str) -> u64 {
     };
     let resp = r
         .dssp
-        .execute_query_ft(&q, &mut r.home, &link, &policy)
+        .execute_query_ft(&q, &mut r.home, &link, &policy, None)
         .unwrap();
     assert!(
-        matches!(resp.outcome, scs_dssp::FtOutcome::Unavailable),
+        matches!(resp.outcome, FtOutcome::Unavailable),
         "the link never comes back"
     );
     assert!(resp.attempts >= 2, "must actually have retried");
@@ -283,10 +284,10 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     let up = HomeLink::reliable();
     let resp = r
         .dssp
-        .execute_query_overload(&hot, &mut r.home, &up, &policy, &queue)
+        .execute_query_ft(&hot, &mut r.home, &up, &policy, Some(&queue))
         .unwrap();
     let baseline = match resp.outcome {
-        OverloadOutcome::Served {
+        FtOutcome::Served {
             result,
             hit,
             degraded,
@@ -303,21 +304,22 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     r.dssp.set_sim_time_micros(10_000);
     let resp = r
         .dssp
-        .execute_query_overload(&cold, &mut r.home, &down, &policy, &queue)
+        .execute_query_ft(&cold, &mut r.home, &down, &policy, Some(&queue))
         .unwrap();
-    assert!(matches!(resp.outcome, OverloadOutcome::Unavailable));
+    assert!(matches!(resp.outcome, FtOutcome::Unavailable));
     assert_eq!(r.dssp.breaker_state(), Some(BreakerState::Open));
     assert_eq!(r.counter("dssp.breaker_opens"), 1);
 
     // Breaker open ⇒ brownout: the within-lease hit still serves, but
-    // degraded — and it is the same bytes the healthy serve produced.
+    // degraded — by brownout alone, the link having healed meanwhile —
+    // and it is the same bytes the healthy serve produced.
     r.dssp.set_sim_time_micros(20_000);
     let resp = r
         .dssp
-        .execute_query_overload(&hot, &mut r.home, &down, &policy, &queue)
+        .execute_query_ft(&hot, &mut r.home, &up, &policy, Some(&queue))
         .unwrap();
     match resp.outcome {
-        OverloadOutcome::Served {
+        FtOutcome::Served {
             result,
             hit,
             degraded,
@@ -333,13 +335,16 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     assert!(r.dssp.brownout_active());
     assert_eq!(r.counter("dssp.brownout_serves"), 1);
 
-    // A miss under brownout fast-rejects instead of queueing.
+    // A miss under brownout fast-rejects instead of queueing — at the
+    // gate, in front of arrival accounting: a shed request is not a
+    // query served, so it moves its shed counter and no other.
+    let before = r.dssp.registry().snapshot().counters;
     let resp = r
         .dssp
-        .execute_query_overload(&cold, &mut r.home, &down, &policy, &queue)
+        .execute_query_ft(&cold, &mut r.home, &down, &policy, Some(&queue))
         .unwrap();
     match resp.outcome {
-        OverloadOutcome::Shed(Overloaded::BreakerOpen { retry_after_micros }) => {
+        FtOutcome::Shed(Overloaded::BreakerOpen { retry_after_micros }) => {
             assert!(
                 retry_after_micros > 0,
                 "retry hint should point at the probe"
@@ -347,17 +352,25 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
         }
         other => panic!("expected a breaker-open shed, got {other:?}"),
     }
-    assert_eq!(r.counter("dssp.shed_breaker_open"), 1);
+    let moved: Vec<(String, u64)> = r
+        .dssp
+        .registry()
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, v)| before[name] != *v)
+        .collect();
+    assert_eq!(moved, [("dssp.shed_breaker_open".to_string(), 1)]);
 
     // Past the lease the hot entry is no longer servable: brownout sheds
     // it rather than serving stale-beyond-lease bytes.
     r.dssp.set_sim_time_micros(LEASE + 30_000);
     let resp = r
         .dssp
-        .execute_query_overload(&hot, &mut r.home, &down, &policy, &queue)
+        .execute_query_ft(&hot, &mut r.home, &down, &policy, Some(&queue))
         .unwrap();
     assert!(
-        matches!(resp.outcome, OverloadOutcome::Shed(_)),
+        matches!(resp.outcome, FtOutcome::Shed(_)),
         "an expired entry must shed, never serve: {:?}",
         resp.outcome
     );
@@ -373,10 +386,10 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     r.dssp.set_sim_time_micros(probe_at.max(LEASE + 40_000));
     let resp = r
         .dssp
-        .execute_query_overload(&hot, &mut r.home, &up, &policy, &queue)
+        .execute_query_ft(&hot, &mut r.home, &up, &policy, Some(&queue))
         .unwrap();
     match resp.outcome {
-        OverloadOutcome::Served { hit, degraded, .. } => {
+        FtOutcome::Served { hit, degraded, .. } => {
             assert!(!hit, "the expired entry was dropped, so this refills");
             assert!(!degraded, "healthy serve after the breaker closes");
         }

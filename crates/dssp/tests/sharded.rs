@@ -533,9 +533,9 @@ fn refused_trips_leave_whole_span_trees_on_every_entry_point() {
                 dssp.execute_query(&ghost, &mut home).is_err(),
             ),
             "ft" => (
-                dssp.execute_update_ft(&taken, &mut home, &link, &policy)
+                dssp.execute_update_ft(&taken, &mut home, &link, &policy, None)
                     .is_err(),
-                dssp.execute_query_ft(&ghost, &mut home, &link, &policy)
+                dssp.execute_query_ft(&ghost, &mut home, &link, &policy, None)
                     .is_err(),
             ),
             _ => (
@@ -637,11 +637,10 @@ fn fk_rejection_consumes_no_epoch_on_any_stream() {
 const ITEMS: i64 = 16;
 const USERS: i64 = 6;
 
-/// Three tables under the three placements of a 4-shard map: `items`
-/// hash-split over all four, `users` whole on shard 3, `bids`
-/// range-split into three parts (fewer than the map has shards) whose
-/// middle part `[100, 200)` no bid id ever falls in — an empty
-/// participant of every `bids` scatter. No FK is declared, so that any
+/// Three tables under the two placements of a 4-shard map: `items`
+/// hash-split over all four, `users` whole on shard 3, `bids` hash-split
+/// too but with ids drawn only from those the hash places off shard 1 —
+/// an empty participant of every `bids` scatter. No FK is declared, so that any
 /// interleaving of inserts and deletes is accepted; `seller` and
 /// `item_id` carry explicit indexes instead. `cat`, `price` and `amount`
 /// are ordered on every shard: a top-k over one of them merges the
@@ -691,13 +690,14 @@ fn market_db() -> Database {
     db
 }
 
-/// Bid ids come from `0..8` (part 0) and `200..208` (part 2).
+/// Bid ids are the first sixteen integers the map's hash places off
+/// shard 1, so that shard's `bids` part stays empty whatever the script.
 fn bid_id(n: i64) -> i64 {
-    if n % 16 < 8 {
-        n % 16
-    } else {
-        200 + n % 16 - 8
-    }
+    let map = market_map();
+    (0..)
+        .filter(|id| map.route_value("bids", &Value::Int(*id)) != 1)
+        .nth((n % 16) as usize)
+        .expect("three shards in four take ids")
 }
 
 fn market_map() -> PartitionMap {
@@ -711,9 +711,8 @@ fn market_map() -> PartitionMap {
         .with_placement("users", TablePlacement::Shard(3))
         .with_placement(
             "bids",
-            TablePlacement::Range {
+            TablePlacement::Hash {
                 column: "bid_id".into(),
-                bounds: vec![Value::Int(100), Value::Int(200)],
             },
         )
 }
@@ -861,7 +860,7 @@ fn market() -> Market {
             true,
         ),
         (
-            "Range placement over fewer parts than shards, one of them empty",
+            "a hash-split table one of whose parts is empty",
             "SELECT bid_id, amount FROM bids WHERE amount >= ? ORDER BY amount LIMIT 4",
             1,
             true,

@@ -6,7 +6,7 @@
 //!
 //! **Prepared, then run.** What is a function of the catalog and the query
 //! *template* — names resolved, predicates classified, index slots, the
-//! consumer, the errors — is a [`Plan`], built once per template and kept
+//! consumer, the errors — is a `Plan`, built once per template and kept
 //! in a [`PlanMemo`] (`plan.rs`). A statement binds its parameters to the
 //! plan and runs it; every choice below that depends on the data is made
 //! here, per statement.

@@ -1,23 +1,22 @@
-//! Key-range / table partitioning over [`Database`] — the storage half
+//! Table / key-hash partitioning over [`Database`] — the storage half
 //! of the sharded home tier.
 //!
-//! A [`PartitionMap`] assigns every table to shards in one of three
-//! ways (the DDIA "Partitioning" patterns):
+//! A [`PartitionMap`] assigns every table to shards in one of two ways
+//! (the DDIA "Partitioning" patterns):
 //!
 //! * **table placement** — the whole table lives on one shard, picked
 //!   explicitly or by a stable hash of the table name (the default);
-//! * **key-range placement** — the table is split across shards by
-//!   sorted boundaries on one column, so a statement restricted by that
-//!   column routes to exactly one shard and everything else scatters
-//!   across the table's sub-ranges;
 //! * **key-hash placement** — rows spread over *all* shards by a stable
-//!   hash of one column's value, trading range locality for load
-//!   balance: a Zipf-hot head of the key space scatters uniformly
-//!   instead of piling onto the range shard that owns it.
+//!   hash of one column's value, so a statement restricted by that
+//!   column routes to exactly one shard and everything else scatters.
+//!   Hashing trades range locality for load balance: a Zipf-hot head of
+//!   the key space scatters uniformly instead of piling onto the one
+//!   shard a sorted-boundary split would give it (which is why the
+//!   key-range placement this replaced is gone).
 //!
 //! [`PartitionMap::partition`] materializes the shard databases: every
 //! shard carries the **full catalog** (all table schemas) but only the
-//! rows of the tables (or sub-ranges) it owns. Keeping the catalog
+//! rows of the tables (or hash slices) it owns. Keeping the catalog
 //! everywhere lets any shard bind, type-check, and execute any
 //! statement — only the data is partitioned — and is what makes
 //! cross-shard scatter-gather a pure data-movement problem.
@@ -42,15 +41,10 @@ use std::ops::Range;
 pub enum TablePlacement {
     /// The whole table on one shard.
     Shard(usize),
-    /// Rows split by `column` at the sorted `bounds`: a value `v` lands
-    /// on sub-shard `i` = number of bounds `<= v`, so `bounds.len() + 1`
-    /// shards (ids `0..=bounds.len()`) each own one contiguous range.
-    Range { column: String, bounds: Vec<Value> },
     /// Rows spread over all the map's shards by a stable hash of
-    /// `column`'s value. Routing rules match `Range` (inserts route by
-    /// the candidate row, deletes/modifies and queries pin a shard via
-    /// an equality restriction on `column`), but hot keys scatter
-    /// uniformly instead of clustering in one range.
+    /// `column`'s value: inserts route by the candidate row,
+    /// deletes/modifies and queries pin a shard via an equality
+    /// restriction on `column`, and hot keys scatter uniformly.
     Hash { column: String },
 }
 
@@ -60,13 +54,12 @@ impl TablePlacement {
     fn route(&self, v: &Value, shards: usize) -> usize {
         match self {
             TablePlacement::Shard(s) => *s,
-            TablePlacement::Range { bounds, .. } => bounds.partition_point(|b| b <= v),
             TablePlacement::Hash { .. } => hash_value_shard(v, shards),
         }
     }
 }
 
-/// A table/key-range partitioning map over a [`Database`].
+/// A table/key-hash partitioning map over a [`Database`].
 #[derive(Debug, Clone)]
 pub struct PartitionMap {
     shards: usize,
@@ -93,29 +86,12 @@ impl PartitionMap {
     }
 
     /// Pins `table` to an explicit placement. Panics if the placement
-    /// names a shard outside the map, or a range split needs more
-    /// shards than the map has.
+    /// names a shard outside the map.
     pub fn with_placement(mut self, table: &str, placement: TablePlacement) -> PartitionMap {
-        match &placement {
-            TablePlacement::Shard(s) => {
-                assert!(*s < self.shards, "shard {s} outside 0..{}", self.shards)
-            }
-            TablePlacement::Range { bounds, .. } => {
-                assert!(
-                    bounds.len() < self.shards,
-                    "{} bounds split into {} ranges but the map has {} shards",
-                    bounds.len(),
-                    bounds.len() + 1,
-                    self.shards
-                );
-                assert!(
-                    bounds.windows(2).all(|w| w[0] < w[1]),
-                    "range bounds must be strictly sorted"
-                );
-            }
-            // Hash placement spreads over however many shards the map
-            // has — nothing to validate.
-            TablePlacement::Hash { .. } => {}
+        // Hash placement spreads over however many shards the map has —
+        // nothing to validate.
+        if let TablePlacement::Shard(s) = &placement {
+            assert!(*s < self.shards, "shard {s} outside 0..{}", self.shards)
         }
         self.placements.insert(table.to_string(), placement);
         self
@@ -138,7 +114,6 @@ impl PartitionMap {
     pub fn table_shards(&self, table: &str) -> Range<usize> {
         match &*self.placement(table) {
             TablePlacement::Shard(s) => *s..*s + 1,
-            TablePlacement::Range { bounds, .. } => 0..bounds.len() + 1,
             TablePlacement::Hash { .. } => 0..self.shards,
         }
     }
@@ -156,15 +131,15 @@ impl PartitionMap {
         let placement = self.placement(table);
         match &*placement {
             TablePlacement::Shard(s) => Some(*s),
-            TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => columns
+            TablePlacement::Hash { column } => columns
                 .iter()
                 .position(|c| c == column)
                 .map(|i| placement.route(&key[i], self.shards)),
         }
     }
 
-    /// The shard an update statement routes to. Inserts on split tables
-    /// (range or hash) route by the candidate row's partition-column
+    /// The shard an update statement routes to. Inserts on hash-split
+    /// tables route by the candidate row's partition-column
     /// value; deletes/modifies need an equality restriction on the
     /// partition column (the §2.1 benchmark updates restrict by primary
     /// key, which splits are declared on).
@@ -184,7 +159,7 @@ impl PartitionMap {
         let placement = self.placement(table);
         let column = match &*placement {
             TablePlacement::Shard(s) => return Ok(*s),
-            TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => column,
+            TablePlacement::Hash { column } => column,
         };
         if let Some(row) = candidate {
             let schema = db.table(table)?.schema();
@@ -213,7 +188,7 @@ impl PartitionMap {
     }
 
     /// Every shard a query touches: the union over its `FROM` tables,
-    /// with a split table (range or hash) narrowed to one shard when
+    /// with a hash-split table narrowed to one shard when
     /// the query carries an equality restriction on the partition
     /// column. Ascending and deduplicated; a single-element result
     /// means the query executes wholly on that shard.
@@ -223,7 +198,7 @@ impl PartitionMap {
             let placement = self.placement(&tref.table);
             match &*placement {
                 TablePlacement::Shard(s) => out.push(*s),
-                TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => {
+                TablePlacement::Hash { column } => {
                     let pinned = q.template.predicates.iter().find_map(|p| {
                         p.as_restriction()
                             .filter(|(c, op, _)| {
@@ -259,7 +234,7 @@ impl PartitionMap {
                         out[*s].insert_row(name, row.clone())?;
                     }
                 }
-                TablePlacement::Range { column, .. } | TablePlacement::Hash { column } => {
+                TablePlacement::Hash { column } => {
                     let pos = table.schema().column_index(column).ok_or_else(|| {
                         StorageError::UnknownColumn {
                             table: name.to_string(),
@@ -380,67 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn range_placement_routes_rows_updates_and_queries_by_key() {
-        let db = two_table_db();
-        let map = PartitionMap::by_table(3)
-            .with_placement("users", TablePlacement::Shard(2))
-            .with_placement(
-                "items",
-                TablePlacement::Range {
-                    column: "item_id".into(),
-                    bounds: vec![Value::Int(2), Value::Int(4)],
-                },
-            );
-        let shards = map.partition(&db).unwrap();
-        assert_eq!(shards[0].table("items").unwrap().len(), 2); // 0,1
-        assert_eq!(shards[1].table("items").unwrap().len(), 2); // 2,3
-        assert_eq!(shards[2].table("items").unwrap().len(), 2); // 4,5
-        assert_eq!(map.table_shards("items"), 0..3);
-        assert_eq!(map.route_value("items", &Value::Int(3)), 1);
-
-        // An update restricted by the partition column pins one shard.
-        let del = Update::bind(
-            0,
-            Arc::new(parse_update("DELETE FROM items WHERE item_id = ?").unwrap()),
-            vec![Value::Int(5)],
-        )
-        .unwrap();
-        assert_eq!(map.shard_for_update(&db, &del).unwrap(), 2);
-        // An insert routes by the candidate row's value.
-        let ins = Update::bind(
-            0,
-            Arc::new(parse_update("INSERT INTO items (item_id, seller) VALUES (?, ?)").unwrap()),
-            vec![Value::Int(1), Value::Int(0)],
-        )
-        .unwrap();
-        assert_eq!(map.shard_for_update(&db, &ins).unwrap(), 0);
-
-        // A query with the key restriction executes on one shard; one
-        // without scatters over the table's shards.
-        let pinned = Query::bind(
-            0,
-            Arc::new(parse_query("SELECT seller FROM items WHERE item_id = ?").unwrap()),
-            vec![Value::Int(4)],
-        )
-        .unwrap();
-        assert_eq!(map.shards_for_query(&pinned), vec![2]);
-        let scatter = Query::bind(
-            0,
-            Arc::new(parse_query("SELECT item_id FROM items WHERE seller = ?").unwrap()),
-            vec![Value::Int(0)],
-        )
-        .unwrap();
-        assert_eq!(map.shards_for_query(&scatter), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn unpinned_range_update_is_rejected_loudly() {
+    fn unpinned_update_on_a_split_table_is_rejected_loudly() {
         let db = two_table_db();
         let map = PartitionMap::by_table(2).with_placement(
             "items",
-            TablePlacement::Range {
+            TablePlacement::Hash {
                 column: "item_id".into(),
-                bounds: vec![Value::Int(3)],
             },
         );
         let u = Update::bind(
@@ -461,9 +381,8 @@ mod tests {
             .with_placement("users", TablePlacement::Shard(3))
             .with_placement(
                 "items",
-                TablePlacement::Range {
+                TablePlacement::Hash {
                     column: "item_id".into(),
-                    bounds: vec![Value::Int(10)],
                 },
             );
         assert_eq!(
@@ -472,7 +391,7 @@ mod tests {
         );
         assert_eq!(
             map.shard_for_key("items", &["item_id".into()], &[Value::Int(11)]),
-            Some(1)
+            Some(map.route_value("items", &Value::Int(11)))
         );
         // A probe not on the partition column cannot pin a shard.
         assert_eq!(

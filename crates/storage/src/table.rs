@@ -3,7 +3,7 @@
 //!
 //! The equality indexes sit in *slots*: one per column of
 //! [`TableSchema::indexed_columns`], in that order, so a query plan names an
-//! index by a number it resolved once ([`TableSchema::index_slot`]) and a
+//! index by a number it resolved once (`TableSchema::index_slot`) and a
 //! probe is one hash look-up. The primary-key map and the index maps hash
 //! through the crate's keyed hasher (`hash.rs`); table equality compares
 //! their contents, never their layout.

@@ -33,8 +33,9 @@ pub enum TraceEventKind {
     /// The invalidation stream skipped at least one epoch — a delivery
     /// failure (or an out-of-band master write) was detected.
     EpochGap { expected: u64, got: u64 },
-    /// A detected gap triggered a recovery flush; `mode` is the
-    /// `RecoveryMode` code (0 = affected templates, 1 = full cache).
+    /// A detected gap triggered a recovery flush; `mode` is 0, the
+    /// affected-templates flush (1 was a full-cache flush no proxy does
+    /// any more; the field stays so exports keep their schema).
     RecoveryFlush { flushed: u64, mode: u8 },
     /// A cached entry's staleness lease ran out before any invalidation
     /// reached it; the entry was dropped at lookup time.
