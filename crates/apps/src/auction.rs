@@ -76,6 +76,7 @@ pub fn schemas() -> Vec<TableSchema> {
             .ordered_index("it_end_date")
             .ordered_index("it_nb_of_bids")
             .ordered_index("it_max_bid")
+            .ordered_index_on(&["it_category", "it_end_date"])
             .build()
             .expect("static schema"),
         TableSchema::builder("bids")

@@ -643,7 +643,8 @@ const USERS: i64 = 6;
 /// an empty participant of every `bids` scatter. No FK is declared, so that any
 /// interleaving of inserts and deletes is accepted; `seller` and
 /// `item_id` carry explicit indexes instead. `cat`, `price` and `amount`
-/// are ordered on every shard: a top-k over one of them merges the
+/// are ordered on every shard, and so is the list `(cat, price)`: a top-k
+/// over one of them — inside one `cat` for the list — merges the
 /// participants' index walks.
 fn market_db() -> Database {
     let mut db = Database::new();
@@ -657,7 +658,8 @@ fn market_db() -> Database {
             .index("seller")
             .index("cat")
             .ordered_index("cat")
-            .ordered_index("price"),
+            .ordered_index("price")
+            .ordered_index_on(&["cat", "price"]),
         TableSchema::builder("users")
             .column("user_id", ColumnType::Int)
             .column("region", ColumnType::Int)
@@ -879,8 +881,16 @@ fn market() -> Market {
             true,
         ),
         (
-            "an indexed = restriction keeps the index-list plan beside an ordered key",
+            "top-k inside an indexed = restriction: the shards' walks of `(cat, price)` merged, \
+             price ties in the order of the parts' `cat` lists",
             "SELECT item_id, price FROM items WHERE cat = ? ORDER BY price LIMIT 3",
+            1,
+            true,
+        ),
+        (
+            "the same downwards, from a bound on the key, rows skipped on another column",
+            "SELECT item_id, price FROM items WHERE price <= 20 AND cat = ? AND seller >= 1 \
+             ORDER BY price DESC LIMIT 2",
             1,
             true,
         ),

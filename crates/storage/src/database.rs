@@ -131,6 +131,15 @@ impl Database {
         executor::execute(self, q)
     }
 
+    /// Which top-k path `q`'s template is planned to take: `Some(n)` when
+    /// it walks an ordered index under `n` leading columns bound by `=`,
+    /// `None` when it sorts, has nothing to sort, or does not plan. The
+    /// path shows in no result; tests and profiles that must know which one
+    /// ran ask here.
+    pub fn walk_prefix(&self, q: &Query) -> Option<usize> {
+        executor::walk_prefix(self, q)
+    }
+
     pub(crate) fn plans(&self) -> &PlanMemo {
         &self.plans
     }

@@ -34,13 +34,19 @@
 //! * **Top-k.** `ORDER BY` orders tuple numbers by `(keys…, arrival
 //!   number)`; with `LIMIT k` only the k smallest are selected and sorted,
 //!   and only they are projected.
-//! * **Index-ordered top-k.** One alias, `LIMIT k`, one `ORDER BY` key
-//!   whose column carries an *ordered index*, and no `=` restriction on an
-//!   equality-indexed column: instead of the scan and the sort, the index
-//!   is walked from the bound the key's own restrictions give, every
-//!   restriction and local predicate is tested on each row as a scan tests
-//!   it, and the walk stops at the k-th row that passes or at the far
-//!   bound. Any other query takes the rules above.
+//! * **Index-ordered top-k.** One alias, `LIMIT k`, one `ORDER BY` key,
+//!   and a declared *ordered index* on a column list that ends in the key
+//!   and whose columns before it are each bound by an `=` restriction (none
+//!   to bind for a one-column index; of several such lists the longest) —
+//!   provided the equality list the alias would otherwise read, if any, is
+//!   on one of those bound columns, so that the walk visits no more rows
+//!   than the list holds. Instead of the scan or the list and the sort, the
+//!   index is searched for the rows under the bound prefix, walked from the
+//!   bound the key's own restrictions give, every row tested for being one
+//!   of the candidates the other path would have had, and the walk stops
+//!   once k have passed — at the end of the group of equal keys the k-th
+//!   falls in, where an equality list sets the order of ties — or at the
+//!   far bound. Any other query takes the rules above.
 //! * **Aggregation.** Every aggregate of every group is folded as its
 //!   tuples arrive; values are cloned into output rows only.
 //!
@@ -52,10 +58,12 @@
 //! probe yields at most one row); sort ties keep arrival order; an
 //! index-ordered walk yields key order, ascending `RowId` within equal keys
 //! — by construction what the sort gives a scan's candidates (`DESC`
-//! reverses the keys, not the ids); groups appear in first-seen order. Over
-//! a [`PartitionedTable`]: parts in ascending shard id, ascending `RowId`
-//! within a part, a part's index list emitted ascending, the parts' ordered
-//! walks merged by `(key, global row id)`.
+//! reverses the keys, not the ids) — and where the candidates are an
+//! equality list's, rows with equal keys in the order that list names them;
+//! groups appear in first-seen order. Over a [`PartitionedTable`]: parts in
+//! ascending shard id, ascending `RowId` within a part, a part's index list
+//! emitted ascending, the parts' ordered walks merged by `(prefix…, key,
+//! global row id)`.
 //!
 //! **One body, two sources.** The run reads each `FROM` alias through
 //! `Source`: a `&Table` ([`execute`], the single home), or a
@@ -82,16 +90,29 @@ use std::cmp::Ordering;
 
 /// Executes `q` against `db`, producing a materialized result.
 pub fn execute(db: &Database, q: &Query) -> Result<QueryResult, StorageError> {
-    let tables = || {
-        let from = q.template.from.iter();
-        from.map(|tr| db.table(&tr.table))
-            .collect::<Result<Vec<&Table>, _>>()
-    };
-    let plan = db.plans().plan(&q.template, || {
-        let schemas: Vec<&TableSchema> = tables()?.into_iter().map(Table::schema).collect();
+    run(&planned(db, q), q, tables_of(db, q)?)
+}
+
+/// `db`'s table for each of `q`'s `FROM` entries.
+fn tables_of<'a>(db: &'a Database, q: &Query) -> Result<Vec<&'a Table>, StorageError> {
+    let from = q.template.from.iter();
+    from.map(|tr| db.table(&tr.table)).collect()
+}
+
+/// The plan of `q`'s template over `db`'s catalog, from `db`'s memo.
+fn planned(db: &Database, q: &Query) -> Planned {
+    db.plans().plan(&q.template, || {
+        let schemas: Vec<&TableSchema> = tables_of(db, q)?.into_iter().map(Table::schema).collect();
         Plan::new(&q.template, &schemas)
-    });
-    run(&plan, q, tables()?)
+    })
+}
+
+/// See [`Database::walk_prefix`].
+pub(crate) fn walk_prefix(db: &Database, q: &Query) -> Option<usize> {
+    match &planned(db, q).as_ref().as_ref().ok()?.output {
+        Output::Project { walk, .. } => walk.as_ref().map(|w| w.prefix.len()),
+        Output::Aggregate { .. } => None,
+    }
 }
 
 /// Executes `q` over partitioned tables, `tables[i]` standing for the
@@ -165,16 +186,22 @@ trait Source<'a> {
     where
         'a: 'b;
 
-    /// The rows whose column `pos` satisfies every `column op value` of
-    /// `bounds`, in the order of that column's ordered index (see
-    /// [`Table::ordered_walk`]); `None` when the column has none.
+    /// The rows that tie with `prefix` on the leading columns of `cols`
+    /// and whose last column of `cols` satisfies every `column op value`
+    /// of `bounds`, in the order of the ordered index on `cols` (see
+    /// [`Table::ordered_walk`]); `None` when there is none.
     fn ordered_walk(
         &self,
-        pos: usize,
+        cols: &[usize],
+        prefix: &[&Value],
         bounds: &[(CmpOp, &Value)],
         desc: bool,
-    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>>;
+    ) -> Result<Option<impl Iterator<Item = Walked<'a>>>, StorageError>;
 }
+
+/// What an ordered walk yields: a row and its id, or the error of an id
+/// that outlived its row.
+type Walked<'a> = Result<(RowId, &'a Row), StorageError>;
 
 impl<'a> Source<'a> for &'a Table {
     fn schema(&self) -> &'a TableSchema {
@@ -202,11 +229,12 @@ impl<'a> Source<'a> for &'a Table {
 
     fn ordered_walk(
         &self,
-        pos: usize,
+        cols: &[usize],
+        prefix: &[&Value],
         bounds: &[(CmpOp, &Value)],
         desc: bool,
-    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>> {
-        Table::ordered_walk(self, pos, bounds, desc)
+    ) -> Result<Option<impl Iterator<Item = Walked<'a>>>, StorageError> {
+        Table::ordered_walk(self, cols, prefix, bounds, desc)
     }
 }
 
@@ -279,33 +307,46 @@ impl<'a> Source<'a> for PartitionedTable<'a> {
         buf
     }
 
-    /// Each part walks its own index; the heads merge by `(key, global row
-    /// id)`. Parts hold disjoint, ascending id ranges, so of tied heads the
-    /// earliest part's comes first.
+    /// Each part walks its own index, inside the prefix's rows; the heads
+    /// merge by `(prefix…, key, global row id)` — by `(key, global row
+    /// id)`, every walked row tying on the prefix. Parts hold disjoint,
+    /// ascending id ranges, so of tied heads the earliest part's comes
+    /// first. A head that is an error comes out at once.
     fn ordered_walk(
         &self,
-        pos: usize,
+        cols: &[usize],
+        prefix: &[&Value],
         bounds: &[(CmpOp, &Value)],
         desc: bool,
-    ) -> Option<impl Iterator<Item = (RowId, &'a Row)>> {
+    ) -> Result<Option<impl Iterator<Item = Walked<'a>>>, StorageError> {
+        let Some(&pos) = cols.last() else {
+            return Ok(None);
+        };
         let mut walks = Vec::with_capacity(self.parts.len());
         for &(base, part) in &self.parts {
-            let walk = part.ordered_walk(pos, bounds, desc)?;
-            walks.push(walk.map(move |(id, row)| (base + id, row)).peekable());
+            let Some(walk) = part.ordered_walk(cols, prefix, bounds, desc)? else {
+                return Ok(None);
+            };
+            let global = move |walked: Walked<'a>| walked.map(|(id, row)| (base + id, row));
+            walks.push(walk.map(global).peekable());
         }
-        Some(std::iter::from_fn(move || {
+        Ok(Some(std::iter::from_fn(move || {
             let mut best: Option<(usize, &Value)> = None;
             for (i, walk) in walks.iter_mut().enumerate() {
-                if let Some((_, row)) = walk.peek() {
-                    let key = &row[pos];
-                    let ahead = best.is_none_or(|(_, b)| if desc { key > b } else { key < b });
-                    if ahead {
-                        best = Some((i, key));
+                match walk.peek() {
+                    Some(Ok((_, row))) => {
+                        let key = &row[pos];
+                        let ahead = best.is_none_or(|(_, b)| if desc { key > b } else { key < b });
+                        if ahead {
+                            best = Some((i, key));
+                        }
                     }
+                    Some(Err(_)) => return walk.next(),
+                    None => {}
                 }
             }
             walks[best?.0].next()
-        }))
+        })))
     }
 }
 
@@ -606,26 +647,26 @@ impl<'a, S: Source<'a>> Run<'a, S> {
         };
         // Tuples that arrive in output order are projected as they come,
         // up to `limit` of them.
-        let mut push = |t: &[&Row]| {
+        let push = |t: &[&Row]| {
             rows.push(project(t));
             rows.len() < limit
         };
 
         // The first `limit` rows in the order of the one sort key, read off
-        // the key column's ordered index: the walk starts and stops where
-        // the key's own restrictions bound it, and every row on it is
-        // tested like a scan's.
-        let bounds: Vec<(CmpOp, &Value)> = (walk.iter().flat_map(|w| &w.bounds))
-            .map(|r| (self.plan.restrictions[*r].op, self.values[*r]))
-            .collect();
-        let walked = walk.and_then(|w| self.tables[0].ordered_walk(w.pos, &bounds, w.desc));
-        if let Some(walked) = walked {
-            for (_, row) in walked {
-                if self.passes(0, row) && !push(&[row]) {
-                    break;
-                }
+        // an ordered index that ends in it: the walk stays inside the rows
+        // the `=` restrictions on the index's leading columns select,
+        // starts and stops where the key's own restrictions bound it, and
+        // every row on it is tested like a candidate of the scan or list.
+        if let Some(w) = walk {
+            let prefix: Vec<&Value> = w.prefix.iter().map(|r| self.values[*r]).collect();
+            let bounds: Vec<(CmpOp, &Value)> = (w.bounds.iter())
+                .map(|r| (self.plan.restrictions[*r].op, self.values[*r]))
+                .collect();
+            let walked = self.tables[0].ordered_walk(&w.cols, &prefix, &bounds, w.desc)?;
+            if let Some(walked) = walked {
+                self.top_of_walk(walked, keys[0].pos, push)?;
+                return Ok(rows);
             }
-            return Ok(rows);
         }
         if keys.is_empty() {
             self.join(push)?;
@@ -659,6 +700,60 @@ impl<'a, S: Source<'a>> Run<'a, S> {
             .into_iter()
             .map(|i| project(&tuples[i * n..][..n]))
             .collect())
+    }
+
+    /// Hands the single alias's candidates among `walked` — a walk in the
+    /// order of its column `key` — to `push`, in the order the sort by
+    /// `key` gives them, until `push` returns false.
+    fn top_of_walk(
+        &self,
+        walked: impl Iterator<Item = Walked<'a>>,
+        key: usize,
+        mut push: impl FnMut(&[&Row]) -> bool,
+    ) -> Result<(), StorageError> {
+        let Some((r, slot)) = self.plan.aliases[0].eq_access else {
+            // A scan's candidates arrive in ascending row id, which is how
+            // the walk lists equal keys.
+            for walked in walked {
+                let (_, row) = walked?;
+                if self.passes(0, row) && !push(&[row]) {
+                    break;
+                }
+            }
+            return Ok(());
+        };
+        // The candidates are the equality list's and arrive in its order,
+        // which the sort keeps between equal keys: candidates that tie on
+        // the key go on in the order the list names them, and the group the
+        // last wanted row falls in is walked to its end before the cut.
+        let mut buf = Vec::new();
+        let list = self.tables[0].slot_lookup(slot, self.values[r], &mut buf);
+        let mut group: Vec<(RowId, &'a Row)> = Vec::new();
+        let mut hand_on = |group: &mut Vec<(RowId, &'a Row)>| -> bool {
+            if group.len() < 2 {
+                return group.drain(..).all(|(_, row)| push(&[row]));
+            }
+            // One pass over the list, each id looked for among the group's.
+            group.sort_unstable_by_key(|(id, _)| *id);
+            let place = |id| group.binary_search_by_key(id, |(id, _)| *id).ok();
+            let mut listed = list.iter().filter_map(place).map(|at| group[at].1);
+            let more = listed.all(|row| push(&[row]));
+            group.clear();
+            more
+        };
+        for walked in walked {
+            let (id, row) = walked?;
+            if !self.is_candidate(0, row) {
+                continue;
+            }
+            let tied = |(_, first): &(RowId, &Row)| first[key].cmp(&row[key]).is_eq();
+            if !group.first().is_none_or(tied) && !hand_on(&mut group) {
+                return Ok(());
+            }
+            group.push((id, row));
+        }
+        hand_on(&mut group);
+        Ok(())
     }
 
     /// Grouped / scalar aggregation, then ordering and top-k on its output.
@@ -827,6 +922,7 @@ mod tests {
                 .primary_key(&["toy_id"])
                 .index("toy_name")
                 .ordered_index("qty")
+                .ordered_index_on(&["toy_name", "qty"])
                 .build()
                 .unwrap(),
         )
@@ -1460,9 +1556,11 @@ mod tests {
         ));
     }
 
-    /// Two databases with one history — deletes, a reused slot, a modify
-    /// — `ranked(true)` with ordered indexes on `k` and `r`, `ranked(false)`
-    /// without: the scan + sort the walk must reproduce.
+    /// Two databases with one history — deletes, reused slots, a modify
+    /// that re-keys, one that only moves its row to the end of `g`'s list —
+    /// `ranked(true)` with ordered indexes on `k`, `r`, `(g, k)` and
+    /// `(g, r)`, `ranked(false)` without: the scan, or the read of `g`'s
+    /// list, and the sort that the walk must reproduce.
     fn ranked(ordered: bool) -> Database {
         let mut schema = TableSchema::builder("t")
             .column("id", ColumnType::Int)
@@ -1473,6 +1571,8 @@ mod tests {
             .index("g");
         if ordered {
             schema = schema.ordered_index("k").ordered_index("r");
+            schema = schema.ordered_index_on(&["g", "k"]);
+            schema = schema.ordered_index_on(&["g", "r"]);
         }
         let mut d = Database::new();
         d.create_table(schema.build().unwrap()).unwrap();
@@ -1499,6 +1599,12 @@ mod tests {
             &mut d,
             "UPDATE t SET k = ? WHERE id = ?",
             vec![Value::Int(9), Value::Int(7)],
+        );
+        // Sets what is there already: id 2 goes last on `g = 0`'s list.
+        apply(
+            &mut d,
+            "UPDATE t SET r = ? WHERE id = ?",
+            vec![Value::Int(2), Value::Int(2)],
         );
         d
     }
@@ -1583,16 +1689,97 @@ mod tests {
         );
     }
 
-    /// An indexed `=` restriction keeps the plan that reads the index
-    /// list: ties arrive in list order (deletes swapped slot 28 forward,
-    /// id 32 joined last), not in ascending row id as a walk gives them.
+    /// Under an indexed `=` restriction the candidates arrive in list
+    /// order, and ties keep it: deletes swapped slot 28 forward and put id
+    /// 32 in slot 10, a modify sent id 2 to the end — not the ascending
+    /// row id a walk lists equal keys in.
     #[test]
-    fn indexed_equality_restriction_keeps_the_list_order_plan() {
-        let r = walked(
-            "SELECT id FROM t WHERE g = ? AND k >= ? AND k <= ? ORDER BY k LIMIT 100",
-            vec![Value::Int(0), Value::Int(2), Value::Int(3)],
+    fn a_prefixed_walk_keeps_ties_in_the_equality_lists_order() {
+        let d = ranked(true);
+        let g = d.table("t").unwrap().index_lookup(2, &Value::Int(0));
+        assert_eq!(
+            g.unwrap(),
+            [0, 10, 4, 6, 8, 28, 12, 14, 16, 18, 20, 22, 26, 24, 2]
         );
-        assert_eq!(r, [2, 12, 22, 32, 8, 28, 18].map(|id| vec![id]));
+        let sql = "SELECT id FROM t WHERE g = ? AND k >= ? AND k <= ? ORDER BY k LIMIT 100";
+        let q = Query::bind(
+            0,
+            Arc::new(parse_query(sql).unwrap()),
+            vec![Value::Int(0); 3],
+        );
+        assert_eq!(d.walk_prefix(&q.unwrap()), Some(1));
+        let r = walked(sql, vec![Value::Int(0), Value::Int(2), Value::Int(3)]);
+        assert_eq!(r, [32, 12, 22, 2, 8, 28, 18].map(|id| vec![id]));
+    }
+
+    /// The cut falls inside a group of ties for most `LIMIT`s: the group
+    /// is read to its end and put in list order before the cut, up the
+    /// keys and down. A parameter `Real(1.0)` ties with `g`'s `Int(1)`s
+    /// but is on no list: no candidates, though the walk finds the rows.
+    #[test]
+    fn a_prefixed_walk_cuts_inside_a_tie_group_as_the_sort_does() {
+        let listed = [
+            (Value::Int(0), 15),
+            (Value::Int(1), 14),
+            (Value::real(1.0), 0),
+        ];
+        for (g, all) in listed {
+            for limit in [1, 2, 3, 4, 5, 7, 9, 14, 100] {
+                for (key, dir) in [("k", ""), ("k", " DESC"), ("r", ""), ("r", " DESC")] {
+                    let sql =
+                        format!("SELECT id FROM t WHERE g = ? ORDER BY {key}{dir} LIMIT {limit}");
+                    let r = walked(&sql, vec![g.clone()]);
+                    assert_eq!(r.len(), limit.min(all), "{sql} {g:?}");
+                }
+            }
+        }
+        // Rows failing a restriction on a third column are stepped over,
+        // inside a tie group too.
+        let r = walked(
+            "SELECT id FROM t WHERE g = ? AND id >= ? AND k >= ? ORDER BY k DESC LIMIT 4",
+            vec![Value::Int(0), Value::Int(10), Value::Int(1)],
+        );
+        assert_eq!(r, [14, 28, 18, 32].map(|id| vec![id]));
+    }
+
+    /// The parts' prefixed walks merged: bears tie on `qty` across parts
+    /// and inside one, whose list a delete and a modify left unordered.
+    #[test]
+    fn partitioned_prefixed_walk_merges_ties_across_parts() {
+        let p0 = toy_part(&[(1, "bear", 5), (2, "car", 5), (3, "bear", 2)]);
+        let mut p1 = toy_part(&[
+            (4, "bear", 5),
+            (5, "bear", 5),
+            (6, "ant", 1),
+            (7, "bear", 2),
+        ]);
+        p1.delete(2);
+        p1.modify(0, &[(2, Value::Int(5))]).unwrap();
+        assert_eq!(p1.index_lookup(1, &Value::str("bear")).unwrap(), &[3, 1, 0]);
+        // An `ant` ahead of the `bear` in its part: a merge that looked
+        // at heads outside the prefix would hold the `bear` back.
+        let p2 = toy_part(&[(8, "ant", 9), (9, "bear", 3)]);
+        let parts = [p0, p1, toy_part(&[]), p2];
+        let mut schema = parts[0].schema().clone();
+        schema.ordered_indexes.clear();
+        let mut copied = Database::new();
+        copied.create_table(schema).unwrap();
+        for (_, row) in parts.iter().flat_map(Table::iter) {
+            copied.insert_row("toys", row.clone()).unwrap();
+        }
+        for dir in ["", " DESC"] {
+            for limit in 1..8 {
+                let sql = format!(
+                    "SELECT toy_id FROM toys WHERE toy_name = ? AND qty >= ? \
+                     ORDER BY qty{dir} LIMIT {limit}"
+                );
+                let params = vec![Value::str("bear"), Value::Int(2)];
+                let q = Query::bind(0, Arc::new(parse_query(&sql).unwrap()), params).unwrap();
+                let memo = PlanMemo::default();
+                let got = execute_partitioned(&memo, &q, vec![parts.iter().collect()]);
+                assert_eq!(got.unwrap(), copied.execute(&q).unwrap(), "{sql}");
+            }
+        }
     }
 
     #[test]

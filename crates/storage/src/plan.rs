@@ -8,8 +8,9 @@
 //! predicate list and the equality-index *slot* its first indexed `=`
 //! restriction reads, for each join side the slot of its column's index and
 //! whether the column is the alias's whole primary key, the select / group
-//! / aggregate / sort positions, whether the index-ordered top-k applies,
-//! the output column names — and every name-resolution error, kept at the
+//! / aggregate / sort positions, whether the index-ordered top-k applies
+//! and along which ordered index, under which `=` restrictions, the output
+//! column names — and every name-resolution error, kept at the
 //! point where execution meets it (an aggregate's bad argument only once a
 //! group exists, a bad `ORDER BY` on grouped output only after the groups
 //! are built).
@@ -97,12 +98,17 @@ impl AliasPlan {
     }
 }
 
-/// The index-ordered top-k of a single-alias query: walk the sort key's
-/// ordered index between the bounds the key's own restrictions give.
+/// The index-ordered top-k of a single-alias query: walk an ordered index
+/// that ends in the sort key, inside the rows its leading columns' `=`
+/// restrictions select, between the bounds the key's own restrictions give.
 #[derive(Debug)]
 pub(crate) struct Walk {
-    pub(crate) pos: usize,
+    /// The index's column list: the `=`-bound prefix, then the sort key.
+    pub(crate) cols: Vec<usize>,
     pub(crate) desc: bool,
+    /// Column by column of the prefix, the `=` restriction that binds it,
+    /// as an index into [`Plan::restrictions`].
+    pub(crate) prefix: Vec<usize>,
     /// The restrictions on the key column, as indices into
     /// [`Plan::restrictions`].
     pub(crate) bounds: Vec<usize>,
@@ -299,18 +305,34 @@ impl Plan {
                     select.push(resolve(c)?);
                 }
             }
-            // One alias, `LIMIT`, one sort key with an ordered index, and
-            // no indexed `=` restriction (whose list order a walk's ties,
-            // ascending row id, would not reproduce).
+            // One alias, `LIMIT`, one sort key, and an ordered index that
+            // ends in the key and whose columns before it are each bound
+            // by an `=` restriction — the longest such. An equality list
+            // the alias would read is given up only for an index that
+            // narrows by the list's column too: the walk then reads no
+            // more rows than the list holds.
             let walk = match (&keys[..], tpl.limit) {
-                ([key], Some(_))
-                    if schemas.len() == 1
-                        && aliases[0].eq_access.is_none()
-                        && schemas[0].ordered_indexes.contains(column_name(*key)) =>
-                {
-                    Some(Walk {
-                        pos: key.pos,
+                ([key], Some(_)) if schemas.len() == 1 => {
+                    let bound_by_eq = |pos: &usize| {
+                        let binds = |r: &Restriction| r.op == CmpOp::Eq && r.col.pos == *pos;
+                        restrictions.iter().position(binds)
+                    };
+                    let listed = aliases[0].eq_access.map(|(r, _)| restrictions[r].col.pos);
+                    let usable = schemas[0].ordered_indexes.iter().filter_map(|list| {
+                        let cols = list.iter().map(|c| schemas[0].column_index(c));
+                        let cols: Vec<usize> = cols.collect::<Option<_>>()?;
+                        let (last, leading) = cols.split_last()?;
+                        let prefix: Vec<usize> =
+                            leading.iter().map(bound_by_eq).collect::<Option<_>>()?;
+                        let applies =
+                            *last == key.pos && listed.is_none_or(|pos| leading.contains(&pos));
+                        applies.then_some((cols, prefix))
+                    });
+                    let longest = usable.max_by_key(|(cols, _)| cols.len());
+                    longest.map(|(cols, prefix)| Walk {
+                        cols,
                         desc: desc[0],
+                        prefix,
                         bounds: (0..restrictions.len())
                             .filter(|r| restrictions[*r].col == *key)
                             .collect(),
@@ -488,6 +510,93 @@ mod tests {
                 [[Value::Int(30)]],
                 "{round}"
             );
+        }
+    }
+
+    /// The walk planned for `sql` over `t(id, c, d, e)` — ordered on
+    /// `(c, d)`, `(c, e, d)` and `d`, with equality indexes on `listed` —
+    /// as (the index's columns, the restrictions binding its prefix,
+    /// the key's bounds).
+    fn walk_of(sql: &str, listed: &[&str]) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+        let mut t = TableSchema::builder("t")
+            .column("id", ColumnType::Int)
+            .column("c", ColumnType::Int)
+            .column("d", ColumnType::Int)
+            .column("e", ColumnType::Int)
+            .ordered_index_on(&["c", "d"])
+            .ordered_index_on(&["c", "e", "d"])
+            .ordered_index("d");
+        for col in listed {
+            t = t.index(col);
+        }
+        let (t, tpl) = (t.build().unwrap(), parse_query(sql).unwrap());
+        let schemas: Vec<&TableSchema> = tpl.from.iter().map(|_| &t).collect();
+        match Plan::new(&tpl, &schemas).unwrap().output {
+            Output::Project { walk, .. } => walk.map(|w| (w.cols, w.prefix, w.bounds)),
+            Output::Aggregate { .. } => None,
+        }
+    }
+
+    #[test]
+    fn a_walk_takes_the_longest_index_its_equalities_bind() {
+        let (c, d, e) = (1, 2, 3);
+        let by_c = "SELECT id FROM t WHERE d >= ? AND c = ? AND d < ? ORDER BY d LIMIT 5";
+        let want = Some((vec![c, d], vec![1], vec![0, 2]));
+        assert_eq!(walk_of(by_c, &[]), want);
+        assert_eq!(walk_of(by_c, &["c"]), want, "the list given up is `c`'s");
+        assert_eq!(
+            walk_of(&by_c.replace("d LIMIT", "d DESC LIMIT"), &["c"]),
+            want
+        );
+        let by_c_e = "SELECT id FROM t WHERE e = ? AND c = ? ORDER BY d LIMIT 5";
+        let want = Some((vec![c, e, d], vec![1, 0], vec![]));
+        assert_eq!(walk_of(by_c_e, &[]), want);
+        assert_eq!(
+            walk_of(by_c_e, &["e"]),
+            want,
+            "`(c, e, d)` narrows by `e` too"
+        );
+        // No prefix: `d` alone, as before there were column lists.
+        let want = Some((vec![d], vec![], vec![0]));
+        assert_eq!(
+            walk_of("SELECT id FROM t WHERE d > ? ORDER BY d LIMIT 5", &["c"]),
+            want
+        );
+        assert_eq!(
+            walk_of("SELECT id FROM t ORDER BY d LIMIT 5", &[]),
+            Some((vec![d], vec![], vec![]))
+        );
+    }
+
+    #[test]
+    fn a_walk_is_refused_where_the_rule_does_not_hold() {
+        // A prefix column bound by anything but `=` binds nothing: `d`
+        // alone is walked, every `c` tested row by row.
+        for op in ["<", "<=", ">", ">="] {
+            let sql = format!("SELECT id FROM t WHERE c {op} ? ORDER BY d LIMIT 5");
+            assert_eq!(walk_of(&sql, &[]), Some((vec![2], vec![], vec![])), "{op}");
+        }
+        // `e`'s equality list is read unless the index narrows by `e`.
+        let by_e = "SELECT id FROM t WHERE e = ? ORDER BY d LIMIT 5";
+        assert!(walk_of(by_e, &[]).is_some());
+        assert_eq!(walk_of(by_e, &["e"]), None);
+        let by_e_c = "SELECT id FROM t WHERE e = ? AND c >= ? ORDER BY d LIMIT 5";
+        assert_eq!(walk_of(by_e_c, &["e"]), None);
+        // Both columns listed: the list read is `c`'s, the one `=` there is.
+        let both = "SELECT id FROM t WHERE c = ? AND e >= ? ORDER BY d LIMIT 5";
+        assert_eq!(
+            walk_of(both, &["c", "e"]),
+            Some((vec![1, 2], vec![0], vec![]))
+        );
+        // The sort key must end the list; one key, `LIMIT`, one alias.
+        for sql in [
+            "SELECT id FROM t WHERE c = ? ORDER BY e LIMIT 5",
+            "SELECT id FROM t WHERE c = ? ORDER BY d",
+            "SELECT id FROM t WHERE c = ? ORDER BY d, id LIMIT 5",
+            "SELECT t1.id FROM t t1, t t2 WHERE t1.c = ? ORDER BY t1.d LIMIT 5",
+            "SELECT c, COUNT(*) FROM t WHERE c = ? GROUP BY c ORDER BY c LIMIT 5",
+        ] {
+            assert_eq!(walk_of(sql, &[]), None, "{sql}");
         }
     }
 

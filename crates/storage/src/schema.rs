@@ -66,10 +66,11 @@ pub struct TableSchema {
     /// Columns to maintain single-column equality indexes on (the storage
     /// layer always indexes primary-key and foreign-key columns too).
     pub indexes: Vec<String>,
-    /// Columns to maintain single-column *ordered* indexes on: the access
-    /// path of `ORDER BY c LIMIT k` (see `executor`). Nothing is ordered
-    /// unless declared here.
-    pub ordered_indexes: Vec<String>,
+    /// Column lists to maintain *ordered* indexes on, each sorted by its
+    /// columns in turn: the access path of `ORDER BY d LIMIT k` under `=`
+    /// restrictions on the columns before `d` — none, for a one-column
+    /// list (see `executor`). Nothing is ordered unless declared here.
+    pub ordered_indexes: Vec<Vec<String>>,
 }
 
 impl TableSchema {
@@ -143,11 +144,17 @@ impl TableSchema {
                 )));
             }
         }
+        if self.ordered_indexes.iter().any(Vec::is_empty) {
+            return Err(StorageError::BadSchema(format!(
+                "table `{}` declares an ordered index on no column",
+                self.name
+            )));
+        }
         for k in self
             .primary_key
             .iter()
             .chain(&self.indexes)
-            .chain(&self.ordered_indexes)
+            .chain(self.ordered_indexes.iter().flatten())
         {
             if self.column_index(k).is_none() {
                 return Err(StorageError::BadSchema(format!(
@@ -209,9 +216,16 @@ impl TableSchemaBuilder {
         self
     }
 
-    /// Requests a single-column ordered index.
-    pub fn ordered_index(mut self, col: &str) -> Self {
-        self.schema.ordered_indexes.push(col.to_string());
+    /// Requests an ordered index on one column.
+    pub fn ordered_index(self, col: &str) -> Self {
+        self.ordered_index_on(&[col])
+    }
+
+    /// Requests an ordered index on a column list: rows sorted by `cols`
+    /// in turn.
+    pub fn ordered_index_on(mut self, cols: &[&str]) -> Self {
+        let cols = cols.iter().map(|c| c.to_string()).collect();
+        self.schema.ordered_indexes.push(cols);
         self
     }
 
@@ -276,11 +290,21 @@ mod tests {
             .ordered_index("a")
             .build()
             .unwrap();
-        assert_eq!(s.ordered_indexes, vec!["a"]);
+        assert_eq!(s.ordered_indexes, vec![vec!["a"]]);
         assert!(
             s.indexed_columns().is_empty(),
             "no equality index rides along"
         );
+        // A column list is checked column by column, and holds one at least.
+        let t = || TableSchema::builder("t").column("a", ColumnType::Int);
+        assert!(t().ordered_index_on(&["a", "b"]).build().is_err());
+        assert!(t().ordered_index_on(&[]).build().is_err());
+        let s = t()
+            .column("b", ColumnType::Int)
+            .ordered_index_on(&["b", "a"])
+            .build()
+            .unwrap();
+        assert_eq!(s.ordered_indexes, vec![vec!["b", "a"]]);
     }
 
     #[test]

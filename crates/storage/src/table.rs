@@ -12,6 +12,7 @@ use crate::error::StorageError;
 use crate::hash::KeyMap;
 use crate::schema::TableSchema;
 use scs_sqlkit::{CmpOp, Value};
+use std::cmp::Ordering;
 
 /// A stored row: values in schema column order.
 pub type Row = Vec<Value>;
@@ -39,11 +40,12 @@ pub struct Table {
     /// Single-column equality indexes, slot by slot: (column position,
     /// value -> row ids in insertion order).
     eq_indexes: Vec<(usize, KeyMap<Value, Vec<RowId>>)>,
-    /// Single-column ordered indexes: column position -> the live row ids
-    /// sorted by `(Value::cmp of that column, row id)`. A permutation, not
-    /// a tree: four bytes a row, keys read through the rows; an insert or
-    /// a removal shifts the ids behind its position.
-    ord_indexes: Vec<(usize, Vec<u32>)>,
+    /// Ordered indexes, one per declared column list: the key columns'
+    /// positions -> the live row ids sorted by `(Value::cmp of each key
+    /// column in turn, row id)`. A permutation, not a tree: four bytes a
+    /// row, keys read through the rows; an insert or a removal shifts the
+    /// ids behind its position.
+    ord_indexes: Vec<(Vec<usize>, Vec<u32>)>,
 }
 
 impl Table {
@@ -64,11 +66,14 @@ impl Table {
                 )
             })
             .collect();
-        let mut ord_indexes: Vec<(usize, Vec<u32>)> = Vec::new();
-        for c in &schema.ordered_indexes {
-            let pos = schema.column_index(c).expect("validated schema");
-            if !ord_indexes.iter().any(|(p, _)| *p == pos) {
-                ord_indexes.push((pos, Vec::new()));
+        let mut ord_indexes: Vec<(Vec<usize>, Vec<u32>)> = Vec::new();
+        for list in &schema.ordered_indexes {
+            let cols: Vec<usize> = list
+                .iter()
+                .map(|c| schema.column_index(c).expect("validated schema"))
+                .collect();
+            if !ord_indexes.iter().any(|(c, _)| *c == cols) {
+                ord_indexes.push((cols, Vec::new()));
             }
         }
         Table {
@@ -143,45 +148,76 @@ impl Table {
         self.eq_indexes.iter().any(|(p, _)| *p == pos)
     }
 
-    /// The rows whose ordered-indexed column `pos` satisfies every one of
-    /// `bounds` (`column op value` each), in key order — descending keys
+    /// A walk along the ordered index on the column list `cols`: the rows
+    /// that tie (under `Value::cmp`) with `prefix` on the columns before
+    /// the last and whose last column — the sort key — satisfies every one
+    /// of `bounds` (`column op value` each), in key order — descending keys
     /// when `desc` — and ascending row id within equal keys: the order a
-    /// sort by that key gives the rows of a scan. `None` when the column
-    /// has no ordered index.
+    /// sort by that key gives those rows of a scan. `None` when no ordered
+    /// index is declared on `cols`; an id that outlived its row is
+    /// [`StorageError::DanglingRow`], from the searches here or from the
+    /// walk.
     pub(crate) fn ordered_walk(
         &self,
-        pos: usize,
+        cols: &[usize],
+        prefix: &[&Value],
         bounds: &[(CmpOp, &Value)],
         desc: bool,
-    ) -> Option<OrderedWalk<'_>> {
-        let (_, ids) = self.ord_indexes.iter().find(|(p, _)| *p == pos)?;
-        let key = |id: &u32| ord_key(&self.slots, *id, pos);
-        // `op.eval` is monotone along the index (both follow `Value::cmp`):
-        // the keys passing an upper bound are a prefix, those failing a
-        // lower bound are one too.
-        let (mut start, mut end) = (0, ids.len());
-        for &(op, v) in bounds {
-            let first_ge = || ids.partition_point(|id| key(id) < v);
-            let first_gt = || ids.partition_point(|id| key(id) <= v);
-            match op {
-                CmpOp::Ge => start = start.max(first_ge()),
-                CmpOp::Gt => start = start.max(first_gt()),
-                CmpOp::Lt => end = end.min(first_ge()),
-                CmpOp::Le => end = end.min(first_gt()),
-                CmpOp::Eq => {
-                    start = start.max(first_ge());
-                    end = end.min(first_gt());
-                }
-            }
+    ) -> Result<Option<OrderedWalk<'_>>, StorageError> {
+        let Some((_, ids)) = self.ord_indexes.iter().find(|(c, _)| c == cols) else {
+            return Ok(None);
+        };
+        let Some((&pos, leading)) = cols.split_last() else {
+            return Ok(None);
+        };
+        debug_assert_eq!(leading.len(), prefix.len());
+        // Each search runs inside what the one before left: there the
+        // index is sorted on the next column.
+        let mut ids = &ids[..];
+        for (&col, v) in leading.iter().zip(prefix) {
+            ids = self.narrow(ids, col, CmpOp::Eq, v)?;
         }
-        let ids = ids.get(start..end).unwrap_or(&[]);
+        for &(op, v) in bounds {
+            ids = self.narrow(ids, pos, op, v)?;
+        }
         let (rest, group) = if desc { (ids, &[][..]) } else { (&[][..], ids) };
-        Some(OrderedWalk {
-            slots: &self.slots,
+        Ok(Some(OrderedWalk {
+            table: self,
             pos,
             rest,
             group,
+        }))
+    }
+
+    /// The ids of `ids` — listed in the order of column `pos` — whose
+    /// column `pos` satisfies `op v`.
+    fn narrow<'a>(
+        &self,
+        ids: &'a [u32],
+        pos: usize,
+        op: CmpOp,
+        v: &Value,
+    ) -> Result<&'a [u32], StorageError> {
+        // `op.eval` is monotone along the index (both follow `Value::cmp`):
+        // the keys passing an upper bound are a prefix, those failing a
+        // lower bound are one too.
+        let first_ge = |ids| partition(ids, |id| Ok(self.ord_key(id, pos)? < v));
+        let first_gt = |ids| partition(ids, |id| Ok(self.ord_key(id, pos)? <= v));
+        Ok(match op {
+            CmpOp::Ge => &ids[first_ge(ids)?..],
+            CmpOp::Gt => &ids[first_gt(ids)?..],
+            CmpOp::Lt => &ids[..first_ge(ids)?],
+            CmpOp::Le => &ids[..first_gt(ids)?],
+            CmpOp::Eq => {
+                let ids = &ids[first_ge(ids)?..];
+                &ids[..first_gt(ids)?]
+            }
         })
+    }
+
+    /// The ordered-index key of the row listed as `id`: its column `pos`.
+    fn ord_key(&self, id: u32, pos: usize) -> Result<&Value, StorageError> {
+        Ok(&self.live_row(id as RowId)?[pos])
     }
 
     /// Looks up a row by its full primary key.
@@ -217,6 +253,14 @@ impl Table {
                     key,
                 });
             }
+        }
+        // An ordered index lists row ids as `u32`s.
+        let next = self.free.last().copied().unwrap_or(self.slots.len());
+        if !self.ord_indexes.is_empty() && u32::try_from(next).is_err() {
+            return Err(StorageError::BadInsert(format!(
+                "table `{}` is full: its ordered indexes address 2^32 rows",
+                self.schema.name
+            )));
         }
         let id = match self.free.pop() {
             Some(id) => {
@@ -254,7 +298,7 @@ impl Table {
         // equality list is left and re-joined, changed column or not: list
         // order is observable under the executor's row-order contract, and
         // a modified row moves to the end of each of its lists.
-        let changed = |pos: usize| changes.iter().any(|(p, _)| *p == pos);
+        let changed = |cols: &[usize]| changes.iter().any(|(p, _)| cols.contains(p));
         self.secondary_remove(id, changed);
         let row = self.slots[id].as_mut()?;
         let old = row.clone();
@@ -287,8 +331,8 @@ impl Table {
     }
 
     /// Enters row `id` into every equality index, and into the ordered
-    /// indexes on the columns `rekeyed` names.
-    fn secondary_add(&mut self, id: RowId, rekeyed: impl Fn(usize) -> bool) {
+    /// indexes whose column lists `rekeyed` names.
+    fn secondary_add(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
         let Table {
             slots,
             eq_indexes,
@@ -301,17 +345,30 @@ impl Table {
         for (pos, idx) in eq_indexes.iter_mut() {
             idx.entry(row[*pos].clone()).or_default().push(id);
         }
-        for (pos, ids) in ord_indexes.iter_mut().filter(|(pos, _)| rekeyed(*pos)) {
-            let id32 = u32::try_from(id).expect("a table of 2^32 slots does not fit in memory");
-            let v = &row[*pos];
-            let at =
-                ids.partition_point(|&x| ord_key(slots, x, *pos).cmp(v).then(x.cmp(&id32)).is_lt());
+        // `insert` admits no id beyond `u32` where there is an ordered index.
+        let Ok(id32) = u32::try_from(id) else {
+            return;
+        };
+        for (cols, ids) in ord_indexes.iter_mut().filter(|(cols, _)| rekeyed(cols)) {
+            // A listed id whose row is gone counts as sorted before every
+            // row: an update steps over it, the walk that meets it reports it.
+            let before = |x: u32| {
+                slots
+                    .get(x as usize)
+                    .and_then(Option::as_ref)
+                    .is_none_or(|listed| {
+                        let mut by_col = cols.iter().map(|&c| listed[c].cmp(&row[c]));
+                        let by_key = by_col.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal);
+                        by_key.then(x.cmp(&id32)).is_lt()
+                    })
+            };
+            let at = ids.partition_point(|&x| before(x));
             ids.insert(at, id32);
         }
     }
 
     /// Takes row `id` out of what [`Table::secondary_add`] enters it into.
-    fn secondary_remove(&mut self, id: RowId, rekeyed: impl Fn(usize) -> bool) {
+    fn secondary_remove(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
         let Table {
             slots,
             eq_indexes,
@@ -335,7 +392,7 @@ impl Table {
         // a chain of loads per step, the scan of the ids streams; and it
         // holds where `Value::cmp` is not transitive (an `Int` beyond 2^53
         // beside a `Real`), which would mislead a search by key.
-        for (_, ids) in ord_indexes.iter_mut().filter(|(pos, _)| rekeyed(*pos)) {
+        for (_, ids) in ord_indexes.iter_mut().filter(|(cols, _)| rekeyed(cols)) {
             // `contains` tests a chunk without an early exit, which
             // vectorises; `position` alone does not.
             const CHUNK: usize = 64;
@@ -351,21 +408,28 @@ impl Table {
     }
 }
 
-/// The row an ordered index lists as `id`.
-fn ord_row(slots: &[Option<Row>], id: u32) -> &Row {
-    slots[id as usize]
-        .as_ref()
-        .expect("an ordered index lists live rows only")
-}
-
-/// The ordered-index key of row `id`: its column `pos`.
-fn ord_key(slots: &[Option<Row>], id: u32, pos: usize) -> &Value {
-    &ord_row(slots, id)[pos]
+/// The number of leading `ids` that `pred` holds for, `pred` holding for a
+/// prefix of them: `partition_point` with a predicate that can fail.
+fn partition(
+    ids: &[u32],
+    pred: impl Fn(u32) -> Result<bool, StorageError>,
+) -> Result<usize, StorageError> {
+    let (mut lo, mut hi) = (0, ids.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(ids[mid])? {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
 }
 
 /// A walk along part of an ordered index; see [`Table::ordered_walk`].
 pub(crate) struct OrderedWalk<'a> {
-    slots: &'a [Option<Row>],
+    table: &'a Table,
+    /// The sort key's column: the last of the index's.
     pos: usize,
     /// Ids still to be split into value groups, in index order: all of
     /// them on a descending walk, which takes groups off the end, none on
@@ -376,20 +440,27 @@ pub(crate) struct OrderedWalk<'a> {
 }
 
 impl<'a> Iterator for OrderedWalk<'a> {
-    type Item = (RowId, &'a Row);
+    type Item = Result<(RowId, &'a Row), StorageError>;
 
-    fn next(&mut self) -> Option<(RowId, &'a Row)> {
+    fn next(&mut self) -> Option<Self::Item> {
+        let (table, pos) = (self.table, self.pos);
         if self.group.is_empty() {
             // The group of keys that tie (under `cmp`) with the last one.
-            let v = ord_key(self.slots, *self.rest.last()?, self.pos);
-            let start = self
-                .rest
-                .partition_point(|id| ord_key(self.slots, *id, self.pos) < v);
-            (self.rest, self.group) = self.rest.split_at(start);
+            let start = table
+                .ord_key(*self.rest.last()?, pos)
+                .and_then(|v| partition(self.rest, |id| Ok(table.ord_key(id, pos)? < v)));
+            match start {
+                Ok(start) => (self.rest, self.group) = self.rest.split_at(start),
+                Err(e) => {
+                    self.rest = &[];
+                    return Some(Err(e));
+                }
+            }
         }
         let (&id, group) = self.group.split_first()?;
         self.group = group;
-        Some((id as RowId, ord_row(self.slots, id)))
+        let id = id as RowId;
+        Some(table.live_row(id).map(|row| (id, row)))
     }
 }
 
@@ -527,10 +598,22 @@ mod tests {
     }
 
     fn walk(t: &Table, pos: usize, bounds: &[(CmpOp, &Value)], desc: bool) -> Vec<RowId> {
-        let walk = t.ordered_walk(pos, bounds, desc).unwrap();
-        walk.map(|(id, row)| {
+        walk_within(t, &[pos], &[], bounds, desc).unwrap()
+    }
+
+    /// The row ids [`Table::ordered_walk`] yields, or its first error.
+    fn walk_within(
+        t: &Table,
+        cols: &[usize],
+        prefix: &[&Value],
+        bounds: &[(CmpOp, &Value)],
+        desc: bool,
+    ) -> Result<Vec<RowId>, StorageError> {
+        let walk = t.ordered_walk(cols, prefix, bounds, desc)?.unwrap();
+        walk.map(|walked| {
+            let (id, row) = walked?;
             assert_eq!(t.row(id), Some(row));
-            id
+            Ok(id)
         })
         .collect()
     }
@@ -544,7 +627,8 @@ mod tests {
         assert_eq!(walk(&t, 2, &[], false), vec![3, 1, 4, 0, 2]);
         // Groups downwards, ids still upwards inside a group.
         assert_eq!(walk(&t, 2, &[], true), vec![0, 2, 1, 4, 3]);
-        assert!(t.ordered_walk(0, &[], false).is_none(), "not declared");
+        let undeclared = t.ordered_walk(&[0], &[], &[], false).unwrap();
+        assert!(undeclared.is_none());
         // `Int(3)` and `Real(3.0)` tie under `cmp`, though not under `==`:
         // one group, whichever the bound is written as.
         t.modify(4, &[(2, Value::real(3.0))]).unwrap();
@@ -610,9 +694,207 @@ mod tests {
         );
     }
 
+    /// `toys` ordered by `(toy_name, qty)`, and by `toy_name` alone.
+    fn shelved_table() -> Table {
+        Table::new(
+            TableSchema::builder("toys")
+                .column("toy_id", ColumnType::Int)
+                .column("toy_name", ColumnType::Str)
+                .column("qty", ColumnType::Real)
+                .column("note", ColumnType::Int)
+                .primary_key(&["toy_id"])
+                .ordered_index_on(&["toy_name", "qty"])
+                .ordered_index("toy_name")
+                .ordered_index_on(&["toy_name", "qty"])
+                .build()
+                .unwrap(),
+        )
+    }
+
+    fn shelved(id: i64, name: &str, qty: Value) -> Row {
+        vec![Value::Int(id), Value::str(name), qty, Value::Int(0)]
+    }
+
+    #[test]
+    fn column_list_walk_stays_inside_its_prefix() {
+        let mut t = shelved_table();
+        assert_eq!(t.ord_indexes.len(), 2, "a list declared twice is kept once");
+        for (id, name, qty) in [
+            (0, "car", 5),
+            (1, "bear", 3),
+            (2, "car", 1),
+            (3, "bear", 3),
+            (4, "car", 5),
+            (5, "ant", 9),
+            (6, "bear", 1),
+        ] {
+            t.insert(shelved(id, name, Value::Int(qty))).unwrap();
+        }
+        let (bear, car, yak) = (Value::str("bear"), Value::str("car"), Value::str("yak"));
+        let by = |name, bounds: &[(CmpOp, &Value)], desc| {
+            walk_within(&t, &[1, 2], &[name], bounds, desc).unwrap()
+        };
+        // Key order inside the prefix, ascending row id between equal keys.
+        assert_eq!(by(&bear, &[], false), vec![6, 1, 3]);
+        assert_eq!(by(&bear, &[], true), vec![1, 3, 6]);
+        assert_eq!(by(&car, &[], true), vec![0, 4, 2]);
+        assert_eq!(by(&yak, &[], false), Vec::<RowId>::new());
+        // The key's bounds are searched for inside the prefix's rows only:
+        // `ant`'s 9 and `bear`'s 1 lie outside `car`'s.
+        let (two, five) = (Value::Int(2), Value::Int(5));
+        assert_eq!(by(&car, &[(CmpOp::Ge, &two)], false), vec![0, 4]);
+        assert_eq!(by(&car, &[(CmpOp::Lt, &five)], true), vec![2]);
+        assert_eq!(by(&car, &[(CmpOp::Gt, &five)], false), vec![]);
+        assert_eq!(
+            by(&bear, &[(CmpOp::Le, &two), (CmpOp::Ge, &two)], true),
+            vec![]
+        );
+        // The one-column list is another index; a list is used whole.
+        assert_eq!(walk(&t, 1, &[], false), vec![5, 1, 3, 6, 0, 2, 4]);
+        assert!(t.ordered_walk(&[2], &[], &[], false).unwrap().is_none());
+        assert!(t
+            .ordered_walk(&[2, 1], &[&two], &[], false)
+            .unwrap()
+            .is_none());
+    }
+
+    /// A prefix value selects the rows that tie with it under `cmp`:
+    /// `Int(1)` and `Real(1.0)` are one prefix, whichever way it is asked.
+    #[test]
+    fn column_list_prefix_ties_an_int_with_a_real() {
+        let schema = TableSchema::builder("t")
+            .column("id", ColumnType::Int)
+            .column("c", ColumnType::Real)
+            .column("d", ColumnType::Int)
+            .ordered_index_on(&["c", "d"]);
+        let mut t = Table::new(schema.build().unwrap());
+        for (id, c, d) in [
+            (0, Value::Int(1), 7),
+            (1, Value::real(1.0), 3),
+            (2, Value::real(2.5), 1),
+            (3, Value::Int(1), 3),
+            (4, Value::real(0.5), 9),
+        ] {
+            t.insert(vec![Value::Int(id), c, Value::Int(d)]).unwrap();
+        }
+        for one in [Value::Int(1), Value::real(1.0)] {
+            let got = walk_within(&t, &[1, 2], &[&one], &[], false).unwrap();
+            assert_eq!(got, vec![1, 3, 0], "{one:?}");
+            let got = walk_within(&t, &[1, 2], &[&one], &[], true).unwrap();
+            assert_eq!(got, vec![0, 1, 3], "{one:?}");
+        }
+    }
+
+    /// A modify re-keys a list when one of *its* columns changes — the
+    /// prefix column as much as the last — and touches none otherwise.
+    #[test]
+    fn column_list_index_is_rekeyed_by_its_own_columns_only() {
+        let mut t = shelved_table();
+        for (id, name, qty) in [
+            (0, "bear", 4),
+            (1, "bear", 2),
+            (2, "car", 3),
+            (3, "bear", 2),
+        ] {
+            t.insert(shelved(id, name, Value::Int(qty))).unwrap();
+        }
+        let all = |t: &Table| (t.ord_indexes[0].1.clone(), t.ord_indexes[1].1.clone());
+        assert_eq!(all(&t), (vec![1, 3, 0, 2], vec![0, 1, 3, 2]));
+        // Not a key column: both permutations stay as they are.
+        t.modify(1, &[(3, Value::Int(9))]).unwrap();
+        assert_eq!(all(&t), (vec![1, 3, 0, 2], vec![0, 1, 3, 2]));
+        // The last column: `(toy_name, qty)` moves the row, `toy_name` not.
+        t.modify(1, &[(2, Value::Int(8))]).unwrap();
+        assert_eq!(all(&t), (vec![3, 0, 1, 2], vec![0, 1, 3, 2]));
+        // The prefix column: both move it.
+        t.modify(0, &[(1, Value::str("dog"))]).unwrap();
+        assert_eq!(all(&t), (vec![3, 1, 2, 0], vec![1, 3, 2, 0]));
+        // A function of the rows alone: the same rows inserted afresh.
+        let mut fresh = shelved_table();
+        for (id, row) in t.iter() {
+            assert_eq!(fresh.insert(row.clone()).unwrap(), id);
+        }
+        assert_eq!(fresh.ord_indexes, t.ord_indexes);
+    }
+
+    fn dangling<T: std::fmt::Debug>(r: Result<T, StorageError>, id: RowId) {
+        match r {
+            Err(StorageError::DanglingRow { table, id: got }) => {
+                assert_eq!((table.as_str(), got), ("toys", id));
+            }
+            other => panic!("expected a dangling row {id}, got {other:?}"),
+        }
+    }
+
+    /// An id that outlived its row — slot 3 dead, slot 99 never there — in
+    /// a permutation: the walk, its searches for a prefix or a bound and
+    /// its descending group search answer `DanglingRow`; an update steps
+    /// over the id.
+    #[test]
+    fn a_dead_id_in_an_ordered_index_is_an_error_not_a_panic() {
+        let mut t = shelved_table();
+        for id in 0..8 {
+            t.insert(shelved(id, "bear", Value::Int(id))).unwrap();
+        }
+        t.delete(3);
+        for dead in [3u32, 99] {
+            for at in [0, 4, 7] {
+                let mut t = t.clone();
+                t.ord_indexes[0].1.insert(at, dead);
+                let dead = dead as RowId;
+                for desc in [false, true] {
+                    dangling(
+                        walk_within(&t, &[1, 2], &[&Value::str("bear")], &[], desc),
+                        dead,
+                    );
+                }
+                // Every search meets the poked id on its way to slot 6.
+                let six = Value::Int(6);
+                if at == 4 {
+                    let bound = [(CmpOp::Ge, &six)];
+                    dangling(
+                        walk_within(&t, &[1, 2], &[&Value::str("bear")], &bound, false),
+                        dead,
+                    );
+                }
+                t.insert(shelved(8, "bear", Value::Int(6))).unwrap();
+                t.modify(0, &[(2, Value::Int(9))]).unwrap();
+                t.delete(1).unwrap();
+            }
+        }
+        // The partitioned walk hands the error on.
+        let mut broken = t.clone();
+        broken.ord_indexes[1].1.insert(2, 3);
+        use crate::executor::PartitionedTable;
+        let q = scs_sqlkit::parse_query("SELECT toy_id FROM toys ORDER BY toy_name LIMIT 99");
+        let q = scs_sqlkit::Query::bind(0, std::sync::Arc::new(q.unwrap()), vec![]).unwrap();
+        let parts: PartitionedTable = [&t, &broken].into_iter().collect();
+        let got = crate::executor::execute_partitioned(&Default::default(), &q, vec![parts]);
+        dangling(got, 3);
+    }
+
+    /// A permutation lists ids as `u32`s: a row whose slot lies beyond them
+    /// is refused by `insert`, before anything changes.
+    #[test]
+    fn an_ordered_table_refuses_a_slot_beyond_u32() {
+        let mut t = shelved_table();
+        t.insert(shelved(0, "bear", Value::Int(1))).unwrap();
+        let mut full = t.clone();
+        full.free.push(1 << 32);
+        let before = full.clone();
+        let refused = full.insert(shelved(1, "car", Value::Int(1)));
+        assert!(
+            matches!(refused, Err(StorageError::BadInsert(_))),
+            "{refused:?}"
+        );
+        assert_eq!(full, before);
+    }
+
     /// `Int(2^53 + 1)` and `Int(2^53)` both tie with `Real(2^53)` yet differ
     /// from each other, so no order of them is sorted and a binary search
     /// for row 0's key ends beside it; removal goes by id and finds it.
+    /// Re-entered, row 0 would land elsewhere: a modify of another column
+    /// shows that it leaves the list alone.
     #[test]
     fn ordered_index_drops_a_row_its_key_order_hides() {
         let big = 1i64 << 53;
@@ -626,6 +908,8 @@ mod tests {
             t.insert(vec![Value::Int(id), Value::str("x"), qty])
                 .unwrap();
         }
+        assert_eq!(walk(&t, 2, &[], false), vec![0, 1, 2, 3]);
+        t.modify(0, &[(1, Value::str("x"))]).unwrap();
         assert_eq!(walk(&t, 2, &[], false), vec![0, 1, 2, 3]);
         t.delete(0);
         assert_eq!(walk(&t, 2, &[], false), vec![1, 2, 3]);

@@ -222,6 +222,9 @@ mod tests {
     use scs_sqlkit::{parse_update, Value};
     use std::sync::Arc;
 
+    /// `toys`, ordered on the column list `(qty, toy_id)`: physical equality
+    /// of the replayed state covers that index's permutation, which the
+    /// inserts extend and the modifies of `qty` re-key.
     fn seed_db() -> Database {
         let mut db = Database::new();
         db.create_table(
@@ -229,6 +232,7 @@ mod tests {
                 .column("toy_id", ColumnType::Int)
                 .column("qty", ColumnType::Int)
                 .primary_key(&["toy_id"])
+                .ordered_index_on(&["qty", "toy_id"])
                 .build()
                 .unwrap(),
         )

@@ -17,7 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs_apps::{BenchApp, Op, ParamGen};
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, Value};
+use scs_storage::schema::TableSchemaBuilder;
 use scs_storage::{ColumnType, Database, TableSchema};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
@@ -62,11 +64,33 @@ fn probe_value(rng: &mut StdRng, column: &str, next_id: i64) -> Value {
     }
 }
 
+/// Up to two ordered indexes on lists of one to three of `columns`, drawn
+/// without regard to which of them carry an equality index.
+fn with_column_lists(
+    rng: &mut StdRng,
+    mut schema: TableSchemaBuilder,
+    columns: &[&str],
+) -> TableSchemaBuilder {
+    for _ in 0..rng.gen_range(0..3) {
+        let mut list: Vec<&str> = Vec::new();
+        for _ in 0..rng.gen_range(1..=columns.len().min(3)) {
+            let col = *pick(rng, columns);
+            if !list.contains(&col) {
+                list.push(col);
+            }
+        }
+        schema = schema.ordered_index_on(&list);
+    }
+    schema
+}
+
 /// Random schemas: every join column is indexed in some worlds and not in
 /// others, as a primary key, a foreign key or a declared index; every
 /// column a query may order by carries an ordered index in half of them,
 /// beside or without an equality index (`r`'s `Int(1)` and `Real(1.0)` tie
-/// as sort keys, so they must share a value group of a descending walk).
+/// as sort keys, so they must share a value group of a descending walk);
+/// and most tables carry ordered indexes on column lists, whose leading
+/// columns have an equality index in some worlds and none in others.
 fn random_schemas(rng: &mut StdRng) -> [TableSchema; 3] {
     let mut a = TableSchema::builder("a")
         .column("id", ColumnType::Int)
@@ -85,6 +109,7 @@ fn random_schemas(rng: &mut StdRng) -> [TableSchema; 3] {
             a = a.ordered_index(col);
         }
     }
+    a = with_column_lists(rng, a, &["k", "v", "s", "r"]);
     let mut b = TableSchema::builder("b")
         .column("id", ColumnType::Int)
         .column("a_id", ColumnType::Int)
@@ -104,6 +129,7 @@ fn random_schemas(rng: &mut StdRng) -> [TableSchema; 3] {
             b = b.ordered_index(col);
         }
     }
+    b = with_column_lists(rng, b, &["a_id", "k", "w"]);
     let mut c = TableSchema::builder("c")
         .column("k", ColumnType::Int)
         .column("x", ColumnType::Int);
@@ -115,6 +141,7 @@ fn random_schemas(rng: &mut StdRng) -> [TableSchema; 3] {
             c = c.ordered_index(col);
         }
     }
+    c = with_column_lists(rng, c, &["k", "x"]);
     [a, b, c].map(|schema| schema.build().unwrap())
 }
 
@@ -307,9 +334,77 @@ fn random_query(rng: &mut StdRng) -> (String, Vec<&'static str>) {
     (sql + &tail, params)
 }
 
-/// A random template, parsed once, with its parameters' columns.
-fn random_template(rng: &mut StdRng) -> (Arc<QueryTemplate>, Vec<&'static str>) {
-    let (sql, param_columns) = random_query(rng);
+/// A top-k aimed at one of the ordered indexes `schemas` declare: `=` on
+/// each column before the list's last, `ORDER BY` the last, a small
+/// `LIMIT` — the domains hold two to four values, so the cut falls inside
+/// a group of ties more often than not. Now and then one condition of the
+/// rule is broken (a prefix column compared by another operator or not at
+/// all, a second sort key, no `LIMIT`), and further restrictions — on the
+/// key, on any column — ride along, in any order.
+fn prefixed_top_k(rng: &mut StdRng, schemas: &[TableSchema; 3]) -> (String, Vec<&'static str>) {
+    const OPS: [&str; 5] = ["=", "<", "<=", ">", ">="];
+    let lists: Vec<(&TableSchema, &Vec<String>)> = schemas
+        .iter()
+        .flat_map(|t| t.ordered_indexes.iter().map(move |list| (t, list)))
+        .collect();
+    if lists.is_empty() {
+        return random_query(rng);
+    }
+    let (table, list) = *pick(rng, &lists);
+    let columns = columns_of(&table.name);
+    let column = |name: &String| *columns.iter().find(|c| **c == name.as_str()).unwrap();
+    let (key, prefix) = list.split_last().unwrap();
+    let mut preds: Vec<(String, &'static str)> = Vec::new();
+    for col in prefix {
+        match rng.gen_range(0..20) {
+            0 => {}
+            1 => preds.push((format!("{col} {} ?", pick(rng, &OPS)), column(col))),
+            _ => preds.push((format!("{col} = ?"), column(col))),
+        }
+    }
+    if rng.gen_bool(0.5) {
+        preds.push((format!("{key} {} ?", pick(rng, &OPS)), column(key)));
+    }
+    if rng.gen_bool(0.3) {
+        let col = *pick(rng, columns);
+        preds.push((format!("{col} {} ?", pick(rng, &OPS)), col));
+    }
+    for i in (1..preds.len()).rev() {
+        preds.swap(i, rng.gen_range(0..=i));
+    }
+    let mut sql = format!("SELECT {}", pick(rng, columns));
+    for _ in 0..rng.gen_range(0..2) {
+        sql += &format!(", {}", pick(rng, columns));
+    }
+    sql += &format!(" FROM {}", table.name);
+    if !preds.is_empty() {
+        let texts: Vec<&str> = preds.iter().map(|(text, _)| text.as_str()).collect();
+        sql += &format!(" WHERE {}", texts.join(" AND "));
+    }
+    sql += &format!(" ORDER BY {key}");
+    if rng.gen_bool(0.5) {
+        sql += " DESC";
+    }
+    if rng.gen_bool(0.05) {
+        sql += &format!(", {}", pick(rng, columns));
+    }
+    if !rng.gen_bool(0.05) {
+        sql += &format!(" LIMIT {}", pick(rng, &[1, 2, 3, 4, 6, 9, 100000]));
+    }
+    (sql, preds.into_iter().map(|(_, col)| col).collect())
+}
+
+/// A random template, parsed once, with its parameters' columns: one in
+/// four is aimed at an ordered index the schemas declare.
+fn random_template(
+    rng: &mut StdRng,
+    schemas: &[TableSchema; 3],
+) -> (Arc<QueryTemplate>, Vec<&'static str>) {
+    let (sql, param_columns) = if rng.gen_bool(0.25) {
+        prefixed_top_k(rng, schemas)
+    } else {
+        random_query(rng)
+    };
     let Ok(template) = parse_query(&sql) else {
         panic!("generator produced unparsable SQL: {sql}");
     };
@@ -338,6 +433,11 @@ fn cases() -> u32 {
         .unwrap_or(256)
 }
 
+/// Cases of [`executor_equals_reference`] run so far, and those of them
+/// in which a statement was planned as a walk under an `=`-bound prefix.
+static CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static CASES_PREFIXED: AtomicU32 = AtomicU32::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
@@ -348,20 +448,25 @@ proptest! {
     /// before table `c` exists (a template over it is an `UnknownTable`
     /// then, and must stop being one), after a first history and after a
     /// second; then for templates minted and dropped one after the other,
-    /// whose `Arc`s the allocator hands the same address.
+    /// whose `Arc`s the allocator hands the same address. The sweep must
+    /// reach the prefixed walk: the last case prints in how many cases one
+    /// was planned, and fails under one in ten.
     #[test]
     fn executor_equals_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let [a, b, c] = random_schemas(&mut rng);
+        let schemas = random_schemas(&mut rng);
+        let [a, b, c] = schemas.clone();
         let mut db = Database::new();
         db.create_table(a).unwrap();
         db.create_table(b).unwrap();
-        let templates: Vec<_> = (0..12).map(|_| random_template(&mut rng)).collect();
+        let templates: Vec<_> = (0..12).map(|_| random_template(&mut rng, &schemas)).collect();
         let mut c = Some(c);
         let mut next_id = 0;
+        let mut prefixed = false;
         for round in 0..3 {
             for template in &templates {
                 let q = bind_fresh(&mut rng, template, next_id);
+                prefixed |= db.walk_prefix(&q).is_some_and(|columns| columns > 0);
                 prop_assert_eq!(
                     db.execute(&q),
                     reference_executor::execute(&db, &q),
@@ -374,13 +479,21 @@ proptest! {
             random_history(&mut rng, &mut db, &mut next_id);
         }
         for _ in 0..12 {
-            let template = random_template(&mut rng);
+            let template = random_template(&mut rng, &schemas);
             let q = bind_fresh(&mut rng, &template, next_id);
+            prefixed |= db.walk_prefix(&q).is_some_and(|columns| columns > 0);
             prop_assert_eq!(
                 db.execute(&q),
                 reference_executor::execute(&db, &q),
                 "seed {} query `{}`", seed, q
             );
+        }
+        let prefixed = CASES_PREFIXED.fetch_add(u32::from(prefixed), Ordering::Relaxed)
+            + u32::from(prefixed);
+        let run = CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1;
+        if run == cases() {
+            println!("executor_equals_reference: {prefixed} of {run} cases planned a prefixed walk");
+            prop_assert!(prefixed * 10 >= run, "the sweep misses the prefixed walk");
         }
     }
 }
@@ -448,6 +561,177 @@ fn auction_stream_replays_identically() {
 #[test]
 fn bookstore_stream_replays_identically() {
     replay(BenchApp::Bookstore, 2_000, 42);
+}
+
+/// `bboard` is no `dsspbench` workload: this replay is all the executor
+/// coverage its five `c = ? ORDER BY d DESC LIMIT k` templates and three
+/// ordered indexes get.
+#[test]
+fn bboard_stream_replays_identically() {
+    replay(BenchApp::Bboard, 2_000, 42);
+}
+
+/// `t(id, c, d, v)` ordered on `(c, d)`, `c` with an equality index when
+/// `listed`. Rows 0–7 hold `c = 1` but for row 4; `d` is 5 on rows 0, 2,
+/// 5 and 7, less on rows 1 and 3, more on row 6.
+fn tied(listed: bool, c_type: ColumnType) -> Database {
+    let mut t = TableSchema::builder("t")
+        .column("id", ColumnType::Int)
+        .column("c", c_type)
+        .column("d", ColumnType::Int)
+        .column("v", ColumnType::Int)
+        .primary_key(&["id"])
+        .ordered_index_on(&["c", "d"]);
+    if listed {
+        t = t.index("c");
+    }
+    let mut db = Database::new();
+    db.create_table(t.build().unwrap()).unwrap();
+    for (id, d) in [5, 2, 5, 3, 5, 5, 8, 5].into_iter().enumerate() {
+        let c = Value::Int(if id == 4 { 2 } else { 1 });
+        let row = vec![Value::Int(id as i64), c, Value::Int(d), Value::Int(0)];
+        db.insert_row("t", row).unwrap();
+    }
+    db
+}
+
+/// The rows `sql` returns on `db`, first column as integers — checked to
+/// be the reference's, and to come off a walk under a one-column prefix.
+fn prefixed_ids(db: &Database, sql: &str, params: Vec<Value>) -> Vec<i64> {
+    let q = Query::bind(0, Arc::new(parse_query(sql).unwrap()), params).unwrap();
+    assert_eq!(db.walk_prefix(&q), Some(1), "`{q}`");
+    let got = db.execute(&q);
+    assert_eq!(got, reference_executor::execute(db, &q), "`{q}`");
+    let ids = got.unwrap().rows.into_iter().map(|row| match row[0] {
+        Value::Int(id) => id,
+        ref other => panic!("expected Int, got {other:?}"),
+    });
+    ids.collect()
+}
+
+/// Rows tying on the sort key come out in the order the equality list
+/// holds them, not in row-id order: a modify of a column that is in no
+/// index sends row 2 to the end of `c = 1`'s list, a delete swaps the last
+/// entry into row 0's place and a re-insert appends it — and the cut
+/// falls inside the group, up the keys and down.
+#[test]
+fn ties_keep_the_equality_lists_order() {
+    let mut db = tied(true, ColumnType::Int);
+    let set_v = "UPDATE t SET v = ? WHERE id = ?";
+    db.apply(&update(set_v, vec![Value::Int(9), Value::Int(2)]))
+        .unwrap();
+    db.apply(&update("DELETE FROM t WHERE id = ?", vec![Value::Int(0)]))
+        .unwrap();
+    let row = [0, 1, 5, 0].map(Value::Int).to_vec();
+    assert_eq!(db.insert_row("t", row).unwrap(), 0, "slot 0 again");
+    let list = db
+        .table("t")
+        .unwrap()
+        .index_lookup(1, &Value::Int(1))
+        .unwrap();
+    assert_eq!(
+        list,
+        [2, 1, 7, 3, 5, 6, 0],
+        "2 went last, 0 left, 2 took its place, 0 came back"
+    );
+    let one = || vec![Value::Int(1)];
+    // The tie group on `d = 5` is 2, 7, 5, 0 in list order.
+    let up = "SELECT id, d FROM t WHERE c = ? ORDER BY d LIMIT";
+    assert_eq!(
+        prefixed_ids(&db, &format!("{up} 100"), one()),
+        [1, 3, 2, 7, 5, 0, 6]
+    );
+    assert_eq!(prefixed_ids(&db, &format!("{up} 3"), one()), [1, 3, 2]);
+    assert_eq!(prefixed_ids(&db, &format!("{up} 4"), one()), [1, 3, 2, 7]);
+    assert_eq!(
+        prefixed_ids(&db, &format!("{up} 5"), one()),
+        [1, 3, 2, 7, 5]
+    );
+    let down = "SELECT id, d FROM t WHERE c = ? AND d <= ? ORDER BY d DESC LIMIT";
+    let five = || vec![Value::Int(1), Value::Int(5)];
+    assert_eq!(prefixed_ids(&db, &format!("{down} 1"), five()), [2]);
+    assert_eq!(prefixed_ids(&db, &format!("{down} 3"), five()), [2, 7, 5]);
+    assert_eq!(
+        prefixed_ids(&db, &format!("{down} 5"), five()),
+        [2, 7, 5, 0, 3]
+    );
+    // Without the equality index the candidates are a scan's: row-id order.
+    let mut db = tied(false, ColumnType::Int);
+    db.apply(&update(set_v, vec![Value::Int(9), Value::Int(2)]))
+        .unwrap();
+    assert_eq!(prefixed_ids(&db, &format!("{up} 4"), one()), [1, 3, 0, 2]);
+    assert_eq!(prefixed_ids(&db, &format!("{down} 3"), five()), [0, 2, 5]);
+}
+
+/// `Int(1)` and `Real(1.0)` on the prefix column tie, so the walk finds
+/// both; the candidates are those the plan without the walk would have: the
+/// rows on the parameter's own equality list where `c` has one, every row
+/// that compares equal where it has none.
+#[test]
+fn an_int_and_a_real_on_the_prefix_column() {
+    let sql = "SELECT id FROM t WHERE c = ? ORDER BY d LIMIT 4";
+    for listed in [true, false] {
+        let mut db = tied(listed, ColumnType::Real);
+        for id in [1, 5, 7] {
+            let set_c = "UPDATE t SET c = ? WHERE id = ?";
+            db.apply(&update(set_c, vec![Value::real(1.0), Value::Int(id)]))
+                .unwrap();
+        }
+        let as_int = prefixed_ids(&db, sql, vec![Value::Int(1)]);
+        let as_real = prefixed_ids(&db, sql, vec![Value::real(1.0)]);
+        if listed {
+            assert_eq!((as_int, as_real), (vec![3, 0, 2, 6], vec![1, 5, 7]));
+        } else {
+            assert_eq!((as_int, as_real), (vec![1, 3, 0, 2], vec![1, 3, 0, 2]));
+        }
+    }
+}
+
+/// The plans the applications' templates get, by name: the auction's four
+/// top-k templates walk, `getItemsByCategory` under its category; the
+/// bookstore and the bulletin board declare no column list and walk what
+/// they walked before there were any.
+#[test]
+fn the_applications_templates_walk_where_they_should() {
+    let walks = |app: BenchApp| -> Vec<(String, usize)> {
+        let (db, ids) = app.build_database(42);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut gen = ParamGen::new(ids, app.zipf_exponent());
+        let def = app.def();
+        let planned = def.queries.iter().enumerate().filter_map(|(tid, t)| {
+            let params = gen.bind_all(&t.params, &mut rng);
+            let q = Query::bind(tid, t.template.clone(), params).unwrap();
+            Some((t.name.to_string(), db.walk_prefix(&q)?))
+        });
+        planned.collect()
+    };
+    let named = |walks: &[(&str, usize)]| -> Vec<(String, usize)> {
+        walks
+            .iter()
+            .map(|(name, n)| (name.to_string(), *n))
+            .collect()
+    };
+    assert_eq!(
+        walks(BenchApp::Auction),
+        named(&[
+            ("getItemsByCategory", 1),
+            ("getEndingAuctions", 0),
+            ("getHotItems", 0),
+            ("getCheapOpenAuctions", 0),
+        ])
+    );
+    assert_eq!(
+        walks(BenchApp::Bookstore),
+        named(&[("getNewestOrders", 0), ("getCheapestInStock", 0)])
+    );
+    assert_eq!(
+        walks(BenchApp::Bboard),
+        named(&[
+            ("storiesOfTheDay", 0),
+            ("getTopComments", 0),
+            ("getHotStories", 0)
+        ])
+    );
 }
 
 /// `users` and `items` of a small marketplace, twice: in `keyed`,
