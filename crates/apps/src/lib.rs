@@ -42,7 +42,7 @@ pub use overload::{
     OverloadCounters, OverloadReport, OverloadRunConfig,
 };
 pub use runner::{
-    measure_fleet_scalability, measure_scalability, run_audited_trial, run_fleet_trial,
-    run_home_shard_trial, run_trial, sharded_workload, sweep_home_shards, BenchApp, Fidelity,
+    measure_scalability, run_audited_trial, run_trial, run_trial_on, sharded_workload, sweep,
+    BenchApp, Fidelity, Topology,
 };
 pub use trace::{replay, ReplayReport, Trace, TraceOp};

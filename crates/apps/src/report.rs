@@ -30,8 +30,10 @@ use std::path::PathBuf;
 /// (`freshness.points` curves from the provenance log); 3 = leakage
 /// audit plane (`dssp.leakage` ledgers) and `frontier` entries; 4 =
 /// durable home tier (`failover` entries: unavailability windows,
-/// acked-write durability ledger, fencing counters).
-pub const SCHEMA_VERSION: u64 = 4;
+/// acked-write durability ledger, fencing counters); 5 = host timing
+/// (`total_ns`, `critical_phase`) out of `dssp.spans.critical_path` —
+/// every remaining leaf is deterministic per seed.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Environment variable overriding the output path of
 /// [`write_telemetry`].
@@ -244,7 +246,7 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
 }
 
 /// The fault/recovery counters as a report section. All-zero under
-/// perfect delivery; chaos runs (the `chaos` binary, `EXPERIMENTS.md`)
+/// perfect delivery; chaos runs (`scs-bench chaos`, `EXPERIMENTS.md`)
 /// must show nonzero handling here when injection is enabled.
 pub fn fault_counters_json(f: &FaultCounters) -> Json {
     Json::obj([

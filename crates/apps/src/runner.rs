@@ -11,8 +11,7 @@ use rand::SeedableRng;
 use scs_core::{Exposures, IpmMatrix};
 use scs_dssp::{FleetConfig, RoutingMode};
 use scs_netsim::{
-    find_max_users, sweep_proxy_counts, FleetPoint, RunMetrics, ScalabilityResult, SearchOptions,
-    SimConfig, Sla, SystemSpec,
+    find_max_users, RunMetrics, ScalabilityResult, SearchOptions, SimConfig, Sla, SystemSpec,
 };
 use scs_storage::Database;
 
@@ -177,8 +176,66 @@ impl Fidelity {
     }
 }
 
-/// Runs one trial of `app` under `exposures` with `users` concurrent
-/// users; returns the run metrics.
+/// Where a trial's proxies and home servers sit. Each shape brings its
+/// own simulator tier sizing *and* its own cost regime, so a sweep along
+/// an axis measures that axis's bottleneck:
+///
+/// * `Single` — one proxy, one home, default (home-bound) costs;
+/// * `Proxies(n, routing)` — an `n`-replica [`scs_dssp::ProxyFleet`],
+///   each replica queueing on its own CPU while the home server and its
+///   link stay shared, in the DSSP-bound regime of
+///   [`BenchApp::fleet_workload`] — the mechanism that caps blind
+///   strategies no matter how many proxies are added;
+/// * `HomeShards(n)` — the master partitioned over `n` shards, one
+///   service center each, DSSP node and link shared, default
+///   (home-bound) costs — the experiment asks how far partitioning the
+///   master stretches the strategy that lives there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    Single,
+    Proxies(usize, RoutingMode),
+    HomeShards(usize),
+}
+
+/// The simulator configuration every trial starts from.
+fn trial_config(topology: Topology, users: usize, fidelity: Fidelity, seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::paper(users, seed);
+    cfg.duration = fidelity.duration_secs * scs_netsim::SEC;
+    cfg.warmup = fidelity.warmup_secs * scs_netsim::SEC;
+    match topology {
+        Topology::Single => {}
+        Topology::Proxies(n, _) => cfg.spec = SystemSpec::with_dssp_nodes(n),
+        Topology::HomeShards(n) => cfg.spec = SystemSpec::with_home_shards(n),
+    }
+    cfg
+}
+
+/// Runs one trial of `app` under `exposures` on `topology` with `users`
+/// concurrent users — fresh workload, cold caches — and returns the run
+/// metrics.
+pub fn run_trial_on(
+    app: BenchApp,
+    exposures: &Exposures,
+    topology: Topology,
+    users: usize,
+    fidelity: Fidelity,
+    seed: u64,
+) -> RunMetrics {
+    let cfg = trial_config(topology, users, fidelity, seed);
+    let exposures = exposures.clone();
+    match topology {
+        Topology::Single => scs_netsim::run(&cfg, &mut app.workload(exposures, seed)),
+        Topology::Proxies(n, routing) => {
+            let fleet = FleetConfig::reliable(n, routing);
+            scs_netsim::run(&cfg, &mut app.fleet_workload(exposures, fleet, seed))
+        }
+        Topology::HomeShards(n) => {
+            scs_netsim::run(&cfg, &mut sharded_workload(app, exposures, n, seed))
+        }
+    }
+}
+
+/// [`run_trial_on`] the classic single-proxy, single-home testbed.
 pub fn run_trial(
     app: BenchApp,
     exposures: &Exposures,
@@ -186,11 +243,7 @@ pub fn run_trial(
     fidelity: Fidelity,
     seed: u64,
 ) -> RunMetrics {
-    let mut cfg = SimConfig::paper(users, seed);
-    cfg.duration = fidelity.duration_secs * scs_netsim::SEC;
-    cfg.warmup = fidelity.warmup_secs * scs_netsim::SEC;
-    let mut workload = app.workload(exposures.clone(), seed);
-    scs_netsim::run(&cfg, &mut workload)
+    run_trial_on(app, exposures, Topology::Single, users, fidelity, seed)
 }
 
 /// Like [`run_trial`] but with the leakage audit plane attached to the
@@ -204,9 +257,7 @@ pub fn run_audited_trial(
     fidelity: Fidelity,
     seed: u64,
 ) -> (RunMetrics, scs_telemetry::SharedAudit) {
-    let mut cfg = SimConfig::paper(users, seed);
-    cfg.duration = fidelity.duration_secs * scs_netsim::SEC;
-    cfg.warmup = fidelity.warmup_secs * scs_netsim::SEC;
+    let cfg = trial_config(Topology::Single, users, fidelity, seed);
     let mut workload = app.workload(exposures.clone(), seed);
     let audit = scs_telemetry::shared_audit(1);
     workload.dssp_mut().attach_audit(audit.clone(), 0);
@@ -215,81 +266,50 @@ pub fn run_audited_trial(
 }
 
 /// Measures scalability (the paper's metric: max users with the 90th
-/// percentile response time under 2 s) for `app` under `exposures`.
+/// percentile response time under 2 s) at each of `topologies` — an
+/// independent search per point, fresh workload and cold caches at
+/// every trial. Results come back in the order of `topologies`.
+pub fn sweep(
+    app: BenchApp,
+    exposures: &Exposures,
+    topologies: &[Topology],
+    fidelity: Fidelity,
+    seed: u64,
+) -> Vec<ScalabilityResult> {
+    let opts = SearchOptions {
+        start: 8,
+        max: fidelity.max_users,
+        resolution: fidelity.resolution,
+    };
+    topologies
+        .iter()
+        .map(|&topology| {
+            find_max_users(
+                |users| run_trial_on(app, exposures, topology, users, fidelity, seed),
+                &Sla::paper(),
+                opts,
+            )
+        })
+        .collect()
+}
+
+/// The one-point [`sweep`] of the single-proxy testbed (Figures 3 and 8).
 pub fn measure_scalability(
     app: BenchApp,
     exposures: &Exposures,
     fidelity: Fidelity,
     seed: u64,
 ) -> ScalabilityResult {
-    let sla = Sla::paper();
-    let opts = SearchOptions {
-        start: 8,
-        max: fidelity.max_users,
-        resolution: fidelity.resolution,
-    };
-    find_max_users(
-        |users| run_trial(app, exposures, users, fidelity, seed),
-        &sla,
-        opts,
-    )
-}
-
-/// Runs one trial of a `proxies`-replica fleet of `app` under
-/// `exposures` with `users` concurrent users. The simulator's DSSP tier
-/// is sized to match the fleet, so each replica queues on its own CPU
-/// while the home server and its link stay shared — the mechanism that
-/// caps blind strategies no matter how many proxies are added.
-pub fn run_fleet_trial(
-    app: BenchApp,
-    exposures: &Exposures,
-    proxies: usize,
-    routing: RoutingMode,
-    users: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> RunMetrics {
-    let mut cfg = SimConfig::paper(users, seed);
-    cfg.duration = fidelity.duration_secs * scs_netsim::SEC;
-    cfg.warmup = fidelity.warmup_secs * scs_netsim::SEC;
-    cfg.spec = SystemSpec::with_dssp_nodes(proxies);
-    let fleet = FleetConfig::reliable(proxies, routing);
-    let mut workload = app.fleet_workload(exposures.clone(), fleet, seed);
-    scs_netsim::run(&cfg, &mut workload)
-}
-
-/// Measures the paper-style "max users vs. proxies" curve (Fig. 8–10):
-/// an independent scalability search per proxy count, fresh fleet and
-/// cold caches at every trial.
-pub fn measure_fleet_scalability(
-    app: BenchApp,
-    exposures: &Exposures,
-    proxy_counts: &[usize],
-    routing: RoutingMode,
-    fidelity: Fidelity,
-    seed: u64,
-) -> Vec<FleetPoint> {
-    let sla = Sla::paper();
-    let opts = SearchOptions {
-        start: 8,
-        max: fidelity.max_users,
-        resolution: fidelity.resolution,
-    };
-    sweep_proxy_counts(
-        proxy_counts,
-        |proxies, users| run_fleet_trial(app, exposures, proxies, routing, users, fidelity, seed),
-        &sla,
-        opts,
-    )
+    sweep(app, exposures, &[Topology::Single], fidelity, seed)
+        .pop()
+        .expect("one topology, one result")
 }
 
 /// A fresh sharded-home workload under `exposures`: the master database
 /// is partitioned over `shards` by [`home_shard_map`] (hash splits on
 /// pinnable primary keys, whole-table placement for the rest), on the same hot
 /// working set as the fleet trials. The cost model stays the default
-/// **home-bound** shape — the sharded-home experiment asks how far
-/// partitioning the master stretches the strategy that lives there (the
-/// blind strategy most of all).
+/// **home-bound** shape (see [`Topology::HomeShards`]).
 pub fn sharded_workload(
     app: BenchApp,
     exposures: Exposures,
@@ -300,50 +320,6 @@ pub fn sharded_workload(
     let (db, ids) = app.build_database_scaled(seed, FLEET_SCALE_DIV);
     let map = home_shard_map(&def, shards);
     ShardedWorkload::new(&def, db, ids, exposures, map, app.zipf_exponent(), seed)
-}
-
-/// Runs one trial of `app` against a `shards`-way sharded home tier with
-/// `users` concurrent users. The simulator's home tier is sized to match
-/// — each shard queues on its own service center while the DSSP node and
-/// the DSSP↔home link stay shared.
-pub fn run_home_shard_trial(
-    app: BenchApp,
-    exposures: &Exposures,
-    shards: usize,
-    users: usize,
-    fidelity: Fidelity,
-    seed: u64,
-) -> RunMetrics {
-    let mut cfg = SimConfig::paper(users, seed);
-    cfg.duration = fidelity.duration_secs * scs_netsim::SEC;
-    cfg.warmup = fidelity.warmup_secs * scs_netsim::SEC;
-    cfg.spec = SystemSpec::with_home_shards(shards);
-    let mut workload = sharded_workload(app, exposures.clone(), shards, seed);
-    scs_netsim::run(&cfg, &mut workload)
-}
-
-/// Measures the "max users vs. home shards" curve: an independent
-/// scalability search per shard count, fresh partitions and cold caches
-/// at every trial ([`FleetPoint::proxies`] carries the shard count).
-pub fn sweep_home_shards(
-    app: BenchApp,
-    exposures: &Exposures,
-    shard_counts: &[usize],
-    fidelity: Fidelity,
-    seed: u64,
-) -> Vec<FleetPoint> {
-    let sla = Sla::paper();
-    let opts = SearchOptions {
-        start: 8,
-        max: fidelity.max_users,
-        resolution: fidelity.resolution,
-    };
-    sweep_proxy_counts(
-        shard_counts,
-        |shards, users| run_home_shard_trial(app, exposures, shards, users, fidelity, seed),
-        &sla,
-        opts,
-    )
 }
 
 #[cfg(test)]
@@ -368,5 +344,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The two scale-out axes measure opposite bottlenecks, so each must
+    /// bill its own cost regime: `Single` and `HomeShards` the default
+    /// (home-bound) model, under which the home is the busier tier even
+    /// for a mostly-hitting strategy; `Proxies` the DSSP-bound model,
+    /// whose per-op proxy cost is 25x the default's.
+    #[test]
+    fn topologies_bill_their_own_cost_regime() {
+        use scs_dssp::StrategyKind;
+        let app = BenchApp::Auction;
+        let def = app.def();
+        let mvis = StrategyKind::ViewInspection.exposures(def.updates.len(), def.queries.len());
+        let tiny = Fidelity {
+            duration_secs: 30,
+            warmup_secs: 5,
+            max_users: 64,
+            resolution: 64,
+        };
+        let run = |t| run_trial_on(app, &mvis, t, 32, tiny, 11);
+        let single = run(Topology::Single);
+        let sharded = run(Topology::HomeShards(1));
+        for (name, m) in [("single", &single), ("home shards", &sharded)] {
+            assert!(
+                m.home_utilization > 2.0 * m.dssp_utilization,
+                "{name}: home {} vs dssp {}",
+                m.home_utilization,
+                m.dssp_utilization
+            );
+        }
+        // Same hot database, same op stream: only the bill differs.
+        let fleet = run(Topology::Proxies(1, RoutingMode::HashByTemplate));
+        assert!(
+            fleet.dssp_utilization > 10.0 * sharded.dssp_utilization,
+            "fleet dssp {} vs sharded dssp {}",
+            fleet.dssp_utilization,
+            sharded.dssp_utilization
+        );
+        // `run_trial` is the `Single` trial, metric for metric.
+        let classic = run_trial(app, &mvis, 32, tiny, 11);
+        assert_eq!(single.response_times, classic.response_times);
     }
 }

@@ -3,23 +3,23 @@
 //! the invalidation stream, home-link outages, proxy crash/restarts),
 //! checked against a ground-truth staleness oracle.
 //!
-//! For each seed the binary runs the toystore workload twice — once with
-//! every fault surface disabled (must match the classic synchronous
-//! pipeline byte-for-byte) and once under the chaotic schedule — and
-//! prints the oracle verdict next to the proxy's fault/recovery counters.
-//! A `faults` section per run lands in `artifacts/telemetry.json`
+//! For each seed the toystore workload runs twice — once with every
+//! fault surface disabled (must match the classic synchronous pipeline
+//! byte-for-byte) and once under the chaotic schedule — and the oracle
+//! verdict is tabulated next to the proxy's fault/recovery counters. A
+//! `faults` section per run lands in `artifacts/telemetry.json`
 //! (`$SCS_TELEMETRY_OUT` overrides the path; schema in `EXPERIMENTS.md`).
 //!
-//! Run: `cargo run -p scs-bench --bin chaos [--smoke] [--seed N]`
-//! `--smoke` is the CI mode: one seed, short script, hard assertions.
+//! Modes: `--smoke` is the CI run — one seed (42 unless `--seed`), short
+//! scripts; anything else is five seeds of long scripts.
 
+use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::{report, run_chaos, run_classic, ChaosConfig, ChaosReport};
-use scs_bench::TextTable;
+use scs_telemetry::Json;
 
-fn main() {
-    let smoke = scs_bench::smoke_from_args();
-    let seed_override = arg_value("--seed");
-    let seeds: Vec<u64> = match seed_override {
+pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let smoke = mode == Mode::Smoke;
+    let seeds: Vec<u64> = match seed {
         Some(s) => vec![s],
         None if smoke => vec![42],
         None => vec![1, 2, 3, 4, 5],
@@ -57,7 +57,7 @@ fn main() {
                 rep.counters.total()
             ));
         }
-        failures.extend(check_oracle("faultless", seed, &rep));
+        failures.extend(check_oracle("faultless", &cfg, &rep));
         push(&mut table, &mut entries, "faultless", &cfg, &rep);
 
         let cfg = ChaosConfig::chaotic(seed, chaotic_ops);
@@ -67,50 +67,62 @@ fn main() {
                 "seed {seed}: chaotic schedule left all fault counters at zero"
             ));
         }
-        failures.extend(check_oracle("chaotic", seed, &rep));
+        failures.extend(check_oracle("chaotic", &cfg, &rep));
         push(&mut table, &mut entries, "chaotic", &cfg, &rep);
     }
 
-    // The observability demo: a clean run except for two scripted link
-    // outages, recorded into 100 ms time-series buckets. Its entry
-    // carries `timeseries` / `outage_windows` / `slo` sections whose
-    // curves must show the throughput dip, the degraded-serve spike, and
-    // the recovery once the link returns (`EXPERIMENTS.md`).
-    let demo_cfg = ChaosConfig::outage_demo(42, 4_000);
-    let demo = run_chaos(&demo_cfg);
-    failures.extend(check_oracle("outage_demo", demo_cfg.seed, &demo));
-    if demo.queries_unavailable == 0 || demo.degraded_serves == 0 {
-        failures.push(format!(
-            "outage demo: no visible dip (unavailable {}, degraded {})",
-            demo.queries_unavailable, demo.degraded_serves
-        ));
-    }
+    let (demo_cfg, demo) = outage_demo(&mut failures);
     push(&mut table, &mut entries, "outage_demo", &demo_cfg, &demo);
 
-    println!("Chaos — epoched invalidation delivery under injected faults");
-    println!(
+    let mut text = String::new();
+    outln!(
+        text,
+        "Chaos — epoched invalidation delivery under injected faults"
+    );
+    outln!(
+        text,
         "(toystore; faultless {faultless_ops} ops vs chaotic {chaotic_ops} ops per seed; \
          oracle bound: no serve stale beyond its lease)\n"
     );
-    print!("{}", table.render());
-
-    scs_bench::finish_run("chaos", "artifacts/telemetry.json", entries, &failures);
+    text.push_str(&table.render());
+    ProbeRun {
+        entries,
+        failures,
+        text,
+    }
 }
 
-fn check_oracle(label: &str, seed: u64, rep: &ChaosReport) -> Option<String> {
-    if rep.stale_beyond_lease > 0 {
-        Some(format!(
-            "seed {seed} ({label}): {} serve(s) stale beyond the lease",
-            rep.stale_beyond_lease
-        ))
-    } else {
-        None
+/// The observability demo: a clean run except for two scripted link
+/// outages, recorded into 100 ms time-series buckets. Its entry carries
+/// `timeseries` / `outage_windows` / `slo` sections whose curves must
+/// show the throughput dip, the degraded-serve spike, and the recovery
+/// once the link returns (`EXPERIMENTS.md`) — and the one SLO the
+/// fault-tolerance layer exists to meet (stale-beyond-lease == 0).
+pub fn outage_demo(failures: &mut Vec<String>) -> (ChaosConfig, ChaosReport) {
+    let cfg = ChaosConfig::outage_demo(42, 4_000);
+    let demo = run_chaos(&cfg);
+    failures.extend(check_oracle("outage_demo", &cfg, &demo));
+    if demo.queries_unavailable == 0 || demo.degraded_serves == 0 {
+        failures.push(format!(
+            "outage_demo: no visible dip (unavailable {}, degraded {})",
+            demo.queries_unavailable, demo.degraded_serves
+        ));
     }
+    (cfg, demo)
+}
+
+fn check_oracle(label: &str, cfg: &ChaosConfig, rep: &ChaosReport) -> Option<String> {
+    (rep.stale_beyond_lease > 0).then(|| {
+        format!(
+            "seed {} ({label}): {} serve(s) stale beyond the lease",
+            cfg.seed, rep.stale_beyond_lease
+        )
+    })
 }
 
 fn push(
     table: &mut TextTable,
-    entries: &mut Vec<scs_telemetry::Json>,
+    entries: &mut Vec<Json>,
     label: &str,
     cfg: &ChaosConfig,
     rep: &ChaosReport,
@@ -129,12 +141,4 @@ fn push(
         rep.counters.restarts.to_string(),
     ]);
     entries.push(report::chaos_entry_json(label, cfg, rep));
-}
-
-fn arg_value(flag: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

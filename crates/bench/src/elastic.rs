@@ -1,12 +1,5 @@
-//! The shared elastic-fleet probe: the flash-crowd scenario run once
+//! The elastic-fleet probe: the flash-crowd scenario run once
 //! autoscaled and once at each bracketing static fleet size.
-//!
-//! Both the `elastic` binary (CI's `--smoke` gate) and the
-//! `observatory` baseline run execute exactly this probe, so the
-//! regression gate diffs like against like: the committed
-//! `BENCH_baseline.json` elastic entries and the smoke run's
-//! `artifacts/elastic.json` entries come from the same deterministic
-//! configurations.
 //!
 //! Each variant drives [`scs_apps::run_elastic`]: a closed-loop
 //! population whose think time collapses on one hash-pinned hot
@@ -23,12 +16,14 @@
 //! The full-fidelity bracket is the scenario's thesis: static-2 fails
 //! the paper SLO, static-4 (the smallest robustly passing static) and
 //! static-8 pass it, and the autoscaled fleet passes while spending
-//! fewer node-seconds than either passing static. Smoke fidelity keeps
-//! only the seed-robust facts as gates (the crowd trips a join, the
-//! too-small static fails, freshness holds); the SLO/waste bracket is
-//! enforced by `--full` and, against the committed baseline, by the
-//! `autoscale_slo_flip` regression detector.
+//! fewer node-seconds than either passing static. The 60 s scenario of
+//! every other mode (the committed baseline's) keeps only the
+//! seed-robust facts as gates (the crowd trips a join, the too-small
+//! static fails, freshness holds); the SLO/waste bracket is enforced by
+//! `--full` (the 150 s scenario) and, against the committed baseline,
+//! by the `autoscale_slo_flip` regression detector.
 
+use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::{run_elastic, ElasticReport, ElasticRunConfig};
 use scs_dssp::ScaleAction;
 use scs_telemetry::{Json, TimeSeries};
@@ -40,27 +35,13 @@ pub const SEED: u64 = 7;
 /// the SLO), the smallest robustly passing size, and oversized.
 pub const STATIC_SIZES: &[usize] = &[2, 4, 8];
 
-/// Probe fidelity. Unlike the other probes this is not a user-count
-/// knob: the two fidelities are the two calibrated flash-crowd
-/// configurations in [`ElasticRunConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElasticFidelity {
-    /// The 60 s scenario CI runs and the observatory commits to
-    /// `BENCH_baseline.json`.
-    Smoke,
-    /// The 150 s scenario whose SLO/waste bracket is seed-robust.
-    Full,
-}
-
 /// The flash-crowd configuration for one variant: autoscaled when
-/// `static_size` is `None`, pinned otherwise.
-pub fn variant_config(
-    fidelity: ElasticFidelity,
-    seed: u64,
-    static_size: Option<usize>,
-) -> ElasticRunConfig {
+/// `static_size` is `None`, pinned otherwise. The sizes are not a
+/// user-count knob: they are the two calibrated scenarios in
+/// [`ElasticRunConfig`].
+fn variant_config(mode: Mode, seed: u64, static_size: Option<usize>) -> ElasticRunConfig {
     let mut cfg = ElasticRunConfig::flash_crowd(seed);
-    if fidelity == ElasticFidelity::Smoke {
+    if mode != Mode::Full {
         cfg = cfg.smoke();
     }
     match static_size {
@@ -78,56 +59,110 @@ pub struct ElasticVariant {
     pub report: ElasticReport,
 }
 
-/// Everything the probe ran and concluded.
-pub struct ElasticProbe {
-    pub variants: Vec<ElasticVariant>,
-    /// One report entry per variant (for the regression gate).
-    pub entries: Vec<Json>,
-    /// Violated acceptance checks; empty means the probe passed.
-    pub failures: Vec<String>,
-}
-
-impl ElasticProbe {
-    pub fn variant(&self, name: &str) -> &ElasticVariant {
-        self.variants
-            .iter()
-            .find(|v| v.name == name)
-            .expect("probe always runs every variant")
-    }
-}
-
 /// Runs the autoscaled variant plus every [`STATIC_SIZES`] bracket,
-/// evaluates the acceptance checks, and assembles the report entries.
-pub fn run_probe(fidelity: ElasticFidelity, seed: u64) -> ElasticProbe {
-    let mut variants = vec![ElasticVariant {
-        name: "auto".to_string(),
-        static_size: None,
-        report: run_elastic(&variant_config(fidelity, seed, None)),
-    }];
-    for &n in STATIC_SIZES {
-        variants.push(ElasticVariant {
-            name: format!("static{n}"),
-            static_size: Some(n),
-            report: run_elastic(&variant_config(fidelity, seed, Some(n))),
-        });
-    }
+/// evaluates the acceptance checks, and assembles entries and text.
+pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let seed = seed.unwrap_or(SEED);
+    let variants: Vec<ElasticVariant> = std::iter::once(None)
+        .chain(STATIC_SIZES.iter().copied().map(Some))
+        .map(|static_size| ElasticVariant {
+            name: static_size.map_or("auto".to_string(), |n| format!("static{n}")),
+            static_size,
+            report: run_elastic(&variant_config(mode, seed, static_size)),
+        })
+        .collect();
 
     let mut failures = Vec::new();
-    check_variants(&variants, fidelity, &mut failures);
-
-    let entries = variants.iter().map(|v| variant_entry(v, seed)).collect();
-    ElasticProbe {
-        variants,
-        entries,
+    check_variants(&variants, mode, &mut failures);
+    ProbeRun {
+        entries: variants.iter().map(|v| variant_entry(v, seed)).collect(),
         failures,
+        text: render(&variants, mode, seed),
     }
 }
 
-/// The acceptance checks. Freshness and membership facts gate both
-/// fidelities; the SLO/waste bracket is full-only (short smoke runs
-/// make it seed-sensitive — the regression gate holds that line via
-/// the committed baseline instead).
-fn check_variants(variants: &[ElasticVariant], fidelity: ElasticFidelity, out: &mut Vec<String>) {
+fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
+    let mut text = String::new();
+    outln!(
+        text,
+        "Elastic — flash crowd: autoscaled fleet vs. static bracket"
+    );
+    outln!(
+        text,
+        "(static sizes {STATIC_SIZES:?}; seed {seed}; {} s scenario)\n",
+        variant_config(mode, seed, None).duration / scs_netsim::SEC
+    );
+    let mut table = TextTable::new(&[
+        "Variant",
+        "Replicas (start>peak>end)",
+        "Joins",
+        "Leaves",
+        "Handed",
+        "p90 (ms)",
+        "SLO",
+        "Node-s",
+        "Stale>lease",
+        "Balanced",
+    ]);
+    for v in variants {
+        let r = &v.report;
+        table.row(&[
+            v.name.clone(),
+            format!(
+                "{}>{}>{}",
+                r.replicas_start, r.replicas_peak, r.replicas_end
+            ),
+            r.joins.to_string(),
+            r.leaves.to_string(),
+            r.handed_entries.to_string(),
+            r.p90_micros
+                .map_or("-".to_string(), |t| (t / 1_000).to_string()),
+            if r.slo_ok { "pass" } else { "FAIL" }.to_string(),
+            format!("{:.1}", r.node_seconds),
+            r.stale_beyond_lease.to_string(),
+            r.conservation_balanced.to_string(),
+        ]);
+    }
+    outln!(text, "{}", table.render());
+    outln!(
+        text,
+        "Shape: the too-small static fails the 2 s p90 SLO; the autoscaled\n\
+         fleet joins under the crowd, leaves after it, and (at --full)\n\
+         passes the SLO on fewer node-seconds than any passing static.\n\
+         Freshness holds across every membership change: zero serves\n\
+         beyond the lease, conservation balanced on all replica ledgers."
+    );
+    let auto = &variants[0].report;
+    if !auto.timeline.is_empty() {
+        outln!(text, "\nMembership timeline (autoscaled):");
+        for c in &auto.timeline {
+            outln!(
+                text,
+                "  t={:>5.1}s {:>5} replica {} (live {} after, busiest util {:.2}, {} entries handed)",
+                c.at_micros as f64 / 1e6,
+                action_name(c.action),
+                c.replica,
+                c.live_after,
+                c.busiest_util,
+                c.handed
+            );
+        }
+    }
+    text
+}
+
+fn action_name(action: ScaleAction) -> &'static str {
+    match action {
+        ScaleAction::Out => "join",
+        ScaleAction::In => "leave",
+    }
+}
+
+/// The acceptance checks. Freshness and membership facts gate every
+/// mode; the SLO/waste bracket is full-only (the short scenario makes
+/// it seed-sensitive — the regression gate holds that line via the
+/// committed baseline instead).
+fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>) {
     for v in variants {
         let r = &v.report;
         if r.metrics.requests_completed == 0 {
@@ -190,7 +225,7 @@ fn check_variants(variants: &[ElasticVariant], fidelity: ElasticFidelity, out: &
         }
     }
 
-    // Seed-robust at both fidelities: the too-small static drowns.
+    // Seed-robust in both scenarios: the too-small static drowns.
     let smallest = variants
         .iter()
         .find(|v| v.static_size == Some(STATIC_SIZES[0]))
@@ -202,7 +237,7 @@ fn check_variants(variants: &[ElasticVariant], fidelity: ElasticFidelity, out: &
         ));
     }
 
-    if fidelity == ElasticFidelity::Full {
+    if mode == Mode::Full {
         let auto = &variants[0].report;
         let passing: Vec<&ElasticVariant> = variants
             .iter()
@@ -244,14 +279,7 @@ fn variant_entry(v: &ElasticVariant, seed: u64) -> Json {
         .map(|c| {
             Json::obj([
                 ("at_us", c.at_micros.into()),
-                (
-                    "action",
-                    match c.action {
-                        ScaleAction::Out => "join",
-                        ScaleAction::In => "leave",
-                    }
-                    .into(),
-                ),
+                ("action", action_name(c.action).into()),
                 ("replica", c.replica.into()),
                 ("live_after", c.live_after.into()),
                 ("busiest_util", c.busiest_util.into()),

@@ -15,8 +15,8 @@
 //! * `failover_zombie` — a partitioned primary keeps writing while the
 //!   healed side promotes: fencing + divergence-discard counters.
 //!
-//! Acceptance (the `--smoke` gate, and the probe's contribution to the
-//! committed baseline):
+//! Acceptance (at every mode; `--smoke` runs the 600-op scripts the
+//! committed baseline carries, anything else the 2 400-op long trial):
 //!
 //! * the steady run never fails over and is never unavailable;
 //! * every run's freshness oracle holds (`stale_beyond_lease == 0`)
@@ -34,9 +34,9 @@
 //! The emitted entries are the reference for the `regress` gate's
 //! `failover_window_rise` and `acked_write_lost` detectors.
 
+use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::report::failover_entry_json;
 use scs_apps::{run_failover, FailoverConfig, FailoverReport};
-use scs_telemetry::Json;
 
 /// Pinned probe seed — the entries diff cleanly against the committed
 /// baseline.
@@ -49,34 +49,11 @@ pub const GOODPUT_RETENTION_FLOOR: f64 = 0.80;
 /// Time-series bucket width for the async run's dip/recovery curves.
 const BUCKET_MICROS: u64 = 25_000;
 
-/// Script length per run: smoke matches CI; full is the paper-style
-/// long trial.
-pub fn ops(smoke: bool) -> usize {
-    if smoke {
-        600
-    } else {
-        2_400
-    }
-}
-
-/// One probe run: label, config, and the audited report.
-pub struct FailoverVariant {
-    pub name: &'static str,
-    pub cfg: FailoverConfig,
-    pub report: FailoverReport,
-}
-
-/// Everything one probe invocation produced.
-pub struct FailoverProbe {
-    pub variants: Vec<FailoverVariant>,
-    pub entries: Vec<Json>,
-    pub failures: Vec<String>,
-}
-
-/// Runs the five scenarios and audits them against the steady
-/// baseline.
-pub fn run_probe(smoke: bool, seed: u64) -> FailoverProbe {
-    let ops = ops(smoke);
+/// Runs the five scenarios, audits them against the steady baseline,
+/// and assembles entries and text.
+pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let seed = seed.unwrap_or(SEED);
+    let ops = if mode == Mode::Smoke { 600 } else { 2_400 };
     let mut async_cfg = FailoverConfig::crash_mid_update(seed, ops);
     async_cfg.timeseries_bucket_micros = Some(BUCKET_MICROS);
     let scenarios: Vec<(&'static str, FailoverConfig)> = vec![
@@ -93,31 +70,67 @@ pub fn run_probe(smoke: bool, seed: u64) -> FailoverProbe {
         ("failover_zombie", FailoverConfig::zombie(seed, ops)),
     ];
 
-    let mut variants = Vec::new();
     let mut entries = Vec::new();
     let mut failures = Vec::new();
     let mut steady_served = None;
+    let mut table = TextTable::new(&[
+        "config",
+        "mode",
+        "failovers",
+        "down (ms)",
+        "budget (ms)",
+        "goodput kept",
+        "lost acked",
+        "fenced",
+        "stale>lease",
+    ]);
 
     for (name, cfg) in scenarios {
-        let report = run_failover(&cfg);
-        audit(name, &cfg, &report, steady_served, &mut failures);
+        let r = run_failover(&cfg);
+        audit(name, &cfg, &r, steady_served, &mut failures);
         let retained = match (name, steady_served) {
             ("failover_steady", _) => {
-                steady_served = Some(report.queries_served);
+                steady_served = Some(r.queries_served);
                 None
             }
-            (_, Some(base)) if base > 0 => Some(report.queries_served as f64 / base as f64),
+            (_, Some(base)) if base > 0 => Some(r.queries_served as f64 / base as f64),
             _ => None,
         };
-        entries.push(failover_entry_json(name, &cfg, &report, retained));
-        variants.push(FailoverVariant { name, cfg, report });
+        entries.push(failover_entry_json(name, &cfg, &r, retained));
+        table.row(&[
+            name.to_string(),
+            cfg.replication.mode.name().to_string(),
+            r.failovers.len().to_string(),
+            format!("{:.1}", r.unavailable_micros_total as f64 / 1_000.0),
+            format!("{:.1}", window_budget(&cfg, &r) as f64 / 1_000.0),
+            retained.map_or("-".into(), |g| format!("{:.0}%", g * 100.0)),
+            r.lost_acked_total.to_string(),
+            r.fenced_records.to_string(),
+            r.stale_beyond_lease.to_string(),
+        ]);
     }
 
-    FailoverProbe {
-        variants,
+    let mut text = String::new();
+    outln!(
+        text,
+        "Failover — replicated home tier under scripted crashes"
+    );
+    outln!(
+        text,
+        "(toystore; {ops} ops per run; steady run is the single-home baseline; seed {seed})\n"
+    );
+    text.push_str(&table.render());
+    ProbeRun {
         entries,
         failures,
+        text,
     }
+}
+
+/// The promotion-latency budget: detection lease + two heartbeats per
+/// failover.
+fn window_budget(cfg: &FailoverConfig, r: &FailoverReport) -> u64 {
+    r.failovers.len() as u64 * (cfg.replication.lease_micros + 2 * cfg.replication.heartbeat_micros)
 }
 
 /// The per-run acceptance checks (doc comment above lists them).
@@ -184,8 +197,7 @@ fn audit(
         }
     }
 
-    let bound = r.failovers.len() as u64
-        * (cfg.replication.lease_micros + 2 * cfg.replication.heartbeat_micros);
+    let bound = window_budget(cfg, r);
     if r.unavailable_micros_total > bound {
         failures.push(format!(
             "{name}: tier down {}us, promotion-latency budget {}us",
@@ -227,10 +239,11 @@ fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scs_telemetry::Json;
 
     #[test]
     fn smoke_probe_passes_its_own_gate() {
-        let probe = run_probe(true, SEED);
+        let probe = run(Mode::Smoke, None);
         assert!(
             probe.failures.is_empty(),
             "probe failures: {:?}",

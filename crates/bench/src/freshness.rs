@@ -1,13 +1,6 @@
-//! The shared freshness probe: propagation-lag, staleness-age-at-serve,
-//! and fanout-amplification curves across fleet sizes, under a clean
-//! and a chaotic invalidation-pipe schedule.
-//!
-//! Both the `freshness` binary (CI's `--smoke` gate) and the
-//! `observatory` baseline run execute exactly this probe, so the
-//! regression gate diffs like against like: the committed
-//! `BENCH_baseline.json` freshness entries and the smoke run's
-//! `artifacts/freshness.json` entries come from the same deterministic
-//! configurations.
+//! The freshness probe: propagation-lag, staleness-age-at-serve, and
+//! fanout-amplification curves across fleet sizes, under a clean and a
+//! chaotic invalidation-pipe schedule.
 //!
 //! Each point drives the auction benchmark through a [`ProxyFleet`]
 //! with the freshness plane enabled
@@ -19,11 +12,21 @@
 //! conservation balance (no epoch lost or double-counted), and
 //! per-update fanout amplification (bytes shipped per logical update).
 //!
+//! The text ends with an **explain demo**: a single-replica chaos run
+//! whose provenance log answers "why was request X served at age t" /
+//! "why did request Y miss" as causal chains (commit → flush → send →
+//! deliver → invalidate → miss/serve).
+//!
+//! Modes: `--full` runs longer windows and more users, for local
+//! investigation; anything else is the committed baseline's fidelity.
+//!
 //! [`ProxyFleet`]: scs_dssp::ProxyFleet
 
+use crate::{outln, Mode, ProbeRun, TextTable};
+use scs_apps::chaos::{run_chaos, ChaosConfig};
 use scs_apps::BenchApp;
 use scs_dssp::{FanoutConfig, FleetConfig, RoutingMode, StrategyKind};
-use scs_netsim::{run, FaultSpec, SimConfig, SystemSpec, MS, SEC};
+use scs_netsim::{FaultSpec, SimConfig, SystemSpec, MS, SEC};
 use scs_telemetry::Json;
 
 /// DSSP replica counts swept per schedule.
@@ -74,31 +77,28 @@ pub fn chaos_pipes() -> FaultSpec {
     }
 }
 
-/// Probe fidelity: simulated run length and closed-loop user count.
+/// Probe sizes: simulated run length and closed-loop user count.
 #[derive(Debug, Clone, Copy)]
-pub struct FreshnessFidelity {
+pub struct Sizes {
     pub duration_secs: u64,
     pub warmup_secs: u64,
     pub users: usize,
 }
 
-/// Short windows for the CI smoke gate — also the fidelity the
-/// observatory commits to `BENCH_baseline.json`, so the gate diffs
-/// identical configurations.
-pub fn smoke_fidelity() -> FreshnessFidelity {
-    FreshnessFidelity {
-        duration_secs: 30,
-        warmup_secs: 5,
-        users: 120,
-    }
-}
-
-/// Longer windows and more users, for local investigation.
-pub fn full_fidelity() -> FreshnessFidelity {
-    FreshnessFidelity {
-        duration_secs: 120,
-        warmup_secs: 10,
-        users: 200,
+impl Sizes {
+    fn of(mode: Mode) -> Sizes {
+        match mode {
+            Mode::Smoke | Mode::Quick => Sizes {
+                duration_secs: 30,
+                warmup_secs: 5,
+                users: 120,
+            },
+            Mode::Full => Sizes {
+                duration_secs: 120,
+                warmup_secs: 10,
+                users: 200,
+            },
+        }
     }
 }
 
@@ -152,23 +152,9 @@ pub struct FreshnessCurve {
     pub points: Vec<FreshnessPoint>,
 }
 
-/// Everything the probe ran and concluded.
-pub struct FreshnessProbe {
-    pub curves: Vec<FreshnessCurve>,
-    /// One report entry per schedule curve (for the regression gate).
-    pub entries: Vec<Json>,
-    /// Violated acceptance checks; empty means the probe passed.
-    pub failures: Vec<String>,
-}
-
 /// Runs one fleet-size point under one pipe schedule and reads the
 /// freshness plane back out.
-pub fn run_point(
-    proxies: usize,
-    spec: &FaultSpec,
-    fidelity: FreshnessFidelity,
-    seed: u64,
-) -> FreshnessPoint {
+pub fn run_point(proxies: usize, spec: &FaultSpec, sizes: Sizes, seed: u64) -> FreshnessPoint {
     let app = BenchApp::Auction;
     let def = app.def();
     let exposures = STRATEGY.exposures(def.updates.len(), def.queries.len());
@@ -183,14 +169,14 @@ pub fn run_point(
     w.fleet_mut().enable_provenance();
     w.fleet_mut().set_lease_micros(Some(LEASE_MICROS));
     let cfg = SimConfig {
-        users: fidelity.users,
-        duration: fidelity.duration_secs * SEC,
-        warmup: fidelity.warmup_secs * SEC,
+        users: sizes.users,
+        duration: sizes.duration_secs * SEC,
+        warmup: sizes.warmup_secs * SEC,
         think_mean: SEC,
         seed,
         spec: SystemSpec::with_dssp_nodes(proxies),
     };
-    run(&cfg, &mut w);
+    scs_netsim::run(&cfg, &mut w);
     w.fleet_mut().drain();
 
     let prov = w
@@ -232,15 +218,16 @@ pub fn run_point(
 }
 
 /// Sweeps [`PROXY_COUNTS`] for the clean and chaotic pipe schedules,
-/// evaluates the acceptance checks, and assembles the report entries.
-pub fn run_probe(fidelity: FreshnessFidelity, seed: u64) -> FreshnessProbe {
+/// evaluates the acceptance checks, and assembles entries and text.
+pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let (sizes, seed) = (Sizes::of(mode), seed.unwrap_or(SEED));
     let schedules: [(&'static str, FaultSpec); 2] =
         [("clean", clean_pipes()), ("chaos", chaos_pipes())];
     let mut curves = Vec::new();
     for (schedule, spec) in &schedules {
         let points = PROXY_COUNTS
             .iter()
-            .map(|&n| run_point(n, spec, fidelity, seed))
+            .map(|&n| run_point(n, spec, sizes, seed))
             .collect();
         curves.push(FreshnessCurve { schedule, points });
     }
@@ -261,14 +248,98 @@ pub fn run_probe(fidelity: FreshnessFidelity, seed: u64) -> FreshnessProbe {
         }
     }
 
-    let entries = curves
-        .iter()
-        .map(|c| curve_entry(BenchApp::Auction, c, seed))
-        .collect();
-    FreshnessProbe {
-        curves,
-        entries,
+    let mut text = String::new();
+    outln!(
+        text,
+        "Freshness — propagation lag / staleness age / amplification (auction)"
+    );
+    outln!(
+        text,
+        "(proxy counts {PROXY_COUNTS:?}; lease {} ms; {} users for {} s; seed {seed})\n",
+        LEASE_MICROS / 1_000,
+        sizes.users,
+        sizes.duration_secs
+    );
+    let mut table = TextTable::new(&[
+        "Schedule",
+        "Proxies",
+        "Lag p99 (us)",
+        "Stale-age p99 (us)",
+        "Serves",
+        "Stale<=lease",
+        "Beyond",
+        "Bytes/update",
+    ]);
+    for curve in &curves {
+        for p in &curve.points {
+            table.row(&[
+                curve.schedule.to_string(),
+                p.proxies.to_string(),
+                p.lag_p99_us.to_string(),
+                p.stale_age_p99_us.to_string(),
+                p.serves.to_string(),
+                p.stale_within_lease.to_string(),
+                p.stale_beyond_lease.to_string(),
+                format!("{:.0}", p.bytes_per_update()),
+            ]);
+        }
+    }
+    outln!(text, "{}", table.render());
+    outln!(
+        text,
+        "Shape: chaos lag p99 >= clean at every fleet size; staleness"
+    );
+    outln!(
+        text,
+        "stays strictly inside the lease; conservation balances.\n"
+    );
+    explain_demo(&mut text);
+
+    ProbeRun {
+        entries: curves
+            .iter()
+            .map(|c| curve_entry(BenchApp::Auction, c, seed))
+            .collect(),
         failures,
+        text,
+    }
+}
+
+/// Runs a single-replica chaos scenario and renders one causal chain of
+/// each kind the explain engine can produce.
+fn explain_demo(text: &mut String) {
+    outln!(text, "Explain demo — chaotic single-proxy run, seed 17:");
+    let report = run_chaos(&ChaosConfig::chaotic(17, 1_500));
+    let prov = report.provenance.expect("chaos runs carry the plane");
+    let p = prov.lock().unwrap();
+    let rl = p.replica(0);
+
+    // The most interesting serve: the one with the largest stale age.
+    if let Some(ev) = rl
+        .serve_events()
+        .iter()
+        .filter(|e| e.pending_epoch.is_some())
+        .max_by_key(|e| e.age_micros)
+    {
+        if let Some(doc) = p.explain_serve(0, ev.query_template, ev.at_micros) {
+            outln!(
+                text,
+                "\nwhy-age-t (stalest serve):\n{}",
+                doc.render_pretty()
+            );
+        }
+    }
+    // The first post-invalidation miss.
+    if let Some(ev) = rl.miss_events().iter().find(|e| !e.expired) {
+        if let Some(doc) = p.explain_miss(0, ev.query_template, ev.at_micros) {
+            outln!(text, "\nwhy-miss:\n{}", doc.render_pretty());
+        }
+    }
+    // A degraded serve, when the outage schedule produced one.
+    if let Some(ev) = rl.degraded_events().first() {
+        if let Some(doc) = p.explain_degraded(0, ev.query_template, ev.at_micros) {
+            outln!(text, "\nwhy-degraded:\n{}", doc.render_pretty());
+        }
     }
 }
 

@@ -21,7 +21,16 @@
 //! and the greedy assignment sits *on* the frontier of naive uniform
 //! assignments — security gained by analysis comes at no measured
 //! scalability cost.
+//!
+//! The text ends with an **explain demo**: one `explain_reveal` causal
+//! chain (request → decision path → exposure level → bytes) from a
+//! short audited greedy run's reveal journal.
+//!
+//! Modes: `--full` sweeps all three applications at paper-style windows;
+//! anything else is auction only at short windows (the committed
+//! baseline's configuration).
 
+use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::{measure_scalability, run_audited_trial, BenchApp, Fidelity};
 use scs_core::{
     compulsory_exposures, reduce_exposures, residual_options, ExposureLevel, Exposures,
@@ -31,7 +40,8 @@ use scs_telemetry::Json;
 
 use crate::exposure_strip;
 
-/// Deterministic seed for every frontier trial.
+/// The canonical seed of every frontier trial (shared with the
+/// committed baseline).
 pub const SEED: u64 = 37;
 
 /// Fixed user population for the audited leakage trial. Leakage is
@@ -44,46 +54,48 @@ pub const LEAKAGE_USERS: usize = 48;
 /// scalability search, so the probe bounds them.
 pub const RESIDUAL_LIMIT: usize = 3;
 
-/// Frontier fidelity: the scalability-search knobs plus the length of
-/// the fixed-population audited trial.
-#[derive(Debug, Clone, Copy)]
-pub struct FrontierFidelity {
+/// Frontier sizes: which applications, the scalability-search knobs,
+/// and the length of the fixed-population audited trial.
+struct Sizes {
+    apps: &'static [BenchApp],
     /// Scalability-search fidelity (trial length, user cap, resolution).
-    pub search: Fidelity,
+    search: Fidelity,
     /// Simulated seconds of the audited leakage trial.
-    pub leakage_secs: u64,
+    leakage_secs: u64,
     /// Warmup of the audited leakage trial (audit meters the whole run;
     /// warmup only affects the response-time stats, not the ledger).
-    pub leakage_warmup_secs: u64,
+    leakage_warmup_secs: u64,
 }
 
-/// Smoke fidelity: short windows, but a search fine enough that the
-/// stmt- and view-level knees separate — the frontier's whole point is
-/// resolving *that* gap against the leakage axis.
-pub fn smoke_fidelity() -> FrontierFidelity {
-    FrontierFidelity {
-        search: Fidelity {
-            duration_secs: 30,
-            warmup_secs: 5,
-            max_users: 2_048,
-            resolution: 16,
-        },
-        leakage_secs: 60,
-        leakage_warmup_secs: 5,
-    }
-}
-
-/// Full fidelity: paper-style windows and a finer search.
-pub fn full_fidelity() -> FrontierFidelity {
-    FrontierFidelity {
-        search: Fidelity {
-            duration_secs: 120,
-            warmup_secs: 15,
-            max_users: 4_096,
-            resolution: 64,
-        },
-        leakage_secs: 180,
-        leakage_warmup_secs: 15,
+impl Sizes {
+    fn of(mode: Mode) -> Sizes {
+        match mode {
+            // Short windows, but a search fine enough that the stmt- and
+            // view-level knees separate — the frontier's whole point is
+            // resolving *that* gap against the leakage axis.
+            Mode::Smoke | Mode::Quick => Sizes {
+                apps: &[BenchApp::Auction],
+                search: Fidelity {
+                    duration_secs: 30,
+                    warmup_secs: 5,
+                    max_users: 2_048,
+                    resolution: 16,
+                },
+                leakage_secs: 60,
+                leakage_warmup_secs: 5,
+            },
+            Mode::Full => Sizes {
+                apps: &BenchApp::ALL,
+                search: Fidelity {
+                    duration_secs: 120,
+                    warmup_secs: 15,
+                    max_users: 4_096,
+                    resolution: 64,
+                },
+                leakage_secs: 180,
+                leakage_warmup_secs: 15,
+            },
+        }
     }
 }
 
@@ -123,15 +135,6 @@ pub struct FrontierPoint {
 pub struct FrontierCurve {
     pub app: BenchApp,
     pub points: Vec<FrontierPoint>,
-}
-
-/// Everything the probe ran and concluded.
-pub struct FrontierProbe {
-    pub curves: Vec<FrontierCurve>,
-    /// One report entry per application (for the regression gate).
-    pub entries: Vec<Json>,
-    /// Violated acceptance checks; empty means the probe passed.
-    pub failures: Vec<String>,
 }
 
 /// Enumerates the sweep for `app`: all uniform lattice assignments, the
@@ -192,13 +195,13 @@ pub fn assignments(app: BenchApp) -> Vec<Assignment> {
 
 /// Measures one assignment: an audited fixed-population trial for the
 /// leakage axis, then a scalability search for the users axis.
-pub fn run_point(app: BenchApp, a: &Assignment, fidelity: FrontierFidelity) -> FrontierPoint {
+fn run_point(app: BenchApp, a: &Assignment, sizes: &Sizes, seed: u64) -> FrontierPoint {
     let leak_fid = Fidelity {
-        duration_secs: fidelity.leakage_secs,
-        warmup_secs: fidelity.leakage_warmup_secs,
-        ..fidelity.search
+        duration_secs: sizes.leakage_secs,
+        warmup_secs: sizes.leakage_warmup_secs,
+        ..sizes.search
     };
-    let (metrics, audit) = run_audited_trial(app, &a.exposures, LEAKAGE_USERS, leak_fid, SEED);
+    let (metrics, audit) = run_audited_trial(app, &a.exposures, LEAKAGE_USERS, leak_fid, seed);
     let (revealed_bytes, reveal_events) = {
         let log = audit.lock().unwrap();
         (log.revealed_bytes(), log.events_total())
@@ -209,7 +212,7 @@ pub fn run_point(app: BenchApp, a: &Assignment, fidelity: FrontierFidelity) -> F
     } else {
         revealed_bytes as f64 / ops as f64 * 1000.0
     };
-    let scal = measure_scalability(app, &a.exposures, fidelity.search, SEED);
+    let scal = measure_scalability(app, &a.exposures, sizes.search, seed);
     FrontierPoint {
         label: a.label.clone(),
         kind: a.kind,
@@ -243,27 +246,108 @@ pub fn mark_frontier(points: &mut [FrontierPoint]) {
     }
 }
 
-/// Sweeps the lattice for each app in `apps`, evaluates the acceptance
-/// checks, and assembles the report entries.
-pub fn run_probe(apps: &[BenchApp], fidelity: FrontierFidelity) -> FrontierProbe {
-    let mut curves = Vec::new();
-    for &app in apps {
+/// Sweeps the lattice for each application, evaluates the acceptance
+/// checks, and assembles entries and text.
+pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let (sizes, seed) = (Sizes::of(mode), seed.unwrap_or(SEED));
+    let mut run = ProbeRun {
+        entries: Vec::new(),
+        failures: Vec::new(),
+        text: String::new(),
+    };
+    outln!(
+        run.text,
+        "Frontier — leakage vs. max users across the exposure lattice"
+    );
+    outln!(
+        run.text,
+        "(apps {:?}; {LEAKAGE_USERS} leakage users; seed {seed})\n",
+        sizes.apps.iter().map(|a| a.name()).collect::<Vec<_>>()
+    );
+    for &app in sizes.apps {
         let mut points: Vec<FrontierPoint> = assignments(app)
             .iter()
-            .map(|a| run_point(app, a, fidelity))
+            .map(|a| run_point(app, a, &sizes, seed))
             .collect();
         mark_frontier(&mut points);
-        curves.push(FrontierCurve { app, points });
+        let curve = FrontierCurve { app, points };
+        check_curve(&curve, &mut run.failures);
+        run.entries.push(curve_entry(&curve, seed));
+        render_curve(&curve, &mut run.text);
     }
-    let mut failures = Vec::new();
-    for curve in &curves {
-        check_curve(curve, &mut failures);
+    outln!(
+        run.text,
+        "Shape: '*' rows are Pareto non-dominated; greedy rides the"
+    );
+    outln!(
+        run.text,
+        "frontier of the uniform assignments (analysis is free).\n"
+    );
+    explain_demo(seed, &mut run.text);
+    run
+}
+
+fn render_curve(curve: &FrontierCurve, text: &mut String) {
+    outln!(text, "== {} ==", curve.app.name());
+    let mut table = TextTable::new(&[
+        "Assignment",
+        "Kind",
+        "Updates",
+        "Queries",
+        "B/kop",
+        "Max users",
+        "Frontier",
+    ]);
+    let mut sorted: Vec<_> = curve.points.iter().collect();
+    sorted.sort_by(|a, b| {
+        a.leakage_per_kop
+            .total_cmp(&b.leakage_per_kop)
+            .then(a.max_users.cmp(&b.max_users))
+    });
+    for p in sorted {
+        table.row(&[
+            p.label.clone(),
+            p.kind.to_string(),
+            p.updates_strip.clone(),
+            p.queries_strip.clone(),
+            format!("{:.1}", p.leakage_per_kop),
+            p.max_users.to_string(),
+            if p.non_dominated { "*" } else { "" }.to_string(),
+        ]);
     }
-    let entries = curves.iter().map(curve_entry).collect();
-    FrontierProbe {
-        curves,
-        entries,
-        failures,
+    outln!(text, "{}", table.render());
+}
+
+/// Runs one short audited greedy trial and renders an `explain_reveal`
+/// chain for the largest view-read event in the journal.
+fn explain_demo(seed: u64, text: &mut String) {
+    outln!(text, "Explain demo — audited greedy auction run:");
+    let app = BenchApp::Auction;
+    let sweep = assignments(app);
+    let greedy = sweep
+        .iter()
+        .find(|a| a.kind == "greedy")
+        .expect("sweep carries greedy");
+    let fid = Fidelity {
+        duration_secs: 20,
+        warmup_secs: 2,
+        max_users: 64,
+        resolution: 128,
+    };
+    let (_, audit) = run_audited_trial(app, &greedy.exposures, 32, fid, seed);
+    let log = audit.lock().unwrap();
+    let biggest = log
+        .events()
+        .iter()
+        .max_by_key(|e| e.stamp.bytes)
+        .map(|e| e.seq);
+    match biggest.and_then(|seq| log.explain_reveal(seq)) {
+        Some(doc) => outln!(
+            text,
+            "\nwhy-revealed (largest event):\n{}",
+            doc.render_pretty()
+        ),
+        None => outln!(text, "\n(no reveal events in the journal — all-blind run?)"),
     }
 }
 
@@ -327,11 +411,11 @@ fn point_json(p: &FrontierPoint) -> Json {
 }
 
 /// One report entry per application, keyed `app|frontier`.
-fn curve_entry(curve: &FrontierCurve) -> Json {
+fn curve_entry(curve: &FrontierCurve, seed: u64) -> Json {
     Json::obj([
         ("app", Json::Str(curve.app.name().to_string())),
         ("config", Json::Str("frontier".to_string())),
-        ("seed", Json::Num(SEED as f64)),
+        ("seed", Json::Num(seed as f64)),
         ("leakage_users", Json::Num(LEAKAGE_USERS as f64)),
         (
             "frontier",

@@ -1,12 +1,14 @@
-//! The shared overload probe: a 4× scripted spike demo plus an
-//! offered-load sweep past the knee, with one set of acceptance checks.
+//! The overload probe: graceful degradation under a 4× scripted load
+//! spike (protected and unprotected) plus a goodput-vs-offered-load
+//! sweep past the saturation knee, with one set of acceptance checks —
+//! bounded p99 queueing delay, flat goodput while shedding, a complete
+//! breaker open → half-open → close cycle in the exported timeseries,
+//! and zero stale-beyond-lease serves.
 //!
-//! Both the `overload` binary (CI's `--smoke` gate) and the
-//! `observatory` baseline run execute exactly this probe, so the
-//! regression gate diffs like against like: the committed
-//! `BENCH_baseline.json` entries and the smoke run's `artifacts/overload.json`
-//! entries come from the same deterministic configurations.
+//! The configurations are the same at every [`Mode`]; only `--seed`
+//! moves them off the committed baseline's.
 
+use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::overload::LoadSegment;
 use scs_apps::{
     goodput_curve, knee_index, report, run_overload, CurvePoint, OverloadReport, OverloadRunConfig,
@@ -24,24 +26,11 @@ pub const KNEE_HOLD_FRACTION: f64 = 0.8;
 /// The canonical probe seed (shared with the committed baseline).
 pub const SEED: u64 = 42;
 
-/// Everything the probe ran and concluded.
-pub struct OverloadProbe {
-    pub demo_cfg: OverloadRunConfig,
-    pub demo: OverloadReport,
-    pub demo_unprotected_cfg: OverloadRunConfig,
-    pub demo_unprotected: OverloadReport,
-    pub protected_curve: Vec<CurvePoint>,
-    pub unprotected_curve: Vec<CurvePoint>,
-    /// Report entries (spike demo, unprotected contrast, goodput curve).
-    pub entries: Vec<Json>,
-    /// Violated acceptance checks; empty means the probe passed.
-    pub failures: Vec<String>,
-}
-
 /// Runs the spike demo (protected and unprotected) and the goodput
-/// sweep, evaluates every acceptance check, and assembles the report
-/// entries.
-pub fn run_probe(seed: u64) -> OverloadProbe {
+/// sweep, evaluates every acceptance check, and assembles entries and
+/// text.
+pub fn run(_mode: Mode, seed: Option<u64>) -> ProbeRun {
+    let seed = seed.unwrap_or(SEED);
     let demo_cfg = OverloadRunConfig::spike_demo(seed);
     let demo = run_overload(&demo_cfg);
     // The unprotected contrast run skips the time series (and therefore
@@ -80,19 +69,99 @@ pub fn run_probe(seed: u64) -> OverloadProbe {
         ]),
     ];
     for entry in &entries {
-        collect_slo_failures(entry, &mut failures);
+        crate::slo_failures(entry, &mut failures);
     }
 
-    OverloadProbe {
-        demo_cfg,
-        demo,
-        demo_unprotected_cfg,
-        demo_unprotected,
-        protected_curve,
-        unprotected_curve,
+    let mut text = String::new();
+    outln!(
+        text,
+        "Overload — admission control, circuit breaker, and brownout serving"
+    );
+    outln!(
+        text,
+        "(toystore; 4x spike over [1 s, 2 s); deadline {} ms; seed {seed})\n",
+        demo_cfg.deadline_micros / 1_000
+    );
+    let mut table = TextTable::new(&[
+        "config",
+        "offered",
+        "goodput rps",
+        "shed",
+        "degraded",
+        "deadline miss",
+        "stale>lease",
+        "wait p99 (ms)",
+        "resp p99 (ms)",
+    ]);
+    demo_row(&mut table, "spike_demo", &demo);
+    demo_row(&mut table, "spike_demo_unprotected", &demo_unprotected);
+    text.push_str(&table.render());
+
+    let c = &demo.counters;
+    outln!(
+        text,
+        "\nbreaker: {} open / {} half-open / {} close; brownout: {} entered, {} degraded serves",
+        c.breaker_opens,
+        c.breaker_half_opens,
+        c.breaker_closes,
+        c.brownout_entries,
+        c.brownout_serves
+    );
+    outln!(
+        text,
+        "shed by: admission {} / breaker {} / brownout {} / queue {}",
+        c.shed_admission,
+        c.shed_breaker_open,
+        c.shed_brownout,
+        c.shed_queue_full
+    );
+    outln!(
+        text,
+        "\nGoodput curve (flat offered load at each multiplier; past-knee hold >= {:.0}%; knee {:.0} rps)\n",
+        KNEE_HOLD_FRACTION * 100.0,
+        protected_curve[knee_index(&protected_curve)].goodput_rps
+    );
+    let mut curve = TextTable::new(&[
+        "multiplier",
+        "offered rps",
+        "protected rps",
+        "shed%",
+        "p99 (ms)",
+        "unprotected rps",
+        "p99 (ms)",
+    ]);
+    for (p, u) in protected_curve.iter().zip(&unprotected_curve) {
+        curve.row(&[
+            format!("{:.1}x", p.multiplier),
+            format!("{:.0}", p.offered_rps),
+            format!("{:.0}", p.goodput_rps),
+            format!("{:.0}", p.shed_ratio * 100.0),
+            format!("{:.1}", p.p99_response_micros as f64 / 1_000.0),
+            format!("{:.0}", u.goodput_rps),
+            format!("{:.1}", u.p99_response_micros as f64 / 1_000.0),
+        ]);
+    }
+    text.push_str(&curve.render());
+
+    ProbeRun {
         entries,
         failures,
+        text,
     }
+}
+
+fn demo_row(table: &mut TextTable, label: &str, r: &OverloadReport) {
+    table.row(&[
+        label.to_string(),
+        r.offered.to_string(),
+        format!("{:.0}", r.goodput_rps()),
+        r.shed.to_string(),
+        r.degraded_serves.to_string(),
+        r.deadline_missed.to_string(),
+        r.stale_beyond_lease.to_string(),
+        format!("{:.1}", r.queue_wait_p99_micros as f64 / 1_000.0),
+        format!("{:.1}", r.response_p99_micros as f64 / 1_000.0),
+    ]);
 }
 
 /// The spike window `[start, end)` from the demo's load profile.
@@ -217,20 +286,5 @@ fn check_curves(
             "sweep x{}: unprotected p99 {} us never degraded — overload not reached",
             ut.multiplier, ut.p99_response_micros
         ));
-    }
-}
-
-/// Appends every failed SLO verdict in `entry` to `failures`.
-fn collect_slo_failures(entry: &Json, failures: &mut Vec<String>) {
-    let label = entry.get("config").and_then(Json::as_str).unwrap_or("?");
-    let Some(slos) = entry.get("slo").and_then(Json::as_arr) else {
-        return;
-    };
-    for r in slos {
-        if r.get("passed").and_then(Json::as_bool) == Some(false) {
-            let name = r.get("name").and_then(Json::as_str).unwrap_or("?");
-            let detail = r.get("detail").and_then(Json::as_str).unwrap_or("");
-            failures.push(format!("{label}: SLO {name} failed ({detail})"));
-        }
     }
 }

@@ -309,7 +309,8 @@ impl SpanRecorder {
     }
 
     /// The critical-path summary plus recorder health, as a report
-    /// section.
+    /// section. Every leaf is deterministic per seed (span and child
+    /// *counts*); the wall-clock half is [`SpanRecorder::host_json`].
     pub fn summary_json(&self) -> Json {
         let rows: Vec<Json> = self.critical_path().iter().map(|r| r.to_json()).collect();
         Json::obj([
@@ -318,6 +319,19 @@ impl SpanRecorder {
             ("dropped", self.dropped().into()),
             ("critical_path", Json::from(rows)),
         ])
+    }
+
+    /// The host-timing half of the critical-path rows: wall-clock
+    /// nanoseconds per root and child phase, and the dominant phase they
+    /// imply. Varies by machine and run, so it is kept out of
+    /// [`SpanRecorder::summary_json`] and of any committed report.
+    pub fn host_json(&self) -> Json {
+        Json::from(
+            self.critical_path()
+                .iter()
+                .map(CriticalPathRow::host_json)
+                .collect::<Vec<Json>>(),
+        )
     }
 }
 
@@ -354,25 +368,38 @@ impl CriticalPathRow {
             .map(|(&name, _)| name)
     }
 
+    /// The deterministic leaves: which rows exist and how many spans
+    /// each aggregated.
     pub fn to_json(&self) -> Json {
-        let phases: Vec<(String, Json)> = self
-            .phases
-            .iter()
-            .map(|(&name, &(count, nanos))| {
-                (
-                    name.to_string(),
-                    Json::obj([("count", count.into()), ("total_ns", nanos.into())]),
-                )
-            })
-            .collect();
+        let phases = self.phases_json(|count, _| Json::obj([("count", count.into())]));
         Json::obj([
             ("root", self.root.name().into()),
             ("template", self.template.map(|t| t as u64).into()),
             ("count", self.count.into()),
+            ("phases", phases),
+        ])
+    }
+
+    /// The wall-clock leaves of the same row (see
+    /// [`SpanRecorder::host_json`]).
+    pub fn host_json(&self) -> Json {
+        let phases = self.phases_json(|_, nanos| Json::obj([("total_ns", nanos.into())]));
+        Json::obj([
+            ("root", self.root.name().into()),
+            ("template", self.template.map(|t| t as u64).into()),
             ("total_ns", self.total_nanos.into()),
-            ("phases", Json::Obj(phases)),
+            ("phases", phases),
             ("critical_phase", self.critical_phase().into()),
         ])
+    }
+
+    fn phases_json(&self, leaf: impl Fn(u64, u64) -> Json) -> Json {
+        Json::Obj(
+            self.phases
+                .iter()
+                .map(|(&name, &(count, nanos))| (name.to_string(), leaf(count, nanos)))
+                .collect(),
+        )
     }
 }
 
@@ -459,6 +486,12 @@ mod tests {
         assert_eq!(doc.get("recorded").unwrap().as_u64(), Some(9));
         assert_eq!(doc.get("dropped").unwrap().as_u64(), Some(0));
         assert_eq!(doc.get("critical_path").unwrap().as_arr().unwrap().len(), 2);
+        // Wall-clock leaves live only in the host half.
+        assert!(!doc.render().contains("_ns") && !doc.render().contains("critical_phase"));
+        let host = rec.host_json();
+        let host_row = host.index(0).unwrap();
+        assert!(host_row.get("total_ns").is_some() && host_row.get("count").is_none());
+        assert!(host_row.get("critical_phase").unwrap().as_str().is_some());
     }
 
     #[test]
