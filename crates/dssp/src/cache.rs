@@ -37,9 +37,11 @@
 //!   template id has a *bucket* of its `template`-level-and-above
 //!   entries, grouped by exposure level; a bucket the IPM does not mark
 //!   as conflicting is never visited. Within a visited bucket a
-//!   [`Probe`] narrows the `stmt`/`view` groups to the entries a value
-//!   index returns — an index over one bound parameter, or over one
-//!   result column — and only those reach the judge. The indexes are
+//!   [`Probe`] — the bucket's [`Rule`] for the update's template, derived
+//!   on the first such update and kept — narrows the `stmt`/`view` groups
+//!   to the entries a value index returns — an index over one bound
+//!   parameter, or over one result column — and only those reach the
+//!   judge. The indexes are
 //!   built from [`CacheEntry::visible_statement`] /
 //!   [`CacheEntry::visible_result`] alone, on the first probe that asks
 //!   for them, and maintained at attach/detach from then on. Their
@@ -50,10 +52,10 @@
 //!   because Property 1 makes every blind entry a victim of every
 //!   update — no index may ever hide one from an invalidation pass.
 
-use crate::strategy::{probe_for, Probe};
+use crate::strategy::{probe_rule, Probe, Rule};
 use scs_core::ExposureLevel;
 use scs_crypto::{CryptoMeter, Encryptor};
-use scs_sqlkit::{Query, QueryTemplate, TemplateId, Update, Value};
+use scs_sqlkit::{statement_len, Query, QueryTemplate, TemplateId, Update, UpdateTemplate, Value};
 use scs_storage::QueryResult;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasher, RandomState};
@@ -158,6 +160,13 @@ impl CacheEntry {
     /// (what a `view`-level inspection reads).
     pub(crate) fn inspection_bytes(&self) -> (u64, u64) {
         (self.statement_bytes as u64, self.result_bytes as u64)
+    }
+
+    /// Whether a row of the visible result lacks a select position.
+    fn has_short_rows(&self) -> bool {
+        let width = self.query.template.select.len();
+        let rows = self.visible_result().map_or(&[][..], |r| &r.rows);
+        rows.iter().any(|row| row.len() < width)
     }
 
     fn is_instance_of(&self, template_id: TemplateId, params: &[Value]) -> bool {
@@ -304,12 +313,28 @@ fn probe_hash(hasher: &RandomState, v: &Value) -> u64 {
     }
 }
 
+/// A bucket forgets its probe rules when it holds this many: a caller
+/// minting update templates without end keeps a bounded number alive (an
+/// application has a fixed handful).
+const RULES_KEPT: usize = 64;
+
 /// The `template`-level-and-above entries of one template id.
 struct Bucket {
-    /// The template the entries are instances of, for [`probe_for`].
+    /// The template the entries are instances of, for [`probe_rule`].
     template: Arc<QueryTemplate>,
+    /// `template`'s canonical text, rendered once: an instance's statement
+    /// length is counted from it ([`statement_len`]).
+    text: String,
+    /// The probe rule of each update template met against `template`,
+    /// keyed by the update template's `Arc` identity — held here, so its
+    /// address cannot pass to another template while the rule is kept.
+    /// Emptied when `template` is replaced.
+    rules: Vec<(Arc<UpdateTemplate>, Rule)>,
     /// Cleared when an entry bound to a structurally different template
-    /// arrives under this id; probes are off until the bucket empties.
+    /// arrives under this id, or a `view` entry with a row narrower than
+    /// its select list (a cell the row lacks rules nothing out, so no
+    /// result index may spare the entry); probes are off until the bucket
+    /// empties.
     uniform: bool,
     groups: [Group; 3],
     indexes: Vec<ValueIndex>,
@@ -318,11 +343,44 @@ struct Bucket {
 impl Bucket {
     fn new(template: Arc<QueryTemplate>) -> Bucket {
         Bucket {
+            text: template.to_string(),
             template,
+            rules: Vec::new(),
             uniform: true,
             groups: Default::default(),
             indexes: Vec::new(),
         }
+    }
+
+    /// Makes `template` the bucket's template (it holds no entries): its
+    /// text is rendered and the rules of the one it replaces forgotten.
+    fn retemplate(&mut self, template: &Arc<QueryTemplate>) {
+        self.uniform = true;
+        if !Arc::ptr_eq(&self.template, template) {
+            self.template = template.clone();
+            self.text = template.to_string();
+            self.rules.clear();
+        }
+    }
+
+    /// The probe rule of update template `ut` against the bucket's
+    /// template, derived on the first update of `ut` the bucket meets.
+    fn rule_for(&mut self, ut: &Arc<UpdateTemplate>) -> Rule {
+        if let Some((_, rule)) = self.rules.iter().find(|(t, _)| Arc::ptr_eq(t, ut)) {
+            return *rule;
+        }
+        if self.rules.len() >= RULES_KEPT {
+            self.rules.clear();
+        }
+        let rule = probe_rule(ut, &self.template);
+        self.rules.push((ut.clone(), rule));
+        rule
+    }
+
+    /// `q`'s statement-text length counted from the bucket's text, if `q`
+    /// is bound to the bucket's template.
+    fn statement_len(&self, q: &Query) -> Option<usize> {
+        Arc::ptr_eq(&self.template, &q.template).then(|| statement_len(&self.text, &q.params))
     }
 
     fn len(&self) -> usize {
@@ -545,11 +603,13 @@ impl ResultCache {
                     .entry(e.key.template_id)
                     .or_insert_with(|| Bucket::new(e.query.template.clone()));
                 if bucket.len() == 0 {
-                    bucket.template = e.query.template.clone();
-                    bucket.uniform = true;
+                    bucket.retemplate(&e.query.template);
                 } else if !Arc::ptr_eq(&bucket.template, &e.query.template)
                     && *bucket.template != *e.query.template
                 {
+                    bucket.uniform = false;
+                }
+                if e.has_short_rows() {
                     bucket.uniform = false;
                 }
                 for ix in &mut bucket.indexes {
@@ -722,9 +782,15 @@ impl ResultCache {
             return StoreOutcome::default();
         }
         // Approximate stored size: encrypted payloads carry the envelope
-        // overhead of the deterministic cipher.
+        // overhead of the deterministic cipher. The plaintext text's length
+        // is counted from the bucket's rendered template when `q` is bound
+        // to it, and rendered otherwise.
         let key_bytes = match level {
-            ExposureLevel::View | ExposureLevel::Stmt => q.statement_text().len(),
+            ExposureLevel::View | ExposureLevel::Stmt => {
+                let bucket = self.buckets.get(&q.template_id);
+                let counted = bucket.and_then(|b| b.statement_len(q));
+                counted.unwrap_or_else(|| q.statement_text().len())
+            }
             ExposureLevel::Template => {
                 8 + self.encryptor.encrypt_str(&format!("{:?}", q.params)).len()
             }
@@ -829,7 +895,7 @@ impl ResultCache {
             };
             out.scanned += bucket.len();
             let probe = match update {
-                Some(u) if bucket.uniform => probe_for(u, &bucket.template),
+                Some(u) if bucket.uniform => bucket.rule_for(&u.template).bind(u),
                 _ => Probe::Bucket,
             };
             // `(first probed group, indexed field, probed value)`: groups
@@ -1013,6 +1079,11 @@ impl ResultCache {
                 members.and_then(|m| m.get(slot.pos as usize)) == Some(&id),
                 "slot sits at its position in its level's member list",
             )?;
+            check(
+                slot.entry.level < ExposureLevel::Stmt
+                    || slot.entry.statement_bytes == slot.entry.query.statement_text().len(),
+                "a stmt/view entry's statement bytes are its rendered text's length",
+            )?;
         }
         check(
             bytes == self.stored_bytes_total,
@@ -1021,6 +1092,17 @@ impl ResultCache {
         let mut listed = self.blind.len();
         for (template_id, bucket) in &self.buckets {
             listed += bucket.len();
+            check(
+                bucket.text == bucket.template.to_string(),
+                "a bucket's text is its template's rendering",
+            )?;
+            check(
+                bucket
+                    .rules
+                    .iter()
+                    .all(|(ut, rule)| *rule == probe_rule(ut, &bucket.template)),
+                "a bucket's rules are its template's, per update template",
+            )?;
             let mut members = Vec::new();
             for (group, level) in bucket.groups.iter().zip(GROUP_LEVELS) {
                 let entries = || group.slots.iter().filter_map(|&id| self.slot(id));
@@ -1523,6 +1605,76 @@ mod tests {
         c.invalidate_where(|_| true);
         c.store(&query(0, 1), result(1), ExposureLevel::View);
         assert_eq!(probe(&mut c, &delete_b(Value::Int(7))).1, 0);
+    }
+
+    /// A statement-visible pass judged by `decide` over a one-update,
+    /// one-query IPM that proves nothing: `(inspected, invalidated)`.
+    fn decided(c: &mut ResultCache, u: &Update) -> (usize, usize) {
+        use crate::strategy::{decide, UpdateView};
+        let matrix = scs_core::IpmMatrix {
+            entries: vec![vec![scs_core::IpmEntry::CONSERVATIVE]],
+        };
+        let uv = UpdateView::new(u, ExposureLevel::Stmt);
+        let out = c.invalidate_candidates(&[0], Some(u), |e| decide(&matrix, &uv, e).0);
+        c.check_invariants().unwrap();
+        (out.inspected, out.invalidated)
+    }
+
+    fn bind(template: &Arc<UpdateTemplate>, value: i64) -> Update {
+        Update::bind(0, template.clone(), vec![Value::Int(value)]).unwrap()
+    }
+
+    /// The bucket's template is replaced once it empties; the rules the
+    /// old one derived must go with it. Here the old rule probes bound
+    /// parameter 0, which the new template binds to `c`, not `b`.
+    #[test]
+    fn a_replaced_template_forgets_its_rules() {
+        let mut c = cache();
+        let delete_b = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE b = ?").unwrap());
+        for p in 0..4 {
+            c.store(&query(0, p), result(1), ExposureLevel::View);
+        }
+        assert_eq!(decided(&mut c, &bind(&delete_b, 3)), (1, 1));
+        c.invalidate_where(|_| true);
+        let t = Arc::new(parse_query("SELECT a FROM t WHERE c = ? AND b = ?").unwrap());
+        for p in 0..4 {
+            let q = Query::bind(0, t.clone(), vec![Value::Int(9), Value::Int(p)]).unwrap();
+            c.store(&q, result(1), ExposureLevel::View);
+        }
+        assert_eq!(
+            decided(&mut c, &bind(&delete_b, 3)),
+            (1, 1),
+            "b = 3's entry"
+        );
+    }
+
+    /// Rules are kept per update *template*, by identity: two update
+    /// templates bound under one id get a rule each.
+    #[test]
+    fn rules_are_kept_per_update_template_identity() {
+        let mut c = cache();
+        for p in 0..4 {
+            c.store(&query(0, p), result(1), ExposureLevel::View);
+        }
+        let delete_b = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE b = ?").unwrap());
+        let delete_a = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE a = ?").unwrap());
+        assert_eq!(decided(&mut c, &bind(&delete_b, 9)), (0, 0));
+        // Every cached result holds a row with a = 0.
+        assert_eq!(decided(&mut c, &bind(&delete_a, 0)), (4, 4));
+    }
+
+    /// A `view` entry whose rows lack a select position reaches `decide`
+    /// (the result-key index cannot vouch for it), which invalidates it
+    /// rather than reading past the row.
+    #[test]
+    fn a_short_row_view_entry_is_invalidated_not_a_panic() {
+        let mut c = cache();
+        c.store(&query(0, 1), result(1), ExposureLevel::View);
+        let short = QueryResult::new(vec!["t.a".into()], vec![vec![]]);
+        assert!(c.store(&query(0, 2), short, ExposureLevel::View));
+        let delete_a = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE a = ?").unwrap());
+        assert_eq!(decided(&mut c, &bind(&delete_a, 7)), (2, 1));
+        assert!(c.peek(&query(0, 2)).is_none(), "the short-row entry");
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub use sharded::{ShardedHome, ShardedQueryResponse, ShardedUpdateResponse};
 pub use statement::statement_may_affect;
 pub use stats::DsspStats;
 pub use strategy::{
-    decide, must_invalidate, probe_for, DecisionPath, Probe, StrategyKind, UpdateView,
+    decide, must_invalidate, probe_for, probe_rule, DecisionPath, Probe, Rule, ScalarAt,
+    StrategyKind, UpdateView,
 };
 pub use view::view_may_affect;

@@ -8,11 +8,17 @@
 //! comparisons (the §2.1.1 model guarantees there are no intra-relation
 //! column comparisons; if one appears anyway, the test degrades to
 //! "invalidate").
+//!
+//! Nothing is allocated per pair (DESIGN §5): a conjunct is a
+//! `(column, op, &value)` read straight off a template's predicate and the
+//! statement's bound parameters, a conjunction is an iterator over the two
+//! templates' conjuncts, and its satisfiability is tested column by column
+//! by scanning it — no owned constraint, no map.
 
 use scs_sqlkit::{CmpOp, Query, Update, UpdateTemplate, Value};
-use std::collections::HashMap;
 
-/// A bound single-attribute constraint: `column op value`.
+/// A bound single-attribute constraint: `column op value` — the owned
+/// form [`constraints_satisfiable`] takes.
 #[derive(Debug, Clone)]
 pub struct Constraint {
     pub column: String,
@@ -20,21 +26,57 @@ pub struct Constraint {
     pub value: Value,
 }
 
+/// A bound single-attribute conjunct `column op value`, borrowed from a
+/// template's predicate and its statement's parameters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Conjunct<'a> {
+    pub column: &'a str,
+    pub op: CmpOp,
+    pub value: &'a Value,
+}
+
+/// The update's `column op value` conjuncts (its WHERE, read in order).
+pub(crate) fn update_conjuncts(u: &Update) -> impl Iterator<Item = Conjunct<'_>> + Clone {
+    let restrictions = u
+        .template
+        .predicates()
+        .iter()
+        .filter_map(|p| p.as_restriction());
+    restrictions.map(|(c, op, s)| Conjunct {
+        column: &c.column,
+        op,
+        value: u.resolve(s),
+    })
+}
+
+/// The query's `column op value` restrictions on one alias.
+pub(crate) fn query_conjuncts<'a>(
+    q: &'a Query,
+    alias: &'a str,
+) -> impl Iterator<Item = Conjunct<'a>> + Clone {
+    let restrictions = q
+        .template
+        .predicates
+        .iter()
+        .filter_map(|p| p.as_restriction());
+    restrictions
+        .filter(move |(c, _, _)| c.qualifier == alias)
+        .map(|(c, op, s)| Conjunct {
+            column: &c.column,
+            op,
+            value: q.resolve(s),
+        })
+}
+
 /// Decides whether `u` might affect `q` (`true` = must invalidate).
 pub fn statement_may_affect(u: &Update, q: &Query) -> bool {
     let table = u.template.table();
-    let aliases: Vec<&str> = q
-        .template
-        .from
-        .iter()
-        .filter(|t| t.table == table)
-        .map(|t| t.alias.as_str())
-        .collect();
-    if aliases.is_empty() {
+    let mut aliases = q.template.from.iter().filter(|t| t.table == table);
+    let Some(first) = aliases.next() else {
         // The updated relation does not occur in the query. (Template-level
         // ignorability normally catches this earlier.)
         return false;
-    }
+    };
     // A column-column predicate inside one relation defeats the
     // per-attribute reasoning; stay conservative.
     let has_intra = q.template.predicates.iter().any(|p| {
@@ -45,98 +87,55 @@ pub fn statement_may_affect(u: &Update, q: &Query) -> bool {
         return true;
     }
 
-    aliases.iter().any(|alias| alias_may_affect(u, q, alias))
+    std::iter::once(first)
+        .chain(aliases)
+        .any(|t| alias_may_affect(u, q, &t.alias))
 }
 
 fn alias_may_affect(u: &Update, q: &Query, alias: &str) -> bool {
-    let q_restrictions = query_restrictions(q, alias);
+    let mut restrictions = query_conjuncts(q, alias);
     match &*u.template {
         UpdateTemplate::Insert(ins) => {
             // The fresh row affects the query only if it satisfies the
             // query's local restrictions on this alias (join conditions
-            // with other relations cannot be ruled out statically).
-            let row: HashMap<&str, &Value> = ins
-                .columns
-                .iter()
-                .map(String::as_str)
-                .zip(ins.values.iter().map(|s| u.resolve(s)))
-                .collect();
-            q_restrictions
-                .iter()
-                .all(|c| match row.get(c.column.as_str()) {
-                    Some(v) => c.op.eval(v, &c.value),
-                    None => true, // partially specified — cannot rule out
-                })
+            // with other relations cannot be ruled out statically). A
+            // column listed twice takes its last listing.
+            let listed = |col: &str| {
+                let mut row = ins.columns.iter().zip(&ins.values).rev();
+                row.find(|(c, _)| *c == col).map(|(_, s)| u.resolve(s))
+            };
+            restrictions.all(|c| match listed(c.column) {
+                Some(v) => c.op.eval(v, c.value),
+                None => true, // partially specified — cannot rule out
+            })
         }
         UpdateTemplate::Delete(_) => {
             // A deleted row matters only if some row can satisfy both the
             // deletion predicate and the query's restrictions.
-            let mut all = update_constraints(u);
-            all.extend(q_restrictions);
-            constraints_satisfiable(&all)
+            satisfiable(update_conjuncts(u).chain(restrictions))
         }
         UpdateTemplate::Modify(m) => {
-            let u_constraints = update_constraints(u);
-            let modified: Vec<&str> = m.set.iter().map(|(c, _)| c.as_str()).collect();
-
             // Direction 1 — the row *was* in the query's input: its old
             // values satisfy both the update predicate and the query's
             // restrictions.
-            let mut joint = u_constraints.clone();
-            joint.extend(q_restrictions.iter().cloned());
-            if constraints_satisfiable(&joint) {
+            let joint = update_conjuncts(u).chain(restrictions.clone());
+            if satisfiable(joint.clone()) {
                 return true;
             }
 
             // Direction 2 — the row *enters* after the update: unmodified
             // attributes still obey the update predicate + restrictions;
             // modified attributes take their known new values.
-            let unmodified_ok = {
-                let subset: Vec<Constraint> = joint
-                    .iter()
-                    .filter(|c| !modified.contains(&c.column.as_str()))
-                    .cloned()
-                    .collect();
-                constraints_satisfiable(&subset)
-            };
-            let new_values_ok = q_restrictions.iter().all(|c| {
-                match m.set.iter().find(|(col, _)| col == &c.column) {
-                    Some((_, s)) => c.op.eval(u.resolve(s), &c.value),
+            let modified = |col: &str| m.set.iter().any(|(c, _)| c == col);
+            let unmodified_ok = satisfiable(joint.filter(|c| !modified(c.column)));
+            let new_values_ok =
+                restrictions.all(|c| match m.set.iter().find(|(col, _)| col == c.column) {
+                    Some((_, s)) => c.op.eval(u.resolve(s), c.value),
                     None => true,
-                }
-            });
+                });
             unmodified_ok && new_values_ok
         }
     }
-}
-
-/// The query's bound `column op value` restrictions on one alias.
-pub fn query_restrictions(q: &Query, alias: &str) -> Vec<Constraint> {
-    q.template
-        .predicates
-        .iter()
-        .filter_map(|p| p.as_restriction())
-        .filter(|(c, _, _)| c.qualifier == alias)
-        .map(|(c, op, s)| Constraint {
-            column: c.column.clone(),
-            op,
-            value: q.resolve(s).clone(),
-        })
-        .collect()
-}
-
-/// The update's bound `column op value` predicates.
-pub fn update_constraints(u: &Update) -> Vec<Constraint> {
-    u.template
-        .predicates()
-        .iter()
-        .filter_map(|p| p.as_restriction())
-        .map(|(c, op, s)| Constraint {
-            column: c.column.clone(),
-            op,
-            value: u.resolve(s).clone(),
-        })
-        .collect()
 }
 
 /// Conservative satisfiability of a conjunction of single-attribute
@@ -145,14 +144,24 @@ pub fn update_constraints(u: &Update) -> Vec<Constraint> {
 /// constraint set is. Integer-domain gaps (e.g. `x > 3 ∧ x < 4`) are *not*
 /// detected — reported satisfiable, which errs toward invalidation.
 pub fn constraints_satisfiable(cs: &[Constraint]) -> bool {
-    let mut by_col: HashMap<&str, Vec<&Constraint>> = HashMap::new();
-    for c in cs {
-        by_col.entry(c.column.as_str()).or_default().push(c);
-    }
-    by_col.values().all(|group| column_satisfiable(group))
+    satisfiable(cs.iter().map(|c| Conjunct {
+        column: &c.column,
+        op: c.op,
+        value: &c.value,
+    }))
 }
 
-fn column_satisfiable(cs: &[&Constraint]) -> bool {
+/// [`constraints_satisfiable`] over borrowed conjuncts: each conjunct's
+/// column is tested against all of that column's conjuncts, in order, by
+/// a scan of the (short) conjunction.
+fn satisfiable<'a>(conjuncts: impl Iterator<Item = Conjunct<'a>> + Clone) -> bool {
+    conjuncts.clone().all(|c| {
+        let column = conjuncts.clone().filter(|d| d.column == c.column);
+        column_satisfiable(column)
+    })
+}
+
+fn column_satisfiable<'a>(cs: impl Iterator<Item = Conjunct<'a>>) -> bool {
     let mut eq: Option<&Value> = None;
     // (value, strict)
     let mut lower: Option<(&Value, bool)> = None;
@@ -163,17 +172,17 @@ fn column_satisfiable(cs: &[&Constraint]) -> bool {
                 // `cmp`, not derived `!=`: `Int(35)` and `Real(35.0)` are the
                 // same value to every other comparison here and to the
                 // home's executor.
-                if eq.is_some_and(|prev| prev.cmp(&c.value).is_ne()) {
+                if eq.is_some_and(|prev| prev.cmp(c.value).is_ne()) {
                     return false;
                 }
-                eq = Some(&c.value);
+                eq = Some(c.value);
             }
             CmpOp::Gt | CmpOp::Ge => {
                 let strict = c.op == CmpOp::Gt;
                 lower = Some(match lower {
-                    None => (&c.value, strict),
+                    None => (c.value, strict),
                     Some((v, s)) => match c.value.cmp(v) {
-                        std::cmp::Ordering::Greater => (&c.value, strict),
+                        std::cmp::Ordering::Greater => (c.value, strict),
                         std::cmp::Ordering::Equal => (v, s || strict),
                         std::cmp::Ordering::Less => (v, s),
                     },
@@ -182,9 +191,9 @@ fn column_satisfiable(cs: &[&Constraint]) -> bool {
             CmpOp::Lt | CmpOp::Le => {
                 let strict = c.op == CmpOp::Lt;
                 upper = Some(match upper {
-                    None => (&c.value, strict),
+                    None => (c.value, strict),
                     Some((v, s)) => match c.value.cmp(v) {
-                        std::cmp::Ordering::Less => (&c.value, strict),
+                        std::cmp::Ordering::Less => (c.value, strict),
                         std::cmp::Ordering::Equal => (v, s || strict),
                         std::cmp::Ordering::Greater => (v, s),
                     },
@@ -364,6 +373,43 @@ mod tests {
             vec![Value::Int(7), Value::Int(10)],
         );
         assert!(!statement_may_affect(&m, &other));
+    }
+
+    /// A row that was outside `qty > 10` (its old `qty < 5`) enters it
+    /// when its own WHERE column is SET to 50: direction 2 drops the
+    /// modified column's old constraints, or it would miss the entry.
+    #[test]
+    fn modify_enters_through_its_own_where_column() {
+        let big = q(
+            "SELECT toy_id FROM toys WHERE qty > ?",
+            vec![Value::Int(10)],
+        );
+        let set = |v: i64| {
+            u(
+                "UPDATE toys SET qty = ? WHERE qty < ?",
+                vec![Value::Int(v), Value::Int(5)],
+            )
+        };
+        assert!(statement_may_affect(&set(50), &big));
+        assert!(!statement_may_affect(&set(7), &big), "stays out");
+    }
+
+    /// The statement tier reads an INSERT that lists a column twice by its
+    /// last listing.
+    #[test]
+    fn insert_listing_a_column_twice_is_read_by_its_last_listing() {
+        let ins = u(
+            "INSERT INTO toys (toy_id, qty, qty) VALUES (?, ?, ?)",
+            vec![Value::Int(9), Value::Int(10), Value::Int(20)],
+        );
+        let restricted = |min: i64| {
+            q(
+                "SELECT toy_id FROM toys WHERE qty > ?",
+                vec![Value::Int(min)],
+            )
+        };
+        assert!(statement_may_affect(&ins, &restricted(15)));
+        assert!(!statement_may_affect(&ins, &restricted(25)));
     }
 
     #[test]

@@ -12,13 +12,20 @@
 //!
 //! The four *pure* strategies of §2.2 (MBS, MTIS, MSIS, MVIS) are the
 //! special cases where every template sits at the same level.
+//!
+//! In front of [`decide`] sits the candidate generator's [`Probe`]. Which
+//! probe a bucket's entries get is a function of the two *templates*
+//! alone — [`probe_rule`] derives it as a [`Rule`] that names where the
+//! probed value sits in the update template — so the cache derives it
+//! once per (bucket, update template) and, per update, only
+//! [`Rule::bind`]s it (DESIGN §5).
 
 use crate::cache::CacheEntry;
 use crate::statement::statement_may_affect;
-use crate::view::view_may_affect;
+use crate::view::{preserved_position, selects_on, view_may_affect};
 use scs_core::{ExposureLevel, IpmMatrix};
 use scs_sqlkit::{
-    CmpOp, Predicate, QueryTemplate, Scalar, SelectItem, TemplateId, Update, UpdateTemplate, Value,
+    CmpOp, Predicate, QueryTemplate, Scalar, TemplateId, Update, UpdateTemplate, Value,
 };
 
 /// What the DSSP can see of an in-flight update, gated by `E(U^T)`.
@@ -137,45 +144,107 @@ pub enum Probe<'u> {
     ResultKey { column: usize, value: &'u Value },
 }
 
-/// The probe for update `u` against a bucket of template `tpl`. Both
-/// rules need the updated table under exactly one alias and no
-/// column–column predicate the per-attribute reasoning cannot see
-/// through — the same preconditions under which `statement_may_affect`
-/// reasons about one alias at all.
-pub fn probe_for<'u>(u: &'u Update, tpl: &QueryTemplate) -> Probe<'u> {
-    let table = u.template.table();
+/// Which [`Probe`] the instances of an update template get against a
+/// bucket of a query template — a pure function of the two templates,
+/// derived by [`probe_rule`] and bound to an update by [`Rule::bind`].
+/// The probed value is named by where it sits in the update template, so
+/// a rule is derived once per pair and kept: the cache memoises it per
+/// (bucket, update template) (DESIGN §5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// [`Probe::Bucket`].
+    Bucket,
+    /// [`Probe::Param`] for query parameter `param`, with the update's
+    /// value at `value`.
+    Param { param: usize, value: ScalarAt },
+    /// [`Probe::ResultKey`] for select position `column`, with the
+    /// update's value at `value`.
+    ResultKey { column: usize, value: ScalarAt },
+}
+
+/// A scalar of an update template, by position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarAt {
+    /// `values[i]` of an INSERT.
+    Listed(usize),
+    /// The scalar side of the restriction `predicates()[i]` of a DELETE
+    /// or an UPDATE.
+    Conjunct(usize),
+}
+
+impl ScalarAt {
+    fn of(self, template: &UpdateTemplate) -> Option<&Scalar> {
+        match (self, template) {
+            (ScalarAt::Listed(i), UpdateTemplate::Insert(ins)) => ins.values.get(i),
+            (ScalarAt::Listed(_), _) => None,
+            (ScalarAt::Conjunct(i), _) => {
+                let (_, _, s) = template.predicates().get(i)?.as_restriction()?;
+                Some(s)
+            }
+        }
+    }
+}
+
+impl Rule {
+    /// The probe for `u`, an instance of the update template the rule was
+    /// derived for. A position `u`'s template does not have (an update of
+    /// another template) gets [`Probe::Bucket`].
+    pub fn bind(self, u: &Update) -> Probe<'_> {
+        let value = |at: ScalarAt| at.of(&u.template).map(|s| u.resolve(s));
+        let probe = match self {
+            Rule::Bucket => None,
+            Rule::Param { param, value: at } => {
+                value(at).map(|value| Probe::Param { param, value })
+            }
+            Rule::ResultKey { column, value: at } => {
+                value(at).map(|value| Probe::ResultKey { column, value })
+            }
+        };
+        probe.unwrap_or(Probe::Bucket)
+    }
+}
+
+/// The probe rule for instances of update template `ut` against a bucket
+/// of template `tpl`. Both rules need the updated table under exactly one
+/// alias and no column–column predicate the per-attribute reasoning
+/// cannot see through — the same preconditions under which
+/// `statement_may_affect` reasons about one alias at all.
+pub fn probe_rule(ut: &UpdateTemplate, tpl: &QueryTemplate) -> Rule {
+    let table = ut.table();
     let mut aliases = tpl.from.iter().filter(|t| t.table == table);
     let (Some(alias), None) = (aliases.next(), aliases.next()) else {
-        return Probe::Bucket;
+        return Rule::Bucket;
     };
     let alias = alias.alias.as_str();
     let intra = |p: &Predicate| {
         p.as_join()
             .is_some_and(|(l, _, r)| l.qualifier == r.qualifier)
     };
-    if tpl.predicates.iter().any(intra) || u.template.predicates().iter().any(Predicate::is_join) {
-        return Probe::Bucket;
+    if tpl.predicates.iter().any(intra) || ut.predicates().iter().any(Predicate::is_join) {
+        return Rule::Bucket;
     }
-    // The update's `column op scalar` conjuncts — what
-    // `statement::update_constraints` binds.
+    // The update's `column op scalar` conjuncts — what the statement tier
+    // reads — by position in its WHERE.
     let restrictions = || {
-        let conjuncts = u.template.predicates().iter();
-        conjuncts.filter_map(|p| p.as_restriction())
+        let conjuncts = ut.predicates().iter().enumerate();
+        conjuncts.filter_map(|(i, p)| Some((ScalarAt::Conjunct(i), p.as_restriction()?)))
     };
     let where_eq = |col: &str| {
         restrictions()
-            .find(|(c, op, _)| *op == CmpOp::Eq && c.column == col)
-            .map(|(_, _, s)| u.resolve(s))
+            .find(|(_, (c, op, _))| *op == CmpOp::Eq && c.column == col)
+            .map(|(at, _)| at)
     };
 
     // Rule 1 — a column the update pins: listed by an INSERT (the last
-    // listing wins, as in `statement_may_affect`'s row map), or equated
-    // in a DELETE / UPDATE's WHERE and, for UPDATE, not SET (a SET column
+    // listing wins, as in `statement_may_affect`), or equated in a
+    // DELETE / UPDATE's WHERE and, for UPDATE, not SET (a SET column
     // drops out of the row-enters direction's constraints).
-    let pinned = |col: &str| match &*u.template {
+    let pinned = |col: &str| match ut {
         UpdateTemplate::Insert(ins) => {
-            let mut listed = ins.columns.iter().zip(&ins.values).rev();
-            listed.find(|(c, _)| *c == col).map(|(_, s)| u.resolve(s))
+            let mut listed = ins.columns.iter().zip(&ins.values).enumerate().rev();
+            listed
+                .find(|(_, (c, _))| *c == col)
+                .map(|(i, _)| ScalarAt::Listed(i))
         }
         UpdateTemplate::Delete(_) => where_eq(col),
         UpdateTemplate::Modify(m) if m.set.iter().any(|(c, _)| c == col) => None,
@@ -189,7 +258,7 @@ pub fn probe_for<'u>(u: &'u Update, tpl: &QueryTemplate) -> Probe<'u> {
             continue;
         }
         if let Some(value) = pinned(&c.column) {
-            return Probe::Param {
+            return Rule::Param {
                 param: *param,
                 value,
             };
@@ -198,50 +267,42 @@ pub fn probe_for<'u>(u: &'u Update, tpl: &QueryTemplate) -> Probe<'u> {
 
     // Rule 2 — the result rows expose the update's key.
     if tpl.has_aggregates() || !tpl.group_by.is_empty() {
-        return Probe::Bucket;
+        return Rule::Bucket;
     }
-    let preserved = |col: &str| {
-        tpl.select.iter().position(
-            |s| matches!(s, SelectItem::Column(c) if c.qualifier == alias && c.column == col),
-        )
-    };
-    let refinable = match &*u.template {
+    let preserved = |col: &str| preserved_position(tpl, alias, col);
+    let refinable = match ut {
         UpdateTemplate::Insert(_) => false,
         // `delete_ruled_out`: every WHERE column preserved.
-        UpdateTemplate::Delete(_) => restrictions().all(|(c, _, _)| preserved(&c.column).is_some()),
+        UpdateTemplate::Delete(_) => {
+            restrictions().all(|(_, (c, _, _))| preserved(&c.column).is_some())
+        }
         // `modify_ruled_out` spares an entry without the target row
         // unconditionally only when the row cannot enter either: an
         // all-`=` WHERE on preserved columns, no ORDER BY, and no SET
         // column among this alias's restriction or join columns.
         UpdateTemplate::Modify(m) => {
-            let selects_on = |col: &str| {
-                tpl.predicates.iter().any(|p| {
-                    let restricted = p.as_restriction().map(|(c, _, _)| c);
-                    let joined = p.as_join().and_then(|(l, _, r)| {
-                        [l, r].into_iter().find(|side| side.qualifier == alias)
-                    });
-                    restricted
-                        .filter(|c| c.qualifier == alias)
-                        .or(joined)
-                        .is_some_and(|c| c.column == col)
-                })
-            };
             tpl.order_by.is_empty()
                 && restrictions()
-                    .all(|(c, op, _)| op == CmpOp::Eq && preserved(&c.column).is_some())
-                && !m.set.iter().any(|(c, _)| selects_on(c))
+                    .all(|(_, (c, op, _))| op == CmpOp::Eq && preserved(&c.column).is_some())
+                && !m.set.iter().any(|(c, _)| selects_on(tpl, alias, c))
         }
     };
     if !refinable {
-        return Probe::Bucket;
+        return Rule::Bucket;
     }
     let key = restrictions()
-        .find(|(_, op, _)| *op == CmpOp::Eq)
-        .and_then(|(c, _, s)| Some((preserved(&c.column)?, u.resolve(s))));
+        .find(|(_, (_, op, _))| *op == CmpOp::Eq)
+        .and_then(|(value, (c, _, _))| Some((preserved(&c.column)?, value)));
     match key {
-        Some((column, value)) => Probe::ResultKey { column, value },
-        None => Probe::Bucket,
+        Some((column, value)) => Rule::ResultKey { column, value },
+        None => Rule::Bucket,
     }
+}
+
+/// The probe for update `u` against a bucket of template `tpl`:
+/// [`probe_rule`] of the two templates, bound to `u`.
+pub fn probe_for<'u>(u: &'u Update, tpl: &QueryTemplate) -> Probe<'u> {
+    probe_rule(&u.template, tpl).bind(u)
 }
 
 /// [`decide`] without the attribution — kept for callers that only need

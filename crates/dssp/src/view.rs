@@ -22,9 +22,19 @@
 //! All refinements apply only when the updated relation occurs under
 //! exactly one alias — with several aliases a row can contribute through
 //! any of them, and attributing result columns to aliases is ambiguous.
+//!
+//! Like the statement tier, the rules read the templates, the bound
+//! parameters and the result in place and allocate nothing per pair; a
+//! column's select position is found by name once per pair, not per row.
+//! A result row narrower than the template's select list (a `QueryResult`
+//! handed to `ResultCache::store` or `import` by a caller) lacks the cell
+//! a rule would read: a missing cell never rules anything out.
 
-use crate::statement::{statement_may_affect, update_constraints};
-use scs_sqlkit::{AggFunc, CmpOp, Query, SelectItem, Update, UpdateTemplate, Value};
+use crate::statement::{query_conjuncts, statement_may_affect, update_conjuncts, Conjunct};
+use scs_sqlkit::{
+    AggFunc, CmpOp, ColumnRef, ModifyTemplate, Query, QueryTemplate, SelectItem, Update,
+    UpdateTemplate, Value,
+};
 use scs_storage::QueryResult;
 
 /// Decides whether `u` might affect the cached `result` of `q`
@@ -34,122 +44,127 @@ pub fn view_may_affect(u: &Update, q: &Query, result: &QueryResult) -> bool {
         return false;
     }
     let table = u.template.table();
-    let aliases: Vec<&str> = q
-        .template
-        .from
-        .iter()
-        .filter(|t| t.table == table)
-        .map(|t| t.alias.as_str())
-        .collect();
-    let [alias] = aliases.as_slice() else {
+    let mut aliases = q.template.from.iter().filter(|t| t.table == table);
+    let (Some(alias), None) = (aliases.next(), aliases.next()) else {
         return true; // zero is unreachable (statement said "affect")
     };
+    let alias = alias.alias.as_str();
 
     match &*u.template {
         UpdateTemplate::Delete(_) => !delete_ruled_out(u, q, alias, result),
         UpdateTemplate::Insert(ins) => {
-            let row: Vec<(&str, &Value)> = ins
-                .columns
-                .iter()
-                .map(String::as_str)
-                .zip(ins.values.iter().map(|s| u.resolve(s)))
-                .collect();
-            !(insert_topk_ruled_out(q, alias, result, &row)
-                || insert_minmax_ruled_out(q, alias, result, &row))
+            // A column listed twice takes its first listing here.
+            let row_value = |col: &str| {
+                let mut row = ins.columns.iter().zip(&ins.values);
+                row.find(|(c, _)| *c == col).map(|(_, s)| u.resolve(s))
+            };
+            !(insert_topk_ruled_out(q, alias, result, row_value)
+                || insert_minmax_ruled_out(q, alias, result, row_value))
         }
-        UpdateTemplate::Modify(m) => {
-            let set: Vec<(&str, &Value)> = m
-                .set
-                .iter()
-                .map(|(c, s)| (c.as_str(), u.resolve(s)))
-                .collect();
-            !modify_ruled_out(u, q, alias, result, &set)
-        }
+        UpdateTemplate::Modify(m) => !modify_ruled_out(u, q, alias, result, m),
     }
 }
 
-/// Positions of plainly selected columns of `alias` in the result, by
-/// column name. Aggregate items never count.
-fn preserved_positions<'q>(q: &'q Query, alias: &str) -> Vec<(&'q str, usize)> {
-    q.template
-        .select
+/// The result position of the first plain select item `alias.col`.
+/// Aggregate items never count.
+pub(crate) fn preserved_position(tpl: &QueryTemplate, alias: &str, col: &str) -> Option<usize> {
+    tpl.select
         .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            SelectItem::Column(c) if c.qualifier == alias => Some((c.column.as_str(), i)),
-            _ => None,
+        .position(|s| matches!(s, SelectItem::Column(c) if c.qualifier == alias && c.column == col))
+}
+
+/// Whether the template selects on `alias.col`: restricts it, or joins on
+/// it — a join's side of `alias` being its left column when both are.
+pub(crate) fn selects_on(tpl: &QueryTemplate, alias: &str, col: &str) -> bool {
+    tpl.predicates.iter().any(|p| {
+        let restricted = p.as_restriction().map(|(c, _, _)| c);
+        let joined = p.as_join().and_then(|(l, _, r)| {
+            [l, r]
+                .into_iter()
+                .find(|side: &&ColumnRef| side.qualifier == alias)
+        });
+        restricted
+            .filter(|c| c.qualifier == alias)
+            .or(joined)
+            .is_some_and(|c| c.column == col)
+    })
+}
+
+/// Up to this many of an update's WHERE columns have their select
+/// positions looked up once per pair; the §2.1 model's keys have one or
+/// two, and any past these are looked up where used.
+const KEY_COLUMNS: usize = 4;
+
+/// Whether some row of `rows` agrees with every conjunct at its column's
+/// select position `at(column)`. A position `at` does not know, or a cell
+/// a short row lacks, agrees: it cannot rule the row out.
+fn some_row_agrees<'a>(
+    rows: &[Vec<Value>],
+    conjuncts: impl Iterator<Item = Conjunct<'a>> + Clone,
+    at: impl Fn(&str) -> Option<usize>,
+) -> bool {
+    let mut first = [None; KEY_COLUMNS];
+    for (slot, c) in first.iter_mut().zip(conjuncts.clone()) {
+        *slot = at(c.column);
+    }
+    rows.iter().any(|row| {
+        conjuncts.clone().enumerate().all(|(j, c)| {
+            let position = first.get(j).copied().unwrap_or_else(|| at(c.column));
+            let cell = position.and_then(|i| row.get(i));
+            cell.is_none_or(|v| c.op.eval(v, c.value))
         })
-        .collect()
+    })
 }
 
 /// Deletion rule: requires every deletion-predicate attribute to be
 /// preserved; checks whether any result row satisfies the deletion
 /// predicate.
 fn delete_ruled_out(u: &Update, q: &Query, alias: &str, result: &QueryResult) -> bool {
-    if q.template.has_aggregates() || !q.template.group_by.is_empty() {
+    let tpl = &q.template;
+    if tpl.has_aggregates() || !tpl.group_by.is_empty() {
         return false; // aggregated rows do not expose raw attribute values
     }
-    let constraints = update_constraints(u);
-    let preserved = preserved_positions(q, alias);
-    let position_of = |col: &str| preserved.iter().find(|(c, _)| *c == col).map(|(_, i)| *i);
+    let position = |col: &str| preserved_position(tpl, alias, col);
     // S(U) ⊆ P(Q) restricted to this alias, else no refinement.
-    let positions: Option<Vec<(usize, &_)>> = constraints
-        .iter()
-        .map(|c| position_of(&c.column).map(|i| (i, c)))
-        .collect();
-    let Some(positions) = positions else {
+    if !update_conjuncts(u).all(|c| position(c.column).is_some()) {
         return false;
-    };
+    }
     // If some result row satisfies the deletion predicate, it may vanish.
-    !result
-        .rows
-        .iter()
-        .any(|row| positions.iter().all(|(i, c)| c.op.eval(&row[*i], &c.value)))
+    !some_row_agrees(&result.rows, update_conjuncts(u), position)
 }
 
 /// Insertion/top-k rule: the result holds `k` rows and the new row ranks
 /// strictly after the k-th by the order-by keys (all of which must be
 /// preserved columns of this alias).
-fn insert_topk_ruled_out(
+fn insert_topk_ruled_out<'u>(
     q: &Query,
     alias: &str,
     result: &QueryResult,
-    row: &[(&str, &Value)],
+    row_value: impl Fn(&str) -> Option<&'u Value>,
 ) -> bool {
-    let row_value = |col: &str| row.iter().find(|(c, _)| *c == col).map(|(_, v)| *v);
     let tpl = &q.template;
     let Some(k) = tpl.limit else {
         return false;
     };
-    if tpl.order_by.is_empty()
-        || tpl.has_aggregates()
-        || !tpl.group_by.is_empty()
-        || (result.rows.len() as u64) < k
-    {
+    if tpl.has_aggregates() || !tpl.group_by.is_empty() || (result.rows.len() as u64) < k {
         return false;
     }
-    let Some(last) = result.rows.last() else {
+    let (Some(key), Some(last)) = (tpl.order_by.first(), result.rows.last()) else {
         return false;
     };
-    let preserved = preserved_positions(q, alias);
     // Only the primary sort key is compared: strictly worse there means
     // the row sorts after the k-th regardless of further keys. Ascending ⇒
     // larger is worse, descending ⇒ smaller is worse; ties stay
     // conservative.
-    let key = &tpl.order_by[0];
     if key.column.qualifier != alias {
         return false;
     }
-    let Some((_, pos)) = preserved
-        .iter()
-        .find(|(c, _)| *c == key.column.column.as_str())
-    else {
+    let column = key.column.column.as_str();
+    let kth = preserved_position(tpl, alias, column).and_then(|i| last.get(i));
+    let (Some(kth), Some(new_v)) = (kth, row_value(column)) else {
         return false;
     };
-    let Some(new_v) = row_value(&key.column.column) else {
-        return false;
-    };
-    match new_v.cmp(&last[*pos]) {
+    match new_v.cmp(kth) {
         std::cmp::Ordering::Equal => false,
         std::cmp::Ordering::Less => key.desc,
         std::cmp::Ordering::Greater => !key.desc,
@@ -158,21 +173,20 @@ fn insert_topk_ruled_out(
 
 /// Insertion/extremum rule: a sole `MIN(col)`/`MAX(col)` select item over
 /// this alias, with the new value unable to beat the cached extremum.
-fn insert_minmax_ruled_out(
+fn insert_minmax_ruled_out<'u>(
     q: &Query,
     alias: &str,
     result: &QueryResult,
-    row: &[(&str, &Value)],
+    row_value: impl Fn(&str) -> Option<&'u Value>,
 ) -> bool {
-    let row_value = |col: &str| row.iter().find(|(c, _)| *c == col).map(|(_, v)| *v);
     let tpl = &q.template;
     if tpl.select.len() != 1 || !tpl.group_by.is_empty() {
         return false;
     }
-    let SelectItem::Aggregate {
+    let Some(SelectItem::Aggregate {
         func,
         arg: Some(col),
-    } = &tpl.select[0]
+    }) = tpl.select.first()
     else {
         return false;
     };
@@ -182,7 +196,7 @@ fn insert_minmax_ruled_out(
     let Some(new_v) = row_value(&col.column) else {
         return false;
     };
-    let Some(cached) = result.rows.first().map(|r| &r[0]) else {
+    let Some(cached) = result.rows.first().and_then(|r| r.first()) else {
         return false;
     };
     match func {
@@ -200,68 +214,39 @@ fn modify_ruled_out(
     q: &Query,
     alias: &str,
     result: &QueryResult,
-    set: &[(&str, &Value)],
+    m: &ModifyTemplate,
 ) -> bool {
-    if q.template.has_aggregates() || !q.template.group_by.is_empty() {
+    let tpl = &q.template;
+    if tpl.has_aggregates() || !tpl.group_by.is_empty() {
         return false;
     }
     // The update's WHERE must be pure equalities (the §2.1 model: equality
-    // on the primary key), giving the row's identifying values.
-    let constraints = update_constraints(u);
-    if constraints.is_empty() || constraints.iter().any(|c| c.op != CmpOp::Eq) {
-        return false;
-    }
-    let preserved = preserved_positions(q, alias);
-    let id_positions: Option<Vec<(usize, &Value)>> = constraints
-        .iter()
-        .map(|c| {
-            preserved
-                .iter()
-                .find(|(col, _)| *col == c.column.as_str())
-                .map(|(_, i)| (*i, &c.value))
-        })
-        .collect();
-    let Some(id_positions) = id_positions else {
-        return false; // identifying attributes not preserved — no refinement
-    };
-    let present = result.rows.iter().any(|row| {
-        id_positions
-            .iter()
-            .all(|(i, v)| CmpOp::Eq.eval(&row[*i], v))
-    });
-    if present {
-        return false; // the row is in the result: its change is observable
+    // on the primary key) on preserved columns, giving the row's
+    // identifying values; else no refinement.
+    let position = |col: &str| preserved_position(tpl, alias, col);
+    let mut key = update_conjuncts(u);
+    let identifies = key.clone().next().is_some()
+        && key.all(|c| c.op == CmpOp::Eq && position(c.column).is_some());
+    if !identifies || some_row_agrees(&result.rows, update_conjuncts(u), position) {
+        return false; // no refinement, or the row is in the result
     }
     // Absent: the result can only change if the row *enters* it. Ruled out
     // when a new SET value violates one of the query's restrictions on the
     // modified attributes (the paper's `qty > 100` example), or when no
     // modified attribute participates in selection at all (satisfaction
     // unchanged ⇒ still out).
-    let restrictions = crate::statement::query_restrictions(q, alias);
-    let violates = restrictions.iter().any(|c| {
-        set.iter()
-            .find(|(col, _)| *col == c.column.as_str())
-            .is_some_and(|(_, v)| !c.op.eval(v, &c.value))
-    });
+    let set_value = |col: &str| {
+        m.set
+            .iter()
+            .find(|(c, _)| c == col)
+            .map(|(_, s)| u.resolve(s))
+    };
+    let violates = query_conjuncts(q, alias)
+        .any(|c| set_value(c.column).is_some_and(|v| !c.op.eval(v, c.value)));
     if violates {
         return true;
     }
-    let selection_cols: Vec<&str> = restrictions
-        .iter()
-        .map(|c| c.column.as_str())
-        .chain(q.template.predicates.iter().filter_map(|p| {
-            p.as_join().and_then(|(l, _, r)| {
-                if l.qualifier == alias {
-                    Some(l.column.as_str())
-                } else if r.qualifier == alias {
-                    Some(r.column.as_str())
-                } else {
-                    None
-                }
-            })
-        }))
-        .collect();
-    set.iter().all(|(col, _)| !selection_cols.contains(col)) && q.template.order_by.is_empty()
+    tpl.order_by.is_empty() && !m.set.iter().any(|(col, _)| selects_on(tpl, alias, col))
 }
 
 #[cfg(test)]
@@ -484,5 +469,57 @@ mod tests {
             vec![Value::str("renamed"), Value::real(1.0)],
         );
         assert!(view_may_affect(&m, &query, &cached));
+    }
+
+    /// The view rules read an INSERT that lists a column twice by its
+    /// first listing (the statement tier, by its last).
+    #[test]
+    fn insert_listing_a_column_twice_is_read_by_its_first_listing() {
+        let query = q("SELECT MAX(qty) FROM toys", vec![]);
+        let cached = res(&["MAX(toys.qty)"], vec![vec![Value::Int(15)]]);
+        let ins = |first: i64, last: i64| {
+            u(
+                "INSERT INTO toys (toy_id, qty, qty) VALUES (?, ?, ?)",
+                vec![Value::Int(9), Value::Int(first), Value::Int(last)],
+            )
+        };
+        assert!(!view_may_affect(&ins(10, 20), &query, &cached));
+        assert!(view_may_affect(&ins(20, 10), &query, &cached));
+    }
+
+    /// A result whose rows are narrower than the select list (one handed
+    /// to the cache from outside) lacks the cell each rule reads: every
+    /// rule then keeps its hands off, and the pair is invalidated.
+    #[test]
+    fn a_cell_short_rows_lack_rules_nothing_out() {
+        let empty_row = |cols: &[&str]| res(cols, vec![vec![]]);
+        let del = u("DELETE FROM toys WHERE toy_id = ?", vec![Value::Int(4)]);
+        let names = q(
+            "SELECT toy_id FROM toys WHERE toy_name = ?",
+            vec![Value::str("bear")],
+        );
+        assert!(view_may_affect(&del, &names, &empty_row(&["toys.toy_id"])));
+        let absent_row = u(
+            "UPDATE toys SET toy_name = ? WHERE toy_id = ?",
+            vec![Value::str("renamed"), Value::Int(5)],
+        );
+        let big = q(
+            "SELECT qty, toy_id FROM toys WHERE qty > ?",
+            vec![Value::Int(100)],
+        );
+        let qty_only = res(&["toys.qty", "toys.toy_id"], vec![vec![Value::Int(500)]]);
+        assert!(view_may_affect(&absent_row, &big, &qty_only));
+        let weak = u(
+            "INSERT INTO toys (toy_id, toy_name, qty) VALUES (?, ?, ?)",
+            vec![Value::Int(9), Value::str("x"), Value::Int(1)],
+        );
+        let top = q(
+            "SELECT toy_id, qty FROM toys ORDER BY qty DESC LIMIT 1",
+            vec![],
+        );
+        let id_only = res(&["toys.toy_id", "toys.qty"], vec![vec![Value::Int(1)]]);
+        assert!(view_may_affect(&weak, &top, &id_only));
+        let max = q("SELECT MAX(qty) FROM toys", vec![]);
+        assert!(view_may_affect(&weak, &max, &empty_row(&["MAX(toys.qty)"])));
     }
 }

@@ -8,11 +8,13 @@
 //! field reads only — behaviour is pinned elsewhere. The root package's
 //! `tests/benchmark_api.rs` includes this file, so tier-1 compiles it.
 
-use scs_core::{Exposures, IpmMatrix};
+use scs_core::{ExposureLevel, Exposures, IpmMatrix};
+use scs_crypto::Encryptor;
 use scs_dssp::{
-    BatchOutcome, Dssp, DsspConfig, DsspStats, FanoutStats, FleetConfig, FleetQueryResponse,
-    FleetUpdateResponse, HomeServer, InvalidationBatch, InvalidationMsg, ProxyFleet, QueryResponse,
-    RoutingMode, ShardedHome, ShardedQueryResponse, StrategyKind, UpdateResponse,
+    decide, BatchOutcome, CacheEntry, DecisionPath, Dssp, DsspConfig, DsspStats, FanoutStats,
+    FleetConfig, FleetQueryResponse, FleetUpdateResponse, HomeServer, InvalidationBatch,
+    InvalidationMsg, ProxyFleet, QueryResponse, ResultCache, RoutingMode, ShardedHome,
+    ShardedQueryResponse, StrategyKind, UpdateResponse, UpdateView,
 };
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, PartitionMap, QueryResult, StorageError, UpdateEffect};
@@ -70,6 +72,17 @@ fn fleet_names_keep_the_signatures_the_benchmark_binds() {
     let _: fn(FleetQueryResponse) -> QueryResponse = |r| r.resp;
     let _: fn(FleetUpdateResponse) -> UpdateResponse = |r| r.resp;
     let _: fn(&FanoutStats) -> u64 = |s| s.pipes.iter().map(|p| p.sent).sum();
+}
+
+#[test]
+fn strategy_and_cache_names_keep_the_signatures_the_benchmark_binds() {
+    let _: fn(&IpmMatrix, &UpdateView<'_>, &CacheEntry) -> (bool, DecisionPath) = decide;
+    let _: fn(&'static Update, ExposureLevel) -> UpdateView<'static> = UpdateView::new;
+    let _: fn(Encryptor) -> ResultCache = ResultCache::new;
+    let _: fn(&mut ResultCache, &Query, QueryResult, ExposureLevel) -> bool = ResultCache::store;
+    let _: for<'c> fn(&'c mut ResultCache, &Query) -> Option<&'c CacheEntry> = ResultCache::lookup;
+    let _: fn(&ResultCache) -> Option<&CacheEntry> = |c| c.iter().next();
+    let _: fn(&ResultCache) -> usize = ResultCache::len;
 }
 
 #[test]

@@ -8,334 +8,40 @@
 //! indexes may change how victims are *found*, never which entries are
 //! victims.
 
+#[path = "support/generate.rs"]
+mod generate;
 #[path = "support/linear.rs"]
 mod linear;
+#[path = "support/reference_decide.rs"]
+mod reference_decide;
 
+use generate::{
+    cases, random_level, random_params, random_query, random_update, schemas, seed_database, POOL,
+};
 use linear::{Key, LinearCache, LinearEntry, Reveals};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs_apps::{analysis_matrix, BenchApp, Trace, TraceOp};
+use scs_apps::{
+    analysis_matrix, auction, bboard, bookstore, toystore, BenchApp, IdSpaces, ParamGen, Trace,
+    TraceOp,
+};
 use scs_core::{
     characterize_app, compulsory_exposures, reduce_exposures, AnalysisOptions, Catalog,
     ExposureLevel, Exposures, IpmMatrix, SensitivityPolicy,
 };
+use scs_crypto::Encryptor;
 use scs_dssp::{
-    CacheEntry, DeliveryOutcome, Dssp, DsspConfig, HomeServer, InvalidationMsg, StrategyKind,
+    CacheEntry, DeliveryOutcome, Dssp, DsspConfig, HomeServer, InvalidationMsg, ResultCache,
+    StrategyKind,
 };
-use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
-use scs_storage::{ColumnType, Database, TableSchema};
+use scs_sqlkit::{
+    parse_query, parse_update, statement_len, Query, QueryTemplate, Update, UpdateTemplate, Value,
+};
+use scs_storage::QueryResult;
 use scs_telemetry::{shared_audit, SharedAudit};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-// ---- schema -----------------------------------------------------------
-
-/// `(table, [(column, is_string)], primary key)`.
-type TableDef = (
-    &'static str,
-    &'static [(&'static str, bool)],
-    &'static [&'static str],
-);
-
-const TABLES: [TableDef; 3] = [
-    (
-        "alpha",
-        &[
-            ("id", false),
-            ("grp", false),
-            ("val", false),
-            ("name", true),
-        ],
-        &["id"],
-    ),
-    (
-        "beta",
-        &[("id", false), ("aid", false), ("score", false)],
-        &["id"],
-    ),
-    (
-        "gamma",
-        &[("a", false), ("b", false), ("w", false)],
-        &["a", "b"],
-    ),
-];
-
-fn schemas() -> Vec<TableSchema> {
-    TABLES
-        .iter()
-        .map(|(table, columns, pk)| {
-            let mut b = TableSchema::builder(*table);
-            for (c, is_str) in *columns {
-                let ty = if *is_str {
-                    ColumnType::Str
-                } else {
-                    ColumnType::Int
-                };
-                b = b.column(*c, ty);
-            }
-            b.primary_key(pk).build().unwrap()
-        })
-        .collect()
-}
-
-const NAMES: [&str; 3] = ["ada", "bob", "cyd"];
-
-/// Column values and parameters are drawn from `0..POOL`.
-const POOL: i64 = 8;
-
-fn seed_database() -> Database {
-    let mut db = Database::new();
-    for s in schemas() {
-        db.create_table(s).unwrap();
-    }
-    for id in 0..POOL {
-        let name = Value::str(NAMES[id as usize % NAMES.len()]);
-        let row = vec![
-            Value::Int(id),
-            Value::Int(id % 4),
-            Value::Int((id * 7) % POOL),
-            name,
-        ];
-        db.insert_row("alpha", row).unwrap();
-        let row = vec![
-            Value::Int(id),
-            Value::Int((id * 5) % POOL),
-            Value::Int((id * 3) % POOL),
-        ];
-        db.insert_row("beta", row).unwrap();
-    }
-    for a in 0..4i64 {
-        for b in 0..4i64 {
-            let row = vec![Value::Int(a), Value::Int(b), Value::Int((a * b) % POOL)];
-            db.insert_row("gamma", row).unwrap();
-        }
-    }
-    db
-}
-
-// ---- random templates ---------------------------------------------------
-
-/// A generated template: its SQL and, per `?`, whether it binds a string.
-struct Sql {
-    text: String,
-    string_params: Vec<bool>,
-}
-
-fn pick<'a, T>(rng: &mut StdRng, from: &'a [T]) -> &'a T {
-    &from[rng.gen_range(0..from.len())]
-}
-
-/// `column op ?` on a random column, equality-heavy.
-fn restriction(rng: &mut StdRng, qualifier: &str, table: &TableDef, sql: &mut Sql) -> String {
-    let (column, is_str) = *pick(rng, table.1);
-    let op = if is_str {
-        "="
-    } else {
-        *pick(rng, &["=", "=", "=", "=", "=", "=", "<", ">", "<=", ">="])
-    };
-    sql.string_params.push(is_str);
-    format!("{qualifier}{column} {op} ?")
-}
-
-/// A column–column comparison inside one relation: outside the §2.1.1
-/// model, so statement inspection must give up on it.
-fn column_comparison(rng: &mut StdRng, table: &TableDef) -> String {
-    let numeric: Vec<_> = table.1.iter().filter(|c| !c.1).collect();
-    format!("{} <= {}", pick(rng, &numeric).0, pick(rng, &numeric).0)
-}
-
-fn some_columns(rng: &mut StdRng, table: &TableDef) -> Vec<&'static str> {
-    let mut columns: Vec<&str> = table.1.iter().map(|c| c.0).collect();
-    for i in (1..columns.len()).rev() {
-        columns.swap(i, rng.gen_range(0..=i));
-    }
-    columns.truncate(rng.gen_range(1..=columns.len()));
-    columns
-}
-
-/// Point, multi-`=`, range and top-k selections, `MIN`/`MAX`/`COUNT`,
-/// `GROUP BY`, two-alias self-joins and two-table joins.
-fn random_query(rng: &mut StdRng) -> Sql {
-    let mut sql = Sql {
-        text: String::new(),
-        string_params: Vec::new(),
-    };
-    let table = pick(rng, &TABLES);
-    let name = table.0;
-    sql.text = match rng.gen_range(0..10) {
-        0..=4 => {
-            let select = some_columns(rng, table).join(", ");
-            let n = rng.gen_range(0..=2);
-            let mut conjuncts: Vec<String> = (0..n)
-                .map(|_| restriction(rng, "", table, &mut sql))
-                .collect();
-            if rng.gen_bool(0.1) {
-                conjuncts.push(column_comparison(rng, table));
-            }
-            let mut text = format!("SELECT {select} FROM {name}");
-            if !conjuncts.is_empty() {
-                text += &format!(" WHERE {}", conjuncts.join(" AND "));
-            }
-            if rng.gen_bool(0.3) {
-                let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
-                text += &format!(" ORDER BY {}{desc}", pick(rng, table.1).0);
-                if rng.gen_bool(0.6) {
-                    text += &format!(" LIMIT {}", rng.gen_range(1..4));
-                }
-            }
-            text
-        }
-        5 => {
-            let func = *pick(rng, &["MIN", "MAX", "COUNT"]);
-            let numeric: Vec<_> = table.1.iter().filter(|c| !c.1).collect();
-            let mut text = format!("SELECT {func}({}) FROM {name}", pick(rng, &numeric).0);
-            if rng.gen_bool(0.5) {
-                text += &format!(" WHERE {}", restriction(rng, "", table, &mut sql));
-            }
-            text
-        }
-        6 => {
-            let filter = if rng.gen_bool(0.5) {
-                format!(" WHERE {}", restriction(rng, "", &TABLES[0], &mut sql))
-            } else {
-                String::new()
-            };
-            format!("SELECT grp, COUNT(*) FROM alpha{filter} GROUP BY grp")
-        }
-        7 | 8 => {
-            let c1 = pick(rng, table.1).0;
-            let c2 = pick(rng, table.1).0;
-            let mut conjuncts = vec![
-                restriction(rng, "t1.", table, &mut sql),
-                restriction(rng, "t2.", table, &mut sql),
-            ];
-            if rng.gen_bool(0.4) {
-                let numeric: Vec<_> = table.1.iter().filter(|c| !c.1).collect();
-                let (l, r) = (pick(rng, &numeric).0, pick(rng, &numeric).0);
-                conjuncts.push(format!("t1.{l} < t2.{r}"));
-            }
-            format!(
-                "SELECT t1.{c1}, t2.{c2} FROM {name} t1, {name} t2 WHERE {}",
-                conjuncts.join(" AND ")
-            )
-        }
-        _ => {
-            let (alpha, beta) = (&TABLES[0], &TABLES[1]);
-            let a: Vec<String> = some_columns(rng, alpha)
-                .iter()
-                .map(|c| format!("alpha.{c}"))
-                .collect();
-            let b = pick(rng, beta.1).0;
-            let side = if rng.gen_bool(0.5) {
-                restriction(rng, "alpha.", alpha, &mut sql)
-            } else {
-                restriction(rng, "beta.", beta, &mut sql)
-            };
-            format!(
-                "SELECT {}, beta.{b} FROM alpha, beta WHERE alpha.id = beta.aid AND {side}",
-                a.join(", ")
-            )
-        }
-    };
-    sql
-}
-
-/// INSERT of a full row; DELETE by `=` / range conjunctions; UPDATE with
-/// an all-`=` WHERE — on the primary key (the shape the home accepts) or
-/// on anything at all, SETting anything at all, including a column its
-/// own WHERE pins.
-fn random_update(rng: &mut StdRng) -> Sql {
-    let mut sql = Sql {
-        text: String::new(),
-        string_params: Vec::new(),
-    };
-    let table = pick(rng, &TABLES);
-    let name = table.0;
-    sql.text = match rng.gen_range(0..10) {
-        0..=2 => {
-            let columns: Vec<&str> = table.1.iter().map(|c| c.0).collect();
-            sql.string_params.extend(table.1.iter().map(|c| c.1));
-            let marks = vec!["?"; columns.len()].join(", ");
-            format!(
-                "INSERT INTO {name} ({}) VALUES ({marks})",
-                columns.join(", ")
-            )
-        }
-        3..=5 => {
-            let n = rng.gen_range(1..=2);
-            let mut conjuncts: Vec<String> = (0..n)
-                .map(|_| restriction(rng, "", table, &mut sql))
-                .collect();
-            if rng.gen_bool(0.1) {
-                conjuncts.push(column_comparison(rng, table));
-            }
-            format!("DELETE FROM {name} WHERE {}", conjuncts.join(" AND "))
-        }
-        _ => {
-            let by_key = rng.gen_bool(0.6);
-            let is_key = |c: &str| table.2.contains(&c);
-            let settable: Vec<_> = table
-                .1
-                .iter()
-                .filter(|c| !(by_key && is_key(c.0)))
-                .collect();
-            let n_set = rng.gen_range(1..=2.min(settable.len()));
-            let set: Vec<String> = (0..n_set)
-                .map(|_| {
-                    let (c, is_str) = **pick(rng, &settable);
-                    sql.string_params.push(is_str);
-                    format!("{c} = ?")
-                })
-                .collect();
-            let keys: Vec<(&str, bool)> = if by_key {
-                table.2.iter().map(|k| (*k, false)).collect()
-            } else {
-                let n = rng.gen_range(1..=2);
-                (0..n).map(|_| *pick(rng, table.1)).collect()
-            };
-            let filter: Vec<String> = keys
-                .iter()
-                .map(|(c, is_str)| {
-                    sql.string_params.push(*is_str);
-                    format!("{c} = ?")
-                })
-                .collect();
-            format!(
-                "UPDATE {name} SET {} WHERE {}",
-                set.join(", "),
-                filter.join(" AND ")
-            )
-        }
-    };
-    sql
-}
-
-/// Parameters from a small pool that mixes `Int(n)` with `Real(n.0)`, so
-/// equal values meet in both spellings.
-fn random_params(rng: &mut StdRng, string_params: &[bool]) -> Vec<Value> {
-    string_params
-        .iter()
-        .map(|is_str| {
-            let n = rng.gen_range(0..POOL);
-            match (is_str, rng.gen_range(0..10)) {
-                (true, _) => Value::str(*pick(rng, &NAMES)),
-                (false, 0..=6) => Value::Int(n),
-                (false, 7..=8) => Value::real(n as f64),
-                (false, _) => Value::real(n as f64 + 0.5),
-            }
-        })
-        .collect()
-}
-
-fn random_level(rng: &mut StdRng, for_update: bool) -> ExposureLevel {
-    match rng.gen_range(0..if for_update { 3 } else { 4 }) {
-        0 => ExposureLevel::Blind,
-        1 => ExposureLevel::Template,
-        2 => ExposureLevel::Stmt,
-        _ => ExposureLevel::View,
-    }
-}
 
 // ---- the pair under test ------------------------------------------------
 
@@ -549,13 +255,13 @@ fn run_case(seed: u64) {
         match rng.gen_range(0..200) {
             0..=167 => {
                 let tid = rng.gen_range(0..queries.len());
-                let params = random_params(rng, &query_sql[tid].string_params);
+                let params = random_params(rng, &query_sql[tid].string_params, POOL);
                 let q = Query::bind(tid, queries[tid].clone(), params).unwrap();
                 pair.query(&q, &mut home);
             }
             168..=191 => {
                 let tid = rng.gen_range(0..updates.len());
-                let params = random_params(rng, &update_sql[tid].string_params);
+                let params = random_params(rng, &update_sql[tid].string_params, POOL);
                 let u = Update::bind(tid, updates[tid].clone(), params).unwrap();
                 // The master moves now and then (when it accepts the
                 // update at all), so later fills see changed rows —
@@ -577,7 +283,7 @@ fn run_case(seed: u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The indexed pass and the linear pass agree, step for step, on
     /// random templates, exposures, capacities, leases and handoffs.
@@ -665,6 +371,87 @@ fn bookstore_stream_has_identical_victims() {
         Some(256),
         2000,
     );
+}
+
+// ---- counted == rendered ------------------------------------------------
+
+/// A parameter the renderer has to work for: quotes to double, `?`s and
+/// `?N`s that are text inside the literal, multi-byte characters, and
+/// `Real`s in both of `Real`'s display forms.
+fn adversarial(rng: &mut StdRng) -> Value {
+    match rng.gen_range(0..9) {
+        0 => Value::str("'"),
+        1 => Value::str("''"),
+        2 => Value::str("?"),
+        3 => Value::str("?0"),
+        4 => Value::str("it's ?1 — ü 漢 ''?''"),
+        5 => Value::real(rng.gen_range(-1e4..1e4)),
+        6 => Value::real(rng.gen_range(-1e4..1e4f64).round()),
+        7 => Value::real(1e16 * rng.gen_range(1.0..9.0)),
+        _ => Value::Int(i64::MIN),
+    }
+}
+
+/// A `view`/`stmt` fill counts its statement's length from its bucket's
+/// rendered template instead of rendering the statement: over the four
+/// applications' query templates, bound by their parameter generators
+/// with a third of the parameters swapped for adversarial ones, the
+/// counted length, and the stored size built from it, are the rendered
+/// text's.
+#[test]
+fn counted_statement_length_equals_rendered() {
+    let toystore_ids = {
+        let mut ids = IdSpaces::default();
+        ids.declare("toys", 50);
+        ids.declare("customers", 30);
+        ids
+    };
+    let apps = [
+        (
+            BenchApp::Auction.def(),
+            auction::id_spaces(Default::default()),
+        ),
+        (
+            BenchApp::Bboard.def(),
+            bboard::id_spaces(Default::default()),
+        ),
+        (
+            BenchApp::Bookstore.def(),
+            bookstore::id_spaces(Default::default()),
+        ),
+        (toystore::toystore(), toystore_ids),
+    ];
+    let rng = &mut StdRng::seed_from_u64(13);
+    for (def, ids) in apps {
+        let mut gen = ParamGen::new(ids, 1.0);
+        let mut cache = ResultCache::new(Encryptor::for_app(def.name));
+        for _ in 0..cases() {
+            for (tid, t) in def.queries.iter().enumerate() {
+                let mut params = gen.bind_all(&t.params, rng);
+                for p in &mut params {
+                    if rng.gen_bool(0.3) {
+                        *p = adversarial(rng);
+                    }
+                }
+                let q = Query::bind(tid, t.template.clone(), params).unwrap();
+                let rendered = q.statement_text().len();
+                assert_eq!(statement_len(&t.template.to_string(), &q.params), rendered);
+                let row = vec![Value::Int(1); t.template.select.len()];
+                let result = QueryResult::new(vec![String::new(); row.len()], vec![row]);
+                let level = if rng.gen_bool(0.5) {
+                    ExposureLevel::View
+                } else {
+                    ExposureLevel::Stmt
+                };
+                let envelope = if level == ExposureLevel::View { 0 } else { 8 };
+                let stored = rendered + result.approx_size_bytes() + envelope;
+                cache.store(&q, result, level);
+                assert_eq!(cache.peek(&q).unwrap().stored_bytes, stored, "{q}");
+            }
+        }
+        #[cfg(debug_assertions)]
+        cache.check_invariants().unwrap();
+    }
 }
 
 // ---- pins ---------------------------------------------------------------

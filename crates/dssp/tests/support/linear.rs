@@ -7,11 +7,12 @@
 //! step, not just on the victims of one pass.
 //!
 //! The per-pair decision is re-stated here from the Figure-6 cell over
-//! the public `statement_may_affect` / `view_may_affect`, so the oracle
-//! also pins `decide` itself.
+//! the retired statement and view tiers kept in `reference_decide.rs`
+//! (the including test declares that module too), so the oracle also pins
+//! `decide` itself, and not against its own code.
 
+use crate::reference_decide::{statement_may_affect, view_may_affect};
 use scs_core::{ExposureLevel, Exposures, IpmMatrix};
-use scs_dssp::{statement_may_affect, view_may_affect};
 use scs_sqlkit::{Query, Update, Value};
 use scs_storage::QueryResult;
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -54,7 +54,7 @@ impl Query {
     /// Canonical statement text (template text with parameters substituted),
     /// used as the statement-level cache key.
     pub fn statement_text(&self) -> String {
-        substitute(&self.template.to_string(), &self.params)
+        render(&self.template.to_string(), &self.params)
     }
 }
 
@@ -103,7 +103,7 @@ impl Update {
 
     /// Canonical statement text with parameters substituted.
     pub fn statement_text(&self) -> String {
-        substitute(&self.template.to_string(), &self.params)
+        render(&self.template.to_string(), &self.params)
     }
 }
 
@@ -113,30 +113,61 @@ impl fmt::Display for Update {
     }
 }
 
-/// Replaces `?N` placeholders in canonical template text with the bound
-/// values' literal forms. A string literal of the template (rendered
-/// `'...'`, an inner quote doubled) is copied through as it stands: a `?`
-/// inside one is text, not a placeholder.
-fn substitute(template_text: &str, params: &[Value]) -> String {
-    use std::fmt::Write;
+/// The length of the statement text `template_text` renders to with
+/// `params` bound — `statement_text().len()` — counted, not rendered.
+/// `template_text` is the template's canonical text (`to_string()`), which
+/// a caller binding one template many times renders once and keeps.
+pub fn statement_len(template_text: &str, params: &[Value]) -> usize {
+    let mut count = ByteCount(0);
+    // Counting cannot fail.
+    let _ = substitute(&mut count, template_text, params);
+    count.0
+}
+
+fn render(template_text: &str, params: &[Value]) -> String {
     let mut out = String::with_capacity(template_text.len() + params.len() * 8);
+    // Writing to a `String` cannot fail.
+    let _ = substitute(&mut out, template_text, params);
+    out
+}
+
+/// A sink that keeps only the number of bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Writes canonical template text to `out` with its `?N` placeholders
+/// replaced by the bound values' literal forms. A string literal of the
+/// template (rendered `'...'`, an inner quote doubled) is copied through
+/// as it stands: a `?` inside one is text, not a placeholder. Text between
+/// placeholders goes out in runs (`'` and `?` are ASCII, so they never sit
+/// inside a multi-byte character).
+fn substitute(out: &mut impl fmt::Write, template_text: &str, params: &[Value]) -> fmt::Result {
+    let bytes = template_text.as_bytes();
     let mut quoted = false;
-    let mut chars = template_text.chars().peekable();
-    while let Some(c) = chars.next() {
+    let (mut copied, mut at) = (0, 0);
+    while let Some(&b) = bytes.get(at) {
+        at += 1;
         // A doubled quote leaves and re-enters the literal at once.
-        quoted ^= c == '\'';
-        if c != '?' || quoted {
-            out.push(c);
+        quoted ^= b == b'\'';
+        if b != b'?' || quoted {
             continue;
         }
+        out.write_str(&template_text[copied..at - 1])?;
         let mut i = 0;
-        while let Some(d) = chars.peek().and_then(|d| d.to_digit(10)) {
-            i = i * 10 + d as usize;
-            chars.next();
+        while let Some(d) = bytes.get(at).filter(|d| d.is_ascii_digit()) {
+            i = i * 10 + usize::from(d - b'0');
+            at += 1;
         }
-        write!(out, "{}", params[i]).expect("writing to a String");
+        write!(out, "{}", params[i])?;
+        copied = at;
     }
-    out
+    out.write_str(&template_text[copied..])
 }
 
 #[cfg(test)]
@@ -242,6 +273,31 @@ mod tests {
             ),
             "DELETE FROM t WHERE t.b = '?1' AND t.a = 7"
         );
+    }
+
+    /// The counted length is the rendered one, through every path of the
+    /// substitution: runs of text, quoted `?`s, doubled quotes, escaped
+    /// and multi-byte parameters, `Real`s.
+    #[test]
+    fn counted_length_is_the_rendered_length() {
+        let cases = [
+            ("SELECT a FROM t WHERE a = ?", vec![Value::Int(-7)]),
+            (
+                "SELECT a FROM t WHERE a = ? AND b = 'it''s ?1' AND c = ?",
+                vec![Value::real(2.0), Value::str("o'clock? ''")],
+            ),
+            (
+                "SELECT a FROM t WHERE b = '?0' AND a = ? AND c = ?",
+                vec![Value::str("?0 ü €"), Value::real(1e300)],
+            ),
+            ("SELECT MAX(a) FROM t", vec![]),
+        ];
+        for (sql, params) in cases {
+            let t = Arc::new(parse_query(sql).unwrap());
+            let q = Query::bind(0, t.clone(), params).unwrap();
+            let counted = statement_len(&t.to_string(), &q.params);
+            assert_eq!(counted, q.statement_text().len(), "{sql}");
+        }
     }
 
     #[test]

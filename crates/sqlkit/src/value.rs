@@ -140,15 +140,14 @@ impl fmt::Display for Value {
             Value::Real(r) => write!(f, "{r}"),
             Value::Str(s) => {
                 // SQL string literal with '' escaping.
-                write!(f, "'")?;
-                for ch in s.chars() {
-                    if ch == '\'' {
-                        write!(f, "''")?;
-                    } else {
-                        write!(f, "{ch}")?;
+                f.write_str("'")?;
+                for (i, run) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
                     }
+                    f.write_str(run)?;
                 }
-                write!(f, "'")
+                f.write_str("'")
             }
         }
     }
