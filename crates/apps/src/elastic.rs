@@ -31,7 +31,7 @@
 //! membership stamps make the timeline auditable afterwards.
 
 use crate::driver::{CostModel, Executed};
-use crate::overload::LoadProfile;
+use crate::scenario::LoadProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs_core::{characterize_app, AnalysisOptions, Catalog, Exposures};

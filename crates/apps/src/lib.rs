@@ -12,22 +12,17 @@
 pub mod auction;
 pub mod bboard;
 pub mod bookstore;
-pub mod chaos;
 pub mod defs;
 pub mod driver;
 pub mod elastic;
-pub mod failover;
 pub mod gen;
-pub mod overload;
 pub mod report;
 pub mod runner;
+pub mod scenario;
 pub mod tally;
 pub mod toystore;
 pub mod trace;
 
-pub use chaos::{
-    run_chaos, run_classic, ChaosConfig, ChaosReport, FaultCounters, OpOutcome, OutageSpec,
-};
 pub use defs::{AppDef, Op, ParamSpec, RequestType, Sensitivity, TemplateDef};
 pub use driver::{
     analysis_matrix, home_shard_map, CostModel, DsspWorkload, FleetWorkload, ShardedWorkload,
@@ -35,14 +30,13 @@ pub use driver::{
 pub use elastic::{
     run_elastic, ElasticFleetWorkload, ElasticReport, ElasticRunConfig, MembershipChange,
 };
-pub use failover::{run_failover, CrashEvent, CrashKind, FailoverConfig, FailoverReport};
 pub use gen::{IdSpaces, ParamGen, Zipf, BOOK_POPULARITY_EXPONENT};
-pub use overload::{
-    goodput_curve, knee_index, run_overload, CurvePoint, LoadProfile, LoadSegment,
-    OverloadCounters, OverloadReport, OverloadRunConfig,
-};
 pub use runner::{
     measure_scalability, run_audited_trial, run_trial, run_trial_on, sharded_workload, sweep,
     BenchApp, Fidelity, Topology,
+};
+pub use scenario::{
+    goodput_curve, knee_index, CrashEvent, CrashKind, CurvePoint, HomeQueue, LoadProfile,
+    LoadSegment, OpOutcome, Scenario, ScenarioReport,
 };
 pub use trace::{replay, ReplayReport, Trace, TraceOp};

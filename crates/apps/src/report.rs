@@ -16,10 +16,12 @@
 //! the hermetic `scs-telemetry` JSON type, so reports stay dependency
 //! free and round-trip through [`Json::parse`].
 
-use crate::chaos::{ChaosConfig, ChaosReport, FaultCounters};
+use crate::scenario::{knee_index, CurvePoint, Scenario, ScenarioReport};
 use scs_dssp::Dssp;
 use scs_netsim::{CenterTelemetry, RunMetrics};
-use scs_telemetry::{evaluate_all, HistogramSnapshot, Json, SloSpec, TimeSeries, Tracer};
+use scs_telemetry::{
+    evaluate_all, HistogramSnapshot, Json, MetricsSnapshot, SloSpec, TimeSeries, Tracer,
+};
 use std::path::PathBuf;
 
 /// Bumped whenever the report layout changes incompatibly. The `regress`
@@ -198,7 +200,6 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
         .get("dssp.invalidation_scan_size")
         .cloned()
         .unwrap_or_default();
-    let faults = FaultCounters::from_dssp(dssp);
 
     Json::obj([
         (
@@ -238,40 +239,63 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
             ]),
         ),
         ("invalidation_scan_size", histogram_json(&scan_hist)),
-        ("faults", fault_counters_json(&faults)),
+        ("faults", fault_counters_json(&snap)),
         ("trace", trace_health_json(dssp.tracer())),
         ("spans", dssp.spans().summary_json()),
         ("leakage", leakage_json(dssp)),
     ])
 }
 
+/// The proxy's fault/recovery counters, in export order.
+const FAULT_COUNTERS: [&str; 9] = [
+    "epoch_gaps",
+    "recovery_flushes",
+    "recovery_flushed_entries",
+    "duplicate_invalidations",
+    "lease_expirations",
+    "home_retries",
+    "home_unavailable",
+    "degraded_serves",
+    "restarts",
+];
+
+/// The `dssp.<name>` counter of a proxy (or fleet roll-up) snapshot.
+pub fn dssp_counter(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.counters
+        .get(&format!("dssp.{name}"))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Sum of the fault/recovery counters — zero exactly when the run saw
+/// no fault handling at all.
+pub fn fault_total(m: &MetricsSnapshot) -> u64 {
+    FAULT_COUNTERS.iter().map(|n| dssp_counter(m, n)).sum()
+}
+
+/// Each named counter as a report field.
+fn counter_fields(m: &MetricsSnapshot, names: &[&'static str]) -> Vec<(&'static str, Json)> {
+    names
+        .iter()
+        .map(|&n| (n, dssp_counter(m, n).into()))
+        .collect()
+}
+
 /// The fault/recovery counters as a report section. All-zero under
 /// perfect delivery; chaos runs (`scs-bench chaos`, `EXPERIMENTS.md`)
 /// must show nonzero handling here when injection is enabled.
-pub fn fault_counters_json(f: &FaultCounters) -> Json {
-    Json::obj([
-        ("epoch_gaps", f.epoch_gaps.into()),
-        ("recovery_flushes", f.recovery_flushes.into()),
-        (
-            "recovery_flushed_entries",
-            f.recovery_flushed_entries.into(),
-        ),
-        ("duplicate_invalidations", f.duplicate_invalidations.into()),
-        ("lease_expirations", f.lease_expirations.into()),
-        ("home_retries", f.home_retries.into()),
-        ("home_unavailable", f.home_unavailable.into()),
-        ("degraded_serves", f.degraded_serves.into()),
-        ("restarts", f.restarts.into()),
-        ("total", f.total().into()),
-    ])
+pub fn fault_counters_json(m: &MetricsSnapshot) -> Json {
+    let mut fields = counter_fields(m, &FAULT_COUNTERS);
+    fields.push(("total", fault_total(m).into()));
+    Json::obj(fields)
 }
 
 /// One chaos-run entry: the fault schedule, the oracle's staleness
 /// verdict, serve/availability accounting, channel-level delivery stats,
 /// and the proxy's fault/recovery counters (see `EXPERIMENTS.md`).
-pub fn chaos_entry_json(label: &str, cfg: &ChaosConfig, report: &ChaosReport) -> Json {
-    let outage_windows: Vec<Json> = report
-        .outage_windows
+pub fn chaos_entry_json(label: &str, cfg: &Scenario, report: &ScenarioReport) -> Json {
+    let outage_windows: Vec<Json> = cfg
+        .outages
         .iter()
         .map(|&(s, e)| Json::from(vec![s, e]))
         .collect();
@@ -322,7 +346,7 @@ pub fn chaos_entry_json(label: &str, cfg: &ChaosConfig, report: &ChaosReport) ->
                 ("delivered", report.channel.delivered.into()),
             ]),
         ),
-        ("faults", fault_counters_json(&report.counters)),
+        ("faults", fault_counters_json(&report.metrics)),
         ("outage_windows", Json::from(outage_windows)),
         (
             "timeseries",
@@ -342,8 +366,8 @@ pub fn chaos_entry_json(label: &str, cfg: &ChaosConfig, report: &ChaosReport) ->
 /// section.
 pub fn failover_entry_json(
     label: &str,
-    cfg: &crate::failover::FailoverConfig,
-    report: &crate::failover::FailoverReport,
+    cfg: &Scenario,
+    report: &ScenarioReport,
     goodput_retained: Option<f64>,
 ) -> Json {
     let worst_window = report
@@ -413,7 +437,10 @@ pub fn failover_entry_json(
                 ("zombie_writes_applied", report.zombie_writes_applied.into()),
                 ("divergence_discarded", report.divergence_discarded.into()),
                 ("fanout_lost_on_crash", report.fanout_lost_on_crash.into()),
-                ("recovery_flushes", report.recovery_flushes.into()),
+                (
+                    "recovery_flushes",
+                    report.counter("recovery_flushes").into(),
+                ),
                 ("failover_stamps", (report.failover_stamps as u64).into()),
                 ("queries_served", report.queries_served.into()),
                 ("queries_unavailable", report.queries_unavailable.into()),
@@ -455,71 +482,70 @@ pub fn overload_slos(min_goodput: f64, p99_limit_micros: u64) -> Vec<SloSpec> {
 }
 
 /// The proxy's shed/breaker/brownout counters as a report section.
-pub fn overload_counters_json(c: &crate::overload::OverloadCounters) -> Json {
-    Json::obj([
-        ("shed_admission", c.shed_admission.into()),
-        ("shed_breaker_open", c.shed_breaker_open.into()),
-        ("shed_brownout", c.shed_brownout.into()),
-        ("shed_queue_full", c.shed_queue_full.into()),
-        ("shed_total", c.shed_total().into()),
-        ("breaker_opens", c.breaker_opens.into()),
-        ("breaker_half_opens", c.breaker_half_opens.into()),
-        ("breaker_closes", c.breaker_closes.into()),
-        ("brownout_entries", c.brownout_entries.into()),
-        ("brownout_exits", c.brownout_exits.into()),
-        ("brownout_serves", c.brownout_serves.into()),
-        ("home_retries", c.home_retries.into()),
-        ("home_unavailable", c.home_unavailable.into()),
-    ])
+pub fn overload_counters_json(m: &MetricsSnapshot) -> Json {
+    let shed = [
+        "shed_admission",
+        "shed_breaker_open",
+        "shed_brownout",
+        "shed_queue_full",
+    ];
+    let mut fields = counter_fields(m, &shed);
+    let total: u64 = shed.iter().map(|n| dssp_counter(m, n)).sum();
+    fields.push(("shed_total", total.into()));
+    fields.extend(counter_fields(
+        m,
+        &[
+            "breaker_opens",
+            "breaker_half_opens",
+            "breaker_closes",
+            "brownout_entries",
+            "brownout_exits",
+            "brownout_serves",
+            "home_retries",
+            "home_unavailable",
+        ],
+    ));
+    Json::obj(fields)
 }
 
 /// One overload-run entry: offered-vs-goodput accounting, the shed and
 /// breaker counters, the overload SLO verdicts, and (when recorded) the
 /// merged harness + proxy trace curves. Keyed `app`/`config` so the
 /// regression gate diffs it like any other probe entry.
-pub fn overload_entry_json(
-    label: &str,
-    cfg: &crate::overload::OverloadRunConfig,
-    report: &crate::overload::OverloadReport,
-) -> Json {
+pub fn overload_entry_json(label: &str, cfg: &Scenario, report: &ScenarioReport) -> Json {
     // With a scripted total home outage in the run, the worst windows are
     // the outage itself, where goodput is legitimately bounded by the
     // degraded-serve rate: the floor then asserts service *continuity*
     // (brownout keeps serving within-lease hits), not shedding headroom.
-    let min_goodput = if cfg.scripted_outages.is_some() {
-        0.05
-    } else {
-        0.35
-    };
+    let min_goodput = if cfg.outages.is_empty() { 0.35 } else { 0.05 };
+    let (protected, deadline) = cfg
+        .home_queue
+        .as_ref()
+        .map_or((false, 0), |q| (q.protection.is_some(), q.deadline_micros));
     let slo: Json = report
         .timeseries
         .as_ref()
-        .map(|ts| {
-            slo_results_json(
-                &overload_slos(min_goodput, cfg.deadline_micros + cfg.deadline_micros / 2),
-                ts,
-            )
-        })
+        .map(|ts| slo_results_json(&overload_slos(min_goodput, deadline + deadline / 2), ts))
         .into();
     Json::obj([
         ("app", "toystore".into()),
         ("config", label.into()),
         ("seed", cfg.seed.into()),
         ("ops", (cfg.ops as u64).into()),
-        ("protected", cfg.protection.is_some().into()),
-        ("deadline_micros", cfg.deadline_micros.into()),
+        ("protected", protected.into()),
+        ("deadline_micros", deadline.into()),
         ("lease_micros", cfg.lease_micros.into()),
         (
             "overload",
             Json::obj([
-                ("offered", report.offered.into()),
-                ("completed", report.completed.into()),
+                ("offered", report.offered().into()),
+                ("completed", report.completed().into()),
                 ("timely", report.timely.into()),
                 ("shed", report.shed.into()),
                 ("deadline_missed", report.deadline_missed.into()),
                 ("hits", report.hits.into()),
                 ("degraded_serves", report.degraded_serves.into()),
-                ("unavailable", report.unavailable.into()),
+                ("unavailable", report.queries_unavailable.into()),
                 ("updates_applied", report.updates_applied.into()),
                 ("queue_rejections", report.queue_rejections.into()),
                 ("offered_rps", report.offered_rps().into()),
@@ -528,7 +554,7 @@ pub fn overload_entry_json(
                 ("queue_wait_p99_micros", report.queue_wait_p99_micros.into()),
                 ("response_p99_micros", report.response_p99_micros.into()),
                 ("duration_micros", report.duration_micros.into()),
-                ("counters", overload_counters_json(&report.counters)),
+                ("counters", overload_counters_json(&report.metrics)),
             ]),
         ),
         ("stale_beyond_lease", report.stale_beyond_lease.into()),
@@ -547,8 +573,8 @@ pub fn overload_entry_json(
 /// An offered-load vs goodput curve as a report section: one point per
 /// multiplier, with the knee index alongside so readers (and the
 /// regression gate's collapse detector) don't have to re-derive it.
-pub fn overload_curve_json(label: &str, points: &[crate::overload::CurvePoint]) -> Json {
-    let knee = crate::overload::knee_index(points);
+pub fn overload_curve_json(label: &str, points: &[CurvePoint]) -> Json {
+    let knee = knee_index(points);
     let pts: Vec<Json> = points
         .iter()
         .map(|p| {
@@ -782,13 +808,11 @@ mod tests {
 
     #[test]
     fn fault_section_reflects_chaos_counters() {
-        let report = crate::chaos::run_chaos(&crate::chaos::ChaosConfig::chaotic(23, 800));
-        let doc = fault_counters_json(&report.counters);
-        assert_eq!(
-            doc.get("total").unwrap().as_u64(),
-            Some(report.counters.total())
-        );
-        assert!(report.counters.total() > 0, "chaos run recorded no faults");
+        let report = Scenario::chaotic(23, 800).run();
+        let doc = fault_counters_json(&report.metrics);
+        let total = fault_total(&report.metrics);
+        assert_eq!(doc.get("total").unwrap().as_u64(), Some(total));
+        assert!(total > 0, "chaos run recorded no faults");
     }
 
     #[test]
@@ -863,18 +887,15 @@ mod tests {
 
     #[test]
     fn chaos_entry_exports_outage_curves_and_slo() {
-        let cfg = ChaosConfig::outage_demo(7, 1_500);
-        let report = crate::chaos::run_chaos(&cfg);
+        let cfg = Scenario::outage_demo(7, 1_500);
+        let report = cfg.run();
         let doc = chaos_entry_json("outage_demo", &cfg, &report);
         let parsed = Json::parse(&doc.render_pretty()).unwrap();
         let windows = parsed.get("outage_windows").unwrap().as_arr().unwrap();
-        assert_eq!(windows.len(), report.outage_windows.len());
+        assert_eq!(windows.len(), cfg.outages.len());
         assert!(!windows.is_empty());
         let ts = parsed.get("timeseries").unwrap();
-        assert_eq!(
-            ts.get("width_us").unwrap().as_u64(),
-            cfg.timeseries_bucket_micros
-        );
+        assert_eq!(ts.get("width_us").unwrap().as_u64(), cfg.bucket_micros);
         let slo = parsed.get("slo").unwrap().as_arr().unwrap();
         assert_eq!(
             slo[0].get("name").unwrap().as_str(),

@@ -1,5 +1,4 @@
-//! The one outcome tally under the scripted harnesses (`chaos`, its
-//! classic baseline, `overload`, `failover`).
+//! The one outcome tally under the scripted runs of [`crate::scenario`].
 //!
 //! Every front end answers with one outcome vocabulary
 //! ([`FtOutcome`] / [`FtUpdateOutcome`]; the classic pair is its
@@ -13,9 +12,9 @@
 //! matching no such state is **stale beyond the lease**, the failure the
 //! epoch/lease machinery exists to rule out.
 //!
-//! A harness keeps only what is its own — its fault or crash schedule,
+//! The scenario keeps what is its own — its fault and crash schedule,
 //! its bounded service centre, its durability ledger — and names the
-//! curves its report exports; the tally never learns which harness it
+//! curves its report exports; the tally never learns which features it
 //! serves.
 
 use scs_dssp::{FtOutcome, FtUpdateOutcome, FtUpdateResponse};
@@ -27,7 +26,7 @@ use scs_telemetry::TimeSeries;
 /// One scripted operation, bound when the script is built so every run
 /// replays the identical statement sequence.
 #[derive(Debug, Clone)]
-pub(crate) enum ScriptOp {
+pub enum ScriptOp {
     Query(Query),
     Update(Update),
 }
@@ -77,13 +76,6 @@ impl OpOutcome {
     }
 }
 
-/// Records an outcome counter when the run carries a time series.
-pub(crate) fn tick(series: &mut Option<TimeSeries>, at: Time, name: &str) {
-    if let Some(ts) = series.as_mut() {
-        ts.incr(at, name);
-    }
-}
-
 /// Checks a served result against the oracle; returns the observed
 /// staleness (µs), or `None` when the result matches no state current
 /// within `[now - lease, now]`.
@@ -127,14 +119,11 @@ pub(crate) struct Tally {
     /// (and each failover rollback).
     oracle: Vec<(Time, Database)>,
     lease: Option<Time>,
-    /// The curves this harness's report exports, of `query_served`,
-    /// `query_hit`, `degraded_serve`, `query_unavailable`,
-    /// `update_applied`, `update_unavailable`, `update_rejected`,
-    /// `stale_beyond_lease` and the `staleness_us` histogram; the rest
-    /// are not recorded, so an exported series keeps exactly its keys.
-    curves: &'static [&'static str],
-    /// Present when the harness asked for sim-time curves; the harness
-    /// ticks its own counters into it too.
+    /// The curves the run's report exports — the tally's own outcome
+    /// curves and the scenario's; the rest are not recorded, so an
+    /// exported series keeps exactly its keys.
+    curves: Vec<&'static str>,
+    /// Present when the scenario asked for sim-time curves.
     pub(crate) series: Option<TimeSeries>,
     pub(crate) queries_served: u64,
     pub(crate) hits: u64,
@@ -157,7 +146,7 @@ impl Tally {
         seed_state: Database,
         lease: Option<Time>,
         bucket_micros: Option<Time>,
-        curves: &'static [&'static str],
+        curves: Vec<&'static str>,
     ) -> Tally {
         Tally {
             oracle: vec![(0, seed_state)],
@@ -189,9 +178,17 @@ impl Tally {
         self.oracle.iter().map(|&(t, _)| t).collect()
     }
 
-    fn tick(&mut self, at: Time, name: &str) {
-        if self.curves.contains(&name) {
-            tick(&mut self.series, at, name);
+    /// Counts one `name` event at `at`, when `name` is a curve of this run.
+    pub(crate) fn tick(&mut self, at: Time, name: &str) {
+        if let (Some(ts), true) = (self.series.as_mut(), self.curves.contains(&name)) {
+            ts.incr(at, name);
+        }
+    }
+
+    /// Records one `name` histogram sample, when `name` is a curve.
+    pub(crate) fn observe(&mut self, at: Time, name: &str, value: u64) {
+        if let (Some(ts), true) = (self.series.as_mut(), self.curves.contains(&name)) {
+            ts.observe(at, name, value);
         }
     }
 
@@ -222,11 +219,7 @@ impl Tally {
                     Some(staleness) => {
                         self.max_observed_staleness_micros =
                             self.max_observed_staleness_micros.max(staleness);
-                        if let (Some(ts), true) =
-                            (self.series.as_mut(), self.curves.contains(&"staleness_us"))
-                        {
-                            ts.observe(now, "staleness_us", staleness);
-                        }
+                        self.observe(now, "staleness_us", staleness);
                     }
                     None => {
                         self.stale_beyond_lease += 1;
@@ -299,7 +292,7 @@ mod tests {
     /// and draws no curve.
     #[test]
     fn a_shed_request_counts_as_shed_only() {
-        let mut t = Tally::new(toys(10), None, Some(100), &["query_served"]);
+        let mut t = Tally::new(toys(10), None, Some(100), vec!["query_served"]);
         let q = qty_of_one();
         let shed_query = OpOutcome::of_query(FtOutcome::Shed(Overloaded::Brownout));
         t.record(5, &q, &shed_query);
@@ -324,7 +317,7 @@ mod tests {
     fn staleness_is_judged_against_the_lease_window() {
         let (old, new) = (toys(10), toys(11));
         let q = qty_of_one();
-        let mut t = Tally::new(old.clone(), Some(50), Some(100), &["stale_beyond_lease"]);
+        let mut t = Tally::new(old.clone(), Some(50), Some(100), vec!["stale_beyond_lease"]);
         t.master_changed(100, new.clone());
         t.record(120, &q, &served(&new, &q, false));
         assert_eq!(

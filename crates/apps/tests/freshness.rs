@@ -1,5 +1,4 @@
-//! Freshness-plane property tests against the chaos oracle (this PR's
-//! acceptance gate):
+//! Freshness-plane property tests against the scenario's oracle:
 //!
 //! 1. under random fault schedules the plane's stale-age-at-serve never
 //!    exceeds the lease, and its beyond-lease count agrees with the
@@ -11,7 +10,7 @@
 //!    master-history timestamps.
 
 use proptest::prelude::*;
-use scs_apps::{run_chaos, ChaosConfig};
+use scs_apps::Scenario;
 use scs_netsim::{FaultSpec, MS};
 use scs_telemetry::Json;
 
@@ -31,18 +30,17 @@ proptest! {
         lease_ms in 50u64..400,
     ) {
         let lease = lease_ms * MS;
-        let mut cfg = ChaosConfig::chaotic(seed, ops);
+        let mut cfg = Scenario::chaotic(seed, ops);
         cfg.lease_micros = Some(lease);
-        cfg.channel_faults = FaultSpec {
+        cfg.pipe_faults = FaultSpec {
             drop_probability: drop_pct as f64 / 100.0,
             duplicate_probability: dup_pct as f64 / 100.0,
             delay_probability: delay_pct as f64 / 100.0,
             max_delay_micros: max_delay_ms * MS,
             base_latency_micros: MS,
         };
-        let report = run_chaos(&cfg);
-        let prov = report.provenance.as_ref().expect("chaos runs carry the plane");
-        let p = prov.lock().unwrap();
+        let report = cfg.run();
+        let p = report.provenance.lock().unwrap();
         let rl = p.replica(0);
 
         // The oracle (full master value history) and the plane (epoch
@@ -89,8 +87,8 @@ proptest! {
     }
 }
 
-/// The replica's final epoch, recovered from the journal (the chaos
-/// harness does not expose the proxy after the run): the largest
+/// The replica's final epoch, recovered from the journal (the scenario
+/// does not expose the proxy after the run): the largest
 /// `epoch_after` any arrival reached.
 fn final_epoch(p: &scs_telemetry::ProvenanceLog) -> u64 {
     p.replica(0)
@@ -105,12 +103,8 @@ fn final_epoch(p: &scs_telemetry::ProvenanceLog) -> u64 {
 /// (time-ordered) and pinned to the oracle's master history.
 #[test]
 fn explain_chains_are_causal_and_match_the_master_history() {
-    let report = run_chaos(&ChaosConfig::chaotic(17, 1_500));
-    let prov = report
-        .provenance
-        .as_ref()
-        .expect("chaos runs carry the plane");
-    let p = prov.lock().unwrap();
+    let report = Scenario::chaotic(17, 1_500).run();
+    let p = report.provenance.lock().unwrap();
     let rl = p.replica(0);
 
     let chain_of = |doc: &Json| -> Vec<Json> {

@@ -4,8 +4,9 @@
 //! checked against a ground-truth staleness oracle.
 //!
 //! For each seed the toystore workload runs twice — once with every
-//! fault surface disabled (must match the classic synchronous pipeline
-//! byte-for-byte) and once under the chaotic schedule — and the oracle
+//! fault surface disabled (no fault counter may move; that it equals the
+//! classic synchronous pipeline op for op is a tier-1 property of
+//! `scs-apps`) and once under the chaotic schedule — and the oracle
 //! verdict is tabulated next to the proxy's fault/recovery counters. A
 //! `faults` section per run lands in `artifacts/telemetry.json`
 //! (`$SCS_TELEMETRY_OUT` overrides the path; schema in `EXPERIMENTS.md`).
@@ -14,7 +15,7 @@
 //! scripts; anything else is five seeds of long scripts.
 
 use crate::{outln, Mode, ProbeRun, TextTable};
-use scs_apps::{report, run_chaos, run_classic, ChaosConfig, ChaosReport};
+use scs_apps::{report, Scenario, ScenarioReport};
 use scs_telemetry::Json;
 
 pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
@@ -43,26 +44,20 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
     let mut failures: Vec<String> = Vec::new();
 
     for &seed in &seeds {
-        let cfg = ChaosConfig::faultless(seed, faultless_ops);
-        let rep = run_chaos(&cfg);
-        let classic = run_classic(&cfg);
-        if rep.outcomes != classic.outcomes {
+        let cfg = Scenario::faultless(seed, faultless_ops);
+        let rep = cfg.run();
+        let faults = report::fault_total(&rep.metrics);
+        if faults != 0 {
             failures.push(format!(
-                "seed {seed}: faultless run diverged from the classic pipeline"
-            ));
-        }
-        if rep.counters.total() != 0 {
-            failures.push(format!(
-                "seed {seed}: fault counters nonzero ({}) with injection disabled",
-                rep.counters.total()
+                "seed {seed}: fault counters nonzero ({faults}) with injection disabled"
             ));
         }
         failures.extend(check_oracle("faultless", &cfg, &rep));
         push(&mut table, &mut entries, "faultless", &cfg, &rep);
 
-        let cfg = ChaosConfig::chaotic(seed, chaotic_ops);
-        let rep = run_chaos(&cfg);
-        if rep.counters.total() == 0 {
+        let cfg = Scenario::chaotic(seed, chaotic_ops);
+        let rep = cfg.run();
+        if report::fault_total(&rep.metrics) == 0 {
             failures.push(format!(
                 "seed {seed}: chaotic schedule left all fault counters at zero"
             ));
@@ -98,9 +93,9 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
 /// show the throughput dip, the degraded-serve spike, and the recovery
 /// once the link returns (`EXPERIMENTS.md`) — and the one SLO the
 /// fault-tolerance layer exists to meet (stale-beyond-lease == 0).
-pub fn outage_demo(failures: &mut Vec<String>) -> (ChaosConfig, ChaosReport) {
-    let cfg = ChaosConfig::outage_demo(42, 4_000);
-    let demo = run_chaos(&cfg);
+pub fn outage_demo(failures: &mut Vec<String>) -> (Scenario, ScenarioReport) {
+    let cfg = Scenario::outage_demo(42, 4_000);
+    let demo = cfg.run();
     failures.extend(check_oracle("outage_demo", &cfg, &demo));
     if demo.queries_unavailable == 0 || demo.degraded_serves == 0 {
         failures.push(format!(
@@ -111,7 +106,7 @@ pub fn outage_demo(failures: &mut Vec<String>) -> (ChaosConfig, ChaosReport) {
     (cfg, demo)
 }
 
-fn check_oracle(label: &str, cfg: &ChaosConfig, rep: &ChaosReport) -> Option<String> {
+fn check_oracle(label: &str, cfg: &Scenario, rep: &ScenarioReport) -> Option<String> {
     (rep.stale_beyond_lease > 0).then(|| {
         format!(
             "seed {} ({label}): {} serve(s) stale beyond the lease",
@@ -124,8 +119,8 @@ fn push(
     table: &mut TextTable,
     entries: &mut Vec<Json>,
     label: &str,
-    cfg: &ChaosConfig,
-    rep: &ChaosReport,
+    cfg: &Scenario,
+    rep: &ScenarioReport,
 ) {
     table.row(&[
         label.to_string(),
@@ -136,9 +131,9 @@ fn push(
         rep.degraded_serves.to_string(),
         (rep.queries_unavailable + rep.updates_unavailable).to_string(),
         rep.channel.dropped.to_string(),
-        rep.counters.epoch_gaps.to_string(),
-        rep.counters.recovery_flushes.to_string(),
-        rep.counters.restarts.to_string(),
+        rep.counter("epoch_gaps").to_string(),
+        rep.counter("recovery_flushes").to_string(),
+        rep.counter("restarts").to_string(),
     ]);
     entries.push(report::chaos_entry_json(label, cfg, rep));
 }

@@ -36,7 +36,7 @@
 
 use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::report::failover_entry_json;
-use scs_apps::{run_failover, FailoverConfig, FailoverReport};
+use scs_apps::{Scenario, ScenarioReport};
 
 /// Pinned probe seed — the entries diff cleanly against the committed
 /// baseline.
@@ -54,20 +54,19 @@ const BUCKET_MICROS: u64 = 25_000;
 pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
     let seed = seed.unwrap_or(SEED);
     let ops = if mode == Mode::Smoke { 600 } else { 2_400 };
-    let mut async_cfg = FailoverConfig::crash_mid_update(seed, ops);
-    async_cfg.timeseries_bucket_micros = Some(BUCKET_MICROS);
-    let scenarios: Vec<(&'static str, FailoverConfig)> = vec![
-        ("failover_steady", FailoverConfig::steady(seed, ops)),
+    let async_cfg = Scenario {
+        bucket_micros: Some(BUCKET_MICROS),
+        ..Scenario::crash_mid_update(seed, ops)
+    };
+    let scenarios: Vec<(&'static str, Scenario)> = vec![
+        ("failover_steady", Scenario::steady(seed, ops)),
         ("failover_async", async_cfg),
         (
             "failover_sync",
-            FailoverConfig::crash_mid_update(seed, ops).sync(),
+            Scenario::crash_mid_update(seed, ops).sync(),
         ),
-        (
-            "failover_double",
-            FailoverConfig::double_failover(seed, ops),
-        ),
-        ("failover_zombie", FailoverConfig::zombie(seed, ops)),
+        ("failover_double", Scenario::double_failover(seed, ops)),
+        ("failover_zombie", Scenario::zombie(seed, ops)),
     ];
 
     let mut entries = Vec::new();
@@ -86,7 +85,7 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
     ]);
 
     for (name, cfg) in scenarios {
-        let r = run_failover(&cfg);
+        let r = cfg.run();
         audit(name, &cfg, &r, steady_served, &mut failures);
         let retained = match (name, steady_served) {
             ("failover_steady", _) => {
@@ -129,15 +128,15 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
 
 /// The promotion-latency budget: detection lease + two heartbeats per
 /// failover.
-fn window_budget(cfg: &FailoverConfig, r: &FailoverReport) -> u64 {
+fn window_budget(cfg: &Scenario, r: &ScenarioReport) -> u64 {
     r.failovers.len() as u64 * (cfg.replication.lease_micros + 2 * cfg.replication.heartbeat_micros)
 }
 
 /// The per-run acceptance checks (doc comment above lists them).
 fn audit(
     name: &str,
-    cfg: &FailoverConfig,
-    r: &FailoverReport,
+    cfg: &Scenario,
+    r: &ScenarioReport,
     steady_served: Option<u64>,
     failures: &mut Vec<String>,
 ) {
@@ -147,7 +146,9 @@ fn audit(
             r.stale_beyond_lease
         ));
     }
-    if !r.durability_ok {
+    if !r.home_recovered {
+        failures.push(format!("{name}: home tier never recovered"));
+    } else if !r.durability_ok {
         failures.push(format!(
             "{name}: surviving state diverged from the oracle replay"
         ));

@@ -23,8 +23,7 @@
 //! [`ProxyFleet`]: scs_dssp::ProxyFleet
 
 use crate::{outln, Mode, ProbeRun, TextTable};
-use scs_apps::chaos::{run_chaos, ChaosConfig};
-use scs_apps::BenchApp;
+use scs_apps::{BenchApp, Scenario};
 use scs_dssp::{FanoutConfig, FleetConfig, RoutingMode, StrategyKind};
 use scs_netsim::{FaultSpec, SimConfig, SystemSpec, MS, SEC};
 use scs_telemetry::Json;
@@ -309,9 +308,8 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
 /// each kind the explain engine can produce.
 fn explain_demo(text: &mut String) {
     outln!(text, "Explain demo — chaotic single-proxy run, seed 17:");
-    let report = run_chaos(&ChaosConfig::chaotic(17, 1_500));
-    let prov = report.provenance.expect("chaos runs carry the plane");
-    let p = prov.lock().unwrap();
+    let report = Scenario::chaotic(17, 1_500).run();
+    let p = report.provenance.lock().unwrap();
     let rl = p.replica(0);
 
     // The most interesting serve: the one with the largest stale age.

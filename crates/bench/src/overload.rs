@@ -9,9 +9,8 @@
 //! moves them off the committed baseline's.
 
 use crate::{outln, Mode, ProbeRun, TextTable};
-use scs_apps::overload::LoadSegment;
 use scs_apps::{
-    goodput_curve, knee_index, report, run_overload, CurvePoint, OverloadReport, OverloadRunConfig,
+    goodput_curve, knee_index, report, CurvePoint, LoadSegment, Scenario, ScenarioReport,
 };
 use scs_netsim::Time;
 use scs_telemetry::Json;
@@ -31,15 +30,17 @@ pub const SEED: u64 = 42;
 /// text.
 pub fn run(_mode: Mode, seed: Option<u64>) -> ProbeRun {
     let seed = seed.unwrap_or(SEED);
-    let demo_cfg = OverloadRunConfig::spike_demo(seed);
-    let demo = run_overload(&demo_cfg);
+    let demo_cfg = Scenario::spike_demo(seed);
+    let demo = demo_cfg.run();
     // The unprotected contrast run skips the time series (and therefore
     // the SLO section): its whole point is to violate the objectives.
-    let mut demo_unprotected_cfg = demo_cfg.clone().unprotected();
-    demo_unprotected_cfg.timeseries_bucket_micros = None;
-    let demo_unprotected = run_overload(&demo_unprotected_cfg);
+    let demo_unprotected_cfg = Scenario {
+        bucket_micros: None,
+        ..demo_cfg.clone().unprotected()
+    };
+    let demo_unprotected = demo_unprotected_cfg.run();
 
-    let base = OverloadRunConfig::sweep_point(seed);
+    let base = Scenario::sweep_point(seed);
     let protected_curve = goodput_curve(&base, SWEEP_MULTIPLIERS);
     let unprotected_curve = goodput_curve(&base.clone().unprotected(), SWEEP_MULTIPLIERS);
 
@@ -80,7 +81,7 @@ pub fn run(_mode: Mode, seed: Option<u64>) -> ProbeRun {
     outln!(
         text,
         "(toystore; 4x spike over [1 s, 2 s); deadline {} ms; seed {seed})\n",
-        demo_cfg.deadline_micros / 1_000
+        deadline(&demo_cfg) / 1_000
     );
     let mut table = TextTable::new(&[
         "config",
@@ -97,23 +98,23 @@ pub fn run(_mode: Mode, seed: Option<u64>) -> ProbeRun {
     demo_row(&mut table, "spike_demo_unprotected", &demo_unprotected);
     text.push_str(&table.render());
 
-    let c = &demo.counters;
+    let c = |name| demo.counter(name);
     outln!(
         text,
         "\nbreaker: {} open / {} half-open / {} close; brownout: {} entered, {} degraded serves",
-        c.breaker_opens,
-        c.breaker_half_opens,
-        c.breaker_closes,
-        c.brownout_entries,
-        c.brownout_serves
+        c("breaker_opens"),
+        c("breaker_half_opens"),
+        c("breaker_closes"),
+        c("brownout_entries"),
+        c("brownout_serves")
     );
     outln!(
         text,
         "shed by: admission {} / breaker {} / brownout {} / queue {}",
-        c.shed_admission,
-        c.shed_breaker_open,
-        c.shed_brownout,
-        c.shed_queue_full
+        c("shed_admission"),
+        c("shed_breaker_open"),
+        c("shed_brownout"),
+        c("shed_queue_full")
     );
     outln!(
         text,
@@ -150,10 +151,10 @@ pub fn run(_mode: Mode, seed: Option<u64>) -> ProbeRun {
     }
 }
 
-fn demo_row(table: &mut TextTable, label: &str, r: &OverloadReport) {
+fn demo_row(table: &mut TextTable, label: &str, r: &ScenarioReport) {
     table.row(&[
         label.to_string(),
-        r.offered.to_string(),
+        r.offered().to_string(),
         format!("{:.0}", r.goodput_rps()),
         r.shed.to_string(),
         r.degraded_serves.to_string(),
@@ -164,15 +165,20 @@ fn demo_row(table: &mut TextTable, label: &str, r: &OverloadReport) {
     ]);
 }
 
+/// The home queue's goodput deadline (µs).
+fn deadline(cfg: &Scenario) -> Time {
+    cfg.home_queue.as_ref().map_or(0, |q| q.deadline_micros)
+}
+
 /// The spike window `[start, end)` from the demo's load profile.
-fn spike_window(cfg: &OverloadRunConfig) -> Option<(Time, Time)> {
+fn spike_window(cfg: &Scenario) -> Option<(Time, Time)> {
     cfg.load.segments.iter().find_map(|s| match *s {
         LoadSegment::Step { start, end, .. } => Some((start, end)),
         LoadSegment::Ramp { .. } => None,
     })
 }
 
-fn check_demo(cfg: &OverloadRunConfig, r: &OverloadReport, failures: &mut Vec<String>) {
+fn check_demo(cfg: &Scenario, r: &ScenarioReport, failures: &mut Vec<String>) {
     if r.stale_beyond_lease != 0 {
         failures.push(format!(
             "spike_demo: {} serve(s) stale beyond the lease under overload",
@@ -182,14 +188,17 @@ fn check_demo(cfg: &OverloadRunConfig, r: &OverloadReport, failures: &mut Vec<St
     if r.shed == 0 {
         failures.push("spike_demo: a 4x spike shed nothing".to_string());
     }
-    let c = &r.counters;
-    if c.breaker_opens == 0 || c.breaker_half_opens == 0 || c.breaker_closes == 0 {
+    let (opens, half_opens, closes) = (
+        r.counter("breaker_opens"),
+        r.counter("breaker_half_opens"),
+        r.counter("breaker_closes"),
+    );
+    if opens == 0 || half_opens == 0 || closes == 0 {
         failures.push(format!(
-            "spike_demo: breaker cycle incomplete (opens {}, half-opens {}, closes {})",
-            c.breaker_opens, c.breaker_half_opens, c.breaker_closes
+            "spike_demo: breaker cycle incomplete (opens {opens}, half-opens {half_opens}, closes {closes})"
         ));
     }
-    if let Some(p) = &cfg.protection {
+    if let Some(p) = cfg.home_queue.as_ref().and_then(|q| q.protection) {
         if r.queue_wait_p99_micros > p.admission.deadline_micros {
             failures.push(format!(
                 "spike_demo: p99 queue wait {} us exceeds the {} us admission deadline",
@@ -199,10 +208,11 @@ fn check_demo(cfg: &OverloadRunConfig, r: &OverloadReport, failures: &mut Vec<St
     }
     // Admitted work must stay deadline-shaped: at most 1% of completions
     // blew the deadline.
-    if r.deadline_missed * 100 > r.completed {
+    if r.deadline_missed * 100 > r.completed() {
         failures.push(format!(
             "spike_demo: {} of {} completions missed the deadline",
-            r.deadline_missed, r.completed
+            r.deadline_missed,
+            r.completed()
         ));
     }
     // Goodput stays flat while shedding: the spike window's timely rate
@@ -237,7 +247,7 @@ fn check_demo(cfg: &OverloadRunConfig, r: &OverloadReport, failures: &mut Vec<St
 }
 
 fn check_curves(
-    base: &OverloadRunConfig,
+    base: &Scenario,
     protected: &[CurvePoint],
     unprotected: &[CurvePoint],
     failures: &mut Vec<String>,
@@ -275,13 +285,13 @@ fn check_curves(
     }
     // The contrast that motivates the whole layer: past the knee the
     // unprotected p99 runs away while the protected one stays bounded.
-    if pt.p99_response_micros > 2 * base.deadline_micros {
+    if pt.p99_response_micros > 2 * deadline(base) {
         failures.push(format!(
             "sweep x{}: protected p99 {} us lost its deadline shape",
             pt.multiplier, pt.p99_response_micros
         ));
     }
-    if ut.p99_response_micros < 4 * base.deadline_micros {
+    if ut.p99_response_micros < 4 * deadline(base) {
         failures.push(format!(
             "sweep x{}: unprotected p99 {} us never degraded — overload not reached",
             ut.multiplier, ut.p99_response_micros

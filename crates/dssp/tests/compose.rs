@@ -218,7 +218,7 @@ fn outages() -> impl Strategy<Value = Vec<(u64, u64)>> {
 }
 
 fn cases() -> u32 {
-    std::env::var("SCS_CHAOS_CASES")
+    std::env::var("SCS_SCENARIO_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(32)

@@ -479,7 +479,7 @@ fn step() -> impl Strategy<Value = Step> {
 }
 
 fn cases() -> u32 {
-    std::env::var("SCS_CHAOS_CASES")
+    std::env::var("SCS_SCENARIO_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(64)
