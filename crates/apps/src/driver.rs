@@ -2,16 +2,13 @@
 //! operation for real (through the DSSP proxy against the in-memory home
 //! server) and reports its resource demands to the network simulator.
 
-use crate::defs::{AppDef, Op, ParamSpec, RequestType};
-use crate::gen::{IdSpaces, ParamGen};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::defs::{AppDef, Op};
+use crate::gen::{BoundOp, IdSpaces, ParamGen, RequestSampler};
 use scs_core::{characterize_app, AnalysisOptions, Exposures, IpmMatrix};
 use scs_dssp::{Dssp, DsspConfig, FleetConfig, HomeServer, ProxyFleet, ShardedHome};
 use scs_netsim::{HomeTrip, OpCost, Time, Workload};
-use scs_sqlkit::{Query, QueryTemplate, Update, UpdateTemplate};
+use scs_sqlkit::UpdateTemplate;
 use scs_storage::{Database, PartitionMap, TablePlacement};
-use std::sync::Arc;
 
 /// CPU/size cost model calibrated to the paper's testbed shape (§5.2):
 /// a fast (Xeon-class) DSSP node, a slow (P-III-class) home server running
@@ -132,82 +129,27 @@ impl CostModel {
     }
 }
 
-/// A bound, ready-to-execute operation of an in-flight request.
-enum PreparedOp {
-    Query(Query),
-    Update(Update),
-}
-
-/// The workload-generation half shared by the single-proxy and fleet
-/// drivers: samples weighted request types and binds their operations'
-/// parameters, keeping each client's in-flight request.
+/// The workload-generation half shared by the drivers: the app's request
+/// stream, and each client's in-flight request.
 struct OpSampler {
-    queries: Vec<Arc<QueryTemplate>>,
-    query_params: Vec<Vec<ParamSpec>>,
-    updates: Vec<Arc<UpdateTemplate>>,
-    update_params: Vec<Vec<ParamSpec>>,
-    requests: Vec<RequestType>,
-    total_weight: u32,
-    gen: ParamGen,
-    rng: StdRng,
-    pending: Vec<Vec<PreparedOp>>,
+    stream: RequestSampler,
+    pending: Vec<Vec<BoundOp>>,
 }
 
 impl OpSampler {
     fn new(app: &AppDef, ids: IdSpaces, zipf_exponent: f64, seed: u64) -> OpSampler {
         OpSampler {
-            queries: app.query_templates(),
-            query_params: app.queries.iter().map(|q| q.params.clone()).collect(),
-            updates: app.update_templates(),
-            update_params: app.updates.iter().map(|u| u.params.clone()).collect(),
-            requests: app.requests.clone(),
-            total_weight: app.requests.iter().map(|r| r.weight).sum(),
-            gen: ParamGen::new(ids, zipf_exponent),
-            rng: StdRng::seed_from_u64(seed),
+            stream: RequestSampler::new(app, ParamGen::new(ids, zipf_exponent), seed),
             pending: Vec::new(),
         }
-    }
-
-    fn sample_request(&mut self) -> usize {
-        let mut pick = self.rng.gen_range(0..self.total_weight);
-        for (i, r) in self.requests.iter().enumerate() {
-            if pick < r.weight {
-                return i;
-            }
-            pick -= r.weight;
-        }
-        unreachable!("weights sum to total_weight")
     }
 
     fn begin_request(&mut self, client: usize) -> usize {
         if self.pending.len() <= client {
             self.pending.resize_with(client + 1, Vec::new);
         }
-        let rix = self.sample_request();
-        let ops: Vec<PreparedOp> = self.requests[rix]
-            .ops
-            .clone()
-            .iter()
-            .map(|op| match op {
-                Op::Query(tid) => {
-                    let params = self.gen.bind_all(&self.query_params[*tid], &mut self.rng);
-                    PreparedOp::Query(
-                        Query::bind(*tid, self.queries[*tid].clone(), params)
-                            .expect("validated definitions"),
-                    )
-                }
-                Op::Update(tid) => {
-                    let params = self.gen.bind_all(&self.update_params[*tid], &mut self.rng);
-                    PreparedOp::Update(
-                        Update::bind(*tid, self.updates[*tid].clone(), params)
-                            .expect("validated definitions"),
-                    )
-                }
-            })
-            .collect();
-        let n = ops.len();
-        self.pending[client] = ops;
-        n
+        self.pending[client] = self.stream.draw();
+        self.pending[client].len()
     }
 }
 
@@ -342,7 +284,7 @@ impl Workload for DsspWorkload {
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
         let executed = match &self.ops.pending[client][op_index] {
-            PreparedOp::Query(q) => {
+            BoundOp::Query(q) => {
                 let resp = self
                     .dssp
                     .execute_query(q, &mut self.home)
@@ -353,7 +295,7 @@ impl Workload for DsspWorkload {
                     ..Executed::default()
                 }
             }
-            PreparedOp::Update(u) => Executed {
+            BoundOp::Update(u) => Executed {
                 statement_bytes: u.statement_text().len() as u64,
                 // Rejected updates (FK violation on a deleted row, ...)
                 // still cost a home round trip; they change nothing and
@@ -466,7 +408,7 @@ impl Workload for FleetWorkload {
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
         let executed = match &self.ops.pending[client][op_index] {
-            PreparedOp::Query(q) => {
+            BoundOp::Query(q) => {
                 let fr = self
                     .fleet
                     .execute_query(q)
@@ -479,7 +421,7 @@ impl Workload for FleetWorkload {
                     ..Executed::default()
                 }
             }
-            PreparedOp::Update(u) => {
+            BoundOp::Update(u) => {
                 // Rejected updates still cost a home round trip; they
                 // change nothing and trigger no invalidation. (Their
                 // serving replica is unknown on rejection — node 0
@@ -671,7 +613,7 @@ impl Workload for ShardedWorkload {
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
         let executed = match &self.ops.pending[client][op_index] {
-            PreparedOp::Query(q) => {
+            BoundOp::Query(q) => {
                 let participants = self.home.map().shards_for_query(q);
                 let resp = self
                     .dssp
@@ -700,7 +642,7 @@ impl Workload for ShardedWorkload {
                     ..Executed::default()
                 }
             }
-            PreparedOp::Update(u) => {
+            BoundOp::Update(u) => {
                 // Rejected updates (cross-shard FK violation on a
                 // deleted parent, ...) still cost a trip to the shard
                 // that would have owned them; they change nothing and
@@ -740,6 +682,8 @@ impl Workload for ShardedWorkload {
 mod tests {
     use super::*;
     use crate::toystore;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use scs_core::ExposureLevel;
     use scs_dssp::StrategyKind;
     use scs_netsim::{run, SimConfig, SystemSpec, SEC};

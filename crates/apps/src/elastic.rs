@@ -586,7 +586,7 @@ pub fn run_elastic(cfg: &ElasticRunConfig) -> ElasticReport {
             .map(|r| log.replica(r).stale_beyond_lease)
             .sum();
         let balanced =
-            (0..log.replica_count()).all(|r| log.conservation(r, final_epoch).balanced());
+            (0..log.replica_count()).all(|r| log.conservation_on(r, 0, final_epoch).balanced());
         (stale, balanced, log.membership().len())
     };
     let joins = w

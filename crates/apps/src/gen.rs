@@ -1,9 +1,10 @@
-//! Workload parameter generation: id spaces, Zipf popularity, word pools.
+//! Workload generation: id spaces, Zipf popularity, word pools, and the
+//! one request sampler every replay of an application's stream draws from.
 
-use crate::defs::ParamSpec;
+use crate::defs::{AppDef, Op, ParamSpec, RequestType, TemplateDef};
 use rand::rngs::StdRng;
-use rand::Rng;
-use scs_sqlkit::Value;
+use rand::{Rng, SeedableRng};
+use scs_sqlkit::{Query, QueryTemplate, Update, UpdateTemplate, Value};
 use std::collections::HashMap;
 
 /// A Zipf sampler over ranks `1..=n` with exponent `s`:
@@ -148,6 +149,78 @@ impl ParamGen {
     /// Binds a whole parameter list.
     pub fn bind_all(&mut self, specs: &[ParamSpec], rng: &mut StdRng) -> Vec<Value> {
         specs.iter().map(|s| self.bind(s, rng)).collect()
+    }
+}
+
+/// One operation of a drawn request, bound to its parameters.
+#[derive(Debug, Clone)]
+pub enum BoundOp {
+    Query(Query),
+    Update(Update),
+}
+
+/// An application's request stream: each draw picks a request type by
+/// weight (one `gen_range(0..total_weight)`), then binds its operations
+/// in order from the same RNG. The simulator, the scripted scenarios and
+/// the stream replays in the tests all draw here, so one seed names one
+/// statement sequence everywhere.
+pub struct RequestSampler {
+    queries: Vec<TemplateDef<QueryTemplate>>,
+    updates: Vec<TemplateDef<UpdateTemplate>>,
+    requests: Vec<RequestType>,
+    total_weight: u32,
+    gen: ParamGen,
+    rng: StdRng,
+}
+
+impl RequestSampler {
+    pub fn new(app: &AppDef, gen: ParamGen, seed: u64) -> RequestSampler {
+        RequestSampler {
+            queries: app.queries.clone(),
+            updates: app.updates.clone(),
+            requests: app.requests.clone(),
+            total_weight: app.requests.iter().map(|r| r.weight).sum(),
+            gen,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Draws one request and binds its operations.
+    pub fn draw(&mut self) -> Vec<BoundOp> {
+        let mut pick = self.rng.gen_range(0..self.total_weight);
+        let request = self
+            .requests
+            .iter()
+            .find(|r| match pick.checked_sub(r.weight) {
+                Some(rest) => {
+                    pick = rest;
+                    false
+                }
+                None => true,
+            })
+            .expect("weights sum to the total");
+        request
+            .ops
+            .iter()
+            .map(|op| match *op {
+                Op::Query(tid) => {
+                    let t = &self.queries[tid];
+                    let params = self.gen.bind_all(&t.params, &mut self.rng);
+                    BoundOp::Query(
+                        Query::bind(tid, t.template.clone(), params)
+                            .expect("validated definitions"),
+                    )
+                }
+                Op::Update(tid) => {
+                    let t = &self.updates[tid];
+                    let params = self.gen.bind_all(&t.params, &mut self.rng);
+                    BoundOp::Update(
+                        Update::bind(tid, t.template.clone(), params)
+                            .expect("validated definitions"),
+                    )
+                }
+            })
+            .collect()
     }
 }
 

@@ -21,7 +21,6 @@ pub mod runner;
 pub mod scenario;
 pub mod tally;
 pub mod toystore;
-pub mod trace;
 
 pub use defs::{AppDef, Op, ParamSpec, RequestType, Sensitivity, TemplateDef};
 pub use driver::{
@@ -30,7 +29,7 @@ pub use driver::{
 pub use elastic::{
     run_elastic, ElasticFleetWorkload, ElasticReport, ElasticRunConfig, MembershipChange,
 };
-pub use gen::{IdSpaces, ParamGen, Zipf, BOOK_POPULARITY_EXPONENT};
+pub use gen::{BoundOp, IdSpaces, ParamGen, RequestSampler, Zipf, BOOK_POPULARITY_EXPONENT};
 pub use runner::{
     measure_scalability, run_audited_trial, run_trial, run_trial_on, sharded_workload, sweep,
     BenchApp, Fidelity, Topology,
@@ -39,4 +38,3 @@ pub use scenario::{
     goodput_curve, knee_index, CrashEvent, CrashKind, CurvePoint, HomeQueue, LoadProfile,
     LoadSegment, OpOutcome, Scenario, ScenarioReport,
 };
-pub use trace::{replay, ReplayReport, Trace, TraceOp};

@@ -32,19 +32,19 @@
 //!   `lost_acked` (zero under sync-quorum).
 
 use crate::driver::analysis_matrix;
-use crate::gen::{IdSpaces, ParamGen};
+use crate::gen::{BoundOp, IdSpaces, ParamGen, RequestSampler};
+pub use crate::tally::OpOutcome;
 use crate::tally::Tally;
-pub use crate::tally::{OpOutcome, ScriptOp};
 use crate::toystore;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scs_dssp::{
     DsspConfig, FailoverRecord, FanoutConfig, FleetConfig, FtUpdateOutcome, HomeLink, HomeServer,
     OverloadConfig, ProxyFleet, QueueState, ReplicationConfig, ReplicationMode, RetryPolicy,
     RoutingMode, StrategyKind,
 };
 use scs_netsim::{ChannelStats, FaultSpec, OutageSchedule, QueueCap, ServiceCenter, Time, MS, SEC};
-use scs_sqlkit::{Query, Update, UpdateTemplate, Value};
+use scs_sqlkit::{Update, UpdateTemplate, Value};
 use scs_storage::Database;
 use scs_telemetry::{LogHistogram, MetricsSnapshot, SharedProvenance, TimeSeries, TimeSeriesSink};
 use std::sync::{Arc, Mutex};
@@ -503,7 +503,7 @@ impl Scenario {
 
     /// The toystore master populated from the seed and the bound op
     /// script: every run of this seed replays the identical statements.
-    pub fn bind(&self) -> (Database, Vec<ScriptOp>) {
+    pub fn bind(&self) -> (Database, Vec<BoundOp>) {
         let app = toystore::toystore();
         let mut db = Database::new();
         for s in &app.schemas {
@@ -516,43 +516,11 @@ impl Scenario {
         ids.declare("customers", 30);
         ids.declare("credit_card", 15);
 
-        let (queries, updates) = (app.query_templates(), app.update_templates());
-        let mut gen = ParamGen::new(ids, 1.0);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7363_7269_7074); // "script"
+        let seed = self.seed ^ 0x7363_7269_7074; // "script"
+        let mut stream = RequestSampler::new(&app, ParamGen::new(ids, 1.0), seed);
         let mut script = Vec::with_capacity(self.ops);
-        let total_weight: u32 = app.requests.iter().map(|r| r.weight).sum();
         while script.len() < self.ops {
-            let mut pick = rng.gen_range(0..total_weight);
-            let request = app
-                .requests
-                .iter()
-                .find(|r| {
-                    if pick < r.weight {
-                        true
-                    } else {
-                        pick -= r.weight;
-                        false
-                    }
-                })
-                .expect("weights sum to total");
-            for op in &request.ops {
-                script.push(match *op {
-                    crate::defs::Op::Query(tid) => {
-                        let params = gen.bind_all(&app.queries[tid].params, &mut rng);
-                        ScriptOp::Query(
-                            Query::bind(tid, queries[tid].clone(), params)
-                                .expect("validated definitions"),
-                        )
-                    }
-                    crate::defs::Op::Update(tid) => {
-                        let params = gen.bind_all(&app.updates[tid].params, &mut rng);
-                        ScriptOp::Update(
-                            Update::bind(tid, updates[tid].clone(), params)
-                                .expect("validated definitions"),
-                        )
-                    }
-                });
-            }
+            script.extend(stream.draw());
         }
         script.truncate(self.ops);
         (db, script)
@@ -670,7 +638,7 @@ impl Scenario {
             });
 
             let outcome = match op {
-                ScriptOp::Query(q) => {
+                BoundOp::Query(q) => {
                     let resp = fleet
                         .execute_query_ft(q, &link, &self.retry, state.as_ref())
                         .expect("toystore queries never error");
@@ -704,7 +672,7 @@ impl Scenario {
                     }
                     outcome
                 }
-                ScriptOp::Update(u) => {
+                BoundOp::Update(u) => {
                     let resp = fleet.execute_update_ft(u, &link, &self.retry, state.as_ref());
                     if let Ok(r) = &resp {
                         if let (FtUpdateOutcome::Applied { msg, .. }, Some(ack)) =
@@ -775,7 +743,7 @@ impl Scenario {
             let log = prov.lock().expect("no concurrent holders after the run");
             report.failover_stamps = log.failovers().len();
             report.conservation_balanced = (0..log.replica_count())
-                .all(|r| log.conservation(r, report.final_epoch).balanced());
+                .all(|r| log.conservation_on(r, 0, report.final_epoch).balanced());
         }
         if let Some((_, c)) = &queue {
             report.queue_rejections = c.rejections();

@@ -17,19 +17,12 @@
 //! curves its report exports; the tally never learns which features it
 //! serves.
 
+use crate::gen::BoundOp;
 use scs_dssp::{FtOutcome, FtUpdateOutcome, FtUpdateResponse};
 use scs_netsim::Time;
-use scs_sqlkit::{Query, Update};
+use scs_sqlkit::Query;
 use scs_storage::{Database, QueryResult, StorageError};
 use scs_telemetry::TimeSeries;
-
-/// One scripted operation, bound when the script is built so every run
-/// replays the identical statement sequence.
-#[derive(Debug, Clone)]
-pub enum ScriptOp {
-    Query(Query),
-    Update(Update),
-}
 
 /// What one operation produced — the unit of baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,7 +188,7 @@ impl Tally {
     /// Accounts what `op` produced; a served result is checked against
     /// the oracle. The caller reports an applied update's new master
     /// state through [`Tally::master_changed`].
-    pub(crate) fn record(&mut self, now: Time, op: &ScriptOp, outcome: &OpOutcome) {
+    pub(crate) fn record(&mut self, now: Time, op: &BoundOp, outcome: &OpOutcome) {
         match outcome {
             OpOutcome::Query {
                 hit,
@@ -212,7 +205,7 @@ impl Tally {
                 if *degraded {
                     self.tick(now, "degraded_serve");
                 }
-                let ScriptOp::Query(q) = op else {
+                let BoundOp::Query(q) = op else {
                     return; // only a query produces a result to check
                 };
                 match staleness_within_lease(&self.oracle, q, result, now, self.lease) {
@@ -272,13 +265,13 @@ mod tests {
         db
     }
 
-    fn qty_of_one() -> ScriptOp {
+    fn qty_of_one() -> BoundOp {
         let tpl = Arc::new(parse_query("SELECT qty FROM toys WHERE id = ?").unwrap());
-        ScriptOp::Query(Query::bind(0, tpl, vec![Value::Int(1)]).unwrap())
+        BoundOp::Query(Query::bind(0, tpl, vec![Value::Int(1)]).unwrap())
     }
 
-    fn served(db: &Database, op: &ScriptOp, hit: bool) -> OpOutcome {
-        let ScriptOp::Query(q) = op else {
+    fn served(db: &Database, op: &BoundOp, hit: bool) -> OpOutcome {
+        let BoundOp::Query(q) = op else {
             panic!("a query op")
         };
         OpOutcome::Query {

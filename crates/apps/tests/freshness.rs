@@ -83,7 +83,7 @@ proptest! {
             );
         }
         // Conservation holds at the end of the stream too.
-        prop_assert!(p.conservation(0, final_epoch(&p)).balanced());
+        prop_assert!(p.conservation_on(0, 0, final_epoch(&p)).balanced());
     }
 }
 

@@ -3,8 +3,8 @@
 //! `HomeServer`, answered by `execute_query` / `execute_update` —
 //! perfect delivery, no faults, no fleet.
 
-use scs_apps::scenario::{OpOutcome, Scenario, ScriptOp};
-use scs_apps::{analysis_matrix, toystore};
+use scs_apps::scenario::{OpOutcome, Scenario};
+use scs_apps::{analysis_matrix, toystore, BoundOp};
 use scs_dssp::{Dssp, DsspConfig, HomeServer};
 
 /// The classic pair's responses to `sc`'s script, in script order.
@@ -24,7 +24,7 @@ pub fn run_classic(sc: &Scenario) -> Vec<OpOutcome> {
             clock += sc.op_spacing_micros.max(1);
             dssp.set_sim_time_micros(clock);
             match op {
-                ScriptOp::Query(q) => {
+                BoundOp::Query(q) => {
                     let resp = dssp.execute_query(q, &mut home).expect("valid query");
                     OpOutcome::Query {
                         hit: resp.hit,
@@ -32,7 +32,7 @@ pub fn run_classic(sc: &Scenario) -> Vec<OpOutcome> {
                         result: resp.result,
                     }
                 }
-                ScriptOp::Update(u) => match dssp.execute_update(u, &mut home) {
+                BoundOp::Update(u) => match dssp.execute_update(u, &mut home) {
                     Ok(_) => OpOutcome::UpdateApplied,
                     Err(_) => OpOutcome::UpdateRejected,
                 },

@@ -205,7 +205,7 @@ pub fn run_point(proxies: usize, spec: &FaultSpec, sizes: Sizes, seed: u64) -> F
         point.serves += rl.serves;
         point.stale_within_lease += rl.stale_within_lease;
         point.stale_beyond_lease += rl.stale_beyond_lease;
-        let cons = p.conservation(r, w.fleet().proxy(r).epoch());
+        let cons = p.conservation_on(r, 0, w.fleet().proxy(r).epoch());
         point.conservation_balanced &= cons.balanced();
     }
     for amp in p.amplification() {

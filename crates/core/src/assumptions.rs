@@ -19,7 +19,7 @@
 //! applications, §5.1) are outside the proved model; the characterizer
 //! handles them with documented conservative rules (see `ipm`).
 
-use scs_sqlkit::{QueryTemplate, Template, UpdateTemplate};
+use scs_sqlkit::{QueryTemplate, UpdateTemplate};
 
 /// Which §2.1.1 assumption a template violates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,14 +83,6 @@ pub fn check_update(u: &UpdateTemplate) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Checks either kind of template.
-pub fn check_template(t: &Template) -> Vec<Violation> {
-    match t {
-        Template::Query(q) => check_query(q),
-        Template::Update(u) => check_update(u),
-    }
 }
 
 /// True when every alias of a multi-table query is connected to the rest

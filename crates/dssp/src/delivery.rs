@@ -135,7 +135,7 @@ impl InvalidationBatch {
     }
 
     /// `(update_template, payload_bytes)` per retained message — the
-    /// shape [`scs_telemetry::ProvenanceLog::note_flush`] records.
+    /// shape [`scs_telemetry::ProvenanceLog::note_flush_on`] records.
     pub fn retained_payloads(&self) -> Vec<(usize, u64)> {
         self.msgs
             .iter()

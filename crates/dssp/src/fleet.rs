@@ -912,7 +912,8 @@ impl ProxyFleet {
         );
         let prov = self.prov.clone();
         let batch_id = prov.as_ref().map(|prov| {
-            lock_provenance(prov, &mut self.prov_poison_recovered).note_flush(
+            lock_provenance(prov, &mut self.prov_poison_recovered).note_flush_on(
+                0,
                 batch.first_epoch,
                 batch.last_epoch,
                 batch.len() as u64,

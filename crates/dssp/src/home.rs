@@ -493,7 +493,7 @@ mod tests {
         // The stamp landed despite the poison.
         let log = prov.lock().unwrap_or_else(|p| p.into_inner());
         assert_eq!(log.commits().len(), 1);
-        assert_eq!(log.commit_at(1), Some(0));
+        assert_eq!(log.commit_at_on(0, 1), Some(0));
     }
 
     /// The promotion barrier is one checkpoint record no matter how

@@ -29,7 +29,7 @@
 //! conservatively, per-entry leases bound the staleness any *undetected*
 //! failure can cause, and home-server trips retry with exponential
 //! backoff. `tests/delivery.rs` covers the delivery semantics directly;
-//! `scs-apps`' `tests/chaos.rs` drives random fault schedules against a
+//! `scs-apps`' `tests/scenario.rs` drives random fault schedules against a
 //! ground-truth oracle to verify the staleness bound.
 //!
 //! Past the scalability knee the right behaviour is to *bend, not

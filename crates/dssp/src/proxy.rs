@@ -477,9 +477,10 @@ impl Dssp {
 
     /// Attaches the freshness plane: this proxy stamps serves, misses,
     /// stores, invalidations, and batch arrivals as `replica` on the
-    /// shared log. The home server and the fanout layer must share the
-    /// same log for the stamps to chain.
+    /// shared log, which grows to cover `replica`. The home server and the
+    /// fanout layer must share the same log for the stamps to chain.
     pub fn attach_provenance(&mut self, prov: SharedProvenance, replica: usize) {
+        lock_plane(&prov).register_replica(replica);
         self.prov = Some((prov, replica));
     }
 
@@ -1262,13 +1263,6 @@ impl Dssp {
         splitmix64(self.jitter_salt ^ self.request_seq)
     }
 
-    /// Delivers one epoch-stamped invalidation notification on stream 0,
-    /// the classic single-home stream:
-    /// [`Dssp::apply_invalidation_from`]`(0, msg)`.
-    pub fn apply_invalidation(&mut self, msg: &InvalidationMsg) -> DeliveryOutcome {
-        self.apply_invalidation_from(0, msg)
-    }
-
     /// Delivers one fanout batch on stream 0, the classic single-home
     /// stream: [`Dssp::apply_batch_from`]`(0, batch)`.
     pub fn apply_batch(&mut self, batch: &InvalidationBatch) -> BatchOutcome {
@@ -1838,7 +1832,7 @@ impl Dssp {
     }
 
     /// The proxy's tracer — exposes sink health (swallowed write errors,
-    /// ring-buffer drops) for the telemetry export.
+    /// dropped events) for the telemetry export.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -2225,5 +2219,55 @@ mod tests {
         }
         assert_eq!(f.dssp.spans().recorded(), 2);
         assert!(f.dssp.spans().dropped() > 0);
+    }
+
+    /// A panic in another thread holding the shared series (a harness
+    /// merging curves) must not turn every later traced request into a
+    /// panic: the sink keeps counting into the recovered series.
+    #[test]
+    fn a_poisoned_time_series_does_not_panic_the_serving_path() {
+        let mut f = fixture(StrategyKind::ViewInspection);
+        let (sink, series) = scs_telemetry::TimeSeriesSink::new(1_000);
+        f.dssp.add_trace_sink(Box::new(sink));
+        let poisoner = series.clone();
+        let joined = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the series");
+        })
+        .join();
+        assert!(
+            joined.is_err() && series.lock().is_err(),
+            "series is poisoned"
+        );
+        assert!(!f.query(0, vec![Value::str("bear")]).hit);
+        assert!(f.query(0, vec![Value::str("bear")]).hit);
+        let series = series.lock().unwrap_or_else(|p| p.into_inner());
+        assert_eq!(series.counter_total("query_miss"), 1);
+        assert_eq!(series.counter_total("query_hit"), 1);
+    }
+
+    /// The freshness plane attached at a replica id the log was not sized
+    /// for grows to cover it, as the audit plane does: the first miss,
+    /// its fill and the hit after it are all stamped.
+    #[test]
+    fn provenance_attached_at_an_unregistered_replica_stamps() {
+        let mut f = fixture(StrategyKind::ViewInspection);
+        let prov = scs_telemetry::shared_provenance(1);
+        f.dssp.attach_provenance(prov.clone(), 3);
+        f.dssp.set_sim_time_micros(10);
+        assert!(!f.query(1, vec![Value::Int(2)]).hit);
+        f.dssp.set_sim_time_micros(20);
+        assert!(f.query(1, vec![Value::Int(2)]).hit);
+        let log = prov.lock().unwrap();
+        assert_eq!(log.replica_count(), 4);
+        assert_eq!(log.replica(3).miss_events().len(), 1);
+        assert_eq!(log.replica(3).serves, 1);
+        let serve = log.explain_serve(3, 1, 20).expect("the hit is stamped");
+        let chain = serve.get("chain").and_then(|c| c.as_arr()).unwrap();
+        assert_eq!(
+            chain[0].get("step").and_then(|s| s.as_str()),
+            Some("stored")
+        );
+        assert_eq!(chain[0].get("at_micros").and_then(|a| a.as_u64()), Some(10));
     }
 }

@@ -514,7 +514,7 @@ proptest! {
         let final_epoch = fleet.home().epoch();
         let log = prov.lock().unwrap();
         for r in 0..log.replica_count() {
-            let ledger = log.conservation(r, final_epoch);
+            let ledger = log.conservation_on(r, 0, final_epoch);
             prop_assert!(ledger.balanced(), "replica {}: {:?}", r, ledger);
         }
     }

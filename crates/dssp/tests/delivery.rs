@@ -249,7 +249,7 @@ fn recovery_flush_drops_what_an_update_can_touch_and_nothing_else() {
     let u = Update::bind(0, updates[0].clone(), vec![Value::Int(7), Value::Int(1)]).unwrap();
     home.apply_update(&u).unwrap();
     let (_, late) = home.apply_update(&u).unwrap();
-    let DeliveryOutcome::Recovered { flushed } = dssp.apply_invalidation(&late) else {
+    let DeliveryOutcome::Recovered { flushed } = dssp.apply_invalidation_from(0, &late) else {
         panic!("a skipped epoch must flush");
     };
     let after = cached(&dssp);
@@ -270,12 +270,12 @@ fn duplicates_and_gaps_follow_epoch_semantics() {
 
     let m1 = r.update_undelivered(0, vec![Value::Int(20), Value::Int(0)]);
     assert!(matches!(
-        r.dssp.apply_invalidation(&m1),
+        r.dssp.apply_invalidation_from(0, &m1),
         DeliveryOutcome::Applied { .. }
     ));
     // Redelivery of the same epoch is dropped.
     assert!(matches!(
-        r.dssp.apply_invalidation(&m1),
+        r.dssp.apply_invalidation_from(0, &m1),
         DeliveryOutcome::Duplicate
     ));
 
@@ -284,11 +284,11 @@ fn duplicates_and_gaps_follow_epoch_semantics() {
     // Reorder: epoch 3 before epoch 2 — the gap forces a flush that
     // covers both, and the late epoch-2 message is then a duplicate.
     assert!(matches!(
-        r.dssp.apply_invalidation(&m3),
+        r.dssp.apply_invalidation_from(0, &m3),
         DeliveryOutcome::Recovered { .. }
     ));
     assert!(matches!(
-        r.dssp.apply_invalidation(&m2),
+        r.dssp.apply_invalidation_from(0, &m2),
         DeliveryOutcome::Duplicate
     ));
     assert_eq!(r.dssp.epoch(), 3);
@@ -325,7 +325,7 @@ fn restart_resynchronizes_with_the_home_epoch() {
     // A message that was in flight across the crash arrives as a
     // duplicate — the handshake already covers it.
     assert!(matches!(
-        r.dssp.apply_invalidation(&in_flight),
+        r.dssp.apply_invalidation_from(0, &in_flight),
         DeliveryOutcome::Duplicate
     ));
 
@@ -622,7 +622,7 @@ proptest! {
                         continue;
                     };
                     let a = on_s.dssp.apply_invalidation_from(s, msg);
-                    let b = on_0.dssp.apply_invalidation(msg);
+                    let b = on_0.dssp.apply_invalidation_from(0, msg);
                     prop_assert_eq!(a, b);
                     prop_assert_eq!(msg_verdict(a), model_msg(&mut model, msg.epoch));
                 }

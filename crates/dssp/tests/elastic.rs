@@ -393,7 +393,7 @@ proptest! {
             } else {
                 *gone_epochs.get(&r).expect("every non-live replica left a cursor")
             };
-            let c = p.conservation(r, final_epoch);
+            let c = p.conservation_on(r, 0, final_epoch);
             prop_assert!(
                 c.balanced(),
                 "replica {}: sent {} != applied {} + duplicate {} + recovered {} + in-flight {}",

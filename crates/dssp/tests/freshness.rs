@@ -90,7 +90,7 @@ fn assert_conserved(fleet: &ProxyFleet, proxies: usize, drained: bool) {
     let home_epoch = fleet.home().epoch();
     for r in 0..proxies {
         let final_epoch = fleet.proxy(r).epoch();
-        let c = p.conservation(r, final_epoch);
+        let c = p.conservation_on(r, 0, final_epoch);
         assert!(
             c.balanced(),
             "replica {r}: sent {} != applied {} + duplicate {} + recovered {} + in-flight {}",
@@ -265,8 +265,8 @@ proptest! {
         let p = prov.lock().unwrap();
         prop_assert_eq!(p.batches().len() as u64, flushes);
         for r in 0..proxies {
-            prop_assert!(p.conservation(r, fleet.proxy(r).epoch()).balanced());
-            prop_assert_eq!(p.conservation(r, fleet.proxy(r).epoch()).in_flight, 0);
+            prop_assert!(p.conservation_on(r, 0, fleet.proxy(r).epoch()).balanced());
+            prop_assert_eq!(p.conservation_on(r, 0, fleet.proxy(r).epoch()).in_flight, 0);
         }
     }
 }

@@ -23,8 +23,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs_apps::{
-    analysis_matrix, auction, bboard, bookstore, toystore, BenchApp, IdSpaces, ParamGen, Trace,
-    TraceOp,
+    analysis_matrix, auction, bboard, bookstore, toystore, BenchApp, BoundOp, IdSpaces, ParamGen,
+    RequestSampler,
 };
 use scs_core::{
     characterize_app, compulsory_exposures, reduce_exposures, AnalysisOptions, Catalog,
@@ -70,7 +70,7 @@ struct Pair {
     reference: LinearCache,
     audit: SharedAudit,
     /// The invalidation stream's epoch; updates are delivered straight to
-    /// the pass (`apply_invalidation`), so shapes the home would reject —
+    /// the pass (`apply_invalidation_from`), so shapes the home would reject —
     /// an UPDATE off the primary key, a `Real` for an `Int` column —
     /// still reach it.
     epoch: u64,
@@ -141,10 +141,11 @@ impl Pair {
     fn update(&mut self, u: &Update) -> BTreeSet<Key> {
         let journaled = self.audit.lock().unwrap().events().len();
         self.epoch += 1;
-        let outcome = self.dssp.apply_invalidation(&InvalidationMsg {
+        let msg = InvalidationMsg {
             epoch: self.epoch,
             update: u.clone(),
-        });
+        };
+        let outcome = self.dssp.apply_invalidation_from(0, &msg);
         let pass = self.reference.invalidate(u);
         assert_eq!(
             outcome,
@@ -313,27 +314,15 @@ fn methodology_exposures(app: BenchApp) -> Exposures {
 fn replay(app: BenchApp, exposures: Exposures, capacity: Option<usize>, requests: usize) {
     let def = app.def();
     let (db, ids) = app.build_database(11);
-    let trace = Trace::generate(&def, ids, requests, 11);
-    let (queries, updates) = (def.query_templates(), def.update_templates());
+    let mut stream = RequestSampler::new(&def, ParamGen::new(ids, 1.0), 11);
     let mut pair = Pair::new(def.name, exposures, analysis_matrix(&def), capacity, None);
     pair.check_queries = false;
     let mut home = HomeServer::new(db);
     let (mut victims, mut passes) = (0, 0);
-    for op in &trace.ops {
+    for op in (0..requests).flat_map(|_| stream.draw()) {
         match op {
-            TraceOp::Query {
-                template_id,
-                params,
-            } => {
-                let q = Query::bind(*template_id, queries[*template_id].clone(), params.clone());
-                pair.query(&q.unwrap(), &mut home);
-            }
-            TraceOp::Update {
-                template_id,
-                params,
-            } => {
-                let u = Update::bind(*template_id, updates[*template_id].clone(), params.clone());
-                let u = u.unwrap();
+            BoundOp::Query(q) => pair.query(&q, &mut home),
+            BoundOp::Update(u) => {
                 // The home rejects some (a bid on a closed auction); a
                 // rejected update reaches no pass.
                 if home.apply_update(&u).is_ok() {

@@ -206,14 +206,6 @@ impl ServiceCenter {
     pub fn jobs_served(&self) -> u64 {
         self.jobs
     }
-
-    /// Total service time delivered so far (µs × servers). Summing this
-    /// across the nodes of a scaled-out tier gives the tier's aggregate
-    /// busy time, from which fleet-average utilization follows without
-    /// assuming every node saw equal load.
-    pub fn busy_micros(&self) -> Time {
-        self.busy_total
-    }
 }
 
 /// A simplex network pipe: propagation latency plus a shared serialization

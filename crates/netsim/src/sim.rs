@@ -151,15 +151,6 @@ impl SystemSpec {
             ..SystemSpec::default()
         }
     }
-
-    /// `p` DSSP proxy nodes over an `n`-shard home tier.
-    pub fn with_dssp_nodes_and_home_shards(p: usize, n: usize) -> SystemSpec {
-        SystemSpec {
-            dssp_nodes: p.max(1),
-            home_shards: n.max(1),
-            ..SystemSpec::default()
-        }
-    }
 }
 
 /// Parameters of one simulation run.

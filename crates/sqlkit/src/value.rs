@@ -92,11 +92,6 @@ impl Value {
         Value::Real(Real::new(v).expect("NaN is not a valid SQL value"))
     }
 
-    /// True if the value is numeric (`Int` or `Real`).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Int(_) | Value::Real(_))
-    }
-
     /// Numeric view, if any.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -15,7 +15,7 @@ mod reference_executor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs_apps::{BenchApp, Op, ParamGen};
+use scs_apps::{BenchApp, BoundOp, ParamGen, RequestSampler};
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, Value};
 use scs_storage::schema::TableSchemaBuilder;
 use scs_storage::{ColumnType, Database, TableSchema};
@@ -506,46 +506,25 @@ proptest! {
 fn replay(app: BenchApp, requests: usize, seed: u64) {
     let def = app.def();
     let (mut db, ids) = app.build_database(seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut gen = ParamGen::new(ids, app.zipf_exponent());
-    let total_weight: u32 = def.requests.iter().map(|r| r.weight).sum();
+    let mut stream = RequestSampler::new(&def, ParamGen::new(ids, app.zipf_exponent()), seed);
     let (mut queries, mut nonempty) = (0usize, 0usize);
-    for _ in 0..requests {
-        let mut at = rng.gen_range(0..total_weight);
-        let request = def
-            .requests
-            .iter()
-            .find(|r| match at.checked_sub(r.weight) {
-                Some(rest) => {
-                    at = rest;
-                    false
-                }
-                None => true,
-            })
-            .unwrap();
-        for op in &request.ops {
-            match *op {
-                Op::Query(tid) => {
-                    let t = &def.queries[tid];
-                    let params = gen.bind_all(&t.params, &mut rng);
-                    let q = Query::bind(tid, t.template.clone(), params).unwrap();
-                    let got = db.execute(&q);
-                    assert_eq!(
-                        got,
-                        reference_executor::execute(&db, &q),
-                        "{} `{}`: {q}",
-                        def.name,
-                        t.name
-                    );
-                    queries += 1;
-                    nonempty += usize::from(got.is_ok_and(|r| !r.is_empty()));
-                }
-                Op::Update(tid) => {
-                    let t = &def.updates[tid];
-                    let params = gen.bind_all(&t.params, &mut rng);
-                    // Some inserts are rejected (a parent closed earlier).
-                    let _ = db.apply(&Update::bind(tid, t.template.clone(), params).unwrap());
-                }
+    for op in (0..requests).flat_map(|_| stream.draw()) {
+        match op {
+            BoundOp::Query(q) => {
+                let got = db.execute(&q);
+                assert_eq!(
+                    got,
+                    reference_executor::execute(&db, &q),
+                    "{} `{}`: {q}",
+                    def.name,
+                    def.queries[q.template_id].name
+                );
+                queries += 1;
+                nonempty += usize::from(got.is_ok_and(|r| !r.is_empty()));
+            }
+            // Some inserts are rejected (a parent closed earlier).
+            BoundOp::Update(u) => {
+                let _ = db.apply(&u);
             }
         }
     }

@@ -67,16 +67,6 @@ impl AttributionMatrix {
             .sum()
     }
 
-    /// Mean cached-`q` entries invalidated per applied `u` instance —
-    /// the empirical analogue of the IPM's A/B/C product. `None` until
-    /// `u` has been applied at least once.
-    pub fn empirical_rate(&self, u: usize, q: usize) -> Option<f64> {
-        match self.updates_applied[u] {
-            0 => None,
-            n => Some(self.count(u, q) as f64 / n as f64),
-        }
-    }
-
     /// Folds another matrix (e.g. a different tenant's) into this one.
     /// Panics on shape mismatch: attribution only merges within one
     /// application's template tables.
@@ -140,9 +130,8 @@ mod tests {
         m.record_invalidation(1, 1);
         assert_eq!(m.count(1, 0), 2);
         assert_eq!(m.invalidations_for_update(1), 3);
-        assert_eq!(m.empirical_rate(1, 0), Some(1.0));
-        assert_eq!(m.empirical_rate(0, 0), None);
         assert_eq!(m.updates_applied(1), 2);
+        assert_eq!(m.updates_applied(0), 0);
     }
 
     #[test]

@@ -360,11 +360,6 @@ impl AuditLog {
         self.queries.get(template)
     }
 
-    /// Per-template ledger (update side), if any reveal touched it.
-    pub fn update_ledger(&self, template: usize) -> Option<&TemplateLedger> {
-        self.updates.get(template)
-    }
-
     /// The journaled reveal events (capped; see `dropped_reveals`).
     pub fn events(&self) -> &[RevealEvent] {
         &self.events

@@ -11,8 +11,8 @@
 //! * [`Tracer`] / [`TraceEvent`] — a structured event stream
 //!   (query hit/miss, update applied, entry invalidated/evicted; each
 //!   carrying tenant, template ids, exposure level, and the strategy's
-//!   decision path) fanned out to pluggable [`TraceSink`]s: a bounded
-//!   in-memory ring buffer, a JSONL writer, or nothing.
+//!   decision path) fanned out to pluggable [`TraceSink`]s, such as the
+//!   [`TimeSeriesSink`] that buckets them into per-window curves.
 //! * [`AttributionMatrix`] — the *empirical* counterpart of the static
 //!   invalidation-probability matrix (IPM) from `scs-core`: per
 //!   (update-template × query-template) counts of runtime invalidations,
@@ -35,8 +35,8 @@
 //!   checks against a [`TimeSeries`].
 //!
 //! The [`json`] module carries a minimal JSON value type (render + parse)
-//! used by the JSONL sink and the experiment binaries' `telemetry.json`
-//! export; it exists so the telemetry path stays hermetic.
+//! used by every export, the experiment binary's `telemetry.json`
+//! included; it exists so the telemetry path stays hermetic.
 
 pub mod attribution;
 pub mod audit;
@@ -64,6 +64,4 @@ pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use slo::{evaluate_all, Objective, SloResult, SloSpec};
 pub use span::{CriticalPathRow, Span, SpanId, SpanPhase, SpanRecorder, SpanTimer};
 pub use timeseries::{ratio, SharedTimeSeries, TimeSeries, TimeSeriesSink, Window};
-pub use trace::{
-    JsonlSink, NullSink, RingBufferSink, TraceEvent, TraceEventKind, TraceSink, Tracer,
-};
+pub use trace::{TraceEvent, TraceEventKind, TraceSink, Tracer};

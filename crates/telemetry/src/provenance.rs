@@ -7,16 +7,16 @@
 //! stale any served hit actually was relative to master. This module is
 //! the missing measurement substrate:
 //!
-//! * [`ProvenanceLog::note_commit`] stamps every invalidation epoch at
+//! * [`ProvenanceLog::note_commit_on`] stamps every invalidation epoch at
 //!   birth (home commit, sim time, payload size);
-//! * [`ProvenanceLog::note_flush`] / [`note_send`] stamp each fanout
+//! * [`ProvenanceLog::note_flush_on`] / [`note_send`] stamp each fanout
 //!   batch (epoch range, coalesce count, flush trigger) and its per-pipe
 //!   sends;
 //! * [`ProvenanceLog::note_arrival`] stamps each batch's fate at a
 //!   replica (applied / duplicate / recovered-over) and feeds the
 //!   per-replica **propagation-lag histogram** — commit time → the
 //!   moment the replica first covered that epoch;
-//! * [`ProvenanceLog::note_serve`] records, for every cache hit, the
+//! * [`ProvenanceLog::note_serve_on`] records, for every cache hit, the
 //!   **staleness age at serve**: how long ago the oldest master commit
 //!   this replica had not yet applied (and the entry does not already
 //!   reflect) was committed. Fresh serves record age 0; stale serves are
@@ -230,17 +230,11 @@ impl ReplicaLog {
     pub fn serve_events(&self) -> &[ServeEvent] {
         &self.serves_ev
     }
-    pub fn store_events(&self) -> &[StoreEvent] {
-        &self.stores
-    }
     pub fn miss_events(&self) -> &[MissEvent] {
         &self.misses
     }
     pub fn degraded_events(&self) -> &[DegradedEvent] {
         &self.degraded
-    }
-    pub fn invalidate_events(&self) -> &[InvalidateEvent] {
-        &self.invalidations
     }
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped
@@ -437,14 +431,9 @@ impl ProvenanceLog {
         &self.amplification
     }
 
-    /// Stamps an epoch at birth on the classic stream 0: the home commit
-    /// that produced it.
-    pub fn note_commit(&mut self, epoch: u64, update_template: usize, at: u64, bytes: u64) {
-        self.note_commit_on(0, epoch, update_template, at, bytes);
-    }
-
-    /// Stamps an epoch at birth on invalidation stream `stream` (a
-    /// sharded home commits each shard's updates on its own stream).
+    /// Stamps an epoch at birth on invalidation stream `stream`: the home
+    /// commit that produced it (a classic home commits on stream 0, a
+    /// sharded home each shard's updates on its own stream).
     pub fn note_commit_on(
         &mut self,
         stream: u64,
@@ -476,12 +465,6 @@ impl ProvenanceLog {
         s
     }
 
-    /// The sim time stream-0 epoch `e` was committed at the home, if
-    /// stamped.
-    pub fn commit_at(&self, epoch: u64) -> Option<u64> {
-        self.commit_at_on(0, epoch)
-    }
-
     /// The sim time `(stream, epoch)` was committed at the home, if
     /// stamped.
     pub fn commit_at_on(&self, stream: u64, epoch: u64) -> Option<u64> {
@@ -496,33 +479,9 @@ impl ProvenanceLog {
             .map(|&i| &self.commits[i])
     }
 
-    /// Stamps a stream-0 fanout batch cut at `at`; returns its id.
-    /// `retained` lists `(update_template, payload_bytes)` for each
-    /// message that survived coalescing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_flush(
-        &mut self,
-        first_epoch: u64,
-        last_epoch: u64,
-        msgs: u64,
-        coalesced: u64,
-        at: u64,
-        trigger: FlushTrigger,
-        retained: Vec<(usize, u64)>,
-    ) -> usize {
-        self.note_flush_on(
-            0,
-            first_epoch,
-            last_epoch,
-            msgs,
-            coalesced,
-            at,
-            trigger,
-            retained,
-        )
-    }
-
-    /// Stamps a fanout batch on invalidation stream `stream`.
+    /// Stamps a fanout batch of invalidation stream `stream` cut at `at`;
+    /// returns its id. `retained` lists `(update_template, payload_bytes)`
+    /// for each message that survived coalescing.
     #[allow(clippy::too_many_arguments)]
     pub fn note_flush_on(
         &mut self,
@@ -551,15 +510,10 @@ impl ProvenanceLog {
         id
     }
 
-    /// Batches cover contiguous, disjoint epoch ranges per stream, so a
-    /// batch's `first_epoch` identifies it within stream 0 — this is how
-    /// the classic apply side, which only sees the wire format, finds
-    /// the stamp.
-    pub fn batch_for_epoch(&self, first_epoch: u64) -> Option<usize> {
-        self.batch_for_epoch_on(0, first_epoch)
-    }
-
-    /// The batch covering `(stream, first_epoch)`, if stamped.
+    /// The batch covering `(stream, first_epoch)`, if stamped. Batches
+    /// cover contiguous, disjoint epoch ranges per stream, so a batch's
+    /// `first_epoch` identifies it within its stream — this is how the
+    /// apply side, which only sees the wire format, finds the stamp.
     pub fn batch_for_epoch_on(&self, stream: u64, first_epoch: u64) -> Option<usize> {
         self.batch_by_first.get(&(stream, first_epoch)).copied()
     }
@@ -670,43 +624,18 @@ impl ProvenanceLog {
         push_capped(&mut r.degraded, ev, &mut r.events_dropped);
     }
 
-    /// Records a cache hit and computes its staleness age: the time since
-    /// the oldest master commit that (a) the replica had not yet applied
-    /// (`epoch > replica_epoch`), (b) the entry does not already reflect
-    /// (`epoch > stored_epoch` and committed after the entry was fetched),
-    /// and (c) had already happened at serve time. Age 0 means the serve
-    /// was provably fresh with respect to everything the plane saw.
+    /// Records a cache hit and computes its staleness age on invalidation
+    /// stream `stream`'s epoch axis: the time since the oldest master
+    /// commit that (a) the replica had not yet applied
+    /// (`epoch > replica_epoch`, the replica's cursor on `stream`), (b)
+    /// the entry does not already reflect (`epoch > stored_epoch` and
+    /// committed after the entry was fetched), and (c) had already
+    /// happened at serve time. Age 0 means the serve was provably fresh
+    /// with respect to everything the plane saw. A sharded replica stamps
+    /// each serve against the stream that owns the entry's data.
     ///
     /// `expires_at == u64::MAX` means no lease; otherwise the age is
     /// bucketed against `expires_at - stored_at`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_serve(
-        &mut self,
-        replica: usize,
-        query_template: usize,
-        replica_epoch: u64,
-        stored_epoch: u64,
-        stored_at: u64,
-        expires_at: u64,
-        at: u64,
-    ) -> u64 {
-        self.note_serve_on(
-            replica,
-            query_template,
-            0,
-            replica_epoch,
-            stored_epoch,
-            stored_at,
-            expires_at,
-            at,
-        )
-    }
-
-    /// [`ProvenanceLog::note_serve`] against one invalidation stream's
-    /// epoch axis: `replica_epoch` is the replica's cursor on `stream`
-    /// and `stored_epoch` the stream epoch the entry's fill reflected.
-    /// A sharded replica stamps each serve against the stream that owns
-    /// the entry's data.
     #[allow(clippy::too_many_arguments)]
     pub fn note_serve_on(
         &mut self,
@@ -773,19 +702,12 @@ impl ProvenanceLog {
         &mut self.amplification[template]
     }
 
-    /// Classifies every epoch of every **stream-0** batch copy offered
-    /// to `replica` into the conservation buckets (see
-    /// [`Conservation`]). `final_epoch` is the replica's stream-0 epoch
+    /// Classifies every epoch of every batch copy of invalidation stream
+    /// `stream` offered to `replica` into the conservation buckets (see
+    /// [`Conservation`]); a sharded fleet balances each shard's ledger
+    /// independently. `final_epoch` is the replica's cursor on `stream`
     /// at accounting time: undrained copies whose range it already
     /// covers were recovered over; the rest are genuinely in flight.
-    pub fn conservation(&self, replica: usize, final_epoch: u64) -> Conservation {
-        self.conservation_on(replica, 0, final_epoch)
-    }
-
-    /// Conservation accounting for one replica restricted to one
-    /// invalidation stream — a sharded fleet balances each shard's
-    /// ledger independently, `final_epoch` being the replica's cursor
-    /// on that stream at accounting time.
     pub fn conservation_on(&self, replica: usize, stream: u64, final_epoch: u64) -> Conservation {
         let r = &self.replicas[replica];
         let mut sends: HashMap<usize, u64> = HashMap::new();
@@ -1194,9 +1116,10 @@ mod tests {
     #[test]
     fn lag_is_commit_to_first_coverage() {
         let mut log = ProvenanceLog::new(2);
-        log.note_commit(1, 0, 100, 32);
-        log.note_commit(2, 1, 200, 32);
-        let b = log.note_flush(1, 2, 2, 0, 250, FlushTrigger::Size, vec![(0, 32), (1, 32)]);
+        log.note_commit_on(0, 1, 0, 100, 32);
+        log.note_commit_on(0, 2, 1, 200, 32);
+        let retained = vec![(0, 32), (1, 32)];
+        let b = log.note_flush_on(0, 1, 2, 2, 0, 250, FlushTrigger::Size, retained);
         log.note_send(0, b, 250);
         log.note_send(1, b, 250);
         log.note_arrival(
@@ -1234,8 +1157,8 @@ mod tests {
     #[test]
     fn duplicate_and_recovered_arrivals_record_no_lag() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 0, 100, 16);
-        let b = log.note_flush(1, 1, 1, 0, 110, FlushTrigger::Inline, vec![(0, 16)]);
+        log.note_commit_on(0, 1, 0, 100, 16);
+        let b = log.note_flush_on(0, 1, 1, 1, 0, 110, FlushTrigger::Inline, vec![(0, 16)]);
         log.note_send(0, b, 110);
         log.note_send(0, b, 111);
         log.note_arrival(
@@ -1251,7 +1174,7 @@ mod tests {
         );
         log.note_arrival(0, b, 160, ApplyKind::Duplicate, 1, 1);
         assert_eq!(log.replica(0).lag.count, 1);
-        let c = log.conservation(0, 1);
+        let c = log.conservation_on(0, 0, 1);
         assert_eq!(
             c,
             Conservation {
@@ -1269,18 +1192,18 @@ mod tests {
     fn conservation_classifies_drops_by_coverage() {
         let mut log = ProvenanceLog::new(1);
         for e in 1..=4 {
-            log.note_commit(e, 0, e * 10, 8);
+            log.note_commit_on(0, e, 0, e * 10, 8);
         }
-        let b1 = log.note_flush(1, 2, 2, 0, 25, FlushTrigger::Size, vec![(0, 8), (0, 8)]);
-        let b2 = log.note_flush(3, 3, 1, 0, 35, FlushTrigger::Size, vec![(0, 8)]);
-        let b3 = log.note_flush(4, 4, 1, 0, 45, FlushTrigger::Drain, vec![(0, 8)]);
+        let b1 = log.note_flush_on(0, 1, 2, 2, 0, 25, FlushTrigger::Size, vec![(0, 8), (0, 8)]);
+        let b2 = log.note_flush_on(0, 3, 3, 1, 0, 35, FlushTrigger::Size, vec![(0, 8)]);
+        let b3 = log.note_flush_on(0, 4, 4, 1, 0, 45, FlushTrigger::Drain, vec![(0, 8)]);
         log.note_send(0, b1, 25);
         log.note_send(0, b2, 35);
         log.note_send(0, b3, 45);
         // b1 dropped; b2 arrives, gap-recovers over epochs 1..3; b3 never
         // arrives and nothing covers epoch 4.
         log.note_arrival(0, b2, 60, ApplyKind::Recovered { flushed: 5 }, 0, 3);
-        let c = log.conservation(0, 3);
+        let c = log.conservation_on(0, 0, 3);
         assert_eq!(c.sent, 4);
         assert_eq!(c.recovered_over, 3); // b1's two epochs + b2's own span
         assert_eq!(c.in_flight, 1); // b3
@@ -1293,9 +1216,9 @@ mod tests {
     #[test]
     fn serve_age_is_zero_when_replica_caught_up() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 0, 100, 8);
+        log.note_commit_on(0, 1, 0, 100, 8);
         // Replica applied epoch 1; entry stored afterwards.
-        let age = log.note_serve(0, 2, 1, 1, 150, 150 + 1000, 400);
+        let age = log.note_serve_on(0, 2, 0, 1, 1, 150, 150 + 1000, 400);
         assert_eq!(age, 0);
         assert_eq!(log.replica(0).fresh_serves, 1);
         assert_eq!(log.replica(0).stale_beyond_lease, 0);
@@ -1304,13 +1227,13 @@ mod tests {
     #[test]
     fn serve_age_measures_oldest_unapplied_commit() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 0, 100, 8);
-        log.note_commit(2, 0, 300, 8);
-        log.note_commit(3, 0, 500, 8);
+        log.note_commit_on(0, 1, 0, 100, 8);
+        log.note_commit_on(0, 2, 0, 300, 8);
+        log.note_commit_on(0, 3, 0, 500, 8);
         // Entry stored at 200 (reflects epoch 1); replica stuck at 1.
         // Serve at 600: oldest unapplied commit after the store is epoch 2
         // at t=300 → age 300.
-        let age = log.note_serve(0, 0, 1, 1, 200, 200 + 1000, 600);
+        let age = log.note_serve_on(0, 0, 0, 1, 1, 200, 200 + 1000, 600);
         assert_eq!(age, 300);
         let ev = log.replica(0).serve_events()[0];
         assert_eq!(ev.pending_epoch, Some(2));
@@ -1321,19 +1244,19 @@ mod tests {
     #[test]
     fn entry_stored_after_commit_is_not_stale_to_it() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 0, 100, 8);
-        log.note_commit(2, 0, 150, 8);
+        log.note_commit_on(0, 1, 0, 100, 8);
+        log.note_commit_on(0, 2, 0, 150, 8);
         // Entry fetched at 200 from the home (reflects both commits) even
         // though the replica has applied neither.
-        let age = log.note_serve(0, 0, 0, 0, 200, u64::MAX, 900);
+        let age = log.note_serve_on(0, 0, 0, 0, 0, 200, u64::MAX, 900);
         assert_eq!(age, 0);
     }
 
     #[test]
     fn explain_miss_walks_back_to_the_commit() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 3, 100, 8);
-        let b = log.note_flush(1, 1, 1, 0, 120, FlushTrigger::Interval, vec![(3, 8)]);
+        log.note_commit_on(0, 1, 3, 100, 8);
+        let b = log.note_flush_on(0, 1, 1, 1, 0, 120, FlushTrigger::Interval, vec![(3, 8)]);
         log.note_send(0, b, 120);
         log.note_arrival(
             0,
@@ -1375,9 +1298,9 @@ mod tests {
     #[test]
     fn explain_serve_reports_age_and_pending_epoch() {
         let mut log = ProvenanceLog::new(1);
-        log.note_commit(1, 0, 100, 8);
+        log.note_commit_on(0, 1, 0, 100, 8);
         log.note_store(0, 5, 0, 50);
-        log.note_serve(0, 5, 0, 0, 50, u64::MAX, 400);
+        log.note_serve_on(0, 5, 0, 0, 0, 50, u64::MAX, 400);
         let doc = log.explain_serve(0, 5, 500).unwrap();
         assert_eq!(doc.get("age_micros").unwrap().as_u64(), Some(300));
         let chain = doc.get("chain").unwrap().as_arr().unwrap();
@@ -1391,8 +1314,8 @@ mod tests {
     #[test]
     fn summary_round_trips_through_json() {
         let mut log = ProvenanceLog::new(2);
-        log.note_commit(1, 0, 100, 8);
-        let b = log.note_flush(1, 1, 1, 0, 110, FlushTrigger::Size, vec![(0, 8)]);
+        log.note_commit_on(0, 1, 0, 100, 8);
+        let b = log.note_flush_on(0, 1, 1, 1, 0, 110, FlushTrigger::Size, vec![(0, 8)]);
         log.note_send(0, b, 110);
         log.note_send(1, b, 110);
         log.note_arrival(
@@ -1406,7 +1329,7 @@ mod tests {
             0,
             1,
         );
-        log.note_serve(0, 0, 1, 1, 160, u64::MAX, 200);
+        log.note_serve_on(0, 0, 0, 1, 1, 160, u64::MAX, 200);
         log.note_scan(0, 10, 2);
         let doc = log.summary_json();
         let parsed = Json::parse(&doc.render_pretty()).unwrap();
@@ -1439,8 +1362,8 @@ mod tests {
         });
         // The joiner's log exists and can take stamps immediately.
         assert_eq!(log.replica_count(), 3);
-        log.note_commit(8, 0, 510, 8);
-        let b = log.note_flush(8, 8, 1, 0, 520, FlushTrigger::Inline, vec![(0, 8)]);
+        log.note_commit_on(0, 8, 0, 510, 8);
+        let b = log.note_flush_on(0, 8, 8, 1, 0, 520, FlushTrigger::Inline, vec![(0, 8)]);
         log.note_send(2, b, 520);
         log.note_arrival(
             2,
@@ -1453,7 +1376,7 @@ mod tests {
             7,
             8,
         );
-        let c = log.conservation(2, 8);
+        let c = log.conservation_on(2, 0, 8);
         assert!(c.balanced());
         assert_eq!(c.applied, 1);
         // The timeline is in the summary.

@@ -18,7 +18,7 @@ use crate::hist::HistogramSnapshot;
 use crate::json::Json;
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A shared handle to a series filled concurrently by a
 /// [`TimeSeriesSink`] while the owner keeps reading it afterwards.
@@ -130,16 +130,6 @@ impl TimeSeries {
             }
         }
         out
-    }
-
-    /// `count / width` in events per second. Zero-width guards are free
-    /// here (the constructor rejects 0) but kept anyway so a parsed or
-    /// default-constructed series can never divide by zero.
-    pub fn rate_per_sec(&self, count: u64) -> f64 {
-        if self.width_micros == 0 {
-            return 0.0;
-        }
-        count as f64 / (self.width_micros as f64 / 1_000_000.0)
     }
 
     /// Positional merge of `other` into `self` (same window width
@@ -262,8 +252,11 @@ impl TimeSeriesSink {
 }
 
 impl TraceSink for TimeSeriesSink {
+    /// The sink only adds counts, so a series poisoned by a panic
+    /// elsewhere is still one to count into: the serving path that emits
+    /// the event must not panic in turn.
     fn record(&mut self, event: &TraceEvent) {
-        let mut series = self.series.lock().expect("time-series sink poisoned");
+        let mut series = self.series.lock().unwrap_or_else(PoisonError::into_inner);
         series.incr(event.at_micros, event.kind.name());
     }
 }
@@ -335,11 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn ratio_and_rate_guard_zero_denominators() {
+    fn ratio_guards_zero_denominators() {
         assert_eq!(ratio(5, 0), 0.0);
         assert_eq!(ratio(1, 2), 0.5);
-        let ts = TimeSeries::new(2_000_000);
-        assert!((ts.rate_per_sec(10) - 5.0).abs() < 1e-9);
     }
 
     #[test]

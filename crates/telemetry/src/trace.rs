@@ -8,7 +8,6 @@
 //! decision path (see `scs_dssp::DecisionPath`).
 
 use crate::json::Json;
-use std::io::{self, Write};
 
 /// What happened. Template ids index the application's query/update
 /// template tables (same indices the IPM uses).
@@ -118,8 +117,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The JSONL representation (one object per line; schema documented
-    /// in DESIGN.md §Observability).
+    /// The JSON representation (schema documented in DESIGN.md §8, "Trace
+    /// events").
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("seq".to_string(), Json::from(self.seq)),
@@ -217,8 +216,8 @@ pub trait TraceSink {
         0
     }
 
-    /// Events accepted but no longer retained (ring-buffer overwrites,
-    /// capacity drops).
+    /// Events accepted but no longer retained (overwrites, capacity
+    /// drops).
     fn events_dropped(&self) -> u64 {
         0
     }
@@ -294,129 +293,12 @@ impl Tracer {
 }
 
 impl Drop for Tracer {
-    /// Flush on drop so a JSONL sink that was never explicitly flushed
-    /// still writes its buffered tail — a truncated trace file must not
+    /// Flush on drop so a buffering sink that was never explicitly
+    /// flushed still writes its tail — a truncated trace must not
     /// silently pass tests.
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-/// Bounded in-memory sink keeping the most recent `capacity` events.
-pub struct RingBufferSink {
-    buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index the next event will be written at once the buffer is full.
-    next: usize,
-    total: u64,
-}
-
-impl RingBufferSink {
-    pub fn new(capacity: usize) -> RingBufferSink {
-        assert!(capacity > 0, "ring buffer needs capacity >= 1");
-        RingBufferSink {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-            total: 0,
-        }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() == self.capacity {
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-        } else {
-            out.extend_from_slice(&self.buf);
-        }
-        out
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Lifetime count, including overwritten events.
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(*event);
-        } else {
-            self.buf[self.next] = *event;
-            self.next = (self.next + 1) % self.capacity;
-        }
-        self.total += 1;
-    }
-
-    fn events_dropped(&self) -> u64 {
-        self.total - self.buf.len() as u64
-    }
-}
-
-/// Writes one JSON object per line to any `io::Write` (file, stderr,
-/// `Vec<u8>` in tests). Write errors are counted, not propagated — a
-/// broken trace file must never take down the proxy.
-pub struct JsonlSink<W: Write> {
-    out: io::BufWriter<W>,
-    write_errors: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out: io::BufWriter::new(out),
-            write_errors: 0,
-        }
-    }
-
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.out
-            .into_inner()
-            .unwrap_or_else(|e| panic!("jsonl sink flush failed: {}", e.error()))
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        let line = event.to_json().render();
-        if writeln!(self.out, "{line}").is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.out.flush().is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
-}
-
-/// Discards everything (keeps call sites unconditional when tracing is
-/// configured off but a sink slot must be filled).
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
 }
 
 #[cfg(test)]
@@ -431,49 +313,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_keeps_most_recent_in_order() {
-        let mut ring = RingBufferSink::new(4);
-        let mut tracer = Tracer::new();
-        for i in 0..10u32 {
-            tracer.emit(i as u64 * 100, 0, ev(i));
-        }
-        // Drive the ring directly (Tracer owns boxed sinks; here we want
-        // to inspect the ring afterwards).
-        for i in 0..10u32 {
-            ring.record(&TraceEvent {
-                seq: i as u64,
-                at_micros: i as u64 * 100,
-                tenant: 0,
-                proxy: 0,
-                kind: ev(i),
-            });
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total_recorded(), 10);
-        let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn ring_buffer_below_capacity_is_untruncated() {
-        let mut ring = RingBufferSink::new(8);
-        for i in 0..3u32 {
-            ring.record(&TraceEvent {
-                seq: i as u64,
-                at_micros: 0,
-                tenant: 0,
-                proxy: 0,
-                kind: ev(i),
-            });
-        }
-        assert_eq!(ring.events().len(), 3);
-        assert_eq!(ring.events()[0].seq, 0);
-    }
-
-    #[test]
-    fn jsonl_sink_emits_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceEvent {
+    fn events_render_as_parseable_json() {
+        let event = TraceEvent {
             seq: 7,
             at_micros: 1234,
             tenant: 2,
@@ -484,10 +325,8 @@ mod tests {
                 exposure: 2,
                 decision: 1,
             },
-        });
-        let bytes = sink.into_inner();
-        let line = String::from_utf8(bytes).unwrap();
-        let parsed = crate::json::Json::parse(line.trim()).unwrap();
+        };
+        let parsed = crate::json::Json::parse(&event.to_json().render()).unwrap();
         assert_eq!(
             parsed.get("event").unwrap().as_str(),
             Some("entry_invalidated")
@@ -583,21 +422,23 @@ mod tests {
 
     #[test]
     fn tracer_stamps_sequence_numbers() {
-        struct Capture(Vec<u64>);
-        impl TraceSink for Capture {
-            fn record(&mut self, event: &TraceEvent) {
-                self.0.push(event.seq);
-            }
-        }
+        let (a, b) = (Buffered::new(8, false), Buffered::new(8, false));
+        let (out_a, out_b) = (a.out.clone(), b.out.clone());
         let mut tracer = Tracer::new();
         assert!(!tracer.is_active());
-        tracer.add_sink(Box::new(NullSink));
-        tracer.add_sink(Box::new(Capture(Vec::new())));
+        tracer.add_sink(Box::new(a));
+        tracer.add_sink(Box::new(b));
         assert!(tracer.is_active());
         for i in 0..5 {
             tracer.emit(i, 0, ev(0));
         }
+        tracer.flush();
         assert_eq!(tracer.events_emitted(), 5);
+        // Every sink sees every event, each stamped once.
+        for out in [out_a, out_b] {
+            let seqs: Vec<u64> = out.lock().unwrap().iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        }
     }
 
     #[test]
@@ -622,61 +463,85 @@ mod tests {
         assert_eq!(json.get("proxy").unwrap().as_u64(), Some(3));
     }
 
-    /// An `io::Write` that fails every call, to exercise the error
-    /// accounting path.
-    struct BrokenPipe;
+    /// A sink that retains at most `cap` events, counting the rest as
+    /// dropped, and buffers what it retains until a flush — which fails
+    /// when `broken`, counting a write error.
+    struct Buffered {
+        cap: usize,
+        pending: Vec<TraceEvent>,
+        seen: u64,
+        broken: bool,
+        errors: u64,
+        out: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
+    }
 
-    impl Write for BrokenPipe {
-        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-            Err(io::Error::other("broken"))
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Err(io::Error::other("broken"))
+    impl Buffered {
+        fn new(cap: usize, broken: bool) -> Buffered {
+            Buffered {
+                cap,
+                pending: Vec::new(),
+                seen: 0,
+                broken,
+                errors: 0,
+                out: Default::default(),
+            }
         }
     }
 
+    impl TraceSink for Buffered {
+        fn record(&mut self, event: &TraceEvent) {
+            self.seen += 1;
+            if self.pending.len() < self.cap {
+                self.pending.push(*event);
+            }
+        }
+
+        fn flush(&mut self) {
+            if self.broken {
+                self.errors += 1;
+            } else {
+                self.out.lock().unwrap().append(&mut self.pending);
+            }
+        }
+
+        fn write_errors(&self) -> u64 {
+            self.errors
+        }
+
+        fn events_dropped(&self) -> u64 {
+            self.seen - self.seen.min(self.cap as u64)
+        }
+    }
+
+    /// The health sums `trace_health_json` exports are sums over every
+    /// attached sink.
     #[test]
     fn tracer_surfaces_sink_health() {
         let mut tracer = Tracer::new();
-        tracer.add_sink(Box::new(RingBufferSink::new(2)));
-        tracer.add_sink(Box::new(JsonlSink::new(BrokenPipe)));
+        tracer.add_sink(Box::new(Buffered::new(2, false)));
+        tracer.add_sink(Box::new(Buffered::new(4, true)));
+        tracer.add_sink(Box::new(Buffered::new(8, true)));
         for i in 0..5 {
             tracer.emit(i, 0, ev(0));
         }
-        // The BufWriter absorbs the writes until flushed; the failure
-        // must then show up as a counted error, not a panic.
+        assert_eq!(tracer.write_errors(), 0, "nothing flushed yet");
         tracer.flush();
-        assert!(tracer.write_errors() >= 1, "flush failure must be counted");
-        assert_eq!(tracer.events_dropped(), 3, "ring kept 2 of 5");
-    }
-
-    /// An `io::Write` handing bytes to a shared buffer so the test can
-    /// observe what was written after the tracer is gone.
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
+        assert_eq!(tracer.write_errors(), 2, "one failed flush per broken sink");
+        assert_eq!(tracer.events_dropped(), 3 + 1, "kept 2 and 4 of 5");
     }
 
     #[test]
-    fn tracer_drop_flushes_jsonl_sinks() {
-        let bytes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    fn tracer_drop_flushes_its_sinks() {
+        let sink = Buffered::new(8, false);
+        let out = sink.out.clone();
         {
             let mut tracer = Tracer::new();
-            tracer.add_sink(Box::new(JsonlSink::new(SharedBuf(bytes.clone()))));
+            tracer.add_sink(Box::new(sink));
             tracer.emit(1, 0, ev(3));
-            // No explicit flush: the buffered line must still land.
+            // No explicit flush: the buffered event must still land.
         }
-        let written = String::from_utf8(bytes.lock().unwrap().clone()).unwrap();
-        let parsed = crate::json::Json::parse(written.trim()).unwrap();
-        assert_eq!(parsed.get("event").unwrap().as_str(), Some("query_hit"));
+        let written = out.lock().unwrap();
+        assert_eq!(written.len(), 1);
+        assert_eq!(written[0].kind.name(), "query_hit");
     }
 }
