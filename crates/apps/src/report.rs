@@ -4,8 +4,8 @@
 //! [`DsspWorkload`](crate::driver::DsspWorkload)) assemble one JSON
 //! *entry* per (application, configuration) probe run, combining:
 //!
-//! * the proxy-side registry: per-template hit/miss/invalidation counts
-//!   and the invalidation-scan-size histogram;
+//! * the proxy's named counters: per-template hit/miss/invalidation
+//!   counts and the invalidation-scan-size histogram;
 //! * the empirical invalidation-attribution matrix next to the static
 //!   IPM's A=0 predictions (plus any divergence — pairs the analysis
 //!   proved conflict-free that nonetheless invalidated at runtime);
@@ -19,9 +19,7 @@
 use crate::scenario::{knee_index, CurvePoint, Scenario, ScenarioReport};
 use scs_dssp::Dssp;
 use scs_netsim::{CenterTelemetry, RunMetrics};
-use scs_telemetry::{
-    evaluate_all, HistogramSnapshot, Json, MetricsSnapshot, SloSpec, TimeSeries, Tracer,
-};
+use scs_telemetry::{evaluate_all, Histogram, Json, MetricsSnapshot, SloSpec, TimeSeries, Tracer};
 use std::path::PathBuf;
 
 /// Bumped whenever the report layout changes incompatibly. The `regress`
@@ -43,7 +41,7 @@ pub const TELEMETRY_OUT_ENV: &str = "SCS_TELEMETRY_OUT";
 
 /// Summary of a latency histogram: count/mean/extremes plus nearest-rank
 /// quantiles as `[lo, hi]` bucket bounds (the true sample lies within).
-pub fn histogram_json(h: &HistogramSnapshot) -> Json {
+pub fn histogram_json(h: &Histogram) -> Json {
     let bounds = |q: f64| -> Json {
         h.quantile_bounds(q)
             .map(|(lo, hi)| Json::from(vec![lo, hi]))
@@ -86,9 +84,9 @@ pub fn run_metrics_json(m: &RunMetrics) -> Json {
     ])
 }
 
-/// Health of the trace pipeline itself: whether any sink lost events
-/// (ring-buffer overwrites) or failed to write (JSONL I/O errors). A
-/// report whose curves were built from a lossy trace stream must say so.
+/// Health of the trace pipeline itself: whether any sink lost events or
+/// failed to write. A report whose curves were built from a lossy trace
+/// stream must say so.
 pub fn trace_health_json(tracer: &Tracer) -> Json {
     Json::obj([
         ("active", tracer.is_active().into()),
@@ -138,49 +136,39 @@ pub fn slo_results_json(specs: &[SloSpec], series: &TimeSeries) -> Json {
 /// The proxy's view: aggregate stats, per-template counters, and the
 /// empirical-vs-predicted invalidation attribution.
 pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
-    let snap = dssp.registry().snapshot();
+    let snap = dssp.metrics();
     let stats = dssp.stats();
-    let attr = dssp.attribution();
+    let tally = dssp.tally();
     let ipm = dssp.ipm();
     let counter = |name: String| -> Json { (*snap.counters.get(&name).unwrap_or(&0)).into() };
 
-    let query_templates: Vec<Json> = (0..attr.query_count())
-        .map(|q| {
-            Json::obj([
-                ("id", q.into()),
-                ("hits", counter(format!("query_template.{q}.hits"))),
-                ("misses", counter(format!("query_template.{q}.misses"))),
-                (
-                    "invalidated",
-                    counter(format!("query_template.{q}.invalidated")),
-                ),
-                ("evicted", counter(format!("query_template.{q}.evicted"))),
-            ])
-        })
-        .collect();
-    let update_templates: Vec<Json> = (0..attr.update_count())
-        .map(|u| {
-            Json::obj([
-                ("id", u.into()),
-                ("applied", counter(format!("update_template.{u}.applied"))),
-                (
-                    "invalidations",
-                    counter(format!("update_template.{u}.invalidations")),
-                ),
-            ])
-        })
-        .collect();
+    // One object per template: its id, then each counter by its suffix.
+    let templates = |prefix: &str, count: usize, facts: &[&'static str]| -> Vec<Json> {
+        (0..count)
+            .map(|id| {
+                let mut fields = vec![("id", id.into())];
+                fields.extend(
+                    facts
+                        .iter()
+                        .map(|&fact| (fact, counter(format!("{prefix}.{id}.{fact}")))),
+                );
+                Json::obj(fields)
+            })
+            .collect()
+    };
+    let query_templates = templates("query_template", tally.query_templates(), &QUERY_FACTS);
+    let update_templates = templates("update_template", tally.update_templates(), &UPDATE_FACTS);
 
-    let predicted_a_zero: Vec<Json> = (0..attr.update_count())
+    let predicted_a_zero: Vec<Json> = (0..tally.update_templates())
         .map(|u| {
             Json::from(
-                (0..attr.query_count())
+                (0..tally.query_templates())
                     .map(|q| ipm.entry(u, q).all_zero())
                     .collect::<Vec<bool>>(),
             )
         })
         .collect();
-    let divergence: Vec<Json> = attr
+    let divergence: Vec<Json> = tally
         .divergence(|u, q| ipm.entry(u, q).all_zero())
         .into_iter()
         .map(|(u, q, n)| {
@@ -190,9 +178,6 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
                 ("count", n.into()),
             ])
         })
-        .collect();
-    let updates_applied: Vec<u64> = (0..attr.update_count())
-        .map(|u| attr.updates_applied(u))
         .collect();
 
     let scan_hist = snap
@@ -224,11 +209,12 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
         (
             "attribution",
             Json::obj([
-                ("updates_applied", updates_applied.into()),
+                ("updates_applied", tally.updates_applied().to_vec().into()),
                 (
                     "counts",
                     Json::from(
-                        attr.dense_counts()
+                        tally
+                            .invalidation_counts()
                             .into_iter()
                             .map(Json::from)
                             .collect::<Vec<Json>>(),
@@ -246,8 +232,16 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
     ])
 }
 
+/// The per-template counters `query_template.<q>.<fact>`, in export
+/// order.
+pub const QUERY_FACTS: [&str; 4] = ["hits", "misses", "invalidated", "evicted"];
+
+/// The per-template counters `update_template.<u>.<fact>`, in export
+/// order.
+pub const UPDATE_FACTS: [&str; 2] = ["applied", "invalidations"];
+
 /// The proxy's fault/recovery counters, in export order.
-const FAULT_COUNTERS: [&str; 9] = [
+pub const FAULT_COUNTERS: [&str; 9] = [
     "epoch_gaps",
     "recovery_flushes",
     "recovery_flushed_entries",
@@ -481,30 +475,33 @@ pub fn overload_slos(min_goodput: f64, p99_limit_micros: u64) -> Vec<SloSpec> {
     ]
 }
 
+/// The proxy's shed counters, in export order.
+pub const SHED_COUNTERS: [&str; 4] = [
+    "shed_admission",
+    "shed_breaker_open",
+    "shed_brownout",
+    "shed_queue_full",
+];
+
+/// The breaker/brownout/trip counters the overload section exports after
+/// the shed counters.
+pub const OVERLOAD_COUNTERS: [&str; 8] = [
+    "breaker_opens",
+    "breaker_half_opens",
+    "breaker_closes",
+    "brownout_entries",
+    "brownout_exits",
+    "brownout_serves",
+    "home_retries",
+    "home_unavailable",
+];
+
 /// The proxy's shed/breaker/brownout counters as a report section.
 pub fn overload_counters_json(m: &MetricsSnapshot) -> Json {
-    let shed = [
-        "shed_admission",
-        "shed_breaker_open",
-        "shed_brownout",
-        "shed_queue_full",
-    ];
-    let mut fields = counter_fields(m, &shed);
-    let total: u64 = shed.iter().map(|n| dssp_counter(m, n)).sum();
+    let mut fields = counter_fields(m, &SHED_COUNTERS);
+    let total: u64 = SHED_COUNTERS.iter().map(|n| dssp_counter(m, n)).sum();
     fields.push(("shed_total", total.into()));
-    fields.extend(counter_fields(
-        m,
-        &[
-            "breaker_opens",
-            "breaker_half_opens",
-            "breaker_closes",
-            "brownout_entries",
-            "brownout_exits",
-            "brownout_serves",
-            "home_retries",
-            "home_unavailable",
-        ],
-    ));
+    fields.extend(counter_fields(m, &OVERLOAD_COUNTERS));
     Json::obj(fields)
 }
 
@@ -785,6 +782,46 @@ mod tests {
         }
     }
 
+    /// Every counter name a report or scenario reads is one the proxy
+    /// exports, so a renamed counter fails here instead of reading 0.
+    #[test]
+    fn every_counter_name_read_is_exported() {
+        let w = toystore_workload(StrategyKind::ViewInspection, 3);
+        let (metrics, tally) = (w.dssp().metrics(), w.dssp().tally());
+        let mut read: Vec<String> = Vec::new();
+        for q in 0..tally.query_templates() {
+            read.extend(
+                QUERY_FACTS
+                    .iter()
+                    .map(|f| format!("query_template.{q}.{f}")),
+            );
+        }
+        for u in 0..tally.update_templates() {
+            read.extend(
+                UPDATE_FACTS
+                    .iter()
+                    .map(|f| format!("update_template.{u}.{f}")),
+            );
+        }
+        let fanout = ["fanout_batches_applied", "fanout_batch_msgs"];
+        let totals = [
+            &FAULT_COUNTERS[..],
+            &SHED_COUNTERS,
+            &OVERLOAD_COUNTERS,
+            &fanout,
+        ];
+        read.extend(totals.concat().iter().map(|n| format!("dssp.{n}")));
+        assert!(tally.query_templates() > 0 && tally.update_templates() > 0);
+        let missing: Vec<&String> = read
+            .iter()
+            .filter(|n| !metrics.counters.contains_key(*n))
+            .collect();
+        assert!(missing.is_empty(), "read but never exported: {missing:?}");
+        assert!(metrics
+            .histograms
+            .contains_key("dssp.invalidation_scan_size"));
+    }
+
     #[test]
     fn fault_section_is_all_zero_under_perfect_delivery() {
         let mut w = toystore_workload(StrategyKind::ViewInspection, 13);
@@ -906,17 +943,17 @@ mod tests {
 
     #[test]
     fn histogram_json_reports_quantile_bounds() {
-        let h = scs_telemetry::LogHistogram::new();
+        let mut h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
-        let doc = histogram_json(&h.snapshot());
+        let doc = histogram_json(&h);
         assert_eq!(doc.get("count").unwrap().as_u64(), Some(1000));
         let p90 = doc.get("p90_us").unwrap().as_arr().unwrap();
         let (lo, hi) = (p90[0].as_u64().unwrap(), p90[1].as_u64().unwrap());
         assert!(lo <= 900 && 900 <= hi, "p90 bounds [{lo}, {hi}]");
         // Empty histograms render null quantiles but still parse.
-        let empty = histogram_json(&HistogramSnapshot::default());
+        let empty = histogram_json(&Histogram::default());
         assert!(empty.get("p50_us").unwrap().as_arr().is_none());
     }
 }

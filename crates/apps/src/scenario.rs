@@ -46,7 +46,7 @@ use scs_dssp::{
 use scs_netsim::{ChannelStats, FaultSpec, OutageSchedule, QueueCap, ServiceCenter, Time, MS, SEC};
 use scs_sqlkit::{Update, UpdateTemplate, Value};
 use scs_storage::Database;
-use scs_telemetry::{LogHistogram, MetricsSnapshot, SharedProvenance, TimeSeries, TimeSeriesSink};
+use scs_telemetry::{Histogram, MetricsSnapshot, SharedProvenance, TimeSeries, TimeSeriesSink};
 use std::sync::{Arc, Mutex};
 
 /// The tenant id every scripted run carries: it keys the cache envelope
@@ -589,21 +589,22 @@ impl Scenario {
             }
             shared
         });
-        let (wait_hist, response_hist) = (LogHistogram::new(), LogHistogram::new());
+        let (mut wait_hist, mut response_hist) = (Histogram::default(), Histogram::default());
         // A completion `delay` µs after its arrival: timely when it met
         // the deadline.
         let deadline = self.home_queue.as_ref().map_or(0, |q| q.deadline_micros);
-        let complete = |report: &mut ScenarioReport, tally: &mut Tally, now: Time, delay: Time| {
-            response_hist.record(delay);
-            tally.tick(now, "completed");
-            if delay <= deadline {
-                report.timely += 1;
-                tally.tick(now, "timely");
-            } else {
-                report.deadline_missed += 1;
-                tally.tick(now, "deadline_missed");
-            }
-        };
+        let mut complete =
+            |report: &mut ScenarioReport, tally: &mut Tally, now: Time, delay: Time| {
+                response_hist.record(delay);
+                tally.tick(now, "completed");
+                if delay <= deadline {
+                    report.timely += 1;
+                    tally.tick(now, "timely");
+                } else {
+                    report.deadline_missed += 1;
+                    tally.tick(now, "deadline_missed");
+                }
+            };
 
         let (mut clock, mut fired) = (0, 0);
         let mut restarts = Vec::new();

@@ -312,8 +312,6 @@ pub struct ProxyFleet {
     /// Fleet-layer span recorder: routing decisions and fanout flushes
     /// (replica-side spans live in each proxy's own recorder).
     spans: SpanRecorder,
-    /// Tenant label stamped on fleet-layer spans.
-    tenant: u32,
     /// The freshness plane, when enabled: commit/flush/send/arrival
     /// stamps shared by the home server and every replica.
     prov: Option<SharedProvenance>,
@@ -323,9 +321,8 @@ pub struct ProxyFleet {
 impl ProxyFleet {
     /// Builds the fleet: each replica gets its own cache and telemetry
     /// from a clone of `config` (same app id, hence the same tenant
-    /// encryption key), its stable id stamped on trace events, its own
-    /// delivery pipe seeded independently, and a pipe registration at
-    /// the home server.
+    /// encryption key), its own delivery pipe seeded independently, and
+    /// a pipe registration at the home server.
     pub fn new(config: DsspConfig, home: HomeServer, fleet: FleetConfig) -> ProxyFleet {
         Self::with_home_group(config, HomeGroup::single(home), fleet)
     }
@@ -349,7 +346,6 @@ impl ProxyFleet {
         let mut replicas = Vec::with_capacity(fleet.proxies);
         for id in 0..fleet.proxies {
             let mut dssp = Dssp::new(config.clone());
-            dssp.set_proxy_label(id as u64);
             let joined_epoch = home.register_pipe(id);
             dssp.handshake(joined_epoch);
             replicas.push(Replica {
@@ -382,7 +378,6 @@ impl ProxyFleet {
             lease: None,
             span_capacity: None,
             spans: SpanRecorder::disabled(),
-            tenant: 0,
             prov: None,
             audit: None,
         }
@@ -516,7 +511,6 @@ impl ProxyFleet {
             self.now_micros,
             SpanPhase::Routing,
             SpanId::NONE,
-            self.tenant,
             Some(template_id as u32),
             timer,
         );
@@ -568,8 +562,6 @@ impl ProxyFleet {
         //    warms from; everything after arrives on its own pipe.
         let joined_epoch = self.home.register_pipe(id);
         let mut dssp = Dssp::new(self.config.clone());
-        dssp.set_proxy_label(id as u64);
-        dssp.set_tenant_label(self.tenant);
         dssp.set_lease_micros(self.lease);
         dssp.set_sim_time_micros(self.now_micros);
         if let Some(cap) = self.span_capacity {
@@ -907,7 +899,6 @@ impl ProxyFleet {
             self.now_micros,
             SpanPhase::FanoutFlush,
             SpanId::NONE,
-            self.tenant,
             label.map(|t| t as u32),
         );
         let prov = self.prov.clone();
@@ -1020,15 +1011,6 @@ impl ProxyFleet {
         }
     }
 
-    /// Stamps the tenant label on every replica's trace events. Joiners
-    /// inherit the label.
-    pub fn set_tenant_label(&mut self, tenant: u32) {
-        self.tenant = tenant;
-        for r in &mut self.replicas {
-            r.dssp.set_tenant_label(tenant);
-        }
-    }
-
     /// Crash + restart one replica: its cache is lost and its epoch
     /// re-handshakes from the home server (see [`Dssp::restart`]). The
     /// other replicas are untouched — recovery is independent.
@@ -1136,12 +1118,12 @@ impl ProxyFleet {
         total
     }
 
-    /// Fleet-wide metrics roll-up: every replica's registry merged into
-    /// one snapshot.
+    /// Fleet-wide metrics roll-up: every replica's named counters merged
+    /// into one snapshot.
     pub fn rollup_metrics(&self) -> scs_telemetry::MetricsSnapshot {
         let mut total = scs_telemetry::MetricsSnapshot::default();
         for r in &self.replicas {
-            total.merge(&r.dssp.registry().snapshot());
+            total.merge(&r.dssp.metrics());
         }
         total
     }
@@ -1492,20 +1474,6 @@ mod tests {
             rolled.counters["dssp.fanout_batch_msgs"], 4,
             "2 msgs × 2 replicas"
         );
-        // Trace events from replica 1 carry its label.
-        assert_eq!(f.fleet.proxy(1).proxy_label(), 1);
-    }
-
-    /// Replica ids are stable and never reused, so the trace label must
-    /// carry them without truncation — a label past u32::MAX survives
-    /// the trip through the tracer intact.
-    #[test]
-    fn proxy_label_does_not_truncate_wide_ids() {
-        let (config, _home, _q, _u) = toy_config(StrategyKind::ViewInspection);
-        let mut dssp = Dssp::new(config);
-        let wide = u32::MAX as u64 + 7;
-        dssp.set_proxy_label(wide);
-        assert_eq!(dssp.proxy_label(), wide);
     }
 
     /// A template-uniform fanout batch labels its flush span with that

@@ -80,7 +80,7 @@ pub use replication::{
 };
 pub use sharded::{ShardedHome, ShardedQueryResponse, ShardedUpdateResponse};
 pub use statement::statement_may_affect;
-pub use stats::DsspStats;
+pub use stats::{DsspStats, Tally};
 pub use strategy::{
     decide, must_invalidate, probe_for, probe_rule, DecisionPath, Probe, Rule, ScalarAt,
     StrategyKind, UpdateView,

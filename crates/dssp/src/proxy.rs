@@ -33,15 +33,15 @@ use crate::delivery::{
 };
 use crate::home::Home;
 use crate::sharded::ShardedHome;
-use crate::stats::DsspStats;
+use crate::stats::{DsspStats, Tally};
 use crate::strategy::{decide, DecisionPath, UpdateView};
 use scs_core::{request_reveals, ExposureLevel, Exposures, IpmMatrix, RevealKind};
 use scs_crypto::{CryptoMeter, Encryptor};
 use scs_sqlkit::{Query, Update, Value};
 use scs_storage::{QueryResult, StorageError, UpdateEffect};
 use scs_telemetry::{
-    ApplyKind, AttributionMatrix, Counter, MetricsRegistry, RevealStamp, SharedAudit,
-    SharedProvenance, SpanId, SpanPhase, SpanRecorder, TraceEventKind, TraceSink, Tracer,
+    ApplyKind, MetricsSnapshot, RevealStamp, SharedAudit, SharedProvenance, SpanId, SpanPhase,
+    SpanRecorder, TraceEventKind, TraceSink, Tracer,
 };
 use std::sync::Arc;
 
@@ -117,48 +117,33 @@ fn lock_plane<T>(plane: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Counts and traces a circuit-breaker transition (a free function so
-/// the gate can call it while it holds the overload state).
-fn note_transition(metrics: &ProxyMetrics, tracer: &mut Tracer, tenant: u32, t: BreakerTransition) {
-    match t.to {
-        BreakerState::Open => metrics.breaker_opens.inc(),
-        BreakerState::HalfOpen => metrics.breaker_half_opens.inc(),
-        BreakerState::Closed => metrics.breaker_closes.inc(),
-    }
-    tracer.emit(
-        t.at_micros,
-        tenant,
-        TraceEventKind::BreakerTransition {
-            from: t.from.code(),
-            to: t.to.code(),
-        },
-    );
+/// Counts the fact `kind` names and hands the event to the tracer: the
+/// one call a site makes for it. A free function so the overload gate
+/// can call it while it holds the overload state; elsewhere it is
+/// [`Dssp::note`].
+fn note_with(tally: &mut Tally, tracer: &mut Tracer, at_micros: u64, kind: TraceEventKind) {
+    tally.note(kind);
+    tracer.emit(at_micros, kind);
 }
 
-/// Counts and traces one shed request — the only accounting a shed
-/// request gets.
-fn note_shed(
-    metrics: &ProxyMetrics,
-    tracer: &mut Tracer,
-    tenant: u32,
-    now: u64,
-    template: u32,
-    reason: ShedReason,
-) {
-    match reason {
-        ShedReason::Admission => metrics.shed_admission.inc(),
-        ShedReason::BreakerOpen => metrics.shed_breaker_open.inc(),
-        ShedReason::Brownout => metrics.shed_brownout.inc(),
-        ShedReason::QueueFull => metrics.shed_queue_full.inc(),
+/// The refusal of a request bound to a template id outside the
+/// proxy's exposure tables.
+fn unknown_template(kind: &str, id: usize) -> StorageError {
+    StorageError::BadQuery(format!("{kind} template {id} is not configured"))
+}
+
+fn breaker_event(t: BreakerTransition) -> TraceEventKind {
+    TraceEventKind::BreakerTransition {
+        from: t.from.code(),
+        to: t.to.code(),
     }
-    tracer.emit(
-        now,
-        tenant,
-        TraceEventKind::RequestShed {
-            query_template: template,
-            reason: reason.code(),
-        },
-    );
+}
+
+fn shed_event(template: u32, reason: ShedReason) -> TraceEventKind {
+    TraceEventKind::RequestShed {
+        query_template: template,
+        reason: reason.code(),
+    }
 }
 
 /// Configuration for one application's slice of the DSSP.
@@ -266,112 +251,6 @@ enum Gate {
     Admitted { brownout: bool },
 }
 
-/// Cached handles into the proxy's [`MetricsRegistry`] so the hot path
-/// never re-resolves metric names. The totals mirror [`DsspStats`];
-/// the per-template vectors are indexed by template id.
-struct ProxyMetrics {
-    queries: Counter,
-    hits: Counter,
-    misses: Counter,
-    updates: Counter,
-    invalidations: Counter,
-    entries_scanned: Counter,
-    entries_inspected: Counter,
-    evictions: Counter,
-    cache_replacements: Counter,
-    cache_entries: scs_telemetry::Gauge,
-    scan_size: std::sync::Arc<scs_telemetry::LogHistogram>,
-    query_hits: Vec<Counter>,
-    query_misses: Vec<Counter>,
-    query_invalidated: Vec<Counter>,
-    query_evicted: Vec<Counter>,
-    update_applied: Vec<Counter>,
-    update_invalidations: Vec<Counter>,
-    // Fault-tolerance counters (all zero under perfect delivery).
-    epoch_gaps: Counter,
-    recovery_flushes: Counter,
-    recovery_flushed_entries: Counter,
-    duplicate_invalidations: Counter,
-    lease_expirations: Counter,
-    home_retries: Counter,
-    home_unavailable: Counter,
-    degraded_serves: Counter,
-    restarts: Counter,
-    // Elastic-membership counters (all zero in a static fleet).
-    handoff_exported: Counter,
-    handoff_imported: Counter,
-    // Overload-protection counters (all zero when protection is off).
-    shed_admission: Counter,
-    shed_breaker_open: Counter,
-    shed_brownout: Counter,
-    shed_queue_full: Counter,
-    breaker_opens: Counter,
-    breaker_half_opens: Counter,
-    breaker_closes: Counter,
-    brownout_entries: Counter,
-    brownout_exits: Counter,
-    brownout_serves: Counter,
-    // Fleet fanout counters (all zero outside a `ProxyFleet`).
-    fanout_batches_applied: Counter,
-    fanout_batch_msgs: Counter,
-    fanout_batch_duplicates: Counter,
-    fanout_batch_gaps: Counter,
-}
-
-impl ProxyMetrics {
-    fn new(registry: &MetricsRegistry, update_count: usize, query_count: usize) -> ProxyMetrics {
-        let per_template = |prefix: &str, suffix: &str, n: usize| -> Vec<Counter> {
-            (0..n)
-                .map(|i| registry.counter(&format!("{prefix}.{i}.{suffix}")))
-                .collect()
-        };
-        ProxyMetrics {
-            queries: registry.counter("dssp.queries"),
-            hits: registry.counter("dssp.hits"),
-            misses: registry.counter("dssp.misses"),
-            updates: registry.counter("dssp.updates"),
-            invalidations: registry.counter("dssp.invalidations"),
-            entries_scanned: registry.counter("dssp.entries_scanned"),
-            entries_inspected: registry.counter("dssp.entries_inspected"),
-            evictions: registry.counter("dssp.evictions"),
-            cache_replacements: registry.counter("dssp.cache_replacements"),
-            cache_entries: registry.gauge("dssp.cache_entries"),
-            scan_size: registry.histogram("dssp.invalidation_scan_size"),
-            query_hits: per_template("query_template", "hits", query_count),
-            query_misses: per_template("query_template", "misses", query_count),
-            query_invalidated: per_template("query_template", "invalidated", query_count),
-            query_evicted: per_template("query_template", "evicted", query_count),
-            update_applied: per_template("update_template", "applied", update_count),
-            update_invalidations: per_template("update_template", "invalidations", update_count),
-            epoch_gaps: registry.counter("dssp.epoch_gaps"),
-            recovery_flushes: registry.counter("dssp.recovery_flushes"),
-            recovery_flushed_entries: registry.counter("dssp.recovery_flushed_entries"),
-            duplicate_invalidations: registry.counter("dssp.duplicate_invalidations"),
-            lease_expirations: registry.counter("dssp.lease_expirations"),
-            home_retries: registry.counter("dssp.home_retries"),
-            home_unavailable: registry.counter("dssp.home_unavailable"),
-            degraded_serves: registry.counter("dssp.degraded_serves"),
-            restarts: registry.counter("dssp.restarts"),
-            handoff_exported: registry.counter("dssp.handoff_exported"),
-            handoff_imported: registry.counter("dssp.handoff_imported"),
-            shed_admission: registry.counter("dssp.shed_admission"),
-            shed_breaker_open: registry.counter("dssp.shed_breaker_open"),
-            shed_brownout: registry.counter("dssp.shed_brownout"),
-            shed_queue_full: registry.counter("dssp.shed_queue_full"),
-            breaker_opens: registry.counter("dssp.breaker_opens"),
-            breaker_half_opens: registry.counter("dssp.breaker_half_opens"),
-            breaker_closes: registry.counter("dssp.breaker_closes"),
-            brownout_entries: registry.counter("dssp.brownout_entries"),
-            brownout_exits: registry.counter("dssp.brownout_exits"),
-            brownout_serves: registry.counter("dssp.brownout_serves"),
-            fanout_batches_applied: registry.counter("dssp.fanout_batches_applied"),
-            fanout_batch_msgs: registry.counter("dssp.fanout_batch_msgs"),
-            fanout_batch_duplicates: registry.counter("dssp.fanout_batch_duplicates"),
-            fanout_batch_gaps: registry.counter("dssp.fanout_batch_gaps"),
-        }
-    }
-}
-
 /// One application's DSSP proxy state.
 pub struct Dssp {
     exposures: Exposures,
@@ -381,15 +260,12 @@ pub struct Dssp {
     /// visits.
     conflicting: Vec<Vec<usize>>,
     cache: ResultCache,
-    registry: MetricsRegistry,
-    metrics: ProxyMetrics,
+    /// Every count the proxy keeps (see [`Dssp::note`]).
+    tally: Tally,
     tracer: Tracer,
     /// Causal span trees (disabled by default; see
     /// [`Dssp::enable_span_recording`]).
     spans: SpanRecorder,
-    attribution: AttributionMatrix,
-    /// Tenant label stamped on trace events ([`Dssp::set_tenant_label`]).
-    tenant: u32,
     /// Simulation clock in µs; trace events are stamped with it. Stays 0
     /// outside a simulation.
     now_micros: u64,
@@ -430,10 +306,10 @@ impl Dssp {
             None => ResultCache::new(encryptor),
         };
         cache.set_lease_micros(config.lease_micros);
-        let update_count = config.exposures.updates.len();
-        let query_count = config.exposures.queries.len();
-        let registry = MetricsRegistry::new();
-        let metrics = ProxyMetrics::new(&registry, update_count, query_count);
+        let tally = Tally::new(
+            config.exposures.updates.len(),
+            config.exposures.queries.len(),
+        );
         let jitter_salt = config
             .app_id
             .bytes()
@@ -456,12 +332,9 @@ impl Dssp {
             exposures: config.exposures,
             conflicting,
             matrix: config.matrix,
-            registry,
-            metrics,
+            tally,
             tracer: Tracer::new(),
             spans: SpanRecorder::disabled(),
-            attribution: AttributionMatrix::new(update_count, query_count),
-            tenant: 0,
             now_micros: 0,
             epoch: 0,
             stream_epochs: std::collections::HashMap::new(),
@@ -608,17 +481,9 @@ impl Dssp {
     /// handoff made the cache overflow.
     fn note_evictions(&mut self, evicted: &[CacheKey]) {
         for victim in evicted {
-            self.metrics.evictions.inc();
-            if let Some(per_template) = self.metrics.query_evicted.get(victim.template_id) {
-                per_template.inc();
-            }
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EntryEvicted {
-                    query_template: victim.template_id as u32,
-                },
-            );
+            self.note(TraceEventKind::EntryEvicted {
+                query_template: victim.template_id as u32,
+            });
         }
     }
 
@@ -759,7 +624,8 @@ impl Dssp {
     /// stale substitute. Entries whose lease ran out are dropped,
     /// counted, and re-fetched like misses. A query the home refuses is
     /// an `Err`, with its `home_trip` span recorded and its root closed
-    /// like any other exit's.
+    /// like any other exit's. A query bound to a template id this proxy
+    /// was not configured with is an `Err` before anything moves.
     pub fn execute_query_ft<H: Home>(
         &mut self,
         q: &Query,
@@ -769,6 +635,8 @@ impl Dssp {
         queue: Option<&QueueState>,
     ) -> Result<FtQueryResponse, StorageError> {
         let tid = q.template_id;
+        let level = self.exposures.queries.get(tid).copied();
+        let level = level.ok_or_else(|| unknown_template("query", tid))?;
         let gate = match self.gate(Some(q), tid as u32, queue) {
             Ok(gate) => gate,
             Err(why) => {
@@ -779,15 +647,12 @@ impl Dssp {
                 })
             }
         };
-        let level = self.exposures.queries[tid];
         let exposure = level.rank() as u8;
         let audit_req = self.audit_arrival(false, tid, level, "query", &q.params);
-        self.metrics.queries.inc();
         let root = self.spans.open(
             self.now_micros,
             SpanPhase::QueryRequest,
             SpanId::NONE,
-            self.tenant,
             Some(tid as u32),
         );
         let root_timer = self.spans.timer();
@@ -807,32 +672,20 @@ impl Dssp {
                     self.now_micros,
                     SpanPhase::CacheLookup,
                     root,
-                    self.tenant,
                     Some(tid as u32),
                     lookup_timer,
                 );
-                self.metrics.hits.inc();
-                self.metrics.query_hits[tid].inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::QueryHit {
-                        query_template: tid as u32,
-                        exposure,
-                    },
-                );
+                self.note(TraceEventKind::QueryHit {
+                    query_template: tid as u32,
+                    exposure,
+                });
                 let link_down = !(link.is_up(self.now_micros) && home.is_up());
                 let brownout = gate == Gate::Admitted { brownout: true };
                 let degraded = link_down || brownout;
                 if degraded {
-                    self.metrics.degraded_serves.inc();
-                    self.tracer.emit(
-                        self.now_micros,
-                        self.tenant,
-                        TraceEventKind::DegradedServe {
-                            query_template: tid as u32,
-                        },
-                    );
+                    self.note(TraceEventKind::DegradedServe {
+                        query_template: tid as u32,
+                    });
                 }
                 if let Some((prov, replica)) = &self.prov {
                     let mut p = lock_plane(prov);
@@ -859,7 +712,7 @@ impl Dssp {
                 }
                 self.spans.close(root, root_timer);
                 if brownout {
-                    self.metrics.brownout_serves.inc();
+                    self.tally.brownout_serves += 1;
                 }
                 // Hits never touch the home tier: no breaker verdict.
                 self.settle(gate, None);
@@ -875,14 +728,9 @@ impl Dssp {
             }
             Lookup::Expired => {
                 lease_expired = true;
-                self.metrics.lease_expirations.inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::LeaseExpired {
-                        query_template: tid as u32,
-                    },
-                );
+                self.note(TraceEventKind::LeaseExpired {
+                    query_template: tid as u32,
+                });
             }
             Lookup::Miss => {}
         }
@@ -890,20 +738,13 @@ impl Dssp {
             self.now_micros,
             SpanPhase::CacheLookup,
             root,
-            self.tenant,
             Some(tid as u32),
             lookup_timer,
         );
-        self.metrics.misses.inc();
-        self.metrics.query_misses[tid].inc();
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::QueryMiss {
-                query_template: tid as u32,
-                exposure,
-            },
-        );
+        self.note(TraceEventKind::QueryMiss {
+            query_template: tid as u32,
+            exposure,
+        });
         if let Some((prov, replica)) = &self.prov {
             lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
         }
@@ -923,7 +764,6 @@ impl Dssp {
             self.now_micros,
             SpanPhase::HomeTrip,
             root,
-            self.tenant,
             Some(tid as u32),
             trip_timer,
         );
@@ -954,7 +794,6 @@ impl Dssp {
             self.now_micros,
             SpanPhase::Crypto,
             root,
-            self.tenant,
             Some(tid as u32),
             crypto_timer,
         );
@@ -975,7 +814,7 @@ impl Dssp {
             }
         }
         if outcome.replaced {
-            self.metrics.cache_replacements.inc();
+            self.tally.cache_replacements += 1;
         }
         if level == ExposureLevel::View {
             // At `view` exposure the fill is stored — and thus read —
@@ -983,7 +822,6 @@ impl Dssp {
             self.audit_view_read(audit_req, tid, "fill", &result);
         }
         self.note_evictions(&outcome.evicted);
-        self.metrics.cache_entries.set(self.cache.len() as i64);
         self.spans.close(root, root_timer);
         self.settle(gate, Some(true));
         Ok(FtQueryResponse {
@@ -1015,11 +853,12 @@ impl Dssp {
     /// shed update ([`FtUpdateOutcome::Shed`]) leaves the master
     /// untouched and is not an update request served.
     ///
-    /// An attempt that reaches the home is accounted (`updates`,
-    /// `update_applied`, attribution, the `UpdateApplied` trace event)
-    /// before the master's verdict: an update the master rejects is an
-    /// `Err` that was still an update request served, with its
-    /// `home_trip` span recorded and its root closed.
+    /// An attempt that reaches the home is accounted (the
+    /// `UpdateApplied` event) before the master's verdict: an update the
+    /// master rejects is an `Err` that was still an update request
+    /// served, with its `home_trip` span recorded and its root closed. An
+    /// update bound to an unconfigured template id is an `Err` before
+    /// anything moves.
     pub fn execute_update_ft<H: Home>(
         &mut self,
         u: &Update,
@@ -1029,6 +868,8 @@ impl Dssp {
         queue: Option<&QueueState>,
     ) -> Result<FtUpdateResponse, StorageError> {
         let uid = u.template_id;
+        let level = self.exposures.updates.get(uid).copied();
+        let level = level.ok_or_else(|| unknown_template("update", uid))?;
         let gate = match self.gate(None, uid as u32, queue) {
             Ok(gate) => gate,
             Err(why) => {
@@ -1039,13 +880,11 @@ impl Dssp {
                 })
             }
         };
-        let level = self.exposures.updates[uid];
         let _ = self.audit_arrival(true, uid, level, "update", &u.params);
         let root = self.spans.open(
             self.now_micros,
             SpanPhase::UpdateRequest,
             SpanId::NONE,
-            self.tenant,
             Some(uid as u32),
         );
         let root_timer = self.spans.timer();
@@ -1059,24 +898,16 @@ impl Dssp {
                 backoff_micros,
             });
         }
-        self.metrics.updates.inc();
-        self.metrics.update_applied[uid].inc();
-        self.attribution.record_update(uid);
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::UpdateApplied {
-                update_template: uid as u32,
-                exposure: level.rank() as u8,
-            },
-        );
+        self.note(TraceEventKind::UpdateApplied {
+            update_template: uid as u32,
+            exposure: level.rank() as u8,
+        });
         let trip_timer = self.spans.timer();
         let applied = home.apply(u);
         self.spans.record_closed(
             self.now_micros,
             SpanPhase::HomeTrip,
             root,
-            self.tenant,
             Some(uid as u32),
             trip_timer,
         );
@@ -1116,27 +947,17 @@ impl Dssp {
             attempts = next;
             backoff += wait;
             if attempts > 1 {
-                self.metrics.home_retries.inc();
-                self.tracer.emit(
-                    self.now_micros,
-                    self.tenant,
-                    TraceEventKind::HomeRetry {
-                        attempt: attempts.min(u8::MAX as u32) as u8,
-                    },
-                );
+                self.note(TraceEventKind::HomeRetry {
+                    attempt: attempts.min(u8::MAX as u32) as u8,
+                });
             }
             if link.is_up(self.now_micros.saturating_add(backoff)) && home.is_up() {
                 return (true, attempts, backoff);
             }
         }
-        self.metrics.home_unavailable.inc();
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::HomeUnreachable {
-                attempts: attempts.min(u8::MAX as u32) as u8,
-            },
-        );
+        self.note(TraceEventKind::HomeUnreachable {
+            attempts: attempts.min(u8::MAX as u32) as u8,
+        });
         (false, attempts, backoff)
     }
 
@@ -1154,10 +975,9 @@ impl Dssp {
         let (Some(ol), Some(queue)) = (self.overload.as_mut(), queue) else {
             return Ok(Gate::Off);
         };
-        let (metrics, tracer) = (&self.metrics, &mut self.tracer);
-        let (tenant, now) = (self.tenant, self.now_micros);
+        let (tally, tracer, now) = (&mut self.tally, &mut self.tracer, self.now_micros);
         if let Some(t) = ol.breaker.poll(now) {
-            note_transition(metrics, tracer, tenant, t);
+            note_with(tally, tracer, t.at_micros, breaker_event(t));
         }
         let mut brownout = false;
         let verdict = 'verdict: {
@@ -1166,13 +986,8 @@ impl Dssp {
                 brownout = ol.brownout.active(now, open);
                 if ol.brownout_active != brownout {
                     ol.brownout_active = brownout;
-                    let flips = match brownout {
-                        true => &metrics.brownout_entries,
-                        false => &metrics.brownout_exits,
-                    };
-                    flips.inc();
                     let mode = TraceEventKind::BrownoutMode { active: brownout };
-                    tracer.emit(now, tenant, mode);
+                    note_with(tally, tracer, now, mode);
                 }
                 if self.cache.peek_fresh(q) {
                     // Hits never touch the home tier, so neither
@@ -1201,7 +1016,7 @@ impl Dssp {
                 // it for as long as the overload lasts (shed → ratio hot
                 // → shed …), starving the cache of refills.
                 ol.brownout.record(now, false);
-                note_shed(metrics, tracer, tenant, now, template, why.reason());
+                note_with(tally, tracer, now, shed_event(template, why.reason()));
                 Err(why)
             }
         }
@@ -1222,7 +1037,12 @@ impl Dssp {
         };
         ol.brownout.record(now, false);
         if let Some(t) = transition {
-            note_transition(&self.metrics, &mut self.tracer, self.tenant, t);
+            note_with(
+                &mut self.tally,
+                &mut self.tracer,
+                t.at_micros,
+                breaker_event(t),
+            );
         }
     }
 
@@ -1236,14 +1056,7 @@ impl Dssp {
         if let Some(ol) = self.overload.as_mut() {
             ol.brownout.record(now, true);
         }
-        note_shed(
-            &self.metrics,
-            &mut self.tracer,
-            self.tenant,
-            now,
-            query_template,
-            ShedReason::QueueFull,
-        );
+        self.note(shed_event(query_template, ShedReason::QueueFull));
         Overloaded::QueueFull
     }
 
@@ -1296,7 +1109,7 @@ impl Dssp {
         let cursor = self.epoch_of(stream);
         let expected = cursor + 1;
         if msg.epoch < expected {
-            self.metrics.duplicate_invalidations.inc();
+            self.tally.duplicate_invalidations += 1;
             self.prov_arrival_on(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
             return DeliveryOutcome::Duplicate;
         }
@@ -1304,27 +1117,20 @@ impl Dssp {
             self.now_micros,
             SpanPhase::InvalidationFanout,
             SpanId::NONE,
-            self.tenant,
             Some(msg.update.template_id as u32),
         );
         let root_timer = self.spans.timer();
         if msg.epoch > expected {
-            self.metrics.epoch_gaps.inc();
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EpochGap {
-                    expected,
-                    got: msg.epoch,
-                },
-            );
+            self.note(TraceEventKind::EpochGap {
+                expected,
+                got: msg.epoch,
+            });
             let recovery_timer = self.spans.timer();
             let flushed = self.recovery_flush();
             self.spans.record_closed(
                 self.now_micros,
                 SpanPhase::Recovery,
                 root,
-                self.tenant,
                 None,
                 recovery_timer,
             );
@@ -1386,10 +1192,8 @@ impl Dssp {
     pub fn apply_batch_from(&mut self, stream: u64, batch: &InvalidationBatch) -> BatchOutcome {
         let epoch_before = self.epoch_of(stream);
         if batch.last_epoch <= epoch_before {
-            self.metrics.fanout_batch_duplicates.inc();
-            self.metrics
-                .duplicate_invalidations
-                .add(batch.msgs.len() as u64);
+            self.tally.fanout_batch_duplicates += 1;
+            self.tally.duplicate_invalidations += batch.msgs.len() as u64;
             self.prov_arrival_on(
                 stream,
                 batch.first_epoch,
@@ -1403,29 +1207,22 @@ impl Dssp {
             self.now_micros,
             SpanPhase::BatchApply,
             SpanId::NONE,
-            self.tenant,
             batch.msgs.first().map(|m| m.update.template_id as u32),
         );
         let root_timer = self.spans.timer();
         let expected = epoch_before + 1;
         if batch.first_epoch > expected {
-            self.metrics.fanout_batch_gaps.inc();
-            self.metrics.epoch_gaps.inc();
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EpochGap {
-                    expected,
-                    got: batch.first_epoch,
-                },
-            );
+            self.tally.fanout_batch_gaps += 1;
+            self.note(TraceEventKind::EpochGap {
+                expected,
+                got: batch.first_epoch,
+            });
             let recovery_timer = self.spans.timer();
             let flushed = self.recovery_flush();
             self.spans.record_closed(
                 self.now_micros,
                 SpanPhase::Recovery,
                 root,
-                self.tenant,
                 None,
                 recovery_timer,
             );
@@ -1450,7 +1247,7 @@ impl Dssp {
         for msg in &batch.msgs {
             if msg.epoch <= cursor {
                 skipped += 1;
-                self.metrics.duplicate_invalidations.inc();
+                self.tally.duplicate_invalidations += 1;
                 continue;
             }
             cursor = msg.epoch;
@@ -1462,8 +1259,8 @@ impl Dssp {
         // Epochs past the last retained message were coalesced away;
         // their content is covered by the representatives just applied.
         self.set_stream_cursor(stream, batch.last_epoch);
-        self.metrics.fanout_batches_applied.inc();
-        self.metrics.fanout_batch_msgs.add(applied as u64);
+        self.tally.fanout_batches_applied += 1;
+        self.tally.fanout_batch_msgs += applied as u64;
         self.prov_arrival_on(
             stream,
             batch.first_epoch,
@@ -1607,29 +1404,16 @@ impl Dssp {
             }
         }
         for (qid, path, entry_exposure) in victims {
-            self.metrics.invalidations.inc();
-            let per_query = self.metrics.query_invalidated.get(qid);
-            let per_update = self.metrics.update_invalidations.get(uid);
-            if let (Some(per_query), Some(per_update)) = (per_query, per_update) {
-                per_query.inc();
-                per_update.inc();
-                self.attribution.record_invalidation(uid, qid);
-            }
-            self.tracer.emit(
-                self.now_micros,
-                self.tenant,
-                TraceEventKind::EntryInvalidated {
-                    update_template: uid as u32,
-                    query_template: qid as u32,
-                    exposure: entry_exposure,
-                    decision: path.code(),
-                },
-            );
+            self.note(TraceEventKind::EntryInvalidated {
+                update_template: uid as u32,
+                query_template: qid as u32,
+                exposure: entry_exposure,
+                decision: path.code(),
+            });
         }
-        self.metrics.entries_scanned.add(scanned as u64);
-        self.metrics.entries_inspected.add(scan.inspected as u64);
-        self.metrics.scan_size.record(scanned as u64);
-        self.metrics.cache_entries.set(self.cache.len() as i64);
+        self.tally.entries_scanned += scanned as u64;
+        self.tally.entries_inspected += scan.inspected as u64;
+        self.tally.scan_size.record(scanned as u64);
         (scanned, invalidated)
     }
 
@@ -1645,19 +1429,11 @@ impl Dssp {
             let qid = entry.key().template_id;
             (0..update_count).any(|uid| !matrix.entry(uid, qid).all_zero())
         });
-        self.metrics.recovery_flushes.inc();
-        self.metrics.recovery_flushed_entries.add(flushed as u64);
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::RecoveryFlush {
-                flushed: flushed as u64,
-                // The affected-templates flush; the code is part of the
-                // trace export's schema.
-                mode: 0,
-            },
-        );
-        self.metrics.cache_entries.set(self.cache.len() as i64);
+        self.note(TraceEventKind::RecoveryFlush {
+            flushed: flushed as u64,
+            // The affected-templates flush, the one kind there is.
+            mode: 0,
+        });
         flushed
     }
 
@@ -1671,18 +1447,11 @@ impl Dssp {
         let timer = self.spans.timer();
         self.cache.clear();
         self.epoch = home_epoch;
-        self.metrics.restarts.inc();
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::NodeRestart { epoch: home_epoch },
-        );
-        self.metrics.cache_entries.set(0);
+        self.note(TraceEventKind::NodeRestart { epoch: home_epoch });
         self.spans.record_closed(
             self.now_micros,
             SpanPhase::Recovery,
             SpanId::NONE,
-            self.tenant,
             None,
             timer,
         );
@@ -1751,8 +1520,7 @@ impl Dssp {
         select: impl FnMut(&crate::cache::CacheEntry) -> bool,
     ) -> Vec<crate::cache::CacheEntry> {
         let out = self.cache.extract_where(select);
-        self.metrics.handoff_exported.add(out.len() as u64);
-        self.metrics.cache_entries.set(self.cache.len() as i64);
+        self.tally.handoff_exported += out.len() as u64;
         out
     }
 
@@ -1767,8 +1535,7 @@ impl Dssp {
             admitted += usize::from(outcome.stored);
             self.note_evictions(&outcome.evicted);
         }
-        self.metrics.handoff_imported.add(admitted as u64);
-        self.metrics.cache_entries.set(self.cache.len() as i64);
+        self.tally.handoff_imported += admitted as u64;
         admitted
     }
 
@@ -1776,49 +1543,39 @@ impl Dssp {
     /// ring, with the epoch cursor it joined at and how many entries it
     /// was handed during warming.
     pub fn note_join(&mut self, epoch: u64, handed: u64) {
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::ReplicaJoin { epoch, handed },
-        );
+        self.note(TraceEventKind::ReplicaJoin { epoch, handed });
     }
 
     /// Emits the membership trace event for this replica leaving the
     /// ring, with its final applied epoch and how many entries it handed
     /// to its successors.
     pub fn note_leave(&mut self, epoch: u64, handed: u64) {
-        self.tracer.emit(
-            self.now_micros,
-            self.tenant,
-            TraceEventKind::ReplicaLeave { epoch, handed },
-        );
+        self.note(TraceEventKind::ReplicaLeave { epoch, handed });
     }
 
-    /// Snapshot of the headline counters, derived from the registry (the
-    /// registry is the single source of truth; the old direct-field
-    /// accounting is gone).
+    /// Counts the fact `kind` names and hands the event to the tracer,
+    /// stamped with the simulation clock: the one call a site makes for
+    /// a fact a trace event names.
+    fn note(&mut self, kind: TraceEventKind) {
+        note_with(&mut self.tally, &mut self.tracer, self.now_micros, kind);
+    }
+
+    /// Snapshot of the headline counters.
     pub fn stats(&self) -> DsspStats {
-        DsspStats {
-            queries: self.metrics.queries.get(),
-            hits: self.metrics.hits.get(),
-            misses: self.metrics.misses.get(),
-            updates: self.metrics.updates.get(),
-            invalidations: self.metrics.invalidations.get(),
-            entries_scanned: self.metrics.entries_scanned.get(),
-            entries_inspected: self.metrics.entries_inspected.get(),
-            evictions: self.metrics.evictions.get(),
-        }
+        self.tally.stats()
     }
 
-    /// The proxy's metrics registry (per-template counters, scan-size
-    /// histogram); merge into a node-level registry for roll-ups.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// Every counter and histogram under its exported name (per-template
+    /// counters, fault and overload counters, the scan-size histogram);
+    /// merge snapshots for roll-ups.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.tally.metrics()
     }
 
-    /// Empirical (update-template × query-template) invalidation counts.
-    pub fn attribution(&self) -> &AttributionMatrix {
-        &self.attribution
+    /// The counts themselves, including the empirical (update-template ×
+    /// query-template) invalidation matrix.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// The static IPM characterization the proxy decides with.
@@ -1851,27 +1608,6 @@ impl Dssp {
     /// [`Dssp::enable_span_recording`] was called).
     pub fn spans(&self) -> &SpanRecorder {
         &self.spans
-    }
-
-    /// Flushes buffered trace sinks (e.g. JSONL writers).
-    pub fn flush_telemetry(&mut self) {
-        self.tracer.flush();
-    }
-
-    /// Labels this proxy's trace events with a tenant id.
-    pub fn set_tenant_label(&mut self, tenant: u32) {
-        self.tenant = tenant;
-    }
-
-    /// Stamps this proxy's fleet replica index on every trace event it
-    /// emits (set by `ProxyFleet::new`; stays 0 for single-proxy use).
-    pub fn set_proxy_label(&mut self, proxy: u64) {
-        self.tracer.set_proxy(proxy);
-    }
-
-    /// This proxy's fleet replica index (0 outside a fleet).
-    pub fn proxy_label(&self) -> u64 {
-        self.tracer.proxy()
     }
 
     /// Advances the clock trace events are stamped with and leases are
@@ -2059,12 +1795,12 @@ mod tests {
         assert_eq!(receiver.dssp.import_entries(moved), 3);
         assert_eq!(receiver.dssp.cache_len(), 2);
         assert_eq!(receiver.dssp.stats().evictions, 1);
-        let registry = receiver.dssp.registry();
-        assert_eq!(registry.counter_value("query_template.1.evicted"), 1);
+        let metrics = receiver.dssp.metrics();
+        assert_eq!(metrics.counters["query_template.1.evicted"], 1);
     }
 
     #[test]
-    fn registry_tracks_per_template_counts() {
+    fn metrics_track_per_template_counts() {
         let mut f = fixture(StrategyKind::StatementInspection);
         f.query(0, vec![Value::str("bear")]);
         f.query(0, vec![Value::str("bear")]);
@@ -2073,38 +1809,37 @@ mod tests {
         // inspection must also kill the q0(toy_name) entry, since a
         // DELETE by toy_id could remove a matching bear row.
         let resp = f.update(0, vec![Value::Int(2)]);
-        let reg = f.dssp.registry();
-        assert_eq!(reg.counter_value("query_template.0.hits"), 1);
-        assert_eq!(reg.counter_value("query_template.0.misses"), 1);
-        assert_eq!(reg.counter_value("query_template.1.misses"), 1);
-        assert_eq!(reg.counter_value("update_template.0.applied"), 1);
-        assert_eq!(reg.counter_value("query_template.1.invalidated"), 1);
+        let m = f.dssp.metrics();
+        let counter = |name: &str| m.counters[name];
+        assert_eq!(counter("query_template.0.hits"), 1);
+        assert_eq!(counter("query_template.0.misses"), 1);
+        assert_eq!(counter("query_template.1.misses"), 1);
+        assert_eq!(counter("update_template.0.applied"), 1);
+        assert_eq!(counter("query_template.1.invalidated"), 1);
         assert_eq!(
-            reg.counter_value("update_template.0.invalidations"),
+            counter("update_template.0.invalidations"),
             resp.invalidated as u64
         );
         // Headline counters agree with the derived stats snapshot.
-        assert_eq!(reg.counter_value("dssp.queries"), f.dssp.stats().queries);
+        assert_eq!(counter("dssp.queries"), f.dssp.stats().queries);
         // The scan-size histogram saw exactly one invalidation pass.
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms["dssp.invalidation_scan_size"].count, 1);
-        assert_eq!(snap.gauges["dssp.cache_entries"], f.dssp.cache_len() as i64);
+        assert_eq!(m.histograms["dssp.invalidation_scan_size"].count, 1);
     }
 
     #[test]
-    fn attribution_matrix_records_runtime_invalidations() {
+    fn tally_attributes_runtime_invalidations() {
         let mut f = fixture(StrategyKind::TemplateInspection);
         f.query(0, vec![Value::str("bear")]);
         f.query(1, vec![Value::Int(1)]);
         f.update(0, vec![Value::Int(3)]);
-        let attr = f.dssp.attribution();
-        assert_eq!(attr.updates_applied(0), 1);
+        let tally = f.dssp.tally();
+        assert_eq!(tally.updates_applied(), [1]);
         // MTIS invalidates every instance of both affected templates.
-        assert_eq!(attr.count(0, 0) + attr.count(0, 1), 2);
+        assert_eq!(tally.invalidation_counts(), [[1, 1]]);
         // Runtime behaviour stays inside the analysis envelope: nothing
         // invalidated on a pair the IPM proved A = 0 for.
         let ipm = f.dssp.ipm();
-        assert!(attr
+        assert!(tally
             .divergence(|u, q| ipm.entry(u, q).all_zero())
             .is_empty());
     }
@@ -2125,12 +1860,10 @@ mod tests {
         let events = Rc::new(RefCell::new(Vec::new()));
         let mut f = fixture(StrategyKind::ViewInspection);
         f.dssp.add_trace_sink(Box::new(Shared(Rc::clone(&events))));
-        f.dssp.set_tenant_label(7);
         f.dssp.set_sim_time_micros(42);
         f.query(1, vec![Value::Int(2)]);
         f.query(1, vec![Value::Int(2)]);
         f.update(0, vec![Value::Int(2)]);
-        f.dssp.flush_telemetry();
 
         let events = events.borrow();
         let kinds: Vec<&'static str> = events.iter().map(|e| e.kind.name()).collect();
@@ -2143,7 +1876,7 @@ mod tests {
                 "entry_invalidated"
             ]
         );
-        assert!(events.iter().all(|e| e.tenant == 7 && e.at_micros == 42));
+        assert!(events.iter().all(|e| e.at_micros == 42));
         // Sequence numbers are strictly increasing.
         assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
         match events[3].kind {
@@ -2165,7 +1898,6 @@ mod tests {
     fn span_trees_cover_the_request_pipeline() {
         let mut f = fixture(StrategyKind::ViewInspection);
         f.dssp.enable_span_recording(64);
-        f.dssp.set_tenant_label(3);
         f.dssp.set_sim_time_micros(500);
         assert!(!f.query(0, vec![Value::str("bear")]).hit); // miss
         assert!(f.query(0, vec![Value::str("bear")]).hit); // hit
@@ -2188,7 +1920,7 @@ mod tests {
             assert!(parent.parent.is_none(), "children attach to roots");
             assert!(parent.phase.is_root() || parent.phase == SpanPhase::Recovery);
         }
-        assert!(spans.iter().all(|s| s.tenant == 3 && s.at_micros == 500));
+        assert!(spans.iter().all(|s| s.at_micros == 500));
         // Roots were closed with a measured wall-clock duration.
         assert!(spans
             .iter()

@@ -342,7 +342,7 @@ proptest! {
         for s in 0..SHARDS {
             prop_assert_eq!(dssp.epoch_of(s as u64), home.epoch_of(s), "stream {}", s);
         }
-        prop_assert_eq!(dssp.registry().counter_value("dssp.epoch_gaps"), 0);
+        prop_assert_eq!(dssp.metrics().counters["dssp.epoch_gaps"], 0);
     }
 
     /// At the neutral policy — a reliable link, no retries, and either no

@@ -102,7 +102,7 @@ impl Rig {
     }
 
     fn counter(&self, name: &str) -> u64 {
-        self.dssp.registry().counter_value(name)
+        self.dssp.metrics().counters[name]
     }
 }
 
@@ -433,7 +433,11 @@ fn expired_leases_refetch_instead_of_serving() {
     r.dssp.set_sim_time_micros(2_000);
     let resp = r.dssp.execute_query(&qa, &mut r.home).unwrap();
     assert!(!resp.hit, "expired entry must not serve");
-    assert!(r.counter("dssp.lease_expirations") >= 1);
+    assert_eq!(r.counter("dssp.lease_expirations"), 1);
+    // The expired lookup is a miss like any other, and a query served.
+    let s = r.dssp.stats();
+    assert_eq!((s.queries, s.hits, s.misses), (3, 1, 2));
+    assert_eq!(r.counter("query_template.0.misses"), 2);
 }
 
 // ---------------------------------------------------------------------
@@ -646,8 +650,8 @@ proptest! {
         }
         prop_assert_eq!(on_s.dssp.stats(), on_0.dssp.stats());
         prop_assert_eq!(
-            on_s.dssp.registry().snapshot().counters,
-            on_0.dssp.registry().snapshot().counters
+            on_s.dssp.metrics().counters,
+            on_0.dssp.metrics().counters
         );
     }
 

@@ -538,6 +538,6 @@ fn point_queries_are_scanned_but_not_inspected() {
     assert_eq!(stats.entries_scanned, scanned);
     assert_eq!(stats.entries_inspected, 30, "one probe hit per update");
     assert_eq!(stats.invalidations, 30);
-    let registry = pair.dssp.registry();
-    assert_eq!(registry.counter_value("dssp.entries_inspected"), 30);
+    let metrics = pair.dssp.metrics();
+    assert_eq!(metrics.counters["dssp.entries_inspected"], 30);
 }

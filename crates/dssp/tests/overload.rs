@@ -13,17 +13,20 @@
 //! 4. brownout end to end: with the breaker open, a within-lease hit
 //!    serves degraded, a miss fast-rejects with `Overloaded` having
 //!    touched no counter but its shed counter, and an expired entry is
-//!    *never* served — shedding wins over staleness.
+//!    *never* served — shedding wins over staleness;
+//! 5. a request bound to an unconfigured template id is refused in front
+//!    of the gate, on a lone proxy and through a fleet, with nothing
+//!    moved.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
     AdmissionConfig, AdmissionController, BreakerConfig, BreakerState, BrownoutConfig,
-    CircuitBreaker, Dssp, DsspConfig, FtOutcome, HomeLink, HomeServer, OverloadConfig, Overloaded,
-    QueueState, RetryPolicy, StrategyKind,
+    CircuitBreaker, Dssp, DsspConfig, FleetConfig, FtOutcome, HomeLink, HomeServer, OverloadConfig,
+    Overloaded, ProxyFleet, QueueState, RetryPolicy, RoutingMode, StrategyKind,
 };
-use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, UpdateTemplate, Value};
-use scs_storage::{ColumnType, Database, TableSchema};
+use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
+use scs_storage::{ColumnType, Database, StorageError, TableSchema};
 use std::sync::Arc;
 
 const QUERY_SQL: &[&str] = &[
@@ -34,10 +37,11 @@ const QUERY_SQL: &[&str] = &[
 const UPDATE_SQL: &[&str] = &["UPDATE toys SET qty = ? WHERE id = ?"];
 
 struct Rig {
+    /// What `dssp` was built from.
+    config: DsspConfig,
     dssp: Dssp,
     home: HomeServer,
     queries: Vec<Arc<QueryTemplate>>,
-    #[allow(dead_code)]
     updates: Vec<Arc<UpdateTemplate>>,
 }
 
@@ -65,9 +69,10 @@ fn rig_with(app_id: &str, config: impl FnOnce(DsspConfig) -> DsspConfig) -> Rig 
     let catalog = Catalog::new(vec![schema]);
     let matrix = characterize_app(&updates, &queries, &catalog, AnalysisOptions::default());
     let exposures = StrategyKind::ViewInspection.exposures(updates.len(), queries.len());
-    let dssp = Dssp::new(config(DsspConfig::new(app_id, exposures, matrix)));
+    let config = config(DsspConfig::new(app_id, exposures, matrix));
     Rig {
-        dssp,
+        dssp: Dssp::new(config.clone()),
+        config,
         home: HomeServer::new(db),
         queries,
         updates,
@@ -80,7 +85,7 @@ impl Rig {
     }
 
     fn counter(&self, name: &str) -> u64 {
-        self.dssp.registry().counter_value(name)
+        self.dssp.metrics().counters[name]
     }
 }
 
@@ -338,7 +343,7 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     // A miss under brownout fast-rejects instead of queueing — at the
     // gate, in front of arrival accounting: a shed request is not a
     // query served, so it moves its shed counter and no other.
-    let before = r.dssp.registry().snapshot().counters;
+    let before = r.dssp.metrics().counters;
     let resp = r
         .dssp
         .execute_query_ft(&cold, &mut r.home, &down, &policy, Some(&queue))
@@ -354,8 +359,7 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
     }
     let moved: Vec<(String, u64)> = r
         .dssp
-        .registry()
-        .snapshot()
+        .metrics()
         .counters
         .into_iter()
         .filter(|(name, v)| before[name] != *v)
@@ -402,5 +406,89 @@ fn brownout_serves_fresh_hits_degraded_and_sheds_misses() {
         r.counter("dssp.degraded_serves"),
         1,
         "exactly the one within-lease brownout hit served degraded"
+    );
+}
+
+// ---------------------------------------------------------------------
+// 5. A request bound to an unconfigured template id.
+// ---------------------------------------------------------------------
+
+/// A query or update bound to a template id past the configured tables
+/// answers `Err(BadQuery)` in front of the gate: no counter, span, cache
+/// entry or breaker verdict moves — on a lone proxy and through a fleet.
+/// Both used to index the exposure tables with the id and unwind.
+#[test]
+fn unconfigured_template_ids_are_refused_before_anything_moves() {
+    let mut r = rig_with("unconfigured", |c| DsspConfig {
+        overload: Some(overload_config()),
+        ..c
+    });
+    r.dssp.enable_span_recording(64);
+    let warm = r.query(0, vec![Value::Int(1)]);
+    r.dssp.execute_query(&warm, &mut r.home).unwrap();
+    let q = Query::bind(QUERY_SQL.len(), r.queries[0].clone(), vec![Value::Int(1)]).unwrap();
+    let params = vec![Value::Int(7), Value::Int(1)];
+    let u = Update::bind(UPDATE_SQL.len(), r.updates[0].clone(), params).unwrap();
+    let (link, policy, queue) = (
+        HomeLink::reliable(),
+        RetryPolicy::no_retries(),
+        QueueState::default(),
+    );
+    let refused = |e: &StorageError| matches!(e, StorageError::BadQuery(_));
+
+    let (metrics, cached, spans) = (
+        r.dssp.metrics(),
+        r.dssp.cache_len(),
+        r.dssp.spans().recorded(),
+    );
+    let verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let query = r
+            .dssp
+            .execute_query_ft(&q, &mut r.home, &link, &policy, Some(&queue));
+        let update = r
+            .dssp
+            .execute_update_ft(&u, &mut r.home, &link, &policy, Some(&queue));
+        (
+            query.err().is_some_and(|e| refused(&e)),
+            update.err().is_some_and(|e| refused(&e)),
+        )
+    }));
+    assert_eq!(
+        verdicts.ok(),
+        Some((true, true)),
+        "a lone proxy unwound or served"
+    );
+    assert_eq!(r.dssp.metrics(), metrics);
+    assert_eq!(r.dssp.cache_len(), cached);
+    assert_eq!(r.dssp.spans().recorded(), spans);
+    assert_eq!(r.dssp.breaker_state(), Some(BreakerState::Closed));
+
+    let home = HomeServer::new(r.home.database().clone());
+    let mut fleet = ProxyFleet::new(
+        r.config.clone(),
+        home,
+        FleetConfig::reliable(2, RoutingMode::HashByTemplate),
+    );
+    fleet.execute_query_ft(&warm, &link, &policy, None).unwrap();
+    let (metrics, cached) = (fleet.rollup_metrics(), fleet.total_cache_entries());
+    let verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let query = fleet.execute_query_ft(&q, &link, &policy, None);
+        let update = fleet.execute_update_ft(&u, &link, &policy, None);
+        (
+            query.err().is_some_and(|e| refused(&e)),
+            update.err().is_some_and(|e| refused(&e)),
+        )
+    }));
+    assert_eq!(
+        verdicts.ok(),
+        Some((true, true)),
+        "a fleet unwound or served"
+    );
+    assert_eq!(fleet.rollup_metrics(), metrics);
+    assert_eq!(fleet.total_cache_entries(), cached);
+    assert_eq!(
+        fleet.home().database(),
+        r.home.database(),
+        "the master moved"
     );
 }

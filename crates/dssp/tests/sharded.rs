@@ -491,16 +491,10 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
     // One pipeline, one account: a rejected update is an update request
     // served on either home.
     assert_eq!(classic.stats(), sharded.stats());
-    assert_eq!(classic.attribution(), sharded.attribution());
-    assert_eq!(
-        classic.registry().snapshot().counters,
-        sharded.registry().snapshot().counters
-    );
+    assert_eq!(classic.tally(), sharded.tally());
     let inserts = script.iter().filter(|s| matches!(s, Step::Insert { .. }));
     assert_eq!(
-        sharded
-            .registry()
-            .counter_value("update_template.1.applied"),
+        sharded.metrics().counters["update_template.1.applied"],
         inserts.count() as u64,
         "a rejected insert was not accounted"
     );

@@ -2,7 +2,7 @@
 //! the queueing-delay vs service-time breakdown per service center.
 
 use crate::units::{as_secs, Time};
-use scs_telemetry::{HistogramSnapshot, SloSpec, TimeSeries};
+use scs_telemetry::{Histogram, SloSpec, TimeSeries};
 
 /// Queueing-delay and service-time distributions at one service center
 /// (times in µs). The wait histogram is the congestion signal: at a
@@ -10,9 +10,9 @@ use scs_telemetry::{HistogramSnapshot, SloSpec, TimeSeries};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CenterTelemetry {
     /// Time jobs spent queued before service started.
-    pub wait: HistogramSnapshot,
+    pub wait: Histogram,
     /// Time jobs spent in service.
-    pub service: HistogramSnapshot,
+    pub service: Histogram,
 }
 
 /// Measurements from one simulation run (the measurement window only —
@@ -69,7 +69,7 @@ pub struct RunMetrics {
     pub home_link_telemetry: CenterTelemetry,
     /// Request response times as a mergeable histogram (µs; measurement
     /// window only, same population as `response_times`).
-    pub response_hist: HistogramSnapshot,
+    pub response_hist: Histogram,
     /// Sim-time windowed curves (`requests` / `response_us` within the
     /// measurement window, `ops` across the whole run), present when the
     /// run was driven through [`crate::sim::run_observed`] with a bucket

@@ -22,7 +22,7 @@ use crate::resource::{DuplexLink, Served, ServiceCenter};
 use crate::units::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs_telemetry::{LogHistogram, TimeSeries};
+use scs_telemetry::TimeSeries;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -285,7 +285,6 @@ pub fn run_observed(
         ..RunMetrics::default()
     };
     let mut series = bucket_micros.map(TimeSeries::new);
-    let mut hist = SimHistograms::default();
     // Track pending per-op costs between DsspArrive and Reply scheduling.
     while let Some(Reverse(ev)) = heap.pop() {
         if ev.at >= cfg.duration {
@@ -320,7 +319,7 @@ pub fn run_observed(
                         .resize_with(cost.proxy + 1, || ServiceCenter::new(cfg.spec.dssp_servers));
                 }
                 let dssp_served = dssp_cpus[cost.proxy].serve_traced(ev.at, cost.dssp_cpu);
-                hist.dssp.record(ev.at, dssp_served);
+                record_center(&mut metrics.dssp_cpu_telemetry, ev.at, dssp_served);
                 let ready = match &cost.home_trip {
                     Some(trip) => {
                         let at_home = home_link.up.send(dssp_served.done, trip.request_bytes);
@@ -334,12 +333,13 @@ pub fn run_observed(
                         }
                         let home_served =
                             home_cpus[trip.shard].serve_traced(at_home, trip.home_cpu);
-                        hist.home.record(at_home, home_served);
+                        record_center(&mut metrics.home_cpu_telemetry, at_home, home_served);
                         let (delivered, link_wait) = home_link
                             .down
                             .send_traced(home_served.done, trip.reply_bytes);
-                        hist.link_wait.record(link_wait);
-                        hist.link_service
+                        let link = &mut metrics.home_link_telemetry;
+                        link.wait.record(link_wait);
+                        link.service
                             .record(delivered - home_served.done - link_wait);
                         delivered
                     }
@@ -357,7 +357,7 @@ pub fn run_observed(
                         metrics.requests_completed += 1;
                         let rt = ev.at - clients[c].request_start;
                         metrics.response_times.push(rt);
-                        hist.response.record(rt);
+                        metrics.response_hist.record(rt);
                         if let Some(ts) = series.as_mut() {
                             ts.incr(ev.at, "requests");
                             ts.observe(ev.at, "response_us", rt);
@@ -403,55 +403,16 @@ pub fn run_observed(
         .fold(0.0, f64::max);
     metrics.home_link_utilization = home_link.down.utilization(horizon);
     metrics.hit_rate = workload.hit_rate();
-    hist.export(&mut metrics);
     metrics.timeseries = series;
     metrics
 }
 
-/// Wait/service histograms collected while the event loop runs, exported
-/// into [`RunMetrics`] snapshots at the end. Only the three *shared*
+/// Records one job at a shared service center. Only the three *shared*
 /// centers are instrumented — per-client links are uncontended by
 /// construction and would cost a histogram per simulated user.
-#[derive(Default)]
-struct SimHistograms {
-    dssp: CenterHistograms,
-    home: CenterHistograms,
-    link_wait: LogHistogram,
-    /// Time on the wire: serialization plus propagation.
-    link_service: LogHistogram,
-    response: LogHistogram,
-}
-
-#[derive(Default)]
-struct CenterHistograms {
-    wait: LogHistogram,
-    service: LogHistogram,
-}
-
-impl CenterHistograms {
-    fn record(&mut self, arrived: Time, served: Served) {
-        self.wait.record(served.start - arrived);
-        self.service.record(served.done - served.start);
-    }
-
-    fn snapshot(&self) -> CenterTelemetry {
-        CenterTelemetry {
-            wait: self.wait.snapshot(),
-            service: self.service.snapshot(),
-        }
-    }
-}
-
-impl SimHistograms {
-    fn export(&self, metrics: &mut RunMetrics) {
-        metrics.dssp_cpu_telemetry = self.dssp.snapshot();
-        metrics.home_cpu_telemetry = self.home.snapshot();
-        metrics.home_link_telemetry = CenterTelemetry {
-            wait: self.link_wait.snapshot(),
-            service: self.link_service.snapshot(),
-        };
-        metrics.response_hist = self.response.snapshot();
-    }
+fn record_center(center: &mut CenterTelemetry, arrived: Time, served: Served) {
+    center.wait.record(served.start - arrived);
+    center.service.record(served.done - served.start);
 }
 
 /// Samples an exponential duration with the given mean.

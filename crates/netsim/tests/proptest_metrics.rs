@@ -1,22 +1,22 @@
 //! Property tests tying the three latency representations together:
 //! the exact sorted-vector percentile ([`RunMetrics::percentile`]), the
-//! log-bucket histogram ([`LogHistogram::quantile_bounds`]), and the
-//! windowed time-series recorder whose per-window snapshots must merge
+//! log-bucket histogram ([`Histogram::quantile_bounds`]), and the
+//! windowed time-series recorder whose per-window histograms must merge
 //! back into the whole-run aggregate.
 
 use proptest::prelude::*;
 use scs_netsim::RunMetrics;
-use scs_telemetry::{LogHistogram, TimeSeries};
+use scs_telemetry::{Histogram, TimeSeries};
 
 proptest! {
     /// `RunMetrics::percentile` (nearest-rank on the raw vector) always
-    /// lands inside the bucket bounds a `LogHistogram` of the same
+    /// lands inside the bucket bounds a `Histogram` of the same
     /// samples reports for the same quantile.
     #[test]
     fn percentile_agrees_with_histogram_within_bucket_error(
         times in proptest::collection::vec(0u64..30_000_000, 1..150),
     ) {
-        let hist = LogHistogram::new();
+        let mut hist = Histogram::default();
         for &t in &times {
             hist.record(t);
         }
@@ -44,7 +44,7 @@ proptest! {
         width in 1_000u64..1_000_000,
     ) {
         let mut ts = TimeSeries::new(width);
-        let whole = LogHistogram::new();
+        let mut whole = Histogram::default();
         let mut total = 0u64;
         for &(at, v) in &samples {
             ts.incr(at, "n");
@@ -53,7 +53,7 @@ proptest! {
             total += 1;
         }
         prop_assert_eq!(ts.counter_total("n"), total);
-        prop_assert_eq!(ts.merged_hist("v"), whole.snapshot());
+        prop_assert_eq!(ts.merged_hist("v"), whole);
         let curve = ts.counter_curve("n");
         prop_assert_eq!(curve.iter().sum::<u64>(), total);
         // Merging two half-streams window-wise gives the same series as

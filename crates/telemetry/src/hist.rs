@@ -1,5 +1,5 @@
 //! Log-scale histogram with bounded relative error, mergeable across
-//! threads and tenants.
+//! windows, proxies and runs.
 //!
 //! Values 0–63 get exact unit buckets; above that, each power-of-two
 //! octave is split into 32 sub-buckets, so any recorded value lands in a
@@ -8,10 +8,8 @@
 //! estimate; callers that want a single number use the upper bound
 //! (conservative for latency SLOs).
 //!
-//! All state is atomic: recording is a handful of relaxed ops, safe from
-//! any thread through a shared `Arc<LogHistogram>` handle.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Every owner records from one thread, so the state is plain data: the
+//! non-zero buckets kept sparse and sorted, plus the summary fields.
 
 /// Sub-buckets per octave = 2^SUB_BITS.
 const SUB_BITS: u32 = 5;
@@ -20,8 +18,8 @@ const SUBBUCKETS: usize = 1 << SUB_BITS;
 const LINEAR_LIMIT: u64 = (SUBBUCKETS as u64) * 2;
 /// First octave handled logarithmically: exponent SUB_BITS + 1.
 const FIRST_OCTAVE: u32 = SUB_BITS + 1;
-const OCTAVES: usize = (64 - FIRST_OCTAVE) as usize;
-const BUCKETS: usize = LINEAR_LIMIT as usize + OCTAVES * SUBBUCKETS;
+#[cfg(test)]
+const BUCKETS: usize = LINEAR_LIMIT as usize + (64 - FIRST_OCTAVE) as usize * SUBBUCKETS;
 
 /// Index of the bucket containing `v`.
 fn bucket_index(v: u64) -> usize {
@@ -46,129 +44,15 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, lo + (width - 1))
 }
 
-/// Concurrent log-scale histogram of `u64` samples (typically latencies
-/// in microseconds). See the module docs for the bucketing scheme.
-pub struct LogHistogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    pub fn new() -> LogHistogram {
-        // Collect then convert: a by-value `[AtomicU64; BUCKETS]` literal
-        // would transit the stack; this builds directly on the heap.
-        let buckets: Box<[AtomicU64]> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        LogHistogram {
-            buckets: buckets.try_into().expect("bucket count is fixed"),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample. Lock-free; callable from any thread.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    pub fn min(&self) -> Option<u64> {
-        match self.min.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            v => Some(v),
-        }
-    }
-
-    pub fn max(&self) -> Option<u64> {
-        if self.count() == 0 {
-            None
-        } else {
-            Some(self.max.load(Ordering::Relaxed))
-        }
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&self, other: &LogHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// `(lo, hi)` bounds of the bucket holding the `q`-quantile sample
-    /// (nearest-rank), or `None` on an empty histogram. The true sample
-    /// value satisfies `lo <= v <= hi`.
-    pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
-        self.snapshot().quantile_bounds(q)
-    }
-
-    /// An owned, mergeable copy of the current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<(u32, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| match b.load(Ordering::Relaxed) {
-                0 => None,
-                n => Some((i as u32, n)),
-            })
-            .collect();
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            buckets,
-        }
-    }
-}
-
-/// Owned point-in-time copy of a [`LogHistogram`]: sparse non-zero
-/// buckets plus the summary atomics. Serializable, mergeable, and able
-/// to answer the same quantile queries.
+/// Log-scale histogram of `u64` samples (typically latencies in
+/// microseconds): sparse non-zero buckets plus the summary fields.
+/// Serializable, mergeable, and able to answer quantile queries. See the
+/// module docs for the bucketing scheme.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+pub struct Histogram {
     pub count: u64,
+    /// Wrapping sum of the samples (advisory; count and buckets carry
+    /// the distribution).
     pub sum: u64,
     pub min: Option<u64>,
     pub max: Option<u64>,
@@ -176,12 +60,10 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-impl HistogramSnapshot {
-    /// Records one sample directly into the snapshot (no atomics). The
-    /// time-series recorder keeps one snapshot per window, where the
-    /// full atomic histogram would be wasteful; a sample lands in the
-    /// same bucket [`LogHistogram::record`] would use, so windowed
-    /// snapshots merge into exactly the whole-run aggregate.
+impl Histogram {
+    /// Records one sample. A sample lands in the same bucket wherever it
+    /// is recorded, so windowed histograms merge into exactly the
+    /// whole-run one.
     pub fn record(&mut self, v: u64) {
         let idx = bucket_index(v) as u32;
         match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
@@ -189,16 +71,14 @@ impl HistogramSnapshot {
             Err(pos) => self.buckets.insert(pos, (idx, 1)),
         }
         self.count += 1;
-        // Wrapping to match `LogHistogram::record`'s `fetch_add` (sum is
-        // advisory; count/buckets carry the distribution).
         self.sum = self.sum.wrapping_add(v);
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
     }
 
     /// Full-fidelity JSON (sparse buckets included), round-trippable
-    /// through [`HistogramSnapshot::from_json`] — unlike the summary
-    /// rendering the report layer uses, this loses nothing.
+    /// through [`Histogram::from_json`] — unlike the summary rendering
+    /// the report layer uses, this loses nothing.
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
         let buckets: Vec<Json> = self
@@ -215,14 +95,14 @@ impl HistogramSnapshot {
         ])
     }
 
-    /// Parses the [`HistogramSnapshot::to_json`] representation.
-    pub fn from_json(doc: &crate::json::Json) -> Option<HistogramSnapshot> {
+    /// Parses the [`Histogram::to_json`] representation.
+    pub fn from_json(doc: &crate::json::Json) -> Option<Histogram> {
         let mut buckets = Vec::new();
         for pair in doc.get("buckets")?.as_arr()? {
             let pair = pair.as_arr()?;
             buckets.push((pair.first()?.as_u64()? as u32, pair.get(1)?.as_u64()?));
         }
-        Some(HistogramSnapshot {
+        Some(Histogram {
             count: doc.get("count")?.as_u64()?,
             sum: doc.get("sum")?.as_u64()?,
             min: doc.get("min").and_then(|v| v.as_u64()),
@@ -239,7 +119,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// See [`LogHistogram::quantile_bounds`].
+    /// `(lo, hi)` bounds of the bucket holding the `q`-quantile sample
+    /// (nearest-rank), or `None` on an empty histogram. The true sample
+    /// value satisfies `lo <= v <= hi`.
     pub fn quantile_bounds(&self, q: f64) -> Option<(u64, u64)> {
         if self.count == 0 {
             return None;
@@ -267,9 +149,10 @@ impl HistogramSnapshot {
         self.quantile_bounds(q).map(|(_, hi)| hi)
     }
 
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    /// Adds every sample of `other` into `self`.
+    pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.wrapping_add(other.sum);
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -316,7 +199,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = LogHistogram::new();
+        let mut h = Histogram::default();
         for v in 0..LINEAR_LIMIT {
             h.record(v);
         }
@@ -367,10 +250,10 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_into_one() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let both = LogHistogram::new();
-        for v in [3u64, 900, 17, 1 << 40, 0, 65] {
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        let mut both = Histogram::default();
+        for v in [3u64, 900, 17, 1 << 40, 0, 65, u64::MAX] {
             a.record(v);
             both.record(v);
         }
@@ -379,56 +262,27 @@ mod tests {
             both.record(v);
         }
         a.merge(&b);
-        assert_eq!(a.snapshot(), both.snapshot());
+        assert_eq!(a, both);
     }
 
     #[test]
-    fn snapshot_merge_matches_live_merge() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        for v in 0..500u64 {
-            a.record(v * 97);
-            b.record(v * 31 + 5);
-        }
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-        a.merge(&b);
-        assert_eq!(sa, a.snapshot());
-    }
-
-    #[test]
-    fn snapshot_record_matches_live_histogram() {
-        let live = LogHistogram::new();
-        let mut snap = HistogramSnapshot::default();
-        for v in [0u64, 5, 63, 64, 900, 1 << 33, 900, u64::MAX] {
-            live.record(v);
-            snap.record(v);
-        }
-        assert_eq!(snap, live.snapshot());
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let mut snap = HistogramSnapshot::default();
+    fn json_round_trips() {
+        let mut h = Histogram::default();
         for v in [1u64, 2, 3, 1000, 1 << 40] {
-            snap.record(v);
+            h.record(v);
         }
-        let back = HistogramSnapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-        // Empty snapshots round-trip too (min/max stay None).
-        let empty = HistogramSnapshot::default();
-        assert_eq!(
-            HistogramSnapshot::from_json(&empty.to_json()).unwrap(),
-            empty
-        );
+        let back = Histogram::from_json(&h.to_json()).unwrap();
+        assert_eq!(back, h);
+        // Empty histograms round-trip too (min/max stay None).
+        let empty = Histogram::default();
+        assert_eq!(Histogram::from_json(&empty.to_json()).unwrap(), empty);
     }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let h = LogHistogram::new();
+        let h = Histogram::default();
         assert_eq!(h.quantile_bounds(0.5), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
+        assert_eq!((h.min, h.max), (None, None));
         assert_eq!(h.mean(), 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal JSON value: build, render, parse.
 //!
-//! Exists so the telemetry path (JSONL trace sink, `telemetry.json`
-//! export, and the tests that validate those files) needs no external
+//! Exists so the telemetry path (the `telemetry.json` export, and the
+//! tests that validate it) needs no external
 //! serialization crate. Objects preserve insertion order, which keeps
 //! rendered reports stable and diffable.
 
@@ -366,7 +366,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 // Consume one UTF-8 scalar.
                 let rest =
                     std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8 in string")?;
-                let c = rest.chars().next().unwrap();
+                let c = rest.chars().next().ok_or("unterminated string")?;
                 out.push(c);
                 *pos += c.len_utf8();
             }

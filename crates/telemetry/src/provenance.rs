@@ -36,7 +36,7 @@
 //! [`note_send`]: ProvenanceLog::note_send
 //! [`note_arrival`]: ProvenanceLog::note_arrival
 
-use crate::hist::HistogramSnapshot;
+use crate::hist::Histogram;
 use crate::json::Json;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -211,9 +211,9 @@ pub struct ReplicaLog {
     pub sent: Vec<SendStamp>,
     pub arrivals: Vec<ArrivalStamp>,
     /// Commit → first-coverage lag per epoch (µs).
-    pub lag: HistogramSnapshot,
+    pub lag: Histogram,
     /// Staleness age at serve per cache hit (µs; fresh hits record 0).
-    pub stale_age: HistogramSnapshot,
+    pub stale_age: Histogram,
     pub serves: u64,
     pub fresh_serves: u64,
     pub stale_within_lease: u64,

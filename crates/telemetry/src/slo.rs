@@ -139,7 +139,7 @@ impl SloSpec {
                 // Worst group = largest quantile upper bound.
                 let mut worst: Option<(u64, u64)> = None;
                 for (start, group) in window_groups(series, *window_count) {
-                    let mut merged = crate::hist::HistogramSnapshot::default();
+                    let mut merged = crate::hist::Histogram::default();
                     for w in group {
                         if let Some(h) = w.hist(hist) {
                             merged.merge(h);

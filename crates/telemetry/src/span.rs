@@ -12,9 +12,9 @@
 //! Recording is opt-in and bounded: a disabled [`SpanRecorder`] costs a
 //! branch per call site and never touches [`std::time::Instant`]; an
 //! enabled one appends into a pre-sized vector and counts (rather than
-//! stores) spans past its capacity. Exports are JSONL (one span per
-//! line) plus a per-template critical-path summary that attributes each
-//! root's wall time to its child phases.
+//! stores) spans past its capacity. The export is a per-template
+//! critical-path summary that attributes each root's wall time to its
+//! child phases.
 
 use crate::json::Json;
 use std::collections::HashMap;
@@ -107,27 +107,11 @@ pub struct Span {
     pub id: SpanId,
     pub parent: SpanId,
     pub phase: SpanPhase,
-    pub tenant: u32,
     pub template: Option<u32>,
     /// Simulation clock when the span was opened (µs).
     pub at_micros: u64,
     /// Host wall-clock duration of the work (ns); 0 while still open.
     pub elapsed_nanos: u64,
-}
-
-impl Span {
-    /// The JSONL representation (one object per line).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", self.id.as_u64().into()),
-            ("parent", self.parent.as_u64().into()),
-            ("phase", self.phase.name().into()),
-            ("tenant", (self.tenant as u64).into()),
-            ("template", self.template.map(|t| t as u64).into()),
-            ("at_us", self.at_micros.into()),
-            ("elapsed_ns", self.elapsed_nanos.into()),
-        ])
-    }
 }
 
 /// A wall-clock stopwatch handed out by [`SpanRecorder::timer`]; inert
@@ -195,7 +179,6 @@ impl SpanRecorder {
         at_micros: u64,
         phase: SpanPhase,
         parent: SpanId,
-        tenant: u32,
         template: Option<u32>,
     ) -> SpanId {
         if !self.enabled {
@@ -207,7 +190,6 @@ impl SpanRecorder {
             id,
             parent,
             phase,
-            tenant,
             template,
             at_micros,
             elapsed_nanos: 0,
@@ -240,11 +222,10 @@ impl SpanRecorder {
         at_micros: u64,
         phase: SpanPhase,
         parent: SpanId,
-        tenant: u32,
         template: Option<u32>,
         timer: SpanTimer,
     ) -> SpanId {
-        let id = self.open(at_micros, phase, parent, tenant, template);
+        let id = self.open(at_micros, phase, parent, template);
         self.close(id, timer);
         id
     }
@@ -261,16 +242,6 @@ impl SpanRecorder {
     /// Spans past capacity, counted instead of stored.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// One JSON object per span, newline separated (the JSONL export).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&span.to_json().render());
-            out.push('\n');
-        }
-        out
     }
 
     /// Aggregates spans into per-(root phase, template) rows: how many
@@ -411,9 +382,9 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let mut rec = SpanRecorder::disabled();
         let t = rec.timer();
-        let root = rec.open(10, SpanPhase::QueryRequest, SpanId::NONE, 0, Some(1));
+        let root = rec.open(10, SpanPhase::QueryRequest, SpanId::NONE, Some(1));
         assert!(root.is_none());
-        rec.record_closed(10, SpanPhase::CacheLookup, root, 0, Some(1), t);
+        rec.record_closed(10, SpanPhase::CacheLookup, root, Some(1), t);
         rec.close(root, t);
         assert_eq!(rec.recorded(), 0);
         assert_eq!(rec.dropped(), 0);
@@ -424,9 +395,9 @@ mod tests {
     fn spans_form_a_parented_tree() {
         let mut rec = SpanRecorder::enabled(16);
         let rt = rec.timer();
-        let root = rec.open(100, SpanPhase::QueryRequest, SpanId::NONE, 3, Some(2));
+        let root = rec.open(100, SpanPhase::QueryRequest, SpanId::NONE, Some(2));
         let ct = rec.timer();
-        let child = rec.record_closed(100, SpanPhase::HomeTrip, root, 3, Some(2), ct);
+        let child = rec.record_closed(100, SpanPhase::HomeTrip, root, Some(2), ct);
         rec.close(root, rt);
         assert_eq!(rec.recorded(), 2);
         let spans = rec.spans();
@@ -435,7 +406,7 @@ mod tests {
         assert_eq!(spans[1].id, child);
         assert_eq!(spans[1].parent, root);
         assert_eq!(spans[1].phase, SpanPhase::HomeTrip);
-        assert!(spans.iter().all(|s| s.tenant == 3 && s.at_micros == 100));
+        assert!(spans.iter().all(|s| s.at_micros == 100));
     }
 
     #[test]
@@ -443,20 +414,13 @@ mod tests {
         let mut rec = SpanRecorder::enabled(2);
         for i in 0..5u32 {
             let t = rec.timer();
-            rec.record_closed(
-                i as u64,
-                SpanPhase::QueryRequest,
-                SpanId::NONE,
-                0,
-                Some(i),
-                t,
-            );
+            rec.record_closed(i as u64, SpanPhase::QueryRequest, SpanId::NONE, Some(i), t);
         }
         assert_eq!(rec.recorded(), 2);
         assert_eq!(rec.dropped(), 3);
         // Closing a dropped id is a no-op, not a panic.
         let t = rec.timer();
-        let id = rec.open(9, SpanPhase::UpdateRequest, SpanId::NONE, 0, None);
+        let id = rec.open(9, SpanPhase::UpdateRequest, SpanId::NONE, None);
         rec.close(id, t);
         assert_eq!(rec.dropped(), 4);
     }
@@ -466,11 +430,11 @@ mod tests {
         let mut rec = SpanRecorder::enabled(64);
         for template in [0u32, 0, 1] {
             let rt = rec.timer();
-            let root = rec.open(0, SpanPhase::QueryRequest, SpanId::NONE, 0, Some(template));
+            let root = rec.open(0, SpanPhase::QueryRequest, SpanId::NONE, Some(template));
             let t = rec.timer();
-            rec.record_closed(0, SpanPhase::CacheLookup, root, 0, Some(template), t);
+            rec.record_closed(0, SpanPhase::CacheLookup, root, Some(template), t);
             let t = rec.timer();
-            rec.record_closed(0, SpanPhase::HomeTrip, root, 0, Some(template), t);
+            rec.record_closed(0, SpanPhase::HomeTrip, root, Some(template), t);
             rec.close(root, rt);
         }
         let rows = rec.critical_path();
@@ -492,22 +456,5 @@ mod tests {
         let host_row = host.index(0).unwrap();
         assert!(host_row.get("total_ns").is_some() && host_row.get("count").is_none());
         assert!(host_row.get("critical_phase").unwrap().as_str().is_some());
-    }
-
-    #[test]
-    fn jsonl_lines_parse_back() {
-        let mut rec = SpanRecorder::enabled(8);
-        let rt = rec.timer();
-        let root = rec.open(5, SpanPhase::InvalidationFanout, SpanId::NONE, 1, Some(4));
-        let t = rec.timer();
-        rec.record_closed(5, SpanPhase::Recovery, root, 1, None, t);
-        rec.close(root, rt);
-        let jsonl = rec.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let parsed = Json::parse(lines[1]).unwrap();
-        assert_eq!(parsed.get("phase").unwrap().as_str(), Some("recovery"));
-        assert_eq!(parsed.get("parent").unwrap().as_u64(), Some(root.as_u64()));
-        assert!(parsed.get("template").unwrap().as_u64().is_none());
     }
 }

@@ -14,7 +14,7 @@
 //! counter over all windows equals the whole-run total, and merging all
 //! per-window histogram snapshots equals the histogram of the whole run.
 
-use crate::hist::HistogramSnapshot;
+use crate::hist::Histogram;
 use crate::json::Json;
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
@@ -30,7 +30,7 @@ pub type SharedTimeSeries = Arc<Mutex<TimeSeries>>;
 pub struct Window {
     pub start_micros: u64,
     pub counters: BTreeMap<String, u64>,
-    pub hists: BTreeMap<String, HistogramSnapshot>,
+    pub hists: BTreeMap<String, Histogram>,
 }
 
 impl Window {
@@ -38,7 +38,7 @@ impl Window {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    pub fn hist(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
     }
 }
@@ -122,8 +122,8 @@ impl TimeSeries {
     }
 
     /// Whole-run histogram of `name` (merges the window snapshots).
-    pub fn merged_hist(&self, name: &str) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
+    pub fn merged_hist(&self, name: &str) -> Histogram {
+        let mut out = Histogram::default();
         for w in &self.windows {
             if let Some(h) = w.hists.get(name) {
                 out.merge(h);
@@ -205,8 +205,7 @@ impl TimeSeries {
             }
             if let Some(Json::Obj(fields)) = w.get("hists") {
                 for (name, v) in fields {
-                    dst.hists
-                        .insert(name.clone(), HistogramSnapshot::from_json(v)?);
+                    dst.hists.insert(name.clone(), Histogram::from_json(v)?);
                 }
             }
         }
@@ -264,7 +263,6 @@ impl TraceSink for TimeSeriesSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LogHistogram;
     use crate::trace::{TraceEventKind, Tracer};
 
     #[test]
@@ -283,12 +281,12 @@ mod tests {
     #[test]
     fn windowed_hist_merge_equals_whole_run() {
         let mut ts = TimeSeries::new(1_000);
-        let whole = LogHistogram::new();
+        let mut whole = Histogram::default();
         for (at, v) in [(0u64, 5u64), (500, 900), (1_500, 5), (9_999, 1 << 30)] {
             ts.observe(at, "lat", v);
             whole.record(v);
         }
-        assert_eq!(ts.merged_hist("lat"), whole.snapshot());
+        assert_eq!(ts.merged_hist("lat"), whole);
         assert_eq!(ts.merged_hist("lat").count, 4);
     }
 
@@ -346,9 +344,9 @@ mod tests {
             query_template: 0,
             exposure: 3,
         };
-        tracer.emit(100, 0, hit);
-        tracer.emit(150, 0, miss);
-        tracer.emit(1_100, 0, hit);
+        tracer.emit(100, hit);
+        tracer.emit(150, miss);
+        tracer.emit(1_100, hit);
         let series = series.lock().unwrap();
         assert_eq!(series.counter_curve("query_hit"), vec![1, 1]);
         assert_eq!(series.counter_total("query_miss"), 1);

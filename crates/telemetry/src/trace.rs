@@ -7,8 +7,6 @@
 //! `scs_core::ExposureLevel::rank`) and `decision` is the strategy's
 //! decision path (see `scs_dssp::DecisionPath`).
 
-use crate::json::Json;
-
 /// What happened. Template ids index the application's query/update
 /// template tables (same indices the IPM uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,107 +99,12 @@ impl TraceEventKind {
 }
 
 /// One pipeline event: monotone sequence number, simulation clock (µs;
-/// wall-clock micros when no simulation is driving), owning tenant, the
-/// proxy replica within that tenant's fleet (0 for single-proxy
-/// tenants), and the event payload.
+/// wall-clock micros when no simulation is driving), and the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub seq: u64,
     pub at_micros: u64,
-    pub tenant: u32,
-    /// Stable replica id within the tenant's fleet. u64 end-to-end:
-    /// elastic membership never reuses ids, so the label must not
-    /// truncate however long the fleet lives.
-    pub proxy: u64,
     pub kind: TraceEventKind,
-}
-
-impl TraceEvent {
-    /// The JSON representation (schema documented in DESIGN.md §8, "Trace
-    /// events").
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seq".to_string(), Json::from(self.seq)),
-            ("at_us".to_string(), Json::from(self.at_micros)),
-            ("tenant".to_string(), Json::from(self.tenant as u64)),
-            ("proxy".to_string(), Json::from(self.proxy)),
-            ("event".to_string(), Json::from(self.kind.name())),
-        ];
-        let mut push = |k: &str, v: u64| fields.push((k.to_string(), Json::from(v)));
-        match self.kind {
-            TraceEventKind::QueryHit {
-                query_template,
-                exposure,
-            }
-            | TraceEventKind::QueryMiss {
-                query_template,
-                exposure,
-            } => {
-                push("query_template", query_template as u64);
-                push("exposure", exposure as u64);
-            }
-            TraceEventKind::UpdateApplied {
-                update_template,
-                exposure,
-            } => {
-                push("update_template", update_template as u64);
-                push("exposure", exposure as u64);
-            }
-            TraceEventKind::EntryInvalidated {
-                update_template,
-                query_template,
-                exposure,
-                decision,
-            } => {
-                push("update_template", update_template as u64);
-                push("query_template", query_template as u64);
-                push("exposure", exposure as u64);
-                push("decision", decision as u64);
-            }
-            TraceEventKind::EntryEvicted { query_template }
-            | TraceEventKind::LeaseExpired { query_template }
-            | TraceEventKind::DegradedServe { query_template } => {
-                push("query_template", query_template as u64);
-            }
-            TraceEventKind::EpochGap { expected, got } => {
-                push("expected", expected);
-                push("got", got);
-            }
-            TraceEventKind::RecoveryFlush { flushed, mode } => {
-                push("flushed", flushed);
-                push("mode", mode as u64);
-            }
-            TraceEventKind::HomeRetry { attempt } => {
-                push("attempt", attempt as u64);
-            }
-            TraceEventKind::HomeUnreachable { attempts } => {
-                push("attempts", attempts as u64);
-            }
-            TraceEventKind::NodeRestart { epoch } => {
-                push("epoch", epoch);
-            }
-            TraceEventKind::RequestShed {
-                query_template,
-                reason,
-            } => {
-                push("query_template", query_template as u64);
-                push("reason", reason as u64);
-            }
-            TraceEventKind::BreakerTransition { from, to } => {
-                push("from", from as u64);
-                push("to", to as u64);
-            }
-            TraceEventKind::BrownoutMode { active } => {
-                push("active", active as u64);
-            }
-            TraceEventKind::ReplicaJoin { epoch, handed }
-            | TraceEventKind::ReplicaLeave { epoch, handed } => {
-                push("epoch", epoch);
-                push("handed", handed);
-            }
-        }
-        Json::Obj(fields)
-    }
 }
 
 /// A destination for trace events.
@@ -230,7 +133,6 @@ pub trait TraceSink {
 pub struct Tracer {
     sinks: Vec<Box<dyn TraceSink>>,
     next_seq: u64,
-    proxy: u64,
 }
 
 impl Tracer {
@@ -246,23 +148,10 @@ impl Tracer {
         !self.sinks.is_empty()
     }
 
-    /// Stamps every subsequent event with a fleet replica index. A
-    /// tracer is owned by exactly one proxy, so this is set once at
-    /// fleet construction rather than threaded through ~40 emit sites.
-    pub fn set_proxy(&mut self, proxy: u64) {
-        self.proxy = proxy;
-    }
-
-    pub fn proxy(&self) -> u64 {
-        self.proxy
-    }
-
-    pub fn emit(&mut self, at_micros: u64, tenant: u32, kind: TraceEventKind) {
+    pub fn emit(&mut self, at_micros: u64, kind: TraceEventKind) {
         let event = TraceEvent {
             seq: self.next_seq,
             at_micros,
-            tenant,
-            proxy: self.proxy,
             kind,
         };
         self.next_seq += 1;
@@ -312,112 +201,54 @@ mod tests {
         }
     }
 
+    /// The time-series curves key on event names: one per kind, and one
+    /// per breaker target state and brownout direction.
     #[test]
-    fn events_render_as_parseable_json() {
-        let event = TraceEvent {
-            seq: 7,
-            at_micros: 1234,
-            tenant: 2,
-            proxy: 0,
-            kind: TraceEventKind::EntryInvalidated {
+    fn event_names_key_the_curves() {
+        let names: Vec<&str> = [
+            ev(0),
+            TraceEventKind::EntryInvalidated {
                 update_template: 3,
                 query_template: 5,
                 exposure: 2,
                 decision: 1,
             },
-        };
-        let parsed = crate::json::Json::parse(&event.to_json().render()).unwrap();
+            TraceEventKind::EpochGap {
+                expected: 4,
+                got: 7,
+            },
+            TraceEventKind::RequestShed {
+                query_template: 4,
+                reason: 2,
+            },
+            TraceEventKind::BreakerTransition { from: 0, to: 1 },
+            TraceEventKind::BreakerTransition { from: 1, to: 2 },
+            TraceEventKind::BreakerTransition { from: 2, to: 0 },
+            TraceEventKind::BrownoutMode { active: true },
+            TraceEventKind::BrownoutMode { active: false },
+            TraceEventKind::ReplicaLeave {
+                epoch: 7,
+                handed: 3,
+            },
+        ]
+        .iter()
+        .map(TraceEventKind::name)
+        .collect();
         assert_eq!(
-            parsed.get("event").unwrap().as_str(),
-            Some("entry_invalidated")
+            names,
+            [
+                "query_hit",
+                "entry_invalidated",
+                "epoch_gap",
+                "request_shed",
+                "breaker_open",
+                "breaker_half_open",
+                "breaker_close",
+                "brownout_enter",
+                "brownout_exit",
+                "replica_leave",
+            ]
         );
-        assert_eq!(parsed.get("update_template").unwrap().as_u64(), Some(3));
-        assert_eq!(parsed.get("seq").unwrap().as_u64(), Some(7));
-    }
-
-    #[test]
-    fn fault_events_render_their_fields() {
-        let render = |kind: TraceEventKind| {
-            TraceEvent {
-                seq: 0,
-                at_micros: 0,
-                tenant: 0,
-                proxy: 0,
-                kind,
-            }
-            .to_json()
-        };
-        let gap = render(TraceEventKind::EpochGap {
-            expected: 4,
-            got: 7,
-        });
-        assert_eq!(gap.get("event").unwrap().as_str(), Some("epoch_gap"));
-        assert_eq!(gap.get("expected").unwrap().as_u64(), Some(4));
-        assert_eq!(gap.get("got").unwrap().as_u64(), Some(7));
-        let flush = render(TraceEventKind::RecoveryFlush {
-            flushed: 12,
-            mode: 1,
-        });
-        assert_eq!(flush.get("flushed").unwrap().as_u64(), Some(12));
-        assert_eq!(flush.get("mode").unwrap().as_u64(), Some(1));
-        let lease = render(TraceEventKind::LeaseExpired { query_template: 3 });
-        assert_eq!(lease.get("query_template").unwrap().as_u64(), Some(3));
-        let retry = render(TraceEventKind::HomeRetry { attempt: 2 });
-        assert_eq!(retry.get("attempt").unwrap().as_u64(), Some(2));
-        let restart = render(TraceEventKind::NodeRestart { epoch: 9 });
-        assert_eq!(restart.get("event").unwrap().as_str(), Some("node_restart"));
-        assert_eq!(restart.get("epoch").unwrap().as_u64(), Some(9));
-        let join = render(TraceEventKind::ReplicaJoin {
-            epoch: 5,
-            handed: 12,
-        });
-        assert_eq!(join.get("event").unwrap().as_str(), Some("replica_join"));
-        assert_eq!(join.get("epoch").unwrap().as_u64(), Some(5));
-        assert_eq!(join.get("handed").unwrap().as_u64(), Some(12));
-        let leave = render(TraceEventKind::ReplicaLeave {
-            epoch: 7,
-            handed: 3,
-        });
-        assert_eq!(leave.get("event").unwrap().as_str(), Some("replica_leave"));
-        assert_eq!(leave.get("handed").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn overload_events_render_their_fields() {
-        let render = |kind: TraceEventKind| {
-            TraceEvent {
-                seq: 0,
-                at_micros: 0,
-                tenant: 0,
-                proxy: 0,
-                kind,
-            }
-            .to_json()
-        };
-        let shed = render(TraceEventKind::RequestShed {
-            query_template: 4,
-            reason: 2,
-        });
-        assert_eq!(shed.get("event").unwrap().as_str(), Some("request_shed"));
-        assert_eq!(shed.get("query_template").unwrap().as_u64(), Some(4));
-        assert_eq!(shed.get("reason").unwrap().as_u64(), Some(2));
-        // Transition names encode the target state so the time-series
-        // sink gives each kind its own counter curve.
-        let open = render(TraceEventKind::BreakerTransition { from: 0, to: 1 });
-        assert_eq!(open.get("event").unwrap().as_str(), Some("breaker_open"));
-        assert_eq!(open.get("from").unwrap().as_u64(), Some(0));
-        let half = render(TraceEventKind::BreakerTransition { from: 1, to: 2 });
-        assert_eq!(
-            half.get("event").unwrap().as_str(),
-            Some("breaker_half_open")
-        );
-        let close = render(TraceEventKind::BreakerTransition { from: 2, to: 0 });
-        assert_eq!(close.get("event").unwrap().as_str(), Some("breaker_close"));
-        let enter = render(TraceEventKind::BrownoutMode { active: true });
-        assert_eq!(enter.get("event").unwrap().as_str(), Some("brownout_enter"));
-        assert_eq!(enter.get("active").unwrap().as_u64(), Some(1));
-        let exit = render(TraceEventKind::BrownoutMode { active: false });
-        assert_eq!(exit.get("event").unwrap().as_str(), Some("brownout_exit"));
     }
 
     #[test]
@@ -430,7 +261,7 @@ mod tests {
         tracer.add_sink(Box::new(b));
         assert!(tracer.is_active());
         for i in 0..5 {
-            tracer.emit(i, 0, ev(0));
+            tracer.emit(i, ev(0));
         }
         tracer.flush();
         assert_eq!(tracer.events_emitted(), 5);
@@ -439,28 +270,6 @@ mod tests {
             let seqs: Vec<u64> = out.lock().unwrap().iter().map(|e| e.seq).collect();
             assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         }
-    }
-
-    #[test]
-    fn tracer_stamps_proxy_replica_on_events() {
-        struct Shared(std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>);
-        impl TraceSink for Shared {
-            fn record(&mut self, event: &TraceEvent) {
-                self.0.lock().unwrap().push(*event);
-            }
-        }
-        let ring = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut tracer = Tracer::new();
-        tracer.add_sink(Box::new(Shared(ring.clone())));
-        tracer.emit(0, 0, ev(0));
-        tracer.set_proxy(3);
-        assert_eq!(tracer.proxy(), 3);
-        tracer.emit(1, 0, ev(1));
-        let events = ring.lock().unwrap();
-        assert_eq!(events[0].proxy, 0, "default replica is 0");
-        assert_eq!(events[1].proxy, 3, "set_proxy stamps later events");
-        let json = events[1].to_json();
-        assert_eq!(json.get("proxy").unwrap().as_u64(), Some(3));
     }
 
     /// A sink that retains at most `cap` events, counting the rest as
@@ -522,7 +331,7 @@ mod tests {
         tracer.add_sink(Box::new(Buffered::new(4, true)));
         tracer.add_sink(Box::new(Buffered::new(8, true)));
         for i in 0..5 {
-            tracer.emit(i, 0, ev(0));
+            tracer.emit(i, ev(0));
         }
         assert_eq!(tracer.write_errors(), 0, "nothing flushed yet");
         tracer.flush();
@@ -537,7 +346,7 @@ mod tests {
         {
             let mut tracer = Tracer::new();
             tracer.add_sink(Box::new(sink));
-            tracer.emit(1, 0, ev(3));
+            tracer.emit(1, ev(3));
             // No explicit flush: the buffered event must still land.
         }
         let written = out.lock().unwrap();

@@ -1,9 +1,9 @@
-//! Property test: [`LogHistogram`] quantile bounds always bracket the
+//! Property test: [`Histogram`] quantile bounds always bracket the
 //! exact nearest-rank quantile computed from a sorted vector of the same
 //! samples, and the bracket is tight (≤ ~3.1% relative width).
 
 use proptest::prelude::*;
-use scs_telemetry::LogHistogram;
+use scs_telemetry::Histogram;
 
 /// Exact nearest-rank quantile of a sorted sample vector.
 fn oracle(sorted: &[u64], q: f64) -> u64 {
@@ -18,7 +18,7 @@ proptest! {
         small in proptest::collection::vec(0u64..5_000, 1..200),
     ) {
         for samples in [&values, &small] {
-            let h = LogHistogram::new();
+            let mut h = Histogram::default();
             for &v in samples.iter() {
                 h.record(v);
             }
@@ -33,11 +33,6 @@ proptest! {
                 );
                 // Log-bucket width bound: hi - lo < lo/32 + 1 (exact below 64).
                 prop_assert!(hi - lo <= lo / 32 + 1, "loose bucket [{lo}, {hi}]");
-            }
-            // The snapshot answers identically.
-            let snap = h.snapshot();
-            for q in [0.5, 0.9] {
-                prop_assert_eq!(snap.quantile_bounds(q), h.quantile_bounds(q));
             }
         }
     }
