@@ -674,7 +674,6 @@ impl Workload for ShardedWorkload {
 
     fn observe_time(&mut self, now: Time) {
         self.dssp.set_sim_time_micros(now);
-        self.home.set_sim_time_micros(now);
     }
 }
 

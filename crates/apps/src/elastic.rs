@@ -580,7 +580,7 @@ pub fn run_elastic(cfg: &ElasticRunConfig) -> ElasticReport {
             .provenance()
             .expect("enabled at construction")
             .clone();
-        let log = prov.lock().expect("no concurrent holders after the run");
+        let log = scs_telemetry::lock(&prov);
         let final_epoch = w.fleet().home().epoch();
         let stale: u64 = (0..log.replica_count())
             .map(|r| log.replica(r).stale_beyond_lease)

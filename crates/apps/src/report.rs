@@ -19,7 +19,9 @@
 use crate::scenario::{knee_index, CurvePoint, Scenario, ScenarioReport};
 use scs_dssp::Dssp;
 use scs_netsim::{CenterTelemetry, RunMetrics};
-use scs_telemetry::{evaluate_all, Histogram, Json, MetricsSnapshot, SloSpec, TimeSeries, Tracer};
+use scs_telemetry::{
+    evaluate_all, lock, Histogram, Json, MetricsSnapshot, SharedAudit, SloSpec, TimeSeries, Tracer,
+};
 use std::path::PathBuf;
 
 /// Bumped whenever the report layout changes incompatibly. The `regress`
@@ -97,15 +99,16 @@ pub fn trace_health_json(tracer: &Tracer) -> Json {
 }
 
 /// The `leakage` report section: what the proxy actually saw. With the
-/// audit plane attached this is the full ledger summary (per-template and
-/// per-tenant reveal counters, journal sink health, envelope seal/open
-/// meter); without it, `{"enabled": false}` — the plane is inert and
-/// there is nothing to report.
-pub fn leakage_json(dssp: &Dssp) -> Json {
-    let Some(audit) = dssp.audit() else {
+/// audit log the caller attached to `dssp` this is the full ledger
+/// summary (per-template and per-tenant reveal counters, journal sink
+/// health, the proxy's envelope seal/open meter); without one,
+/// `{"enabled": false}` — the plane is inert and there is nothing to
+/// report.
+pub fn leakage_json(dssp: &Dssp, audit: Option<&SharedAudit>) -> Json {
+    let Some(audit) = audit else {
         return Json::obj([("enabled", false.into())]);
     };
-    let mut doc = audit.lock().unwrap().summary_json();
+    let mut doc = lock(audit).summary_json();
     let crypto: Json = dssp
         .crypto_meter()
         .map(|m| {
@@ -134,8 +137,9 @@ pub fn slo_results_json(specs: &[SloSpec], series: &TimeSeries) -> Json {
 }
 
 /// The proxy's view: aggregate stats, per-template counters, and the
-/// empirical-vs-predicted invalidation attribution.
-pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
+/// empirical-vs-predicted invalidation attribution, plus the leakage
+/// `audit` folded from it, if any.
+pub fn dssp_telemetry_json(dssp: &Dssp, audit: Option<&SharedAudit>) -> Json {
     let snap = dssp.metrics();
     let stats = dssp.stats();
     let tally = dssp.tally();
@@ -228,7 +232,7 @@ pub fn dssp_telemetry_json(dssp: &Dssp) -> Json {
         ("faults", fault_counters_json(&snap)),
         ("trace", trace_health_json(dssp.tracer())),
         ("spans", dssp.spans().summary_json()),
-        ("leakage", leakage_json(dssp)),
+        ("leakage", leakage_json(dssp, audit)),
     ])
 }
 
@@ -602,6 +606,7 @@ pub fn telemetry_entry(
     config: &str,
     scalability_users: Option<usize>,
     dssp: &Dssp,
+    audit: Option<&SharedAudit>,
     metrics: &RunMetrics,
 ) -> Json {
     Json::obj([
@@ -609,7 +614,7 @@ pub fn telemetry_entry(
         ("config", config.into()),
         ("scalability_users", scalability_users.into()),
         ("sim", run_metrics_json(metrics)),
-        ("dssp", dssp_telemetry_json(dssp)),
+        ("dssp", dssp_telemetry_json(dssp, audit)),
     ])
 }
 
@@ -618,11 +623,13 @@ pub fn telemetry_entry(
 /// counter namespaces are disjoint; both series must use the same bucket
 /// width), evaluates `slos` against the merged series, and appends the
 /// result as `timeseries` / `slo` sections.
+#[allow(clippy::too_many_arguments)]
 pub fn telemetry_entry_observed(
     app: &str,
     config: &str,
     scalability_users: Option<usize>,
     dssp: &Dssp,
+    audit: Option<&SharedAudit>,
     metrics: &RunMetrics,
     proxy_series: Option<&TimeSeries>,
     slos: &[SloSpec],
@@ -643,7 +650,7 @@ pub fn telemetry_entry_observed(
         ("config", config.into()),
         ("scalability_users", scalability_users.into()),
         ("sim", run_metrics_json(metrics)),
-        ("dssp", dssp_telemetry_json(dssp)),
+        ("dssp", dssp_telemetry_json(dssp, audit)),
         (
             "timeseries",
             merged.as_ref().map(TimeSeries::to_json).into(),
@@ -719,7 +726,7 @@ mod tests {
         let mut w = toystore_workload(StrategyKind::ViewInspection, 7);
         drive(&mut w, 200);
         let metrics = RunMetrics::default();
-        let entry = telemetry_entry("toystore", "MVIS", Some(128), w.dssp(), &metrics);
+        let entry = telemetry_entry("toystore", "MVIS", Some(128), w.dssp(), None, &metrics);
         let report = telemetry_report(vec![entry]);
         let parsed = Json::parse(&report.render_pretty()).unwrap();
         assert_eq!(
@@ -739,7 +746,7 @@ mod tests {
     fn per_template_counts_sum_to_totals() {
         let mut w = toystore_workload(StrategyKind::StatementInspection, 8);
         drive(&mut w, 300);
-        let doc = dssp_telemetry_json(w.dssp());
+        let doc = dssp_telemetry_json(w.dssp(), None);
         let stats = w.dssp().stats();
         let sum_field = |list: &str, field: &str| -> u64 {
             doc.get(list)
@@ -772,7 +779,7 @@ mod tests {
             let mut w = toystore_workload(kind, 9);
             drive(&mut w, 500);
             assert!(w.dssp().stats().invalidations > 0, "{kind:?}: no traffic");
-            let doc = dssp_telemetry_json(w.dssp());
+            let doc = dssp_telemetry_json(w.dssp(), None);
             let attribution = doc.get("attribution").unwrap();
             let divergence = attribution.get("divergence").unwrap().as_arr().unwrap();
             assert!(
@@ -826,7 +833,7 @@ mod tests {
     fn fault_section_is_all_zero_under_perfect_delivery() {
         let mut w = toystore_workload(StrategyKind::ViewInspection, 13);
         drive(&mut w, 200);
-        let doc = dssp_telemetry_json(w.dssp());
+        let doc = dssp_telemetry_json(w.dssp(), None);
         let faults = doc.get("faults").unwrap();
         for key in [
             "epoch_gaps",
@@ -860,7 +867,7 @@ mod tests {
         assert!(w.dssp().stats().hits > 0, "fixture produced no hits");
 
         // Derive a per-window `queries` denominator for the hit-rate SLO.
-        let mut proxy = series.lock().unwrap().clone();
+        let mut proxy = lock(&series).clone();
         let totals: Vec<(u64, u64)> = proxy
             .windows()
             .iter()
@@ -889,6 +896,7 @@ mod tests {
             "MVIS",
             None,
             w.dssp(),
+            None,
             &metrics,
             Some(&proxy),
             &slos,

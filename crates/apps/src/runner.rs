@@ -14,6 +14,7 @@ use scs_netsim::{
     find_max_users, RunMetrics, ScalabilityResult, SearchOptions, SimConfig, Sla, SystemSpec,
 };
 use scs_storage::Database;
+use scs_telemetry::AuditLog;
 
 /// The three benchmark applications of the paper's evaluation (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,7 +261,9 @@ pub fn run_audited_trial(
     let cfg = trial_config(Topology::Single, users, fidelity, seed);
     let mut workload = app.workload(exposures.clone(), seed);
     let audit = scs_telemetry::shared_audit(1);
-    workload.dssp_mut().attach_audit(audit.clone(), 0);
+    let sink = AuditLog::sink(&audit, 0, app.name());
+    workload.dssp_mut().add_trace_sink(Box::new(sink));
+    workload.dssp_mut().meter_crypto();
     let metrics = scs_netsim::run(&cfg, &mut workload);
     (metrics, audit)
 }

@@ -741,7 +741,7 @@ impl Scenario {
             report.channel.delivered += pipe.delivered;
         }
         {
-            let log = prov.lock().expect("no concurrent holders after the run");
+            let log = scs_telemetry::lock(&prov);
             report.failover_stamps = log.failovers().len();
             report.conservation_balanced = (0..log.replica_count())
                 .all(|r| log.conservation_on(r, 0, report.final_epoch).balanced());
@@ -764,7 +764,7 @@ impl Scenario {
         report.max_observed_staleness_micros = tally.max_observed_staleness_micros;
         report.timeseries = tally.series.map(|mut ts| {
             if let Some(shared) = proxy_series {
-                ts.merge(&shared.lock().expect("proxy series poisoned"));
+                ts.merge(&scs_telemetry::lock(&shared));
             }
             ts
         });

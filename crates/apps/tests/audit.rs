@@ -7,8 +7,9 @@
 //!   time-ordered request → decision-path → exposure-level → bytes
 //!   chain, rooted at exactly one request;
 //! * **inertness** — a proxy with no audit plane attached behaves
-//!   byte-identically to an audited one (same telemetry, same simulated
-//!   run), so the meter can ride in production probes for free;
+//!   byte-identically to an audited one (same telemetry apart from the
+//!   leakage and trace sections, same simulated run), so the meter can
+//!   ride in production probes for free;
 //! * **sink health** — journal write failures surface as counters in
 //!   the `leakage` export instead of vanishing.
 
@@ -19,7 +20,7 @@ use scs_apps::{
 };
 use scs_core::{ExposureLevel, Exposures};
 use scs_storage::Database;
-use scs_telemetry::{shared_audit, Json};
+use scs_telemetry::{lock, shared_audit, AuditLog, Json, SharedAudit};
 use std::collections::BTreeMap;
 
 fn toystore_workload(exposures: Exposures, seed: u64) -> DsspWorkload {
@@ -50,12 +51,22 @@ fn drive(w: &mut DsspWorkload, requests: usize) {
     }
 }
 
+/// Attaches a fresh audit log to the workload's proxy, and its crypto
+/// meter.
+fn audit(w: &mut DsspWorkload) -> SharedAudit {
+    let audit = shared_audit(1);
+    let sink = AuditLog::sink(&audit, 0, toystore::toystore().name);
+    w.dssp_mut().add_trace_sink(Box::new(sink));
+    w.dssp_mut().meter_crypto();
+    audit
+}
+
 /// Runs an audited workload and returns the leakage summary.
 fn audited_summary(exposures: Exposures, seed: u64, requests: usize) -> Json {
     let mut w = toystore_workload(exposures, seed);
-    w.dssp_mut().attach_audit(shared_audit(1), 0);
+    let audit = audit(&mut w);
     drive(&mut w, requests);
-    let doc = w.dssp().audit().unwrap().lock().unwrap().summary_json();
+    let doc = lock(&audit).summary_json();
     doc
 }
 
@@ -190,11 +201,10 @@ fn explain_chains_are_causal_and_singly_rooted() {
         queries: vec![ExposureLevel::View; app.queries.len()],
     };
     let mut w = toystore_workload(exposures, SEED);
-    w.dssp_mut().attach_audit(shared_audit(1), 0);
+    let audit = audit(&mut w);
     drive(&mut w, 200);
 
-    let audit = w.dssp().audit().unwrap();
-    let log = audit.lock().unwrap();
+    let log = lock(&audit);
     assert!(!log.events().is_empty(), "run produced no reveal events");
 
     let root_seqs: Vec<u64> = log.roots().iter().map(|r| r.seq).collect();
@@ -242,7 +252,9 @@ fn explain_chains_are_causal_and_singly_rooted() {
 #[test]
 fn audit_plane_is_inert_when_disabled() {
     // Same seed, same ops; one proxy audited, one not. Everything the
-    // proxy exports apart from the `leakage` section must be identical.
+    // proxy exports apart from the `leakage` section and the trace
+    // health (the audited tracer emits the plane's events too) must be
+    // identical.
     let app = toystore::toystore();
     let exposures = Exposures {
         updates: vec![ExposureLevel::Stmt; app.updates.len()],
@@ -250,21 +262,29 @@ fn audit_plane_is_inert_when_disabled() {
     };
     let mut plain = toystore_workload(exposures.clone(), SEED);
     let mut audited = toystore_workload(exposures, SEED);
-    audited.dssp_mut().attach_audit(shared_audit(1), 0);
+    let log = audit(&mut audited);
     drive(&mut plain, 300);
     drive(&mut audited, 300);
 
-    let strip_leakage = |doc: Json| -> Json {
-        match doc {
-            Json::Obj(kv) => Json::Obj(kv.into_iter().filter(|(k, _)| k != "leakage").collect()),
-            other => other,
-        }
+    let strip = |doc: &Json| -> Json {
+        let Json::Obj(kv) = doc else {
+            panic!("the proxy section is an object")
+        };
+        let kept = kv.iter().filter(|(k, _)| k != "leakage" && k != "trace");
+        Json::Obj(kept.cloned().collect())
     };
-    let a = strip_leakage(report::dssp_telemetry_json(plain.dssp()));
-    let b = strip_leakage(report::dssp_telemetry_json(audited.dssp()));
-    assert_eq!(a, b, "attaching the audit plane changed proxy behavior");
+    let a = report::dssp_telemetry_json(plain.dssp(), None);
+    let b = report::dssp_telemetry_json(audited.dssp(), Some(&log));
+    assert_eq!(
+        strip(&a),
+        strip(&b),
+        "attaching the audit plane changed proxy behavior"
+    );
+    let active = |doc: &Json| doc.get("trace").and_then(|t| t.get("active")).cloned();
+    assert_eq!(active(&a), Some(Json::Bool(false)), "no sink, not active");
+    assert_eq!(active(&b), Some(Json::Bool(true)), "a sink, active");
 
-    let enabled = report::leakage_json(audited.dssp());
+    let enabled = report::leakage_json(audited.dssp(), Some(&log));
     assert_eq!(enabled.get("enabled").and_then(Json::as_bool), Some(true));
     assert!(
         enabled
@@ -273,7 +293,7 @@ fn audit_plane_is_inert_when_disabled() {
             .unwrap()
             > 0
     );
-    let disabled = report::leakage_json(plain.dssp());
+    let disabled = report::leakage_json(plain.dssp(), None);
     assert_eq!(disabled.get("enabled").and_then(Json::as_bool), Some(false));
 }
 
@@ -300,7 +320,7 @@ fn audited_simulation_runs_are_equivalent_to_plain_ones() {
     assert_eq!(plain.requests_completed, metered.requests_completed);
     assert_eq!(plain.response_times, metered.response_times);
     assert_eq!(plain.hit_rate, metered.hit_rate);
-    assert!(audit.lock().unwrap().revealed_bytes() > 0);
+    assert!(lock(&audit).revealed_bytes() > 0);
 }
 
 #[test]
@@ -323,16 +343,11 @@ fn journal_failures_surface_in_the_leakage_export() {
         queries: vec![ExposureLevel::Template; app.queries.len()],
     };
     let mut w = toystore_workload(exposures, SEED);
-    w.dssp_mut().attach_audit(shared_audit(1), 0);
-    w.dssp()
-        .audit()
-        .unwrap()
-        .lock()
-        .unwrap()
-        .attach_journal(Box::new(Broken));
+    let audit = audit(&mut w);
+    lock(&audit).attach_journal(Box::new(Broken));
     drive(&mut w, 100);
 
-    let doc = report::leakage_json(w.dssp());
+    let doc = report::leakage_json(w.dssp(), Some(&audit));
     let journal = doc.get("journal").unwrap();
     assert_eq!(journal.get("active").and_then(Json::as_bool), Some(true));
     assert!(

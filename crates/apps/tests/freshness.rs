@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use scs_apps::Scenario;
 use scs_netsim::{FaultSpec, MS};
-use scs_telemetry::Json;
+use scs_telemetry::{lock, Json, TraceEvent, TraceEventKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -40,7 +40,7 @@ proptest! {
             base_latency_micros: MS,
         };
         let report = cfg.run();
-        let p = report.provenance.lock().unwrap();
+        let p = lock(&report.provenance);
         let rl = p.replica(0);
 
         // The oracle (full master value history) and the plane (epoch
@@ -53,9 +53,10 @@ proptest! {
             "plane recorded stale age {:?} beyond the lease {} (seed {})",
             rl.stale_age.max, lease, seed
         );
-        for ev in rl.serve_events() {
-            prop_assert!(ev.within_lease, "journaled over-age serve at t={}", ev.at_micros);
-            prop_assert!(ev.age_micros <= lease);
+        for ev in rl.journal() {
+            let Some(s) = p.staleness(ev) else { continue };
+            prop_assert!(s.within_lease, "journaled over-age serve at t={}", ev.at_micros);
+            prop_assert!(s.age_micros <= lease);
         }
         prop_assert_eq!(
             rl.serves,
@@ -104,8 +105,9 @@ fn final_epoch(p: &scs_telemetry::ProvenanceLog) -> u64 {
 #[test]
 fn explain_chains_are_causal_and_match_the_master_history() {
     let report = Scenario::chaotic(17, 1_500).run();
-    let p = report.provenance.lock().unwrap();
-    let rl = p.replica(0);
+    let p = lock(&report.provenance);
+    let journal = p.replica(0).journal();
+    let template = |e: &TraceEvent| e.kind.query_template().unwrap() as usize;
 
     let chain_of = |doc: &Json| -> Vec<Json> {
         doc.get("chain")
@@ -153,44 +155,46 @@ fn explain_chains_are_causal_and_match_the_master_history() {
     };
 
     // why-age-t: the stalest journaled serve.
-    let stale = rl
-        .serve_events()
+    let (stale, s) = journal
         .iter()
-        .filter(|e| e.pending_epoch.is_some())
-        .max_by_key(|e| e.age_micros)
+        .filter_map(|e| Some((e, p.staleness(e)?)))
+        .filter(|(_, s)| s.pending_epoch.is_some())
+        .max_by_key(|(_, s)| s.age_micros)
         .expect("a chaotic run serves at least one stale-within-lease hit");
     let doc = p
-        .explain_serve(0, stale.query_template, stale.at_micros)
+        .explain_serve(0, template(stale), stale.at_micros)
         .expect("journaled serve explains");
     assert_eq!(
         doc.get("age_micros").and_then(Json::as_u64),
-        Some(stale.age_micros)
+        Some(s.age_micros)
     );
     let chain = chain_of(&doc);
     assert_causal(&chain);
     assert_commits_match(&chain);
     // The age is exactly now - commit(pending epoch), per the oracle.
-    let pending = stale.pending_epoch.unwrap() as usize;
+    let pending = s.pending_epoch.unwrap() as usize;
     let commit_at = report.master_history_micros[pending];
-    assert_eq!(stale.age_micros, stale.at_micros - commit_at);
+    assert_eq!(s.age_micros, stale.at_micros - commit_at);
 
     // why-miss: the first post-invalidation miss.
-    let miss = rl
-        .miss_events()
+    let miss = journal
         .iter()
-        .find(|e| !e.expired)
+        .find(|e| matches!(e.kind, TraceEventKind::QueryMiss { expired: false, .. }))
         .expect("a chaotic run records misses");
     let doc = p
-        .explain_miss(0, miss.query_template, miss.at_micros)
+        .explain_miss(0, template(miss), miss.at_micros)
         .expect("journaled miss explains");
     let chain = chain_of(&doc);
     assert_causal(&chain);
     assert_commits_match(&chain);
 
     // why-degraded, when the outage schedule produced one.
-    if let Some(ev) = rl.degraded_events().first() {
+    let degraded = journal
+        .iter()
+        .find(|e| matches!(e.kind, TraceEventKind::DegradedServe { .. }));
+    if let Some(ev) = degraded {
         let doc = p
-            .explain_degraded(0, ev.query_template, ev.at_micros)
+            .explain_degraded(0, template(ev), ev.at_micros)
             .expect("journaled degraded serve explains");
         assert_causal(&chain_of(&doc));
     }

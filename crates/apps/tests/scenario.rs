@@ -27,6 +27,7 @@ use scs_dssp::{
 use scs_netsim::{FaultSpec, Time, MS};
 use scs_sqlkit::Value;
 use scs_storage::{ColumnType, Database, TableSchema};
+use std::collections::HashMap;
 
 fn cases() -> u32 {
     std::env::var("SCS_SCENARIO_CASES")
@@ -345,6 +346,28 @@ fn zombie_writes_before_promotion_stay_durable() {
     let r = sc.run();
     assert_eq!(r.failovers.len(), 1);
     assert_oracles("zombie before promotion", 1, &r);
+}
+
+/// A partitioned zombie's writes never pass through a proxy, so they
+/// commit nothing on the freshness plane: every stream's commits stay
+/// unique per epoch and ascend, as the promoted primary issues them.
+#[test]
+fn zombie_writes_commit_nothing_on_the_freshness_plane() {
+    for seed in 0..4 {
+        let r = Scenario::zombie(seed, 600).run();
+        assert_eq!(r.zombie_writes_applied, 5, "seed {seed}");
+        let log = scs_telemetry::lock(&r.provenance);
+        let mut last: HashMap<u64, u64> = HashMap::new();
+        for c in log.commits() {
+            let before = last.insert(c.stream, c.epoch);
+            assert!(
+                before.is_none_or(|b| b < c.epoch),
+                "seed {seed}: stream {} commits epoch {} after {before:?}",
+                c.stream,
+                c.epoch
+            );
+        }
+    }
 }
 
 /// An out-of-band `mutate_database` write lands in the WAL, replicates,

@@ -15,7 +15,7 @@ use scs_core::{
 };
 use scs_dssp::StrategyKind;
 use scs_netsim::{RunMetrics, SimConfig, Sla, SEC};
-use scs_telemetry::{Json, SloSpec};
+use scs_telemetry::{lock, Json, SloSpec};
 
 /// One observed probe trial at a measured knee (time-series buckets of
 /// 10 s of sim time): the telemetry entry, plus the run's metrics and
@@ -36,12 +36,13 @@ fn knee_probe(
     let mut workload = app.workload(exposures.clone(), seed);
     let series = workload.attach_observatory(bucket);
     let m = scs_netsim::run_observed(&cfg, &mut workload, Some(bucket));
-    let proxy = series.lock().unwrap().clone();
+    let proxy = lock(&series).clone();
     let entry = report::telemetry_entry_observed(
         app.name(),
         label,
         Some(max_users),
         workload.dssp(),
+        None,
         &m,
         Some(&proxy),
         slos,

@@ -26,7 +26,7 @@ use crate::{outln, Mode, ProbeRun, TextTable};
 use scs_apps::{BenchApp, Scenario};
 use scs_dssp::{FanoutConfig, FleetConfig, RoutingMode, StrategyKind};
 use scs_netsim::{FaultSpec, SimConfig, SystemSpec, MS, SEC};
-use scs_telemetry::Json;
+use scs_telemetry::{lock, Json, TraceEvent, TraceEventKind};
 
 /// DSSP replica counts swept per schedule.
 pub const PROXY_COUNTS: &[usize] = &[1, 2, 4];
@@ -183,7 +183,7 @@ pub fn run_point(proxies: usize, spec: &FaultSpec, sizes: Sizes, seed: u64) -> F
         .provenance()
         .expect("probe enabled the plane")
         .clone();
-    let p = prov.lock().unwrap();
+    let p = lock(&prov);
     let mut point = FreshnessPoint {
         proxies,
         lag_p99_us: 0,
@@ -197,10 +197,12 @@ pub fn run_point(proxies: usize, spec: &FaultSpec, sizes: Sizes, seed: u64) -> F
         fanout_bytes: 0,
         scanned: 0,
     };
+    // Conservative single-number p99s.
+    let p99 = |h: &scs_telemetry::Histogram| h.quantile_upper(0.99).unwrap_or(0);
     for r in 0..proxies {
-        point.lag_p99_us = point.lag_p99_us.max(p.lag_p99(r));
-        point.stale_age_p99_us = point.stale_age_p99_us.max(p.stale_age_p99(r));
         let rl = p.replica(r);
+        point.lag_p99_us = point.lag_p99_us.max(p99(&rl.lag));
+        point.stale_age_p99_us = point.stale_age_p99_us.max(p99(&rl.stale_age));
         point.lag_samples += rl.lag.count;
         point.serves += rl.serves;
         point.stale_within_lease += rl.stale_within_lease;
@@ -309,17 +311,18 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
 fn explain_demo(text: &mut String) {
     outln!(text, "Explain demo — chaotic single-proxy run, seed 17:");
     let report = Scenario::chaotic(17, 1_500).run();
-    let p = report.provenance.lock().unwrap();
-    let rl = p.replica(0);
+    let p = lock(&report.provenance);
+    let journal = p.replica(0).journal();
+    let template_of = |e: &TraceEvent| e.kind.query_template().map_or(0, |t| t as usize);
 
     // The most interesting serve: the one with the largest stale age.
-    if let Some(ev) = rl
-        .serve_events()
+    let stalest = journal
         .iter()
-        .filter(|e| e.pending_epoch.is_some())
-        .max_by_key(|e| e.age_micros)
-    {
-        if let Some(doc) = p.explain_serve(0, ev.query_template, ev.at_micros) {
+        .filter_map(|e| Some((e, p.staleness(e)?)))
+        .filter(|(_, s)| s.pending_epoch.is_some())
+        .max_by_key(|(_, s)| s.age_micros);
+    if let Some((ev, _)) = stalest {
+        if let Some(doc) = p.explain_serve(0, template_of(ev), ev.at_micros) {
             outln!(
                 text,
                 "\nwhy-age-t (stalest serve):\n{}",
@@ -328,14 +331,20 @@ fn explain_demo(text: &mut String) {
         }
     }
     // The first post-invalidation miss.
-    if let Some(ev) = rl.miss_events().iter().find(|e| !e.expired) {
-        if let Some(doc) = p.explain_miss(0, ev.query_template, ev.at_micros) {
+    let miss = journal
+        .iter()
+        .find(|e| matches!(e.kind, TraceEventKind::QueryMiss { expired: false, .. }));
+    if let Some(ev) = miss {
+        if let Some(doc) = p.explain_miss(0, template_of(ev), ev.at_micros) {
             outln!(text, "\nwhy-miss:\n{}", doc.render_pretty());
         }
     }
     // A degraded serve, when the outage schedule produced one.
-    if let Some(ev) = rl.degraded_events().first() {
-        if let Some(doc) = p.explain_degraded(0, ev.query_template, ev.at_micros) {
+    let degraded = journal
+        .iter()
+        .find(|e| matches!(e.kind, TraceEventKind::DegradedServe { .. }));
+    if let Some(ev) = degraded {
+        if let Some(doc) = p.explain_degraded(0, template_of(ev), ev.at_micros) {
             outln!(text, "\nwhy-degraded:\n{}", doc.render_pretty());
         }
     }

@@ -36,7 +36,7 @@ use scs_core::{
     compulsory_exposures, reduce_exposures, residual_options, ExposureLevel, Exposures,
     SensitivityPolicy,
 };
-use scs_telemetry::Json;
+use scs_telemetry::{lock, Json};
 
 use crate::exposure_strip;
 
@@ -203,7 +203,7 @@ fn run_point(app: BenchApp, a: &Assignment, sizes: &Sizes, seed: u64) -> Frontie
     };
     let (metrics, audit) = run_audited_trial(app, &a.exposures, LEAKAGE_USERS, leak_fid, seed);
     let (revealed_bytes, reveal_events) = {
-        let log = audit.lock().unwrap();
+        let log = lock(&audit);
         (log.revealed_bytes(), log.events_total())
     };
     let ops = metrics.ops_executed;
@@ -335,7 +335,7 @@ fn explain_demo(seed: u64, text: &mut String) {
         resolution: 128,
     };
     let (_, audit) = run_audited_trial(app, &greedy.exposures, 32, fid, seed);
-    let log = audit.lock().unwrap();
+    let log = lock(&audit);
     let biggest = log
         .events()
         .iter()

@@ -31,7 +31,7 @@ use crate::{chaos, finish_run, slo_failures, Mode, PROBES};
 use scs_apps::{report, BenchApp};
 use scs_dssp::StrategyKind;
 use scs_netsim::{SimConfig, Sla, Time, SEC};
-use scs_telemetry::{Json, SloSpec};
+use scs_telemetry::{lock, shared_audit, AuditLog, Json, SloSpec};
 
 /// Time-series bucket width (sim time) shared by the sim recorder and
 /// the proxy trace sink so the two series merge window-for-window.
@@ -101,9 +101,10 @@ fn probe(app: BenchApp, kind: StrategyKind) -> (Json, Json) {
     // The leakage audit plane: the entry's `dssp.leakage` section pins
     // what the proxy observed, so `regress` can catch a moved
     // encryption boundary (`leakage_rise`) against this baseline.
-    workload
-        .dssp_mut()
-        .attach_audit(scs_telemetry::shared_audit(1), 0);
+    let audit = shared_audit(1);
+    let sink = AuditLog::sink(&audit, 0, def.name);
+    workload.dssp_mut().add_trace_sink(Box::new(sink));
+    workload.dssp_mut().meter_crypto();
     let series = workload.attach_observatory(BUCKET);
 
     let mut cfg = SimConfig::paper(USERS, SEED);
@@ -112,7 +113,7 @@ fn probe(app: BenchApp, kind: StrategyKind) -> (Json, Json) {
     let m = scs_netsim::run_observed(&cfg, &mut workload, Some(BUCKET));
 
     // Derive the per-window `queries` denominator for the hit-rate SLO.
-    let mut proxy = series.lock().unwrap().clone();
+    let mut proxy = lock(&series).clone();
     let totals: Vec<(Time, u64)> = proxy
         .windows()
         .iter()
@@ -132,6 +133,7 @@ fn probe(app: BenchApp, kind: StrategyKind) -> (Json, Json) {
         kind.name(),
         None,
         workload.dssp(),
+        Some(&audit),
         &m,
         Some(&proxy),
         &probe_slos(kind),

@@ -36,7 +36,8 @@ fn telemetry_json_parses_and_a_zero_pairs_stay_zero() {
     cfg.warmup = 10 * SEC;
     let metrics = scs_netsim::run(&cfg, &mut workload);
 
-    let entry = report::telemetry_entry("toystore", "MTIS", Some(30), workload.dssp(), &metrics);
+    let dssp = workload.dssp();
+    let entry = report::telemetry_entry("toystore", "MTIS", Some(30), dssp, None, &metrics);
     let doc = report::telemetry_report(vec![entry]);
     let path = std::env::temp_dir().join("scs_telemetry_test.json");
     std::env::remove_var(report::TELEMETRY_OUT_ENV);

@@ -133,15 +133,6 @@ impl InvalidationBatch {
             .map(InvalidationMsg::payload_bytes)
             .sum::<u64>()
     }
-
-    /// `(update_template, payload_bytes)` per retained message — the
-    /// shape [`scs_telemetry::ProvenanceLog::note_flush_on`] records.
-    pub fn retained_payloads(&self) -> Vec<(usize, u64)> {
-        self.msgs
-            .iter()
-            .map(|m| (m.update.template_id, m.payload_bytes()))
-            .collect()
-    }
 }
 
 /// How a delivered [`InvalidationMsg`] was handled by the proxy.

@@ -56,7 +56,7 @@ use crate::delivery::{
     InvalidationMsg, RetryPolicy,
 };
 use crate::elastic::{HandoffFault, JoinOutcome, LeaveOutcome};
-use crate::home::{lock_provenance, HomeServer};
+use crate::home::HomeServer;
 use crate::proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
 use crate::replication::{CommitAck, FailoverRecord, HomeGroup, ReplicationConfig};
 use crate::stats::DsspStats;
@@ -64,8 +64,8 @@ use scs_netsim::fault::{ChannelStats, FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
 use scs_storage::StorageError;
 use scs_telemetry::{
-    shared_audit, shared_provenance, FlushTrigger, MembershipKind, MembershipStamp, SharedAudit,
-    SharedProvenance, SpanId, SpanPhase, SpanRecorder,
+    shared_audit, shared_provenance, AuditLog, FlushTrigger, MembershipKind, ProvenanceLog,
+    SharedAudit, SharedProvenance, SpanId, SpanPhase, SpanRecorder, TraceEventKind, Tracer,
 };
 use std::collections::HashMap;
 
@@ -231,10 +231,6 @@ pub struct FanoutStats {
     pub msgs: u64,
     /// Messages coalesced away before shipping.
     pub coalesced: u64,
-    /// Times a poisoned provenance lock was recovered on the fanout
-    /// path (a panicking stamper elsewhere must not wedge the flush —
-    /// the log is append-only stamps, so recovery is safe).
-    pub poison_recovered: u64,
     /// Per-pipe channel counters (drop/duplicate/delay/delivered) for
     /// the currently-live replicas, in membership order.
     pub pipes: Vec<ChannelStats>,
@@ -300,8 +296,6 @@ pub struct ProxyFleet {
     coalesced: u64,
     /// Bumped on every completed join/leave (not on aborted joins).
     membership_epoch: u64,
-    /// Poisoned provenance locks recovered on the fanout path.
-    prov_poison_recovered: u64,
     /// Buffered fanout notifications destroyed by a home-tier crash
     /// (crash mid-fanout-flush): their epochs surface to every replica
     /// as one stream gap, which the recovery flush absorbs.
@@ -312,8 +306,12 @@ pub struct ProxyFleet {
     /// Fleet-layer span recorder: routing decisions and fanout flushes
     /// (replica-side spans live in each proxy's own recorder).
     spans: SpanRecorder,
-    /// The freshness plane, when enabled: commit/flush/send/arrival
-    /// stamps shared by the home server and every replica.
+    /// The fleet's own facts: fanout flushes and sends, membership
+    /// changes, home-tier promotions.
+    tracer: Tracer,
+    /// Home-tier failovers already emitted as promotions.
+    failovers_seen: usize,
+    /// The planes, when enabled; joiners get their sinks.
     prov: Option<SharedProvenance>,
     audit: Option<SharedAudit>,
 }
@@ -373,11 +371,12 @@ impl ProxyFleet {
             msgs: 0,
             coalesced: 0,
             membership_epoch: 0,
-            prov_poison_recovered: 0,
             fanout_lost_on_crash: 0,
             lease: None,
             span_capacity: None,
             spans: SpanRecorder::disabled(),
+            tracer: Tracer::new(),
+            failovers_seen: 0,
             prov: None,
             audit: None,
         }
@@ -400,17 +399,18 @@ impl ProxyFleet {
         &self.spans
     }
 
-    /// Turns on the freshness plane: one shared provenance log wired
-    /// through the home server (commit stamps), the fanout layer
-    /// (flush/send stamps), and every replica (arrival, invalidate,
-    /// store, serve stamps). Joiners are registered into the same log.
-    /// Returns the shared handle; also available later via
-    /// [`ProxyFleet::provenance`].
+    /// Turns on the freshness plane: one shared provenance log folding
+    /// what the fleet (flushes, sends, membership, promotions) and every
+    /// replica (commits, arrivals, invalidations, stores, serves) emit.
+    /// Joiners fold into the same log. Returns the shared handle; also
+    /// available later via [`ProxyFleet::provenance`].
     pub fn enable_provenance(&mut self) -> SharedProvenance {
         let prov = shared_provenance(self.next_id);
-        self.home.attach_provenance(prov.clone());
+        self.tracer
+            .add_sink(Box::new(ProvenanceLog::sink(&prov, 0)));
         for r in &mut self.replicas {
-            r.dssp.attach_provenance(prov.clone(), r.id);
+            r.dssp
+                .add_trace_sink(Box::new(ProvenanceLog::sink(&prov, r.id)));
         }
         self.prov = Some(prov.clone());
         prov
@@ -422,15 +422,18 @@ impl ProxyFleet {
         self.prov.as_ref()
     }
 
-    /// Turns on the leakage audit plane: one shared audit log wired
-    /// through every replica (request-plane reveals, scan-time reveals,
-    /// crypto metering). Joiners are registered into the same log.
-    /// Returns the shared handle; also available later via
-    /// [`ProxyFleet::audit`].
+    /// Turns on the leakage audit plane: one shared audit log folding
+    /// what every replica reveals (request-plane and scan-time). Joiners
+    /// fold into the same log. Returns the shared handle; also available
+    /// later via [`ProxyFleet::audit`].
     pub fn enable_audit(&mut self) -> SharedAudit {
         let audit = shared_audit(self.next_id);
+        let tenant = &self.config.app_id;
+        self.tracer
+            .add_sink(Box::new(AuditLog::sink(&audit, 0, tenant)));
         for r in &mut self.replicas {
-            r.dssp.attach_audit(audit.clone(), r.id);
+            r.dssp
+                .add_trace_sink(Box::new(AuditLog::sink(&audit, r.id, tenant)));
         }
         self.audit = Some(audit.clone());
         audit
@@ -451,27 +454,25 @@ impl ProxyFleet {
         }
     }
 
-    /// Journals a membership transition on the freshness plane (no-op
-    /// without provenance).
-    fn stamp_membership(
+    /// Emits a membership transition at the home's current epoch.
+    fn membership(
         &mut self,
         kind: MembershipKind,
         replica: usize,
         peer: Option<usize>,
         entries: u64,
     ) {
-        let Some(prov) = self.prov.clone() else {
-            return;
-        };
-        let stamp = MembershipStamp {
-            kind,
-            replica,
-            peer,
-            entries,
-            at_micros: self.now_micros,
-            home_epoch: self.home.epoch(),
-        };
-        lock_provenance(&prov, &mut self.prov_poison_recovered).note_membership(stamp);
+        let home_epoch = self.home.epoch();
+        self.tracer.emit(
+            self.now_micros,
+            TraceEventKind::Membership {
+                kind,
+                replica,
+                peer,
+                entries,
+                home_epoch,
+            },
+        );
     }
 
     fn build_ring(ids: &[usize]) -> Vec<(u64, usize)> {
@@ -568,12 +569,12 @@ impl ProxyFleet {
             dssp.enable_span_recording(cap);
         }
         dssp.handshake(joined_epoch);
-        if let Some(prov) = self.prov.clone() {
-            lock_provenance(&prov, &mut self.prov_poison_recovered).register_replica(id);
-            dssp.attach_provenance(prov, id);
+        if let Some(prov) = &self.prov {
+            dssp.add_trace_sink(Box::new(ProvenanceLog::sink(prov, id)));
         }
-        if let Some(audit) = self.audit.clone() {
-            dssp.attach_audit(audit, id);
+        if let Some(audit) = &self.audit {
+            let tenant = &self.config.app_id;
+            dssp.add_trace_sink(Box::new(AuditLog::sink(audit, id, tenant)));
         }
         let pipe = FaultyChannel::new(self.pipe_seed ^ id as u64, self.pipe_spec.clone());
         // 2. Live but unrouted: from here the replica receives every
@@ -586,7 +587,7 @@ impl ProxyFleet {
             // before the join started (the no-op-resize property).
             self.replicas.pop();
             self.home.unregister_pipe(id);
-            self.stamp_membership(MembershipKind::AbortJoin, id, None, 0);
+            self.membership(MembershipKind::AbortJoin, id, None, 0);
             return JoinOutcome {
                 replica: id,
                 joined_epoch,
@@ -645,7 +646,7 @@ impl ProxyFleet {
             handed += imported;
             skipped += exported - imported;
             if exported > 0 {
-                self.stamp_membership(MembershipKind::Handoff, d, Some(id), imported);
+                self.membership(MembershipKind::Handoff, d, Some(id), imported);
             }
         }
 
@@ -655,7 +656,7 @@ impl ProxyFleet {
         self.membership_epoch += 1;
         let ji = self.idx(id);
         self.replicas[ji].dssp.note_join(joined_epoch, handed);
-        self.stamp_membership(MembershipKind::Join, id, None, handed);
+        self.membership(MembershipKind::Join, id, None, handed);
         JoinOutcome {
             replica: id,
             joined_epoch,
@@ -724,7 +725,7 @@ impl ProxyFleet {
             };
             handed += imported;
             if count > 0 {
-                self.stamp_membership(MembershipKind::Handoff, id, Some(s), imported);
+                self.membership(MembershipKind::Handoff, id, Some(s), imported);
             }
         }
         let skipped = exported - handed;
@@ -734,7 +735,7 @@ impl ProxyFleet {
         //    departed replica, and no future flush will address it.
         let li = self.idx(id);
         self.replicas[li].dssp.note_leave(final_epoch, handed);
-        self.stamp_membership(MembershipKind::Leave, id, None, handed);
+        self.membership(MembershipKind::Leave, id, None, handed);
         self.home.unregister_pipe(id);
         self.replicas.remove(li);
         LeaveOutcome {
@@ -871,8 +872,8 @@ impl ProxyFleet {
         }
     }
 
-    /// Coalesces and ships the pending buffer to every replica's pipe.
-    /// Stamped on the freshness plane as an explicit drain.
+    /// Coalesces and ships the pending buffer to every replica's pipe,
+    /// as an explicit drain.
     pub fn flush_fanout(&mut self) {
         self.flush_fanout_with(FlushTrigger::Drain);
     }
@@ -901,28 +902,36 @@ impl ProxyFleet {
             SpanId::NONE,
             label.map(|t| t as u32),
         );
-        let prov = self.prov.clone();
-        let batch_id = prov.as_ref().map(|prov| {
-            lock_provenance(prov, &mut self.prov_poison_recovered).note_flush_on(
-                0,
-                batch.first_epoch,
-                batch.last_epoch,
-                batch.len() as u64,
-                batch.coalesced,
-                self.now_micros,
-                trigger,
-                batch.retained_payloads(),
-            )
-        });
-        for r in &mut self.replicas {
-            r.pipe.send(self.now_micros, batch.clone());
-            if let (Some(prov), Some(bid)) = (&prov, batch_id) {
-                lock_provenance(prov, &mut self.prov_poison_recovered).note_send(
-                    r.id,
-                    bid,
-                    self.now_micros,
-                );
+        let (now, first_epoch) = (self.now_micros, batch.first_epoch);
+        let flushed = TraceEventKind::BatchFlushed {
+            stream: 0,
+            first_epoch,
+            last_epoch: batch.last_epoch,
+            coalesced: batch.coalesced,
+            trigger,
+        };
+        self.tracer.emit(now, flushed);
+        // Sized only for a listener: rendering each statement costs
+        // more than the flush itself.
+        if self.tracer.is_active() {
+            for m in &batch.msgs {
+                let update_template = m.update.template_id as u32;
+                let bytes = m.payload_bytes();
+                let kind = TraceEventKind::BatchMsg {
+                    update_template,
+                    bytes,
+                };
+                self.tracer.emit(now, kind);
             }
+        }
+        for r in &mut self.replicas {
+            r.pipe.send(now, batch.clone());
+            let sent = TraceEventKind::BatchSent {
+                replica: r.id,
+                stream: 0,
+                first_epoch,
+            };
+            self.tracer.emit(now, sent);
         }
         self.spans.close(root, timer);
     }
@@ -987,10 +996,19 @@ impl ProxyFleet {
         self.now_micros = micros;
         // The group tick heartbeats, ships WAL records, and — when the
         // primary has been silent past its lease — promotes a standby.
-        // Promotion is invisible here: the group re-installs the pipe
-        // registry and provenance on the new primary, and its barrier
-        // epoch turns the lost tail into an ordinary stream gap.
+        // Promotion is invisible here beyond its event: the group
+        // re-installs the pipe registry on the new primary, and its
+        // barrier epoch turns the lost tail into an ordinary stream gap.
         self.home.tick(micros);
+        for f in &self.home.failovers()[self.failovers_seen..] {
+            let promotion = TraceEventKind::Promotion {
+                from_primary: f.from_primary,
+                to_primary: f.to_primary,
+                barrier_epoch: f.barrier_epoch,
+            };
+            self.tracer.emit(f.at_micros, promotion);
+        }
+        self.failovers_seen = self.home.failovers().len();
         for r in &mut self.replicas {
             r.dssp.set_sim_time_micros(micros);
         }
@@ -1104,7 +1122,6 @@ impl ProxyFleet {
             batches: self.batches,
             msgs: self.msgs,
             coalesced: self.coalesced,
-            poison_recovered: self.prov_poison_recovered,
             pipes: self.replicas.iter().map(|r| r.pipe.stats()).collect(),
         }
     }

@@ -12,24 +12,6 @@
 use crate::delivery::{InvalidationMsg, PipeRegistration};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, Row, StorageError, UpdateEffect, Wal};
-use scs_telemetry::{ProvenanceLog, SharedProvenance};
-
-/// Locks the provenance log, recovering a poisoned lock — and counting
-/// the recovery in `recovered` — instead of propagating the panic: the
-/// log is append-only stamps, so the worst a poisoner can leave behind
-/// is a missing stamp, never a torn invariant, and wedging a commit, a
-/// fanout flush or a promotion over telemetry would turn an
-/// observability bug into an availability one.
-pub(crate) fn lock_provenance<'a>(
-    prov: &'a SharedProvenance,
-    recovered: &mut u64,
-) -> std::sync::MutexGuard<'a, ProvenanceLog> {
-    prov.lock().unwrap_or_else(|poisoned| {
-        *recovered += 1;
-        poisoned.into_inner()
-    })
-}
-
 /// The home tier as the proxy's request pipeline sees it: the four
 /// questions [`crate::Dssp`] asks of whatever holds the master copy. A
 /// [`HomeServer`] answers for its one invalidation stream, a
@@ -79,20 +61,6 @@ pub struct HomeServer {
     /// the master copy (ns) — the home side of the span pipeline's
     /// `home_trip` phase.
     service_nanos: u64,
-    /// Simulated clock, advanced by the harness; stamps each commit's
-    /// birth time on the freshness plane.
-    now_micros: u64,
-    /// The freshness plane, when a harness attached one: every applied
-    /// update stamps its epoch's commit here.
-    prov: Option<SharedProvenance>,
-    /// Commit stamps written through a poisoned provenance lock (the
-    /// lock is recovered rather than letting telemetry panic the write
-    /// path; see [`HomeServer::prov_poison_recovered`]).
-    prov_poison_recovered: u64,
-    /// Invalidation-stream id stamped on freshness-plane commits. A
-    /// classic single home is stream 0; a sharded home labels each
-    /// shard's server with its shard id (stream id = shard id).
-    stream: u64,
     /// Fanout pipes currently registered, in registration order — the
     /// home-side membership view an elastic fleet maintains through
     /// [`HomeServer::register_pipe`] / [`HomeServer::unregister_pipe`].
@@ -114,10 +82,6 @@ impl HomeServer {
             updates_applied: 0,
             epoch: 0,
             service_nanos: 0,
-            now_micros: 0,
-            prov: None,
-            prov_poison_recovered: 0,
-            stream: 0,
             pipes: Vec::new(),
             wal,
         }
@@ -139,10 +103,6 @@ impl HomeServer {
             updates_applied: 0,
             epoch: wal.last_epoch(),
             service_nanos: 0,
-            now_micros: 0,
-            prov: None,
-            prov_poison_recovered: 0,
-            stream: 0,
             pipes: Vec::new(),
             wal,
         }
@@ -196,30 +156,6 @@ impl HomeServer {
     /// fanout resumes toward the same fleet.
     pub fn restore_pipes(&mut self, pipes: Vec<PipeRegistration>) {
         self.pipes = pipes;
-    }
-
-    /// Advances the home's simulated clock (µs). Commit stamps on the
-    /// freshness plane use this time axis.
-    pub fn set_sim_time_micros(&mut self, micros: u64) {
-        self.now_micros = micros;
-    }
-
-    /// Attaches the freshness plane: every subsequent applied update
-    /// stamps its epoch's commit (template, sim time, payload size).
-    pub fn attach_provenance(&mut self, prov: SharedProvenance) {
-        self.prov = Some(prov);
-    }
-
-    /// Labels this server's invalidation stream on the freshness plane.
-    /// A sharded home sets each shard's server to its shard id; the
-    /// default (stream 0) is the classic single-home stream.
-    pub fn set_stream_label(&mut self, stream: u64) {
-        self.stream = stream;
-    }
-
-    /// The invalidation-stream id this server stamps on commits.
-    pub fn stream(&self) -> u64 {
-        self.stream
     }
 
     /// Executes a query against the master copy (a DSSP cache miss).
@@ -291,25 +227,7 @@ impl HomeServer {
             epoch: self.epoch,
             update: u.clone(),
         };
-        if let Some(prov) = &self.prov {
-            // The master write has already committed by this point, so
-            // panicking here would wedge the whole write path over
-            // telemetry.
-            lock_provenance(prov, &mut self.prov_poison_recovered).note_commit_on(
-                self.stream,
-                self.epoch,
-                u.template_id,
-                self.now_micros,
-                msg.payload_bytes(),
-            );
-        }
         Ok((effect, msg))
-    }
-
-    /// Commit stamps that had to recover a poisoned provenance lock
-    /// (0 in healthy runs).
-    pub fn prov_poison_recovered(&self) -> u64 {
-        self.prov_poison_recovered
     }
 
     /// The current update epoch: the sequence number of the most recent
@@ -394,20 +312,21 @@ impl HomeServer {
     }
 }
 
+/// A home server is the one invalidation stream 0.
 impl Home for HomeServer {
     type Streams = [u64; 1];
 
     fn answer(&mut self, q: &Query) -> Result<(QueryResult, [u64; 1]), StorageError> {
-        Ok((self.execute_query(q)?, [self.stream]))
+        Ok((self.execute_query(q)?, [0]))
     }
 
     fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
         let (effect, msg) = self.apply_update(u)?;
-        Ok((effect, self.stream, msg))
+        Ok((effect, 0, msg))
     }
 
     fn epoch_of(&self, stream: u64) -> u64 {
-        if stream == self.stream {
+        if stream == 0 {
             self.epoch
         } else {
             0
@@ -468,32 +387,6 @@ mod tests {
         h.apply_update(&insert(2, 2)).expect("server still usable");
         assert_eq!(h.epoch(), before + 1);
         assert_eq!(h.wal().replay().unwrap(), *h.database());
-    }
-
-    /// A poisoned provenance mutex must not panic the commit path: the
-    /// master write has already happened, so the lock is recovered (and
-    /// counted) and the commit stamp still lands.
-    #[test]
-    fn poisoned_provenance_lock_does_not_panic_the_write_path() {
-        let mut h = HomeServer::new(seed_db());
-        let prov = scs_telemetry::shared_provenance(1);
-        h.attach_provenance(prov.clone());
-        // Poison the mutex: a thread panics while holding the lock.
-        let poisoner = prov.clone();
-        std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("poison the provenance lock");
-        })
-        .join()
-        .unwrap_err();
-        assert!(prov.lock().is_err(), "lock is poisoned");
-        let (_, msg) = h.apply_update(&insert(2, 2)).expect("write path survives");
-        assert_eq!(msg.epoch, 1);
-        assert_eq!(h.prov_poison_recovered(), 1);
-        // The stamp landed despite the poison.
-        let log = prov.lock().unwrap_or_else(|p| p.into_inner());
-        assert_eq!(log.commits().len(), 1);
-        assert_eq!(log.commit_at_on(0, 1), Some(0));
     }
 
     /// The promotion barrier is one checkpoint record no matter how

@@ -40,8 +40,8 @@ use scs_crypto::{CryptoMeter, Encryptor};
 use scs_sqlkit::{Query, Update, Value};
 use scs_storage::{QueryResult, StorageError, UpdateEffect};
 use scs_telemetry::{
-    ApplyKind, MetricsSnapshot, RevealStamp, SharedAudit, SharedProvenance, SpanId, SpanPhase,
-    SpanRecorder, TraceEventKind, TraceSink, Tracer,
+    ApplyKind, Commit, MetricsSnapshot, RevealStamp, SpanId, SpanPhase, SpanRecorder,
+    TraceEventKind, TraceSink, Tracer,
 };
 use std::sync::Arc;
 
@@ -64,9 +64,10 @@ fn value_plain_bytes(v: &Value) -> u64 {
     }
 }
 
-/// Stable hash of a parameter value for distinct-value leakage counting.
-fn value_hash(v: &Value) -> u64 {
-    use std::hash::{Hash, Hasher};
+/// Stable hash of a parameter value or a column name, for
+/// distinct-value leakage counting.
+fn stable_hash(v: &(impl std::hash::Hash + ?Sized)) -> u64 {
+    use std::hash::Hasher;
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
@@ -105,16 +106,6 @@ fn note_scan_reveals(
     if path == DecisionPath::View {
         note(RevealKind::ViewRows, rows);
     }
-}
-
-/// Locks an observability plane, recovering the guard when another
-/// thread panicked while holding it: the planes only count and append,
-/// so their data is valid at every step, and a poisoned plane must not
-/// abort an invalidation.
-fn lock_plane<T>(plane: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    plane
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Counts the fact `kind` names and hands the event to the tracer: the
@@ -284,18 +275,9 @@ pub struct Dssp {
     /// Per-proxy jitter salt derived from the app id, so identically
     /// scripted proxies retry on decorrelated schedules.
     jitter_salt: u64,
-    /// The freshness plane and this proxy's replica index on it, when a
-    /// harness attached one (see [`Dssp::attach_provenance`]).
-    prov: Option<(SharedProvenance, usize)>,
-    /// The leakage audit plane and this proxy's replica index on it, when
-    /// a harness attached one (see [`Dssp::attach_audit`]). `None` keeps
-    /// the hot path stamp-free, like the other observability planes.
-    audit: Option<(SharedAudit, usize)>,
-    /// Envelope seal/open meter feeding the `leakage` export; attached
-    /// together with the audit plane.
+    /// Envelope seal/open meter feeding the `leakage` export (see
+    /// [`Dssp::meter_crypto`]).
     crypto_meter: Option<Arc<CryptoMeter>>,
-    /// Application id, kept as the tenant label on audit ledgers.
-    app_id: String,
 }
 
 impl Dssp {
@@ -341,132 +323,98 @@ impl Dssp {
             overload,
             request_seq: 0,
             jitter_salt,
-            prov: None,
-            audit: None,
             crypto_meter: None,
-            app_id: config.app_id,
         }
     }
 
-    /// Attaches the freshness plane: this proxy stamps serves, misses,
-    /// stores, invalidations, and batch arrivals as `replica` on the
-    /// shared log, which grows to cover `replica`. The home server and the
-    /// fanout layer must share the same log for the stamps to chain.
-    pub fn attach_provenance(&mut self, prov: SharedProvenance, replica: usize) {
-        lock_plane(&prov).register_replica(replica);
-        self.prov = Some((prov, replica));
-    }
-
-    /// Attaches the leakage audit plane: this proxy stamps every
-    /// encryption-boundary crossing (template ids observed, parameters
-    /// inspected, view rows read) as `replica` on the shared log, and a
-    /// [`CryptoMeter`] starts tallying the cache's envelope seals/opens.
-    /// Without this call the proxy takes no audit locks and allocates
-    /// nothing for metering.
-    pub fn attach_audit(&mut self, audit: SharedAudit, replica: usize) {
+    /// Starts metering the cache's envelope seals and opens
+    /// ([`Dssp::crypto_meter`]).
+    pub fn meter_crypto(&mut self) {
         let meter = CryptoMeter::new();
         self.cache.meter_crypto(meter.clone());
-        lock_plane(&audit).register_replica(replica);
         self.crypto_meter = Some(meter);
-        self.audit = Some((audit, replica));
     }
 
-    /// The attached leakage audit plane, if any.
-    pub fn audit(&self) -> Option<&SharedAudit> {
-        self.audit.as_ref().map(|(a, _)| a)
-    }
-
-    /// The envelope seal/open meter, if the audit plane is attached.
+    /// The envelope seal/open meter, once [`Dssp::meter_crypto`] ran.
     pub fn crypto_meter(&self) -> Option<&Arc<CryptoMeter>> {
         self.crypto_meter.as_ref()
     }
 
-    /// Stamps the request-plane reveals of one arriving statement
-    /// (template id at `template`+, parameter values at `stmt`+) and
-    /// opens the audit request root follow-on reveals chain back to.
-    /// Returns `None` — without touching a lock — when no audit plane is
-    /// attached.
+    /// Emits the leakage plane's request root for one arriving statement
+    /// and its request-plane reveals: the template id at `template`+, the
+    /// parameter values at `stmt`+. Without a trace sink nothing is built
+    /// or hashed.
     fn audit_arrival(
-        &self,
+        &mut self,
         is_update: bool,
         template: usize,
         level: ExposureLevel,
         origin: &'static str,
         params: &[Value],
-    ) -> Option<u64> {
-        let (audit, replica) = self.audit.as_ref()?;
-        let mut a = lock_plane(audit);
-        let req = a.begin_request(
-            *replica,
-            &self.app_id,
+    ) {
+        if !self.tracer.is_active() {
+            return;
+        }
+        let (template, level_name) = (template as u32, level.as_str());
+        self.note(TraceEventKind::AuditRequest {
             is_update,
             template,
-            level.as_str(),
             origin,
-            self.now_micros,
-        );
+        });
         for kind in request_reveals(level) {
             let bytes = match kind {
                 RevealKind::TemplateId => TEMPLATE_ID_BYTES,
                 RevealKind::Params => params.iter().map(value_plain_bytes).sum(),
                 RevealKind::ViewRows => continue,
             };
-            a.note_reveal(
-                *replica,
-                req,
-                &self.app_id,
+            let stamp = RevealStamp {
+                kind: kind.name(),
+                path: "request",
+                level: level_name,
+                bytes,
+                pairs: 1,
+            };
+            self.note(TraceEventKind::Reveal {
                 is_update,
                 template,
-                RevealStamp {
-                    kind: kind.name(),
-                    path: "request",
-                    level: level.as_str(),
-                    bytes,
-                    pairs: 1,
-                },
-                self.now_micros,
-            );
+                stamp,
+            });
         }
         if RevealKind::Params.possible_at(level) {
-            a.note_param_values(
-                &self.app_id,
-                is_update,
-                template,
-                params.iter().map(value_hash),
-            );
+            for v in params {
+                let hash = stable_hash(v);
+                self.note(TraceEventKind::ParamValue {
+                    is_update,
+                    template,
+                    hash,
+                });
+            }
         }
-        Some(req)
     }
 
-    /// Stamps a plaintext result read (`view` exposure only): a cache
+    /// Emits a plaintext result read (`view` exposure only): a cache
     /// serve or a miss fill whose rows the proxy sees in the clear.
-    fn audit_view_read(
-        &self,
-        request: Option<u64>,
-        template: usize,
-        path: &'static str,
-        result: &QueryResult,
-    ) {
-        let (Some((audit, replica)), Some(req)) = (&self.audit, request) else {
+    fn audit_view_read(&mut self, template: usize, path: &'static str, result: &QueryResult) {
+        if !self.tracer.is_active() {
             return;
+        }
+        let template = template as u32;
+        let stamp = RevealStamp {
+            kind: RevealKind::ViewRows.name(),
+            path,
+            level: ExposureLevel::View.as_str(),
+            bytes: result.approx_size_bytes() as u64,
+            pairs: 1,
         };
-        let mut a = lock_plane(audit);
-        a.note_reveal(
-            *replica,
-            req,
-            &self.app_id,
-            false,
+        self.note(TraceEventKind::Reveal {
+            is_update: false,
             template,
-            RevealStamp {
-                kind: RevealKind::ViewRows.name(),
-                path,
-                level: ExposureLevel::View.as_str(),
-                bytes: result.approx_size_bytes() as u64,
-                pairs: 1,
-            },
-            self.now_micros,
-        );
-        a.note_fields(template, result.columns.iter());
+            stamp,
+        });
+        for column in &result.columns {
+            let hash = stable_hash(column.as_str());
+            self.note(TraceEventKind::FieldExposed { template, hash });
+        }
     }
 
     /// Changes the staleness lease applied to subsequently stored
@@ -648,7 +596,7 @@ impl Dssp {
             }
         };
         let exposure = level.rank() as u8;
-        let audit_req = self.audit_arrival(false, tid, level, "query", &q.params);
+        self.audit_arrival(false, tid, level, "query", &q.params);
         let root = self.spans.open(
             self.now_micros,
             SpanPhase::QueryRequest,
@@ -675,9 +623,16 @@ impl Dssp {
                     Some(tid as u32),
                     lookup_timer,
                 );
+                // Staleness is judged on the stream the entry was filled
+                // on (stream 0 for a classic home).
                 self.note(TraceEventKind::QueryHit {
                     query_template: tid as u32,
                     exposure,
+                    stream: stored_stream,
+                    cursor: self.epoch_of(stored_stream),
+                    stored_epoch,
+                    stored_at,
+                    expires_at,
                 });
                 let link_down = !(link.is_up(self.now_micros) && home.is_up());
                 let brownout = gate == Gate::Admitted { brownout: true };
@@ -685,30 +640,13 @@ impl Dssp {
                 if degraded {
                     self.note(TraceEventKind::DegradedServe {
                         query_template: tid as u32,
+                        link_down,
                     });
-                }
-                if let Some((prov, replica)) = &self.prov {
-                    let mut p = lock_plane(prov);
-                    // Staleness is scoped to the stream the entry was
-                    // filled on (stream 0 for a classic home).
-                    p.note_serve_on(
-                        *replica,
-                        tid,
-                        stored_stream,
-                        self.epoch_of(stored_stream),
-                        stored_epoch,
-                        stored_at,
-                        expires_at,
-                        self.now_micros,
-                    );
-                    if link_down {
-                        p.note_degraded(*replica, tid, self.now_micros);
-                    }
                 }
                 if plaintext_hit {
                     // A `view`-exposed serve reads the cached rows in the
                     // clear; lower levels return an opaque envelope.
-                    self.audit_view_read(audit_req, tid, "serve", &result);
+                    self.audit_view_read(tid, "serve", &result);
                 }
                 self.spans.close(root, root_timer);
                 if brownout {
@@ -744,10 +682,8 @@ impl Dssp {
         self.note(TraceEventKind::QueryMiss {
             query_template: tid as u32,
             exposure,
+            expired: lease_expired,
         });
-        if let Some((prov, replica)) = &self.prov {
-            lock_plane(prov).note_miss(*replica, tid, self.now_micros, lease_expired);
-        }
         let (reached, attempts, backoff_micros) = self.reach_home(home, link, policy);
         if !reached {
             self.spans.close(root, root_timer);
@@ -809,9 +745,11 @@ impl Dssp {
             let owner = streams.first().copied().unwrap_or(0);
             let fill_epoch = home.epoch_of(owner);
             self.cache.set_stored_provenance(q, owner, fill_epoch);
-            if let Some((prov, replica)) = &self.prov {
-                lock_plane(prov).note_store(*replica, tid, fill_epoch, self.now_micros);
-            }
+            self.note(TraceEventKind::EntryStored {
+                query_template: tid as u32,
+                stream: owner,
+                epoch: fill_epoch,
+            });
         }
         if outcome.replaced {
             self.tally.cache_replacements += 1;
@@ -819,7 +757,7 @@ impl Dssp {
         if level == ExposureLevel::View {
             // At `view` exposure the fill is stored — and thus read —
             // as plaintext rows.
-            self.audit_view_read(audit_req, tid, "fill", &result);
+            self.audit_view_read(tid, "fill", &result);
         }
         self.note_evictions(&outcome.evicted);
         self.spans.close(root, root_timer);
@@ -854,9 +792,10 @@ impl Dssp {
     /// untouched and is not an update request served.
     ///
     /// An attempt that reaches the home is accounted (the
-    /// `UpdateApplied` event) before the master's verdict: an update the
-    /// master rejects is an `Err` that was still an update request
-    /// served, with its `home_trip` span recorded and its root closed. An
+    /// `UpdateApplied` event, carrying the commit or, on a refusal,
+    /// none): an update the master rejects is an `Err` that was still an
+    /// update request served, with its `home_trip` span recorded and its
+    /// root closed. An
     /// update bound to an unconfigured template id is an `Err` before
     /// anything moves.
     pub fn execute_update_ft<H: Home>(
@@ -880,7 +819,7 @@ impl Dssp {
                 })
             }
         };
-        let _ = self.audit_arrival(true, uid, level, "update", &u.params);
+        self.audit_arrival(true, uid, level, "update", &u.params);
         let root = self.spans.open(
             self.now_micros,
             SpanPhase::UpdateRequest,
@@ -898,10 +837,6 @@ impl Dssp {
                 backoff_micros,
             });
         }
-        self.note(TraceEventKind::UpdateApplied {
-            update_template: uid as u32,
-            exposure: level.rank() as u8,
-        });
         let trip_timer = self.spans.timer();
         let applied = home.apply(u);
         self.spans.record_closed(
@@ -912,6 +847,25 @@ impl Dssp {
             trip_timer,
         );
         self.spans.close(root, root_timer);
+        // The commit is stamped here, by the proxy that forwarded the
+        // update and saw the verdict: a write that never passes through
+        // a proxy (a partitioned zombie's) commits nothing on any plane.
+        // Sized only for a listener: rendering the statement costs more
+        // than the rest of the event.
+        let commit = applied.as_ref().ok().map(|(_, stream, msg)| Commit {
+            stream: *stream,
+            epoch: msg.epoch,
+            payload_bytes: if self.tracer.is_active() {
+                msg.payload_bytes()
+            } else {
+                0
+            },
+        });
+        self.note(TraceEventKind::UpdateApplied {
+            update_template: uid as u32,
+            exposure: level.rank() as u8,
+            commit,
+        });
         let (effect, stream, msg) = applied?;
         self.settle(gate, Some(true));
         Ok(FtUpdateResponse {
@@ -1110,7 +1064,7 @@ impl Dssp {
         let expected = cursor + 1;
         if msg.epoch < expected {
             self.tally.duplicate_invalidations += 1;
-            self.prov_arrival_on(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
+            self.arrived(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
             return DeliveryOutcome::Duplicate;
         }
         let root = self.spans.open(
@@ -1135,30 +1089,13 @@ impl Dssp {
                 recovery_timer,
             );
             self.set_stream_cursor(stream, msg.epoch);
-            self.prov_arrival_on(
-                stream,
-                msg.epoch,
-                ApplyKind::Recovered {
-                    flushed: flushed as u64,
-                },
-                cursor,
-                msg.epoch,
-            );
+            self.arrived(stream, msg.epoch, ApplyKind::Recovered, cursor, msg.epoch);
             self.spans.close(root, root_timer);
             return DeliveryOutcome::Recovered { flushed };
         }
         self.set_stream_cursor(stream, msg.epoch);
-        let (scanned, invalidated) = self.run_invalidation_pass(&msg.update, msg.epoch);
-        self.prov_arrival_on(
-            stream,
-            msg.epoch,
-            ApplyKind::Applied {
-                applied: 1,
-                skipped: 0,
-            },
-            cursor,
-            msg.epoch,
-        );
+        let (scanned, invalidated) = self.run_invalidation_pass(&msg.update, stream, msg.epoch);
+        self.arrived(stream, msg.epoch, ApplyKind::Applied, cursor, msg.epoch);
         self.spans.close(root, root_timer);
         DeliveryOutcome::Applied {
             scanned,
@@ -1194,9 +1131,10 @@ impl Dssp {
         if batch.last_epoch <= epoch_before {
             self.tally.fanout_batch_duplicates += 1;
             self.tally.duplicate_invalidations += batch.msgs.len() as u64;
-            self.prov_arrival_on(
+            let first = batch.first_epoch;
+            self.arrived(
                 stream,
-                batch.first_epoch,
+                first,
                 ApplyKind::Duplicate,
                 epoch_before,
                 epoch_before,
@@ -1227,15 +1165,8 @@ impl Dssp {
                 recovery_timer,
             );
             self.set_stream_cursor(stream, batch.last_epoch);
-            self.prov_arrival_on(
-                stream,
-                batch.first_epoch,
-                ApplyKind::Recovered {
-                    flushed: flushed as u64,
-                },
-                epoch_before,
-                batch.last_epoch,
-            );
+            let (first, last) = (batch.first_epoch, batch.last_epoch);
+            self.arrived(stream, first, ApplyKind::Recovered, epoch_before, last);
             self.spans.close(root, root_timer);
             return BatchOutcome::Recovered { flushed };
         }
@@ -1251,7 +1182,7 @@ impl Dssp {
                 continue;
             }
             cursor = msg.epoch;
-            let (s, i) = self.run_invalidation_pass(&msg.update, msg.epoch);
+            let (s, i) = self.run_invalidation_pass(&msg.update, stream, msg.epoch);
             scanned += s;
             invalidated += i;
             applied += 1;
@@ -1261,16 +1192,8 @@ impl Dssp {
         self.set_stream_cursor(stream, batch.last_epoch);
         self.tally.fanout_batches_applied += 1;
         self.tally.fanout_batch_msgs += applied as u64;
-        self.prov_arrival_on(
-            stream,
-            batch.first_epoch,
-            ApplyKind::Applied {
-                applied: applied as u64,
-                skipped: skipped as u64,
-            },
-            epoch_before,
-            batch.last_epoch,
-        );
+        let (first, last) = (batch.first_epoch, batch.last_epoch);
+        self.arrived(stream, first, ApplyKind::Applied, epoch_before, last);
         self.spans.close(root, root_timer);
         BatchOutcome::Applied {
             applied,
@@ -1291,7 +1214,7 @@ impl Dssp {
     /// from [`decide`]; `scanned` counts the pairs the pass decided,
     /// probed or not. A blind update gives the strategy nothing to filter
     /// on (every entry is a victim), so it keeps the full scan.
-    fn run_invalidation_pass(&mut self, u: &Update, at_epoch: u64) -> (usize, usize) {
+    fn run_invalidation_pass(&mut self, u: &Update, stream: u64, epoch: u64) -> (usize, usize) {
         let uid = u.template_id;
         // A notification naming a template this proxy was not configured
         // with tells it nothing it may act on: treat it as blind.
@@ -1307,13 +1230,13 @@ impl Dssp {
         // Scan-time leakage aggregation, keyed by (entry template, reveal
         // kind, decision path, entry level): each decided pair reveals
         // what the decision path had to read. Aggregated locally inside
-        // the judge and flushed as one event per key after the scan — the
-        // audit lock is never taken per pair. `None` when the plane is
-        // off, keeping the closure allocation-free.
+        // the judge and emitted as one event per key after the scan.
+        // `None` without a trace sink, keeping the closure
+        // allocation-free.
         let mut scan_agg: Option<ScanAgg> = self
-            .audit
-            .as_ref()
-            .map(|_| std::collections::BTreeMap::new());
+            .tracer
+            .is_active()
+            .then(std::collections::BTreeMap::new);
         let mut judge = |entry: &crate::cache::CacheEntry| {
             let (kill, path) = decide(matrix, &view, entry);
             if let Some(agg) = scan_agg.as_mut() {
@@ -1343,14 +1266,7 @@ impl Dssp {
             }
         };
         let (scanned, invalidated) = (scan.scanned, scan.invalidated);
-        if let Some((prov, replica)) = &self.prov {
-            let mut p = lock_plane(prov);
-            p.note_scan(uid, scanned as u64, invalidated as u64);
-            for (qid, _, _) in &victims {
-                p.note_invalidate(*replica, *qid, uid, at_epoch, self.now_micros);
-            }
-        }
-        if let (Some((audit, replica)), Some(mut agg)) = (&self.audit, scan_agg) {
+        if let Some(mut agg) = scan_agg {
             // A pair a probe spared the judge is metered as the verdict
             // `decide` would have reached by reading it — "keep", at the
             // inspection tier of the entry's level — so the ledger is the
@@ -1374,32 +1290,24 @@ impl Dssp {
                 // One audit root per invalidation pass: delivery is
                 // asynchronous from the client's update request, so the
                 // scan's reveals chain to an `apply`-origin root here.
-                let mut a = lock_plane(audit);
-                let req = a.begin_request(
-                    *replica,
-                    &self.app_id,
-                    true,
-                    uid,
-                    level.as_str(),
-                    "apply",
-                    self.now_micros,
-                );
+                self.note(TraceEventKind::AuditRequest {
+                    is_update: true,
+                    template: uid as u32,
+                    origin: "apply",
+                });
                 for ((qid, kind, path, lvl), (bytes, pairs)) in agg {
-                    a.note_reveal(
-                        *replica,
-                        req,
-                        &self.app_id,
-                        false,
-                        qid,
-                        RevealStamp {
-                            kind,
-                            path,
-                            level: lvl,
-                            bytes,
-                            pairs,
-                        },
-                        self.now_micros,
-                    );
+                    let stamp = RevealStamp {
+                        kind,
+                        path,
+                        level: lvl,
+                        bytes,
+                        pairs,
+                    };
+                    self.note(TraceEventKind::Reveal {
+                        is_update: false,
+                        template: qid as u32,
+                        stamp,
+                    });
                 }
             }
         }
@@ -1409,11 +1317,15 @@ impl Dssp {
                 query_template: qid as u32,
                 exposure: entry_exposure,
                 decision: path.code(),
+                stream,
+                epoch,
             });
         }
-        self.tally.entries_scanned += scanned as u64;
-        self.tally.entries_inspected += scan.inspected as u64;
-        self.tally.scan_size.record(scanned as u64);
+        self.note(TraceEventKind::InvalidationPass {
+            update_template: uid as u32,
+            scanned: scanned as u64,
+            inspected: scan.inspected as u64,
+        });
         (scanned, invalidated)
     }
 
@@ -1491,25 +1403,24 @@ impl Dssp {
         }
     }
 
-    /// Stamps a message or batch arrival on the freshness plane,
-    /// resolving the batch's stamp by `(stream, first_epoch)` — epochs
-    /// are unique only within one stream, and contiguous disjoint ranges
-    /// make the pair unique. Silently skips arrivals the fanout layer
-    /// never stamped — e.g. the perfect-delivery entry points.
-    fn prov_arrival_on(
-        &self,
+    /// Emits the arrival of the notification or batch starting at
+    /// `(stream, first_epoch)`, which moved the cursor from `before` to
+    /// `after`.
+    fn arrived(
+        &mut self,
         stream: u64,
         first_epoch: u64,
-        kind: ApplyKind,
+        outcome: ApplyKind,
         before: u64,
         after: u64,
     ) {
-        if let Some((prov, replica)) = &self.prov {
-            let mut p = lock_plane(prov);
-            if let Some(batch) = p.batch_for_epoch_on(stream, first_epoch) {
-                p.note_arrival(*replica, batch, self.now_micros, kind, before, after);
-            }
-        }
+        self.note(TraceEventKind::BatchArrived {
+            stream,
+            first_epoch,
+            outcome,
+            epoch_before: before,
+            epoch_after: after,
+        });
     }
 
     /// Extracts the cached entries selected by `select` for handoff to
@@ -1866,32 +1777,44 @@ mod tests {
         f.update(0, vec![Value::Int(2)]);
 
         let events = events.borrow();
-        let kinds: Vec<&'static str> = events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "query_miss",
-                "query_hit",
-                "update_applied",
-                "entry_invalidated"
-            ]
-        );
+        // The leakage plane's facts ride along; the rest, in order:
+        let audit = ["audit_request", "reveal", "param_value", "field_exposed"];
+        let kinds: Vec<&'static str> = events
+            .iter()
+            .map(|e| e.kind.name())
+            .filter(|k| !audit.contains(k))
+            .collect();
+        let expect = [
+            "query_miss",
+            "entry_stored",
+            "query_hit",
+            "update_applied",
+            "entry_invalidated",
+            "invalidation_pass",
+            "batch_arrived",
+        ];
+        assert_eq!(kinds, expect);
         assert!(events.iter().all(|e| e.at_micros == 42));
         // Sequence numbers are strictly increasing.
         assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
-        match events[3].kind {
+        let victim = events.iter().find_map(|e| match e.kind {
             TraceEventKind::EntryInvalidated {
                 update_template,
                 query_template,
                 decision,
+                stream,
+                epoch,
                 ..
-            } => {
-                assert_eq!(update_template, 0);
-                assert_eq!(query_template, 1);
-                assert_eq!(decision, crate::strategy::DecisionPath::View.code());
-            }
-            other => panic!("expected invalidation event, got {other:?}"),
-        }
+            } => Some((update_template, query_template, decision, stream, epoch)),
+            _ => None,
+        });
+        let view = crate::strategy::DecisionPath::View.code();
+        assert_eq!(victim, Some((0, 1, view, 0, 1)));
+        let commit = events.iter().find_map(|e| match e.kind {
+            TraceEventKind::UpdateApplied { commit, .. } => commit,
+            _ => None,
+        });
+        assert_eq!(commit.map(|c| (c.stream, c.epoch)), Some((0, 1)));
     }
 
     #[test]
@@ -1980,19 +1903,26 @@ mod tests {
 
     /// The freshness plane attached at a replica id the log was not sized
     /// for grows to cover it, as the audit plane does: the first miss,
-    /// its fill and the hit after it are all stamped.
+    /// its fill and the hit after it are all folded.
     #[test]
-    fn provenance_attached_at_an_unregistered_replica_stamps() {
+    fn provenance_attached_at_an_unregistered_replica_folds() {
         let mut f = fixture(StrategyKind::ViewInspection);
         let prov = scs_telemetry::shared_provenance(1);
-        f.dssp.attach_provenance(prov.clone(), 3);
+        let sink = scs_telemetry::ProvenanceLog::sink(&prov, 3);
+        f.dssp.add_trace_sink(Box::new(sink));
         f.dssp.set_sim_time_micros(10);
         assert!(!f.query(1, vec![Value::Int(2)]).hit);
         f.dssp.set_sim_time_micros(20);
         assert!(f.query(1, vec![Value::Int(2)]).hit);
         let log = prov.lock().unwrap();
         assert_eq!(log.replica_count(), 4);
-        assert_eq!(log.replica(3).miss_events().len(), 1);
+        let journal: Vec<&str> = log
+            .replica(3)
+            .journal()
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        assert_eq!(journal, ["query_miss", "entry_stored", "query_hit"]);
         assert_eq!(log.replica(3).serves, 1);
         let serve = log.explain_serve(3, 1, 20).expect("the hit is stamped");
         let chain = serve.get("chain").and_then(|c| c.as_arr()).unwrap();

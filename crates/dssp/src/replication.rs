@@ -40,11 +40,10 @@
 //!   (PR 2), so a failover needs no proxy-side special case.
 
 use crate::delivery::{InvalidationMsg, PipeRegistration};
-use crate::home::{lock_provenance, Home, HomeServer};
+use crate::home::{Home, HomeServer};
 use scs_netsim::{FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, StorageError, UpdateEffect, Wal, WalPayload, WalRecord};
-use scs_telemetry::{FailoverStamp, SharedProvenance};
 use std::collections::BTreeMap;
 
 /// When a write is acknowledged to the client.
@@ -339,8 +338,8 @@ pub struct FailoverRecord {
 }
 
 /// A replicated home tier behind the same surface a bare
-/// [`HomeServer`] offers the fleet: `epoch`, pipe registry, sim time,
-/// provenance — plus crash/partition/promotion machinery.
+/// [`HomeServer`] offers the fleet: `epoch`, pipe registry — plus
+/// crash/partition/promotion machinery.
 ///
 /// [`HomeGroup::single`] (0 standbys) is an exact passthrough; every
 /// existing single-home call site keeps its behaviour byte-identical.
@@ -380,10 +379,6 @@ pub struct HomeGroup {
     rejected_writes: u64,
     /// Sync-quorum commits that timed out (applied but unacked).
     unacked_commits: u64,
-    prov: Option<SharedProvenance>,
-    /// Failover stamps written through a poisoned provenance lock (see
-    /// [`HomeGroup::prov_poison_recovered`]).
-    prov_poison_recovered: u64,
 }
 
 impl HomeGroup {
@@ -418,8 +413,6 @@ impl HomeGroup {
             failovers: Vec::new(),
             rejected_writes: 0,
             unacked_commits: 0,
-            prov: None,
-            prov_poison_recovered: 0,
         }
     }
 
@@ -491,12 +484,6 @@ impl HomeGroup {
         self.unacked_commits
     }
 
-    /// Failover stamps that had to recover a poisoned provenance lock
-    /// (0 in healthy runs).
-    pub fn prov_poison_recovered(&self) -> u64 {
-        self.prov_poison_recovered
-    }
-
     /// Total zombie-primary records bounced off the term fence.
     pub fn fenced_total(&self) -> u64 {
         self.standbys.iter().map(|s| s.fenced_records).sum()
@@ -538,21 +525,13 @@ impl HomeGroup {
         &self.pipe_registry
     }
 
-    pub fn attach_provenance(&mut self, prov: SharedProvenance) {
-        if let Some(p) = self.primary.as_mut() {
-            p.attach_provenance(prov.clone());
-        }
-        self.prov = Some(prov);
-    }
-
     /// Advances the group clock: heartbeats, ships outstanding log
     /// records, pumps the pipes, and — when the primary has been
     /// silent past the lease — promotes. Returns the failover record
     /// if a promotion happened on this tick.
     pub fn tick(&mut self, now: u64) -> Option<FailoverRecord> {
         self.now = now;
-        if let Some(p) = self.primary.as_mut() {
-            p.set_sim_time_micros(now);
+        if let Some(p) = self.primary.as_ref() {
             self.high_water = self.high_water.max(p.epoch());
             self.last_heartbeat = now;
         }
@@ -949,10 +928,6 @@ impl HomeGroup {
         let barrier = old_tip + 1;
         server.advance_epoch_to(barrier);
         server.restore_pipes(self.pipe_registry.clone());
-        server.set_sim_time_micros(now);
-        if let Some(prov) = &self.prov {
-            server.attach_provenance(prov.clone());
-        }
         let lost_records = old_tip - promoted_applied;
         let lost_acked = self.acked_epoch.saturating_sub(promoted_applied);
         debug_assert!(
@@ -988,20 +963,6 @@ impl HomeGroup {
             s.last_ship_at = now;
         }
         self.ship_outstanding(now);
-        if let Some(prov) = &self.prov {
-            // A poisoned telemetry lock must not cost the tier its
-            // promotion: the standby above is already the primary.
-            lock_provenance(prov, &mut self.prov_poison_recovered).note_failover(FailoverStamp {
-                at_micros: now,
-                from_primary: record.from_primary,
-                to_primary: record.to_primary,
-                new_term: record.new_term,
-                barrier_epoch: record.barrier_epoch,
-                lost_records: record.lost_records,
-                lost_acked: record.lost_acked,
-                unavailable_micros: record.unavailable_micros,
-            });
-        }
         self.failovers.push(record);
         Some(record)
     }
@@ -1083,41 +1044,6 @@ mod tests {
         assert_eq!(g.epoch(), 1);
         assert!(g.tick(1_000_000).is_none(), "nothing to promote");
         assert!(g.is_up());
-    }
-
-    /// A poisoned provenance mutex must not panic *promotion*: that
-    /// would turn a telemetry fault into a home-tier outage. The lock is
-    /// recovered (and counted), a standby promotes and the failover
-    /// stamp still lands.
-    #[test]
-    fn poisoned_provenance_lock_does_not_panic_promotion() {
-        let mut g = group(ReplicationMode::Async, 1, FaultSpec::none());
-        let prov = scs_telemetry::shared_provenance(1);
-        g.attach_provenance(prov.clone());
-        write(&mut g, 1_000, 100);
-        g.tick(1_001); // deliver the ship
-        let poisoner = prov.clone();
-        std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("poison the provenance lock");
-        })
-        .join()
-        .unwrap_err();
-        assert!(prov.lock().is_err(), "lock is poisoned");
-        g.crash_primary(2_000);
-        let mut now = 2_000;
-        let fo = loop {
-            now += 5_000;
-            assert!(now < 10_000_000, "promotion never happened");
-            if let Some(fo) = g.tick(now) {
-                break fo;
-            }
-        };
-        assert!(g.is_up(), "a standby promoted despite the poison");
-        assert_eq!(fo.to_primary, 1);
-        assert_eq!(g.prov_poison_recovered(), 1);
-        let log = prov.lock().unwrap_or_else(|p| p.into_inner());
-        assert_eq!(log.failovers().len(), 1, "the stamp landed");
     }
 
     #[test]

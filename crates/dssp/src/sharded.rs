@@ -5,8 +5,8 @@
 //! [`PartitionMap`] (see `scs-storage`): every shard carries the full
 //! catalog but only its own rows, and every shard runs its own
 //! [`HomeServer`] — its own WAL, its own monotone update epoch, and its
-//! own invalidation stream, labeled with the shard id (stream id =
-//! shard id) on the freshness plane. The single global epoch of the
+//! own invalidation stream (stream id = shard id). The single global
+//! epoch of the
 //! classic home becomes a *vector* of per-shard epochs; replicas merge
 //! the streams with one gap/duplicate cursor per shard (see
 //! `Dssp::apply_invalidation_from`).
@@ -56,7 +56,6 @@ use scs_storage::{
     executor, Database, PartitionMap, PartitionedTable, PlanMemo, QueryResult, StorageError,
     UpdateEffect,
 };
-use scs_telemetry::SharedProvenance;
 
 /// One query answered by the sharded home tier.
 #[derive(Debug, Clone)]
@@ -95,22 +94,14 @@ pub struct ShardedHome {
 
 impl ShardedHome {
     /// Partitions `db` under `map` and boots one [`HomeServer`] per
-    /// shard, each labeled with its shard id as its invalidation-stream
-    /// id. Panics if the map references a column the schema lacks
-    /// (partitioning is configuration; a bad map is a bug, not input).
+    /// shard; shard `s` owns invalidation stream `s`. Panics if the map
+    /// references a column the schema lacks (partitioning is
+    /// configuration; a bad map is a bug, not input).
     pub fn new(db: Database, map: PartitionMap) -> ShardedHome {
         let shard_dbs = map
             .partition(&db)
             .expect("partition map must agree with the schema");
-        let shards = shard_dbs
-            .into_iter()
-            .enumerate()
-            .map(|(id, sdb)| {
-                let mut h = HomeServer::new(sdb);
-                h.set_stream_label(id as u64);
-                h
-            })
-            .collect();
+        let shards = shard_dbs.into_iter().map(HomeServer::new).collect();
         ShardedHome {
             map,
             shards,
@@ -154,21 +145,6 @@ impl ShardedHome {
     /// consumed on any stream for these).
     pub fn fk_rejects(&self) -> u64 {
         self.fk_rejects
-    }
-
-    /// Attaches one shared freshness plane to every shard; each shard
-    /// stamps commits on its own stream (stream id = shard id).
-    pub fn attach_provenance(&mut self, prov: SharedProvenance) {
-        for h in &mut self.shards {
-            h.attach_provenance(prov.clone());
-        }
-    }
-
-    /// Advances every shard's simulated clock.
-    pub fn set_sim_time_micros(&mut self, micros: u64) {
-        for h in &mut self.shards {
-            h.set_sim_time_micros(micros);
-        }
     }
 
     /// Executes a query: routed to the one owner shard when the

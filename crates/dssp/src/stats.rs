@@ -96,9 +96,11 @@ pub struct Tally {
     breaker_to: [u64; 3],
     brownout_entries: u64,
     brownout_exits: u64,
+    entries_scanned: u64,
+    entries_inspected: u64,
+    /// Pairs decided per invalidation pass.
+    scan_size: Histogram,
     // Facts no trace event names: plain adds at their sites.
-    pub(crate) entries_scanned: u64,
-    pub(crate) entries_inspected: u64,
     pub(crate) cache_replacements: u64,
     pub(crate) duplicate_invalidations: u64,
     pub(crate) brownout_serves: u64,
@@ -108,8 +110,6 @@ pub struct Tally {
     pub(crate) fanout_batch_msgs: u64,
     pub(crate) fanout_batch_duplicates: u64,
     pub(crate) fanout_batch_gaps: u64,
-    /// Pairs decided per invalidation pass.
-    pub(crate) scan_size: Histogram,
 }
 
 /// `slots[i] += 1`, when `i` is in range.
@@ -169,7 +169,15 @@ impl Tally {
             K::BreakerTransition { to, .. } => bump(&mut self.breaker_to, to),
             K::BrownoutMode { active: true } => self.brownout_entries += 1,
             K::BrownoutMode { active: false } => self.brownout_exits += 1,
-            K::ReplicaJoin { .. } | K::ReplicaLeave { .. } => {}
+            K::InvalidationPass {
+                scanned, inspected, ..
+            } => {
+                self.entries_scanned += scanned;
+                self.entries_inspected += inspected;
+                self.scan_size.record(scanned);
+            }
+            // Facts only the planes and the curves fold.
+            _ => {}
         }
     }
 
@@ -364,6 +372,8 @@ mod tests {
             query_template: q,
             exposure: 3,
             decision: 0,
+            stream: 0,
+            epoch: 1,
         }
     }
 

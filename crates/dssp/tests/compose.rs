@@ -283,7 +283,6 @@ proptest! {
             if let Op::Advance { dt } = *op {
                 now += dt;
                 dssp.set_sim_time_micros(now);
-                home.set_sim_time_micros(now);
                 continue;
             }
             let before = tier_state(&home);

@@ -10,11 +10,12 @@
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    BatchOutcome, DeliveryOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, HomeLink,
+    BatchOutcome, DeliveryOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, Home, HomeLink,
     HomeServer, InvalidationBatch, InvalidationMsg, RetryPolicy, StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
+use scs_storage::{QueryResult, StorageError, UpdateEffect};
 use std::sync::Arc;
 
 const QUERY_SQL: &[&str] = &[
@@ -489,14 +490,31 @@ fn cases() -> u32 {
         .unwrap_or(64)
 }
 
-impl Rig {
-    /// A rig whose home stamps its one stream as `stream`.
-    fn on_stream(stream: u64) -> Rig {
-        let mut r = rig();
-        r.home.set_stream_label(stream);
-        r
+/// A home server answering as invalidation stream `.1`.
+struct OnStream(HomeServer, u64);
+
+impl Home for OnStream {
+    type Streams = [u64; 1];
+
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, [u64; 1]), StorageError> {
+        Ok((self.0.execute_query(q)?, [self.1]))
     }
 
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
+        let (effect, msg) = self.0.apply_update(u)?;
+        Ok((effect, self.1, msg))
+    }
+
+    fn epoch_of(&self, stream: u64) -> u64 {
+        if stream == self.1 {
+            self.0.epoch()
+        } else {
+            0
+        }
+    }
+}
+
+impl Rig {
     fn bind(&mut self, step: &Step) -> Option<Update> {
         match *step {
             Step::Update { tid: 0, id, qty } => {
@@ -596,7 +614,8 @@ proptest! {
         s in prop_oneof![Just(1u64), Just(3u64)],
         script in proptest::collection::vec(step(), 1..70),
     ) {
-        let mut on_s = Rig::on_stream(s);
+        let mut on_s = rig();
+        let mut home_s = OnStream(on_s.home.clone(), s);
         let mut on_0 = rig();
         let mut issued: Vec<InvalidationMsg> = Vec::new();
         let mut model = 0u64;
@@ -605,7 +624,7 @@ proptest! {
                 Step::Query { tid, v } => {
                     let q = on_s.query(tid, vec![Value::Int(v)]);
                     let empty = on_0.dssp.cache_len() == 0;
-                    let a = on_s.dssp.execute_query(&q, &mut on_s.home).unwrap();
+                    let a = on_s.dssp.execute_query(&q, &mut home_s).unwrap();
                     let b = on_0.dssp.execute_query(&q, &mut on_0.home).unwrap();
                     prop_assert_eq!(a.hit, b.hit);
                     prop_assert_eq!(a.result, b.result);
@@ -616,7 +635,7 @@ proptest! {
                 }
                 Step::Update { .. } => {
                     let u = on_s.bind(step).expect("an update step binds");
-                    let (_, msg) = on_s.home.apply_update(&u).unwrap();
+                    let (_, msg) = home_s.0.apply_update(&u).unwrap();
                     let (_, twin) = on_0.home.apply_update(&u).unwrap();
                     prop_assert_eq!(msg.epoch, twin.epoch);
                     issued.push(msg);
@@ -665,7 +684,7 @@ proptest! {
     ) {
         const STREAMS: [u64; 2] = [1, 3];
         let mut r = rig();
-        let mut homes = STREAMS.map(|s| Rig::on_stream(s).home);
+        let mut homes = STREAMS.map(|_| rig().home);
         let mut issued: [Vec<InvalidationMsg>; 2] = [Vec::new(), Vec::new()];
         let mut model = [0u64; 2];
         for (second, step) in &script {

@@ -18,7 +18,7 @@ use scs_dssp::{
 use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
-use scs_telemetry::MembershipKind;
+use scs_telemetry::{MembershipKind, TraceEventKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -402,7 +402,10 @@ proptest! {
         }
         // The membership journal mirrors what actually happened.
         let count = |k: MembershipKind| {
-            p.membership().iter().filter(|s| s.kind == k).count() as u64
+            p.membership()
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::Membership { kind, .. } if kind == k))
+                .count() as u64
         };
         prop_assert_eq!(count(MembershipKind::Join), joins);
         prop_assert_eq!(count(MembershipKind::Leave), leaves);

@@ -39,7 +39,7 @@ use scs_sqlkit::{
     parse_query, parse_update, statement_len, Query, QueryTemplate, Update, UpdateTemplate, Value,
 };
 use scs_storage::QueryResult;
-use scs_telemetry::{shared_audit, SharedAudit};
+use scs_telemetry::{shared_audit, AuditLog, SharedAudit};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ impl Pair {
         config.lease_micros = lease;
         let mut dssp = Dssp::new(config);
         let audit = shared_audit(1);
-        dssp.attach_audit(audit.clone(), 0);
+        dssp.add_trace_sink(Box::new(AuditLog::sink(&audit, 0, app)));
         Pair {
             dssp,
             reference: LinearCache::new(exposures, matrix, capacity, lease),

@@ -6,16 +6,20 @@
 //! replica merges interleaved shard streams, scatter-gather
 //! equivalence against the unpartitioned master, exact (rows *and*
 //! order) equivalence of a scatter against gather-then-execute, the
-//! no-epoch contract of the cross-shard FK handshake, and the whole span
-//! tree a refused trip leaves behind on every entry point.
+//! no-epoch contract of the cross-shard FK handshake, the whole span
+//! tree a refused trip leaves behind on every entry point, and the
+//! freshness plane explaining a stale serve on the entry's own stream.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
-use scs_dssp::{Dssp, DsspConfig, HomeServer, ShardedHome, StrategyKind};
+use scs_dssp::{
+    Dssp, DsspConfig, FtUpdateOutcome, HomeLink, HomeServer, RetryPolicy, ShardedHome, StrategyKind,
+};
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
 use scs_telemetry::{
-    shared_provenance, FlushTrigger, SharedProvenance, SpanPhase, TraceEvent, TraceSink,
+    lock, shared_provenance, FlushTrigger, Json, PlaneSink, ProvenanceLog, SharedProvenance,
+    SpanPhase, TraceEvent, TraceEventKind, TraceSink,
 };
 use std::sync::{Arc, Mutex};
 
@@ -141,36 +145,61 @@ struct Delayed {
     msg: scs_dssp::InvalidationMsg,
 }
 
-/// Stamps one offered copy of `msg` (flush + send) on its shard stream
-/// so the conservation ledger can account for it.
-fn stamp_copy(
-    prov: &SharedProvenance,
+/// Applies `u` at the home through the proxy (which commits it on the
+/// plane); returns the owning stream and the undelivered notification.
+fn commit(dssp: &mut Dssp, home: &mut ShardedHome, u: &Update) -> (u64, scs_dssp::InvalidationMsg) {
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+    let resp = dssp
+        .execute_update_ft(u, home, &link, &policy, None)
+        .unwrap();
+    let FtUpdateOutcome::Applied { stream, msg, .. } = resp.outcome else {
+        panic!("a reliable trip to a sharded home applies");
+    };
+    (stream, msg)
+}
+
+/// Feeds the plane the fanout facts of one offered copy of `msg` on its
+/// shard stream — the flush with its one message on the first copy, a
+/// send on every copy — so the conservation ledger can account for it.
+fn offer_copy(
+    fanout: &mut PlaneSink<ProvenanceLog>,
     stream: u64,
     msg: &scs_dssp::InvalidationMsg,
-    template: usize,
+    first_copy: bool,
     now: u64,
 ) {
-    let mut p = prov.lock().unwrap();
-    let batch = match p.batch_for_epoch_on(stream, msg.epoch) {
-        Some(b) => b,
-        None => p.note_flush_on(
-            stream,
-            msg.epoch,
-            msg.epoch,
-            1,
-            0,
-            now,
-            FlushTrigger::Inline,
-            vec![(template, msg.payload_bytes())],
-        ),
+    let mut emit = |kind| {
+        let e = TraceEvent {
+            seq: 0,
+            at_micros: now,
+            kind,
+        };
+        fanout.record(&e);
     };
-    p.note_send(0, batch, now);
+    if first_copy {
+        emit(TraceEventKind::BatchFlushed {
+            stream,
+            first_epoch: msg.epoch,
+            last_epoch: msg.epoch,
+            coalesced: 0,
+            trigger: FlushTrigger::Size,
+        });
+        emit(TraceEventKind::BatchMsg {
+            update_template: msg.update.template_id as u32,
+            bytes: msg.payload_bytes(),
+        });
+    }
+    emit(TraceEventKind::BatchSent {
+        replica: 0,
+        stream,
+        first_epoch: msg.epoch,
+    });
 }
 
 /// Asserts the conservation ledger balances on **every** shard stream
 /// at the replica's current per-stream cursors.
 fn assert_conserved_per_stream(prov: &SharedProvenance, dssp: &Dssp, shards: usize) {
-    let p = prov.lock().unwrap();
+    let p = lock(prov);
     for stream in 0..shards as u64 {
         let c = p.conservation_on(0, stream, dssp.epoch_of(stream));
         assert!(
@@ -209,8 +238,8 @@ proptest! {
         let mut home = ShardedHome::new(toy_db(), toy_map(shards));
         let mut dssp = Dssp::new(config);
         let prov = shared_provenance(1);
-        home.attach_provenance(prov.clone());
-        dssp.attach_provenance(prov.clone(), 0);
+        dssp.add_trace_sink(Box::new(ProvenanceLog::sink(&prov, 0)));
+        let mut fanout = ProvenanceLog::sink(&prov, 0);
         dssp.set_lease_micros(Some(LEASE));
 
         // A tiny deterministic LCG drives the fault schedule so the
@@ -223,14 +252,12 @@ proptest! {
 
         let mut now = 0u64;
         let mut wire: Vec<Delayed> = Vec::new();
-        home.set_sim_time_micros(now);
         dssp.set_sim_time_micros(now);
 
         for (i, op) in script.iter().enumerate() {
             match *op {
                 ScriptOp::Advance { dt } => {
                     now += dt;
-                    home.set_sim_time_micros(now);
                     dssp.set_sim_time_micros(now);
                     let due: Vec<usize> = (0..wire.len())
                         .rev()
@@ -248,22 +275,21 @@ proptest! {
                     dssp.execute_query_sharded(&scatter_query(&t, qty), &mut home).unwrap();
                 }
                 ScriptOp::Update { id, qty } => {
-                    let resp = home.execute_update(&bind_update(&t, id, qty)).unwrap();
-                    let stream = resp.shard as u64;
+                    let (stream, msg) = commit(&mut dssp, &mut home, &bind_update(&t, id, qty));
                     let copies = if draw(dup_pm) { 2 } else { 1 };
-                    for _ in 0..copies {
-                        stamp_copy(&prov, stream, &resp.msg, 0, now);
+                    for copy in 0..copies {
+                        offer_copy(&mut fanout, stream, &msg, copy == 0, now);
                         if draw(drop_pm) {
                             continue;
                         }
                         if draw(delay_pm) {
                             wire.push(Delayed {
-                                due: now + 1 + (resp.msg.epoch % (LEASE / 4)),
+                                due: now + 1 + (msg.epoch % (LEASE / 4)),
                                 stream,
-                                msg: resp.msg.clone(),
+                                msg: msg.clone(),
                             });
                         } else {
-                            dssp.apply_invalidation_from(stream, &resp.msg);
+                            dssp.apply_invalidation_from(stream, &msg);
                         }
                     }
                 }
@@ -282,7 +308,7 @@ proptest! {
         }
         assert_conserved_per_stream(&prov, &dssp, shards);
 
-        let p = prov.lock().unwrap();
+        let p = lock(&prov);
         let rl = p.replica(0);
         prop_assert_eq!(
             rl.serves,
@@ -419,9 +445,7 @@ fn one_shard_sharded_home_matches_classic_home_op_for_op() {
         match *step {
             Step::Op(ScriptOp::Advance { dt }) => {
                 now += dt;
-                classic_home.set_sim_time_micros(now);
                 classic.set_sim_time_micros(now);
-                sharded_home.set_sim_time_micros(now);
                 sharded.set_sim_time_micros(now);
             }
             Step::Op(ScriptOp::Keyed { id }) => {
@@ -984,4 +1008,71 @@ proptest! {
         }
         prop_assert!(home.shard(1).database().table("bids").unwrap().is_empty());
     }
+}
+
+/// On a sharded home a stale serve explains on the stream that owns its
+/// entry: the chain's `committed` step is that stream's epoch 1, not
+/// stream 0's epoch of the same number.
+#[test]
+fn a_stale_serve_explains_on_its_entry_stream() {
+    let (config, t) = build(Some(LEASE));
+    let mut home = ShardedHome::new(toy_db(), toy_map(2));
+    let mut dssp = Dssp::new(config);
+    let prov = shared_provenance(1);
+    dssp.add_trace_sink(Box::new(ProvenanceLog::sink(&prov, 0)));
+    let owned_by = |shard: usize| {
+        (0..ROWS)
+            .find(|&id| home.map().shards_for_query(&keyed_query(&t, id)) == [shard])
+            .expect("both shards own a row")
+    };
+    let (on_0, on_1) = (owned_by(0), owned_by(1));
+    // Cache a row of stream 1, then commit epoch 1 on stream 0 at 100 µs
+    // and on stream 1 (the cached row) at 200 µs; deliver neither.
+    dssp.execute_query(&keyed_query(&t, on_1), &mut home)
+        .unwrap();
+    for (at, id) in [(100, on_0), (200, on_1)] {
+        dssp.set_sim_time_micros(at);
+        let (_, msg) = commit(&mut dssp, &mut home, &bind_update(&t, id, 99));
+        assert_eq!(msg.epoch, 1);
+    }
+    dssp.set_sim_time_micros(300);
+    let served = dssp.execute_query(&keyed_query(&t, on_1), &mut home);
+    assert!(
+        served.unwrap().hit,
+        "the stale entry serves within its lease"
+    );
+    let doc = lock(&prov)
+        .explain_serve(0, 0, 300)
+        .expect("the hit is journaled");
+    assert_eq!(doc.get("age_micros").and_then(Json::as_u64), Some(100));
+    let chain = doc.get("chain").and_then(Json::as_arr).unwrap();
+    let committed = chain
+        .iter()
+        .find(|s| s.get("step").and_then(Json::as_str) == Some("committed"))
+        .expect("the chain names the commit");
+    assert_eq!(committed.get("at_micros").and_then(Json::as_u64), Some(200));
+}
+
+/// A refused update reaches the home and is an update served, but it
+/// commits nothing: its `UpdateApplied` carries no commit, so the plane
+/// folds none.
+#[test]
+fn a_refused_update_commits_nothing() {
+    let (config, t) = build(None);
+    let mut home = ShardedHome::new(toy_db(), PartitionMap::single());
+    let mut dssp = Dssp::new(config);
+    let prov = shared_provenance(1);
+    dssp.add_trace_sink(Box::new(ProvenanceLog::sink(&prov, 0)));
+    let (link, policy) = (HomeLink::reliable(), RetryPolicy::no_retries());
+    let taken = bind_insert(&t, 0, 1);
+    let refused = dssp.execute_update_ft(&taken, &mut home, &link, &policy, None);
+    assert!(refused.is_err(), "id 0 is taken");
+    commit(&mut dssp, &mut home, &bind_update(&t, 0, 5));
+    let epochs: Vec<u64> = lock(&prov).commits().iter().map(|c| c.epoch).collect();
+    assert_eq!(epochs, [1]);
+    assert_eq!(
+        dssp.stats().updates,
+        2,
+        "the refusal is still an update served"
+    );
 }

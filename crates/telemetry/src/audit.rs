@@ -6,15 +6,16 @@
 //! serving it?". Every point where the proxy crosses an encryption
 //! boundary — a template id observed at `template` exposure, statement
 //! parameters inspected at `stmt`, view rows read at `view` during an
-//! invalidation check, a miss fill, or a cache serve — is stamped here as
-//! a [`RevealEvent`] and aggregated into per-template and per-tenant
-//! leakage ledgers: plaintext bytes revealed, distinct parameter values
-//! seen, fields exposed.
+//! invalidation check, a miss fill, or a cache serve — reaches the plane
+//! as a `Reveal` trace event chained to the `AuditRequest` root before
+//! it, and folds into per-template and per-tenant leakage ledgers:
+//! plaintext bytes revealed, distinct parameter values seen, fields
+//! exposed.
 //!
-//! The plane is **attachable and inert when absent**: a proxy without an
-//! attached `SharedAudit` takes no locks, allocates nothing, and counts
-//! nothing on the hot path (the same contract as `SpanRecorder` and the
-//! provenance plane — pinned by the `run_observed == run` style
+//! The plane is a pure [`Fold`] attached through [`AuditLog::sink`], and
+//! **inert when absent**: a proxy with no trace sink builds no reveal,
+//! hashes no value and takes no lock (the same contract as
+//! `SpanRecorder` — pinned by the `run_observed == run` style
 //! equivalence test in `scs-apps`).
 //!
 //! Reveal kinds, decision paths, and exposure levels travel as static
@@ -22,12 +23,14 @@
 //! taxonomy (which kind is possible at which level, per decision path)
 //! lives in `scs_core::exposure::RevealKind`.
 //!
-//! Journals are bounded by [`EVENT_CAP`]; overflow is *counted*
+//! Journals are bounded by [`crate::EVENT_CAP`]; overflow is *counted*
 //! (`dropped_reveals`), never silent, and an optional JSONL journal sink
 //! surfaces `write_errors` exactly as the trace sinks do.
 
 use crate::json::Json;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::trace::{Fold, PlaneSink, RevealStamp, TraceEvent, TraceEventKind};
+use crate::{lock, push_capped, step};
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -37,40 +40,6 @@ pub type SharedAudit = Arc<Mutex<AuditLog>>;
 /// A fresh shared audit log pre-registered for `replicas` replicas.
 pub fn shared_audit(replicas: usize) -> SharedAudit {
     Arc::new(Mutex::new(AuditLog::new(replicas)))
-}
-
-/// Cap on each journal (reveal events and request roots). Overflow
-/// increments `dropped_reveals` / `dropped_requests` instead of growing
-/// without bound.
-pub const EVENT_CAP: usize = 1 << 16;
-
-fn push_capped<T>(v: &mut Vec<T>, ev: T, dropped: &mut u64) {
-    if v.len() < EVENT_CAP {
-        v.push(ev);
-    } else {
-        *dropped += 1;
-    }
-}
-
-/// What one encryption-boundary crossing revealed: the taxonomy cell
-/// (`kind` × `path` × `level`) plus its measured size. `pairs` counts the
-/// aggregated (update, entry) inspections a scan-time stamp covers; a
-/// request-plane stamp has `pairs = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RevealStamp {
-    /// Reveal kind: `"template_id"`, `"params"`, or `"view_rows"`
-    /// (`scs_core::RevealKind::name`).
-    pub kind: &'static str,
-    /// The code path that read the plaintext: a decision path name
-    /// (`"template"`, `"statement"`, `"view"`), or `"request"`,
-    /// `"serve"`, `"fill"`.
-    pub path: &'static str,
-    /// Exposure level that admitted the reveal (`ExposureLevel::as_str`).
-    pub level: &'static str,
-    /// Plaintext bytes read.
-    pub bytes: u64,
-    /// Inspected pairs aggregated into this stamp.
-    pub pairs: u64,
 }
 
 /// A journaled boundary crossing, attributed to a request root.
@@ -99,8 +68,6 @@ pub struct RequestRoot {
     pub at_micros: u64,
     pub is_update: bool,
     pub template: usize,
-    /// Exposure level of the request's own template.
-    pub level: &'static str,
     /// `"query"`, `"update"`, or `"apply"` (a fanout-delivered
     /// invalidation pass with no local client request).
     pub origin: &'static str,
@@ -124,8 +91,9 @@ pub struct TemplateLedger {
     pub view_reveals: u64,
     /// Bytes of materialized-view plaintext read.
     pub view_bytes: u64,
-    /// Distinct result fields (column names) exposed in the clear.
-    pub fields: BTreeSet<String>,
+    /// Distinct result fields (hashes of column names) exposed in the
+    /// clear.
+    pub fields: HashSet<u64>,
     /// Total reveal stamps recorded against this template.
     pub reveal_events: u64,
     /// Total plaintext bytes revealed (all kinds).
@@ -180,6 +148,8 @@ struct TenantLedger {
 struct ReplicaAudit {
     requests: u64,
     events: u64,
+    /// The request root this replica's reveals chain to: its latest.
+    request: u64,
 }
 
 /// The shared leakage audit log (see module docs).
@@ -191,8 +161,6 @@ pub struct AuditLog {
     queries: Vec<TemplateLedger>,
     updates: Vec<TemplateLedger>,
     tenants: HashMap<String, TenantLedger>,
-    next_seq: u64,
-    next_request: u64,
     requests_total: u64,
     events_total: u64,
     revealed_bytes_total: u64,
@@ -212,11 +180,19 @@ impl AuditLog {
         log
     }
 
-    /// Ensures `id` has a per-replica slot (joiners register late).
-    pub fn register_replica(&mut self, id: usize) {
+    /// The plane's attach point for what `replica`, serving `tenant`,
+    /// emits (the log grows to cover it).
+    pub fn sink(log: &SharedAudit, replica: usize, tenant: &str) -> PlaneSink<AuditLog> {
+        lock(log).replica_mut(replica);
+        PlaneSink::new(log, replica, tenant)
+    }
+
+    /// `id`'s per-replica slot; joiners grow the table late.
+    fn replica_mut(&mut self, id: usize) -> &mut ReplicaAudit {
         if self.replicas.len() <= id {
             self.replicas.resize_with(id + 1, ReplicaAudit::default);
         }
+        &mut self.replicas[id]
     }
 
     /// Attaches a JSONL journal sink: every subsequent reveal event is
@@ -226,62 +202,53 @@ impl AuditLog {
         self.journal = Some(sink);
     }
 
-    /// Opens a request root: the causal anchor every reveal of this
-    /// request chains back to. Returns the root's sequence number.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin_request(
-        &mut self,
-        replica: usize,
-        tenant: &str,
-        is_update: bool,
-        template: usize,
-        level: &'static str,
-        origin: &'static str,
-        at_micros: u64,
-    ) -> u64 {
-        self.register_replica(replica);
-        let seq = self.next_request;
-        self.next_request += 1;
+    /// Opens a request root: the causal anchor `replica`'s reveals
+    /// chain back to until its next root.
+    fn begin_request(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+        let TraceEventKind::AuditRequest {
+            is_update,
+            template,
+            origin,
+        } = e.kind
+        else {
+            return;
+        };
+        let seq = self.requests_total;
         self.requests_total += 1;
-        self.replicas[replica].requests += 1;
+        let r = self.replica_mut(replica);
+        r.requests += 1;
+        r.request = seq;
         self.tenants.entry(tenant.to_string()).or_default();
-        push_capped(
-            &mut self.roots,
-            RequestRoot {
-                seq,
-                replica,
-                at_micros,
-                is_update,
-                template,
-                level,
-                origin,
-            },
-            &mut self.dropped_requests,
-        );
-        seq
+        let root = RequestRoot {
+            seq,
+            replica,
+            at_micros: e.at_micros,
+            is_update,
+            template: template as usize,
+            origin,
+        };
+        push_capped(&mut self.roots, root, &mut self.dropped_requests);
     }
 
-    /// Stamps one boundary crossing, updating the journal and the
-    /// per-template / per-tenant ledgers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_reveal(
-        &mut self,
-        replica: usize,
-        request: u64,
-        tenant: &str,
-        is_update: bool,
-        template: usize,
-        stamp: RevealStamp,
-        at_micros: u64,
-    ) {
-        self.register_replica(replica);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// One boundary crossing, chained to `replica`'s open root: the
+    /// journal and the per-template / per-tenant ledgers.
+    fn reveal(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+        let TraceEventKind::Reveal {
+            is_update,
+            template,
+            stamp,
+        } = e.kind
+        else {
+            return;
+        };
+        let template = template as usize;
+        let seq = self.events_total;
         self.events_total += 1;
         self.revealed_bytes_total += stamp.bytes;
-        self.replicas[replica].events += 1;
-        let ledger = self.ledger_mut(is_update, template);
-        ledger.apply(&stamp);
+        let r = self.replica_mut(replica);
+        r.events += 1;
+        let request = r.request;
+        self.ledger_mut(is_update, template).apply(&stamp);
         let t = self.tenants.entry(tenant.to_string()).or_default();
         t.reveal_events += 1;
         t.revealed_bytes += stamp.bytes;
@@ -289,7 +256,7 @@ impl AuditLog {
             seq,
             request,
             replica,
-            at_micros,
+            at_micros: e.at_micros,
             is_update,
             template,
             stamp,
@@ -305,45 +272,6 @@ impl AuditLog {
         push_capped(&mut self.events, ev, &mut self.dropped_reveals);
     }
 
-    /// Records distinct parameter values seen in the clear (callers pass
-    /// stable hashes of the plaintext values).
-    pub fn note_param_values(
-        &mut self,
-        tenant: &str,
-        is_update: bool,
-        template: usize,
-        values: impl IntoIterator<Item = u64>,
-    ) {
-        let t = self.tenants.entry(tenant.to_string()).or_default();
-        let ledger = match is_update {
-            true => &mut self.updates,
-            false => &mut self.queries,
-        };
-        if ledger.len() <= template {
-            ledger.resize_with(template + 1, TemplateLedger::default);
-        }
-        for v in values {
-            ledger[template].param_values.insert(v);
-            t.param_values.insert(v);
-        }
-    }
-
-    /// Records result fields (column names) exposed in the clear for a
-    /// query template.
-    pub fn note_fields<S: AsRef<str>>(
-        &mut self,
-        template: usize,
-        fields: impl IntoIterator<Item = S>,
-    ) {
-        if self.queries.len() <= template {
-            self.queries
-                .resize_with(template + 1, TemplateLedger::default);
-        }
-        for f in fields {
-            self.queries[template].fields.insert(f.as_ref().to_string());
-        }
-    }
-
     fn ledger_mut(&mut self, is_update: bool, template: usize) -> &mut TemplateLedger {
         let v = match is_update {
             true => &mut self.updates,
@@ -353,11 +281,6 @@ impl AuditLog {
             v.resize_with(template + 1, TemplateLedger::default);
         }
         &mut v[template]
-    }
-
-    /// Per-template ledger (query side), if any reveal touched it.
-    pub fn query_ledger(&self, template: usize) -> Option<&TemplateLedger> {
-        self.queries.get(template)
     }
 
     /// The journaled reveal events (capped; see `dropped_reveals`).
@@ -373,11 +296,6 @@ impl AuditLog {
     /// Total reveal events recorded (including journal-dropped ones).
     pub fn events_total(&self) -> u64 {
         self.events_total
-    }
-
-    /// Total request roots opened.
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total
     }
 
     /// Reveal events the journal cap dropped (counted, never silent).
@@ -401,38 +319,20 @@ impl AuditLog {
     pub fn explain_reveal(&self, seq: u64) -> Option<Json> {
         let ev = self.events.iter().find(|e| e.seq == seq)?;
         let root = self.roots.iter().find(|r| r.seq == ev.request)?;
+        let (at, stamp) = (ev.at_micros, &ev.stamp);
+        let request = [
+            ("origin", root.origin.into()),
+            ("replica", root.replica.into()),
+            ("template", root.template.into()),
+            ("is_update", root.is_update.into()),
+        ];
+        let level = [("level", stamp.level.into()), ("kind", stamp.kind.into())];
+        let bytes = [("bytes", stamp.bytes.into()), ("pairs", stamp.pairs.into())];
         let chain = vec![
-            step(
-                "request",
-                root.at_micros,
-                [
-                    ("origin", root.origin.into()),
-                    ("replica", root.replica.into()),
-                    ("template", root.template.into()),
-                    ("is_update", root.is_update.into()),
-                ],
-            ),
-            step(
-                "decision_path",
-                ev.at_micros,
-                [("path", ev.stamp.path.into())],
-            ),
-            step(
-                "exposure_level",
-                ev.at_micros,
-                [
-                    ("level", ev.stamp.level.into()),
-                    ("kind", ev.stamp.kind.into()),
-                ],
-            ),
-            step(
-                "reveal",
-                ev.at_micros,
-                [
-                    ("bytes", ev.stamp.bytes.into()),
-                    ("pairs", ev.stamp.pairs.into()),
-                ],
-            ),
+            step("request", root.at_micros, request),
+            step("decision_path", at, [("path", stamp.path.into())]),
+            step("exposure_level", at, level),
+            step("reveal", at, bytes),
         ];
         Some(Json::obj([
             ("kind", "reveal".into()),
@@ -441,52 +341,38 @@ impl AuditLog {
             ("replica", ev.replica.into()),
             ("template", ev.template.into()),
             ("is_update", ev.is_update.into()),
-            ("at_micros", ev.at_micros.into()),
-            ("chain", Json::Arr(chain)),
-        ]))
-    }
-
-    /// Every reveal of one request root, as a single chain (the bin's
-    /// demo view): request → [reveal…].
-    pub fn explain_request(&self, request: u64) -> Option<Json> {
-        let root = self.roots.iter().find(|r| r.seq == request)?;
-        let mut chain = vec![step(
-            "request",
-            root.at_micros,
-            [
-                ("origin", root.origin.into()),
-                ("replica", root.replica.into()),
-                ("template", root.template.into()),
-                ("level", root.level.into()),
-            ],
-        )];
-        for ev in self.events.iter().filter(|e| e.request == request) {
-            chain.push(step(
-                "reveal",
-                ev.at_micros,
-                [
-                    ("path", ev.stamp.path.into()),
-                    ("level", ev.stamp.level.into()),
-                    ("kind", ev.stamp.kind.into()),
-                    ("template", ev.template.into()),
-                    ("bytes", ev.stamp.bytes.into()),
-                    ("pairs", ev.stamp.pairs.into()),
-                ],
-            ));
-        }
-        Some(Json::obj([
-            ("kind", "request".into()),
-            ("request", request.into()),
-            ("replica", root.replica.into()),
-            ("at_micros", root.at_micros.into()),
+            ("at_micros", at.into()),
             ("chain", Json::Arr(chain)),
         ]))
     }
 
     /// The `leakage` export section: ledgers, journal health, totals.
     pub fn summary_json(&self) -> Json {
+        let journal = Json::obj([
+            ("active", self.journal.is_some().into()),
+            ("lines", self.journal_lines.into()),
+            ("write_errors", self.write_errors.into()),
+        ]);
+        let replicas = self.replicas.iter().enumerate().map(|(id, r)| {
+            Json::obj([
+                ("replica", id.into()),
+                ("requests", r.requests.into()),
+                ("reveal_events", r.events.into()),
+            ])
+        });
         let mut tenants: Vec<(&String, &TenantLedger)> = self.tenants.iter().collect();
         tenants.sort_by_key(|(name, _)| name.as_str());
+        let tenants = tenants.into_iter().map(|(name, t)| {
+            Json::obj([
+                ("tenant", name.clone().into()),
+                ("reveal_events", t.reveal_events.into()),
+                ("revealed_bytes", t.revealed_bytes.into()),
+                ("param_values", t.param_values.len().into()),
+            ])
+        });
+        let ledgers = |v: &[TemplateLedger]| -> Json {
+            Json::Arr(v.iter().enumerate().map(|(i, l)| l.json(i)).collect())
+        };
         Json::obj([
             ("enabled", true.into()),
             ("requests", self.requests_total.into()),
@@ -494,67 +380,37 @@ impl AuditLog {
             ("revealed_bytes", self.revealed_bytes_total.into()),
             ("dropped_reveals", self.dropped_reveals.into()),
             ("dropped_requests", self.dropped_requests.into()),
-            (
-                "journal",
-                Json::obj([
-                    ("active", self.journal.is_some().into()),
-                    ("lines", self.journal_lines.into()),
-                    ("write_errors", self.write_errors.into()),
-                ]),
-            ),
-            (
-                "replicas",
-                Json::Arr(
-                    self.replicas
-                        .iter()
-                        .enumerate()
-                        .map(|(id, r)| {
-                            Json::obj([
-                                ("replica", id.into()),
-                                ("requests", r.requests.into()),
-                                ("reveal_events", r.events.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "tenants",
-                Json::Arr(
-                    tenants
-                        .into_iter()
-                        .map(|(name, t)| {
-                            Json::obj([
-                                ("tenant", name.clone().into()),
-                                ("reveal_events", t.reveal_events.into()),
-                                ("revealed_bytes", t.revealed_bytes.into()),
-                                ("param_values", t.param_values.len().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "query_templates",
-                Json::Arr(
-                    self.queries
-                        .iter()
-                        .enumerate()
-                        .map(|(i, l)| l.json(i))
-                        .collect(),
-                ),
-            ),
-            (
-                "update_templates",
-                Json::Arr(
-                    self.updates
-                        .iter()
-                        .enumerate()
-                        .map(|(i, l)| l.json(i))
-                        .collect(),
-                ),
-            ),
+            ("journal", journal),
+            ("replicas", Json::Arr(replicas.collect())),
+            ("tenants", Json::Arr(tenants.collect())),
+            ("query_templates", ledgers(&self.queries)),
+            ("update_templates", ledgers(&self.updates)),
         ])
+    }
+}
+
+impl Fold for AuditLog {
+    fn fold(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+        match e.kind {
+            TraceEventKind::AuditRequest { .. } => self.begin_request(replica, tenant, e),
+            TraceEventKind::Reveal { .. } => self.reveal(replica, tenant, e),
+            TraceEventKind::ParamValue {
+                is_update,
+                template,
+                hash,
+            } => {
+                let ledger = self.ledger_mut(is_update, template as usize);
+                ledger.param_values.insert(hash);
+                let t = self.tenants.entry(tenant.to_string()).or_default();
+                t.param_values.insert(hash);
+            }
+            TraceEventKind::FieldExposed { template, hash } => {
+                self.ledger_mut(false, template as usize)
+                    .fields
+                    .insert(hash);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -574,36 +430,63 @@ fn event_json(ev: &RevealEvent) -> Json {
     ])
 }
 
-fn step<const N: usize>(name: &str, at: u64, fields: [(&'static str, Json); N]) -> Json {
-    let mut kv: Vec<(&'static str, Json)> = vec![("step", name.into()), ("at_micros", at.into())];
-    kv.extend(fields);
-    Json::obj(kv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EVENT_CAP;
 
-    fn stamp(kind: &'static str, bytes: u64) -> RevealStamp {
-        RevealStamp {
+    fn fold(log: &mut AuditLog, replica: usize, tenant: &str, at: u64, kind: TraceEventKind) {
+        let e = TraceEvent {
+            seq: 0,
+            at_micros: at,
+            kind,
+        };
+        log.fold(replica, tenant, &e);
+    }
+
+    fn request(is_update: bool, template: u32) -> TraceEventKind {
+        TraceEventKind::AuditRequest {
+            is_update,
+            template,
+            origin: if is_update { "update" } else { "query" },
+        }
+    }
+
+    fn reveal(template: u32, kind: &'static str, bytes: u64) -> TraceEventKind {
+        let stamp = RevealStamp {
             kind,
             path: "request",
             level: "view",
             bytes,
             pairs: 1,
+        };
+        TraceEventKind::Reveal {
+            is_update: false,
+            template,
+            stamp,
         }
     }
 
     #[test]
     fn ledgers_aggregate_per_template_and_tenant() {
         let mut log = AuditLog::new(1);
-        let req = log.begin_request(0, "auction", false, 2, "view", "query", 10);
-        log.note_reveal(0, req, "auction", false, 2, stamp("template_id", 8), 10);
-        log.note_reveal(0, req, "auction", false, 2, stamp("params", 5), 10);
-        log.note_reveal(0, req, "auction", false, 2, stamp("view_rows", 100), 11);
-        log.note_param_values("auction", false, 2, [7, 7, 9]);
-        log.note_fields(2, ["a.x", "a.y"]);
-        let l = log.query_ledger(2).unwrap();
+        fold(&mut log, 0, "auction", 10, request(false, 2));
+        fold(&mut log, 0, "auction", 10, reveal(2, "template_id", 8));
+        fold(&mut log, 0, "auction", 10, reveal(2, "params", 5));
+        fold(&mut log, 0, "auction", 11, reveal(2, "view_rows", 100));
+        for hash in [7, 7, 9] {
+            let kind = TraceEventKind::ParamValue {
+                is_update: false,
+                template: 2,
+                hash,
+            };
+            fold(&mut log, 0, "auction", 10, kind);
+        }
+        for hash in [1, 2] {
+            let kind = TraceEventKind::FieldExposed { template: 2, hash };
+            fold(&mut log, 0, "auction", 11, kind);
+        }
+        let l = &log.queries[2];
         assert_eq!(l.template_ids, 1);
         assert_eq!(l.template_bytes, 8);
         assert_eq!(l.param_bytes, 5);
@@ -622,64 +505,55 @@ mod tests {
     #[test]
     fn event_journal_caps_and_counts_overflow() {
         let mut log = AuditLog::new(1);
-        let req = log.begin_request(0, "t", false, 0, "view", "query", 0);
+        fold(&mut log, 0, "t", 0, request(false, 0));
         for i in 0..(EVENT_CAP as u64 + 10) {
-            log.note_reveal(0, req, "t", false, 0, stamp("view_rows", 1), i);
+            fold(&mut log, 0, "t", i, reveal(0, "view_rows", 1));
         }
         assert_eq!(log.events().len(), EVENT_CAP);
         assert_eq!(log.dropped_reveals(), 10);
         // The ledgers keep full counts past the journal cap.
         assert_eq!(log.events_total(), EVENT_CAP as u64 + 10);
-        assert_eq!(
-            log.query_ledger(0).unwrap().reveal_events,
-            EVENT_CAP as u64 + 10
-        );
+        assert_eq!(log.queries[0].reveal_events, EVENT_CAP as u64 + 10);
     }
 
+    /// A reveal chains to the latest root its replica opened, not to
+    /// another replica's.
     #[test]
     fn explain_reveal_chains_request_to_bytes() {
         let mut log = AuditLog::new(2);
-        let req = log.begin_request(1, "t", true, 3, "stmt", "update", 100);
-        log.note_reveal(
-            1,
-            req,
-            "t",
-            true,
-            3,
-            RevealStamp {
-                kind: "params",
-                path: "statement",
-                level: "stmt",
-                bytes: 42,
-                pairs: 1,
-            },
-            105,
-        );
-        let seq = log.events()[0].seq;
-        let doc = log.explain_reveal(seq).unwrap();
-        let chain = match doc.get("chain").unwrap() {
-            Json::Arr(steps) => steps,
-            _ => panic!("chain is an array"),
+        fold(&mut log, 1, "t", 100, request(true, 3));
+        fold(&mut log, 0, "t", 101, request(false, 0));
+        let stamp = RevealStamp {
+            kind: "params",
+            path: "statement",
+            level: "stmt",
+            bytes: 42,
+            pairs: 1,
         };
+        let kind = TraceEventKind::Reveal {
+            is_update: true,
+            template: 3,
+            stamp,
+        };
+        fold(&mut log, 1, "t", 105, kind);
+        let ev = &log.events()[0];
+        assert_eq!(ev.request, log.roots()[0].seq);
+        let doc = log.explain_reveal(ev.seq).unwrap();
+        let chain = doc.get("chain").unwrap().as_arr().unwrap();
         let names: Vec<&str> = chain
             .iter()
             .map(|s| s.get("step").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(
-            names,
-            vec!["request", "decision_path", "exposure_level", "reveal"]
-        );
+        let expect = ["request", "decision_path", "exposure_level", "reveal"];
+        assert_eq!(names, expect);
         // Time-ordered: each step's stamp is >= its predecessor's.
         let times: Vec<u64> = chain
             .iter()
             .map(|s| s.get("at_micros").unwrap().as_u64().unwrap())
             .collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            chain[3].get("bytes").unwrap().as_u64(),
-            Some(42),
-            "chain terminates in the measured bytes"
-        );
+        let bytes = chain[3].get("bytes").unwrap().as_u64();
+        assert_eq!(bytes, Some(42), "chain terminates in the measured bytes");
     }
 
     #[test]
@@ -695,8 +569,8 @@ mod tests {
         }
         let mut log = AuditLog::new(1);
         log.attach_journal(Box::new(Vec::new()));
-        let req = log.begin_request(0, "t", false, 0, "view", "query", 0);
-        log.note_reveal(0, req, "t", false, 0, stamp("view_rows", 1), 0);
+        fold(&mut log, 0, "t", 0, request(false, 0));
+        fold(&mut log, 0, "t", 0, reveal(0, "view_rows", 1));
         assert_eq!(log.write_errors(), 0);
         let health = log.summary_json();
         let journal = health.get("journal").unwrap();
@@ -705,32 +579,22 @@ mod tests {
 
         let mut broken = AuditLog::new(1);
         broken.attach_journal(Box::new(Broken));
-        let req = broken.begin_request(0, "t", false, 0, "view", "query", 0);
-        broken.note_reveal(0, req, "t", false, 0, stamp("view_rows", 1), 0);
-        broken.note_reveal(0, req, "t", false, 0, stamp("view_rows", 1), 1);
+        fold(&mut broken, 0, "t", 0, request(false, 0));
+        fold(&mut broken, 0, "t", 0, reveal(0, "view_rows", 1));
+        fold(&mut broken, 0, "t", 1, reveal(0, "view_rows", 1));
         assert_eq!(broken.write_errors(), 2, "failures counted, not raised");
         let health = broken.summary_json();
-        assert_eq!(
-            health
-                .get("journal")
-                .unwrap()
-                .get("write_errors")
-                .unwrap()
-                .as_u64(),
-            Some(2)
-        );
+        let errors = health.get("journal").unwrap().get("write_errors");
+        assert_eq!(errors.unwrap().as_u64(), Some(2));
     }
 
     #[test]
     fn replicas_register_lazily_for_joiners() {
         let mut log = AuditLog::new(1);
-        let req = log.begin_request(4, "t", false, 0, "blind", "query", 0);
-        log.note_reveal(4, req, "t", false, 0, stamp("template_id", 8), 0);
+        fold(&mut log, 4, "t", 0, request(false, 0));
+        fold(&mut log, 4, "t", 0, reveal(0, "template_id", 8));
         let doc = log.summary_json();
-        let replicas = match doc.get("replicas").unwrap() {
-            Json::Arr(r) => r,
-            _ => panic!("replica array"),
-        };
+        let replicas = doc.get("replicas").unwrap().as_arr().unwrap();
         assert_eq!(replicas.len(), 5);
         assert_eq!(replicas[4].get("reveal_events").unwrap().as_u64(), Some(1));
     }

@@ -5,38 +5,25 @@
 //!
 //! * [`Histogram`] — a log-scale histogram with bounded relative error,
 //!   recorded in place and merged bucket-wise.
-//! * [`MetricsSnapshot`] — a proxy's counters and histograms rendered
-//!   under stable names (the proxy itself keeps them in plain fields);
-//!   snapshots merge, which is how a fleet rolls up.
-//! * [`Tracer`] / [`TraceEvent`] — a structured event stream
-//!   (query hit/miss, update applied, entry invalidated/evicted, fault
-//!   handling, overload; each carrying template ids, exposure level, and
-//!   the strategy's decision path) fanned out to pluggable
-//!   [`TraceSink`]s, such as the [`TimeSeriesSink`] that buckets them
-//!   into per-window curves.
-//!
-//! The scalability observatory adds the *temporal* axis the aggregates
-//! above lack:
-//!
-//! * [`span`] — per-request causal span trees: a root span per
-//!   query/update/invalidation with phase-tagged children (cache lookup,
-//!   crypto, home trip, fan-out, recovery), summarized per template as a
-//!   critical path.
-//! * [`timeseries`] — a sim-time windowed recorder (fixed-width buckets
-//!   over `at_micros` holding counter deltas and mergeable histograms)
-//!   so runs export throughput / hit-rate / latency *curves* with
-//!   visible outage dips instead of smeared totals.
-//! * [`slo`] — declarative objectives (quantile limits, counter caps,
-//!   ratio and rate floors) evaluated with burn-rate-style sliding-window
+//! * [`MetricsSnapshot`] — a proxy's counters and histograms under stable
+//!   names; snapshots merge, which is how a fleet rolls up.
+//! * [`Tracer`] / [`TraceEvent`] — the one structured event stream
+//!   (serves, fills, misses, updates and their commits, invalidations,
+//!   deliveries, faults, overload, fanout, membership, reveals) fanned out
+//!   to pluggable [`TraceSink`]s.
+//! * [`span`] — per-request causal span trees, summarized per template
+//!   as a critical path.
+//! * [`timeseries`] — a sim-time windowed recorder; its
+//!   [`TimeSeriesSink`] turns the event stream into per-window curves
+//!   with visible outage dips instead of smeared totals.
+//! * [`slo`] — declarative objectives evaluated with sliding-window
 //!   checks against a [`TimeSeries`].
-//!
-//! Two shared logs answer per-request questions: [`provenance`] (the
-//! freshness plane: why a served result is as fresh as it is) and
-//! [`audit`] (the leakage plane: what the proxy saw).
-//!
-//! The [`json`] module carries a minimal JSON value type (render + parse)
-//! used by every export, the experiment binary's `telemetry.json`
-//! included; it exists so the telemetry path stays hermetic.
+//! * [`provenance`] (the freshness plane: why a served result is as fresh
+//!   as it is) and [`audit`] (the leakage plane: what the proxy saw) —
+//!   each a pure [`Fold`] over the event stream, attached to a tracer as
+//!   a [`PlaneSink`]; no producer knows a plane exists.
+//! * [`json`] — a minimal JSON value type (render + parse) used by every
+//!   export, so the telemetry path stays hermetic.
 
 #![cfg_attr(
     not(test),
@@ -53,18 +40,47 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use audit::{
-    shared_audit, AuditLog, RequestRoot, RevealEvent, RevealStamp, SharedAudit,
-    EVENT_CAP as AUDIT_EVENT_CAP,
-};
+pub use audit::{shared_audit, AuditLog, RequestRoot, RevealEvent, SharedAudit};
 pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::MetricsSnapshot;
-pub use provenance::{
-    shared_provenance, ApplyKind, FailoverStamp, FlushTrigger, MembershipKind, MembershipStamp,
-    ProvenanceLog, SharedProvenance,
-};
+pub use provenance::{shared_provenance, ProvenanceLog, SharedProvenance, Staleness};
 pub use slo::{evaluate_all, Objective, SloResult, SloSpec};
 pub use span::{CriticalPathRow, Span, SpanId, SpanPhase, SpanRecorder, SpanTimer};
 pub use timeseries::{ratio, SharedTimeSeries, TimeSeries, TimeSeriesSink, Window};
-pub use trace::{TraceEvent, TraceEventKind, TraceSink, Tracer};
+pub use trace::{
+    ApplyKind, Commit, FlushTrigger, Fold, MembershipKind, PlaneSink, RevealStamp, TraceEvent,
+    TraceEventKind, TraceSink, Tracer,
+};
+
+/// Locks `m`, recovering the guard when a panicking holder poisoned it.
+/// Every mutex this workspace shares holds telemetry that only counts
+/// and appends — valid at every step — so a poisoned one is still one to
+/// read or fold into, and neither the serving path nor a post-run reader
+/// may panic over it.
+pub fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Cap on each plane journal (a replica's freshness events, the leakage
+/// plane's reveals and request roots). Ledgers, histograms and counters
+/// are unbounded (constant space); a journal exists for `explain_*` and
+/// stops growing here, counting the overflow instead.
+pub const EVENT_CAP: usize = 1 << 16;
+
+/// Appends `ev` to a journal below [`EVENT_CAP`]; counts it as dropped
+/// past the cap.
+fn push_capped<T>(journal: &mut Vec<T>, ev: T, dropped: &mut u64) {
+    if journal.len() < EVENT_CAP {
+        journal.push(ev);
+    } else {
+        *dropped += 1;
+    }
+}
+
+/// One step of an `explain_*` causal chain.
+fn step<const N: usize>(name: &str, at: u64, fields: [(&'static str, Json); N]) -> Json {
+    let mut kv: Vec<(&'static str, Json)> = vec![("step", name.into()), ("at_micros", at.into())];
+    kv.extend(fields);
+    Json::obj(kv)
+}

@@ -18,7 +18,7 @@ use crate::hist::Histogram;
 use crate::json::Json;
 use crate::trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// A shared handle to a series filled concurrently by a
 /// [`TimeSeriesSink`] while the owner keeps reading it afterwards.
@@ -255,8 +255,7 @@ impl TraceSink for TimeSeriesSink {
     /// elsewhere is still one to count into: the serving path that emits
     /// the event must not panic in turn.
     fn record(&mut self, event: &TraceEvent) {
-        let mut series = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-        series.incr(event.at_micros, event.kind.name());
+        crate::lock(&self.series).incr(event.at_micros, event.kind.name());
     }
 }
 
@@ -336,19 +335,21 @@ mod tests {
         let (sink, series) = TimeSeriesSink::new(1_000);
         let mut tracer = Tracer::new();
         tracer.add_sink(Box::new(sink));
-        let hit = TraceEventKind::QueryHit {
+        let hit = TraceEventKind::EntryStored {
             query_template: 0,
-            exposure: 3,
+            stream: 0,
+            epoch: 1,
         };
         let miss = TraceEventKind::QueryMiss {
             query_template: 0,
             exposure: 3,
+            expired: false,
         };
         tracer.emit(100, hit);
         tracer.emit(150, miss);
         tracer.emit(1_100, hit);
         let series = series.lock().unwrap();
-        assert_eq!(series.counter_curve("query_hit"), vec![1, 1]);
+        assert_eq!(series.counter_curve("entry_stored"), vec![1, 1]);
         assert_eq!(series.counter_total("query_miss"), 1);
     }
 }

@@ -1,29 +1,145 @@
-//! Structured event tracing: every cache-relevant action in the DSSP
-//! pipeline becomes a [`TraceEvent`] fanned out to pluggable sinks.
+//! Structured event tracing: every fact the DSSP pipeline and its fleet
+//! establish becomes a [`TraceEvent`] fanned out to pluggable sinks. The
+//! proxy's counters, the time-series curves, the freshness plane and the
+//! leakage plane are all folds over this one stream ([`Fold`], attached
+//! through a [`PlaneSink`]).
 //!
-//! Events carry numeric codes rather than domain enums so this crate
-//! stays dependency-free: `exposure` is the rank of the exposure level
-//! (0 = Blind, 1 = Template, 2 = Stmt, 3 = View; see
-//! `scs_core::ExposureLevel::rank`) and `decision` is the strategy's
-//! decision path (see `scs_dssp::DecisionPath`).
+//! Events carry codes and static strings rather than domain enums so this
+//! crate stays dependency-free: `exposure` is the rank of the exposure
+//! level (`scs_core::ExposureLevel::rank`), `decision` the strategy's
+//! decision path (`scs_dssp::DecisionPath::code`), and a reveal names its
+//! kind, path and level as `scs_core` spells them.
+
+use std::sync::{Arc, Mutex};
+
+/// What made the fanout layer cut a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushTrigger {
+    /// The pending buffer reached `max_batch`.
+    Size,
+    /// The flush interval elapsed on a sim-clock advance.
+    Interval,
+    /// End-of-run drain.
+    Drain,
+}
+
+impl FlushTrigger {
+    pub fn name(&self) -> &'static str {
+        match self {
+            FlushTrigger::Size => "size",
+            FlushTrigger::Interval => "interval",
+            FlushTrigger::Drain => "drain",
+        }
+    }
+}
+
+/// How a delivered batch (or single notification) was disposed of at a
+/// replica: applied, dropped as already covered, or covered by a
+/// gap-triggered recovery flush.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApplyKind {
+    Applied,
+    Duplicate,
+    Recovered,
+}
+
+impl ApplyKind {
+    pub fn name(&self) -> &'static str {
+        match self {
+            ApplyKind::Applied => "applied",
+            ApplyKind::Duplicate => "duplicate",
+            ApplyKind::Recovered => "recovered",
+        }
+    }
+}
+
+/// A fleet-membership transition. `Handoff` names the peer (the donor on
+/// a join, the successor on a leave) and the entry count that moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MembershipKind {
+    /// A replica registered its pipe, warmed, and entered the ring.
+    Join,
+    /// A replica drained, handed off, and unregistered its pipe.
+    Leave,
+    /// A join was rolled back before ring entry (joiner crash); the
+    /// ring never changed and the pipe was unregistered.
+    AbortJoin,
+    /// A batch of cache entries moved between replicas during a
+    /// membership transition.
+    Handoff,
+}
+
+/// What one encryption-boundary crossing revealed: the taxonomy cell
+/// (`kind` × `path` × `level`) plus its measured size. `pairs` counts the
+/// aggregated (update, entry) inspections a scan-time reveal covers; a
+/// request-plane reveal has `pairs = 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RevealStamp {
+    /// Reveal kind: `"template_id"`, `"params"`, or `"view_rows"`
+    /// (`scs_core::RevealKind::name`).
+    pub kind: &'static str,
+    /// The code path that read the plaintext: a decision path name
+    /// (`"template"`, `"statement"`, `"view"`), or `"request"`,
+    /// `"serve"`, `"fill"`.
+    pub path: &'static str,
+    /// Exposure level that admitted the reveal (`ExposureLevel::as_str`).
+    pub level: &'static str,
+    /// Plaintext bytes read.
+    pub bytes: u64,
+    /// Inspected pairs aggregated into this reveal.
+    pub pairs: u64,
+}
+
+/// The home commit an applied update produced: the invalidation stream
+/// that owns it, the epoch it took there, and the notification's nominal
+/// wire size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Commit {
+    pub stream: u64,
+    pub epoch: u64,
+    pub payload_bytes: u64,
+}
 
 /// What happened. Template ids index the application's query/update
 /// template tables (same indices the IPM uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// A query was served from the proxy cache.
-    QueryHit { query_template: u32, exposure: u8 },
-    /// A query missed and was forwarded to the home server.
-    QueryMiss { query_template: u32, exposure: u8 },
-    /// An update was forwarded to the home server and applied.
-    UpdateApplied { update_template: u32, exposure: u8 },
-    /// An update invalidated one cached entry; `decision` records which
-    /// inspection tier made the call.
+    /// A query was served from the proxy cache. The entry was filled on
+    /// invalidation stream `stream` at `stored_epoch` and `stored_at`
+    /// (µs), the serving replica's cursor on that stream is `cursor`, and
+    /// the entry's lease runs out at `expires_at` (`u64::MAX`: no lease).
+    QueryHit {
+        query_template: u32,
+        exposure: u8,
+        stream: u64,
+        cursor: u64,
+        stored_epoch: u64,
+        stored_at: u64,
+        expires_at: u64,
+    },
+    /// A query missed and was forwarded to the home server; `expired`
+    /// when its entry's lease ran out rather than the entry being absent.
+    QueryMiss {
+        query_template: u32,
+        exposure: u8,
+        expired: bool,
+    },
+    /// An update reached the home tier and got its verdict: `commit` is
+    /// the epoch it took, `None` when the master refused it.
+    UpdateApplied {
+        update_template: u32,
+        exposure: u8,
+        commit: Option<Commit>,
+    },
+    /// An update at `(stream, epoch)` invalidated one cached entry;
+    /// `decision` records which inspection tier made the call.
     EntryInvalidated {
         update_template: u32,
         query_template: u32,
         exposure: u8,
         decision: u8,
+        stream: u64,
+        epoch: u64,
     },
     /// A cached entry was evicted by capacity pressure.
     EntryEvicted { query_template: u32 },
@@ -41,9 +157,13 @@ pub enum TraceEventKind {
     HomeRetry { attempt: u8 },
     /// All retries for a home-server trip were exhausted.
     HomeUnreachable { attempts: u8 },
-    /// A cache hit was served while the home link was down (graceful
-    /// degradation: within-lease entries keep serving).
-    DegradedServe { query_template: u32 },
+    /// A cache hit was served degraded: with the home link down
+    /// (`link_down`; within-lease entries keep serving), or under
+    /// brownout.
+    DegradedServe {
+        query_template: u32,
+        link_down: bool,
+    },
     /// The proxy crashed and restarted: cache cleared, epoch tracker
     /// re-synchronized to the home server's epoch.
     NodeRestart { epoch: u64 },
@@ -67,33 +187,143 @@ pub enum TraceEventKind {
     /// hot entries moved to the successor replicas, and its pipe was
     /// unregistered at home epoch `epoch`.
     ReplicaLeave { epoch: u64, handed: u64 },
+    /// A miss fill stored an entry reflecting `(stream, epoch)`.
+    EntryStored {
+        query_template: u32,
+        stream: u64,
+        epoch: u64,
+    },
+    /// An update's invalidation pass finished: pairs decided
+    /// (`scanned`), entries the judge read (`inspected`).
+    InvalidationPass {
+        update_template: u32,
+        scanned: u64,
+        inspected: u64,
+    },
+    /// A notification or batch arrived at a replica on `stream`,
+    /// identified by its first epoch, and moved the replica's cursor from
+    /// `epoch_before` to `epoch_after`.
+    BatchArrived {
+        stream: u64,
+        first_epoch: u64,
+        outcome: ApplyKind,
+        epoch_before: u64,
+        epoch_after: u64,
+    },
+    /// The leakage plane's request root: a query, an update, or a
+    /// delivered invalidation pass (`origin` `"apply"`) the proxy
+    /// handled. The reveals after it chain to it.
+    AuditRequest {
+        is_update: bool,
+        template: u32,
+        origin: &'static str,
+    },
+    /// Plaintext the proxy read about `template`.
+    Reveal {
+        is_update: bool,
+        template: u32,
+        stamp: RevealStamp,
+    },
+    /// One parameter value seen in the clear (a stable hash).
+    ParamValue {
+        is_update: bool,
+        template: u32,
+        hash: u64,
+    },
+    /// One result field (a hash of its column name) read in the clear.
+    FieldExposed { template: u32, hash: u64 },
+    /// The fanout cut a batch covering `[first_epoch, last_epoch]` of
+    /// `stream`; one [`TraceEventKind::BatchMsg`] per retained message
+    /// follows it.
+    BatchFlushed {
+        stream: u64,
+        first_epoch: u64,
+        last_epoch: u64,
+        coalesced: u64,
+        trigger: FlushTrigger,
+    },
+    /// A message retained in the batch just flushed.
+    BatchMsg { update_template: u32, bytes: u64 },
+    /// One copy of the batch starting at `(stream, first_epoch)` offered
+    /// to `replica`'s pipe.
+    BatchSent {
+        replica: usize,
+        stream: u64,
+        first_epoch: u64,
+    },
+    /// A fleet-membership transition at home epoch `home_epoch`.
+    Membership {
+        kind: MembershipKind,
+        replica: usize,
+        peer: Option<usize>,
+        entries: u64,
+        home_epoch: u64,
+    },
+    /// A standby was promoted over a dead (or partitioned-away) primary,
+    /// opening the stream at `barrier_epoch`.
+    Promotion {
+        from_primary: usize,
+        to_primary: usize,
+        barrier_epoch: u64,
+    },
 }
 
 impl TraceEventKind {
     pub fn name(&self) -> &'static str {
+        use TraceEventKind as K;
         match self {
-            TraceEventKind::QueryHit { .. } => "query_hit",
-            TraceEventKind::QueryMiss { .. } => "query_miss",
-            TraceEventKind::UpdateApplied { .. } => "update_applied",
-            TraceEventKind::EntryInvalidated { .. } => "entry_invalidated",
-            TraceEventKind::EntryEvicted { .. } => "entry_evicted",
-            TraceEventKind::EpochGap { .. } => "epoch_gap",
-            TraceEventKind::RecoveryFlush { .. } => "recovery_flush",
-            TraceEventKind::LeaseExpired { .. } => "lease_expired",
-            TraceEventKind::HomeRetry { .. } => "home_retry",
-            TraceEventKind::HomeUnreachable { .. } => "home_unreachable",
-            TraceEventKind::DegradedServe { .. } => "degraded_serve",
-            TraceEventKind::NodeRestart { .. } => "node_restart",
-            TraceEventKind::RequestShed { .. } => "request_shed",
+            K::QueryHit { .. } => "query_hit",
+            K::QueryMiss { .. } => "query_miss",
+            K::UpdateApplied { .. } => "update_applied",
+            K::EntryInvalidated { .. } => "entry_invalidated",
+            K::EntryEvicted { .. } => "entry_evicted",
+            K::EpochGap { .. } => "epoch_gap",
+            K::RecoveryFlush { .. } => "recovery_flush",
+            K::LeaseExpired { .. } => "lease_expired",
+            K::HomeRetry { .. } => "home_retry",
+            K::HomeUnreachable { .. } => "home_unreachable",
+            K::DegradedServe { .. } => "degraded_serve",
+            K::NodeRestart { .. } => "node_restart",
+            K::RequestShed { .. } => "request_shed",
             // One name per target state: the TimeSeriesSink buckets by
             // event name, so open/half-open/close each get a curve.
-            TraceEventKind::BreakerTransition { to: 1, .. } => "breaker_open",
-            TraceEventKind::BreakerTransition { to: 2, .. } => "breaker_half_open",
-            TraceEventKind::BreakerTransition { .. } => "breaker_close",
-            TraceEventKind::BrownoutMode { active: true } => "brownout_enter",
-            TraceEventKind::BrownoutMode { active: false } => "brownout_exit",
-            TraceEventKind::ReplicaJoin { .. } => "replica_join",
-            TraceEventKind::ReplicaLeave { .. } => "replica_leave",
+            K::BreakerTransition { to: 1, .. } => "breaker_open",
+            K::BreakerTransition { to: 2, .. } => "breaker_half_open",
+            K::BreakerTransition { .. } => "breaker_close",
+            K::BrownoutMode { active: true } => "brownout_enter",
+            K::BrownoutMode { active: false } => "brownout_exit",
+            K::ReplicaJoin { .. } => "replica_join",
+            K::ReplicaLeave { .. } => "replica_leave",
+            K::EntryStored { .. } => "entry_stored",
+            K::InvalidationPass { .. } => "invalidation_pass",
+            K::BatchArrived { .. } => "batch_arrived",
+            K::AuditRequest { .. } => "audit_request",
+            K::Reveal { .. } => "reveal",
+            K::ParamValue { .. } => "param_value",
+            K::FieldExposed { .. } => "field_exposed",
+            K::BatchFlushed { .. } => "batch_flushed",
+            K::BatchMsg { .. } => "batch_msg",
+            K::BatchSent { .. } => "batch_sent",
+            K::Membership { .. } => "membership",
+            K::Promotion { .. } => "promotion",
+        }
+    }
+}
+
+impl TraceEventKind {
+    /// The query template the event is about, if any.
+    pub fn query_template(&self) -> Option<u32> {
+        use TraceEventKind as K;
+        match *self {
+            K::QueryHit { query_template, .. }
+            | K::QueryMiss { query_template, .. }
+            | K::EntryInvalidated { query_template, .. }
+            | K::EntryEvicted { query_template }
+            | K::LeaseExpired { query_template }
+            | K::DegradedServe { query_template, .. }
+            | K::RequestShed { query_template, .. }
+            | K::EntryStored { query_template, .. } => Some(query_template),
+            _ => None,
         }
     }
 }
@@ -111,10 +341,9 @@ pub struct TraceEvent {
 pub trait TraceSink {
     fn record(&mut self, event: &TraceEvent);
 
-    fn flush(&mut self) {}
-
-    /// I/O errors swallowed so far (sinks must never fail the pipeline,
-    /// but the loss has to be visible in exported telemetry).
+    /// Errors swallowed so far — failed writes, poisoned locks recovered
+    /// (sinks must never fail the pipeline, but the loss has to be
+    /// visible in exported telemetry).
     fn write_errors(&self) -> u64 {
         0
     }
@@ -149,28 +378,24 @@ impl Tracer {
     }
 
     pub fn emit(&mut self, at_micros: u64, kind: TraceEventKind) {
-        let event = TraceEvent {
-            seq: self.next_seq,
-            at_micros,
-            kind,
-        };
-        self.next_seq += 1;
-        for sink in &mut self.sinks {
-            sink.record(&event);
+        if !self.sinks.is_empty() {
+            let event = TraceEvent {
+                seq: self.next_seq,
+                at_micros,
+                kind,
+            };
+            for sink in &mut self.sinks {
+                sink.record(&event);
+            }
         }
+        self.next_seq += 1;
     }
 
     pub fn events_emitted(&self) -> u64 {
         self.next_seq
     }
 
-    pub fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
-    }
-
-    /// Swallowed I/O errors summed over every sink.
+    /// Swallowed errors summed over every sink.
     pub fn write_errors(&self) -> u64 {
         self.sinks.iter().map(|s| s.write_errors()).sum()
     }
@@ -181,12 +406,43 @@ impl Tracer {
     }
 }
 
-impl Drop for Tracer {
-    /// Flush on drop so a buffering sink that was never explicitly
-    /// flushed still writes its tail — a truncated trace must not
-    /// silently pass tests.
-    fn drop(&mut self) {
-        self.flush();
+/// A shared log that folds the trace events of many producers: what
+/// `replica` (serving `tenant`) emitted is `event`.
+pub trait Fold {
+    fn fold(&mut self, replica: usize, tenant: &str, event: &TraceEvent);
+}
+
+/// The one attach point of a shared [`Fold`]: a [`TraceSink`] holding the
+/// log, the producer's replica id and tenant. A lock poisoned by a panic
+/// elsewhere is recovered — the logs only count and append, so they are
+/// valid at every step, and a commit or a promotion must not wedge over
+/// telemetry — and each recovery is counted as a swallowed error.
+pub struct PlaneSink<P> {
+    plane: Arc<Mutex<P>>,
+    replica: usize,
+    tenant: String,
+    recovered: u64,
+}
+
+impl<P: Fold> PlaneSink<P> {
+    pub fn new(plane: &Arc<Mutex<P>>, replica: usize, tenant: &str) -> PlaneSink<P> {
+        PlaneSink {
+            plane: Arc::clone(plane),
+            replica,
+            tenant: tenant.to_string(),
+            recovered: 0,
+        }
+    }
+}
+
+impl<P: Fold> TraceSink for PlaneSink<P> {
+    fn record(&mut self, event: &TraceEvent) {
+        self.recovered += u64::from(self.plane.is_poisoned());
+        crate::lock(&self.plane).fold(self.replica, &self.tenant, event);
+    }
+
+    fn write_errors(&self) -> u64 {
+        self.recovered
     }
 }
 
@@ -195,10 +451,7 @@ mod tests {
     use super::*;
 
     fn ev(i: u32) -> TraceEventKind {
-        TraceEventKind::QueryHit {
-            query_template: i,
-            exposure: 1,
-        }
+        TraceEventKind::EntryEvicted { query_template: i }
     }
 
     /// The time-series curves key on event names: one per kind, and one
@@ -207,109 +460,42 @@ mod tests {
     fn event_names_key_the_curves() {
         let names: Vec<&str> = [
             ev(0),
-            TraceEventKind::EntryInvalidated {
-                update_template: 3,
-                query_template: 5,
-                exposure: 2,
-                decision: 1,
-            },
-            TraceEventKind::EpochGap {
-                expected: 4,
-                got: 7,
-            },
-            TraceEventKind::RequestShed {
-                query_template: 4,
-                reason: 2,
-            },
             TraceEventKind::BreakerTransition { from: 0, to: 1 },
             TraceEventKind::BreakerTransition { from: 1, to: 2 },
             TraceEventKind::BreakerTransition { from: 2, to: 0 },
             TraceEventKind::BrownoutMode { active: true },
             TraceEventKind::BrownoutMode { active: false },
-            TraceEventKind::ReplicaLeave {
-                epoch: 7,
-                handed: 3,
-            },
         ]
         .iter()
         .map(TraceEventKind::name)
         .collect();
-        assert_eq!(
-            names,
-            [
-                "query_hit",
-                "entry_invalidated",
-                "epoch_gap",
-                "request_shed",
-                "breaker_open",
-                "breaker_half_open",
-                "breaker_close",
-                "brownout_enter",
-                "brownout_exit",
-                "replica_leave",
-            ]
-        );
+        let expect = [
+            "entry_evicted",
+            "breaker_open",
+            "breaker_half_open",
+            "breaker_close",
+            "brownout_enter",
+            "brownout_exit",
+        ];
+        assert_eq!(names, expect);
     }
 
-    #[test]
-    fn tracer_stamps_sequence_numbers() {
-        let (a, b) = (Buffered::new(8, false), Buffered::new(8, false));
-        let (out_a, out_b) = (a.out.clone(), b.out.clone());
-        let mut tracer = Tracer::new();
-        assert!(!tracer.is_active());
-        tracer.add_sink(Box::new(a));
-        tracer.add_sink(Box::new(b));
-        assert!(tracer.is_active());
-        for i in 0..5 {
-            tracer.emit(i, ev(0));
-        }
-        tracer.flush();
-        assert_eq!(tracer.events_emitted(), 5);
-        // Every sink sees every event, each stamped once.
-        for out in [out_a, out_b] {
-            let seqs: Vec<u64> = out.lock().unwrap().iter().map(|e| e.seq).collect();
-            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-        }
-    }
-
-    /// A sink that retains at most `cap` events, counting the rest as
-    /// dropped, and buffers what it retains until a flush — which fails
-    /// when `broken`, counting a write error.
-    struct Buffered {
+    /// A sink that keeps at most `cap` events, counting the rest as
+    /// dropped, and reports `errors` swallowed errors.
+    #[derive(Default)]
+    struct Capped {
         cap: usize,
-        pending: Vec<TraceEvent>,
-        seen: u64,
-        broken: bool,
         errors: u64,
-        out: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
+        seen: u64,
+        out: Arc<Mutex<Vec<TraceEvent>>>,
     }
 
-    impl Buffered {
-        fn new(cap: usize, broken: bool) -> Buffered {
-            Buffered {
-                cap,
-                pending: Vec::new(),
-                seen: 0,
-                broken,
-                errors: 0,
-                out: Default::default(),
-            }
-        }
-    }
-
-    impl TraceSink for Buffered {
+    impl TraceSink for Capped {
         fn record(&mut self, event: &TraceEvent) {
             self.seen += 1;
-            if self.pending.len() < self.cap {
-                self.pending.push(*event);
-            }
-        }
-
-        fn flush(&mut self) {
-            if self.broken {
-                self.errors += 1;
-            } else {
-                self.out.lock().unwrap().append(&mut self.pending);
+            let mut out = self.out.lock().unwrap();
+            if out.len() < self.cap {
+                out.push(*event);
             }
         }
 
@@ -322,35 +508,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn tracer_stamps_sequence_numbers() {
+        let sink = || Capped {
+            cap: 8,
+            ..Capped::default()
+        };
+        let (a, b) = (sink(), sink());
+        let (out_a, out_b) = (a.out.clone(), b.out.clone());
+        let mut tracer = Tracer::new();
+        assert!(!tracer.is_active());
+        tracer.add_sink(Box::new(a));
+        tracer.add_sink(Box::new(b));
+        assert!(tracer.is_active());
+        for i in 0..5 {
+            tracer.emit(i, ev(0));
+        }
+        assert_eq!(tracer.events_emitted(), 5);
+        // Every sink sees every event, each stamped once.
+        for out in [out_a, out_b] {
+            let seqs: Vec<u64> = out.lock().unwrap().iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        }
+    }
+
     /// The health sums `trace_health_json` exports are sums over every
     /// attached sink.
     #[test]
     fn tracer_surfaces_sink_health() {
         let mut tracer = Tracer::new();
-        tracer.add_sink(Box::new(Buffered::new(2, false)));
-        tracer.add_sink(Box::new(Buffered::new(4, true)));
-        tracer.add_sink(Box::new(Buffered::new(8, true)));
+        for (cap, errors) in [(2, 0), (4, 1), (8, 1)] {
+            let sink = Capped {
+                cap,
+                errors,
+                ..Capped::default()
+            };
+            tracer.add_sink(Box::new(sink));
+        }
         for i in 0..5 {
             tracer.emit(i, ev(0));
         }
-        assert_eq!(tracer.write_errors(), 0, "nothing flushed yet");
-        tracer.flush();
-        assert_eq!(tracer.write_errors(), 2, "one failed flush per broken sink");
+        assert_eq!(tracer.write_errors(), 2);
         assert_eq!(tracer.events_dropped(), 3 + 1, "kept 2 and 4 of 5");
-    }
-
-    #[test]
-    fn tracer_drop_flushes_its_sinks() {
-        let sink = Buffered::new(8, false);
-        let out = sink.out.clone();
-        {
-            let mut tracer = Tracer::new();
-            tracer.add_sink(Box::new(sink));
-            tracer.emit(1, ev(3));
-            // No explicit flush: the buffered event must still land.
-        }
-        let written = out.lock().unwrap();
-        assert_eq!(written.len(), 1);
-        assert_eq!(written[0].kind.name(), "query_hit");
     }
 }
