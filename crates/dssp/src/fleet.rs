@@ -423,9 +423,10 @@ impl ProxyFleet {
     }
 
     /// Turns on the leakage audit plane: one shared audit log folding
-    /// what every replica reveals (request-plane and scan-time). Joiners
-    /// fold into the same log. Returns the shared handle; also available
-    /// later via [`ProxyFleet::audit`].
+    /// what every replica reveals (request-plane and scan-time), and each
+    /// replica's envelope seal/open meter ([`Dssp::meter_crypto`]).
+    /// Joiners fold into the same log and meter too. Returns the shared
+    /// handle; also available later via [`ProxyFleet::audit`].
     pub fn enable_audit(&mut self) -> SharedAudit {
         let audit = shared_audit(self.next_id);
         let tenant = &self.config.app_id;
@@ -434,6 +435,7 @@ impl ProxyFleet {
         for r in &mut self.replicas {
             r.dssp
                 .add_trace_sink(Box::new(AuditLog::sink(&audit, r.id, tenant)));
+            r.dssp.meter_crypto();
         }
         self.audit = Some(audit.clone());
         audit
@@ -575,6 +577,7 @@ impl ProxyFleet {
         if let Some(audit) = &self.audit {
             let tenant = &self.config.app_id;
             dssp.add_trace_sink(Box::new(AuditLog::sink(audit, id, tenant)));
+            dssp.meter_crypto();
         }
         let pipe = FaultyChannel::new(self.pipe_seed ^ id as u64, self.pipe_spec.clone());
         // 2. Live but unrouted: from here the replica receives every

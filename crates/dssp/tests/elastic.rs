@@ -412,3 +412,17 @@ proptest! {
         prop_assert_eq!(count(MembershipKind::AbortJoin), aborts);
     }
 }
+
+/// The fleet's audit switch meters every replica's envelope seals and
+/// opens, a joiner's included, so the `leakage` export keeps its `crypto`
+/// section on any replica.
+#[test]
+fn enable_audit_meters_every_replica_and_joiner() {
+    let (mut fleet, _) = reliable_fleet(2);
+    fleet.enable_audit();
+    let joiner = fleet.add_replica().replica;
+    assert_eq!(fleet.replica_ids(), [0, 1, joiner]);
+    for id in fleet.replica_ids() {
+        assert!(fleet.proxy(id).crypto_meter().is_some(), "replica {id}");
+    }
+}

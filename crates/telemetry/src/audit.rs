@@ -146,6 +146,8 @@ struct TenantLedger {
 
 #[derive(Debug, Default, Clone)]
 struct ReplicaAudit {
+    /// The application this replica serves, set when its sink attaches.
+    tenant: String,
     requests: u64,
     events: u64,
     /// The request root this replica's reveals chain to: its latest.
@@ -183,8 +185,8 @@ impl AuditLog {
     /// The plane's attach point for what `replica`, serving `tenant`,
     /// emits (the log grows to cover it).
     pub fn sink(log: &SharedAudit, replica: usize, tenant: &str) -> PlaneSink<AuditLog> {
-        lock(log).replica_mut(replica);
-        PlaneSink::new(log, replica, tenant)
+        lock(log).replica_mut(replica).tenant = tenant.to_string();
+        PlaneSink::new(log, replica)
     }
 
     /// `id`'s per-replica slot; joiners grow the table late.
@@ -193,6 +195,12 @@ impl AuditLog {
             self.replicas.resize_with(id + 1, ReplicaAudit::default);
         }
         &mut self.replicas[id]
+    }
+
+    /// The ledger of the tenant `replica` serves.
+    fn tenant_mut(&mut self, replica: usize) -> &mut TenantLedger {
+        let tenant = self.replica_mut(replica).tenant.clone();
+        self.tenants.entry(tenant).or_default()
     }
 
     /// Attaches a JSONL journal sink: every subsequent reveal event is
@@ -204,7 +212,7 @@ impl AuditLog {
 
     /// Opens a request root: the causal anchor `replica`'s reveals
     /// chain back to until its next root.
-    fn begin_request(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+    fn begin_request(&mut self, replica: usize, e: &TraceEvent) {
         let TraceEventKind::AuditRequest {
             is_update,
             template,
@@ -218,7 +226,7 @@ impl AuditLog {
         let r = self.replica_mut(replica);
         r.requests += 1;
         r.request = seq;
-        self.tenants.entry(tenant.to_string()).or_default();
+        self.tenant_mut(replica);
         let root = RequestRoot {
             seq,
             replica,
@@ -232,7 +240,7 @@ impl AuditLog {
 
     /// One boundary crossing, chained to `replica`'s open root: the
     /// journal and the per-template / per-tenant ledgers.
-    fn reveal(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+    fn reveal(&mut self, replica: usize, e: &TraceEvent) {
         let TraceEventKind::Reveal {
             is_update,
             template,
@@ -249,7 +257,7 @@ impl AuditLog {
         r.events += 1;
         let request = r.request;
         self.ledger_mut(is_update, template).apply(&stamp);
-        let t = self.tenants.entry(tenant.to_string()).or_default();
+        let t = self.tenant_mut(replica);
         t.reveal_events += 1;
         t.revealed_bytes += stamp.bytes;
         let ev = RevealEvent {
@@ -390,10 +398,10 @@ impl AuditLog {
 }
 
 impl Fold for AuditLog {
-    fn fold(&mut self, replica: usize, tenant: &str, e: &TraceEvent) {
+    fn fold(&mut self, replica: usize, e: &TraceEvent) {
         match e.kind {
-            TraceEventKind::AuditRequest { .. } => self.begin_request(replica, tenant, e),
-            TraceEventKind::Reveal { .. } => self.reveal(replica, tenant, e),
+            TraceEventKind::AuditRequest { .. } => self.begin_request(replica, e),
+            TraceEventKind::Reveal { .. } => self.reveal(replica, e),
             TraceEventKind::ParamValue {
                 is_update,
                 template,
@@ -401,8 +409,7 @@ impl Fold for AuditLog {
             } => {
                 let ledger = self.ledger_mut(is_update, template as usize);
                 ledger.param_values.insert(hash);
-                let t = self.tenants.entry(tenant.to_string()).or_default();
-                t.param_values.insert(hash);
+                self.tenant_mut(replica).param_values.insert(hash);
             }
             TraceEventKind::FieldExposed { template, hash } => {
                 self.ledger_mut(false, template as usize)
@@ -435,13 +442,15 @@ mod tests {
     use super::*;
     use crate::EVENT_CAP;
 
+    /// Folds `kind` at `at` as `replica`, serving `tenant`, emitted it.
     fn fold(log: &mut AuditLog, replica: usize, tenant: &str, at: u64, kind: TraceEventKind) {
         let e = TraceEvent {
             seq: 0,
             at_micros: at,
             kind,
         };
-        log.fold(replica, tenant, &e);
+        log.replica_mut(replica).tenant = tenant.to_string();
+        log.fold(replica, &e);
     }
 
     fn request(is_update: bool, template: u32) -> TraceEventKind {

@@ -222,7 +222,7 @@ impl ProvenanceLog {
     /// its sink's id is never read.
     pub fn sink(log: &SharedProvenance, replica: usize) -> PlaneSink<ProvenanceLog> {
         lock(log).replica_mut(replica);
-        PlaneSink::new(log, replica, "")
+        PlaneSink::new(log, replica)
     }
 
     pub fn replica_count(&self) -> usize {
@@ -649,7 +649,7 @@ fn explained(
 }
 
 impl Fold for ProvenanceLog {
-    fn fold(&mut self, replica: usize, _tenant: &str, event: &TraceEvent) {
+    fn fold(&mut self, replica: usize, event: &TraceEvent) {
         use TraceEventKind as K;
         let e = TraceEvent {
             seq: self.folded,
@@ -736,7 +736,7 @@ mod tests {
             at_micros: at,
             kind,
         };
-        log.fold(r, "", &e);
+        log.fold(r, &e);
     }
 
     fn commit(stream: u64, epoch: u64, template: u32) -> TraceEventKind {

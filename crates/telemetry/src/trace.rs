@@ -407,29 +407,27 @@ impl Tracer {
 }
 
 /// A shared log that folds the trace events of many producers: what
-/// `replica` (serving `tenant`) emitted is `event`.
+/// `replica` emitted is `event`.
 pub trait Fold {
-    fn fold(&mut self, replica: usize, tenant: &str, event: &TraceEvent);
+    fn fold(&mut self, replica: usize, event: &TraceEvent);
 }
 
 /// The one attach point of a shared [`Fold`]: a [`TraceSink`] holding the
-/// log, the producer's replica id and tenant. A lock poisoned by a panic
+/// log and the producer's replica id. A lock poisoned by a panic
 /// elsewhere is recovered — the logs only count and append, so they are
 /// valid at every step, and a commit or a promotion must not wedge over
 /// telemetry — and each recovery is counted as a swallowed error.
 pub struct PlaneSink<P> {
     plane: Arc<Mutex<P>>,
     replica: usize,
-    tenant: String,
     recovered: u64,
 }
 
 impl<P: Fold> PlaneSink<P> {
-    pub fn new(plane: &Arc<Mutex<P>>, replica: usize, tenant: &str) -> PlaneSink<P> {
+    pub fn new(plane: &Arc<Mutex<P>>, replica: usize) -> PlaneSink<P> {
         PlaneSink {
             plane: Arc::clone(plane),
             replica,
-            tenant: tenant.to_string(),
             recovered: 0,
         }
     }
@@ -438,7 +436,7 @@ impl<P: Fold> PlaneSink<P> {
 impl<P: Fold> TraceSink for PlaneSink<P> {
     fn record(&mut self, event: &TraceEvent) {
         self.recovered += u64::from(self.plane.is_poisoned());
-        crate::lock(&self.plane).fold(self.replica, &self.tenant, event);
+        crate::lock(&self.plane).fold(self.replica, event);
     }
 
     fn write_errors(&self) -> u64 {
@@ -455,27 +453,185 @@ mod tests {
     }
 
     /// The time-series curves key on event names: one per kind, and one
-    /// per breaker target state and brownout direction.
+    /// per breaker target state and brownout direction. Every kind is
+    /// listed, so renaming one fails here before it silently renames an
+    /// exported curve.
     #[test]
     fn event_names_key_the_curves() {
-        let names: Vec<&str> = [
+        use TraceEventKind as K;
+        let stamp = RevealStamp {
+            kind: "params",
+            path: "request",
+            level: "stmt",
+            bytes: 4,
+            pairs: 1,
+        };
+        let commit = Some(Commit {
+            stream: 1,
+            epoch: 9,
+            payload_bytes: 16,
+        });
+        let kinds = [
+            K::QueryHit {
+                query_template: 2,
+                exposure: 3,
+                stream: 0,
+                cursor: 5,
+                stored_epoch: 4,
+                stored_at: 10,
+                expires_at: u64::MAX,
+            },
+            K::QueryMiss {
+                query_template: 2,
+                exposure: 3,
+                expired: true,
+            },
+            K::UpdateApplied {
+                update_template: 1,
+                exposure: 3,
+                commit,
+            },
+            K::EntryInvalidated {
+                update_template: 3,
+                query_template: 5,
+                exposure: 2,
+                decision: 1,
+                stream: 0,
+                epoch: 6,
+            },
             ev(0),
-            TraceEventKind::BreakerTransition { from: 0, to: 1 },
-            TraceEventKind::BreakerTransition { from: 1, to: 2 },
-            TraceEventKind::BreakerTransition { from: 2, to: 0 },
-            TraceEventKind::BrownoutMode { active: true },
-            TraceEventKind::BrownoutMode { active: false },
-        ]
-        .iter()
-        .map(TraceEventKind::name)
-        .collect();
+            K::EpochGap {
+                expected: 4,
+                got: 7,
+            },
+            K::RecoveryFlush {
+                flushed: 3,
+                mode: 0,
+            },
+            K::LeaseExpired { query_template: 2 },
+            K::HomeRetry { attempt: 1 },
+            K::HomeUnreachable { attempts: 3 },
+            K::DegradedServe {
+                query_template: 2,
+                link_down: true,
+            },
+            K::NodeRestart { epoch: 8 },
+            K::RequestShed {
+                query_template: 4,
+                reason: 2,
+            },
+            K::BreakerTransition { from: 0, to: 1 },
+            K::BreakerTransition { from: 1, to: 2 },
+            K::BreakerTransition { from: 2, to: 0 },
+            K::BrownoutMode { active: true },
+            K::BrownoutMode { active: false },
+            K::ReplicaJoin {
+                epoch: 7,
+                handed: 2,
+            },
+            K::ReplicaLeave {
+                epoch: 7,
+                handed: 3,
+            },
+            K::EntryStored {
+                query_template: 2,
+                stream: 0,
+                epoch: 4,
+            },
+            K::InvalidationPass {
+                update_template: 1,
+                scanned: 12,
+                inspected: 3,
+            },
+            K::BatchArrived {
+                stream: 0,
+                first_epoch: 5,
+                outcome: ApplyKind::Recovered,
+                epoch_before: 3,
+                epoch_after: 6,
+            },
+            K::AuditRequest {
+                is_update: false,
+                template: 2,
+                origin: "query",
+            },
+            K::Reveal {
+                is_update: false,
+                template: 2,
+                stamp,
+            },
+            K::ParamValue {
+                is_update: false,
+                template: 2,
+                hash: 77,
+            },
+            K::FieldExposed {
+                template: 2,
+                hash: 78,
+            },
+            K::BatchFlushed {
+                stream: 0,
+                first_epoch: 5,
+                last_epoch: 6,
+                coalesced: 1,
+                trigger: FlushTrigger::Interval,
+            },
+            K::BatchMsg {
+                update_template: 1,
+                bytes: 16,
+            },
+            K::BatchSent {
+                replica: 2,
+                stream: 0,
+                first_epoch: 5,
+            },
+            K::Membership {
+                kind: MembershipKind::Join,
+                replica: 3,
+                peer: Some(1),
+                entries: 4,
+                home_epoch: 7,
+            },
+            K::Promotion {
+                from_primary: 0,
+                to_primary: 1,
+                barrier_epoch: 9,
+            },
+        ];
+        let names: Vec<&str> = kinds.iter().map(TraceEventKind::name).collect();
         let expect = [
+            "query_hit",
+            "query_miss",
+            "update_applied",
+            "entry_invalidated",
             "entry_evicted",
+            "epoch_gap",
+            "recovery_flush",
+            "lease_expired",
+            "home_retry",
+            "home_unreachable",
+            "degraded_serve",
+            "node_restart",
+            "request_shed",
             "breaker_open",
             "breaker_half_open",
             "breaker_close",
             "brownout_enter",
             "brownout_exit",
+            "replica_join",
+            "replica_leave",
+            "entry_stored",
+            "invalidation_pass",
+            "batch_arrived",
+            "audit_request",
+            "reveal",
+            "param_value",
+            "field_exposed",
+            "batch_flushed",
+            "batch_msg",
+            "batch_sent",
+            "membership",
+            "promotion",
         ];
         assert_eq!(names, expect);
     }
