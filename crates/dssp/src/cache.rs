@@ -32,17 +32,22 @@
 //! * **Eviction** pops the least-recently-used slot from a `BTreeMap`
 //!   keyed by the logical LRU clock (`last_used` values are unique, so
 //!   the map's first key is always the victim).
+//! * **Fills** find the *bucket* of their template id — the per-template
+//!   record every stored template id gets, blind included: the template
+//!   and its canonical text, rendered once. A fill counts its statement
+//!   length from that text, and a blind or template fill renders the text
+//!   it seals into one buffer the cache reuses.
 //! * **Invalidation** ([`ResultCache::invalidate_candidates`]) is a
-//!   candidate generator in front of the caller's per-entry judge. Each
-//!   template id has a *bucket* of its `template`-level-and-above
+//!   candidate generator in front of the caller's per-entry judge. A
+//!   bucket also holds its template id's `template`-level-and-above
 //!   entries, grouped by exposure level; a bucket the IPM does not mark
-//!   as conflicting is never visited. Within a visited bucket a
-//!   [`Probe`] — the bucket's [`Rule`] for the update's template, derived
-//!   on the first such update and kept — narrows the `stmt`/`view` groups
-//!   to the entries a value index returns — an index over one bound
-//!   parameter, or over one result column — and only those reach the
-//!   judge. The indexes are
-//!   built from [`CacheEntry::visible_statement`] /
+//!   as conflicting, or that holds none, is never visited. Within a
+//!   visited bucket a [`Probe`] — the bucket's [`Rule`] for the update's
+//!   template, derived on the first such update and kept — narrows the
+//!   `stmt`/`view` groups to the entries a value index returns — an index
+//!   over one bound parameter, or over one result column — and only those
+//!   reach the judge. The indexes are built from
+//!   [`CacheEntry::visible_statement`] /
 //!   [`CacheEntry::visible_result`] alone, on the first probe that asks
 //!   for them, and maintained at attach/detach from then on. Their
 //!   notion of "equal" is `CmpOp::Eq`'s (numeric across `Int`/`Real`):
@@ -55,9 +60,13 @@
 use crate::strategy::{probe_rule, Probe, Rule};
 use scs_core::ExposureLevel;
 use scs_crypto::{CryptoMeter, Encryptor};
-use scs_sqlkit::{statement_len, Query, QueryTemplate, TemplateId, Update, UpdateTemplate, Value};
+use scs_sqlkit::{
+    render_statement, statement_len, Query, QueryTemplate, TemplateId, Update, UpdateTemplate,
+    Value,
+};
 use scs_storage::QueryResult;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
@@ -93,8 +102,8 @@ pub struct CacheEntry {
     /// Simulation time (µs) the entry was stored — the freshness plane
     /// ages serves against this birth stamp.
     stored_at_micros: u64,
-    /// Home update epoch the entry's result reflects (the proxy stamps
-    /// it right after the miss fill; 0 when unstamped).
+    /// Home update epoch the entry's result reflects (the fill's, as the
+    /// proxy read it off the home before the store; 0 when unstamped).
     stored_epoch: u64,
     /// Invalidation stream `stored_epoch` counts on: 0 for the classic
     /// single home; a shard id when the fill came from a sharded home
@@ -318,12 +327,16 @@ fn probe_hash(hasher: &RandomState, v: &Value) -> u64 {
 /// application has a fixed handful).
 const RULES_KEPT: usize = 64;
 
-/// The `template`-level-and-above entries of one template id.
+/// The per-template record of one template id: its template and canonical
+/// text, which every fill reads, and its `template`-level-and-above entries.
+/// Blind entries stay on the cache's `blind` list; a bucket holding none of
+/// its own costs an invalidation pass nothing.
 struct Bucket {
     /// The template the entries are instances of, for [`probe_rule`].
     template: Arc<QueryTemplate>,
     /// `template`'s canonical text, rendered once: an instance's statement
-    /// length is counted from it ([`statement_len`]).
+    /// is counted ([`statement_len`]) or rendered ([`render_statement`])
+    /// from it.
     text: String,
     /// The probe rule of each update template met against `template`,
     /// keyed by the update template's `Arc` identity — held here, so its
@@ -377,10 +390,25 @@ impl Bucket {
         rule
     }
 
-    /// `q`'s statement-text length counted from the bucket's text, if `q`
-    /// is bound to the bucket's template.
-    fn statement_len(&self, q: &Query) -> Option<usize> {
-        Arc::ptr_eq(&self.template, &q.template).then(|| statement_len(&self.text, &q.params))
+    /// `q`'s statement-text length: counted from the bucket's text when
+    /// `q` is bound to the bucket's template, rendered otherwise.
+    fn statement_len(&self, q: &Query) -> usize {
+        if Arc::ptr_eq(&self.template, &q.template) {
+            statement_len(&self.text, &q.params)
+        } else {
+            q.statement_text().len()
+        }
+    }
+
+    /// Appends `q`'s statement text to `out`: substituted into the
+    /// bucket's text when `q` is bound to the bucket's template, rendered
+    /// from `q`'s own otherwise.
+    fn render(&self, q: &Query, out: &mut String) {
+        if Arc::ptr_eq(&self.template, &q.template) {
+            render_statement(out, &self.text, &q.params);
+        } else {
+            out.push_str(&q.statement_text());
+        }
     }
 
     fn len(&self) -> usize {
@@ -408,6 +436,21 @@ impl Bucket {
         }
         self.indexes.iter().find(|ix| ix.field == field)
     }
+}
+
+/// The bucket of `template_id`, made `template`'s when it holds no entry.
+fn bucket_for<'b>(
+    buckets: &'b mut HashMap<TemplateId, Bucket>,
+    template_id: TemplateId,
+    template: &Arc<QueryTemplate>,
+) -> &'b mut Bucket {
+    let bucket = buckets
+        .entry(template_id)
+        .or_insert_with(|| Bucket::new(template.clone()));
+    if bucket.len() == 0 {
+        bucket.retemplate(template);
+    }
+    bucket
 }
 
 /// Removes `list[pos]` by swapping the last member in, and tells the
@@ -438,14 +481,18 @@ pub struct ResultCache {
     /// first entry is always the eviction victim. Holds every live slot
     /// exactly once, so its length is the cache's.
     lru: BTreeMap<u64, SlotId>,
-    /// Canonical template id → entries cached at `template` exposure or
-    /// above. Blind entries are deliberately excluded — they are
-    /// candidates for *every* update (Property 1) and live in `blind`
-    /// instead. A bucket outlives its entries, so it remembers which
-    /// fields probes ask for.
+    /// Canonical template id → its bucket, made at the id's first fill
+    /// whatever the level. A bucket lists the id's entries cached at
+    /// `template` exposure or above. Blind entries are deliberately
+    /// excluded — they are candidates for *every* update (Property 1) and
+    /// live in `blind` instead. A bucket outlives its entries, so it
+    /// remembers its text and which fields probes ask for.
     buckets: HashMap<TemplateId, Bucket>,
     /// Blind-level entries: unconditionally part of every candidate scan.
     blind: Vec<SlotId>,
+    /// The text a blind or template fill seals, rendered here (kept for
+    /// its allocation).
+    sealed_text: String,
     /// Candidate ids of the pass in progress (kept for its allocation).
     candidates: Vec<SlotId>,
     encryptor: Encryptor,
@@ -480,6 +527,7 @@ impl ResultCache {
             lru: BTreeMap::new(),
             buckets: HashMap::new(),
             blind: Vec::new(),
+            sealed_text: String::new(),
             candidates: Vec::new(),
             encryptor,
             capacity: None,
@@ -553,10 +601,6 @@ impl ResultCache {
         self.slots.get(id as usize)?.as_ref()
     }
 
-    fn slot_mut(&mut self, id: SlotId) -> Option<&mut Slot> {
-        self.slots.get_mut(id as usize)?.as_mut()
-    }
-
     fn key_hash(&self, template_id: TemplateId, params: &[Value]) -> u64 {
         self.hasher.hash_one((template_id, params))
     }
@@ -598,13 +642,9 @@ impl ResultCache {
         let members = match group_of(e.level) {
             None => &mut self.blind,
             Some(g) => {
-                let bucket = self
-                    .buckets
-                    .entry(e.key.template_id)
-                    .or_insert_with(|| Bucket::new(e.query.template.clone()));
-                if bucket.len() == 0 {
-                    bucket.retemplate(&e.query.template);
-                } else if !Arc::ptr_eq(&bucket.template, &e.query.template)
+                let bucket = bucket_for(&mut self.buckets, e.key.template_id, &e.query.template);
+                if bucket.len() > 0
+                    && !Arc::ptr_eq(&bucket.template, &e.query.template)
                     && *bucket.template != *e.query.template
                 {
                     bucket.uniform = false;
@@ -762,39 +802,48 @@ impl ResultCache {
             .map(|s| &s.entry)
     }
 
-    /// Stores a result under the query's exposure level. Empty results are
-    /// not cached (see module docs); returns whether the entry was stored.
+    /// Stores a result under the query's exposure level, unstamped.
+    /// Empty results are not cached (see module docs); returns whether
+    /// the entry was stored.
     pub fn store(&mut self, q: &Query, result: QueryResult, level: ExposureLevel) -> bool {
-        self.store_with_evictions(q, result, level).stored
+        self.store_with_evictions(q, result, level, 0, 0).stored
     }
 
-    /// [`ResultCache::store`], additionally reporting whether a live
-    /// entry was replaced and which entries the capacity bound evicted —
-    /// the proxy's telemetry attributes each victim to its query
-    /// template.
+    /// [`ResultCache::store`], stamping the entry with the invalidation
+    /// stream and the epoch on it that the fill's result reflects (stream
+    /// 0 for a classic home, the first participating shard's for a
+    /// sharded one), and reporting whether a live entry was replaced and
+    /// which entries the capacity bound evicted — the proxy's telemetry
+    /// attributes each victim to its query template.
     pub fn store_with_evictions(
         &mut self,
         q: &Query,
         result: QueryResult,
         level: ExposureLevel,
+        stream: u64,
+        epoch: u64,
     ) -> StoreOutcome {
         if result.is_empty() {
             return StoreOutcome::default();
         }
         // Approximate stored size: encrypted payloads carry the envelope
-        // overhead of the deterministic cipher. The plaintext text's length
-        // is counted from the bucket's rendered template when `q` is bound
-        // to it, and rendered otherwise.
+        // overhead of the deterministic cipher. The statement comes from
+        // the bucket's text when `q` is bound to its template: counted in
+        // the clear, rendered into `sealed_text` to be sealed.
+        let bucket = bucket_for(&mut self.buckets, q.template_id, &q.template);
+        let text = &mut self.sealed_text;
+        text.clear();
         let key_bytes = match level {
-            ExposureLevel::View | ExposureLevel::Stmt => {
-                let bucket = self.buckets.get(&q.template_id);
-                let counted = bucket.and_then(|b| b.statement_len(q));
-                counted.unwrap_or_else(|| q.statement_text().len())
-            }
+            ExposureLevel::View | ExposureLevel::Stmt => bucket.statement_len(q),
             ExposureLevel::Template => {
-                8 + self.encryptor.encrypt_str(&format!("{:?}", q.params)).len()
+                // Writing to a `String` cannot fail.
+                let _ = write!(text, "{:?}", q.params);
+                8 + self.encryptor.encrypt_str(text).len()
             }
-            ExposureLevel::Blind => self.encryptor.encrypt_str(&q.statement_text()).len(),
+            ExposureLevel::Blind => {
+                bucket.render(q, text);
+                self.encryptor.encrypt_str(text).len()
+            }
         };
         let result_bytes = result.approx_size_bytes();
         let envelope = if level == ExposureLevel::View { 0 } else { 8 };
@@ -820,8 +869,8 @@ impl ResultCache {
                 None => u64::MAX,
             },
             stored_at_micros: self.now_micros,
-            stored_epoch: 0,
-            stored_stream: 0,
+            stored_epoch: epoch,
+            stored_stream: stream,
         };
         self.admit(e)
     }
@@ -893,6 +942,9 @@ impl ResultCache {
             let Some(bucket) = self.buckets.get_mut(&template_id) else {
                 continue;
             };
+            if bucket.len() == 0 {
+                continue;
+            }
             out.scanned += bucket.len();
             let probe = match update {
                 Some(u) if bucket.uniform => bucket.rule_for(&u.template).bind(u),
@@ -1001,19 +1053,6 @@ impl ResultCache {
         self.admit(e)
     }
 
-    /// Stamps the invalidation stream and the epoch on it that a
-    /// just-stored entry's result reflects (stream 0 for a classic home,
-    /// the first participating shard's for a sharded one). The proxy
-    /// calls this right after the miss fill, once it knows the epoch the
-    /// home served at; a no-op when the entry was not stored (empty
-    /// result) or has already been displaced.
-    pub fn set_stored_provenance(&mut self, q: &Query, stream: u64, epoch: u64) {
-        if let Some(slot) = self.find_query(q).and_then(|id| self.slot_mut(id)) {
-            slot.entry.stored_stream = stream;
-            slot.entry.stored_epoch = epoch;
-        }
-    }
-
     /// Drops everything (a blind strategy's response to any update).
     pub fn clear(&mut self) -> usize {
         let n = self.len();
@@ -1068,12 +1107,11 @@ impl ResultCache {
                     && self.find(slot.key_hash, key.template_id, &key.params) == Some(id),
                 "key resolves to its own slot",
             )?;
+            let bucket = self.buckets.get(&key.template_id);
+            check(bucket.is_some(), "every entry's template id has a bucket")?;
             let members = match group_of(slot.entry.level) {
                 None => Some(&self.blind),
-                Some(g) => self
-                    .buckets
-                    .get(&key.template_id)
-                    .map(|b| &b.groups[g].slots),
+                Some(g) => bucket.map(|b| &b.groups[g].slots),
             };
             check(
                 members.and_then(|m| m.get(slot.pos as usize)) == Some(&id),
@@ -1299,9 +1337,9 @@ mod tests {
     fn restore_overwrites_and_reports_replacement() {
         let mut c = cache();
         let q = query(0, 1);
-        let first = c.store_with_evictions(&q, result(1), ExposureLevel::View);
+        let first = c.store_with_evictions(&q, result(1), ExposureLevel::View, 0, 0);
         assert!(first.stored && !first.replaced);
-        let second = c.store_with_evictions(&q, result(3), ExposureLevel::View);
+        let second = c.store_with_evictions(&q, result(3), ExposureLevel::View, 0, 0);
         assert!(second.stored && second.replaced);
         assert!(second.evicted.is_empty(), "replacement is not an eviction");
         assert_eq!(c.len(), 1);
@@ -1377,7 +1415,8 @@ mod tests {
         c.lookup(&query(0, 2));
         let mut victims = Vec::new();
         for p in 4..8 {
-            let outcome = c.store_with_evictions(&query(0, p), result(1), ExposureLevel::View);
+            let outcome =
+                c.store_with_evictions(&query(0, p), result(1), ExposureLevel::View, 0, 0);
             victims.extend(outcome.evicted.into_iter().map(|k| k.params[0].clone()));
         }
         assert_eq!(
@@ -1392,16 +1431,16 @@ mod tests {
     fn store_outcome_reports_victims() {
         let mut c = ResultCache::with_capacity(Encryptor::for_app("test"), 2);
         assert!(c
-            .store_with_evictions(&query(0, 1), result(1), ExposureLevel::View)
+            .store_with_evictions(&query(0, 1), result(1), ExposureLevel::View, 0, 0)
             .evicted
             .is_empty());
         c.store(&query(0, 2), result(1), ExposureLevel::View);
-        let outcome = c.store_with_evictions(&query(0, 3), result(1), ExposureLevel::View);
+        let outcome = c.store_with_evictions(&query(0, 3), result(1), ExposureLevel::View, 0, 0);
         assert!(outcome.stored);
         assert_eq!(outcome.evicted.len(), 1);
         assert_eq!(outcome.evicted[0].params, vec![Value::Int(1)]);
         // Empty results: not stored, nothing evicted.
-        let noop = c.store_with_evictions(&query(0, 9), result(0), ExposureLevel::View);
+        let noop = c.store_with_evictions(&query(0, 9), result(0), ExposureLevel::View, 0, 0);
         assert!(!noop.stored && !noop.replaced && noop.evicted.is_empty());
     }
 
@@ -1675,6 +1714,124 @@ mod tests {
         let delete_a = Arc::new(scs_sqlkit::parse_update("DELETE FROM t WHERE a = ?").unwrap());
         assert_eq!(decided(&mut c, &bind(&delete_a, 7)), (2, 1));
         assert!(c.peek(&query(0, 2)).is_none(), "the short-row entry");
+    }
+
+    /// Stores `q` at a sealed `level` and checks the fill against the one
+    /// that rendered its statement afresh: the key bytes of
+    /// `encrypt_str(&q.statement_text())` at `blind` and of `8 +
+    /// encrypt_str(&format!("{:?}", q.params))` at `template`, no statement
+    /// bytes in the clear, and one seal of that plaintext on the meter.
+    fn fill_seals_the_rendered_key(
+        c: &mut ResultCache,
+        meter: &CryptoMeter,
+        q: &Query,
+        level: ExposureLevel,
+    ) {
+        let (plaintext, envelope) = match level {
+            ExposureLevel::Blind => (q.statement_text(), 0),
+            _ => (format!("{:?}", q.params), 8),
+        };
+        let key_bytes = envelope + Encryptor::for_app("test").encrypt_str(&plaintext).len();
+        let (seals, sealed) = (meter.seals(), meter.seal_bytes());
+        let r = result(2);
+        let result_bytes = r.approx_size_bytes();
+        assert!(c.store(q, r, level));
+        let e = c.peek(q).unwrap();
+        assert_eq!(e.stored_bytes, key_bytes + result_bytes + 8, "{level:?}");
+        assert_eq!(e.inspection_bytes(), (0, result_bytes as u64), "{level:?}");
+        assert_eq!(meter.seals(), seals + 1, "{level:?}");
+        assert_eq!(
+            meter.seal_bytes(),
+            sealed + plaintext.len() as u64,
+            "{level:?}"
+        );
+        c.check_invariants().unwrap();
+    }
+
+    /// Blind and template fills seal what rendering the statement afresh
+    /// would, whether the query is bound to its bucket's template, to a
+    /// structurally different one under the same id, or to the template
+    /// that took the bucket over once it emptied.
+    #[test]
+    fn sealed_fills_store_and_meter_the_rendered_key() {
+        let meter = CryptoMeter::new();
+        let mut c = cache();
+        c.meter_crypto(meter.clone());
+        let bound = Arc::new(parse_query("SELECT a FROM t WHERE b = ? AND c = 'who?'").unwrap());
+        let other = Arc::new(parse_query("SELECT a, c FROM t WHERE b = ?").unwrap());
+        let instance = |t: &Arc<QueryTemplate>, v: Value| Query::bind(0, t.clone(), vec![v]);
+        let values = [Value::Int(-7), Value::str("it's"), Value::real(2.5)];
+        let sealed = [ExposureLevel::Blind, ExposureLevel::Template];
+        for (i, v) in values.iter().enumerate() {
+            let level = sealed[i % 2];
+            fill_seals_the_rendered_key(
+                &mut c,
+                &meter,
+                &instance(&bound, v.clone()).unwrap(),
+                level,
+            );
+        }
+        // A `view` member keeps `bound` the bucket's template; `other`
+        // renders its own text.
+        c.store(
+            &instance(&bound, Value::Int(0)).unwrap(),
+            result(1),
+            ExposureLevel::View,
+        );
+        for (i, v) in values.iter().enumerate() {
+            let level = sealed[i % 2];
+            fill_seals_the_rendered_key(
+                &mut c,
+                &meter,
+                &instance(&other, v.clone()).unwrap(),
+                level,
+            );
+        }
+        // Emptied, the bucket is `other`'s: its text is `other`'s too.
+        c.invalidate_where(|_| true);
+        c.store(
+            &instance(&other, Value::Int(0)).unwrap(),
+            result(1),
+            ExposureLevel::Stmt,
+        );
+        for (i, v) in values.iter().enumerate() {
+            let level = sealed[(i + 1) % 2];
+            fill_seals_the_rendered_key(
+                &mut c,
+                &meter,
+                &instance(&other, v.clone()).unwrap(),
+                level,
+            );
+        }
+    }
+
+    /// A bucket holding no `template`-level-or-above entry — here one made
+    /// by blind fills alone — costs a probed pass nothing: no rule, no
+    /// index, no scanned, inspected or pruned pair beyond the blind list.
+    #[test]
+    fn a_bucket_without_members_costs_the_pass_nothing() {
+        let mut c = cache();
+        c.store(&query(0, 1), result(1), ExposureLevel::Blind);
+        c.store(&query(0, 2), result(1), ExposureLevel::Blind);
+        let (scanned, inspected, pruned) = probe(&mut c, &delete_b(Value::Int(1)));
+        assert_eq!((scanned, inspected, pruned), (2, 2, vec![]));
+        let bucket = &c.buckets[&0];
+        assert!(bucket.rules.is_empty() && bucket.indexes.is_empty());
+    }
+
+    #[test]
+    fn a_fill_is_stamped_with_its_stream_and_epoch() {
+        let mut c = cache();
+        let q = query(0, 1);
+        assert!(
+            c.store_with_evictions(&q, result(1), ExposureLevel::Blind, 2, 7)
+                .stored
+        );
+        let e = c.peek(&q).unwrap();
+        assert_eq!((e.stored_stream(), e.stored_epoch()), (2, 7));
+        assert!(c.store(&q, result(1), ExposureLevel::View));
+        let e = c.peek(&q).unwrap();
+        assert_eq!((e.stored_stream(), e.stored_epoch()), (0, 0), "unstamped");
     }
 
     #[test]

@@ -724,8 +724,20 @@ impl Dssp {
                 }
             }
         }
+        // The fill carries its first participating stream and that
+        // stream's epoch as of the miss trip: the entry is provably fresh
+        // up to that point, which is the floor the staleness-age
+        // accounting starts from. For a scatter-gather fill this tracks
+        // only one of the streams the result depends on — a documented
+        // approximation in the staleness *accounting*; the lease (and the
+        // conservative cross-stream recovery flush) still bound true
+        // staleness.
+        let owner = streams.first().copied().unwrap_or(0);
+        let fill_epoch = home.epoch_of(owner);
         let crypto_timer = self.spans.timer();
-        let outcome = self.cache.store_with_evictions(q, result.clone(), level);
+        let outcome = self
+            .cache
+            .store_with_evictions(q, result.clone(), level, owner, fill_epoch);
         self.spans.record_closed(
             self.now_micros,
             SpanPhase::Crypto,
@@ -734,17 +746,6 @@ impl Dssp {
             crypto_timer,
         );
         if outcome.stored {
-            // The fill carries its first participating stream and that
-            // stream's epoch as of the miss trip: the entry is provably
-            // fresh up to that point, which is the floor the
-            // staleness-age accounting starts from. For a scatter-gather
-            // fill this tracks only one of the streams the result
-            // depends on — a documented approximation in the staleness
-            // *accounting*; the lease (and the conservative cross-stream
-            // recovery flush) still bound true staleness.
-            let owner = streams.first().copied().unwrap_or(0);
-            let fill_epoch = home.epoch_of(owner);
-            self.cache.set_stored_provenance(q, owner, fill_epoch);
             self.note(TraceEventKind::EntryStored {
                 query_template: tid as u32,
                 stream: owner,

@@ -124,10 +124,17 @@ pub fn statement_len(template_text: &str, params: &[Value]) -> usize {
     count.0
 }
 
+/// Appends the statement text `template_text` renders to with `params`
+/// bound — `statement_text()` — to `out`: the same substitution, into a
+/// buffer a caller rendering one template many times keeps and reuses.
+pub fn render_statement(out: &mut String, template_text: &str, params: &[Value]) {
+    // Writing to a `String` cannot fail.
+    let _ = substitute(out, template_text, params);
+}
+
 fn render(template_text: &str, params: &[Value]) -> String {
     let mut out = String::with_capacity(template_text.len() + params.len() * 8);
-    // Writing to a `String` cannot fail.
-    let _ = substitute(&mut out, template_text, params);
+    render_statement(&mut out, template_text, params);
     out
 }
 
@@ -275,7 +282,8 @@ mod tests {
         );
     }
 
-    /// The counted length is the rendered one, through every path of the
+    /// The counted length is the rendered one, and rendering into a buffer
+    /// appends the same text, through every path of the
     /// substitution: runs of text, quoted `?`s, doubled quotes, escaped
     /// and multi-byte parameters, `Real`s.
     #[test]
@@ -297,6 +305,9 @@ mod tests {
             let q = Query::bind(0, t.clone(), params).unwrap();
             let counted = statement_len(&t.to_string(), &q.params);
             assert_eq!(counted, q.statement_text().len(), "{sql}");
+            let mut kept = String::from("kept: ");
+            render_statement(&mut kept, &t.to_string(), &q.params);
+            assert_eq!(kept, format!("kept: {}", q.statement_text()), "{sql}");
         }
     }
 

@@ -31,7 +31,7 @@ pub use ast::{
     AggFunc, CmpOp, ColumnRef, DeleteTemplate, InsertTemplate, ModifyTemplate, Operand, OrderKey,
     Predicate, QueryTemplate, Scalar, SelectItem, TableRef, Template, UpdateTemplate,
 };
-pub use bind::{statement_len, Query, TemplateId, Update};
+pub use bind::{render_statement, statement_len, Query, TemplateId, Update};
 pub use error::{BindError, ParseError};
 pub use parser::{parse_query, parse_template, parse_update};
 pub use value::{Real, Value};

@@ -5,5 +5,9 @@
 
 #[path = "../crates/apps/tests/benchmark_api.rs"]
 mod apps;
+#[path = "../crates/crypto/tests/benchmark_api.rs"]
+mod crypto;
 #[path = "../crates/dssp/tests/benchmark_api.rs"]
 mod dssp;
+#[path = "../crates/storage/tests/benchmark_api.rs"]
+mod storage;
