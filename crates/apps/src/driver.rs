@@ -4,11 +4,16 @@
 
 use crate::defs::{AppDef, Op};
 use crate::gen::{BoundOp, IdSpaces, ParamGen, RequestSampler};
+use crate::scenario::LoadProfile;
 use scs_core::{characterize_app, AnalysisOptions, Exposures, IpmMatrix};
-use scs_dssp::{Dssp, DsspConfig, FleetConfig, HomeServer, ProxyFleet, ShardedHome};
-use scs_netsim::{HomeTrip, OpCost, Time, Workload};
+use scs_dssp::{
+    Autoscaler, AutoscalerConfig, Dssp, DsspConfig, FleetConfig, HomeServer, ProxyFleet,
+    ScaleAction, ScaleDecision, ShardedHome,
+};
+use scs_netsim::{HomeTrip, OpCost, Time, Workload, SEC};
 use scs_sqlkit::UpdateTemplate;
 use scs_storage::{Database, PartitionMap, TablePlacement};
+use std::collections::HashMap;
 
 /// CPU/size cost model calibrated to the paper's testbed shape (§5.2):
 /// a fast (Xeon-class) DSSP node, a slow (P-III-class) home server running
@@ -206,16 +211,7 @@ impl DsspWorkload {
         zipf_exponent: f64,
         seed: u64,
     ) -> DsspWorkload {
-        assert_eq!(
-            config.exposures.queries.len(),
-            app.queries.len(),
-            "exposure shape"
-        );
-        assert_eq!(
-            config.exposures.updates.len(),
-            app.updates.len(),
-            "exposure shape"
-        );
+        assert_exposure_shape(app, &config.exposures);
         DsspWorkload {
             dssp: Dssp::new(config),
             home: HomeServer::new(db),
@@ -265,6 +261,12 @@ fn answer_of(resp: &scs_dssp::QueryResponse) -> (usize, u64, bool) {
         resp.result.approx_size_bytes() as u64,
         resp.hit,
     )
+}
+
+/// Panics unless `exposures` holds one level per template of `app`.
+fn assert_exposure_shape(app: &AppDef, exposures: &Exposures) {
+    assert_eq!(exposures.queries.len(), app.queries.len(), "exposure shape");
+    assert_eq!(exposures.updates.len(), app.updates.len(), "exposure shape");
 }
 
 /// Characterizes an application's IPM matrix with default options.
@@ -332,10 +334,68 @@ impl Workload for DsspWorkload {
 /// scans the *whole* fleet; that work is charged to the forwarding
 /// replica — a deliberate simplification that slightly overcharges one
 /// node on the (rare) updates.
+///
+/// Two settings make it the elastic experiment: a [`LoadProfile`] that
+/// shapes the arrival rate (a flash crowd), and an [`Autoscaler`] that
+/// joins and retires replicas under live load
+/// ([`ProxyFleet::add_replica`] / [`ProxyFleet::remove_replica`], with
+/// state handoff). Without them the fleet keeps its size and the load
+/// is flat.
 pub struct FleetWorkload {
     fleet: ProxyFleet,
     ops: OpSampler,
     costs: CostModel,
+    load: LoadProfile,
+    autoscaling: Option<Autoscaling>,
+}
+
+/// The autoscaler's sample window: it is fed one sample per window.
+const AUTOSCALE_SAMPLE: Time = 2 * SEC;
+
+/// The autoscaler loop's state: the policy, the DSSP CPU each replica
+/// was billed in the open sample window, and what each decision did.
+struct Autoscaling {
+    policy: Autoscaler,
+    window_start: Time,
+    busy: HashMap<usize, Time>,
+    /// Per decision: the replica joined or retired, and the cache
+    /// entries handed off with it.
+    outcomes: Vec<(usize, u64)>,
+}
+
+impl Autoscaling {
+    /// Closes the sample window once it is full: feeds the busiest live
+    /// replica's utilization in it (above 1.0 when its queue grew) to
+    /// the policy and applies the decision. Scale-in retires the idlest
+    /// live replica of the window.
+    fn tick(&mut self, fleet: &mut ProxyFleet, now: Time) {
+        let window = now.saturating_sub(self.window_start);
+        if window < AUTOSCALE_SAMPLE {
+            return;
+        }
+        let live = fleet.replica_ids();
+        let busy = |id: &usize| self.busy.get(id).copied().unwrap_or(0);
+        let busiest = live
+            .iter()
+            .map(|id| busy(id) as f64 / window as f64)
+            .fold(0.0, f64::max);
+        match self.policy.observe(now, busiest, live.len()) {
+            Some(ScaleAction::Out) => {
+                let joined = fleet.add_replica();
+                self.outcomes.push((joined.replica, joined.handed));
+            }
+            Some(ScaleAction::In) => {
+                // The policy keeps at least one replica, so there are two.
+                if let Some(&idlest) = live.iter().min_by_key(|id| busy(id)) {
+                    let left = fleet.remove_replica(idlest);
+                    self.outcomes.push((idlest, left.handed));
+                }
+            }
+            None => {}
+        }
+        self.window_start = now;
+        self.busy.clear();
+    }
 }
 
 impl FleetWorkload {
@@ -366,20 +426,13 @@ impl FleetWorkload {
         zipf_exponent: f64,
         seed: u64,
     ) -> FleetWorkload {
-        assert_eq!(
-            config.exposures.queries.len(),
-            app.queries.len(),
-            "exposure shape"
-        );
-        assert_eq!(
-            config.exposures.updates.len(),
-            app.updates.len(),
-            "exposure shape"
-        );
+        assert_exposure_shape(app, &config.exposures);
         FleetWorkload {
             fleet: ProxyFleet::new(config, HomeServer::new(db), fleet),
             ops: OpSampler::new(app, ids, zipf_exponent, seed),
             costs: CostModel::default(),
+            load: LoadProfile::flat(),
+            autoscaling: None,
         }
     }
 
@@ -388,6 +441,54 @@ impl FleetWorkload {
     pub fn with_costs(mut self, costs: CostModel) -> FleetWorkload {
         self.costs = costs;
         self
+    }
+
+    /// Shapes the clients' arrival rate over sim time (builder style).
+    pub fn with_load(mut self, load: LoadProfile) -> FleetWorkload {
+        self.load = load;
+        self
+    }
+
+    /// Lets an [`Autoscaler`] under `policy` resize the fleet (builder
+    /// style). Every 2 s of sim time it is fed the busiest live
+    /// replica's share of that window spent on billed DSSP CPU.
+    pub fn with_autoscaler(mut self, policy: AutoscalerConfig) -> FleetWorkload {
+        self.autoscaling = Some(Autoscaling {
+            policy: Autoscaler::new(policy),
+            window_start: 0,
+            busy: HashMap::new(),
+            outcomes: Vec::new(),
+        });
+        self
+    }
+
+    /// The membership timeline: each autoscaler decision with the
+    /// replica it joined or retired and the cache entries handed off.
+    /// Empty for a fixed-size fleet.
+    pub fn membership(&self) -> Vec<(ScaleDecision, usize, u64)> {
+        self.autoscaling.as_ref().map_or_else(Vec::new, |a| {
+            a.policy
+                .decisions()
+                .iter()
+                .zip(&a.outcomes)
+                .map(|(d, &(replica, handed))| (*d, replica, handed))
+                .collect()
+        })
+    }
+
+    /// Replica-seconds the fleet held over `[0, horizon)`: the
+    /// membership timeline integrated after the run.
+    pub fn node_seconds(&self, horizon: Time) -> f64 {
+        let timeline = self.membership();
+        let mut live = timeline.first().map_or(self.fleet.len(), |(d, ..)| d.live);
+        let (mut since, mut micros) = (0, 0.0);
+        for (d, ..) in &timeline {
+            micros += live as f64 * d.at_micros.saturating_sub(since) as f64;
+            since = d.at_micros;
+            live = d.live_after();
+        }
+        micros += live as f64 * horizon.saturating_sub(since) as f64;
+        micros / 1e6
     }
 
     /// The fleet (inspection hook for reports and tests).
@@ -438,7 +539,11 @@ impl Workload for FleetWorkload {
                 }
             }
         };
-        self.costs.op_cost(executed)
+        let cost = self.costs.op_cost(executed);
+        if let Some(a) = self.autoscaling.as_mut() {
+            *a.busy.entry(cost.proxy).or_insert(0) += cost.dssp_cpu;
+        }
+        cost
     }
 
     fn hit_rate(&self) -> f64 {
@@ -449,6 +554,17 @@ impl Workload for FleetWorkload {
         // Advances every replica's lease/trace clock, fires the interval
         // flush, and delivers fanout batches that became due.
         self.fleet.set_sim_time_micros(now);
+        if let Some(a) = self.autoscaling.as_mut() {
+            a.tick(&mut self.fleet, now);
+        }
+    }
+
+    fn think_multiplier(&self, now: Time) -> f64 {
+        self.load.multiplier_at(now)
+    }
+
+    fn live_proxies(&self) -> Option<Vec<usize>> {
+        self.autoscaling.as_ref().map(|_| self.fleet.replica_ids())
     }
 }
 
@@ -570,11 +686,7 @@ impl ShardedWorkload {
     ) -> ShardedWorkload {
         let matrix = analysis_matrix(app);
         let config = DsspConfig::new(app.name, exposures, matrix);
-        assert_eq!(
-            config.exposures.queries.len(),
-            app.queries.len(),
-            "exposure shape"
-        );
+        assert_exposure_shape(app, &config.exposures);
         ShardedWorkload {
             dssp: Dssp::new(config),
             home: ShardedHome::new(db, map),
@@ -920,6 +1032,137 @@ mod tests {
             }
         }
         assert_eq!(classic.dssp().stats(), fleet.fleet().rollup_stats());
+    }
+
+    /// The elastic probe's flash crowd at test size: 768 auction users
+    /// at half rate, all of them during [18 s, 48 s), on a hash-routed
+    /// MVIS fleet with the freshness plane and a 30 s lease.
+    const CROWD: (Time, Time) = (18 * SEC, 48 * SEC);
+
+    fn auction_crowd(replicas: usize, autoscale: bool) -> (FleetWorkload, SimConfig) {
+        let app = crate::BenchApp::Auction;
+        let def = app.def();
+        let exposures =
+            StrategyKind::ViewInspection.exposures(def.updates.len(), def.queries.len());
+        let fleet = FleetConfig::reliable(replicas, scs_dssp::RoutingMode::HashByTemplate);
+        let mut load = LoadProfile::constant(0.5);
+        load.segments
+            .extend(LoadProfile::spike(CROWD.0, CROWD.1, 1.0).segments);
+        let mut w = app.fleet_workload(exposures, fleet, 7).with_load(load);
+        if autoscale {
+            let mut policy = AutoscalerConfig::paper(2, 4);
+            policy.scale_in_util = policy.scale_out_util * 2.0 / 3.0;
+            w = w.with_autoscaler(policy);
+        }
+        w.fleet_mut().enable_provenance();
+        w.fleet_mut().set_lease_micros(Some(30 * SEC));
+        let cfg = SimConfig {
+            duration: 120 * SEC,
+            warmup: 6 * SEC,
+            spec: SystemSpec::with_dssp_nodes(replicas),
+            ..SimConfig::paper(768, 7)
+        };
+        let m = run(&cfg, &mut w);
+        assert!(m.requests_completed > 0);
+        w.fleet_mut().drain();
+        // The freshness oracle over every replica that ever existed: no
+        // serve beyond the lease, every epoch ledger balanced.
+        let prov = w.fleet().provenance().expect("enabled").clone();
+        let log = scs_telemetry::lock(&prov);
+        for r in 0..log.replica_count() {
+            assert_eq!(log.replica(r).stale_beyond_lease, 0, "replica {r}");
+            let ledger = log.conservation_on(r, 0, w.fleet().home().epoch());
+            assert!(ledger.balanced(), "replica {r}");
+        }
+        (w, cfg)
+    }
+
+    #[test]
+    fn a_static_fleet_keeps_its_size_through_the_crowd() {
+        use scs_netsim::Workload;
+        let (w, cfg) = auction_crowd(3, false);
+        assert!(w.membership().is_empty());
+        assert_eq!(w.fleet().replica_ids(), vec![0, 1, 2]);
+        assert_eq!(w.live_proxies(), None, "every node that served is live");
+        assert_eq!(w.node_seconds(cfg.duration), 3.0 * 120.0);
+    }
+
+    #[test]
+    fn the_autoscaler_scales_out_under_the_crowd_and_back_in_after_it() {
+        use scs_telemetry::{MembershipKind as K, TraceEventKind};
+        let (w, cfg) = auction_crowd(2, true);
+        let timeline = w.membership();
+        let steps: Vec<(u64, ScaleAction, usize, u64)> = timeline
+            .iter()
+            .map(|&(d, replica, handed)| (d.at_micros, d.action, replica, handed))
+            .collect();
+        let during = |at| (CROWD.0..CROWD.1).contains(&at);
+        assert!(
+            steps.iter().any(|s| during(s.0) && s.1 == ScaleAction::Out),
+            "{steps:?}"
+        );
+        assert!(
+            steps
+                .iter()
+                .any(|s| s.0 >= CROWD.1 && s.1 == ScaleAction::In),
+            "{steps:?}"
+        );
+        // The fleet journaled exactly these joins and leaves on the
+        // freshness plane: same instants, replicas and handoffs.
+        let prov = w.fleet().provenance().expect("enabled").clone();
+        let journaled: Vec<(u64, ScaleAction, usize, u64)> = scs_telemetry::lock(&prov)
+            .membership()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Membership {
+                    kind: K::Join,
+                    replica,
+                    entries,
+                    ..
+                } => Some((e.at_micros, ScaleAction::Out, replica, entries)),
+                TraceEventKind::Membership {
+                    kind: K::Leave,
+                    replica,
+                    entries,
+                    ..
+                } => Some((e.at_micros, ScaleAction::In, replica, entries)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps, journaled);
+        let node_seconds = w.node_seconds(cfg.duration);
+        assert!(2.0 * 120.0 < node_seconds && node_seconds < 4.0 * 120.0);
+    }
+
+    #[test]
+    fn scale_in_retires_the_idlest_live_replica() {
+        use scs_dssp::RoutingMode;
+        use scs_netsim::Workload;
+        let policy = AutoscalerConfig {
+            scale_out_util: f64::INFINITY,
+            scale_in_util: 1.0,
+            sustain: 1,
+            cooldown_micros: 0,
+            min_replicas: 1,
+            max_replicas: 3,
+        };
+        let mut w = toystore_fleet(
+            StrategyKind::ViewInspection,
+            FleetConfig::reliable(3, RoutingMode::RoundRobin),
+            3,
+        )
+        .with_autoscaler(policy);
+        for (proxy, busy) in [(0, 600_000), (1, 200_000), (2, 400_000)] {
+            let a = w.autoscaling.as_mut().expect("autoscaled");
+            a.busy.insert(proxy, busy);
+        }
+        w.observe_time(AUTOSCALE_SAMPLE);
+        assert_eq!(w.fleet().replica_ids(), vec![0, 2]);
+        assert_eq!(w.live_proxies(), Some(vec![0, 2]));
+        let timeline = w.membership();
+        assert_eq!(timeline.len(), 1);
+        assert_eq!((timeline[0].0.action, timeline[0].1), (ScaleAction::In, 1));
+        assert_eq!(timeline[0].0.busiest_util, 0.3);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod bboard;
 pub mod bookstore;
 pub mod defs;
 pub mod driver;
-pub mod elastic;
 pub mod gen;
 pub mod report;
 pub mod runner;
@@ -25,9 +24,6 @@ pub mod toystore;
 pub use defs::{AppDef, Op, ParamSpec, RequestType, Sensitivity, TemplateDef};
 pub use driver::{
     analysis_matrix, home_shard_map, CostModel, DsspWorkload, FleetWorkload, ShardedWorkload,
-};
-pub use elastic::{
-    run_elastic, ElasticFleetWorkload, ElasticReport, ElasticRunConfig, MembershipChange,
 };
 pub use gen::{BoundOp, IdSpaces, ParamGen, RequestSampler, Zipf, BOOK_POPULARITY_EXPONENT};
 pub use runner::{

@@ -787,7 +787,11 @@ fn fire(
             fleet.restart_proxy(id);
         }
         CrashKind::CrashPrimary => fleet.crash_home(),
-        CrashKind::PartitionPrimary => fleet.partition_home(),
+        // A refused injection (the tier is down, or a partitioned
+        // primary is still outstanding) is a no-op.
+        CrashKind::PartitionPrimary => {
+            let _ = fleet.partition_home();
+        }
         CrashKind::ZombieWrites(writes) => {
             // The zombie serves its divergent branch: each write applies
             // locally and ships on the stale term.
@@ -796,7 +800,8 @@ fn fire(
                 let u = Update::bind(0, zombie_update.clone(), vec![Value::Int(toy)])
                     .expect("validated template");
                 let group = fleet.home_group_mut();
-                report.zombie_writes_applied += group.zombie_write(at, &u).is_ok() as u64;
+                report.zombie_writes_applied +=
+                    matches!(group.zombie_write(at, &u), Ok(Ok(_))) as u64;
             }
         }
         CrashKind::RejoinCrashed => {

@@ -1,62 +1,193 @@
-//! The elastic-fleet probe: the flash-crowd scenario run once
-//! autoscaled and once at each bracketing static fleet size.
+//! The elastic-fleet probe: a site-wide flash crowd on the auction app,
+//! run once autoscaled and once at each bracketing static fleet size.
 //!
-//! Each variant drives [`scs_apps::run_elastic`]: a closed-loop
-//! population whose think time collapses on one hash-pinned hot
-//! template for a scripted window (the flash crowd). The autoscaled
-//! variant watches the busiest live replica's windowed utilization and
-//! grows/shrinks the fleet through the live join/leave path — state
-//! handoff, epoch cursors, atomic ring cutover — while the static
-//! variants pin the size for the whole run. The probe reads back the
-//! SLO verdict, the node-seconds integral (the waste metric), the
-//! membership timeline, and the freshness-plane oracle
-//! (stale-beyond-lease and the epoch conservation balance across every
-//! replica that ever existed).
+//! Every variant is the fleet probe's deployment
+//! ([`BenchApp::fleet_workload`]: MVIS, hash-by-template routing,
+//! [`scs_apps::CostModel::dssp_bound`]) with the freshness plane and a
+//! lease switched on as the freshness probe does, and a [`LoadProfile`]
+//! on the arrival rate. The autoscaled variant adds an
+//! [`AutoscalerConfig`] that grows and shrinks the fleet through the live
+//! join/leave path; the static variants keep their size. The probe reads
+//! back the SLO verdict, the node-seconds integral (the waste metric),
+//! the membership timeline, and the freshness oracle over every replica
+//! that ever existed.
 //!
-//! The full-fidelity bracket is the scenario's thesis: static-2 fails
-//! the paper SLO, static-4 (the smallest robustly passing static) and
-//! static-8 pass it, and the autoscaled fleet passes while spending
-//! fewer node-seconds than either passing static. The 60 s scenario of
-//! every other mode (the committed baseline's) keeps only the
-//! seed-robust facts as gates (the crowd trips a join, the too-small
-//! static fails, freshness holds); the SLO/waste bracket is enforced by
-//! `--full` (the 150 s scenario) and, against the committed baseline,
-//! by the `autoscale_slo_flip` regression detector.
+//! **The run shape** is derived once from the committed `fleet_MVIS`
+//! knees (`scs-bench fleet --smoke`, seed 23, the paper's 7 s think
+//! time): [`KNEES`] = 256, 512 and 768 users at 1, 2 and 4 proxies.
+//!
+//! * The crowd is the 4-proxy knee, [`CROWD_USERS`] = 768 closed-loop
+//!   users, 1.5× the 2-proxy knee: inside it every variant runs the
+//!   4-proxy knee trial. The midpoint of the 2- and 4-proxy knees would
+//!   not do: at 640 users 2 proxies measure p90 ≈ 2 s. Nor would a
+//!   smaller population with a shorter think time: a closed loop
+//!   throttles itself once responses grow.
+//! * The base load, [`BASE_USERS`] = 384 users' worth, is the midpoint
+//!   of the 1- and 2-proxy knees. Outside the crowd the profile thins
+//!   the arrival rate to 384 / 768. Every request type speeds up alike:
+//!   the crowd is site-wide.
+//! * The autoscaler ranges over the sizes those knees name, 2 (covers
+//!   the base) to 4 (covers the crowd). Its scale-in band is 2/3 of the
+//!   scale-out band, so a leave from 3 to 2, which raises each
+//!   survivor's share by at most 3/2, cannot land in the scale-out band.
+//! * The static bracket is 2 (drowned by the crowd), 4 and 8.
+//!
+//! The simulator staggers the first requests over one think period, so
+//! the first seconds run above the base rate: the autoscaled fleet
+//! typically joins once there and leaves again before the crowd.
+//!
+//! The full bracket is the probe's thesis: static-2 fails the paper SLO,
+//! static-4 and static-8 pass it, and the autoscaled fleet passes on
+//! fewer node-seconds than either. The 60 s scenario of every other mode
+//! (the committed baseline's) gates only the seed-robust facts (the
+//! crowd trips a join, the too-small static fails, freshness holds);
+//! `--full` (150 s) enforces the bracket, and the `autoscale_slo_flip`
+//! detector holds the committed baseline's verdict.
 
 use crate::{outln, Mode, ProbeRun, TextTable};
-use scs_apps::{run_elastic, ElasticReport, ElasticRunConfig};
-use scs_dssp::ScaleAction;
-use scs_telemetry::{Json, TimeSeries};
+use scs_apps::{BenchApp, LoadProfile};
+use scs_dssp::{
+    AutoscalerConfig, FleetConfig, RoutingMode, ScaleAction, ScaleDecision, StrategyKind,
+};
+use scs_netsim::{run_observed, RunMetrics, SimConfig, Sla, SystemSpec, Time, SEC};
+use scs_telemetry::{lock, Json, TimeSeries};
 
 /// The canonical probe seed (shared with the committed baseline).
 pub const SEED: u64 = 7;
 
+/// The committed `fleet_MVIS` knees: max users at 1, 2 and 4 proxies.
+pub const KNEES: [usize; 3] = [256, 512, 768];
+
+/// The closed-loop population, all of it active inside the crowd: the
+/// 4-proxy knee.
+pub const CROWD_USERS: usize = KNEES[2];
+
+/// Users' worth of load outside the crowd: the midpoint of the 1- and
+/// 2-proxy knees.
+pub const BASE_USERS: usize = (KNEES[0] + KNEES[1]) / 2;
+
 /// Static fleet sizes bracketing the autoscaled run: too small (fails
-/// the SLO), the smallest robustly passing size, and oversized.
+/// the SLO), the smallest size whose knee covers the crowd, and
+/// oversized.
 pub const STATIC_SIZES: &[usize] = &[2, 4, 8];
 
-/// The flash-crowd configuration for one variant: autoscaled when
-/// `static_size` is `None`, pinned otherwise. The sizes are not a
-/// user-count knob: they are the two calibrated scenarios in
-/// [`ElasticRunConfig`].
-fn variant_config(mode: Mode, seed: u64, static_size: Option<usize>) -> ElasticRunConfig {
-    let mut cfg = ElasticRunConfig::flash_crowd(seed);
-    if mode != Mode::Full {
-        cfg = cfg.smoke();
-    }
-    match static_size {
-        Some(n) => cfg.static_fleet(n),
-        None => cfg,
+/// Per-entry staleness lease on every replica: long against the think
+/// time, so expiry (which the knee trials did not have) moves little
+/// load to the home, and short against the run, so the lease oracle
+/// spans membership changes.
+pub const LEASE_MICROS: u64 = 30 * SEC;
+
+/// Observatory bucket width for the exported time series.
+const BUCKET_MICROS: Time = 2 * SEC;
+
+/// The timeline per mode: run length, warmup and the crowd window. The
+/// crowd starts 30 % into the run and lasts 60 s (30 s in the 60 s run).
+fn shape(mode: Mode) -> (Time, Time, (Time, Time)) {
+    match mode {
+        Mode::Full => (150 * SEC, 10 * SEC, (45 * SEC, 105 * SEC)),
+        Mode::Smoke | Mode::Quick => (60 * SEC, 6 * SEC, (18 * SEC, 48 * SEC)),
     }
 }
 
+/// The autoscaler: from the base load's size to the crowd's, the
+/// paper's scale-out band and a scale-in band 2/3 of it.
+fn policy() -> AutoscalerConfig {
+    let mut policy = AutoscalerConfig::paper(2, 4);
+    policy.scale_in_util = policy.scale_out_util * 2.0 / 3.0;
+    policy
+}
+
 /// One probe variant and what its run produced.
-pub struct ElasticVariant {
+struct ElasticVariant {
     /// `"auto"` or `"static{n}"`.
-    pub name: String,
+    name: String,
     /// `None` for the autoscaled variant.
-    pub static_size: Option<usize>,
-    pub report: ElasticReport,
+    static_size: Option<usize>,
+    metrics: RunMetrics,
+    p90_micros: Option<Time>,
+    slo_ok: bool,
+    /// [`scs_apps::FleetWorkload::membership`].
+    timeline: Vec<(ScaleDecision, usize, u64)>,
+    node_seconds: f64,
+    replicas_start: usize,
+    replicas_end: usize,
+    /// Serves beyond the lease, over every replica that ever existed.
+    stale_beyond_lease: u64,
+    /// Every replica ledger ever registered balances.
+    conservation_balanced: bool,
+    /// Membership events journaled on the freshness plane.
+    membership_stamps: usize,
+}
+
+impl ElasticVariant {
+    fn count(&self, action: ScaleAction) -> usize {
+        self.timeline
+            .iter()
+            .filter(|(d, ..)| d.action == action)
+            .count()
+    }
+
+    fn replicas_peak(&self) -> usize {
+        let after = self.timeline.iter().map(|(d, ..)| d.live_after());
+        after.fold(self.replicas_start, usize::max)
+    }
+
+    fn handed_entries(&self) -> u64 {
+        self.timeline.iter().map(|&(_, _, handed)| handed).sum()
+    }
+}
+
+/// Runs one variant: autoscaled from the smallest static size when
+/// `static_size` is `None`, pinned otherwise.
+fn run_variant(mode: Mode, seed: u64, static_size: Option<usize>) -> ElasticVariant {
+    let app = BenchApp::Auction;
+    let def = app.def();
+    let start = static_size.unwrap_or(STATIC_SIZES[0]);
+    let exposures = StrategyKind::ViewInspection.exposures(def.updates.len(), def.queries.len());
+    let fleet = FleetConfig::reliable(start, RoutingMode::HashByTemplate);
+    let (duration, warmup, crowd) = shape(mode);
+    let mut load = LoadProfile::constant(BASE_USERS as f64 / CROWD_USERS as f64);
+    load.segments
+        .extend(LoadProfile::spike(crowd.0, crowd.1, 1.0).segments);
+    let mut w = app.fleet_workload(exposures, fleet, seed).with_load(load);
+    if static_size.is_none() {
+        w = w.with_autoscaler(policy());
+    }
+    w.fleet_mut().enable_provenance();
+    w.fleet_mut().set_lease_micros(Some(LEASE_MICROS));
+    let sim = SimConfig {
+        duration,
+        warmup,
+        spec: SystemSpec::with_dssp_nodes(start),
+        ..SimConfig::paper(CROWD_USERS, seed)
+    };
+    let metrics = run_observed(&sim, &mut w, Some(BUCKET_MICROS));
+    w.fleet_mut().drain();
+
+    let prov = w.fleet().provenance().expect("enabled above").clone();
+    let log = lock(&prov);
+    let final_epoch = w.fleet().home().epoch();
+    let replicas = 0..log.replica_count();
+    let sla = Sla::paper();
+    ElasticVariant {
+        name: static_size.map_or("auto".to_string(), |n| format!("static{n}")),
+        static_size,
+        p90_micros: metrics.percentile(sla.quantile),
+        slo_ok: sla.met_by(&metrics),
+        timeline: w.membership(),
+        node_seconds: w.node_seconds(duration),
+        replicas_start: start,
+        replicas_end: w.fleet().len(),
+        stale_beyond_lease: replicas
+            .clone()
+            .map(|r| log.replica(r).stale_beyond_lease)
+            .sum(),
+        conservation_balanced: replicas
+            .into_iter()
+            .all(|r| log.conservation_on(r, 0, final_epoch).balanced()),
+        membership_stamps: log.membership().len(),
+        metrics,
+    }
 }
 
 /// Runs the autoscaled variant plus every [`STATIC_SIZES`] bracket,
@@ -65,11 +196,7 @@ pub fn run(mode: Mode, seed: Option<u64>) -> ProbeRun {
     let seed = seed.unwrap_or(SEED);
     let variants: Vec<ElasticVariant> = std::iter::once(None)
         .chain(STATIC_SIZES.iter().copied().map(Some))
-        .map(|static_size| ElasticVariant {
-            name: static_size.map_or("auto".to_string(), |n| format!("static{n}")),
-            static_size,
-            report: run_elastic(&variant_config(mode, seed, static_size)),
-        })
+        .map(|static_size| run_variant(mode, seed, static_size))
         .collect();
 
     let mut failures = Vec::new();
@@ -85,12 +212,13 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
     let mut text = String::new();
     outln!(
         text,
-        "Elastic — flash crowd: autoscaled fleet vs. static bracket"
+        "Elastic — site-wide flash crowd on auction: autoscaled fleet vs. static bracket"
     );
     outln!(
         text,
-        "(static sizes {STATIC_SIZES:?}; seed {seed}; {} s scenario)\n",
-        variant_config(mode, seed, None).duration / scs_netsim::SEC
+        "({CROWD_USERS} users in the crowd, {BASE_USERS} users' worth outside it; \
+         static sizes {STATIC_SIZES:?}; seed {seed}; {} s scenario)\n",
+        shape(mode).0 / SEC
     );
     let mut table = TextTable::new(&[
         "Variant",
@@ -105,22 +233,23 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
         "Balanced",
     ]);
     for v in variants {
-        let r = &v.report;
         table.row(&[
             v.name.clone(),
             format!(
                 "{}>{}>{}",
-                r.replicas_start, r.replicas_peak, r.replicas_end
+                v.replicas_start,
+                v.replicas_peak(),
+                v.replicas_end
             ),
-            r.joins.to_string(),
-            r.leaves.to_string(),
-            r.handed_entries.to_string(),
-            r.p90_micros
+            v.count(ScaleAction::Out).to_string(),
+            v.count(ScaleAction::In).to_string(),
+            v.handed_entries().to_string(),
+            v.p90_micros
                 .map_or("-".to_string(), |t| (t / 1_000).to_string()),
-            if r.slo_ok { "pass" } else { "FAIL" }.to_string(),
-            format!("{:.1}", r.node_seconds),
-            r.stale_beyond_lease.to_string(),
-            r.conservation_balanced.to_string(),
+            if v.slo_ok { "pass" } else { "FAIL" }.to_string(),
+            format!("{:.1}", v.node_seconds),
+            v.stale_beyond_lease.to_string(),
+            v.conservation_balanced.to_string(),
         ]);
     }
     outln!(text, "{}", table.render());
@@ -132,19 +261,19 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
          Freshness holds across every membership change: zero serves\n\
          beyond the lease, conservation balanced on all replica ledgers."
     );
-    let auto = &variants[0].report;
+    let auto = &variants[0];
     if !auto.timeline.is_empty() {
         outln!(text, "\nMembership timeline (autoscaled):");
-        for c in &auto.timeline {
+        for (d, replica, handed) in &auto.timeline {
             outln!(
                 text,
                 "  t={:>5.1}s {:>5} replica {} (live {} after, busiest util {:.2}, {} entries handed)",
-                c.at_micros as f64 / 1e6,
-                action_name(c.action),
-                c.replica,
-                c.live_after,
-                c.busiest_util,
-                c.handed
+                d.at_micros as f64 / 1e6,
+                action_name(d.action),
+                replica,
+                d.live_after(),
+                d.busiest_util,
+                handed
             );
         }
     }
@@ -164,17 +293,16 @@ fn action_name(action: ScaleAction) -> &'static str {
 /// committed baseline instead).
 fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>) {
     for v in variants {
-        let r = &v.report;
-        if r.metrics.requests_completed == 0 {
+        if v.metrics.requests_completed == 0 {
             out.push(format!("{}: no requests completed", v.name));
         }
-        if r.stale_beyond_lease > 0 {
+        if v.stale_beyond_lease > 0 {
             out.push(format!(
                 "{}: {} serves stale beyond the lease across membership changes",
-                v.name, r.stale_beyond_lease
+                v.name, v.stale_beyond_lease
             ));
         }
-        if !r.conservation_balanced {
+        if !v.conservation_balanced {
             out.push(format!(
                 "{}: epoch conservation does not balance across membership epochs",
                 v.name
@@ -183,17 +311,17 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
         match v.static_size {
             // A static fleet must never see a membership change.
             Some(n) => {
-                if !r.timeline.is_empty() {
+                if !v.timeline.is_empty() {
                     out.push(format!(
                         "{}: static fleet saw {} membership change(s)",
                         v.name,
-                        r.timeline.len()
+                        v.timeline.len()
                     ));
                 }
-                if r.replicas_end != n {
+                if v.replicas_end != n {
                     out.push(format!(
                         "{}: ended with {} replicas, expected {n}",
-                        v.name, r.replicas_end
+                        v.name, v.replicas_end
                     ));
                 }
             }
@@ -201,24 +329,26 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
             // membership change must be journaled on the freshness
             // plane.
             None => {
-                if r.joins == 0 {
+                if v.count(ScaleAction::Out) == 0 {
                     out.push(format!(
-                        "{}: the flash crowd tripped no scale-out (peak util {:.2})",
-                        v.name, r.peak_busiest_util
+                        "{}: the flash crowd tripped no scale-out (busiest util {:.2})",
+                        v.name, v.metrics.dssp_utilization
                     ));
                 }
-                if r.replicas_peak <= r.replicas_start {
+                if v.replicas_peak() <= v.replicas_start {
                     out.push(format!(
                         "{}: peak fleet {} never exceeded the initial {}",
-                        v.name, r.replicas_peak, r.replicas_start
+                        v.name,
+                        v.replicas_peak(),
+                        v.replicas_start
                     ));
                 }
-                if r.membership_stamps < r.joins + r.leaves {
+                if v.membership_stamps < v.count(ScaleAction::Out) + v.count(ScaleAction::In) {
                     out.push(format!(
                         "{}: {} membership stamps journaled for {} changes",
                         v.name,
-                        r.membership_stamps,
-                        r.joins + r.leaves
+                        v.membership_stamps,
+                        v.count(ScaleAction::Out) + v.count(ScaleAction::In)
                     ));
                 }
             }
@@ -230,15 +360,15 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
         .iter()
         .find(|v| v.static_size == Some(STATIC_SIZES[0]))
         .expect("bracket always includes the smallest static");
-    if smallest.report.slo_ok {
+    if smallest.slo_ok {
         out.push(format!(
             "{}: too-small static unexpectedly met the SLO (p90 {:?}us)",
-            smallest.name, smallest.report.p90_micros
+            smallest.name, smallest.p90_micros
         ));
     }
 
     if mode == Mode::Full {
-        let auto = &variants[0].report;
+        let auto = &variants[0];
         let passing: Vec<&ElasticVariant> = variants
             .iter()
             .filter(|v| v.static_size.is_some_and(|n| n > STATIC_SIZES[0]))
@@ -250,16 +380,16 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
             ));
         }
         for v in passing {
-            if !v.report.slo_ok {
+            if !v.slo_ok {
                 out.push(format!(
                     "{}: bracketing static missed the SLO (p90 {:?}us)",
-                    v.name, v.report.p90_micros
+                    v.name, v.p90_micros
                 ));
             }
-            if auto.node_seconds >= v.report.node_seconds {
+            if auto.node_seconds >= v.node_seconds {
                 out.push(format!(
                     "auto: spent {:.1} node-seconds, not below {}'s {:.1}",
-                    auto.node_seconds, v.name, v.report.node_seconds
+                    auto.node_seconds, v.name, v.node_seconds
                 ));
             }
         }
@@ -272,53 +402,51 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
 /// and the windowed time series with the membership events merged in
 /// as `fleet_join` / `fleet_leave` counters.
 fn variant_entry(v: &ElasticVariant, seed: u64) -> Json {
-    let r = &v.report;
-    let timeline: Vec<Json> = r
+    let timeline: Vec<Json> = v
         .timeline
         .iter()
-        .map(|c| {
+        .map(|(d, replica, handed)| {
             Json::obj([
-                ("at_us", c.at_micros.into()),
-                ("action", action_name(c.action).into()),
-                ("replica", c.replica.into()),
-                ("live_after", c.live_after.into()),
-                ("busiest_util", c.busiest_util.into()),
-                ("handed_entries", c.handed.into()),
+                ("at_us", d.at_micros.into()),
+                ("action", action_name(d.action).into()),
+                ("replica", (*replica).into()),
+                ("live_after", d.live_after().into()),
+                ("busiest_util", d.busiest_util.into()),
+                ("handed_entries", (*handed).into()),
             ])
         })
         .collect();
-    let timeseries = r.metrics.timeseries.clone().map(|mut ts| {
-        for c in &r.timeline {
-            let name = match c.action {
+    let timeseries = v.metrics.timeseries.clone().map(|mut ts| {
+        for (d, ..) in &v.timeline {
+            let name = match d.action {
                 ScaleAction::Out => "fleet_join",
                 ScaleAction::In => "fleet_leave",
             };
-            ts.add(c.at_micros, name, 1);
+            ts.add(d.at_micros, name, 1);
         }
         ts
     });
     Json::obj([
-        ("app", "flash_crowd".into()),
+        ("app", "auction".into()),
         ("config", format!("elastic_{}", v.name).into()),
         ("seed", seed.into()),
-        ("users", r.metrics.users.into()),
+        ("users", v.metrics.users.into()),
         (
             "elastic",
             Json::obj([
                 ("autoscaled", v.static_size.is_none().into()),
-                ("p90_us", r.p90_micros.into()),
-                ("slo_ok", r.slo_ok.into()),
-                ("node_seconds", r.node_seconds.into()),
-                ("replicas_start", r.replicas_start.into()),
-                ("replicas_peak", r.replicas_peak.into()),
-                ("replicas_end", r.replicas_end.into()),
-                ("joins", r.joins.into()),
-                ("leaves", r.leaves.into()),
-                ("handed_entries", r.handed_entries.into()),
-                ("peak_busiest_util", r.peak_busiest_util.into()),
-                ("stale_beyond_lease", r.stale_beyond_lease.into()),
-                ("conservation_balanced", r.conservation_balanced.into()),
-                ("membership_stamps", r.membership_stamps.into()),
+                ("p90_us", v.p90_micros.into()),
+                ("slo_ok", v.slo_ok.into()),
+                ("node_seconds", v.node_seconds.into()),
+                ("replicas_start", v.replicas_start.into()),
+                ("replicas_peak", v.replicas_peak().into()),
+                ("replicas_end", v.replicas_end.into()),
+                ("joins", v.count(ScaleAction::Out).into()),
+                ("leaves", v.count(ScaleAction::In).into()),
+                ("handed_entries", v.handed_entries().into()),
+                ("stale_beyond_lease", v.stale_beyond_lease.into()),
+                ("conservation_balanced", v.conservation_balanced.into()),
+                ("membership_stamps", v.membership_stamps.into()),
                 ("timeline", Json::Arr(timeline)),
             ]),
         ),

@@ -37,7 +37,7 @@ const FIXTURE: &str = r#"{
        "stale_beyond_lease": 0, "bytes_per_update": 120.0},
       {"proxies": 2, "lag_p99_us": 7000, "stale_age_p99_us": 3500,
        "stale_beyond_lease": 0, "bytes_per_update": 240.0}]}},
-    {"app": "flash_crowd", "config": "elastic_auto", "elastic": {
+    {"app": "auction", "config": "elastic_auto", "elastic": {
       "stale_beyond_lease": 0, "slo_ok": true, "conservation_balanced": true,
       "node_seconds": 200.0}},
     {"app": "toystore", "config": "failover_async", "stale_beyond_lease": 0, "failover": {
@@ -65,10 +65,10 @@ const LEAVES: [(&str, &str, f64, f64, &str); 19] = [
     ("auction|freshness_MVIS_clean", "freshness.points.1.stale_age_p99_us", 4000.0, 3000.0, "stale_age_shift"),
     ("auction|freshness_MVIS_clean", "freshness.points.1.stale_beyond_lease", 2.0, 0.0, "stale_beyond_lease_rise"),
     ("auction|freshness_MVIS_clean", "freshness.points.0.bytes_per_update", 140.0, 100.0, "amplification_growth"),
-    ("flash_crowd|elastic_auto", "elastic.stale_beyond_lease", 1.0, 0.0, "handoff_stale_rise"),
-    ("flash_crowd|elastic_auto", "elastic.slo_ok", 0.0, 1.0, "autoscale_slo_flip"),
-    ("flash_crowd|elastic_auto", "elastic.conservation_balanced", 0.0, 1.0, "conservation_broken"),
-    ("flash_crowd|elastic_auto", "elastic.node_seconds", 230.0, 150.0, "node_seconds_growth"),
+    ("auction|elastic_auto", "elastic.stale_beyond_lease", 1.0, 0.0, "handoff_stale_rise"),
+    ("auction|elastic_auto", "elastic.slo_ok", 0.0, 1.0, "autoscale_slo_flip"),
+    ("auction|elastic_auto", "elastic.conservation_balanced", 0.0, 1.0, "conservation_broken"),
+    ("auction|elastic_auto", "elastic.node_seconds", 230.0, 150.0, "node_seconds_growth"),
     ("toystore|failover_async", "failover.unavailable_micros_total", 50000.0, 30000.0, "failover_window_rise"),
     ("toystore|failover_async", "failover.worst_window_micros", 34000.0, 20000.0, "failover_window_rise"),
     ("toystore|failover_async", "failover.lost_acked", 1.0, 0.0, "acked_write_lost"),
@@ -361,7 +361,7 @@ fn a_row_that_matches_no_leaf_fails_the_self_check() {
     let err = self_check(&renamed, 10.0).expect_err("a disabled row must fail the self-check");
     assert!(err.contains("handoff_stale_rise"), "{err}");
     // So does one whose verdict can no longer flip.
-    let stuck = with_leaf(&doc, "flash_crowd|elastic_auto", "elastic.slo_ok", 0.0);
+    let stuck = with_leaf(&doc, "auction|elastic_auto", "elastic.slo_ok", 0.0);
     let err = self_check(&stuck, 10.0).expect_err("nothing left to flip");
     assert!(err.contains("autoscale_slo_flip"), "{err}");
 }

@@ -37,21 +37,6 @@ impl Catalog {
         self.tables.values()
     }
 
-    /// True when `columns` is exactly the primary key of `table` (order
-    /// insensitive).
-    pub fn is_full_primary_key(&self, table: &str, columns: &[&str]) -> bool {
-        let Some(schema) = self.table(table) else {
-            return false;
-        };
-        if schema.primary_key.is_empty() || schema.primary_key.len() != columns.len() {
-            return false;
-        }
-        schema
-            .primary_key
-            .iter()
-            .all(|k| columns.contains(&k.as_str()))
-    }
-
     /// True when `child.child_col` carries a declared foreign key to
     /// `parent.parent_col`.
     pub fn has_foreign_key(
@@ -100,13 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_pk() {
+    fn lookup() {
         let c = catalog();
         assert!(c.table("customers").is_some());
         assert!(c.table("nope").is_none());
-        assert!(c.is_full_primary_key("customers", &["cust_id"]));
-        assert!(!c.is_full_primary_key("customers", &["cust_name"]));
-        assert!(!c.is_full_primary_key("customers", &["cust_id", "cust_name"]));
     }
 
     #[test]

@@ -554,11 +554,6 @@ impl ResultCache {
         self.evictions
     }
 
-    /// Stores that displaced a live entry under the same key.
-    pub fn replacements(&self) -> u64 {
-        self.replacements
-    }
-
     /// Sum of `stored_bytes` over the live entries.
     pub fn stored_bytes_total(&self) -> u64 {
         self.stored_bytes_total
@@ -1344,7 +1339,7 @@ mod tests {
         assert!(second.evicted.is_empty(), "replacement is not an eviction");
         assert_eq!(c.len(), 1);
         assert_eq!(c.lookup(&q).unwrap().serve().len(), 3);
-        assert_eq!(c.replacements(), 1);
+        assert_eq!(c.replacements, 1);
         assert_eq!(c.evictions(), 0);
     }
 

@@ -59,17 +59,6 @@ pub enum HandoffFault {
     CrashDonor,
 }
 
-impl HandoffFault {
-    pub fn name(self) -> &'static str {
-        match self {
-            HandoffFault::None => "none",
-            HandoffFault::DropStream => "drop_stream",
-            HandoffFault::CrashJoiner => "crash_joiner",
-            HandoffFault::CrashDonor => "crash_donor",
-        }
-    }
-}
-
 /// What [`crate::fleet::ProxyFleet::add_replica`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinOutcome {
@@ -111,15 +100,6 @@ pub enum ScaleAction {
     In,
 }
 
-impl ScaleAction {
-    pub fn name(self) -> &'static str {
-        match self {
-            ScaleAction::Out => "out",
-            ScaleAction::In => "in",
-        }
-    }
-}
-
 /// One autoscaling decision, journaled for the experiment export so
 /// the membership timeline is visible next to the load curves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,10 +109,18 @@ pub struct ScaleDecision {
     /// Busiest live replica's utilization in the window that tripped
     /// the decision.
     pub busiest_util: f64,
-    /// Fleet shed ratio in the same window.
-    pub shed_ratio: f64,
     /// Live replica count *before* the action.
     pub live: usize,
+}
+
+impl ScaleDecision {
+    /// Live replica count once the action is applied.
+    pub fn live_after(&self) -> usize {
+        match self.action {
+            ScaleAction::Out => self.live + 1,
+            ScaleAction::In => self.live - 1,
+        }
+    }
 }
 
 /// Autoscaler thresholds. Scale-out and scale-in bands are separated
@@ -143,11 +131,8 @@ pub struct AutoscalerConfig {
     /// Scale out when the busiest replica's windowed utilization stays
     /// at or above this for `sustain` consecutive samples.
     pub scale_out_util: f64,
-    /// Shed ratio at or above this also counts as a hot sample —
-    /// admission control shedding is the clearest overload signal.
-    pub scale_out_shed: f64,
-    /// Scale in when the busiest replica stays at or below this (and
-    /// nothing is shed) for `sustain` consecutive samples.
+    /// Scale in when the busiest replica stays at or below this for
+    /// `sustain` consecutive samples.
     pub scale_in_util: f64,
     /// Consecutive hot (or idle) samples required before acting.
     pub sustain: u32,
@@ -165,7 +150,6 @@ impl AutoscalerConfig {
         assert!(max_replicas >= min_replicas, "max below min");
         AutoscalerConfig {
             scale_out_util: 0.85,
-            scale_out_shed: 0.05,
             scale_in_util: 0.25,
             sustain: 3,
             cooldown_micros: 5_000_000,
@@ -175,8 +159,8 @@ impl AutoscalerConfig {
     }
 }
 
-/// Reactive scaling policy over the fleet's utilization and shed-ratio
-/// time series. Pure state machine: the driver samples the signal at a
+/// Reactive scaling policy over the fleet's utilization time series.
+/// Pure state machine: the driver samples the signal at a
 /// fixed cadence, calls [`Autoscaler::observe`], and applies whatever
 /// action comes back via `add_replica` / `remove_replica`.
 #[derive(Debug, Clone)]
@@ -199,24 +183,18 @@ impl Autoscaler {
         }
     }
 
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.cfg
-    }
-
     /// Feeds one sample of the control signal; returns the action to
     /// apply, if any. `busiest_util` is the busiest *live* replica's
-    /// utilization over the sample window, `shed_ratio` the fleet's
-    /// shed fraction in the same window, `live` the current replica
+    /// utilization over the sample window, `live` the current replica
     /// count.
     pub fn observe(
         &mut self,
         at_micros: u64,
         busiest_util: f64,
-        shed_ratio: f64,
         live: usize,
     ) -> Option<ScaleAction> {
-        let hot = busiest_util >= self.cfg.scale_out_util || shed_ratio >= self.cfg.scale_out_shed;
-        let idle = busiest_util <= self.cfg.scale_in_util && shed_ratio == 0.0;
+        let hot = busiest_util >= self.cfg.scale_out_util;
+        let idle = busiest_util <= self.cfg.scale_in_util;
         if hot {
             self.hot_streak += 1;
             self.idle_streak = 0;
@@ -247,7 +225,6 @@ impl Autoscaler {
             at_micros,
             action,
             busiest_util,
-            shed_ratio,
             live,
         });
         Some(action)
@@ -271,60 +248,51 @@ mod tests {
     fn sustained_heat_scales_out_once_then_cools_down() {
         let mut a = Autoscaler::new(cfg());
         // Two hot samples: below sustain, nothing yet.
-        assert_eq!(a.observe(1_000_000, 0.95, 0.0, 2), None);
-        assert_eq!(a.observe(2_000_000, 0.95, 0.0, 2), None);
+        assert_eq!(a.observe(1_000_000, 0.95, 2), None);
+        assert_eq!(a.observe(2_000_000, 0.95, 2), None);
         // Third trips the action.
-        assert_eq!(a.observe(3_000_000, 0.95, 0.0, 2), Some(ScaleAction::Out));
+        assert_eq!(a.observe(3_000_000, 0.95, 2), Some(ScaleAction::Out));
         // Still hot, but inside the 5 s cooldown.
-        assert_eq!(a.observe(4_000_000, 0.99, 0.2, 3), None);
-        assert_eq!(a.observe(5_000_000, 0.99, 0.2, 3), None);
-        assert_eq!(a.observe(6_000_000, 0.99, 0.2, 3), None);
+        assert_eq!(a.observe(4_000_000, 0.99, 3), None);
+        assert_eq!(a.observe(5_000_000, 0.99, 3), None);
+        assert_eq!(a.observe(6_000_000, 0.99, 3), None);
         // Cooldown over and the streak re-sustained: scale out again.
-        assert_eq!(a.observe(8_100_000, 0.99, 0.2, 3), Some(ScaleAction::Out));
+        assert_eq!(a.observe(8_100_000, 0.99, 3), Some(ScaleAction::Out));
         assert_eq!(a.decisions().len(), 2);
-    }
-
-    #[test]
-    fn shedding_counts_as_heat_even_at_low_utilization() {
-        let mut a = Autoscaler::new(cfg());
-        for t in 1..=2u64 {
-            assert_eq!(a.observe(t * 1_000_000, 0.3, 0.5, 1), None);
-        }
-        assert_eq!(a.observe(3_000_000, 0.3, 0.5, 1), Some(ScaleAction::Out));
     }
 
     #[test]
     fn sustained_idle_scales_in_but_respects_the_floor() {
         let mut a = Autoscaler::new(cfg());
         for t in 1..=2u64 {
-            assert_eq!(a.observe(t * 1_000_000, 0.1, 0.0, 3), None);
+            assert_eq!(a.observe(t * 1_000_000, 0.1, 3), None);
         }
-        assert_eq!(a.observe(3_000_000, 0.1, 0.0, 3), Some(ScaleAction::In));
+        assert_eq!(a.observe(3_000_000, 0.1, 3), Some(ScaleAction::In));
         // At the floor the idle streak never fires.
         let mut floor = Autoscaler::new(cfg());
         for t in 1..=10u64 {
-            assert_eq!(floor.observe(t * 10_000_000, 0.0, 0.0, 1), None);
+            assert_eq!(floor.observe(t * 10_000_000, 0.0, 1), None);
         }
     }
 
     #[test]
     fn hysteresis_band_resets_both_streaks() {
         let mut a = Autoscaler::new(cfg());
-        assert_eq!(a.observe(1_000_000, 0.95, 0.0, 2), None);
-        assert_eq!(a.observe(2_000_000, 0.95, 0.0, 2), None);
+        assert_eq!(a.observe(1_000_000, 0.95, 2), None);
+        assert_eq!(a.observe(2_000_000, 0.95, 2), None);
         // A mid-band sample breaks the streak…
-        assert_eq!(a.observe(3_000_000, 0.5, 0.0, 2), None);
+        assert_eq!(a.observe(3_000_000, 0.5, 2), None);
         // …so two more hot samples still aren't enough.
-        assert_eq!(a.observe(4_000_000, 0.95, 0.0, 2), None);
-        assert_eq!(a.observe(5_000_000, 0.95, 0.0, 2), None);
-        assert_eq!(a.observe(6_000_000, 0.95, 0.0, 2), Some(ScaleAction::Out));
+        assert_eq!(a.observe(4_000_000, 0.95, 2), None);
+        assert_eq!(a.observe(5_000_000, 0.95, 2), None);
+        assert_eq!(a.observe(6_000_000, 0.95, 2), Some(ScaleAction::Out));
     }
 
     #[test]
     fn max_replicas_caps_scale_out() {
         let mut a = Autoscaler::new(cfg());
         for t in 1..=6u64 {
-            assert_eq!(a.observe(t * 1_000_000, 0.99, 0.3, 4), None, "at cap");
+            assert_eq!(a.observe(t * 1_000_000, 0.99, 4), None, "at cap");
         }
     }
 }

@@ -1070,10 +1070,6 @@ impl ProxyFleet {
         self.home.primary()
     }
 
-    pub fn home_mut(&mut self) -> &mut HomeServer {
-        self.home.primary_mut()
-    }
-
     /// The home tier as a replication group (single-node for fleets
     /// built with [`ProxyFleet::new`]).
     pub fn home_group(&self) -> &HomeGroup {
@@ -1097,11 +1093,12 @@ impl ProxyFleet {
 
     /// Partitions the home primary away (the zombie scenario): same
     /// fleet-side effects as a crash, but the old primary keeps
-    /// running on its stale term.
-    pub fn partition_home(&mut self) {
+    /// running on its stale term; a refused one changes nothing.
+    pub fn partition_home(&mut self) -> Result<(), crate::replication::InjectionRefused> {
+        self.home.partition_primary(self.now_micros)?;
         self.fanout_lost_on_crash += self.pending.len() as u64;
         self.pending.clear();
-        self.home.partition_primary(self.now_micros);
+        Ok(())
     }
 
     /// Failovers the home tier has completed so far.
@@ -1112,11 +1109,6 @@ impl ProxyFleet {
     /// Buffered fanout notifications destroyed by home-tier crashes.
     pub fn fanout_lost_on_crash(&self) -> u64 {
         self.fanout_lost_on_crash
-    }
-
-    /// Notifications buffered but not yet shipped.
-    pub fn pending_fanout(&self) -> usize {
-        self.pending.len()
     }
 
     /// Fanout accounting, including per-pipe fault counters.
@@ -1356,12 +1348,12 @@ mod tests {
         for _ in 0..3 {
             f.update(0, vec![Value::Int(5), Value::Int(2)]);
         }
-        assert_eq!(f.fleet.pending_fanout(), 3);
+        assert_eq!(f.fleet.pending.len(), 3);
         assert_eq!(f.fleet.total_cache_entries(), 2, "nothing delivered yet");
         // …the fourth (identical content again) fills the batch: one
         // flush, the three earlier duplicates coalesced away.
         f.update(0, vec![Value::Int(5), Value::Int(2)]);
-        assert_eq!(f.fleet.pending_fanout(), 0);
+        assert_eq!(f.fleet.pending.len(), 0);
         let stats = f.fleet.fanout_stats();
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.msgs, 1, "four identical updates ship as one");
@@ -1382,13 +1374,13 @@ mod tests {
         f.query(1, vec![Value::Int(2)]);
         f.fleet.set_sim_time_micros(1_000);
         f.update(0, vec![Value::Int(5), Value::Int(2)]);
-        assert_eq!(f.fleet.pending_fanout(), 1);
+        assert_eq!(f.fleet.pending.len(), 1);
         // Not due yet: 9ms later.
         f.fleet.set_sim_time_micros(10_000);
-        assert_eq!(f.fleet.pending_fanout(), 1);
+        assert_eq!(f.fleet.pending.len(), 1);
         // Due: the interval has elapsed since the message buffered.
         f.fleet.set_sim_time_micros(11_000);
-        assert_eq!(f.fleet.pending_fanout(), 0);
+        assert_eq!(f.fleet.pending.len(), 0);
         assert_eq!(f.fleet.total_cache_entries(), 0, "delivered on flush");
     }
 
@@ -1408,7 +1400,7 @@ mod tests {
         // batch 2 at both: replica 1 sees first_epoch=2 > expected=1.
         let u = Update::bind(0, f.updates[0].clone(), vec![Value::Int(5), Value::Int(2)]).unwrap();
         let (msg1, msg2) = {
-            let home = f.fleet.home_mut();
+            let home = f.fleet.home_group_mut().primary_mut();
             let (_, m1) = home.apply_update(&u).unwrap();
             let (_, m2) = home.apply_update(&u).unwrap();
             (m1, m2)
@@ -1441,6 +1433,7 @@ mod tests {
             FleetConfig::reliable(1, RoutingMode::RoundRobin),
         );
         let u = Update::bind(0, f.updates[0].clone(), vec![Value::Int(5), Value::Int(1)]).unwrap();
+        let home = f.fleet.home_group_mut().primary_mut();
         let msgs: Vec<InvalidationMsg> = (0..3)
             .map(|i| {
                 let vu = Update::bind(
@@ -1449,7 +1442,7 @@ mod tests {
                     vec![Value::Int(5 + i), Value::Int(1 + i)],
                 )
                 .unwrap();
-                f.fleet.home_mut().apply_update(&vu).unwrap().1
+                home.apply_update(&vu).unwrap().1
             })
             .collect();
         let _ = u;
@@ -1752,13 +1745,13 @@ mod tests {
         for i in 0..3 {
             f.update(0, vec![Value::Int(20 + i), Value::Int(1)]);
         }
-        assert_eq!(f.fleet.pending_fanout(), 3);
+        assert_eq!(f.fleet.pending.len(), 3);
         let mut now = 1_000;
         f.fleet.set_sim_time_micros(now);
         // Crash mid-fanout-flush: the buffered notifications die with
         // the primary (counted), their epochs become a stream gap.
         f.fleet.crash_home();
-        assert_eq!(f.fleet.pending_fanout(), 0);
+        assert_eq!(f.fleet.pending.len(), 0);
         assert_eq!(f.fleet.fanout_lost_on_crash(), 3);
         now = ride_out_failover(&mut f, now);
         // Post-failover updates fan out from the promoted primary;

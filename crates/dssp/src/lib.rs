@@ -76,7 +76,8 @@ pub use fleet::{
 pub use home::{Home, HomeServer};
 pub use proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
 pub use replication::{
-    CommitAck, FailoverRecord, HomeGroup, ReplicationConfig, ReplicationMode, ShipMsg, Standby,
+    CommitAck, FailoverRecord, HomeGroup, InjectionRefused, ReplicationConfig, ReplicationMode,
+    ShipMsg, Standby,
 };
 pub use sharded::{ShardedHome, ShardedQueryResponse, ShardedUpdateResponse};
 pub use statement::statement_may_affect;

@@ -298,6 +298,18 @@ pub struct Zombie {
     pub server: HomeServer,
 }
 
+/// Why [`HomeGroup::partition_primary`] or [`HomeGroup::zombie_write`]
+/// refused to inject its fault; the group is left as it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectionRefused {
+    /// The tier has no primary to partition (it is down).
+    NoPrimary,
+    /// A partitioned primary is still outstanding; rejoin it first.
+    PartitionOutstanding,
+    /// No partitioned primary exists to write through.
+    NoZombie,
+}
+
 /// The client-visible outcome of one write's replication step.
 #[derive(Debug, Clone, Copy)]
 pub struct CommitAck {
@@ -375,8 +387,6 @@ pub struct HomeGroup {
     /// toward the same fleet after a promotion.
     pipe_registry: Vec<PipeRegistration>,
     failovers: Vec<FailoverRecord>,
-    /// Writes rejected at the group surface because the tier was down.
-    rejected_writes: u64,
     /// Sync-quorum commits that timed out (applied but unacked).
     unacked_commits: u64,
 }
@@ -411,7 +421,6 @@ impl HomeGroup {
             crashed: Vec::new(),
             pipe_registry,
             failovers: Vec::new(),
-            rejected_writes: 0,
             unacked_commits: 0,
         }
     }
@@ -474,14 +483,6 @@ impl HomeGroup {
 
     pub fn failovers(&self) -> &[FailoverRecord] {
         &self.failovers
-    }
-
-    pub fn rejected_writes(&self) -> u64 {
-        self.rejected_writes
-    }
-
-    pub fn unacked_commits(&self) -> u64 {
-        self.unacked_commits
     }
 
     /// Total zombie-primary records bounced off the term fence.
@@ -691,12 +692,6 @@ impl HomeGroup {
         ack
     }
 
-    /// Folds the primary's log into its snapshot up to `epoch` —
-    /// standbys behind the new base will snapshot-resync.
-    pub fn compact_wal(&mut self, epoch: u64) {
-        self.primary_mut().compact_wal_to(epoch);
-    }
-
     // ---- failure injection ------------------------------------------
 
     /// Hard-crashes the primary: in-memory state is gone; the durable
@@ -717,13 +712,13 @@ impl HomeGroup {
 
     /// Partitions the primary away: it keeps running (and believes it
     /// is primary) but the group stops hearing from it. Its subsequent
-    /// writes are the zombie scenario.
-    pub fn partition_primary(&mut self, now: u64) {
-        let p = self.primary.take().expect("no primary to partition");
-        assert!(
-            self.zombie.is_none(),
-            "a partitioned primary is already outstanding; heal it first"
-        );
+    /// writes are the zombie scenario. Refused while the tier is down or
+    /// an earlier partitioned primary has not rejoined.
+    pub fn partition_primary(&mut self, now: u64) -> Result<(), InjectionRefused> {
+        if self.zombie.is_some() {
+            return Err(InjectionRefused::PartitionOutstanding);
+        }
+        let p = self.primary.take().ok_or(InjectionRefused::NoPrimary)?;
         self.high_water = self.high_water.max(p.epoch());
         self.zombie = Some(Zombie {
             id: self.primary_id,
@@ -732,16 +727,25 @@ impl HomeGroup {
         });
         self.unavailable_since = Some(now);
         self.now = now;
+        Ok(())
     }
 
     /// A write at the partitioned old primary. It applies locally and
     /// ships on the old term; once a new primary has been promoted the
     /// fence rejects every such record at every standby — pump the
     /// group and watch [`HomeGroup::fenced_total`] rise. Returns the
-    /// local effect (the zombie believes it succeeded).
-    pub fn zombie_write(&mut self, now: u64, u: &Update) -> Result<UpdateEffect, StorageError> {
-        let zombie = self.zombie.as_mut().expect("no partitioned primary");
-        let (effect, _msg) = zombie.server.apply_update(u)?;
+    /// local effect (the zombie believes it succeeded), or the zombie's
+    /// own rejection of the write.
+    pub fn zombie_write(
+        &mut self,
+        now: u64,
+        u: &Update,
+    ) -> Result<Result<UpdateEffect, StorageError>, InjectionRefused> {
+        let zombie = self.zombie.as_mut().ok_or(InjectionRefused::NoZombie)?;
+        let effect = match zombie.server.apply_update(u) {
+            Ok((effect, _msg)) => effect,
+            Err(e) => return Ok(Err(e)),
+        };
         let record = zombie
             .server
             .wal()
@@ -759,7 +763,7 @@ impl HomeGroup {
                 },
             );
         }
-        Ok(effect)
+        Ok(Ok(effect))
     }
 
     /// Marks a standby dead (stops pumping and shipping to it).
@@ -1099,7 +1103,7 @@ mod tests {
         let ack = write(&mut g, 10_000, 101);
         assert!(!ack.acked, "no quorum, no ack");
         assert_eq!(g.acked_epoch(), 1, "ack floor unchanged");
-        assert_eq!(g.unacked_commits(), 1);
+        assert_eq!(g.unacked_commits, 1);
     }
 
     #[test]
@@ -1264,7 +1268,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.partition_primary(now + 2);
+        g.partition_primary(now + 2).unwrap();
         let fo = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1276,7 +1280,7 @@ mod tests {
         // The old primary keeps writing on its stale term…
         for i in 0..3 {
             now += 100;
-            g.zombie_write(now, &insert(900 + i, 1)).unwrap();
+            g.zombie_write(now, &insert(900 + i, 1)).unwrap().unwrap();
         }
         now += 1_000;
         g.tick(now);
@@ -1318,6 +1322,39 @@ mod tests {
         for s in &g.standbys {
             assert_eq!(s.wal.replay().unwrap(), want);
         }
+    }
+
+    #[test]
+    fn partitioning_a_down_tier_is_refused() {
+        let mut g = group(ReplicationMode::Async, 2, FaultSpec::none());
+        g.crash_primary(1_000);
+        let refused = g.partition_primary(2_000);
+        assert_eq!(refused, Err(InjectionRefused::NoPrimary));
+        assert!(g.zombie.is_none() && !g.is_up());
+    }
+
+    #[test]
+    fn a_second_partition_is_refused_while_one_is_outstanding() {
+        let mut g = group(ReplicationMode::Async, 2, FaultSpec::none());
+        let mut now = 1_000;
+        g.partition_primary(now).unwrap();
+        while g.tick(now).is_none() {
+            now += 5_000;
+        }
+        // A promoted primary is up, but the old one is still a zombie.
+        let before = (g.primary_id, g.epoch());
+        let refused = g.partition_primary(now);
+        assert_eq!(refused, Err(InjectionRefused::PartitionOutstanding));
+        assert!(g.is_up());
+        assert_eq!((g.primary_id, g.epoch()), before);
+    }
+
+    #[test]
+    fn a_zombie_write_without_a_partition_is_refused() {
+        let mut g = group(ReplicationMode::Async, 2, FaultSpec::none());
+        let refused = g.zombie_write(1_000, &insert(900, 1));
+        assert_eq!(refused, Err(InjectionRefused::NoZombie));
+        assert_eq!(g.epoch(), 0);
     }
 
     #[test]
@@ -1377,7 +1414,7 @@ mod tests {
             g.tick(now);
         }
         // Compact past the dead standby's tip.
-        g.compact_wal(12);
+        g.primary_mut().compact_wal_to(12);
         g.revive_standby(1);
         for _ in 0..20 {
             now += 5_000;
@@ -1442,7 +1479,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.partition_primary(now + 2);
+        g.partition_primary(now + 2).unwrap();
         loop {
             now += 5_000;
             if g.tick(now).is_some() {
@@ -1456,7 +1493,7 @@ mod tests {
         // the pipes (no tick). The zombie record is fenced on term
         // alone; any movement comes from the new primary's barrier,
         // never from the zombie's write.
-        g.zombie_write(now + 10, &insert(900, 1)).unwrap();
+        g.zombie_write(now + 10, &insert(900, 1)).unwrap().unwrap();
         g.pump(now + 10_000);
         assert_eq!(g.fenced_total(), 1, "fenced on the bumped term");
         let probe = scs_sqlkit::Query::bind(
@@ -1501,10 +1538,10 @@ mod tests {
         // (equal term — the partitioned primary is still the only
         // writer), then dies holding the contaminated suffix.
         g.crash_standby(1);
-        g.partition_primary(now + 2);
+        g.partition_primary(now + 2).unwrap();
         for i in 0..3 {
             now += 100;
-            g.zombie_write(now, &insert(900 + i, 1)).unwrap();
+            g.zombie_write(now, &insert(900 + i, 1)).unwrap().unwrap();
         }
         g.pump(now + 1);
         assert_eq!(g.standbys()[1].applied(), tip + 3, "standby 2 contaminated");
@@ -1575,12 +1612,12 @@ mod tests {
                 write(&mut g, now, 100 + i);
                 g.tick(now);
             }
-            g.partition_primary(now + 1);
+            g.partition_primary(now + 1).unwrap();
             // Zombie writes race the election and the new primary's
             // first ships through the same faulty pipes.
             for i in 0..2 {
                 now += 500;
-                g.zombie_write(now, &insert(900 + i, 1)).unwrap();
+                g.zombie_write(now, &insert(900 + i, 1)).unwrap().unwrap();
             }
             let fo = loop {
                 now += 2_500;
@@ -1590,7 +1627,7 @@ mod tests {
             };
             for i in 2..5 {
                 now += 500;
-                g.zombie_write(now, &insert(900 + i, 1)).unwrap();
+                g.zombie_write(now, &insert(900 + i, 1)).unwrap().unwrap();
                 now += 500;
                 write(&mut g, now, 300 + i);
                 g.tick(now);

@@ -212,28 +212,6 @@ impl OutageSchedule {
         out
     }
 
-    /// Per-node Poisson crash instants for a group of `nodes` servers —
-    /// the home-tier crash schedule a replication chaos run draws from.
-    /// Each node's stream is domain-separated from the others, so adding
-    /// a node never perturbs the existing schedules, and a double
-    /// failover is just two nodes whose draws land close together.
-    pub fn node_crash_times(
-        seed: u64,
-        nodes: usize,
-        horizon: Time,
-        mean_interval_micros: Time,
-    ) -> Vec<Vec<Time>> {
-        (0..nodes)
-            .map(|n| {
-                Self::crash_times(
-                    seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    horizon,
-                    mean_interval_micros,
-                )
-            })
-            .collect()
-    }
-
     /// Samples an exponential duration with the given mean (mirrors the
     /// simulator's think-time sampling).
     fn exponential(rng: &mut StdRng, mean: Time) -> Time {
@@ -337,22 +315,6 @@ mod tests {
         }
         assert_eq!(w, OutageSchedule::windows(5, horizon, 20 * SEC, 2 * SEC));
         assert_ne!(w, OutageSchedule::windows(6, horizon, 20 * SEC, 2 * SEC));
-    }
-
-    #[test]
-    fn node_crash_schedules_are_independent_per_node() {
-        let horizon = 600 * SEC;
-        let group = OutageSchedule::node_crash_times(11, 3, horizon, 60 * SEC);
-        assert_eq!(group.len(), 3);
-        for sched in &group {
-            assert!(!sched.is_empty());
-            assert!(sched.windows(2).all(|w| w[0] < w[1]));
-        }
-        assert_ne!(group[0], group[1]);
-        assert_ne!(group[1], group[2]);
-        // Growing the group leaves existing nodes' schedules untouched.
-        let wider = OutageSchedule::node_crash_times(11, 5, horizon, 60 * SEC);
-        assert_eq!(&wider[..3], &group[..]);
     }
 
     #[test]

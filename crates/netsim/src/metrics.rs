@@ -107,16 +107,6 @@ impl RunMetrics {
         self.requests_completed as f64 / as_secs(self.window)
     }
 
-    /// Offered load over the window (requests/second) — what arrived,
-    /// not what finished. Falls back to the completion rate when the
-    /// driver did not record offers (legacy runs).
-    pub fn offered_rate(&self) -> f64 {
-        if self.window == 0 {
-            return 0.0;
-        }
-        self.requests_offered.max(self.requests_completed) as f64 / as_secs(self.window)
-    }
-
     /// *Goodput*: completions that met `deadline`, per second. This is
     /// the quantity overload protection must keep flat past the knee —
     /// raw throughput can stay high while every response is uselessly
@@ -263,19 +253,16 @@ mod tests {
             (m.goodput(2 * SEC) - 1.0).abs() < 1e-9,
             "late ones excluded"
         );
-        assert!((m.offered_rate() - 3.0).abs() < 1e-9);
         assert!((m.shed_ratio() - 60.0 / 180.0).abs() < 1e-9);
     }
 
     #[test]
-    fn offered_rate_falls_back_to_completions() {
-        // Legacy runs never fill requests_offered; the offered rate must
-        // not read as zero there.
+    fn shed_ratio_falls_back_to_completions() {
+        // Legacy runs never fill requests_offered; the ratio's
+        // denominator is then the completions.
         let m = metrics(vec![SEC; 120], 10);
         assert_eq!(m.requests_offered, 0);
-        assert!((m.offered_rate() - m.throughput()).abs() < 1e-9);
         assert_eq!(m.shed_ratio(), 0.0);
-        assert_eq!(RunMetrics::default().offered_rate(), 0.0);
         assert_eq!(RunMetrics::default().goodput(SEC), 0.0);
     }
 

@@ -75,17 +75,18 @@ pub trait Workload {
     fn observe_time(&mut self, _now: Time) {}
 
     /// Multiplier on the client *arrival rate* at simulated time `now`
-    /// (think time is divided by it). Elastic workloads use this to
-    /// shape flash crowds without touching `SimConfig`; the default is
-    /// a flat 1.0.
+    /// (think time is divided by it). `scs_apps::FleetWorkload` returns
+    /// its load profile here to shape a flash crowd without touching
+    /// `SimConfig`; the default is a flat 1.0.
     fn think_multiplier(&self, _now: Time) -> f64 {
         1.0
     }
 
     /// Stable ids of the proxy nodes that are *live* right now, for
-    /// workloads whose fleet changes membership mid-run. `None` (the
-    /// default) means every node that ever served is live — the static
-    /// fleet case.
+    /// workloads whose fleet changes membership mid-run
+    /// (`scs_apps::FleetWorkload` while an autoscaler resizes it).
+    /// `None` (the default) means every node that ever served is live —
+    /// the static fleet case.
     fn live_proxies(&self) -> Option<Vec<usize>> {
         None
     }

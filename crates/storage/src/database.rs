@@ -39,19 +39,6 @@ pub enum UpdateEffect {
     },
 }
 
-impl UpdateEffect {
-    /// True if the update changed nothing (§2.1.1 assumes updates always
-    /// have an effect; workload generators uphold this, but the engine
-    /// tolerates no-ops).
-    pub fn is_noop(&self) -> bool {
-        match self {
-            UpdateEffect::Inserted { .. } => false,
-            UpdateEffect::Deleted { rows, .. } => rows.is_empty(),
-            UpdateEffect::Modified { changes, .. } => changes.iter().all(|(old, new)| old == new),
-        }
-    }
-}
-
 /// An in-memory relational database.
 ///
 /// Equality is physical-state equality (see [`Table`]): the property the
@@ -585,8 +572,10 @@ mod tests {
     fn delete_no_match_is_noop() {
         let mut db = toystore_db();
         let u = upd("DELETE FROM toys WHERE toy_id = ?", vec![Value::Int(404)]);
-        let eff = db.apply(&u).unwrap();
-        assert!(eff.is_noop());
+        match db.apply(&u).unwrap() {
+            UpdateEffect::Deleted { rows, .. } => assert!(rows.is_empty()),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

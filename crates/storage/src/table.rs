@@ -143,11 +143,6 @@ impl Table {
         self.eq_indexes[slot].1.get(v).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether column position `pos` carries an equality index.
-    pub fn has_index(&self, pos: usize) -> bool {
-        self.eq_indexes.iter().any(|(p, _)| *p == pos)
-    }
-
     /// A walk along the ordered index on the column list `cols`: the rows
     /// that tie (under `Value::cmp`) with `prefix` on the columns before
     /// the last and whose last column — the sort key — satisfies every one
@@ -567,8 +562,6 @@ mod tests {
     fn unindexed_column_lookup_is_none() {
         let t = toys_table();
         assert!(t.index_lookup(2, &Value::Int(10)).is_none());
-        assert!(t.has_index(0));
-        assert!(!t.has_index(2));
     }
 
     #[test]
