@@ -7,11 +7,11 @@ use crate::gen::{BoundOp, IdSpaces, ParamGen, RequestSampler};
 use crate::scenario::LoadProfile;
 use scs_core::{characterize_app, AnalysisOptions, Exposures, IpmMatrix};
 use scs_dssp::{
-    Autoscaler, AutoscalerConfig, Dssp, DsspConfig, FleetConfig, HomeServer, ProxyFleet,
-    ScaleAction, ScaleDecision, ShardedHome,
+    Autoscaler, AutoscalerConfig, Dssp, DsspConfig, FleetConfig, Home, HomeGroup, HomeServer,
+    ProxyFleet, RoutingMode, ScaleAction, ScaleDecision, ShardedHome,
 };
 use scs_netsim::{HomeTrip, OpCost, Time, Workload, SEC};
-use scs_sqlkit::UpdateTemplate;
+use scs_sqlkit::{Query, Update, UpdateTemplate};
 use scs_storage::{Database, PartitionMap, TablePlacement};
 use std::collections::HashMap;
 
@@ -163,7 +163,6 @@ pub struct DsspWorkload {
     dssp: Dssp,
     home: HomeServer,
     ops: OpSampler,
-    costs: CostModel,
 }
 
 impl DsspWorkload {
@@ -216,14 +215,7 @@ impl DsspWorkload {
             dssp: Dssp::new(config),
             home: HomeServer::new(db),
             ops: OpSampler::new(app, ids, zipf_exponent, seed),
-            costs: CostModel::default(),
         }
-    }
-
-    /// Replaces the cost model (builder style).
-    pub fn with_costs(mut self, costs: CostModel) -> DsspWorkload {
-        self.costs = costs;
-        self
     }
 
     /// The DSSP proxy (inspection hook for reports and tests).
@@ -309,7 +301,7 @@ impl Workload for DsspWorkload {
                 ..Executed::default()
             },
         };
-        self.costs.op_cost(executed)
+        CostModel::default().op_cost(executed)
     }
 
     fn hit_rate(&self) -> f64 {
@@ -323,12 +315,17 @@ impl Workload for DsspWorkload {
 }
 
 /// Drives one application instance through a multi-proxy [`ProxyFleet`]
-/// for the simulator — the paper's scale-out deployment (§5, Fig. 8–10).
+/// over any home tier for the simulator — the paper's scale-out
+/// deployment (§5, Fig. 8–10), and, as [`ShardedWorkload`], one proxy in
+/// front of a partitioned master.
 ///
 /// Each operation routes to one replica (per the fleet's
-/// [`scs_dssp::RoutingMode`]) and its [`OpCost::proxy`] tag steers the
-/// queueing cost onto that replica's service center
-/// ([`scs_netsim::SystemSpec::dssp_nodes`] must match the fleet size).
+/// [`RoutingMode`]) and its [`OpCost::proxy`] tag steers the queueing
+/// cost onto that replica's service center
+/// ([`scs_netsim::SystemSpec::dssp_nodes`] must match the fleet size);
+/// each home trip's [`HomeTrip::shard`] tag steers it onto the home
+/// center [`BilledHome`] names
+/// ([`scs_netsim::SystemSpec::home_shards`] must match the tier).
 /// Invalidation-scan work delivered at the serving replica just before an
 /// operation is charged to that operation's DSSP CPU. An update's fanout
 /// scans the *whole* fleet; that work is charged to the forwarding
@@ -341,12 +338,69 @@ impl Workload for DsspWorkload {
 /// ([`ProxyFleet::add_replica`] / [`ProxyFleet::remove_replica`], with
 /// state handoff). Without them the fleet keeps its size and the load
 /// is flat.
-pub struct FleetWorkload {
-    fleet: ProxyFleet,
+pub struct FleetWorkload<H: Home = HomeGroup> {
+    fleet: ProxyFleet<H>,
     ops: OpSampler,
     costs: CostModel,
     load: LoadProfile,
     autoscaling: Option<Autoscaling>,
+    /// The round-robin cursor of [`BilledHome::query_trip`].
+    scatter_rr: usize,
+}
+
+/// One DSSP proxy in front of a **sharded** home tier: updates route to
+/// their owning shard, queries scatter-gather. Under the default
+/// (home-bound) cost model the blind strategy finally scales here.
+pub type ShardedWorkload = FleetWorkload<ShardedHome>;
+
+/// A home tier as the simulator bills its trips: the home service
+/// center each one queues on.
+pub trait BilledHome: Home {
+    /// The center a query's miss trip queues on, and how many shards it
+    /// gathers from. `scatter_rr` is the workload's round-robin cursor
+    /// over a scatter's participants.
+    fn query_trip(&self, q: &Query, scatter_rr: &mut usize) -> (usize, usize);
+
+    /// The center an update's trip queues on, applied or refused.
+    fn update_trip(&self, u: &Update) -> usize;
+}
+
+/// One home, one center.
+impl BilledHome for HomeGroup {
+    fn query_trip(&self, _: &Query, _: &mut usize) -> (usize, usize) {
+        (0, 1)
+    }
+
+    fn update_trip(&self, _: &Update) -> usize {
+        0
+    }
+}
+
+/// A routed miss queues on its one owner; a scatter-gather trip is billed
+/// to one participant, round-robin — the simulator models one center per
+/// trip, and round-robin spreads the aggregate scatter load evenly,
+/// matching the tier-wide cost the gather actually induces. An update
+/// queues on the shard that owns it; a refused one (a cross-shard FK
+/// violation on a deleted parent, ...) on the shard that would have — it
+/// changes nothing and consumes no epoch on any stream.
+impl BilledHome for ShardedHome {
+    fn query_trip(&self, q: &Query, scatter_rr: &mut usize) -> (usize, usize) {
+        let participants = self.map().shards_for_query(q);
+        let shard = match participants[..] {
+            [] => 0,
+            [owner] => owner,
+            _ => {
+                *scatter_rr += 1;
+                participants[*scatter_rr % participants.len()]
+            }
+        };
+        (shard, participants.len().max(1))
+    }
+
+    fn update_trip(&self, u: &Update) -> usize {
+        let catalog = self.shard(0).database();
+        self.map().shard_for_update(catalog, u).unwrap_or(0)
+    }
 }
 
 /// The autoscaler's sample window: it is fed one sample per window.
@@ -368,7 +422,7 @@ impl Autoscaling {
     /// replica's utilization in it (above 1.0 when its queue grew) to
     /// the policy and applies the decision. Scale-in retires the idlest
     /// live replica of the window.
-    fn tick(&mut self, fleet: &mut ProxyFleet, now: Time) {
+    fn tick<H: Home>(&mut self, fleet: &mut ProxyFleet<H>, now: Time) {
         let window = now.saturating_sub(self.window_start);
         if window < AUTOSCALE_SAMPLE {
             return;
@@ -398,25 +452,10 @@ impl Autoscaling {
     }
 }
 
-impl FleetWorkload {
-    /// Builds a fleet workload over a freshly populated database (same
-    /// arguments as [`DsspWorkload::new`] plus the fleet shape).
-    pub fn new(
-        app: &AppDef,
-        db: Database,
-        ids: IdSpaces,
-        exposures: Exposures,
-        fleet: FleetConfig,
-        zipf_exponent: f64,
-        seed: u64,
-    ) -> FleetWorkload {
-        let matrix = analysis_matrix(app);
-        let config = DsspConfig::new(app.name, exposures, matrix);
-        FleetWorkload::with_config(app, db, ids, config, fleet, zipf_exponent, seed)
-    }
-
-    /// The fully general constructor: an explicit [`DsspConfig`] cloned
-    /// into every replica.
+impl FleetWorkload<HomeGroup> {
+    /// A fleet over a freshly populated database: an explicit
+    /// [`DsspConfig`] cloned into every replica, in front of one home
+    /// server.
     pub fn with_config(
         app: &AppDef,
         db: Database,
@@ -427,24 +466,60 @@ impl FleetWorkload {
         seed: u64,
     ) -> FleetWorkload {
         assert_exposure_shape(app, &config.exposures);
+        let fleet = ProxyFleet::new(config, HomeServer::new(db), fleet);
+        FleetWorkload::over(app, fleet, ids, zipf_exponent, seed)
+    }
+}
+
+impl FleetWorkload<ShardedHome> {
+    /// One proxy (a reliable one-replica fleet) in front of a freshly
+    /// populated database partitioned under `map` (same arguments as
+    /// [`DsspWorkload::new`] plus the partition map; see
+    /// [`home_shard_map`]).
+    pub fn new(
+        app: &AppDef,
+        db: Database,
+        ids: IdSpaces,
+        exposures: Exposures,
+        map: PartitionMap,
+        zipf_exponent: f64,
+        seed: u64,
+    ) -> ShardedWorkload {
+        let config = DsspConfig::new(app.name, exposures, analysis_matrix(app));
+        assert_exposure_shape(app, &config.exposures);
+        let one = FleetConfig::reliable(1, RoutingMode::HashByTemplate);
+        let fleet = ProxyFleet::over(config, ShardedHome::new(db, map), one);
+        FleetWorkload::over(app, fleet, ids, zipf_exponent, seed)
+    }
+}
+
+impl<H: Home> FleetWorkload<H> {
+    fn over(
+        app: &AppDef,
+        fleet: ProxyFleet<H>,
+        ids: IdSpaces,
+        zipf_exponent: f64,
+        seed: u64,
+    ) -> FleetWorkload<H> {
         FleetWorkload {
-            fleet: ProxyFleet::new(config, HomeServer::new(db), fleet),
+            fleet,
             ops: OpSampler::new(app, ids, zipf_exponent, seed),
             costs: CostModel::default(),
             load: LoadProfile::flat(),
             autoscaling: None,
+            scatter_rr: 0,
         }
     }
 
     /// Replaces the cost model (builder style) — the multi-proxy figures
     /// use [`CostModel::dssp_bound`].
-    pub fn with_costs(mut self, costs: CostModel) -> FleetWorkload {
+    pub fn with_costs(mut self, costs: CostModel) -> Self {
         self.costs = costs;
         self
     }
 
     /// Shapes the clients' arrival rate over sim time (builder style).
-    pub fn with_load(mut self, load: LoadProfile) -> FleetWorkload {
+    pub fn with_load(mut self, load: LoadProfile) -> Self {
         self.load = load;
         self
     }
@@ -452,7 +527,7 @@ impl FleetWorkload {
     /// Lets an [`Autoscaler`] under `policy` resize the fleet (builder
     /// style). Every 2 s of sim time it is fed the busiest live
     /// replica's share of that window spent on billed DSSP CPU.
-    pub fn with_autoscaler(mut self, policy: AutoscalerConfig) -> FleetWorkload {
+    pub fn with_autoscaler(mut self, policy: AutoscalerConfig) -> Self {
         self.autoscaling = Some(Autoscaling {
             policy: Autoscaler::new(policy),
             window_start: 0,
@@ -492,17 +567,17 @@ impl FleetWorkload {
     }
 
     /// The fleet (inspection hook for reports and tests).
-    pub fn fleet(&self) -> &ProxyFleet {
+    pub fn fleet(&self) -> &ProxyFleet<H> {
         &self.fleet
     }
 
     /// Mutable fleet access (attach trace sinks, inject faults).
-    pub fn fleet_mut(&mut self) -> &mut ProxyFleet {
+    pub fn fleet_mut(&mut self) -> &mut ProxyFleet<H> {
         &mut self.fleet
     }
 }
 
-impl Workload for FleetWorkload {
+impl<H: BilledHome> Workload for FleetWorkload<H> {
     fn begin_request(&mut self, client: usize) -> usize {
         self.ops.begin_request(client)
     }
@@ -514,12 +589,18 @@ impl Workload for FleetWorkload {
                     .fleet
                     .execute_query(q)
                     .expect("validated query templates");
+                let (shard, scatter_width) = if fr.resp.hit {
+                    (0, 1)
+                } else {
+                    self.fleet.tier().query_trip(q, &mut self.scatter_rr)
+                };
                 Executed {
                     statement_bytes: q.statement_text().len() as u64,
                     answer: Some(answer_of(&fr.resp)),
                     scanned: fr.delivered.scanned,
                     proxy: fr.proxy,
-                    ..Executed::default()
+                    shard,
+                    scatter_width,
                 }
             }
             BoundOp::Update(u) => {
@@ -535,6 +616,7 @@ impl Workload for FleetWorkload {
                     statement_bytes: u.statement_text().len() as u64,
                     scanned,
                     proxy,
+                    shard: self.fleet.tier().update_trip(u),
                     ..Executed::default()
                 }
             }
@@ -651,142 +733,6 @@ fn updates_pin_column(app: &AppDef, table: &str, column: &str) -> bool {
                     .is_some_and(|(c, op, _)| op == scs_sqlkit::CmpOp::Eq && c.column == column)
             }),
         })
-}
-
-/// Drives one application instance through a single DSSP proxy against a
-/// **sharded** home tier — the partitioned-master deployment. Updates
-/// route to their owning shard and queries scatter-gather; each home
-/// trip's [`HomeTrip::shard`] tag steers its queueing cost onto that
-/// shard's service center ([`scs_netsim::SystemSpec::home_shards`] must
-/// match the map). Under the default (home-bound) cost model this is the
-/// experiment where the blind strategy — pinned to the home tier —
-/// finally scales: its binding resource is now partitioned.
-pub struct ShardedWorkload {
-    dssp: Dssp,
-    home: ShardedHome,
-    ops: OpSampler,
-    costs: CostModel,
-    /// Round-robin cursor spreading scatter-gather trips across their
-    /// participant shards (the simulator bills one center per trip).
-    scatter_rr: usize,
-}
-
-impl ShardedWorkload {
-    /// Builds a sharded workload over a freshly populated database
-    /// partitioned under `map` (same arguments as [`DsspWorkload::new`]
-    /// plus the partition map; see [`home_shard_map`]).
-    pub fn new(
-        app: &AppDef,
-        db: Database,
-        ids: IdSpaces,
-        exposures: Exposures,
-        map: PartitionMap,
-        zipf_exponent: f64,
-        seed: u64,
-    ) -> ShardedWorkload {
-        let matrix = analysis_matrix(app);
-        let config = DsspConfig::new(app.name, exposures, matrix);
-        assert_exposure_shape(app, &config.exposures);
-        ShardedWorkload {
-            dssp: Dssp::new(config),
-            home: ShardedHome::new(db, map),
-            ops: OpSampler::new(app, ids, zipf_exponent, seed),
-            costs: CostModel::default(),
-            scatter_rr: 0,
-        }
-    }
-
-    /// Replaces the cost model (builder style).
-    pub fn with_costs(mut self, costs: CostModel) -> ShardedWorkload {
-        self.costs = costs;
-        self
-    }
-
-    /// The DSSP proxy (inspection hook).
-    pub fn dssp(&self) -> &Dssp {
-        &self.dssp
-    }
-
-    /// Mutable proxy access.
-    pub fn dssp_mut(&mut self) -> &mut Dssp {
-        &mut self.dssp
-    }
-
-    /// The sharded home tier (inspection hook).
-    pub fn home(&self) -> &ShardedHome {
-        &self.home
-    }
-}
-
-impl Workload for ShardedWorkload {
-    fn begin_request(&mut self, client: usize) -> usize {
-        self.ops.begin_request(client)
-    }
-
-    fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let executed = match &self.ops.pending[client][op_index] {
-            BoundOp::Query(q) => {
-                let participants = self.home.map().shards_for_query(q);
-                let resp = self
-                    .dssp
-                    .execute_query_sharded(q, &mut self.home)
-                    .expect("validated query templates");
-                let k = participants.len().max(1);
-                // A routed miss queues on its one owner; a
-                // scatter-gather trip is billed to one participant
-                // (round-robin) — the simulator models one center per
-                // trip, and round-robin spreads the aggregate scatter
-                // load evenly, matching the tier-wide cost the gather
-                // actually induces.
-                let shard = if resp.hit {
-                    0
-                } else if k == 1 {
-                    participants[0]
-                } else {
-                    self.scatter_rr += 1;
-                    participants[self.scatter_rr % k]
-                };
-                Executed {
-                    statement_bytes: q.statement_text().len() as u64,
-                    answer: Some(answer_of(&resp)),
-                    shard,
-                    scatter_width: k,
-                    ..Executed::default()
-                }
-            }
-            BoundOp::Update(u) => {
-                // Rejected updates (cross-shard FK violation on a
-                // deleted parent, ...) still cost a trip to the shard
-                // that would have owned them; they change nothing and
-                // consume no epoch on any stream.
-                let (shard, scanned) = match self.dssp.execute_update_sharded(u, &mut self.home) {
-                    Ok((resp, shard)) => (shard, resp.scanned),
-                    Err(_) => (
-                        self.home
-                            .map()
-                            .shard_for_update(self.home.shard(0).database(), u)
-                            .unwrap_or(0),
-                        0,
-                    ),
-                };
-                Executed {
-                    statement_bytes: u.statement_text().len() as u64,
-                    scanned,
-                    shard,
-                    ..Executed::default()
-                }
-            }
-        };
-        self.costs.op_cost(executed)
-    }
-
-    fn hit_rate(&self) -> f64 {
-        self.dssp.stats().hit_rate()
-    }
-
-    fn observe_time(&mut self, now: Time) {
-        self.dssp.set_sim_time_micros(now);
-    }
 }
 
 #[cfg(test)]
@@ -946,13 +892,13 @@ mod tests {
         let map = home_shard_map(&app, 2);
         let mut w = ShardedWorkload::new(&app, db, ids, exposures, map, 1.0, 3);
         let (sink, series) = scs_telemetry::TimeSeriesSink::new(10 * SEC);
-        w.dssp_mut().add_trace_sink(Box::new(sink));
+        w.fleet_mut().proxy_mut(0).add_trace_sink(Box::new(sink));
         let mut cfg = quick_cfg(40);
         cfg.spec = SystemSpec::with_home_shards(2);
         run(&cfg, &mut w);
         let series = series.lock().unwrap();
-        let stats = w.dssp().stats();
-        let accepted: u64 = w.home().epochs().iter().sum();
+        let stats = w.fleet().proxy(0).stats();
+        let accepted: u64 = w.fleet().tier().tips().iter().sum();
         assert!(
             accepted < stats.updates,
             "no update was refused: {accepted} of {}",
@@ -962,6 +908,48 @@ mod tests {
         assert_eq!(series.counter_total("query_miss"), stats.misses);
     }
 
+    /// The billing rules of a sharded home's trips: a routed miss queues
+    /// on its owner and leaves the scatter cursor alone, consecutive
+    /// scatters of one query visit each participant once, and an update
+    /// queues on the shard that holds its row.
+    #[test]
+    fn a_sharded_home_bills_each_trip_to_its_shard() {
+        use scs_sqlkit::Value;
+        let (app, db, _) = toystore_inputs(5);
+        let home = ShardedHome::new(db, home_shard_map(&app, 4));
+        let bind =
+            |tid: usize, v: Value| Query::bind(tid, app.queries[tid].template.clone(), vec![v]);
+        let mut rr = 0;
+        // `toys` splits on `toy_id`: a lookup by name scatters.
+        let by_name = bind(0, Value::str("toy-1")).unwrap();
+        let participants = home.map().shards_for_query(&by_name);
+        assert_eq!(participants.len(), 4);
+        let mut billed: Vec<usize> = (0..4)
+            .map(|_| home.query_trip(&by_name, &mut rr))
+            .map(|(shard, width)| {
+                assert_eq!(width, 4);
+                shard
+            })
+            .collect();
+        billed.sort_unstable();
+        assert_eq!(billed, participants, "round-robin over the participants");
+        for id in 1..=8 {
+            let by_id = bind(1, Value::Int(id)).unwrap();
+            let [owner] = home.map().shards_for_query(&by_id)[..] else {
+                panic!("a key lookup routes to one shard");
+            };
+            assert_eq!(home.query_trip(&by_id, &mut rr), (owner, 1));
+            assert_eq!(rr, 4, "a routed trip leaves the cursor alone");
+            let discontinue = &app.updates[0].template;
+            let u = Update::bind(0, discontinue.clone(), vec![Value::Int(id)]).unwrap();
+            let holder = (0..4).find(|&s| {
+                let toys = home.shard(s).database().table("toys").unwrap();
+                toys.pk_lookup(&[Value::Int(id)]).is_some()
+            });
+            assert_eq!(Some(home.update_trip(&u)), holder, "toy {id}");
+        }
+    }
+
     fn toystore_fleet(
         kind: StrategyKind,
         fleet: scs_dssp::FleetConfig,
@@ -969,7 +957,8 @@ mod tests {
     ) -> FleetWorkload {
         let (app, db, ids) = toystore_inputs(seed);
         let exposures = kind.exposures(app.updates.len(), app.queries.len());
-        FleetWorkload::new(&app, db, ids, exposures, fleet, 1.0, seed)
+        let config = DsspConfig::new(app.name, exposures, analysis_matrix(&app));
+        FleetWorkload::with_config(&app, db, ids, config, fleet, 1.0, seed)
     }
 
     #[test]

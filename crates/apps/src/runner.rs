@@ -3,13 +3,15 @@
 //! used by the Figure-3/Figure-8 experiments.
 
 use crate::defs::AppDef;
-use crate::driver::{home_shard_map, CostModel, DsspWorkload, FleetWorkload, ShardedWorkload};
+use crate::driver::{
+    analysis_matrix, home_shard_map, CostModel, DsspWorkload, FleetWorkload, ShardedWorkload,
+};
 use crate::gen::{IdSpaces, BOOK_POPULARITY_EXPONENT};
 use crate::{auction, bboard, bookstore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scs_core::{Exposures, IpmMatrix};
-use scs_dssp::{FleetConfig, RoutingMode};
+use scs_dssp::{DsspConfig, FleetConfig, RoutingMode};
 use scs_netsim::{
     find_max_users, RunMetrics, ScalabilityResult, SearchOptions, SimConfig, Sla, SystemSpec,
 };
@@ -134,7 +136,8 @@ impl BenchApp {
     ) -> FleetWorkload {
         let app = self.def();
         let (db, ids) = self.build_database_scaled(seed, FLEET_SCALE_DIV);
-        FleetWorkload::new(&app, db, ids, exposures, fleet, self.zipf_exponent(), seed)
+        let config = DsspConfig::new(app.name, exposures, analysis_matrix(&app));
+        FleetWorkload::with_config(&app, db, ids, config, fleet, self.zipf_exponent(), seed)
             .with_costs(CostModel::dssp_bound())
     }
 }

@@ -711,12 +711,12 @@ impl Scenario {
         // Tail: a tier still down (late crash) gets time to promote, so
         // the durability oracle has a surviving primary to audit.
         let deadline = clock + 100 * self.replication.lease_micros;
-        while !fleet.home_group().is_up() && clock < deadline {
+        while !fleet.tier().is_up() && clock < deadline {
             clock += self.replication.heartbeat_micros.max(1);
             fleet.set_sim_time_micros(clock);
             ledger.absorb(&fleet, &mut tally, &mut report, clock);
         }
-        report.home_recovered = fleet.home_group().is_up();
+        report.home_recovered = fleet.tier().is_up();
         // Let delayed ship traffic and invalidation pipes settle.
         let settled = clock + 60 * MS;
         while clock < settled {
@@ -729,8 +729,8 @@ impl Scenario {
 
         let expected = ledger.snapshots.last().map_or(&master, |(_, s)| s);
         report.durability_ok = report.home_recovered && fleet.home().database() == expected;
-        report.final_epoch = fleet.home_group().epoch();
-        report.fenced_records = fleet.home_group().fenced_total();
+        report.final_epoch = fleet.tier().epoch();
+        report.fenced_records = fleet.tier().fenced_total();
         report.fanout_lost_on_crash = fleet.fanout_lost_on_crash();
         report.metrics = fleet.rollup_metrics();
         for pipe in fleet.fanout_stats().pipes {
@@ -786,9 +786,11 @@ fn fire(
             fleet.proxy_mut(id).set_sim_time_micros(at);
             fleet.restart_proxy(id);
         }
-        CrashKind::CrashPrimary => fleet.crash_home(),
         // A refused injection (the tier is down, or a partitioned
         // primary is still outstanding) is a no-op.
+        CrashKind::CrashPrimary => {
+            let _ = fleet.crash_home();
+        }
         CrashKind::PartitionPrimary => {
             let _ = fleet.partition_home();
         }
@@ -799,19 +801,19 @@ fn fire(
                 let toy = (k as i64 % 50) + 1;
                 let u = Update::bind(0, zombie_update.clone(), vec![Value::Int(toy)])
                     .expect("validated template");
-                let group = fleet.home_group_mut();
+                let group = fleet.tier_mut();
                 report.zombie_writes_applied +=
                     matches!(group.zombie_write(at, &u), Ok(Ok(_))) as u64;
             }
         }
         CrashKind::RejoinCrashed => {
-            report.divergence_discarded += fleet.home_group_mut().rejoin_crashed(at);
+            report.divergence_discarded += fleet.tier_mut().rejoin_crashed(at);
         }
         CrashKind::RejoinZombie => {
-            report.divergence_discarded += fleet.home_group_mut().rejoin_zombie(at);
+            report.divergence_discarded += fleet.tier_mut().rejoin_zombie(at);
         }
-        CrashKind::CrashStandby(id) => fleet.home_group_mut().crash_standby(id),
-        CrashKind::ReviveStandby(id) => fleet.home_group_mut().revive_standby(id),
+        CrashKind::CrashStandby(id) => fleet.tier_mut().crash_standby(id),
+        CrashKind::ReviveStandby(id) => fleet.tier_mut().revive_standby(id),
     }
 }
 

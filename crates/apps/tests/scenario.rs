@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use scs_apps::report::fault_total;
 use scs_apps::{CrashEvent, CrashKind, LoadProfile, Scenario, ScenarioReport};
 use scs_dssp::{
-    HomeGroup, HomeServer, ReplicationConfig, ReplicationMode, RetryPolicy, StrategyKind,
+    Home, HomeGroup, HomeServer, ReplicationConfig, ReplicationMode, RetryPolicy, StrategyKind,
 };
 use scs_netsim::{FaultSpec, Time, MS};
 use scs_sqlkit::Value;
@@ -390,7 +390,7 @@ fn out_of_band_mutation_survives_crash_and_costs_one_gap() {
         HomeServer::new(db),
         ReplicationConfig::group(ReplicationMode::Async, 2),
     );
-    assert_eq!(g.register_pipe(0), 0);
+    assert_eq!(g.epoch(), 0);
 
     // The out-of-band write: no Update statement, no invalidation
     // message — a direct master mutation. It consumes a WAL epoch as a
@@ -400,12 +400,12 @@ fn out_of_band_mutation_survives_crash_and_costs_one_gap() {
         db.insert_row("kv", vec![Value::Int(2), Value::Int(20)])
             .expect("fresh key");
     });
-    assert!(g.commit(0).acked);
+    assert!(g.commit_write(0, 0).acked);
     assert_eq!(g.epoch(), epoch_before + 1, "mutation consumed an epoch");
 
     // Replicate, then kill the primary before it ever fans out.
     g.tick(10_000);
-    g.crash_primary(20_000);
+    g.crash_primary(20_000).unwrap();
     let mut now = 20_000;
     let fo = loop {
         now += 5_000;

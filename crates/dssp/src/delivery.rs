@@ -326,23 +326,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One fanout pipe registered at the home server: a replica's stable id
-/// and the update epoch current when the pipe was opened. A joining
-/// replica registers *before* it enters the routing ring and sets its
-/// epoch cursor to `joined_epoch` — every later epoch reaches it through
-/// its own pipe, and every earlier epoch is provably already reflected
-/// in the master state it will warm from, so the handshake leaves no
-/// window in which an invalidation for soon-to-be-owned entries can be
-/// missed. The registry is the home-side membership view; the fleet
-/// keeps it in lock-step with its replica set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipeRegistration {
-    /// Stable replica id (never reused within a fleet's lifetime).
-    pub replica: usize,
-    /// Home update epoch at registration — the pipe's initial cursor.
-    pub joined_epoch: u64,
-}
-
 /// The (simulated) state of the proxy ↔ home network path: a set of
 /// outage windows `[start, end)` in microseconds. Produced by the
 /// fault-injection harness; [`HomeLink::reliable`] is the always-up

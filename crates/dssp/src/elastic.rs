@@ -10,28 +10,28 @@
 //!
 //! ## Join protocol (see `DESIGN.md` §14)
 //!
-//! 1. **Register before ring entry.** The joiner registers a fanout
-//!    pipe at the home server and takes the home's current epoch as its
-//!    cursor. From this instant every committed update reaches the
-//!    joiner on its own pipe; everything at or before the cursor is
+//! 1. **Read tips before ring entry.** The joiner takes every stream's
+//!    tip ([`crate::Home::tips`]) as its cursors, and its pipe joins
+//!    the fanout. From this instant every committed update reaches the
+//!    joiner on its own pipe; everything at or below the tips is
 //!    already reflected in the state it warms from.
 //! 2. **Warm from predecessors.** For each ring arc the joiner will
 //!    own, the current owner (donor) is pumped to its delivery horizon,
 //!    then hands over the cached entries for that arc along with its
-//!    epoch position. Entries are imported only when the donor's epoch
-//!    matches the joiner's cursor (a *cursor match*) — otherwise they
+//!    cursors. Entries are imported only when the donor's cursors equal
+//!    the joiner's on every stream (a *cursor match*) — otherwise they
 //!    are dropped and refetched on miss, trading warmth for an airtight
 //!    staleness argument. Imported entries keep their original lease
 //!    window and stored epoch, so the lease bound survives the transfer
 //!    unconditionally.
 //! 3. **Atomic cutover.** Only after warming does the routing ring
 //!    swap; the swap is a single assignment, so no operation ever
-//!    routes to a replica that isn't fully registered.
+//!    routes to a half-joined replica.
 //!
 //! A leave runs the protocol in reverse: drain in-flight batches, swap
 //! the ring first, hand the departing replica's entries to their new
-//! owners (same cursor-match rule), then unregister the pipe after a
-//! final pump so the provenance ledger's conservation law stays
+//! owners (same cursor-match rule), then drop the replica and its pipe
+//! after a final pump so the provenance ledger's conservation law stays
 //! balanced across the membership change.
 
 /// Fault injected into a membership change by the chaos tests. Each
@@ -47,14 +47,14 @@ pub enum HandoffFault {
     /// entries but nothing arrives at the joiner. The joiner enters the
     /// ring cold — pure miss cost, no staleness.
     DropStream,
-    /// The joiner crashes after registering its pipe but before
-    /// warming completes. The join rolls back: the replica is dropped,
-    /// its pipe unregistered, and the routing ring is left untouched
+    /// The joiner crashes after reading the tips but before warming
+    /// completes. The join rolls back: the replica and its pipe are
+    /// dropped, and the routing ring is left untouched
     /// (byte-identical — the no-op-resize property).
     CrashJoiner,
     /// The first donor crashes mid-handoff: only half of its exported
-    /// entries survive in transit, the donor itself restarts from the
-    /// home epoch with a cold cache, and the join completes with the
+    /// entries survive in transit, the donor itself restarts at the
+    /// home's tips with a cold cache, and the join completes with the
     /// remaining donors.
     CrashDonor,
 }
@@ -65,7 +65,8 @@ pub struct JoinOutcome {
     /// Stable id of the (possibly aborted) joiner. Ids are never
     /// reused within a fleet's lifetime.
     pub replica: usize,
-    /// Home epoch at pipe registration — the joiner's initial cursor.
+    /// Stream 0's tip when the joiner read the tips — its initial
+    /// stream-0 cursor.
     pub joined_epoch: u64,
     /// Entries imported from donors (cursor-matched and unexpired).
     pub handed: u64,
@@ -83,7 +84,7 @@ pub struct JoinOutcome {
 pub struct LeaveOutcome {
     /// Stable id of the departed replica.
     pub replica: usize,
-    /// The leaver's applied epoch after its final drain.
+    /// The leaver's stream-0 cursor after its final drain.
     pub final_epoch: u64,
     /// Entries successfully handed to successor replicas.
     pub handed: u64,

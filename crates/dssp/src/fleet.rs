@@ -3,16 +3,17 @@
 //! The paper's evaluation (§5, Fig. 8–10) measures scalability as *max
 //! users vs. number of DSSP proxy servers*, with the home server
 //! broadcasting invalidations to every proxy. [`ProxyFleet`] reproduces
-//! that deployment: N [`Dssp`] replicas share one home tier (a
-//! [`HomeGroup`]; a single-node group for a plain [`HomeServer`]), a
-//! load balancer routes each client operation to one replica
-//! ([`RoutingMode`]), and every epoch-stamped invalidation fans out to
-//! *all* replicas over per-proxy delivery pipes
-//! ([`scs_netsim::fault::FaultyChannel`]).
+//! that deployment: N [`Dssp`] replicas share one home tier — any
+//! [`Home`]: a [`HomeGroup`] by default (a single-node group for a plain
+//! [`HomeServer`]), or a [`crate::ShardedHome`] — a load balancer routes
+//! each client operation to one replica ([`RoutingMode`]), and every
+//! epoch-stamped invalidation fans out to *all* replicas over per-proxy
+//! delivery pipes ([`scs_netsim::fault::FaultyChannel`]), tagged with the
+//! invalidation stream that owns it.
 //!
 //! The fleet adds routing in front of, and fanout behind, the serving
 //! replica's own request pipeline ([`Dssp::execute_query_ft`] /
-//! [`Dssp::execute_update_ft`] over the group as a [`crate::Home`]):
+//! [`Dssp::execute_update_ft`] over the home tier):
 //! [`ProxyFleet::execute_query_ft`] / [`ProxyFleet::execute_update_ft`]
 //! take the same trip policy (link, retry schedule, queue snapshot) and
 //! answer with the same outcomes (served or applied, degraded hits,
@@ -21,8 +22,9 @@
 //! that pair at the neutral policy, promising an answer.
 //!
 //! Fanout is **batched and coalesced** ([`FanoutConfig`]): the home
-//! side buffers notifications and ships an [`InvalidationBatch`] when
-//! the buffer fills or a flush interval elapses; duplicate
+//! side buffers notifications, one buffer per invalidation stream, and
+//! ships a stream's [`InvalidationBatch`] when its buffer fills or its
+//! flush interval elapses; duplicate
 //! invalidations for the same update content within a batch coalesce
 //! to the latest-epoch representative. [`FanoutConfig::immediate`]
 //! degenerates to one message per batch, and a single-proxy immediate
@@ -35,12 +37,13 @@
 //! consistent-hash ring is keyed by those ids (so a membership change
 //! remaps only the arcs the joining/leaving replica owns), and state
 //! moves between replicas by cache handoff under the join/leave
-//! protocol documented in [`crate::elastic`]. The home server tracks
-//! registered pipes ([`HomeServer::register_pipe`]) so a joiner's
-//! epoch cursor is pinned *before* it can receive traffic.
+//! protocol documented in [`crate::elastic`]: a joiner reads every
+//! stream's tip ([`Home::tips`]) *before* it can receive traffic, and
+//! donors hand it entries only when their cursors match its own on
+//! every stream.
 //!
 //! Fault-tolerance semantics are per replica: each proxy tracks its
-//! own epoch stream position, detects gaps independently (a dropped
+//! own position on every stream, detects gaps independently (a dropped
 //! batch flushes only the replica that missed it), recovers with its
 //! own flush, and — when overload protection is configured — owns its
 //! own circuit breaker and brownout state. Staleness anywhere
@@ -56,9 +59,11 @@ use crate::delivery::{
     InvalidationMsg, RetryPolicy,
 };
 use crate::elastic::{HandoffFault, JoinOutcome, LeaveOutcome};
-use crate::home::HomeServer;
+use crate::home::{Home, HomeServer};
 use crate::proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
-use crate::replication::{CommitAck, FailoverRecord, HomeGroup, ReplicationConfig};
+use crate::replication::{
+    CommitAck, FailoverRecord, HomeGroup, InjectionRefused, ReplicationConfig,
+};
 use crate::stats::DsspStats;
 use scs_netsim::fault::{ChannelStats, FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
@@ -173,8 +178,8 @@ pub struct FleetUpdateResponse {
     /// Stable id of the forwarding replica.
     pub proxy: usize,
     pub resp: UpdateResponse,
-    /// The home server's epoch after this update (its notification is
-    /// in the fanout buffer or in flight).
+    /// The epoch this update landed at on its stream (its notification
+    /// is in the fanout buffer or in flight).
     pub epoch: u64,
     /// The replication ack for this write (always acked for a
     /// single-node home tier and in async mode; may be unacked when a
@@ -252,18 +257,28 @@ pub(crate) fn ring_route(ring: &[(u64, usize)], template_id: usize) -> usize {
 }
 
 /// One fleet member: a stable id (never reused within the fleet's
-/// lifetime), the proxy itself, and its private delivery pipe. Keeping
-/// the pipe *next to* its proxy — instead of in a parallel vector — is
-/// what makes membership changes safe: a removed replica takes its
-/// pipe with it, so `pump_all`/`drain` can never index a departed one.
+/// lifetime), the proxy itself, and its private delivery pipe, which
+/// carries each batch with the stream it belongs to. Keeping the pipe
+/// *next to* its proxy — instead of in a parallel vector — is what
+/// makes membership changes safe: a removed replica takes its pipe with
+/// it, so `pump_all`/`drain` can never index a departed one.
 struct Replica {
     id: usize,
     dssp: Dssp,
-    pipe: FaultyChannel<InvalidationBatch>,
+    pipe: FaultyChannel<(u64, InvalidationBatch)>,
 }
 
-/// N proxies, one home server, a router in front and a fanout behind.
-pub struct ProxyFleet {
+/// One invalidation stream's fanout buffer.
+#[derive(Default)]
+struct Pending {
+    /// Notifications awaiting flush, ascending by epoch.
+    msgs: Vec<InvalidationMsg>,
+    /// Sim time the oldest of them entered the buffer.
+    since: u64,
+}
+
+/// N proxies, one home tier, a router in front and a fanout behind.
+pub struct ProxyFleet<H: Home = HomeGroup> {
     replicas: Vec<Replica>,
     /// Next stable id to assign; ids are never reused, even for joins
     /// that abort.
@@ -271,11 +286,12 @@ pub struct ProxyFleet {
     /// Kept for spawning joiners: same app id, hence the same tenant
     /// encryption key as the founding replicas.
     config: DsspConfig,
-    /// The home tier. A plain fleet wraps its home server in a
+    /// The home tier. [`ProxyFleet::new`] wraps its home server in a
     /// single-node [`HomeGroup`] (an exact passthrough);
     /// [`ProxyFleet::replicated`] builds a primary + standbys group
-    /// that survives crashes via standby promotion.
-    home: HomeGroup,
+    /// that survives crashes via standby promotion; [`ProxyFleet::over`]
+    /// takes any [`Home`].
+    home: H,
     routing: RoutingMode,
     /// Sorted `(point, replica id)` ring for
     /// [`RoutingMode::HashByTemplate`]. Points are keyed by stable id,
@@ -286,10 +302,8 @@ pub struct ProxyFleet {
     pipe_spec: FaultSpec,
     pipe_seed: u64,
     rr_cursor: usize,
-    /// Buffered notifications awaiting flush, ascending by epoch.
-    pending: Vec<InvalidationMsg>,
-    /// Sim time the oldest pending notification entered the buffer.
-    pending_since: u64,
+    /// One fanout buffer per invalidation stream, indexed by stream id.
+    pending: Vec<Pending>,
     now_micros: u64,
     batches: u64,
     msgs: u64,
@@ -316,36 +330,73 @@ pub struct ProxyFleet {
     audit: Option<SharedAudit>,
 }
 
-impl ProxyFleet {
-    /// Builds the fleet: each replica gets its own cache and telemetry
-    /// from a clone of `config` (same app id, hence the same tenant
-    /// encryption key), its own delivery pipe seeded independently, and
-    /// a pipe registration at the home server.
+/// The replication-only surface: a fleet over a [`HomeGroup`].
+impl ProxyFleet<HomeGroup> {
+    /// Builds the fleet over one home server, wrapped in a single-node
+    /// [`HomeGroup`] (an exact passthrough). See [`ProxyFleet::over`].
     pub fn new(config: DsspConfig, home: HomeServer, fleet: FleetConfig) -> ProxyFleet {
-        Self::with_home_group(config, HomeGroup::single(home), fleet)
+        ProxyFleet::over(config, HomeGroup::single(home), fleet)
     }
 
     /// Builds the fleet over a **replicated** home tier: the home
     /// server becomes the primary of a [`HomeGroup`] per `replication`
     /// (standbys seeded from its current state). Everything else is
     /// identical to [`ProxyFleet::new`] — the replication layer sits
-    /// entirely behind the home surface.
+    /// entirely behind the [`Home`] surface.
     pub fn replicated(
         config: DsspConfig,
         home: HomeServer,
         fleet: FleetConfig,
         replication: ReplicationConfig,
     ) -> ProxyFleet {
-        Self::with_home_group(config, HomeGroup::new(home, replication), fleet)
+        ProxyFleet::over(config, HomeGroup::new(home, replication), fleet)
     }
 
-    fn with_home_group(config: DsspConfig, mut home: HomeGroup, fleet: FleetConfig) -> ProxyFleet {
+    /// The live home primary (panics while the tier is down — the
+    /// fault-tolerant paths check [`HomeGroup::is_up`] first).
+    pub fn home(&self) -> &HomeServer {
+        self.home.primary()
+    }
+
+    /// Crashes the home primary (in-memory state lost, durable WAL
+    /// survives). Buffered fanout notifications die with it — counted,
+    /// and surfaced to every replica as one stream gap the recovery
+    /// flush absorbs. The tier stays down until the group's lease
+    /// expires and a standby promotes (advance the clock). Refused,
+    /// changing nothing, while the tier is already down.
+    pub fn crash_home(&mut self) -> Result<(), InjectionRefused> {
+        self.home.crash_primary(self.now_micros)?;
+        self.lose_pending();
+        Ok(())
+    }
+
+    /// Partitions the home primary away (the zombie scenario): same
+    /// fleet-side effects as a crash, but the old primary keeps
+    /// running on its stale term; a refused one changes nothing.
+    pub fn partition_home(&mut self) -> Result<(), InjectionRefused> {
+        self.home.partition_primary(self.now_micros)?;
+        self.lose_pending();
+        Ok(())
+    }
+
+    /// Failovers the home tier has completed so far.
+    pub fn home_failovers(&self) -> &[FailoverRecord] {
+        self.home.failovers()
+    }
+}
+
+impl<H: Home> ProxyFleet<H> {
+    /// Builds the fleet over any home tier: each replica gets its own
+    /// cache and telemetry from a clone of `config` (same app id, hence
+    /// the same tenant encryption key), its own delivery pipe seeded
+    /// independently, and handshakes at every stream's tip.
+    pub fn over(config: DsspConfig, home: H, fleet: FleetConfig) -> ProxyFleet<H> {
         assert!(fleet.proxies >= 1, "a fleet has at least one proxy");
+        let tips = home.tips();
         let mut replicas = Vec::with_capacity(fleet.proxies);
         for id in 0..fleet.proxies {
             let mut dssp = Dssp::new(config.clone());
-            let joined_epoch = home.register_pipe(id);
-            dssp.handshake(joined_epoch);
+            dssp.handshake(&tips);
             replicas.push(Replica {
                 id,
                 dssp,
@@ -365,7 +416,6 @@ impl ProxyFleet {
             pipe_seed: fleet.pipe_seed,
             rr_cursor: 0,
             pending: Vec::new(),
-            pending_since: 0,
             now_micros: 0,
             batches: 0,
             msgs: 0,
@@ -456,7 +506,8 @@ impl ProxyFleet {
         }
     }
 
-    /// Emits a membership transition at the home's current epoch.
+    /// Emits a membership transition at the home's current epoch on
+    /// stream 0.
     fn membership(
         &mut self,
         kind: MembershipKind,
@@ -464,7 +515,7 @@ impl ProxyFleet {
         peer: Option<usize>,
         entries: u64,
     ) {
-        let home_epoch = self.home.epoch();
+        let home_epoch = self.home.epoch_of(0);
         self.tracer.emit(
             self.now_micros,
             TraceEventKind::Membership {
@@ -552,25 +603,25 @@ impl ProxyFleet {
 
     /// Adds one replica under live load, optionally injecting a chaos
     /// fault into the handoff. The join protocol (documented in
-    /// [`crate::elastic`]): register the pipe at the home server *first*
-    /// so the epoch cursor is pinned, spawn the replica live-but-unrouted
+    /// [`crate::elastic`]): read every stream's tip *first* so the
+    /// joiner's cursors are pinned, spawn the replica live-but-unrouted
     /// (it receives fanout, takes no traffic), warm it from the donors
     /// that currently own its ring arcs under the cursor-match rule,
     /// then swap the ring in one assignment.
     pub fn add_replica_faulted(&mut self, fault: HandoffFault) -> JoinOutcome {
         let id = self.next_id;
         self.next_id += 1;
-        // 1. Register before ring entry: everything committed at or
-        //    before `joined_epoch` is reflected in the state the joiner
-        //    warms from; everything after arrives on its own pipe.
-        let joined_epoch = self.home.register_pipe(id);
+        // 1. Read the tips before ring entry: everything committed at or
+        //    below them is reflected in the state the joiner warms from;
+        //    everything after arrives on its own pipe.
         let mut dssp = Dssp::new(self.config.clone());
         dssp.set_lease_micros(self.lease);
         dssp.set_sim_time_micros(self.now_micros);
         if let Some(cap) = self.span_capacity {
             dssp.enable_span_recording(cap);
         }
-        dssp.handshake(joined_epoch);
+        dssp.handshake(&self.home.tips());
+        let joined_epoch = dssp.epoch();
         if let Some(prov) = &self.prov {
             dssp.add_trace_sink(Box::new(ProvenanceLog::sink(prov, id)));
         }
@@ -589,7 +640,6 @@ impl ProxyFleet {
             // ring was never touched, so routing is byte-identical to
             // before the join started (the no-op-resize property).
             self.replicas.pop();
-            self.home.unregister_pipe(id);
             self.membership(MembershipKind::AbortJoin, id, None, 0);
             return JoinOutcome {
                 replica: id,
@@ -604,9 +654,10 @@ impl ProxyFleet {
         //    NOT install it yet. Each donor is pumped to its delivery
         //    horizon, then hands over the entries for arcs the joiner
         //    will own. The cursor-match rule — import only when the
-        //    donor's epoch equals the joiner's — makes the staleness
-        //    argument airtight: a matched donor has applied exactly the
-        //    invalidations the joiner's cursor covers, so a surviving
+        //    donor's cursors equal the joiner's on every stream — makes
+        //    the staleness argument airtight: a matched donor has
+        //    applied exactly the invalidations the joiner's cursors
+        //    cover, so a surviving
         //    entry is exactly as fresh at the joiner as it was at the
         //    donor. A mismatch costs cold misses, never staleness.
         let new_ring = Self::build_ring(&self.replica_ids());
@@ -622,7 +673,7 @@ impl ProxyFleet {
         for d in donor_ids {
             self.pump(d);
             let di = self.idx(d);
-            let donor_epoch = self.replicas[di].dssp.epoch();
+            let donor_cursors = self.replicas[di].dssp.cursors().to_vec();
             let mut entries = self.replicas[di]
                 .dssp
                 .export_entries_where(|e| ring_route(&new_ring, e.key().template_id) == id);
@@ -630,18 +681,18 @@ impl ProxyFleet {
             if crash_pending {
                 // The first donor crashes mid-handoff: half its export
                 // is lost in transit and the donor itself restarts cold
-                // from the home epoch. The surviving half still carries
-                // the donor's pre-crash epoch position.
+                // at the home's tips. The surviving half still carries
+                // the donor's pre-crash cursors.
                 crash_pending = false;
                 entries.truncate(entries.len() / 2);
-                let epoch = self.home.epoch();
-                self.replicas[di].dssp.restart(epoch);
+                let tips = self.home.tips();
+                self.replicas[di].dssp.restart(&tips);
             }
             if fault == HandoffFault::DropStream {
                 entries.clear();
             }
             let ji = self.idx(id);
-            let imported = if donor_epoch == self.replicas[ji].dssp.epoch() {
+            let imported = if self.replicas[ji].dssp.cursors() == donor_cursors {
                 self.replicas[ji].dssp.import_entries(entries) as u64
             } else {
                 0
@@ -671,9 +722,9 @@ impl ProxyFleet {
 
     /// Removes the replica with stable id `id` under live load: drain
     /// its in-flight work, swap the ring, hand its cached entries to
-    /// their new owners (cursor-match rule, as on join), then
-    /// unregister its pipe after the final pump. Panics when `id` is
-    /// not live or when it is the last replica.
+    /// their new owners (cursor-match rule, as on join), then drop it
+    /// and its drained pipe. Panics when `id` is not live or when it is
+    /// the last replica.
     pub fn remove_replica(&mut self, id: usize) -> LeaveOutcome {
         assert!(
             self.replicas.len() >= 2,
@@ -687,9 +738,10 @@ impl ProxyFleet {
         self.flush_fanout();
         self.pump_all();
         let rest = self.replicas[li].pipe.drain();
-        for batch in rest {
-            self.replicas[li].dssp.apply_batch(&batch);
+        for (stream, batch) in rest {
+            self.replicas[li].dssp.apply_batch_from(stream, &batch);
         }
+        let final_cursors = self.replicas[li].dssp.cursors().to_vec();
         let final_epoch = self.replicas[li].dssp.epoch();
 
         // 2. Swap the ring first so successor arcs are computable; the
@@ -721,7 +773,7 @@ impl ProxyFleet {
             let batch = by_successor.remove(&s).expect("key from the map itself");
             let count = batch.len() as u64;
             let si = self.idx(s);
-            let imported = if self.replicas[si].dssp.epoch() == final_epoch {
+            let imported = if self.replicas[si].dssp.cursors() == final_cursors {
                 self.replicas[si].dssp.import_entries(batch) as u64
             } else {
                 0
@@ -733,13 +785,12 @@ impl ProxyFleet {
         }
         let skipped = exported - handed;
 
-        // 4. Final unregistration: the pipe was drained above, so the
-        //    conservation ledger shows nothing in flight toward the
-        //    departed replica, and no future flush will address it.
+        // 4. Departure: the pipe was drained above, so the conservation
+        //    ledger shows nothing in flight toward the departed replica,
+        //    and no future flush will address it.
         let li = self.idx(id);
         self.replicas[li].dssp.note_leave(final_epoch, handed);
         self.membership(MembershipKind::Leave, id, None, handed);
-        self.home.unregister_pipe(id);
         self.replicas.remove(li);
         LeaveOutcome {
             replica: id,
@@ -766,7 +817,7 @@ impl ProxyFleet {
 
     /// The fleet's query entry point: route, deliver what is due at the
     /// serving replica, then that replica's request pipeline over the
-    /// home tier as a [`HomeGroup`], under the caller's trip policy — so
+    /// home tier, under the caller's trip policy — so
     /// it survives the tier or the link being down (within-lease hits
     /// serve degraded, misses surface `Unavailable`) and, with `queue`,
     /// sheds at the replica's own overload gate.
@@ -820,11 +871,12 @@ impl ProxyFleet {
     }
 
     /// The fleet's update entry point: the forwarding replica's pipeline
-    /// over the home tier as a [`HomeGroup`]. `Unavailable` or `Shed`
-    /// (master untouched) while the tier or the link is down or the
-    /// replica's overload gate refuses; an applied write is replicated
-    /// (the group's commit ack), its notification buffered for fanout,
-    /// and whatever is already due delivered fleet-wide.
+    /// over the home tier. `Unavailable` or `Shed` (master untouched)
+    /// while the tier or the link is down or the replica's overload gate
+    /// refuses; an applied write is committed ([`Home::commit_write`]:
+    /// a group replicates it and acks), its notification buffered for
+    /// fanout on its stream, and whatever is already due delivered
+    /// fleet-wide.
     pub fn execute_update_ft(
         &mut self,
         u: &Update,
@@ -841,13 +893,13 @@ impl ProxyFleet {
                 .execute_update_ft(u, &mut self.home, link, policy, queue)?;
         let mut delivered = DeliveryTotals::default();
         let ack = match &resp.outcome {
-            FtUpdateOutcome::Applied { msg, .. } => {
-                let msg = msg.clone();
+            FtUpdateOutcome::Applied { stream, msg, .. } => {
+                let (stream, msg) = (*stream, msg.clone());
                 // Replicate before fanout: the ack (sync-quorum wait
                 // included) reflects the write alone, not downstream
                 // delivery work.
-                let ack = self.home.commit(self.now_micros);
-                self.offer(msg);
+                let ack = self.home.commit_write(stream, self.now_micros);
+                self.offer(stream, msg);
                 // Deliver anything already due (with immediate fanout
                 // over zero-latency pipes that includes the batch just
                 // sent).
@@ -864,25 +916,41 @@ impl ProxyFleet {
         })
     }
 
-    /// Buffers a notification, flushing on the size trigger.
-    fn offer(&mut self, msg: InvalidationMsg) {
-        if self.pending.is_empty() {
-            self.pending_since = self.now_micros;
+    /// Buffers a notification under its stream, flushing that buffer on
+    /// the size trigger.
+    fn offer(&mut self, stream: u64, msg: InvalidationMsg) {
+        let s = stream as usize;
+        if s >= self.pending.len() {
+            self.pending.resize_with(s + 1, Pending::default);
         }
-        self.pending.push(msg);
-        if self.pending.len() >= self.fanout.max_batch {
-            self.flush_fanout_with(FlushTrigger::Size);
+        let buf = &mut self.pending[s];
+        if buf.msgs.is_empty() {
+            buf.since = self.now_micros;
+        }
+        buf.msgs.push(msg);
+        if buf.msgs.len() >= self.fanout.max_batch {
+            self.flush_stream(stream, FlushTrigger::Size);
         }
     }
 
-    /// Coalesces and ships the pending buffer to every replica's pipe,
-    /// as an explicit drain.
+    /// A home-tier crash destroys the fanout buffers: their epochs
+    /// surface to every replica as stream gaps.
+    fn lose_pending(&mut self) {
+        let lost: usize = self.pending.iter().map(|p| p.msgs.len()).sum();
+        self.fanout_lost_on_crash += lost as u64;
+        self.pending.clear();
+    }
+
+    /// Coalesces and ships every stream's pending buffer to every
+    /// replica's pipe, as an explicit drain.
     pub fn flush_fanout(&mut self) {
-        self.flush_fanout_with(FlushTrigger::Drain);
+        for stream in 0..self.pending.len() as u64 {
+            self.flush_stream(stream, FlushTrigger::Drain);
+        }
     }
 
-    fn flush_fanout_with(&mut self, trigger: FlushTrigger) {
-        let msgs = std::mem::take(&mut self.pending);
+    fn flush_stream(&mut self, stream: u64, trigger: FlushTrigger) {
+        let msgs = std::mem::take(&mut self.pending[stream as usize].msgs);
         let Some(batch) = InvalidationBatch::coalesce(msgs) else {
             return;
         };
@@ -907,7 +975,7 @@ impl ProxyFleet {
         );
         let (now, first_epoch) = (self.now_micros, batch.first_epoch);
         let flushed = TraceEventKind::BatchFlushed {
-            stream: 0,
+            stream,
             first_epoch,
             last_epoch: batch.last_epoch,
             coalesced: batch.coalesced,
@@ -928,10 +996,10 @@ impl ProxyFleet {
             }
         }
         for r in &mut self.replicas {
-            r.pipe.send(now, batch.clone());
+            r.pipe.send(now, (stream, batch.clone()));
             let sent = TraceEventKind::BatchSent {
                 replica: r.id,
-                stream: 0,
+                stream,
                 first_epoch,
             };
             self.tracer.emit(now, sent);
@@ -939,14 +1007,16 @@ impl ProxyFleet {
         self.spans.close(root, timer);
     }
 
-    /// Flushes the buffer if the oldest pending notification has waited
-    /// out the configured interval.
+    /// Flushes each stream's buffer whose oldest notification has
+    /// waited out the configured interval.
     fn maybe_flush(&mut self) {
-        if !self.pending.is_empty()
-            && self.now_micros.saturating_sub(self.pending_since)
-                >= self.fanout.flush_interval_micros
-        {
-            self.flush_fanout_with(FlushTrigger::Interval);
+        for stream in 0..self.pending.len() {
+            let buf = &self.pending[stream];
+            if !buf.msgs.is_empty()
+                && self.now_micros.saturating_sub(buf.since) >= self.fanout.flush_interval_micros
+            {
+                self.flush_stream(stream as u64, FlushTrigger::Interval);
+            }
         }
     }
 
@@ -959,12 +1029,12 @@ impl ProxyFleet {
             batches: due.len(),
             ..DeliveryTotals::default()
         };
-        for batch in due {
+        for (stream, batch) in due {
             if let BatchOutcome::Applied {
                 scanned,
                 invalidated,
                 ..
-            } = r.dssp.apply_batch(&batch)
+            } = r.dssp.apply_batch_from(stream, &batch)
             {
                 totals.scanned += scanned;
                 totals.invalidated += invalidated;
@@ -997,13 +1067,12 @@ impl ProxyFleet {
     /// drain to their replicas.
     pub fn set_sim_time_micros(&mut self, micros: u64) {
         self.now_micros = micros;
-        // The group tick heartbeats, ships WAL records, and — when the
-        // primary has been silent past its lease — promotes a standby.
-        // Promotion is invisible here beyond its event: the group
-        // re-installs the pipe registry on the new primary, and its
+        // A replicated tier heartbeats, ships WAL records, and — when
+        // the primary has been silent past its lease — promotes a
+        // standby. Promotion is invisible here beyond its event: the
         // barrier epoch turns the lost tail into an ordinary stream gap.
-        self.home.tick(micros);
-        for f in &self.home.failovers()[self.failovers_seen..] {
+        let failovers = self.home.advance_clock(micros);
+        for f in &failovers[self.failovers_seen..] {
             let promotion = TraceEventKind::Promotion {
                 from_primary: f.from_primary,
                 to_primary: f.to_primary,
@@ -1011,7 +1080,7 @@ impl ProxyFleet {
             };
             self.tracer.emit(f.at_micros, promotion);
         }
-        self.failovers_seen = self.home.failovers().len();
+        self.failovers_seen = failovers.len();
         for r in &mut self.replicas {
             r.dssp.set_sim_time_micros(micros);
         }
@@ -1026,19 +1095,19 @@ impl ProxyFleet {
         self.flush_fanout();
         for i in 0..self.replicas.len() {
             let rest = self.replicas[i].pipe.drain();
-            for batch in rest {
-                self.replicas[i].dssp.apply_batch(&batch);
+            for (stream, batch) in rest {
+                self.replicas[i].dssp.apply_batch_from(stream, &batch);
             }
         }
     }
 
-    /// Crash + restart one replica: its cache is lost and its epoch
-    /// re-handshakes from the home server (see [`Dssp::restart`]). The
+    /// Crash + restart one replica: its cache is lost and its cursors
+    /// re-handshake at the home's tips (see [`Dssp::restart`]). The
     /// other replicas are untouched — recovery is independent.
     pub fn restart_proxy(&mut self, id: usize) {
-        let epoch = self.home.epoch();
+        let tips = self.home.tips();
         let i = self.idx(id);
-        self.replicas[i].dssp.restart(epoch);
+        self.replicas[i].dssp.restart(&tips);
     }
 
     /// Live replica count.
@@ -1048,10 +1117,6 @@ impl ProxyFleet {
 
     pub fn is_empty(&self) -> bool {
         self.replicas.is_empty()
-    }
-
-    pub fn routing(&self) -> RoutingMode {
-        self.routing
     }
 
     /// The replica with stable id `id` (panics when not live).
@@ -1064,46 +1129,13 @@ impl ProxyFleet {
         &mut self.replicas[i].dssp
     }
 
-    /// The live home primary (panics while the tier is down — the
-    /// fault-tolerant paths check [`HomeGroup::is_up`] first).
-    pub fn home(&self) -> &HomeServer {
-        self.home.primary()
-    }
-
-    /// The home tier as a replication group (single-node for fleets
-    /// built with [`ProxyFleet::new`]).
-    pub fn home_group(&self) -> &HomeGroup {
+    /// The home tier.
+    pub fn tier(&self) -> &H {
         &self.home
     }
 
-    pub fn home_group_mut(&mut self) -> &mut HomeGroup {
+    pub fn tier_mut(&mut self) -> &mut H {
         &mut self.home
-    }
-
-    /// Crashes the home primary (in-memory state lost, durable WAL
-    /// survives). Buffered fanout notifications die with it — counted,
-    /// and surfaced to every replica as one stream gap the recovery
-    /// flush absorbs. The tier stays down until the group's lease
-    /// expires and a standby promotes (advance the clock).
-    pub fn crash_home(&mut self) {
-        self.fanout_lost_on_crash += self.pending.len() as u64;
-        self.pending.clear();
-        self.home.crash_primary(self.now_micros);
-    }
-
-    /// Partitions the home primary away (the zombie scenario): same
-    /// fleet-side effects as a crash, but the old primary keeps
-    /// running on its stale term; a refused one changes nothing.
-    pub fn partition_home(&mut self) -> Result<(), crate::replication::InjectionRefused> {
-        self.home.partition_primary(self.now_micros)?;
-        self.fanout_lost_on_crash += self.pending.len() as u64;
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// Failovers the home tier has completed so far.
-    pub fn home_failovers(&self) -> &[FailoverRecord] {
-        self.home.failovers()
     }
 
     /// Buffered fanout notifications destroyed by home-tier crashes.
@@ -1155,8 +1187,8 @@ mod tests {
     use scs_storage::{ColumnType, Database, TableSchema};
     use std::sync::Arc;
 
-    struct Fixture {
-        fleet: ProxyFleet,
+    struct Fixture<H: Home = HomeGroup> {
+        fleet: ProxyFleet<H>,
         queries: Vec<Arc<scs_sqlkit::QueryTemplate>>,
         updates: Vec<Arc<scs_sqlkit::UpdateTemplate>>,
     }
@@ -1212,7 +1244,14 @@ mod tests {
         }
     }
 
-    impl Fixture {
+    impl<H: Home> ProxyFleet<H> {
+        /// Notifications buffered for fanout, over every stream.
+        fn pending_len(&self) -> usize {
+            self.pending.iter().map(|p| p.msgs.len()).sum()
+        }
+    }
+
+    impl<H: Home> Fixture<H> {
         fn query(&mut self, tid: usize, params: Vec<Value>) -> FleetQueryResponse {
             let q = Query::bind(tid, self.queries[tid].clone(), params).unwrap();
             self.fleet.execute_query(&q).unwrap()
@@ -1348,12 +1387,12 @@ mod tests {
         for _ in 0..3 {
             f.update(0, vec![Value::Int(5), Value::Int(2)]);
         }
-        assert_eq!(f.fleet.pending.len(), 3);
+        assert_eq!(f.fleet.pending_len(), 3);
         assert_eq!(f.fleet.total_cache_entries(), 2, "nothing delivered yet");
         // …the fourth (identical content again) fills the batch: one
         // flush, the three earlier duplicates coalesced away.
         f.update(0, vec![Value::Int(5), Value::Int(2)]);
-        assert_eq!(f.fleet.pending.len(), 0);
+        assert_eq!(f.fleet.pending_len(), 0);
         let stats = f.fleet.fanout_stats();
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.msgs, 1, "four identical updates ship as one");
@@ -1374,13 +1413,13 @@ mod tests {
         f.query(1, vec![Value::Int(2)]);
         f.fleet.set_sim_time_micros(1_000);
         f.update(0, vec![Value::Int(5), Value::Int(2)]);
-        assert_eq!(f.fleet.pending.len(), 1);
+        assert_eq!(f.fleet.pending_len(), 1);
         // Not due yet: 9ms later.
         f.fleet.set_sim_time_micros(10_000);
-        assert_eq!(f.fleet.pending.len(), 1);
+        assert_eq!(f.fleet.pending_len(), 1);
         // Due: the interval has elapsed since the message buffered.
         f.fleet.set_sim_time_micros(11_000);
-        assert_eq!(f.fleet.pending.len(), 0);
+        assert_eq!(f.fleet.pending_len(), 0);
         assert_eq!(f.fleet.total_cache_entries(), 0, "delivered on flush");
     }
 
@@ -1400,7 +1439,7 @@ mod tests {
         // batch 2 at both: replica 1 sees first_epoch=2 > expected=1.
         let u = Update::bind(0, f.updates[0].clone(), vec![Value::Int(5), Value::Int(2)]).unwrap();
         let (msg1, msg2) = {
-            let home = f.fleet.home_group_mut().primary_mut();
+            let home = f.fleet.tier_mut().primary_mut();
             let (_, m1) = home.apply_update(&u).unwrap();
             let (_, m2) = home.apply_update(&u).unwrap();
             (m1, m2)
@@ -1433,7 +1472,7 @@ mod tests {
             FleetConfig::reliable(1, RoutingMode::RoundRobin),
         );
         let u = Update::bind(0, f.updates[0].clone(), vec![Value::Int(5), Value::Int(1)]).unwrap();
-        let home = f.fleet.home_group_mut().primary_mut();
+        let home = f.fleet.tier_mut().primary_mut();
         let msgs: Vec<InvalidationMsg> = (0..3)
             .map(|i| {
                 let vu = Update::bind(
@@ -1612,14 +1651,8 @@ mod tests {
         assert!(!f.fleet.replica_ids().contains(&victim));
         // Entries moved to survivors, none lost.
         assert_eq!(f.fleet.total_cache_entries(), before);
-        // The departed pipe is gone from the home registry and from
-        // fanout: updates and pumps must not touch it.
-        assert!(!f
-            .fleet
-            .home()
-            .registered_pipes()
-            .iter()
-            .any(|p| p.replica == victim));
+        // The departed pipe is gone from fanout: updates and pumps must
+        // not touch it.
         f.update(0, vec![Value::Int(9), Value::Int(1)]);
         f.fleet.pump_all();
         f.fleet.drain();
@@ -1636,12 +1669,12 @@ mod tests {
         );
         f.query(1, vec![Value::Int(2)]);
         let ring_before = f.fleet.ring().to_vec();
-        let pipes_before = f.fleet.home().registered_pipes().to_vec();
+        let ids_before = f.fleet.replica_ids();
         let out = f.fleet.add_replica_faulted(HandoffFault::CrashJoiner);
         assert!(out.aborted);
         assert_eq!(f.fleet.len(), 2);
         assert_eq!(f.fleet.ring(), &ring_before[..], "ring untouched");
-        assert_eq!(f.fleet.home().registered_pipes(), &pipes_before[..]);
+        assert_eq!(f.fleet.replica_ids(), ids_before);
         assert_eq!(f.fleet.membership_epoch(), 0);
         // The aborted id is burned, never reused.
         let next = f.fleet.add_replica();
@@ -1711,7 +1744,7 @@ mod tests {
         }
         let now = 1_000;
         f.fleet.set_sim_time_micros(now); // ships + delivers replication
-        f.fleet.crash_home();
+        f.fleet.crash_home().unwrap();
         ride_out_failover(&mut f, now);
         let fo = *f.fleet.home_failovers().last().unwrap();
         assert_eq!(fo.lost_records, 0, "everything had replicated");
@@ -1745,13 +1778,13 @@ mod tests {
         for i in 0..3 {
             f.update(0, vec![Value::Int(20 + i), Value::Int(1)]);
         }
-        assert_eq!(f.fleet.pending.len(), 3);
+        assert_eq!(f.fleet.pending_len(), 3);
         let mut now = 1_000;
         f.fleet.set_sim_time_micros(now);
         // Crash mid-fanout-flush: the buffered notifications die with
         // the primary (counted), their epochs become a stream gap.
-        f.fleet.crash_home();
-        assert_eq!(f.fleet.pending.len(), 0);
+        f.fleet.crash_home().unwrap();
+        assert_eq!(f.fleet.pending_len(), 0);
         assert_eq!(f.fleet.fanout_lost_on_crash(), 3);
         now = ride_out_failover(&mut f, now);
         // Post-failover updates fan out from the promoted primary;
@@ -1786,8 +1819,8 @@ mod tests {
         let mut now = 2_000;
         f.fleet.set_sim_time_micros(now);
         let epoch_before = f.fleet.home().epoch();
-        f.fleet.crash_home();
-        assert!(!f.fleet.home_group().is_up());
+        f.fleet.crash_home().unwrap();
+        assert!(!f.fleet.tier().is_up());
         // Queries during the outage degrade instead of panicking.
         let q = Query::bind(1, f.queries[1].clone(), vec![Value::Int(1)]).unwrap();
         let (link, policy) = (HomeLink::default(), RetryPolicy::default());
@@ -1805,7 +1838,7 @@ mod tests {
         ));
         assert!(ha.ack.is_none());
         now = ride_out_failover(&mut f, now);
-        assert!(f.fleet.home_group().is_up());
+        assert!(f.fleet.tier().is_up());
         assert!(f.fleet.home().epoch() > epoch_before, "barrier moved ahead");
         // The same paths now serve against the promoted primary.
         let ha = f.fleet.execute_update_ft(&u, &link, &policy, None).unwrap();
@@ -1815,5 +1848,131 @@ mod tests {
         for p in 0..2 {
             assert_eq!(f.fleet.proxy(p).epoch(), f.fleet.home().epoch());
         }
+    }
+
+    /// A join while the home primary is down reads the tier's tip (its
+    /// high-water mark) instead of panicking, and a second crash is
+    /// refused; once a standby promotes, the joiner converges like every
+    /// other replica.
+    #[test]
+    fn a_join_while_the_primary_is_crashed_handshakes_at_the_high_water_mark() {
+        let mut f = replicated_fixture(1);
+        f.query(1, vec![Value::Int(1)]);
+        for i in 0..3 {
+            f.update(0, vec![Value::Int(10 + i), Value::Int(1)]);
+        }
+        let now = 1_000;
+        f.fleet.set_sim_time_micros(now);
+        let tip = f.fleet.home().epoch();
+        f.fleet.crash_home().unwrap();
+        assert_eq!(f.fleet.crash_home(), Err(InjectionRefused::NoPrimary));
+        let out = f.fleet.add_replica();
+        assert!(!out.aborted);
+        assert_eq!(out.joined_epoch, tip);
+        let now = ride_out_failover(&mut f, now);
+        f.update(0, vec![Value::Int(99), Value::Int(1)]);
+        f.fleet.set_sim_time_micros(now + 1_000);
+        f.fleet.drain();
+        for id in f.fleet.replica_ids() {
+            assert_eq!(f.fleet.proxy(id).epoch(), f.fleet.home().epoch());
+        }
+    }
+
+    // ---- sharded home tier -------------------------------------------
+
+    use crate::sharded::ShardedHome;
+    use scs_storage::{PartitionMap, TablePlacement};
+
+    /// The toy fleet over `shards` shards, `toys` hash-split on its key.
+    fn sharded_fixture(shards: usize, fleet: FleetConfig) -> Fixture<ShardedHome> {
+        let (config, home, queries, updates) = toy_config(StrategyKind::ViewInspection);
+        let split = TablePlacement::Hash {
+            column: "toy_id".into(),
+        };
+        let map = PartitionMap::by_table(shards).with_placement("toys", split);
+        let home = ShardedHome::new(home.database().clone(), map);
+        Fixture {
+            fleet: ProxyFleet::over(config, home, fleet),
+            queries,
+            updates,
+        }
+    }
+
+    impl Fixture<ShardedHome> {
+        /// The shard that owns toy `id`'s row.
+        fn owner(&self, id: i64) -> usize {
+            let u = Update::bind(
+                0,
+                self.updates[0].clone(),
+                vec![Value::Int(0), Value::Int(id)],
+            );
+            let home = self.fleet.tier();
+            let catalog = home.shard(0).database();
+            home.map().shard_for_update(catalog, &u.unwrap()).unwrap()
+        }
+    }
+
+    /// A joiner handshakes at every stream's tip, so over a reliable
+    /// sharded fleet its first batch on each stream is in order: no
+    /// replica ever sees a gap.
+    #[test]
+    fn a_reliable_sharded_fleets_join_causes_no_recovery_flush() {
+        let mut f = sharded_fixture(4, FleetConfig::reliable(2, RoutingMode::HashByTemplate));
+        for id in 1..=3 {
+            f.query(1, vec![Value::Int(id)]);
+            f.update(0, vec![Value::Int(20 + id), Value::Int(id)]);
+        }
+        let tips = f.fleet.tier().tips();
+        assert!(
+            tips[1..].iter().any(|&t| t > 0),
+            "no stream past 0: {tips:?}"
+        );
+        let out = f.fleet.add_replica();
+        for id in 1..=3 {
+            f.update(0, vec![Value::Int(30 + id), Value::Int(id)]);
+            f.query(0, vec![Value::str("bear")]);
+        }
+        let tips = f.fleet.tier().tips();
+        for id in f.fleet.replica_ids() {
+            assert_eq!(f.fleet.proxy(id).cursors(), &tips[..], "replica {id}");
+        }
+        let counters = f.fleet.rollup_metrics().counters;
+        assert_eq!(
+            counters["dssp.recovery_flushes"], 0,
+            "joiner {}",
+            out.replica
+        );
+    }
+
+    /// The cursor-match rule compares every stream: a donor that lags
+    /// its joiner on stream 1 alone (that stream's batch is still in
+    /// flight) hands nothing, though their stream-0 cursors match.
+    #[test]
+    fn a_donor_lagging_on_one_stream_hands_nothing() {
+        let mut cfg = FleetConfig::reliable(1, RoutingMode::HashByTemplate);
+        cfg.pipe_spec = FaultSpec {
+            base_latency_micros: 1_000,
+            ..FaultSpec::none()
+        };
+        let mut f = sharded_fixture(2, cfg);
+        f.query(0, vec![Value::str("bear")]);
+        for id in 1..=3 {
+            f.query(1, vec![Value::Int(id)]);
+        }
+        let joiner_arcs = ProxyFleet::<ShardedHome>::build_ring(&[0, 1]);
+        assert!((0..2).any(|tid| ring_route(&joiner_arcs, tid) == 1));
+        let id = (1..=3)
+            .find(|&id| f.owner(id) == 1)
+            .expect("a toy on shard 1");
+        f.update(0, vec![Value::Int(99), Value::Int(id)]);
+        assert_eq!(f.fleet.tier().tips(), vec![0, 1]);
+        assert_eq!(
+            f.fleet.proxy(0).epoch_of(1),
+            0,
+            "stream 1's batch is in flight"
+        );
+        let out = f.fleet.add_replica();
+        assert!(out.skipped > 0, "the joiner owns a warm arc");
+        assert_eq!(out.handed, 0, "a lagging donor hands nothing");
     }
 }

@@ -9,15 +9,19 @@
 //! the one failure mode a transparent-invalidation system must rule
 //! out — into detected, recoverable events.
 
-use crate::delivery::{InvalidationMsg, PipeRegistration};
+use crate::delivery::InvalidationMsg;
+use crate::replication::{CommitAck, FailoverRecord};
 use scs_sqlkit::{Query, Update};
 use scs_storage::{Database, QueryResult, Row, StorageError, UpdateEffect, Wal};
 /// The home tier as the proxy's request pipeline sees it: the four
-/// questions [`crate::Dssp`] asks of whatever holds the master copy. A
-/// [`HomeServer`] answers for its one invalidation stream, a
-/// [`crate::HomeGroup`] for its current primary, a
-/// [`crate::ShardedHome`] for one stream per shard — so every entry
-/// point of the proxy runs over any of the three.
+/// questions [`crate::Dssp`] asks of whatever holds the master copy,
+/// plus the three hooks a [`crate::ProxyFleet`] drives (the stream tips
+/// a joiner handshakes at, the commit after a write, the clock tick),
+/// whose defaults are a lone server's. A [`HomeServer`] answers for its
+/// one invalidation stream, a [`crate::HomeGroup`] for its current
+/// primary, a [`crate::ShardedHome`] for one stream per shard — so
+/// every entry point of the proxy and of the fleet runs over any of the
+/// three.
 pub trait Home {
     /// The invalidation streams one answer depends on, ascending. A
     /// single-stream home returns an array, so a miss allocates nothing
@@ -43,6 +47,28 @@ pub trait Home {
     /// The last epoch issued on `stream` (0 for a stream this home does
     /// not have).
     fn epoch_of(&self, stream: u64) -> u64;
+
+    /// Every stream's tip, indexed by stream id: where a joining proxy
+    /// handshakes and a restarted one restarts.
+    fn tips(&self) -> Vec<u64> {
+        vec![self.epoch_of(0)]
+    }
+
+    /// The step after a write applied on `stream`: replication, and the
+    /// ack its client gets. A lone server acks at once.
+    fn commit_write(&mut self, stream: u64, _now_micros: u64) -> CommitAck {
+        CommitAck {
+            acked: true,
+            epoch: self.epoch_of(stream),
+            wait_micros: 0,
+        }
+    }
+
+    /// Advances the tier's clock to `now_micros`: every failover it has
+    /// completed so far (a tier that cannot fail over has none).
+    fn advance_clock(&mut self, _now_micros: u64) -> &[FailoverRecord] {
+        &[]
+    }
 }
 
 /// Wraps the master database with simple accounting — the home server's
@@ -61,10 +87,6 @@ pub struct HomeServer {
     /// the master copy (ns) — the home side of the span pipeline's
     /// `home_trip` phase.
     service_nanos: u64,
-    /// Fanout pipes currently registered, in registration order — the
-    /// home-side membership view an elastic fleet maintains through
-    /// [`HomeServer::register_pipe`] / [`HomeServer::unregister_pipe`].
-    pipes: Vec<PipeRegistration>,
     /// The durable write-ahead log: every master write — statement-form
     /// updates *and* out-of-band [`HomeServer::mutate_database`] calls —
     /// appends one epoch-stamped record. The log is what survives a
@@ -82,7 +104,6 @@ impl HomeServer {
             updates_applied: 0,
             epoch: 0,
             service_nanos: 0,
-            pipes: Vec::new(),
             wal,
         }
     }
@@ -103,7 +124,6 @@ impl HomeServer {
             updates_applied: 0,
             epoch: wal.last_epoch(),
             service_nanos: 0,
-            pipes: Vec::new(),
             wal,
         }
     }
@@ -149,13 +169,6 @@ impl HomeServer {
         // database).
         self.epoch = epoch;
         self.wal.append_checkpoint(epoch, self.db.clone());
-    }
-
-    /// Restores a fanout-pipe registry wholesale — cluster metadata a
-    /// replication group re-installs on a freshly promoted primary so
-    /// fanout resumes toward the same fleet.
-    pub fn restore_pipes(&mut self, pipes: Vec<PipeRegistration>) {
-        self.pipes = pipes;
     }
 
     /// Executes a query against the master copy (a DSSP cache miss).
@@ -235,39 +248,6 @@ impl HomeServer {
     /// handshake after a restart.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Registers a fanout pipe for `replica` and returns the current
-    /// epoch — the pipe's initial cursor. A joining replica calls this
-    /// *before* entering the routing ring: from this epoch on, every
-    /// invalidation is owed to (and will be offered on) its pipe, and
-    /// everything at or below it is already reflected in the master
-    /// state the replica warms from. Registering an already-registered
-    /// replica is a bug in the membership protocol and panics.
-    pub fn register_pipe(&mut self, replica: usize) -> u64 {
-        assert!(
-            !self.pipes.iter().any(|p| p.replica == replica),
-            "replica {replica} already has a registered pipe"
-        );
-        self.pipes.push(PipeRegistration {
-            replica,
-            joined_epoch: self.epoch,
-        });
-        self.epoch
-    }
-
-    /// Unregisters `replica`'s fanout pipe (the final step of a leave or
-    /// of a join rollback); returns its registration if it was present.
-    /// After this, no further batches are owed to the replica.
-    pub fn unregister_pipe(&mut self, replica: usize) -> Option<PipeRegistration> {
-        let i = self.pipes.iter().position(|p| p.replica == replica)?;
-        Some(self.pipes.remove(i))
-    }
-
-    /// The registered fanout pipes, in registration order — the home's
-    /// view of fleet membership, with each pipe's join-epoch cursor.
-    pub fn registered_pipes(&self) -> &[PipeRegistration] {
-        &self.pipes
     }
 
     /// Read access for tests and ground-truth checks (not part of the DSSP

@@ -63,7 +63,7 @@ pub use cache::{
 };
 pub use delivery::{
     BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
-    HomeLink, InvalidationBatch, InvalidationMsg, PipeRegistration, RetryPolicy,
+    HomeLink, InvalidationBatch, InvalidationMsg, RetryPolicy,
 };
 pub use elastic::{
     Autoscaler, AutoscalerConfig, HandoffFault, JoinOutcome, LeaveOutcome, ScaleAction,
@@ -79,7 +79,7 @@ pub use replication::{
     CommitAck, FailoverRecord, HomeGroup, InjectionRefused, ReplicationConfig, ReplicationMode,
     ShipMsg, Standby,
 };
-pub use sharded::{ShardedHome, ShardedQueryResponse, ShardedUpdateResponse};
+pub use sharded::{ShardedHome, ShardedQueryResponse};
 pub use statement::statement_may_affect;
 pub use stats::{DsspStats, Tally};
 pub use strategy::{

@@ -260,13 +260,10 @@ pub struct Dssp {
     /// Simulation clock in µs; trace events are stamped with it. Stays 0
     /// outside a simulation.
     now_micros: u64,
-    /// Last invalidation-stream epoch applied (or covered by a recovery
-    /// flush) on stream 0 — the classic single-home stream.
-    epoch: u64,
-    /// Cursors for invalidation streams ≥ 1 (one per home shard; see
-    /// [`Dssp::epoch_of`]). Stream 0 lives in `epoch`, so a single-stream
-    /// proxy never touches the map.
-    stream_epochs: std::collections::HashMap<u64, u64>,
+    /// Per invalidation stream, indexed by stream id: the last epoch
+    /// applied (or covered by a recovery flush) on it. Stream 0 is the
+    /// classic single-home stream; see [`Dssp::epoch_of`].
+    cursors: Vec<u64>,
     /// Overload protection; `None` = accept everything.
     overload: Option<OverloadState>,
     /// Monotone per-proxy request counter, mixed with `jitter_salt` to
@@ -318,8 +315,7 @@ impl Dssp {
             tracer: Tracer::new(),
             spans: SpanRecorder::disabled(),
             now_micros: 0,
-            epoch: 0,
-            stream_epochs: std::collections::HashMap::new(),
+            cursors: Vec::new(),
             overload,
             request_seq: 0,
             jitter_salt,
@@ -1351,16 +1347,18 @@ impl Dssp {
     }
 
     /// Simulates a crash + restart of this proxy: the cache is lost and
-    /// the epoch tracker re-handshakes from the home server's current
-    /// epoch (piggybacked on the reconnect). Starting empty makes the
-    /// skip-ahead safe — there is nothing cached for a missed update to
-    /// have left stale — and any in-flight notifications from before the
-    /// crash then arrive as droppable duplicates.
-    pub fn restart(&mut self, home_epoch: u64) {
+    /// every stream's cursor re-handshakes at that stream's tip (`tips`,
+    /// indexed by stream, piggybacked on the reconnect; see
+    /// [`Home::tips`]). Starting empty makes the skip-ahead safe — there
+    /// is nothing cached for a missed update to have left stale — and
+    /// any in-flight notifications from before the crash then arrive as
+    /// droppable duplicates.
+    pub fn restart(&mut self, tips: &[u64]) {
         let timer = self.spans.timer();
         self.cache.clear();
-        self.epoch = home_epoch;
-        self.note(TraceEventKind::NodeRestart { epoch: home_epoch });
+        self.handshake(tips);
+        let epoch = self.epoch();
+        self.note(TraceEventKind::NodeRestart { epoch });
         self.spans.record_closed(
             self.now_micros,
             SpanPhase::Recovery,
@@ -1370,38 +1368,41 @@ impl Dssp {
         );
     }
 
-    /// Last invalidation-stream epoch this proxy has applied or covered.
+    /// Last epoch this proxy has applied or covered on stream 0, the
+    /// classic single-home stream.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.epoch_of(0)
     }
 
-    /// Sets a fresh joiner's epoch cursor to the home server's epoch at
-    /// pipe registration. Unlike [`Dssp::restart`] this neither clears
-    /// the cache nor counts as a crash: the joiner starts empty anyway,
-    /// and every update ≤ `home_epoch` is already reflected in the
-    /// master state it warms from, while every later one arrives on its
-    /// own newly-registered pipe.
-    pub fn handshake(&mut self, home_epoch: u64) {
-        self.epoch = home_epoch;
+    /// Sets a fresh joiner's cursors to the home's stream tips (indexed
+    /// by stream, read before it enters the ring). Unlike
+    /// [`Dssp::restart`] this neither clears the cache nor counts as a
+    /// crash: the joiner starts empty anyway, and every update at or
+    /// below a tip is already reflected in the master state it warms
+    /// from, while every later one arrives on its own pipe.
+    pub fn handshake(&mut self, tips: &[u64]) {
+        self.cursors = tips.to_vec();
     }
 
     /// This replica's merge cursor on invalidation stream `stream` —
     /// the last epoch applied or covered on it. Stream 0 is
     /// [`Dssp::epoch`]; unseen streams start at 0.
     pub fn epoch_of(&self, stream: u64) -> u64 {
-        if stream == 0 {
-            self.epoch
-        } else {
-            self.stream_epochs.get(&stream).copied().unwrap_or(0)
-        }
+        self.cursors.get(stream as usize).copied().unwrap_or(0)
+    }
+
+    /// Every stream's cursor, indexed by stream id: what the fleet's
+    /// handoff compares, donor against receiver.
+    pub fn cursors(&self) -> &[u64] {
+        &self.cursors
     }
 
     fn set_stream_cursor(&mut self, stream: u64, epoch: u64) {
-        if stream == 0 {
-            self.epoch = epoch;
-        } else {
-            self.stream_epochs.insert(stream, epoch);
+        let s = stream as usize;
+        if s >= self.cursors.len() {
+            self.cursors.resize(s + 1, 0);
         }
+        self.cursors[s] = epoch;
     }
 
     /// Emits the arrival of the notification or batch starting at

@@ -39,7 +39,7 @@
 //!   stream — proxies detect it like any lost batch and recovery-flush
 //!   (PR 2), so a failover needs no proxy-side special case.
 
-use crate::delivery::{InvalidationMsg, PipeRegistration};
+use crate::delivery::InvalidationMsg;
 use crate::home::{Home, HomeServer};
 use scs_netsim::{FaultSpec, FaultyChannel};
 use scs_sqlkit::{Query, Update};
@@ -302,7 +302,7 @@ pub struct Zombie {
 /// refused to inject its fault; the group is left as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionRefused {
-    /// The tier has no primary to partition (it is down).
+    /// The tier has no primary to crash or partition (it is down).
     NoPrimary,
     /// A partitioned primary is still outstanding; rejoin it first.
     PartitionOutstanding,
@@ -349,9 +349,8 @@ pub struct FailoverRecord {
     pub unavailable_micros: u64,
 }
 
-/// A replicated home tier behind the same surface a bare
-/// [`HomeServer`] offers the fleet: `epoch`, pipe registry — plus
-/// crash/partition/promotion machinery.
+/// A replicated home tier behind the same [`Home`] surface a bare
+/// [`HomeServer`] offers, plus crash/partition/promotion machinery.
 ///
 /// [`HomeGroup::single`] (0 standbys) is an exact passthrough; every
 /// existing single-home call site keeps its behaviour byte-identical.
@@ -382,10 +381,6 @@ pub struct HomeGroup {
     /// first, keyed by node id — a double failover can strand two
     /// un-rejoined logs at once.
     crashed: Vec<(usize, Wal)>,
-    /// Authoritative fanout-pipe registry, mirrored onto whichever
-    /// server is primary — what makes invalidation fanout resume
-    /// toward the same fleet after a promotion.
-    pipe_registry: Vec<PipeRegistration>,
     failovers: Vec<FailoverRecord>,
     /// Sync-quorum commits that timed out (applied but unacked).
     unacked_commits: u64,
@@ -405,7 +400,6 @@ impl HomeGroup {
                 Standby::new(id, primary.database().clone(), epoch, 0, pipe)
             })
             .collect();
-        let pipe_registry = primary.registered_pipes().to_vec();
         HomeGroup {
             cfg,
             primary: Some(primary),
@@ -419,7 +413,6 @@ impl HomeGroup {
             unavailable_since: None,
             zombie: None,
             crashed: Vec::new(),
-            pipe_registry,
             failovers: Vec::new(),
             unacked_commits: 0,
         }
@@ -431,26 +424,13 @@ impl HomeGroup {
         HomeGroup::new(primary, ReplicationConfig::single())
     }
 
-    pub fn config(&self) -> &ReplicationConfig {
-        &self.cfg
-    }
-
     pub fn mode(&self) -> ReplicationMode {
         self.cfg.mode
-    }
-
-    pub fn term(&self) -> u64 {
-        self.term
     }
 
     /// Whether the tier currently has a live primary.
     pub fn is_up(&self) -> bool {
         self.primary.is_some()
-    }
-
-    /// The current primary's stable node id.
-    pub fn primary_id(&self) -> usize {
-        self.primary_id
     }
 
     /// The live primary. Panics while the tier is down — callers on
@@ -472,11 +452,6 @@ impl HomeGroup {
             .unwrap_or(self.high_water)
     }
 
-    /// Highest client-acked epoch (prefix-closed).
-    pub fn acked_epoch(&self) -> u64 {
-        self.acked_epoch
-    }
-
     pub fn standbys(&self) -> &[Standby] {
         &self.standbys
     }
@@ -488,42 +463,6 @@ impl HomeGroup {
     /// Total zombie-primary records bounced off the term fence.
     pub fn fenced_total(&self) -> u64 {
         self.standbys.iter().map(|s| s.fenced_records).sum()
-    }
-
-    // ---- HomeServer surface the fleet delegates to -----------------
-
-    /// Registers a fanout pipe on the group registry *and* the live
-    /// primary; promotion re-installs the registry wholesale so fanout
-    /// resumes toward the same fleet.
-    pub fn register_pipe(&mut self, replica: usize) -> u64 {
-        assert!(
-            !self.pipe_registry.iter().any(|p| p.replica == replica),
-            "replica {replica} already has a registered pipe"
-        );
-        let epoch = self.epoch();
-        self.pipe_registry.push(PipeRegistration {
-            replica,
-            joined_epoch: epoch,
-        });
-        if let Some(p) = self.primary.as_mut() {
-            p.register_pipe(replica);
-        }
-        epoch
-    }
-
-    pub fn unregister_pipe(&mut self, replica: usize) -> Option<PipeRegistration> {
-        if let Some(p) = self.primary.as_mut() {
-            p.unregister_pipe(replica);
-        }
-        let i = self
-            .pipe_registry
-            .iter()
-            .position(|p| p.replica == replica)?;
-        Some(self.pipe_registry.remove(i))
-    }
-
-    pub fn registered_pipes(&self) -> &[PipeRegistration] {
-        &self.pipe_registry
     }
 
     /// Advances the group clock: heartbeats, ships outstanding log
@@ -623,30 +562,6 @@ impl HomeGroup {
         }
     }
 
-    /// The post-write replication step. Call after every primary write
-    /// (the write itself goes through [`HomeGroup::primary_mut`], so
-    /// any pathway — DSSP updates, out-of-band mutations — is
-    /// covered). Async: the write is acked as-is. Sync-quorum: blocks
-    /// (in simulated time) until a majority holds the log prefix, or
-    /// times out leaving the write applied but unacked.
-    pub fn commit(&mut self, now: u64) -> CommitAck {
-        let target = self.primary().epoch();
-        self.high_water = self.high_water.max(target);
-        match self.cfg.mode {
-            ReplicationMode::Async => {
-                self.acked_epoch = self.acked_epoch.max(target);
-                self.ship_outstanding(now);
-                self.pump(now);
-                CommitAck {
-                    acked: true,
-                    epoch: target,
-                    wait_micros: 0,
-                }
-            }
-            ReplicationMode::SyncQuorum => self.sync_commit(now, target),
-        }
-    }
-
     fn sync_commit(&mut self, now: u64, target: u64) -> CommitAck {
         let majority = self.cfg.majority();
         let term = self.term;
@@ -696,9 +611,10 @@ impl HomeGroup {
 
     /// Hard-crashes the primary: in-memory state is gone; the durable
     /// log survives (a later [`HomeGroup::rejoin_crashed`] replays
-    /// it). The tier is down until a standby promotes.
-    pub fn crash_primary(&mut self, now: u64) {
-        let p = self.primary.take().expect("no primary to crash");
+    /// it). The tier is down until a standby promotes. Refused while
+    /// the tier is already down.
+    pub fn crash_primary(&mut self, now: u64) -> Result<(), InjectionRefused> {
+        let p = self.primary.take().ok_or(InjectionRefused::NoPrimary)?;
         self.high_water = self.high_water.max(p.epoch());
         debug_assert!(
             !self.crashed.iter().any(|(id, _)| *id == self.primary_id),
@@ -708,6 +624,7 @@ impl HomeGroup {
         self.crashed.push((self.primary_id, p.crash()));
         self.unavailable_since = Some(now);
         self.now = now;
+        Ok(())
     }
 
     /// Partitions the primary away: it keeps running (and believes it
@@ -931,7 +848,6 @@ impl HomeGroup {
         let mut server = HomeServer::recover(standby.wal);
         let barrier = old_tip + 1;
         server.advance_epoch_to(barrier);
-        server.restore_pipes(self.pipe_registry.clone());
         let lost_records = old_tip - promoted_applied;
         let lost_acked = self.acked_epoch.saturating_sub(promoted_applied);
         debug_assert!(
@@ -973,8 +889,9 @@ impl HomeGroup {
 }
 
 /// The group is its current primary: up while it has one, and every
-/// trip goes to that primary. Replication of an applied write
-/// ([`HomeGroup::commit`]) stays with the caller, which owns the ack.
+/// trip goes to that primary. Its stream's tip outlives the primary (the
+/// high-water mark), an applied write is replicated before it is
+/// acked, and the clock drives [`HomeGroup::tick`].
 impl Home for HomeGroup {
     type Streams = [u64; 1];
 
@@ -991,7 +908,40 @@ impl Home for HomeGroup {
     }
 
     fn epoch_of(&self, stream: u64) -> u64 {
-        self.primary().epoch_of(stream)
+        if stream == 0 {
+            self.epoch()
+        } else {
+            0
+        }
+    }
+
+    /// The post-write replication step. Call after every primary write
+    /// (the write itself goes through [`HomeGroup::primary_mut`], so
+    /// any pathway — DSSP updates, out-of-band mutations — is
+    /// covered). Async: the write is acked as-is. Sync-quorum: blocks
+    /// (in simulated time) until a majority holds the log prefix, or
+    /// times out leaving the write applied but unacked.
+    fn commit_write(&mut self, _stream: u64, now: u64) -> CommitAck {
+        let target = self.primary().epoch();
+        self.high_water = self.high_water.max(target);
+        match self.cfg.mode {
+            ReplicationMode::Async => {
+                self.acked_epoch = self.acked_epoch.max(target);
+                self.ship_outstanding(now);
+                self.pump(now);
+                CommitAck {
+                    acked: true,
+                    epoch: target,
+                    wait_micros: 0,
+                }
+            }
+            ReplicationMode::SyncQuorum => self.sync_commit(now, target),
+        }
+    }
+
+    fn advance_clock(&mut self, now_micros: u64) -> &[FailoverRecord] {
+        self.tick(now_micros);
+        &self.failovers
     }
 }
 
@@ -1036,7 +986,7 @@ mod tests {
 
     fn write(g: &mut HomeGroup, now: u64, id: i64) -> CommitAck {
         g.primary_mut().apply_update(&insert(id, 1)).unwrap();
-        g.commit(now)
+        g.commit_write(0, now)
     }
 
     #[test]
@@ -1095,14 +1045,14 @@ mod tests {
         let ack = write(&mut g, 0, 100);
         assert!(ack.acked);
         assert!(ack.wait_micros >= 200, "one pipe latency minimum");
-        assert_eq!(g.acked_epoch(), 1);
+        assert_eq!(g.acked_epoch, 1);
         // Kill both standbys: the quorum (2 of 3) is unreachable, so
         // the next commit times out unacked.
         g.crash_standby(1);
         g.crash_standby(2);
         let ack = write(&mut g, 10_000, 101);
         assert!(!ack.acked, "no quorum, no ack");
-        assert_eq!(g.acked_epoch(), 1, "ack floor unchanged");
+        assert_eq!(g.acked_epoch, 1, "ack floor unchanged");
         assert_eq!(g.unacked_commits, 1);
     }
 
@@ -1126,7 +1076,7 @@ mod tests {
         g.tick(now + 1);
         g.revive_standby(2); // alive again but lagging
         let tip = g.epoch();
-        g.crash_primary(now + 2);
+        g.crash_primary(now + 2).unwrap();
         let fo = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1138,7 +1088,7 @@ mod tests {
         assert_eq!(fo.lost_records, 0);
         assert_eq!(fo.barrier_epoch, tip + 1, "barrier opens a permanent gap");
         assert_eq!(g.epoch(), tip + 1);
-        assert!(fo.unavailable_micros >= g.config().lease_micros);
+        assert!(fo.unavailable_micros >= g.cfg.lease_micros);
         // The lagging standby catches back up from the new primary.
         for _ in 0..50 {
             now += 5_000;
@@ -1172,7 +1122,7 @@ mod tests {
         // commit() ships eagerly; drain what was already in flight,
         // then rebuild the loss by crashing before *delivery*.
         let delivered = g.standbys()[0].applied();
-        g.crash_primary(now);
+        g.crash_primary(now).unwrap();
         let fo = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1215,7 +1165,7 @@ mod tests {
             }
             g.tick(now);
         }
-        g.crash_primary(now);
+        g.crash_primary(now).unwrap();
         let fo = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1237,7 +1187,7 @@ mod tests {
         g.tick(now);
         g.crash_standby(1);
         g.crash_standby(2);
-        g.crash_primary(now);
+        g.crash_primary(now).unwrap();
         for _ in 0..100 {
             now += 10_000;
             assert!(g.tick(now).is_none(), "no quorum, no promotion");
@@ -1327,7 +1277,7 @@ mod tests {
     #[test]
     fn partitioning_a_down_tier_is_refused() {
         let mut g = group(ReplicationMode::Async, 2, FaultSpec::none());
-        g.crash_primary(1_000);
+        g.crash_primary(1_000).unwrap();
         let refused = g.partition_primary(2_000);
         assert_eq!(refused, Err(InjectionRefused::NoPrimary));
         assert!(g.zombie.is_none() && !g.is_up());
@@ -1367,7 +1317,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.crash_primary(now + 2);
+        g.crash_primary(now + 2).unwrap();
         let fo1 = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1381,7 +1331,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.crash_primary(now + 2);
+        g.crash_primary(now + 2).unwrap();
         let fo2 = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1389,7 +1339,7 @@ mod tests {
             }
         };
         assert_eq!(fo2.to_primary, 2, "the remaining standby takes over");
-        assert_eq!(g.term(), 2);
+        assert_eq!(g.term, 2);
         assert_eq!(fo2.lost_records, 0);
         assert!(fo2.barrier_epoch > fo1.barrier_epoch);
         // Writes keep flowing on the twice-promoted stream.
@@ -1487,7 +1437,7 @@ mod tests {
             }
         }
         for s in g.standbys() {
-            assert_eq!(s.term(), g.term(), "standby {} knows the term", s.id());
+            assert_eq!(s.term(), g.term, "standby {} knows the term", s.id());
         }
         // The zombie writes immediately after promotion; deliver ONLY
         // the pipes (no tick). The zombie record is fenced on term
@@ -1560,7 +1510,7 @@ mod tests {
         // barrier and fresh writes — must be shed, not kept as
         // "already applied".
         g.revive_standby(2);
-        assert_eq!(g.standbys()[0].term(), g.term());
+        assert_eq!(g.standbys()[0].term(), g.term);
         assert!(g.standbys()[0].applied() <= tip, "divergent suffix shed");
         for i in 0..10 {
             now += 1_000;
@@ -1691,7 +1641,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.crash_primary(now + 2);
+        g.crash_primary(now + 2).unwrap();
         let fo1 = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1704,7 +1654,7 @@ mod tests {
             g.tick(now);
         }
         g.tick(now + 1);
-        g.crash_primary(now + 2);
+        g.crash_primary(now + 2).unwrap();
         let fo2 = loop {
             now += 5_000;
             if let Some(fo) = g.tick(now) {
@@ -1718,7 +1668,7 @@ mod tests {
         let mut ids: Vec<usize> = g.standbys().iter().map(|s| s.id()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3], "all ids distinct");
-        assert_eq!(g.primary_id(), fo2.to_primary);
+        assert_eq!(g.primary_id, fo2.to_primary);
         assert_ne!(fo1.to_primary, fo2.to_primary);
         for _ in 0..40 {
             now += 5_000;
@@ -1748,7 +1698,7 @@ mod tests {
         let now = 1_000;
         let ack = write(&mut g, now, 100);
         assert!(!ack.acked, "total drop: no quorum");
-        assert!(ack.wait_micros >= g.config().sync_timeout_micros);
+        assert!(ack.wait_micros >= g.cfg.sync_timeout_micros);
         for s in g.standbys() {
             assert!(
                 s.last_ship_at <= now,
@@ -1759,28 +1709,24 @@ mod tests {
         }
     }
 
+    /// A second crash while the tier is down is refused and changes
+    /// nothing, and the down tier still answers its stream's tip (the
+    /// high-water mark) through `Home` instead of panicking.
     #[test]
-    fn pipe_registry_survives_promotion() {
+    fn a_double_crash_is_refused_and_the_down_tier_answers_its_tip() {
         let mut g = group(ReplicationMode::Async, 1, FaultSpec::none());
-        assert_eq!(g.register_pipe(0), 0);
         write(&mut g, 1_000, 100);
         g.tick(1_000);
-        assert_eq!(g.register_pipe(7), 1);
-        g.tick(2_000);
-        g.crash_primary(2_000);
+        let tip = g.epoch();
+        g.crash_primary(2_000).unwrap();
+        assert_eq!(g.crash_primary(2_001), Err(InjectionRefused::NoPrimary));
+        assert_eq!(Home::epoch_of(&g, 0), tip);
+        assert_eq!(Home::tips(&g), vec![tip]);
         let mut now = 2_000;
         while g.tick(now).is_none() {
             now += 5_000;
         }
-        let pipes = g.registered_pipes().to_vec();
-        assert_eq!(pipes.len(), 2);
-        assert_eq!(g.primary().registered_pipes(), &pipes[..]);
-        assert_eq!(
-            g.primary().registered_pipes()[1],
-            PipeRegistration {
-                replica: 7,
-                joined_epoch: 1
-            }
-        );
+        assert_eq!(g.failovers().len(), 1, "one crash, one promotion");
+        assert_eq!(g.failovers()[0].old_tip, tip);
     }
 }

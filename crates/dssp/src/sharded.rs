@@ -13,9 +13,11 @@
 //!
 //! To the proxy a sharded home is a home like any other: [`ShardedHome`]
 //! implements [`Home`] (an answer names the shards it came from, an
-//! update the shard that owns it), and the proxy's one request pipeline
-//! and one delivery protocol run over it — there is no sharded copy of
-//! either.
+//! update the shard that owns it, the tips are the per-shard epochs),
+//! and the proxy's one request pipeline and one delivery protocol run
+//! over it — there is no sharded copy of either. So does a fleet:
+//! `ProxyFleet<ShardedHome>` fans each update out on its shard's
+//! stream, one buffer and one batch per stream.
 //!
 //! Routing:
 //!
@@ -64,16 +66,6 @@ pub struct ShardedQueryResponse {
     /// Participating shards, ascending. One element = routed; more =
     /// scatter-gathered.
     pub shards: Vec<usize>,
-}
-
-/// One update applied by the sharded home tier.
-#[derive(Debug, Clone)]
-pub struct ShardedUpdateResponse {
-    pub effect: UpdateEffect,
-    /// The owning shard — also the invalidation stream `msg` rides on.
-    pub shard: usize,
-    /// Epoch-stamped for the owning shard's stream.
-    pub msg: InvalidationMsg,
 }
 
 /// The home tier as a set of per-shard [`HomeServer`]s behind one
@@ -126,16 +118,6 @@ impl ShardedHome {
         &self.shards[id]
     }
 
-    /// The per-shard epoch vector: `epochs()[s]` is stream `s`'s tip.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|h| h.epoch()).collect()
-    }
-
-    /// Stream `shard`'s current epoch.
-    pub fn epoch_of(&self, shard: usize) -> u64 {
-        self.shards[shard].epoch()
-    }
-
     /// Cross-shard scatter-gather queries executed.
     pub fn scatter_queries(&self) -> u64 {
         self.scatter_queries
@@ -177,13 +159,26 @@ impl ShardedHome {
         }
         Ok(ShardedQueryResponse { result, shards })
     }
+}
+
+/// One stream per shard (stream id = shard id): an answer depends on
+/// the shards it was routed or scattered to, an update is owned by the
+/// shard it routes to.
+impl Home for ShardedHome {
+    type Streams = Vec<u64>;
+
+    fn answer(&mut self, q: &Query) -> Result<(QueryResult, Vec<u64>), StorageError> {
+        let resp = self.execute_query(q)?;
+        let streams = resp.shards.iter().map(|&s| s as u64).collect();
+        Ok((resp.result, streams))
+    }
 
     /// Applies an update: cross-shard FK probes verify against the
     /// parents' owner shards first, then the statement routes to its
     /// owning shard, whose stream gains exactly one epoch. A refused
     /// update — FK violation or any storage error — consumes no epoch
     /// on any stream.
-    pub fn execute_update(&mut self, u: &Update) -> Result<ShardedUpdateResponse, StorageError> {
+    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
         // Any shard can plan the statement (full catalog everywhere);
         // shard 0 stands in for routing decisions and probe extraction.
         // An insert's row is bound once, here: it routes the statement,
@@ -218,34 +213,16 @@ impl ShardedHome {
             }
         }
         let (effect, msg) = self.shards[owner].apply_update_unchecked(u, candidate)?;
-        Ok(ShardedUpdateResponse {
-            effect,
-            shard: owner,
-            msg,
-        })
-    }
-}
-
-/// One stream per shard (stream id = shard id): an answer depends on
-/// the shards it was routed or scattered to, an update is owned by the
-/// shard it routes to.
-impl Home for ShardedHome {
-    type Streams = Vec<u64>;
-
-    fn answer(&mut self, q: &Query) -> Result<(QueryResult, Vec<u64>), StorageError> {
-        let resp = self.execute_query(q)?;
-        let streams = resp.shards.iter().map(|&s| s as u64).collect();
-        Ok((resp.result, streams))
-    }
-
-    fn apply(&mut self, u: &Update) -> Result<(UpdateEffect, u64, InvalidationMsg), StorageError> {
-        let resp = self.execute_update(u)?;
-        Ok((resp.effect, resp.shard as u64, resp.msg))
+        Ok((effect, owner as u64, msg))
     }
 
     fn epoch_of(&self, stream: u64) -> u64 {
         self.shards
             .get(stream as usize)
             .map_or(0, HomeServer::epoch)
+    }
+
+    fn tips(&self) -> Vec<u64> {
+        self.shards.iter().map(HomeServer::epoch).collect()
     }
 }

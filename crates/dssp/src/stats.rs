@@ -1,7 +1,7 @@
 //! DSSP runtime statistics: the one tally of what a proxy counted.
 //!
 //! A [`Tally`] keeps every count in plain fields. A fact a trace event
-//! names is counted by folding that event ([`Tally::note`]), so the
+//! names is counted by folding that event (`Tally::note`), so the
 //! count and the event cannot drift apart; facts no event names are
 //! plain adds at their sites. A total that is a sum of per-template
 //! counts is derived, never kept beside them. [`DsspStats`] and the

@@ -7,10 +7,10 @@
 //!   link with a retrying policy in front of a **sharded** home — one
 //!   `Dssp`, the general pair, a 4-shard [`ShardedHome`];
 //! * the same trip policy through a **fleet**: three proxies over lossy,
-//!   duplicating pipes with batched fanout, a sync-quorum home group
-//!   whose primary crashes mid-run, jittered retries into scripted link
-//!   outages, a queue that saturates for a window, one join and one
-//!   leave.
+//!   duplicating pipes with batched fanout, in front of a drawn home
+//!   tier — a sync-quorum home group whose primary crashes mid-run, or
+//!   four shards — with jittered retries into scripted link outages, a
+//!   queue that saturates for a window, one join and one leave.
 //!
 //! And the pins that the policy arguments cost nothing: at the neutral
 //! policy the general pair is op for op the classic pair, on a `Dssp`
@@ -21,15 +21,16 @@ use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
     AdmissionConfig, BreakerConfig, BrownoutConfig, Dssp, DsspConfig, DsspStats, FanoutConfig,
-    FleetConfig, FtOutcome, FtUpdateOutcome, HomeLink, HomeServer, OverloadConfig, ProxyFleet,
-    QueueState, ReplicationConfig, ReplicationMode, RetryPolicy, RoutingMode, ShardedHome,
-    StrategyKind,
+    FleetConfig, FtOutcome, FtUpdateOutcome, Home, HomeGroup, HomeLink, HomeServer, OverloadConfig,
+    ProxyFleet, QueueState, ReplicationConfig, ReplicationMode, RetryPolicy, RoutingMode,
+    ShardedHome, StrategyKind,
 };
 use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
 use scs_telemetry::{TraceEvent, TraceSink};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 const SHARDS: usize = 4;
@@ -256,7 +257,7 @@ fn queue(doomed: bool) -> QueueState {
 /// unavailable update must leave as it was.
 fn tier_state(home: &ShardedHome) -> Vec<(u64, usize)> {
     (0..home.shard_count())
-        .map(|s| (home.epoch_of(s), home.shard(s).wal().len()))
+        .map(|s| (home.epoch_of(s as u64), home.shard(s).wal().len()))
         .collect()
 }
 
@@ -322,7 +323,7 @@ proptest! {
                         after[stream as usize].0 += 1;
                         after[stream as usize].1 += 1;
                         prop_assert_eq!(tier_state(&home), after, "one epoch, on the owner");
-                        prop_assert_eq!(msg.epoch, home.epoch_of(stream as usize));
+                        prop_assert_eq!(msg.epoch, home.epoch_of(stream));
                         prop_assert_eq!(master.apply(&u).unwrap(), effect);
                         dssp.apply_invalidation_from(stream, &msg);
                     }
@@ -339,7 +340,7 @@ proptest! {
             }
         }
         for s in 0..SHARDS {
-            prop_assert_eq!(dssp.epoch_of(s as u64), home.epoch_of(s), "stream {}", s);
+            prop_assert_eq!(dssp.epoch_of(s as u64), home.epoch_of(s as u64), "stream {}", s);
         }
         prop_assert_eq!(dssp.metrics().counters["dssp.epoch_gaps"], 0);
     }
@@ -371,150 +372,239 @@ proptest! {
         prop_assert_eq!(fleet_trail(&script, true), fleet_trail(&script, false));
     }
 
-    /// The trip policy through a fleet, every feature at once: three
-    /// proxies (one joins, one leaves) over lossy, duplicating pipes with
-    /// batched fanout; a sync-quorum home group whose primary crashes and
-    /// is replaced mid-run; scripted link outages met with jittered
-    /// retries; overload protection fed a queue that saturates for a
-    /// window. Every served miss equals the shadow master, every hit is
-    /// within its lease, every shed, unavailable or refused operation
-    /// leaves the home's epoch and every replica's cursor where they
-    /// were, no acked write is lost, and the provenance ledger balances.
+    /// The trip policy through a fleet, every feature at once, over a
+    /// drawn home tier: three proxies (one joins, one leaves) over lossy,
+    /// duplicating pipes with batched fanout, in front of a sync-quorum
+    /// home group whose primary crashes and is replaced mid-run, or of
+    /// four shards; scripted link outages met with jittered retries;
+    /// overload protection fed a queue that saturates for a window.
+    /// Every served miss equals the shadow master, every hit is within
+    /// its lease, every shed, unavailable or refused operation leaves
+    /// every stream's tip and every replica's cursors where they were,
+    /// no acked write is lost, and every replica that ever existed
+    /// balances its provenance ledger on every stream.
     #[test]
     fn guarded_flaky_fleet_over_a_replicated_home_matches_the_master(
         script in proptest::collection::vec(op(), 20..120),
         outages in outages(),
         saturated in (0u64..300_000, 10_000u64..100_000),
-        (crash_at, join_at, leave_at) in (0usize..120, 0usize..120, 0usize..120),
+        at in (0usize..120, 0usize..120, 0usize..120),
         seed in 0u64..1_000,
+        sharded in any::<bool>(),
     ) {
         let app = app(Some(protection()));
-        let mut master = app.db.clone();
-        let mut replication = ReplicationConfig::group(ReplicationMode::SyncQuorum, 2);
-        replication.seed = seed;
-        let mut fleet = ProxyFleet::replicated(
-            app.config.clone(),
-            HomeServer::new(app.db.clone()),
-            FleetConfig {
-                proxies: 3,
-                routing: RoutingMode::HashByTemplate,
-                fanout: FanoutConfig::batched(3, 10_000),
-                pipe_spec: FaultSpec {
-                    drop_probability: 0.1,
-                    duplicate_probability: 0.1,
-                    delay_probability: 0.3,
-                    max_delay_micros: 20_000,
-                    base_latency_micros: 1_000,
-                },
-                pipe_seed: seed,
+        let fleet = FleetConfig {
+            proxies: 3,
+            routing: RoutingMode::HashByTemplate,
+            fanout: FanoutConfig::batched(3, 10_000),
+            pipe_spec: FaultSpec {
+                drop_probability: 0.1,
+                duplicate_probability: 0.1,
+                delay_probability: 0.3,
+                max_delay_micros: 20_000,
+                base_latency_micros: 1_000,
             },
-            replication,
-        );
-        fleet.set_lease_micros(Some(LEASE));
-        let prov = fleet.enable_provenance();
-        let link = HomeLink::with_outages(outages.clone());
-        let policy = retrying(true);
+            pipe_seed: seed,
+        };
         let saturated = saturated.0..saturated.0 + saturated.1;
-        let mut now = 0u64;
-        let mut failovers = 0usize;
-        let mut filled_at: HashMap<String, u64> = HashMap::new();
-        for (i, (op, _)) in script.iter().enumerate() {
-            if i == crash_at % script.len() && fleet.home_group().is_up() {
-                fleet.crash_home();
-            }
-            if i == join_at % script.len() {
-                fleet.add_replica();
-            }
-            if i == leave_at % script.len() {
-                fleet.remove_replica(fleet.replica_ids()[0]);
-            }
-            if let Op::Advance { dt } = *op {
-                now += dt;
-                fleet.set_sim_time_micros(now);
-                if fleet.home_failovers().len() > failovers {
-                    failovers += 1;
-                    let promoted = fleet.home_failovers()[failovers - 1];
-                    prop_assert_eq!(promoted.lost_acked, 0, "a quorum-acked write was lost");
-                    prop_assert!(fleet.home().database() == &master, "promotion changed the master");
-                }
-                continue;
-            }
-            // Deliver what is due at `now` first: from here only the
-            // operation itself can move a cursor.
-            fleet.pump_all();
-            let cursors = |fleet: &ProxyFleet| -> Vec<(usize, u64)> {
-                let ids = fleet.replica_ids();
-                ids.into_iter().map(|id| (id, fleet.proxy(id).epoch())).collect()
-            };
-            let before = (fleet.home_group().epoch(), cursors(&fleet));
-            let queue = queue(saturated.contains(&now));
-            let reachable = fleet.home_group().is_up() && !down_throughout(&outages, now);
-            if let Some(q) = app.query(op) {
-                let resp = fleet.execute_query_ft(&q, &link, &policy, Some(&queue)).unwrap();
-                match resp.resp.outcome {
-                    FtOutcome::Served { result, hit: false, degraded } => {
-                        prop_assert!(reachable, "{} fetched through a dead link or tier", q);
-                        prop_assert!(!degraded, "a miss came from the home");
-                        prop_assert!(
-                            result.multiset_eq(&master.execute(&q).unwrap()),
-                            "{} fetched {:?}", q, result.rows
-                        );
-                        filled_at.insert(q.to_string(), now);
-                    }
-                    FtOutcome::Served { .. } => {
-                        let filled = filled_at[&q.to_string()];
-                        prop_assert!(now <= filled + LEASE, "{} served past its lease", q);
-                    }
-                    FtOutcome::Unavailable => {
-                        let up = link.is_up(now) && fleet.home_group().is_up();
-                        prop_assert!(!up, "{} unavailable on an up link to an up tier", q);
-                    }
-                    FtOutcome::Shed(_) => {}
-                }
-                prop_assert_eq!(fleet.home_group().epoch(), before.0, "a query wrote");
-                continue;
-            }
-            let u = app.update(op).expect("queries and advances are handled");
-            match fleet.execute_update_ft(&u, &link, &policy, Some(&queue)) {
-                Ok(resp) => match resp.resp.outcome {
-                    FtUpdateOutcome::Applied { effect, msg, .. } => {
-                        prop_assert!(reachable, "{} applied through a dead link or tier", u);
-                        prop_assert_eq!(msg.epoch, before.0 + 1, "one epoch");
-                        prop_assert!(resp.ack.is_some_and(|ack| ack.acked), "reliable ship pipes");
-                        prop_assert_eq!(master.apply(&u).unwrap(), effect);
-                    }
-                    FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => {
-                        prop_assert!(resp.ack.is_none());
-                        prop_assert_eq!(
-                            (fleet.home_group().epoch(), cursors(&fleet)),
-                            before,
-                            "a shed update wrote"
-                        );
-                    }
-                },
-                Err(refused) => {
-                    prop_assert_eq!(
-                        (fleet.home_group().epoch(), cursors(&fleet)),
-                        before,
-                        "a refused update wrote"
-                    );
-                    prop_assert_eq!(master.apply(&u).unwrap_err(), refused);
-                }
-            }
+        let config = app.config.clone();
+        if sharded {
+            let home = ShardedHome::new(app.db.clone(), shard_map());
+            composed(ProxyFleet::over(config, home, fleet), &app, &script, &outages, saturated, at);
+        } else {
+            let mut replication = ReplicationConfig::group(ReplicationMode::SyncQuorum, 2);
+            replication.seed = seed;
+            let home = HomeServer::new(app.db.clone());
+            let fleet = ProxyFleet::replicated(config, home, fleet, replication);
+            composed(fleet, &app, &script, &outages, saturated, at);
         }
-        // Ride out a late crash, then let every pipe settle.
-        while !fleet.home_group().is_up() {
-            now += 10_000;
+    }
+}
+
+/// The drawn home tier of the composed fleet run: what its oracle reads
+/// beyond [`Home`], and the fault only a replicated tier takes.
+trait Tier: Home + Sized {
+    /// Crashes the tier's primary; a tier without one ignores it.
+    fn crash(_fleet: &mut ProxyFleet<Self>) {}
+
+    /// Checks the promotions after the `seen`th: none lost a quorum-acked
+    /// write or changed the master.
+    fn promoted(_fleet: &ProxyFleet<Self>, _seen: &mut usize, _master: &Database) {}
+
+    /// Whether the tier holds exactly the master's rows.
+    fn holds(&self, master: &Database) -> bool;
+}
+
+impl Tier for HomeGroup {
+    fn crash(fleet: &mut ProxyFleet<Self>) {
+        // Refused, a no-op, while the tier is down.
+        let _ = fleet.crash_home();
+    }
+
+    fn promoted(fleet: &ProxyFleet<Self>, seen: &mut usize, master: &Database) {
+        for promoted in &fleet.home_failovers()[*seen..] {
+            prop_assert_eq!(promoted.lost_acked, 0, "a quorum-acked write was lost");
+            prop_assert!(
+                fleet.home().database() == master,
+                "promotion changed the master"
+            );
+        }
+        *seen = fleet.home_failovers().len();
+    }
+
+    fn holds(&self, master: &Database) -> bool {
+        self.primary().database() == master
+    }
+}
+
+impl Tier for ShardedHome {
+    fn holds(&self, master: &Database) -> bool {
+        let rows = |db: &Database, table: &str| -> Vec<String> {
+            let table = db.table(table).unwrap();
+            table.iter().map(|(_, row)| format!("{row:?}")).collect()
+        };
+        master.table_names().all(|table| {
+            let mut parts: Vec<String> = (0..self.shard_count())
+                .flat_map(|s| rows(self.shard(s).database(), table))
+                .collect();
+            let mut whole = rows(master, table);
+            parts.sort();
+            whole.sort();
+            parts == whole
+        })
+    }
+}
+
+/// Every stream's tip, and every live replica's cursors on every stream.
+type State = (Vec<u64>, Vec<(usize, Vec<u64>)>);
+
+fn state<H: Home>(fleet: &ProxyFleet<H>) -> State {
+    let cursors = fleet.replica_ids().into_iter();
+    let cursors = cursors.map(|id| (id, fleet.proxy(id).cursors().to_vec()));
+    (fleet.tier().tips(), cursors.collect())
+}
+
+/// Runs `script` through `fleet` against the shadow master: the body of
+/// [`guarded_flaky_fleet_over_a_replicated_home_matches_the_master`].
+fn composed<H: Tier>(
+    mut fleet: ProxyFleet<H>,
+    app: &App,
+    script: &[(Op, bool)],
+    outages: &[(u64, u64)],
+    saturated: Range<u64>,
+    (crash_at, join_at, leave_at): (usize, usize, usize),
+) {
+    let mut master = app.db.clone();
+    fleet.set_lease_micros(Some(LEASE));
+    let prov = fleet.enable_provenance();
+    let link = HomeLink::with_outages(outages.to_vec());
+    let policy = retrying(true);
+    let mut now = 0u64;
+    let mut failovers = 0usize;
+    let mut filled_at: HashMap<String, u64> = HashMap::new();
+    for (i, (op, _)) in script.iter().enumerate() {
+        if i == crash_at % script.len() {
+            H::crash(&mut fleet);
+        }
+        if i == join_at % script.len() {
+            fleet.add_replica();
+        }
+        if i == leave_at % script.len() {
+            fleet.remove_replica(fleet.replica_ids()[0]);
+        }
+        if let Op::Advance { dt } = *op {
+            now += dt;
             fleet.set_sim_time_micros(now);
+            H::promoted(&fleet, &mut failovers, &master);
+            continue;
         }
-        fleet.set_sim_time_micros(now + 100_000);
-        fleet.drain();
-        prop_assert!(fleet.home().database() == &master, "the tier diverged from the master");
-        let final_epoch = fleet.home().epoch();
-        let log = prov.lock().unwrap();
-        for r in 0..log.replica_count() {
-            let ledger = log.conservation_on(r, 0, final_epoch);
-            prop_assert!(ledger.balanced(), "replica {}: {:?}", r, ledger);
+        // Deliver what is due at `now` first: from here only the
+        // operation itself can move a cursor.
+        fleet.pump_all();
+        let before = state(&fleet);
+        let queue = queue(saturated.contains(&now));
+        let reachable = fleet.tier().is_up() && !down_throughout(outages, now);
+        if let Some(q) = app.query(op) {
+            let resp = fleet
+                .execute_query_ft(&q, &link, &policy, Some(&queue))
+                .unwrap();
+            match resp.resp.outcome {
+                FtOutcome::Served {
+                    result,
+                    hit: false,
+                    degraded,
+                } => {
+                    prop_assert!(reachable, "{} fetched through a dead link or tier", q);
+                    prop_assert!(!degraded, "a miss came from the home");
+                    prop_assert!(
+                        result.multiset_eq(&master.execute(&q).unwrap()),
+                        "{} fetched {:?}",
+                        q,
+                        result.rows
+                    );
+                    filled_at.insert(q.to_string(), now);
+                }
+                FtOutcome::Served { .. } => {
+                    let filled = filled_at[&q.to_string()];
+                    prop_assert!(now <= filled + LEASE, "{} served past its lease", q);
+                }
+                FtOutcome::Unavailable => {
+                    let up = link.is_up(now) && fleet.tier().is_up();
+                    prop_assert!(!up, "{} unavailable on an up link to an up tier", q);
+                }
+                FtOutcome::Shed(_) => {}
+            }
+            prop_assert_eq!(fleet.tier().tips(), before.0, "a query wrote");
+            continue;
+        }
+        let u = app.update(op).expect("queries and advances are handled");
+        match fleet.execute_update_ft(&u, &link, &policy, Some(&queue)) {
+            Ok(resp) => match resp.resp.outcome {
+                FtUpdateOutcome::Applied {
+                    effect,
+                    stream,
+                    msg,
+                } => {
+                    prop_assert!(reachable, "{} applied through a dead link or tier", u);
+                    let tip = before.0[stream as usize];
+                    prop_assert_eq!(msg.epoch, tip + 1, "one epoch, on the owner");
+                    prop_assert!(resp.ack.is_some_and(|ack| ack.acked), "reliable ship pipes");
+                    prop_assert_eq!(master.apply(&u).unwrap(), effect);
+                }
+                FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => {
+                    prop_assert!(resp.ack.is_none());
+                    prop_assert_eq!(state(&fleet), before, "a shed update wrote");
+                }
+            },
+            Err(refused) => {
+                prop_assert_eq!(state(&fleet), before, "a refused update wrote");
+                prop_assert_eq!(master.apply(&u).unwrap_err(), refused);
+            }
+        }
+    }
+    // Ride out a late crash, then let every pipe settle.
+    while !fleet.tier().is_up() {
+        now += 10_000;
+        fleet.set_sim_time_micros(now);
+    }
+    fleet.set_sim_time_micros(now + 100_000);
+    fleet.drain();
+    prop_assert!(
+        fleet.tier().holds(&master),
+        "the tier diverged from the master"
+    );
+    let tips = fleet.tier().tips();
+    let log = prov.lock().unwrap();
+    for r in 0..log.replica_count() {
+        for (stream, &tip) in tips.iter().enumerate() {
+            let ledger = log.conservation_on(r, stream as u64, tip);
+            prop_assert!(
+                ledger.balanced(),
+                "replica {} stream {}: {:?}",
+                r,
+                stream,
+                ledger
+            );
         }
     }
 }

@@ -318,7 +318,7 @@ fn restart_resynchronizes_with_the_home_epoch() {
     let in_flight = r.update_undelivered(0, vec![Value::Int(50), Value::Int(1)]);
 
     // Crash/restart: cold cache, epoch handshake with the home server.
-    r.dssp.restart(r.home.epoch());
+    r.dssp.restart(&[r.home.epoch()]);
     assert_eq!(r.dssp.cache_len(), 0);
     assert_eq!(r.dssp.epoch(), r.home.epoch());
     assert_eq!(r.counter("dssp.restarts"), 1);

@@ -195,7 +195,7 @@ proptest! {
     }
 
     /// A join aborted by a joiner crash before warming is a no-op
-    /// resize: routing, home pipe registry, membership epoch, and every
+    /// resize: routing, the live replica set, membership epoch, and every
     /// incumbent's cache are byte-identical, and the fleet keeps
     /// serving correct results afterwards.
     #[test]
@@ -208,12 +208,7 @@ proptest! {
             fleet.execute_query(&bind_query(&t, tid, id)).unwrap();
         }
         let ring_before = fleet.ring().to_vec();
-        let pipes_before: Vec<usize> = fleet
-            .home()
-            .registered_pipes()
-            .iter()
-            .map(|p| p.replica)
-            .collect();
+        let ids_before = fleet.replica_ids();
         let caches_before: Vec<usize> = fleet
             .replica_ids()
             .iter()
@@ -226,13 +221,7 @@ proptest! {
         prop_assert_eq!(out.handed, 0);
 
         prop_assert_eq!(fleet.ring(), ring_before.as_slice());
-        let pipes_after: Vec<usize> = fleet
-            .home()
-            .registered_pipes()
-            .iter()
-            .map(|p| p.replica)
-            .collect();
-        prop_assert_eq!(pipes_after, pipes_before);
+        prop_assert_eq!(fleet.replica_ids(), ids_before);
         let caches_after: Vec<usize> = fleet
             .replica_ids()
             .iter()

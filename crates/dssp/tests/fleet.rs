@@ -4,16 +4,18 @@
 //! lease (ground-truth oracle over the full master value history), the
 //! coalesced batched fanout kills exactly the same cache keys as the
 //! unbatched baseline, and a single-proxy immediate fleet is
-//! operation-for-operation identical to the classic standalone proxy.
+//! operation-for-operation identical to the classic standalone proxy,
+//! over one home server and over a sharded home alike.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    Dssp, DsspConfig, FanoutConfig, FleetConfig, HomeServer, ProxyFleet, RoutingMode, StrategyKind,
+    Dssp, DsspConfig, FanoutConfig, FleetConfig, Home, HomeServer, ProxyFleet, RoutingMode,
+    ShardedHome, StrategyKind,
 };
 use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
-use scs_storage::{ColumnType, Database, TableSchema};
+use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
 use std::sync::Arc;
 
 /// Row count in the toys table (ids 0..ROWS).
@@ -239,8 +241,10 @@ proptest! {
     }
 
     /// A 1-replica immediate fleet over reliable pipes is the classic
-    /// proxy: same hits, same results, same stats, same epoch, for any
-    /// interleaving of queries and updates.
+    /// proxy: same hits, same results, same stats, same cursor on every
+    /// stream, for any interleaving of queries and updates — over one
+    /// home server, and over a 4-shard home, where each update's batch
+    /// rides its own shard's stream.
     #[test]
     fn single_replica_fleet_is_the_classic_proxy(
         script in proptest::collection::vec(
@@ -251,35 +255,57 @@ proptest! {
             1..60,
         ),
     ) {
-        let (config, mut home, t) = build(StrategyKind::ViewInspection, None);
-        let mut classic = Dssp::new(config);
-        let (fconfig, fhome, _) = build(StrategyKind::ViewInspection, None);
-        let mut fleet = ProxyFleet::new(
-            fconfig,
-            fhome,
-            FleetConfig::reliable(1, RoutingMode::RoundRobin),
-        );
+        let (config, home, t) = build(StrategyKind::ViewInspection, None);
+        let db = home.database().clone();
+        let one = FleetConfig::reliable(1, RoutingMode::RoundRobin);
+        let fleet = ProxyFleet::new(config.clone(), HomeServer::new(db.clone()), one.clone());
+        agree(&script, &t, home, fleet, &config);
 
-        for op in &script {
-            match *op {
-                ScriptOp::Query { id } => {
-                    let q = bind_query(&t, id);
-                    let a = classic.execute_query(&q, &mut home).unwrap();
-                    let b = fleet.execute_query(&q).unwrap();
-                    prop_assert_eq!(a.hit, b.resp.hit);
-                    prop_assert!(a.result.multiset_eq(&b.resp.result));
-                }
-                ScriptOp::Update { id, qty } => {
-                    let u = bind_update(&t, id, qty);
-                    let a = classic.execute_update(&u, &mut home).unwrap();
-                    let b = fleet.execute_update(&u).unwrap();
-                    prop_assert_eq!(a.effect, b.resp.effect);
-                }
-                ScriptOp::Advance { .. } => unreachable!("not generated"),
-            }
-        }
-        prop_assert_eq!(classic.stats(), fleet.rollup_stats());
-        prop_assert_eq!(classic.epoch(), fleet.proxy(0).epoch());
-        prop_assert_eq!(classic.cache_len(), fleet.total_cache_entries());
+        let map = PartitionMap::by_table(4).with_placement(
+            "toys",
+            TablePlacement::Hash {
+                column: "id".into(),
+            },
+        );
+        let sharded = ShardedHome::new(db.clone(), map.clone());
+        let fleet = ProxyFleet::over(config.clone(), ShardedHome::new(db, map), one);
+        agree(&script, &t, sharded, fleet, &config);
     }
+}
+
+/// Runs `script` through a classic `Dssp` over `home` and through
+/// `fleet`, checking they agree op for op and end in the same state.
+fn agree<C: Home, F: Home>(
+    script: &[ScriptOp],
+    t: &Templates,
+    mut home: C,
+    mut fleet: ProxyFleet<F>,
+    config: &DsspConfig,
+) {
+    let mut classic = Dssp::new(config.clone());
+    for op in script {
+        match *op {
+            ScriptOp::Query { id } => {
+                let q = bind_query(t, id);
+                let a = classic.execute_query(&q, &mut home).unwrap();
+                let b = fleet.execute_query(&q).unwrap();
+                prop_assert_eq!(a.hit, b.resp.hit);
+                prop_assert!(a.result.multiset_eq(&b.resp.result));
+            }
+            ScriptOp::Update { id, qty } => {
+                let u = bind_update(t, id, qty);
+                let a = classic.execute_update(&u, &mut home).unwrap();
+                let b = fleet.execute_update(&u).unwrap();
+                prop_assert_eq!(a.effect, b.resp.effect);
+            }
+            ScriptOp::Advance { .. } => unreachable!("not generated"),
+        }
+    }
+    prop_assert_eq!(classic.stats(), fleet.rollup_stats());
+    for stream in 0..home.tips().len() as u64 {
+        let (a, b) = (classic.epoch_of(stream), fleet.proxy(0).epoch_of(stream));
+        prop_assert_eq!(a, b, "stream {}", stream);
+        prop_assert_eq!(b, home.epoch_of(stream), "stream {} behind its tip", stream);
+    }
+    prop_assert_eq!(classic.cache_len(), fleet.total_cache_entries());
 }

@@ -196,7 +196,7 @@ impl Pair {
     }
 
     fn restart(&mut self) {
-        self.dssp.restart(self.epoch);
+        self.dssp.restart(&[self.epoch]);
         self.reference.clear();
         self.check("restart");
     }

@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    Dssp, DsspConfig, FtUpdateOutcome, HomeLink, HomeServer, RetryPolicy, ShardedHome, StrategyKind,
+    Dssp, DsspConfig, FtUpdateOutcome, Home, HomeLink, HomeServer, RetryPolicy, ShardedHome,
+    StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
@@ -356,9 +357,9 @@ proptest! {
                 ScriptOp::Update { id, qty } => {
                     let u = bind_update(&t, id, qty);
                     let expect_shard = home.map().shard_for_update(&reference, &u).unwrap();
-                    let got = home.execute_update(&u).unwrap();
-                    prop_assert_eq!(got.shard, expect_shard);
-                    prop_assert_eq!(got.msg.epoch, home.epoch_of(got.shard));
+                    let (_, stream, msg) = home.apply(&u).unwrap();
+                    prop_assert_eq!(stream, expect_shard as u64);
+                    prop_assert_eq!(msg.epoch, home.epoch_of(stream));
                     reference.apply(&u).unwrap();
                 }
             }
@@ -366,7 +367,7 @@ proptest! {
         // Per-shard epochs sum to the number of applied updates, and
         // the union of shard rows is the master's row set.
         let updates = script.iter().filter(|op| matches!(op, ScriptOp::Update { .. })).count() as u64;
-        prop_assert_eq!(home.epochs().iter().sum::<u64>(), updates);
+        prop_assert_eq!(home.tips().iter().sum::<u64>(), updates);
         for id in 0..ROWS {
             let q = keyed_query(&t, id);
             prop_assert!(home.execute_query(&q).unwrap().result.multiset_eq(
@@ -625,23 +626,23 @@ fn fk_rejection_consumes_no_epoch_on_any_stream() {
 
     // Seller 99 exists on no shard: the handshake refuses the insert.
     let bad = Update::bind(0, tmpl.clone(), vec![Value::Int(1), Value::Int(99)]).unwrap();
-    let err = home.execute_update(&bad).unwrap_err();
+    let err = home.apply(&bad).unwrap_err();
     assert!(matches!(
         err,
         scs_storage::StorageError::ForeignKeyViolation { .. }
     ));
     assert_eq!(home.fk_rejects(), 1);
-    assert_eq!(home.epochs(), vec![0; 3], "a refused update moved an epoch");
+    assert_eq!(home.tips(), vec![0; 3], "a refused update moved an epoch");
 
     // The parent lives on whatever shard hashes user 2; the child row
     // routes by its own key, possibly to a different shard — the
     // handshake must still find the parent.
     let good = Update::bind(0, tmpl, vec![Value::Int(1), Value::Int(2)]).unwrap();
-    let resp = home.execute_update(&good).unwrap();
+    let (_, stream, _) = home.apply(&good).unwrap();
     let mut expect = vec![0u64; 3];
-    expect[resp.shard] = 1;
+    expect[stream as usize] = 1;
     assert_eq!(
-        home.epochs(),
+        home.tips(),
         expect,
         "exactly one epoch on the owner's stream"
     );
@@ -996,7 +997,7 @@ proptest! {
         for (i, m) in script.iter().enumerate() {
             // A duplicate key or a missing row is refused or a no-op on
             // both sides alike: the reference is rebuilt from the shards.
-            let _ = home.execute_update(&market.bind(*m));
+            let _ = home.apply(&market.bind(*m));
             if i % 6 == 5 {
                 let checked = market.check(&mut home, m.b % 4);
                 prop_assert!(checked.is_ok(), "after {} updates: {}", i + 1, checked.unwrap_err());
