@@ -134,36 +134,13 @@ impl CostModel {
     }
 }
 
-/// The workload-generation half shared by the drivers: the app's request
-/// stream, and each client's in-flight request.
-struct OpSampler {
-    stream: RequestSampler,
-    pending: Vec<Vec<BoundOp>>,
-}
-
-impl OpSampler {
-    fn new(app: &AppDef, ids: IdSpaces, zipf_exponent: f64, seed: u64) -> OpSampler {
-        OpSampler {
-            stream: RequestSampler::new(app, ParamGen::new(ids, zipf_exponent), seed),
-            pending: Vec::new(),
-        }
-    }
-
-    fn begin_request(&mut self, client: usize) -> usize {
-        if self.pending.len() <= client {
-            self.pending.resize_with(client + 1, Vec::new);
-        }
-        self.pending[client] = self.stream.draw();
-        self.pending[client].len()
-    }
-}
-
-/// Drives one application instance through the DSSP for the simulator.
-pub struct DsspWorkload {
-    dssp: Dssp,
-    home: HomeServer,
-    ops: OpSampler,
-}
+/// Drives one application instance through one DSSP proxy in front of
+/// one [`HomeServer`] for the simulator — the paper's single-proxy
+/// deployment (§5, Fig. 3/7/8). It is the reliable one-replica
+/// [`FleetWorkload`] over that home: the fleet's op body and billing,
+/// each notification delivered back as a batch of one before the
+/// update returns.
+pub struct DsspWorkload(FleetWorkload<HomeServer>);
 
 impl DsspWorkload {
     /// Builds a workload over a freshly populated database.
@@ -211,26 +188,24 @@ impl DsspWorkload {
         seed: u64,
     ) -> DsspWorkload {
         assert_exposure_shape(app, &config.exposures);
-        DsspWorkload {
-            dssp: Dssp::new(config),
-            home: HomeServer::new(db),
-            ops: OpSampler::new(app, ids, zipf_exponent, seed),
-        }
+        let one = FleetConfig::reliable(1, RoutingMode::HashByTemplate);
+        let fleet = ProxyFleet::over(config, HomeServer::new(db), one);
+        DsspWorkload(FleetWorkload::over(app, fleet, ids, zipf_exponent, seed))
     }
 
     /// The DSSP proxy (inspection hook for reports and tests).
     pub fn dssp(&self) -> &Dssp {
-        &self.dssp
+        self.0.fleet.proxy(0)
     }
 
     /// Mutable proxy access (attach trace sinks, flush telemetry).
     pub fn dssp_mut(&mut self) -> &mut Dssp {
-        &mut self.dssp
+        self.0.fleet.proxy_mut(0)
     }
 
     /// The home server (inspection hook).
     pub fn home(&self) -> &HomeServer {
-        &self.home
+        self.0.fleet.tier()
     }
 
     /// Attaches the scalability observatory to the proxy: every trace
@@ -241,18 +216,9 @@ impl DsspWorkload {
     /// counter names are disjoint.
     pub fn attach_observatory(&mut self, width_micros: Time) -> scs_telemetry::SharedTimeSeries {
         let (sink, series) = scs_telemetry::TimeSeriesSink::new(width_micros);
-        self.dssp.add_trace_sink(Box::new(sink));
+        self.dssp_mut().add_trace_sink(Box::new(sink));
         series
     }
-}
-
-/// A query response as [`Executed::answer`] wants it.
-fn answer_of(resp: &scs_dssp::QueryResponse) -> (usize, u64, bool) {
-    (
-        resp.result.len(),
-        resp.result.approx_size_bytes() as u64,
-        resp.hit,
-    )
 }
 
 /// Panics unless `exposures` holds one level per template of `app`.
@@ -273,51 +239,35 @@ pub fn analysis_matrix(app: &AppDef) -> IpmMatrix {
 
 impl Workload for DsspWorkload {
     fn begin_request(&mut self, client: usize) -> usize {
-        self.ops.begin_request(client)
+        self.0.begin_request(client)
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let executed = match &self.ops.pending[client][op_index] {
-            BoundOp::Query(q) => {
-                let resp = self
-                    .dssp
-                    .execute_query(q, &mut self.home)
-                    .expect("validated query templates");
-                Executed {
-                    statement_bytes: q.statement_text().len() as u64,
-                    answer: Some(answer_of(&resp)),
-                    ..Executed::default()
-                }
-            }
-            BoundOp::Update(u) => Executed {
-                statement_bytes: u.statement_text().len() as u64,
-                // Rejected updates (FK violation on a deleted row, ...)
-                // still cost a home round trip; they change nothing and
-                // trigger no invalidation.
-                scanned: match self.dssp.execute_update(u, &mut self.home) {
-                    Ok(resp) => resp.scanned,
-                    Err(_) => 0,
-                },
-                ..Executed::default()
-            },
-        };
-        CostModel::default().op_cost(executed)
+        self.0.execute_op(client, op_index)
     }
 
     fn hit_rate(&self) -> f64 {
-        self.dssp.stats().hit_rate()
+        self.0.hit_rate()
     }
 
     fn observe_time(&mut self, now: Time) {
-        // Trace events emitted during execute_op carry simulated time.
-        self.dssp.set_sim_time_micros(now);
+        self.0.observe_time(now)
+    }
+
+    fn think_multiplier(&self, now: Time) -> f64 {
+        self.0.think_multiplier(now)
+    }
+
+    fn live_proxies(&self) -> Option<Vec<usize>> {
+        self.0.live_proxies()
     }
 }
 
 /// Drives one application instance through a multi-proxy [`ProxyFleet`]
 /// over any home tier for the simulator — the paper's scale-out
-/// deployment (§5, Fig. 8–10), and, as [`ShardedWorkload`], one proxy in
-/// front of a partitioned master.
+/// deployment (§5, Fig. 8–10), and, with one reliable replica, one proxy
+/// in front of one home server ([`DsspWorkload`]) or of a partitioned
+/// master ([`ShardedWorkload`]).
 ///
 /// Each operation routes to one replica (per the fleet's
 /// [`RoutingMode`]) and its [`OpCost::proxy`] tag steers the queueing
@@ -340,7 +290,9 @@ impl Workload for DsspWorkload {
 /// is flat.
 pub struct FleetWorkload<H: Home = HomeGroup> {
     fleet: ProxyFleet<H>,
-    ops: OpSampler,
+    /// The app's request stream, and each client's in-flight request.
+    stream: RequestSampler,
+    pending: Vec<Vec<BoundOp>>,
     costs: CostModel,
     load: LoadProfile,
     autoscaling: Option<Autoscaling>,
@@ -367,6 +319,17 @@ pub trait BilledHome: Home {
 
 /// One home, one center.
 impl BilledHome for HomeGroup {
+    fn query_trip(&self, _: &Query, _: &mut usize) -> (usize, usize) {
+        (0, 1)
+    }
+
+    fn update_trip(&self, _: &Update) -> usize {
+        0
+    }
+}
+
+/// One home, one center.
+impl BilledHome for HomeServer {
     fn query_trip(&self, _: &Query, _: &mut usize) -> (usize, usize) {
         (0, 1)
     }
@@ -503,7 +466,8 @@ impl<H: Home> FleetWorkload<H> {
     ) -> FleetWorkload<H> {
         FleetWorkload {
             fleet,
-            ops: OpSampler::new(app, ids, zipf_exponent, seed),
+            stream: RequestSampler::new(app, ParamGen::new(ids, zipf_exponent), seed),
+            pending: Vec::new(),
             costs: CostModel::default(),
             load: LoadProfile::flat(),
             autoscaling: None,
@@ -579,11 +543,15 @@ impl<H: Home> FleetWorkload<H> {
 
 impl<H: BilledHome> Workload for FleetWorkload<H> {
     fn begin_request(&mut self, client: usize) -> usize {
-        self.ops.begin_request(client)
+        if self.pending.len() <= client {
+            self.pending.resize_with(client + 1, Vec::new);
+        }
+        self.pending[client] = self.stream.draw();
+        self.pending[client].len()
     }
 
     fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
-        let executed = match &self.ops.pending[client][op_index] {
+        let executed = match &self.pending[client][op_index] {
             BoundOp::Query(q) => {
                 let fr = self
                     .fleet
@@ -594,9 +562,11 @@ impl<H: BilledHome> Workload for FleetWorkload<H> {
                 } else {
                     self.fleet.tier().query_trip(q, &mut self.scatter_rr)
                 };
+                let result = &fr.resp.result;
+                let answer = (result.len(), result.approx_size_bytes() as u64, fr.resp.hit);
                 Executed {
                     statement_bytes: q.statement_text().len() as u64,
-                    answer: Some(answer_of(&fr.resp)),
+                    answer: Some(answer),
                     scanned: fr.delivered.scanned,
                     proxy: fr.proxy,
                     shard,
@@ -743,7 +713,7 @@ mod tests {
     use rand::SeedableRng;
     use scs_core::ExposureLevel;
     use scs_dssp::StrategyKind;
-    use scs_netsim::{run, SimConfig, SystemSpec, SEC};
+    use scs_netsim::{run, SimConfig, SystemSpec, Workload, SEC};
 
     /// The toystore application, its populated database and id spaces.
     fn toystore_inputs(seed: u64) -> (AppDef, Database, IdSpaces) {
@@ -778,6 +748,99 @@ mod tests {
         }
     }
 
+    /// The single-proxy driver as it was before it became the
+    /// one-replica fleet, kept as a test-only reference: one bare `Dssp`
+    /// in front of one `HomeServer`, each op through `execute_query` /
+    /// `execute_update`, billed by the default cost model.
+    struct ClassicWorkload {
+        dssp: Dssp,
+        home: HomeServer,
+        stream: RequestSampler,
+        pending: Vec<Vec<BoundOp>>,
+    }
+
+    impl Workload for ClassicWorkload {
+        fn begin_request(&mut self, client: usize) -> usize {
+            if self.pending.len() <= client {
+                self.pending.resize_with(client + 1, Vec::new);
+            }
+            self.pending[client] = self.stream.draw();
+            self.pending[client].len()
+        }
+
+        fn execute_op(&mut self, client: usize, op_index: usize) -> OpCost {
+            let executed = match &self.pending[client][op_index] {
+                BoundOp::Query(q) => {
+                    let resp = self.dssp.execute_query(q, &mut self.home).unwrap();
+                    let bytes = resp.result.approx_size_bytes() as u64;
+                    Executed {
+                        statement_bytes: q.statement_text().len() as u64,
+                        answer: Some((resp.result.len(), bytes, resp.hit)),
+                        ..Executed::default()
+                    }
+                }
+                BoundOp::Update(u) => Executed {
+                    statement_bytes: u.statement_text().len() as u64,
+                    scanned: self
+                        .dssp
+                        .execute_update(u, &mut self.home)
+                        .map_or(0, |resp| resp.scanned),
+                    ..Executed::default()
+                },
+            };
+            CostModel::default().op_cost(executed)
+        }
+
+        fn hit_rate(&self) -> f64 {
+            self.dssp.stats().hit_rate()
+        }
+
+        fn observe_time(&mut self, now: Time) {
+            self.dssp.set_sim_time_micros(now);
+        }
+    }
+
+    /// `DsspWorkload` is the classic driver, run for run: the same
+    /// `RunMetrics` (every response time, utilization and center
+    /// telemetry) and the same proxy counters, on two apps under a blind
+    /// and an inspecting strategy.
+    #[test]
+    fn the_one_replica_fleet_is_the_classic_single_proxy_driver() {
+        let auction = crate::BenchApp::Auction;
+        let (auction_db, auction_ids) =
+            auction.build_database_scaled(4, crate::runner::FLEET_SCALE_DIV);
+        let (toy, toy_db, toy_ids) = toystore_inputs(4);
+        let apps = [
+            (toy, toy_db, toy_ids, 1.0),
+            (
+                auction.def(),
+                auction_db,
+                auction_ids,
+                auction.zipf_exponent(),
+            ),
+        ];
+        for (app, db, ids, zipf) in apps {
+            for kind in [StrategyKind::Blind, StrategyKind::ViewInspection] {
+                let exposures = kind.exposures(app.updates.len(), app.queries.len());
+                let config = DsspConfig::new(app.name, exposures, analysis_matrix(&app));
+                let mut classic = ClassicWorkload {
+                    dssp: Dssp::new(config.clone()),
+                    home: HomeServer::new(db.clone()),
+                    stream: RequestSampler::new(&app, ParamGen::new(ids.clone(), zipf), 4),
+                    pending: Vec::new(),
+                };
+                let mut w =
+                    DsspWorkload::with_config(&app, db.clone(), ids.clone(), config, zipf, 4);
+                let cfg = quick_cfg(60);
+                let (a, b) = (run(&cfg, &mut classic), run(&cfg, &mut w));
+                assert!(b.requests_completed > 60 && w.dssp().stats().updates > 0);
+                let label = format!("{} {kind:?}", app.name);
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+                assert_eq!(classic.dssp.stats(), w.dssp().stats(), "{label}");
+            }
+        }
+    }
+
     #[test]
     fn end_to_end_simulation_runs() {
         let mut w = toystore_workload(StrategyKind::ViewInspection, 1);
@@ -804,7 +867,6 @@ mod tests {
 
     #[test]
     fn driver_is_deterministic_per_seed() {
-        use scs_netsim::Workload;
         let mut a = toystore_workload(StrategyKind::ViewInspection, 9);
         let mut b = toystore_workload(StrategyKind::ViewInspection, 9);
         for _ in 0..50 {
@@ -824,7 +886,6 @@ mod tests {
 
     #[test]
     fn request_mix_respects_weights() {
-        use scs_netsim::Workload;
         let mut w = toystore_workload(StrategyKind::ViewInspection, 10);
         // toystore: browse(8, 2 ops), demographics(3, 1 op),
         // discontinue(1, 1 op), add-card(1, 1 op) — expected mean ops
@@ -844,7 +905,6 @@ mod tests {
 
     #[test]
     fn rejected_updates_are_tolerated() {
-        use scs_netsim::Workload;
         // Run enough toystore traffic that deletes + credit-card inserts
         // produce FK violations / missing rows; the driver must absorb
         // them as no-op home trips without panicking.
@@ -997,7 +1057,6 @@ mod tests {
     #[test]
     fn fleet_of_one_matches_single_proxy_driver() {
         use scs_dssp::{FleetConfig, RoutingMode};
-        use scs_netsim::Workload;
         // Same seed ⇒ identical request streams; a 1-replica immediate
         // fleet must produce the same cache behaviour and costs as the
         // classic driver.
@@ -1068,7 +1127,6 @@ mod tests {
 
     #[test]
     fn a_static_fleet_keeps_its_size_through_the_crowd() {
-        use scs_netsim::Workload;
         let (w, cfg) = auction_crowd(3, false);
         assert!(w.membership().is_empty());
         assert_eq!(w.fleet().replica_ids(), vec![0, 1, 2]);
@@ -1126,7 +1184,6 @@ mod tests {
     #[test]
     fn scale_in_retires_the_idlest_live_replica() {
         use scs_dssp::RoutingMode;
-        use scs_netsim::Workload;
         let policy = AutoscalerConfig {
             scale_out_util: f64::INFINITY,
             scale_in_util: 1.0,

@@ -782,12 +782,11 @@ fn fire(
     zombie_update: &Arc<UpdateTemplate>,
 ) {
     match kind {
+        // A refused injection (the replica is not live, the tier is
+        // down, or a partitioned primary is still outstanding) is a no-op.
         CrashKind::RestartProxy(id) => {
-            fleet.proxy_mut(id).set_sim_time_micros(at);
-            fleet.restart_proxy(id);
+            let _ = fleet.restart_proxy(id, at);
         }
-        // A refused injection (the tier is down, or a partitioned
-        // primary is still outstanding) is a no-op.
         CrashKind::CrashPrimary => {
             let _ = fleet.crash_home();
         }

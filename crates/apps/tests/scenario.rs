@@ -348,6 +348,21 @@ fn zombie_writes_before_promotion_stay_durable() {
     assert_oracles("zombie before promotion", 1, &r);
 }
 
+/// A scripted restart of a replica that is not live is refused, and a
+/// refused injection is a no-op: the run completes with the faultless
+/// run's outcomes.
+#[test]
+fn restarting_a_replica_that_is_not_live_is_a_no_op() {
+    let mut sc = Scenario::faultless(7, 40);
+    sc.events.push(CrashEvent {
+        at_micros: 5_000,
+        kind: CrashKind::RestartProxy(3),
+    });
+    let r = sc.run();
+    assert_eq!(r.outcomes, Scenario::faultless(7, 40).run().outcomes);
+    assert_eq!(r.counter("restarts"), 0);
+}
+
 /// A partitioned zombie's writes never pass through a proxy, so they
 /// commit nothing on the freshness plane: every stream's commits stay
 /// unique per epoch and ascend, as the promoted primary issues them.

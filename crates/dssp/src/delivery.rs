@@ -8,13 +8,16 @@
 //! replaces it with three mechanisms:
 //!
 //! 1. **Epochs** — the home server stamps each applied update with a
-//!    monotone sequence number ([`InvalidationMsg::epoch`]); the proxy
-//!    applies message `e` only when `e == last + 1`. A skipped epoch is a
-//!    detected delivery failure (or an out-of-band master write) and
-//!    triggers a recovery flush of every entry some update template
-//!    could affect per the static IPM. Duplicates and stale reorders
-//!    (`e <= last`) are dropped — a flush for the gap they belonged to
-//!    has already covered them.
+//!    monotone sequence number ([`InvalidationMsg::epoch`]). Every
+//!    delivery is an [`InvalidationBatch`] over a contiguous epoch range
+//!    — a lone notification is [`InvalidationBatch::single`] — applied by
+//!    the one ordering rule of [`crate::Dssp::apply_batch_from`]: a batch
+//!    attaches only when it starts at or before `last + 1`. A skipped
+//!    epoch is a detected delivery failure (or an out-of-band master
+//!    write) and triggers a recovery flush of every entry some update
+//!    template could affect per the static IPM. Duplicates and stale
+//!    reorders (`e <= last`) are dropped — a flush for the gap they
+//!    belonged to has already covered them.
 //! 2. **Leases** — every cache entry carries a TTL, so even an
 //!    *undetected* failure (a dropped message with no successor to
 //!    expose the gap) serves stale data for at most the lease window.
@@ -135,21 +138,9 @@ impl InvalidationBatch {
     }
 }
 
-/// How a delivered [`InvalidationMsg`] was handled by the proxy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryOutcome {
-    /// In-order delivery: the update's invalidation pass ran.
-    Applied { scanned: usize, invalidated: usize },
-    /// The message's epoch was already covered (duplicate, or a reorder
-    /// whose gap already forced a flush); dropped.
-    Duplicate,
-    /// A gap was detected; the recovery flush removed `flushed` entries
-    /// (which covers this message's own invalidations too).
-    Recovered { flushed: usize },
-}
-
-/// How a delivered [`InvalidationBatch`] was handled by the proxy
-/// ([`crate::Dssp::apply_batch`]).
+/// How a delivered [`InvalidationBatch`] — a fanout batch, or a lone
+/// notification as a batch of one — was handled by the proxy
+/// ([`crate::Dssp::apply_batch_from`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchOutcome {
     /// The batch's range attached to the proxy's stream in order (or
@@ -210,7 +201,8 @@ pub enum FtUpdateOutcome {
     /// Applied at the master; the epoch-stamped invalidation notification
     /// is returned for the delivery channel (the proxy does **not**
     /// invalidate its own cache until the message is delivered back via
-    /// [`crate::Dssp::apply_invalidation_from`] on `stream`).
+    /// [`crate::Dssp::apply_batch_from`] on `stream`, alone as
+    /// [`InvalidationBatch::single`] or inside a fanout batch).
     Applied {
         effect: UpdateEffect,
         /// The invalidation stream that owns the update and that `msg`'s

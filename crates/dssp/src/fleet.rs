@@ -1101,13 +1101,18 @@ impl<H: Home> ProxyFleet<H> {
         }
     }
 
-    /// Crash + restart one replica: its cache is lost and its cursors
-    /// re-handshake at the home's tips (see [`Dssp::restart`]). The
-    /// other replicas are untouched — recovery is independent.
-    pub fn restart_proxy(&mut self, id: usize) {
+    /// Crash + restart one replica at sim time `at_micros`: its cache is
+    /// lost and its cursors re-handshake at the home's tips (see
+    /// [`Dssp::restart`]). The other replicas are untouched — recovery
+    /// is independent. Refused, changing nothing, when no live replica
+    /// has stable id `id`.
+    pub fn restart_proxy(&mut self, id: usize, at_micros: u64) -> Result<(), InjectionRefused> {
         let tips = self.home.tips();
-        let i = self.idx(id);
-        self.replicas[i].dssp.restart(&tips);
+        let replica = self.replicas.iter_mut().find(|r| r.id == id);
+        let dssp = &mut replica.ok_or(InjectionRefused::NoReplica)?.dssp;
+        dssp.set_sim_time_micros(at_micros);
+        dssp.restart(&tips);
+        Ok(())
     }
 
     /// Live replica count.
@@ -1591,7 +1596,7 @@ mod tests {
         f.query(1, vec![Value::Int(1)]);
         f.update(0, vec![Value::Int(4), Value::Int(1)]);
         f.update(0, vec![Value::Int(5), Value::Int(1)]);
-        f.fleet.restart_proxy(1);
+        f.fleet.restart_proxy(1, f.fleet.now_micros).unwrap();
         assert_eq!(f.fleet.proxy(1).epoch(), f.fleet.home().epoch());
         assert_eq!(f.fleet.proxy(1).cache_len(), 0);
         // Replica 0 is untouched by its peer's crash.
@@ -1750,7 +1755,7 @@ mod tests {
         assert_eq!(fo.lost_records, 0, "everything had replicated");
         // The promoted home opened past the old tip; a restarting
         // proxy handshakes against the *new* stream position.
-        f.fleet.restart_proxy(1);
+        f.fleet.restart_proxy(1, f.fleet.now_micros).unwrap();
         assert_eq!(f.fleet.proxy(1).epoch(), f.fleet.home().epoch());
         assert_eq!(f.fleet.proxy(1).epoch(), fo.barrier_epoch);
         assert_eq!(f.fleet.proxy(1).cache_len(), 0);

@@ -62,8 +62,8 @@ pub use cache::{
     CacheEntry, CacheKey, Lookup, PrunedPairs, ResultCache, ScanOutcome, StoreOutcome,
 };
 pub use delivery::{
-    BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
-    HomeLink, InvalidationBatch, InvalidationMsg, RetryPolicy,
+    BatchOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse, HomeLink,
+    InvalidationBatch, InvalidationMsg, RetryPolicy,
 };
 pub use elastic::{
     Autoscaler, AutoscalerConfig, HandoffFault, JoinOutcome, LeaveOutcome, ScaleAction,

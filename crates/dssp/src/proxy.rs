@@ -16,8 +16,8 @@
 //! Delivery of invalidations is *epoched* (see [`crate::delivery`]): the
 //! home stamps each applied update with a monotone sequence number on
 //! the stream that owns it, and the proxy applies a notification only in
-//! order on that stream's cursor ([`Dssp::apply_invalidation_from`],
-//! [`Dssp::apply_batch_from`]; stream 0 is the classic single home). A
+//! order on that stream's cursor ([`Dssp::apply_batch_from`], a lone
+//! notification as a batch of one; stream 0 is the classic single home). A
 //! skipped epoch means a lost notification (or an out-of-band master
 //! write) and triggers a recovery flush; staleness from failures that
 //! produce no detectable gap is bounded by the per-entry lease.
@@ -28,8 +28,8 @@ use crate::admission::{
 };
 use crate::cache::{CacheKey, Lookup, ResultCache, ScanOutcome};
 use crate::delivery::{
-    splitmix64, BatchOutcome, DeliveryOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome,
-    FtUpdateResponse, HomeLink, InvalidationBatch, InvalidationMsg, RetryPolicy,
+    splitmix64, BatchOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
+    HomeLink, InvalidationBatch, RetryPolicy,
 };
 use crate::home::Home;
 use crate::sharded::ShardedHome;
@@ -457,7 +457,7 @@ impl Dssp {
     /// Perfect-delivery entry point: the epoch-stamped invalidation
     /// notification is delivered back to this proxy immediately
     /// ([`Dssp::execute_update_ft`] at the neutral policy, then
-    /// [`Dssp::apply_invalidation_from`] on the owning stream). If the
+    /// [`Dssp::apply_batch_from`] of it alone on the owning stream). If the
     /// master was written out of band since the last notification, the
     /// delivery exposes the epoch gap here and the response reports the
     /// recovery flush instead of a targeted invalidation pass.
@@ -523,14 +523,16 @@ impl Dssp {
         else {
             unreachable!("the neutral policy to an up home tier never fails")
         };
-        let (scanned, invalidated) = match self.apply_invalidation_from(stream, &msg) {
-            DeliveryOutcome::Applied {
-                scanned,
-                invalidated,
-            } => (scanned, invalidated),
-            DeliveryOutcome::Recovered { flushed } => (flushed, flushed),
-            DeliveryOutcome::Duplicate => (0, 0),
-        };
+        let (scanned, invalidated) =
+            match self.apply_batch_from(stream, &InvalidationBatch::single(msg)) {
+                BatchOutcome::Applied {
+                    scanned,
+                    invalidated,
+                    ..
+                } => (scanned, invalidated),
+                BatchOutcome::Recovered { flushed } => (flushed, flushed),
+                BatchOutcome::Duplicate => (0, 0),
+            };
         let resp = UpdateResponse {
             effect,
             scanned,
@@ -776,7 +778,7 @@ impl Dssp {
     /// epoch-stamped invalidation notification is **returned, not
     /// applied**, together with the stream it rides on — the caller owns
     /// the delivery channel (the simulator may drop, delay, duplicate, or
-    /// reorder it before [`Dssp::apply_invalidation_from`] sees it).
+    /// reorder it before [`Dssp::apply_batch_from`] sees it).
     /// While the link or the home stays down the master is untouched and
     /// the outcome is [`FtUpdateOutcome::Unavailable`].
     ///
@@ -1033,93 +1035,31 @@ impl Dssp {
         self.apply_batch_from(0, batch)
     }
 
-    /// Delivers one epoch-stamped invalidation notification from
-    /// invalidation stream `stream`, ordered against that stream's own
+    /// Delivers one batch of epoch-stamped invalidation notifications
+    /// covering the contiguous epoch range `[first_epoch, last_epoch]`
+    /// of invalidation stream `stream`, ordered against that stream's own
     /// cursor ([`Dssp::epoch_of`]; a classic home has the one stream 0, a
-    /// sharded home one per shard):
+    /// sharded home one per shard). Every delivery takes this path: a
+    /// fleet's fanout batch, and a lone notification as
+    /// [`InvalidationBatch::single`].
     ///
-    /// * `epoch == cursor + 1` — in order: the update's invalidation pass
-    ///   runs exactly as under perfect delivery.
-    /// * `epoch <= cursor` — a duplicate, or a reorder whose gap already
-    ///   forced a flush that covered it: dropped.
-    /// * `epoch > cursor + 1` — a gap: one or more notifications were lost
-    ///   *on that stream* (or its master was written out of band). The
-    ///   recovery flush runs; it covers this message's own
-    ///   invalidations too, so the message itself is not applied
-    ///   separately.
+    /// * `last_epoch <= cursor` — the whole batch is a duplicate (a
+    ///   redelivery, or a reorder covered by an earlier gap flush).
+    /// * `first_epoch > cursor + 1` — a gap: notifications were lost *on
+    ///   that stream* (or its master was written out of band), so the
+    ///   recovery flush runs and covers this batch's own invalidations.
+    /// * otherwise the batch attaches (possibly overlapping): retained
+    ///   messages with an epoch beyond the cursor are applied in order,
+    ///   the rest skipped as covered.
     ///
     /// The flush is deliberately not stream-scoped: a missed update on
     /// any stream may have touched any cached entry, so the conservative
     /// sweep of the whole cache is what keeps cross-stream merges safe.
     /// Only the cursor of `stream` moves.
-    pub fn apply_invalidation_from(
-        &mut self,
-        stream: u64,
-        msg: &InvalidationMsg,
-    ) -> DeliveryOutcome {
-        let cursor = self.epoch_of(stream);
-        let expected = cursor + 1;
-        if msg.epoch < expected {
-            self.tally.duplicate_invalidations += 1;
-            self.arrived(stream, msg.epoch, ApplyKind::Duplicate, cursor, cursor);
-            return DeliveryOutcome::Duplicate;
-        }
-        let root = self.spans.open(
-            self.now_micros,
-            SpanPhase::InvalidationFanout,
-            SpanId::NONE,
-            Some(msg.update.template_id as u32),
-        );
-        let root_timer = self.spans.timer();
-        if msg.epoch > expected {
-            self.note(TraceEventKind::EpochGap {
-                expected,
-                got: msg.epoch,
-            });
-            let recovery_timer = self.spans.timer();
-            let flushed = self.recovery_flush();
-            self.spans.record_closed(
-                self.now_micros,
-                SpanPhase::Recovery,
-                root,
-                None,
-                recovery_timer,
-            );
-            self.set_stream_cursor(stream, msg.epoch);
-            self.arrived(stream, msg.epoch, ApplyKind::Recovered, cursor, msg.epoch);
-            self.spans.close(root, root_timer);
-            return DeliveryOutcome::Recovered { flushed };
-        }
-        self.set_stream_cursor(stream, msg.epoch);
-        let (scanned, invalidated) = self.run_invalidation_pass(&msg.update, stream, msg.epoch);
-        self.arrived(stream, msg.epoch, ApplyKind::Applied, cursor, msg.epoch);
-        self.spans.close(root, root_timer);
-        DeliveryOutcome::Applied {
-            scanned,
-            invalidated,
-        }
-    }
-
-    /// Delivers one fanout batch covering the contiguous epoch range
-    /// `[first_epoch, last_epoch]` of invalidation stream `stream`.
-    ///
-    /// Batch-level ordering mirrors [`Dssp::apply_invalidation_from`],
-    /// against the same per-stream cursor:
-    ///
-    /// * `last_epoch <= cursor` — the whole batch is a duplicate (a
-    ///   redelivered batch, or one covered by an earlier gap flush).
-    /// * `first_epoch > cursor + 1` — a gap: an earlier batch was lost,
-    ///   so the recovery flush runs and covers this batch's own
-    ///   invalidations.
-    /// * otherwise the batch attaches (possibly overlapping): retained
-    ///   messages with an epoch beyond the cursor are applied in order,
-    ///   the rest skipped as covered.
     ///
     /// Within an attaching batch the retained epochs may be
     /// non-contiguous — coalescing removed earlier duplicates of a
-    /// later representative — so messages are **not** routed through
-    /// `apply_invalidation_from` (which would misread each coalesced
-    /// hole as a lost notification and flush). The hole is safe
+    /// later representative — and such a hole is not a gap. It is safe
     /// precisely because coalescing keeps the *latest*-epoch
     /// representative: the content of every removed epoch is re-stated
     /// by a message at or after it within this same batch.
@@ -1140,14 +1080,13 @@ impl Dssp {
         }
         let root = self.spans.open(
             self.now_micros,
-            SpanPhase::BatchApply,
+            SpanPhase::InvalidationFanout,
             SpanId::NONE,
             batch.msgs.first().map(|m| m.update.template_id as u32),
         );
         let root_timer = self.spans.timer();
         let expected = epoch_before + 1;
         if batch.first_epoch > expected {
-            self.tally.fanout_batch_gaps += 1;
             self.note(TraceEventKind::EpochGap {
                 expected,
                 got: batch.first_epoch,

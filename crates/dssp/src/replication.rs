@@ -298,8 +298,9 @@ pub struct Zombie {
     pub server: HomeServer,
 }
 
-/// Why [`HomeGroup::partition_primary`] or [`HomeGroup::zombie_write`]
-/// refused to inject its fault; the group is left as it was.
+/// Why [`HomeGroup::partition_primary`], [`HomeGroup::zombie_write`] or
+/// [`crate::ProxyFleet::restart_proxy`] refused to inject its fault; the
+/// tier is left as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionRefused {
     /// The tier has no primary to crash or partition (it is down).
@@ -308,6 +309,8 @@ pub enum InjectionRefused {
     PartitionOutstanding,
     /// No partitioned primary exists to write through.
     NoZombie,
+    /// No live replica has the named stable id.
+    NoReplica,
 }
 
 /// The client-visible outcome of one write's replication step.

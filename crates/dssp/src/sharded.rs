@@ -9,7 +9,7 @@
 //! epoch of the
 //! classic home becomes a *vector* of per-shard epochs; replicas merge
 //! the streams with one gap/duplicate cursor per shard (see
-//! `Dssp::apply_invalidation_from`).
+//! `Dssp::apply_batch_from`).
 //!
 //! To the proxy a sharded home is a home like any other: [`ShardedHome`]
 //! implements [`Home`] (an answer names the shards it came from, an

@@ -109,7 +109,6 @@ pub struct Tally {
     pub(crate) fanout_batches_applied: u64,
     pub(crate) fanout_batch_msgs: u64,
     pub(crate) fanout_batch_duplicates: u64,
-    pub(crate) fanout_batch_gaps: u64,
 }
 
 /// `slots[i] += 1`, when `i` is in range.
@@ -285,7 +284,6 @@ impl Tally {
             ("fanout_batches_applied", self.fanout_batches_applied),
             ("fanout_batch_msgs", self.fanout_batch_msgs),
             ("fanout_batch_duplicates", self.fanout_batch_duplicates),
-            ("fanout_batch_gaps", self.fanout_batch_gaps),
         ];
         let mut m = MetricsSnapshot::default();
         let mut put = |name: String, n: u64| m.counters.insert(name, n);

@@ -21,9 +21,9 @@ use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
     AdmissionConfig, BreakerConfig, BrownoutConfig, Dssp, DsspConfig, DsspStats, FanoutConfig,
-    FleetConfig, FtOutcome, FtUpdateOutcome, Home, HomeGroup, HomeLink, HomeServer, OverloadConfig,
-    ProxyFleet, QueueState, ReplicationConfig, ReplicationMode, RetryPolicy, RoutingMode,
-    ShardedHome, StrategyKind,
+    FleetConfig, FtOutcome, FtUpdateOutcome, Home, HomeGroup, HomeLink, HomeServer,
+    InvalidationBatch, OverloadConfig, ProxyFleet, QueueState, ReplicationConfig, ReplicationMode,
+    RetryPolicy, RoutingMode, ShardedHome, StrategyKind,
 };
 use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
@@ -325,7 +325,7 @@ proptest! {
                         prop_assert_eq!(tier_state(&home), after, "one epoch, on the owner");
                         prop_assert_eq!(msg.epoch, home.epoch_of(stream));
                         prop_assert_eq!(master.apply(&u).unwrap(), effect);
-                        dssp.apply_invalidation_from(stream, &msg);
+                        dssp.apply_batch_from(stream, &InvalidationBatch::single(msg));
                     }
                     FtUpdateOutcome::Unavailable | FtUpdateOutcome::Shed(_) => {
                         prop_assert_eq!(tier_state(&home), before, "a shed update wrote");
@@ -667,7 +667,7 @@ fn dssp_trail(app: &App, script: &[(Op, bool)], general: Option<bool>) -> Trail 
                         stream,
                         msg,
                     } => {
-                        dssp.apply_invalidation_from(stream, &msg);
+                        dssp.apply_batch_from(stream, &InvalidationBatch::single(msg));
                         format!("{:?}", Ok::<_, ()>(effect))
                     }
                     other => format!("{other:?}"),

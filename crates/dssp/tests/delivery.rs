@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    BatchOutcome, DeliveryOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, Home, HomeLink,
-    HomeServer, InvalidationBatch, InvalidationMsg, RetryPolicy, StrategyKind,
+    BatchOutcome, Dssp, DsspConfig, FtOutcome, FtUpdateOutcome, Home, HomeLink, HomeServer,
+    InvalidationBatch, InvalidationMsg, RetryPolicy, StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, TableSchema};
@@ -250,7 +250,9 @@ fn recovery_flush_drops_what_an_update_can_touch_and_nothing_else() {
     let u = Update::bind(0, updates[0].clone(), vec![Value::Int(7), Value::Int(1)]).unwrap();
     home.apply_update(&u).unwrap();
     let (_, late) = home.apply_update(&u).unwrap();
-    let DeliveryOutcome::Recovered { flushed } = dssp.apply_invalidation_from(0, &late) else {
+    let BatchOutcome::Recovered { flushed } =
+        dssp.apply_batch_from(0, &InvalidationBatch::single(late))
+    else {
         panic!("a skipped epoch must flush");
     };
     let after = cached(&dssp);
@@ -271,13 +273,15 @@ fn duplicates_and_gaps_follow_epoch_semantics() {
 
     let m1 = r.update_undelivered(0, vec![Value::Int(20), Value::Int(0)]);
     assert!(matches!(
-        r.dssp.apply_invalidation_from(0, &m1),
-        DeliveryOutcome::Applied { .. }
+        r.dssp
+            .apply_batch_from(0, &InvalidationBatch::single(m1.clone())),
+        BatchOutcome::Applied { .. }
     ));
     // Redelivery of the same epoch is dropped.
     assert!(matches!(
-        r.dssp.apply_invalidation_from(0, &m1),
-        DeliveryOutcome::Duplicate
+        r.dssp
+            .apply_batch_from(0, &InvalidationBatch::single(m1.clone())),
+        BatchOutcome::Duplicate
     ));
 
     let m2 = r.update_undelivered(0, vec![Value::Int(21), Value::Int(0)]);
@@ -285,12 +289,12 @@ fn duplicates_and_gaps_follow_epoch_semantics() {
     // Reorder: epoch 3 before epoch 2 — the gap forces a flush that
     // covers both, and the late epoch-2 message is then a duplicate.
     assert!(matches!(
-        r.dssp.apply_invalidation_from(0, &m3),
-        DeliveryOutcome::Recovered { .. }
+        r.dssp.apply_batch_from(0, &InvalidationBatch::single(m3)),
+        BatchOutcome::Recovered { .. }
     ));
     assert!(matches!(
-        r.dssp.apply_invalidation_from(0, &m2),
-        DeliveryOutcome::Duplicate
+        r.dssp.apply_batch_from(0, &InvalidationBatch::single(m2)),
+        BatchOutcome::Duplicate
     ));
     assert_eq!(r.dssp.epoch(), 3);
     assert_eq!(r.counter("dssp.duplicate_invalidations"), 2);
@@ -326,8 +330,9 @@ fn restart_resynchronizes_with_the_home_epoch() {
     // A message that was in flight across the crash arrives as a
     // duplicate — the handshake already covers it.
     assert!(matches!(
-        r.dssp.apply_invalidation_from(0, &in_flight),
-        DeliveryOutcome::Duplicate
+        r.dssp
+            .apply_batch_from(0, &InvalidationBatch::single(in_flight)),
+        BatchOutcome::Duplicate
     ));
 
     // First post-restart query misses and serves fresh data.
@@ -567,14 +572,6 @@ fn model_batch(cursor: &mut u64, first: u64, last: u64) -> &'static str {
     verdict
 }
 
-fn msg_verdict(o: DeliveryOutcome) -> &'static str {
-    match o {
-        DeliveryOutcome::Applied { .. } => "applied",
-        DeliveryOutcome::Duplicate => "duplicate",
-        DeliveryOutcome::Recovered { .. } => "recovered",
-    }
-}
-
 fn batch_verdict(o: BatchOutcome) -> &'static str {
     match o {
         BatchOutcome::Applied { .. } => "applied",
@@ -644,10 +641,11 @@ proptest! {
                     let Some(msg) = issued.get(k % issued.len().max(1)) else {
                         continue;
                     };
-                    let a = on_s.dssp.apply_invalidation_from(s, msg);
-                    let b = on_0.dssp.apply_invalidation_from(0, msg);
+                    let lone = InvalidationBatch::single(msg.clone());
+                    let a = on_s.dssp.apply_batch_from(s, &lone);
+                    let b = on_0.dssp.apply_batch_from(0, &lone);
                     prop_assert_eq!(a, b);
-                    prop_assert_eq!(msg_verdict(a), model_msg(&mut model, msg.epoch));
+                    prop_assert_eq!(batch_verdict(a), model_msg(&mut model, msg.epoch));
                 }
                 Step::Batch { from, len, trim_tail } => {
                     let Some(batch) = script_batch(&issued, from, len, trim_tail) else {
@@ -702,8 +700,8 @@ proptest! {
                     let Some(msg) = issued[i].get(k % issued[i].len().max(1)) else {
                         continue;
                     };
-                    let got = r.dssp.apply_invalidation_from(s, msg);
-                    prop_assert_eq!(msg_verdict(got), model_msg(&mut model[i], msg.epoch));
+                    let got = r.dssp.apply_batch_from(s, &InvalidationBatch::single(msg.clone()));
+                    prop_assert_eq!(batch_verdict(got), model_msg(&mut model[i], msg.epoch));
                 }
                 Step::Batch { from, len, trim_tail } => {
                     let Some(batch) = script_batch(&issued[i], from, len, trim_tail) else {

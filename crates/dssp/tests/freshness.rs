@@ -201,8 +201,8 @@ proptest! {
     }
 
     /// Spans: the fleet's hot path journals every layer — a Routing root
-    /// per routed request, a FanoutFlush root per shipped batch, and a
-    /// BatchApply root per delivered batch — all as root spans (the
+    /// per routed request, a FanoutFlush root per shipped batch, and an
+    /// InvalidationFanout root per delivered batch — all as root spans (the
     /// span-tree invariant the observatory's critical-path breakdown
     /// relies on).
     #[test]
@@ -227,7 +227,7 @@ proptest! {
         fleet.pump_all();
 
         // Routing and FanoutFlush roots live in the fleet's recorder;
-        // each BatchApply root lives in the applying replica's.
+        // each InvalidationFanout root lives in the applying replica's.
         let count = |phase: SpanPhase| {
             fleet.spans().spans().iter().filter(|s| s.phase == phase).count() as u64
         };
@@ -241,7 +241,7 @@ proptest! {
                     .spans()
                     .spans()
                     .iter()
-                    .filter(|s| s.phase == SpanPhase::BatchApply)
+                    .filter(|s| s.phase == SpanPhase::InvalidationFanout)
                     .count() as u64
             })
             .sum();

@@ -32,8 +32,8 @@ use scs_core::{
 };
 use scs_crypto::Encryptor;
 use scs_dssp::{
-    CacheEntry, DeliveryOutcome, Dssp, DsspConfig, HomeServer, InvalidationMsg, ResultCache,
-    StrategyKind,
+    BatchOutcome, CacheEntry, Dssp, DsspConfig, HomeServer, InvalidationBatch, InvalidationMsg,
+    ResultCache, StrategyKind,
 };
 use scs_sqlkit::{
     parse_query, parse_update, statement_len, Query, QueryTemplate, Update, UpdateTemplate, Value,
@@ -70,7 +70,7 @@ struct Pair {
     reference: LinearCache,
     audit: SharedAudit,
     /// The invalidation stream's epoch; updates are delivered straight to
-    /// the pass (`apply_invalidation_from`), so shapes the home would reject —
+    /// the pass (`apply_batch_from`, one at a time), so shapes the home would reject —
     /// an UPDATE off the primary key, a `Real` for an `Int` column —
     /// still reach it.
     epoch: u64,
@@ -145,11 +145,15 @@ impl Pair {
             epoch: self.epoch,
             update: u.clone(),
         };
-        let outcome = self.dssp.apply_invalidation_from(0, &msg);
+        let outcome = self
+            .dssp
+            .apply_batch_from(0, &InvalidationBatch::single(msg));
         let pass = self.reference.invalidate(u);
         assert_eq!(
             outcome,
-            DeliveryOutcome::Applied {
+            BatchOutcome::Applied {
+                applied: 1,
+                skipped: 0,
                 scanned: pass.scanned,
                 invalidated: pass.victims.len(),
             },

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    Dssp, DsspConfig, FtUpdateOutcome, Home, HomeLink, HomeServer, RetryPolicy, ShardedHome,
-    StrategyKind,
+    Dssp, DsspConfig, FtUpdateOutcome, Home, HomeLink, HomeServer, InvalidationBatch, RetryPolicy,
+    ShardedHome, StrategyKind,
 };
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
 use scs_storage::{ColumnType, Database, PartitionMap, TablePlacement, TableSchema};
@@ -266,7 +266,7 @@ proptest! {
                         .collect();
                     for j in due {
                         let d = wire.swap_remove(j);
-                        dssp.apply_invalidation_from(d.stream, &d.msg);
+                        dssp.apply_batch_from(d.stream, &InvalidationBatch::single(d.msg));
                     }
                 }
                 ScriptOp::Keyed { id } => {
@@ -290,7 +290,7 @@ proptest! {
                                 msg: msg.clone(),
                             });
                         } else {
-                            dssp.apply_invalidation_from(stream, &msg);
+                            dssp.apply_batch_from(stream, &InvalidationBatch::single(msg.clone()));
                         }
                     }
                 }
@@ -305,7 +305,7 @@ proptest! {
         // Drain the wire (deliveries may still arrive out of order).
         wire.sort_by_key(|d| d.due);
         for d in std::mem::take(&mut wire) {
-            dssp.apply_invalidation_from(d.stream, &d.msg);
+            dssp.apply_batch_from(d.stream, &InvalidationBatch::single(d.msg));
         }
         assert_conserved_per_stream(&prov, &dssp, shards);
 

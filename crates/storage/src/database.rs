@@ -75,14 +75,14 @@ impl Database {
 
     /// Adds a table; fails if the name is taken or the schema is invalid.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), StorageError> {
-        schema.validate()?;
-        if self.tables.contains_key(&schema.name) {
+        let table = Table::new(schema)?;
+        let name = &table.schema().name;
+        if self.tables.contains_key(name) {
             return Err(StorageError::BadSchema(format!(
-                "table `{}` already exists",
-                schema.name
+                "table `{name}` already exists"
             )));
         }
-        self.tables.insert(schema.name.clone(), Table::new(schema));
+        self.tables.insert(name.clone(), table);
         self.plans.clear();
         Ok(())
     }

@@ -361,6 +361,11 @@ fn compare_keys(a: &[&Value], b: &[&Value], desc: &[bool]) -> Ordering {
     Ordering::Equal
 }
 
+/// More distinct join or group keys than [`KeyIndex`]'s ordinals hold.
+fn too_many_keys() -> StorageError {
+    StorageError::BadQuery("more than 2^32 - 1 distinct join or group keys".into())
+}
+
 /// Stands in a tuple for the row of an alias not bound yet.
 static UNBOUND: Row = Vec::new();
 
@@ -602,7 +607,8 @@ impl<'a, S: Source<'a>> Run<'a, S> {
                     let mut index = KeyIndex::new(eq_keys.len());
                     let mut buckets: Vec<Vec<&'a Row>> = Vec::new();
                     for &row in rows {
-                        let bucket = index.ordinal(eq_keys.iter().map(|k| &row[k.new.col.pos]));
+                        let key = eq_keys.iter().map(|k| &row[k.new.col.pos]);
+                        let bucket = index.ordinal(key).ok_or_else(too_many_keys)?;
                         if bucket == buckets.len() {
                             buckets.push(Vec::new());
                         }
@@ -771,8 +777,12 @@ impl<'a, S: Source<'a>> Run<'a, S> {
         let mut groups = KeyIndex::new(group.len());
         let mut sizes: Vec<usize> = Vec::new();
         let mut accs: Vec<Acc> = Vec::new(); // group-major, `width` each
+        let mut numbered = Ok(());
         self.join(|t| {
-            let g = groups.ordinal(group.iter().map(|c| &t[c.alias][c.pos]));
+            let Some(g) = groups.ordinal(group.iter().map(|c| &t[c.alias][c.pos])) else {
+                numbered = Err(too_many_keys());
+                return false;
+            };
             if g == sizes.len() {
                 sizes.push(0);
                 accs.resize_with(accs.len() + width, Acc::default);
@@ -783,6 +793,7 @@ impl<'a, S: Source<'a>> Run<'a, S> {
             }
             true
         })?;
+        numbered?;
 
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(sizes.len());
         for (g, size) in sizes.iter().enumerate() {
@@ -1406,7 +1417,7 @@ mod tests {
     }
 
     fn toy_part(rows: &[(i64, &str, i64)]) -> Table {
-        let mut t = Table::new(db().table("toys").unwrap().schema().clone());
+        let mut t = Table::new(db().table("toys").unwrap().schema().clone()).unwrap();
         for (id, name, qty) in rows {
             t.insert(vec![Value::Int(*id), Value::str(*name), Value::Int(*qty)])
                 .unwrap();

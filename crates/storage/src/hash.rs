@@ -56,12 +56,12 @@ impl Hasher for KeyedHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for word in words {
+            self.word(u64::from_le_bytes(*word));
         }
         let mut tail = [0u8; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        tail[..rest.len()].copy_from_slice(rest);
         // The length tells a short tail from its zero padding.
         self.word(u64::from_le_bytes(tail) ^ ((bytes.len() as u64) << 56));
     }
@@ -171,9 +171,12 @@ impl<'a> KeyIndex<'a> {
     }
 
     /// `key`'s ordinal; a new key gets the next one, the number of keys
-    /// seen before it.
+    /// seen before it — `None` once `u32::MAX` keys are numbered.
     #[inline]
-    pub(crate) fn ordinal(&mut self, key: impl Iterator<Item = &'a Value> + Clone) -> usize {
+    pub(crate) fn ordinal(
+        &mut self,
+        key: impl Iterator<Item = &'a Value> + Clone,
+    ) -> Option<usize> {
         if self.first.is_none() && self.width == 1 {
             if let Some(Value::Int(first)) = key.clone().next() {
                 self.first = Some(*first);
@@ -184,32 +187,32 @@ impl<'a> KeyIndex<'a> {
                 self.near.resize((at + 1).next_power_of_two(), 0);
             }
             if self.near[at] == 0 {
-                self.near[at] = self.push(key) + 1;
+                self.near[at] = self.push(key)? + 1;
             }
-            return self.near[at] as usize - 1;
+            return Some(self.near[at] as usize - 1);
         }
         let hash = hash_of(key.clone());
         let at = match self.probe(hash, key.clone()) {
-            Ok(ordinal) => return ordinal,
+            Ok(ordinal) => return Some(ordinal),
             Err(at) => at,
         };
-        let ordinal = self.push(key);
+        let ordinal = self.push(key)?;
         self.slots[at] = slot_of(hash, ordinal);
         self.hashed.push((hash, ordinal));
         if self.hashed.len() * 2 > self.slots.len() {
             self.grow();
         }
-        ordinal as usize
+        Some(ordinal as usize)
     }
 
-    /// Numbers the new key `key`.
-    fn push(&mut self, key: impl Iterator<Item = &'a Value>) -> u32 {
+    /// Numbers the new key `key`, if an ordinal is left for it.
+    fn push(&mut self, key: impl Iterator<Item = &'a Value>) -> Option<u32> {
         let ordinal = self.len;
         // Below `u32::MAX`, which `EMPTY` and the direct table's 0 stand on.
-        self.len = ordinal.checked_add(1).expect("fewer than 2^32 keys");
+        self.len = ordinal.checked_add(1)?;
         self.keys.extend(key);
         debug_assert_eq!(self.keys.len(), self.len as usize * self.width);
-        ordinal
+        Some(ordinal)
     }
 
     /// The ordinal the hash table stores for `key`, or the free slot where
@@ -300,9 +303,9 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             let key = [v, &tag[i % 2]];
             // 500 distinct: (i % 500, i % 2) repeats from 500 on.
-            assert_eq!(index.ordinal(key.into_iter()), i % 500);
+            assert_eq!(index.ordinal(key.into_iter()), Some(i % 500));
         }
-        assert_eq!(index.ordinal([&values[0], &tag[1]].into_iter()), 500);
+        assert_eq!(index.ordinal([&values[0], &tag[1]].into_iter()), Some(500));
         assert_eq!(index.key(7), &[&Value::Int(7), &tag[1]]);
         assert_eq!(index.find([&Value::Int(7), &tag[1]].into_iter()), Some(7));
         assert_eq!(index.find([&Value::Int(7), &tag[0]].into_iter()), None);
@@ -326,7 +329,7 @@ mod tests {
         for (v, ordinal) in values.iter().zip(want) {
             let seen_before = ordinal < index.len as usize;
             assert_eq!(index.find([v].into_iter()).is_some(), seen_before, "{v}");
-            assert_eq!(index.ordinal([v].into_iter()), ordinal, "{v}");
+            assert_eq!(index.ordinal([v].into_iter()), Some(ordinal), "{v}");
             assert_eq!(index.find([v].into_iter()), Some(ordinal), "{v}");
             assert_eq!(index.key(ordinal), &[v]);
         }
@@ -339,7 +342,7 @@ mod tests {
             .into_iter()
             .zip([0, 1, 2, 3, 1])
         {
-            assert_eq!(index.ordinal([v].into_iter()), ordinal, "{v}");
+            assert_eq!(index.ordinal([v].into_iter()), Some(ordinal), "{v}");
         }
         assert_eq!(index.hashed.len(), 2);
     }
@@ -352,10 +355,10 @@ mod tests {
             .collect();
         let mut index = KeyIndex::new(1);
         for (i, v) in values.iter().enumerate() {
-            assert_eq!(index.ordinal([v].into_iter()), i);
+            assert_eq!(index.ordinal([v].into_iter()), Some(i));
         }
         for (i, v) in values.iter().enumerate() {
-            assert_eq!(index.ordinal([v].into_iter()), i);
+            assert_eq!(index.ordinal([v].into_iter()), Some(i));
             assert_eq!(index.find([v].into_iter()), Some(i));
         }
         assert!(index.hashed.is_empty());
@@ -367,9 +370,23 @@ mod tests {
     fn key_index_of_width_zero_has_one_key() {
         let mut index = KeyIndex::new(0);
         assert_eq!(index.find([].into_iter()), None);
-        assert_eq!(index.ordinal([].into_iter()), 0);
-        assert_eq!(index.ordinal([].into_iter()), 0);
+        assert_eq!(index.ordinal([].into_iter()), Some(0));
+        assert_eq!(index.ordinal([].into_iter()), Some(0));
         assert_eq!(index.find([].into_iter()), Some(0));
         assert!(index.key(0).is_empty());
+    }
+
+    /// With every ordinal taken a new key gets none, near or hashed, and
+    /// changes nothing; a numbered key keeps its ordinal.
+    #[test]
+    fn key_index_refuses_a_key_past_its_last_ordinal() {
+        let values = [Value::Int(1), Value::Int(2), Value::str("far")];
+        let mut index = KeyIndex::new(1);
+        assert_eq!(index.ordinal([&values[0]].into_iter()), Some(0));
+        index.len = u32::MAX;
+        assert_eq!(index.ordinal([&values[1]].into_iter()), None);
+        assert_eq!(index.ordinal([&values[2]].into_iter()), None);
+        assert_eq!(index.ordinal([&values[0]].into_iter()), Some(0));
+        assert_eq!(index.keys.len(), 1);
     }
 }

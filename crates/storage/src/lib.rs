@@ -16,6 +16,11 @@
 //! resolved, access paths and consumer chosen — and its statements bind
 //! and run the plan.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod database;
 pub mod error;
 pub mod executor;

@@ -49,34 +49,25 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates an empty table for `schema` (assumed validated).
-    pub fn new(schema: TableSchema) -> Table {
-        let pk_positions = schema
-            .primary_key
-            .iter()
-            .map(|c| schema.column_index(c).expect("validated schema"))
-            .collect();
+    /// Creates an empty table for `schema`, if [`TableSchema::validate`] passes.
+    pub fn new(schema: TableSchema) -> Result<Table, StorageError> {
+        schema.validate()?;
+        // Validated: every key and index column resolves.
+        let position = |c: &String| schema.column_index(c);
+        let pk_positions = schema.primary_key.iter().filter_map(position).collect();
         let eq_indexes = schema
             .indexed_columns()
             .iter()
-            .map(|c| {
-                (
-                    schema.column_index(c).expect("validated schema"),
-                    KeyMap::default(),
-                )
-            })
+            .filter_map(|c| Some((position(c)?, KeyMap::default())))
             .collect();
         let mut ord_indexes: Vec<(Vec<usize>, Vec<u32>)> = Vec::new();
         for list in &schema.ordered_indexes {
-            let cols: Vec<usize> = list
-                .iter()
-                .map(|c| schema.column_index(c).expect("validated schema"))
-                .collect();
+            let cols: Vec<usize> = list.iter().filter_map(position).collect();
             if !ord_indexes.iter().any(|(c, _)| *c == cols) {
                 ord_indexes.push((cols, Vec::new()));
             }
         }
-        Table {
+        Ok(Table {
             schema,
             slots: Vec::new(),
             free: Vec::new(),
@@ -85,7 +76,7 @@ impl Table {
             pk_positions,
             eq_indexes,
             ord_indexes,
-        }
+        })
     }
 
     pub fn schema(&self) -> &TableSchema {
@@ -479,6 +470,27 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+        .unwrap()
+    }
+
+    /// `TableSchema`'s fields are public, so a schema that names a key
+    /// or index column it lacks reaches `Table::new` unvalidated: refused.
+    #[test]
+    fn a_schema_naming_a_missing_column_is_refused() {
+        let mut schema = toys_table().schema().clone();
+        schema.primary_key = vec!["toy".into()];
+        assert!(matches!(
+            Table::new(schema),
+            Err(StorageError::BadSchema(_))
+        ));
+        let mut schema = toys_table().schema().clone();
+        schema
+            .ordered_indexes
+            .push(vec!["qty".into(), "price".into()]);
+        assert!(matches!(
+            Table::new(schema),
+            Err(StorageError::BadSchema(_))
+        ));
     }
 
     fn row(id: i64, name: &str, qty: i64) -> Row {
@@ -588,6 +600,7 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+        .unwrap()
     }
 
     fn walk(t: &Table, pos: usize, bounds: &[(CmpOp, &Value)], desc: bool) -> Vec<RowId> {
@@ -702,6 +715,7 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+        .unwrap()
     }
 
     fn shelved(id: i64, name: &str, qty: Value) -> Row {
@@ -760,7 +774,7 @@ mod tests {
             .column("c", ColumnType::Real)
             .column("d", ColumnType::Int)
             .ordered_index_on(&["c", "d"]);
-        let mut t = Table::new(schema.build().unwrap());
+        let mut t = Table::new(schema.build().unwrap()).unwrap();
         for (id, c, d) in [
             (0, Value::Int(1), 7),
             (1, Value::real(1.0), 3),

@@ -45,8 +45,10 @@ pub enum SpanPhase {
     QueryRequest,
     /// Root: one client update through the proxy.
     UpdateRequest,
-    /// Root: delivery of one invalidation notification (the fan-out walk
-    /// over the cache, or the recovery it degenerated into).
+    /// Root: any delivery at a replica — one invalidation batch, a lone
+    /// notification being a batch of one (the invalidation passes over
+    /// the cache, or the recovery flush it degenerated into: a gap hangs
+    /// its [`SpanPhase::Recovery`] child underneath).
     InvalidationFanout,
     /// Child of a query root: the cache probe (key construction, lease
     /// check, classification).
@@ -63,10 +65,6 @@ pub enum SpanPhase {
     /// Root: the fanout layer cutting and shipping one invalidation
     /// batch to every replica pipe.
     FanoutFlush,
-    /// Root: one replica applying a delivered invalidation batch (the
-    /// batched analogue of [`SpanPhase::InvalidationFanout`]; a gap
-    /// hangs its [`SpanPhase::Recovery`] child underneath).
-    BatchApply,
 }
 
 impl SpanPhase {
@@ -81,7 +79,6 @@ impl SpanPhase {
             SpanPhase::Recovery => "recovery",
             SpanPhase::Routing => "routing",
             SpanPhase::FanoutFlush => "fanout_flush",
-            SpanPhase::BatchApply => "batch_apply",
         }
     }
 
@@ -94,7 +91,6 @@ impl SpanPhase {
                 | SpanPhase::InvalidationFanout
                 | SpanPhase::Routing
                 | SpanPhase::FanoutFlush
-                | SpanPhase::BatchApply
         )
     }
 }
