@@ -75,16 +75,6 @@ impl SensitivityPolicy {
         }
     }
 
-    /// Marks every column of `table` sensitive.
-    pub fn sensitive_table(mut self, catalog: &Catalog, table: &str) -> SensitivityPolicy {
-        if let Some(schema) = catalog.table(table) {
-            for c in &schema.columns {
-                self.sensitive.insert(Attr::new(table, c.name.clone()));
-            }
-        }
-        self
-    }
-
     fn is_sensitive(&self, a: &Attr) -> bool {
         self.sensitive.contains(a)
     }
@@ -281,6 +271,12 @@ mod tests {
     use scs_storage::{ColumnType, TableSchema};
     use std::sync::Arc;
 
+    /// Every column of `credit_card` sensitive.
+    fn credit_card_sensitive() -> SensitivityPolicy {
+        let columns = ["cid", "number", "zip_code"];
+        SensitivityPolicy::new(columns.map(|c| Attr::new("credit_card", c)))
+    }
+
     fn catalog() -> Catalog {
         Catalog::new([
             TableSchema::builder("toys")
@@ -338,7 +334,7 @@ mod tests {
         let cat = catalog();
         let m = characterize_app(&updates, &queries, &cat, AnalysisOptions::default());
 
-        let policy = SensitivityPolicy::default().sensitive_table(&cat, "credit_card");
+        let policy = credit_card_sensitive();
         let step1 = compulsory_exposures(&updates, &queries, &cat, &policy);
         assert_eq!(
             step1.updates,
@@ -443,7 +439,7 @@ mod tests {
     #[test]
     fn sensitive_query_params_force_template() {
         let cat = catalog();
-        let policy = SensitivityPolicy::default().sensitive_table(&cat, "credit_card");
+        let policy = credit_card_sensitive();
         let queries = vec![Arc::new(
             parse_query(
                 "SELECT customers.cust_name FROM customers, credit_card \
@@ -459,7 +455,7 @@ mod tests {
     #[test]
     fn sensitive_result_forces_stmt() {
         let cat = catalog();
-        let policy = SensitivityPolicy::default().sensitive_table(&cat, "credit_card");
+        let policy = credit_card_sensitive();
         let queries = vec![Arc::new(
             parse_query("SELECT number FROM credit_card WHERE cid = ?").unwrap(),
         )];

@@ -53,6 +53,9 @@
 //!   notion of "equal" is `CmpOp::Eq`'s (numeric across `Int`/`Real`):
 //!   postings are keyed by a hash of the value's canonical numeric form,
 //!   and a hash collision only adds a candidate the judge then spares.
+//!   A hash maps to its slots, ascending: a probe is one lookup, and a
+//!   victim costs a lookup and a removal per value. The bucket map and the
+//!   postings hash with [`scs_storage::KeyedState`], the key map SipHash.
 //!   Blind-level entries live in a separate always-candidate list,
 //!   because Property 1 makes every blind entry a victim of every
 //!   update — no index may ever hide one from an invalidation pass.
@@ -64,8 +67,9 @@ use scs_sqlkit::{
     render_statement, statement_len, Query, QueryTemplate, TemplateId, Update, UpdateTemplate,
     Value,
 };
-use scs_storage::QueryResult;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use scs_storage::{KeyMap, KeyedState, QueryResult};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
@@ -302,23 +306,58 @@ impl IndexedField {
 }
 
 /// An inverted index `value → slots` over one field of a bucket's
-/// entries. Postings are `(hash of the value's canonical form, slot)`
-/// pairs in one ordered set: a probe is a range scan, a slot listed
-/// twice under one value collapses, and nothing is allocated per value.
+/// entries: the hash of a value's canonical form maps to the slots posted
+/// under it, ascending and each once, and a hash left with none goes. A
+/// probe returns that list as a slice, in the judge's candidate order.
 struct ValueIndex {
     field: IndexedField,
-    postings: BTreeSet<(u64, SlotId)>,
+    postings: KeyMap<u64, Vec<SlotId>>,
+}
+
+impl ValueIndex {
+    /// Posts slot `id` under each value of `e` the index covers.
+    fn post(&mut self, e: &CacheEntry, id: SlotId) {
+        let postings = &mut self.postings;
+        self.field.for_each_value(e, |v| {
+            let list = postings.entry(probe_hash(v)).or_default();
+            if let Err(at) = list.binary_search(&id) {
+                list.insert(at, id);
+            }
+        });
+    }
+
+    /// Takes slot `id`'s postings for `e`'s values out.
+    fn unpost(&mut self, e: &CacheEntry, id: SlotId) {
+        let postings = &mut self.postings;
+        self.field.for_each_value(e, |v| {
+            if let Entry::Occupied(mut list) = postings.entry(probe_hash(v)) {
+                let slots = list.get_mut();
+                if let Ok(at) = slots.binary_search(&id) {
+                    slots.remove(at);
+                }
+                if slots.is_empty() {
+                    list.remove();
+                }
+            }
+        });
+    }
+
+    /// The slots posted under `value`'s hash, ascending.
+    fn probe(&self, value: &Value) -> &[SlotId] {
+        let list = self.postings.get(&probe_hash(value));
+        list.map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Hash under which a value is posted and probed. Values that
 /// `CmpOp::Eq` calls equal hash alike: numerics go through `f64`, the
 /// form `Value::cmp` itself compares `Int` with `Real` in (two large
 /// `Int`s that round to one float merely share a posting list).
-fn probe_hash(hasher: &RandomState, v: &Value) -> u64 {
+fn probe_hash(v: &Value) -> u64 {
     match v {
-        Value::Int(i) => hasher.hash_one((*i as f64).to_bits()),
-        Value::Real(r) => hasher.hash_one(r.get().to_bits()),
-        Value::Str(s) => hasher.hash_one(s.as_str()),
+        Value::Int(i) => KeyedState.hash_one((*i as f64).to_bits()),
+        Value::Real(r) => KeyedState.hash_one(r.get().to_bits()),
+        Value::Str(s) => KeyedState.hash_one(s.as_str()),
     }
 }
 
@@ -416,23 +455,19 @@ impl Bucket {
     }
 
     /// The index over `field`, built from the live entries on first use.
-    fn index_for(
-        &mut self,
-        field: IndexedField,
-        slots: &[Option<Slot>],
-        hasher: &RandomState,
-    ) -> Option<&ValueIndex> {
+    fn index_for(&mut self, field: IndexedField, slots: &[Option<Slot>]) -> Option<&ValueIndex> {
         if !self.indexes.iter().any(|ix| ix.field == field) {
-            let mut postings = BTreeSet::new();
+            let mut index = ValueIndex {
+                field,
+                postings: KeyMap::default(),
+            };
             let members = self.groups.iter().flat_map(|g| &g.slots);
             for &id in members {
                 if let Some(slot) = slots.get(id as usize).and_then(Option::as_ref) {
-                    field.for_each_value(&slot.entry, |v| {
-                        postings.insert((probe_hash(hasher, v), id));
-                    });
+                    index.post(&slot.entry, id);
                 }
             }
-            self.indexes.push(ValueIndex { field, postings });
+            self.indexes.push(index);
         }
         self.indexes.iter().find(|ix| ix.field == field)
     }
@@ -440,7 +475,7 @@ impl Bucket {
 
 /// The bucket of `template_id`, made `template`'s when it holds no entry.
 fn bucket_for<'b>(
-    buckets: &'b mut HashMap<TemplateId, Bucket>,
+    buckets: &'b mut KeyMap<TemplateId, Bucket>,
     template_id: TemplateId,
     template: &Arc<QueryTemplate>,
 ) -> &'b mut Bucket {
@@ -474,7 +509,7 @@ pub struct ResultCache {
     free: Vec<SlotId>,
     /// Key hash → first slot of the chain of entries hashing to it.
     by_hash: HashMap<u64, SlotId>,
-    /// Hashes keys for `by_hash` and values for the bucket indexes.
+    /// Hashes keys for `by_hash`.
     hasher: RandomState,
     /// LRU order: `last_used → slot`. The logical clock advances on every
     /// store and lookup, so `last_used` values are unique and the map's
@@ -487,7 +522,7 @@ pub struct ResultCache {
     /// excluded — they are candidates for *every* update (Property 1) and
     /// live in `blind` instead. A bucket outlives its entries, so it
     /// remembers its text and which fields probes ask for.
-    buckets: HashMap<TemplateId, Bucket>,
+    buckets: KeyMap<TemplateId, Bucket>,
     /// Blind-level entries: unconditionally part of every candidate scan.
     blind: Vec<SlotId>,
     /// The text a blind or template fill seals, rendered here (kept for
@@ -525,7 +560,7 @@ impl ResultCache {
             by_hash: HashMap::new(),
             hasher: RandomState::new(),
             lru: BTreeMap::new(),
-            buckets: HashMap::new(),
+            buckets: KeyMap::default(),
             blind: Vec::new(),
             sealed_text: String::new(),
             candidates: Vec::new(),
@@ -648,9 +683,7 @@ impl ResultCache {
                     bucket.uniform = false;
                 }
                 for ix in &mut bucket.indexes {
-                    ix.field.for_each_value(&e, |v| {
-                        ix.postings.insert((probe_hash(&self.hasher, v), id));
-                    });
+                    ix.post(&e, id);
                 }
                 match bucket.groups.get_mut(g) {
                     Some(group) => {
@@ -709,9 +742,7 @@ impl ResultCache {
             Some(g) => {
                 if let Some(bucket) = self.buckets.get_mut(&e.key.template_id) {
                     for ix in &mut bucket.indexes {
-                        ix.field.for_each_value(&e, |v| {
-                            ix.postings.remove(&(probe_hash(&self.hasher, v), id));
-                        });
+                        ix.unpost(&e, id);
                     }
                     if let Some(group) = bucket.groups.get_mut(g) {
                         group.statement_bytes -= e.statement_bytes as u64;
@@ -966,18 +997,14 @@ impl ResultCache {
             // bytes, result bytes). The group's totals less these are the
             // pairs it spared.
             let mut hits = [(0u64, 0u64, 0u64); GROUP_LEVELS.len()];
-            let hash = probe_hash(&self.hasher, value);
-            let postings = bucket
-                .index_for(field, &self.slots, &self.hasher)
-                .map(|index| index.postings.range((hash, 0)..=(hash, SlotId::MAX)));
-            let Some(postings) = postings else {
+            let Some(index) = bucket.index_for(field, &self.slots) else {
                 // No index to ask: the probed groups go to the judge whole.
                 for group in bucket.groups.iter().skip(probed_from) {
                     candidates.extend_from_slice(&group.slots);
                 }
                 continue;
             };
-            for &(_, id) in postings {
+            for &id in index.probe(value) {
                 let Some(e) = self.slots.get(id as usize).and_then(Option::as_ref) else {
                     continue;
                 };
@@ -1158,15 +1185,22 @@ impl ResultCache {
                 members.extend(group.slots.iter().copied().zip(entries()));
             }
             for ix in &bucket.indexes {
-                let mut expected = BTreeSet::new();
+                let mut expected = Vec::new();
                 for (id, slot) in &members {
-                    ix.field.for_each_value(&slot.entry, |v| {
-                        expected.insert((probe_hash(&self.hasher, v), *id));
-                    });
+                    ix.field
+                        .for_each_value(&slot.entry, |v| expected.push((probe_hash(v), *id)));
                 }
+                expected.sort_unstable();
+                expected.dedup();
+                let mut posted = Vec::new();
+                for (&hash, list) in &ix.postings {
+                    posted.extend(list.iter().map(|&id| (hash, id)));
+                }
+                posted.sort_unstable();
+                let ascending = |l: &Vec<SlotId>| !l.is_empty() && l.is_sorted_by(|a, b| a < b);
                 check(
-                    ix.postings == expected,
-                    "index posts each live entry under each of its values, and nothing else",
+                    ix.postings.values().all(ascending) && posted == expected,
+                    "index lists each live entry under each of its values, ascending, once",
                 )?;
             }
         }
@@ -1579,6 +1613,66 @@ mod tests {
         c.store(&spelled(Value::Int(4)), result(1), ExposureLevel::View);
         assert_eq!(probe(&mut c, &delete_b(Value::Int(5))).1, 0);
         assert_eq!(probe(&mut c, &delete_b(Value::Int(4))).1, 1);
+    }
+
+    /// Slot reuse puts a later entry on a lower slot under one posted
+    /// value; the probe still hands the judge that value's slots in
+    /// ascending order.
+    #[test]
+    fn a_probe_hands_the_judge_its_slots_in_ascending_order() {
+        let mut c = cache();
+        let t = Arc::new(parse_query("SELECT a FROM t WHERE b = ? AND c = ?").unwrap());
+        let instance = |k: i64| Query::bind(0, t.clone(), vec![Value::Int(1), Value::Int(k)]);
+        for k in 0..3 {
+            c.store(&instance(k).unwrap(), result(1), ExposureLevel::View);
+        }
+        // The first probed pass builds the index over `b`.
+        assert_eq!(probe(&mut c, &delete_b(Value::Int(1))).1, 3);
+        c.invalidate_where(|e| e.key().params[1] == Value::Int(0));
+        for k in 3..5 {
+            c.store(&instance(k).unwrap(), result(1), ExposureLevel::View);
+        }
+        let mut judged = Vec::new();
+        c.invalidate_candidates(&[0], Some(&delete_b(Value::Int(1))), |e| {
+            judged.push(e.key().clone());
+            false
+        });
+        let slots: Vec<_> = judged
+            .iter()
+            .map(|k| {
+                c.find(
+                    c.key_hash(k.template_id, &k.params),
+                    k.template_id,
+                    &k.params,
+                )
+            })
+            .collect();
+        assert_eq!(slots, [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(judged[0].params[1], Value::Int(3), "the refill took slot 0");
+        c.check_invariants().unwrap();
+    }
+
+    /// Values `CmpOp::Eq` calls equal share a probe hash: across `Int` and
+    /// `Real`, through `-0.0`, and for `Int`s that round to one float.
+    #[test]
+    fn equal_values_share_a_probe_hash() {
+        for i in [0, 7, -3, 1 << 40] {
+            assert_eq!(
+                probe_hash(&Value::Int(i)),
+                probe_hash(&Value::real(i as f64))
+            );
+        }
+        assert_eq!(probe_hash(&Value::real(-0.0)), probe_hash(&Value::Int(0)));
+        let big = 1i64 << 53;
+        assert_eq!(
+            probe_hash(&Value::Int(big)),
+            probe_hash(&Value::Int(big + 1))
+        );
+        assert_ne!(
+            probe_hash(&Value::Int(big)),
+            probe_hash(&Value::Int(big + 2))
+        );
+        assert_ne!(probe_hash(&Value::Int(7)), probe_hash(&Value::str("7")));
     }
 
     #[test]

