@@ -285,9 +285,8 @@ impl Workload for DsspWorkload {
 /// Two settings make it the elastic experiment: a [`LoadProfile`] that
 /// shapes the arrival rate (a flash crowd), and an [`Autoscaler`] that
 /// joins and retires replicas under live load
-/// ([`ProxyFleet::add_replica`] / [`ProxyFleet::remove_replica`], with
-/// state handoff). Without them the fleet keeps its size and the load
-/// is flat.
+/// ([`ProxyFleet::add_replica`] / [`ProxyFleet::remove_replica`]).
+/// Without them the fleet keeps its size and the load is flat.
 pub struct FleetWorkload<H: Home = HomeGroup> {
     fleet: ProxyFleet<H>,
     /// The app's request stream, and each client's in-flight request.
@@ -370,14 +369,13 @@ impl BilledHome for ShardedHome {
 const AUTOSCALE_SAMPLE: Time = 2 * SEC;
 
 /// The autoscaler loop's state: the policy, the DSSP CPU each replica
-/// was billed in the open sample window, and what each decision did.
+/// was billed in the open sample window, and the membership timeline.
 struct Autoscaling {
     policy: Autoscaler,
     window_start: Time,
     busy: HashMap<usize, Time>,
-    /// Per decision: the replica joined or retired, and the cache
-    /// entries handed off with it.
-    outcomes: Vec<(usize, u64)>,
+    /// Each applied decision with the replica it joined or retired.
+    timeline: Vec<(ScaleDecision, usize)>,
 }
 
 impl Autoscaling {
@@ -396,19 +394,18 @@ impl Autoscaling {
             .iter()
             .map(|id| busy(id) as f64 / window as f64)
             .fold(0.0, f64::max);
-        match self.policy.observe(now, busiest, live.len()) {
-            Some(ScaleAction::Out) => {
-                let joined = fleet.add_replica();
-                self.outcomes.push((joined.replica, joined.handed));
-            }
-            Some(ScaleAction::In) => {
-                // The policy keeps at least one replica, so there are two.
-                if let Some(&idlest) = live.iter().min_by_key(|id| busy(id)) {
-                    let left = fleet.remove_replica(idlest);
-                    self.outcomes.push((idlest, left.handed));
-                }
-            }
-            None => {}
+        let replica = match self.policy.observe(now, busiest, live.len()) {
+            Some(ScaleAction::Out) => Some(fleet.add_replica()),
+            // A refused leave (the policy keeps a replica, so there are
+            // two) changes nothing and joins no timeline.
+            Some(ScaleAction::In) => live
+                .iter()
+                .min_by_key(|id| busy(id))
+                .and_then(|&idlest| fleet.remove_replica(idlest).ok().map(|_| idlest)),
+            None => None,
+        };
+        if let (Some(replica), Some(&d)) = (replica, self.policy.decisions().last()) {
+            self.timeline.push((d, replica));
         }
         self.window_start = now;
         self.busy.clear();
@@ -496,23 +493,15 @@ impl<H: Home> FleetWorkload<H> {
             policy: Autoscaler::new(policy),
             window_start: 0,
             busy: HashMap::new(),
-            outcomes: Vec::new(),
+            timeline: Vec::new(),
         });
         self
     }
 
-    /// The membership timeline: each autoscaler decision with the
-    /// replica it joined or retired and the cache entries handed off.
-    /// Empty for a fixed-size fleet.
-    pub fn membership(&self) -> Vec<(ScaleDecision, usize, u64)> {
-        self.autoscaling.as_ref().map_or_else(Vec::new, |a| {
-            a.policy
-                .decisions()
-                .iter()
-                .zip(&a.outcomes)
-                .map(|(d, &(replica, handed))| (*d, replica, handed))
-                .collect()
-        })
+    /// The membership timeline: each applied autoscaler decision with
+    /// the replica it joined or retired. Empty for a fixed-size fleet.
+    pub fn membership(&self) -> &[(ScaleDecision, usize)] {
+        self.autoscaling.as_ref().map_or(&[], |a| &a.timeline)
     }
 
     /// Replica-seconds the fleet held over `[0, horizon)`: the
@@ -521,7 +510,7 @@ impl<H: Home> FleetWorkload<H> {
         let timeline = self.membership();
         let mut live = timeline.first().map_or(self.fleet.len(), |(d, ..)| d.live);
         let (mut since, mut micros) = (0, 0.0);
-        for (d, ..) in &timeline {
+        for (d, _) in timeline {
             micros += live as f64 * d.at_micros.saturating_sub(since) as f64;
             since = d.at_micros;
             live = d.live_after();
@@ -1139,9 +1128,9 @@ mod tests {
         use scs_telemetry::{MembershipKind as K, TraceEventKind};
         let (w, cfg) = auction_crowd(2, true);
         let timeline = w.membership();
-        let steps: Vec<(u64, ScaleAction, usize, u64)> = timeline
+        let steps: Vec<(u64, ScaleAction, usize)> = timeline
             .iter()
-            .map(|&(d, replica, handed)| (d.at_micros, d.action, replica, handed))
+            .map(|&(d, replica)| (d.at_micros, d.action, replica))
             .collect();
         let during = |at| (CROWD.0..CROWD.1).contains(&at);
         assert!(
@@ -1155,24 +1144,19 @@ mod tests {
             "{steps:?}"
         );
         // The fleet journaled exactly these joins and leaves on the
-        // freshness plane: same instants, replicas and handoffs.
+        // freshness plane: same instants and replicas.
         let prov = w.fleet().provenance().expect("enabled").clone();
-        let journaled: Vec<(u64, ScaleAction, usize, u64)> = scs_telemetry::lock(&prov)
+        let journaled: Vec<(u64, ScaleAction, usize)> = scs_telemetry::lock(&prov)
             .membership()
             .iter()
             .filter_map(|e| match e.kind {
-                TraceEventKind::Membership {
-                    kind: K::Join,
-                    replica,
-                    entries,
-                    ..
-                } => Some((e.at_micros, ScaleAction::Out, replica, entries)),
-                TraceEventKind::Membership {
-                    kind: K::Leave,
-                    replica,
-                    entries,
-                    ..
-                } => Some((e.at_micros, ScaleAction::In, replica, entries)),
+                TraceEventKind::Membership { kind, replica, .. } => {
+                    let action = match kind {
+                        K::Join => ScaleAction::Out,
+                        K::Leave => ScaleAction::In,
+                    };
+                    Some((e.at_micros, action, replica))
+                }
                 _ => None,
             })
             .collect();

@@ -107,7 +107,7 @@ struct ElasticVariant {
     p90_micros: Option<Time>,
     slo_ok: bool,
     /// [`scs_apps::FleetWorkload::membership`].
-    timeline: Vec<(ScaleDecision, usize, u64)>,
+    timeline: Vec<(ScaleDecision, usize)>,
     node_seconds: f64,
     replicas_start: usize,
     replicas_end: usize,
@@ -130,10 +130,6 @@ impl ElasticVariant {
     fn replicas_peak(&self) -> usize {
         let after = self.timeline.iter().map(|(d, ..)| d.live_after());
         after.fold(self.replicas_start, usize::max)
-    }
-
-    fn handed_entries(&self) -> u64 {
-        self.timeline.iter().map(|&(_, _, handed)| handed).sum()
     }
 }
 
@@ -174,7 +170,7 @@ fn run_variant(mode: Mode, seed: u64, static_size: Option<usize>) -> ElasticVari
         static_size,
         p90_micros: metrics.percentile(sla.quantile),
         slo_ok: sla.met_by(&metrics),
-        timeline: w.membership(),
+        timeline: w.membership().to_vec(),
         node_seconds: w.node_seconds(duration),
         replicas_start: start,
         replicas_end: w.fleet().len(),
@@ -225,7 +221,6 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
         "Replicas (start>peak>end)",
         "Joins",
         "Leaves",
-        "Handed",
         "p90 (ms)",
         "SLO",
         "Node-s",
@@ -243,7 +238,6 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
             ),
             v.count(ScaleAction::Out).to_string(),
             v.count(ScaleAction::In).to_string(),
-            v.handed_entries().to_string(),
             v.p90_micros
                 .map_or("-".to_string(), |t| (t / 1_000).to_string()),
             if v.slo_ok { "pass" } else { "FAIL" }.to_string(),
@@ -264,16 +258,15 @@ fn render(variants: &[ElasticVariant], mode: Mode, seed: u64) -> String {
     let auto = &variants[0];
     if !auto.timeline.is_empty() {
         outln!(text, "\nMembership timeline (autoscaled):");
-        for (d, replica, handed) in &auto.timeline {
+        for (d, replica) in &auto.timeline {
             outln!(
                 text,
-                "  t={:>5.1}s {:>5} replica {} (live {} after, busiest util {:.2}, {} entries handed)",
+                "  t={:>5.1}s {:>5} replica {} (live {} after, busiest util {:.2})",
                 d.at_micros as f64 / 1e6,
                 action_name(d.action),
                 replica,
                 d.live_after(),
-                d.busiest_util,
-                handed
+                d.busiest_util
             );
         }
     }
@@ -325,9 +318,9 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
                     ));
                 }
             }
-            // The crowd must trip at least one live join, and every
-            // membership change must be journaled on the freshness
-            // plane.
+            // The crowd must trip at least one live join, and each
+            // membership change must be journaled on the freshness plane
+            // exactly once.
             None => {
                 if v.count(ScaleAction::Out) == 0 {
                     out.push(format!(
@@ -343,12 +336,12 @@ fn check_variants(variants: &[ElasticVariant], mode: Mode, out: &mut Vec<String>
                         v.replicas_start
                     ));
                 }
-                if v.membership_stamps < v.count(ScaleAction::Out) + v.count(ScaleAction::In) {
+                if v.membership_stamps != v.timeline.len() {
                     out.push(format!(
                         "{}: {} membership stamps journaled for {} changes",
                         v.name,
                         v.membership_stamps,
-                        v.count(ScaleAction::Out) + v.count(ScaleAction::In)
+                        v.timeline.len()
                     ));
                 }
             }
@@ -405,19 +398,18 @@ fn variant_entry(v: &ElasticVariant, seed: u64) -> Json {
     let timeline: Vec<Json> = v
         .timeline
         .iter()
-        .map(|(d, replica, handed)| {
+        .map(|(d, replica)| {
             Json::obj([
                 ("at_us", d.at_micros.into()),
                 ("action", action_name(d.action).into()),
                 ("replica", (*replica).into()),
                 ("live_after", d.live_after().into()),
                 ("busiest_util", d.busiest_util.into()),
-                ("handed_entries", (*handed).into()),
             ])
         })
         .collect();
     let timeseries = v.metrics.timeseries.clone().map(|mut ts| {
-        for (d, ..) in &v.timeline {
+        for (d, _) in &v.timeline {
             let name = match d.action {
                 ScaleAction::Out => "fleet_join",
                 ScaleAction::In => "fleet_leave",
@@ -443,7 +435,6 @@ fn variant_entry(v: &ElasticVariant, seed: u64) -> Json {
                 ("replicas_end", v.replicas_end.into()),
                 ("joins", v.count(ScaleAction::Out).into()),
                 ("leaves", v.count(ScaleAction::In).into()),
-                ("handed_entries", v.handed_entries().into()),
                 ("stale_beyond_lease", v.stale_beyond_lease.into()),
                 ("conservation_balanced", v.conservation_balanced.into()),
                 ("membership_stamps", v.membership_stamps.into()),

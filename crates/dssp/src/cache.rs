@@ -198,10 +198,9 @@ pub enum Lookup<'a> {
     Miss,
 }
 
-/// What [`ResultCache::store_with_evictions`] / [`ResultCache::import`]
-/// did: whether the entry went in, whether it displaced a live entry
-/// under the same key, and which entries the capacity bound pushed out
-/// to make room.
+/// What [`ResultCache::store_with_evictions`] did: whether the entry
+/// went in, whether it displaced a live entry under the same key, and
+/// which entries the capacity bound pushed out to make room.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreOutcome {
     pub stored: bool,
@@ -898,14 +897,9 @@ impl ResultCache {
             stored_epoch: epoch,
             stored_stream: stream,
         };
-        self.admit(e)
-    }
-
-    /// Puts `e` in: replaces a live entry under the same key (a
-    /// replacement, not an eviction — the prior entry's bytes and index
-    /// membership are reconciled out first), then applies the capacity
-    /// bound.
-    fn admit(&mut self, e: CacheEntry) -> StoreOutcome {
+        // A live entry under the same key is replaced, not evicted: its
+        // bytes and index membership are reconciled out first. Then the
+        // capacity bound applies.
         let key_hash = self.key_hash(e.key.template_id, &e.key.params);
         let prior = self.find(key_hash, e.key.template_id, &e.key.params);
         let replaced = prior.and_then(|id| self.detach(id)).is_some();
@@ -1041,38 +1035,6 @@ impl ResultCache {
         }
         self.candidates = candidates;
         out
-    }
-
-    /// Detaches and returns every entry the predicate selects, intact —
-    /// the donor half of an elastic-fleet state handoff. The entries keep
-    /// their `stored_at` / `expires_at` / `stored_epoch` stamps, so a
-    /// receiver that imports them inherits exactly the staleness bound
-    /// the donor was operating under; nothing is re-aged or re-leased.
-    pub fn extract_where(
-        &mut self,
-        mut select: impl FnMut(&CacheEntry) -> bool,
-    ) -> Vec<CacheEntry> {
-        (0..self.slots.len() as SlotId)
-            .filter_map(|id| {
-                let selected = self.slot(id).is_some_and(|s| select(&s.entry));
-                selected.then(|| self.detach(id)).flatten()
-            })
-            .collect()
-    }
-
-    /// Inserts a handed-off entry, preserving its store-time stamps (the
-    /// receiver half of [`ResultCache::extract_where`]). An existing live
-    /// entry under the same key is replaced; the capacity bound applies
-    /// as for any store, and the outcome names what it evicted. An entry
-    /// whose lease has already run out is dropped, not imported.
-    pub fn import(&mut self, mut e: CacheEntry) -> StoreOutcome {
-        if e.expires_at_micros < self.now_micros {
-            self.lease_expirations += 1;
-            return StoreOutcome::default();
-        }
-        self.clock += 1;
-        e.last_used = self.clock;
-        self.admit(e)
     }
 
     /// Drops everything (a blind strategy's response to any update).

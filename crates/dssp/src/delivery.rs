@@ -274,14 +274,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The default schedule with full-jitter enabled.
-    pub fn jittered() -> RetryPolicy {
-        RetryPolicy {
-            jitter: true,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The wait before attempt `attempt` (1-based; attempt 1 is
     /// immediate). Without jitter this is the exact wait; with jitter it
     /// is the upper bound of the draw.
@@ -393,7 +385,10 @@ mod tests {
 
     #[test]
     fn seeded_backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy::jittered();
+        let p = RetryPolicy {
+            jitter: true,
+            ..RetryPolicy::default()
+        };
         for attempt in 2..=6u32 {
             let cap = p.backoff_before(attempt);
             for seed in [0u64, 1, 42, u64::MAX] {
@@ -425,7 +420,10 @@ mod tests {
     fn jittered_retriers_decorrelate() {
         // The retry-storm regression: two retriers seeded differently
         // must not share an identical full backoff schedule.
-        let p = RetryPolicy::jittered();
+        let p = RetryPolicy {
+            jitter: true,
+            ..RetryPolicy::default()
+        };
         let schedule =
             |seed: u64| -> Vec<u64> { (2..=6).map(|a| p.backoff_before_seeded(a, seed)).collect() };
         let collisions = (0..64u64)

@@ -1,96 +1,27 @@
-//! Elastic fleet membership: the types behind live join/leave with
-//! state handoff, plus the [`Autoscaler`] policy that drives them.
+//! Elastic fleet membership: the [`Autoscaler`] policy that drives live
+//! joins and leaves.
 //!
 //! The membership *mechanics* live in [`crate::fleet`] (they need the
-//! fleet's private fields); this module holds the vocabulary — what a
-//! join or leave reports, which faults the chaos tests inject into a
-//! handoff — and the pure autoscaling policy, which is deliberately
-//! independent of the fleet so the simulation driver can feed it
-//! whatever utilization signal it measures.
+//! fleet's private fields); this module holds the pure autoscaling
+//! policy, deliberately independent of the fleet so the simulation
+//! driver can feed it whatever utilization signal it measures.
 //!
-//! ## Join protocol (see `DESIGN.md` §14)
+//! ## Join and leave (see `DESIGN.md` §14)
 //!
-//! 1. **Read tips before ring entry.** The joiner takes every stream's
-//!    tip ([`crate::Home::tips`]) as its cursors, and its pipe joins
-//!    the fanout. From this instant every committed update reaches the
-//!    joiner on its own pipe; everything at or below the tips is
-//!    already reflected in the state it warms from.
-//! 2. **Warm from predecessors.** For each ring arc the joiner will
-//!    own, the current owner (donor) is pumped to its delivery horizon,
-//!    then hands over the cached entries for that arc along with its
-//!    cursors. Entries are imported only when the donor's cursors equal
-//!    the joiner's on every stream (a *cursor match*) — otherwise they
-//!    are dropped and refetched on miss, trading warmth for an airtight
-//!    staleness argument. Imported entries keep their original lease
-//!    window and stored epoch, so the lease bound survives the transfer
-//!    unconditionally.
-//! 3. **Atomic cutover.** Only after warming does the routing ring
-//!    swap; the swap is a single assignment, so no operation ever
-//!    routes to a half-joined replica.
+//! No cache state moves between replicas: a cache is soft state, kept
+//! fresh by invalidation, not by warmth.
 //!
-//! A leave runs the protocol in reverse: drain in-flight batches, swap
-//! the ring first, hand the departing replica's entries to their new
-//! owners (same cursor-match rule), then drop the replica and its pipe
-//! after a final pump so the provenance ledger's conservation law stays
-//! balanced across the membership change.
-
-/// Fault injected into a membership change by the chaos tests. Each
-/// models a crash at a different point in the join/handoff protocol;
-/// all of them must leave `stale_beyond_lease == 0` and the
-/// conservation ledger balanced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffFault {
-    /// Clean join: every donor hands off and the joiner imports on
-    /// cursor match.
-    None,
-    /// The handoff stream is lost in transit: donors extract their
-    /// entries but nothing arrives at the joiner. The joiner enters the
-    /// ring cold — pure miss cost, no staleness.
-    DropStream,
-    /// The joiner crashes after reading the tips but before warming
-    /// completes. The join rolls back: the replica and its pipe are
-    /// dropped, and the routing ring is left untouched
-    /// (byte-identical — the no-op-resize property).
-    CrashJoiner,
-    /// The first donor crashes mid-handoff: only half of its exported
-    /// entries survive in transit, the donor itself restarts at the
-    /// home's tips with a cold cache, and the join completes with the
-    /// remaining donors.
-    CrashDonor,
-}
-
-/// What [`crate::fleet::ProxyFleet::add_replica`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinOutcome {
-    /// Stable id of the (possibly aborted) joiner. Ids are never
-    /// reused within a fleet's lifetime.
-    pub replica: usize,
-    /// Stream 0's tip when the joiner read the tips — its initial
-    /// stream-0 cursor.
-    pub joined_epoch: u64,
-    /// Entries imported from donors (cursor-matched and unexpired).
-    pub handed: u64,
-    /// Entries extracted from donors but not imported: dropped in
-    /// transit, expired on arrival, or skipped on cursor mismatch.
-    /// These cost cold misses, never staleness.
-    pub skipped: u64,
-    /// True when the join rolled back ([`HandoffFault::CrashJoiner`]):
-    /// the ring is unchanged and the replica does not exist.
-    pub aborted: bool,
-}
-
-/// What [`crate::fleet::ProxyFleet::remove_replica`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaveOutcome {
-    /// Stable id of the departed replica.
-    pub replica: usize,
-    /// The leaver's stream-0 cursor after its final drain.
-    pub final_epoch: u64,
-    /// Entries successfully handed to successor replicas.
-    pub handed: u64,
-    /// Entries extracted but not imported (cursor mismatch or expiry).
-    pub skipped: u64,
-}
+//! * **Join:** the joiner handshakes at every stream's tip
+//!   ([`crate::Home::tips`]) before its pipe joins the fanout, so every
+//!   later commit reaches it on that pipe; then the routing ring swaps
+//!   in one assignment. It starts empty, which is correct for the
+//!   reason [`crate::Dssp::restart`] is. The donors keep the entries of
+//!   the arcs they lose: they still receive every fanout batch, so a
+//!   later leave that hands an arc back finds them fresh.
+//! * **Leave:** the fanout buffer ships, every due batch delivers, and
+//!   the leaver's pipe drains to the end and applies, so the provenance
+//!   ledger's conservation law stays balanced; then the ring swaps and
+//!   the replica goes with its cache. The new owners refill on miss.
 
 /// Scale direction an [`Autoscaler`] decided on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -33,23 +33,21 @@
 //!
 //! The fleet is **elastic**: [`ProxyFleet::add_replica`] and
 //! [`ProxyFleet::remove_replica`] change membership under live load.
-//! Every replica carries a *stable id* that is never reused, the
-//! consistent-hash ring is keyed by those ids (so a membership change
-//! remaps only the arcs the joining/leaving replica owns), and state
-//! moves between replicas by cache handoff under the join/leave
-//! protocol documented in [`crate::elastic`]: a joiner reads every
-//! stream's tip ([`Home::tips`]) *before* it can receive traffic, and
-//! donors hand it entries only when their cursors match its own on
-//! every stream.
+//! Every replica carries a *stable id* that is never reused, and the
+//! consistent-hash ring is keyed by those ids, so a membership change
+//! remaps only the arcs the joining/leaving replica owns. No cache
+//! state moves: a joiner handshakes at every stream's tip
+//! ([`Home::tips`]) before its pipe joins the fanout and starts empty,
+//! and a leaver drains its pipe and takes its cache with it (see
+//! [`crate::elastic`]).
 //!
 //! Fault-tolerance semantics are per replica: each proxy tracks its
 //! own position on every stream, detects gaps independently (a dropped
 //! batch flushes only the replica that missed it), recovers with its
 //! own flush, and — when overload protection is configured — owns its
 //! own circuit breaker and brownout state. Staleness anywhere
-//! in the fleet stays bounded by the per-entry lease — across
-//! membership changes too, because handed-off entries keep their
-//! original lease windows — which the chaos property tests in
+//! in the fleet stays bounded by the per-entry lease, across
+//! membership changes too, which the chaos property tests in
 //! `tests/fleet.rs` and `tests/elastic.rs` verify against a
 //! ground-truth oracle.
 
@@ -58,7 +56,6 @@ use crate::delivery::{
     splitmix64, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse, HomeLink, InvalidationBatch,
     InvalidationMsg, RetryPolicy,
 };
-use crate::elastic::{HandoffFault, JoinOutcome, LeaveOutcome};
 use crate::home::{Home, HomeServer};
 use crate::proxy::{Dssp, DsspConfig, QueryResponse, UpdateResponse};
 use crate::replication::{
@@ -72,7 +69,6 @@ use scs_telemetry::{
     shared_audit, shared_provenance, AuditLog, FlushTrigger, MembershipKind, ProvenanceLog,
     SharedAudit, SharedProvenance, SpanId, SpanPhase, SpanRecorder, TraceEventKind, Tracer,
 };
-use std::collections::HashMap;
 
 /// How the fleet's load balancer picks a replica for an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,8 +276,7 @@ struct Pending {
 /// N proxies, one home tier, a router in front and a fanout behind.
 pub struct ProxyFleet<H: Home = HomeGroup> {
     replicas: Vec<Replica>,
-    /// Next stable id to assign; ids are never reused, even for joins
-    /// that abort.
+    /// Next stable id to assign; ids are never reused.
     next_id: usize,
     /// Kept for spawning joiners: same app id, hence the same tenant
     /// encryption key as the founding replicas.
@@ -308,13 +303,14 @@ pub struct ProxyFleet<H: Home = HomeGroup> {
     batches: u64,
     msgs: u64,
     coalesced: u64,
-    /// Bumped on every completed join/leave (not on aborted joins).
+    /// Bumped on every join and leave.
     membership_epoch: u64,
     /// Buffered fanout notifications destroyed by a home-tier crash
     /// (crash mid-fanout-flush): their epochs surface to every replica
     /// as one stream gap, which the recovery flush absorbs.
     fanout_lost_on_crash: u64,
-    /// Per-replica settings replayed onto joiners.
+    /// Per-replica settings replayed onto joiners; the lease starts as
+    /// the config's.
     lease: Option<u64>,
     span_capacity: Option<usize>,
     /// Fleet-layer span recorder: routing decisions and fanout flushes
@@ -392,25 +388,14 @@ impl<H: Home> ProxyFleet<H> {
     /// independently, and handshakes at every stream's tip.
     pub fn over(config: DsspConfig, home: H, fleet: FleetConfig) -> ProxyFleet<H> {
         assert!(fleet.proxies >= 1, "a fleet has at least one proxy");
-        let tips = home.tips();
-        let mut replicas = Vec::with_capacity(fleet.proxies);
-        for id in 0..fleet.proxies {
-            let mut dssp = Dssp::new(config.clone());
-            dssp.handshake(&tips);
-            replicas.push(Replica {
-                id,
-                dssp,
-                pipe: FaultyChannel::new(fleet.pipe_seed ^ id as u64, fleet.pipe_spec.clone()),
-            });
-        }
-        let ring = Self::build_ring(&(0..fleet.proxies).collect::<Vec<_>>());
-        ProxyFleet {
-            replicas,
+        let mut out = ProxyFleet {
+            replicas: Vec::with_capacity(fleet.proxies),
             next_id: fleet.proxies,
+            lease: config.lease_micros,
             config,
             home,
             routing: fleet.routing,
-            ring,
+            ring: Self::build_ring(&(0..fleet.proxies).collect::<Vec<_>>()),
             fanout: fleet.fanout,
             pipe_spec: fleet.pipe_spec,
             pipe_seed: fleet.pipe_seed,
@@ -422,14 +407,41 @@ impl<H: Home> ProxyFleet<H> {
             coalesced: 0,
             membership_epoch: 0,
             fanout_lost_on_crash: 0,
-            lease: None,
             span_capacity: None,
             spans: SpanRecorder::disabled(),
             tracer: Tracer::new(),
             failovers_seen: 0,
             prov: None,
             audit: None,
+        };
+        for id in 0..fleet.proxies {
+            let replica = out.spawn(id);
+            out.replicas.push(replica);
         }
+        out
+    }
+
+    /// A new replica with stable id `id`: a clone of the fleet's config
+    /// with its per-replica settings and plane sinks, at the fleet
+    /// clock, handshaken at every stream's tip, and its own pipe.
+    fn spawn(&self, id: usize) -> Replica {
+        let mut dssp = Dssp::new(self.config.clone());
+        dssp.set_lease_micros(self.lease);
+        dssp.set_sim_time_micros(self.now_micros);
+        if let Some(cap) = self.span_capacity {
+            dssp.enable_span_recording(cap);
+        }
+        dssp.handshake(&self.home.tips());
+        if let Some(prov) = &self.prov {
+            dssp.add_trace_sink(Box::new(ProvenanceLog::sink(prov, id)));
+        }
+        if let Some(audit) = &self.audit {
+            let tenant = &self.config.app_id;
+            dssp.add_trace_sink(Box::new(AuditLog::sink(audit, id, tenant)));
+            dssp.meter_crypto();
+        }
+        let pipe = FaultyChannel::new(self.pipe_seed ^ id as u64, self.pipe_spec.clone());
+        Replica { id, dssp, pipe }
     }
 
     /// Turns on span recording at the fleet layer (routing, fanout
@@ -508,24 +520,14 @@ impl<H: Home> ProxyFleet<H> {
 
     /// Emits a membership transition at the home's current epoch on
     /// stream 0.
-    fn membership(
-        &mut self,
-        kind: MembershipKind,
-        replica: usize,
-        peer: Option<usize>,
-        entries: u64,
-    ) {
+    fn membership(&mut self, kind: MembershipKind, replica: usize) {
         let home_epoch = self.home.epoch_of(0);
-        self.tracer.emit(
-            self.now_micros,
-            TraceEventKind::Membership {
-                kind,
-                replica,
-                peer,
-                entries,
-                home_epoch,
-            },
-        );
+        let event = TraceEventKind::Membership {
+            kind,
+            replica,
+            home_epoch,
+        };
+        self.tracer.emit(self.now_micros, event);
     }
 
     fn build_ring(ids: &[usize]) -> Vec<(u64, usize)> {
@@ -584,8 +586,7 @@ impl<H: Home> ProxyFleet<H> {
         &self.ring
     }
 
-    /// Completed membership changes (joins and leaves; aborted joins
-    /// don't count).
+    /// Membership changes so far (joins and leaves).
     pub fn membership_epoch(&self) -> u64 {
         self.membership_epoch
     }
@@ -595,142 +596,40 @@ impl<H: Home> ProxyFleet<H> {
         self.replicas.iter().map(|r| r.id).collect()
     }
 
-    /// Adds one replica with a clean handoff. See
-    /// [`ProxyFleet::add_replica_faulted`].
-    pub fn add_replica(&mut self) -> JoinOutcome {
-        self.add_replica_faulted(HandoffFault::None)
-    }
-
-    /// Adds one replica under live load, optionally injecting a chaos
-    /// fault into the handoff. The join protocol (documented in
-    /// [`crate::elastic`]): read every stream's tip *first* so the
-    /// joiner's cursors are pinned, spawn the replica live-but-unrouted
-    /// (it receives fanout, takes no traffic), warm it from the donors
-    /// that currently own its ring arcs under the cursor-match rule,
-    /// then swap the ring in one assignment.
-    pub fn add_replica_faulted(&mut self, fault: HandoffFault) -> JoinOutcome {
+    /// Adds one replica under live load and returns its stable id. It
+    /// handshakes at every stream's tip *before* its pipe joins the
+    /// fanout, so everything committed later reaches it on that pipe;
+    /// then the ring swaps in one assignment, so no operation routes to
+    /// a half-joined replica. It starts cold: an empty cache at the tips
+    /// is correct for the reason [`Dssp::restart`] is. Donors keep the
+    /// entries of the arcs they lose: every fanout batch still reaches
+    /// them, so those entries stay fresh for a later leave that hands
+    /// the arcs back.
+    pub fn add_replica(&mut self) -> usize {
         let id = self.next_id;
         self.next_id += 1;
-        // 1. Read the tips before ring entry: everything committed at or
-        //    below them is reflected in the state the joiner warms from;
-        //    everything after arrives on its own pipe.
-        let mut dssp = Dssp::new(self.config.clone());
-        dssp.set_lease_micros(self.lease);
-        dssp.set_sim_time_micros(self.now_micros);
-        if let Some(cap) = self.span_capacity {
-            dssp.enable_span_recording(cap);
-        }
-        dssp.handshake(&self.home.tips());
-        let joined_epoch = dssp.epoch();
-        if let Some(prov) = &self.prov {
-            dssp.add_trace_sink(Box::new(ProvenanceLog::sink(prov, id)));
-        }
-        if let Some(audit) = &self.audit {
-            let tenant = &self.config.app_id;
-            dssp.add_trace_sink(Box::new(AuditLog::sink(audit, id, tenant)));
-            dssp.meter_crypto();
-        }
-        let pipe = FaultyChannel::new(self.pipe_seed ^ id as u64, self.pipe_spec.clone());
-        // 2. Live but unrouted: from here the replica receives every
-        //    fanout flush, but the ring doesn't know it yet.
-        self.replicas.push(Replica { id, dssp, pipe });
-
-        if fault == HandoffFault::CrashJoiner {
-            // The joiner dies before warming completes: roll back. The
-            // ring was never touched, so routing is byte-identical to
-            // before the join started (the no-op-resize property).
-            self.replicas.pop();
-            self.membership(MembershipKind::AbortJoin, id, None, 0);
-            return JoinOutcome {
-                replica: id,
-                joined_epoch,
-                handed: 0,
-                skipped: 0,
-                aborted: true,
-            };
-        }
-
-        // 3. Warm from predecessors: compute the post-join ring but do
-        //    NOT install it yet. Each donor is pumped to its delivery
-        //    horizon, then hands over the entries for arcs the joiner
-        //    will own. The cursor-match rule — import only when the
-        //    donor's cursors equal the joiner's on every stream — makes
-        //    the staleness argument airtight: a matched donor has
-        //    applied exactly the invalidations the joiner's cursors
-        //    cover, so a surviving
-        //    entry is exactly as fresh at the joiner as it was at the
-        //    donor. A mismatch costs cold misses, never staleness.
-        let new_ring = Self::build_ring(&self.replica_ids());
-        let donor_ids: Vec<usize> = self
-            .replicas
-            .iter()
-            .map(|r| r.id)
-            .filter(|&d| d != id)
-            .collect();
-        let mut handed = 0u64;
-        let mut skipped = 0u64;
-        let mut crash_pending = fault == HandoffFault::CrashDonor;
-        for d in donor_ids {
-            self.pump(d);
-            let di = self.idx(d);
-            let donor_cursors = self.replicas[di].dssp.cursors().to_vec();
-            let mut entries = self.replicas[di]
-                .dssp
-                .export_entries_where(|e| ring_route(&new_ring, e.key().template_id) == id);
-            let exported = entries.len() as u64;
-            if crash_pending {
-                // The first donor crashes mid-handoff: half its export
-                // is lost in transit and the donor itself restarts cold
-                // at the home's tips. The surviving half still carries
-                // the donor's pre-crash cursors.
-                crash_pending = false;
-                entries.truncate(entries.len() / 2);
-                let tips = self.home.tips();
-                self.replicas[di].dssp.restart(&tips);
-            }
-            if fault == HandoffFault::DropStream {
-                entries.clear();
-            }
-            let ji = self.idx(id);
-            let imported = if self.replicas[ji].dssp.cursors() == donor_cursors {
-                self.replicas[ji].dssp.import_entries(entries) as u64
-            } else {
-                0
-            };
-            handed += imported;
-            skipped += exported - imported;
-            if exported > 0 {
-                self.membership(MembershipKind::Handoff, d, Some(id), imported);
-            }
-        }
-
-        // 4. Atomic cutover: one assignment, so no operation ever
-        //    routes to a half-joined replica.
-        self.ring = new_ring;
+        let replica = self.spawn(id);
+        self.replicas.push(replica);
+        self.ring = Self::build_ring(&self.replica_ids());
         self.membership_epoch += 1;
-        let ji = self.idx(id);
-        self.replicas[ji].dssp.note_join(joined_epoch, handed);
-        self.membership(MembershipKind::Join, id, None, handed);
-        JoinOutcome {
-            replica: id,
-            joined_epoch,
-            handed,
-            skipped,
-            aborted: false,
-        }
+        self.membership(MembershipKind::Join, id);
+        id
     }
 
-    /// Removes the replica with stable id `id` under live load: drain
-    /// its in-flight work, swap the ring, hand its cached entries to
-    /// their new owners (cursor-match rule, as on join), then drop it
-    /// and its drained pipe. Panics when `id` is not live or when it is
-    /// the last replica.
-    pub fn remove_replica(&mut self, id: usize) -> LeaveOutcome {
-        assert!(
-            self.replicas.len() >= 2,
-            "cannot remove the last replica of a fleet"
-        );
-        let li = self.idx(id);
+    /// Removes the replica with stable id `id` under live load and
+    /// returns its stream-0 cursor after the final drain. Its in-flight
+    /// work drains, the ring swaps, and it leaves with its cache and its
+    /// drained pipe; the new owners of its arcs refill on miss. Refused,
+    /// changing nothing, when `id` is not live or is the last replica.
+    pub fn remove_replica(&mut self, id: usize) -> Result<u64, InjectionRefused> {
+        let li = self
+            .replicas
+            .iter()
+            .position(|r| r.id == id)
+            .ok_or(InjectionRefused::NoReplica)?;
+        if self.replicas.len() == 1 {
+            return Err(InjectionRefused::LastReplica);
+        }
         // 1. Drain in-flight: ship the fanout buffer, deliver what is
         //    due everywhere, then pump the leaver's pipe to the very
         //    end (beyond due time — its pipe is about to vanish, so
@@ -741,63 +640,14 @@ impl<H: Home> ProxyFleet<H> {
         for (stream, batch) in rest {
             self.replicas[li].dssp.apply_batch_from(stream, &batch);
         }
-        let final_cursors = self.replicas[li].dssp.cursors().to_vec();
-        let final_epoch = self.replicas[li].dssp.epoch();
-
-        // 2. Swap the ring first so successor arcs are computable; the
-        //    leaver takes no more routed traffic from this point.
-        let survivors: Vec<usize> = self
-            .replicas
-            .iter()
-            .map(|r| r.id)
-            .filter(|&r| r != id)
-            .collect();
-        self.ring = Self::build_ring(&survivors);
-        self.membership_epoch += 1;
-
-        // 3. Hand the leaver's entries to their new owners, grouped by
-        //    successor, imported only on cursor match.
-        let entries = self.replicas[li].dssp.export_entries_where(|_| true);
-        let exported = entries.len() as u64;
-        let mut by_successor: HashMap<usize, Vec<_>> = HashMap::new();
-        for e in entries {
-            by_successor
-                .entry(ring_route(&self.ring, e.key().template_id))
-                .or_default()
-                .push(e);
-        }
-        let mut handed = 0u64;
-        let mut successors: Vec<usize> = by_successor.keys().copied().collect();
-        successors.sort_unstable(); // deterministic handoff order
-        for s in successors {
-            let batch = by_successor.remove(&s).expect("key from the map itself");
-            let count = batch.len() as u64;
-            let si = self.idx(s);
-            let imported = if self.replicas[si].dssp.cursors() == final_cursors {
-                self.replicas[si].dssp.import_entries(batch) as u64
-            } else {
-                0
-            };
-            handed += imported;
-            if count > 0 {
-                self.membership(MembershipKind::Handoff, id, Some(s), imported);
-            }
-        }
-        let skipped = exported - handed;
-
-        // 4. Departure: the pipe was drained above, so the conservation
+        // 2. Departure: the pipe was drained above, so the conservation
         //    ledger shows nothing in flight toward the departed replica,
         //    and no future flush will address it.
-        let li = self.idx(id);
-        self.replicas[li].dssp.note_leave(final_epoch, handed);
-        self.membership(MembershipKind::Leave, id, None, handed);
-        self.replicas.remove(li);
-        LeaveOutcome {
-            replica: id,
-            final_epoch,
-            handed,
-            skipped,
-        }
+        let left = self.replicas.remove(li);
+        self.ring = Self::build_ring(&self.replica_ids());
+        self.membership_epoch += 1;
+        self.membership(MembershipKind::Leave, id);
+        Ok(left.dssp.epoch())
     }
 
     /// Routes a query to its replica, delivering any fanout batches due
@@ -1603,87 +1453,102 @@ mod tests {
         assert_eq!(f.fleet.proxy(0).epoch(), f.fleet.home().epoch());
     }
 
+    /// A join is cold: right after `add_replica` the joiner holds
+    /// nothing and sits at every stream's tip, and the donors keep what
+    /// they had cached.
     #[test]
-    fn join_warms_the_new_replica_and_keeps_entries_moving_not_copying() {
-        let mut f = fixture(
-            StrategyKind::ViewInspection,
-            FleetConfig::reliable(2, RoutingMode::HashByTemplate),
-        );
-        // Warm both templates (they may land on the same replica —
-        // hash routing, not round robin).
-        f.query(0, vec![Value::str("bear")]);
-        f.query(1, vec![Value::Int(2)]);
-        let before = f.fleet.total_cache_entries();
-        assert_eq!(before, 2);
-        let out = f.fleet.add_replica();
-        assert!(!out.aborted);
-        assert_eq!(out.replica, 2);
-        assert_eq!(f.fleet.len(), 3);
-        assert_eq!(f.fleet.membership_epoch(), 1);
-        // Handoff moves entries, never duplicates them.
-        assert_eq!(f.fleet.total_cache_entries(), before);
-        assert_eq!(out.skipped, 0, "reliable fleet always cursor-matches");
-        // Everything the joiner now owns was handed to it.
-        let owned_by_joiner = f.fleet.proxy(2).cache_len() as u64;
-        assert_eq!(out.handed, owned_by_joiner);
-        // Queries for handed templates hit the joiner's warm cache.
-        for tid in 0..2usize {
-            if f.fleet.route_template(tid) == 2 {
-                let resp = f.query(tid, vec![Value::Int(2)]);
-                let _ = resp; // params differ per template; warmth is
-                              // asserted via handed == cache_len above.
-            }
+    fn a_joiner_starts_empty_at_the_home_tips() {
+        let mut f = sharded_fixture(4, FleetConfig::reliable(2, RoutingMode::HashByTemplate));
+        for id in 1..=3 {
+            f.update(0, vec![Value::Int(20 + id), Value::Int(id)]);
+            f.query(1, vec![Value::Int(id)]);
         }
-        // The joiner is a full fanout citizen: an update reaches it.
-        f.update(0, vec![Value::Int(1), Value::Int(2)]);
-        assert_eq!(f.fleet.proxy(2).epoch(), f.fleet.home().epoch());
+        f.query(0, vec![Value::str("bear")]);
+        let cached = f.fleet.total_cache_entries();
+        assert_eq!(cached, 4);
+        let joiner = f.fleet.add_replica();
+        assert_eq!(f.fleet.proxy(joiner).cache_len(), 0);
+        assert_eq!(f.fleet.proxy(joiner).cursors(), &f.fleet.tier().tips()[..]);
+        assert_eq!(f.fleet.total_cache_entries(), cached, "donors keep theirs");
     }
 
+    /// A donor keeps the entries of the arc a joiner takes, and fanout
+    /// keeps them fresh while nothing routes to it: once the joiner
+    /// leaves and the arc comes back, the donor serves the master's rows.
     #[test]
-    fn leave_hands_entries_to_successors_and_frees_the_pipe() {
+    fn a_donors_retained_entry_is_invalidated_while_it_is_not_routed() {
+        let n = (1..8)
+            .find(|&n| {
+                ring_route(
+                    &ProxyFleet::<HomeGroup>::build_ring(&Vec::from_iter(0..=n)),
+                    1,
+                ) == n
+            })
+            .expect("some joiner takes template 1's arc");
         let mut f = fixture(
             StrategyKind::ViewInspection,
-            FleetConfig::reliable(3, RoutingMode::HashByTemplate),
+            FleetConfig::reliable(n, RoutingMode::HashByTemplate),
         );
-        f.query(0, vec![Value::str("car")]);
-        f.query(1, vec![Value::Int(1)]);
-        let before = f.fleet.total_cache_entries();
-        let victim = f.fleet.route_template(1);
-        let out = f.fleet.remove_replica(victim);
-        assert_eq!(out.replica, victim);
-        assert_eq!(out.skipped, 0, "reliable fleet always cursor-matches");
-        assert_eq!(f.fleet.len(), 2);
-        assert!(!f.fleet.replica_ids().contains(&victim));
-        // Entries moved to survivors, none lost.
-        assert_eq!(f.fleet.total_cache_entries(), before);
-        // The departed pipe is gone from fanout: updates and pumps must
-        // not touch it.
-        f.update(0, vec![Value::Int(9), Value::Int(1)]);
-        f.fleet.pump_all();
-        f.fleet.drain();
-        // And the template the victim owned routes to a live replica.
         let owner = f.fleet.route_template(1);
-        assert!(f.fleet.replica_ids().contains(&owner));
+        assert!(!f.query(1, vec![Value::Int(1)]).resp.hit);
+        let joiner = f.fleet.add_replica();
+        assert_eq!(f.fleet.route_template(1), joiner);
+        assert_eq!(f.fleet.proxy(owner).cache_len(), 1, "the donor keeps it");
+        f.update(0, vec![Value::Int(42), Value::Int(1)]);
+        let left = f.fleet.remove_replica(joiner);
+        assert_eq!(f.fleet.route_template(1), owner);
+        let q = Query::bind(1, f.queries[1].clone(), vec![Value::Int(1)]).unwrap();
+        let master = f.fleet.home().database().execute(&q).unwrap();
+        let served = f.fleet.execute_query(&q).unwrap();
+        assert_eq!(served.proxy, owner);
+        assert_eq!(served.resp.result.rows, master.rows);
+        assert_eq!(master.rows, vec![vec![Value::Int(42)]]);
+        assert_eq!(left, Ok(f.fleet.home().epoch()), "the leaver drained");
     }
 
+    /// A joiner takes the config's lease when the fleet's was never
+    /// set, as the founders do: its entries expire like theirs.
     #[test]
-    fn aborted_join_leaves_routing_byte_identical() {
+    fn a_joiner_keeps_the_configs_lease() {
+        let (mut config, home, queries, updates) = toy_config(StrategyKind::ViewInspection);
+        config.lease_micros = Some(100);
+        let cfg = FleetConfig::reliable(1, RoutingMode::RoundRobin);
+        let mut f = Fixture {
+            fleet: ProxyFleet::new(config, home, cfg),
+            queries,
+            updates,
+        };
+        let joiner = f.fleet.add_replica();
+        let stored: Vec<usize> = (0..2)
+            .map(|_| f.query(1, vec![Value::Int(2)]).proxy)
+            .collect();
+        assert_eq!(stored, vec![0, joiner]);
+        f.fleet.set_sim_time_micros(200);
+        for _ in 0..2 {
+            assert!(!f.query(1, vec![Value::Int(2)]).resp.hit, "expired");
+        }
+    }
+
+    /// A refused leave (an unknown id, or the last replica) changes
+    /// nothing: ring, live set, membership epoch and caches.
+    #[test]
+    fn a_refused_leave_leaves_the_fleet_as_it_was() {
         let mut f = fixture(
             StrategyKind::ViewInspection,
-            FleetConfig::reliable(2, RoutingMode::HashByTemplate),
+            FleetConfig::reliable(1, RoutingMode::HashByTemplate),
         );
         f.query(1, vec![Value::Int(2)]);
-        let ring_before = f.fleet.ring().to_vec();
-        let ids_before = f.fleet.replica_ids();
-        let out = f.fleet.add_replica_faulted(HandoffFault::CrashJoiner);
-        assert!(out.aborted);
-        assert_eq!(f.fleet.len(), 2);
-        assert_eq!(f.fleet.ring(), &ring_before[..], "ring untouched");
-        assert_eq!(f.fleet.replica_ids(), ids_before);
+        let ring = f.fleet.ring().to_vec();
+        assert_eq!(f.fleet.remove_replica(5), Err(InjectionRefused::NoReplica));
+        assert_eq!(
+            f.fleet.remove_replica(0),
+            Err(InjectionRefused::LastReplica)
+        );
+        assert_eq!(f.fleet.ring(), &ring[..]);
+        assert_eq!(f.fleet.replica_ids(), vec![0]);
         assert_eq!(f.fleet.membership_epoch(), 0);
-        // The aborted id is burned, never reused.
-        let next = f.fleet.add_replica();
-        assert_eq!(next.replica, 3);
+        assert_eq!(f.fleet.proxy(0).cache_len(), 1);
+        assert!(f.query(1, vec![Value::Int(2)]).resp.hit);
     }
 
     #[test]
@@ -1692,9 +1557,8 @@ mod tests {
             StrategyKind::ViewInspection,
             FleetConfig::reliable(2, RoutingMode::HashByTemplate),
         );
-        let j = f.fleet.add_replica();
-        assert_eq!(j.replica, 2);
-        f.fleet.remove_replica(0);
+        assert_eq!(f.fleet.add_replica(), 2);
+        f.fleet.remove_replica(0).unwrap();
         assert_eq!(f.fleet.replica_ids(), vec![1, 2]);
         // Operations keep working against the sparse id set.
         f.query(1, vec![Value::Int(2)]);
@@ -1703,8 +1567,7 @@ mod tests {
             assert_eq!(f.fleet.proxy(id).epoch(), f.fleet.home().epoch());
         }
         // Round-trip another membership change and drain cleanly.
-        let k = f.fleet.add_replica();
-        assert_eq!(k.replica, 3);
+        assert_eq!(f.fleet.add_replica(), 3);
         f.fleet.drain();
         assert_eq!(f.fleet.membership_epoch(), 3);
     }
@@ -1871,9 +1734,8 @@ mod tests {
         let tip = f.fleet.home().epoch();
         f.fleet.crash_home().unwrap();
         assert_eq!(f.fleet.crash_home(), Err(InjectionRefused::NoPrimary));
-        let out = f.fleet.add_replica();
-        assert!(!out.aborted);
-        assert_eq!(out.joined_epoch, tip);
+        let joiner = f.fleet.add_replica();
+        assert_eq!(f.fleet.proxy(joiner).epoch(), tip);
         let now = ride_out_failover(&mut f, now);
         f.update(0, vec![Value::Int(99), Value::Int(1)]);
         f.fleet.set_sim_time_micros(now + 1_000);
@@ -1903,20 +1765,6 @@ mod tests {
         }
     }
 
-    impl Fixture<ShardedHome> {
-        /// The shard that owns toy `id`'s row.
-        fn owner(&self, id: i64) -> usize {
-            let u = Update::bind(
-                0,
-                self.updates[0].clone(),
-                vec![Value::Int(0), Value::Int(id)],
-            );
-            let home = self.fleet.tier();
-            let catalog = home.shard(0).database();
-            home.map().shard_for_update(catalog, &u.unwrap()).unwrap()
-        }
-    }
-
     /// A joiner handshakes at every stream's tip, so over a reliable
     /// sharded fleet its first batch on each stream is in order: no
     /// replica ever sees a gap.
@@ -1932,7 +1780,7 @@ mod tests {
             tips[1..].iter().any(|&t| t > 0),
             "no stream past 0: {tips:?}"
         );
-        let out = f.fleet.add_replica();
+        let joiner = f.fleet.add_replica();
         for id in 1..=3 {
             f.update(0, vec![Value::Int(30 + id), Value::Int(id)]);
             f.query(0, vec![Value::str("bear")]);
@@ -1942,42 +1790,6 @@ mod tests {
             assert_eq!(f.fleet.proxy(id).cursors(), &tips[..], "replica {id}");
         }
         let counters = f.fleet.rollup_metrics().counters;
-        assert_eq!(
-            counters["dssp.recovery_flushes"], 0,
-            "joiner {}",
-            out.replica
-        );
-    }
-
-    /// The cursor-match rule compares every stream: a donor that lags
-    /// its joiner on stream 1 alone (that stream's batch is still in
-    /// flight) hands nothing, though their stream-0 cursors match.
-    #[test]
-    fn a_donor_lagging_on_one_stream_hands_nothing() {
-        let mut cfg = FleetConfig::reliable(1, RoutingMode::HashByTemplate);
-        cfg.pipe_spec = FaultSpec {
-            base_latency_micros: 1_000,
-            ..FaultSpec::none()
-        };
-        let mut f = sharded_fixture(2, cfg);
-        f.query(0, vec![Value::str("bear")]);
-        for id in 1..=3 {
-            f.query(1, vec![Value::Int(id)]);
-        }
-        let joiner_arcs = ProxyFleet::<ShardedHome>::build_ring(&[0, 1]);
-        assert!((0..2).any(|tid| ring_route(&joiner_arcs, tid) == 1));
-        let id = (1..=3)
-            .find(|&id| f.owner(id) == 1)
-            .expect("a toy on shard 1");
-        f.update(0, vec![Value::Int(99), Value::Int(id)]);
-        assert_eq!(f.fleet.tier().tips(), vec![0, 1]);
-        assert_eq!(
-            f.fleet.proxy(0).epoch_of(1),
-            0,
-            "stream 1's batch is in flight"
-        );
-        let out = f.fleet.add_replica();
-        assert!(out.skipped > 0, "the joiner owns a warm arc");
-        assert_eq!(out.handed, 0, "a lagging donor hands nothing");
+        assert_eq!(counters["dssp.recovery_flushes"], 0, "joiner {joiner}");
     }
 }

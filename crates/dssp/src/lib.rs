@@ -65,10 +65,7 @@ pub use delivery::{
     BatchOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse, HomeLink,
     InvalidationBatch, InvalidationMsg, RetryPolicy,
 };
-pub use elastic::{
-    Autoscaler, AutoscalerConfig, HandoffFault, JoinOutcome, LeaveOutcome, ScaleAction,
-    ScaleDecision,
-};
+pub use elastic::{Autoscaler, AutoscalerConfig, ScaleAction, ScaleDecision};
 pub use fleet::{
     DeliveryTotals, FanoutConfig, FanoutStats, FleetConfig, FleetFtQueryResponse,
     FleetFtUpdateResponse, FleetQueryResponse, FleetUpdateResponse, ProxyFleet, RoutingMode,

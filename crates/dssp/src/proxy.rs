@@ -26,7 +26,7 @@ use crate::admission::{
     AdmissionController, BreakerState, BreakerTransition, BrownoutController, CircuitBreaker,
     OverloadConfig, Overloaded, QueueState, ShedReason,
 };
-use crate::cache::{CacheKey, Lookup, ResultCache, ScanOutcome};
+use crate::cache::{Lookup, ResultCache, ScanOutcome};
 use crate::delivery::{
     splitmix64, BatchOutcome, FtOutcome, FtQueryResponse, FtUpdateOutcome, FtUpdateResponse,
     HomeLink, InvalidationBatch, RetryPolicy,
@@ -420,17 +420,6 @@ impl Dssp {
         self.cache.set_lease_micros(lease);
     }
 
-    /// Counts and traces entries the capacity bound pushed out, each
-    /// against its query template — whether a miss fill or an elastic
-    /// handoff made the cache overflow.
-    fn note_evictions(&mut self, evicted: &[CacheKey]) {
-        for victim in evicted {
-            self.note(TraceEventKind::EntryEvicted {
-                query_template: victim.template_id as u32,
-            });
-        }
-    }
-
     /// Cache entries evicted by the capacity bound (0 when unbounded).
     pub fn cache_evictions(&self) -> u64 {
         self.cache.evictions()
@@ -758,7 +747,10 @@ impl Dssp {
             // as plaintext rows.
             self.audit_view_read(tid, "fill", &result);
         }
-        self.note_evictions(&outcome.evicted);
+        for victim in &outcome.evicted {
+            let query_template = victim.template_id as u32;
+            self.note(TraceEventKind::EntryEvicted { query_template });
+        }
         self.spans.close(root, root_timer);
         self.settle(gate, Some(true));
         Ok(FtQueryResponse {
@@ -1316,9 +1308,9 @@ impl Dssp {
     /// Sets a fresh joiner's cursors to the home's stream tips (indexed
     /// by stream, read before it enters the ring). Unlike
     /// [`Dssp::restart`] this neither clears the cache nor counts as a
-    /// crash: the joiner starts empty anyway, and every update at or
-    /// below a tip is already reflected in the master state it warms
-    /// from, while every later one arrives on its own pipe.
+    /// crash: the joiner starts empty anyway, every update at or below
+    /// a tip is already reflected in the master state it fills from,
+    /// and every later one arrives on its own pipe.
     pub fn handshake(&mut self, tips: &[u64]) {
         self.cursors = tips.to_vec();
     }
@@ -1330,8 +1322,8 @@ impl Dssp {
         self.cursors.get(stream as usize).copied().unwrap_or(0)
     }
 
-    /// Every stream's cursor, indexed by stream id: what the fleet's
-    /// handoff compares, donor against receiver.
+    /// Every stream's cursor, indexed by stream id: a joiner's equal
+    /// the home's tips.
     pub fn cursors(&self) -> &[u64] {
         &self.cursors
     }
@@ -1362,47 +1354,6 @@ impl Dssp {
             epoch_before: before,
             epoch_after: after,
         });
-    }
-
-    /// Extracts the cached entries selected by `select` for handoff to
-    /// another replica, removing them locally. Used by the elastic fleet
-    /// when ring arcs change owner on a join or leave.
-    pub fn export_entries_where(
-        &mut self,
-        select: impl FnMut(&crate::cache::CacheEntry) -> bool,
-    ) -> Vec<crate::cache::CacheEntry> {
-        let out = self.cache.extract_where(select);
-        self.tally.handoff_exported += out.len() as u64;
-        out
-    }
-
-    /// Imports entries handed off by a donor replica, preserving their
-    /// original lease windows and stored epochs so the staleness bound
-    /// survives the transfer. Returns how many were actually admitted
-    /// (already-expired entries are dropped on arrival).
-    pub fn import_entries(&mut self, entries: Vec<crate::cache::CacheEntry>) -> usize {
-        let mut admitted = 0usize;
-        for e in entries {
-            let outcome = self.cache.import(e);
-            admitted += usize::from(outcome.stored);
-            self.note_evictions(&outcome.evicted);
-        }
-        self.tally.handoff_imported += admitted as u64;
-        admitted
-    }
-
-    /// Emits the membership trace event for this replica joining the
-    /// ring, with the epoch cursor it joined at and how many entries it
-    /// was handed during warming.
-    pub fn note_join(&mut self, epoch: u64, handed: u64) {
-        self.note(TraceEventKind::ReplicaJoin { epoch, handed });
-    }
-
-    /// Emits the membership trace event for this replica leaving the
-    /// ring, with its final applied epoch and how many entries it handed
-    /// to its successors.
-    pub fn note_leave(&mut self, epoch: u64, handed: u64) {
-        self.note(TraceEventKind::ReplicaLeave { epoch, handed });
     }
 
     /// Counts the fact `kind` names and hands the event to the tracer,
@@ -1631,24 +1582,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.updates, 1);
-    }
-
-    /// A handoff that overflows the receiver's capacity evicts like any
-    /// store, and the evictions are counted against their templates.
-    #[test]
-    fn handoff_evictions_reach_the_counters() {
-        let mut donor = fixture(StrategyKind::ViewInspection);
-        for id in 1..=3 {
-            donor.query(1, vec![Value::Int(id)]);
-        }
-        let moved = donor.dssp.export_entries_where(|_| true);
-        let mut receiver = fixture(StrategyKind::ViewInspection);
-        receiver.dssp.cache = ResultCache::with_capacity(Encryptor::for_app("toystore"), 2);
-        assert_eq!(receiver.dssp.import_entries(moved), 3);
-        assert_eq!(receiver.dssp.cache_len(), 2);
-        assert_eq!(receiver.dssp.stats().evictions, 1);
-        let metrics = receiver.dssp.metrics();
-        assert_eq!(metrics.counters["query_template.1.evicted"], 1);
     }
 
     #[test]

@@ -298,9 +298,10 @@ pub struct Zombie {
     pub server: HomeServer,
 }
 
-/// Why [`HomeGroup::partition_primary`], [`HomeGroup::zombie_write`] or
-/// [`crate::ProxyFleet::restart_proxy`] refused to inject its fault; the
-/// tier is left as it was.
+/// Why [`HomeGroup::partition_primary`], [`HomeGroup::zombie_write`],
+/// [`crate::ProxyFleet::restart_proxy`] or
+/// [`crate::ProxyFleet::remove_replica`] refused to inject its fault or
+/// change; the tier and the fleet are left as they were.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionRefused {
     /// The tier has no primary to crash or partition (it is down).
@@ -311,6 +312,8 @@ pub enum InjectionRefused {
     NoZombie,
     /// No live replica has the named stable id.
     NoReplica,
+    /// The named replica is the fleet's last; a fleet keeps one.
+    LastReplica,
 }
 
 /// The client-visible outcome of one write's replication step.

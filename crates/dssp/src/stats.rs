@@ -104,8 +104,6 @@ pub struct Tally {
     pub(crate) cache_replacements: u64,
     pub(crate) duplicate_invalidations: u64,
     pub(crate) brownout_serves: u64,
-    pub(crate) handoff_exported: u64,
-    pub(crate) handoff_imported: u64,
     pub(crate) fanout_batches_applied: u64,
     pub(crate) fanout_batch_msgs: u64,
     pub(crate) fanout_batch_duplicates: u64,
@@ -269,8 +267,6 @@ impl Tally {
             ("home_unavailable", self.home_unavailable),
             ("degraded_serves", self.degraded_serves),
             ("restarts", self.restarts),
-            ("handoff_exported", self.handoff_exported),
-            ("handoff_imported", self.handoff_imported),
             ("shed_admission", self.shed[0]),
             ("shed_breaker_open", self.shed[1]),
             ("shed_brownout", self.shed[2]),

@@ -27,7 +27,7 @@
 //! parameters and the result in place and allocate nothing per pair; a
 //! column's select position is found by name once per pair, not per row.
 //! A result row narrower than the template's select list (a `QueryResult`
-//! handed to `ResultCache::store` or `import` by a caller) lacks the cell
+//! handed to `ResultCache::store` by a caller) lacks the cell
 //! a rule would read: a missing cell never rules anything out.
 
 use crate::statement::{query_conjuncts, statement_may_affect, update_conjuncts, Conjunct};

@@ -510,7 +510,7 @@ fn composed<H: Tier>(
             fleet.add_replica();
         }
         if i == leave_at % script.len() {
-            fleet.remove_replica(fleet.replica_ids()[0]);
+            fleet.remove_replica(fleet.replica_ids()[0]).unwrap();
         }
         if let Op::Advance { dt } = *op {
             now += dt;

@@ -1,19 +1,15 @@
-//! Property tests for the elastic fleet (membership PR): consistent-hash
-//! ring remaps are minimal (only arcs owned by the joining/leaving
-//! replica change owner), an aborted join is a byte-identical routing
-//! no-op, pump/drain stay safe after a replica departs, and — the chaos
-//! tentpole — random scripts that interleave queries, updates, time, and
-//! live membership changes (including crash-mid-join, dropped handoff
-//! streams, and donor crashes mid-handoff) over faulty fanout pipes
-//! never serve a value beyond the staleness lease and keep the
-//! invalidation-provenance conservation ledger balanced across
-//! membership epochs.
+//! Property tests for the elastic fleet: consistent-hash ring remaps
+//! are minimal (only arcs owned by the joining/leaving replica change
+//! owner), pump/drain stay safe after a replica departs, and random
+//! scripts that interleave queries, updates, time, and live membership
+//! changes over faulty fanout pipes never serve a value beyond the
+//! staleness lease and keep the invalidation-provenance conservation
+//! ledger balanced across membership epochs.
 
 use proptest::prelude::*;
 use scs_core::{characterize_app, AnalysisOptions, Catalog};
 use scs_dssp::{
-    DsspConfig, FanoutConfig, FleetConfig, HandoffFault, HomeServer, ProxyFleet, RoutingMode,
-    StrategyKind,
+    DsspConfig, FanoutConfig, FleetConfig, HomeServer, ProxyFleet, RoutingMode, StrategyKind,
 };
 use scs_netsim::FaultSpec;
 use scs_sqlkit::{parse_query, parse_update, Query, QueryTemplate, Update, UpdateTemplate, Value};
@@ -27,8 +23,8 @@ const ROWS: i64 = 6;
 /// Staleness lease used by the oracle runs (µs).
 const LEASE: u64 = 500_000;
 /// Distinct query templates: all the same point lookup, but each owns
-/// its own ring arcs, so handoffs move real entry subsets between
-/// donors and joiners.
+/// its own ring arcs, so a membership change moves real entry subsets
+/// between owners.
 const TEMPLATES: usize = 4;
 
 fn initial_qty(id: i64) -> i64 {
@@ -118,7 +114,7 @@ enum MemOp {
     Query { tid: usize, id: i64 },
     Update { id: i64, qty: i64 },
     Advance { dt: u64 },
-    Join { fault: usize },
+    Join,
     Leave { pick: usize },
 }
 
@@ -127,18 +123,9 @@ fn mem_op() -> impl Strategy<Value = MemOp> {
         5 => ((0..TEMPLATES), (0..ROWS)).prop_map(|(tid, id)| MemOp::Query { tid, id }),
         3 => ((0..ROWS), 0..1_000i64).prop_map(|(id, qty)| MemOp::Update { id, qty }),
         3 => (1u64..LEASE).prop_map(|dt| MemOp::Advance { dt }),
-        1 => (0usize..4).prop_map(|fault| MemOp::Join { fault }),
+        1 => Just(MemOp::Join),
         1 => any::<usize>().prop_map(|pick| MemOp::Leave { pick }),
     ]
-}
-
-fn fault_of(ix: usize) -> HandoffFault {
-    match ix {
-        0 => HandoffFault::None,
-        1 => HandoffFault::DropStream,
-        2 => HandoffFault::CrashJoiner,
-        _ => HandoffFault::CrashDonor,
-    }
 }
 
 proptest! {
@@ -158,7 +145,7 @@ proptest! {
         let before = owners(&fleet, 256);
         let ring_before = fleet.ring().to_vec();
 
-        let joiner = fleet.add_replica().replica;
+        let joiner = fleet.add_replica();
         let joined = owners(&fleet, 256);
         for (tid, (&old, &new)) in before.iter().zip(joined.iter()).enumerate() {
             prop_assert!(
@@ -172,14 +159,14 @@ proptest! {
         );
 
         // The joiner's leave restores the exact pre-join routing.
-        fleet.remove_replica(joiner);
+        fleet.remove_replica(joiner).unwrap();
         prop_assert_eq!(owners(&fleet, 256), before.clone());
         prop_assert_eq!(fleet.ring(), ring_before.as_slice());
 
         // An incumbent's leave moves only the arcs it owned.
         let ids = fleet.replica_ids();
         let victim = ids[pick % ids.len()];
-        fleet.remove_replica(victim);
+        fleet.remove_replica(victim).unwrap();
         let after = owners(&fleet, 256);
         for (tid, (&old, &new)) in before.iter().zip(after.iter()).enumerate() {
             if old == victim {
@@ -191,54 +178,6 @@ proptest! {
                     tid, old, new, victim
                 );
             }
-        }
-    }
-
-    /// A join aborted by a joiner crash before warming is a no-op
-    /// resize: routing, the live replica set, membership epoch, and every
-    /// incumbent's cache are byte-identical, and the fleet keeps
-    /// serving correct results afterwards.
-    #[test]
-    fn aborted_join_leaves_the_fleet_byte_identical(
-        proxies in 2usize..5,
-        warm in proptest::collection::vec(((0..TEMPLATES), (0..ROWS)), 1..20),
-    ) {
-        let (mut fleet, t) = reliable_fleet(proxies);
-        for &(tid, id) in &warm {
-            fleet.execute_query(&bind_query(&t, tid, id)).unwrap();
-        }
-        let ring_before = fleet.ring().to_vec();
-        let ids_before = fleet.replica_ids();
-        let caches_before: Vec<usize> = fleet
-            .replica_ids()
-            .iter()
-            .map(|&id| fleet.proxy(id).cache_len())
-            .collect();
-        let epoch_before = fleet.membership_epoch();
-
-        let out = fleet.add_replica_faulted(HandoffFault::CrashJoiner);
-        prop_assert!(out.aborted);
-        prop_assert_eq!(out.handed, 0);
-
-        prop_assert_eq!(fleet.ring(), ring_before.as_slice());
-        prop_assert_eq!(fleet.replica_ids(), ids_before);
-        let caches_after: Vec<usize> = fleet
-            .replica_ids()
-            .iter()
-            .map(|&id| fleet.proxy(id).cache_len())
-            .collect();
-        prop_assert_eq!(caches_after, caches_before);
-        prop_assert_eq!(fleet.membership_epoch(), epoch_before);
-
-        // The fleet still works, and the burned id is never reused.
-        fleet.pump_all();
-        fleet.drain();
-        let next = fleet.add_replica();
-        prop_assert!(!next.aborted);
-        prop_assert_eq!(next.replica, proxies + 1);
-        for &(tid, id) in &warm {
-            let fr = fleet.execute_query(&bind_query(&t, tid, id)).unwrap();
-            prop_assert_eq!(fr.resp.result.rows[0][0].clone(), Value::Int(initial_qty(id)));
         }
     }
 
@@ -261,7 +200,7 @@ proptest! {
                 break;
             }
             let ids = fleet.replica_ids();
-            fleet.remove_replica(ids[pick % ids.len()]);
+            fleet.remove_replica(ids[pick % ids.len()]).unwrap();
         }
         fleet.pump_all();
         for id in fleet.replica_ids() {
@@ -274,11 +213,9 @@ proptest! {
         }
     }
 
-    /// The chaos tentpole: a fleet under faulty fanout pipes (drops,
-    /// duplicates, delays) that joins and removes replicas mid-script —
-    /// with handoff chaos injected (dropped handoff streams, joiner
-    /// crashes, donor crashes mid-handoff) — never serves a value that
-    /// was not master-current within the lease, ends with a zero
+    /// A fleet under faulty fanout pipes (drops, duplicates, delays)
+    /// that joins and removes replicas mid-script never serves a value
+    /// that was not master-current within the lease, ends with a zero
     /// `stale_beyond_lease` count on every replica that ever lived, and
     /// keeps the provenance conservation ledger balanced across all
     /// membership epochs.
@@ -313,10 +250,10 @@ proptest! {
         fleet.set_sim_time_micros(now);
         let mut history: Vec<Vec<(u64, i64)>> =
             (0..ROWS).map(|id| vec![(0, initial_qty(id))]).collect();
-        // Final epoch cursor of replicas that no longer exist (departed
-        // or aborted), for the conservation cut.
+        // Final epoch cursor of departed replicas, for the conservation
+        // cut.
         let mut gone_epochs: HashMap<usize, u64> = HashMap::new();
-        let (mut joins, mut leaves, mut aborts) = (0u64, 0u64, 0u64);
+        let (mut joins, mut leaves) = (0u64, 0u64);
 
         for op in &script {
             match *op {
@@ -342,17 +279,12 @@ proptest! {
                         fr.proxy, served, tid, id, now, history[id as usize]
                     );
                 }
-                MemOp::Join { fault } => {
+                MemOp::Join => {
                     if fleet.len() >= 6 {
                         continue;
                     }
-                    let out = fleet.add_replica_faulted(fault_of(fault));
-                    if out.aborted {
-                        aborts += 1;
-                        gone_epochs.insert(out.replica, out.joined_epoch);
-                    } else {
-                        joins += 1;
-                    }
+                    fleet.add_replica();
+                    joins += 1;
                 }
                 MemOp::Leave { pick } => {
                     if fleet.len() < 3 {
@@ -360,9 +292,8 @@ proptest! {
                     }
                     let ids = fleet.replica_ids();
                     let id = ids[pick % ids.len()];
-                    let out = fleet.remove_replica(id);
+                    gone_epochs.insert(id, fleet.remove_replica(id).unwrap());
                     leaves += 1;
-                    gone_epochs.insert(id, out.final_epoch);
                 }
             }
         }
@@ -398,7 +329,6 @@ proptest! {
         };
         prop_assert_eq!(count(MembershipKind::Join), joins);
         prop_assert_eq!(count(MembershipKind::Leave), leaves);
-        prop_assert_eq!(count(MembershipKind::AbortJoin), aborts);
     }
 }
 
@@ -409,7 +339,7 @@ proptest! {
 fn enable_audit_meters_every_replica_and_joiner() {
     let (mut fleet, _) = reliable_fleet(2);
     fleet.enable_audit();
-    let joiner = fleet.add_replica().replica;
+    let joiner = fleet.add_replica();
     assert_eq!(fleet.replica_ids(), [0, 1, joiner]);
     for id in fleet.replica_ids() {
         assert!(fleet.proxy(id).crypto_meter().is_some(), "replica {id}");

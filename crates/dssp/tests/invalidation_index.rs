@@ -18,7 +18,7 @@ mod reference_decide;
 use generate::{
     cases, random_level, random_params, random_query, random_update, schemas, seed_database, POOL,
 };
-use linear::{Key, LinearCache, LinearEntry, Reveals};
+use linear::{Key, LinearCache, Reveals};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +32,8 @@ use scs_core::{
 };
 use scs_crypto::Encryptor;
 use scs_dssp::{
-    BatchOutcome, CacheEntry, Dssp, DsspConfig, HomeServer, InvalidationBatch, InvalidationMsg,
-    ResultCache, StrategyKind,
+    BatchOutcome, Dssp, DsspConfig, HomeServer, InvalidationBatch, InvalidationMsg, ResultCache,
+    StrategyKind,
 };
 use scs_sqlkit::{
     parse_query, parse_update, statement_len, Query, QueryTemplate, Update, UpdateTemplate, Value,
@@ -75,10 +75,8 @@ struct Pair {
     /// still reach it.
     epoch: u64,
     evicted: u64,
-    /// Entries exported from both sides and not yet imported back.
-    limbo: Option<(Vec<CacheEntry>, Vec<LinearEntry>)>,
     /// Compare key sets and check the cache's invariants after queries
-    /// too, not only after updates and handoffs (the long replays skip
+    /// too, not only after updates (the long replays skip
     /// it: a query changes one entry, and the hit flag and the cache
     /// length are compared regardless).
     check_queries: bool,
@@ -104,7 +102,6 @@ impl Pair {
             audit,
             epoch: 0,
             evicted: 0,
-            limbo: None,
             check_queries: true,
         }
     }
@@ -173,32 +170,6 @@ impl Pair {
         self.reference.set_now(now);
     }
 
-    /// Hands the entries of every other template off (both sides), or
-    /// takes the last handoff back in. Imports go in key order on both
-    /// sides, so the LRU clocks they are stamped with agree.
-    fn handoff(&mut self, parity: usize) {
-        match self.limbo.take() {
-            None => {
-                let mut moved = self
-                    .dssp
-                    .export_entries_where(|e| e.key().template_id % 2 == parity);
-                let mut moved_ref = self.reference.extract_where(|tid| tid % 2 == parity);
-                moved.sort_by_key(|e| (e.key().template_id, format!("{:?}", e.key().params)));
-                moved_ref.sort_by_key(|e| (e.query.template_id, format!("{:?}", e.query.params)));
-                assert_eq!(moved.len(), moved_ref.len());
-                self.limbo = Some((moved, moved_ref));
-                self.check("export");
-            }
-            Some((moved, moved_ref)) => {
-                self.dssp.import_entries(moved);
-                for e in moved_ref {
-                    self.evicted += self.reference.import(e).len() as u64;
-                }
-                self.check("import");
-            }
-        }
-    }
-
     fn restart(&mut self) {
         self.dssp.restart(&[self.epoch]);
         self.reference.clear();
@@ -207,10 +178,7 @@ impl Pair {
 
     fn finish(&self) {
         let stats = self.dssp.stats();
-        assert_eq!(
-            stats.evictions, self.evicted,
-            "evictions, handoffs included"
-        );
+        assert_eq!(stats.evictions, self.evicted, "evictions");
         assert!(stats.entries_inspected <= stats.entries_scanned);
     }
 }
@@ -256,31 +224,51 @@ fn run_case(seed: u64) {
     let mut pair = Pair::new("oracle", exposures, matrix, capacity, lease);
     let mut home = HomeServer::new(seed_database());
     let mut now = 0u64;
+    let bind_query = |rng: &mut StdRng, tid: usize| {
+        let params = random_params(rng, &query_sql[tid].string_params, POOL);
+        Query::bind(tid, queries[tid].clone(), params).unwrap()
+    };
+    let update = |rng: &mut StdRng, pair: &mut Pair, home: &mut HomeServer| {
+        let tid = rng.gen_range(0..updates.len());
+        let params = random_params(rng, &update_sql[tid].string_params, POOL);
+        let u = Update::bind(tid, updates[tid].clone(), params).unwrap();
+        // The master moves now and then (when it accepts the update at
+        // all), so later fills see changed rows — but not so often that
+        // range deletes empty it.
+        if rng.gen_bool(0.2) {
+            let _ = home.apply_update(&u);
+        }
+        pair.update(&u);
+    };
     for _ in 0..rng.gen_range(250..450) {
         match rng.gen_range(0..200) {
             0..=167 => {
                 let tid = rng.gen_range(0..queries.len());
-                let params = random_params(rng, &query_sql[tid].string_params, POOL);
-                let q = Query::bind(tid, queries[tid].clone(), params).unwrap();
-                pair.query(&q, &mut home);
+                pair.query(&bind_query(rng, tid), &mut home);
             }
-            168..=191 => {
-                let tid = rng.gen_range(0..updates.len());
-                let params = random_params(rng, &update_sql[tid].string_params, POOL);
-                let u = Update::bind(tid, updates[tid].clone(), params).unwrap();
-                // The master moves now and then (when it accepts the
-                // update at all), so later fills see changed rows —
-                // but not so often that range deletes empty it.
-                if rng.gen_bool(0.2) {
-                    let _ = home.apply_update(&u);
-                }
-                pair.update(&u);
-            }
+            168..=191 => update(rng, &mut pair, &mut home),
             192..=195 => {
                 now += rng.gen_range(1..80u64);
                 pair.advance(now);
             }
-            196..=198 => pair.handoff(rng.gen_range(0..2)),
+            // A burst over each template parity in turn: fill every
+            // template of the parity, invalidate, then fill the same
+            // instances again, so entries leave and come back in bulk.
+            196..=198 => {
+                for parity in 0..2 {
+                    let burst: Vec<Query> = (parity..queries.len())
+                        .step_by(2)
+                        .map(|tid| bind_query(rng, tid))
+                        .collect();
+                    for q in &burst {
+                        pair.query(q, &mut home);
+                    }
+                    update(rng, &mut pair, &mut home);
+                    for q in &burst {
+                        pair.query(q, &mut home);
+                    }
+                }
+            }
             _ => pair.restart(),
         }
     }
@@ -291,7 +279,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The indexed pass and the linear pass agree, step for step, on
-    /// random templates, exposures, capacities, leases and handoffs.
+    /// random templates, exposures, capacities, leases and bursts.
     #[test]
     fn indexed_pass_matches_linear_pass(seed in 0..u64::MAX) {
         run_case(seed);

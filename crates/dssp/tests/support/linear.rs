@@ -143,32 +143,6 @@ impl LinearCache {
         evicted
     }
 
-    /// Removes and returns the entries of the templates `select` picks.
-    pub fn extract_where(&mut self, mut select: impl FnMut(usize) -> bool) -> Vec<LinearEntry> {
-        let picked: Vec<Instance> = self
-            .entries
-            .keys()
-            .filter(|k| select(k.0))
-            .cloned()
-            .collect();
-        picked
-            .iter()
-            .filter_map(|k| self.entries.remove(k))
-            .collect()
-    }
-
-    /// Takes a handed-off entry with its lease intact; one already past
-    /// it is dropped.
-    pub fn import(&mut self, mut e: LinearEntry) -> Vec<Key> {
-        if e.expires_at < self.now {
-            return Vec::new();
-        }
-        self.clock += 1;
-        e.last_used = self.clock;
-        self.entries.insert(instance_of(&e.query), e);
-        self.evict()
-    }
-
     pub fn clear(&mut self) {
         self.entries.clear();
     }

@@ -988,8 +988,6 @@ mod tests {
         let join = K::Membership {
             kind: MembershipKind::Join,
             replica: 2,
-            peer: None,
-            entries: 0,
             home_epoch: 7,
         };
         fold(&mut log, 0, 500, join);

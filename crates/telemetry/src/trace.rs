@@ -53,20 +53,14 @@ impl ApplyKind {
     }
 }
 
-/// A fleet-membership transition. `Handoff` names the peer (the donor on
-/// a join, the successor on a leave) and the entry count that moved.
+/// A fleet-membership transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipKind {
-    /// A replica registered its pipe, warmed, and entered the ring.
+    /// A replica handshook at the tips, registered its pipe, and
+    /// entered the ring.
     Join,
-    /// A replica drained, handed off, and unregistered its pipe.
+    /// A replica drained, left the ring, and unregistered its pipe.
     Leave,
-    /// A join was rolled back before ring entry (joiner crash); the
-    /// ring never changed and the pipe was unregistered.
-    AbortJoin,
-    /// A batch of cache entries moved between replicas during a
-    /// membership transition.
-    Handoff,
 }
 
 /// What one encryption-boundary crossing revealed: the taxonomy cell
@@ -179,14 +173,6 @@ pub enum TraceEventKind {
     /// Brownout mode engaged (`active = true`) or released. While
     /// active, within-lease hits serve degraded and misses fast-reject.
     BrownoutMode { active: bool },
-    /// A replica joined an elastic fleet: its fanout pipe is registered
-    /// and its epoch cursor handshaken to `epoch`; `handed` entries were
-    /// warmed over from predecessor replicas before it entered the ring.
-    ReplicaJoin { epoch: u64, handed: u64 },
-    /// A replica left an elastic fleet after draining: `handed` of its
-    /// hot entries moved to the successor replicas, and its pipe was
-    /// unregistered at home epoch `epoch`.
-    ReplicaLeave { epoch: u64, handed: u64 },
     /// A miss fill stored an entry reflecting `(stream, epoch)`.
     EntryStored {
         query_template: u32,
@@ -255,8 +241,6 @@ pub enum TraceEventKind {
     Membership {
         kind: MembershipKind,
         replica: usize,
-        peer: Option<usize>,
-        entries: u64,
         home_epoch: u64,
     },
     /// A standby was promoted over a dead (or partitioned-away) primary,
@@ -292,8 +276,6 @@ impl TraceEventKind {
             K::BreakerTransition { .. } => "breaker_close",
             K::BrownoutMode { active: true } => "brownout_enter",
             K::BrownoutMode { active: false } => "brownout_exit",
-            K::ReplicaJoin { .. } => "replica_join",
-            K::ReplicaLeave { .. } => "replica_leave",
             K::EntryStored { .. } => "entry_stored",
             K::InvalidationPass { .. } => "invalidation_pass",
             K::BatchArrived { .. } => "batch_arrived",
@@ -525,14 +507,6 @@ mod tests {
             K::BreakerTransition { from: 2, to: 0 },
             K::BrownoutMode { active: true },
             K::BrownoutMode { active: false },
-            K::ReplicaJoin {
-                epoch: 7,
-                handed: 2,
-            },
-            K::ReplicaLeave {
-                epoch: 7,
-                handed: 3,
-            },
             K::EntryStored {
                 query_template: 2,
                 stream: 0,
@@ -588,8 +562,6 @@ mod tests {
             K::Membership {
                 kind: MembershipKind::Join,
                 replica: 3,
-                peer: Some(1),
-                entries: 4,
                 home_epoch: 7,
             },
             K::Promotion {
@@ -618,8 +590,6 @@ mod tests {
             "breaker_close",
             "brownout_enter",
             "brownout_exit",
-            "replica_join",
-            "replica_leave",
             "entry_stored",
             "invalidation_pass",
             "batch_arrived",
