@@ -78,8 +78,12 @@ pub struct InvalidationBatch {
 
 impl InvalidationBatch {
     /// Coalesces a contiguous run of messages (ascending epochs) into a
-    /// batch. Returns `None` on an empty run — there is nothing to ship.
-    pub fn coalesce(msgs: Vec<InvalidationMsg>) -> Option<InvalidationBatch> {
+    /// batch. Returns `None` on an empty run — there is nothing to ship —
+    /// and a run of one as [`InvalidationBatch::single`].
+    pub fn coalesce(mut msgs: Vec<InvalidationMsg>) -> Option<InvalidationBatch> {
+        if msgs.len() == 1 {
+            return msgs.pop().map(InvalidationBatch::single);
+        }
         let first_epoch = msgs.first()?.epoch;
         let last_epoch = msgs.last()?.epoch;
         debug_assert!(
@@ -348,6 +352,23 @@ impl HomeLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A run of one ships as the batch of one it is, field for field.
+    #[test]
+    fn a_run_of_one_coalesces_to_its_single_batch() {
+        let sql = "UPDATE toys SET qty = ? WHERE toy_id = ?";
+        let template = std::sync::Arc::new(scs_sqlkit::parse_update(sql).unwrap());
+        let params = vec![scs_sqlkit::Value::Int(1), scs_sqlkit::Value::Int(2)];
+        let update = Update::bind(3, template, params).unwrap();
+        let msg = InvalidationMsg { epoch: 9, update };
+        let got = InvalidationBatch::coalesce(vec![msg.clone()]).unwrap();
+        let want = InvalidationBatch::single(msg);
+        let fields = |b: &InvalidationBatch| {
+            let msgs: Vec<_> = b.msgs.iter().map(|m| (m.epoch, m.update.clone())).collect();
+            (b.first_epoch, b.last_epoch, b.coalesced, msgs)
+        };
+        assert_eq!(fields(&got), fields(&want));
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

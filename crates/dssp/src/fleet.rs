@@ -69,6 +69,7 @@ use scs_telemetry::{
     shared_audit, shared_provenance, AuditLog, FlushTrigger, MembershipKind, ProvenanceLog,
     SharedAudit, SharedProvenance, SpanId, SpanPhase, SpanRecorder, TraceEventKind, Tracer,
 };
+use std::sync::Arc;
 
 /// How the fleet's load balancer picks a replica for an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +262,7 @@ pub(crate) fn ring_route(ring: &[(u64, usize)], template_id: usize) -> usize {
 struct Replica {
     id: usize,
     dssp: Dssp,
-    pipe: FaultyChannel<(u64, InvalidationBatch)>,
+    pipe: FaultyChannel<(u64, Arc<InvalidationBatch>)>,
 }
 
 /// One invalidation stream's fanout buffer.
@@ -801,7 +802,7 @@ impl<H: Home> ProxyFleet<H> {
 
     fn flush_stream(&mut self, stream: u64, trigger: FlushTrigger) {
         let msgs = std::mem::take(&mut self.pending[stream as usize].msgs);
-        let Some(batch) = InvalidationBatch::coalesce(msgs) else {
+        let Some(batch) = InvalidationBatch::coalesce(msgs).map(Arc::new) else {
             return;
         };
         self.batches += 1;
@@ -846,7 +847,7 @@ impl<H: Home> ProxyFleet<H> {
             }
         }
         for r in &mut self.replicas {
-            r.pipe.send(now, (stream, batch.clone()));
+            r.pipe.send(now, (stream, Arc::clone(&batch)));
             let sent = TraceEventKind::BatchSent {
                 replica: r.id,
                 stream,

@@ -225,22 +225,26 @@ impl HomeServer {
     ) -> Result<(UpdateEffect, InvalidationMsg), StorageError> {
         self.updates_applied += 1;
         let start = std::time::Instant::now();
-        let effect = if check_fks {
+        // Busy until the notification is built: the WAL append is the
+        // home's work too. A refused update stops the clock at once.
+        let applied = if check_fks {
             self.db.apply(u)
         } else {
             self.db.apply_routed(u, candidate)
-        };
+        }
+        .map(|effect| {
+            self.epoch += 1;
+            self.wal.append_statement(self.epoch, u.clone());
+            let msg = InvalidationMsg {
+                epoch: self.epoch,
+                update: u.clone(),
+            };
+            (effect, msg)
+        });
         self.service_nanos = self
             .service_nanos
             .saturating_add(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        let effect = effect?;
-        self.epoch += 1;
-        self.wal.append_statement(self.epoch, u.clone());
-        let msg = InvalidationMsg {
-            epoch: self.epoch,
-            update: u.clone(),
-        };
-        Ok((effect, msg))
+        applied
     }
 
     /// The current update epoch: the sequence number of the most recent

@@ -17,6 +17,7 @@ use crate::result::QueryResult;
 use crate::schema::{ForeignKey, TableSchema};
 use crate::table::{Row, RowId, Table};
 use scs_sqlkit::{CmpOp, Predicate, Query, Scalar, Update, UpdateTemplate, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// What an update did to the master database. The DSSP's invalidation
@@ -211,12 +212,7 @@ impl Database {
                     let schema = table.schema();
                     let mut changes = Vec::with_capacity(m.set.len());
                     for (col, scalar) in &m.set {
-                        let pos = schema.column_index(col).ok_or_else(|| {
-                            StorageError::UnknownColumn {
-                                table: m.table.clone(),
-                                column: col.clone(),
-                            }
-                        })?;
+                        let pos = column_position(schema, col)?;
                         if schema.is_key_column(col) {
                             return Err(StorageError::BadModify(format!(
                                 "modification sets key attribute `{}.{col}`",
@@ -277,19 +273,9 @@ impl Database {
             return Ok(parent.pk_lookup(key).is_some());
         }
         // FK referencing a non-PK column set: fall back to a scan.
-        let positions: Vec<usize> = fk
-            .parent_columns
-            .iter()
-            .map(|c| {
-                parent
-                    .schema()
-                    .column_index(c)
-                    .ok_or_else(|| StorageError::UnknownColumn {
-                        table: fk.parent_table.clone(),
-                        column: c.clone(),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
+        let positions = fk.parent_columns.iter();
+        let positions = positions.map(|c| column_position(parent.schema(), c));
+        let positions: Vec<usize> = positions.collect::<Result<_, _>>()?;
         Ok(parent
             .iter()
             .any(|(_, prow)| positions.iter().zip(key).all(|(p, k)| &prow[*p] == k)))
@@ -330,20 +316,30 @@ impl Database {
     }
 }
 
-/// The values `row` (of `schema`'s table) carries in `fk`'s columns.
-fn fk_key(schema: &TableSchema, fk: &ForeignKey, row: &Row) -> Result<Vec<Value>, StorageError> {
-    fk.columns
-        .iter()
-        .map(|c| {
-            let pos = schema
-                .column_index(c)
-                .ok_or_else(|| StorageError::UnknownColumn {
-                    table: schema.name.clone(),
-                    column: c.clone(),
-                })?;
-            Ok(row[pos].clone())
+/// The values `row` (of `schema`'s table) carries in `fk`'s columns:
+/// borrowed from the row for a one-column key.
+fn fk_key<'r>(
+    schema: &TableSchema,
+    fk: &ForeignKey,
+    row: &'r Row,
+) -> Result<Cow<'r, [Value]>, StorageError> {
+    let value = |c: &String| Ok(&row[column_position(schema, c)?]);
+    if let [c] = &fk.columns[..] {
+        return Ok(Cow::Borrowed(std::slice::from_ref(value(c)?)));
+    }
+    let key: Result<Vec<Value>, StorageError> =
+        fk.columns.iter().map(|c| value(c).cloned()).collect();
+    key.map(Cow::Owned)
+}
+
+/// `column`'s position in `schema`'s table.
+fn column_position(schema: &TableSchema, column: &str) -> Result<usize, StorageError> {
+    schema
+        .column_index(column)
+        .ok_or_else(|| StorageError::UnknownColumn {
+            table: schema.name.clone(),
+            column: column.to_string(),
         })
-        .collect()
 }
 
 /// Assembles a full row in schema order from an insert's column/value lists.
@@ -355,12 +351,7 @@ fn build_insert_row(
 ) -> Result<Row, StorageError> {
     let mut row: Vec<Option<Value>> = vec![None; schema.columns.len()];
     for (col, scalar) in columns.iter().zip(values) {
-        let pos = schema
-            .column_index(col)
-            .ok_or_else(|| StorageError::UnknownColumn {
-                table: schema.name.clone(),
-                column: col.clone(),
-            })?;
+        let pos = column_position(schema, col)?;
         if row[pos].is_some() {
             return Err(StorageError::BadInsert(format!(
                 "column `{col}` listed twice"
@@ -387,14 +378,7 @@ fn bind_preds(
     preds: &[Predicate],
     u: &Update,
 ) -> Result<Vec<BoundPred>, StorageError> {
-    let col_pos = |cref: &scs_sqlkit::ColumnRef| {
-        schema
-            .column_index(&cref.column)
-            .ok_or_else(|| StorageError::UnknownColumn {
-                table: schema.name.clone(),
-                column: cref.column.clone(),
-            })
-    };
+    let col_pos = |cref: &scs_sqlkit::ColumnRef| column_position(schema, &cref.column);
     preds
         .iter()
         .map(|p| {

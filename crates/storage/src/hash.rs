@@ -1,15 +1,16 @@
 //! The one hasher of the engine's own maps, and a first-seen key index.
 //!
-//! `Table`'s primary-key and equality-index maps, the executor's transient
-//! maps (group index, hash-join build, the plan memo) and the DSSP cache's
-//! bucket map and value-index postings are keyed by values looked up
-//! millions of times: SipHash costs more there than the probe it guards. A
-//! folded 64 × 64 → 128-bit multiply per word hashes an `Int` key in two
-//! multiplies. The state starts from a key drawn **once per process** from
-//! [`RandomState`], so bucket placement is not predictable from outside,
-//! and is the same for every map of the process. Nothing observable depends
-//! on it: no map is iterated for its order, and every list a reader sees is
-//! a `Vec` in an order of its own (insertion, or ascending slot). The cache's
+//! `Table`'s equality-index maps (which the primary key goes through too),
+//! the executor's transient maps (group index, hash-join build, the plan
+//! memo) and the DSSP cache's bucket map and value-index postings are keyed
+//! by values looked up millions of times: SipHash costs more there than the
+//! probe it guards. A folded 64 × 64 → 128-bit multiply per word hashes an
+//! `Int` key in two multiplies. The state starts from a key drawn **once
+//! per process** from [`RandomState`], so bucket placement is not
+//! predictable from outside, and is the same for every map of the process.
+//! Nothing observable depends on it: no map is iterated for its order, and
+//! every list a reader sees is in an order of its own (insertion, or
+//! ascending slot). The cache's
 //! key map keeps SipHash: a faster hit drops the benchmark's traced runs
 //! under their span-coverage floor, so that map changes only with the floor.
 

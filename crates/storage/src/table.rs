@@ -4,9 +4,12 @@
 //! The equality indexes sit in *slots*: one per column of
 //! [`TableSchema::indexed_columns`], in that order, so a query plan names an
 //! index by a number it resolved once (`TableSchema::index_slot`) and a
-//! probe is one hash look-up. The primary-key map and the index maps hash
-//! through the crate's keyed hasher (`hash.rs`); table equality compares
-//! their contents, never their layout.
+//! probe is one hash look-up. Each key column is indexed once: the primary
+//! key's columns come first in that list, and the key is looked up and
+//! enforced through its first column's slot. A value held by one row — every
+//! value of a key column — posts that row's id inline, with no list. The
+//! index maps hash through the crate's keyed hasher (`hash.rs`); table
+//! equality compares their contents, never their layout.
 
 use crate::error::StorageError;
 use crate::hash::KeyMap;
@@ -34,12 +37,12 @@ pub struct Table {
     slots: Vec<Option<Row>>,
     free: Vec<RowId>,
     live: usize,
-    /// Composite primary key -> row id (absent when the table is keyless).
-    pk_index: KeyMap<Vec<Value>, RowId>,
+    /// The primary key's column positions (empty when the table is
+    /// keyless); the first one's equality index is slot 0.
     pk_positions: Vec<usize>,
     /// Single-column equality indexes, slot by slot: (column position,
     /// value -> row ids in insertion order).
-    eq_indexes: Vec<(usize, KeyMap<Value, Vec<RowId>>)>,
+    eq_indexes: Vec<(usize, KeyMap<Value, Posting>)>,
     /// Ordered indexes, one per declared column list: the key columns'
     /// positions -> the live row ids sorted by `(Value::cmp of each key
     /// column in turn, row id)`. A permutation, not a tree: four bytes a
@@ -72,7 +75,6 @@ impl Table {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            pk_index: KeyMap::default(),
             pk_positions,
             eq_indexes,
             ord_indexes,
@@ -131,7 +133,8 @@ impl Table {
     /// [`Table::index_lookup`] through the index's slot
     /// ([`TableSchema::index_slot`] of its column).
     pub(crate) fn slot_lookup(&self, slot: usize, v: &Value) -> &[RowId] {
-        self.eq_indexes[slot].1.get(v).map_or(&[], Vec::as_slice)
+        let (_, idx) = &self.eq_indexes[slot];
+        idx.get(v).map_or(&[], Posting::as_slice)
     }
 
     /// A walk along the ordered index on the column list `cols`: the rows
@@ -208,7 +211,21 @@ impl Table {
 
     /// Looks up a row by its full primary key.
     pub fn pk_lookup(&self, key: &[Value]) -> Option<RowId> {
-        self.pk_index.get(key).copied()
+        let whole = key.len() == self.pk_positions.len();
+        whole.then(|| self.pk_find(|i| &key[i])).flatten()
+    }
+
+    /// The live row whose primary key's `i`-th column holds `key(i)`, for
+    /// every `i`: the rows its first column's list holds for `key(0)`,
+    /// filtered on the rest (`None` on a keyless table).
+    fn pk_find<'k>(&self, key: impl Fn(usize) -> &'k Value) -> Option<RowId> {
+        let (_, rest) = self.pk_positions.split_first()?;
+        // `indexed_columns` lists the key's columns first.
+        let listed = self.slot_lookup(0, key(0));
+        listed.iter().copied().find(|&id| {
+            self.row(id)
+                .is_some_and(|row| rest.iter().enumerate().all(|(i, &p)| row[p] == *key(i + 1)))
+        })
     }
 
     /// Type-checks and inserts a full row (schema column order), enforcing
@@ -231,14 +248,11 @@ impl Table {
                 });
             }
         }
-        if !self.pk_positions.is_empty() {
-            let key = pk_of(&self.pk_positions, &row);
-            if self.pk_index.contains_key(&key) {
-                return Err(StorageError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key,
-                });
-            }
+        if self.pk_find(|i| &row[self.pk_positions[i]]).is_some() {
+            return Err(StorageError::DuplicateKey {
+                table: self.schema.name.clone(),
+                key: self.pk_positions.iter().map(|&p| row[p].clone()).collect(),
+            });
         }
         // An ordered index lists row ids as `u32`s.
         let next = self.free.last().copied().unwrap_or(self.slots.len());
@@ -259,7 +273,7 @@ impl Table {
             }
         };
         self.live += 1;
-        self.index_add(id);
+        self.index_add(id, |_| true);
         Ok(id)
     }
 
@@ -268,7 +282,7 @@ impl Table {
         if self.slots.get(id)?.is_none() {
             return None;
         }
-        self.index_remove(id);
+        self.index_remove(id, |_| true);
         let row = self.slots[id].take();
         self.free.push(id);
         self.live -= 1;
@@ -280,45 +294,27 @@ impl Table {
     /// the database layer). Returns the old row.
     pub fn modify(&mut self, id: RowId, changes: &[(usize, Value)]) -> Option<Row> {
         self.slots.get(id)?.as_ref()?;
-        // The primary-key entry stays: no key column changes. Every
-        // equality list is left and re-joined, changed column or not: list
-        // order is observable under the executor's row-order contract, and
-        // a modified row moves to the end of each of its lists.
+        // No key column changes. List order is observable under the
+        // executor's row-order contract: a modified row moves to the end of
+        // each of its equality lists, re-joining those of the columns that
+        // change and moving in place in the others.
         let changed = |cols: &[usize]| changes.iter().any(|(p, _)| cols.contains(p));
-        self.secondary_remove(id, changed);
+        self.index_remove(id, changed);
         let row = self.slots[id].as_mut()?;
         let old = row.clone();
         for (pos, v) in changes {
             row[*pos] = v.clone();
         }
-        self.secondary_add(id, changed);
+        self.index_add(id, changed);
         Some(old)
     }
 
     // The index maintainers read the key columns from the stored row
     // itself, borrowing `slots` and the index maps side by side.
 
-    fn index_add(&mut self, id: RowId) {
-        if let Some(row) = self.slots.get(id).and_then(Option::as_ref) {
-            if !self.pk_positions.is_empty() {
-                self.pk_index.insert(pk_of(&self.pk_positions, row), id);
-            }
-        }
-        self.secondary_add(id, |_| true);
-    }
-
-    fn index_remove(&mut self, id: RowId) {
-        if let Some(row) = self.slots.get(id).and_then(Option::as_ref) {
-            if !self.pk_positions.is_empty() {
-                self.pk_index.remove(&pk_of(&self.pk_positions, row));
-            }
-        }
-        self.secondary_remove(id, |_| true);
-    }
-
-    /// Enters row `id` into every equality index, and into the ordered
-    /// indexes whose column lists `rekeyed` names.
-    fn secondary_add(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
+    /// Enters row `id` into the indexes whose column lists `rekeyed` names
+    /// (an equality index's list is its one column).
+    fn index_add(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
         let Table {
             slots,
             eq_indexes,
@@ -328,8 +324,14 @@ impl Table {
         let Some(row) = slots.get(id).and_then(Option::as_ref) else {
             return;
         };
-        for (pos, idx) in eq_indexes.iter_mut() {
-            idx.entry(row[*pos].clone()).or_default().push(id);
+        for (pos, idx) in eq_indexes.iter_mut().filter(|(pos, _)| rekeyed(&[*pos])) {
+            // The key is cloned only for a value no row held.
+            match idx.get_mut(&row[*pos]) {
+                Some(ids) => ids.push(id),
+                None => {
+                    idx.insert(row[*pos].clone(), Posting::One(id));
+                }
+            }
         }
         // `insert` admits no id beyond `u32` where there is an ordered index.
         let Ok(id32) = u32::try_from(id) else {
@@ -353,8 +355,9 @@ impl Table {
         }
     }
 
-    /// Takes row `id` out of what [`Table::secondary_add`] enters it into.
-    fn secondary_remove(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
+    /// Takes row `id` out of what [`Table::index_add`] enters it into, and
+    /// moves it to the end of its other equality lists.
+    fn index_remove(&mut self, id: RowId, rekeyed: impl Fn(&[usize]) -> bool) {
         let Table {
             slots,
             eq_indexes,
@@ -365,13 +368,12 @@ impl Table {
             return;
         };
         for (pos, idx) in eq_indexes.iter_mut() {
-            if let Some(ids) = idx.get_mut(&row[*pos]) {
-                if let Some(at) = ids.iter().position(|x| *x == id) {
-                    ids.swap_remove(at);
-                }
-                if ids.is_empty() {
-                    idx.remove(&row[*pos]);
-                }
+            let stays = !rekeyed(&[*pos]);
+            if idx
+                .get_mut(&row[*pos])
+                .is_some_and(|ids| !ids.move_last(id, stays))
+            {
+                idx.remove(&row[*pos]);
             }
         }
         // Found by id, not by key: a search through the rows waits on
@@ -450,8 +452,53 @@ impl<'a> Iterator for OrderedWalk<'a> {
     }
 }
 
-fn pk_of(pk_positions: &[usize], row: &Row) -> Vec<Value> {
-    pk_positions.iter().map(|&p| row[p].clone()).collect()
+/// The ids of the rows an equality index lists for one value, in
+/// insertion order. One row — every value of a key column — is held
+/// inline; a list is a `Vec` from the second row on and turns inline again
+/// when it falls back to one, so the form is a function of the list.
+#[derive(Debug, Clone, PartialEq)]
+enum Posting {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Posting {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: RowId) {
+        match self {
+            Posting::One(first) => *self = Posting::Many(vec![*first, id]),
+            Posting::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Moves `id` to the end by swapping it with the last id — where taking
+    /// it out and pushing it again would leave it — and takes it out from
+    /// there unless it `stays` (what `Vec::swap_remove` does); `false` when
+    /// no row is left.
+    fn move_last(&mut self, id: RowId, stays: bool) -> bool {
+        match self {
+            Posting::One(one) => stays || *one != id,
+            Posting::Many(ids) => {
+                if let Some(at) = ids.iter().position(|x| *x == id) {
+                    let last = ids.len() - 1;
+                    ids.swap(at, last);
+                    if !stays {
+                        ids.pop();
+                    }
+                }
+                if let [one] = ids[..] {
+                    *self = Posting::One(one);
+                }
+                true
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -924,7 +971,8 @@ mod tests {
 
     /// List order is observable (an indexed restriction yields it): a
     /// modified row moves to the end of every equality list it is in,
-    /// whether or not that list's column changed.
+    /// whether or not that list's column changed — the row that was last
+    /// taking its place.
     #[test]
     fn modify_moves_the_row_to_the_end_of_its_equality_lists() {
         let mut t = ranked_table();
@@ -933,6 +981,23 @@ mod tests {
         }
         t.modify(0, &[(2, Value::Int(2))]).unwrap();
         assert_eq!(t.index_lookup(1, &Value::str("bear")).unwrap(), &[2, 1, 0]);
+        t.modify(2, &[(2, Value::Int(3))]).unwrap();
+        assert_eq!(t.index_lookup(1, &Value::str("bear")).unwrap(), &[0, 1, 2]);
+    }
+
+    /// A list left with one row is the list of one a fresh insert makes:
+    /// table equality, which WAL replay pins, sees lists, not their history.
+    #[test]
+    fn a_list_left_with_one_row_equals_one_made_with_one() {
+        let mut shrunk = toys_table();
+        shrunk.insert(row(1, "bear", 1)).unwrap();
+        shrunk.insert(row(2, "bear", 2)).unwrap();
+        shrunk.delete(0);
+        let mut fresh = toys_table();
+        fresh.insert(row(1, "kite", 1)).unwrap();
+        fresh.insert(row(2, "bear", 2)).unwrap();
+        fresh.delete(0);
+        assert_eq!(shrunk, fresh);
     }
 
     #[test]

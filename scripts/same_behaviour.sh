@@ -16,7 +16,9 @@
 # (default: $TMPDIR/same_behaviour), and each side builds into its own
 # target directory there. Every command runs from a scratch directory:
 # `dsspbench` writes `benchmark/out/` under its working directory, and
-# the probes write `artifacts/`. Exits nonzero on the first difference.
+# the probes write `artifacts/`. Every step runs whatever an earlier one
+# found; the script then lists the steps that differ (or whose run failed)
+# and exits nonzero if there is any. A failed build stops it at once.
 set -euo pipefail
 
 parent=${1:?usage: $0 <parent-sha> [scratch-dir]}
@@ -47,10 +49,33 @@ for side in parent change; do
     mkdir -p "$scratch/$side-run/out"
 done
 
+# The steps that differ, or whose run failed.
+differences=()
+
+# Step $1 holds when files $2 and $3 are byte for byte the same.
+compare() {
+    if cmp "$2" "$3"; then
+        echo "   $1: identical"
+    else
+        differences+=("$1")
+    fi
+}
+
+# Runs "$@" in side $1's run directory; a failed run is a difference of
+# step $2.
+run() {
+    local side=$1 step=$2
+    shift 2
+    if ! (cd "$scratch/$side-run" && "$@"); then
+        echo "   $step: the $side run failed"
+        differences+=("$step ($side run failed)")
+    fi
+}
+
 echo "== observatory vs BENCH_baseline.json"
-(cd "$scratch/change-run" &&
-    SCS_TELEMETRY_OUT=out/observatory.json "$(bench change)" observatory > /dev/null)
-cmp "$scratch/change-run/out/observatory.json" "$repo/BENCH_baseline.json"
+run change observatory env SCS_TELEMETRY_OUT=out/observatory.json "$(bench change)" observatory \
+    > /dev/null
+compare observatory "$scratch/change-run/out/observatory.json" "$repo/BENCH_baseline.json"
 
 echo "== probe artifacts"
 artifacts=(
@@ -66,29 +91,38 @@ for entry in "${artifacts[@]}"; do
     name=${entry%%|*}
     read -r -a args <<< "${entry#*|}"
     for side in parent change; do
-        (cd "$scratch/$side-run" &&
-            SCS_TELEMETRY_OUT="out/$name.json" "$(bench $side)" "${args[@]}" > /dev/null)
+        run "$side" "$name" env SCS_TELEMETRY_OUT="out/$name.json" "$(bench $side)" "${args[@]}" \
+            > /dev/null
     done
-    cmp "$scratch/parent-run/out/$name.json" "$scratch/change-run/out/$name.json"
-    echo "   $name: identical"
+    compare "$name" "$scratch/parent-run/out/$name.json" "$scratch/change-run/out/$name.json"
 done
 
 echo "== dsspbench counts and sim_p90_ms (seed $seed)"
 workloads=(auction_blind auction_view auction_view_writes bookstore_design_lru
     auction_view_shards4 auction_view_fleet4)
+# Side $1's exact counts (digest included) and `sim_p90_ms` on workload $2.
+counts() {
+    "$(dsspbench "$1")" child --workload "$2" --seed "$seed" --mode timed |
+        python3 -c 'import json,sys; print(json.dumps(json.loads(sys.stdin.read())["counts"], sort_keys=True))' \
+            > "out/$2.counts"
+}
+sim_p90() {
+    "$(dsspbench "$1")" --workload "$2" --seed "$seed" --seconds 2 --trace 0 | tail -n 1 |
+        python3 -c 'import json,sys; print(repr(json.loads(sys.stdin.read())["metrics"]["sim_p90_ms"]["value"]))' \
+            > "out/$2.sim_p90"
+}
 for w in "${workloads[@]}"; do
     for side in parent change; do
-        (cd "$scratch/$side-run" &&
-            "$(dsspbench $side)" child --workload "$w" --seed "$seed" --mode timed |
-            python3 -c 'import json,sys; print(json.dumps(json.loads(sys.stdin.read())["counts"], sort_keys=True))' \
-                > "out/$w.counts")
-        (cd "$scratch/$side-run" &&
-            "$(dsspbench $side)" --workload "$w" --seed "$seed" --seconds 2 --trace 0 | tail -n 1 |
-            python3 -c 'import json,sys; print(repr(json.loads(sys.stdin.read())["metrics"]["sim_p90_ms"]["value"]))' \
-                > "out/$w.sim_p90")
+        run "$side" "$w counts" counts "$side" "$w"
+        run "$side" "$w sim_p90_ms" sim_p90 "$side" "$w"
     done
-    cmp "$scratch/parent-run/out/$w.counts" "$scratch/change-run/out/$w.counts"
-    cmp "$scratch/parent-run/out/$w.sim_p90" "$scratch/change-run/out/$w.sim_p90"
-    echo "   $w: counts and sim_p90_ms $(cat "$scratch/change-run/out/$w.sim_p90") identical"
+    compare "$w counts" "$scratch/parent-run/out/$w.counts" "$scratch/change-run/out/$w.counts"
+    compare "$w sim_p90_ms" "$scratch/parent-run/out/$w.sim_p90" "$scratch/change-run/out/$w.sim_p90"
 done
+
+if ((${#differences[@]})); then
+    echo "differs in ${#differences[@]} step(s):"
+    printf '   %s\n' "${differences[@]}"
+    exit 1
+fi
 echo "same behaviour"
